@@ -7,6 +7,11 @@ compresses the first n stages into a single isotopy on a strictly
 increasing time grid; ``eval_limit_isotopy`` evaluates the countable
 composition at any time, including the limit time t = 1 via the
 settled / tolerance-converged / budget trichotomy.
+
+Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
+has a point left every later support -- read one memoized ``TailTable``
+per stream and last stage: the stacked supports and their suffix-union
+diameters, built back to front in one pass over the box corners.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Box, PLCurve, Point3, union_diameter
+from .geometry import Box, PLCurve, Point3, bounding_box, union_diameter
 from .maps import CompositeMap, IdentityMap, LocalMap
 
 
@@ -65,18 +70,56 @@ class GeneratorExhausted(Exception):
     """Raised when a finite move sequence is asked for a stage past its end."""
 
 
+@dataclass(frozen=True)
+class TailTable:
+    """The corners of the supports V_1..V_last stacked as (last, 3)
+    arrays ``lo`` and ``hi``, and ``diam[n - 1]`` = diam(V_n u ... u V_last).
+
+    Each entry is the value ``union_diameter(boxes[n - 1:])`` would give,
+    bitwise: the suffix recurrence
+    diam[n] = max(diam[n + 1], max corner distance from V_n to V_n..V_last)
+    takes the max over the same corner-pair distances.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    diam: np.ndarray
+
+    @staticmethod
+    def build(boxes: Sequence[Box]) -> "TailTable":
+        if not boxes:
+            empty = np.empty((0, 3))
+            return TailTable(lo=empty, hi=empty, diam=np.empty(0))
+        corners = np.stack([b.corner_array() for b in boxes])  # (last, 8, 3)
+        diam = np.empty(len(boxes))
+        diam[-1] = union_diameter(boxes[-1:])
+        for i in range(len(boxes) - 2, -1, -1):
+            rest = corners[i:].reshape(-1, 3)
+            diff = corners[i][:, None, :] - rest[None, :, :]
+            diam[i] = max(diam[i + 1], np.sqrt((diff**2).sum(axis=-1)).max())
+        lo = np.array([b.lo.as_array() for b in boxes])
+        hi = np.array([b.hi.as_array() for b in boxes])
+        return TailTable(lo=lo, hi=hi, diam=diam)
+
+    def in_later_support(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """Per row of pts, whether it lies in some V_j with j > k."""
+        inside = (pts[:, None, :] >= self.lo[k:]) & (pts[:, None, :] <= self.hi[k:])
+        return inside.all(axis=-1).any(axis=-1)
+
+
 @dataclass
 class MoveSequence:
     """A replayable stream of stages (H_k, V_k) inside a compact container.
 
-    ``stage_fn`` is 1-based and must be pure; stages are memoized.
-    ``length`` is None for unbounded streams.
+    ``stage_fn`` is 1-based and must be pure; stages and tail tables are
+    memoized.  ``length`` is None for unbounded streams.
     """
 
     stage_fn: Callable[[int], tuple[Isotopy, Box]]
     container: Box
     length: int | None = None
     _cache: dict = field(default_factory=dict, repr=False)
+    _tails: dict = field(default_factory=dict, repr=False)
 
     def stage(self, k: int) -> tuple[Isotopy, Box]:
         if k < 1:
@@ -96,6 +139,12 @@ class MoveSequence:
 
     def time_one_map(self, k: int) -> LocalMap:
         return self.stage(k)[0].time_one()
+
+    def tail_table(self, last: int) -> TailTable:
+        """The tail table of V_1..V_last, built once per last stage."""
+        if last not in self._tails:
+            self._tails[last] = TailTable.build(self.boxes(1, last))
+        return self._tails[last]
 
 
 @dataclass(frozen=True)
@@ -151,7 +200,14 @@ def truncated_map(seq: MoveSequence, n: int) -> LocalMap:
     if n == 0:
         return IdentityMap(support=seq.container)
     parts = [seq.time_one_map(k) for k in range(1, n + 1)]
-    return CompositeMap(parts, support=seq.container)
+    return CompositeMap(parts, support=_stream_support(seq, parts))
+
+
+def _stream_support(seq: MoveSequence, parts: Sequence[LocalMap]) -> Box:
+    """A support for a composite of stage maps that holds whether or not
+    the stages stay inside the container: the container and the parts'
+    own supports, boxed together."""
+    return bounding_box([seq.container] + [m.support for m in parts])
 
 
 def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
@@ -182,31 +238,30 @@ def tail_boxes(seq: MoveSequence, after: int, horizon: int) -> list[Box]:
 
 def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> HypothesisReport:
     """Tail-union diameters, containment in the compact container, and the
-    pairwise-disjointness witness."""
+    pairwise-disjointness witness, all read off the stream's tail table
+    for V_1..V_horizon."""
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
-    last = seq.clip(horizon)
-    boxes = seq.boxes(1, last)
-    tails = tuple(
-        (n, union_diameter(boxes[n - 1 :])) for n in range(1, last + 1)
+    tails = seq.tail_table(seq.clip(horizon))
+    diameters = tuple(enumerate(tails.diam.tolist(), start=1))
+    container = seq.container
+    containment_ok = bool(
+        container.contains_array(tails.lo, strict=True).all()
+        and container.contains_array(tails.hi, strict=True).all()
     )
-    containment_ok = all(seq.container.contains_box(b, strict=True) for b in boxes)
-    disjoint = True
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].intersects(boxes[j]):
-                disjoint = False
-                break
-        if not disjoint:
-            break
+    overlap = np.all(
+        (tails.lo[:, None] <= tails.hi[None, :]) & (tails.lo[None, :] <= tails.hi[:, None]),
+        axis=-1,
+    )
+    disjoint = not np.triu(overlap, k=1).any()
     first_violation: int | None = None
-    if tails[-1][1] >= threshold:
+    if diameters[-1][1] >= threshold:
         first_violation = 1
     elif not containment_ok:
         first_violation = 2
     verdict = "pass" if first_violation is None else "fail"
     return HypothesisReport(
-        tail_diameters=tails,
+        tail_diameters=diameters,
         containment_ok=containment_ok,
         disjoint_supports=disjoint,
         verdict=verdict,
@@ -239,7 +294,9 @@ def eval_limit_isotopy(
     k-1 time-1 maps.  At t = 1 the composition is iterated until the
     running image escapes all later supports (settled, exact) or the
     remaining tail union has diameter below tol (tol-converged), up to
-    k_budget stages.
+    k_budget stages.  Both tests read the stream's tail table: the image
+    after k stages is settled when it lies in none of V_{k+1}..V_last,
+    and tol-converged when diam(V_{k+1} u ... u V_last) < tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -254,22 +311,18 @@ def eval_limit_isotopy(
         x = iso.map_at(local).apply_array(x)
         return LimitValue(Point3.from_array(x[0]), "exact", k)
     horizon = seq.clip(k_budget)
+    tails = seq.tail_table(horizon)
     x = p.as_array()[None, :]
-    for k in range(0, horizon + 1):
-        later = tail_boxes(seq, k, horizon)
-        if not later:
-            # a finite stream truly ends; an unbounded one just ran out of budget
-            if seq.length is not None:
-                return LimitValue(Point3.from_array(x[0]), "settled", k)
-            break
-        if not any(b.contains_array(x)[0] for b in later):
+    for k in range(horizon):
+        if not tails.in_later_support(x, k)[0]:
             return LimitValue(Point3.from_array(x[0]), "settled", k)
-        if union_diameter(later) < tol:
+        if tails.diam[k] < tol:
             return LimitValue(Point3.from_array(x[0]), "tol-converged", k)
-        if k == horizon:
-            break
         x = seq.time_one_map(k + 1).apply_array(x)
-    return LimitValue(Point3.from_array(x[0]), "budget-exhausted", horizon)
+    # no later support is left: a finite stream truly ends, an unbounded
+    # one just ran out of budget
+    status = "settled" if seq.length is not None else "budget-exhausted"
+    return LimitValue(Point3.from_array(x[0]), status, horizon)
 
 
 # -- probes ------------------------------------------------------------------
@@ -319,13 +372,8 @@ def infinite_motion_census(
     n_max = seq.clip(n_max)
     pts = np.array([s.as_array() for s in samples])
     img = apply_truncated(seq, n_max, pts)
-    later = tail_boxes(seq, n_max, horizon)
-    if not later:
-        return 0
-    trapped = np.zeros(len(samples), dtype=bool)
-    for b in later:
-        trapped |= b.contains_array(img)
-    return int(trapped.sum())
+    tails = seq.tail_table(seq.clip(horizon))
+    return int(tails.in_later_support(img, n_max).sum())
 
 
 # -- schedule gluing ---------------------------------------------------------
@@ -348,7 +396,7 @@ def glue_schedule(seq: MoveSequence, sched: Schedule, n: int) -> Isotopy:
         local = (t - t0) / (t1 - t0)
         iso, _ = seq.stage(k)
         parts = [seq.time_one_map(j) for j in range(1, k)] + [iso.map_at(local)]
-        return CompositeMap(parts, support=seq.container)
+        return CompositeMap(parts, support=_stream_support(seq, parts))
 
     return Isotopy(support=seq.container, map_at=map_at)
 

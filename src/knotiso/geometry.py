@@ -158,6 +158,13 @@ def box_diameter(b: Box) -> float:
     return b.diameter()
 
 
+def bounding_box(boxes: Sequence[Box]) -> Box:
+    """The smallest box containing a non-empty family of boxes."""
+    lo = np.min([b.lo.as_array() for b in boxes], axis=0)
+    hi = np.max([b.hi.as_array() for b in boxes], axis=0)
+    return Box(Point3.from_array(lo), Point3.from_array(hi))
+
+
 def union_diameter(boxes: Sequence[Box]) -> float:
     """Diameter of the union of a non-empty family of boxes.
 

@@ -12,7 +12,8 @@ Four kinds are provided:
 * ``UnsquishMap`` -- a fixed-time slice of the radial expansion between
   two concentric nested boxes; points near the expansion center are moved
   away from it by an exact factor of 1/c at time 1.
-* ``CompositeMap`` -- left-to-right composition of other maps.
+* ``CompositeMap`` -- left-to-right composition of other maps, evaluated
+  only on the rows inside its declared support.
 
 All maps evaluate pointwise (``apply``) and in bulk over (n, 3) arrays
 (``apply_array``); inverses are exact map objects, not numeric solves.
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, Point3, distance
+from .geometry import Box, Point3, bounding_box, distance
 
 _HUGE = 1e12
 
@@ -406,28 +407,47 @@ class _InverseWrapper(LocalMap):
 
 
 class CompositeMap(LocalMap):
-    """Left-to-right composition: apply(p) runs parts[0] first."""
+    """Left-to-right composition: apply(p) runs parts[0] first.
+
+    Only the rows inside the declared support are pushed through the
+    parts; the rest come back bitwise unchanged.  The support must
+    therefore contain everything any part moves.
+    """
 
     def __init__(self, parts: Sequence[LocalMap], support: Box | None = None):
         self.parts = tuple(parts)
         if support is not None:
             self.support = support
         elif self.parts:
-            self.support = _bounding_box([m.support for m in self.parts])
+            self.support = bounding_box([m.support for m in self.parts])
         else:
             self.support = Box(Point3(0, 0, 0), Point3(0, 0, 0))
 
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(pts, dtype=float)
-        for m in self.parts:
-            out = m.apply_array(out)
+    def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        inside = self.support.contains_array(pts)
+        if inside.all():
+            return run(pts)
+        out = pts.copy()
+        if inside.any():
+            out[inside] = run(pts[inside])
         return out
 
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        def run(out: np.ndarray) -> np.ndarray:
+            for m in self.parts:
+                out = m.apply_array(out)
+            return out
+
+        return self._on_support(pts, run)
+
     def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(pts, dtype=float)
-        for m in reversed(self.parts):
-            out = m.apply_inverse_array(out)
-        return out
+        def run(out: np.ndarray) -> np.ndarray:
+            for m in reversed(self.parts):
+                out = m.apply_inverse_array(out)
+            return out
+
+        return self._on_support(pts, run)
 
     def inverse(self) -> "CompositeMap":
         return CompositeMap([m.inverse() for m in reversed(self.parts)], support=self.support)
@@ -435,12 +455,6 @@ class CompositeMap(LocalMap):
     def describe(self) -> str:
         inner = " | ".join(m.describe() for m in self.parts)
         return f"composite[{inner}]"
-
-
-def _bounding_box(boxes: Sequence[Box]) -> Box:
-    lo = np.min([b.lo.as_array() for b in boxes], axis=0)
-    hi = np.max([b.hi.as_array() for b in boxes], axis=0)
-    return Box(Point3.from_array(lo), Point3.from_array(hi))
 
 
 def compose(m1: LocalMap, m2: LocalMap) -> CompositeMap:

@@ -574,7 +574,10 @@ class PowerMap1D(LocalMap):
     """x -> x^e on the unit interval of the x-axis, identity elsewhere.
 
     A 1-D stand-in: its support is the degenerate unit-interval box, and
-    it moves every point whose x lies in [0, 1] regardless of y, z.
+    it moves every point whose x lies in [0, 1] regardless of y, z.  It
+    therefore moves points off its declared support on purpose, unlike
+    every other map kind; a ``CompositeMap`` over it only evaluates the
+    rows inside the composite's own support.
     """
 
     def __init__(self, exponent: float):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotiso.engine import (
     GeneratorExhausted,
     Isotopy,
     MoveSequence,
     Schedule,
+    TailTable,
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
@@ -140,6 +143,26 @@ class TestHypotheses:
         assert rep.verdict == "fail"
         assert rep.first_violation == 2
 
+    def test_support_outside_container_still_moves_points(self):
+        # stage 3 sticks out past the container's x = 3 face; composites
+        # must not cull on the container, whose containment is on trial
+        def stage(k):
+            if k == 3:
+                b = Box(Point3(2.6, -0.3, -0.3), Point3(3.6, 0.3, 0.3))
+                return cone_isotopy(b, b.center, Point3(3.1, 0.2, 0.0)), b
+            return _shrinking_stage(k)
+
+        seq = MoveSequence(stage_fn=stage, container=CONTAINER)
+        rep = check_hypotheses(seq, horizon=25, threshold=1e-6)
+        assert rep.to_lines()[-1] == "verdict: fail (condition 2)"
+        p = np.array([[3.2, 0.05, 0.0]])
+        assert not CONTAINER.contains_array(p)[0]
+        sched = Schedule()
+        glued = glue_schedule(seq, sched, 5)
+        stage_3_late = sched.time(2) + 0.9 * (sched.time(3) - sched.time(2))
+        for m in (truncated_map(seq, 5), glued.map_at(1.0), glued.map_at(stage_3_late)):
+            assert not np.array_equal(m.apply_array(p), p)
+
     def test_constant_supports_fail_condition_1(self):
         b = Box.cube(Point3(0, 0, 0), 1.0)
 
@@ -163,6 +186,60 @@ class TestHypotheses:
         assert lines[1] == "containment_ok: true"
         assert lines[2] == "disjoint_supports: true"
         assert lines[3] == "verdict: pass"
+
+
+def _box_family():
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+    extent = st.floats(0.0, 5.0, allow_nan=False)
+    box = st.tuples(coord, coord, coord, extent, extent, extent).map(
+        lambda v: Box.from_center(Point3(*v[:3]), Point3(*v[3:]))
+    )
+    return st.lists(box, min_size=1, max_size=12)
+
+
+def _fixed_stream(boxes):
+    def stage(k):
+        b = boxes[k - 1]
+        return Isotopy(support=b, map_at=lambda t: IdentityMap(support=b)), b
+
+    return MoveSequence(stage_fn=stage, container=CONTAINER, length=len(boxes))
+
+
+class TestTailTable:
+    @given(_box_family())
+    @settings(max_examples=60, deadline=None)
+    def test_entries_equal_union_diameter(self, boxes):
+        table = _fixed_stream(boxes).tail_table(len(boxes))
+        for n in range(1, len(boxes) + 1):
+            assert table.diam[n - 1] == pytest.approx(union_diameter(boxes[n - 1 :]), abs=0.0)
+        assert all(a >= b for a, b in zip(table.diam, table.diam[1:]))
+
+    @given(_box_family(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_later_support_matches_box_containment(self, boxes, seed):
+        table = TailTable.build(boxes)
+        # random points plus every box's corners, which sit on the boundary
+        rng = np.random.default_rng(seed)
+        pts = np.concatenate([rng.uniform(-16.0, 16.0, (50, 3)), table.lo, table.hi])
+        for k in range(len(boxes) + 1):
+            want = np.zeros(len(pts), dtype=bool)
+            for b in boxes[k:]:
+                want |= b.contains_array(pts)
+            assert np.array_equal(table.in_later_support(pts, k), want)
+
+    @given(_box_family())
+    @settings(max_examples=40, deadline=None)
+    def test_containment_and_disjointness_match_box_predicates(self, boxes):
+        rep = check_hypotheses(_fixed_stream(boxes), horizon=max(2, len(boxes)), threshold=1e-6)
+        assert rep.containment_ok == all(CONTAINER.contains_box(b, strict=True) for b in boxes)
+        assert rep.disjoint_supports == all(
+            not a.intersects(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
+        )
+
+    def test_memoized_per_last_stage(self):
+        seq = _stream()
+        assert seq.tail_table(8) is seq.tail_table(8)
+        assert len(seq.tail_table(5).diam) == 5
 
 
 class TestTailBoxes:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotiso.canonical import CANONICAL_BOX, KINK_STAGES, conjugated_insert, kink_map
 from knotiso.geometry import Box, Point3, distance
 from knotiso.maps import (
     AffineMap,
@@ -18,6 +19,8 @@ from knotiso.maps import (
     roundtrip_error,
     unbounded_box,
 )
+from knotiso.moves import chained_isotopy, reversed_isotopy, staged_isotopy, unsquish_isotopy
+from knotiso.scenarios import SCENARIO_BUILDERS
 
 UNIT = Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1))
 
@@ -270,3 +273,75 @@ def test_cone_map_bijective_on_random_targets(x, y, z):
     rng = np.random.default_rng(12)
     pts = UNIT.sample(rng, 200)
     assert roundtrip_error(m, pts) < 1e-9
+
+
+# -- support culling ----------------------------------------------------------
+
+
+def _target_boxes():
+    coord = st.floats(-50.0, 50.0)
+    aspect = st.floats(0.25, 1.0)
+    return st.tuples(coord, coord, coord, st.floats(2.0**-12, 4.0), aspect, aspect, aspect).map(
+        lambda v: Box.from_center(Point3(*v[:3]), Point3(*v[4:]).scaled(v[3]))
+    )
+
+
+def _around(box: Box, rng: np.random.Generator, n: int = 400) -> np.ndarray:
+    """Points in and near a box, plus its corners and far-away points."""
+    near = box.scaled_about_center(3.0).sample(rng, n)
+    far = rng.uniform(-100.0, 100.0, (n // 4, 3))
+    return np.concatenate([near, far, box.corner_array()])
+
+
+def _assert_culled(m: CompositeMap, pts: np.ndarray) -> None:
+    """Rows outside the declared support come back bitwise unchanged, and
+    the support is honest: the parts themselves move those rows by no more
+    than conjugation roundoff."""
+    outside = ~m.support.contains_array(pts)
+    assert outside.any()
+    img = m.apply_array(pts)
+    assert np.array_equal(img[outside], pts[outside])
+    assert np.array_equal(m.apply_inverse_array(pts)[outside], pts[outside])
+    raw = pts[outside]
+    for part in m.parts:
+        raw = part.apply_array(raw)
+    assert np.abs(raw - pts[outside]).max() < 1e-12
+
+
+@given(_target_boxes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_move_time_one_maps_fix_rows_off_support(target, seed):
+    rng = np.random.default_rng(seed)
+    pts = _around(target, rng)
+    frame = AffineMap.box_to_box(CANONICAL_BOX, target)
+    squish = unsquish_isotopy(
+        UnsquishParams(
+            outer=target,
+            inner=target.scaled_about_center(0.5),
+            apex=target.center,
+            c=0.5,
+        )
+    )
+    insert = conjugated_insert(target)
+    maps = [
+        conjugate(frame, kink_map(), target),
+        staged_isotopy(list(KINK_STAGES), CANONICAL_BOX).map_at(1.0),
+        chained_isotopy([insert, squish], target).map_at(1.0),
+        reversed_isotopy(insert).map_at(1.0),
+    ]
+    for m in maps:
+        box_pts = pts if m.support == target else _around(m.support, rng)
+        _assert_culled(m, box_pts)
+
+
+# 1d_counterexample is left out: its PowerMap1D moves points off its
+# degenerate declared support on purpose
+CULLED_SCENARIOS = sorted(set(SCENARIO_BUILDERS) - {"1d_counterexample"})
+
+
+@given(st.sampled_from(CULLED_SCENARIOS), st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_scenario_stage_maps_fix_rows_off_support(scenarios, name, k, seed):
+    m = scenarios[name].moves.time_one_map(k)
+    assert isinstance(m, CompositeMap)
+    _assert_culled(m, _around(m.support, np.random.default_rng(seed)))

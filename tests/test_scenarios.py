@@ -23,6 +23,7 @@ from knotiso.scenarios import (
     Scenario1D,
     build_1d_counterexample,
     build_snowflake,
+    fox_outer,
     get_scenario,
     rec_apex,
     rec_settle_bound,
@@ -283,9 +284,15 @@ class TestFox:
         s = scenarios["fox_remarkable"]
         pts = np.array([p.as_array() for p in s.census_samples])
         img = apply_truncated(s.moves, DEPTH, pts)
-        r0 = np.sqrt((pts**2).sum(-1)).max()
-        r1 = np.sqrt((img**2).sum(-1)).max()
+        # points strictly inside the first support are dragged inward
+        inner = fox_outer(1).contains_array(pts, strict=True)
+        r0 = np.sqrt((pts[inner] ** 2).sum(-1)).max()
+        r1 = np.sqrt((img[inner] ** 2).sum(-1)).max()
         assert r1 < r0
+        # points outside every support are never moved
+        outer = ~fox_outer(1).contains_array(pts)
+        assert outer.sum() == 20
+        assert np.array_equal(img[outer], pts[outer])
 
     def test_nested_family_factoring(self, scenarios):
         fam = scenarios["fox_remarkable"].nested_family
