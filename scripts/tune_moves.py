@@ -18,11 +18,10 @@ import itertools
 
 import numpy as np
 
-from knotiso.canonical import KINK_STAGES, kink_map
+from knotiso.canonical import CANONICAL_BOX, KINK_STAGES, kink_map
 from knotiso.diagram import find_crossings
-from knotiso.geometry import Box, PLCurve, Point3, curve_is_simple
-from knotiso.maps import CompositeMap, make_cone_map
-from knotiso.moves import ConeStage
+from knotiso.geometry import PLCurve, Point3, curve_is_simple
+from knotiso.moves import ConeStage, staged_isotopy
 
 
 def strand(n: int) -> PLCurve:
@@ -31,10 +30,7 @@ def strand(n: int) -> PLCurve:
 
 
 def evaluate(stages: list[ConeStage], n: int) -> tuple[int, float, bool]:
-    m = CompositeMap(
-        [make_cone_map(s.region, s.p0, s.p1) for s in stages],
-        support=Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1)),
-    )
+    m = staged_isotopy(stages, CANONICAL_BOX).time_one()
     pts = m.apply_array(strand(n).as_array())
     curve = PLCurve(tuple(Point3.from_array(p) for p in pts), closed=False)
     crossings = find_crossings(curve)
@@ -74,7 +70,7 @@ def main() -> None:
     # sanity: the frozen kink map is exactly invertible on a sample
     km = kink_map()
     rng = np.random.default_rng(0)
-    pts = Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1)).sample(rng, 2000)
+    pts = CANONICAL_BOX.sample(rng, 2000)
     err = np.abs(km.apply_inverse_array(km.apply_array(pts)) - pts).max()
     print(f"\nroundtrip error on 2000 points: {err:.3g}")
 

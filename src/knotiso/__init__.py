@@ -5,11 +5,9 @@ from .geometry import (  # noqa: F401
     Box,
     PLCurve,
     Point3,
-    box_diameter,
     curve_is_simple,
     distance,
     read_curve,
-    segments_intersect,
     union_diameter,
     write_curve,
 )
@@ -21,10 +19,8 @@ from .maps import (  # noqa: F401
     LocalMap,
     UnsquishMap,
     UnsquishParams,
-    compose,
     estimate_inverse_lipschitz,
     make_cone_map,
-    make_unsquish_map,
 )
 from .engine import (  # noqa: F401
     HypothesisReport,

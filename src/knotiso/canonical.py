@@ -9,14 +9,17 @@ densification with z-separation margin 0.29 at the crossing.
 
 Conjugating by an axis-aligned positive-scale affine frame preserves the
 projected crossing structure, so the move is tuned once here and reused in
-every scenario box.
+every scenario box.  Every move here is built from the primitives in
+``moves``: the single insert chains its cone stages, the m-loop insert
+chains m conjugated copies of it, and each time-1 map is the end map of
+its isotopy.
 """
 from __future__ import annotations
 
 from .engine import Isotopy
 from .geometry import Box, Point3
-from .maps import AffineMap, CompositeMap, LocalMap, conjugate, make_cone_map
-from .moves import ConeStage, conjugated_isotopy, staged_isotopy
+from .maps import AffineMap, LocalMap
+from .moves import ConeStage, chained_isotopy, conjugated_isotopy, staged_isotopy
 
 CANONICAL_BOX = Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1))
 
@@ -40,17 +43,14 @@ KINK_STAGES = (
 )
 
 
-def kink_map() -> CompositeMap:
-    """Time-1 map of the canonical single-loop insert."""
-    return CompositeMap(
-        [make_cone_map(s.region, s.p0, s.p1) for s in KINK_STAGES],
-        support=CANONICAL_BOX,
-    )
-
-
 def kink_isotopy() -> Isotopy:
     """The canonical single-loop insert, staged over [0, 1]."""
-    return staged_isotopy(list(KINK_STAGES), CANONICAL_BOX)
+    return staged_isotopy(KINK_STAGES, CANONICAL_BOX)
+
+
+def kink_map() -> LocalMap:
+    """Time-1 map of the canonical single-loop insert."""
+    return kink_isotopy().time_one()
 
 
 def loop_sub_boxes(m: int) -> list[Box]:
@@ -66,35 +66,21 @@ def loop_sub_boxes(m: int) -> list[Box]:
     ]
 
 
-def multi_kink_map(m: int) -> CompositeMap:
-    """Time-1 map inserting m loops along the strand (m crossings)."""
-    k = kink_map()
-    parts: list[LocalMap] = []
-    for sub in loop_sub_boxes(m):
-        frame = AffineMap.box_to_box(CANONICAL_BOX, sub)
-        parts.append(conjugate(frame, k, sub))
-    return CompositeMap(parts, support=CANONICAL_BOX)
-
-
 def multi_kink_isotopy(m: int) -> Isotopy:
     """m loop inserts run one after another over equal time slices."""
-    iso = kink_isotopy()
-    subs = loop_sub_boxes(m)
-    frames = [AffineMap.box_to_box(CANONICAL_BOX, sub) for sub in subs]
-    finished = [
-        conjugate(fr, kink_map(), sub) for fr, sub in zip(frames, subs)
-    ]
+    kink = kink_isotopy()
+    return chained_isotopy(
+        [
+            conjugated_isotopy(AffineMap.box_to_box(CANONICAL_BOX, sub), kink, sub)
+            for sub in loop_sub_boxes(m)
+        ],
+        CANONICAL_BOX,
+    )
 
-    def map_at(t: float) -> LocalMap:
-        if t >= 1.0:
-            return CompositeMap(finished, support=CANONICAL_BOX)
-        i = min(m - 1, int(t * m))
-        local = t * m - i
-        parts: list[LocalMap] = list(finished[:i])
-        parts.append(conjugate(frames[i], iso.map_at(local), subs[i]))
-        return CompositeMap(parts, support=CANONICAL_BOX)
 
-    return Isotopy(support=CANONICAL_BOX, map_at=map_at)
+def multi_kink_map(m: int) -> LocalMap:
+    """Time-1 map inserting m loops along the strand (m crossings)."""
+    return multi_kink_isotopy(m).time_one()
 
 
 def conjugated_insert(target: Box, m: int = 1) -> Isotopy:

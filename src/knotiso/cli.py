@@ -41,6 +41,7 @@ _K_BUDGET = 40
 _EXIT_MISMATCH = 1
 _EXIT_UNKNOWN = 2
 _EXIT_IO = 3
+_EXIT_EVAL = 4
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    except ValueError as exc:
+        # a map that cannot be built or evaluated, not a verdict mismatch
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_EVAL
 
 
 if __name__ == "__main__":

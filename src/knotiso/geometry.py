@@ -153,11 +153,6 @@ class Box:
         return lo + rng.random((n, 3)) * (hi - lo)
 
 
-def box_diameter(b: Box) -> float:
-    """Corner-to-corner diameter of a box."""
-    return b.diameter()
-
-
 def bounding_box(boxes: Sequence[Box]) -> Box:
     """The smallest box containing a non-empty family of boxes."""
     lo = np.min([b.lo.as_array() for b in boxes], axis=0)
@@ -223,19 +218,6 @@ def segment_distance(p1: Point3, p2: Point3, q1: Point3, q2: Point3) -> tuple[fl
     )
     mid = Point3.from_array((cp + cq) / 2.0)
     return float(np.linalg.norm(cp - cq)), mid
-
-
-def segments_intersect(
-    p1: Point3, p2: Point3, q1: Point3, q2: Point3, tol: float
-) -> tuple[bool, Point3 | None]:
-    """True iff the minimal distance between the segments is below tol.
-
-    The witness is the midpoint of the closest-point pair.
-    """
-    d, mid = segment_distance(p1, p2, q1, q2)
-    if d < tol:
-        return True, mid
-    return False, None
 
 
 @dataclass(frozen=True)

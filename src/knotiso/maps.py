@@ -457,11 +457,6 @@ class CompositeMap(LocalMap):
         return f"composite[{inner}]"
 
 
-def compose(m1: LocalMap, m2: LocalMap) -> CompositeMap:
-    """Left-to-right composition: the result applies m1 first, then m2."""
-    return CompositeMap([m1, m2])
-
-
 def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> CompositeMap:
     """frame o canonical o frame^-1, supported in the given box."""
     return CompositeMap([frame.inverse(), canonical, frame], support=support)
@@ -471,15 +466,6 @@ def make_cone_map(region: Box, p0: Point3, p1: Point3) -> LocalMap:
     if distance(p0, p1) == 0.0:
         return IdentityMap(support=region)
     return ConeMap(region, p0, p1)
-
-
-def make_unsquish_map(params: UnsquishParams):
-    """Time-parameterized family t -> UnsquishMap slice."""
-
-    def at(t: float) -> UnsquishMap:
-        return UnsquishMap(params, t)
-
-    return at
 
 
 def estimate_inverse_lipschitz(

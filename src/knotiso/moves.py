@@ -1,5 +1,7 @@
-"""Isotopy constructors: cone pulls, staged compositions, conjugation into
-target boxes, and time reversal.
+"""Isotopy constructors: one chaining primitive (``chained_isotopy``) that
+runs pieces one after another over equal time slices, plus the pieces it
+chains -- the linear cone pull, conjugation into a target box, time
+reversal and the unsquish.
 
 Reidemeister-style moves are synthesized as short chains of cone pulls;
 each chain is tuned once in a canonical box and conjugated into the box it
@@ -26,10 +28,12 @@ from .maps import (
 
 def cone_isotopy(region: Box, p0: Point3, p1: Point3) -> Isotopy:
     """Pull the apex from p0 to p1, linearly in time."""
-    # validate at construction time
-    make_cone_map(region, p0, p1)
+    # built once: validates at construction time and is the map at t >= 1
+    end = make_cone_map(region, p0, p1)
 
     def map_at(t: float) -> LocalMap:
+        if t >= 1.0:
+            return end
         return make_cone_map(region, p0, lerp(p0, p1, t))
 
     return Isotopy(support=region, map_at=map_at)
@@ -44,22 +48,7 @@ class ConeStage:
 
 def staged_isotopy(stages: Sequence[ConeStage], support: Box) -> Isotopy:
     """Run cone stages one after another over equal time slices."""
-    if not stages:
-        raise ValueError("need at least one stage")
-    n = len(stages)
-    finished = [make_cone_map(s.region, s.p0, s.p1) for s in stages]
-
-    def map_at(t: float) -> LocalMap:
-        if t >= 1.0:
-            return CompositeMap(finished, support=support)
-        i = min(n - 1, int(t * n))
-        local = t * n - i
-        parts: list[LocalMap] = list(finished[:i])
-        s = stages[i]
-        parts.append(make_cone_map(s.region, s.p0, lerp(s.p0, s.p1, local)))
-        return CompositeMap(parts, support=support)
-
-    return Isotopy(support=support, map_at=map_at)
+    return chained_isotopy([cone_isotopy(s.region, s.p0, s.p1) for s in stages], support)
 
 
 def chained_isotopy(parts: Sequence[Isotopy], support: Box) -> Isotopy:

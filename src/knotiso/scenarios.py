@@ -18,13 +18,8 @@ from .ball_factoring import NestedFamily
 from .canonical import conjugated_insert
 from .engine import Isotopy, MoveSequence, Schedule
 from .geometry import Box, PLCurve, Point3
-from .maps import (
-    LocalMap,
-    UnsquishParams,
-    estimate_inverse_lipschitz,
-    make_cone_map,
-)
-from .moves import chained_isotopy, reversed_isotopy, unsquish_isotopy
+from .maps import LocalMap, UnsquishParams, estimate_inverse_lipschitz
+from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
 INJECTIVITY_THRESHOLD = 1e-3
@@ -251,8 +246,9 @@ def rec_unsquish_params(k: int, c: float) -> UnsquishParams:
     )
 
 
-def rec_insert_map(k: int) -> LocalMap:
-    return make_cone_map(rec_insert_region(k), rec_apex(k - 1), rec_apex(k))
+def rec_insert(k: int) -> Isotopy:
+    """The level-k insert: pull the relay apex from q_{k-1} to q_k in B_k."""
+    return cone_isotopy(rec_insert_region(k), rec_apex(k - 1), rec_apex(k))
 
 
 def rec_squish_constant() -> float:
@@ -262,22 +258,9 @@ def rec_squish_constant() -> float:
     estimate is valid for every k.
     """
     est = estimate_inverse_lipschitz(
-        rec_insert_map(2), rec_insert_region(2), n_samples=4000, seed=20260823
+        rec_insert(2).time_one(), rec_insert_region(2), n_samples=4000, seed=20260823
     )
     return min(0.95, 0.9 * est)
-
-
-def _rec_insert_isotopy(k: int) -> Isotopy:
-    region = rec_insert_region(k)
-    p0, p1 = rec_apex(k - 1), rec_apex(k)
-
-    def map_at(t: float) -> LocalMap:
-        q = Point3(
-            p0.x + t * (p1.x - p0.x), p0.y + t * (p1.y - p0.y), p0.z + t * (p1.z - p0.z)
-        )
-        return make_cone_map(region, p0, q)
-
-    return Isotopy(support=region, map_at=map_at)
 
 
 def build_recursive_r1(ablated: bool = False) -> Scenario:
@@ -290,7 +273,7 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     c = rec_squish_constant()
 
     def stage(k: int) -> tuple[Isotopy, Box]:
-        insert = _rec_insert_isotopy(k)
+        insert = rec_insert(k)
         if ablated:
             return chained_isotopy([insert], rec_box(k)), rec_box(k)
         squish = unsquish_isotopy(rec_unsquish_params(k, c))
@@ -600,26 +583,10 @@ class PowerMap1D(LocalMap):
         return f"power1d e={self.exponent:.17g}"
 
 
-@dataclass(frozen=True)
-class Scenario1D:
+def build_1d_counterexample() -> Scenario:
     """The interval move stream h_k(x) = x^((k+1)/k) with full-interval
     supports; uniformly convergent stages whose limit is not injective."""
 
-    scenario: Scenario
-
-    @staticmethod
-    def exponent(k: int) -> float:
-        return (k + 1.0) / k
-
-    @staticmethod
-    def composite_exponent(n: int) -> float:
-        e = 1.0
-        for k in range(1, n + 1):
-            e *= Scenario1D.exponent(k)
-        return e
-
-
-def build_1d_counterexample() -> Scenario1D:
     def stage(k: int) -> tuple[Isotopy, Box]:
         support = Box(Point3(0, 0, 0), Point3(1, 0, 0))
 
@@ -636,7 +603,7 @@ def build_1d_counterexample() -> Scenario1D:
         (Point3(0.1, 0, 0), Point3(0.4, 0, 0)),
     )
     census = tuple(Point3(x, 0, 0) for x in (0.3, 0.5, 0.7, 0.9))
-    inner = Scenario(
+    return Scenario(
         name="1d_counterexample",
         initial_curve=curve,
         moves=MoveSequence(stage_fn=stage, container=container, length=None),
@@ -646,7 +613,6 @@ def build_1d_counterexample() -> Scenario1D:
         probe_pairs=pairs,
         census_samples=census,
     )
-    return Scenario1D(scenario=inner)
 
 
 # -- registry -----------------------------------------------------------------
@@ -659,7 +625,7 @@ SCENARIO_BUILDERS: dict[str, Callable[[], Scenario]] = {
     "trefoil_chain": lambda: build_trefoil_chain(extended=False),
     "trefoil_chain_extended": lambda: build_trefoil_chain(extended=True),
     "fox_remarkable": build_fox_remarkable,
-    "1d_counterexample": lambda: build_1d_counterexample().scenario,
+    "1d_counterexample": build_1d_counterexample,
 }
 
 

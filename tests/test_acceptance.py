@@ -178,7 +178,7 @@ def test_criterion_06_failure_detection():
     assert rep.first_violation == 1
     assert all(d >= 1.0 for _, d in rep.tail_diameters)
 
-    s1d = build_1d_counterexample().scenario
+    s1d = build_1d_counterexample()
     rep1d = check_hypotheses(s1d.moves, HORIZON, TOL)
     assert rep1d.first_violation == 1
     img = apply_truncated(

@@ -99,6 +99,15 @@ class TestRunVerb:
         )
         assert status == 3
 
+    def test_too_deep_run_exits_four(self, tmp_path, capsys):
+        # the depth-55 stage boxes collapse in double precision
+        status = main(
+            ["run", "--scenario", "countable_r1", "--depth", "55", "--out", str(tmp_path)]
+        )
+        assert status == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_reports_append(self, tmp_path):
         argv = ["run", "--scenario", "1d_counterexample", "--out", str(tmp_path)]
         main(argv)
@@ -179,6 +188,15 @@ class TestFramesVerb:
         frame = read_curve(frames_dir / "countable_r1_frame_001.curve")
         write_curve(frame, tmp_path / "copy.curve")
         assert read_curve(tmp_path / "copy.curve").vertices == frame.vertices
+
+    def test_degenerate_frame_exits_four(self, tmp_path, capsys):
+        # t = 0.9 is in stage 4, where the fox projection is degenerate
+        status = main(
+            ["frames", "--scenario", "fox_remarkable", "--times", "0.9", "--out", str(tmp_path)]
+        )
+        assert status == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:

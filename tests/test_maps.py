@@ -15,7 +15,6 @@ from knotiso.maps import (
     conjugate,
     estimate_inverse_lipschitz,
     make_cone_map,
-    make_unsquish_map,
     roundtrip_error,
     unbounded_box,
 )
@@ -199,11 +198,11 @@ class TestUnsquishMap:
         r1 = np.sqrt(((img - a) ** 2).sum(-1))
         assert np.abs(r1 - 2.0 * r0).max() < 1e-9
 
-    def test_make_unsquish_map_family(self):
-        fam = make_unsquish_map(_params(0.5))
-        assert fam(0.3).t == 0.3
+    def test_unsquish_isotopy_slices(self):
+        iso = unsquish_isotopy(_params(0.5))
+        assert iso.map_at(0.3).t == 0.3
         with pytest.raises(ValueError):
-            fam(1.5)
+            iso.map_at(1.5)
 
 
 class TestCompositeAndConjugate:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knotiso.canonical import (
     CANONICAL_BOX,
     KINK_CROSSINGS,
+    KINK_STAGES,
     conjugated_insert,
     kink_isotopy,
     kink_map,
@@ -12,11 +15,15 @@ from knotiso.canonical import (
     multi_kink_map,
 )
 from knotiso.diagram import count_crossings
-from knotiso.geometry import Box, PLCurve, Point3, curve_is_simple, distance
+from knotiso.geometry import Box, PLCurve, Point3, curve_is_simple, distance, lerp
 from knotiso.maps import (
     AffineMap,
+    CompositeMap,
+    ConeMap,
     IdentityMap,
     UnsquishParams,
+    conjugate,
+    make_cone_map,
     roundtrip_error,
 )
 from knotiso.moves import (
@@ -172,7 +179,7 @@ class TestCanonicalKink:
         pts = UNIT.sample(rng, 500)
         a = kink_map().apply_array(pts)
         b = kink_isotopy().time_one().apply_array(pts)
-        assert np.abs(a - b).max() < 1e-12
+        assert np.array_equal(a, b)
 
     def test_kink_fixes_box_exterior(self):
         rng = np.random.default_rng(5)
@@ -209,7 +216,7 @@ class TestMultiKink:
         pts = UNIT.sample(rng, 500)
         a = multi_kink_map(3).apply_array(pts)
         b = multi_kink_isotopy(3).time_one().apply_array(pts)
-        assert np.abs(a - b).max() < 1e-12
+        assert np.array_equal(a, b)
 
 
 class TestConjugatedInsert:
@@ -228,3 +235,87 @@ class TestConjugatedInsert:
         xs = np.linspace(target.lo.x, target.hi.x, 800)
         strand = PLCurve(tuple(Point3(float(x), 0.0, 0.0) for x in xs))
         assert count_crossings(_image(iso, 1.0, strand)) == 2
+
+
+# -- bitwise references for the derived isotopies -----------------------------
+#
+# The oracles below are the hand-sliced formulas staged_isotopy and
+# multi_kink_isotopy had before both were derived from chained_isotopy.
+# Off the slice boundaries (t * n not an integer) and at t = 1 the derived
+# maps must agree with them bit for bit.
+
+
+def _sliced_staged(stages, support: Box, t: float) -> CompositeMap:
+    n = len(stages)
+    finished = [make_cone_map(s.region, s.p0, s.p1) for s in stages]
+    if t >= 1.0:
+        return CompositeMap(finished, support=support)
+    i = min(n - 1, int(t * n))
+    s = stages[i]
+    pulled = make_cone_map(s.region, s.p0, lerp(s.p0, s.p1, t * n - i))
+    return CompositeMap(finished[:i] + [pulled], support=support)
+
+
+def _sliced_multi_kink(m: int, t: float) -> CompositeMap:
+    subs = loop_sub_boxes(m)
+    frames = [AffineMap.box_to_box(CANONICAL_BOX, sub) for sub in subs]
+    end = _sliced_staged(KINK_STAGES, CANONICAL_BOX, 1.0)
+    finished = [conjugate(fr, end, sub) for fr, sub in zip(frames, subs)]
+    if t >= 1.0:
+        return CompositeMap(finished, support=CANONICAL_BOX)
+    i = min(m - 1, int(t * m))
+    inner = _sliced_staged(KINK_STAGES, CANONICAL_BOX, t * m - i)
+    return CompositeMap(
+        finished[:i] + [conjugate(frames[i], inner, subs[i])], support=CANONICAL_BOX
+    )
+
+
+THREE_STAGES = (
+    ConeStage(UNIT, Point3(0, 0, 0), Point3(0.3, 0.1, 0)),
+    ConeStage(UNIT, Point3(0.3, 0.1, 0), Point3(0.3, 0.3, -0.2)),
+    ConeStage(UNIT.scaled_about_center(0.7), Point3(0.1, 0, 0), Point3(-0.35, 0.2, 0.1)),
+)
+
+slice_times = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_max=True))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _points_around_unit(seed: int) -> np.ndarray:
+    return UNIT.scaled_about_center(1.2).sample(np.random.default_rng(seed), 300)
+
+
+@given(st.sampled_from([KINK_STAGES, THREE_STAGES]), slice_times, seeds)
+@settings(max_examples=60, deadline=None)
+def test_staged_isotopy_matches_sliced_formula(stages, t, seed):
+    assume(t == 1.0 or not float(t * len(stages)).is_integer())
+    pts = _points_around_unit(seed)
+    got = staged_isotopy(stages, UNIT).map_at(t).apply_array(pts)
+    assert np.array_equal(got, _sliced_staged(stages, UNIT, t).apply_array(pts))
+
+
+@given(st.integers(2, 4), slice_times, seeds)
+@settings(max_examples=40, deadline=None)
+def test_multi_kink_isotopy_matches_sliced_formula(m, t, seed):
+    assume(t == 1.0 or not float(t * m).is_integer())
+    pts = _points_around_unit(seed)
+    got = multi_kink_isotopy(m).map_at(t).apply_array(pts)
+    assert np.array_equal(got, _sliced_multi_kink(m, t).apply_array(pts))
+
+
+interior = st.floats(-0.9, 0.9, allow_nan=False)
+
+
+@given(st.builds(Point3, interior, interior, interior), st.builds(Point3, interior, interior, interior))
+@settings(max_examples=60, deadline=None)
+def test_cone_isotopy_ends_exactly_at_target(p0, p1):
+    assume(distance(p0, p1) > 0.0)
+    end = cone_isotopy(UNIT, p0, p1).map_at(1.0)
+    assert end.p1 == p1
+
+
+def test_kink_map_is_the_two_cone_composite():
+    explicit = CompositeMap(
+        [ConeMap(s.region, s.p0, s.p1) for s in KINK_STAGES], support=CANONICAL_BOX
+    )
+    pts = _points_around_unit(7)
+    assert np.array_equal(kink_map().apply_array(pts), explicit.apply_array(pts))

@@ -20,7 +20,6 @@ from knotiso.scenarios import (
     INJECTIVITY_THRESHOLD,
     SCENARIO_BUILDERS,
     ExpectedVerdicts,
-    Scenario1D,
     build_1d_counterexample,
     build_snowflake,
     fox_outer,
@@ -303,19 +302,16 @@ class TestFox:
 
 class TestOneDimensional:
     def test_composite_is_pure_power(self):
-        s1d = build_1d_counterexample()
-        seq = s1d.scenario.moves
+        seq = build_1d_counterexample().moves
         xs = np.linspace(0.0, 1.0, 101)
         pts = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
         for n in (1, 5, 20):
             img = apply_truncated(seq, n, pts)[:, 0]
             # independent oracle: the composite exponent telescopes to n+1
             assert np.abs(img - xs ** (n + 1)).max() < 1e-12
-            assert Scenario1D.composite_exponent(n) == pytest.approx(n + 1)
 
     def test_deep_composite_collapses_interval(self):
-        s1d = build_1d_counterexample()
-        seq = s1d.scenario.moves
+        seq = build_1d_counterexample().moves
         pts = np.array([[0.5, 0.0, 0.0], [0.9, 0.0, 0.0]])
         img = apply_truncated(seq, 300, pts)[:, 0]
         assert img[0] < 1e-6 and img[1] < 1e-6
@@ -332,9 +328,10 @@ class TestOneDimensional:
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         assert np.array_equal(apply_truncated(seq, 50, pts), pts)
 
-    def test_exponent_schedule(self):
-        assert Scenario1D.exponent(1) == 2.0
-        assert Scenario1D.exponent(4) == 1.25
+    def test_exponent_schedule(self, scenarios):
+        seq = scenarios["1d_counterexample"].moves
+        for k in (1, 4):
+            assert seq.time_one_map(k).exponent == (k + 1) / k
 
 
 class TestSnowflake:
