@@ -31,7 +31,7 @@ def strand(n: int) -> PLCurve:
 
 def evaluate(stages: list[ConeStage], n: int) -> tuple[int, float, bool]:
     m = staged_isotopy(stages, CANONICAL_BOX).time_one()
-    pts = m.apply_array(strand(n).as_array())
+    pts = m.apply_array(strand(n).points)
     curve = PLCurve(tuple(Point3.from_array(p) for p in pts), closed=False)
     crossings = find_crossings(curve)
     margin = min((c.z_over - c.z_under for c in crossings), default=np.inf)

@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not all(0.0 <= t <= 1.0 for t in self.times):
+            raise ValueError(f"frame times must lie in [0, 1], got {self.times}")
         if list(self.times) != sorted(self.times):
             raise ValueError("frame times must be sorted")
 
@@ -204,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.horizon < 2:
         parser.error("horizon must be >= 2")
+    if args.verb == "frames" and not args.times:
+        parser.error("frames needs --times")
     try:
         cfg = RunConfig(
             scenario=args.scenario,

@@ -13,6 +13,8 @@ from .geometry import Box, PLCurve, multiscale_close_pairs
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
+# candidate pairs tested per batch in _find_crossings
+_PAIR_CHUNK = 200_000
 
 
 @dataclass(frozen=True)
@@ -45,52 +47,61 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
     """Proper projected crossings of non-adjacent segment pairs, or None if
-    any candidate pair is within tolerance of tangency/degeneracy."""
+    any candidate pair is within tolerance of tangency/degeneracy.
+
+    Candidates are tested _PAIR_CHUNK at a time, so the temporaries stay
+    bounded on curves with millions of candidate pairs."""
     n = len(a)
     ii, jj = _candidate_pairs(a, b)
     if closed:
         keep = ~((ii == 0) & (jj == n - 1))
         ii, jj = ii[keep], jj[keep]
-    p1, p2 = a[ii, :2], b[ii, :2]
-    q1, q2 = a[jj, :2], b[jj, :2]
-    r = p2 - p1
-    s = q2 - q1
-    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-    qp = q1 - p1
-    scale = np.sqrt((r**2).sum(-1) * (s**2).sum(-1)) + 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
-        u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom
-    near_parallel = np.abs(denom) < _TANGENCY_EPS * scale
-    inside = (
-        ~near_parallel & (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
-    )
-    # near-tangent configurations: a crossing candidate on or next to both
-    # segments whose location is within tolerance of a segment endpoint
-    on_both = (
-        ~near_parallel
-        & (t > -_TANGENCY_EPS)
-        & (t < 1.0 + _TANGENCY_EPS)
-        & (u > -_TANGENCY_EPS)
-        & (u < 1.0 + _TANGENCY_EPS)
-    )
-    grazing = on_both & (
-        (np.abs(t) < _TANGENCY_EPS)
-        | (np.abs(t - 1.0) < _TANGENCY_EPS)
-        | (np.abs(u) < _TANGENCY_EPS)
-        | (np.abs(u - 1.0) < _TANGENCY_EPS)
-    )
-    if grazing.any():
-        return None
+    hits = []
+    for start in range(0, len(ii), _PAIR_CHUNK):
+        ci, cj = ii[start : start + _PAIR_CHUNK], jj[start : start + _PAIR_CHUNK]
+        p1, p2 = a[ci, :2], b[ci, :2]
+        q1, q2 = a[cj, :2], b[cj, :2]
+        r = p2 - p1
+        s = q2 - q1
+        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+        qp = q1 - p1
+        scale = np.sqrt((r**2).sum(-1) * (s**2).sum(-1)) + 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
+            u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom
+        near_parallel = np.abs(denom) < _TANGENCY_EPS * scale
+        inside = (
+            ~near_parallel & (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
+        )
+        # near-tangent configurations: a crossing candidate on or next to both
+        # segments whose location is within tolerance of a segment endpoint
+        on_both = (
+            ~near_parallel
+            & (t > -_TANGENCY_EPS)
+            & (t < 1.0 + _TANGENCY_EPS)
+            & (u > -_TANGENCY_EPS)
+            & (u < 1.0 + _TANGENCY_EPS)
+        )
+        grazing = on_both & (
+            (np.abs(t) < _TANGENCY_EPS)
+            | (np.abs(t - 1.0) < _TANGENCY_EPS)
+            | (np.abs(u) < _TANGENCY_EPS)
+            | (np.abs(u - 1.0) < _TANGENCY_EPS)
+        )
+        if grazing.any():
+            return None
+        k = np.nonzero(inside)[0]
+        hits += zip(ci[k].tolist(), cj[k].tolist(), t[k].tolist(), u[k].tolist())
     crossings = []
-    for idx in np.nonzero(inside)[0]:
-        i, j = int(ii[idx]), int(jj[idx])
-        ti, uj = float(t[idx]), float(u[idx])
+    for i, j, ti, uj in hits:
         zi = a[i, 2] + ti * (b[i, 2] - a[i, 2])
         zj = a[j, 2] + uj * (b[j, 2] - a[j, 2])
         if abs(zi - zj) < _TANGENCY_EPS:
             return None  # strands touch in 3-space at the crossing
-        xy = (float(p1[idx, 0] + ti * r[idx, 0]), float(p1[idx, 1] + ti * r[idx, 1]))
+        xy = (
+            float(a[i, 0] + ti * (b[i, 0] - a[i, 0])),
+            float(a[i, 1] + ti * (b[i, 1] - a[i, 1])),
+        )
         if zi > zj:
             crossings.append(Crossing(i, j, xy, float(zi), float(zj)))
         else:
@@ -104,7 +115,7 @@ def find_crossings(curve: PLCurve) -> list[Crossing]:
     Near-tangent configurations are resolved by perturbing the view by
     1e-7 rad about x, then y.
     """
-    pts = curve.as_array()
+    pts = curve.points
     for rot in (None, _rotation(0, _PERTURB_RAD), _rotation(0, _PERTURB_RAD) @ _rotation(1, _PERTURB_RAD)):
         view = pts if rot is None else pts @ rot.T
         if curve.closed:
@@ -130,14 +141,28 @@ def count_crossings(curve: PLCurve, region: Box | None = None) -> int:
     )
 
 
+def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """What is left of the parameter interval [0, 1] once the gaps are cut."""
+    pieces = [(0.0, 1.0)]
+    for g0, g1 in sorted(gaps):
+        nxt = []
+        for lo, hi in pieces:
+            if g1 <= lo or g0 >= hi:
+                nxt.append((lo, hi))
+            else:
+                if g0 > lo:
+                    nxt.append((lo, g0))
+                if g1 < hi:
+                    nxt.append((g1, hi))
+        pieces = nxt
+    return pieces
+
+
 def render_svg(curve: PLCurve, gap_radius: float = 0.005, stroke: float = 0.01) -> str:
     """SVG drawing of the projected diagram with under-strand gaps."""
-    pts = curve.as_array()
+    pts = curve.points
     crossings = find_crossings(curve)
-    if curve.closed:
-        a, b = pts, np.roll(pts, -1, axis=0)
-    else:
-        a, b = pts[:-1], pts[1:]
+    a, b = curve.segment_arrays()
     # per-segment list of parameter intervals to blank out
     gaps: dict[int, list[tuple[float, float]]] = {}
     for c in crossings:
@@ -151,27 +176,27 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005, stroke: float = 0.01) 
         t0 = float((x - seg_a) @ d) / (length * length)
         dt = gap_radius / length
         gaps.setdefault(i, []).append((max(0.0, t0 - dt), min(1.0, t0 + dt)))
-    paths = []
-    for i in range(len(a)):
-        pieces = [(0.0, 1.0)]
-        for g0, g1 in sorted(gaps.get(i, [])):
-            nxt = []
-            for lo, hi in pieces:
-                if g1 <= lo or g0 >= hi:
-                    nxt.append((lo, hi))
-                else:
-                    if g0 > lo:
-                        nxt.append((lo, g0))
-                    if g1 < hi:
-                        nxt.append((g1, hi))
-            pieces = nxt
-        for lo, hi in pieces:
-            x0 = a[i, :2] + lo * (b[i, :2] - a[i, :2])
-            x1 = a[i, :2] + hi * (b[i, :2] - a[i, :2])
-            paths.append(
-                f'<line x1="{x0[0]:.17g}" y1="{-x0[1]:.17g}" '
-                f'x2="{x1[0]:.17g}" y2="{-x1[1]:.17g}" />'
-            )
+    # drawn pieces [lo, hi] of each segment, in segment order; only the
+    # gapped segments are split
+    seg = np.arange(len(a))
+    lo = np.zeros(len(a))
+    hi = np.ones(len(a))
+    if gaps:
+        whole = np.ones(len(a), dtype=bool)
+        whole[list(gaps)] = False
+        split = [(i, p0, p1) for i, g in gaps.items() for p0, p1 in _drawn_pieces(g)]
+        extra = np.array(split, dtype=float).reshape(-1, 3)
+        seg = np.concatenate([seg[whole], extra[:, 0].astype(np.int64)])
+        lo = np.concatenate([lo[whole], extra[:, 1]])
+        hi = np.concatenate([hi[whole], extra[:, 2]])
+        order = np.argsort(seg, kind="stable")
+        seg, lo, hi = seg[order], lo[order], hi[order]
+    sa, sd = a[seg, :2], b[seg, :2] - a[seg, :2]
+    x0 = sa + lo[:, None] * sd
+    x1 = sa + hi[:, None] * sd
+    ends = np.column_stack([x0[:, 0], -x0[:, 1], x1[:, 0], -x1[:, 1]])
+    line = '<line x1="%.17g" y1="%.17g" x2="%.17g" y2="%.17g" />\n'
+    body = (line * len(ends) % tuple(ends.ravel().tolist()))[:-1]
     lo_xy = pts[:, :2].min(axis=0)
     hi_xy = pts[:, :2].max(axis=0)
     pad = 0.05 * max(1e-9, float((hi_xy - lo_xy).max()))
@@ -179,7 +204,6 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005, stroke: float = 0.01) 
         f"{lo_xy[0] - pad:.17g} {-(hi_xy[1] + pad):.17g} "
         f"{hi_xy[0] - lo_xy[0] + 2 * pad:.17g} {hi_xy[1] - lo_xy[1] + 2 * pad:.17g}"
     )
-    body = "\n".join(paths)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
         f'<g stroke="black" stroke-width="{stroke}" fill="none" stroke-linecap="round">\n'

@@ -221,8 +221,8 @@ def map_curve(m: LocalMap, curve: PLCurve, max_seg_len: float | None = None) -> 
     """Image of a curve under a map, optionally densifying first so the
     piecewise structure of the map is resolved."""
     c = curve if max_seg_len is None else curve.densified(max_seg_len)
-    img = m.apply_array(c.as_array())
-    return PLCurve(tuple(Point3.from_array(row) for row in img), closed=c.closed)
+    img = m.apply_array(c.points)
+    return PLCurve(img, closed=c.closed)
 
 
 # -- hypothesis checking -----------------------------------------------------

@@ -220,38 +220,60 @@ def segment_distance(p1: Point3, p2: Point3, q1: Point3, q2: Point3) -> tuple[fl
     return float(np.linalg.norm(cp - cq)), mid
 
 
-@dataclass(frozen=True)
 class PLCurve:
-    """A finite polyline in 3-space, open arc or closed loop."""
+    """A finite polyline in 3-space, open arc or closed loop.
 
-    vertices: tuple[Point3, ...]
-    closed: bool = False
+    The vertices live in one read-only ``(n, 3)`` float array, ``points``;
+    ``vertices`` is the same polyline as a tuple of ``Point3``, built on
+    first use.  The constructor takes either form.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
-        if self.closed and n < 3:
+    __slots__ = ("points", "closed", "_vertices")
+
+    def __init__(self, vertices: Sequence[Point3] | np.ndarray, closed: bool = False) -> None:
+        if isinstance(vertices, np.ndarray):
+            pts = np.array(vertices, dtype=float)
+        else:
+            pts = np.array([(v.x, v.y, v.z) for v in vertices], dtype=float).reshape(-1, 3)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"vertices must be an (n, 3) array, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("non-finite vertex coordinates")
+        n = len(pts)
+        if closed and n < 3:
             raise ValueError("closed curve needs at least 3 vertices")
-        if not self.closed and n < 2:
+        if not closed and n < 2:
             raise ValueError("open curve needs at least 2 vertices")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a == b:
-                raise ValueError("consecutive vertices must be distinct")
-        if self.closed and self.vertices[0] == self.vertices[-1]:
+        if (pts[1:] == pts[:-1]).all(axis=1).any():
+            raise ValueError("consecutive vertices must be distinct")
+        if closed and (pts[0] == pts[-1]).all():
             raise ValueError("closed curve must not repeat its first vertex")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "_vertices", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PLCurve is immutable")
+
+    @property
+    def vertices(self) -> tuple[Point3, ...]:
+        if self._vertices is None:
+            verts = tuple(Point3(x, y, z) for x, y, z in self.points.tolist())
+            object.__setattr__(self, "_vertices", verts)
+        return self._vertices
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PLCurve):
+            return NotImplemented
+        return self.closed == other.closed and np.array_equal(self.points, other.points)
 
     @property
     def n_segments(self) -> int:
-        return len(self.vertices) if self.closed else len(self.vertices) - 1
-
-    def segment(self, i: int) -> tuple[Point3, Point3]:
-        n = len(self.vertices)
-        return self.vertices[i], self.vertices[(i + 1) % n]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([v.as_array() for v in self.vertices])
+        return len(self.points) if self.closed else len(self.points) - 1
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        pts = self.as_array()
+        pts = self.points
         if self.closed:
             a = pts
             b = np.roll(pts, -1, axis=0)
@@ -261,25 +283,25 @@ class PLCurve:
         return a, b
 
     def densified(self, max_seg_len: float) -> "PLCurve":
-        """Insert evenly spaced vertices so no segment exceeds max_seg_len."""
-        if max_seg_len <= 0:
-            raise ValueError("max_seg_len must be positive")
-        out: list[Point3] = []
-        a_arr, b_arr = self.segment_arrays()
-        for a, b in zip(a_arr, b_arr):
-            length = float(np.linalg.norm(b - a))
-            k = max(1, int(math.ceil(length / max_seg_len)))
-            for j in range(k):
-                out.append(Point3.from_array(a + (b - a) * (j / k)))
+        """Insert evenly spaced vertices so no segment exceeds max_seg_len:
+        segment a -> b of length L becomes k = ceil(L / max_seg_len) pieces
+        with vertices a + (b - a) * (j / k), j < k."""
+        if not max_seg_len > 0:
+            raise ValueError(f"max_seg_len must be positive, got {max_seg_len}")
+        a, b = self.segment_arrays()
+        d = b - a
+        # np.vecdot sums like the 1-D dot inside np.linalg.norm(d[i]), so
+        # each k is the one a per-segment norm gives; norm(d, axis=1)
+        # rounds differently in the last bit for about one row in ten
+        length = np.sqrt(np.vecdot(d, d))
+        k = np.maximum(1, np.ceil(length / max_seg_len)).astype(np.int64)
+        seg = np.repeat(np.arange(len(a)), k)
+        starts = np.cumsum(k) - k
+        j = np.arange(len(seg)) - np.repeat(starts, k)
+        out = a[seg] + d[seg] * (j / k[seg])[:, None]
         if not self.closed:
-            out.append(self.vertices[-1])
-        return PLCurve(tuple(out), closed=self.closed)
-
-    def bounding_box(self, margin: float = 0.0) -> Box:
-        pts = self.as_array()
-        lo = pts.min(axis=0) - margin
-        hi = pts.max(axis=0) + margin
-        return Box(Point3.from_array(lo), Point3.from_array(hi))
+            out = np.concatenate([out, self.points[-1:]])
+        return PLCurve(out, closed=self.closed)
 
 
 def _segment_pair_distances(
@@ -314,42 +336,43 @@ def _segment_pair_distances(
 def multiscale_close_pairs(
     mids: np.ndarray, half: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i < j) of segments whose hulls can come within margin.
+    """Index pairs of segments whose hulls can come within margin.
+
+    Segment i is summarized by its midpoint ``mids[i]`` and half length
+    ``half[i]``.  Returns int64 arrays ``(ii, jj)``, sorted by ``ii`` then
+    ``jj``, of unique pairs with ``ii < jj`` that contain every pair with
+    ``|mids[i] - mids[j]| <= half[i] + half[j] + margin``; they may
+    contain more.
 
     Segments are bucketed by log2 half-length class (curves here are
     strongly multiscale, so a single KD radius degenerates to all pairs)
-    and each class pair is searched with radius = the sum of the classes'
-    maximum half lengths plus the margin.
+    and each class pair is searched once with radius = the sum of the
+    classes' bounds on the half lengths plus the margin.
     """
     from scipy.spatial import cKDTree
 
+    n = len(mids)
     cls = np.floor(np.log2(np.maximum(half, 1e-300))).astype(int)
-    classes = sorted(set(cls.tolist()))
-    groups = {c: np.nonzero(cls == c)[0] for c in classes}
-    trees = {c: cKDTree(mids[groups[c]]) for c in classes}
-    pair_list = []
+    classes = np.unique(cls).tolist()
+    groups = [np.nonzero(cls == c)[0] for c in classes]
+    trees = [cKDTree(mids[g]) for g in groups]
+    first = [np.empty(0, dtype=np.int64)]
+    second = [np.empty(0, dtype=np.int64)]
     for i1, c1 in enumerate(classes):
-        g1 = groups[c1]
-        pairs = trees[c1].query_pairs(2.0 ** (c1 + 2) + margin, output_type="ndarray")
-        if len(pairs):
-            pair_list.append(np.stack([g1[pairs[:, 0]], g1[pairs[:, 1]]], axis=1))
-        for c2 in classes[i1 + 1 :]:
-            g2 = groups[c2]
-            r = 2.0 ** (c1 + 1) + 2.0 ** (c2 + 1) + margin
-            hits = trees[c1].query_ball_tree(trees[c2], r)
-            rows = [
-                np.stack([np.full(len(h), g1[k]), g2[h]], axis=1)
-                for k, h in enumerate(hits)
-                if h
-            ]
-            if rows:
-                pair_list.append(np.concatenate(rows))
-    if not pair_list:
-        empty = np.empty(0, dtype=int)
-        return empty, empty
-    pairs = np.concatenate(pair_list)
-    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+        g1, t1 = groups[i1], trees[i1]
+        pairs = t1.query_pairs(2.0 ** (c1 + 2) + margin, output_type="ndarray")
+        first.append(g1[pairs[:, 0]])
+        second.append(g1[pairs[:, 1]])
+        for i2 in range(i1 + 1, len(classes)):
+            r = 2.0 ** (c1 + 1) + 2.0 ** (classes[i2] + 1) + margin
+            hits = t1.sparse_distance_matrix(trees[i2], r, output_type="ndarray")
+            first.append(g1[hits["i"]])
+            second.append(groups[i2][hits["j"]])
+    a = np.concatenate(first)
+    b = np.concatenate(second)
+    key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    key = key[np.diff(key, prepend=-1) != 0]
+    return key // n, key % n
 
 
 def curve_is_simple(curve: PLCurve, tol: float) -> bool:
@@ -394,11 +417,10 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
 
 def write_curve(curve: PLCurve, path) -> None:
     kind = "closed" if curve.closed else "open"
-    lines = [f"{kind} {len(curve.vertices)}"]
-    for v in curve.vertices:
-        lines.append(f"{v.x:.17g} {v.y:.17g} {v.z:.17g}")
+    n = len(curve.points)
+    body = "%.17g %.17g %.17g\n" * n % tuple(curve.points.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{kind} {n}\n{body}")
 
 
 def read_curve(path) -> PLCurve:
@@ -408,10 +430,9 @@ def read_curve(path) -> PLCurve:
     if len(header) != 2 or header[0] not in ("open", "closed"):
         raise ValueError(f"bad curve file header: {tokens[0]!r}")
     n = int(header[1])
-    verts = []
-    for line in tokens[1 : 1 + n]:
-        x, y, z = (float(t) for t in line.split())
-        verts.append(Point3(x, y, z))
-    if len(verts) != n:
-        raise ValueError(f"expected {n} vertices, found {len(verts)}")
-    return PLCurve(tuple(verts), closed=header[0] == "closed")
+    rows = [[float(t) for t in line.split()] for line in tokens[1 : 1 + n]]
+    if len(rows) != n:
+        raise ValueError(f"expected {n} vertices, found {len(rows)}")
+    if any(len(r) != 3 for r in rows):
+        raise ValueError("each vertex line needs three coordinates")
+    return PLCurve(np.array(rows, dtype=float).reshape(n, 3), closed=header[0] == "closed")

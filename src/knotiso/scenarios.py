@@ -58,7 +58,7 @@ class Scenario:
 
 def _axis_points(
     x_start: float, x_end: float, boxes: Sequence[Box], pts_per_box: int = _PTS_PER_BOX
-) -> list[Point3]:
+) -> np.ndarray:
     """Vertices along the x-axis from x_start to x_end, refined inside
     each box so loop inserts are resolved."""
     xs = [x_start, x_end]
@@ -67,24 +67,20 @@ def _axis_points(
     xs = np.unique(np.array(xs, dtype=float))
     if xs[0] != x_start or xs[-1] != x_end:
         raise ValueError("box refinement escapes the arc span")
-    return [Point3(float(x), 0.0, 0.0) for x in xs]
+    zeros = np.zeros_like(xs)
+    return np.column_stack([xs, zeros, zeros])
 
 
-def _apply_time_one(isotopies: Sequence[Isotopy], verts: Sequence[Point3]) -> list[Point3]:
-    arr = np.array([[v.x, v.y, v.z] for v in verts])
+def _apply_time_one(isotopies: Sequence[Isotopy], pts: np.ndarray) -> np.ndarray:
     for iso in isotopies:
-        arr = iso.time_one().apply_array(arr)
-    return [Point3.from_array(row) for row in arr]
+        pts = iso.time_one().apply_array(pts)
+    return pts
 
 
-def _closed_curve(active: Sequence[Point3], y_return: float) -> PLCurve:
+def _closed_curve(active: np.ndarray, y_return: float) -> PLCurve:
     """Close an x-axis arc through a rectangular return path below it."""
-    first, last = active[0], active[-1]
-    verts = list(active) + [
-        Point3(last.x, y_return, 0.0),
-        Point3(first.x, y_return, 0.0),
-    ]
-    return PLCurve(tuple(verts), closed=True)
+    ret = [[active[-1, 0], y_return, 0.0], [active[0, 0], y_return, 0.0]]
+    return PLCurve(np.concatenate([active, ret]), closed=True)
 
 
 # -- countable loop removal (disjoint half-scaling boxes) ---------------------
@@ -365,10 +361,8 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     active = _axis_points(-0.5, 2.0, work, pts_per_box=3 * _PTS_PER_BOX)
     tied = _apply_time_one(inserts, active)
     if extended:
-        tied = tied + [Point3(3.0, 0.0, 0.0), Point3(3.0, -1.2, 0.0)]
-        curve = PLCurve(
-            tuple(tied) + (Point3(-0.5, -1.2, 0.0),), closed=True
-        )
+        ret = [[3.0, 0.0, 0.0], [3.0, -1.2, 0.0], [-0.5, -1.2, 0.0]]
+        curve = PLCurve(np.concatenate([tied, ret]), closed=True)
     else:
         curve = _closed_curve(tied, y_return=-1.2)
 
@@ -453,7 +447,7 @@ def build_fox_remarkable() -> Scenario:
     initial_boxes = [fox_pair_box_initial(k) for k in range(1, _FOX_PAIRS + 1)]
     inserts = [conjugated_insert(b, m=2) for b in initial_boxes]
     active = _axis_points(0.0, 1.5, initial_boxes, pts_per_box=2 * _PTS_PER_BOX)
-    curve = PLCurve(tuple(_apply_time_one(inserts, active)), closed=False)
+    curve = PLCurve(_apply_time_one(inserts, active), closed=False)
 
     container = Box(Point3(-1.0, -1.0, -1.0), Point3(2.0, 1.0, 1.0))
 
@@ -533,8 +527,8 @@ def build_snowflake(shrink: float, depth: int) -> list[PLCurve]:
 def snowflake_sup_deviation(f_n: PLCurve, f_next: PLCurve) -> float:
     """Sup vertex deviation under the consistent parameterization: vertex
     j of f_n is vertex j*m of f_next."""
-    a = f_n.as_array()
-    b = f_next.as_array()
+    a = f_n.points
+    b = f_next.points
     if len(b) % len(a) != 0:
         raise ValueError("iterates are not consecutive")
     step = len(b) // len(a)

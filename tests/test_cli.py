@@ -21,6 +21,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(scenario="x", times=(0.5, 0.2))
 
+    @pytest.mark.parametrize("t", [-0.1, 1.5, float("nan"), float("inf"), -float("inf")])
+    def test_times_outside_unit_interval_rejected(self, t):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RunConfig(scenario="x", times=(0.0, t))
+
     def test_report_name(self):
         cfg = RunConfig(scenario="countable_r1", depth=7, seed=3)
         assert cfg.report_name == "countable_r1_7_3.report"
@@ -188,6 +193,22 @@ class TestFramesVerb:
         frame = read_curve(frames_dir / "countable_r1_frame_001.curve")
         write_curve(frame, tmp_path / "copy.curve")
         assert read_curve(tmp_path / "copy.curve").vertices == frame.vertices
+
+    def test_missing_times_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frames", "--scenario", "countable_r1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error: frames needs --times" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("times", ["0.5,1.5", "-0.5", "0,nan", "inf"])
+    def test_bad_time_is_usage_error_and_writes_nothing(self, tmp_path, capsys, times):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["frames", "--scenario", "countable_r1", "--times", times, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "frame times must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_frame_exits_four(self, tmp_path, capsys):
         # t = 0.9 is in stage 4, where the fox projection is degenerate

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knotiso import diagram
 from knotiso.diagram import count_crossings, find_crossings, render_svg
 from knotiso.geometry import Box, PLCurve, Point3
 
@@ -107,3 +111,64 @@ class TestRenderSvg:
         c = _poly([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
         svg = render_svg(c)
         assert svg.count("<line") == c.n_segments
+
+
+def _multiscale_rows(levels: int):
+    """One overpass per level at scales 1, 1/2, 1/4, ... along the x-axis."""
+    rows = []
+    x0 = 0.0
+    for k in range(levels):
+        s = 2.0**-k
+        rows += [
+            (x0, 0.0, 0.0),
+            (x0 + 0.4 * s, 0.0, 0.0),
+            (x0 + 0.4 * s, 0.3 * s, 0.0),
+            (x0 + 0.2 * s, 0.3 * s, 0.1 * s),
+            (x0 + 0.2 * s, -0.3 * s, 0.1 * s),
+            (x0 + 0.6 * s, -0.3 * s, 0.0),
+        ]
+        x0 += 0.7 * s
+    rows.append((x0 + 0.5, 0.0, 0.0))
+    return rows
+
+
+def _segments(curve):
+    a, b = curve.segment_arrays()
+    return a, b, curve.closed
+
+
+class TestChunkedCrossingTest:
+    """_find_crossings tests candidates in chunks of _PAIR_CHUNK pairs; the
+    result must not depend on the chunk size."""
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            _poly(_multiscale_rows(6)).densified(0.002),  # > 1200 segments: KD path
+            _poly(_multiscale_rows(3)),
+            # grazing at a vertex: the unperturbed view gives None, also
+            # when the grazing pair comes after the first chunks
+            _poly([(-1, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1), (0, -1, 1)]),
+            _poly(
+                [(-2.0 - 0.1 * k, -3.0, 0.0) for k in range(12, 0, -1)]
+                + [(-1, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1), (0, -1, 1)]
+            ),
+            # strands meeting in 3-space at a crossing: None as well
+            _poly([(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, -1, 0)]),
+        ],
+    )
+    def test_chunk_of_seven_agrees(self, curve):
+        whole = diagram._find_crossings(*_segments(curve))
+        with mock.patch.object(diagram, "_PAIR_CHUNK", 7):
+            chunked = diagram._find_crossings(*_segments(curve))
+        assert chunked == whole
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_polylines(self, seed, n, closed):
+        rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3))
+        curve = PLCurve(rows, closed=closed)
+        whole = diagram._find_crossings(*_segments(curve))
+        with mock.patch.object(diagram, "_PAIR_CHUNK", 7):
+            chunked = diagram._find_crossings(*_segments(curve))
+        assert chunked == whole

@@ -11,6 +11,7 @@ from knotiso.geometry import (
     Point3,
     curve_is_simple,
     distance,
+    multiscale_close_pairs,
     read_curve,
     segment_distance,
     union_diameter,
@@ -202,3 +203,135 @@ class TestPLCurve:
         path.write_text("weird 3\n0 0 0\n")
         with pytest.raises(ValueError):
             read_curve(path)
+
+
+def _closed_ok(verts) -> bool:
+    return len(verts) >= 3 and verts[0] != verts[-1]
+
+
+@st.composite
+def _polylines(draw):
+    """Vertex lists with distinct consecutive vertices, and whether closed."""
+    verts = draw(st.lists(points, min_size=2, max_size=30))
+    verts = [v for k, v in enumerate(verts) if k == 0 or v != verts[k - 1]]
+    closed = draw(st.booleans())
+    if len(verts) < 2 or (closed and not _closed_ok(verts)):
+        closed = False
+        verts = verts + [verts[-1] + Point3(1.0, 0.0, 0.0)]
+    return verts, closed
+
+
+def _densified_by_segment(curve: PLCurve, max_seg_len: float) -> np.ndarray:
+    """The per-segment loop densified() replaces, as an oracle."""
+    a_arr, b_arr = curve.segment_arrays()
+    out = []
+    for a, b in zip(a_arr, b_arr):
+        k = max(1, int(math.ceil(float(np.linalg.norm(b - a)) / max_seg_len)))
+        out += [a + (b - a) * (j / k) for j in range(k)]
+    if not curve.closed:
+        out.append(curve.points[-1])
+    return np.array(out)
+
+
+class TestPLCurveArray:
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_constructor_checks(self, as_array):
+        def make(rows, closed=False):
+            verts = tuple(Point3(*r) for r in rows)
+            return PLCurve(np.array(rows, dtype=float) if as_array else verts, closed=closed)
+
+        with pytest.raises(ValueError, match="at least 2"):
+            make([(0, 0, 0)])
+        with pytest.raises(ValueError, match="at least 3"):
+            make([(0, 0, 0), (1, 0, 0)], closed=True)
+        with pytest.raises(ValueError, match="distinct"):
+            make([(0, 0, 0), (1, 0, 0), (1, 0, 0)])
+        with pytest.raises(ValueError, match="repeat its first"):
+            make([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)], closed=True)
+        assert make([(0, 0, 0), (1, 0, 0), (1, 1, 0)], closed=True).n_segments == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_array(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PLCurve(np.array([[0.0, 0.0, 0.0], [1.0, bad, 0.0]]))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            PLCurve(np.zeros((4, 2)))
+
+    def test_points_are_a_read_only_copy(self):
+        rows = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        c = PLCurve(rows)
+        rows[0, 0] = 5.0
+        assert c.points[0, 0] == 0.0
+        assert not c.points.flags.writeable
+        with pytest.raises(ValueError):
+            c.points[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            c.closed = True
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.1])
+    def test_densified_rejects_bad_length(self, bad):
+        c = PLCurve((Point3(0, 0, 0), Point3(1, 0, 0)))
+        with pytest.raises(ValueError, match="max_seg_len must be positive"):
+            c.densified(bad)
+
+    @given(_polylines())
+    @settings(max_examples=80, deadline=None)
+    def test_vertices_round_trip(self, poly):
+        verts, closed = poly
+        c = PLCurve(tuple(verts), closed=closed)
+        assert c.vertices == tuple(verts)
+        assert c.points.shape == (len(verts), 3)
+        assert PLCurve(c.points, closed=closed).vertices == c.vertices
+        assert PLCurve(c.vertices, closed=closed) == c
+
+    def test_densified_piece_count_matches_per_segment_norm(self):
+        # sqrt of a row-wise sum of squares rounds this length one ulp away
+        # from np.linalg.norm(b - a), which moves ceil(L / max_seg_len) from 2 to 3
+        c = PLCurve((Point3(0.864, 0.226, -0.307), Point3(1.67, 1.424, -1.116)))
+        max_seg_len = 0.8275447117829948
+        np.testing.assert_array_equal(
+            c.densified(max_seg_len).points, _densified_by_segment(c, max_seg_len)
+        )
+
+    @given(_polylines(), st.floats(0.05, 50.0))
+    @settings(max_examples=80, deadline=None)
+    def test_densified_matches_per_segment_formula(self, poly, max_seg_len):
+        verts, closed = poly
+        c = PLCurve(tuple(verts), closed=closed)
+        d = c.densified(max_seg_len)
+        assert d.closed == closed
+        np.testing.assert_array_equal(d.points, _densified_by_segment(c, max_seg_len))
+
+
+@st.composite
+def _multiscale_segments(draw):
+    """Midpoints and half lengths of segments spread over many scales,
+    clustered so that pairs of very different sizes come close."""
+    n = draw(st.integers(0, 60))
+    dim = draw(st.sampled_from([2, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** rng.integers(-30, 1, size=n)
+    mids = rng.uniform(-1.0, 1.0, (n, dim)) * scale[:, None] * rng.uniform(1.0, 4.0)
+    half = scale * rng.uniform(0.0, 2.0, n)
+    margin = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    return mids, half, margin
+
+
+class TestMultiscaleClosePairs:
+    @given(_multiscale_segments())
+    @settings(max_examples=120, deadline=None)
+    def test_sorted_unique_superset_of_close_pairs(self, segs):
+        mids, half, margin = segs
+        ii, jj = multiscale_close_pairs(mids, half, margin)
+        assert ii.dtype == jj.dtype == np.int64
+        assert (ii < jj).all()
+        key = ii * max(len(mids), 1) + jj
+        assert (np.diff(key) > 0).all()  # sorted by (ii, jj), no duplicates
+        bi, bj = np.triu_indices(len(mids), k=1)
+        dist = np.sqrt(((mids[bi] - mids[bj]) ** 2).sum(-1))
+        close = dist <= half[bi] + half[bj] + margin
+        want = set(zip(bi[close].tolist(), bj[close].tolist()))
+        assert want <= set(zip(ii.tolist(), jj.tolist()))

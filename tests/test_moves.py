@@ -45,7 +45,7 @@ def _strand(n: int = 400) -> PLCurve:
 
 
 def _image(iso, t: float, curve: PLCurve) -> PLCurve:
-    pts = iso.map_at(t).apply_array(curve.as_array())
+    pts = iso.map_at(t).apply_array(curve.points)
     return PLCurve(tuple(Point3.from_array(p) for p in pts), closed=curve.closed)
 
 
