@@ -1,11 +1,14 @@
 """Command-line driver: run scenarios, emit hypothesis/probe reports, and
 export curve snapshots and projection frames.
 
-Verbs:
-  run    -- full report (hypotheses + probes); exit 0 iff computed verdicts
-            match the scenario's declared expected verdicts
-  check  -- hypothesis check only; prints the tail-diameter table
-  frames -- curve file + projection drawing at each requested time
+Verbs, each taking --scenario and only the flags it reads:
+  run    --depth --horizon --tol --seed --out
+         full report (hypotheses + probes) and a curve snapshot; exit 0
+         iff computed verdicts match the scenario's declared verdicts
+  check  --horizon --tol
+         hypothesis check only; prints the tail-diameter table
+  frames --depth --out --times
+         curve file + projection drawing at each requested time
 
 Reports are append-only, named <scenario>_<depth>_<seed>.report, and
 byte-identical across runs with the same config and seed.
@@ -55,6 +58,8 @@ class RunConfig:
     times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.horizon < 2:
+            raise ValueError(f"horizon must be >= 2, got {self.horizon}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.tol <= 0:
@@ -143,8 +148,6 @@ def cmd_run(cfg: RunConfig) -> int:
     _write_text(cfg.out / cfg.report_name, "\n".join(lines) + "\n", append=True)
     snapshot = map_curve(truncated_map(s.moves, cfg.depth), s.initial_curve)
     write_curve(snapshot, cfg.out / f"{cfg.scenario}_{cfg.depth}_{cfg.seed}.curve")
-    if cfg.times:
-        _emit_frames(s, cfg)
     print("\n".join(lines))
     return 0 if match else _EXIT_MISMATCH
 
@@ -161,7 +164,9 @@ def cmd_check(cfg: RunConfig) -> int:
     return _EXIT_MISMATCH
 
 
-def _emit_frames(s: Scenario, cfg: RunConfig) -> None:
+def cmd_frames(cfg: RunConfig) -> int:
+    s = SCENARIO_BUILDERS[cfg.scenario]()
+    cfg.out.mkdir(parents=True, exist_ok=True)
     glued = glue_schedule(s.moves, s.schedule, cfg.depth)
     dense = s.initial_curve.densified(0.01)
     for i, t in enumerate(cfg.times):
@@ -169,13 +174,27 @@ def _emit_frames(s: Scenario, cfg: RunConfig) -> None:
         stem = cfg.out / f"{cfg.scenario}_frame_{i:03d}"
         write_curve(frame, stem.with_suffix(".curve"))
         _write_text(stem.with_suffix(".svg"), render_svg(frame, gap_radius=0.005))
-
-
-def cmd_frames(cfg: RunConfig) -> int:
-    s = SCENARIO_BUILDERS[cfg.scenario]()
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _emit_frames(s, cfg)
     return 0
+
+
+_FLAGS = {
+    "--depth": dict(type=int, default=20),
+    "--horizon": dict(type=int, default=20),
+    "--tol": dict(type=float, default=1e-6),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(type=Path, default=Path(".")),
+    "--times": dict(
+        type=lambda s: tuple(float(x) for x in s.split(",")) if s else (),
+        default=(),
+        help="comma-separated frame times in [0,1]",
+    ),
+}
+
+_VERB_FLAGS = {
+    "run": ("--depth", "--horizon", "--tol", "--seed", "--out"),
+    "check": ("--horizon", "--tol"),
+    "frames": ("--depth", "--out", "--times"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,40 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="countably composed ambient isotopies: run, check, frames",
     )
     sub = p.add_subparsers(dest="verb", required=True)
-    for verb in ("run", "check", "frames"):
+    for verb, flags in _VERB_FLAGS.items():
         sp = sub.add_parser(verb)
         sp.add_argument("--scenario", required=True)
-        sp.add_argument("--depth", type=int, default=20)
-        sp.add_argument("--horizon", type=int, default=20)
-        sp.add_argument("--tol", type=float, default=1e-6)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", type=Path, default=Path("."))
-        sp.add_argument(
-            "--times",
-            type=lambda s: tuple(float(x) for x in s.split(",")) if s else (),
-            default=(),
-            help="comma-separated frame times in [0,1]",
-        )
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.horizon < 2:
-        parser.error("horizon must be >= 2")
-    if args.verb == "frames" and not args.times:
+    args = vars(parser.parse_args(argv))
+    verb = args.pop("verb")
+    if verb == "frames" and not args["times"]:
         parser.error("frames needs --times")
     try:
-        cfg = RunConfig(
-            scenario=args.scenario,
-            depth=args.depth,
-            horizon=args.horizon,
-            tol=args.tol,
-            seed=args.seed,
-            out=args.out,
-            times=args.times,
-        )
+        cfg = RunConfig(**args)
     except ValueError as exc:
         parser.error(str(exc))
     if cfg.scenario not in SCENARIO_BUILDERS:
@@ -225,9 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         print("known:", ", ".join(sorted(SCENARIO_BUILDERS)), file=sys.stderr)
         return _EXIT_UNKNOWN
     try:
-        if args.verb == "run":
+        if verb == "run":
             return cmd_run(cfg)
-        if args.verb == "check":
+        if verb == "check":
             return cmd_check(cfg)
         return cmd_frames(cfg)
     except OSError as exc:

@@ -2,11 +2,13 @@
 the convergence / injectivity probes.
 
 A ``MoveSequence`` yields stages (H_k, V_k): an isotopy supported in a box.
-``truncated_map`` composes the first n time-1 maps; ``glue_schedule``
-compresses the first n stages into a single isotopy on a strictly
-increasing time grid; ``eval_limit_isotopy`` evaluates the countable
-composition at any time, including the limit time t = 1 via the
-settled / tolerance-converged / budget trichotomy.
+``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
+then stage n at a local time, as one support-culled composite.
+``apply_truncated``, ``glue_schedule`` (the one place that slices the time
+grid into stages), ``eval_limit_isotopy`` at t < 1 and ``seam_values`` are
+all read off it.  ``eval_limit_isotopy`` also evaluates the countable
+composition at the limit time t = 1 via the settled / tolerance-converged
+/ budget trichotomy.
 
 Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
@@ -193,28 +195,22 @@ class ProbeReport:
 # -- finite truncations ------------------------------------------------------
 
 
-def truncated_map(seq: MoveSequence, n: int) -> LocalMap:
-    """Composite of the first n time-1 maps, applied in stage order."""
+def truncated_map(seq: MoveSequence, n: int, local: float = 1.0) -> LocalMap:
+    """Stages 1..n-1 at time 1, then stage n at its local time, applied in
+    stage order as one composite.  Its support boxes the container with
+    the parts' own supports, so it holds whether or not the stages stay
+    inside the container."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return IdentityMap(support=seq.container)
-    parts = [seq.time_one_map(k) for k in range(1, n + 1)]
-    return CompositeMap(parts, support=_stream_support(seq, parts))
-
-
-def _stream_support(seq: MoveSequence, parts: Sequence[LocalMap]) -> Box:
-    """A support for a composite of stage maps that holds whether or not
-    the stages stay inside the container: the container and the parts'
-    own supports, boxed together."""
-    return bounding_box([seq.container] + [m.support for m in parts])
+    parts = [seq.time_one_map(k) for k in range(1, n)] + [seq.stage(n)[0].map_at(local)]
+    support = bounding_box([seq.container] + [m.support for m in parts])
+    return CompositeMap(parts, support=support)
 
 
 def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
-    out = np.asarray(pts, dtype=float)
-    for k in range(1, n + 1):
-        out = seq.time_one_map(k).apply_array(out)
-    return out
+    return truncated_map(seq, n).apply_array(pts)
 
 
 def map_curve(m: LocalMap, curve: PLCurve, max_seg_len: float | None = None) -> PLCurve:
@@ -289,9 +285,9 @@ def eval_limit_isotopy(
 ) -> LimitValue:
     """Value of the countably-composed isotopy at (t, p).
 
-    For t < 1 the evaluation is exact and finite: stage k with
-    t in [t_{k-1}, t_k) is evaluated at its local time after the first
-    k-1 time-1 maps.  At t = 1 the composition is iterated until the
+    For t < 1 the evaluation is exact and finite: the glued isotopy of
+    the first k stages at t, for the stage k <= k_budget with t in
+    [t_{k-1}, t_k).  At t = 1 the composition is iterated until the
     running image escapes all later supports (settled, exact) or the
     remaining tail union has diameter below tol (tol-converged), up to
     k_budget stages.  Both tests read the stream's tail table: the image
@@ -304,15 +300,12 @@ def eval_limit_isotopy(
         raise ValueError(f"t={t} outside [0,1]")
     if t < 1.0:
         k = sched.stage_of(t, max_k=seq.clip(k_budget))
-        t0, t1 = sched.time(k - 1), sched.time(k)
-        local = (t - t0) / (t1 - t0)
-        x = apply_truncated(seq, k - 1, p.as_array()[None, :])
-        iso, _ = seq.stage(k)
-        x = iso.map_at(local).apply_array(x)
-        return LimitValue(Point3.from_array(x[0]), "exact", k)
+        return LimitValue(glue_schedule(seq, sched, k).map_at(t).apply(p), "exact", k)
     horizon = seq.clip(k_budget)
     tails = seq.tail_table(horizon)
     x = p.as_array()[None, :]
+    # one point, one stage at a time, reading the tail table after each
+    # stage; running all census points as one array is ROADMAP item 2
     for k in range(horizon):
         if not tails.in_later_support(x, k)[0]:
             return LimitValue(Point3.from_array(x[0]), "settled", k)
@@ -339,6 +332,7 @@ def uniform_convergence_probe(
     pts = np.array([g.as_array() for g in grid])
     xn = apply_truncated(seq, n, pts)
     xm = xn.copy()
+    # on from stage n, so the first n stages run once, not twice
     for k in range(n + 1, m + 1):
         xm = seq.time_one_map(k).apply_array(xm)
     return float(np.sqrt(((xn - xm) ** 2).sum(-1)).max())
@@ -393,10 +387,7 @@ def glue_schedule(seq: MoveSequence, sched: Schedule, n: int) -> Isotopy:
             return truncated_map(seq, n)
         k = sched.stage_of(t, max_k=n)
         t0, t1 = sched.time(k - 1), sched.time(k)
-        local = (t - t0) / (t1 - t0)
-        iso, _ = seq.stage(k)
-        parts = [seq.time_one_map(j) for j in range(1, k)] + [iso.map_at(local)]
-        return CompositeMap(parts, support=_stream_support(seq, parts))
+        return truncated_map(seq, k, (t - t0) / (t1 - t0))
 
     return Isotopy(support=seq.container, map_at=map_at)
 
@@ -409,8 +400,4 @@ def seam_values(
     Left: stage k completed at its local time 1.  Right: stage k+1 entered
     at its local time 0.  Both are exact one-sided limits.
     """
-    base = apply_truncated(seq, k - 1, np.asarray(pts, dtype=float))
-    left = seq.stage(k)[0].map_at(1.0).apply_array(base)
-    right_iso = seq.stage(k + 1)[0]
-    right = right_iso.map_at(0.0).apply_array(seq.time_one_map(k).apply_array(base))
-    return left, right
+    return truncated_map(seq, k).apply_array(pts), truncated_map(seq, k + 1, 0.0).apply_array(pts)

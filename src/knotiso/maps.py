@@ -54,9 +54,6 @@ class LocalMap:
     def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
         return self.inverse().apply_array(pts)
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IdentityMap(LocalMap):
@@ -67,17 +64,6 @@ class IdentityMap(LocalMap):
 
     def inverse(self) -> "IdentityMap":
         return self
-
-    def describe(self) -> str:
-        return "identity"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _fmt_point(p: Point3) -> str:
-    return f"{_fmt(p.x)} {_fmt(p.y)} {_fmt(p.z)}"
 
 
 class AffineMap(LocalMap):
@@ -116,10 +102,6 @@ class AffineMap(LocalMap):
     def inverse(self) -> "AffineMap":
         inv = np.linalg.inv(self.matrix)
         return AffineMap(inv, Point3.from_array(-inv @ self.translation.as_array()))
-
-    def describe(self) -> str:
-        rows = " ".join(_fmt(v) for v in self.matrix.ravel())
-        return f"affine matrix[{rows}] translation[{_fmt_point(self.translation)}]"
 
 
 def _box_boundary_triangles(box: Box) -> np.ndarray:
@@ -199,12 +181,6 @@ class ConeMap(LocalMap):
 
     def inverse(self) -> "ConeMap":
         return ConeMap(self.region, self.p1, self.p0)
-
-    def describe(self) -> str:
-        return (
-            f"cone region[{_fmt_point(self.region.lo)} ; {_fmt_point(self.region.hi)}] "
-            f"p0[{_fmt_point(self.p0)}] p1[{_fmt_point(self.p1)}]"
-        )
 
 
 @dataclass(frozen=True)
@@ -377,14 +353,6 @@ class UnsquishMap(LocalMap):
     def inverse(self) -> "LocalMap":
         return _InverseWrapper(self)
 
-    def describe(self) -> str:
-        par = self.params
-        return (
-            f"unsquish outer[{_fmt_point(par.outer.lo)} ; {_fmt_point(par.outer.hi)}] "
-            f"inner[{_fmt_point(par.inner.lo)} ; {_fmt_point(par.inner.hi)}] "
-            f"apex[{_fmt_point(par.apex)}] c[{_fmt(par.c)}] t[{_fmt(self.t)}]"
-        )
-
 
 class _InverseWrapper(LocalMap):
     """Inverse view of a map whose inverse has no closed form of its own."""
@@ -401,9 +369,6 @@ class _InverseWrapper(LocalMap):
 
     def inverse(self) -> LocalMap:
         return self._inner
-
-    def describe(self) -> str:
-        return f"inverse({self._inner.describe()})"
 
 
 class CompositeMap(LocalMap):
@@ -451,10 +416,6 @@ class CompositeMap(LocalMap):
 
     def inverse(self) -> "CompositeMap":
         return CompositeMap([m.inverse() for m in reversed(self.parts)], support=self.support)
-
-    def describe(self) -> str:
-        inner = " | ".join(m.describe() for m in self.parts)
-        return f"composite[{inner}]"
 
 
 def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> CompositeMap:

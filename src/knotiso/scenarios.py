@@ -573,9 +573,6 @@ class PowerMap1D(LocalMap):
     def inverse(self) -> "PowerMap1D":
         return PowerMap1D(1.0 / self.exponent)
 
-    def describe(self) -> str:
-        return f"power1d e={self.exponent:.17g}"
-
 
 def build_1d_counterexample() -> Scenario:
     """The interval move stream h_k(x) = x^((k+1)/k) with full-interval

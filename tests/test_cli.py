@@ -20,6 +20,8 @@ class TestRunConfig:
             RunConfig(scenario="x", tol=0.0)
         with pytest.raises(ValueError):
             RunConfig(scenario="x", times=(0.5, 0.2))
+        with pytest.raises(ValueError):
+            RunConfig(scenario="x", horizon=1)
 
     @pytest.mark.parametrize("t", [-0.1, 1.5, float("nan"), float("inf"), -float("inf")])
     def test_times_outside_unit_interval_rejected(self, t):
@@ -142,6 +144,23 @@ class TestCheckVerb:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--scenario", "countable_r1", "--horizon", "1"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--scenario", "countable_r1", "--depth", "3"],
+        ["frames", "--scenario", "countable_r1", "--times", "0", "--seed", "1"],
+        ["run", "--scenario", "countable_r1", "--times", "0.5"],
+    ],
+)
+def test_flag_a_verb_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

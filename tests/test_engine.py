@@ -266,7 +266,7 @@ class TestLimitEvaluation:
         p = Point3(1.6, 0.02, 0.0)
         lv = eval_limit_isotopy(seq, sched, 0.75, p, tol=1e-6)
         ref = apply_truncated(seq, 2, p.as_array()[None, :])[0]
-        assert distance(lv.point, Point3.from_array(ref)) < 1e-12
+        assert np.array_equal(lv.point.as_array(), ref)
 
     def test_limit_settles_outside_all_supports(self):
         seq = _stream()
@@ -368,3 +368,93 @@ class TestGlueSchedule:
     def test_n_validated(self):
         with pytest.raises(ValueError):
             glue_schedule(_stream(), Schedule(), 0)
+
+
+# -- the stage composer against the per-stage formula ------------------------
+
+COMPOSER_STREAMS = ("countable_r1", "recursive_r1", "fox_remarkable")
+
+
+def _per_stage(seq, n, pts):
+    """Stages 1..n at time 1, pushed one after another."""
+    out = np.asarray(pts, dtype=float)
+    for k in range(1, n + 1):
+        out = seq.time_one_map(k).apply_array(out)
+    return out
+
+
+def _per_stage_at(seq, sched, t, pts, max_k):
+    """Stages 1..k-1 at time 1, then stage k at its local time, for the
+    stage k with t in [t_{k-1}, t_k)."""
+    k = sched.stage_of(t, max_k=max_k)
+    t0, t1 = sched.time(k - 1), sched.time(k)
+    local = (t - t0) / (t1 - t0)
+    return seq.stage(k)[0].map_at(local).apply_array(_per_stage(seq, k - 1, pts))
+
+
+def _composer_points(s):
+    """Container samples, points along the curve (which the stages move)
+    and points outside the container, hence outside every support."""
+    box = s.moves.container
+    lo, hi = box.lo.as_array(), box.hi.as_array()
+    outside = np.array([hi + 0.5, lo - 0.5, [hi[0] + 1.0, 0.5 * (lo[1] + hi[1]), lo[2]]])
+    inside = box.sample(np.random.default_rng(5), 100)
+    return np.vstack([inside, s.initial_curve.densified(0.05).points, outside])
+
+
+@pytest.mark.parametrize("name", COMPOSER_STREAMS)
+class TestStageComposer:
+    def test_apply_truncated(self, scenarios, name):
+        s = scenarios[name]
+        pts = _composer_points(s)
+        for n in (0, 1, 4, 8):
+            assert np.array_equal(apply_truncated(s.moves, n, pts), _per_stage(s.moves, n, pts))
+        assert np.array_equal(apply_truncated(s.moves, 8, pts[-3:]), pts[-3:])
+
+    def test_glued_map_inside_stage(self, scenarios, name):
+        s = scenarios[name]
+        pts = _composer_points(s)
+        glued = glue_schedule(s.moves, s.schedule, 8)
+        for k in (1, 3, 6, 8):
+            t0, t1 = s.schedule.time(k - 1), s.schedule.time(k)
+            for u in (0.0, 0.37, 0.9):
+                t = t0 + u * (t1 - t0)
+                ref = _per_stage_at(s.moves, s.schedule, t, pts, 8)
+                assert np.array_equal(glued.map_at(t).apply_array(pts), ref)
+
+    def test_eval_limit_before_one(self, scenarios, name):
+        s = scenarios[name]
+        pts = _composer_points(s)[::12]
+        for t in (0.3, 0.8, 0.97):
+            ref = _per_stage_at(s.moves, s.schedule, t, pts, 40)
+            got = [
+                eval_limit_isotopy(s.moves, s.schedule, t, Point3.from_array(p), tol=1e-6).point
+                for p in pts
+            ]
+            assert np.array_equal(np.array([g.as_array() for g in got]), ref)
+
+    def test_seam_values(self, scenarios, name):
+        s = scenarios[name]
+        pts = _composer_points(s)
+        for k in (1, 4, 7):
+            left, right = seam_values(s.moves, s.schedule, k, pts)
+            base = _per_stage(s.moves, k - 1, pts)
+            ref_left = s.moves.stage(k)[0].map_at(1.0).apply_array(base)
+            ref_right = s.moves.stage(k + 1)[0].map_at(0.0).apply_array(
+                s.moves.time_one_map(k).apply_array(base)
+            )
+            assert np.array_equal(left, ref_left)
+            assert np.array_equal(right, ref_right)
+
+
+def test_apply_truncated_is_truncated_map_for_1d_stream(scenarios):
+    seq = scenarios["1d_counterexample"].moves
+    pts = np.vstack([
+        seq.container.sample(np.random.default_rng(6), 100),
+        [[0.3, 0.0, 0.0], [0.5, 2.0, 0.0]],  # on the interval; off it, outside the container
+    ])
+    for n in (1, 5, 20):
+        img = apply_truncated(seq, n, pts)
+        assert np.array_equal(img, truncated_map(seq, n).apply_array(pts))
+        assert img[-2, 0] != 0.3
+        assert np.array_equal(img[-1], pts[-1])
