@@ -13,8 +13,15 @@ every scenario box.  Every move here is built from the primitives in
 ``moves``: the single insert chains its cone stages, the m-loop insert
 chains m conjugated copies of it, and each time-1 map is the end map of
 its isotopy.
+
+``kink_isotopy()`` and ``multi_kink_isotopy(m)`` are module constants:
+each is built once, on first call, and every later call returns the same
+object, so every conjugated insert shares one set of canonical maps and
+their inverses.  Callers must not mutate them.
 """
 from __future__ import annotations
+
+import functools
 
 from .engine import Isotopy
 from .geometry import Box, Point3
@@ -43,6 +50,7 @@ KINK_STAGES = (
 )
 
 
+@functools.cache
 def kink_isotopy() -> Isotopy:
     """The canonical single-loop insert, staged over [0, 1]."""
     return staged_isotopy(KINK_STAGES, CANONICAL_BOX)
@@ -66,6 +74,7 @@ def loop_sub_boxes(m: int) -> list[Box]:
     ]
 
 
+@functools.cache
 def multi_kink_isotopy(m: int) -> Isotopy:
     """m loop inserts run one after another over equal time slices."""
     kink = kink_isotopy()

@@ -17,6 +17,10 @@ Four kinds are provided:
 
 All maps evaluate pointwise (``apply``) and in bulk over (n, 3) arrays
 (``apply_array``); inverses are exact map objects, not numeric solves.
+``AffineMap`` and ``ConeMap`` build their inverse once and hand the same
+object to every caller, and the canonical moves built from them are
+shared module constants (see ``canonical``), so no caller may mutate a
+map or its arrays.
 """
 from __future__ import annotations
 
@@ -79,6 +83,7 @@ class AffineMap(LocalMap):
         self.matrix = matrix
         self.translation = translation
         self.support = unbounded_box()
+        self._inverse: AffineMap | None = None
 
     @staticmethod
     def similarity(scale: float, translation: Point3) -> "AffineMap":
@@ -100,8 +105,12 @@ class AffineMap(LocalMap):
         return pts @ self.matrix.T + self.translation.as_array()
 
     def inverse(self) -> "AffineMap":
-        inv = np.linalg.inv(self.matrix)
-        return AffineMap(inv, Point3.from_array(-inv @ self.translation.as_array()))
+        # no link back: inv(inv(M)) is not bitwise M, and the reports of
+        # reversed conjugated moves are pinned on the double inverse
+        if self._inverse is None:
+            inv = np.linalg.inv(self.matrix)
+            self._inverse = AffineMap(inv, Point3.from_array(-inv @ self.translation.as_array()))
+        return self._inverse
 
 
 def _box_boundary_triangles(box: Box) -> np.ndarray:
@@ -132,11 +141,18 @@ def _box_boundary_triangles(box: Box) -> np.ndarray:
     return np.array(tris)
 
 
+# the in-face axes (u, v) of the faces normal to axis 0, 1, 2
+_FACE_U = np.array([1, 0, 0])
+_FACE_V = np.array([2, 2, 1])
+
+
 class ConeMap(LocalMap):
     """Piecewise-affine pull of an interior apex of a box from p0 to p1.
 
     Fixes the box boundary and the exterior pointwise; bijective on all of
-    space.  The inverse is the cone map with the apexes swapped.
+    space.  A point inside is moved by the affine map of the one
+    tetrahedron (the apex and a boundary triangle) that contains it.  The
+    inverse is the cone map with the apexes swapped.
     """
 
     def __init__(self, region: Box, p0: Point3, p1: Point3):
@@ -156,6 +172,13 @@ class ConeMap(LocalMap):
         self._inv_basis = np.linalg.inv(np.transpose(basis, (0, 2, 1)))  # (12, 3, 3)
         self._a0 = a0
         self._a1 = a1
+        # exit-face pick: nonzero since the apex is strictly inside
+        self._lo = region.lo.as_array()
+        hi = region.hi.as_array()
+        self._inv_to_lo = 1.0 / (self._lo - a0)
+        self._inv_to_hi = 1.0 / (hi - a0)
+        self._inv_extent = 1.0 / (hi - self._lo)
+        self._inverse: ConeMap | None = None
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -165,22 +188,32 @@ class ConeMap(LocalMap):
             return out
         q = pts[inside]  # (m, 3)
         rel = q - self._a0  # (m, 3)
-        # lam[k, m, i]: barycentric weights of point m in tetra k
-        lam = np.einsum("kij,mj->kmi", self._inv_basis, rel)
-        b0 = 1.0 - lam.sum(axis=-1)  # apex weight, (12, m)
-        # pick the tetra where the point is "most inside"
-        score = np.minimum(lam.min(axis=-1), b0)  # (12, m)
-        best = score.argmax(axis=0)  # (m,)
         m_idx = np.arange(q.shape[0])
-        lam_best = lam[best, m_idx, :]  # (m, 3)
-        b0_best = b0[best, m_idx]  # (m,)
-        tri_best = self._tris[best]  # (m, 3, 3)
-        img = b0_best[:, None] * self._a1 + np.einsum("mi,mij->mj", lam_best, tri_best)
+        # the ray from the apex through a point leaves the box through the
+        # face maximizing rel_i / (face_i - a0_i); the apex row scores 0
+        ratio = np.where(rel > 0.0, rel * self._inv_to_hi, rel * self._inv_to_lo)
+        axis = ratio.argmax(axis=1)
+        rho = ratio[m_idx, axis]
+        side = rel[m_idx, axis] > 0.0
+        # rho * (exit point - lo) over the box extent; the face's second
+        # triangle lies above its diagonal through the min corner
+        frac = ((self._a0 - self._lo) * rho[:, None] + rel) * self._inv_extent
+        which = frac[m_idx, _FACE_V[axis]] > frac[m_idx, _FACE_U[axis]]
+        best = axis * 4 + side * 2 + which  # index into _box_boundary_triangles
+        # barycentric weights in that one tetrahedron
+        lam = np.einsum("mij,mj->mi", self._inv_basis[best], rel)  # (m, 3)
+        b0 = 1.0 - lam.sum(axis=-1)  # apex weight, (m,)
+        img = b0[:, None] * self._a1 + np.einsum("mi,mij->mj", lam, self._tris[best])
         out[inside] = img
         return out
 
     def inverse(self) -> "ConeMap":
-        return ConeMap(self.region, self.p1, self.p0)
+        # ConeMap(region, p1, p0).inverse() would rebuild self's arrays
+        # bitwise, so the inverse links back to self
+        if self._inverse is None:
+            self._inverse = ConeMap(self.region, self.p1, self.p0)
+            self._inverse._inverse = self
+        return self._inverse
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,14 @@ reversal and the unsquish.
 
 Reidemeister-style moves are synthesized as short chains of cone pulls;
 each chain is tuned once in a canonical box and conjugated into the box it
-has to act in.
+has to act in.  The end maps these isotopies hold, a conjugating frame's
+inverse and a reversed move's inverted end are each built once per
+isotopy and shared by every ``map_at`` call, so callers must not mutate
+the maps they get.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,6 +78,7 @@ def chained_isotopy(parts: Sequence[Isotopy], support: Box) -> Isotopy:
 
 def conjugated_isotopy(frame: AffineMap, inner: Isotopy, support: Box) -> Isotopy:
     """frame o inner(t) o frame^-1, supported in the given box."""
+    frame.inverse()  # inverted once, here; conjugate() reuses the memoized inverse
 
     def map_at(t: float) -> LocalMap:
         if t <= 0.0:
@@ -85,14 +90,19 @@ def conjugated_isotopy(frame: AffineMap, inner: Isotopy, support: Box) -> Isotop
 
 def reversed_isotopy(inner: Isotopy) -> Isotopy:
     """The isotopy running from identity to the inverse of inner's end map."""
-    end_inv = inner.map_at(1.0).inverse()
+
+    # built on first use: a move sequence builds many stages only to read
+    # their supports
+    @functools.cache
+    def end_inv() -> LocalMap:
+        return inner.map_at(1.0).inverse()
 
     def map_at(t: float) -> LocalMap:
         if t <= 0.0:
             return IdentityMap(support=inner.support)
         if t >= 1.0:
-            return CompositeMap([end_inv], support=inner.support)
-        return CompositeMap([inner.map_at(1.0 - t), end_inv], support=inner.support)
+            return CompositeMap([end_inv()], support=inner.support)
+        return CompositeMap([inner.map_at(1.0 - t), end_inv()], support=inner.support)
 
     return Isotopy(support=inner.support, map_at=map_at)
 

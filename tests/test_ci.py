@@ -1,15 +1,16 @@
-"""The CI workflow parses and runs the Tier-1 and benchmark-harness tests."""
+"""The CI workflow parses and runs the Tier-1 and benchmark-harness tests,
+and the test configuration turns runtime warnings into failures."""
 from pathlib import Path
 
 import pytest
 
-yaml = pytest.importorskip("yaml")
-
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
 def test_workflow_runs_both_suites_on_python_311():
+    yaml = pytest.importorskip("yaml")
     wf = yaml.safe_load(WORKFLOW.read_text())
     steps = wf["jobs"]["tests"]["steps"]
     runs = [s["run"] for s in steps if "run" in s]
@@ -17,3 +18,9 @@ def test_workflow_runs_both_suites_on_python_311():
     assert "python -m pytest -q perfbench/tests" in runs
     setup = next(s for s in steps if s.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "3.11"
+
+
+def test_runtime_warnings_fail_the_suite():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "error::RuntimeWarning" in config["tool"]["pytest"]["ini_options"]["filterwarnings"]

@@ -19,7 +19,7 @@ GOLDEN = {
     "countable_r1": (
         ("b47418f71ee057f1877ddf6aa334aed6881fdf473eb6afcf45285fc073caf15c", "6c17c216c3098c3870ace283d27e50021d991f55edd9945f876f43a085dc63e5"),
         ("e7bf9bad6b3625977eda71f152c84cd5b82696958145faf8576b9fa201eb74d6", "64ea833bd8aea41126a89c5eb33a8800879b785e005bd7e657ee90c8ddaa07d8"),
-        ("76a38a1ce45f1e17e0f56ca77e8489dc01634c5bf6d542cc2302151da69498c3", "148ba7ddcc35f7df8959237f683d62cdd733e7b1e5dc508be1036e439b45fe5b"),
+        ("c91837c371aa64ebf053ccf7d90099848019c4612d05ad3a7a6ca130ac17a1a2", "148ba7ddcc35f7df8959237f683d62cdd733e7b1e5dc508be1036e439b45fe5b"),
     ),
     "recursive_r1": (
         ("7fc3dbfbeb825820e4db449effb01c7f87a59cca29081644c4eae9ac0221021e", "8b054d012e094e6eee485b7655da9ef935bd456167593e84f0ed553f44f64ddd"),
@@ -32,9 +32,9 @@ GOLDEN = {
         ("68f78d66a91ab8bef28bce086d459bb284b5123c91e25c6c934d28a6b5a91979", "100dbb689f0117f8c652983c472391b6889be31396cfd7ee1d75338b3a3489ca"),
     ),
     "fox_remarkable": (
-        ("26f1b636da377496c6942a57d1e959d8274e2837d7a50c98d17c8c83f44e48d1", "d038f10ce6b32e2bd2412db345971b49103a4115896216ae9255dd77fbdc4490"),
-        ("21a1721b1415664a22a13d4657c1a822954e069b0e9762cb2c428ac926e9bfa1", "6b4f34624d384a4caf38f20e792c4f509229b1bc4afe390c2eda0a3ae37e43b3"),
-        ("31544309a6a9110a913b58b5ab183222aab06432525f657fb77f9314ca3f2b2b", "82929aa665363e82b3fb41ecce1a89faddd65f20f7f7684c3760747d97d9988b"),
+        ("f05ceb234203eb65b9096c6543a383c79084e8543ae26b4bfc3736bb8434948d", "89331af936750a403f7fe794cbe07e3153ea58e077fcda241b2cbcc78384b41f"),
+        ("109c384c0e337c439825f03a900a2433eb7ac888ede4fbe5b179bc9477ae0b38", "55b3b59773854c59f3cc0372f8ed990dfb5dc6c260e973a4152d67200f167051"),
+        ("49169986729c4877d936abf2d5fdb1fa862127bbff95ef117106c501b4e6b2a0", "9114af274b1aa418fe609ae232459fe92a3352c45d3dab08f5a5a0722d1b3794"),
     ),
 }
 

@@ -344,3 +344,110 @@ def test_scenario_stage_maps_fix_rows_off_support(scenarios, name, k, seed):
     m = scenarios[name].moves.time_one_map(k)
     assert isinstance(m, CompositeMap)
     _assert_culled(m, _around(m.support, np.random.default_rng(seed)))
+
+
+# -- cone kernel: one tetrahedron per point ------------------------------------
+
+
+def _twelve_tetrahedra_kernel(m: ConeMap, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former ConeMap kernel, as an oracle: barycentric weights in all
+    12 tetrahedra, evaluated in the one where the point is most inside.
+    Returns the images and each row's best score (inf outside the region)."""
+    out = pts.copy()
+    score = np.full(len(pts), np.inf)
+    inside = m.region.contains_array(pts)
+    if not inside.any():
+        return out, score
+    q = pts[inside]
+    rel = q - m._a0
+    lam = np.einsum("kij,mj->kmi", m._inv_basis, rel)
+    b0 = 1.0 - lam.sum(axis=-1)
+    tet_score = np.minimum(lam.min(axis=-1), b0)
+    best = tet_score.argmax(axis=0)
+    m_idx = np.arange(q.shape[0])
+    out[inside] = b0[best, m_idx][:, None] * m._a1 + np.einsum(
+        "mi,mij->mj", lam[best, m_idx, :], m._tris[best]
+    )
+    score[inside] = tet_score[best, m_idx]
+    return out, score
+
+
+def _tetrahedron_ties(box: Box, apex: np.ndarray, rng: np.random.Generator, n: int = 24) -> np.ndarray:
+    """Points where tetrahedra of the cone meet, plus points inside and
+    around the box: the apex, axis lines through it, face diagonals through
+    the min corner, rays from the apex to those diagonals and to box edges
+    and corners, and the box boundary."""
+    lo, hi = box.lo.as_array(), box.hi.as_array()
+    rows = np.arange(n)
+    t = rng.uniform(0.0, 1.0, (n, 1))
+    s = rng.uniform(0.0, 1.0, (n, 1))
+    axis = rng.integers(0, 3, n)
+    face = rng.integers(0, 2, n).astype(bool)
+    on_axis = np.zeros((n, 3))
+    on_axis[rows, axis] = rng.uniform(-1.5, 1.5, n) * (hi - lo)[axis]
+    diagonal = lo + t * (hi - lo)
+    diagonal[rows, axis] = np.where(face, hi[axis], lo[axis])
+    edge = np.where(rng.integers(0, 2, (n, 3)).astype(bool), hi, lo)
+    edge[rows, axis] = (lo + t[:, 0, None] * (hi - lo))[rows, axis]
+    corners = box.corner_array()
+    boundary = box.sample(rng, n)
+    boundary[rows, axis] = np.where(face, hi[axis], lo[axis])
+    return np.concatenate(
+        [
+            apex[None, :],
+            apex + on_axis,
+            diagonal,
+            apex + s * (diagonal - apex),
+            apex + s * (edge - apex),
+            apex + s * (corners[rng.integers(0, 8, n)] - apex),
+            corners,
+            boundary,
+            box.scaled_about_center(1.5).sample(rng, 4 * n),
+        ]
+    )
+
+
+@given(
+    _target_boxes(),
+    st.tuples(*[st.floats(-0.95, 0.95)] * 3),
+    st.tuples(*[st.floats(-0.95, 0.95)] * 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_cone_kernel_matches_twelve_tetrahedra(box, u0, u1, seed):
+    half = box.half_extents.as_array()
+    a0 = box.center.as_array() + np.array(u0) * half
+    a1 = box.center.as_array() + np.array(u1) * half
+    m = ConeMap(box, Point3.from_array(a0), Point3.from_array(a1))
+    pts = _tetrahedron_ties(box, a0, np.random.default_rng(seed))
+    img = m.apply_array(pts)
+    old, score = _twelve_tetrahedra_kernel(m, pts)
+    outside = ~box.contains_array(pts)
+    assert np.array_equal(img[outside], pts[outside])
+    # inside one tetrahedron by a margin, both kernels pick it: same bits
+    sure = score > 1e-9
+    assert np.array_equal(img[sure], old[sure])
+    # on a tie both tetrahedra give the same affine image in exact
+    # arithmetic; the two float images differ by the roundoff of the
+    # barycentric solve, eps * cond(tetrahedron) * coordinate scale
+    tie = ~sure
+    assert tie.any()
+    kappa = np.linalg.cond(m._tris - a0).max()
+    scale = max(np.abs(box.corner_array()).max(), np.abs(a1).max())
+    dev = np.abs(img[tie] - old[tie]).max(axis=1)
+    assert (dev <= 4.0 * np.finfo(float).eps * kappa * scale).all()
+
+
+def test_cone_kernel_ties_on_the_canonical_strand_move_under_one_ulp():
+    # the x-axis strand runs through the first kink stage's apex, along
+    # tetrahedron boundaries; pushed through the kink's cones (or their
+    # inverses) by each kernel, it ends up less than 1 ulp apart
+    xs = np.linspace(-1.0, 1.0, 4001)
+    strand = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
+    cones = [ConeMap(s.region, s.p0, s.p1) for s in KINK_STAGES]
+    for chain in (cones, [c.inverse() for c in reversed(cones)]):
+        img, old = strand, strand
+        for cone in chain:
+            img = cone.apply_array(img)
+            old = _twelve_tetrahedra_kernel(cone, old)[0]
+        assert (np.abs(img - old).max(axis=1) < np.spacing(np.abs(old).max(axis=1))).all()

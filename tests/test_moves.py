@@ -15,6 +15,7 @@ from knotiso.canonical import (
     multi_kink_map,
 )
 from knotiso.diagram import count_crossings
+from knotiso.engine import Isotopy
 from knotiso.geometry import Box, PLCurve, Point3, curve_is_simple, distance, lerp
 from knotiso.maps import (
     AffineMap,
@@ -35,6 +36,7 @@ from knotiso.moves import (
     staged_isotopy,
     unsquish_isotopy,
 )
+from knotiso.scenarios import SCENARIO_BUILDERS
 
 UNIT = CANONICAL_BOX
 
@@ -319,3 +321,74 @@ def test_kink_map_is_the_two_cone_composite():
     )
     pts = _points_around_unit(7)
     assert np.array_equal(kink_map().apply_array(pts), explicit.apply_array(pts))
+
+
+# -- build once -----------------------------------------------------------------
+
+
+class TestBuildOnce:
+    def test_canonical_moves_are_module_constants(self):
+        assert kink_isotopy() is kink_isotopy()
+        assert multi_kink_isotopy(3) is multi_kink_isotopy(3)
+        assert kink_map().parts[0] is kink_map().parts[0]
+
+    def test_cone_inverse_is_built_once_and_links_back(self):
+        m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, -0.2, 0.1))
+        assert m.inverse() is m.inverse()
+        assert m.inverse().inverse() is m
+
+    def test_affine_inverse_is_built_once_without_link_back(self):
+        m = AffineMap(np.array([[2.0, 0.3, 0.0], [0.1, 3.0, 0.0], [0.0, 0.7, 5.0]]), Point3(1, 2, 3))
+        inv = m.inverse()
+        assert m.inverse() is inv
+        # inv(inv(M)) is not bitwise M, so the double inverse is its own map
+        twice = inv.inverse()
+        assert twice is not m
+        assert np.array_equal(twice.matrix, np.linalg.inv(np.linalg.inv(m.matrix)))
+
+    def test_conjugated_isotopy_inverts_its_frame_once(self, monkeypatch):
+        inner = kink_isotopy()
+        target = Box.cube(Point3(3, 0, 0), 0.5)
+        frame = AffineMap.box_to_box(UNIT, target)
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+        iso = conjugated_isotopy(frame, inner, target)
+        built = len(calls)
+        for t in (0.25, 0.6, 1.0, 1.0):
+            iso.map_at(t)
+        assert built == 1
+        assert len(calls) == built + 2  # the two partial cone pulls, not the frame
+
+    def test_reversed_isotopy_inverts_on_first_use(self):
+        inner = kink_isotopy()
+        calls = []
+
+        def map_at(t: float):
+            calls.append(t)
+            return inner.map_at(t)
+
+        rev = reversed_isotopy(Isotopy(support=inner.support, map_at=map_at))
+        assert calls == []
+        assert isinstance(rev.map_at(0.0), IdentityMap)
+        assert calls == []
+        end = rev.map_at(1.0)
+        assert calls == [1.0]
+        assert rev.map_at(1.0).parts == end.parts
+        rev.map_at(0.25)
+        assert calls == [1.0, 0.75]
+
+    def test_building_every_scenario_builds_few_cone_maps(self, monkeypatch):
+        kink_isotopy.cache_clear()
+        multi_kink_isotopy.cache_clear()
+        built = []
+        init = ConeMap.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConeMap, "__init__", counting_init)
+        for build in SCENARIO_BUILDERS.values():
+            build()
+        assert 0 < len(built) <= 10
