@@ -15,6 +15,9 @@ _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
 # candidate pairs tested per batch in _find_crossings
 _PAIR_CHUNK = 200_000
+# curves with more segments than this get a spatial candidate search; the
+# others test all non-adjacent pairs
+_ALL_PAIRS_MAX_SEGMENTS = 1200
 
 
 @dataclass(frozen=True)
@@ -34,13 +37,26 @@ def _rotation(axis: int, angle: float) -> np.ndarray:
 
 
 def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Non-adjacent index pairs whose xy extents can overlap."""
+    """Non-adjacent index pairs whose xy extents can overlap.
+
+    The search radius is relative to the segments' own lengths: pairs with
+    |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-6) + 8 ulp(M), h the half
+    lengths and M the largest xy coordinate.  That keeps every pair
+    ``_find_crossings`` can flag: it needs t and u within 1e-9 of [0, 1],
+    which puts the exact midpoints within (h_i + h_j)(1 + 2e-9); it only
+    solves pairs with |denom| >= 1e-9 |r||s|, where roundoff moves t and u
+    by ~1e-7 relative at most; and each computed midpoint is off by at
+    most an ulp of its coordinates, which the 8 ulp(M) pad absorbs on
+    segments far shorter than their distance to the origin.  A pad fixed
+    in absolute units would admit every pair of segments shorter than it.
+    """
     n = len(a)
-    if n <= 1200:
+    if n <= _ALL_PAIRS_MAX_SEGMENTS:
         return np.triu_indices(n, k=2)
     mids = (a[:, :2] + b[:, :2]) / 2.0
     half = np.sqrt(((b[:, :2] - a[:, :2]) ** 2).sum(-1)) / 2.0
-    ii, jj = multiscale_close_pairs(mids, half, 1e-9)
+    pad = 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
+    ii, jj = multiscale_close_pairs(mids, half * (1 + 1e-6), pad)
     keep = jj - ii >= 2
     return ii[keep], jj[keep]
 

@@ -7,7 +7,7 @@ model units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +63,22 @@ class Box:
 
     lo: Point3
     hi: Point3
+    # (lo, hi) as read-only float arrays, built on the first vectorized test
+    _arrays: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.lo.x > self.hi.x or self.lo.y > self.hi.y or self.lo.z > self.hi.z:
             raise ValueError(f"box min corner exceeds max corner: {self.lo} > {self.hi}")
+
+    def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The corners lo and hi as read-only float arrays, built once."""
+        if self._arrays is None:
+            lo, hi = self.lo.as_array(), self.hi.as_array()
+            lo.flags.writeable = hi.flags.writeable = False
+            object.__setattr__(self, "_arrays", (lo, hi))
+        return self._arrays
 
     @staticmethod
     def from_center(center: Point3, half_extents: Point3) -> "Box":
@@ -114,8 +126,7 @@ class Box:
         )
 
     def contains_array(self, pts: np.ndarray, strict: bool = False) -> np.ndarray:
-        lo = self.lo.as_array()
-        hi = self.hi.as_array()
+        lo, hi = self.bound_arrays()
         if strict:
             return np.all((pts > lo) & (pts < hi), axis=-1)
         return np.all((pts >= lo) & (pts <= hi), axis=-1)

@@ -82,6 +82,7 @@ class AffineMap(LocalMap):
             raise ValueError(f"affine matrix is singular (det={det})")
         self.matrix = matrix
         self.translation = translation
+        self._shift = translation.as_array()
         self.support = unbounded_box()
         self._inverse: AffineMap | None = None
 
@@ -102,14 +103,14 @@ class AffineMap(LocalMap):
         return AffineMap(m, Point3.from_array(t))
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix.T + self.translation.as_array()
+        return pts @ self.matrix.T + self._shift
 
     def inverse(self) -> "AffineMap":
         # no link back: inv(inv(M)) is not bitwise M, and the reports of
         # reversed conjugated moves are pinned on the double inverse
         if self._inverse is None:
             inv = np.linalg.inv(self.matrix)
-            self._inverse = AffineMap(inv, Point3.from_array(-inv @ self.translation.as_array()))
+            self._inverse = AffineMap(inv, Point3.from_array(-inv @ self._shift))
         return self._inverse
 
 

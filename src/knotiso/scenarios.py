@@ -5,20 +5,24 @@ Every curve here is invented geometry anchored to a combinatorial pattern:
 loop counts, crossing deltas, box nesting, and decay ratios.  Loop-bearing
 curves are built by the reverse trick: apply invertible loop-insert maps
 to a plain baseline, so each untying move is the exact inverse of the
-insert that created its loop.
+insert that created its loop.  A curve's loops are inserted in one pass:
+its insert boxes are pairwise disjoint, so every point is framed into the
+canonical box of the one insert box that holds it, and the points of all
+boxes go through the shared canonical move together (``_insert_loops``).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ball_factoring import NestedFamily
-from .canonical import conjugated_insert
+from .canonical import CANONICAL_BOX, conjugated_insert, kink_map, multi_kink_map
 from .engine import Isotopy, MoveSequence, Schedule
 from .geometry import Box, PLCurve, Point3
-from .maps import LocalMap, UnsquishParams, estimate_inverse_lipschitz
+from .maps import AffineMap, LocalMap, UnsquishParams, estimate_inverse_lipschitz
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
@@ -71,10 +75,32 @@ def _axis_points(
     return np.column_stack([xs, zeros, zeros])
 
 
-def _apply_time_one(isotopies: Sequence[Isotopy], pts: np.ndarray) -> np.ndarray:
-    for iso in isotopies:
-        pts = iso.time_one().apply_array(pts)
-    return pts
+def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
+    """pts after the time-1 maps of ``conjugated_insert(b, m)`` for every box.
+
+    One pass through the canonical move instead of one insert per box, and
+    bitwise the same: the boxes are pairwise disjoint (a point in two of
+    them raises ValueError), each insert maps its box onto itself and
+    fixes everything else, and the canonical map acts row by row.
+    """
+    lo = np.array([b.bound_arrays()[0] for b in boxes])
+    hi = np.array([b.bound_arrays()[1] for b in boxes])
+    # inside[j, i]: box j holds row i, tested one axis at a time over all boxes
+    inside = np.ones((len(boxes), len(pts)), dtype=bool)
+    for axis, x in enumerate(pts.T):
+        inside &= (lo[:, axis, None] <= x) & (x <= hi[:, axis, None])
+    if (inside.sum(axis=0) > 1).any():
+        raise ValueError("insert boxes overlap: a point lies in two of them")
+    rows = [np.nonzero(held)[0] for held in inside]
+    frames = [AffineMap.box_to_box(CANONICAL_BOX, b) for b in boxes]
+    local = np.concatenate([f.inverse().apply_array(pts[r]) for f, r in zip(frames, rows)])
+    moved = (multi_kink_map(m) if m > 1 else kink_map()).apply_array(local)
+    out = np.array(pts, dtype=float)
+    start = 0
+    for f, r in zip(frames, rows):
+        out[r] = f.apply_array(moved[start : start + len(r)])
+        start += len(r)
+    return out
 
 
 def _closed_curve(active: np.ndarray, y_return: float) -> PLCurve:
@@ -106,9 +132,9 @@ def build_countable_r1() -> Scenario:
     """A circle with countably many shrinking loops; each move removes the
     next loop inside its own disjoint box."""
     boxes = _shrinking_boxes(2.0)
-    inserts = [conjugated_insert(boxes(k)) for k in range(1, _R1_LOOPS + 1)]
-    active = _axis_points(-0.5, 2.5, [boxes(k) for k in range(1, _R1_LOOPS + 1)])
-    curve = _closed_curve(_apply_time_one(inserts, active), y_return=-1.2)
+    loop_boxes = [boxes(k) for k in range(1, _R1_LOOPS + 1)]
+    active = _axis_points(-0.5, 2.5, loop_boxes)
+    curve = _closed_curve(_insert_loops(loop_boxes, 1, active), y_return=-1.2)
 
     container = Box(Point3(-1.0, -2.0, -1.0), Point3(3.0, 1.0, 1.0))
 
@@ -141,64 +167,51 @@ def build_countable_r1() -> Scenario:
 _R2_PAIRS = 20
 
 
-def build_countable_r2_two_stage() -> tuple[Scenario, Scenario]:
-    """Two chained untying passes: loop pairs near x=2 removed first, the
-    pairs near x=4 by the second pass; each pass has disjoint boxes."""
+def build_countable_r2(stage: int) -> Scenario:
+    """One of two chained untying passes over loop pairs: stage 1 removes
+    the pairs near x=2 from the curve carrying both passes' pairs, stage 2
+    the pairs near x=4 from what stage 1 leaves; each pass has disjoint
+    boxes, and the two passes' boxes are disjoint too."""
+    if stage not in (1, 2):
+        raise ValueError(f"stage must be 1 or 2, got {stage}")
     boxes1 = _shrinking_boxes(2.0)
     boxes2 = _shrinking_boxes(4.0)
-    ins1 = [conjugated_insert(boxes1(k), m=2) for k in range(1, _R2_PAIRS + 1)]
-    ins2 = [conjugated_insert(boxes2(k), m=2) for k in range(1, _R2_PAIRS + 1)]
-    all_boxes = [boxes1(k) for k in range(1, _R2_PAIRS + 1)] + [
-        boxes2(k) for k in range(1, _R2_PAIRS + 1)
-    ]
-    active = _axis_points(-0.5, 4.5, all_boxes, pts_per_box=2 * _PTS_PER_BOX)
-    mid_active = _apply_time_one(ins2, active)
-    curve1 = _closed_curve(_apply_time_one(ins1, mid_active), y_return=-1.2)
-    curve2 = _closed_curve(mid_active, y_return=-1.2)
+    pass1 = [boxes1(k) for k in range(1, _R2_PAIRS + 1)]
+    pass2 = [boxes2(k) for k in range(1, _R2_PAIRS + 1)]
+    active = _axis_points(-0.5, 4.5, pass1 + pass2, pts_per_box=2 * _PTS_PER_BOX)
+    tied = pass1 + pass2 if stage == 1 else pass2
+    curve = _closed_curve(_insert_loops(tied, 2, active), y_return=-1.2)
+    boxes = boxes1 if stage == 1 else boxes2
 
     container = Box(Point3(-1.0, -2.0, -1.0), Point3(5.0, 1.0, 1.0))
 
-    def stage_for(boxes: Callable[[int], Box]) -> Callable[[int], tuple[Isotopy, Box]]:
-        def stage(k: int) -> tuple[Isotopy, Box]:
-            b = boxes(k)
-            return reversed_isotopy(conjugated_insert(b, m=2)), b
+    def untie(k: int) -> tuple[Isotopy, Box]:
+        b = boxes(k)
+        return reversed_isotopy(conjugated_insert(b, m=2)), b
 
-        return stage
-
-    pairs1 = (
-        (Point3(0.5, 0.3, 0.0), Point3(0.5, -0.3, 0.0)),
-        (Point3(1.9, 0.05, 0.0), Point3(1.9, -0.05, 0.0)),
-        (Point3(3.0, 0.2, 0.0), Point3(3.0, -0.2, 0.0)),
-    )
-    pairs2 = (
-        (Point3(3.9, 0.05, 0.0), Point3(3.9, -0.05, 0.0)),
-        (Point3(2.5, 0.2, 0.0), Point3(2.5, -0.2, 0.0)),
-        (Point3(4.3, 0.1, 0.0), Point3(4.45, 0.1, 0.0)),
-    )
-    census1 = tuple(Point3(2.0 - 2.0**-j, 0.0, 0.0) for j in range(1, 7))
-    census2 = tuple(Point3(4.0 - 2.0**-j, 0.0, 0.0) for j in range(1, 7))
-    common = dict(
+    if stage == 1:
+        pairs = (
+            (Point3(0.5, 0.3, 0.0), Point3(0.5, -0.3, 0.0)),
+            (Point3(1.9, 0.05, 0.0), Point3(1.9, -0.05, 0.0)),
+            (Point3(3.0, 0.2, 0.0), Point3(3.0, -0.2, 0.0)),
+        )
+    else:
+        pairs = (
+            (Point3(3.9, 0.05, 0.0), Point3(3.9, -0.05, 0.0)),
+            (Point3(2.5, 0.2, 0.0), Point3(2.5, -0.2, 0.0)),
+            (Point3(4.3, 0.1, 0.0), Point3(4.45, 0.1, 0.0)),
+        )
+    limit = 2.0 * stage
+    return Scenario(
+        name=f"countable_r2_stage{stage}",
+        initial_curve=curve,
+        moves=MoveSequence(stage_fn=untie, container=container, length=None),
         schedule=Schedule(),
         expected=ExpectedVerdicts("pass", None, "pass"),
         declared_decay_ratio=0.5,
+        probe_pairs=pairs,
+        census_samples=tuple(Point3(limit - 2.0**-j, 0.0, 0.0) for j in range(1, 7)),
     )
-    s1 = Scenario(
-        name="countable_r2_stage1",
-        initial_curve=curve1,
-        moves=MoveSequence(stage_fn=stage_for(boxes1), container=container, length=None),
-        probe_pairs=pairs1,
-        census_samples=census1,
-        **common,
-    )
-    s2 = Scenario(
-        name="countable_r2_stage2",
-        initial_curve=curve2,
-        moves=MoveSequence(stage_fn=stage_for(boxes2), container=container, length=None),
-        probe_pairs=pairs2,
-        census_samples=census2,
-        **common,
-    )
-    return s1, s2
 
 
 # -- recursive loop insertion with unsquish protection ------------------------
@@ -247,11 +260,13 @@ def rec_insert(k: int) -> Isotopy:
     return cone_isotopy(rec_insert_region(k), rec_apex(k - 1), rec_apex(k))
 
 
+@functools.cache
 def rec_squish_constant() -> float:
     """Inverse-Lipschitz estimate of the next insert, with safety factor.
 
     The construction is exactly self-similar across levels, so the level-1
-    estimate is valid for every k.
+    estimate is valid for every k.  A module constant: estimated once, on
+    first call.
     """
     est = estimate_inverse_lipschitz(
         rec_insert(2).time_one(), rec_insert_region(2), n_samples=4000, seed=20260823
@@ -282,10 +297,10 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     for k in range(1, 21):
         radii.extend(np.linspace(2.2, 5.6, 60) * (L * 2.0**-k) * 1.0343)
     radii = np.unique(np.clip(np.array(radii), 0.0, arm_len))
-    upper = [Point3.from_array(arm_dir * r) for r in radii[::-1] if r > 0]
+    radii = radii[radii > 0]
     lower_dir = np.array([arm_dir[0], -arm_dir[1], 0.0])
-    lower = [Point3.from_array(lower_dir * r) for r in radii if r > 0]
-    curve = PLCurve(tuple(upper + [Point3(0, 0, 0)] + lower), closed=False)
+    wedge = [radii[::-1, None] * arm_dir, np.zeros((1, 3)), radii[:, None] * lower_dir]
+    curve = PLCurve(np.concatenate(wedge), closed=False)
 
     container = Box(Point3(-0.6, -0.3, -0.3), Point3(0.3, 0.3, 0.3))
     q0 = rec_apex(0)
@@ -357,9 +372,8 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     union diameter is bounded below by the segment length.
     """
     work = [trefoil_work_box(k) for k in range(1, _TREFOIL_SUMMANDS + 1)]
-    inserts = [conjugated_insert(b, m=3) for b in work]
     active = _axis_points(-0.5, 2.0, work, pts_per_box=3 * _PTS_PER_BOX)
-    tied = _apply_time_one(inserts, active)
+    tied = _insert_loops(work, 3, active)
     if extended:
         ret = [[3.0, 0.0, 0.0], [3.0, -1.2, 0.0], [-0.5, -1.2, 0.0]]
         curve = PLCurve(np.concatenate([tied, ret]), closed=True)
@@ -445,9 +459,8 @@ def build_fox_remarkable() -> Scenario:
     removes the next pair, then contracts toward the endpoint, dragging a
     countable set of tracked points with it forever."""
     initial_boxes = [fox_pair_box_initial(k) for k in range(1, _FOX_PAIRS + 1)]
-    inserts = [conjugated_insert(b, m=2) for b in initial_boxes]
     active = _axis_points(0.0, 1.5, initial_boxes, pts_per_box=2 * _PTS_PER_BOX)
-    curve = PLCurve(_apply_time_one(inserts, active), closed=False)
+    curve = PLCurve(_insert_loops(initial_boxes, 2, active), closed=False)
 
     container = Box(Point3(-1.0, -1.0, -1.0), Point3(2.0, 1.0, 1.0))
 
@@ -610,8 +623,8 @@ def build_1d_counterexample() -> Scenario:
 
 SCENARIO_BUILDERS: dict[str, Callable[[], Scenario]] = {
     "countable_r1": build_countable_r1,
-    "countable_r2_stage1": lambda: build_countable_r2_two_stage()[0],
-    "countable_r2_stage2": lambda: build_countable_r2_two_stage()[1],
+    "countable_r2_stage1": lambda: build_countable_r2(1),
+    "countable_r2_stage2": lambda: build_countable_r2(2),
     "recursive_r1": build_recursive_r1,
     "trefoil_chain": lambda: build_trefoil_chain(extended=False),
     "trefoil_chain_extended": lambda: build_trefoil_chain(extended=True),

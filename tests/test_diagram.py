@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from knotiso import diagram
 from knotiso.diagram import count_crossings, find_crossings, render_svg
+from knotiso.engine import glue_schedule, map_curve
 from knotiso.geometry import Box, PLCurve, Point3
 
 
@@ -172,3 +173,81 @@ class TestChunkedCrossingTest:
         with mock.patch.object(diagram, "_PAIR_CHUNK", 7):
             chunked = diagram._find_crossings(*_segments(curve))
         assert chunked == whole
+
+
+def _kd_and_all_pairs(a, b, closed):
+    """_find_crossings through the spatial candidate search and through
+    every non-adjacent pair."""
+    with mock.patch.object(diagram, "_ALL_PAIRS_MAX_SEGMENTS", 0):
+        kd = diagram._find_crossings(a, b, closed)
+    with mock.patch.object(diagram, "_ALL_PAIRS_MAX_SEGMENTS", 10**9):
+        every = diagram._find_crossings(a, b, closed)
+    return kd, every
+
+
+def _multiscale_walk(rng, n: int) -> np.ndarray:
+    """A random walk whose steps range over 30 binary orders of magnitude,
+    starting at a random offset from the origin."""
+    steps = rng.normal(size=(n, 3)) * (2.0 ** -rng.integers(0, 30, n))[:, None]
+    start = rng.choice([0.0, 2.0, 100.0]) * rng.normal(size=3)
+    return start + np.cumsum(steps, axis=0)
+
+
+class TestLengthRelativeCandidates:
+    """The spatial candidate search sizes its radius from the segments' own
+    lengths; it must keep every pair the all-pairs test would flag."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 120),
+        st.booleans(),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_all_pairs_at_every_scale(self, seed, n, closed, j):
+        curve = PLCurve(_multiscale_walk(np.random.default_rng(seed), n), closed=closed)
+        for pts in (curve.points, curve.points * 2.0**-j):
+            shrunk = PLCurve(pts, closed=closed)
+            kd, every = _kd_and_all_pairs(*_segments(shrunk))
+            assert kd == every
+
+    @pytest.mark.parametrize("j", [0, 20, 60])
+    def test_multiscale_overpasses_under_homothety(self, j):
+        curve = _poly(_multiscale_rows(6)).densified(0.002)
+        a, b, closed = _segments(curve)
+        lam = 2.0**-j
+        kd, every = _kd_and_all_pairs(a * lam, b * lam, closed)
+        assert kd == every
+
+    @pytest.mark.parametrize("x0", [0.0, 2.0, 8.0])
+    def test_grazing_pairs_far_from_origin_are_kept(self, x0):
+        # two nearly collinear segments meeting end to start, far shorter
+        # than their distance to the origin and just short of a power of 2
+        # in length: the midpoints' roundoff is what separates them, so a
+        # purely length-relative radius drops some of these grazing pairs
+        rng = np.random.default_rng(7)
+        length = 2.0**-45 * 1.999995
+        up = np.array([0.0, 0.0, 1.0])
+        grazing = 0
+        for _ in range(300):
+            th = rng.uniform(0.0, 2.0 * np.pi)
+            d0 = np.array([np.cos(th), np.sin(th), 0.0]) * length
+            d1 = np.array([np.cos(th + 1e-4), np.sin(th + 1e-4), 0.0]) * length
+            p = np.array([x0 + rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3), 0.0])
+            a = np.array([p - d0, [x0 + 10.0, 10.0, 0.0], p + up])
+            b = np.array([p, [x0 + 11.0, 10.0, 0.0], p + d1 + up])
+            kd, every = _kd_and_all_pairs(a, b, False)
+            assert kd == every
+            grazing += every is None
+        assert grazing > 250
+
+    def test_fox_limit_frame_has_few_candidates(self, scenarios):
+        # the depth-20 frame at t = 1: segments near the wild point are far
+        # shorter than any absolute pad (1,012,165 pairs with a 1e-9 pad)
+        s = scenarios["fox_remarkable"]
+        glued = glue_schedule(s.moves, s.schedule, 20)
+        frame = map_curve(glued.map_at(1.0), s.initial_curve.densified(0.01))
+        a, b = frame.segment_arrays()
+        assert len(a) > diagram._ALL_PAIRS_MAX_SEGMENTS
+        ii, _ = diagram._candidate_pairs(a, b)
+        assert len(ii) < 5000

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotiso.ball_factoring import find_ball_factoring
+from knotiso.canonical import conjugated_insert
 from knotiso.diagram import count_crossings
 from knotiso.engine import (
     Schedule,
@@ -15,19 +16,24 @@ from knotiso.engine import (
     map_curve,
     truncated_map,
 )
-from knotiso.geometry import Point3, curve_is_simple, distance
+from knotiso.geometry import Box, Point3, curve_is_simple, distance
 from knotiso.scenarios import (
     INJECTIVITY_THRESHOLD,
     SCENARIO_BUILDERS,
     ExpectedVerdicts,
+    _axis_points,
+    _insert_loops,
+    _shrinking_boxes,
     build_1d_counterexample,
     build_snowflake,
     fox_outer,
+    fox_pair_box_initial,
     get_scenario,
     rec_apex,
     rec_settle_bound,
     rec_squish_constant,
     snowflake_sup_deviation,
+    trefoil_work_box,
 )
 
 HORIZON = 20
@@ -382,3 +388,93 @@ class TestSnowflake:
         slant = float(np.hypot(0.5 / n_f, 0.75 * shrink))
         expect = max(1.0 / n_f, slant)
         assert d23 / d12 == pytest.approx(expect, rel=1e-9)
+
+
+def _insert_one_by_one(boxes, m, pts):
+    for b in boxes:
+        pts = conjugated_insert(b, m).time_one().apply_array(pts)
+    return pts
+
+
+def _assert_bitwise(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _probe_points(boxes, rng) -> np.ndarray:
+    """Points on each box's strand, inside it, on its faces, and around it."""
+    rows = []
+    for b in boxes:
+        lo, hi = b.bound_arrays()
+        c = b.center
+        xs = np.linspace(lo[0], hi[0], 40)
+        rows.append(np.column_stack([xs, np.full(40, c.y), np.full(40, c.z)]))
+        rows.append(b.sample(rng, 40))
+        # six points on each of the six faces
+        face = b.sample(rng, 36)
+        for i, row in enumerate(face):
+            axis, bound = (i // 2) % 3, (lo, hi)[i % 2]
+            row[axis] = bound[axis]
+        rows.append(face)
+        rows.append(b.scaled_about_center(3.0).sample(rng, 40))
+    return np.concatenate(rows)
+
+
+@st.composite
+def _disjoint_boxes(draw):
+    """Boxes in distinct x cells of width 2^-e, at mixed sizes, in any order."""
+    k = draw(st.integers(1, 6))
+    cell = 2.0 ** -draw(st.integers(0, 40))
+    order = draw(st.permutations(range(k)))
+    fracs = st.floats(1e-6, 0.45)
+    boxes = []
+    for i in order:
+        center = Point3(
+            (i + draw(st.floats(0.46, 0.54))) * cell,
+            draw(st.floats(-1.0, 1.0)) * cell,
+            draw(st.floats(-1.0, 1.0)) * cell,
+        )
+        half = Point3(draw(fracs) * cell, draw(fracs) * cell, draw(fracs) * cell)
+        boxes.append(Box.from_center(center, half))
+    return boxes
+
+
+def _builder_boxes():
+    r1 = _shrinking_boxes(2.0)
+    r2 = _shrinking_boxes(4.0)
+    return {
+        "countable_r1": [r1(k) for k in range(1, 21)],
+        "countable_r2": [r1(k) for k in range(1, 21)] + [r2(k) for k in range(1, 21)],
+        "trefoil_chain": [trefoil_work_box(k) for k in range(1, 21)],
+        "fox_remarkable": [fox_pair_box_initial(k) for k in range(1, 21)],
+    }
+
+
+class TestInsertLoops:
+    """One canonical pass over disjoint boxes is bitwise the inserts run
+    box by box."""
+
+    @given(_disjoint_boxes(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_disjoint_boxes(self, boxes, m, seed):
+        pts = _probe_points(boxes, np.random.default_rng(seed))
+        _assert_bitwise(_insert_loops(boxes, m, pts), _insert_one_by_one(boxes, m, pts))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(_builder_boxes()))
+    def test_builder_boxes(self, name, m):
+        boxes = _builder_boxes()[name]
+        strand = _axis_points(-0.5, 4.5, boxes, pts_per_box=m * 100)
+        pts = np.concatenate([strand, _probe_points(boxes, np.random.default_rng(m))])
+        _assert_bitwise(_insert_loops(boxes, m, pts), _insert_one_by_one(boxes, m, pts))
+
+    def test_points_outside_every_box_come_back_unchanged(self):
+        pts = np.array([[-1.0, 0.0, 0.0], [5.0, -0.0, 0.0]])
+        _assert_bitwise(_insert_loops(_builder_boxes()["countable_r1"], 1, pts), pts)
+
+    def test_overlapping_boxes_raise(self):
+        a = Box(Point3(0, -1, -1), Point3(2, 1, 1))
+        b = Box(Point3(1, -1, -1), Point3(3, 1, 1))
+        pts = np.array([[1.5, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="overlap"):
+            _insert_loops([a, b], 1, pts)

@@ -1,8 +1,12 @@
 """Smoke tests: the scripts in scripts/ run against the current package."""
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from knotiso.scenarios import SCENARIO_BUILDERS
 
@@ -36,3 +40,53 @@ def test_run_all_matches_every_scenario(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCH" not in proc.stdout
     assert len(list(tmp_path.glob("*.report"))) == len(SCENARIO_BUILDERS)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _line(seed: int, pass_s: float, ok_ratio: float) -> dict:
+    metrics = {"pass_s": {"value": pass_s, "unit": "s"}, "ok_ratio": {"value": ok_ratio, "unit": "ratio"}}
+    return {"seed": seed, "line": {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}}
+
+
+class TestBenchPairsSummary:
+    """The pair summary of scripts/bench_pairs.py, on synthetic result lines."""
+
+    def test_quartiles_and_pairs_won(self):
+        bp = _bench_pairs()
+        parent = [_line(s, p, 1.0) for s, p in zip(range(101, 106), [1.0, 2.0, 3.0, 4.0, 5.0])]
+        # out of seed order, and one pair lost
+        change = [_line(s, p, 1.0) for s, p in zip([105, 101, 102, 103, 104], [4.5, 0.5, 2.5, 2.9, 3.5])]
+        got = bp.summarize(parent, change, {"pass_s": "lower", "ok_ratio": "higher"})
+        assert got["pass_s"]["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+        assert got["pass_s"]["change"] == {"q1": 2.5, "median": 2.9, "q3": 3.5}
+        assert got["pass_s"]["pairs_won"] == 4  # seeds 101, 103, 104, 105; 102 lost
+        assert got["pass_s"]["pairs"] == 5
+        # equal values win no pair in either direction
+        assert got["ok_ratio"]["pairs_won"] == 0
+
+    def test_higher_is_better_and_unpaired_seeds_dropped(self):
+        bp = _bench_pairs()
+        parent = [_line(1, 1.0, 0.5), _line(2, 1.0, 0.9)]
+        change = [_line(1, 1.0, 0.6), _line(3, 1.0, 1.0)]
+        got = bp.summarize(parent, change, {"ok_ratio": "higher", "missing": "lower"})
+        assert got["ok_ratio"]["pairs"] == 1 and got["ok_ratio"]["pairs_won"] == 1
+        assert got["ok_ratio"]["parent"]["median"] == 0.5
+        assert "missing" not in got
+        with pytest.raises(ValueError):
+            bp.summarize(parent, [_line(3, 1.0, 1.0)], {"ok_ratio": "higher"})
+
+    def test_seed_ranges(self):
+        bp = _bench_pairs()
+        assert bp.parse_seeds("101-104") == [101, 102, 103, 104]
+        assert bp.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
+
+    def test_record_round_trips_in_the_committed_layout(self):
+        bp = _bench_pairs()
+        record = json.loads((ROOT / "BENCH_build_once.json").read_text())
+        assert json.loads(bp._dump(record)) == record
