@@ -10,10 +10,10 @@ with its own ``perfbench`` and ``src``.  The final metrics line of every run
 is kept, and a summary adds, per end-to-end metric, each side's median and
 quartiles and how many seed pairs the change won.
 
-The record goes to ``BENCH_<label>.json`` (in ``--out``, the current
-directory by default).  An existing record is extended: the workload's
-entry is replaced and the others kept, so one label can hold several
-workloads.
+Each run lasts the ``run_seconds`` of the change tree's BENCHMARK.json.
+The record goes to ``BENCH_<label>.json`` in the current directory.  An
+existing record is extended: the workload's entry is replaced and the
+others kept, so one label can hold several workloads.
 """
 from __future__ import annotations
 
@@ -38,10 +38,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def metric_directions(benchmark: Path) -> dict[str, str]:
-    """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
+def read_benchmark(benchmark: Path) -> tuple[float, dict[str, str]]:
+    """From BENCHMARK.json: the run length in seconds, and each end-to-end
+    metric's name -> "lower" or "higher"."""
     spec = json.loads(benchmark.read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -100,30 +101,6 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"line": json.loads(lines[-1]), "machine": json.loads(lines[-2])["detail"]["machine"]}
 
 
-def _dump(record: dict) -> str:
-    """The record as JSON with one line per run, like BENCH_build_once.json."""
-    head = {k: v for k, v in record.items() if k != "workloads"}
-    out = ["{"]
-    out += [f" {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items()]
-    out.append(' "workloads": {')
-    items = list(record["workloads"].items())
-    for wi, (name, w) in enumerate(items):
-        out.append(f"  {json.dumps(name)}: {{")
-        keys = list(w)
-        for ki, key in enumerate(keys):
-            comma = "," if ki < len(keys) - 1 else ""
-            if key in ("parent", "change"):
-                out.append(f"   {json.dumps(key)}: [")
-                rows = [f"    {json.dumps(e)}" for e in w[key]]
-                out.append(",\n".join(rows))
-                out.append(f"   ]{comma}")
-            else:
-                out.append(f"   {json.dumps(key)}: {json.dumps(w[key])}{comma}")
-        out.append("  }" + ("," if wi < len(items) - 1 else ""))
-    out += [" }", "}"]
-    return "\n".join(out) + "\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="the tree before the change")
@@ -131,30 +108,28 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 101-110")
     ap.add_argument("--label", required=True)
-    ap.add_argument("--seconds", type=float, default=17.0)
     ap.add_argument("--note", default="", help="what the change is, for the record")
-    ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds, directions = read_benchmark(trees["change"] / "BENCHMARK.json")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     machine = None
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            got = run_side(trees[side], args.workload, seed, args.seconds)
+            got = run_side(trees[side], args.workload, seed, seconds)
             machine = machine or got["machine"]
             runs[side].append({"seed": seed, "line": got["line"]})
             value = got["line"]["metrics"].get("pass_s", {}).get("value")
             print(f"seed {seed} {side}: pass_s {value}", file=sys.stderr)
 
-    directions = metric_directions(trees["change"] / "BENCHMARK.json")
-    path = args.out / f"BENCH_{args.label}.json"
+    path = Path(f"BENCH_{args.label}.json")
     record = json.loads(path.read_text()) if path.exists() else {}
     record.update(
         label=args.label,
         change=args.note or record.get("change", ""),
-        command=f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0",
+        command=f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace 0",
         order=ORDER,
         machine=machine,
     )
@@ -163,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": runs["change"],
         "summary": summarize(runs["parent"], runs["change"], directions),
     }
-    path.write_text(_dump(record))
+    path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["workloads"][args.workload]["summary"]))
     return 0
 

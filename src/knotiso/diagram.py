@@ -40,15 +40,18 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Non-adjacent index pairs whose xy extents can overlap.
 
     The search radius is relative to the segments' own lengths: pairs with
-    |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-6) + 8 ulp(M), h the half
+    |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-5) + 8 ulp(M), h the half
     lengths and M the largest xy coordinate.  That keeps every pair
     ``_find_crossings`` can flag: it needs t and u within 1e-9 of [0, 1],
-    which puts the exact midpoints within (h_i + h_j)(1 + 2e-9); it only
-    solves pairs with |denom| >= 1e-9 |r||s|, where roundoff moves t and u
-    by ~1e-7 relative at most; and each computed midpoint is off by at
-    most an ulp of its coordinates, which the 8 ulp(M) pad absorbs on
-    segments far shorter than their distance to the origin.  A pad fixed
-    in absolute units would admit every pair of segments shorter than it.
+    which puts the exact midpoints within (h_i + h_j)(1 + 2e-9).  It only
+    solves pairs with |denom| >= 1e-9 |r||s|, so the rounding of the cross
+    products (a few eps |qp||s| and eps |r||s|) moves t by up to about
+    4.4e-7 (|qp|/|r| + 1) and u likewise; with |qp| <= |r| + |s| that
+    moves the two midpoint distances by about 2.7e-6 (h_i + h_j) in all,
+    under the 1e-5 factor.  Each computed midpoint is off by at most an
+    ulp of its coordinates, which the 8 ulp(M) pad absorbs on segments far
+    shorter than their distance to the origin.  A pad fixed in absolute
+    units would admit every pair of segments shorter than it.
     """
     n = len(a)
     if n <= _ALL_PAIRS_MAX_SEGMENTS:
@@ -56,7 +59,7 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mids = (a[:, :2] + b[:, :2]) / 2.0
     half = np.sqrt(((b[:, :2] - a[:, :2]) ** 2).sum(-1)) / 2.0
     pad = 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
-    ii, jj = multiscale_close_pairs(mids, half * (1 + 1e-6), pad)
+    ii, jj = multiscale_close_pairs(mids, half * (1 + 1e-5), pad)
     keep = jj - ii >= 2
     return ii[keep], jj[keep]
 

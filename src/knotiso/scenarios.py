@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ball_factoring import NestedFamily
-from .canonical import CANONICAL_BOX, conjugated_insert, kink_map, multi_kink_map
+from .canonical import conjugated_insert, insert_parts
 from .engine import Isotopy, MoveSequence, Schedule
 from .geometry import Box, PLCurve, Point3
-from .maps import AffineMap, LocalMap, UnsquishParams, estimate_inverse_lipschitz
+from .maps import LocalMap, UnsquishParams, estimate_inverse_lipschitz
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
@@ -79,22 +79,27 @@ def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
     """pts after the time-1 maps of ``conjugated_insert(b, m)`` for every box.
 
     One pass through the canonical move instead of one insert per box, and
-    bitwise the same: the boxes are pairwise disjoint (a point in two of
-    them raises ValueError), each insert maps its box onto itself and
-    fixes everything else, and the canonical map acts row by row.
+    bitwise the same: the boxes are pairwise disjoint (closed boxes that
+    meet raise ValueError), each insert maps its box onto itself and fixes
+    everything else, and the canonical map acts row by row.
     """
     lo = np.array([b.bound_arrays()[0] for b in boxes])
     hi = np.array([b.bound_arrays()[1] for b in boxes])
+    # meet[i, j]: closed boxes i and j share a point
+    meet = np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]), axis=-1)
+    np.fill_diagonal(meet, False)
+    if meet.any():
+        i, j = np.argwhere(meet)[0]
+        raise ValueError(f"insert boxes overlap: {boxes[i]} meets {boxes[j]}")
     # inside[j, i]: box j holds row i, tested one axis at a time over all boxes
     inside = np.ones((len(boxes), len(pts)), dtype=bool)
     for axis, x in enumerate(pts.T):
         inside &= (lo[:, axis, None] <= x) & (x <= hi[:, axis, None])
-    if (inside.sum(axis=0) > 1).any():
-        raise ValueError("insert boxes overlap: a point lies in two of them")
     rows = [np.nonzero(held)[0] for held in inside]
-    frames = [AffineMap.box_to_box(CANONICAL_BOX, b) for b in boxes]
+    # every insert of m loops shares one canonical move, inners[0]
+    frames, inners = zip(*(insert_parts(b, m) for b in boxes))
     local = np.concatenate([f.inverse().apply_array(pts[r]) for f, r in zip(frames, rows)])
-    moved = (multi_kink_map(m) if m > 1 else kink_map()).apply_array(local)
+    moved = inners[0].time_one().apply_array(local)
     out = np.array(pts, dtype=float)
     start = 0
     for f, r in zip(frames, rows):

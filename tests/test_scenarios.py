@@ -472,9 +472,23 @@ class TestInsertLoops:
         pts = np.array([[-1.0, 0.0, 0.0], [5.0, -0.0, 0.0]])
         _assert_bitwise(_insert_loops(_builder_boxes()["countable_r1"], 1, pts), pts)
 
-    def test_overlapping_boxes_raise(self):
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.array([[1.5, 0.0, 0.0]]),  # in the overlap
+            np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0]]),  # none in the overlap
+            np.empty((0, 3)),
+        ],
+    )
+    def test_overlapping_boxes_raise(self, pts):
         a = Box(Point3(0, -1, -1), Point3(2, 1, 1))
         b = Box(Point3(1, -1, -1), Point3(3, 1, 1))
-        pts = np.array([[1.5, 0.0, 0.0]])
         with pytest.raises(ValueError, match="overlap"):
             _insert_loops([a, b], 1, pts)
+
+    def test_boxes_sharing_a_corner_raise(self):
+        a = Box(Point3(0, 0, 0), Point3(1, 1, 1))
+        b = Box(Point3(1, 1, 1), Point3(2, 2, 2))
+        c = Box(Point3(5, 5, 5), Point3(6, 6, 6))
+        with pytest.raises(ValueError, match="overlap"):
+            _insert_loops([c, a, b], 1, np.array([[5.5, 5.5, 5.5]]))

@@ -1,6 +1,5 @@
 """Smoke tests: the scripts in scripts/ run against the current package."""
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -81,12 +80,12 @@ class TestBenchPairsSummary:
         with pytest.raises(ValueError):
             bp.summarize(parent, [_line(3, 1.0, 1.0)], {"ok_ratio": "higher"})
 
+    def test_run_length_and_directions_come_from_the_benchmark(self):
+        seconds, directions = _bench_pairs().read_benchmark(ROOT / "BENCHMARK.json")
+        assert seconds == 17
+        assert directions["pass_s"] == "lower" and directions["ok_ratio"] == "higher"
+
     def test_seed_ranges(self):
         bp = _bench_pairs()
         assert bp.parse_seeds("101-104") == [101, 102, 103, 104]
         assert bp.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
-
-    def test_record_round_trips_in_the_committed_layout(self):
-        bp = _bench_pairs()
-        record = json.loads((ROOT / "BENCH_build_once.json").read_text())
-        assert json.loads(bp._dump(record)) == record
