@@ -66,19 +66,6 @@ def find_ball_factoring(fam: NestedFamily, horizon: int) -> tuple[float, int]:
     raise ValueError(f"no n0 within horizon {horizon}: regions not yet inside the ball")
 
 
-def factoring_certificate(fam: NestedFamily, horizon: int) -> str:
-    """Human-readable containment-chain certificate for the factoring."""
-    eps, n0 = find_ball_factoring(fam, horizon)
-    r1 = fam.region(1)
-    rn = fam.region(n0)
-    corner_max = max(distance(c, fam.p) for c in rn.corners())
-    return (
-        f"V_{n0} (corner radius {corner_max:.17g}) c "
-        f"B_{eps:.17g}(p) c V_1 (wall distance {r1.wall_distance(fam.p):.17g}); "
-        "the inclusion-induced homomorphism factors through the ball"
-    )
-
-
 def dyadic_cubes(p: Point3) -> NestedFamily:
     """Reference family: cubes centered at p with side 2^(1-n)."""
 

@@ -85,9 +85,7 @@ def probe_scenario(s: Scenario, cfg: RunConfig) -> ProbeReport:
     unsettled = 0
     exhausted = False
     for p in s.census_samples:
-        lv = eval_limit_isotopy(
-            s.moves, s.schedule, 1.0, p, cfg.tol, k_budget=_K_BUDGET
-        )
+        lv = eval_limit_isotopy(s.moves, p, cfg.tol, k_budget=_K_BUDGET)
         if lv.status != "settled":
             unsettled += 1
         if lv.status == "budget-exhausted":
@@ -167,7 +165,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_frames(cfg: RunConfig) -> int:
     s = SCENARIO_BUILDERS[cfg.scenario]()
     cfg.out.mkdir(parents=True, exist_ok=True)
-    glued = glue_schedule(s.moves, s.schedule, cfg.depth)
+    glued = glue_schedule(s.moves, cfg.depth)
     dense = s.initial_curve.densified(0.01)
     for i, t in enumerate(cfg.times):
         frame = map_curve(glued.map_at(t), dense)

@@ -9,15 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, PLCurve, multiscale_close_pairs
+from .geometry import ALL_PAIRS_MAX_SEGMENTS, Box, PLCurve, multiscale_close_pairs
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
 # candidate pairs tested per batch in _find_crossings
 _PAIR_CHUNK = 200_000
-# curves with more segments than this get a spatial candidate search; the
-# others test all non-adjacent pairs
-_ALL_PAIRS_MAX_SEGMENTS = 1200
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     units would admit every pair of segments shorter than it.
     """
     n = len(a)
-    if n <= _ALL_PAIRS_MAX_SEGMENTS:
+    if n <= ALL_PAIRS_MAX_SEGMENTS:
         return np.triu_indices(n, k=2)
     mids = (a[:, :2] + b[:, :2]) / 2.0
     half = np.sqrt(((b[:, :2] - a[:, :2]) ** 2).sum(-1)) / 2.0

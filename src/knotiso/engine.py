@@ -1,14 +1,15 @@
 """Time-parameterized isotopies, the countable-composition scheduler, and
 the convergence / injectivity probes.
 
-A ``MoveSequence`` yields stages (H_k, V_k): an isotopy supported in a box.
+A ``MoveSequence`` is an unbounded stream of stages (H_k, V_k): an
+isotopy supported in a box.  Stage k runs over the slot [t_{k-1}, t_k] of
+the dyadic schedule t_k = 1 - 2^{-k}, which accumulates at t = 1.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
 then stage n at a local time, as one support-culled composite.
 ``apply_truncated``, ``glue_schedule`` (the one place that slices the time
-grid into stages), ``eval_limit_isotopy`` at t < 1 and ``seam_values`` are
-all read off it.  ``eval_limit_isotopy`` also evaluates the countable
-composition at the limit time t = 1 via the settled / tolerance-converged
-/ budget trichotomy.
+grid into stages) and ``seam_values`` are all read off it.
+``eval_limit_isotopy`` evaluates the countable composition at the limit
+time t = 1 via the settled / tolerance-converged / budget trichotomy.
 
 Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Box, PLCurve, Point3, bounding_box, union_diameter
+from .geometry import Box, PLCurve, Point3, boxes_meet, bounding_box, union_diameter
 from .maps import CompositeMap, IdentityMap, LocalMap
 
 
@@ -34,42 +35,30 @@ class Isotopy:
     support: Box
     map_at: Callable[[float], LocalMap]
 
-    def eval(self, t: float, p: Point3) -> Point3:
-        return self.map_at(t).apply(p)
-
     def time_one(self) -> LocalMap:
         return self.map_at(1.0)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Strictly increasing time grid t_k in (0, 1) with limit 1.
+def stage_time(k: int) -> float:
+    """t_k = 1 - 2^{-k}, so t_0 = 0 and t_k -> 1.
 
-    The default is t_k = 1 - 2^{-k}; t_0 = 0 always.
+    Past k = 53 the value rounds to 1.0 in double precision, and such a
+    stage has no slot left: ValueError.
     """
-
-    times: Callable[[int], float] = lambda k: 1.0 - 2.0 ** (-k)
-
-    def time(self, k: int) -> float:
-        if k == 0:
-            return 0.0
-        t = self.times(k)
-        if not (0.0 < t < 1.0):
-            raise ValueError(f"schedule time t_{k} = {t} outside (0,1)")
-        return t
-
-    def stage_of(self, t: float, max_k: int) -> int:
-        """The stage k with t in [t_{k-1}, t_k), searching up to max_k."""
-        if not (0.0 <= t < 1.0):
-            raise ValueError(f"t={t} has no finite stage")
-        for k in range(1, max_k + 1):
-            if t < self.time(k):
-                return k
-        raise ValueError(f"t={t} beyond stage horizon {max_k}")
+    t = 1.0 - 2.0 ** (-k)
+    if not t < 1.0:
+        raise ValueError(f"schedule time t_{k} = {t} is not below 1")
+    return t
 
 
-class GeneratorExhausted(Exception):
-    """Raised when a finite move sequence is asked for a stage past its end."""
+def stage_of(t: float, max_k: int) -> int:
+    """The stage k with t in [t_{k-1}, t_k), searching up to max_k."""
+    if not (0.0 <= t < 1.0):
+        raise ValueError(f"t={t} has no finite stage")
+    for k in range(1, max_k + 1):
+        if t < stage_time(k):
+            return k
+    raise ValueError(f"t={t} beyond stage horizon {max_k}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +88,8 @@ class TailTable:
             rest = corners[i:].reshape(-1, 3)
             diff = corners[i][:, None, :] - rest[None, :, :]
             diam[i] = max(diam[i + 1], np.sqrt((diff**2).sum(axis=-1)).max())
-        lo = np.array([b.lo.as_array() for b in boxes])
-        hi = np.array([b.hi.as_array() for b in boxes])
+        lo = np.array([b.bound_arrays()[0] for b in boxes])
+        hi = np.array([b.bound_arrays()[1] for b in boxes])
         return TailTable(lo=lo, hi=hi, diam=diam)
 
     def in_later_support(self, pts: np.ndarray, k: int) -> np.ndarray:
@@ -111,30 +100,24 @@ class TailTable:
 
 @dataclass
 class MoveSequence:
-    """A replayable stream of stages (H_k, V_k) inside a compact container.
+    """A replayable unbounded stream of stages (H_k, V_k) inside a compact
+    container.
 
     ``stage_fn`` is 1-based and must be pure; stages and tail tables are
-    memoized.  ``length`` is None for unbounded streams.
+    memoized.
     """
 
     stage_fn: Callable[[int], tuple[Isotopy, Box]]
     container: Box
-    length: int | None = None
     _cache: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
 
     def stage(self, k: int) -> tuple[Isotopy, Box]:
         if k < 1:
             raise ValueError(f"stage index must be >= 1, got {k}")
-        if self.length is not None and k > self.length:
-            raise GeneratorExhausted(f"stage {k} past sequence length {self.length}")
         if k not in self._cache:
             self._cache[k] = self.stage_fn(k)
         return self._cache[k]
-
-    def clip(self, k: int) -> int:
-        """k clipped to the available number of stages."""
-        return k if self.length is None else min(k, self.length)
 
     def boxes(self, first: int, last: int) -> list[Box]:
         return [self.stage(k)[1] for k in range(first, last + 1)]
@@ -213,23 +196,17 @@ def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
     return truncated_map(seq, n).apply_array(pts)
 
 
-def map_curve(m: LocalMap, curve: PLCurve, max_seg_len: float | None = None) -> PLCurve:
-    """Image of a curve under a map, optionally densifying first so the
-    piecewise structure of the map is resolved."""
-    c = curve if max_seg_len is None else curve.densified(max_seg_len)
-    img = m.apply_array(c.points)
-    return PLCurve(img, closed=c.closed)
+def map_curve(m: LocalMap, curve: PLCurve) -> PLCurve:
+    """Image of a curve's vertices under a map."""
+    return PLCurve(m.apply_array(curve.points), closed=curve.closed)
 
 
 # -- hypothesis checking -----------------------------------------------------
 
 
 def tail_boxes(seq: MoveSequence, after: int, horizon: int) -> list[Box]:
-    """Supports V_k for k in (after, horizon], clipped to the stream length."""
-    last = seq.clip(horizon)
-    if after >= last:
-        return []
-    return seq.boxes(after + 1, last)
+    """Supports V_k for k in (after, horizon]."""
+    return seq.boxes(after + 1, horizon)
 
 
 def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> HypothesisReport:
@@ -238,18 +215,14 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
     for V_1..V_horizon."""
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
-    tails = seq.tail_table(seq.clip(horizon))
+    tails = seq.tail_table(horizon)
     diameters = tuple(enumerate(tails.diam.tolist(), start=1))
     container = seq.container
     containment_ok = bool(
         container.contains_array(tails.lo, strict=True).all()
         and container.contains_array(tails.hi, strict=True).all()
     )
-    overlap = np.all(
-        (tails.lo[:, None] <= tails.hi[None, :]) & (tails.lo[None, :] <= tails.hi[:, None]),
-        axis=-1,
-    )
-    disjoint = not np.triu(overlap, k=1).any()
+    disjoint = not np.triu(boxes_meet(tails.lo, tails.hi), k=1).any()
     first_violation: int | None = None
     if diameters[-1][1] >= threshold:
         first_violation = 1
@@ -271,51 +244,33 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
 @dataclass(frozen=True)
 class LimitValue:
     point: Point3
-    status: str  # exact | settled | tol-converged | budget-exhausted
+    status: str  # settled | tol-converged | budget-exhausted
     steps: int
 
 
-def eval_limit_isotopy(
-    seq: MoveSequence,
-    sched: Schedule,
-    t: float,
-    p: Point3,
-    tol: float,
-    k_budget: int = 60,
-) -> LimitValue:
-    """Value of the countably-composed isotopy at (t, p).
+def eval_limit_isotopy(seq: MoveSequence, p: Point3, tol: float, k_budget: int = 60) -> LimitValue:
+    """Value of the countably-composed isotopy at (1, p).
 
-    For t < 1 the evaluation is exact and finite: the glued isotopy of
-    the first k stages at t, for the stage k <= k_budget with t in
-    [t_{k-1}, t_k).  At t = 1 the composition is iterated until the
-    running image escapes all later supports (settled, exact) or the
-    remaining tail union has diameter below tol (tol-converged), up to
-    k_budget stages.  Both tests read the stream's tail table: the image
-    after k stages is settled when it lies in none of V_{k+1}..V_last,
-    and tol-converged when diam(V_{k+1} u ... u V_last) < tol.
+    The composition is iterated until the running image escapes all later
+    supports (settled, exact) or the remaining tail union has diameter
+    below tol (tol-converged), up to k_budget stages.  Both tests read the
+    stream's tail table: the image after k stages is settled when it lies
+    in none of V_{k+1}..V_{k_budget}, and tol-converged when
+    diam(V_{k+1} u ... u V_{k_budget}) < tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t={t} outside [0,1]")
-    if t < 1.0:
-        k = sched.stage_of(t, max_k=seq.clip(k_budget))
-        return LimitValue(glue_schedule(seq, sched, k).map_at(t).apply(p), "exact", k)
-    horizon = seq.clip(k_budget)
-    tails = seq.tail_table(horizon)
+    tails = seq.tail_table(k_budget)
     x = p.as_array()[None, :]
     # one point, one stage at a time, reading the tail table after each
-    # stage; running all census points as one array is ROADMAP item 2
-    for k in range(horizon):
+    # stage; running all census points as one array is ROADMAP item 5
+    for k in range(k_budget):
         if not tails.in_later_support(x, k)[0]:
             return LimitValue(Point3.from_array(x[0]), "settled", k)
         if tails.diam[k] < tol:
             return LimitValue(Point3.from_array(x[0]), "tol-converged", k)
         x = seq.time_one_map(k + 1).apply_array(x)
-    # no later support is left: a finite stream truly ends, an unbounded
-    # one just ran out of budget
-    status = "settled" if seq.length is not None else "budget-exhausted"
-    return LimitValue(Point3.from_array(x[0]), status, horizon)
+    return LimitValue(Point3.from_array(x[0]), "budget-exhausted", k_budget)
 
 
 # -- probes ------------------------------------------------------------------
@@ -363,38 +318,35 @@ def infinite_motion_census(
         return 0
     if horizon is None:
         horizon = n_max + 20
-    n_max = seq.clip(n_max)
     pts = np.array([s.as_array() for s in samples])
     img = apply_truncated(seq, n_max, pts)
-    tails = seq.tail_table(seq.clip(horizon))
+    tails = seq.tail_table(horizon)
     return int(tails.in_later_support(img, n_max).sum())
 
 
 # -- schedule gluing ---------------------------------------------------------
 
 
-def glue_schedule(seq: MoveSequence, sched: Schedule, n: int) -> Isotopy:
+def glue_schedule(seq: MoveSequence, n: int) -> Isotopy:
     """The n-stage time-compressed gluing: stage k runs over
     [t_{k-1}, t_k], and the map freezes at t >= t_n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t_n = sched.time(n)
+    t_n = stage_time(n)
 
     def map_at(t: float) -> LocalMap:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"t={t} outside [0,1]")
         if t >= t_n:
             return truncated_map(seq, n)
-        k = sched.stage_of(t, max_k=n)
-        t0, t1 = sched.time(k - 1), sched.time(k)
+        k = stage_of(t, max_k=n)
+        t0, t1 = stage_time(k - 1), stage_time(k)
         return truncated_map(seq, k, (t - t0) / (t1 - t0))
 
     return Isotopy(support=seq.container, map_at=map_at)
 
 
-def seam_values(
-    seq: MoveSequence, sched: Schedule, k: int, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def seam_values(seq: MoveSequence, k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided values of the glued isotopy at the seam t_k.
 
     Left: stage k completed at its local time 1.  Right: stage k+1 entered

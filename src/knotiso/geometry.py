@@ -12,6 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
+# curves with more segments than this get a spatial candidate search
+# (``multiscale_close_pairs``); the others test all non-adjacent pairs
+ALL_PAIRS_MAX_SEGMENTS = 1200
+
 
 @dataclass(frozen=True, slots=True)
 class Point3:
@@ -171,6 +175,12 @@ def bounding_box(boxes: Sequence[Box]) -> Box:
     return Box(Point3.from_array(lo), Point3.from_array(hi))
 
 
+def boxes_meet(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """meet[i, j]: closed boxes i and j, given by their stacked (n, 3)
+    corner arrays lo and hi, share a point."""
+    return np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]), axis=-1)
+
+
 def union_diameter(boxes: Sequence[Box]) -> float:
     """Diameter of the union of a non-empty family of boxes.
 
@@ -183,52 +193,6 @@ def union_diameter(boxes: Sequence[Box]) -> float:
     corners = np.concatenate([b.corner_array() for b in boxes])
     diff = corners[:, None, :] - corners[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
-
-
-def _segment_closest_points(
-    p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closest points between segments p1p2 and q1q2 (scalar version)."""
-    d1 = p2 - p1
-    d2 = q2 - q1
-    r = p1 - q1
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    eps = 1e-300
-    if a <= eps and e <= eps:
-        return p1, q1
-    if a <= eps:
-        t = min(1.0, max(0.0, f / e))
-        return p1, q1 + t * d2
-    c = float(d1 @ r)
-    if e <= eps:
-        s = min(1.0, max(0.0, -c / a))
-        return p1 + s * d1, q1
-    b = float(d1 @ d2)
-    denom = a * e - b * b
-    if denom > 1e-14 * a * e:
-        s = min(1.0, max(0.0, (b * f - c * e) / denom))
-    else:
-        s = 0.0  # near-parallel: pick an endpoint and clamp the other leg
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = min(1.0, max(0.0, -c / a))
-    elif t > 1.0:
-        t = 1.0
-        s = min(1.0, max(0.0, (b - c) / a))
-    return p1 + s * d1, q1 + t * d2
-
-
-def segment_distance(p1: Point3, p2: Point3, q1: Point3, q2: Point3) -> tuple[float, Point3]:
-    """Minimal distance between two segments and the midpoint of the
-    closest-point pair."""
-    cp, cq = _segment_closest_points(
-        p1.as_array(), p2.as_array(), q1.as_array(), q2.as_array()
-    )
-    mid = Point3.from_array((cp + cq) / 2.0)
-    return float(np.linalg.norm(cp - cq)), mid
 
 
 class PLCurve:
@@ -392,7 +356,7 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
     n = curve.n_segments
     if n < 3:
         return True
-    if n <= 1500:
+    if n <= ALL_PAIRS_MAX_SEGMENTS:
         ii, jj = np.triu_indices(n, k=2)
         if curve.closed:
             keep = ~((ii == 0) & (jj == n - 1))

@@ -46,9 +46,6 @@ class LocalMap:
     def apply(self, p: Point3) -> Point3:
         return Point3.from_array(self.apply_array(p.as_array()[None, :])[0])
 
-    def apply_inverse(self, p: Point3) -> Point3:
-        return self.inverse().apply(p)
-
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .ball_factoring import NestedFamily
 from .canonical import conjugated_insert, insert_parts
-from .engine import Isotopy, MoveSequence, Schedule
-from .geometry import Box, PLCurve, Point3
+from .engine import Isotopy, MoveSequence
+from .geometry import Box, PLCurve, Point3, boxes_meet
 from .maps import LocalMap, UnsquishParams, estimate_inverse_lipschitz
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
@@ -49,7 +49,6 @@ class Scenario:
     name: str
     initial_curve: PLCurve
     moves: MoveSequence
-    schedule: Schedule
     expected: ExpectedVerdicts
     declared_decay_ratio: float | None
     probe_pairs: tuple[tuple[Point3, Point3], ...]
@@ -85,8 +84,7 @@ def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
     """
     lo = np.array([b.bound_arrays()[0] for b in boxes])
     hi = np.array([b.bound_arrays()[1] for b in boxes])
-    # meet[i, j]: closed boxes i and j share a point
-    meet = np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]), axis=-1)
+    meet = boxes_meet(lo, hi)
     np.fill_diagonal(meet, False)
     if meet.any():
         i, j = np.argwhere(meet)[0]
@@ -160,8 +158,7 @@ def build_countable_r1() -> Scenario:
     return Scenario(
         name="countable_r1",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container, length=None),
-        schedule=Schedule(),
+        moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("pass", None, "pass"),
         declared_decay_ratio=0.5,
         probe_pairs=pairs,
@@ -210,8 +207,7 @@ def build_countable_r2(stage: int) -> Scenario:
     return Scenario(
         name=f"countable_r2_stage{stage}",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=untie, container=container, length=None),
-        schedule=Schedule(),
+        moves=MoveSequence(stage_fn=untie, container=container),
         expected=ExpectedVerdicts("pass", None, "pass"),
         declared_decay_ratio=0.5,
         probe_pairs=pairs,
@@ -321,8 +317,7 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     return Scenario(
         name="recursive_r1" + ("_ablated" if ablated else ""),
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container, length=None),
-        schedule=Schedule(),
+        moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("pass", None, "pass" if not ablated else "fail"),
         declared_decay_ratio=0.5,
         probe_pairs=pairs,
@@ -401,8 +396,7 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     return Scenario(
         name="trefoil_chain" + ("_extended" if extended else ""),
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container, length=None),
-        schedule=Schedule(),
+        moves=MoveSequence(stage_fn=stage, container=container),
         expected=(
             ExpectedVerdicts("fail", 1, "pass")
             if extended
@@ -481,8 +475,7 @@ def build_fox_remarkable() -> Scenario:
     return Scenario(
         name="fox_remarkable",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container, length=None),
-        schedule=Schedule(),
+        moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("pass", None, "fail"),
         declared_decay_ratio=0.25,
         probe_pairs=pairs,
@@ -615,8 +608,7 @@ def build_1d_counterexample() -> Scenario:
     return Scenario(
         name="1d_counterexample",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container, length=None),
-        schedule=Schedule(),
+        moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("fail", 1, "fail"),
         declared_decay_ratio=None,
         probe_pairs=pairs,
@@ -636,9 +628,3 @@ SCENARIO_BUILDERS: dict[str, Callable[[], Scenario]] = {
     "fox_remarkable": build_fox_remarkable,
     "1d_counterexample": build_1d_counterexample,
 }
-
-
-def get_scenario(name: str) -> Scenario:
-    if name not in SCENARIO_BUILDERS:
-        raise KeyError(name)
-    return SCENARIO_BUILDERS[name]()

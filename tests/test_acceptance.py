@@ -193,7 +193,7 @@ def test_criterion_07_seam_continuity():
         s = SCENARIO_BUILDERS[name]()
         pts = s.moves.container.sample(rng, 1000)
         for k in range(1, 10):
-            left, right = seam_values(s.moves, s.schedule, k, pts)
+            left, right = seam_values(s.moves, k, pts)
             assert np.abs(left - right).max() < 1e-9, (name, k)
 
 

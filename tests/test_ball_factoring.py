@@ -5,7 +5,6 @@ import pytest
 from knotiso.ball_factoring import (
     NestedFamily,
     dyadic_cubes,
-    factoring_certificate,
     find_ball_factoring,
 )
 from knotiso.geometry import Box, Point3, distance
@@ -83,9 +82,3 @@ class TestFindBallFactoring:
         _, n_small = find_ball_factoring(fam_with(2.0), horizon=15)
         _, n_big = find_ball_factoring(fam_with(4.0), horizon=15)
         assert n_big <= n_small
-
-    def test_certificate_mentions_chain(self):
-        text = factoring_certificate(dyadic_cubes(Point3(0, 0, 0)), horizon=10)
-        assert "V_3" in text
-        assert "B_0.25(p)" in text
-        assert "factors through the ball" in text

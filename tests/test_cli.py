@@ -191,10 +191,8 @@ class TestFramesVerb:
             assert svg.startswith("<svg")
 
     def test_time_zero_frame_is_initial_curve(self, frames_dir):
-        from knotiso.scenarios import get_scenario
-
         frame0 = read_curve(frames_dir / "countable_r1_frame_000.curve")
-        dense = get_scenario("countable_r1").initial_curve.densified(0.01)
+        dense = build_countable_r1().initial_curve.densified(0.01)
         assert frame0.vertices == dense.vertices
 
     def test_time_one_frame_has_ten_fewer_loops(self, frames_dir):

@@ -178,9 +178,9 @@ class TestChunkedCrossingTest:
 def _kd_and_all_pairs(a, b, closed):
     """_find_crossings through the spatial candidate search and through
     every non-adjacent pair."""
-    with mock.patch.object(diagram, "_ALL_PAIRS_MAX_SEGMENTS", 0):
+    with mock.patch.object(diagram, "ALL_PAIRS_MAX_SEGMENTS", 0):
         kd = diagram._find_crossings(a, b, closed)
-    with mock.patch.object(diagram, "_ALL_PAIRS_MAX_SEGMENTS", 10**9):
+    with mock.patch.object(diagram, "ALL_PAIRS_MAX_SEGMENTS", 10**9):
         every = diagram._find_crossings(a, b, closed)
     return kd, every
 
@@ -245,9 +245,9 @@ class TestLengthRelativeCandidates:
         # the depth-20 frame at t = 1: segments near the wild point are far
         # shorter than any absolute pad (1,012,165 pairs with a 1e-9 pad)
         s = scenarios["fox_remarkable"]
-        glued = glue_schedule(s.moves, s.schedule, 20)
+        glued = glue_schedule(s.moves, 20)
         frame = map_curve(glued.map_at(1.0), s.initial_curve.densified(0.01))
         a, b = frame.segment_arrays()
-        assert len(a) > diagram._ALL_PAIRS_MAX_SEGMENTS
+        assert len(a) > diagram.ALL_PAIRS_MAX_SEGMENTS
         ii, _ = diagram._candidate_pairs(a, b)
         assert len(ii) < 5000

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotiso.engine import (
-    GeneratorExhausted,
     Isotopy,
     MoveSequence,
-    Schedule,
     TailTable,
     apply_truncated,
     check_hypotheses,
@@ -17,11 +15,13 @@ from knotiso.engine import (
     injectivity_probe,
     map_curve,
     seam_values,
+    stage_of,
+    stage_time,
     tail_boxes,
     truncated_map,
     uniform_convergence_probe,
 )
-from knotiso.geometry import Box, PLCurve, Point3, distance, union_diameter
+from knotiso.geometry import Box, PLCurve, Point3, union_diameter
 from knotiso.maps import IdentityMap
 from knotiso.moves import cone_isotopy
 
@@ -35,32 +35,33 @@ def _shrinking_stage(k: int) -> tuple[Isotopy, Box]:
     return cone_isotopy(b, b.center, Point3(b.center.x, 0.1 * s, 0.0)), b
 
 
-def _stream(length=None) -> MoveSequence:
-    return MoveSequence(stage_fn=_shrinking_stage, container=CONTAINER, length=length)
+def _stream() -> MoveSequence:
+    return MoveSequence(stage_fn=_shrinking_stage, container=CONTAINER)
 
 
 class TestSchedule:
     def test_default_times(self):
-        sched = Schedule()
-        assert sched.time(0) == 0.0
-        assert sched.time(1) == 0.5
-        assert sched.time(3) == 0.875
+        assert stage_time(0) == 0.0
+        assert stage_time(1) == 0.5
+        assert stage_time(3) == 0.875
 
     def test_stage_of(self):
-        sched = Schedule()
-        assert sched.stage_of(0.0, 10) == 1
-        assert sched.stage_of(0.49, 10) == 1
-        assert sched.stage_of(0.5, 10) == 2
-        assert sched.stage_of(0.9, 10) == 4
+        assert stage_of(0.0, 10) == 1
+        assert stage_of(0.49, 10) == 1
+        assert stage_of(0.5, 10) == 2
+        assert stage_of(0.9, 10) == 4
 
     def test_stage_of_rejects_limit_time(self):
         with pytest.raises(ValueError):
-            Schedule().stage_of(1.0, 10)
+            stage_of(1.0, 10)
 
     def test_bad_schedule_rejected(self):
-        sched = Schedule(times=lambda k: float(k))
+        # 1 - 2^-54 rounds to 1.0: stage 54 has no slot below the limit time
+        assert stage_time(53) < 1.0
+        with pytest.raises(ValueError, match="not below 1"):
+            stage_time(54)
         with pytest.raises(ValueError):
-            sched.time(2)
+            glue_schedule(_stream(), 54)
 
 
 class TestMoveSequence:
@@ -75,13 +76,6 @@ class TestMoveSequence:
         seq.stage(3)
         seq.stage(3)
         assert calls == [3]
-
-    def test_finite_length_enforced(self):
-        seq = _stream(length=5)
-        seq.stage(5)
-        with pytest.raises(GeneratorExhausted):
-            seq.stage(6)
-        assert seq.clip(100) == 5
 
     def test_stage_index_validated(self):
         with pytest.raises(ValueError):
@@ -106,8 +100,10 @@ class TestTruncations:
     def test_map_curve_densifies(self):
         seq = _stream()
         arc = PLCurve((Point3(0, 0, 0), Point3(2.5, 0, 0)))
-        img = map_curve(truncated_map(seq, 2), arc, max_seg_len=0.05)
-        assert len(img.vertices) >= 50
+        dense = arc.densified(0.05)
+        img = map_curve(truncated_map(seq, 2), dense)
+        assert len(img.vertices) == len(dense.vertices) >= 50
+        assert np.array_equal(img.points, apply_truncated(seq, 2, dense.points))
 
 
 class TestHypotheses:
@@ -157,9 +153,8 @@ class TestHypotheses:
         assert rep.to_lines()[-1] == "verdict: fail (condition 2)"
         p = np.array([[3.2, 0.05, 0.0]])
         assert not CONTAINER.contains_array(p)[0]
-        sched = Schedule()
-        glued = glue_schedule(seq, sched, 5)
-        stage_3_late = sched.time(2) + 0.9 * (sched.time(3) - sched.time(2))
+        glued = glue_schedule(seq, 5)
+        stage_3_late = stage_time(2) + 0.9 * (stage_time(3) - stage_time(2))
         for m in (truncated_map(seq, 5), glued.map_at(1.0), glued.map_at(stage_3_late)):
             assert not np.array_equal(m.apply_array(p), p)
 
@@ -188,13 +183,13 @@ class TestHypotheses:
         assert lines[3] == "verdict: pass"
 
 
-def _box_family():
+def _box_family(min_size=1):
     coord = st.floats(-10.0, 10.0, allow_nan=False)
     extent = st.floats(0.0, 5.0, allow_nan=False)
     box = st.tuples(coord, coord, coord, extent, extent, extent).map(
         lambda v: Box.from_center(Point3(*v[:3]), Point3(*v[3:]))
     )
-    return st.lists(box, min_size=1, max_size=12)
+    return st.lists(box, min_size=min_size, max_size=12)
 
 
 def _fixed_stream(boxes):
@@ -202,7 +197,7 @@ def _fixed_stream(boxes):
         b = boxes[k - 1]
         return Isotopy(support=b, map_at=lambda t: IdentityMap(support=b)), b
 
-    return MoveSequence(stage_fn=stage, container=CONTAINER, length=len(boxes))
+    return MoveSequence(stage_fn=stage, container=CONTAINER)
 
 
 class TestTailTable:
@@ -227,10 +222,10 @@ class TestTailTable:
                 want |= b.contains_array(pts)
             assert np.array_equal(table.in_later_support(pts, k), want)
 
-    @given(_box_family())
+    @given(_box_family(min_size=2))
     @settings(max_examples=40, deadline=None)
     def test_containment_and_disjointness_match_box_predicates(self, boxes):
-        rep = check_hypotheses(_fixed_stream(boxes), horizon=max(2, len(boxes)), threshold=1e-6)
+        rep = check_hypotheses(_fixed_stream(boxes), horizon=len(boxes), threshold=1e-6)
         assert rep.containment_ok == all(CONTAINER.contains_box(b, strict=True) for b in boxes)
         assert rep.disjoint_supports == all(
             not a.intersects(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
@@ -244,42 +239,23 @@ class TestTailTable:
 
 class TestTailBoxes:
     def test_clipping(self):
-        seq = _stream(length=4)
-        assert len(tail_boxes(seq, 0, 10)) == 4
-        assert len(tail_boxes(seq, 2, 10)) == 2
-        assert tail_boxes(seq, 4, 10) == []
+        seq = _stream()
+        assert tail_boxes(seq, 0, 10) == seq.boxes(1, 10)
+        assert tail_boxes(seq, 2, 10) == seq.boxes(3, 10)
+        assert tail_boxes(seq, 10, 10) == []
 
 
 class TestLimitEvaluation:
-    def test_finite_time_exact(self):
-        seq = _stream()
-        sched = Schedule()
-        p = Point3(0.5, 0.2, 0.0)  # outside every stage box: never moves
-        lv = eval_limit_isotopy(seq, sched, 0.7, p, tol=1e-6)
-        assert lv.status == "exact"
-        assert distance(lv.point, p) == 0.0
-
-    def test_finite_time_matches_truncation_at_seam_interior(self):
-        seq = _stream()
-        sched = Schedule()
-        # t = 0.75 is the seam t_2: stage 3 at local time 0 = first 2 maps
-        p = Point3(1.6, 0.02, 0.0)
-        lv = eval_limit_isotopy(seq, sched, 0.75, p, tol=1e-6)
-        ref = apply_truncated(seq, 2, p.as_array()[None, :])[0]
-        assert np.array_equal(lv.point.as_array(), ref)
-
     def test_limit_settles_outside_all_supports(self):
         seq = _stream()
-        lv = eval_limit_isotopy(
-            seq, Schedule(), 1.0, Point3(0.0, 0.5, 0.0), tol=1e-6, k_budget=30
-        )
+        lv = eval_limit_isotopy(seq, Point3(0.0, 0.5, 0.0), tol=1e-6, k_budget=30)
         assert lv.status == "settled"
         assert lv.steps == 0
 
     def test_limit_tol_converges_at_accumulation_point(self):
         seq = _stream()
         lv = eval_limit_isotopy(
-            seq, Schedule(), 1.0, Point3(2.0 - 2.0**-5 * 0.75, 0.0, 0.0), tol=1e-6, k_budget=40
+            seq, Point3(2.0 - 2.0**-5 * 0.75, 0.0, 0.0), tol=1e-6, k_budget=40
         )
         assert lv.status in ("settled", "tol-converged")
 
@@ -288,22 +264,15 @@ class TestLimitEvaluation:
         # a point inside the horizon stage's box, tolerance far below what
         # 10 stages can certify: the stream just runs out of budget
         p = Point3(2.0 - 0.75 * 2.0**-10, 0.0, 0.0)
-        lv = eval_limit_isotopy(seq, Schedule(), 1.0, p, tol=1e-30, k_budget=10)
+        lv = eval_limit_isotopy(seq, p, tol=1e-30, k_budget=10)
         assert lv.status == "budget-exhausted"
         assert lv.steps == 10
 
-    def test_finite_stream_settles_at_its_end(self):
-        seq = _stream(length=3)
-        p = Point3(2.0 - 0.75 * 2.0**-3, 0.0, 0.0)
-        lv = eval_limit_isotopy(seq, Schedule(), 1.0, p, tol=1e-30, k_budget=10)
-        assert lv.status == "settled"
-
     def test_validates_inputs(self):
         seq = _stream()
-        with pytest.raises(ValueError):
-            eval_limit_isotopy(seq, Schedule(), 1.5, Point3(0, 0, 0), tol=1e-6)
-        with pytest.raises(ValueError):
-            eval_limit_isotopy(seq, Schedule(), 0.5, Point3(0, 0, 0), tol=-1.0)
+        for tol in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                eval_limit_isotopy(seq, Point3(0, 0, 0), tol=tol)
 
 
 class TestProbes:
@@ -339,18 +308,17 @@ class TestProbes:
 class TestGlueSchedule:
     def test_time_zero_is_identity(self):
         seq = _stream()
-        glued = glue_schedule(seq, Schedule(), 6)
+        glued = glue_schedule(seq, 6)
         rng = np.random.default_rng(2)
         pts = CONTAINER.sample(rng, 200)
         assert np.array_equal(glued.map_at(0.0).apply_array(pts), pts)
 
     def test_frozen_past_t_n(self):
         seq = _stream()
-        sched = Schedule()
-        glued = glue_schedule(seq, sched, 4)
+        glued = glue_schedule(seq, 4)
         rng = np.random.default_rng(3)
         pts = CONTAINER.sample(rng, 200)
-        a = glued.map_at(sched.time(4)).apply_array(pts)
+        a = glued.map_at(stage_time(4)).apply_array(pts)
         b = glued.map_at(1.0).apply_array(pts)
         c = truncated_map(seq, 4).apply_array(pts)
         assert np.array_equal(a, b)
@@ -358,16 +326,15 @@ class TestGlueSchedule:
 
     def test_seam_values_agree(self):
         seq = _stream()
-        sched = Schedule()
         rng = np.random.default_rng(4)
         pts = CONTAINER.sample(rng, 300)
         for k in (1, 2, 5):
-            left, right = seam_values(seq, sched, k, pts)
+            left, right = seam_values(seq, k, pts)
             assert np.abs(left - right).max() < 1e-9
 
     def test_n_validated(self):
         with pytest.raises(ValueError):
-            glue_schedule(_stream(), Schedule(), 0)
+            glue_schedule(_stream(), 0)
 
 
 # -- the stage composer against the per-stage formula ------------------------
@@ -383,11 +350,11 @@ def _per_stage(seq, n, pts):
     return out
 
 
-def _per_stage_at(seq, sched, t, pts, max_k):
+def _per_stage_at(seq, t, pts, max_k):
     """Stages 1..k-1 at time 1, then stage k at its local time, for the
     stage k with t in [t_{k-1}, t_k)."""
-    k = sched.stage_of(t, max_k=max_k)
-    t0, t1 = sched.time(k - 1), sched.time(k)
+    k = stage_of(t, max_k=max_k)
+    t0, t1 = stage_time(k - 1), stage_time(k)
     local = (t - t0) / (t1 - t0)
     return seq.stage(k)[0].map_at(local).apply_array(_per_stage(seq, k - 1, pts))
 
@@ -414,30 +381,19 @@ class TestStageComposer:
     def test_glued_map_inside_stage(self, scenarios, name):
         s = scenarios[name]
         pts = _composer_points(s)
-        glued = glue_schedule(s.moves, s.schedule, 8)
+        glued = glue_schedule(s.moves, 8)
         for k in (1, 3, 6, 8):
-            t0, t1 = s.schedule.time(k - 1), s.schedule.time(k)
+            t0, t1 = stage_time(k - 1), stage_time(k)
             for u in (0.0, 0.37, 0.9):
                 t = t0 + u * (t1 - t0)
-                ref = _per_stage_at(s.moves, s.schedule, t, pts, 8)
+                ref = _per_stage_at(s.moves, t, pts, 8)
                 assert np.array_equal(glued.map_at(t).apply_array(pts), ref)
-
-    def test_eval_limit_before_one(self, scenarios, name):
-        s = scenarios[name]
-        pts = _composer_points(s)[::12]
-        for t in (0.3, 0.8, 0.97):
-            ref = _per_stage_at(s.moves, s.schedule, t, pts, 40)
-            got = [
-                eval_limit_isotopy(s.moves, s.schedule, t, Point3.from_array(p), tol=1e-6).point
-                for p in pts
-            ]
-            assert np.array_equal(np.array([g.as_array() for g in got]), ref)
 
     def test_seam_values(self, scenarios, name):
         s = scenarios[name]
         pts = _composer_points(s)
         for k in (1, 4, 7):
-            left, right = seam_values(s.moves, s.schedule, k, pts)
+            left, right = seam_values(s.moves, k, pts)
             base = _per_stage(s.moves, k - 1, pts)
             ref_left = s.moves.stage(k)[0].map_at(1.0).apply_array(base)
             ref_right = s.moves.stage(k + 1)[0].map_at(0.0).apply_array(

@@ -12,8 +12,8 @@ from knotiso.geometry import (
     curve_is_simple,
     distance,
     multiscale_close_pairs,
+    _segment_pair_distances,
     read_curve,
-    segment_distance,
     union_diameter,
     write_curve,
 )
@@ -111,30 +111,31 @@ class TestUnionDiameter:
             union_diameter([])
 
 
+def _segment_distance(p1, p2, q1, q2) -> float:
+    """Distance between segments p1p2 and q1q2 through the batched kernel."""
+    a = np.array([p1, q1], dtype=float)
+    b = np.array([p2, q2], dtype=float)
+    return float(_segment_pair_distances(a, b, np.array([0]), np.array([1]))[0])
+
+
 class TestSegments:
     def test_crossing_segments_intersect(self):
-        d, mid = segment_distance(
-            Point3(-1, 0, 0), Point3(1, 0, 0), Point3(0, -1, 0), Point3(0, 1, 0)
-        )
-        assert d < 1e-9 and distance(mid, Point3(0, 0, 0)) < 1e-12
+        d = _segment_distance((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0))
+        assert d < 1e-9
 
     def test_skew_segments_distance(self):
-        d, _ = segment_distance(
-            Point3(-1, 0, 0), Point3(1, 0, 0), Point3(0, -1, 1), Point3(0, 1, 1)
-        )
+        d = _segment_distance((-1, 0, 0), (1, 0, 0), (0, -1, 1), (0, 1, 1))
         assert d == pytest.approx(1.0)
 
     def test_parallel_segments(self):
-        d, _ = segment_distance(
-            Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 0.5, 0), Point3(1, 0.5, 0)
-        )
+        d = _segment_distance((0, 0, 0), (1, 0, 0), (0, 0.5, 0), (1, 0.5, 0))
         assert d == pytest.approx(0.5)
 
     def test_matches_sampled_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             p = rng.uniform(-1, 1, (4, 3))
-            d, _ = segment_distance(*(Point3(*row) for row in p))
+            d = _segment_distance(*p)
             t = np.linspace(0, 1, 200)
             a = p[0] + t[:, None] * (p[1] - p[0])
             b = p[2] + t[:, None] * (p[3] - p[2])

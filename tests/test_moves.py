@@ -54,12 +54,12 @@ def _image(iso, t: float, curve: PLCurve) -> PLCurve:
 class TestConeIsotopy:
     def test_endpoints(self):
         iso = cone_isotopy(UNIT, Point3(0, 0, 0), Point3(0.4, 0.2, 0.0))
-        assert distance(iso.eval(0.0, Point3(0, 0, 0)), Point3(0, 0, 0)) < 1e-12
-        assert distance(iso.eval(1.0, Point3(0, 0, 0)), Point3(0.4, 0.2, 0.0)) < 1e-12
+        assert distance(iso.map_at(0.0).apply(Point3(0, 0, 0)), Point3(0, 0, 0)) < 1e-12
+        assert distance(iso.map_at(1.0).apply(Point3(0, 0, 0)), Point3(0.4, 0.2, 0.0)) < 1e-12
 
     def test_apex_moves_linearly(self):
         iso = cone_isotopy(UNIT, Point3(0, 0, 0), Point3(0.4, 0.2, 0.0))
-        mid = iso.eval(0.5, Point3(0, 0, 0))
+        mid = iso.map_at(0.5).apply(Point3(0, 0, 0))
         assert distance(mid, Point3(0.2, 0.1, 0.0)) < 1e-12
 
     def test_validates_targets(self):
@@ -75,8 +75,8 @@ class TestStagedAndChained:
         ]
         iso = staged_isotopy(stages, UNIT)
         # at t = 0.5 exactly the first stage has finished
-        assert distance(iso.eval(0.5, Point3(0, 0, 0)), Point3(0.3, 0, 0)) < 1e-12
-        assert distance(iso.eval(1.0, Point3(0, 0, 0)), Point3(0.3, 0.3, 0)) < 1e-12
+        assert distance(iso.map_at(0.5).apply(Point3(0, 0, 0)), Point3(0.3, 0, 0)) < 1e-12
+        assert distance(iso.map_at(1.0).apply(Point3(0, 0, 0)), Point3(0.3, 0.3, 0)) < 1e-12
 
     def test_empty_stages_rejected(self):
         with pytest.raises(ValueError):
@@ -144,8 +144,8 @@ class TestReversedIsotopy:
         rev = reversed_isotopy(fwd)
         # rev at time t maps fwd-at-1 state to fwd-at-(1-t) state
         tied = fwd.time_one().apply(Point3(0, 0, 0))
-        half = rev.eval(0.5, tied)
-        assert distance(half, fwd.eval(0.5, Point3(0, 0, 0))) < 1e-12
+        half = rev.map_at(0.5).apply(tied)
+        assert distance(half, fwd.map_at(0.5).apply(Point3(0, 0, 0))) < 1e-12
 
 
 class TestUnsquishIsotopy:

@@ -7,7 +7,6 @@ from knotiso.ball_factoring import find_ball_factoring
 from knotiso.canonical import conjugated_insert
 from knotiso.diagram import count_crossings
 from knotiso.engine import (
-    Schedule,
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
@@ -28,7 +27,6 @@ from knotiso.scenarios import (
     build_snowflake,
     fox_outer,
     fox_pair_box_initial,
-    get_scenario,
     rec_apex,
     rec_settle_bound,
     rec_squish_constant,
@@ -78,7 +76,7 @@ class TestRegistry:
 
     def test_get_scenario_unknown(self):
         with pytest.raises(KeyError):
-            get_scenario("no_such_scenario")
+            SCENARIO_BUILDERS["no_such_scenario"]()
 
     def test_names_match_keys(self, scenarios):
         for key, s in scenarios.items():
@@ -223,20 +221,14 @@ class TestRecursive:
         # the unsquish kicks the wedge vertex clear of the shrinking boxes
         # while the grab point converges into them; their limits stay apart
         s = scenarios["recursive_r1"]
-        lv_vertex = eval_limit_isotopy(
-            s.moves, s.schedule, 1.0, Point3(0, 0, 0), tol=TOL, k_budget=40
-        )
-        lv_grab = eval_limit_isotopy(
-            s.moves, s.schedule, 1.0, rec_apex(0), tol=TOL, k_budget=40
-        )
+        lv_vertex = eval_limit_isotopy(s.moves, Point3(0, 0, 0), tol=TOL, k_budget=40)
+        lv_grab = eval_limit_isotopy(s.moves, rec_apex(0), tol=TOL, k_budget=40)
         assert lv_vertex.status == "settled"
         assert distance(lv_vertex.point, lv_grab.point) > INJECTIVITY_THRESHOLD
 
     def test_grab_point_converges_to_vertex(self, scenarios):
         s = scenarios["recursive_r1"]
-        lv = eval_limit_isotopy(
-            s.moves, s.schedule, 1.0, rec_apex(0), tol=TOL, k_budget=40
-        )
+        lv = eval_limit_isotopy(s.moves, rec_apex(0), tol=TOL, k_budget=40)
         assert lv.status == "tol-converged"
         assert distance(lv.point, Point3(0, 0, 0)) < 1e-6
 
@@ -244,7 +236,7 @@ class TestRecursive:
         s = scenarios["recursive_r1"]
         for d in (0.2, 0.05, 0.01):
             p = Point3(-d, 0.0, 0.0)
-            lv = eval_limit_isotopy(s.moves, s.schedule, 1.0, p, tol=TOL, k_budget=40)
+            lv = eval_limit_isotopy(s.moves, p, tol=TOL, k_budget=40)
             assert lv.status == "settled"
             # support-escape settling is conservative by at most 2 stages
             assert lv.steps <= rec_settle_bound(d) + 2
