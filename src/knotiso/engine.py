@@ -286,10 +286,7 @@ def uniform_convergence_probe(
         raise ValueError("need m >= n")
     pts = np.array([g.as_array() for g in grid])
     xn = apply_truncated(seq, n, pts)
-    xm = xn.copy()
-    # on from stage n, so the first n stages run once, not twice
-    for k in range(n + 1, m + 1):
-        xm = seq.time_one_map(k).apply_array(xm)
+    xm = apply_truncated(seq, m, pts)
     return float(np.sqrt(((xn - xm) ** 2).sum(-1)).max())
 
 
@@ -329,10 +326,11 @@ def infinite_motion_census(
 
 def glue_schedule(seq: MoveSequence, n: int) -> Isotopy:
     """The n-stage time-compressed gluing: stage k runs over
-    [t_{k-1}, t_k], and the map freezes at t >= t_n."""
+    [t_{k-1}, t_k], and the map freezes at t >= t_n (from n = 54 on, t_n
+    rounds to 1 and the map freezes only at t = 1)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t_n = stage_time(n)
+    t_n = 1.0 - 2.0 ** (-n)
 
     def map_at(t: float) -> LocalMap:
         if not (0.0 <= t <= 1.0):

@@ -170,15 +170,19 @@ class Box:
 
 def bounding_box(boxes: Sequence[Box]) -> Box:
     """The smallest box containing a non-empty family of boxes."""
-    lo = np.min([b.lo.as_array() for b in boxes], axis=0)
-    hi = np.max([b.hi.as_array() for b in boxes], axis=0)
+    lo = np.min([b.bound_arrays()[0] for b in boxes], axis=0)
+    hi = np.max([b.bound_arrays()[1] for b in boxes], axis=0)
     return Box(Point3.from_array(lo), Point3.from_array(hi))
 
 
 def boxes_meet(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """meet[i, j]: closed boxes i and j, given by their stacked (n, 3)
     corner arrays lo and hi, share a point."""
-    return np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]), axis=-1)
+    # one axis at a time: a reduction over a length-3 last axis is slower
+    meet = np.ones((len(lo), len(lo)), dtype=bool)
+    for a in range(3):
+        meet &= (lo[:, None, a] <= hi[None, :, a]) & (lo[None, :, a] <= hi[:, None, a])
+    return meet
 
 
 def union_diameter(boxes: Sequence[Box]) -> float:

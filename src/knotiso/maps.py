@@ -1,6 +1,6 @@
 """Evaluable, invertible self-maps of 3-space with compact support.
 
-Four kinds are provided:
+Five kinds are provided:
 
 * ``AffineMap`` -- a global affine map, used to conjugate canonical moves
   into target boxes.  A non-identity affine map cannot be identity outside
@@ -14,13 +14,23 @@ Four kinds are provided:
   away from it by an exact factor of 1/c at time 1.
 * ``CompositeMap`` -- left-to-right composition of other maps, evaluated
   only on the rows inside its declared support.
+* ``ConjugateMap`` -- the composite leave o inner o enter supported in a
+  box: a canonical map framed into that box (``conjugate``).
+
+A composite applies each run of consecutive conjugates that share one
+inner map object and have pairwise disjoint closed supports in one routed
+pass: each row goes through the ``enter`` of the one box holding it, the
+rows of all boxes through ``inner`` together, and each box's rows back
+through its ``leave``.  That is bitwise the part-by-part loop, because a
+conjugate maps its box onto itself and fixes everything else, and the
+kernels act row by row.
 
 All maps evaluate pointwise (``apply``) and in bulk over (n, 3) arrays
 (``apply_array``); inverses are exact map objects, not numeric solves.
-``AffineMap`` and ``ConeMap`` build their inverse once and hand the same
-object to every caller, and the canonical moves built from them are
-shared module constants (see ``canonical``), so no caller may mutate a
-map or its arrays.
+``AffineMap``, ``ConeMap`` and ``CompositeMap`` build their inverse once
+and hand the same object to every caller, and the canonical moves built
+from them are shared module constants (see ``canonical``), so no caller
+may mutate a map or its arrays.
 """
 from __future__ import annotations
 
@@ -29,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, Point3, bounding_box, distance
+from .geometry import Box, Point3, bounding_box, boxes_meet, distance
 
 _HUGE = 1e12
 
@@ -407,7 +417,8 @@ class CompositeMap(LocalMap):
 
     Only the rows inside the declared support are pushed through the
     parts; the rest come back bitwise unchanged.  The support must
-    therefore contain everything any part moves.
+    therefore contain everything any part moves.  Runs of conjugates are
+    found on first use and routed (see the module docstring).
     """
 
     def __init__(self, parts: Sequence[LocalMap], support: Box | None = None):
@@ -418,6 +429,8 @@ class CompositeMap(LocalMap):
             self.support = bounding_box([m.support for m in self.parts])
         else:
             self.support = Box(Point3(0, 0, 0), Point3(0, 0, 0))
+        self._inverse: CompositeMap | None = None
+        self._steps: list | None = None
 
     def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -430,28 +443,109 @@ class CompositeMap(LocalMap):
         return out
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        def run(out: np.ndarray) -> np.ndarray:
-            for m in self.parts:
-                out = m.apply_array(out)
-            return out
+        if self._steps is None:
+            self._steps = _routed_steps(self.parts)
 
-        return self._on_support(pts, run)
-
-    def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
         def run(out: np.ndarray) -> np.ndarray:
-            for m in reversed(self.parts):
-                out = m.apply_inverse_array(out)
+            for step in self._steps:
+                out = step.apply_array(out)
             return out
 
         return self._on_support(pts, run)
 
     def inverse(self) -> "CompositeMap":
+        # no link back: inv(inv(M)) of an affine part is not bitwise M
+        if self._inverse is None:
+            self._inverse = self._inverted()
+        return self._inverse
+
+    def _inverted(self) -> "CompositeMap":
         return CompositeMap([m.inverse() for m in reversed(self.parts)], support=self.support)
 
 
-def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> CompositeMap:
+class ConjugateMap(CompositeMap):
+    """leave o inner o enter, supported in a box: ``enter`` carries the box
+    into inner's domain and ``leave`` carries it back."""
+
+    def __init__(self, enter: LocalMap, inner: LocalMap, leave: LocalMap, support: Box):
+        super().__init__([enter, inner, leave], support=support)
+        self.enter = enter
+        self.inner = inner
+        self.leave = leave
+
+    def _inverted(self) -> "ConjugateMap":
+        return ConjugateMap(
+            self.leave.inverse(), self.inner.inverse(), self.enter.inverse(), self.support
+        )
+
+
+class _RoutedRun:
+    """Conjugates sharing one inner map, with pairwise disjoint closed
+    supports stacked as (r, 3) corner arrays, applied in one pass."""
+
+    def __init__(self, parts: Sequence[ConjugateMap], lo: np.ndarray, hi: np.ndarray):
+        self.parts = parts
+        self.lo = lo
+        self.hi = hi
+
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        # held[j, i]: box j holds row i, tested one axis at a time
+        held = np.ones((len(self.parts), len(pts)), dtype=bool)
+        for axis, x in enumerate(pts.T):
+            held &= (self.lo[:, axis, None] <= x) & (x <= self.hi[:, axis, None])
+        routed = [(m, np.nonzero(h)[0]) for m, h in zip(self.parts, held)]
+        routed = [(m, r) for m, r in routed if len(r)]
+        out = pts.copy()
+        if not routed:
+            return out
+        local = np.concatenate([m.enter.apply_array(pts[r]) for m, r in routed])
+        moved = self.parts[0].inner.apply_array(local)
+        start = 0
+        for m, r in routed:
+            out[r] = m.leave.apply_array(moved[start : start + len(r)])
+            start += len(r)
+        return out
+
+
+def _routed_steps(parts: Sequence[LocalMap]) -> list:
+    """The parts in order, each run of two or more consecutive conjugates
+    that share one inner object and whose closed supports are pairwise
+    disjoint replaced by one ``_RoutedRun``."""
+    conj = [i for i, m in enumerate(parts) if isinstance(m, ConjugateMap)]
+    if len(conj) < 2:
+        return list(parts)
+    # one stacked meet test over every conjugate's support
+    lo = np.array([parts[i].support.bound_arrays()[0] for i in conj])
+    hi = np.array([parts[i].support.bound_arrays()[1] for i in conj])
+    meet = boxes_meet(lo, hi)
+    slot = {i: j for j, i in enumerate(conj)}
+    steps: list = []
+    run: list[int] = []  # slots of the open run
+
+    def close() -> None:
+        if len(run) > 1:
+            steps.append(_RoutedRun([parts[conj[j]] for j in run], lo[run], hi[run]))
+        else:
+            steps.extend(parts[conj[j]] for j in run)
+        run.clear()
+
+    for i, m in enumerate(parts):
+        j = slot.get(i)
+        if j is None:
+            close()
+            steps.append(m)
+            continue
+        # the open run's slots are consecutive: run[0] .. j - 1
+        if run and (m.inner is not parts[conj[run[0]]].inner or meet[j, run[0] : j].any()):
+            close()
+        run.append(j)
+    close()
+    return steps
+
+
+def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> ConjugateMap:
     """frame o canonical o frame^-1, supported in the given box."""
-    return CompositeMap([frame.inverse(), canonical, frame], support=support)
+    return ConjugateMap(frame.inverse(), canonical, frame, support)
 
 
 def make_cone_map(region: Box, p0: Point3, p1: Point3) -> LocalMap:

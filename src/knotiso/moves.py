@@ -8,7 +8,10 @@ each chain is tuned once in a canonical box and conjugated into the box it
 has to act in.  The end maps these isotopies hold, a conjugating frame's
 inverse and a reversed move's inverted end are each built once per
 isotopy and shared by every ``map_at`` call, so callers must not mutate
-the maps they get.
+the maps they get.  A chain's time-1 composite is built once too, so every
+insert of one canonical move, and every reversed insert, holds the same
+inner map object -- which is what lets a composite route their runs in one
+pass (see ``maps``).
 """
 from __future__ import annotations
 
@@ -61,12 +64,13 @@ def chained_isotopy(parts: Sequence[Isotopy], support: Box) -> Isotopy:
         raise ValueError("need at least one isotopy")
     n = len(parts)
     finished = [p.map_at(1.0) for p in parts]
+    end = CompositeMap(finished, support=support)
 
     def map_at(t: float) -> LocalMap:
         if t <= 0.0:
             return IdentityMap(support=support)
         if t >= 1.0:
-            return CompositeMap(finished, support=support)
+            return end
         i = min(n - 1, int(t * n))
         local = t * n - i
         maps: list[LocalMap] = list(finished[:i])
@@ -101,7 +105,11 @@ def reversed_isotopy(inner: Isotopy) -> Isotopy:
         if t <= 0.0:
             return IdentityMap(support=inner.support)
         if t >= 1.0:
-            return CompositeMap([end_inv()], support=inner.support)
+            end = end_inv()
+            # a wrapper would only cull to the end map's own support again
+            if end.support == inner.support:
+                return end
+            return CompositeMap([end], support=inner.support)
         return CompositeMap([inner.map_at(1.0 - t), end_inv()], support=inner.support)
 
     return Isotopy(support=inner.support, map_at=map_at)

@@ -5,10 +5,10 @@ Every curve here is invented geometry anchored to a combinatorial pattern:
 loop counts, crossing deltas, box nesting, and decay ratios.  Loop-bearing
 curves are built by the reverse trick: apply invertible loop-insert maps
 to a plain baseline, so each untying move is the exact inverse of the
-insert that created its loop.  A curve's loops are inserted in one pass:
-its insert boxes are pairwise disjoint, so every point is framed into the
-canonical box of the one insert box that holds it, and the points of all
-boxes go through the shared canonical move together (``_insert_loops``).
+insert that created its loop.  A curve's loops are inserted by one
+composite of conjugated inserts (``_insert_loops``): its insert boxes are
+pairwise disjoint and share one canonical move, so the composite routes
+the points of all boxes through that move in one pass.
 """
 from __future__ import annotations
 
@@ -22,7 +22,13 @@ from .ball_factoring import NestedFamily
 from .canonical import conjugated_insert, insert_parts
 from .engine import Isotopy, MoveSequence
 from .geometry import Box, PLCurve, Point3, boxes_meet
-from .maps import LocalMap, UnsquishParams, estimate_inverse_lipschitz
+from .maps import (
+    CompositeMap,
+    LocalMap,
+    UnsquishParams,
+    conjugate,
+    estimate_inverse_lipschitz,
+)
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
@@ -77,10 +83,9 @@ def _axis_points(
 def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
     """pts after the time-1 maps of ``conjugated_insert(b, m)`` for every box.
 
-    One pass through the canonical move instead of one insert per box, and
-    bitwise the same: the boxes are pairwise disjoint (closed boxes that
-    meet raise ValueError), each insert maps its box onto itself and fixes
-    everything else, and the canonical map acts row by row.
+    The inserts share one canonical move and their closed boxes must be
+    pairwise disjoint (boxes that meet raise ValueError), so their
+    composite routes every point through that move in one pass.
     """
     lo = np.array([b.bound_arrays()[0] for b in boxes])
     hi = np.array([b.bound_arrays()[1] for b in boxes])
@@ -89,21 +94,11 @@ def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
     if meet.any():
         i, j = np.argwhere(meet)[0]
         raise ValueError(f"insert boxes overlap: {boxes[i]} meets {boxes[j]}")
-    # inside[j, i]: box j holds row i, tested one axis at a time over all boxes
-    inside = np.ones((len(boxes), len(pts)), dtype=bool)
-    for axis, x in enumerate(pts.T):
-        inside &= (lo[:, axis, None] <= x) & (x <= hi[:, axis, None])
-    rows = [np.nonzero(held)[0] for held in inside]
-    # every insert of m loops shares one canonical move, inners[0]
-    frames, inners = zip(*(insert_parts(b, m) for b in boxes))
-    local = np.concatenate([f.inverse().apply_array(pts[r]) for f, r in zip(frames, rows)])
-    moved = inners[0].time_one().apply_array(local)
-    out = np.array(pts, dtype=float)
-    start = 0
-    for f, r in zip(frames, rows):
-        out[r] = f.apply_array(moved[start : start + len(r)])
-        start += len(r)
-    return out
+    parts = []
+    for b in boxes:
+        frame, inner = insert_parts(b, m)
+        parts.append(conjugate(frame, inner.time_one(), b))
+    return CompositeMap(parts).apply_array(pts)
 
 
 def _closed_curve(active: np.ndarray, y_return: float) -> PLCurve:

@@ -227,6 +227,20 @@ class TestFramesVerb:
         assert "frame times must lie in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_frames_deeper_than_the_schedule_resolves(self, tmp_path):
+        # t_60 rounds to 1.0: the 60-stage gluing freezes only at t = 1
+        for depth, times in (("60", "0.5,1"), ("20", "0.5")):
+            argv = ["frames", "--scenario", "1d_counterexample", "--depth", depth]
+            assert main(argv + ["--times", times, "--out", str(tmp_path / depth)]) == 0
+        half = read_curve(tmp_path / "60" / "1d_counterexample_frame_000.curve")
+        # t = 0.5 is the first instant of stage 2, whatever the depth
+        assert half == read_curve(tmp_path / "20" / "1d_counterexample_frame_000.curve")
+        # at t = 1 all 60 stages ran: x -> x^61 fixes the interval's ends
+        # and pulls every inner vertex below its t = 0.5 image x^2
+        end = read_curve(tmp_path / "60" / "1d_counterexample_frame_001.curve").points
+        assert end[0, 0] == 0.0 and end[-1, 0] == 1.0
+        assert (end[1:-1, 0] < half.points[1:-1, 0]).all()
+
     def test_degenerate_frame_exits_four(self, tmp_path, capsys):
         # t = 0.9 is in stage 4, where the fox projection is degenerate
         status = main(

@@ -60,8 +60,16 @@ class TestSchedule:
         assert stage_time(53) < 1.0
         with pytest.raises(ValueError, match="not below 1"):
             stage_time(54)
+        # the 54-stage gluing still exists: t_54 rounds to 1, so it freezes
+        # only at t = 1, and below that it is the gluing of fewer stages
+        glued = glue_schedule(_stream(), 54)
+        pts = np.array([[2.0 - 0.75 * 2.0**-k, 0.05 * 2.0**-k, 0.0] for k in range(1, 8)])
+        for t in (0.3, 0.8, 0.99):
+            want = glue_schedule(_stream(), 10).map_at(t).apply_array(pts)
+            assert np.array_equal(glued.map_at(t).apply_array(pts), want)
+        # at t = 1 it needs stage 54, whose box collapses in double precision
         with pytest.raises(ValueError):
-            glue_schedule(_stream(), 54)
+            glued.map_at(1.0)
 
 
 class TestMoveSequence:

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotiso.canonical import CANONICAL_BOX, KINK_STAGES, conjugated_insert, kink_map
+from knotiso.canonical import (
+    CANONICAL_BOX,
+    KINK_STAGES,
+    conjugated_insert,
+    kink_map,
+    multi_kink_map,
+)
 from knotiso.geometry import Box, Point3, distance
 from knotiso.maps import (
     AffineMap,
     CompositeMap,
     ConeMap,
+    ConjugateMap,
     IdentityMap,
     UnsquishMap,
     UnsquishParams,
@@ -229,6 +236,18 @@ class TestCompositeAndConjugate:
         rng = np.random.default_rng(11)
         pts = rng.uniform(-2, 2, (1000, 3))  # far from the target box
         assert np.abs(m.apply_array(pts) - pts).max() < 1e-12
+
+    def test_conjugate_keeps_its_frame_and_inverts_once(self):
+        target = Box.from_center(Point3(5, 5, 5), Point3(0.5, 0.25, 0.5))
+        frame = AffineMap.box_to_box(UNIT, target)
+        m = conjugate(frame, kink_map(), target)
+        assert isinstance(m, ConjugateMap)
+        assert m.parts == (m.enter, m.inner, m.leave) == (frame.inverse(), kink_map(), frame)
+        inv = m.inverse()
+        assert inv is m.inverse()
+        # the parts CompositeMap.inverse would build, double-inverted frame included
+        assert inv.parts == (frame.inverse(), kink_map().inverse(), frame.inverse().inverse())
+        assert inv.support == target
 
     def test_conjugate_moves_target_center(self):
         target = Box.from_center(Point3(5, 5, 5), Point3(0.5, 0.5, 0.5))
@@ -451,3 +470,136 @@ def test_cone_kernel_ties_on_the_canonical_strand_move_under_one_ulp():
             img = cone.apply_array(img)
             old = _twelve_tetrahedra_kernel(cone, old)[0]
         assert (np.abs(img - old).max(axis=1) < np.spacing(np.abs(old).max(axis=1))).all()
+
+
+# -- routed runs of conjugates -------------------------------------------------
+
+INNERS = {
+    "kink": kink_map,
+    "kink^-1": lambda: kink_map().inverse(),
+    "multi2": lambda: multi_kink_map(2),
+    "multi2^-1": lambda: multi_kink_map(2).inverse(),
+    "multi3": lambda: multi_kink_map(3),
+    "multi3^-1": lambda: multi_kink_map(3).inverse(),
+}
+
+
+def _part_by_part(m, pts: np.ndarray) -> np.ndarray:
+    """The oracle: a composite culled to its support, then its parts one
+    after another, at every level of nesting; never routed."""
+    if not isinstance(m, CompositeMap):
+        return m.apply_array(pts)
+    out = pts.copy()
+    inside = m.support.contains_array(pts)
+    if inside.any():
+        x = pts[inside]
+        for part in m.parts:
+            x = _part_by_part(part, x)
+        out[inside] = x
+    return out
+
+
+def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _disjoint_boxes():
+    """2 to 6 boxes of one scale 2^-40 .. 4 around a center within +-50, on
+    distinct cells of a grid of pitch 3 scales: no half-extent exceeds the
+    scale, so any two boxes are at least one scale apart."""
+    coord = st.floats(-50.0, 50.0)
+    cells = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=6, unique=True)
+    aspects = st.lists(st.tuples(*[st.floats(0.25, 1.0)] * 3), min_size=6, max_size=6)
+
+    def build(v) -> list[Box]:
+        center, scale, cells, aspects = v
+        c = np.array(center)
+        return [
+            Box.from_center(
+                Point3.from_array(c + 3.0 * scale * np.array(cell)),
+                Point3.from_array(scale * np.array(aspect)),
+            )
+            for cell, aspect in zip(cells, aspects)
+        ]
+
+    scale = st.floats(-40.0, 2.0).map(lambda e: 2.0**e)
+    return st.tuples(st.tuples(coord, coord, coord), scale, cells, aspects).map(build)
+
+
+def _probe_points(boxes: list[Box], rng: np.random.Generator, n: int) -> np.ndarray:
+    """n rows drawn from points inside the boxes, on their faces and
+    corners, just around them and far away."""
+    pool = [rng.uniform(-100.0, 100.0, (8, 3))]
+    for b in boxes:
+        lo, hi = b.bound_arrays()
+        face = b.sample(rng, 24)
+        axis = rng.integers(0, 3, 24)
+        face[np.arange(24), axis] = np.where(rng.random(24) < 0.5, lo[axis], hi[axis])
+        pool += [b.sample(rng, 60), face, b.corner_array(), b.scaled_about_center(1.5).sample(rng, 16)]
+    pool = np.concatenate(pool)
+    return pool[rng.choice(len(pool), n, replace=n > len(pool))]
+
+
+def _conjugates(boxes: list[Box], inner) -> list[ConjugateMap]:
+    return [conjugate(AffineMap.box_to_box(CANONICAL_BOX, b), inner, b) for b in boxes]
+
+
+@given(
+    _disjoint_boxes(),
+    st.sampled_from(sorted(INNERS)),
+    st.sampled_from([1, 7, 333, 1201]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_routed_run_matches_part_by_part(boxes, inner, n, seed):
+    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    pts = _probe_points(boxes, np.random.default_rng(seed), n)
+    for mm in (m, m.inverse()):
+        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
+    # the whole composite is one routed run
+    assert len(m._steps) == 1 and len(m.inverse()._steps) == 1
+
+
+def _touching_boxes(scale: float) -> list[Box]:
+    """Boxes laid along x, each sharing a face with the next, and one that
+    meets the last at a single corner."""
+    half = Point3(scale, scale, scale)
+    boxes = [Box.from_center(Point3(3.0 + 2.0 * i * scale, 1.0, -2.0), half) for i in range(3)]
+    corner = boxes[-1].hi
+    return boxes + [Box(corner, corner + half.scaled(2.0))]
+
+
+@pytest.mark.parametrize("scale", [2.0**-30, 0.25, 2.0])
+@pytest.mark.parametrize("inner", sorted(INNERS))
+def test_boxes_that_touch_are_not_routed_together(scale, inner):
+    boxes = _touching_boxes(scale)
+    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    pts = _probe_points(boxes, np.random.default_rng(3), 1201)
+    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
+    assert m._steps == list(m.parts)
+
+
+def test_different_inner_objects_are_not_routed_together():
+    boxes = [Box.cube(Point3(2.0 * i, 0.0, 0.0), 1.0) for i in range(4)]
+    # equal to kink_map() part for part, but another object
+    twin = CompositeMap(kink_map().parts, support=kink_map().support)
+    inners = [kink_map(), twin, kink_map().inverse(), kink_map()]
+    parts = [
+        conjugate(AffineMap.box_to_box(CANONICAL_BOX, b), inner, b)
+        for b, inner in zip(boxes, inners)
+    ]
+    m = CompositeMap(parts)
+    pts = _probe_points(boxes, np.random.default_rng(4), 1201)
+    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
+    assert m._steps == parts
+
+
+def test_a_part_that_is_not_a_conjugate_breaks_the_run():
+    boxes = [Box.cube(Point3(2.0 * i, 0.0, 0.0), 1.0) for i in range(5)]
+    conj = _conjugates(boxes[:2] + boxes[3:], kink_map())
+    cone = ConeMap(boxes[2], boxes[2].center, Point3(4.2, 0.1, -0.2))
+    m = CompositeMap(conj[:2] + [cone] + conj[2:])
+    pts = _probe_points(boxes, np.random.default_rng(5), 1201)
+    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
+    assert len(m._steps) == 3 and m._steps[1] is cone

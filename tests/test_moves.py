@@ -21,6 +21,7 @@ from knotiso.maps import (
     AffineMap,
     CompositeMap,
     ConeMap,
+    ConjugateMap,
     IdentityMap,
     UnsquishParams,
     conjugate,
@@ -331,6 +332,14 @@ class TestBuildOnce:
         assert kink_isotopy() is kink_isotopy()
         assert multi_kink_isotopy(3) is multi_kink_isotopy(3)
         assert kink_map().parts[0] is kink_map().parts[0]
+        assert kink_map() is kink_map()
+        assert multi_kink_map(3).inverse() is multi_kink_map(3).inverse()
+
+    def test_reversed_inserts_share_one_inner_map(self, scenarios):
+        seq = scenarios["countable_r1"].moves
+        maps = [seq.time_one_map(k) for k in (1, 2, 3)]
+        assert all(isinstance(m, ConjugateMap) for m in maps)
+        assert maps[0].inner is maps[1].inner is maps[2].inner is kink_map().inverse()
 
     def test_cone_inverse_is_built_once_and_links_back(self):
         m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, -0.2, 0.1))
