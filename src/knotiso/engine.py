@@ -188,6 +188,12 @@ def truncated_map(seq: MoveSequence, n: int, local: float = 1.0) -> LocalMap:
     if n == 0:
         return IdentityMap(support=seq.container)
     parts = [seq.time_one_map(k) for k in range(1, n)] + [seq.stage(n)[0].map_at(local)]
+    return _stage_composite(seq, parts)
+
+
+def _stage_composite(seq: MoveSequence, parts: list[LocalMap]) -> CompositeMap:
+    """Stage maps as one composite whose support boxes the container with
+    the parts' own supports."""
     support = bounding_box([seq.container] + [m.support for m in parts])
     return CompositeMap(parts, support=support)
 
@@ -286,7 +292,9 @@ def uniform_convergence_probe(
         raise ValueError("need m >= n")
     pts = np.array([g.as_array() for g in grid])
     xn = apply_truncated(seq, n, pts)
-    xm = apply_truncated(seq, m, pts)
+    # on from stage n, so the first n stages run once, not twice
+    later = _stage_composite(seq, [seq.time_one_map(k) for k in range(n + 1, m + 1)])
+    xm = later.apply_array(xn)
     return float(np.sqrt(((xn - xm) ** 2).sum(-1)).max())
 
 

@@ -105,11 +105,7 @@ def reversed_isotopy(inner: Isotopy) -> Isotopy:
         if t <= 0.0:
             return IdentityMap(support=inner.support)
         if t >= 1.0:
-            end = end_inv()
-            # a wrapper would only cull to the end map's own support again
-            if end.support == inner.support:
-                return end
-            return CompositeMap([end], support=inner.support)
+            return end_inv()
         return CompositeMap([inner.map_at(1.0 - t), end_inv()], support=inner.support)
 
     return Isotopy(support=inner.support, map_at=map_at)

@@ -422,3 +422,15 @@ def test_apply_truncated_is_truncated_map_for_1d_stream(scenarios):
         assert np.array_equal(img, truncated_map(seq, n).apply_array(pts))
         assert img[-2, 0] != 0.3
         assert np.array_equal(img[-1], pts[-1])
+
+
+@pytest.mark.parametrize("name", COMPOSER_STREAMS + ("1d_counterexample",))
+def test_uniform_probe_reads_per_stage_images(scenarios, name):
+    """Bitwise the deviation of two per-stage loops, also for the 1-D
+    stream, whose stages move points off their own supports."""
+    s = scenarios[name]
+    pts = _composer_points(s)
+    dev = np.sqrt(((_per_stage(s.moves, 4, pts) - _per_stage(s.moves, 9, pts)) ** 2).sum(-1))
+    grid = [Point3.from_array(p) for p in pts]
+    assert dev.max() > 0.0
+    assert uniform_convergence_probe(s.moves, 4, 9, grid) == float(dev.max())
