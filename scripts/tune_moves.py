@@ -26,13 +26,14 @@ from knotiso.moves import ConeStage, staged_isotopy
 
 def strand(n: int) -> PLCurve:
     xs = np.linspace(-1.0, 1.0, n)
-    return PLCurve(tuple(Point3(float(x), 0.0, 0.0) for x in xs), closed=False)
+    zeros = np.zeros_like(xs)
+    return PLCurve(np.column_stack([xs, zeros, zeros]), closed=False)
 
 
 def evaluate(stages: list[ConeStage], n: int) -> tuple[int, float, bool]:
     m = staged_isotopy(stages, CANONICAL_BOX).time_one()
     pts = m.apply_array(strand(n).points)
-    curve = PLCurve(tuple(Point3.from_array(p) for p in pts), closed=False)
+    curve = PLCurve(pts, closed=False)
     crossings = find_crossings(curve)
     margin = min((c.z_over - c.z_under for c in crossings), default=np.inf)
     return len(crossings), float(margin), curve_is_simple(curve, 1e-9)

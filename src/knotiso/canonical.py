@@ -92,14 +92,7 @@ def multi_kink_map(m: int) -> LocalMap:
     return multi_kink_isotopy(m).time_one()
 
 
-def insert_parts(target: Box, m: int = 1) -> tuple[AffineMap, Isotopy]:
-    """The frame from the canonical box onto a target box, and the shared
-    canonical move that inserts m loops there."""
-    frame = AffineMap.box_to_box(CANONICAL_BOX, target)
-    return frame, multi_kink_isotopy(m) if m > 1 else kink_isotopy()
-
-
 def conjugated_insert(target: Box, m: int = 1) -> Isotopy:
     """Insert m loops on the x-axis strand through a target box."""
-    frame, inner = insert_parts(target, m)
-    return conjugated_isotopy(frame, inner, target)
+    inner = multi_kink_isotopy(m) if m > 1 else kink_isotopy()
+    return conjugated_isotopy(AffineMap.box_to_box(CANONICAL_BOX, target), inner, target)

@@ -39,24 +39,30 @@ class Isotopy:
         return self.map_at(1.0)
 
 
+def _slot_end(k: int) -> float:
+    """1 - 2^{-k} as double arithmetic rounds it: 1.0 from k = 54 on."""
+    return 1.0 - 2.0 ** (-k)
+
+
 def stage_time(k: int) -> float:
     """t_k = 1 - 2^{-k}, so t_0 = 0 and t_k -> 1.
 
     Past k = 53 the value rounds to 1.0 in double precision, and such a
     stage has no slot left: ValueError.
     """
-    t = 1.0 - 2.0 ** (-k)
+    t = _slot_end(k)
     if not t < 1.0:
         raise ValueError(f"schedule time t_{k} = {t} is not below 1")
     return t
 
 
 def stage_of(t: float, max_k: int) -> int:
-    """The stage k with t in [t_{k-1}, t_k), searching up to max_k."""
+    """The stage k with t in [t_{k-1}, t_k), searching up to max_k; slot
+    ends are taken as rounded, so 1 - 2^-53 falls in stage 54."""
     if not (0.0 <= t < 1.0):
         raise ValueError(f"t={t} has no finite stage")
     for k in range(1, max_k + 1):
-        if t < stage_time(k):
+        if t < _slot_end(k):
             return k
     raise ValueError(f"t={t} beyond stage horizon {max_k}")
 
@@ -338,7 +344,7 @@ def glue_schedule(seq: MoveSequence, n: int) -> Isotopy:
     rounds to 1 and the map freezes only at t = 1)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t_n = 1.0 - 2.0 ** (-n)
+    t_n = _slot_end(n)
 
     def map_at(t: float) -> LocalMap:
         if not (0.0 <= t <= 1.0):
@@ -346,7 +352,7 @@ def glue_schedule(seq: MoveSequence, n: int) -> Isotopy:
         if t >= t_n:
             return truncated_map(seq, n)
         k = stage_of(t, max_k=n)
-        t0, t1 = stage_time(k - 1), stage_time(k)
+        t0, t1 = _slot_end(k - 1), _slot_end(k)
         return truncated_map(seq, k, (t - t0) / (t1 - t0))
 
     return Isotopy(support=seq.container, map_at=map_at)

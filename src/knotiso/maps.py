@@ -2,9 +2,11 @@
 
 Five kinds are provided:
 
-* ``AffineMap`` -- a global affine map, used to conjugate canonical moves
-  into target boxes.  A non-identity affine map cannot be identity outside
-  a bounded set, so its declared support is an effectively-unbounded box.
+* ``AffineMap`` -- an axis-aligned frame p -> scale * p + shift (per-axis
+  scales, no rotation), carrying the canonical box onto a target box to
+  conjugate canonical moves there.  A non-identity affine map cannot be
+  identity outside a bounded set, so its declared support is an
+  effectively-unbounded box.
 * ``ConeMap`` -- the piecewise-affine "vertex pull" over a box: the box
   boundary is star-triangulated into 12 triangles, and the cone over each
   from an interior apex is mapped affinely so the apex moves from p0 to
@@ -78,24 +80,22 @@ class IdentityMap(LocalMap):
 
 
 class AffineMap(LocalMap):
-    """p -> M p + t with |det M| bounded away from zero."""
+    """p -> scale * p + shift, per axis, with no zero scale.
 
-    def __init__(self, matrix: np.ndarray, translation: Point3):
-        matrix = np.asarray(matrix, dtype=float).reshape(3, 3)
-        det = float(np.linalg.det(matrix))
-        # relative to the matrix scale so uniformly tiny frames stay valid
-        scale = float(np.abs(matrix).max())
-        if abs(det) <= 1e-12 * max(scale, 1e-200) ** 3:
+    Every frame in knotiso carries one box onto another (``box_to_box``),
+    so the linear part is diagonal and is kept as the (3,) ``scale``.
+    """
+
+    def __init__(self, scale: np.ndarray, shift: np.ndarray):
+        scale = np.asarray(scale, dtype=float)
+        det = float(scale[0] * scale[1] * scale[2])
+        # relative to the largest scale so uniformly tiny frames stay valid
+        if abs(det) <= 1e-12 * max(float(np.abs(scale).max()), 1e-200) ** 3:
             raise ValueError(f"affine matrix is singular (det={det})")
-        self.matrix = matrix
-        self.translation = translation
-        self._shift = translation.as_array()
+        self.scale = scale
+        self.shift = np.asarray(shift, dtype=float)
         self.support = unbounded_box()
         self._inverse: AffineMap | None = None
-
-    @staticmethod
-    def similarity(scale: float, translation: Point3) -> "AffineMap":
-        return AffineMap(np.eye(3) * scale, translation)
 
     @staticmethod
     def box_to_box(src: Box, dst: Box) -> "AffineMap":
@@ -105,19 +105,17 @@ class AffineMap(LocalMap):
         if (s <= 0).any():
             raise ValueError("source box is degenerate")
         scale = d / s
-        m = np.diag(scale)
-        t = dst.center.as_array() - m @ src.center.as_array()
-        return AffineMap(m, Point3.from_array(t))
+        return AffineMap(scale, dst.center.as_array() - scale * src.center.as_array())
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix.T + self._shift
+        return pts * self.scale + self.shift
 
     def inverse(self) -> "AffineMap":
-        # no link back: inv(inv(M)) is not bitwise M, and the reports of
+        # no link back: 1 / (1 / s) is not bitwise s, and the reports of
         # reversed conjugated moves are pinned on the double inverse
         if self._inverse is None:
-            inv = np.linalg.inv(self.matrix)
-            self._inverse = AffineMap(inv, Point3.from_array(-inv @ self._shift))
+            inv = 1.0 / self.scale
+            self._inverse = AffineMap(inv, -inv * self.shift)
         return self._inverse
 
 

@@ -19,16 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ball_factoring import NestedFamily
-from .canonical import conjugated_insert, insert_parts
+from .canonical import conjugated_insert
 from .engine import Isotopy, MoveSequence
 from .geometry import Box, PLCurve, Point3, boxes_meet
-from .maps import (
-    CompositeMap,
-    LocalMap,
-    UnsquishParams,
-    conjugate,
-    estimate_inverse_lipschitz,
-)
+from .maps import CompositeMap, LocalMap, UnsquishParams, estimate_inverse_lipschitz
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
@@ -94,11 +88,7 @@ def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
     if meet.any():
         i, j = np.argwhere(meet)[0]
         raise ValueError(f"insert boxes overlap: {boxes[i]} meets {boxes[j]}")
-    parts = []
-    for b in boxes:
-        frame, inner = insert_parts(b, m)
-        parts.append(conjugate(frame, inner.time_one(), b))
-    return CompositeMap(parts).apply_array(pts)
+    return CompositeMap([conjugated_insert(b, m).time_one() for b in boxes]).apply_array(pts)
 
 
 def _closed_curve(active: np.ndarray, y_return: float) -> PLCurve:
@@ -337,7 +327,6 @@ def rec_settle_bound(d: float) -> int:
 # -- countable connected sum untied shell by shell ----------------------------
 
 _TREFOIL_SUMMANDS = 20
-_TREFOIL_LIMIT = Point3(2.0, 0.0, 0.0)
 
 
 def trefoil_work_box(k: int) -> Box:
@@ -347,10 +336,6 @@ def trefoil_work_box(k: int) -> Box:
         Point3(2.0 - 0.1875 * s, 0.0, 0.0),
         Point3(0.05625 * s, 0.05 * s, 0.05 * s),
     )
-
-
-def trefoil_nested_box(k: int) -> Box:
-    return Box.cube(_TREFOIL_LIMIT, 0.5 * 2.0**-k)
 
 
 def _with_segment(b: Box) -> Box:
@@ -513,7 +498,7 @@ def build_snowflake(shrink: float, depth: int) -> list[PLCurve]:
     base = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
     )
-    iterates = [PLCurve(tuple(Point3.from_array(p) for p in base), closed=True)]
+    iterates = [PLCurve(base, closed=True)]
     pts = base
     for _ in range(depth - 1):
         nxt = []
@@ -526,7 +511,7 @@ def build_snowflake(shrink: float, depth: int) -> list[PLCurve]:
             for along, off in template:
                 nxt.append(a + d * along + right * (off * length))
         pts = np.array(nxt)
-        iterates.append(PLCurve(tuple(Point3.from_array(p) for p in pts), closed=True))
+        iterates.append(PLCurve(pts, closed=True))
     return iterates
 
 

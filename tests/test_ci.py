@@ -1,6 +1,6 @@
 """The CI workflow parses and runs the Tier-1 command, whose test paths
-take in the benchmark-harness tests, and the test configuration turns
-runtime warnings into failures."""
+take in the benchmark-harness tests, on the oldest Python the package
+admits, and the test configuration turns runtime warnings into failures."""
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,8 @@ def test_workflow_runs_both_suites_on_python_311():
     assert config["tool"]["pytest"]["ini_options"]["testpaths"] == ["tests", "perfbench/tests"]
     setup = next(s for s in steps if s.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "3.11"
+    # the oldest Python the package admits is the one CI tests
+    assert config["project"]["requires-python"] == f">={setup['with']['python-version']}"
 
 
 def test_runtime_warnings_fail_the_suite():

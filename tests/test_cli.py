@@ -241,6 +241,19 @@ class TestFramesVerb:
         assert end[0, 0] == 0.0 and end[-1, 0] == 1.0
         assert (end[1:-1, 0] < half.points[1:-1, 0]).all()
 
+    @pytest.mark.parametrize("name", ["1d_counterexample", "recursive_r1", "fox_remarkable"])
+    def test_last_double_below_one_draws_the_depth_53_frame(self, tmp_path, name):
+        # 1 - 2^-53 ends stage 53; at depth 60 it starts stage 54, whose
+        # slot ends at 1.0, so stage 54 runs at local time 0
+        t = "0.9999999999999999"
+        assert float(t) == 1.0 - 2.0**-53
+        for depth in ("53", "60"):
+            argv = ["frames", "--scenario", name, "--depth", depth, "--times", t]
+            assert main(argv + ["--out", str(tmp_path / depth)]) == 0
+        for suffix in (".curve", ".svg"):
+            f = f"{name}_frame_000{suffix}"
+            assert filecmp.cmp(tmp_path / "53" / f, tmp_path / "60" / f, shallow=False)
+
     def test_degenerate_frame_exits_four(self, tmp_path, capsys):
         # t = 0.9 is in stage 4, where the fox projection is degenerate
         status = main(

@@ -55,6 +55,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             stage_of(1.0, 10)
 
+    def test_stage_of_past_the_last_representable_slot(self):
+        # the slot of stage 54 ends at 1 - 2^-54, which rounds to 1.0, so
+        # it holds the one double 1 - 2^-53 that stage 53 leaves
+        assert stage_of(1.0 - 2.0**-53, 60) == 54
+        assert stage_of(np.nextafter(1.0 - 2.0**-53, 0.0), 60) == 53
+
     def test_bad_schedule_rejected(self):
         # 1 - 2^-54 rounds to 1.0: stage 54 has no slot below the limit time
         assert stage_time(53) < 1.0

@@ -42,12 +42,15 @@ class TestIdentityMap:
 
 class TestAffineMap:
     def test_rejects_singular_matrix(self):
-        with pytest.raises(ValueError):
-            AffineMap(np.zeros((3, 3)), Point3(0, 0, 0))
+        with pytest.raises(ValueError, match="singular"):
+            AffineMap(np.array([1.0, 0.0, 2.0]), np.zeros(3))
+        # relative to the largest scale: one axis squashed 1e13-fold
+        with pytest.raises(ValueError, match=r"singular \(det=1e-13\)"):
+            AffineMap(np.array([1.0, 1e-13, 1.0]), np.zeros(3))
 
     def test_accepts_uniformly_tiny_frames(self):
         # depth-20 scenario frames: tiny but perfectly conditioned
-        AffineMap(np.eye(3) * 2.0**-27, Point3(0, 0, 0))
+        AffineMap(np.full(3, 2.0**-27), np.zeros(3))
 
     def test_box_to_box_maps_corners(self):
         src = Box(Point3(-1, -1, -1), Point3(1, 1, 1))
@@ -59,17 +62,66 @@ class TestAffineMap:
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(1)
-        m = AffineMap(rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3), Point3(1, -2, 3))
+        scale = rng.uniform(0.25, 4.0, 3) * rng.choice([-1.0, 1.0], 3)
+        m = AffineMap(scale, np.array([1.0, -2.0, 3.0]))
         pts = rng.uniform(-5, 5, (1000, 3))
         assert roundtrip_error(m, pts) < 1e-12
 
-    def test_similarity(self):
-        m = AffineMap.similarity(2.0, Point3(1, 0, 0))
-        assert m.apply(Point3(1, 1, 1)) == Point3(3, 2, 2)
-
     def test_support_is_unbounded_sentinel(self):
-        m = AffineMap.similarity(2.0, Point3(0, 0, 0))
+        m = AffineMap(np.full(3, 2.0), np.zeros(3))
         assert m.support == unbounded_box()
+
+
+def _matrix_frame(src: Box, dst: Box) -> tuple[np.ndarray, np.ndarray]:
+    """box_to_box as the general map p -> M p + t it replaced."""
+    m = np.diag(dst.half_extents.as_array() / src.half_extents.as_array())
+    return m, dst.center.as_array() - m @ src.center.as_array()
+
+
+# half-extents 2^-48..4, within 16x of each other in one box: a frame
+# between two boxes then stays well inside the singular rule's bound
+_box = st.builds(
+    lambda c, e, k, f: Box.from_center(Point3(*c), Point3(*(np.array(f) * 2.0 ** (e + np.array(k))))),
+    st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+    st.integers(-48, -2),
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.tuples(*[st.floats(1.0, 2.0)] * 3),
+)
+
+
+def _frame_points(box: Box, seed: int) -> np.ndarray:
+    """Points inside a box, on its faces and corners, outside it, and
+    with signed-zero coordinates."""
+    rng = np.random.default_rng(seed)
+    c, h = box.center.as_array(), box.half_extents.as_array()
+    inside = rng.uniform(-1.0, 1.0, (20, 3))
+    faces = rng.uniform(-1.0, 1.0, (6, 3))
+    faces[np.arange(6), np.arange(6) % 3] = np.repeat([-1.0, 1.0], 3)
+    corners = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0])).reshape(3, -1).T
+    outside = rng.uniform(1.0, 3.0, (10, 3)) * rng.choice([-1.0, 1.0], (10, 3))
+    pts = c + np.vstack([inside, faces, corners, outside]) * h
+    zeros = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [c[0], 0.0, -0.0], [-0.0, c[1], 0.0]])
+    return np.vstack([pts, zeros])
+
+
+class TestAffineFrameOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_box, _box, st.integers(0, 2**32 - 1))
+    def test_box_to_box_matches_the_matrix_formula(self, src, dst, seed):
+        frame = AffineMap.box_to_box(src, dst)
+        m, t = _matrix_frame(src, dst)
+        pts = _frame_points(src, seed)
+        assert (frame.apply_array(pts) == pts @ m.T + t).all()
+        inv, twice = frame.inverse(), frame.inverse().inverse()
+        m_inv = np.linalg.inv(m)
+        m_twice = np.linalg.inv(m_inv)
+        assert np.diag(m_inv).tobytes() == inv.scale.tobytes()
+        assert np.diag(m_twice).tobytes() == twice.scale.tobytes()
+        t_inv = -m_inv @ t
+        assert (inv.shift == t_inv).all()
+        assert (twice.shift == -m_twice @ t_inv).all()
+        back = _frame_points(dst, seed)
+        assert (inv.apply_array(back) == back @ m_inv.T + t_inv).all()
 
 
 class TestConeMap:
@@ -214,8 +266,8 @@ class TestUnsquishMap:
 
 class TestCompositeAndConjugate:
     def test_left_to_right_order(self):
-        shift = AffineMap.similarity(1.0, Point3(1, 0, 0))
-        double = AffineMap.similarity(2.0, Point3(0, 0, 0))
+        shift = AffineMap(np.ones(3), np.array([1.0, 0.0, 0.0]))
+        double = AffineMap(np.full(3, 2.0), np.zeros(3))
         m = CompositeMap([shift, double])
         # shift first, then scale: (0,0,0) -> (1,0,0) -> (2,0,0)
         assert m.apply(Point3(0, 0, 0)) == Point3(2, 0, 0)
