@@ -87,11 +87,6 @@ def multi_kink_isotopy(m: int) -> Isotopy:
     )
 
 
-def multi_kink_map(m: int) -> LocalMap:
-    """Time-1 map inserting m loops along the strand (m crossings)."""
-    return multi_kink_isotopy(m).time_one()
-
-
 def conjugated_insert(target: Box, m: int = 1) -> Isotopy:
     """Insert m loops on the x-axis strand through a target box."""
     inner = multi_kink_isotopy(m) if m > 1 else kink_isotopy()

@@ -1,9 +1,10 @@
 """Time-parameterized isotopies, the countable-composition scheduler, and
 the convergence / injectivity probes.
 
-A ``MoveSequence`` is an unbounded stream of stages (H_k, V_k): an
-isotopy supported in a box.  Stage k runs over the slot [t_{k-1}, t_k] of
-the dyadic schedule t_k = 1 - 2^{-k}, which accumulates at t = 1.
+A ``MoveSequence`` is an unbounded stream of stages: stage k is an
+isotopy H_k whose ``support`` is the box V_k.  It runs over the slot
+[t_{k-1}, t_k] of the dyadic schedule t_k = 1 - 2^{-k}, which accumulates
+at t = 1.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
 then stage n at a local time, as one support-culled composite.
 ``apply_truncated``, ``glue_schedule`` (the one place that slices the time
@@ -40,20 +41,8 @@ class Isotopy:
 
 
 def _slot_end(k: int) -> float:
-    """1 - 2^{-k} as double arithmetic rounds it: 1.0 from k = 54 on."""
+    """t_k = 1 - 2^{-k} as double arithmetic rounds it: 1.0 from k = 54 on."""
     return 1.0 - 2.0 ** (-k)
-
-
-def stage_time(k: int) -> float:
-    """t_k = 1 - 2^{-k}, so t_0 = 0 and t_k -> 1.
-
-    Past k = 53 the value rounds to 1.0 in double precision, and such a
-    stage has no slot left: ValueError.
-    """
-    t = _slot_end(k)
-    if not t < 1.0:
-        raise ValueError(f"schedule time t_{k} = {t} is not below 1")
-    return t
 
 
 def stage_of(t: float, max_k: int) -> int:
@@ -106,19 +95,19 @@ class TailTable:
 
 @dataclass
 class MoveSequence:
-    """A replayable unbounded stream of stages (H_k, V_k) inside a compact
-    container.
+    """A replayable unbounded stream of stages inside a compact container:
+    stage k is an isotopy H_k supported in V_k = ``stage(k).support``.
 
     ``stage_fn`` is 1-based and must be pure; stages and tail tables are
     memoized.
     """
 
-    stage_fn: Callable[[int], tuple[Isotopy, Box]]
+    stage_fn: Callable[[int], Isotopy]
     container: Box
     _cache: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
 
-    def stage(self, k: int) -> tuple[Isotopy, Box]:
+    def stage(self, k: int) -> Isotopy:
         if k < 1:
             raise ValueError(f"stage index must be >= 1, got {k}")
         if k not in self._cache:
@@ -126,10 +115,10 @@ class MoveSequence:
         return self._cache[k]
 
     def boxes(self, first: int, last: int) -> list[Box]:
-        return [self.stage(k)[1] for k in range(first, last + 1)]
+        return [self.stage(k).support for k in range(first, last + 1)]
 
     def time_one_map(self, k: int) -> LocalMap:
-        return self.stage(k)[0].time_one()
+        return self.stage(k).time_one()
 
     def tail_table(self, last: int) -> TailTable:
         """The tail table of V_1..V_last, built once per last stage."""
@@ -193,7 +182,7 @@ def truncated_map(seq: MoveSequence, n: int, local: float = 1.0) -> LocalMap:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return IdentityMap(support=seq.container)
-    parts = [seq.time_one_map(k) for k in range(1, n)] + [seq.stage(n)[0].map_at(local)]
+    parts = [seq.time_one_map(k) for k in range(1, n)] + [seq.stage(n).map_at(local)]
     return _stage_composite(seq, parts)
 
 

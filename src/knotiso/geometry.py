@@ -38,12 +38,6 @@ class Point3:
     def scaled(self, s: float) -> "Point3":
         return Point3(self.x * s, self.y * s, self.z * s)
 
-    def dot(self, other: "Point3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
@@ -137,16 +131,6 @@ class Box:
 
     def contains_box(self, other: "Box", strict: bool = False) -> bool:
         return self.contains(other.lo, strict) and self.contains(other.hi, strict)
-
-    def intersects(self, other: "Box") -> bool:
-        return (
-            self.lo.x <= other.hi.x
-            and other.lo.x <= self.hi.x
-            and self.lo.y <= other.hi.y
-            and other.lo.y <= self.hi.y
-            and self.lo.z <= other.hi.z
-            and other.lo.z <= self.hi.z
-        )
 
     def scaled_about_center(self, factor: float) -> "Box":
         return Box.from_center(self.center, self.half_extents.scaled(factor))

@@ -10,7 +10,9 @@ Five kinds are provided:
 * ``ConeMap`` -- the piecewise-affine "vertex pull" over a box: the box
   boundary is star-triangulated into 12 triangles, and the cone over each
   from an interior apex is mapped affinely so the apex moves from p0 to
-  p1 while the boundary and exterior stay pointwise fixed.
+  p1.  The exterior stays bitwise fixed; the boundary stays fixed only up
+  to rounding, since a boundary point's image is recomputed from its
+  barycentric weights.
 * ``UnsquishMap`` -- a fixed-time slice of the radial expansion between
   two concentric nested boxes; points near the expansion center are moved
   away from it by an exact factor of 1/c at time 1.
@@ -27,8 +29,8 @@ through its ``leave``.  That is bitwise the part-by-part loop, because a
 conjugate maps its box onto itself and fixes everything else, and the
 kernels act row by row.
 
-All maps evaluate pointwise (``apply``) and in bulk over (n, 3) arrays
-(``apply_array``); inverses are exact map objects, not numeric solves.
+All maps evaluate in bulk over (n, 3) arrays (``apply_array``); inverses
+are exact map objects, not numeric solves.
 ``AffineMap``, ``ConeMap`` and ``CompositeMap`` build their inverse once
 and hand the same object to every caller, and the canonical moves built
 from them are shared module constants (see ``canonical``), so no caller
@@ -55,9 +57,6 @@ class LocalMap:
 
     support: Box
 
-    def apply(self, p: Point3) -> Point3:
-        return Point3.from_array(self.apply_array(p.as_array()[None, :])[0])
-
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -80,17 +79,19 @@ class IdentityMap(LocalMap):
 
 
 class AffineMap(LocalMap):
-    """p -> scale * p + shift, per axis, with no zero scale.
+    """p -> scale * p + shift, per axis, with every scale finite and
+    nonzero.
 
     Every frame in knotiso carries one box onto another (``box_to_box``),
-    so the linear part is diagonal and is kept as the (3,) ``scale``.
+    so the linear part is diagonal and is kept as the (3,) ``scale``.  A
+    diagonal map is invertible exactly when no axis scale is zero, however
+    tiny or anisotropic the scales are.
     """
 
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
         scale = np.asarray(scale, dtype=float)
-        det = float(scale[0] * scale[1] * scale[2])
-        # relative to the largest scale so uniformly tiny frames stay valid
-        if abs(det) <= 1e-12 * max(float(np.abs(scale).max()), 1e-200) ** 3:
+        if not (np.isfinite(scale).all() and scale.all()):
+            det = float(scale[0] * scale[1] * scale[2])
             raise ValueError(f"affine matrix is singular (det={det})")
         self.scale = scale
         self.shift = np.asarray(shift, dtype=float)
@@ -155,10 +156,12 @@ _FACE_V = np.array([2, 2, 1])
 class ConeMap(LocalMap):
     """Piecewise-affine pull of an interior apex of a box from p0 to p1.
 
-    Fixes the box boundary and the exterior pointwise; bijective on all of
-    space.  A point inside is moved by the affine map of the one
-    tetrahedron (the apex and a boundary triangle) that contains it.  The
-    inverse is the cone map with the apexes swapped.
+    Fixes the exterior bitwise and the box boundary up to rounding (a
+    boundary point's image is rebuilt from its barycentric weights, so it
+    can move by tens of ulps); bijective on all of space.  A point inside
+    is moved by the affine map of the one tetrahedron (the apex and a
+    boundary triangle) that contains it.  The inverse is the cone map with
+    the apexes swapped.
     """
 
     def __init__(self, region: Box, p0: Point3, p1: Point3):
@@ -572,8 +575,3 @@ def estimate_inverse_lipschitz(
     y2 = m.apply_array(x2)
     img = np.sqrt(((y1 - y2) ** 2).sum(-1))
     return float((img / sep).min())
-
-
-def roundtrip_error(m: LocalMap, pts: np.ndarray) -> float:
-    back = m.apply_inverse_array(m.apply_array(pts))
-    return float(np.sqrt(((back - pts) ** 2).sum(-1)).max())

@@ -126,9 +126,8 @@ def build_countable_r1() -> Scenario:
 
     container = Box(Point3(-1.0, -2.0, -1.0), Point3(3.0, 1.0, 1.0))
 
-    def stage(k: int) -> tuple[Isotopy, Box]:
-        b = boxes(k)
-        return reversed_isotopy(conjugated_insert(b)), b
+    def stage(k: int) -> Isotopy:
+        return reversed_isotopy(conjugated_insert(boxes(k)))
 
     pairs = (
         (Point3(0.5, 0.3, 0.0), Point3(0.5, -0.3, 0.0)),
@@ -172,9 +171,8 @@ def build_countable_r2(stage: int) -> Scenario:
 
     container = Box(Point3(-1.0, -2.0, -1.0), Point3(5.0, 1.0, 1.0))
 
-    def untie(k: int) -> tuple[Isotopy, Box]:
-        b = boxes(k)
-        return reversed_isotopy(conjugated_insert(b, m=2)), b
+    def untie(k: int) -> Isotopy:
+        return reversed_isotopy(conjugated_insert(boxes(k), m=2))
 
     if stage == 1:
         pairs = (
@@ -269,12 +267,12 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     """
     c = rec_squish_constant()
 
-    def stage(k: int) -> tuple[Isotopy, Box]:
+    def stage(k: int) -> Isotopy:
         insert = rec_insert(k)
         if ablated:
-            return chained_isotopy([insert], rec_box(k)), rec_box(k)
+            return chained_isotopy([insert], rec_box(k))
         squish = unsquish_isotopy(rec_unsquish_params(k, c))
-        return chained_isotopy([insert, squish], rec_box(k)), rec_box(k)
+        return chained_isotopy([insert, squish], rec_box(k))
 
     L = _REC_SCALE
     arm_dir = _REC_APEX_DIR / np.linalg.norm(_REC_APEX_DIR)
@@ -311,19 +309,6 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     )
 
 
-def rec_settle_bound(d: float) -> int:
-    """Smallest n0 with (6 + 2 eps) l / 2^n0 < d, the settle-index bound
-    for a point at distance d from the wedge vertex."""
-    if d <= 0:
-        raise ValueError("d must be positive")
-    n0 = 1
-    while (6.0 + 2.0 * _REC_EPS) * _REC_SCALE / 2.0**n0 >= d:
-        n0 += 1
-        if n0 > 200:
-            raise ValueError("point too close to the vertex")
-    return n0
-
-
 # -- countable connected sum untied shell by shell ----------------------------
 
 _TREFOIL_SUMMANDS = 20
@@ -344,8 +329,10 @@ def _with_segment(b: Box) -> Box:
 
 
 def build_trefoil_chain(extended: bool = False) -> Scenario:
-    """A chain of three-crossing summands accumulating at a limit point;
-    move k unties summand k inside its shell work box.
+    """A chain of summands accumulating at a limit point; move k unties
+    summand k inside its shell work box.  Each summand is the insert of
+    ``multi_kink_isotopy(3)``: three one-crossing kinks in a row, not a
+    trefoil knot.
 
     The extended variant appends a straight unit segment at the limit
     point and declares supports large enough to contain it, so the tail
@@ -362,10 +349,12 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
 
     container = Box(Point3(-1.0, -2.0, -1.0), Point3(4.0, 1.0, 1.0))
 
-    def stage(k: int) -> tuple[Isotopy, Box]:
+    def stage(k: int) -> Isotopy:
         b = trefoil_work_box(k)
-        support = _with_segment(b) if extended else b
-        return reversed_isotopy(conjugated_insert(b, m=3)), support
+        untie = reversed_isotopy(conjugated_insert(b, m=3))
+        if extended:
+            return Isotopy(_with_segment(b), untie.map_at)
+        return untie
 
     pairs = (
         (Point3(0.5, 0.3, 0.0), Point3(0.5, -0.3, 0.0)),
@@ -443,12 +432,9 @@ def build_fox_remarkable() -> Scenario:
 
     container = Box(Point3(-1.0, -1.0, -1.0), Point3(2.0, 1.0, 1.0))
 
-    def stage(k: int) -> tuple[Isotopy, Box]:
+    def stage(k: int) -> Isotopy:
         removal = reversed_isotopy(conjugated_insert(fox_pair_box_current(k), m=2))
-        return (
-            chained_isotopy([removal, fox_squish_isotopy(k)], fox_outer(k)),
-            fox_outer(k),
-        )
+        return chained_isotopy([removal, fox_squish_isotopy(k)], fox_outer(k))
 
     tracked = fox_tracked_line()
     pairs = tuple(zip(tracked[:-1], tracked[1:]))
@@ -569,13 +555,11 @@ def build_1d_counterexample() -> Scenario:
     """The interval move stream h_k(x) = x^((k+1)/k) with full-interval
     supports; uniformly convergent stages whose limit is not injective."""
 
-    def stage(k: int) -> tuple[Isotopy, Box]:
-        support = Box(Point3(0, 0, 0), Point3(1, 0, 0))
-
+    def stage(k: int) -> Isotopy:
         def map_at(t: float, k: int = k) -> LocalMap:
             return PowerMap1D((k + t) / k)
 
-        return Isotopy(support=support, map_at=map_at), support
+        return Isotopy(support=Box(Point3(0, 0, 0), Point3(1, 0, 0)), map_at=map_at)
 
     container = Box(Point3(-0.5, -0.5, -0.5), Point3(1.5, 0.5, 0.5))
     curve = PLCurve((Point3(0, 0, 0), Point3(1, 0, 0)), closed=False)

@@ -135,7 +135,7 @@ def test_criterion_04_composite_lower_bound():
     c = rec_squish_constant()
     rng = np.random.default_rng(4)
     for k in (1, 2, 3, 5):
-        comp = s.moves.stage(k)[0].time_one()
+        comp = s.moves.stage(k).time_one()
         qk = rec_apex(k).as_array()
         inner = rec_unsquish_params(k, c).inner
         d = rng.normal(size=(1000, 3))

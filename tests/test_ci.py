@@ -1,6 +1,9 @@
 """The CI workflow parses and runs the Tier-1 command, whose test paths
 take in the benchmark-harness tests, on the oldest Python the package
-admits, and the test configuration turns runtime warnings into failures."""
+admits, and the test configuration turns runtime warnings into failures.
+Every public name in the package has a caller outside the tests."""
+import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,63 @@ def test_runtime_warnings_fail_the_suite():
     tomllib = pytest.importorskip("tomllib")
     config = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert "error::RuntimeWarning" in config["tool"]["pytest"]["ini_options"]["filterwarnings"]
+
+
+# acceptance-criterion oracles that only tests call, and count_crossings
+# until the Reidemeister ledger (ROADMAP item 3) calls it
+TEST_ONLY = {
+    "build_snowflake",
+    "snowflake_sup_deviation",
+    "dyadic_cubes",
+    "seam_values",
+    "infinite_motion_census",
+    "count_crossings",
+}
+
+
+def _named(tree: ast.AST) -> Counter:
+    """Every identifier, attribute, imported name and string constant."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+def _public_defs(tree: ast.Module):
+    """Public top-level functions and classes, and the public methods of
+    public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield item
+
+
+def test_every_public_symbol_has_a_caller_outside_the_tests():
+    package = sorted((ROOT / "src" / "knotiso").glob("*.py"))
+    callers = package + sorted((ROOT / "scripts").glob("*.py"))
+    harness_tests = ROOT / "perfbench" / "tests"
+    callers += [
+        p for p in sorted((ROOT / "perfbench").rglob("*.py")) if not p.is_relative_to(harness_tests)
+    ]
+    named: Counter = Counter()
+    for path in callers:
+        named += _named(ast.parse(path.read_text()))
+    unused = set()
+    for path in package:
+        for node in _public_defs(ast.parse(path.read_text())):
+            # a name used only inside its own def has no caller
+            if named[node.name] <= _named(node)[node.name]:
+                unused.add(node.name)
+    # a name here either lost its last caller (delete it or make it
+    # private) or is listed in TEST_ONLY but now has one (unlist it)
+    assert unused == TEST_ONLY, sorted(unused ^ TEST_ONLY)

@@ -16,7 +16,6 @@ from knotiso.engine import (
     map_curve,
     seam_values,
     stage_of,
-    stage_time,
     tail_boxes,
     truncated_map,
     uniform_convergence_probe,
@@ -28,23 +27,23 @@ from knotiso.moves import cone_isotopy
 CONTAINER = Box(Point3(-1, -1, -1), Point3(3, 1, 1))
 
 
-def _shrinking_stage(k: int) -> tuple[Isotopy, Box]:
+def _shrinking_stage(k: int) -> Isotopy:
     """Cone pull in a box of scale 2^-k accumulating at x = 2."""
     s = 2.0**-k
     b = Box.from_center(Point3(2.0 - 0.75 * s, 0.0, 0.0), Point3(0.2 * s, 0.2 * s, 0.2 * s))
-    return cone_isotopy(b, b.center, Point3(b.center.x, 0.1 * s, 0.0)), b
+    return cone_isotopy(b, b.center, Point3(b.center.x, 0.1 * s, 0.0))
 
 
 def _stream() -> MoveSequence:
     return MoveSequence(stage_fn=_shrinking_stage, container=CONTAINER)
 
 
-class TestSchedule:
-    def test_default_times(self):
-        assert stage_time(0) == 0.0
-        assert stage_time(1) == 0.5
-        assert stage_time(3) == 0.875
+def _t(k: int) -> float:
+    """The schedule time t_k = 1 - 2^-k."""
+    return 1.0 - 2.0**-k
 
+
+class TestSchedule:
     def test_stage_of(self):
         assert stage_of(0.0, 10) == 1
         assert stage_of(0.49, 10) == 1
@@ -62,11 +61,7 @@ class TestSchedule:
         assert stage_of(np.nextafter(1.0 - 2.0**-53, 0.0), 60) == 53
 
     def test_bad_schedule_rejected(self):
-        # 1 - 2^-54 rounds to 1.0: stage 54 has no slot below the limit time
-        assert stage_time(53) < 1.0
-        with pytest.raises(ValueError, match="not below 1"):
-            stage_time(54)
-        # the 54-stage gluing still exists: t_54 rounds to 1, so it freezes
+        # the 54-stage gluing exists: t_54 rounds to 1, so it freezes
         # only at t = 1, and below that it is the gluing of fewer stages
         glued = glue_schedule(_stream(), 54)
         pts = np.array([[2.0 - 0.75 * 2.0**-k, 0.05 * 2.0**-k, 0.0] for k in range(1, 8)])
@@ -136,7 +131,7 @@ class TestHypotheses:
         seq = _stream()
         rep = check_hypotheses(seq, horizon=10, threshold=1e-6)
         # independent oracle: recompute from the boxes directly
-        boxes = [_shrinking_stage(k)[1] for k in range(1, 11)]
+        boxes = [_shrinking_stage(k).support for k in range(1, 11)]
         for n, d in rep.tail_diameters:
             assert d == pytest.approx(union_diameter(boxes[n - 1 :]), abs=0.0)
 
@@ -146,7 +141,7 @@ class TestHypotheses:
         def stage(k):
             s = 2.0**-k
             b = Box.cube(Point3(2.0 - s, 0, 0), 0.1 * s) if k > 1 else big
-            return cone_isotopy(b, b.center, Point3(b.center.x, 0.01 * s, 0)), b
+            return cone_isotopy(b, b.center, Point3(b.center.x, 0.01 * s, 0))
 
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
         rep = check_hypotheses(seq, horizon=25, threshold=1e-6)
@@ -159,7 +154,7 @@ class TestHypotheses:
         def stage(k):
             if k == 3:
                 b = Box(Point3(2.6, -0.3, -0.3), Point3(3.6, 0.3, 0.3))
-                return cone_isotopy(b, b.center, Point3(3.1, 0.2, 0.0)), b
+                return cone_isotopy(b, b.center, Point3(3.1, 0.2, 0.0))
             return _shrinking_stage(k)
 
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
@@ -168,7 +163,7 @@ class TestHypotheses:
         p = np.array([[3.2, 0.05, 0.0]])
         assert not CONTAINER.contains_array(p)[0]
         glued = glue_schedule(seq, 5)
-        stage_3_late = stage_time(2) + 0.9 * (stage_time(3) - stage_time(2))
+        stage_3_late = _t(2) + 0.9 * (_t(3) - _t(2))
         for m in (truncated_map(seq, 5), glued.map_at(1.0), glued.map_at(stage_3_late)):
             assert not np.array_equal(m.apply_array(p), p)
 
@@ -176,7 +171,7 @@ class TestHypotheses:
         b = Box.cube(Point3(0, 0, 0), 1.0)
 
         def stage(k):
-            return cone_isotopy(b, b.center, Point3(0.1, 0, 0)), b
+            return cone_isotopy(b, b.center, Point3(0.1, 0, 0))
 
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
         rep = check_hypotheses(seq, horizon=10, threshold=1e-6)
@@ -209,9 +204,19 @@ def _box_family(min_size=1):
 def _fixed_stream(boxes):
     def stage(k):
         b = boxes[k - 1]
-        return Isotopy(support=b, map_at=lambda t: IdentityMap(support=b)), b
+        return Isotopy(support=b, map_at=lambda t: IdentityMap(support=b))
 
     return MoveSequence(stage_fn=stage, container=CONTAINER)
+
+
+def _meet(a: Box, b: Box) -> bool:
+    """Closed boxes a and b share a point."""
+    return all(
+        lo_a <= hi_b and lo_b <= hi_a
+        for lo_a, hi_a, lo_b, hi_b in zip(
+            a.lo.as_array(), a.hi.as_array(), b.lo.as_array(), b.hi.as_array()
+        )
+    )
 
 
 class TestTailTable:
@@ -242,7 +247,7 @@ class TestTailTable:
         rep = check_hypotheses(_fixed_stream(boxes), horizon=len(boxes), threshold=1e-6)
         assert rep.containment_ok == all(CONTAINER.contains_box(b, strict=True) for b in boxes)
         assert rep.disjoint_supports == all(
-            not a.intersects(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
+            not _meet(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
         )
 
     def test_memoized_per_last_stage(self):
@@ -295,7 +300,7 @@ class TestProbes:
         rng = np.random.default_rng(1)
         grid = [Point3.from_array(p) for p in CONTAINER.sample(rng, 200)]
         dev = uniform_convergence_probe(seq, 5, 12, grid)
-        bound = union_diameter([_shrinking_stage(k)[1] for k in range(6, 13)])
+        bound = union_diameter([_shrinking_stage(k).support for k in range(6, 13)])
         assert 0.0 <= dev <= bound + 1e-12
 
     def test_uniform_convergence_validates(self):
@@ -332,7 +337,7 @@ class TestGlueSchedule:
         glued = glue_schedule(seq, 4)
         rng = np.random.default_rng(3)
         pts = CONTAINER.sample(rng, 200)
-        a = glued.map_at(stage_time(4)).apply_array(pts)
+        a = glued.map_at(_t(4)).apply_array(pts)
         b = glued.map_at(1.0).apply_array(pts)
         c = truncated_map(seq, 4).apply_array(pts)
         assert np.array_equal(a, b)
@@ -368,9 +373,9 @@ def _per_stage_at(seq, t, pts, max_k):
     """Stages 1..k-1 at time 1, then stage k at its local time, for the
     stage k with t in [t_{k-1}, t_k)."""
     k = stage_of(t, max_k=max_k)
-    t0, t1 = stage_time(k - 1), stage_time(k)
+    t0, t1 = _t(k - 1), _t(k)
     local = (t - t0) / (t1 - t0)
-    return seq.stage(k)[0].map_at(local).apply_array(_per_stage(seq, k - 1, pts))
+    return seq.stage(k).map_at(local).apply_array(_per_stage(seq, k - 1, pts))
 
 
 def _composer_points(s):
@@ -397,7 +402,7 @@ class TestStageComposer:
         pts = _composer_points(s)
         glued = glue_schedule(s.moves, 8)
         for k in (1, 3, 6, 8):
-            t0, t1 = stage_time(k - 1), stage_time(k)
+            t0, t1 = _t(k - 1), _t(k)
             for u in (0.0, 0.37, 0.9):
                 t = t0 + u * (t1 - t0)
                 ref = _per_stage_at(s.moves, t, pts, 8)
@@ -409,8 +414,8 @@ class TestStageComposer:
         for k in (1, 4, 7):
             left, right = seam_values(s.moves, k, pts)
             base = _per_stage(s.moves, k - 1, pts)
-            ref_left = s.moves.stage(k)[0].map_at(1.0).apply_array(base)
-            ref_right = s.moves.stage(k + 1)[0].map_at(0.0).apply_array(
+            ref_left = s.moves.stage(k).map_at(1.0).apply_array(base)
+            ref_right = s.moves.stage(k + 1).map_at(0.0).apply_array(
                 s.moves.time_one_map(k).apply_array(base)
             )
             assert np.array_equal(left, ref_left)

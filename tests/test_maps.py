@@ -8,7 +8,7 @@ from knotiso.canonical import (
     KINK_STAGES,
     conjugated_insert,
     kink_map,
-    multi_kink_map,
+    multi_kink_isotopy,
 )
 from knotiso.geometry import Box, Point3, distance
 from knotiso.maps import (
@@ -22,13 +22,22 @@ from knotiso.maps import (
     conjugate,
     estimate_inverse_lipschitz,
     make_cone_map,
-    roundtrip_error,
     unbounded_box,
 )
 from knotiso.moves import chained_isotopy, reversed_isotopy, staged_isotopy, unsquish_isotopy
 from knotiso.scenarios import SCENARIO_BUILDERS
 
 UNIT = Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1))
+
+
+def _at(m, p: Point3) -> Point3:
+    """m applied to one point."""
+    return Point3.from_array(m.apply_array(p.as_array()[None, :])[0])
+
+
+def _roundtrip_error(m, pts: np.ndarray) -> float:
+    back = m.apply_inverse_array(m.apply_array(pts))
+    return float(np.sqrt(((back - pts) ** 2).sum(-1)).max())
 
 
 class TestIdentityMap:
@@ -42,30 +51,43 @@ class TestIdentityMap:
 
 class TestAffineMap:
     def test_rejects_singular_matrix(self):
-        with pytest.raises(ValueError, match="singular"):
-            AffineMap(np.array([1.0, 0.0, 2.0]), np.zeros(3))
-        # relative to the largest scale: one axis squashed 1e13-fold
-        with pytest.raises(ValueError, match=r"singular \(det=1e-13\)"):
-            AffineMap(np.array([1.0, 1e-13, 1.0]), np.zeros(3))
+        # a zero or non-finite axis scale; a tiny one is a valid frame
+        for bad, det in ((0.0, "0.0"), (np.inf, "inf"), (np.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"singular \(det={det}\)"):
+                AffineMap(np.array([1.0, bad, 2.0]), np.zeros(3))
 
     def test_accepts_uniformly_tiny_frames(self):
         # depth-20 scenario frames: tiny but perfectly conditioned
         AffineMap(np.full(3, 2.0**-27), np.zeros(3))
 
+    def test_accepts_anisotropic_frames_and_their_inverses(self):
+        squashed = AffineMap(np.array([1.0, 1e-13, 1.0]), np.zeros(3))
+        assert squashed.inverse().scale[1] == 1e13
+        thin = Box.from_center(Point3(0, 0, 0), Point3(1.0, 1.0, 2.0**-20))
+        frame = AffineMap.box_to_box(UNIT, thin)
+        assert (frame.inverse().scale == [1.0, 1.0, 2.0**20]).all()
+
+    def test_box_to_box_rejects_degenerate_boxes(self):
+        flat = Box(Point3(0, 0, 0), Point3(1, 1, 0))
+        with pytest.raises(ValueError, match="source box is degenerate"):
+            AffineMap.box_to_box(flat, UNIT)
+        with pytest.raises(ValueError, match="singular"):
+            AffineMap.box_to_box(UNIT, flat)
+
     def test_box_to_box_maps_corners(self):
         src = Box(Point3(-1, -1, -1), Point3(1, 1, 1))
         dst = Box(Point3(2, 0, -3), Point3(4, 1, -1))
         m = AffineMap.box_to_box(src, dst)
-        assert distance(m.apply(src.lo), dst.lo) < 1e-12
-        assert distance(m.apply(src.hi), dst.hi) < 1e-12
-        assert distance(m.apply(src.center), dst.center) < 1e-12
+        assert distance(_at(m, src.lo), dst.lo) < 1e-12
+        assert distance(_at(m, src.hi), dst.hi) < 1e-12
+        assert distance(_at(m, src.center), dst.center) < 1e-12
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(1)
         scale = rng.uniform(0.25, 4.0, 3) * rng.choice([-1.0, 1.0], 3)
         m = AffineMap(scale, np.array([1.0, -2.0, 3.0]))
         pts = rng.uniform(-5, 5, (1000, 3))
-        assert roundtrip_error(m, pts) < 1e-12
+        assert _roundtrip_error(m, pts) < 1e-12
 
     def test_support_is_unbounded_sentinel(self):
         m = AffineMap(np.full(3, 2.0), np.zeros(3))
@@ -78,13 +100,20 @@ def _matrix_frame(src: Box, dst: Box) -> tuple[np.ndarray, np.ndarray]:
     return m, dst.center.as_array() - m @ src.center.as_array()
 
 
-# half-extents 2^-48..4, within 16x of each other in one box: a frame
-# between two boxes then stays well inside the singular rule's bound
+def _drawn_box(c, e, k, f) -> Box:
+    """Half-extents f * 2^(e + k) relative to max(1, |c|) per axis, so no
+    extent rounds away against its centre coordinate, and the axes of one
+    box differ by up to 2^21 (over 10^6)."""
+    c = np.array(c)
+    half = np.array(f) * 2.0 ** (e + np.array(k)) * np.maximum(1.0, np.abs(c))
+    return Box.from_center(Point3(*c), Point3(*half))
+
+
 _box = st.builds(
-    lambda c, e, k, f: Box.from_center(Point3(*c), Point3(*(np.array(f) * 2.0 ** (e + np.array(k))))),
+    _drawn_box,
     st.tuples(*[st.floats(-50.0, 50.0)] * 3),
     st.integers(-48, -2),
-    st.tuples(*[st.integers(0, 3)] * 3),
+    st.tuples(*[st.integers(0, 20)] * 3),
     st.tuples(*[st.floats(1.0, 2.0)] * 3),
 )
 
@@ -133,7 +162,7 @@ class TestConeMap:
 
     def test_moves_apex_to_target(self):
         m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, -0.2, 0.1))
-        assert distance(m.apply(Point3(0, 0, 0)), Point3(0.3, -0.2, 0.1)) < 1e-12
+        assert distance(_at(m, Point3(0, 0, 0)), Point3(0.3, -0.2, 0.1)) < 1e-12
 
     def test_fixes_boundary_and_exterior(self):
         m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, -0.2, 0.1))
@@ -153,7 +182,7 @@ class TestConeMap:
         assert isinstance(inv, ConeMap)
         assert inv.p0 == m.p1 and inv.p1 == m.p0
         rng = np.random.default_rng(3)
-        assert roundtrip_error(m, UNIT.sample(rng, 2000)) < 1e-9
+        assert _roundtrip_error(m, UNIT.sample(rng, 2000)) < 1e-9
 
     def test_interior_stays_interior(self):
         m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.5, 0.3, -0.4))
@@ -243,7 +272,7 @@ class TestUnsquishMap:
         m = UnsquishMap(_params(c, apex=Point3(0.2, -0.1, 0.3)), t)
         rng = np.random.default_rng(8)
         pts = m.params.outer.sample(rng, 2000)
-        assert roundtrip_error(m, pts) < 1e-9
+        assert _roundtrip_error(m, pts) < 1e-9
 
     def test_off_center_apex_exact_expansion(self):
         apex = Point3(0.3, -0.2, 0.1)
@@ -270,14 +299,14 @@ class TestCompositeAndConjugate:
         double = AffineMap(np.full(3, 2.0), np.zeros(3))
         m = CompositeMap([shift, double])
         # shift first, then scale: (0,0,0) -> (1,0,0) -> (2,0,0)
-        assert m.apply(Point3(0, 0, 0)) == Point3(2, 0, 0)
+        assert _at(m, Point3(0, 0, 0)) == Point3(2, 0, 0)
 
     def test_inverse_roundtrip(self):
         cone = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, 0.2, -0.1))
         m = CompositeMap([cone, UnsquishMap(_params(0.5), 1.0)])
         rng = np.random.default_rng(10)
         pts = rng.uniform(-3, 3, (2000, 3))
-        assert roundtrip_error(m, pts) < 1e-9
+        assert _roundtrip_error(m, pts) < 1e-9
 
     def test_conjugate_identity_outside_target(self):
         target = Box.from_center(Point3(5, 5, 5), Point3(0.5, 0.5, 0.5))
@@ -306,7 +335,7 @@ class TestCompositeAndConjugate:
         frame = AffineMap.box_to_box(UNIT, target)
         cone = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.4, 0, 0))
         m = conjugate(frame, cone, target)
-        img = m.apply(Point3(5, 5, 5))
+        img = _at(m, Point3(5, 5, 5))
         assert distance(img, Point3(5.2, 5, 5)) < 1e-12
 
 
@@ -342,7 +371,7 @@ def test_cone_map_bijective_on_random_targets(x, y, z):
     m = make_cone_map(UNIT, Point3(0, 0, 0), Point3(x, y, z))
     rng = np.random.default_rng(12)
     pts = UNIT.sample(rng, 200)
-    assert roundtrip_error(m, pts) < 1e-9
+    assert _roundtrip_error(m, pts) < 1e-9
 
 
 # -- support culling ----------------------------------------------------------
@@ -529,10 +558,10 @@ def test_cone_kernel_ties_on_the_canonical_strand_move_under_one_ulp():
 INNERS = {
     "kink": kink_map,
     "kink^-1": lambda: kink_map().inverse(),
-    "multi2": lambda: multi_kink_map(2),
-    "multi2^-1": lambda: multi_kink_map(2).inverse(),
-    "multi3": lambda: multi_kink_map(3),
-    "multi3^-1": lambda: multi_kink_map(3).inverse(),
+    "multi2": lambda: multi_kink_isotopy(2).time_one(),
+    "multi2^-1": lambda: multi_kink_isotopy(2).time_one().inverse(),
+    "multi3": lambda: multi_kink_isotopy(3).time_one(),
+    "multi3^-1": lambda: multi_kink_isotopy(3).time_one().inverse(),
 }
 
 

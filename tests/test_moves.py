@@ -12,7 +12,6 @@ from knotiso.canonical import (
     kink_map,
     loop_sub_boxes,
     multi_kink_isotopy,
-    multi_kink_map,
 )
 from knotiso.diagram import count_crossings
 from knotiso.engine import Isotopy
@@ -26,7 +25,6 @@ from knotiso.maps import (
     UnsquishParams,
     conjugate,
     make_cone_map,
-    roundtrip_error,
 )
 from knotiso.moves import (
     ConeStage,
@@ -47,6 +45,11 @@ def _strand(n: int = 400) -> PLCurve:
     return PLCurve(tuple(Point3(float(x), 0.0, 0.0) for x in xs))
 
 
+def _at(m, p: Point3) -> Point3:
+    """m applied to one point."""
+    return Point3.from_array(m.apply_array(p.as_array()[None, :])[0])
+
+
 def _image(iso, t: float, curve: PLCurve) -> PLCurve:
     pts = iso.map_at(t).apply_array(curve.points)
     return PLCurve(tuple(Point3.from_array(p) for p in pts), closed=curve.closed)
@@ -55,12 +58,12 @@ def _image(iso, t: float, curve: PLCurve) -> PLCurve:
 class TestConeIsotopy:
     def test_endpoints(self):
         iso = cone_isotopy(UNIT, Point3(0, 0, 0), Point3(0.4, 0.2, 0.0))
-        assert distance(iso.map_at(0.0).apply(Point3(0, 0, 0)), Point3(0, 0, 0)) < 1e-12
-        assert distance(iso.map_at(1.0).apply(Point3(0, 0, 0)), Point3(0.4, 0.2, 0.0)) < 1e-12
+        assert distance(_at(iso.map_at(0.0), Point3(0, 0, 0)), Point3(0, 0, 0)) < 1e-12
+        assert distance(_at(iso.map_at(1.0), Point3(0, 0, 0)), Point3(0.4, 0.2, 0.0)) < 1e-12
 
     def test_apex_moves_linearly(self):
         iso = cone_isotopy(UNIT, Point3(0, 0, 0), Point3(0.4, 0.2, 0.0))
-        mid = iso.map_at(0.5).apply(Point3(0, 0, 0))
+        mid = _at(iso.map_at(0.5), Point3(0, 0, 0))
         assert distance(mid, Point3(0.2, 0.1, 0.0)) < 1e-12
 
     def test_validates_targets(self):
@@ -76,8 +79,8 @@ class TestStagedAndChained:
         ]
         iso = staged_isotopy(stages, UNIT)
         # at t = 0.5 exactly the first stage has finished
-        assert distance(iso.map_at(0.5).apply(Point3(0, 0, 0)), Point3(0.3, 0, 0)) < 1e-12
-        assert distance(iso.map_at(1.0).apply(Point3(0, 0, 0)), Point3(0.3, 0.3, 0)) < 1e-12
+        assert distance(_at(iso.map_at(0.5), Point3(0, 0, 0)), Point3(0.3, 0, 0)) < 1e-12
+        assert distance(_at(iso.map_at(1.0), Point3(0, 0, 0)), Point3(0.3, 0.3, 0)) < 1e-12
 
     def test_empty_stages_rejected(self):
         with pytest.raises(ValueError):
@@ -144,9 +147,9 @@ class TestReversedIsotopy:
         fwd = cone_isotopy(UNIT, Point3(0, 0, 0), Point3(0.4, 0, 0))
         rev = reversed_isotopy(fwd)
         # rev at time t maps fwd-at-1 state to fwd-at-(1-t) state
-        tied = fwd.time_one().apply(Point3(0, 0, 0))
-        half = rev.map_at(0.5).apply(tied)
-        assert distance(half, fwd.map_at(0.5).apply(Point3(0, 0, 0))) < 1e-12
+        tied = _at(fwd.time_one(), Point3(0, 0, 0))
+        half = _at(rev.map_at(0.5), tied)
+        assert distance(half, _at(fwd.map_at(0.5), Point3(0, 0, 0))) < 1e-12
 
 
 class TestUnsquishIsotopy:
@@ -161,7 +164,9 @@ class TestUnsquishIsotopy:
         rng = np.random.default_rng(3)
         pts = UNIT.sample(rng, 500)
         assert np.abs(iso.map_at(0.0).apply_array(pts) - pts).max() < 1e-12
-        assert roundtrip_error(iso.time_one(), pts) < 1e-9
+        m = iso.time_one()
+        back = m.apply_inverse_array(m.apply_array(pts))
+        assert np.sqrt(((back - pts) ** 2).sum(-1)).max() < 1e-9
 
 
 class TestCanonicalKink:
@@ -204,7 +209,7 @@ class TestMultiKink:
                 assert CANONICAL_BOX.contains_box(b)
             for i in range(m):
                 for j in range(i + 1, m):
-                    assert not subs[i].intersects(subs[j])
+                    assert subs[i].hi.x < subs[j].lo.x
         with pytest.raises(ValueError):
             loop_sub_boxes(0)
 
@@ -213,13 +218,6 @@ class TestMultiKink:
         curve = _image(multi_kink_isotopy(m), 1.0, _strand(900))
         assert count_crossings(curve) == m * KINK_CROSSINGS
         assert curve_is_simple(curve, 1e-9)
-
-    def test_multi_kink_map_matches_isotopy_end(self):
-        rng = np.random.default_rng(6)
-        pts = UNIT.sample(rng, 500)
-        a = multi_kink_map(3).apply_array(pts)
-        b = multi_kink_isotopy(3).time_one().apply_array(pts)
-        assert np.array_equal(a, b)
 
 
 class TestConjugatedInsert:
@@ -333,7 +331,8 @@ class TestBuildOnce:
         assert multi_kink_isotopy(3) is multi_kink_isotopy(3)
         assert kink_map().parts[0] is kink_map().parts[0]
         assert kink_map() is kink_map()
-        assert multi_kink_map(3).inverse() is multi_kink_map(3).inverse()
+        inv = multi_kink_isotopy(3).time_one().inverse()
+        assert multi_kink_isotopy(3).time_one().inverse() is inv
 
     def test_reversed_inserts_share_one_inner_map(self, scenarios):
         seq = scenarios["countable_r1"].moves

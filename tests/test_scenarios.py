@@ -7,6 +7,7 @@ from knotiso.ball_factoring import find_ball_factoring
 from knotiso.canonical import conjugated_insert
 from knotiso.diagram import count_crossings
 from knotiso.engine import (
+    Isotopy,
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
@@ -19,6 +20,8 @@ from knotiso.geometry import Box, Point3, curve_is_simple, distance
 from knotiso.scenarios import (
     INJECTIVITY_THRESHOLD,
     SCENARIO_BUILDERS,
+    _REC_EPS,
+    _REC_SCALE,
     ExpectedVerdicts,
     _axis_points,
     _insert_loops,
@@ -28,7 +31,6 @@ from knotiso.scenarios import (
     fox_outer,
     fox_pair_box_initial,
     rec_apex,
-    rec_settle_bound,
     rec_squish_constant,
     snowflake_sup_deviation,
     trefoil_work_box,
@@ -155,7 +157,9 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         for name, s in scenarios.items():
             for k in (1, 2, 5):
-                iso, box = s.moves.stage(k)
+                iso = s.moves.stage(k)
+                assert isinstance(iso, Isotopy), name
+                box = iso.support
                 pts = s.moves.container.sample(rng, 200)
                 if name == "1d_counterexample":
                     # the 1-D stand-in's support is the x-interval: points
@@ -170,7 +174,8 @@ class TestInvariants:
     def test_stage_supported_inside_declared_box(self, scenarios):
         rng = np.random.default_rng(18)
         for name, s in scenarios.items():
-            iso, box = s.moves.stage(1)
+            iso = s.moves.stage(1)
+            box = iso.support
             inside = box.scaled_about_center(0.999) if box.half_extents.y > 0 else box
             pts = inside.sample(rng, 500)
             img = iso.map_at(1.0).apply_array(pts)
@@ -205,8 +210,11 @@ class TestRecursive:
         assert 0.0 < c < 0.95
 
     def test_apexes_halve_toward_vertex(self):
+        vertex = Point3(0, 0, 0)
         for k in range(1, 10):
-            assert rec_apex(k).norm() == pytest.approx(rec_apex(k - 1).norm() / 2.0)
+            assert distance(rec_apex(k), vertex) == pytest.approx(
+                distance(rec_apex(k - 1), vertex) / 2.0
+            )
 
     def test_protection_contrast(self, scenarios, recursive_ablated):
         protected = scenarios["recursive_r1"]
@@ -238,12 +246,14 @@ class TestRecursive:
             p = Point3(-d, 0.0, 0.0)
             lv = eval_limit_isotopy(s.moves, p, tol=TOL, k_budget=40)
             assert lv.status == "settled"
-            # support-escape settling is conservative by at most 2 stages
-            assert lv.steps <= rec_settle_bound(d) + 2
-
-    def test_settle_bound_validates(self):
-        with pytest.raises(ValueError):
-            rec_settle_bound(0.0)
+            # the settle-index bound: the smallest n0 with
+            # (6 + 2 eps) l / 2^n0 < d, for a point at distance d from the
+            # wedge vertex; support-escape settling is conservative by at
+            # most 2 stages
+            n0 = 1
+            while (6.0 + 2.0 * _REC_EPS) * _REC_SCALE / 2.0**n0 >= d:
+                n0 += 1
+            assert lv.steps <= n0 + 2
 
     def test_nested_family_factoring(self, scenarios):
         fam = scenarios["recursive_r1"].nested_family
