@@ -8,7 +8,14 @@ after the other, flipping which tree goes first with each seed so that a
 slow or fast spell of the host does not favour one side.  Each tree is run
 with its own ``perfbench`` and ``src``.  The final metrics line of every run
 is kept, and a summary adds, per end-to-end metric, each side's median and
-quartiles and how many seed pairs the change won.
+quartiles, how many seed pairs the change won, and two verdicts:
+
+* ``claimable``: the change won at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range, so a gain in this metric may be claimed;
+* ``within_bound``: the change's median is no worse than the parent's by
+  more than the metric's ``bound`` from BENCHMARK.json, a fraction of the
+  parent's median.
 
 Each run lasts the ``run_seconds`` of the change tree's BENCHMARK.json.
 The record goes to ``BENCH_<label>.json`` in the current directory.  An
@@ -38,11 +45,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def read_benchmark(benchmark: Path) -> tuple[float, dict[str, str]]:
+def read_benchmark(benchmark: Path) -> tuple[float, dict[str, tuple[str, float]]]:
     """From BENCHMARK.json: the run length in seconds, and each end-to-end
-    metric's name -> "lower" or "higher"."""
+    metric's name -> (better, bound), better being "lower" or "higher"."""
     spec = json.loads(benchmark.read_text())
-    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -54,32 +61,41 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(
-    parent: list[dict], change: list[dict], directions: dict[str, str]
+    parent: list[dict], change: list[dict], metrics: dict[str, tuple[str, float]]
 ) -> dict[str, dict]:
-    """Per metric: both sides' quartiles and the seed pairs the change won.
+    """Per metric: both sides' quartiles, the seed pairs the change won,
+    and whether a gain is ``claimable`` and the change ``within_bound``.
 
     ``parent`` and ``change`` are lists of ``{"seed": s, "line": {...}}``
     entries, where ``line`` is the metrics line of ``perfbench/run.py``;
-    the two sides are paired by seed.  A pair is won when the change's
-    value is strictly better in the metric's direction.
+    the two sides are paired by seed.  ``metrics`` maps a name to its
+    direction and bound, as ``read_benchmark`` returns them.  A pair is
+    won when the change's value is strictly better in the metric's
+    direction.
     """
     by_seed = {e["seed"]: e["line"]["metrics"] for e in parent}
     pairs = [(by_seed[e["seed"]], e["line"]["metrics"]) for e in change if e["seed"] in by_seed]
     if not pairs:
         raise ValueError("no seed was run on both sides")
     summary = {}
-    for name, better in directions.items():
+    for name, (better, bound) in metrics.items():
         if not all(name in p and name in c for p, c in pairs):
             continue
         old = [p[name]["value"] for p, _ in pairs]
         new = [c[name]["value"] for _, c in pairs]
-        won = sum((n < o) if better == "lower" else (n > o) for o, n in zip(old, new))
+        sign = 1.0 if better == "lower" else -1.0
+        won = sum(sign * (o - n) > 0 for o, n in zip(old, new))
+        q_old, q_new = quartiles(old), quartiles(new)
+        # the change's median gain, positive when it is better
+        gain = sign * (q_old["median"] - q_new["median"])
         summary[name] = {
             "better": better,
-            "parent": quartiles(old),
-            "change": quartiles(new),
+            "parent": q_old,
+            "change": q_new,
             "pairs_won": won,
             "pairs": len(pairs),
+            "claimable": 10 * won >= 9 * len(pairs) and gain > q_old["q3"] - q_old["q1"],
+            "within_bound": gain >= -bound * abs(q_old["median"]),
         }
     return summary
 
@@ -112,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds, directions = read_benchmark(trees["change"] / "BENCHMARK.json")
+    seconds, metrics = read_benchmark(trees["change"] / "BENCHMARK.json")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     machine = None
     for i, seed in enumerate(args.seeds):
@@ -136,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     record.setdefault("workloads", {})[args.workload] = {
         "parent": runs["parent"],
         "change": runs["change"],
-        "summary": summarize(runs["parent"], runs["change"], directions),
+        "summary": summarize(runs["parent"], runs["change"], metrics),
     }
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["workloads"][args.workload]["summary"]))

@@ -169,9 +169,11 @@ def cmd_frames(cfg: RunConfig) -> int:
     dense = s.initial_curve.densified(0.01)
     for i, t in enumerate(cfg.times):
         frame = map_curve(glued.map_at(t), dense)
+        # drawn first: a degenerate frame raises before either file exists
+        svg = render_svg(frame, gap_radius=0.005)
         stem = cfg.out / f"{cfg.scenario}_frame_{i:03d}"
         write_curve(frame, stem.with_suffix(".curve"))
-        _write_text(stem.with_suffix(".svg"), render_svg(frame, gap_radius=0.005))
+        _write_text(stem.with_suffix(".svg"), svg)
     return 0
 
 

@@ -1,6 +1,7 @@
 """Planar diagram export: orthographic projection onto the xy-plane,
 crossing detection with over/under resolution, and SVG rendering with
-under-strand gaps.
+under-strand gaps, whose line ends reuse the digits of the curve's own
+decimal text.
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ def _rotation(axis: int, angle: float) -> np.ndarray:
 def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Non-adjacent index pairs whose xy extents can overlap.
 
-    The search radius is relative to the segments' own lengths: pairs with
-    |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-5) + 8 ulp(M), h the half
-    lengths and M the largest xy coordinate.  That keeps every pair
+    The search radius is relative to the segments' own lengths: exactly the
+    pairs with |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-5) + 8 ulp(M), h the
+    half lengths and M the largest xy coordinate.  That keeps every pair
     ``_find_crossings`` can flag: it needs t and u within 1e-9 of [0, 1],
     which puts the exact midpoints within (h_i + h_j)(1 + 2e-9).  It only
     solves pairs with |denom| >= 1e-9 |r||s|, so the rounding of the cross
@@ -175,7 +176,14 @@ def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 
 def render_svg(curve: PLCurve, gap_radius: float = 0.005, stroke: float = 0.01) -> str:
-    """SVG drawing of the projected diagram with under-strand gaps."""
+    """SVG drawing of the projected diagram with under-strand gaps.
+
+    Every line end is printed with 17 significant digits.  An end that is
+    bitwise a vertex coordinate copies that coordinate's digits from
+    ``curve.decimal_text()``, the text a curve file holds, so a frame's
+    curve file and drawing format each vertex once; only gap cuts and
+    ends whose rounding differs from their vertex are printed here.
+    """
     pts = curve.points
     crossings = find_crossings(curve)
     a, b = curve.segment_arrays()
@@ -210,9 +218,23 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005, stroke: float = 0.01) 
     sa, sd = a[seg, :2], b[seg, :2] - a[seg, :2]
     x0 = sa + lo[:, None] * sd
     x1 = sa + hi[:, None] * sd
-    ends = np.column_stack([x0[:, 0], -x0[:, 1], x1[:, 0], -x1[:, 1]])
-    line = '<line x1="%.17g" y1="%.17g" x2="%.17g" y2="%.17g" />\n'
-    body = (line * len(ends) % tuple(ends.ravel().tolist()))[:-1]
+    ends = np.column_stack([x0, x1])
+    # an end that is bitwise its vertex's coordinate takes the vertex's
+    # digits from the curve text (y with its sign flipped); the others
+    # (gap cuts, a + 1 * (b - a) that rounds off b, a zero whose sign
+    # changed) are printed here
+    v = np.column_stack([seg, seg, seg + 1, seg + 1]) % len(pts)
+    v_xy = pts[v, [0, 1, 0, 1]]
+    own = ends.view(np.int64) == v_xy.view(np.int64)
+    digits = curve.decimal_text().split()
+    xs = digits[0::3]
+    neg_ys = [d[1:] if d[0] == "-" else "-" + d for d in digits[1::3]]
+    xy_digits = np.array([xs, neg_ys], dtype=object).T
+    cells = xy_digits[v, [0, 1, 0, 1]]
+    drawn = ends * [1.0, -1.0, 1.0, -1.0]
+    cells[~own] = ["%.17g" % e for e in drawn[~own].tolist()]
+    line = '<line x1="%s" y1="%s" x2="%s" y2="%s" />\n'
+    body = (line * len(cells) % tuple(cells.ravel().tolist()))[:-1]
     lo_xy = pts[:, :2].min(axis=0)
     hi_xy = pts[:, :2].max(axis=0)
     pad = 0.05 * max(1e-9, float((hi_xy - lo_xy).max()))

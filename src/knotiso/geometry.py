@@ -187,11 +187,12 @@ class PLCurve:
     """A finite polyline in 3-space, open arc or closed loop.
 
     The vertices live in one read-only ``(n, 3)`` float array, ``points``;
-    ``vertices`` is the same polyline as a tuple of ``Point3``, built on
-    first use.  The constructor takes either form.
+    ``vertices`` is the same polyline as a tuple of ``Point3``, and
+    ``decimal_text()`` the same as the decimal lines of a curve file, each
+    built on first use.  The constructor takes either form of vertices.
     """
 
-    __slots__ = ("points", "closed", "_vertices")
+    __slots__ = ("points", "closed", "_vertices", "_text")
 
     def __init__(self, vertices: Sequence[Point3] | np.ndarray, closed: bool = False) -> None:
         if isinstance(vertices, np.ndarray):
@@ -215,6 +216,7 @@ class PLCurve:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_vertices", None)
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PLCurve is immutable")
@@ -225,6 +227,15 @@ class PLCurve:
             verts = tuple(Point3(x, y, z) for x, y, z in self.points.tolist())
             object.__setattr__(self, "_vertices", verts)
         return self._vertices
+
+    def decimal_text(self) -> str:
+        """One ``"x y z\\n"`` line per vertex, each coordinate printed
+        with ``%.17g`` (17 significant digits, so it reads back bitwise),
+        built on first use."""
+        if self._text is None:
+            text = "%.17g %.17g %.17g\n" * len(self.points) % tuple(self.points.ravel().tolist())
+            object.__setattr__(self, "_text", text)
+        return self._text
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLCurve):
@@ -299,42 +310,55 @@ def _segment_pair_distances(
 def multiscale_close_pairs(
     mids: np.ndarray, half: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs of segments whose hulls can come within margin.
+    """Index pairs of segments whose midpoints lie within their half
+    lengths plus margin.
 
     Segment i is summarized by its midpoint ``mids[i]`` and half length
     ``half[i]``.  Returns int64 arrays ``(ii, jj)``, sorted by ``ii`` then
-    ``jj``, of unique pairs with ``ii < jj`` that contain every pair with
-    ``|mids[i] - mids[j]| <= half[i] + half[j] + margin``; they may
-    contain more.
+    ``jj``, of exactly the pairs ``ii < jj`` with
+    ``sqrt(((mids[ii] - mids[jj]) ** 2).sum(-1)) <= half[ii] + half[jj] + margin``.
 
-    Segments are bucketed by log2 half-length class (curves here are
-    strongly multiscale, so a single KD radius degenerates to all pairs)
-    and each class pair is searched once with radius = the sum of the
-    classes' bounds on the half lengths plus the margin.
+    Segments are bucketed into classes two octaves of half length wide
+    (curves here are strongly multiscale, so a single KD radius degenerates
+    to all pairs).  Each class pair is searched once, with radius the sum
+    of the two classes' largest half lengths plus the margin, unless the
+    bounding boxes of the two classes' trees lie farther apart than that
+    radius; the hits are then cut to each pair's own radius.  Rounding is
+    monotone, so two classes' box distance is at most the distance of
+    any pair between them, and the 1e-9 relative pad on the searched
+    radius covers the KD tree's own rounding of the distances it compares.
     """
     from scipy.spatial import cKDTree
 
     n = len(mids)
-    cls = np.floor(np.log2(np.maximum(half, 1e-300))).astype(int)
-    classes = np.unique(cls).tolist()
-    groups = [np.nonzero(cls == c)[0] for c in classes]
+    cls = np.floor(np.log2(np.maximum(half, 1e-300))).astype(np.int64) // 2
+    groups = [np.nonzero(cls == c)[0] for c in np.unique(cls)]
     trees = [cKDTree(mids[g]) for g in groups]
+    hmax = np.array([half[g].max() for g in groups])
+    radius = (hmax[:, None] + hmax[None, :] + margin) * (1 + 1e-9)
+    lo = np.array([t.mins for t in trees]).reshape(-1, mids.shape[1])
+    hi = np.array([t.maxes for t in trees]).reshape(-1, mids.shape[1])
+    gap = np.maximum(0.0, np.maximum(lo[:, None] - hi[None, :], lo[None, :] - hi[:, None]))
+    near = np.sqrt((gap**2).sum(-1)) <= radius
     first = [np.empty(0, dtype=np.int64)]
     second = [np.empty(0, dtype=np.int64)]
-    for i1, c1 in enumerate(classes):
+    for i1, i2 in zip(*np.nonzero(np.triu(near))):
         g1, t1 = groups[i1], trees[i1]
-        pairs = t1.query_pairs(2.0 ** (c1 + 2) + margin, output_type="ndarray")
-        first.append(g1[pairs[:, 0]])
-        second.append(g1[pairs[:, 1]])
-        for i2 in range(i1 + 1, len(classes)):
-            r = 2.0 ** (c1 + 1) + 2.0 ** (classes[i2] + 1) + margin
-            hits = t1.sparse_distance_matrix(trees[i2], r, output_type="ndarray")
+        if i1 == i2:
+            pairs = t1.query_pairs(radius[i1, i1], output_type="ndarray")
+            first.append(g1[pairs[:, 0]])
+            second.append(g1[pairs[:, 1]])
+        else:
+            hits = t1.sparse_distance_matrix(trees[i2], radius[i1, i2], output_type="ndarray")
             first.append(g1[hits["i"]])
             second.append(groups[i2][hits["j"]])
     a = np.concatenate(first)
     b = np.concatenate(second)
+    dist = np.sqrt(((mids[a] - mids[b]) ** 2).sum(-1))
+    keep = dist <= half[a] + half[b] + margin
+    a, b = a[keep], b[keep]
+    # each unordered pair is found in exactly one class pair
     key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    key = key[np.diff(key, prepend=-1) != 0]
     return key // n, key % n
 
 
@@ -375,15 +399,15 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
 # -- curve file format -------------------------------------------------------
 #
 # line 1: "open N" or "closed N"
-# then N lines "x y z" (decimal literals; written with 17 significant digits)
+# then N lines "x y z": the curve's ``decimal_text()``, decimal literals
+# with 17 significant digits, which ``render_svg`` reuses for the drawing
 
 
 def write_curve(curve: PLCurve, path) -> None:
     kind = "closed" if curve.closed else "open"
-    n = len(curve.points)
-    body = "%.17g %.17g %.17g\n" * n % tuple(curve.points.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(f"{kind} {n}\n{body}")
+        fh.write(f"{kind} {len(curve.points)}\n")
+        fh.write(curve.decimal_text())
 
 
 def read_curve(path) -> PLCurve:

@@ -262,6 +262,8 @@ class TestFramesVerb:
         assert status == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the frame is drawn before anything is written: no orphan .curve
+        assert list(tmp_path.glob("fox_remarkable_frame_000.*")) == []
 
 
 class TestDeterminism:

@@ -1,15 +1,17 @@
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotiso import diagram
 from knotiso.diagram import count_crossings, find_crossings, render_svg
 from knotiso.engine import glue_schedule, map_curve
-from knotiso.geometry import Box, PLCurve, Point3
+from knotiso.geometry import Box, PLCurve, Point3, write_curve
 
 
 def _poly(rows, closed=False) -> PLCurve:
@@ -112,6 +114,113 @@ class TestRenderSvg:
         c = _poly([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
         svg = render_svg(c)
         assert svg.count("<line") == c.n_segments
+
+
+def _render_svg_per_end(curve: PLCurve, gap_radius: float, stroke: float = 0.01) -> str:
+    """render_svg as it was written before it reused the curve text: every
+    line end printed with %.17g from its float."""
+    pts = curve.points
+    a, b = curve.segment_arrays()
+    gaps: dict[int, list[tuple[float, float]]] = {}
+    for c in find_crossings(curve):
+        i = c.seg_under
+        seg_a, seg_b = a[i, :2], b[i, :2]
+        d = seg_b - seg_a
+        length = float(np.linalg.norm(d))
+        if length == 0:
+            continue
+        t0 = float((np.array(c.xy) - seg_a) @ d) / (length * length)
+        dt = gap_radius / length
+        gaps.setdefault(i, []).append((max(0.0, t0 - dt), min(1.0, t0 + dt)))
+    pieces = [
+        (i, lo, hi)
+        for i in range(len(a))
+        for lo, hi in (diagram._drawn_pieces(gaps[i]) if i in gaps else [(0.0, 1.0)])
+    ]
+    lines = []
+    for i, lo, hi in pieces:
+        sa, sd = a[i, :2], b[i, :2] - a[i, :2]
+        x0, x1 = sa + lo * sd, sa + hi * sd
+        ends = (x0[0], -x0[1], x1[0], -x1[1])
+        lines.append('<line x1="%.17g" y1="%.17g" x2="%.17g" y2="%.17g" />' % ends)
+    lo_xy = pts[:, :2].min(axis=0)
+    hi_xy = pts[:, :2].max(axis=0)
+    pad = 0.05 * max(1e-9, float((hi_xy - lo_xy).max()))
+    vb = (
+        f"{lo_xy[0] - pad:.17g} {-(hi_xy[1] + pad):.17g} "
+        f"{hi_xy[0] - lo_xy[0] + 2 * pad:.17g} {hi_xy[1] - lo_xy[1] + 2 * pad:.17g}"
+    )
+    body = "\n".join(lines)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
+        f'<g stroke="black" stroke-width="{stroke}" fill="none" stroke-linecap="round">\n'
+        f"{body}\n</g>\n</svg>\n"
+    )
+
+
+@st.composite
+def _drawable_curves(draw):
+    """Random polylines at one scale between 1e-12 and 1e3, with about a
+    fifth of their coordinates set to +0.0 or -0.0 and a run of vertices
+    on y = 0, and a gap radius relative to the scale."""
+    n = draw(st.integers(5, 30))
+    closed = draw(st.booleans())
+    scale = 10.0 ** draw(st.integers(-12, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, (n, 3)) * scale
+    zero = rng.random((n, 3)) < 0.2
+    pts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    start = int(rng.integers(0, n - 2))
+    run = slice(start, start + int(rng.integers(2, 5)))
+    pts[run, 1] = np.where(rng.random(len(pts[run])) < 0.5, 0.0, -0.0)
+    gap = scale * draw(st.sampled_from([1e-3, 0.05, 0.3]))
+    return pts, closed, gap
+
+
+class TestSvgDigitsFromCurveText:
+    """render_svg takes the digits of every line end that is bitwise a
+    vertex coordinate from the curve's decimal_text(); the drawing must be
+    the one that printing every end with %.17g gives."""
+
+    @given(_drawable_curves(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_end_formatting(self, drawn, text_first):
+        pts, closed, gap = drawn
+        try:
+            curve = PLCurve(pts, closed=closed)
+            assume(len(find_crossings(curve)) > 0)
+        except ValueError:  # repeated vertices, or a degenerate projection
+            assume(False)
+        want = _render_svg_per_end(curve, gap)
+        assert curve._text is None
+        if text_first:
+            curve.decimal_text()
+        assert render_svg(curve, gap_radius=gap) == want
+
+    def test_signed_zeros_and_gap_cuts(self):
+        # vertex -0.0 on a segment running to +x draws its start from
+        # -0.0 + 0 * d = +0.0; the under strand is cut at the crossing
+        c = _poly([(-0.0, -0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.5, 1.0, 1.0), (0.5, -1.0, 1.0)])
+        svg = render_svg(c)
+        assert svg == _render_svg_per_end(c, 0.005)
+        assert '<line x1="0" y1="-0" x2="0.495' in svg
+
+    @given(_drawable_curves())
+    @settings(max_examples=60, deadline=None)
+    def test_curve_file_body_is_the_decimal_text(self, drawn):
+        pts, closed, _ = drawn
+        try:
+            curve = PLCurve(pts, closed=closed)
+        except ValueError:
+            assume(False)
+        text = curve.decimal_text()
+        assert curve.decimal_text() is text
+        kind = "closed" if closed else "open"
+        want = f"{kind} {len(pts)}\n" + "%.17g %.17g %.17g\n" * len(pts) % tuple(pts.ravel().tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.curve"
+            write_curve(curve, path)
+            assert path.read_bytes() == want.encode()
 
 
 def _multiscale_rows(levels: int):

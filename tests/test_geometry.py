@@ -320,10 +320,31 @@ def _multiscale_segments(draw):
     return mids, half, margin
 
 
+@st.composite
+def _far_clusters(draw):
+    """Clusters of segments whose half lengths lie 20 to 60 octaves apart,
+    mostly around centres far apart in space, so that most class pairs
+    are ruled out by their trees' boxes; some clusters share a centre."""
+    dim = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    octaves = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
+    centres = rng.uniform(-100.0, 100.0, (len(octaves), dim))
+    mids, half = [], []
+    for k in octaves:
+        m = int(rng.integers(1, 15))
+        scale = 2.0 ** (-20 * k - int(rng.integers(0, 4)))
+        centre = centres[rng.integers(0, len(centres))]
+        mids.append(centre + rng.uniform(-4.0, 4.0, (m, dim)) * scale)
+        half.append(scale * rng.uniform(0.5, 2.0, m))
+    margin = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    return np.concatenate(mids), np.concatenate(half), margin
+
+
 class TestMultiscaleClosePairs:
-    @given(_multiscale_segments())
-    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(_multiscale_segments(), _far_clusters()))
+    @settings(max_examples=200, deadline=None)
     def test_sorted_unique_superset_of_close_pairs(self, segs):
+        # the pairs are exactly those within the radius, not only a superset
         mids, half, margin = segs
         ii, jj = multiscale_close_pairs(mids, half, margin)
         assert ii.dtype == jj.dtype == np.int64
@@ -334,4 +355,15 @@ class TestMultiscaleClosePairs:
         dist = np.sqrt(((mids[bi] - mids[bj]) ** 2).sum(-1))
         close = dist <= half[bi] + half[bj] + margin
         want = set(zip(bi[close].tolist(), bj[close].tolist()))
-        assert want <= set(zip(ii.tolist(), jj.tolist()))
+        assert set(zip(ii.tolist(), jj.tolist())) == want
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-9, 1e-3])
+    @pytest.mark.parametrize("j", [0, 30, 60])
+    def test_pair_exactly_at_the_radius(self, margin, j):
+        # midpoints exactly half_0 + half_1 + margin apart are a pair, one
+        # ulp farther apart (segment 2, as long as segment 1) are not
+        h = np.array([0.25, 0.5, 0.5]) * 2.0**-j
+        r = h[0] + h[1] + margin
+        mids = np.array([[0.0, 0.0], [r, 0.0], [-np.nextafter(r, np.inf), 0.0]])
+        ii, jj = multiscale_close_pairs(mids, h, margin)
+        assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
