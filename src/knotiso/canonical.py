@@ -30,9 +30,6 @@ from .moves import ConeStage, chained_isotopy, conjugated_isotopy, staged_isotop
 
 CANONICAL_BOX = Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1))
 
-# loop count contributed by one insert
-KINK_CROSSINGS = 1
-
 _TENT_TIP = Point3(0.1, 0.35, 0.12)
 _SWING_TARGET = Point3(-0.75, 0.0, 0.35)
 

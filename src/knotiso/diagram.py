@@ -2,6 +2,8 @@
 crossing detection with over/under resolution, and SVG rendering with
 under-strand gaps, whose line ends reuse the digits of the curve's own
 decimal text.
+
+Crossing candidates come from ``geometry``'s one segment-pair search.
 """
 from __future__ import annotations
 
@@ -10,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ALL_PAIRS_MAX_SEGMENTS, Box, PLCurve, multiscale_close_pairs
+from .geometry import Box, PLCurve, multiscale_close_pairs, nonadjacent
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
 # candidate pairs tested per batch in _find_crossings
 _PAIR_CHUNK = 200_000
+# drawn line width, in model units
+_STROKE = 0.01
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,9 @@ def _rotation(axis: int, angle: float) -> np.ndarray:
     return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
 
 
-def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Non-adjacent index pairs whose xy extents can overlap.
+def _candidate_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs of segments that share no vertex and whose xy extents
+    can overlap, from the same multiscale search at every curve size.
 
     The search radius is relative to the segments' own lengths: exactly the
     pairs with |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-5) + 8 ulp(M), h the
@@ -51,28 +56,20 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     shorter than their distance to the origin.  A pad fixed in absolute
     units would admit every pair of segments shorter than it.
     """
-    n = len(a)
-    if n <= ALL_PAIRS_MAX_SEGMENTS:
-        return np.triu_indices(n, k=2)
     mids = (a[:, :2] + b[:, :2]) / 2.0
     half = np.sqrt(((b[:, :2] - a[:, :2]) ** 2).sum(-1)) / 2.0
     pad = 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
     ii, jj = multiscale_close_pairs(mids, half * (1 + 1e-5), pad)
-    keep = jj - ii >= 2
-    return ii[keep], jj[keep]
+    return nonadjacent(ii, jj, len(a), closed)
 
 
 def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
-    """Proper projected crossings of non-adjacent segment pairs, or None if
-    any candidate pair is within tolerance of tangency/degeneracy.
+    """Proper projected crossings of segment pairs that share no vertex, or
+    None if any candidate pair is within tolerance of tangency/degeneracy.
 
     Candidates are tested _PAIR_CHUNK at a time, so the temporaries stay
     bounded on curves with millions of candidate pairs."""
-    n = len(a)
-    ii, jj = _candidate_pairs(a, b)
-    if closed:
-        keep = ~((ii == 0) & (jj == n - 1))
-        ii, jj = ii[keep], jj[keep]
+    ii, jj = _candidate_pairs(a, b, closed)
     hits = []
     for start in range(0, len(ii), _PAIR_CHUNK):
         ci, cj = ii[start : start + _PAIR_CHUNK], jj[start : start + _PAIR_CHUNK]
@@ -175,7 +172,7 @@ def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return pieces
 
 
-def render_svg(curve: PLCurve, gap_radius: float = 0.005, stroke: float = 0.01) -> str:
+def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     """SVG drawing of the projected diagram with under-strand gaps.
 
     Every line end is printed with 17 significant digits.  An end that is
@@ -244,6 +241,6 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005, stroke: float = 0.01) 
     )
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
-        f'<g stroke="black" stroke-width="{stroke}" fill="none" stroke-linecap="round">\n'
+        f'<g stroke="black" stroke-width="{_STROKE}" fill="none" stroke-linecap="round">\n'
         f"{body}\n</g>\n</svg>\n"
     )

@@ -1,6 +1,11 @@
 """Points, axis-aligned boxes, polylines and the metric predicates the rest
 of the package is built on.
 
+Segment pairs are found one way at every curve size:
+``multiscale_close_pairs`` gives the pairs whose midpoints lie close
+enough, and ``nonadjacent`` drops those that share a vertex.  The
+simplicity check here and the crossing search in ``diagram`` both use it.
+
 Everything here is immutable and pure.  All lengths are in dimensionless
 model units.
 """
@@ -11,10 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-# curves with more segments than this get a spatial candidate search
-# (``multiscale_close_pairs``); the others test all non-adjacent pairs
-ALL_PAIRS_MAX_SEGMENTS = 1200
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,10 +243,6 @@ class PLCurve:
             return NotImplemented
         return self.closed == other.closed and np.array_equal(self.points, other.points)
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.points) if self.closed else len(self.points) - 1
-
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         pts = self.points
         if self.closed:
@@ -362,32 +359,26 @@ def multiscale_close_pairs(
     return key // n, key % n
 
 
+def nonadjacent(
+    ii: np.ndarray, jj: np.ndarray, n: int, closed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``ii < jj`` of the n segments of a curve that share no
+    vertex: consecutive segments share one, and so do the last and the
+    first of a closed curve."""
+    keep = jj - ii >= 2
+    if closed:
+        keep &= ~((ii == 0) & (jj == n - 1))
+    return ii[keep], jj[keep]
+
+
 def curve_is_simple(curve: PLCurve, tol: float) -> bool:
-    """True iff no pair of non-adjacent segments comes within tol."""
+    """True iff no pair of segments that share no vertex comes within tol."""
     a, b = curve.segment_arrays()
-    n = curve.n_segments
-    if n < 3:
-        return True
-    if n <= ALL_PAIRS_MAX_SEGMENTS:
-        ii, jj = np.triu_indices(n, k=2)
-        if curve.closed:
-            keep = ~((ii == 0) & (jj == n - 1))
-            ii, jj = ii[keep], jj[keep]
-    else:
-        # spatial prefilter: only segment pairs whose midpoints are close
-        # enough to possibly come within tol need the exact test
-        mids = (a + b) / 2.0
-        half = np.sqrt(((b - a) ** 2).sum(-1)) / 2.0
-        ii, jj = multiscale_close_pairs(mids, half, tol)
-        if len(ii) == 0:
-            return True
-        adj = (jj - ii) <= 1
-        if curve.closed:
-            adj |= (ii == 0) & (jj == n - 1)
-        keep = ~adj
-        ii, jj = ii[keep], jj[keep]
-    if len(ii) == 0:
-        return True
+    # only pairs whose midpoints lie within their half lengths plus tol
+    # can come within tol, so only those get the exact distance test
+    mids = (a + b) / 2.0
+    half = np.sqrt(((b - a) ** 2).sum(-1)) / 2.0
+    ii, jj = nonadjacent(*multiscale_close_pairs(mids, half, tol), len(a), curve.closed)
     chunk = 500_000
     for start in range(0, len(ii), chunk):
         d = _segment_pair_distances(a, b, ii[start : start + chunk], jj[start : start + chunk])
@@ -412,7 +403,9 @@ def write_curve(curve: PLCurve, path) -> None:
 
 def read_curve(path) -> PLCurve:
     with open(path) as fh:
-        tokens = fh.read().split("\n")
+        # a file that ends in a newline has no empty last line; an empty
+        # file reads as one empty header line
+        tokens = fh.read().splitlines() or [""]
     header = tokens[0].split()
     if len(header) != 2 or header[0] not in ("open", "closed"):
         raise ValueError(f"bad curve file header: {tokens[0]!r}")

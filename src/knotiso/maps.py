@@ -372,25 +372,22 @@ class UnsquishMap(LocalMap):
 
     # -- LocalMap interface ---------------------------------------------
 
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+    def _slide(self, pts: np.ndarray, reparam) -> np.ndarray:
+        """Slide each point of the outer box along its path from s to reparam(s)."""
         pts = np.asarray(pts, dtype=float)
         out = pts.copy()
         inside = self.params.outer.contains_array(pts)
         if not inside.any():
             return out
         s, v_in = self._path_coords(pts[inside])
-        out[inside] = self._path_point(self._s_prime(s), v_in)
+        out[inside] = self._path_point(reparam(s), v_in)
         return out
 
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        return self._slide(pts, self._s_prime)
+
     def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        out = pts.copy()
-        inside = self.params.outer.contains_array(pts)
-        if not inside.any():
-            return out
-        s, v_in = self._path_coords(pts[inside])
-        out[inside] = self._path_point(self._s_prime_inverse(s), v_in)
-        return out
+        return self._slide(pts, self._s_prime_inverse)
 
     def inverse(self) -> "LocalMap":
         return _InverseWrapper(self)

@@ -1,7 +1,8 @@
 """The CI workflow parses and runs the Tier-1 command, whose test paths
 take in the benchmark-harness tests, on the oldest Python the package
 admits, and the test configuration turns runtime warnings into failures.
-Every public name in the package has a caller outside the tests."""
+Every public function, class, method and constant in the package has a
+caller outside the tests."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -64,15 +65,20 @@ def _named(tree: ast.AST) -> Counter:
 
 
 def _public_defs(tree: ast.Module):
-    """Public top-level functions and classes, and the public methods of
-    public classes."""
+    """(name, node) of the public top-level functions, classes and
+    constants, and of the public methods of public classes."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield item
+                        yield item.name, item
 
 
 def test_every_public_symbol_has_a_caller_outside_the_tests():
@@ -87,10 +93,10 @@ def test_every_public_symbol_has_a_caller_outside_the_tests():
         named += _named(ast.parse(path.read_text()))
     unused = set()
     for path in package:
-        for node in _public_defs(ast.parse(path.read_text())):
-            # a name used only inside its own def has no caller
-            if named[node.name] <= _named(node)[node.name]:
-                unused.add(node.name)
+        for name, node in _public_defs(ast.parse(path.read_text())):
+            # a name used only inside its own definition has no caller
+            if named[name] <= _named(node)[name]:
+                unused.add(name)
     # a name here either lost its last caller (delete it or make it
     # private) or is listed in TEST_ONLY but now has one (unlist it)
     assert unused == TEST_ONLY, sorted(unused ^ TEST_ONLY)

@@ -58,8 +58,8 @@ class TestFindCrossings:
 
 class TestCandidatePruning:
     def test_large_multiscale_curve_matches_brute_force(self):
-        # crossing pattern repeated at shrinking scales; > 1200 segments
-        # forces the KD-tree path, compare against the O(n^2) brute count
+        # crossing pattern repeated at shrinking scales, densified to over
+        # 1200 segments; compare against the O(n^2) brute-force candidates
         rows = []
         x0 = 0.0
         for k in range(6):
@@ -76,10 +76,12 @@ class TestCandidatePruning:
         rows.append((x0 + 0.5, 0.0, 0.0))
         curve = _poly(rows)
         dense = curve.densified(0.002)
-        assert dense.n_segments > 1200
-        sparse_count = count_crossings(curve)  # brute-force path
-        dense_count = count_crossings(dense)  # pruned path
-        assert sparse_count == dense_count == 6
+        assert len(dense.segment_arrays()[0]) > 1200
+        sparse_count = count_crossings(curve)
+        dense_count = count_crossings(dense)
+        with mock.patch.object(diagram, "_candidate_pairs", _all_pairs):
+            brute_count = count_crossings(dense)
+        assert sparse_count == dense_count == brute_count == 6
 
     def test_region_restriction(self):
         rows = []
@@ -108,15 +110,15 @@ class TestRenderSvg:
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         # the under strand is split by the gap: more line elements than segments
-        assert svg.count("<line") == c.n_segments + 1
+        assert svg.count("<line") == len(c.segment_arrays()[0]) + 1
 
     def test_no_crossings_no_gaps(self):
         c = _poly([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
         svg = render_svg(c)
-        assert svg.count("<line") == c.n_segments
+        assert svg.count("<line") == len(c.segment_arrays()[0])
 
 
-def _render_svg_per_end(curve: PLCurve, gap_radius: float, stroke: float = 0.01) -> str:
+def _render_svg_per_end(curve: PLCurve, gap_radius: float) -> str:
     """render_svg as it was written before it reused the curve text: every
     line end printed with %.17g from its float."""
     pts = curve.points
@@ -153,7 +155,7 @@ def _render_svg_per_end(curve: PLCurve, gap_radius: float, stroke: float = 0.01)
     body = "\n".join(lines)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
-        f'<g stroke="black" stroke-width="{stroke}" fill="none" stroke-linecap="round">\n'
+        '<g stroke="black" stroke-width="0.01" fill="none" stroke-linecap="round">\n'
         f"{body}\n</g>\n</svg>\n"
     )
 
@@ -254,7 +256,7 @@ class TestChunkedCrossingTest:
     @pytest.mark.parametrize(
         "curve",
         [
-            _poly(_multiscale_rows(6)).densified(0.002),  # > 1200 segments: KD path
+            _poly(_multiscale_rows(6)).densified(0.002),  # over 1200 segments
             _poly(_multiscale_rows(3)),
             # grazing at a vertex: the unperturbed view gives None, also
             # when the grazing pair comes after the first chunks
@@ -284,12 +286,19 @@ class TestChunkedCrossingTest:
         assert chunked == whole
 
 
+def _all_pairs(a, b, closed):
+    """Brute-force candidates: every pair of segments that share no vertex."""
+    n = len(a)
+    ii, jj = np.triu_indices(n, k=2)
+    keep = ~(closed & (ii == 0) & (jj == n - 1))
+    return ii[keep], jj[keep]
+
+
 def _kd_and_all_pairs(a, b, closed):
     """_find_crossings through the spatial candidate search and through
-    every non-adjacent pair."""
-    with mock.patch.object(diagram, "ALL_PAIRS_MAX_SEGMENTS", 0):
-        kd = diagram._find_crossings(a, b, closed)
-    with mock.patch.object(diagram, "ALL_PAIRS_MAX_SEGMENTS", 10**9):
+    the brute-force candidates."""
+    kd = diagram._find_crossings(a, b, closed)
+    with mock.patch.object(diagram, "_candidate_pairs", _all_pairs):
         every = diagram._find_crossings(a, b, closed)
     return kd, every
 
@@ -304,7 +313,7 @@ def _multiscale_walk(rng, n: int) -> np.ndarray:
 
 class TestLengthRelativeCandidates:
     """The spatial candidate search sizes its radius from the segments' own
-    lengths; it must keep every pair the all-pairs test would flag."""
+    lengths; it must keep every pair the brute-force candidates would flag."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -357,6 +366,5 @@ class TestLengthRelativeCandidates:
         glued = glue_schedule(s.moves, 20)
         frame = map_curve(glued.map_at(1.0), s.initial_curve.densified(0.01))
         a, b = frame.segment_arrays()
-        assert len(a) > diagram.ALL_PAIRS_MAX_SEGMENTS
-        ii, _ = diagram._candidate_pairs(a, b)
+        ii, _ = diagram._candidate_pairs(a, b, frame.closed)
         assert len(ii) < 5000

@@ -1,10 +1,11 @@
 """Byte-identity of drawn frames.
 
 The sha256 of the ``.curve`` and ``.svg`` that ``knotiso frames`` writes
-for fixed times of the four filmed scenarios at depth 20.  t = 0.3 lies in
-the first stage of the glued schedule, t = 0.8 in the third, and t = 1 is
-the limit; for fox_remarkable t = 1 is the tail frame with the most
-candidate pairs.  A change to densifying, mapping, the crossing search or
+for fixed times of the four filmed scenarios and of 1d_counterexample at
+depth 20.  t = 0.3 lies in the first stage of the glued schedule, t = 0.8
+in the third, and t = 1 is the limit; for fox_remarkable t = 1 is the tail
+frame with the most candidate pairs, and the 100-segment 1d_counterexample
+frames are the smallest curves the crossing search draws.  A change to densifying, mapping, the crossing search or
 SVG emission that alters any byte fails here.
 """
 import hashlib
@@ -16,6 +17,11 @@ from knotiso.cli import RunConfig, cmd_frames
 TIMES = (0.3, 0.8, 1.0)
 
 GOLDEN = {
+    "1d_counterexample": (
+        ("71e615e50c76c5191d841c99421d764296b0283fe0e211776d00347e297d60c5", "618bc3e756de6e2d14b52ee0a87e44c1cfbe6d1b8da72fdb9a8159f1c71192de"),
+        ("d053e16d375538db06221fc4d7721762b5c70a5631e809464b4e43d9ba430796", "875752719040a7f96b9bfc9be4d572cbbac669fc3a604ad9ab63c80fd24a72a5"),
+        ("56d7f887766e8abef0765e8a67ef7bee9ec18750b3b12f0cab4b5c2507058d92", "aa10d0609523857ce890303b3d96013079117c83b9425d6f66da0941ad546f26"),
+    ),
     "countable_r1": (
         ("b47418f71ee057f1877ddf6aa334aed6881fdf473eb6afcf45285fc073caf15c", "6c17c216c3098c3870ace283d27e50021d991f55edd9945f876f43a085dc63e5"),
         ("e7bf9bad6b3625977eda71f152c84cd5b82696958145faf8576b9fa201eb74d6", "64ea833bd8aea41126a89c5eb33a8800879b785e005bd7e657ee90c8ddaa07d8"),

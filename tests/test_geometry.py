@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotiso.geometry import (
@@ -166,7 +166,7 @@ class TestPLCurve:
             closed=True,
         )
         d = sq.densified(0.25)
-        assert d.closed and d.n_segments == len(d.vertices)
+        assert d.closed and len(d.segment_arrays()[0]) == len(d.vertices)
 
     def test_square_is_simple_figure_eight_is_not(self):
         sq = PLCurve(
@@ -202,6 +202,18 @@ class TestPLCurve:
         path = tmp_path / "bad.curve"
         path.write_text("weird 3\n0 0 0\n")
         with pytest.raises(ValueError):
+            read_curve(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match="bad curve file header"):
+            read_curve(path)
+
+    @pytest.mark.parametrize("text", ["open 3\n0 0 0\n1 0 0\n", "open 3\n0 0 0\n1 0 0"])
+    def test_reader_counts_the_vertices_of_a_truncated_file(self, tmp_path, text):
+        # write_curve ends every file in a newline; that newline must not
+        # read as an empty vertex line
+        path = tmp_path / "short.curve"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected 3 vertices, found 2"):
             read_curve(path)
 
 
@@ -248,7 +260,7 @@ class TestPLCurveArray:
             make([(0, 0, 0), (1, 0, 0), (1, 0, 0)])
         with pytest.raises(ValueError, match="repeat its first"):
             make([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)], closed=True)
-        assert make([(0, 0, 0), (1, 0, 0), (1, 1, 0)], closed=True).n_segments == 3
+        assert len(make([(0, 0, 0), (1, 0, 0), (1, 1, 0)], closed=True).segment_arrays()[0]) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_array(self, bad):
@@ -367,3 +379,61 @@ class TestMultiscaleClosePairs:
         mids = np.array([[0.0, 0.0], [r, 0.0], [-np.nextafter(r, np.inf), 0.0]])
         ii, jj = multiscale_close_pairs(mids, h, margin)
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
+
+
+def _simple_by_all_pairs(curve: PLCurve, tol: float) -> bool:
+    """curve_is_simple's oracle: the distance test on every pair of
+    segments that share no vertex."""
+    a, b = curve.segment_arrays()
+    n = len(a)
+    ii, jj = np.triu_indices(n, k=2)
+    keep = ~(curve.closed & (ii == 0) & (jj == n - 1))
+    return not (_segment_pair_distances(a, b, ii[keep], jj[keep]) < tol).any()
+
+
+@st.composite
+def _multiscale_curves(draw):
+    """Open and closed random walks of 1 to 120 segments whose steps range
+    over 30 octaves, at a scale 2^-60 to 2^20, with a tolerance of 0, 1e-9
+    or 1e-3 times the scale.  Some have one vertex moved within 0 to 1e-2
+    segment lengths of an earlier segment that shares no vertex with the
+    two segments at that vertex.  Some open ones have their first segment
+    moved to continue an inner segment end to end, 0, 1/2 or 2 tolerances
+    past its end: a contact whose midpoints lie farther apart than the
+    two half lengths."""
+    closed = draw(st.booleans())
+    n_seg = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 120)))
+    assume(not closed or n_seg >= 3)
+    n = n_seg if closed else n_seg + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.cumsum(rng.normal(size=(n, 3)) * (2.0 ** -rng.integers(0, 30, n))[:, None], axis=0)
+    rel_tol = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    contact = draw(st.sampled_from(["none", "side", "end"]))
+    if contact == "side" and n >= 5:
+        i = int(rng.integers(0, n - 4))
+        k = int(rng.integers(i + 3, n - 1))
+        seg = pts[i + 1] - pts[i]
+        gap = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2])) * np.sqrt(seg @ seg)
+        nudge = rng.normal(size=3)
+        pts[k] = pts[i] + rng.uniform() * seg + gap * nudge / np.sqrt(nudge @ nudge)
+    elif contact == "end" and not closed and n >= 4:
+        i = int(rng.integers(2, n - 1))
+        seg = pts[i + 1] - pts[i]
+        u = seg / np.sqrt(seg @ seg)
+        pts[0] = pts[i + 1] + draw(st.sampled_from([0.0, 0.5, 2.0])) * rel_tol * u
+        pts[1] = pts[0] + rng.uniform(0.5, 2.0) * seg
+    scale = 2.0 ** draw(st.integers(-60, 20))
+    tol = rel_tol * scale
+    try:
+        curve = PLCurve(pts * scale, closed=closed)
+    except ValueError:  # a repeated vertex
+        assume(False)
+    return curve, tol
+
+
+class TestCurveIsSimple:
+    @given(_multiscale_curves())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs(self, drawn):
+        curve, tol = drawn
+        assert curve_is_simple(curve, tol) == _simple_by_all_pairs(curve, tol)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from knotiso.canonical import (
     CANONICAL_BOX,
-    KINK_CROSSINGS,
     KINK_STAGES,
     conjugated_insert,
     kink_isotopy,
@@ -38,6 +37,8 @@ from knotiso.moves import (
 from knotiso.scenarios import SCENARIO_BUILDERS
 
 UNIT = CANONICAL_BOX
+# projected crossings one canonical kink insert adds
+KINK_CROSSINGS = 1
 
 
 def _strand(n: int = 400) -> PLCurve:
