@@ -1,15 +1,17 @@
-"""Byte-identity of the scenario reports.
+"""Byte-identity of the scenario reports and curve snapshots.
 
-The sha256 of every registered scenario's report at depth 20 and 40
-(horizon = depth, tol 1e-6, seed 1), as ``knotiso run`` writes it.  A
-change that alters any report byte -- a verdict, a tail diameter, a probe
-value's last digit -- fails here and has to re-pin the value on purpose.
+The sha256 of every registered scenario's report and ``.curve`` snapshot
+at depth 20 and 40 (horizon = depth, tol 1e-6, seed 1), as ``knotiso
+run`` writes them.  A change that alters any report byte -- a verdict, a
+tail diameter, a probe value's last digit -- or any snapshot coordinate
+fails here and has to re-pin the value on purpose.  The snapshots also
+pin the initial curves, which the reports do not read.
 """
 import hashlib
 
 import pytest
 
-from knotiso.cli import RunConfig, report_lines
+from knotiso.cli import RunConfig, cmd_run, report_lines
 from knotiso.scenarios import SCENARIO_BUILDERS
 
 GOLDEN = {
@@ -43,3 +45,37 @@ def test_report_bytes(depth, name):
     assert match
     body = ("\n".join(lines) + "\n").encode()
     assert hashlib.sha256(body).hexdigest() == GOLDEN[(depth, name)]
+
+
+# most streams have untied every loop by depth 20, so their depth-20 and
+# depth-40 snapshots agree
+SNAPSHOTS = {
+    (20, "countable_r1"): "90030db803d61a9a78daebdb81af88bbdfbcd45dd0a484d897e493379e623159",
+    (20, "countable_r2_stage1"): "7490fa5ba16f88a223f7344984e85e74c2f5ead98714d0a6cd5695d891734fce",
+    (20, "countable_r2_stage2"): "20ea816c7215545406fe2fcfa959ed55b018e07f4d37ad38d8023b4e83275064",
+    (20, "recursive_r1"): "60b69fcebcd4c4025c7414f6dd3f6645519a74494ac0e974b090aa72b252805f",
+    (20, "trefoil_chain"): "b9495bfd9a5add1cac04fc834a183511c6abf16c5fc4a0b300d7a0de41f4a7de",
+    (20, "trefoil_chain_extended"): "e651ef9655441dddbc616ee23d77a73af7ca3a49cd13b3643f46b1a044bffdca",
+    (20, "fox_remarkable"): "75e5264439f0b386e7e3126f08f3411e3e6bccd91e92476728cfa6eb7b511e21",
+    (20, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
+    (40, "countable_r1"): "90030db803d61a9a78daebdb81af88bbdfbcd45dd0a484d897e493379e623159",
+    (40, "countable_r2_stage1"): "7490fa5ba16f88a223f7344984e85e74c2f5ead98714d0a6cd5695d891734fce",
+    (40, "countable_r2_stage2"): "20ea816c7215545406fe2fcfa959ed55b018e07f4d37ad38d8023b4e83275064",
+    (40, "recursive_r1"): "60b69fcebcd4c4025c7414f6dd3f6645519a74494ac0e974b090aa72b252805f",
+    (40, "trefoil_chain"): "b9495bfd9a5add1cac04fc834a183511c6abf16c5fc4a0b300d7a0de41f4a7de",
+    (40, "trefoil_chain_extended"): "e651ef9655441dddbc616ee23d77a73af7ca3a49cd13b3643f46b1a044bffdca",
+    (40, "fox_remarkable"): "b442fcc8bcd494706560ec83d6217daa8c2629af37d57fa269756a2e87bb5930",
+    (40, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
+}
+
+
+def test_every_snapshot_is_pinned():
+    assert set(SNAPSHOTS) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("depth,name", sorted(SNAPSHOTS))
+def test_snapshot_bytes(depth, name, tmp_path):
+    cfg = RunConfig(scenario=name, depth=depth, horizon=depth, tol=1e-6, seed=1, out=tmp_path)
+    assert cmd_run(cfg) == 0
+    snapshot = (tmp_path / f"{name}_{depth}_1.curve").read_bytes()
+    assert hashlib.sha256(snapshot).hexdigest() == SNAPSHOTS[(depth, name)]
