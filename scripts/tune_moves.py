@@ -20,7 +20,7 @@ import numpy as np
 
 from knotiso.canonical import CANONICAL_BOX, KINK_STAGES, kink_map
 from knotiso.diagram import find_crossings
-from knotiso.geometry import PLCurve, Point3, curve_is_simple
+from knotiso.geometry import PLCurve, curve_is_simple
 from knotiso.moves import ConeStage, staged_isotopy
 
 
@@ -57,14 +57,14 @@ def main() -> None:
     print("\nneighborhood sweep around the swing target:")
     base = swing.p1
     for dx, dz in itertools.product((-0.1, 0.0, 0.1), repeat=2):
-        target = Point3(base.x + dx, base.y, base.z + dz)
-        if not swing.region.contains(target, strict=True):
+        target = base + (dx, 0.0, dz)
+        if not swing.region.contains_array(target, strict=True):
             continue
         cand = [tent, ConeStage(region=swing.region, p0=swing.p0, p1=target)]
         k, margin, simple = evaluate(cand, args.dense)
         mark = " <- frozen" if (dx, dz) == (0.0, 0.0) else ""
         print(
-            f"  target=({target.x:+.2f},{target.y:+.2f},{target.z:+.2f}) "
+            f"  target=({target[0]:+.2f},{target[1]:+.2f},{target[2]:+.2f}) "
             f"crossings={k} margin={margin:+.3f} simple={simple}{mark}"
         )
 

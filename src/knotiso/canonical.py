@@ -23,24 +23,26 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from .engine import Isotopy
-from .geometry import Box, Point3
+from .geometry import Box
 from .maps import AffineMap, LocalMap
 from .moves import ConeStage, chained_isotopy, conjugated_isotopy, staged_isotopy
 
-CANONICAL_BOX = Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1))
+CANONICAL_BOX = Box.from_center((0, 0, 0), (1, 1, 1))
 
-_TENT_TIP = Point3(0.1, 0.35, 0.12)
-_SWING_TARGET = Point3(-0.75, 0.0, 0.35)
+_TENT_TIP = np.array([0.1, 0.35, 0.12])
+_SWING_TARGET = np.array([-0.75, 0.0, 0.35])
 
 KINK_STAGES = (
     ConeStage(
-        region=Box.from_center(Point3(0, 0, 0), Point3(0.6, 0.45, 0.45)),
-        p0=Point3(0, 0, 0),
+        region=Box.from_center((0, 0, 0), (0.6, 0.45, 0.45)),
+        p0=np.zeros(3),
         p1=_TENT_TIP,
     ),
     ConeStage(
-        region=Box(Point3(-0.9, -0.3, 0.05), Point3(0.6, 0.55, 0.55)),
+        region=Box((-0.9, -0.3, 0.05), (0.6, 0.55, 0.55)),
         p0=_TENT_TIP,
         p1=_SWING_TARGET,
     ),
@@ -64,9 +66,7 @@ def loop_sub_boxes(m: int) -> list[Box]:
         raise ValueError(f"need m >= 1, got {m}")
     w = 2.0 / m
     return [
-        Box.from_center(
-            Point3(-1.0 + (i + 0.5) * w, 0.0, 0.0), Point3(0.45 * w, 0.4, 0.4)
-        )
+        Box.from_center((-1.0 + (i + 0.5) * w, 0.0, 0.0), (0.45 * w, 0.4, 0.4))
         for i in range(m)
     ]
 

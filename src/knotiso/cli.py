@@ -34,7 +34,7 @@ from .engine import (
     truncated_map,
     uniform_convergence_probe,
 )
-from .geometry import Point3, write_curve
+from .geometry import write_curve
 from .scenarios import INJECTIVITY_THRESHOLD, SCENARIO_BUILDERS, Scenario
 
 # evaluation budget past which an unbounded stream's stage boxes would
@@ -77,10 +77,8 @@ class RunConfig:
 def probe_scenario(s: Scenario, cfg: RunConfig) -> ProbeReport:
     """Convergence, injectivity, and settling probes at the config depth."""
     rng = np.random.default_rng(cfg.seed)
-    grid = [Point3.from_array(p) for p in s.moves.container.sample(rng, 125)]
-    sup_dev = uniform_convergence_probe(
-        s.moves, max(1, cfg.depth // 2), cfg.depth, grid
-    )
+    grid = s.moves.container.sample(rng, 125)
+    sup_dev = uniform_convergence_probe(s.moves, max(1, cfg.depth // 2), cfg.depth, grid)
     min_sep = injectivity_probe(s.moves, cfg.depth, s.probe_pairs)
     unsettled = 0
     exhausted = False
@@ -119,8 +117,8 @@ def report_lines(s: Scenario, cfg: RunConfig) -> tuple[list[str], bool]:
     lines += hyp.to_lines()
     lines += probe.to_lines()
     lines.append(f"injectivity: {inj}")
-    if s.nested_family is not None:
-        eps, n0 = find_ball_factoring(s.nested_family, cfg.horizon)
+    if s.ball_center is not None:
+        eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, cfg.horizon))
         lines.append(f"ball_factoring: {{epsilon: {eps:.17g}, n0: {n0}}}")
     exp = s.expected
     lines.append(f"expected: {exp.hypotheses}/{exp.injectivity}")

@@ -148,11 +148,8 @@ def count_crossings(curve: PLCurve, region: Box | None = None) -> int:
     cs = find_crossings(curve)
     if region is None:
         return len(cs)
-    return sum(
-        1
-        for c in cs
-        if region.lo.x <= c.xy[0] <= region.hi.x and region.lo.y <= c.xy[1] <= region.hi.y
-    )
+    lo, hi = region.lo[:2], region.hi[:2]
+    return sum(1 for c in cs if ((lo <= c.xy) & (c.xy <= hi)).all())
 
 
 def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Box, PLCurve, Point3, boxes_meet, bounding_box, union_diameter
+from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from .maps import CompositeMap, IdentityMap, LocalMap
 
 
@@ -76,15 +76,15 @@ class TailTable:
         if not boxes:
             empty = np.empty((0, 3))
             return TailTable(lo=empty, hi=empty, diam=np.empty(0))
-        corners = np.stack([b.corner_array() for b in boxes])  # (last, 8, 3)
+        corners = np.stack([b.corners() for b in boxes])  # (last, 8, 3)
         diam = np.empty(len(boxes))
         diam[-1] = union_diameter(boxes[-1:])
         for i in range(len(boxes) - 2, -1, -1):
             rest = corners[i:].reshape(-1, 3)
             diff = corners[i][:, None, :] - rest[None, :, :]
             diam[i] = max(diam[i + 1], np.sqrt((diff**2).sum(axis=-1)).max())
-        lo = np.array([b.bound_arrays()[0] for b in boxes])
-        hi = np.array([b.bound_arrays()[1] for b in boxes])
+        lo = np.array([b.lo for b in boxes])
+        hi = np.array([b.hi for b in boxes])
         return TailTable(lo=lo, hi=hi, diam=diam)
 
     def in_later_support(self, pts: np.ndarray, k: int) -> np.ndarray:
@@ -244,12 +244,12 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
 
 @dataclass(frozen=True)
 class LimitValue:
-    point: Point3
+    point: np.ndarray  # (3,)
     status: str  # settled | tol-converged | budget-exhausted
     steps: int
 
 
-def eval_limit_isotopy(seq: MoveSequence, p: Point3, tol: float, k_budget: int = 60) -> LimitValue:
+def eval_limit_isotopy(seq: MoveSequence, p: np.ndarray, tol: float, k_budget: int) -> LimitValue:
     """Value of the countably-composed isotopy at (1, p).
 
     The composition is iterated until the running image escapes all later
@@ -262,64 +262,54 @@ def eval_limit_isotopy(seq: MoveSequence, p: Point3, tol: float, k_budget: int =
     if tol <= 0:
         raise ValueError("tol must be positive")
     tails = seq.tail_table(k_budget)
-    x = p.as_array()[None, :]
+    x = np.array(p, dtype=float)[None, :]
     # one point, one stage at a time, reading the tail table after each
     # stage; running all census points as one array is ROADMAP item 5
     for k in range(k_budget):
         if not tails.in_later_support(x, k)[0]:
-            return LimitValue(Point3.from_array(x[0]), "settled", k)
+            return LimitValue(x[0], "settled", k)
         if tails.diam[k] < tol:
-            return LimitValue(Point3.from_array(x[0]), "tol-converged", k)
+            return LimitValue(x[0], "tol-converged", k)
         x = seq.time_one_map(k + 1).apply_array(x)
-    return LimitValue(Point3.from_array(x[0]), "budget-exhausted", k_budget)
+    return LimitValue(x[0], "budget-exhausted", k_budget)
 
 
 # -- probes ------------------------------------------------------------------
 
 
-def uniform_convergence_probe(
-    seq: MoveSequence, n: int, m: int, grid: Sequence[Point3]
-) -> float:
-    """Max over the grid of d(composite_n(y), composite_m(y))."""
-    if not grid:
+def uniform_convergence_probe(seq: MoveSequence, n: int, m: int, grid: np.ndarray) -> float:
+    """Max over the (k, 3) grid of d(composite_n(y), composite_m(y))."""
+    if not len(grid):
         raise ValueError("grid must be non-empty")
     if m < n:
         raise ValueError("need m >= n")
-    pts = np.array([g.as_array() for g in grid])
-    xn = apply_truncated(seq, n, pts)
+    xn = apply_truncated(seq, n, grid)
     # on from stage n, so the first n stages run once, not twice
     later = _stage_composite(seq, [seq.time_one_map(k) for k in range(n + 1, m + 1)])
     xm = later.apply_array(xn)
     return float(np.sqrt(((xn - xm) ** 2).sum(-1)).max())
 
 
-def injectivity_probe(
-    seq: MoveSequence, n: int, pairs: Sequence[tuple[Point3, Point3]]
-) -> float:
-    """Min over pairs of the image separation under the n-stage composite."""
-    if not pairs:
+def injectivity_probe(seq: MoveSequence, n: int, pairs: np.ndarray) -> float:
+    """Min over the (k, 2, 3) point pairs of the image separation under
+    the n-stage composite."""
+    if not len(pairs):
         raise ValueError("pairs must be non-empty")
-    a = np.array([p[0].as_array() for p in pairs])
-    b = np.array([p[1].as_array() for p in pairs])
-    ia = apply_truncated(seq, n, a)
-    ib = apply_truncated(seq, n, b)
+    ia = apply_truncated(seq, n, pairs[:, 0])
+    ib = apply_truncated(seq, n, pairs[:, 1])
     return float(np.sqrt(((ia - ib) ** 2).sum(-1)).min())
 
 
 def infinite_motion_census(
-    seq: MoveSequence,
-    n_max: int,
-    samples: Sequence[Point3],
-    horizon: int | None = None,
+    seq: MoveSequence, n_max: int, samples: np.ndarray, horizon: int | None = None
 ) -> int:
-    """Count of samples whose n_max-stage image still lies in a later
-    support (checked up to the horizon)."""
-    if not samples:
+    """Count of the (k, 3) samples whose n_max-stage image still lies in a
+    later support (checked up to the horizon)."""
+    if not len(samples):
         return 0
     if horizon is None:
         horizon = n_max + 20
-    pts = np.array([s.as_array() for s in samples])
-    img = apply_truncated(seq, n_max, pts)
+    img = apply_truncated(seq, n_max, samples)
     tails = seq.tail_table(horizon)
     return int(tails.in_later_support(img, n_max).sum())
 

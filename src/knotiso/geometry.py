@@ -1,6 +1,11 @@
 """Points, axis-aligned boxes, polylines and the metric predicates the rest
 of the package is built on.
 
+A point is a float ``(3,)`` row and a set of points an ``(n, 3)`` array,
+the form every map moves in bulk.  A ``Box`` keeps its min and max corners
+as two read-only rows, and a ``PLCurve`` its vertices as one read-only
+``(n, 3)`` array.
+
 Segment pairs are found one way at every curve size:
 ``multiscale_close_pairs`` gives the pairs whose midpoints lie close
 enough, and ``nonadjacent`` drops those that share a vertex.  The
@@ -11,153 +16,94 @@ model units.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True, slots=True)
-class Point3:
-    """A point of 3-space with finite coordinates."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite coordinates: {(self.x, self.y, self.z)}")
-
-    def __add__(self, other: "Point3") -> "Point3":
-        return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Point3") -> "Point3":
-        return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def scaled(self, s: float) -> "Point3":
-        return Point3(self.x * s, self.y * s, self.z * s)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "Point3":
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
+# corner i of a box takes hi on axis a where bit (2 - a) of i is set, so
+# the corners run x-major: (lo, lo, lo), (lo, lo, hi), ..., (hi, hi, hi)
+_CORNER_HI = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1 == 1
 
 
-def lerp(a: Point3, b: Point3, t: float) -> Point3:
-    return Point3(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t, a.z + (b.z - a.z) * t)
-
-
-def distance(a: Point3, b: Point3) -> float:
-    """Euclidean distance between two points."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Box:
-    """A closed axis-aligned box given by its min and max corners."""
+    """A closed axis-aligned box given by its min and max corners, each a
+    read-only float (3,) row with finite coordinates."""
 
-    lo: Point3
-    hi: Point3
-    # (lo, hi) as read-only float arrays, built on the first vectorized test
-    _arrays: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.lo.x > self.hi.x or self.lo.y > self.hi.y or self.lo.z > self.hi.z:
-            raise ValueError(f"box min corner exceeds max corner: {self.lo} > {self.hi}")
+        # one (2, 3) copy holds both rows
+        corners = np.array((self.lo, self.hi), dtype=float)
+        if corners.shape != (2, 3):
+            raise ValueError(f"box corners must be two (3,) rows, got {corners.shape}")
+        if not np.isfinite(corners).all():
+            raise ValueError(f"non-finite box corners: {corners.tolist()}")
+        corners.flags.writeable = False
+        lo, hi = corners
+        if (lo > hi).any():
+            raise ValueError(f"box min corner exceeds max corner: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
-    def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The corners lo and hi as read-only float arrays, built once."""
-        if self._arrays is None:
-            lo, hi = self.lo.as_array(), self.hi.as_array()
-            lo.flags.writeable = hi.flags.writeable = False
-            object.__setattr__(self, "_arrays", (lo, hi))
-        return self._arrays
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Box):
+            return NotImplemented
+        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+
+    def __repr__(self) -> str:
+        return f"Box(lo={tuple(self.lo.tolist())}, hi={tuple(self.hi.tolist())})"
 
     @staticmethod
-    def from_center(center: Point3, half_extents: Point3) -> "Box":
+    def from_center(center, half_extents) -> "Box":
+        center = np.asarray(center, dtype=float)
         return Box(center - half_extents, center + half_extents)
 
     @staticmethod
-    def cube(center: Point3, side: float) -> "Box":
+    def cube(center, side: float) -> "Box":
         h = side / 2.0
-        return Box.from_center(center, Point3(h, h, h))
+        return Box.from_center(center, (h, h, h))
 
     @property
-    def center(self) -> Point3:
-        return lerp(self.lo, self.hi, 0.5)
+    def center(self) -> np.ndarray:
+        return self.lo + (self.hi - self.lo) * 0.5
 
     @property
-    def half_extents(self) -> Point3:
-        return (self.hi - self.lo).scaled(0.5)
+    def half_extents(self) -> np.ndarray:
+        return (self.hi - self.lo) * 0.5
 
     def diameter(self) -> float:
-        return distance(self.lo, self.hi)
+        return float(np.sqrt(((self.hi - self.lo) ** 2).sum()))
 
-    def corners(self) -> list[Point3]:
-        lo, hi = self.lo, self.hi
-        return [
-            Point3(x, y, z)
-            for x in (lo.x, hi.x)
-            for y in (lo.y, hi.y)
-            for z in (lo.z, hi.z)
-        ]
-
-    def corner_array(self) -> np.ndarray:
-        return np.array([c.as_array() for c in self.corners()])
-
-    def contains(self, p: Point3, strict: bool = False) -> bool:
-        if strict:
-            return (
-                self.lo.x < p.x < self.hi.x
-                and self.lo.y < p.y < self.hi.y
-                and self.lo.z < p.z < self.hi.z
-            )
-        return (
-            self.lo.x <= p.x <= self.hi.x
-            and self.lo.y <= p.y <= self.hi.y
-            and self.lo.z <= p.z <= self.hi.z
-        )
+    def corners(self) -> np.ndarray:
+        """The 8 corners as an (8, 3) array, x-major."""
+        return np.where(_CORNER_HI, self.hi, self.lo)
 
     def contains_array(self, pts: np.ndarray, strict: bool = False) -> np.ndarray:
-        lo, hi = self.bound_arrays()
+        """Per row of pts (or for one row), whether the box holds it."""
         if strict:
-            return np.all((pts > lo) & (pts < hi), axis=-1)
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+            return np.all((pts > self.lo) & (pts < self.hi), axis=-1)
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
 
     def contains_box(self, other: "Box", strict: bool = False) -> bool:
-        return self.contains(other.lo, strict) and self.contains(other.hi, strict)
+        return bool(self.contains_array(np.stack([other.lo, other.hi]), strict).all())
 
     def scaled_about_center(self, factor: float) -> "Box":
-        return Box.from_center(self.center, self.half_extents.scaled(factor))
+        return Box.from_center(self.center, self.half_extents * factor)
 
-    def wall_distance(self, p: Point3) -> float:
+    def wall_distance(self, p: np.ndarray) -> float:
         """Distance from an interior point to the nearest face plane."""
-        return min(
-            p.x - self.lo.x,
-            self.hi.x - p.x,
-            p.y - self.lo.y,
-            self.hi.y - p.y,
-            p.z - self.lo.z,
-            self.hi.z - p.z,
-        )
+        return float(min((p - self.lo).min(), (self.hi - p).min()))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lo = self.lo.as_array()
-        hi = self.hi.as_array()
-        return lo + rng.random((n, 3)) * (hi - lo)
+        return self.lo + rng.random((n, 3)) * (self.hi - self.lo)
 
 
 def bounding_box(boxes: Sequence[Box]) -> Box:
     """The smallest box containing a non-empty family of boxes."""
-    lo = np.min([b.bound_arrays()[0] for b in boxes], axis=0)
-    hi = np.max([b.bound_arrays()[1] for b in boxes], axis=0)
-    return Box(Point3.from_array(lo), Point3.from_array(hi))
+    return Box(np.min([b.lo for b in boxes], axis=0), np.max([b.hi for b in boxes], axis=0))
 
 
 def boxes_meet(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -179,7 +125,7 @@ def union_diameter(boxes: Sequence[Box]) -> float:
     """
     if not boxes:
         raise ValueError("union_diameter of empty box list")
-    corners = np.concatenate([b.corner_array() for b in boxes])
+    corners = np.concatenate([b.corners() for b in boxes])
     diff = corners[:, None, :] - corners[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 
@@ -187,19 +133,15 @@ def union_diameter(boxes: Sequence[Box]) -> float:
 class PLCurve:
     """A finite polyline in 3-space, open arc or closed loop.
 
-    The vertices live in one read-only ``(n, 3)`` float array, ``points``;
-    ``vertices`` is the same polyline as a tuple of ``Point3``, and
-    ``decimal_text()`` the same as the decimal lines of a curve file, each
-    built on first use.  The constructor takes either form of vertices.
+    The vertices live in one read-only ``(n, 3)`` float array, ``points``
+    (``vertices`` is the same array); ``decimal_text()`` is the same
+    polyline as the decimal lines of a curve file, built on first use.
     """
 
-    __slots__ = ("points", "closed", "_vertices", "_text")
+    __slots__ = ("points", "closed", "_text")
 
-    def __init__(self, vertices: Sequence[Point3] | np.ndarray, closed: bool = False) -> None:
-        if isinstance(vertices, np.ndarray):
-            pts = np.array(vertices, dtype=float)
-        else:
-            pts = np.array([(v.x, v.y, v.z) for v in vertices], dtype=float).reshape(-1, 3)
+    def __init__(self, vertices: np.ndarray, closed: bool = False) -> None:
+        pts = np.array(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"vertices must be an (n, 3) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
@@ -216,18 +158,14 @@ class PLCurve:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "_vertices", None)
         object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PLCurve is immutable")
 
     @property
-    def vertices(self) -> tuple[Point3, ...]:
-        if self._vertices is None:
-            verts = tuple(Point3(x, y, z) for x, y, z in self.points.tolist())
-            object.__setattr__(self, "_vertices", verts)
-        return self._vertices
+    def vertices(self) -> np.ndarray:
+        return self.points
 
     def decimal_text(self) -> str:
         """One ``"x y z\\n"`` line per vertex, each coordinate printed
@@ -410,9 +348,9 @@ def read_curve(path) -> PLCurve:
     if len(header) != 2 or header[0] not in ("open", "closed"):
         raise ValueError(f"bad curve file header: {tokens[0]!r}")
     n = int(header[1])
-    rows = [[float(t) for t in line.split()] for line in tokens[1 : 1 + n]]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} vertices, found {len(rows)}")
+    if len(tokens) - 1 != n:
+        raise ValueError(f"expected {n} vertices, found {len(tokens) - 1}")
+    rows = [[float(t) for t in line.split()] for line in tokens[1:]]
     if any(len(r) != 3 for r in rows):
         raise ValueError("each vertex line needs three coordinates")
     return PLCurve(np.array(rows, dtype=float).reshape(n, 3), closed=header[0] == "closed")

@@ -5,8 +5,8 @@ Five kinds are provided:
 * ``AffineMap`` -- an axis-aligned frame p -> scale * p + shift (per-axis
   scales, no rotation), carrying the canonical box onto a target box to
   conjugate canonical moves there.  A non-identity affine map cannot be
-  identity outside a bounded set, so its declared support is an
-  effectively-unbounded box.
+  identity outside a bounded set, so every affine map declares the one
+  effectively-unbounded box ``UNBOUNDED`` as its support.
 * ``ConeMap`` -- the piecewise-affine "vertex pull" over a box: the box
   boundary is star-triangulated into 12 triangles, and the cone over each
   from an interior apex is mapped affinely so the apex moves from p0 to
@@ -29,8 +29,9 @@ through its ``leave``.  That is bitwise the part-by-part loop, because a
 conjugate maps its box onto itself and fixes everything else, and the
 kernels act row by row.
 
-All maps evaluate in bulk over (n, 3) arrays (``apply_array``); inverses
-are exact map objects, not numeric solves.
+All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
+and a point they are built from (a cone apex, an unsquish center) is a
+float (3,) row; inverses are exact map objects, not numeric solves.
 ``AffineMap``, ``ConeMap`` and ``CompositeMap`` build their inverse once
 and hand the same object to every caller, and the canonical moves built
 from them are shared module constants (see ``canonical``), so no caller
@@ -43,13 +44,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, Point3, bounding_box, boxes_meet, distance
+from .geometry import Box, bounding_box, boxes_meet
 
 _HUGE = 1e12
 
+# the support every affine map declares
+UNBOUNDED = Box(np.full(3, -_HUGE), np.full(3, _HUGE))
 
-def unbounded_box() -> Box:
-    return Box(Point3(-_HUGE, -_HUGE, -_HUGE), Point3(_HUGE, _HUGE, _HUGE))
+# the default support of a map that moves nothing
+_ORIGIN = Box(np.zeros(3), np.zeros(3))
 
 
 class LocalMap:
@@ -69,7 +72,7 @@ class LocalMap:
 
 @dataclass(frozen=True)
 class IdentityMap(LocalMap):
-    support: Box = field(default_factory=lambda: Box(Point3(0, 0, 0), Point3(0, 0, 0)))
+    support: Box = field(default_factory=lambda: _ORIGIN)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return pts.copy()
@@ -95,18 +98,17 @@ class AffineMap(LocalMap):
             raise ValueError(f"affine matrix is singular (det={det})")
         self.scale = scale
         self.shift = np.asarray(shift, dtype=float)
-        self.support = unbounded_box()
+        self.support = UNBOUNDED
         self._inverse: AffineMap | None = None
 
     @staticmethod
     def box_to_box(src: Box, dst: Box) -> "AffineMap":
         """Axis-aligned affine map taking one box onto another."""
-        s = src.half_extents.as_array()
-        d = dst.half_extents.as_array()
+        s = src.half_extents
         if (s <= 0).any():
             raise ValueError("source box is degenerate")
-        scale = d / s
-        return AffineMap(scale, dst.center.as_array() - scale * src.center.as_array())
+        scale = dst.half_extents / s
+        return AffineMap(scale, dst.center - scale * src.center)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return pts * self.scale + self.shift
@@ -127,8 +129,7 @@ def _box_boundary_triangles(box: Box) -> np.ndarray:
     lexicographically smallest coordinates, so the decomposition is
     deterministic.
     """
-    lo = box.lo.as_array()
-    hi = box.hi.as_array()
+    lo, hi = box.lo, box.hi
     tris = []
     for axis in range(3):
         for side_val in (lo[axis], hi[axis]):
@@ -164,29 +165,24 @@ class ConeMap(LocalMap):
     the apexes swapped.
     """
 
-    def __init__(self, region: Box, p0: Point3, p1: Point3):
-        if not region.contains(p0, strict=True):
+    def __init__(self, region: Box, p0: np.ndarray, p1: np.ndarray):
+        if not region.contains_array(p0, strict=True):
             raise ValueError(f"apex source {p0} not strictly inside {region}")
-        if not region.contains(p1, strict=True):
+        if not region.contains_array(p1, strict=True):
             raise ValueError(f"apex target {p1} not strictly inside {region}")
         self.region = region
         self.p0 = p0
         self.p1 = p1
         self.support = region
         self._tris = _box_boundary_triangles(region)  # (12, 3, 3)
-        a0 = p0.as_array()
-        a1 = p1.as_array()
         # barycentric solve matrices: columns t_i - p0 for each tetra
-        basis = self._tris - a0[None, None, :]  # (12, 3, 3) rows are t_i - p0
+        basis = self._tris - p0[None, None, :]  # (12, 3, 3) rows are t_i - p0
         self._inv_basis = np.linalg.inv(np.transpose(basis, (0, 2, 1)))  # (12, 3, 3)
-        self._a0 = a0
-        self._a1 = a1
         # exit-face pick: nonzero since the apex is strictly inside
-        self._lo = region.lo.as_array()
-        hi = region.hi.as_array()
-        self._inv_to_lo = 1.0 / (self._lo - a0)
-        self._inv_to_hi = 1.0 / (hi - a0)
-        self._inv_extent = 1.0 / (hi - self._lo)
+        lo, hi = region.lo, region.hi
+        self._inv_to_lo = 1.0 / (lo - p0)
+        self._inv_to_hi = 1.0 / (hi - p0)
+        self._inv_extent = 1.0 / (hi - lo)
         self._inverse: ConeMap | None = None
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
@@ -196,7 +192,7 @@ class ConeMap(LocalMap):
         if not inside.any():
             return out
         q = pts[inside]  # (m, 3)
-        rel = q - self._a0  # (m, 3)
+        rel = q - self.p0  # (m, 3)
         m_idx = np.arange(q.shape[0])
         # the ray from the apex through a point leaves the box through the
         # face maximizing rel_i / (face_i - a0_i); the apex row scores 0
@@ -206,13 +202,13 @@ class ConeMap(LocalMap):
         side = rel[m_idx, axis] > 0.0
         # rho * (exit point - lo) over the box extent; the face's second
         # triangle lies above its diagonal through the min corner
-        frac = ((self._a0 - self._lo) * rho[:, None] + rel) * self._inv_extent
+        frac = ((self.p0 - self.region.lo) * rho[:, None] + rel) * self._inv_extent
         which = frac[m_idx, _FACE_V[axis]] > frac[m_idx, _FACE_U[axis]]
         best = axis * 4 + side * 2 + which  # index into _box_boundary_triangles
         # barycentric weights in that one tetrahedron
         lam = np.einsum("mij,mj->mi", self._inv_basis[best], rel)  # (m, 3)
         b0 = 1.0 - lam.sum(axis=-1)  # apex weight, (m,)
-        img = b0[:, None] * self._a1 + np.einsum("mi,mij->mj", lam, self._tris[best])
+        img = b0[:, None] * self.p1 + np.einsum("mi,mij->mj", lam, self._tris[best])
         out[inside] = img
         return out
 
@@ -230,15 +226,15 @@ class UnsquishParams:
     """Geometry of the two-box radial expansion.
 
     ``outer`` and ``inner`` must be concentric with parallel sides and
-    ``inner`` strictly inside ``outer``; ``apex`` is the expansion center
-    q, strictly inside ``inner``; ``c`` in (0, 1) is the inverse-Lipschitz
+    ``inner`` strictly inside ``outer``; ``apex``, a float (3,) row, is the
+    expansion center q, strictly inside ``inner``; ``c`` in (0, 1) is the inverse-Lipschitz
     allowance of the move that follows, so points with radial parameter at
     most c/2 end up exactly 1/c times farther from q at time 1.
     """
 
     outer: Box
     inner: Box
-    apex: Point3
+    apex: np.ndarray
     c: float
 
     def __post_init__(self) -> None:
@@ -246,21 +242,18 @@ class UnsquishParams:
             raise ValueError(f"c must be in (0,1), got {self.c}")
         if not self.outer.contains_box(self.inner, strict=True):
             raise ValueError("inner box must be strictly inside outer box")
-        co = self.outer.center.as_array()
-        ci = self.inner.center.as_array()
-        if np.abs(co - ci).max() > 1e-12 * max(1.0, np.abs(co).max()):
+        co = self.outer.center
+        if np.abs(co - self.inner.center).max() > 1e-12 * max(1.0, np.abs(co).max()):
             raise ValueError("outer and inner boxes must share a center")
-        ho = self.outer.half_extents.as_array()
-        hi = self.inner.half_extents.as_array()
-        lam = ho / hi
+        lam = self.outer.half_extents / self.inner.half_extents
         if lam.max() - lam.min() > 1e-9 * lam.max():
             raise ValueError("outer box must be a uniform scale-up of inner box")
-        if not self.inner.contains(self.apex, strict=True):
+        if not self.inner.contains_array(self.apex, strict=True):
             raise ValueError("apex must be strictly inside inner box")
 
     @property
     def scale_up(self) -> float:
-        return float(self.outer.half_extents.x / self.inner.half_extents.x)
+        return float(self.outer.half_extents[0] / self.inner.half_extents[0])
 
     @property
     def s_c0(self) -> float:
@@ -271,11 +264,9 @@ class UnsquishParams:
 
 def _box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Largest r with origin + r*direction inside the box, per row."""
-    lo = box.lo.as_array()
-    hi = box.hi.as_array()
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (lo - origin) / direction
-        t_hi = (hi - origin) / direction
+        t_lo = (box.lo - origin) / direction
+        t_hi = (box.hi - origin) / direction
     t_max = np.maximum(t_lo, t_hi)
     t_max[~np.isfinite(t_max)] = np.inf
     return t_max.min(axis=-1)
@@ -299,8 +290,8 @@ class UnsquishMap(LocalMap):
         self.params = params
         self.t = t
         self.support = params.outer
-        self._center = params.outer.center.as_array()
-        self._apex = params.apex.as_array()
+        self._center = params.outer.center
+        self._apex = params.apex
 
     # -- path parameterization ------------------------------------------
 
@@ -426,7 +417,7 @@ class CompositeMap(LocalMap):
         elif self.parts:
             self.support = bounding_box([m.support for m in self.parts])
         else:
-            self.support = Box(Point3(0, 0, 0), Point3(0, 0, 0))
+            self.support = _ORIGIN
         self._inverse: CompositeMap | None = None
         self._steps: list | None = None
 
@@ -513,8 +504,8 @@ def _routed_steps(parts: Sequence[LocalMap]) -> list:
     if len(conj) < 2:
         return list(parts)
     # one stacked meet test over every conjugate's support
-    lo = np.array([parts[i].support.bound_arrays()[0] for i in conj])
-    hi = np.array([parts[i].support.bound_arrays()[1] for i in conj])
+    lo = np.array([parts[i].support.lo for i in conj])
+    hi = np.array([parts[i].support.hi for i in conj])
     meet = boxes_meet(lo, hi)
     slot = {i: j for j, i in enumerate(conj)}
     steps: list = []
@@ -546,8 +537,8 @@ def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> ConjugateM
     return ConjugateMap(frame.inverse(), canonical, frame, support)
 
 
-def make_cone_map(region: Box, p0: Point3, p1: Point3) -> LocalMap:
-    if distance(p0, p1) == 0.0:
+def make_cone_map(region: Box, p0: np.ndarray, p1: np.ndarray) -> LocalMap:
+    if ((p0 - p1) ** 2).sum() == 0.0:
         return IdentityMap(support=region)
     return ConeMap(region, p0, p1)
 

@@ -19,8 +19,10 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .engine import Isotopy
-from .geometry import Box, Point3, lerp
+from .geometry import Box
 from .maps import (
     AffineMap,
     CompositeMap,
@@ -33,15 +35,15 @@ from .maps import (
 )
 
 
-def cone_isotopy(region: Box, p0: Point3, p1: Point3) -> Isotopy:
-    """Pull the apex from p0 to p1, linearly in time."""
+def cone_isotopy(region: Box, p0: np.ndarray, p1: np.ndarray) -> Isotopy:
+    """Pull the apex from row p0 to row p1, linearly in time."""
     # built once: validates at construction time and is the map at t >= 1
     end = make_cone_map(region, p0, p1)
 
     def map_at(t: float) -> LocalMap:
         if t >= 1.0:
             return end
-        return make_cone_map(region, p0, lerp(p0, p1, t))
+        return make_cone_map(region, p0, p0 + (p1 - p0) * t)
 
     return Isotopy(support=region, map_at=map_at)
 
@@ -49,8 +51,8 @@ def cone_isotopy(region: Box, p0: Point3, p1: Point3) -> Isotopy:
 @dataclass(frozen=True)
 class ConeStage:
     region: Box
-    p0: Point3
-    p1: Point3
+    p0: np.ndarray
+    p1: np.ndarray
 
 
 def staged_isotopy(stages: Sequence[ConeStage], support: Box) -> Isotopy:

@@ -9,6 +9,12 @@ insert that created its loop.  A curve's loops are inserted by one
 composite of conjugated inserts (``_insert_loops``): its insert boxes are
 pairwise disjoint and share one canonical move, so the composite routes
 the points of all boxes through that move in one pass.
+
+Box corners are written as coordinate tuples; the points a scenario
+probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
+decrease around a point names that point, ``ball_center``, and its ball
+factoring is read off those supports: the family is said once, as the
+stages.
 """
 from __future__ import annotations
 
@@ -18,10 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball_factoring import NestedFamily
 from .canonical import conjugated_insert
 from .engine import Isotopy, MoveSequence
-from .geometry import Box, PLCurve, Point3, boxes_meet
+from .geometry import Box, PLCurve, boxes_meet
 from .maps import CompositeMap, LocalMap, UnsquishParams, estimate_inverse_lipschitz
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
@@ -46,14 +51,22 @@ class ExpectedVerdicts:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A curve, the move stream acting on it and its declared verdicts.
+
+    ``probe_pairs`` is a (k, 2, 3) array of point pairs for the
+    injectivity probe and ``census_samples`` a (k, 3) array of points for
+    the t = 1 census.  ``ball_center`` is the point the stage supports
+    V_1, V_2, ... strictly decrease around, when they do.
+    """
+
     name: str
     initial_curve: PLCurve
     moves: MoveSequence
     expected: ExpectedVerdicts
     declared_decay_ratio: float | None
-    probe_pairs: tuple[tuple[Point3, Point3], ...]
-    census_samples: tuple[Point3, ...]
-    nested_family: NestedFamily | None = None
+    probe_pairs: np.ndarray
+    census_samples: np.ndarray
+    ball_center: np.ndarray | None = None
 
 
 # -- baseline construction helpers -------------------------------------------
@@ -66,7 +79,7 @@ def _axis_points(
     each box so loop inserts are resolved."""
     xs = [x_start, x_end]
     for b in boxes:
-        xs.extend(np.linspace(b.lo.x, b.hi.x, pts_per_box).tolist())
+        xs.extend(np.linspace(b.lo[0], b.hi[0], pts_per_box).tolist())
     xs = np.unique(np.array(xs, dtype=float))
     if xs[0] != x_start or xs[-1] != x_end:
         raise ValueError("box refinement escapes the arc span")
@@ -81,9 +94,7 @@ def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
     pairwise disjoint (boxes that meet raise ValueError), so their
     composite routes every point through that move in one pass.
     """
-    lo = np.array([b.bound_arrays()[0] for b in boxes])
-    hi = np.array([b.bound_arrays()[1] for b in boxes])
-    meet = boxes_meet(lo, hi)
+    meet = boxes_meet(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]))
     np.fill_diagonal(meet, False)
     if meet.any():
         i, j = np.argwhere(meet)[0]
@@ -105,10 +116,7 @@ def _shrinking_boxes(limit_x: float) -> Callable[[int], Box]:
 
     def box(k: int) -> Box:
         s = 2.0**-k
-        return Box.from_center(
-            Point3(limit_x - 0.5 * s, 0.0, 0.0),
-            Point3(0.0625 * s, 0.125 * s, 0.125 * s),
-        )
+        return Box.from_center((limit_x - 0.5 * s, 0.0, 0.0), (0.0625 * s, 0.125 * s, 0.125 * s))
 
     return box
 
@@ -124,21 +132,19 @@ def build_countable_r1() -> Scenario:
     active = _axis_points(-0.5, 2.5, loop_boxes)
     curve = _closed_curve(_insert_loops(loop_boxes, 1, active), y_return=-1.2)
 
-    container = Box(Point3(-1.0, -2.0, -1.0), Point3(3.0, 1.0, 1.0))
+    container = Box((-1.0, -2.0, -1.0), (3.0, 1.0, 1.0))
 
     def stage(k: int) -> Isotopy:
         return reversed_isotopy(conjugated_insert(boxes(k)))
 
-    pairs = (
-        (Point3(0.5, 0.3, 0.0), Point3(0.5, -0.3, 0.0)),
-        (Point3(1.5, 0.2, 0.0), Point3(1.5, -0.2, 0.0)),
-        (Point3(0.0, 0.1, 0.0), Point3(0.0, 0.1, 0.2)),
-        (Point3(2.2, 0.1, 0.0), Point3(2.4, 0.1, 0.0)),
-        (Point3(1.9, 0.05, 0.0), Point3(1.9, -0.05, 0.0)),
-    )
-    census = tuple(Point3(2.0 - 2.0**-j, 0.0, 0.0) for j in range(1, 9)) + (
-        Point3(2.0, 0.0, 0.0),
-    )
+    pairs = np.array([
+        ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
+        ((1.5, 0.2, 0.0), (1.5, -0.2, 0.0)),
+        ((0.0, 0.1, 0.0), (0.0, 0.1, 0.2)),
+        ((2.2, 0.1, 0.0), (2.4, 0.1, 0.0)),
+        ((1.9, 0.05, 0.0), (1.9, -0.05, 0.0)),
+    ])
+    census = np.array([(2.0 - 2.0**-j, 0.0, 0.0) for j in range(1, 9)] + [(2.0, 0.0, 0.0)])
     return Scenario(
         name="countable_r1",
         initial_curve=curve,
@@ -169,23 +175,23 @@ def build_countable_r2(stage: int) -> Scenario:
     curve = _closed_curve(_insert_loops(tied, 2, active), y_return=-1.2)
     boxes = boxes1 if stage == 1 else boxes2
 
-    container = Box(Point3(-1.0, -2.0, -1.0), Point3(5.0, 1.0, 1.0))
+    container = Box((-1.0, -2.0, -1.0), (5.0, 1.0, 1.0))
 
     def untie(k: int) -> Isotopy:
         return reversed_isotopy(conjugated_insert(boxes(k), m=2))
 
     if stage == 1:
-        pairs = (
-            (Point3(0.5, 0.3, 0.0), Point3(0.5, -0.3, 0.0)),
-            (Point3(1.9, 0.05, 0.0), Point3(1.9, -0.05, 0.0)),
-            (Point3(3.0, 0.2, 0.0), Point3(3.0, -0.2, 0.0)),
-        )
+        pairs = np.array([
+            ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
+            ((1.9, 0.05, 0.0), (1.9, -0.05, 0.0)),
+            ((3.0, 0.2, 0.0), (3.0, -0.2, 0.0)),
+        ])
     else:
-        pairs = (
-            (Point3(3.9, 0.05, 0.0), Point3(3.9, -0.05, 0.0)),
-            (Point3(2.5, 0.2, 0.0), Point3(2.5, -0.2, 0.0)),
-            (Point3(4.3, 0.1, 0.0), Point3(4.45, 0.1, 0.0)),
-        )
+        pairs = np.array([
+            ((3.9, 0.05, 0.0), (3.9, -0.05, 0.0)),
+            ((2.5, 0.2, 0.0), (2.5, -0.2, 0.0)),
+            ((4.3, 0.1, 0.0), (4.45, 0.1, 0.0)),
+        ])
     limit = 2.0 * stage
     return Scenario(
         name=f"countable_r2_stage{stage}",
@@ -194,7 +200,7 @@ def build_countable_r2(stage: int) -> Scenario:
         expected=ExpectedVerdicts("pass", None, "pass"),
         declared_decay_ratio=0.5,
         probe_pairs=pairs,
-        census_samples=tuple(Point3(limit - 2.0**-j, 0.0, 0.0) for j in range(1, 7)),
+        census_samples=np.array([(limit - 2.0**-j, 0.0, 0.0) for j in range(1, 7)]),
     )
 
 
@@ -202,7 +208,7 @@ def build_countable_r2(stage: int) -> Scenario:
 
 _REC_SCALE = 0.05  # the wedge length unit
 _REC_EPS = 0.1
-_REC_HALF = Point3(
+_REC_HALF = (
     (6.0 + _REC_EPS) / 2.0 * _REC_SCALE,
     (2.0 + _REC_EPS) / 2.0 * _REC_SCALE,
     (2.0 + _REC_EPS) / 2.0 * _REC_SCALE,
@@ -213,21 +219,18 @@ _REC_APEX_DIR = np.array([-2.5, 2.0 / 3.0, 0.0])
 
 def rec_box(k: int) -> Box:
     """Nested half-scaling boxes around the wedge vertex."""
-    return Box.from_center(Point3(0, 0, 0), _REC_HALF.scaled(2.0 ** (1 - k)))
+    return Box.from_center((0, 0, 0), np.multiply(_REC_HALF, 2.0 ** (1 - k)))
 
 
-def rec_apex(k: int) -> Point3:
+def rec_apex(k: int) -> np.ndarray:
     """q_k: the relay apex after stage k (q_0 is the initial grab point)."""
-    return Point3.from_array(_REC_APEX_DIR * (_REC_SCALE * 2.0**-k))
+    return _REC_APEX_DIR * (_REC_SCALE * 2.0**-k)
 
 
 def rec_insert_region(k: int) -> Box:
     """The loop-insert region B_k around the pull from q_{k-1} to q_k."""
     s = _REC_SCALE * 2.0**-k
-    return Box(
-        Point3(-5.3 * s, 0.26 * s, -0.5 * s),
-        Point3(-2.2 * s, 1.74 * s, 0.5 * s),
-    )
+    return Box((-5.3 * s, 0.26 * s, -0.5 * s), (-2.2 * s, 1.74 * s, 0.5 * s))
 
 
 def rec_unsquish_params(k: int, c: float) -> UnsquishParams:
@@ -286,17 +289,17 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     wedge = [radii[::-1, None] * arm_dir, np.zeros((1, 3)), radii[:, None] * lower_dir]
     curve = PLCurve(np.concatenate(wedge), closed=False)
 
-    container = Box(Point3(-0.6, -0.3, -0.3), Point3(0.3, 0.3, 0.3))
+    container = Box((-0.6, -0.3, -0.3), (0.3, 0.3, 0.3))
     q0 = rec_apex(0)
-    pairs = (
+    pairs = np.array([
         # grab point vs the fixed vertex: the pair the unsquish moves protect
-        (q0, Point3(0.0, 0.0, 0.0)),
-        (q0, Point3(q0.x + 0.01, q0.y, q0.z)),
-        (q0, Point3(q0.x, q0.y + 0.01, q0.z)),
-        (Point3(q0.x - 0.005, q0.y, q0.z), Point3(q0.x + 0.005, q0.y, q0.z)),
-        (Point3(-0.05, 0.02, 0.0), Point3(-0.05, -0.02, 0.0)),
-    )
-    census = (Point3(0, 0, 0), q0, rec_apex(3))
+        (q0, (0.0, 0.0, 0.0)),
+        (q0, q0 + (0.01, 0.0, 0.0)),
+        (q0, q0 + (0.0, 0.01, 0.0)),
+        (q0 - (0.005, 0.0, 0.0), q0 + (0.005, 0.0, 0.0)),
+        ((-0.05, 0.02, 0.0), (-0.05, -0.02, 0.0)),
+    ])
+    census = np.array([(0.0, 0.0, 0.0), q0, rec_apex(3)])
     return Scenario(
         name="recursive_r1" + ("_ablated" if ablated else ""),
         initial_curve=curve,
@@ -305,7 +308,7 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
         declared_decay_ratio=0.5,
         probe_pairs=pairs,
         census_samples=census,
-        nested_family=NestedFamily(p=Point3(0, 0, 0), region=rec_box),
+        ball_center=np.zeros(3),
     )
 
 
@@ -317,15 +320,12 @@ _TREFOIL_SUMMANDS = 20
 def trefoil_work_box(k: int) -> Box:
     """Work box inside the shell between nesting levels k and k+1."""
     s = 2.0**-k
-    return Box.from_center(
-        Point3(2.0 - 0.1875 * s, 0.0, 0.0),
-        Point3(0.05625 * s, 0.05 * s, 0.05 * s),
-    )
+    return Box.from_center((2.0 - 0.1875 * s, 0.0, 0.0), (0.05625 * s, 0.05 * s, 0.05 * s))
 
 
 def _with_segment(b: Box) -> Box:
     """Enlarge a work box to contain the appended unit segment."""
-    return Box(b.lo, Point3(3.0, b.hi.y, b.hi.z))
+    return Box(b.lo, (3.0, b.hi[1], b.hi[2]))
 
 
 def build_trefoil_chain(extended: bool = False) -> Scenario:
@@ -347,7 +347,7 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     else:
         curve = _closed_curve(tied, y_return=-1.2)
 
-    container = Box(Point3(-1.0, -2.0, -1.0), Point3(4.0, 1.0, 1.0))
+    container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
 
     def stage(k: int) -> Isotopy:
         b = trefoil_work_box(k)
@@ -356,12 +356,12 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
             return Isotopy(_with_segment(b), untie.map_at)
         return untie
 
-    pairs = (
-        (Point3(0.5, 0.3, 0.0), Point3(0.5, -0.3, 0.0)),
-        (Point3(1.9, 0.05, 0.0), Point3(1.9, -0.05, 0.0)),
-        (Point3(2.5, 0.1, 0.0), Point3(2.5, -0.1, 0.0)),
-    )
-    census = tuple(Point3(2.0 - 0.1875 * 2.0**-j, 0.0, 0.0) for j in range(1, 7))
+    pairs = np.array([
+        ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
+        ((1.9, 0.05, 0.0), (1.9, -0.05, 0.0)),
+        ((2.5, 0.1, 0.0), (2.5, -0.1, 0.0)),
+    ])
+    census = np.array([(2.0 - 0.1875 * 2.0**-j, 0.0, 0.0) for j in range(1, 7)])
     return Scenario(
         name="trefoil_chain" + ("_extended" if extended else ""),
         initial_curve=curve,
@@ -385,19 +385,17 @@ _FOX_C = 0.5
 
 def fox_outer(k: int) -> Box:
     """Nested supports around the stitch point, quarter-scaling."""
-    return Box.cube(Point3(0, 0, 0), 0.8 * 4.0 ** (1 - k))
+    return Box.cube((0, 0, 0), 0.8 * 4.0 ** (1 - k))
 
 
 def fox_inner(k: int) -> Box:
-    return Box.cube(Point3(0, 0, 0), 0.4 * 4.0 ** (1 - k))
+    return Box.cube((0, 0, 0), 0.4 * 4.0 ** (1 - k))
 
 
 def fox_pair_box_current(k: int) -> Box:
     """Where loop pair k sits when move k runs (after k-1 squishes)."""
     u = 4.0 ** (1 - k)
-    return Box.from_center(
-        Point3(0.11 * u, 0.0, 0.0), Point3(0.025 * u, 0.03 * u, 0.03 * u)
-    )
+    return Box.from_center((0.11 * u, 0.0, 0.0), (0.025 * u, 0.03 * u, 0.03 * u))
 
 
 def fox_pair_box_initial(k: int) -> Box:
@@ -405,21 +403,23 @@ def fox_pair_box_initial(k: int) -> Box:
     homothety the first k-1 squishes will apply."""
     f = 2.0 ** (k - 1)
     b = fox_pair_box_current(k)
-    return Box(b.lo.scaled(f), b.hi.scaled(f))
+    return Box(b.lo * f, b.hi * f)
 
 
 def fox_squish_isotopy(k: int) -> Isotopy:
     """Inverse of the unsquish between the level-k concentric boxes: an
     exact contraction by c toward the stitch point on the inner box."""
     params = UnsquishParams(
-        outer=fox_outer(k), inner=fox_inner(k), apex=Point3(0, 0, 0), c=_FOX_C
+        outer=fox_outer(k), inner=fox_inner(k), apex=np.zeros(3), c=_FOX_C
     )
     return reversed_isotopy(unsquish_isotopy(params))
 
 
-def fox_tracked_line() -> tuple[Point3, ...]:
-    """101 evenly spaced ambient points across the first loop pair's span."""
-    return tuple(Point3(float(x), 0.0, 0.0) for x in np.linspace(-0.5, 0.5, 101))
+def fox_tracked_line() -> np.ndarray:
+    """101 evenly spaced ambient points across the first loop pair's span,
+    as a (101, 3) array."""
+    xs = np.linspace(-0.5, 0.5, 101)
+    return np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
 
 
 def build_fox_remarkable() -> Scenario:
@@ -430,14 +430,14 @@ def build_fox_remarkable() -> Scenario:
     active = _axis_points(0.0, 1.5, initial_boxes, pts_per_box=2 * _PTS_PER_BOX)
     curve = PLCurve(_insert_loops(initial_boxes, 2, active), closed=False)
 
-    container = Box(Point3(-1.0, -1.0, -1.0), Point3(2.0, 1.0, 1.0))
+    container = Box((-1.0, -1.0, -1.0), (2.0, 1.0, 1.0))
 
     def stage(k: int) -> Isotopy:
         removal = reversed_isotopy(conjugated_insert(fox_pair_box_current(k), m=2))
         return chained_isotopy([removal, fox_squish_isotopy(k)], fox_outer(k))
 
     tracked = fox_tracked_line()
-    pairs = tuple(zip(tracked[:-1], tracked[1:]))
+    pairs = np.stack([tracked[:-1], tracked[1:]], axis=1)
     return Scenario(
         name="fox_remarkable",
         initial_curve=curve,
@@ -446,7 +446,7 @@ def build_fox_remarkable() -> Scenario:
         declared_decay_ratio=0.25,
         probe_pairs=pairs,
         census_samples=tracked,
-        nested_family=NestedFamily(p=Point3(0, 0, 0), region=fox_outer),
+        ball_center=np.zeros(3),
     )
 
 
@@ -524,6 +524,10 @@ def snowflake_sup_deviation(f_n: PLCurve, f_next: PLCurve) -> float:
 # -- the interval counterexample ----------------------------------------------
 
 
+# the degenerate box [0, 1] x 0 x 0, support of every interval move
+_UNIT_INTERVAL = Box((0, 0, 0), (1, 0, 0))
+
+
 class PowerMap1D(LocalMap):
     """x -> x^e on the unit interval of the x-axis, identity elsewhere.
 
@@ -538,7 +542,7 @@ class PowerMap1D(LocalMap):
         if exponent <= 0:
             raise ValueError(f"exponent must be positive, got {exponent}")
         self.exponent = exponent
-        self.support = Box(Point3(0, 0, 0), Point3(1, 0, 0))
+        self.support = _UNIT_INTERVAL
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         out = np.array(pts, dtype=float)
@@ -559,16 +563,16 @@ def build_1d_counterexample() -> Scenario:
         def map_at(t: float, k: int = k) -> LocalMap:
             return PowerMap1D((k + t) / k)
 
-        return Isotopy(support=Box(Point3(0, 0, 0), Point3(1, 0, 0)), map_at=map_at)
+        return Isotopy(support=_UNIT_INTERVAL, map_at=map_at)
 
-    container = Box(Point3(-0.5, -0.5, -0.5), Point3(1.5, 0.5, 0.5))
-    curve = PLCurve((Point3(0, 0, 0), Point3(1, 0, 0)), closed=False)
-    pairs = (
-        (Point3(0.2, 0, 0), Point3(0.5, 0, 0)),
-        (Point3(0.3, 0, 0), Point3(0.6, 0, 0)),
-        (Point3(0.1, 0, 0), Point3(0.4, 0, 0)),
-    )
-    census = tuple(Point3(x, 0, 0) for x in (0.3, 0.5, 0.7, 0.9))
+    container = Box((-0.5, -0.5, -0.5), (1.5, 0.5, 0.5))
+    curve = PLCurve(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), closed=False)
+    pairs = np.array([
+        ((0.2, 0, 0), (0.5, 0, 0)),
+        ((0.3, 0, 0), (0.6, 0, 0)),
+        ((0.1, 0, 0), (0.4, 0, 0)),
+    ], dtype=float)
+    census = np.array([(x, 0, 0) for x in (0.3, 0.5, 0.7, 0.9)], dtype=float)
     return Scenario(
         name="1d_counterexample",
         initial_curve=curve,

@@ -22,7 +22,7 @@ from knotiso.engine import (
     seam_values,
     uniform_convergence_probe,
 )
-from knotiso.geometry import Box, Point3, curve_is_simple, distance, union_diameter
+from knotiso.geometry import Box, curve_is_simple, union_diameter
 from knotiso.maps import (
     AffineMap,
     ConeMap,
@@ -62,17 +62,17 @@ def test_criterion_02_map_correctness():
     rng = np.random.default_rng(2)
     n = 10_000
     region = CANONICAL_BOX
-    cone = ConeMap(region, Point3(0, 0, 0), Point3(0.3, -0.2, 0.15))
+    cone = ConeMap(region, np.zeros(3), np.array([0.3, -0.2, 0.15]))
     unsq = UnsquishMap(
         UnsquishParams(
             outer=region,
             inner=region.scaled_about_center(0.5),
-            apex=Point3(0.1, 0.0, -0.05),
+            apex=np.array([0.1, 0.0, -0.05]),
             c=0.4,
         ),
         t=1.0,
     )
-    target = Box.from_center(Point3(4, 1, -2), Point3(0.5, 0.25, 0.25))
+    target = Box.from_center((4, 1, -2), (0.5, 0.25, 0.25))
     comp = conjugate(AffineMap.box_to_box(region, target), kink_map(), target)
     for m in (IdentityMap(support=region), cone, unsq, comp):
         far = rng.uniform(2.0, 10.0, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
@@ -85,8 +85,8 @@ def test_criterion_02_map_correctness():
             # primitive maps are bitwise identity outside the support
             assert np.array_equal(img, outside)
         # inverse roundtrip everywhere
-        lo = m.support.lo.as_array() - 1.0
-        hi = m.support.hi.as_array() + 1.0
+        lo = m.support.lo - 1.0
+        hi = m.support.hi + 1.0
         pts = lo + rng.random((n, 3)) * (hi - lo)
         back = m.apply_inverse_array(m.apply_array(pts))
         assert np.sqrt(((back - pts) ** 2).sum(-1)).max() < 1e-9
@@ -99,16 +99,16 @@ def test_criterion_02_map_correctness():
 
 def test_criterion_03_unsquish_exactness():
     rng = np.random.default_rng(3)
-    apex = Point3(0.15, -0.1, 0.05)
+    apex = np.array([0.15, -0.1, 0.05])
     for c in (0.3, 0.5, 0.9):
         params = UnsquishParams(
-            outer=Box.from_center(Point3(0, 0, 0), Point3(2, 2, 2)),
-            inner=Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1)),
+            outer=Box.from_center((0, 0, 0), (2, 2, 2)),
+            inner=Box.from_center((0, 0, 0), (1, 1, 1)),
             apex=apex,
             c=c,
         )
         m = UnsquishMap(params, t=1.0)
-        a = apex.as_array()
+        a = apex
         d = rng.normal(size=(1000, 3))
         d /= np.sqrt((d**2).sum(-1))[:, None]
         # reach of the inner box from the apex along each direction
@@ -136,7 +136,7 @@ def test_criterion_04_composite_lower_bound():
     rng = np.random.default_rng(4)
     for k in (1, 2, 3, 5):
         comp = s.moves.stage(k).time_one()
-        qk = rec_apex(k).as_array()
+        qk = rec_apex(k)
         inner = rec_unsquish_params(k, c).inner
         d = rng.normal(size=(1000, 3))
         d /= np.sqrt((d**2).sum(-1))[:, None]
@@ -158,11 +158,11 @@ def test_criterion_05_uniform_convergence_bound():
             continue
         for n, m in ((5, 15), (10, 20)):
             boxes = s.moves.boxes(n + 1, m)
-            grid = [Point3.from_array(p) for p in s.moves.container.sample(rng, 200)]
             # include points inside the tail supports: that is where the
             # deviation is realized
-            for b in boxes:
-                grid.extend(Point3.from_array(p) for p in b.sample(rng, 10))
+            grid = np.concatenate(
+                [s.moves.container.sample(rng, 200)] + [b.sample(rng, 10) for b in boxes]
+            )
             dev = uniform_convergence_probe(s.moves, n, m, grid)
             assert dev <= union_diameter(boxes) + 1e-9, (name, n, m)
 
@@ -198,9 +198,9 @@ def test_criterion_07_seam_continuity():
 
 
 def test_criterion_08_ball_factoring():
-    p = Point3(0, 0, 0)
-    fam = dyadic_cubes(p)
-    eps, n0 = find_ball_factoring(fam, horizon=10)
+    p = np.zeros(3)
+    boxes = dyadic_cubes(p, 10)
+    eps, n0 = find_ball_factoring(p, boxes)
     assert eps == 0.25
     # independent oracle: brute-force smallest region whose corners all sit
     # strictly inside the ball (half-diagonal formula)
@@ -211,8 +211,8 @@ def test_criterion_08_ball_factoring():
     )
     assert n0 == oracle == 3
     # containment chain certified exactly
-    assert all(distance(c, p) < eps for c in fam.region(n0).corners())
-    assert fam.region(1).wall_distance(p) > eps
+    assert all(math.dist(c, p) < eps for c in boxes[n0 - 1].corners())
+    assert boxes[0].wall_distance(p) > eps
 
 
 def test_criterion_09_snowflake():

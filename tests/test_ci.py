@@ -1,8 +1,9 @@
 """The CI workflow parses and runs the Tier-1 command, whose test paths
 take in the benchmark-harness tests, on the oldest Python the package
-admits, and the test configuration turns runtime warnings into failures.
-Every public function, class, method and constant in the package has a
-caller outside the tests."""
+admits, with the numpy and scipy the golden hashes were made with, and
+the test configuration turns runtime warnings into failures.  Every
+public function, class, method and constant in the package has a caller
+outside the tests."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -29,6 +30,16 @@ def test_workflow_runs_both_suites_on_python_311():
     assert setup["with"]["python-version"] == "3.11"
     # the oldest Python the package admits is the one CI tests
     assert config["project"]["requires-python"] == f">={setup['with']['python-version']}"
+
+
+def test_workflow_pins_the_numerics_of_the_golden_hashes():
+    # report bytes depend on numpy's summation order: np.vecdot, einsum
+    # and .sum(-1) round a 3-term row sum differently
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    install = next(s["run"] for s in steps if "pip install" in s.get("run", "")).split()
+    assert "numpy==2.4.6" in install
+    assert "scipy==1.17.1" in install
 
 
 def test_runtime_warnings_fail_the_suite():

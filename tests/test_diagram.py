@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from knotiso import diagram
 from knotiso.diagram import count_crossings, find_crossings, render_svg
 from knotiso.engine import glue_schedule, map_curve
-from knotiso.geometry import Box, PLCurve, Point3, write_curve
+from knotiso.geometry import Box, PLCurve, write_curve
 
 
 def _poly(rows, closed=False) -> PLCurve:
-    return PLCurve(tuple(Point3(*r) for r in rows), closed=closed)
+    return PLCurve(np.array(rows, dtype=float), closed=closed)
 
 
 class TestFindCrossings:
@@ -98,7 +98,7 @@ class TestCandidatePruning:
             x0 += 0.7
         curve = _poly(rows)
         total = count_crossings(curve)
-        first = count_crossings(curve, Box(Point3(0, -1, -1), Point3(0.65, 1, 1)))
+        first = count_crossings(curve, Box((0, -1, -1), (0.65, 1, 1)))
         assert total == 3
         assert first == 1
 

@@ -20,18 +20,18 @@ from knotiso.engine import (
     truncated_map,
     uniform_convergence_probe,
 )
-from knotiso.geometry import Box, PLCurve, Point3, union_diameter
+from knotiso.geometry import Box, PLCurve, union_diameter
 from knotiso.maps import IdentityMap
 from knotiso.moves import cone_isotopy
 
-CONTAINER = Box(Point3(-1, -1, -1), Point3(3, 1, 1))
+CONTAINER = Box((-1, -1, -1), (3, 1, 1))
 
 
 def _shrinking_stage(k: int) -> Isotopy:
     """Cone pull in a box of scale 2^-k accumulating at x = 2."""
     s = 2.0**-k
-    b = Box.from_center(Point3(2.0 - 0.75 * s, 0.0, 0.0), Point3(0.2 * s, 0.2 * s, 0.2 * s))
-    return cone_isotopy(b, b.center, Point3(b.center.x, 0.1 * s, 0.0))
+    b = Box.from_center((2.0 - 0.75 * s, 0.0, 0.0), (0.2 * s, 0.2 * s, 0.2 * s))
+    return cone_isotopy(b, b.center, np.array([b.center[0], 0.1 * s, 0.0]))
 
 
 def _stream() -> MoveSequence:
@@ -108,7 +108,7 @@ class TestTruncations:
 
     def test_map_curve_densifies(self):
         seq = _stream()
-        arc = PLCurve((Point3(0, 0, 0), Point3(2.5, 0, 0)))
+        arc = PLCurve(((0, 0, 0), (2.5, 0, 0)))
         dense = arc.densified(0.05)
         img = map_curve(truncated_map(seq, 2), dense)
         assert len(img.vertices) == len(dense.vertices) >= 50
@@ -136,12 +136,12 @@ class TestHypotheses:
             assert d == pytest.approx(union_diameter(boxes[n - 1 :]), abs=0.0)
 
     def test_containment_failure_is_condition_2(self):
-        big = Box(Point3(-5, -5, -5), Point3(5, 5, 5))
+        big = Box((-5, -5, -5), (5, 5, 5))
 
         def stage(k):
             s = 2.0**-k
-            b = Box.cube(Point3(2.0 - s, 0, 0), 0.1 * s) if k > 1 else big
-            return cone_isotopy(b, b.center, Point3(b.center.x, 0.01 * s, 0))
+            b = Box.cube((2.0 - s, 0, 0), 0.1 * s) if k > 1 else big
+            return cone_isotopy(b, b.center, np.array([b.center[0], 0.01 * s, 0]))
 
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
         rep = check_hypotheses(seq, horizon=25, threshold=1e-6)
@@ -153,8 +153,8 @@ class TestHypotheses:
         # must not cull on the container, whose containment is on trial
         def stage(k):
             if k == 3:
-                b = Box(Point3(2.6, -0.3, -0.3), Point3(3.6, 0.3, 0.3))
-                return cone_isotopy(b, b.center, Point3(3.1, 0.2, 0.0))
+                b = Box((2.6, -0.3, -0.3), (3.6, 0.3, 0.3))
+                return cone_isotopy(b, b.center, np.array([3.1, 0.2, 0.0]))
             return _shrinking_stage(k)
 
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
@@ -168,10 +168,10 @@ class TestHypotheses:
             assert not np.array_equal(m.apply_array(p), p)
 
     def test_constant_supports_fail_condition_1(self):
-        b = Box.cube(Point3(0, 0, 0), 1.0)
+        b = Box.cube((0, 0, 0), 1.0)
 
         def stage(k):
-            return cone_isotopy(b, b.center, Point3(0.1, 0, 0))
+            return cone_isotopy(b, b.center, np.array([0.1, 0, 0]))
 
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
         rep = check_hypotheses(seq, horizon=10, threshold=1e-6)
@@ -196,7 +196,7 @@ def _box_family(min_size=1):
     coord = st.floats(-10.0, 10.0, allow_nan=False)
     extent = st.floats(0.0, 5.0, allow_nan=False)
     box = st.tuples(coord, coord, coord, extent, extent, extent).map(
-        lambda v: Box.from_center(Point3(*v[:3]), Point3(*v[3:]))
+        lambda v: Box.from_center(v[:3], v[3:])
     )
     return st.lists(box, min_size=min_size, max_size=12)
 
@@ -214,7 +214,7 @@ def _meet(a: Box, b: Box) -> bool:
     return all(
         lo_a <= hi_b and lo_b <= hi_a
         for lo_a, hi_a, lo_b, hi_b in zip(
-            a.lo.as_array(), a.hi.as_array(), b.lo.as_array(), b.hi.as_array()
+            a.lo, a.hi, b.lo, b.hi
         )
     )
 
@@ -267,14 +267,14 @@ class TestTailBoxes:
 class TestLimitEvaluation:
     def test_limit_settles_outside_all_supports(self):
         seq = _stream()
-        lv = eval_limit_isotopy(seq, Point3(0.0, 0.5, 0.0), tol=1e-6, k_budget=30)
+        lv = eval_limit_isotopy(seq, np.array([0.0, 0.5, 0.0]), tol=1e-6, k_budget=30)
         assert lv.status == "settled"
         assert lv.steps == 0
 
     def test_limit_tol_converges_at_accumulation_point(self):
         seq = _stream()
         lv = eval_limit_isotopy(
-            seq, Point3(2.0 - 2.0**-5 * 0.75, 0.0, 0.0), tol=1e-6, k_budget=40
+            seq, np.array([2.0 - 2.0**-5 * 0.75, 0.0, 0.0]), tol=1e-6, k_budget=40
         )
         assert lv.status in ("settled", "tol-converged")
 
@@ -282,7 +282,7 @@ class TestLimitEvaluation:
         seq = _stream()
         # a point inside the horizon stage's box, tolerance far below what
         # 10 stages can certify: the stream just runs out of budget
-        p = Point3(2.0 - 0.75 * 2.0**-10, 0.0, 0.0)
+        p = np.array([2.0 - 0.75 * 2.0**-10, 0.0, 0.0])
         lv = eval_limit_isotopy(seq, p, tol=1e-30, k_budget=10)
         assert lv.status == "budget-exhausted"
         assert lv.steps == 10
@@ -291,14 +291,14 @@ class TestLimitEvaluation:
         seq = _stream()
         for tol in (0.0, -1.0):
             with pytest.raises(ValueError, match="tol must be positive"):
-                eval_limit_isotopy(seq, Point3(0, 0, 0), tol=tol)
+                eval_limit_isotopy(seq, np.zeros(3), tol=tol, k_budget=10)
 
 
 class TestProbes:
     def test_uniform_convergence_bounded_by_tail_diameter(self):
         seq = _stream()
         rng = np.random.default_rng(1)
-        grid = [Point3.from_array(p) for p in CONTAINER.sample(rng, 200)]
+        grid = CONTAINER.sample(rng, 200)
         dev = uniform_convergence_probe(seq, 5, 12, grid)
         bound = union_diameter([_shrinking_stage(k).support for k in range(6, 13)])
         assert 0.0 <= dev <= bound + 1e-12
@@ -306,22 +306,22 @@ class TestProbes:
     def test_uniform_convergence_validates(self):
         seq = _stream()
         with pytest.raises(ValueError):
-            uniform_convergence_probe(seq, 5, 3, [Point3(0, 0, 0)])
+            uniform_convergence_probe(seq, 5, 3, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             uniform_convergence_probe(seq, 1, 2, [])
 
     def test_injectivity_probe_identity_pairs(self):
         seq = _stream()
-        pairs = [(Point3(0, 0.5, 0), Point3(0, 0.6, 0))]
+        pairs = np.array([((0, 0.5, 0), (0, 0.6, 0))])
         assert injectivity_probe(seq, 5, pairs) == pytest.approx(0.1)
 
     def test_census_counts_trapped_points(self):
         seq = _stream()
-        trapped = Point3(2.0 - 0.75 * 2.0**-12, 0.0, 0.0)
-        free = Point3(0.0, 0.5, 0.0)
-        assert infinite_motion_census(seq, 10, [trapped, free], horizon=20) >= 1
-        assert infinite_motion_census(seq, 10, [free], horizon=20) == 0
-        assert infinite_motion_census(seq, 10, [], horizon=20) == 0
+        trapped = np.array([2.0 - 0.75 * 2.0**-12, 0.0, 0.0])
+        free = np.array([0.0, 0.5, 0.0])
+        assert infinite_motion_census(seq, 10, np.array([trapped, free]), horizon=20) >= 1
+        assert infinite_motion_census(seq, 10, free[None, :], horizon=20) == 0
+        assert infinite_motion_census(seq, 10, np.empty((0, 3)), horizon=20) == 0
 
 
 class TestGlueSchedule:
@@ -382,7 +382,7 @@ def _composer_points(s):
     """Container samples, points along the curve (which the stages move)
     and points outside the container, hence outside every support."""
     box = s.moves.container
-    lo, hi = box.lo.as_array(), box.hi.as_array()
+    lo, hi = box.lo, box.hi
     outside = np.array([hi + 0.5, lo - 0.5, [hi[0] + 1.0, 0.5 * (lo[1] + hi[1]), lo[2]]])
     inside = box.sample(np.random.default_rng(5), 100)
     return np.vstack([inside, s.initial_curve.densified(0.05).points, outside])
@@ -442,6 +442,5 @@ def test_uniform_probe_reads_per_stage_images(scenarios, name):
     s = scenarios[name]
     pts = _composer_points(s)
     dev = np.sqrt(((_per_stage(s.moves, 4, pts) - _per_stage(s.moves, 9, pts)) ** 2).sum(-1))
-    grid = [Point3.from_array(p) for p in pts]
     assert dev.max() > 0.0
-    assert uniform_convergence_probe(s.moves, 4, 9, grid) == float(dev.max())
+    assert uniform_convergence_probe(s.moves, 4, 9, pts) == float(dev.max())

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from knotiso.geometry import (
     Box,
     PLCurve,
-    Point3,
     curve_is_simple,
-    distance,
     multiscale_close_pairs,
     _segment_pair_distances,
     read_curve,
@@ -19,68 +17,80 @@ from knotiso.geometry import (
 )
 
 coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-points = st.builds(Point3, coords, coords, coords)
-
-
-class TestPoint3:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Point3(float("nan"), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            Point3(0.0, float("inf"), 0.0)
-
-    @given(points, points)
-    @settings(max_examples=50, deadline=None)
-    def test_distance_symmetric_nonnegative(self, a, b):
-        assert distance(a, b) == distance(b, a)
-        assert distance(a, b) >= 0.0
-        assert distance(a, a) == 0.0
-
-    @given(points, points, points)
-    @settings(max_examples=50, deadline=None)
-    def test_triangle_inequality(self, a, b, c):
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
-
-    def test_array_roundtrip(self):
-        p = Point3(1.5, -2.25, 0.125)
-        assert Point3.from_array(p.as_array()) == p
+points = st.tuples(coords, coords, coords)
 
 
 class TestBox:
     def test_rejects_inverted_corners(self):
         with pytest.raises(ValueError):
-            Box(Point3(1, 0, 0), Point3(0, 1, 1))
+            Box((1, 0, 0), (0, 1, 1))
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                Box((bad, 0.0, 0.0), (1.0, 1.0, 1.0))
+            with pytest.raises(ValueError, match="non-finite"):
+                Box((0.0, 0.0, 0.0), (1.0, bad, 1.0))
+
+    @pytest.mark.parametrize(
+        "lo,hi", [((0, 0), (1, 1)), ((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 0), (1, 1, 1)), (0, 1)]
+    )
+    def test_rejects_corners_that_are_not_rows(self, lo, hi):
+        with pytest.raises(ValueError):
+            Box(lo, hi)
+
+    def test_corners_are_read_only_copies(self):
+        lo = np.zeros(3)
+        b = Box(lo, (1, 1, 1))
+        lo[0] = -5.0
+        assert b.lo[0] == 0.0 and b.lo.dtype == float
+        assert not (b.lo.flags.writeable or b.hi.flags.writeable)
+        with pytest.raises(ValueError):
+            b.hi[0] = 2.0
+
+    def test_compares_by_value(self):
+        assert Box((0, 0, 0), (1, 1, 1)) == Box.cube((0.5, 0.5, 0.5), 1.0)
+        assert Box((0, 0, 0), (1, 1, 1)) != Box((0, 0, 0), (1, 1, 2))
 
     def test_from_center_and_cube(self):
-        b = Box.from_center(Point3(1, 2, 3), Point3(0.5, 1.0, 1.5))
-        assert b.lo == Point3(0.5, 1.0, 1.5)
-        assert b.hi == Point3(1.5, 3.0, 4.5)
-        c = Box.cube(Point3(0, 0, 0), 2.0)
-        assert c.lo == Point3(-1, -1, -1)
+        b = Box.from_center((1, 2, 3), (0.5, 1.0, 1.5))
+        assert b.lo.tolist() == [0.5, 1.0, 1.5]
+        assert b.hi.tolist() == [1.5, 3.0, 4.5]
+        c = Box.cube((0, 0, 0), 2.0)
+        assert c.lo.tolist() == [-1, -1, -1]
 
     def test_contains_strict_vs_closed(self):
-        b = Box.cube(Point3(0, 0, 0), 2.0)
-        assert b.contains(Point3(1, 0, 0))
-        assert not b.contains(Point3(1, 0, 0), strict=True)
-        assert b.contains(Point3(0.999, 0, 0), strict=True)
+        b = Box.cube((0, 0, 0), 2.0)
+        assert b.contains_array(np.array([1.0, 0, 0]))
+        assert not b.contains_array(np.array([1.0, 0, 0]), strict=True)
+        assert b.contains_array(np.array([0.999, 0, 0]), strict=True)
+        rows = np.array([[1.0, 0, 0], [0.999, 0, 0], [2.0, 0, 0]])
+        assert b.contains_array(rows).tolist() == [True, True, False]
+        assert b.contains_array(rows, strict=True).tolist() == [False, True, False]
 
     def test_diameter_is_corner_to_corner(self):
-        b = Box(Point3(0, 0, 0), Point3(3, 4, 12))
+        b = Box((0, 0, 0), (3, 4, 12))
         assert b.diameter() == pytest.approx(13.0)
 
+    def test_corners_are_x_major(self):
+        b = Box((0, 1, 2), (3, 4, 5))
+        expected = [[x, y, z] for x in (0, 3) for y in (1, 4) for z in (2, 5)]
+        assert b.corners().shape == (8, 3)
+        assert b.corners().tolist() == expected
+
     def test_wall_distance(self):
-        b = Box.cube(Point3(0, 0, 0), 2.0)
-        assert b.wall_distance(Point3(0.25, 0, 0)) == pytest.approx(0.75)
+        b = Box.cube((0, 0, 0), 2.0)
+        assert b.wall_distance(np.array([0.25, 0, 0])) == pytest.approx(0.75)
 
     def test_contains_box(self):
-        a = Box.cube(Point3(0, 0, 0), 2.0)
-        b = Box.cube(Point3(0.5, 0, 0), 1.0)
-        c = Box.cube(Point3(5, 0, 0), 1.0)
+        a = Box.cube((0, 0, 0), 2.0)
+        b = Box.cube((0.5, 0, 0), 1.0)
+        c = Box.cube((5, 0, 0), 1.0)
         assert a.contains_box(b) and not a.contains_box(c)
-        assert not a.contains_box(Box.cube(Point3(0, 0, 0), 2.0), strict=True)
+        assert not a.contains_box(Box.cube((0, 0, 0), 2.0), strict=True)
 
     def test_sample_inside_and_deterministic(self):
-        b = Box(Point3(-1, 0, 2), Point3(1, 3, 5))
+        b = Box((-1, 0, 2), (1, 3, 5))
         s1 = b.sample(np.random.default_rng(11), 200)
         s2 = b.sample(np.random.default_rng(11), 200)
         assert np.array_equal(s1, s2)
@@ -90,19 +100,14 @@ class TestBox:
 class TestUnionDiameter:
     def test_matches_brute_force_corner_pairs(self):
         rng = np.random.default_rng(3)
-        boxes = [
-            Box.from_center(
-                Point3(*rng.uniform(-5, 5, 3)), Point3(*rng.uniform(0.1, 2, 3))
-            )
-            for _ in range(6)
-        ]
+        boxes = [Box.from_center(rng.uniform(-5, 5, 3), rng.uniform(0.1, 2, 3)) for _ in range(6)]
         # independent oracle: exhaustive corner-pair distances
-        corners = [c for b in boxes for c in b.corners()]
-        brute = max(distance(p, q) for p in corners for q in corners)
+        corners = [c for b in boxes for c in b.corners().tolist()]
+        brute = max(math.dist(p, q) for p in corners for q in corners)
         assert union_diameter(boxes) == pytest.approx(brute, abs=0.0)
 
     def test_single_box_is_diameter(self):
-        b = Box(Point3(0, 0, 0), Point3(1, 1, 1))
+        b = Box((0, 0, 0), (1, 1, 1))
         assert union_diameter([b]) == pytest.approx(math.sqrt(3.0))
 
     def test_empty_rejected(self):
@@ -146,57 +151,44 @@ class TestSegments:
 class TestPLCurve:
     def test_vertex_count_validation(self):
         with pytest.raises(ValueError):
-            PLCurve((Point3(0, 0, 0),), closed=False)
+            PLCurve(((0, 0, 0),), closed=False)
         with pytest.raises(ValueError):
-            PLCurve((Point3(0, 0, 0), Point3(1, 0, 0)), closed=True)
+            PLCurve(((0, 0, 0), (1, 0, 0)), closed=True)
         with pytest.raises(ValueError):
-            PLCurve((Point3(0, 0, 0), Point3(0, 0, 0)))
+            PLCurve(((0, 0, 0), (0, 0, 0)))
 
     def test_densified_preserves_trace_and_endpoints(self):
-        c = PLCurve((Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0)))
+        c = PLCurve(((0, 0, 0), (1, 0, 0), (1, 1, 0)))
         d = c.densified(0.1)
-        assert d.vertices[0] == c.vertices[0]
-        assert d.vertices[-1] == c.vertices[-1]
+        assert np.array_equal(d.points[0], c.points[0])
+        assert np.array_equal(d.points[-1], c.points[-1])
         a, b = d.segment_arrays()
         assert np.sqrt(((b - a) ** 2).sum(-1)).max() <= 0.1 + 1e-12
 
     def test_densified_closed_keeps_closure(self):
-        sq = PLCurve(
-            (Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0)),
-            closed=True,
-        )
+        sq = PLCurve(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)), closed=True)
         d = sq.densified(0.25)
-        assert d.closed and len(d.segment_arrays()[0]) == len(d.vertices)
+        assert d.closed and len(d.segment_arrays()[0]) == len(d.points)
 
     def test_square_is_simple_figure_eight_is_not(self):
-        sq = PLCurve(
-            (Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0)),
-            closed=True,
-        )
+        sq = PLCurve(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)), closed=True)
         assert curve_is_simple(sq, 1e-9)
-        bow = PLCurve(
-            (Point3(0, 0, 0), Point3(1, 1, 0), Point3(1, 0, 0), Point3(0, 1, 0)),
-            closed=True,
-        )
+        bow = PLCurve(((0, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)), closed=True)
         assert not curve_is_simple(bow, 1e-9)
 
     def test_simple_large_curve_uses_prefilter(self):
         t = np.linspace(0, 2 * np.pi, 2000, endpoint=False)
-        ring = PLCurve(
-            tuple(Point3(math.cos(x), math.sin(x), 0.0) for x in t), closed=True
-        )
+        ring = PLCurve(np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)]), closed=True)
         assert curve_is_simple(ring, 1e-6)
 
     def test_file_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        c = PLCurve(
-            tuple(Point3(*rng.uniform(-3, 3, 3)) for _ in range(40)), closed=True
-        )
+        c = PLCurve(rng.uniform(-3, 3, (40, 3)), closed=True)
         path = tmp_path / "c.curve"
         write_curve(c, path)
         back = read_curve(path)
         assert back.closed == c.closed
-        assert back.vertices == c.vertices
+        assert np.array_equal(back.points, c.points)
 
     def test_reader_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.curve"
@@ -216,6 +208,20 @@ class TestPLCurve:
         with pytest.raises(ValueError, match="expected 3 vertices, found 2"):
             read_curve(path)
 
+    @pytest.mark.parametrize(
+        "text,found",
+        [
+            ("open 2\n0 0 0\n1 0 0\n5 5 5\nnot a number\n", 4),
+            ("open 2\n0 0 0\n1 0 0\n5 5 5\n", 3),
+            ("open 2\n0 0 0\n1 0 0\n\n", 3),
+        ],
+    )
+    def test_reader_rejects_lines_past_the_declared_count(self, tmp_path, text, found):
+        path = tmp_path / "long.curve"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"expected 2 vertices, found {found}"):
+            read_curve(path)
+
 
 def _closed_ok(verts) -> bool:
     return len(verts) >= 3 and verts[0] != verts[-1]
@@ -229,7 +235,8 @@ def _polylines(draw):
     closed = draw(st.booleans())
     if len(verts) < 2 or (closed and not _closed_ok(verts)):
         closed = False
-        verts = verts + [verts[-1] + Point3(1.0, 0.0, 0.0)]
+        x, y, z = verts[-1]
+        verts = verts + [(x + 1.0, y, z)]
     return verts, closed
 
 
@@ -249,8 +256,7 @@ class TestPLCurveArray:
     @pytest.mark.parametrize("as_array", [False, True])
     def test_constructor_checks(self, as_array):
         def make(rows, closed=False):
-            verts = tuple(Point3(*r) for r in rows)
-            return PLCurve(np.array(rows, dtype=float) if as_array else verts, closed=closed)
+            return PLCurve(np.array(rows, dtype=float) if as_array else rows, closed=closed)
 
         with pytest.raises(ValueError, match="at least 2"):
             make([(0, 0, 0)])
@@ -284,7 +290,7 @@ class TestPLCurveArray:
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.1])
     def test_densified_rejects_bad_length(self, bad):
-        c = PLCurve((Point3(0, 0, 0), Point3(1, 0, 0)))
+        c = PLCurve(((0, 0, 0), (1, 0, 0)))
         with pytest.raises(ValueError, match="max_seg_len must be positive"):
             c.densified(bad)
 
@@ -292,16 +298,16 @@ class TestPLCurveArray:
     @settings(max_examples=80, deadline=None)
     def test_vertices_round_trip(self, poly):
         verts, closed = poly
-        c = PLCurve(tuple(verts), closed=closed)
-        assert c.vertices == tuple(verts)
+        c = PLCurve(verts, closed=closed)
+        assert c.vertices is c.points
+        assert [tuple(r) for r in c.points.tolist()] == verts
         assert c.points.shape == (len(verts), 3)
-        assert PLCurve(c.points, closed=closed).vertices == c.vertices
-        assert PLCurve(c.vertices, closed=closed) == c
+        assert PLCurve(c.points, closed=closed) == c
 
     def test_densified_piece_count_matches_per_segment_norm(self):
         # sqrt of a row-wise sum of squares rounds this length one ulp away
         # from np.linalg.norm(b - a), which moves ceil(L / max_seg_len) from 2 to 3
-        c = PLCurve((Point3(0.864, 0.226, -0.307), Point3(1.67, 1.424, -1.116)))
+        c = PLCurve(((0.864, 0.226, -0.307), (1.67, 1.424, -1.116)))
         max_seg_len = 0.8275447117829948
         np.testing.assert_array_equal(
             c.densified(max_seg_len).points, _densified_by_segment(c, max_seg_len)
@@ -311,7 +317,7 @@ class TestPLCurveArray:
     @settings(max_examples=80, deadline=None)
     def test_densified_matches_per_segment_formula(self, poly, max_seg_len):
         verts, closed = poly
-        c = PLCurve(tuple(verts), closed=closed)
+        c = PLCurve(verts, closed=closed)
         d = c.densified(max_seg_len)
         assert d.closed == closed
         np.testing.assert_array_equal(d.points, _densified_by_segment(c, max_seg_len))

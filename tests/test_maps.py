@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from knotiso.canonical import (
     kink_map,
     multi_kink_isotopy,
 )
-from knotiso.geometry import Box, Point3, distance
+from knotiso.geometry import Box
 from knotiso.maps import (
     AffineMap,
     CompositeMap,
@@ -22,17 +24,17 @@ from knotiso.maps import (
     conjugate,
     estimate_inverse_lipschitz,
     make_cone_map,
-    unbounded_box,
+    UNBOUNDED,
 )
 from knotiso.moves import chained_isotopy, reversed_isotopy, staged_isotopy, unsquish_isotopy
 from knotiso.scenarios import SCENARIO_BUILDERS
 
-UNIT = Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1))
+UNIT = Box.from_center((0, 0, 0), (1, 1, 1))
 
 
-def _at(m, p: Point3) -> Point3:
+def _at(m, p: np.ndarray) -> np.ndarray:
     """m applied to one point."""
-    return Point3.from_array(m.apply_array(p.as_array()[None, :])[0])
+    return m.apply_array(p[None, :])[0]
 
 
 def _roundtrip_error(m, pts: np.ndarray) -> float:
@@ -63,24 +65,24 @@ class TestAffineMap:
     def test_accepts_anisotropic_frames_and_their_inverses(self):
         squashed = AffineMap(np.array([1.0, 1e-13, 1.0]), np.zeros(3))
         assert squashed.inverse().scale[1] == 1e13
-        thin = Box.from_center(Point3(0, 0, 0), Point3(1.0, 1.0, 2.0**-20))
+        thin = Box.from_center((0, 0, 0), (1.0, 1.0, 2.0**-20))
         frame = AffineMap.box_to_box(UNIT, thin)
         assert (frame.inverse().scale == [1.0, 1.0, 2.0**20]).all()
 
     def test_box_to_box_rejects_degenerate_boxes(self):
-        flat = Box(Point3(0, 0, 0), Point3(1, 1, 0))
+        flat = Box((0, 0, 0), (1, 1, 0))
         with pytest.raises(ValueError, match="source box is degenerate"):
             AffineMap.box_to_box(flat, UNIT)
         with pytest.raises(ValueError, match="singular"):
             AffineMap.box_to_box(UNIT, flat)
 
     def test_box_to_box_maps_corners(self):
-        src = Box(Point3(-1, -1, -1), Point3(1, 1, 1))
-        dst = Box(Point3(2, 0, -3), Point3(4, 1, -1))
+        src = Box((-1, -1, -1), (1, 1, 1))
+        dst = Box((2, 0, -3), (4, 1, -1))
         m = AffineMap.box_to_box(src, dst)
-        assert distance(_at(m, src.lo), dst.lo) < 1e-12
-        assert distance(_at(m, src.hi), dst.hi) < 1e-12
-        assert distance(_at(m, src.center), dst.center) < 1e-12
+        assert math.dist(_at(m, src.lo), dst.lo) < 1e-12
+        assert math.dist(_at(m, src.hi), dst.hi) < 1e-12
+        assert math.dist(_at(m, src.center), dst.center) < 1e-12
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -91,13 +93,13 @@ class TestAffineMap:
 
     def test_support_is_unbounded_sentinel(self):
         m = AffineMap(np.full(3, 2.0), np.zeros(3))
-        assert m.support == unbounded_box()
+        assert m.support == UNBOUNDED
 
 
 def _matrix_frame(src: Box, dst: Box) -> tuple[np.ndarray, np.ndarray]:
     """box_to_box as the general map p -> M p + t it replaced."""
-    m = np.diag(dst.half_extents.as_array() / src.half_extents.as_array())
-    return m, dst.center.as_array() - m @ src.center.as_array()
+    m = np.diag(dst.half_extents / src.half_extents)
+    return m, dst.center - m @ src.center
 
 
 def _drawn_box(c, e, k, f) -> Box:
@@ -106,7 +108,7 @@ def _drawn_box(c, e, k, f) -> Box:
     box differ by up to 2^21 (over 10^6)."""
     c = np.array(c)
     half = np.array(f) * 2.0 ** (e + np.array(k)) * np.maximum(1.0, np.abs(c))
-    return Box.from_center(Point3(*c), Point3(*half))
+    return Box.from_center(c, half)
 
 
 _box = st.builds(
@@ -122,7 +124,7 @@ def _frame_points(box: Box, seed: int) -> np.ndarray:
     """Points inside a box, on its faces and corners, outside it, and
     with signed-zero coordinates."""
     rng = np.random.default_rng(seed)
-    c, h = box.center.as_array(), box.half_extents.as_array()
+    c, h = box.center, box.half_extents
     inside = rng.uniform(-1.0, 1.0, (20, 3))
     faces = rng.uniform(-1.0, 1.0, (6, 3))
     faces[np.arange(6), np.arange(6) % 3] = np.repeat([-1.0, 1.0], 3)
@@ -156,16 +158,16 @@ class TestAffineFrameOracle:
 class TestConeMap:
     def test_rejects_apex_outside_region(self):
         with pytest.raises(ValueError):
-            ConeMap(UNIT, Point3(2, 0, 0), Point3(0, 0, 0))
+            ConeMap(UNIT, np.array([2.0, 0.0, 0.0]), np.zeros(3))
         with pytest.raises(ValueError):
-            ConeMap(UNIT, Point3(0, 0, 0), Point3(0, 0, 1.0))
+            ConeMap(UNIT, np.zeros(3), np.array([0, 0, 1.0]))
 
     def test_moves_apex_to_target(self):
-        m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, -0.2, 0.1))
-        assert distance(_at(m, Point3(0, 0, 0)), Point3(0.3, -0.2, 0.1)) < 1e-12
+        m = ConeMap(UNIT, np.zeros(3), np.array([0.3, -0.2, 0.1]))
+        assert math.dist(_at(m, np.zeros(3)), np.array([0.3, -0.2, 0.1])) < 1e-12
 
     def test_fixes_boundary_and_exterior(self):
-        m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, -0.2, 0.1))
+        m = ConeMap(UNIT, np.zeros(3), np.array([0.3, -0.2, 0.1]))
         rng = np.random.default_rng(2)
         # boundary points: project random points to a random face
         pts = UNIT.sample(rng, 2000)
@@ -177,29 +179,29 @@ class TestConeMap:
         assert np.array_equal(m.apply_array(outside), outside)
 
     def test_inverse_is_swapped_cone(self):
-        m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, -0.2, 0.1))
+        m = ConeMap(UNIT, np.zeros(3), np.array([0.3, -0.2, 0.1]))
         inv = m.inverse()
         assert isinstance(inv, ConeMap)
-        assert inv.p0 == m.p1 and inv.p1 == m.p0
+        assert inv.p0 is m.p1 and inv.p1 is m.p0
         rng = np.random.default_rng(3)
         assert _roundtrip_error(m, UNIT.sample(rng, 2000)) < 1e-9
 
     def test_interior_stays_interior(self):
-        m = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.5, 0.3, -0.4))
+        m = ConeMap(UNIT, np.zeros(3), np.array([0.5, 0.3, -0.4]))
         rng = np.random.default_rng(4)
         pts = UNIT.scaled_about_center(0.999).sample(rng, 2000)
         assert UNIT.contains_array(m.apply_array(pts)).all()
 
     def test_make_cone_map_degenerate_is_identity(self):
-        m = make_cone_map(UNIT, Point3(0.1, 0, 0), Point3(0.1, 0, 0))
+        m = make_cone_map(UNIT, np.array([0.1, 0, 0]), np.array([0.1, 0, 0]))
         assert isinstance(m, IdentityMap)
         assert m.support == UNIT
 
 
-def _params(c: float, apex: Point3 = Point3(0, 0, 0)) -> UnsquishParams:
+def _params(c: float, apex: np.ndarray = np.zeros(3)) -> UnsquishParams:
     return UnsquishParams(
-        outer=Box.from_center(Point3(0, 0, 0), Point3(2, 2, 2)),
-        inner=Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1)),
+        outer=Box.from_center((0, 0, 0), (2, 2, 2)),
+        inner=Box.from_center((0, 0, 0), (1, 1, 1)),
         apex=apex,
         c=c,
     )
@@ -210,19 +212,19 @@ class TestUnsquishParams:
         with pytest.raises(ValueError):
             _params(1.5)
         with pytest.raises(ValueError):
-            _params(0.5, apex=Point3(3, 0, 0))
+            _params(0.5, apex=np.array([3.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             UnsquishParams(
-                outer=Box.from_center(Point3(0, 0, 0), Point3(2, 2, 2)),
-                inner=Box.from_center(Point3(0.5, 0, 0), Point3(1, 1, 1)),
-                apex=Point3(0.5, 0, 0),
+                outer=Box.from_center((0, 0, 0), (2, 2, 2)),
+                inner=Box.from_center((0.5, 0, 0), (1, 1, 1)),
+                apex=np.array([0.5, 0, 0]),
                 c=0.5,
             )
         with pytest.raises(ValueError):
             UnsquishParams(
-                outer=Box.from_center(Point3(0, 0, 0), Point3(2, 2, 3)),
-                inner=Box.from_center(Point3(0, 0, 0), Point3(1, 1, 1)),
-                apex=Point3(0, 0, 0),
+                outer=Box.from_center((0, 0, 0), (2, 2, 3)),
+                inner=Box.from_center((0, 0, 0), (1, 1, 1)),
+                apex=np.zeros(3),
                 c=0.5,
             )
 
@@ -269,16 +271,16 @@ class TestUnsquishMap:
     @pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     def test_roundtrip(self, c, t):
-        m = UnsquishMap(_params(c, apex=Point3(0.2, -0.1, 0.3)), t)
+        m = UnsquishMap(_params(c, apex=np.array([0.2, -0.1, 0.3])), t)
         rng = np.random.default_rng(8)
         pts = m.params.outer.sample(rng, 2000)
         assert _roundtrip_error(m, pts) < 1e-9
 
     def test_off_center_apex_exact_expansion(self):
-        apex = Point3(0.3, -0.2, 0.1)
+        apex = np.array([0.3, -0.2, 0.1])
         m = UnsquishMap(_params(0.5, apex=apex), 1.0)
         rng = np.random.default_rng(9)
-        a = apex.as_array()
+        a = apex
         # short steps from the apex stay inside the protected zone
         pts = a + rng.normal(size=(500, 3)) * 0.01
         img = m.apply_array(pts)
@@ -299,19 +301,19 @@ class TestCompositeAndConjugate:
         double = AffineMap(np.full(3, 2.0), np.zeros(3))
         m = CompositeMap([shift, double])
         # shift first, then scale: (0,0,0) -> (1,0,0) -> (2,0,0)
-        assert _at(m, Point3(0, 0, 0)) == Point3(2, 0, 0)
+        assert _at(m, np.zeros(3)).tolist() == [2.0, 0.0, 0.0]
 
     def test_inverse_roundtrip(self):
-        cone = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, 0.2, -0.1))
+        cone = ConeMap(UNIT, np.zeros(3), np.array([0.3, 0.2, -0.1]))
         m = CompositeMap([cone, UnsquishMap(_params(0.5), 1.0)])
         rng = np.random.default_rng(10)
         pts = rng.uniform(-3, 3, (2000, 3))
         assert _roundtrip_error(m, pts) < 1e-9
 
     def test_conjugate_identity_outside_target(self):
-        target = Box.from_center(Point3(5, 5, 5), Point3(0.5, 0.5, 0.5))
+        target = Box.from_center((5, 5, 5), (0.5, 0.5, 0.5))
         frame = AffineMap.box_to_box(UNIT, target)
-        cone = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, 0, 0))
+        cone = ConeMap(UNIT, np.zeros(3), np.array([0.3, 0, 0]))
         m = conjugate(frame, cone, target)
         assert m.support == target
         rng = np.random.default_rng(11)
@@ -319,7 +321,7 @@ class TestCompositeAndConjugate:
         assert np.abs(m.apply_array(pts) - pts).max() < 1e-12
 
     def test_conjugate_keeps_its_frame_and_inverts_once(self):
-        target = Box.from_center(Point3(5, 5, 5), Point3(0.5, 0.25, 0.5))
+        target = Box.from_center((5, 5, 5), (0.5, 0.25, 0.5))
         frame = AffineMap.box_to_box(UNIT, target)
         m = conjugate(frame, kink_map(), target)
         assert isinstance(m, ConjugateMap)
@@ -331,12 +333,12 @@ class TestCompositeAndConjugate:
         assert inv.support == target
 
     def test_conjugate_moves_target_center(self):
-        target = Box.from_center(Point3(5, 5, 5), Point3(0.5, 0.5, 0.5))
+        target = Box.from_center((5, 5, 5), (0.5, 0.5, 0.5))
         frame = AffineMap.box_to_box(UNIT, target)
-        cone = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.4, 0, 0))
+        cone = ConeMap(UNIT, np.zeros(3), np.array([0.4, 0, 0]))
         m = conjugate(frame, cone, target)
-        img = _at(m, Point3(5, 5, 5))
-        assert distance(img, Point3(5.2, 5, 5)) < 1e-12
+        img = _at(m, np.array([5.0, 5.0, 5.0]))
+        assert math.dist(img, np.array([5.2, 5, 5])) < 1e-12
 
 
 class TestInverseLipschitz:
@@ -345,7 +347,7 @@ class TestInverseLipschitz:
         assert est == pytest.approx(1.0)
 
     def test_deterministic_given_seed(self):
-        cone = ConeMap(UNIT, Point3(0, 0, 0), Point3(0.3, 0.2, -0.1))
+        cone = ConeMap(UNIT, np.zeros(3), np.array([0.3, 0.2, -0.1]))
         a = estimate_inverse_lipschitz(cone, UNIT, 1000, seed=7)
         b = estimate_inverse_lipschitz(cone, UNIT, 1000, seed=7)
         assert a == b
@@ -368,7 +370,7 @@ def test_unsquish_parameter_maps_invert(c, t):
 @given(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
 @settings(max_examples=50, deadline=None)
 def test_cone_map_bijective_on_random_targets(x, y, z):
-    m = make_cone_map(UNIT, Point3(0, 0, 0), Point3(x, y, z))
+    m = make_cone_map(UNIT, np.zeros(3), np.array([x, y, z]))
     rng = np.random.default_rng(12)
     pts = UNIT.sample(rng, 200)
     assert _roundtrip_error(m, pts) < 1e-9
@@ -381,7 +383,7 @@ def _target_boxes():
     coord = st.floats(-50.0, 50.0)
     aspect = st.floats(0.25, 1.0)
     return st.tuples(coord, coord, coord, st.floats(2.0**-12, 4.0), aspect, aspect, aspect).map(
-        lambda v: Box.from_center(Point3(*v[:3]), Point3(*v[4:]).scaled(v[3]))
+        lambda v: Box.from_center(v[:3], np.multiply(v[4:], v[3]))
     )
 
 
@@ -389,7 +391,7 @@ def _around(box: Box, rng: np.random.Generator, n: int = 400) -> np.ndarray:
     """Points in and near a box, plus its corners and far-away points."""
     near = box.scaled_about_center(3.0).sample(rng, n)
     far = rng.uniform(-100.0, 100.0, (n // 4, 3))
-    return np.concatenate([near, far, box.corner_array()])
+    return np.concatenate([near, far, box.corners()])
 
 
 def _assert_culled(m: CompositeMap, pts: np.ndarray) -> None:
@@ -459,13 +461,13 @@ def _twelve_tetrahedra_kernel(m: ConeMap, pts: np.ndarray) -> tuple[np.ndarray, 
     if not inside.any():
         return out, score
     q = pts[inside]
-    rel = q - m._a0
+    rel = q - m.p0
     lam = np.einsum("kij,mj->kmi", m._inv_basis, rel)
     b0 = 1.0 - lam.sum(axis=-1)
     tet_score = np.minimum(lam.min(axis=-1), b0)
     best = tet_score.argmax(axis=0)
     m_idx = np.arange(q.shape[0])
-    out[inside] = b0[best, m_idx][:, None] * m._a1 + np.einsum(
+    out[inside] = b0[best, m_idx][:, None] * m.p1 + np.einsum(
         "mi,mij->mj", lam[best, m_idx, :], m._tris[best]
     )
     score[inside] = tet_score[best, m_idx]
@@ -477,7 +479,7 @@ def _tetrahedron_ties(box: Box, apex: np.ndarray, rng: np.random.Generator, n: i
     around the box: the apex, axis lines through it, face diagonals through
     the min corner, rays from the apex to those diagonals and to box edges
     and corners, and the box boundary."""
-    lo, hi = box.lo.as_array(), box.hi.as_array()
+    lo, hi = box.lo, box.hi
     rows = np.arange(n)
     t = rng.uniform(0.0, 1.0, (n, 1))
     s = rng.uniform(0.0, 1.0, (n, 1))
@@ -489,7 +491,7 @@ def _tetrahedron_ties(box: Box, apex: np.ndarray, rng: np.random.Generator, n: i
     diagonal[rows, axis] = np.where(face, hi[axis], lo[axis])
     edge = np.where(rng.integers(0, 2, (n, 3)).astype(bool), hi, lo)
     edge[rows, axis] = (lo + t[:, 0, None] * (hi - lo))[rows, axis]
-    corners = box.corner_array()
+    corners = box.corners()
     boundary = box.sample(rng, n)
     boundary[rows, axis] = np.where(face, hi[axis], lo[axis])
     return np.concatenate(
@@ -515,10 +517,10 @@ def _tetrahedron_ties(box: Box, apex: np.ndarray, rng: np.random.Generator, n: i
 )
 @settings(max_examples=200, deadline=None)
 def test_cone_kernel_matches_twelve_tetrahedra(box, u0, u1, seed):
-    half = box.half_extents.as_array()
-    a0 = box.center.as_array() + np.array(u0) * half
-    a1 = box.center.as_array() + np.array(u1) * half
-    m = ConeMap(box, Point3.from_array(a0), Point3.from_array(a1))
+    half = box.half_extents
+    a0 = box.center + np.array(u0) * half
+    a1 = box.center + np.array(u1) * half
+    m = ConeMap(box, a0, a1)
     pts = _tetrahedron_ties(box, a0, np.random.default_rng(seed))
     img = m.apply_array(pts)
     old, score = _twelve_tetrahedra_kernel(m, pts)
@@ -533,7 +535,7 @@ def test_cone_kernel_matches_twelve_tetrahedra(box, u0, u1, seed):
     tie = ~sure
     assert tie.any()
     kappa = np.linalg.cond(m._tris - a0).max()
-    scale = max(np.abs(box.corner_array()).max(), np.abs(a1).max())
+    scale = max(np.abs(box.corners()).max(), np.abs(a1).max())
     dev = np.abs(img[tie] - old[tie]).max(axis=1)
     assert (dev <= 4.0 * np.finfo(float).eps * kappa * scale).all()
 
@@ -598,8 +600,8 @@ def _disjoint_boxes():
         c = np.array(center)
         return [
             Box.from_center(
-                Point3.from_array(c + 3.0 * scale * np.array(cell)),
-                Point3.from_array(scale * np.array(aspect)),
+                c + 3.0 * scale * np.array(cell),
+                scale * np.array(aspect),
             )
             for cell, aspect in zip(cells, aspects)
         ]
@@ -613,11 +615,11 @@ def _probe_points(boxes: list[Box], rng: np.random.Generator, n: int) -> np.ndar
     corners, just around them and far away."""
     pool = [rng.uniform(-100.0, 100.0, (8, 3))]
     for b in boxes:
-        lo, hi = b.bound_arrays()
+        lo, hi = b.lo, b.hi
         face = b.sample(rng, 24)
         axis = rng.integers(0, 3, 24)
         face[np.arange(24), axis] = np.where(rng.random(24) < 0.5, lo[axis], hi[axis])
-        pool += [b.sample(rng, 60), face, b.corner_array(), b.scaled_about_center(1.5).sample(rng, 16)]
+        pool += [b.sample(rng, 60), face, b.corners(), b.scaled_about_center(1.5).sample(rng, 16)]
     pool = np.concatenate(pool)
     return pool[rng.choice(len(pool), n, replace=n > len(pool))]
 
@@ -645,10 +647,10 @@ def test_routed_run_matches_part_by_part(boxes, inner, n, seed):
 def _touching_boxes(scale: float) -> list[Box]:
     """Boxes laid along x, each sharing a face with the next, and one that
     meets the last at a single corner."""
-    half = Point3(scale, scale, scale)
-    boxes = [Box.from_center(Point3(3.0 + 2.0 * i * scale, 1.0, -2.0), half) for i in range(3)]
+    half = np.array([scale, scale, scale])
+    boxes = [Box.from_center((3.0 + 2.0 * i * scale, 1.0, -2.0), half) for i in range(3)]
     corner = boxes[-1].hi
-    return boxes + [Box(corner, corner + half.scaled(2.0))]
+    return boxes + [Box(corner, corner + half * 2.0)]
 
 
 @pytest.mark.parametrize("scale", [2.0**-30, 0.25, 2.0])
@@ -662,7 +664,7 @@ def test_boxes_that_touch_are_not_routed_together(scale, inner):
 
 
 def test_different_inner_objects_are_not_routed_together():
-    boxes = [Box.cube(Point3(2.0 * i, 0.0, 0.0), 1.0) for i in range(4)]
+    boxes = [Box.cube((2.0 * i, 0.0, 0.0), 1.0) for i in range(4)]
     # equal to kink_map() part for part, but another object
     twin = CompositeMap(kink_map().parts, support=kink_map().support)
     inners = [kink_map(), twin, kink_map().inverse(), kink_map()]
@@ -677,9 +679,9 @@ def test_different_inner_objects_are_not_routed_together():
 
 
 def test_a_part_that_is_not_a_conjugate_breaks_the_run():
-    boxes = [Box.cube(Point3(2.0 * i, 0.0, 0.0), 1.0) for i in range(5)]
+    boxes = [Box.cube((2.0 * i, 0.0, 0.0), 1.0) for i in range(5)]
     conj = _conjugates(boxes[:2] + boxes[3:], kink_map())
-    cone = ConeMap(boxes[2], boxes[2].center, Point3(4.2, 0.1, -0.2))
+    cone = ConeMap(boxes[2], boxes[2].center, np.array([4.2, 0.1, -0.2]))
     m = CompositeMap(conj[:2] + [cone] + conj[2:])
     pts = _probe_points(boxes, np.random.default_rng(5), 1201)
     _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from knotiso.engine import (
     map_curve,
     truncated_map,
 )
-from knotiso.geometry import Box, Point3, curve_is_simple, distance
+from knotiso.geometry import Box, curve_is_simple
 from knotiso.scenarios import (
     INJECTIVITY_THRESHOLD,
     SCENARIO_BUILDERS,
@@ -31,6 +33,7 @@ from knotiso.scenarios import (
     fox_outer,
     fox_pair_box_initial,
     rec_apex,
+    rec_box,
     rec_squish_constant,
     snowflake_sup_deviation,
     trefoil_work_box,
@@ -107,7 +110,7 @@ class TestInitialCurves:
     def test_contained_in_container(self, scenarios):
         for s in scenarios.values():
             box = s.moves.container
-            assert all(box.contains(v) for v in s.initial_curve.vertices), s.name
+            assert box.contains_array(s.initial_curve.points).all(), s.name
 
 
 class TestUntying:
@@ -176,7 +179,7 @@ class TestInvariants:
         for name, s in scenarios.items():
             iso = s.moves.stage(1)
             box = iso.support
-            inside = box.scaled_about_center(0.999) if box.half_extents.y > 0 else box
+            inside = box.scaled_about_center(0.999) if box.half_extents[1] > 0 else box
             pts = inside.sample(rng, 500)
             img = iso.map_at(1.0).apply_array(pts)
             # images of support points stay in the support box
@@ -197,10 +200,10 @@ class TestInvariants:
     def test_probe_pairs_and_census_inside_container(self, scenarios):
         for name, s in scenarios.items():
             box = s.moves.container
-            for a, b in s.probe_pairs:
-                assert box.contains(a) and box.contains(b), name
-            for p in s.census_samples:
-                assert box.contains(p), name
+            assert s.probe_pairs.shape[1:] == (2, 3), name
+            assert s.census_samples.shape[1:] == (3,), name
+            assert box.contains_array(s.probe_pairs).all(), name
+            assert box.contains_array(s.census_samples).all(), name
 
 
 class TestRecursive:
@@ -210,10 +213,10 @@ class TestRecursive:
         assert 0.0 < c < 0.95
 
     def test_apexes_halve_toward_vertex(self):
-        vertex = Point3(0, 0, 0)
+        vertex = np.zeros(3)
         for k in range(1, 10):
-            assert distance(rec_apex(k), vertex) == pytest.approx(
-                distance(rec_apex(k - 1), vertex) / 2.0
+            assert math.dist(rec_apex(k), vertex) == pytest.approx(
+                math.dist(rec_apex(k - 1), vertex) / 2.0
             )
 
     def test_protection_contrast(self, scenarios, recursive_ablated):
@@ -229,21 +232,21 @@ class TestRecursive:
         # the unsquish kicks the wedge vertex clear of the shrinking boxes
         # while the grab point converges into them; their limits stay apart
         s = scenarios["recursive_r1"]
-        lv_vertex = eval_limit_isotopy(s.moves, Point3(0, 0, 0), tol=TOL, k_budget=40)
+        lv_vertex = eval_limit_isotopy(s.moves, np.zeros(3), tol=TOL, k_budget=40)
         lv_grab = eval_limit_isotopy(s.moves, rec_apex(0), tol=TOL, k_budget=40)
         assert lv_vertex.status == "settled"
-        assert distance(lv_vertex.point, lv_grab.point) > INJECTIVITY_THRESHOLD
+        assert math.dist(lv_vertex.point, lv_grab.point) > INJECTIVITY_THRESHOLD
 
     def test_grab_point_converges_to_vertex(self, scenarios):
         s = scenarios["recursive_r1"]
         lv = eval_limit_isotopy(s.moves, rec_apex(0), tol=TOL, k_budget=40)
         assert lv.status == "tol-converged"
-        assert distance(lv.point, Point3(0, 0, 0)) < 1e-6
+        assert math.dist(lv.point, np.zeros(3)) < 1e-6
 
     def test_settle_bound(self, scenarios):
         s = scenarios["recursive_r1"]
         for d in (0.2, 0.05, 0.01):
-            p = Point3(-d, 0.0, 0.0)
+            p = np.array([-d, 0.0, 0.0])
             lv = eval_limit_isotopy(s.moves, p, tol=TOL, k_budget=40)
             assert lv.status == "settled"
             # the settle-index bound: the smallest n0 with
@@ -255,10 +258,15 @@ class TestRecursive:
                 n0 += 1
             assert lv.steps <= n0 + 2
 
+    @pytest.mark.parametrize("ablated", [False, True])
+    def test_supports_are_the_nested_boxes(self, scenarios, recursive_ablated, ablated):
+        s = recursive_ablated if ablated else scenarios["recursive_r1"]
+        assert s.moves.boxes(1, 60) == [rec_box(k) for k in range(1, 61)]
+        assert np.array_equal(s.ball_center, np.zeros(3))
+
     def test_nested_family_factoring(self, scenarios):
-        fam = scenarios["recursive_r1"].nested_family
-        assert fam is not None
-        eps, n0 = find_ball_factoring(fam, HORIZON)
+        s = scenarios["recursive_r1"]
+        eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, HORIZON))
         assert eps > 0 and 1 <= n0 <= HORIZON
 
 
@@ -289,7 +297,7 @@ class TestFox:
 
     def test_tracked_points_contract_toward_origin(self, scenarios):
         s = scenarios["fox_remarkable"]
-        pts = np.array([p.as_array() for p in s.census_samples])
+        pts = s.census_samples
         img = apply_truncated(s.moves, DEPTH, pts)
         # points strictly inside the first support are dragged inward
         inner = fox_outer(1).contains_array(pts, strict=True)
@@ -301,9 +309,14 @@ class TestFox:
         assert outer.sum() == 20
         assert np.array_equal(img[outer], pts[outer])
 
+    def test_supports_are_the_nested_boxes(self, scenarios):
+        s = scenarios["fox_remarkable"]
+        assert s.moves.boxes(1, 60) == [fox_outer(k) for k in range(1, 61)]
+        assert np.array_equal(s.ball_center, np.zeros(3))
+
     def test_nested_family_factoring(self, scenarios):
-        fam = scenarios["fox_remarkable"].nested_family
-        eps, n0 = find_ball_factoring(fam, HORIZON)
+        s = scenarios["fox_remarkable"]
+        eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, HORIZON))
         assert eps == pytest.approx(0.2)
         assert n0 == 2
 
@@ -407,10 +420,10 @@ def _probe_points(boxes, rng) -> np.ndarray:
     """Points on each box's strand, inside it, on its faces, and around it."""
     rows = []
     for b in boxes:
-        lo, hi = b.bound_arrays()
+        lo, hi = b.lo, b.hi
         c = b.center
         xs = np.linspace(lo[0], hi[0], 40)
-        rows.append(np.column_stack([xs, np.full(40, c.y), np.full(40, c.z)]))
+        rows.append(np.column_stack([xs, np.full(40, c[1]), np.full(40, c[2])]))
         rows.append(b.sample(rng, 40))
         # six points on each of the six faces
         face = b.sample(rng, 36)
@@ -431,12 +444,12 @@ def _disjoint_boxes(draw):
     fracs = st.floats(1e-6, 0.45)
     boxes = []
     for i in order:
-        center = Point3(
+        center = (
             (i + draw(st.floats(0.46, 0.54))) * cell,
             draw(st.floats(-1.0, 1.0)) * cell,
             draw(st.floats(-1.0, 1.0)) * cell,
         )
-        half = Point3(draw(fracs) * cell, draw(fracs) * cell, draw(fracs) * cell)
+        half = (draw(fracs) * cell, draw(fracs) * cell, draw(fracs) * cell)
         boxes.append(Box.from_center(center, half))
     return boxes
 
@@ -483,14 +496,14 @@ class TestInsertLoops:
         ],
     )
     def test_overlapping_boxes_raise(self, pts):
-        a = Box(Point3(0, -1, -1), Point3(2, 1, 1))
-        b = Box(Point3(1, -1, -1), Point3(3, 1, 1))
+        a = Box((0, -1, -1), (2, 1, 1))
+        b = Box((1, -1, -1), (3, 1, 1))
         with pytest.raises(ValueError, match="overlap"):
             _insert_loops([a, b], 1, pts)
 
     def test_boxes_sharing_a_corner_raise(self):
-        a = Box(Point3(0, 0, 0), Point3(1, 1, 1))
-        b = Box(Point3(1, 1, 1), Point3(2, 2, 2))
-        c = Box(Point3(5, 5, 5), Point3(6, 6, 6))
+        a = Box((0, 0, 0), (1, 1, 1))
+        b = Box((1, 1, 1), (2, 2, 2))
+        c = Box((5, 5, 5), (6, 6, 6))
         with pytest.raises(ValueError, match="overlap"):
             _insert_loops([c, a, b], 1, np.array([[5.5, 5.5, 5.5]]))
