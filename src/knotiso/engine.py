@@ -242,7 +242,7 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
 # -- limit evaluation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitValue:
     point: np.ndarray  # (3,)
     status: str  # settled | tol-converged | budget-exhausted

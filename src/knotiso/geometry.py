@@ -4,7 +4,9 @@ of the package is built on.
 A point is a float ``(3,)`` row and a set of points an ``(n, 3)`` array,
 the form every map moves in bulk.  A ``Box`` keeps its min and max corners
 as two read-only rows, and a ``PLCurve`` its vertices as one read-only
-``(n, 3)`` array.
+``(n, 3)`` array.  Both compare by value; a dataclass elsewhere that holds
+a bare row compares by identity (``eq=False``), since ``==`` on arrays has
+no single truth value.
 
 Segment pairs are found one way at every curve size:
 ``multiscale_close_pairs`` gives the pairs whose midpoints lie close
@@ -57,12 +59,12 @@ class Box:
         return f"Box(lo={tuple(self.lo.tolist())}, hi={tuple(self.hi.tolist())})"
 
     @staticmethod
-    def from_center(center, half_extents) -> "Box":
+    def from_center(center: Sequence[float], half_extents: Sequence[float]) -> "Box":
         center = np.asarray(center, dtype=float)
         return Box(center - half_extents, center + half_extents)
 
     @staticmethod
-    def cube(center, side: float) -> "Box":
+    def cube(center: Sequence[float], side: float) -> "Box":
         h = side / 2.0
         return Box.from_center(center, (h, h, h))
 

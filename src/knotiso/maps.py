@@ -221,15 +221,16 @@ class ConeMap(LocalMap):
         return self._inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnsquishParams:
     """Geometry of the two-box radial expansion.
 
     ``outer`` and ``inner`` must be concentric with parallel sides and
     ``inner`` strictly inside ``outer``; ``apex``, a float (3,) row, is the
-    expansion center q, strictly inside ``inner``; ``c`` in (0, 1) is the inverse-Lipschitz
-    allowance of the move that follows, so points with radial parameter at
-    most c/2 end up exactly 1/c times farther from q at time 1.
+    expansion center q, strictly inside ``inner``; ``c`` in (0, 1) is the
+    inverse-Lipschitz allowance of the move that follows, so points with
+    radial parameter at most c/2 end up exactly 1/c times farther from q
+    at time 1.
     """
 
     outer: Box

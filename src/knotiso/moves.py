@@ -48,7 +48,7 @@ def cone_isotopy(region: Box, p0: np.ndarray, p1: np.ndarray) -> Isotopy:
     return Isotopy(support=region, map_at=map_at)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeStage:
     region: Box
     p0: np.ndarray

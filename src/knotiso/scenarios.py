@@ -49,7 +49,7 @@ class ExpectedVerdicts:
             raise ValueError("failing_condition must accompany exactly the fail verdict")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A curve, the move stream acting on it and its declared verdicts.
 

@@ -51,7 +51,8 @@ class TestFindBallFactoring:
     def test_off_center_point_shrinks_epsilon(self):
         # p near a face of the first region: epsilon follows the wall distance
         p = np.array([0.9, 0.0, 0.0])
-        boxes = [Box.cube((0, 0, 0), 2.0)] + [Box.cube(p, 0.05 * 2.0 ** (2 - n)) for n in range(2, 13)]
+        rest = [Box.cube(p, 0.05 * 2.0 ** (2 - n)) for n in range(2, 13)]
+        boxes = [Box.cube((0, 0, 0), 2.0)] + rest
         eps, n0 = find_ball_factoring(p, boxes)
         assert eps == pytest.approx(0.05)  # half the 0.1 wall distance
         assert n0 == 2

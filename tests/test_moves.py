@@ -307,9 +307,10 @@ def test_multi_kink_isotopy_matches_sliced_formula(m, t, seed):
 
 
 interior = st.floats(-0.9, 0.9, allow_nan=False)
+interior_points = st.tuples(interior, interior, interior).map(np.array)
 
 
-@given(st.tuples(interior, interior, interior).map(np.array), st.tuples(interior, interior, interior).map(np.array))
+@given(interior_points, interior_points)
 @settings(max_examples=60, deadline=None)
 def test_cone_isotopy_ends_exactly_at_target(p0, p1):
     # make_cone_map reads a squared distance that underflows to 0 as no pull
