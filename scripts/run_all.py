@@ -36,13 +36,14 @@ def main() -> int:
             seed=args.seed,
             out=args.out,
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             status = cmd_run(cfg)
         ok = status == 0
         failures += not ok
-        print(f"{name:25s} {'ok' if ok else 'MISMATCH'}  {time.time() - t0:5.1f}s")
+        ms = (time.perf_counter() - t0) * 1000.0
+        print(f"{name:25s} {'ok' if ok else 'MISMATCH'}  {ms:6.0f} ms")
     print(f"reports in {args.out}/")
     return 1 if failures else 0
 

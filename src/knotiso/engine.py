@@ -15,7 +15,8 @@ time t = 1 via the settled / tolerance-converged / budget trichotomy.
 Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
 per stream and last stage: the stacked supports and their suffix-union
-diameters, built back to front in one pass over the box corners.
+diameters, the suffix maxima of one matrix of farthest-corner distances
+between every pair of supports.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
+from .geometry import farthest_corner_distances
 from .maps import CompositeMap, IdentityMap, LocalMap
 
 
@@ -62,9 +64,10 @@ class TailTable:
     arrays ``lo`` and ``hi``, and ``diam[n - 1]`` = diam(V_n u ... u V_last).
 
     Each entry is the value ``union_diameter(boxes[n - 1:])`` would give,
-    bitwise: the suffix recurrence
-    diam[n] = max(diam[n + 1], max corner distance from V_n to V_n..V_last)
-    takes the max over the same corner-pair distances.
+    bitwise: both take the max of ``farthest_corner_distances``, here as
+    the suffix maxima of the row maxima of its upper triangle, so
+    diam[n] = max(diam[n + 1], farthest corner distance from V_n to
+    V_n..V_last).
     """
 
     lo: np.ndarray
@@ -76,15 +79,14 @@ class TailTable:
         if not boxes:
             empty = np.empty((0, 3))
             return TailTable(lo=empty, hi=empty, diam=np.empty(0))
-        corners = np.stack([b.corners() for b in boxes])  # (last, 8, 3)
-        diam = np.empty(len(boxes))
-        diam[-1] = union_diameter(boxes[-1:])
-        for i in range(len(boxes) - 2, -1, -1):
-            rest = corners[i:].reshape(-1, 3)
-            diff = corners[i][:, None, :] - rest[None, :, :]
-            diam[i] = max(diam[i + 1], np.sqrt((diff**2).sum(axis=-1)).max())
         lo = np.array([b.lo for b in boxes])
         hi = np.array([b.hi for b in boxes])
+        # every distance is >= 0, so the zeros below the diagonal lose
+        far = np.triu(farthest_corner_distances(lo, hi)).max(axis=1)
+        # the base case diam(V_last) = union_diameter([V_last]), bitwise the
+        # entry it replaces; perfbench counts these calls
+        far[-1] = union_diameter(boxes[-1:])
+        diam = np.maximum.accumulate(far[::-1])[::-1]
         return TailTable(lo=lo, hi=hi, diam=diam)
 
     def in_later_support(self, pts: np.ndarray, k: int) -> np.ndarray:

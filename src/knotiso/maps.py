@@ -265,12 +265,13 @@ class UnsquishParams:
 
 def _box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Largest r with origin + r*direction inside the box, per row."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero or subnormal direction component gives an infinite reach there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_lo = (box.lo - origin) / direction
         t_hi = (box.hi - origin) / direction
     t_max = np.maximum(t_lo, t_hi)
     t_max[~np.isfinite(t_max)] = np.inf
-    return t_max.min(axis=-1)
+    return np.minimum(np.minimum(t_max[:, 0], t_max[:, 1]), t_max[:, 2])
 
 
 class UnsquishMap(LocalMap):
@@ -283,6 +284,10 @@ class UnsquishMap(LocalMap):
     along its own path from parameter s to s'(t, s), a piecewise-linear
     reparameterization sending the breakpoint c/2 to the time-interpolated
     value s_c(t) = t/2 + (1 - t) c/2.
+
+    The kernels take one pass over all the rows of the outer box: each
+    evaluates both legs' formulas on every row and picks one per row
+    (``np.where``), the origin of a row's ray being the apex or the center.
     """
 
     def __init__(self, params: UnsquishParams, t: float):
@@ -300,67 +305,46 @@ class UnsquishMap(LocalMap):
         """Glued parameter s and the inner-boundary anchor v_inner."""
         par = self.params
         in_inner = par.inner.contains_array(pts)
-        s = np.empty(pts.shape[0])
-        v_in = np.empty_like(pts)
-        if in_inner.any():
-            q = pts[in_inner]
-            d = q - self._apex
-            r = _box_radial_scale(par.inner, np.broadcast_to(self._apex, q.shape), d)
-            at_apex = ~np.isfinite(r) | (np.abs(d).max(axis=-1) == 0.0)
-            r = np.where(at_apex, 1.0, r)
-            v = self._apex + r[:, None] * d
-            s_raw = np.where(at_apex, 0.0, 1.0 / r)
-            s[in_inner] = s_raw / 2.0
-            v_in[in_inner] = np.where(at_apex[:, None], self._apex + 0.0, v)
-        out_mask = ~in_inner
-        if out_mask.any():
-            q = pts[out_mask]
-            d = q - self._center
-            lam = par.scale_up
-            r = _box_radial_scale(par.inner, np.broadcast_to(self._center, q.shape), d)
-            # point is at multiple 1/r of the inner boundary along the
-            # central ray; shell spans multiples 1 .. lam
-            mult = 1.0 / r
-            v = self._center + r[:, None] * d
-            s[out_mask] = 0.5 + 0.5 * np.clip((mult - 1.0) / (lam - 1.0), 0.0, 1.0)
-            v_in[out_mask] = v
+        # rows of the inner box lie on a ray from the apex, the rest of the
+        # shell on a ray from the center
+        origin = np.where(in_inner[:, None], self._apex, self._center)
+        d = pts - origin
+        r = _box_radial_scale(par.inner, origin, d)
+        # only an inner row can sit at its origin: a shell row is off center
+        at_apex = ~np.isfinite(r) | (np.abs(d).max(axis=-1) == 0.0)
+        r = np.where(at_apex, 1.0, r)
+        # a point is at multiple 1/r of the inner boundary along its ray;
+        # the shell spans multiples 1 .. scale_up
+        mult = 1.0 / r
+        s_inner = np.where(at_apex, 0.0, mult) / 2.0
+        s_shell = 0.5 + 0.5 * np.clip((mult - 1.0) / (par.scale_up - 1.0), 0.0, 1.0)
+        s = np.where(in_inner, s_inner, s_shell)
+        v_in = np.where(at_apex[:, None], self._apex + 0.0, origin + r[:, None] * d)
         return s, v_in
 
     def _path_point(self, s: np.ndarray, v_in: np.ndarray) -> np.ndarray:
-        par = self.params
-        lam = par.scale_up
         inner_leg = s <= 0.5
-        out = np.empty_like(v_in)
-        sr = np.clip(2.0 * s, 0.0, 1.0)
-        out[inner_leg] = self._apex + sr[inner_leg, None] * (v_in[inner_leg] - self._apex)
-        if (~inner_leg).any():
-            mult = 1.0 + (2.0 * s[~inner_leg] - 1.0) * (lam - 1.0)
-            out[~inner_leg] = self._center + mult[:, None] * (
-                v_in[~inner_leg] - self._center
-            )
-        return out
+        origin = np.where(inner_leg[:, None], self._apex, self._center)
+        two_s = 2.0 * s
+        mult = np.where(
+            inner_leg, np.clip(two_s, 0.0, 1.0), 1.0 + (two_s - 1.0) * (self.params.scale_up - 1.0)
+        )
+        return origin + mult[:, None] * (v_in - origin)
 
     def _s_prime(self, s: np.ndarray) -> np.ndarray:
         par = self.params
         s0 = par.s_c0
         sc_t = self.t * par.s_c1 + (1.0 - self.t) * s0
-        low = s <= s0
-        out = np.empty_like(s)
-        out[low] = (s[low] / s0) * sc_t
-        out[~low] = ((s[~low] - s0) / (1.0 - s0)) * 1.0 + (
-            1.0 - (s[~low] - s0) / (1.0 - s0)
-        ) * sc_t
-        return out
+        high = (s - s0) / (1.0 - s0)
+        return np.where(s <= s0, (s / s0) * sc_t, high + (1.0 - high) * sc_t)
 
     def _s_prime_inverse(self, sp: np.ndarray) -> np.ndarray:
         par = self.params
         s0 = par.s_c0
         sc_t = self.t * par.s_c1 + (1.0 - self.t) * s0
-        low = sp <= sc_t
-        out = np.empty_like(sp)
-        out[low] = (sp[low] / sc_t) * s0
-        out[~low] = s0 + (sp[~low] - sc_t) / (1.0 - sc_t) * (1.0 - s0)
-        return out
+        return np.where(
+            sp <= sc_t, (sp / sc_t) * s0, s0 + (sp - sc_t) / (1.0 - sc_t) * (1.0 - s0)
+        )
 
     # -- LocalMap interface ---------------------------------------------
 
@@ -539,7 +523,9 @@ def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> ConjugateM
 
 
 def make_cone_map(region: Box, p0: np.ndarray, p1: np.ndarray) -> LocalMap:
-    if ((p0 - p1) ** 2).sum() == 0.0:
+    """The cone map pulling p0 to p1, or the identity when they are the
+    same point (-0.0 and 0.0 count as equal)."""
+    if np.array_equal(p0, p1):
         return IdentityMap(support=region)
     return ConeMap(region, p0, p1)
 

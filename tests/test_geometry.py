@@ -11,6 +11,7 @@ from knotiso.geometry import (
     curve_is_simple,
     multiscale_close_pairs,
     _segment_pair_distances,
+    farthest_corner_distances,
     read_curve,
     union_diameter,
     write_curve,
@@ -68,6 +69,28 @@ class TestBox:
         assert b.contains_array(rows).tolist() == [True, True, False]
         assert b.contains_array(rows, strict=True).tolist() == [False, True, False]
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_contains_matches_the_all_reduction(self, seed, strict):
+        # the oracle reduces the length-3 last axis with np.all; points on
+        # every face and at every corner sit on the strict/closed edge
+        rng = np.random.default_rng(seed)
+        b = Box.from_center(rng.uniform(-4, 4, 3), rng.uniform(0.0, 2.0, 3))
+        row = np.arange(12)
+        face = b.sample(rng, 12)
+        face[row, row % 3] = np.where(row[:, None] < 6, b.lo, b.hi)[row, row % 3]
+        outside = b.scaled_about_center(3.0).sample(rng, 20)
+        pts = np.concatenate([b.corners(), face, b.sample(rng, 20), outside, [b.center]])
+        lo, hi = b.lo, b.hi
+        if strict:
+            want = np.all((pts > lo) & (pts < hi), axis=-1)
+        else:
+            want = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        assert np.array_equal(b.contains_array(pts, strict), want)
+        for p, w in zip(pts, want):
+            got = b.contains_array(p, strict)
+            assert type(got) is np.bool_ and got == w
+
     def test_diameter_is_corner_to_corner(self):
         b = Box((0, 0, 0), (3, 4, 12))
         assert b.diameter() == pytest.approx(13.0)
@@ -97,14 +120,37 @@ class TestBox:
         assert b.contains_array(s1).all()
 
 
+def _diameter_boxes():
+    """1 to 8 boxes, each of one scale 2^-40 .. 2^10 with a center of
+    either sign and half extents that may be 0 on any axis."""
+    unit = st.floats(-1.0, 1.0)
+    extent = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    box = st.tuples(
+        st.integers(-40, 10), st.tuples(unit, unit, unit), st.tuples(extent, extent, extent)
+    ).map(lambda v: Box.from_center(np.multiply(v[1], 2.0 ** v[0]), np.multiply(v[2], 2.0 ** v[0])))
+    return st.lists(box, min_size=1, max_size=8)
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
 class TestUnionDiameter:
-    def test_matches_brute_force_corner_pairs(self):
-        rng = np.random.default_rng(3)
-        boxes = [Box.from_center(rng.uniform(-5, 5, 3), rng.uniform(0.1, 2, 3)) for _ in range(6)]
-        # independent oracle: exhaustive corner-pair distances
-        corners = [c for b in boxes for c in b.corners().tolist()]
-        brute = max(math.dist(p, q) for p in corners for q in corners)
-        assert union_diameter(boxes) == pytest.approx(brute, abs=0.0)
+    @given(_diameter_boxes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_corner_pairs(self, boxes):
+        # the oracle: every one of the 64 corner pairs of every box pair
+        corners = np.stack([b.corners() for b in boxes])  # (n, 8, 3)
+        diff = corners[:, :, None, None, :] - corners[None, None, :, :, :]
+        brute = np.sqrt((diff**2).sum(axis=-1)).max(axis=(1, 3))  # (n, n)
+        lo = np.array([b.lo for b in boxes])
+        hi = np.array([b.hi for b in boxes])
+        assert np.array_equal(_bits(farthest_corner_distances(lo, hi)), _bits(brute))
+        assert np.array_equal(_bits(union_diameter(boxes)), _bits(brute.max()))
+        # and an independent, differently rounded distance
+        flat = [c for b in boxes for c in b.corners().tolist()]
+        exact = max(math.dist(p, q) for p in flat for q in flat)
+        assert union_diameter(boxes) == pytest.approx(exact, rel=1e-15)
 
     def test_single_box_is_diameter(self):
         b = Box((0, 0, 0), (1, 1, 1))

@@ -295,6 +295,154 @@ class TestUnsquishMap:
             iso.map_at(1.5)
 
 
+# -- the split-branch unsquish, the oracle of the one-pass kernels ---------------
+
+
+def _split_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_lo = (box.lo - origin) / direction
+        t_hi = (box.hi - origin) / direction
+    t_max = np.maximum(t_lo, t_hi)
+    t_max[~np.isfinite(t_max)] = np.inf
+    return t_max.min(axis=-1)
+
+
+def _split_contains(box: Box, pts: np.ndarray) -> np.ndarray:
+    return np.all((pts >= box.lo) & (pts <= box.hi), axis=-1)
+
+
+class _SplitBranchUnsquish(UnsquishMap):
+    """The unsquish kernels in their split-branch form: the rows are split
+    by leg into masked subsets, each leg's formula runs on its own rows,
+    and the results are scattered back."""
+
+    def _path_coords(self, pts):
+        par = self.params
+        in_inner = _split_contains(par.inner, pts)
+        s = np.empty(pts.shape[0])
+        v_in = np.empty_like(pts)
+        if in_inner.any():
+            q = pts[in_inner]
+            d = q - self._apex
+            r = _split_radial_scale(par.inner, np.broadcast_to(self._apex, q.shape), d)
+            at_apex = ~np.isfinite(r) | (np.abs(d).max(axis=-1) == 0.0)
+            r = np.where(at_apex, 1.0, r)
+            v = self._apex + r[:, None] * d
+            s_raw = np.where(at_apex, 0.0, 1.0 / r)
+            s[in_inner] = s_raw / 2.0
+            v_in[in_inner] = np.where(at_apex[:, None], self._apex + 0.0, v)
+        out_mask = ~in_inner
+        if out_mask.any():
+            q = pts[out_mask]
+            d = q - self._center
+            lam = par.scale_up
+            r = _split_radial_scale(par.inner, np.broadcast_to(self._center, q.shape), d)
+            mult = 1.0 / r
+            v = self._center + r[:, None] * d
+            s[out_mask] = 0.5 + 0.5 * np.clip((mult - 1.0) / (lam - 1.0), 0.0, 1.0)
+            v_in[out_mask] = v
+        return s, v_in
+
+    def _path_point(self, s, v_in):
+        lam = self.params.scale_up
+        inner_leg = s <= 0.5
+        out = np.empty_like(v_in)
+        sr = np.clip(2.0 * s, 0.0, 1.0)
+        out[inner_leg] = self._apex + sr[inner_leg, None] * (v_in[inner_leg] - self._apex)
+        if (~inner_leg).any():
+            mult = 1.0 + (2.0 * s[~inner_leg] - 1.0) * (lam - 1.0)
+            out[~inner_leg] = self._center + mult[:, None] * (v_in[~inner_leg] - self._center)
+        return out
+
+    def _s_prime(self, s):
+        par = self.params
+        s0 = par.s_c0
+        sc_t = self.t * par.s_c1 + (1.0 - self.t) * s0
+        low = s <= s0
+        out = np.empty_like(s)
+        out[low] = (s[low] / s0) * sc_t
+        out[~low] = ((s[~low] - s0) / (1.0 - s0)) * 1.0 + (1.0 - (s[~low] - s0) / (1.0 - s0)) * sc_t
+        return out
+
+    def _s_prime_inverse(self, sp):
+        par = self.params
+        s0 = par.s_c0
+        sc_t = self.t * par.s_c1 + (1.0 - self.t) * s0
+        low = sp <= sc_t
+        out = np.empty_like(sp)
+        out[low] = (sp[low] / sc_t) * s0
+        out[~low] = s0 + (sp[~low] - sc_t) / (1.0 - sc_t) * (1.0 - s0)
+        return out
+
+    def _slide(self, pts, reparam):
+        pts = np.asarray(pts, dtype=float)
+        out = pts.copy()
+        inside = _split_contains(self.params.outer, pts)
+        if not inside.any():
+            return out
+        s, v_in = self._path_coords(pts[inside])
+        out[inside] = self._path_point(reparam(s), v_in)
+        return out
+
+
+def _unsquish_params():
+    """An outer box of scale 2^-8 .. 4 around a center within +-50, a
+    concentric inner box 1/lam of its size, and an apex inside the inner
+    box, drawn as a fraction of its half extents."""
+    coord = st.floats(-50.0, 50.0)
+    frac = st.floats(-0.95, 0.95)
+    return st.tuples(
+        st.tuples(coord, coord, coord),
+        st.floats(2.0**-8, 4.0),
+        st.tuples(*[st.floats(0.25, 1.0)] * 3),
+        st.floats(1.25, 4.0),
+        st.tuples(frac, frac, frac),
+        st.floats(0.05, 0.95),
+    ).map(_build_unsquish_params)
+
+
+def _build_unsquish_params(v) -> UnsquishParams:
+    center, scale, aspect, lam, frac, c = v
+    half = np.multiply(aspect, scale)
+    inner = Box.from_center(center, half)
+    outer = Box.from_center(center, half * lam)
+    return UnsquishParams(outer=outer, inner=inner, apex=inner.center + np.multiply(frac, half), c=c)
+
+
+def _unsquish_probe_points(par: UnsquishParams, rng: np.random.Generator) -> np.ndarray:
+    """Rows inside and around the outer box, plus the apex, the center, and
+    the corners and points on every face of both boxes."""
+    pool = [par.outer.sample(rng, 200), par.inner.sample(rng, 100), par.outer.scaled_about_center(1.5).sample(rng, 60)]
+    pool += [par.apex[None, :], par.outer.center[None, :]]
+    for b in (par.inner, par.outer):
+        row = np.arange(24)
+        face = b.sample(rng, 24)
+        face[row, row % 3] = np.where(row[:, None] % 6 < 3, b.lo, b.hi)[row, row % 3]
+        pool += [b.corners(), face]
+    return np.concatenate(pool)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal as int64 views, so -0.0 and 0.0 differ."""
+    return np.array_equal(np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64))
+
+
+@given(st.one_of(st.just(None), _unsquish_params()), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_one_pass_unsquish_matches_split_branches(params, seed):
+    par = _params(0.5, apex=np.array([0.2, -0.1, 0.3])) if params is None else params
+    rng = np.random.default_rng(seed)
+    pts = _unsquish_probe_points(par, rng)
+    for t in (0.0, 0.4, 1.0):
+        m, ref = UnsquishMap(par, t), _SplitBranchUnsquish(par, t)
+        assert _same_bits(m.apply_array(pts), ref.apply_array(pts))
+        assert _same_bits(m.apply_inverse_array(pts), ref.apply_inverse_array(pts))
+        # one row at a time: the apex and a random row
+        for p in (par.apex[None, :], pts[rng.integers(len(pts))][None, :]):
+            assert _same_bits(m.apply_array(p), ref.apply_array(p))
+            assert _same_bits(m.apply_inverse_array(p), ref.apply_inverse_array(p))
+
+
 class TestCompositeAndConjugate:
     def test_left_to_right_order(self):
         shift = AffineMap(np.ones(3), np.array([1.0, 0.0, 0.0]))

@@ -313,10 +313,17 @@ interior_points = st.tuples(interior, interior, interior).map(np.array)
 @given(interior_points, interior_points)
 @settings(max_examples=60, deadline=None)
 def test_cone_isotopy_ends_exactly_at_target(p0, p1):
-    # make_cone_map reads a squared distance that underflows to 0 as no pull
-    assume(((p0 - p1) ** 2).sum() > 0.0)
+    assume(not np.array_equal(p0, p1))
     end = cone_isotopy(UNIT, p0, p1).map_at(1.0)
     assert np.array_equal(end.p1, p1)
+
+
+def test_cone_isotopy_pulls_an_apex_whose_squared_step_underflows():
+    # the squared distance 1.3e-493 rounds to 0, the points still differ
+    p1 = np.array([0.0, 0.0, 3.6e-247])
+    end = cone_isotopy(CANONICAL_BOX, np.zeros(3), p1).map_at(1.0)
+    assert isinstance(end, ConeMap)
+    assert np.array_equal(end.apply_array(np.zeros((1, 3)))[0], p1)
 
 
 def test_kink_map_is_the_two_cone_composite():

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts in scripts/ run against the current package."""
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,13 @@ def test_run_all_matches_every_scenario(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCH" not in proc.stdout
     assert len(list(tmp_path.glob("*.report"))) == len(SCENARIO_BUILDERS)
+    # one line per scenario, with its wall time in whole milliseconds; no
+    # scenario runs in under half a millisecond, so none reads 0
+    lines = proc.stdout.splitlines()[: len(SCENARIO_BUILDERS)]
+    timed = [re.fullmatch(r"(\S+) +ok +(\d+) ms", line) for line in lines]
+    assert all(timed), lines
+    assert [m[1] for m in timed] == list(SCENARIO_BUILDERS)
+    assert all(int(m[2]) > 0 for m in timed), lines
 
 
 def _bench_pairs():
