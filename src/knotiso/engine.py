@@ -92,7 +92,8 @@ class TailTable:
     def in_later_support(self, pts: np.ndarray, k: int) -> np.ndarray:
         """Per row of pts, whether it lies in some V_j with j > k."""
         inside = (pts[:, None, :] >= self.lo[k:]) & (pts[:, None, :] <= self.hi[k:])
-        return inside.all(axis=-1).any(axis=-1)
+        # the three columns ANDed, as in Box.contains_array
+        return (inside[..., 0] & inside[..., 1] & inside[..., 2]).any(axis=-1)
 
 
 @dataclass

@@ -265,6 +265,21 @@ def _segment_pair_distances(
     return np.sqrt(((cp - cq) ** 2).sum(-1))
 
 
+# node pairs the dual-tree walk starts from: every pair a <= b of a level
+# of at most this many nodes
+_WALK_TOP = 32
+
+
+def _meeting(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The node pairs (a, b) whose closed boxes, given per axis by the
+    (dim, nodes) rows lo and hi, share a point."""
+    # one axis at a time, compressed before the next gather
+    for lo_k, hi_k in zip(lo, hi):
+        meet = (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
+        a, b = a[meet], b[meet]
+    return a, b
+
+
 def multiscale_close_pairs(
     mids: np.ndarray, half: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,47 +291,57 @@ def multiscale_close_pairs(
     ``jj``, of exactly the pairs ``ii < jj`` with
     ``sqrt(((mids[ii] - mids[jj]) ** 2).sum(-1)) <= half[ii] + half[jj] + margin``.
 
-    Segments are bucketed into classes two octaves of half length wide
-    (curves here are strongly multiscale, so a single KD radius degenerates
-    to all pairs).  Each class pair is searched once, with radius the sum
-    of the two classes' largest half lengths plus the margin, unless the
-    bounding boxes of the two classes' trees lie farther apart than that
-    radius; the hits are then cut to each pair's own radius.  Rounding is
-    monotone, so two classes' box distance is at most the distance of
-    any pair between them, and the 1e-9 relative pad on the searched
-    radius covers the KD tree's own rounding of the distances it compares.
-    """
-    from scipy.spatial import cKDTree
+    The search is a walk of a binary tree of axis-aligned boxes against
+    itself.  The leaves are the segments in index order, segment i's box
+    is mids[i] ± r_i with r_i = (half[i] + margin / 2)(1 + 1e-9) + 2^-511,
+    and a node's box bounds its two children's.  From a level of at most
+    32 nodes down to the leaves, the walk keeps the node pairs a <= b
+    whose boxes meet; the segment pairs left are cut to the predicate
+    above.  Curves here are strongly multiscale, so no single search
+    radius fits them, but each box is as small as its own segment's
+    radius, and a curve passed in curve order keeps each node's box as
+    small as the piece of curve under it.  Any order stays exact, and
+    only gets slower.
 
-    n = len(mids)
-    cls = np.floor(np.log2(np.maximum(half, 1e-300))).astype(np.int64) // 2
-    groups = [np.nonzero(cls == c)[0] for c in np.unique(cls)]
-    trees = [cKDTree(mids[g]) for g in groups]
-    hmax = np.array([half[g].max() for g in groups])
-    radius = (hmax[:, None] + hmax[None, :] + margin) * (1 + 1e-9)
-    lo = np.array([t.mins for t in trees]).reshape(-1, mids.shape[1])
-    hi = np.array([t.maxes for t in trees]).reshape(-1, mids.shape[1])
-    gap = np.maximum(0.0, np.maximum(lo[:, None] - hi[None, :], lo[None, :] - hi[:, None]))
-    near = np.sqrt((gap**2).sum(-1)) <= radius
-    first = [np.empty(0, dtype=np.int64)]
-    second = [np.empty(0, dtype=np.int64)]
-    for i1, i2 in zip(*np.nonzero(np.triu(near))):
-        g1, t1 = groups[i1], trees[i1]
-        if i1 == i2:
-            pairs = t1.query_pairs(radius[i1, i1], output_type="ndarray")
-            first.append(g1[pairs[:, 0]])
-            second.append(g1[pairs[:, 1]])
-        else:
-            hits = t1.sparse_distance_matrix(trees[i2], radius[i1, i2], output_type="ndarray")
-            first.append(g1[hits["i"]])
-            second.append(groups[i2][hits["j"]])
-    a = np.concatenate(first)
-    b = np.concatenate(second)
+    The boxes of a pair within the radius meet at every level, rounding
+    included.  The computed distance is at least the exact one less a few
+    eps of it, and less 2^-536 more where squares round in the subnormal
+    range; the computed sum on the right is at most a few eps above the
+    exact one.  So every coordinate difference of such a pair, at most
+    its exact distance, is at most r_i + r_j: the 1e-9 factor covers the
+    relative errors and the two 2^-511 terms the absolute one.  Rounding
+    is monotone, so the computed faces mids ± r still meet on every axis,
+    and the min and max taken up the tree round nothing.
+    """
+    n, dim = mids.shape
+    if n < 2:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    r = (half + margin / 2) * (1 + 1e-9) + 2.0**-511
+    # leaves beyond the n segments get boxes that meet nothing
+    width = 1 << (n - 1).bit_length()
+    lo = np.full((dim, width), np.inf)
+    hi = np.full((dim, width), -np.inf)
+    lo[:, :n] = (mids - r[:, None]).T
+    hi[:, :n] = (mids + r[:, None]).T
+    levels = [(lo, hi)]
+    while width > _WALK_TOP:
+        width //= 2
+        lo, hi = levels[-1]
+        levels.append((np.minimum(lo[:, 0::2], lo[:, 1::2]), np.maximum(hi[:, 0::2], hi[:, 1::2])))
+    a, b = np.triu_indices(width)
+    a, b = _meeting(*levels.pop(), a.astype(np.int32), b.astype(np.int32))
+    while levels:
+        lo, hi = levels.pop()
+        # the children of a <= b, without the mirror (2a + 1, 2a) of (2a, 2a + 1)
+        off = a < b
+        children = [_meeting(lo, hi, 2 * a + i, 2 * b + j) for i, j in ((0, 0), (0, 1), (1, 1))]
+        children.append(_meeting(lo, hi, 2 * a[off] + 1, 2 * b[off]))
+        a = np.concatenate([c[0] for c in children])
+        b = np.concatenate([c[1] for c in children])
     dist = np.sqrt(((mids[a] - mids[b]) ** 2).sum(-1))
-    keep = dist <= half[a] + half[b] + margin
-    a, b = a[keep], b[keep]
-    # each unordered pair is found in exactly one class pair
-    key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    keep = (a < b) & (dist <= half[a] + half[b] + margin)
+    key = np.sort(a[keep].astype(np.int64) * n + b[keep])
     return key // n, key % n
 
 

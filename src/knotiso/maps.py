@@ -94,8 +94,8 @@ class AffineMap(LocalMap):
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
         scale = np.asarray(scale, dtype=float)
         if not (np.isfinite(scale).all() and scale.all()):
-            det = float(scale[0] * scale[1] * scale[2])
-            raise ValueError(f"affine matrix is singular (det={det})")
+            k = int(np.argmin(np.isfinite(scale) & (scale != 0)))
+            raise ValueError(f"affine scale on axis {'xyz'[k]} is {scale[k]}, not finite and nonzero")
         self.scale = scale
         self.shift = np.asarray(shift, dtype=float)
         self.support = UNBOUNDED

@@ -1,9 +1,10 @@
 """The CI workflow parses and runs the Tier-1 command, whose test paths
 take in the benchmark-harness tests, on the oldest Python the package
-admits, with the numpy and scipy the golden hashes were made with, and
-the test configuration turns runtime warnings into failures.  Every
-public function, class, method and constant in the package has a caller
-outside the tests."""
+admits, with the numpy the golden hashes were made with and the scipy
+whose version the benchmark harness records, and the test configuration
+turns runtime warnings into failures.  The package runs on numpy alone:
+no module of it imports scipy.  Every public function, class, method and
+constant in the package has a caller outside the tests."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -39,7 +40,22 @@ def test_workflow_pins_the_numerics_of_the_golden_hashes():
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
     install = next(s["run"] for s in steps if "pip install" in s.get("run", "")).split()
     assert "numpy==2.4.6" in install
+    # not for the hashes: perfbench/run.py records it in its machine record
     assert "scipy==1.17.1" in install
+
+
+def test_the_package_does_not_import_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert not [d for d in config["project"]["dependencies"] if d.startswith("scipy")]
+    imported = set()
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.name, node.module))
+    assert not [(f, m) for f, m in imported if m.partition(".")[0] == "scipy"]
 
 
 def test_runtime_warnings_fail_the_suite():

@@ -1,5 +1,8 @@
 import dataclasses
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,8 @@ from knotiso.cli import RunConfig, main
 from knotiso.diagram import count_crossings
 from knotiso.geometry import read_curve
 from knotiso.scenarios import ExpectedVerdicts, build_countable_r1
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestRunConfig:
@@ -253,6 +258,23 @@ class TestFramesVerb:
         for suffix in (".curve", ".svg"):
             f = f"{name}_frame_000{suffix}"
             assert filecmp.cmp(tmp_path / "53" / f, tmp_path / "60" / f, shallow=False)
+
+    def test_frames_leaves_scipy_unloaded(self, tmp_path):
+        # the frame path, crossing search included, runs on numpy alone
+        argv = ["frames", "--scenario", "recursive_r1", "--times", "0.5", "--out", str(tmp_path)]
+        code = (
+            "import sys\n"
+            "from knotiso.cli import main\n"
+            f"status = main({argv!r})\n"
+            "print(status, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+        assert (tmp_path / "recursive_r1_frame_000.svg").exists()
 
     def test_degenerate_frame_exits_four(self, tmp_path, capsys):
         # t = 0.9 is in stage 4, where the fox projection is degenerate

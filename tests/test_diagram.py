@@ -294,13 +294,13 @@ def _all_pairs(a, b, closed):
     return ii[keep], jj[keep]
 
 
-def _kd_and_all_pairs(a, b, closed):
-    """_find_crossings through the spatial candidate search and through
+def _searched_and_all_pairs(a, b, closed):
+    """_find_crossings through the multiscale candidate search and through
     the brute-force candidates."""
-    kd = diagram._find_crossings(a, b, closed)
+    searched = diagram._find_crossings(a, b, closed)
     with mock.patch.object(diagram, "_candidate_pairs", _all_pairs):
         every = diagram._find_crossings(a, b, closed)
-    return kd, every
+    return searched, every
 
 
 def _multiscale_walk(rng, n: int) -> np.ndarray:
@@ -326,16 +326,16 @@ class TestLengthRelativeCandidates:
         curve = PLCurve(_multiscale_walk(np.random.default_rng(seed), n), closed=closed)
         for pts in (curve.points, curve.points * 2.0**-j):
             shrunk = PLCurve(pts, closed=closed)
-            kd, every = _kd_and_all_pairs(*_segments(shrunk))
-            assert kd == every
+            searched, every = _searched_and_all_pairs(*_segments(shrunk))
+            assert searched == every
 
     @pytest.mark.parametrize("j", [0, 20, 60])
     def test_multiscale_overpasses_under_homothety(self, j):
         curve = _poly(_multiscale_rows(6)).densified(0.002)
         a, b, closed = _segments(curve)
         lam = 2.0**-j
-        kd, every = _kd_and_all_pairs(a * lam, b * lam, closed)
-        assert kd == every
+        searched, every = _searched_and_all_pairs(a * lam, b * lam, closed)
+        assert searched == every
 
     @pytest.mark.parametrize("x0", [0.0, 2.0, 8.0])
     def test_grazing_pairs_far_from_origin_are_kept(self, x0):
@@ -354,8 +354,8 @@ class TestLengthRelativeCandidates:
             p = np.array([x0 + rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3), 0.0])
             a = np.array([p - d0, [x0 + 10.0, 10.0, 0.0], p + up])
             b = np.array([p, [x0 + 11.0, 10.0, 0.0], p + d1 + up])
-            kd, every = _kd_and_all_pairs(a, b, False)
-            assert kd == every
+            searched, every = _searched_and_all_pairs(a, b, False)
+            assert searched == every
             grazing += every is None
         assert grazing > 250
 

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from knotiso import diagram
+from knotiso.engine import glue_schedule, map_curve
 from knotiso.geometry import (
     Box,
     PLCurve,
@@ -387,8 +390,9 @@ def _multiscale_segments(draw):
 @st.composite
 def _far_clusters(draw):
     """Clusters of segments whose half lengths lie 20 to 60 octaves apart,
-    mostly around centres far apart in space, so that most class pairs
-    are ruled out by their trees' boxes; some clusters share a centre."""
+    mostly around centres far apart in space, so that most pairs of
+    clusters are ruled out high in the search tree; some clusters share a
+    centre."""
     dim = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     octaves = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
@@ -402,6 +406,36 @@ def _far_clusters(draw):
         half.append(scale * rng.uniform(0.5, 2.0, m))
     margin = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
     return np.concatenate(mids), np.concatenate(half), margin
+
+
+def _close_pairs_by_all_pairs(mids, half, margin, rows=256):
+    """multiscale_close_pairs's oracle: its predicate on every pair ii < jj,
+    a block of rows at a time."""
+    n = len(mids)
+    first = [np.empty(0, dtype=np.int64)]
+    second = [np.empty(0, dtype=np.int64)]
+    for start in range(0, n, rows):
+        # rows start.. against columns start.., the upper triangle kept;
+        # the squares are added axis by axis, left to right, as .sum(-1)
+        # adds a row this short, so the distances are bitwise the same
+        block, later = slice(start, start + rows), slice(start, n)
+        square = 0.0
+        for k in range(mids.shape[1]):
+            square = square + (mids[block, None, k] - mids[None, later, k]) ** 2
+        close = np.sqrt(square) <= half[block, None] + half[None, later] + margin
+        ii, jj = np.nonzero(np.triu(close, k=1))
+        first.append(ii + start)
+        second.append(jj + start)
+    return np.concatenate(first), np.concatenate(second)
+
+
+def _assert_all_pairs(mids, half, margin):
+    ii, jj = multiscale_close_pairs(mids, half, margin)
+    want_i, want_j = _close_pairs_by_all_pairs(mids, half, margin)
+    assert ii.dtype == jj.dtype == np.int64
+    np.testing.assert_array_equal(ii, want_i)
+    np.testing.assert_array_equal(jj, want_j)
+    return len(ii)
 
 
 class TestMultiscaleClosePairs:
@@ -431,6 +465,48 @@ class TestMultiscaleClosePairs:
         mids = np.array([[0.0, 0.0], [r, 0.0], [-np.nextafter(r, np.inf), 0.0]])
         ii, jj = multiscale_close_pairs(mids, h, margin)
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "n, shuffled, j",
+        [(0, False, 0), (1, False, 0), (2, False, 0), (2, True, 0), (300, True, 0)]
+        + [(3000, False, 0), (1000, False, 60), (1000, True, 30), (300, False, 540)],
+    )
+    def test_random_walks_match_all_pairs(self, n, shuffled, j, dim):
+        # the segments of a random walk whose steps range over 30 octaves,
+        # at scale 2^-j (at 2^-540 every square rounds to a subnormal or
+        # to 0), in curve order or shuffled, which only makes the tree's
+        # boxes larger
+        rng = np.random.default_rng([n, dim, shuffled, j])
+        steps = rng.normal(size=(n + 1, dim)) * (2.0 ** -rng.integers(0, 30, n + 1))[:, None]
+        pts = np.cumsum(steps, axis=0) * 2.0**-j
+        a, b = pts[:-1], pts[1:]
+        if shuffled:
+            order = rng.permutation(n)
+            a, b = a[order], b[order]
+        mids = (a + b) / 2.0
+        half = np.sqrt(((b - a) ** 2).sum(-1)) / 2.0
+        found = [_assert_all_pairs(mids, half, rel * 2.0**-j) for rel in (0.0, 1e-9, 1e-3)]
+        assert found[0] >= n - 1  # consecutive segments share a vertex
+
+    @pytest.mark.parametrize("name, t", [("countable_r1", 1.0), ("fox_remarkable", 0.9)])
+    def test_frame_views_match_all_pairs(self, scenarios, name, t):
+        # every view the crossing search takes of a depth-20 frame; the fox
+        # frame at t = 0.9 is degenerate, so all three views are searched
+        s = scenarios[name]
+        frame = map_curve(glue_schedule(s.moves, 20).map_at(t), s.initial_curve.densified(0.01))
+        found = []
+
+        def checked(mids, half, margin):
+            found.append(_assert_all_pairs(mids, half, margin))
+            return multiscale_close_pairs(mids, half, margin)
+
+        with mock.patch.object(diagram, "multiscale_close_pairs", checked):
+            try:
+                diagram.find_crossings(frame)
+            except ValueError:
+                assert name == "fox_remarkable"
+        assert len(found) == (3 if name == "fox_remarkable" else 1) and min(found) > 0
 
 
 def _simple_by_all_pairs(curve: PLCurve, tol: float) -> bool:
