@@ -4,7 +4,7 @@ Produces the same reports the CLI writes, one per scenario, in --out, and
 prints a one-line summary per scenario.  Exit status is nonzero if any
 computed verdict disagrees with its declared expectation.
 
-Usage: python3 scripts/run_all.py [--out reports] [--depth 20] [--seed 0]
+Usage: python3 scripts/run_all.py [--out reports] [--depth 20] [--horizon 20] [--seed 0]
 """
 from __future__ import annotations
 

@@ -50,8 +50,3 @@ def find_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int
         if _box_in_ball(b, p, eps):
             return eps, n
     raise ValueError(f"no n0 within horizon {len(boxes)}: regions not yet inside the ball")
-
-
-def dyadic_cubes(p: np.ndarray, horizon: int) -> list[Box]:
-    """Reference family: cubes centered at p with side 2^(1-n), n = 1..horizon."""
-    return [Box.cube(p, 2.0 ** (1 - n)) for n in range(1, horizon + 1)]

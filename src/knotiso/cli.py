@@ -96,17 +96,12 @@ def probe_scenario(s: Scenario, cfg: RunConfig) -> ProbeReport:
     )
 
 
-def computed_verdicts(s: Scenario, cfg: RunConfig, probe: ProbeReport):
-    hyp = check_hypotheses(s.moves, cfg.horizon, cfg.tol)
-    inj = "fail" if probe.min_image_separation < INJECTIVITY_THRESHOLD else "pass"
-    return hyp, inj
-
-
 def report_lines(s: Scenario, cfg: RunConfig) -> tuple[list[str], bool]:
     """Full report body and whether computed verdicts match the declared
     expectations."""
     probe = probe_scenario(s, cfg)
-    hyp, inj = computed_verdicts(s, cfg, probe)
+    hyp = check_hypotheses(s.moves, cfg.horizon, cfg.tol)
+    inj = "fail" if probe.min_image_separation < INJECTIVITY_THRESHOLD else "pass"
     lines = [
         f"scenario: {cfg.scenario}",
         f"depth: {cfg.depth}",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, PLCurve, multiscale_close_pairs, nonadjacent
+from .geometry import PLCurve, multiscale_close_pairs, nonadjacent
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
@@ -140,16 +140,6 @@ def find_crossings(curve: PLCurve) -> list[Crossing]:
         if result is not None:
             return result
     raise ValueError("projection is degenerate even after view perturbation")
-
-
-def count_crossings(curve: PLCurve, region: Box | None = None) -> int:
-    """Number of projected crossings, optionally restricted to crossings
-    whose projected location falls in the xy-shadow of a box."""
-    cs = find_crossings(curve)
-    if region is None:
-        return len(cs)
-    lo, hi = region.lo[:2], region.hi[:2]
-    return sum(1 for c in cs if ((lo <= c.xy) & (c.xy <= hi)).all())
 
 
 def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:

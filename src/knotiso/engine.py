@@ -7,8 +7,8 @@ isotopy H_k whose ``support`` is the box V_k.  It runs over the slot
 at t = 1.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
 then stage n at a local time, as one support-culled composite.
-``apply_truncated``, ``glue_schedule`` (the one place that slices the time
-grid into stages) and ``seam_values`` are all read off it.
+``apply_truncated`` and ``glue_schedule`` (the one place that slices the
+time grid into stages) are read off it.
 ``eval_limit_isotopy`` evaluates the countable composition at the limit
 time t = 1 via the settled / tolerance-converged / budget trichotomy.
 
@@ -303,20 +303,6 @@ def injectivity_probe(seq: MoveSequence, n: int, pairs: np.ndarray) -> float:
     return float(np.sqrt(((ia - ib) ** 2).sum(-1)).min())
 
 
-def infinite_motion_census(
-    seq: MoveSequence, n_max: int, samples: np.ndarray, horizon: int | None = None
-) -> int:
-    """Count of the (k, 3) samples whose n_max-stage image still lies in a
-    later support (checked up to the horizon)."""
-    if not len(samples):
-        return 0
-    if horizon is None:
-        horizon = n_max + 20
-    img = apply_truncated(seq, n_max, samples)
-    tails = seq.tail_table(horizon)
-    return int(tails.in_later_support(img, n_max).sum())
-
-
 # -- schedule gluing ---------------------------------------------------------
 
 
@@ -338,12 +324,3 @@ def glue_schedule(seq: MoveSequence, n: int) -> Isotopy:
         return truncated_map(seq, k, (t - t0) / (t1 - t0))
 
     return Isotopy(support=seq.container, map_at=map_at)
-
-
-def seam_values(seq: MoveSequence, k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided values of the glued isotopy at the seam t_k.
-
-    Left: stage k completed at its local time 1.  Right: stage k+1 entered
-    at its local time 0.  Both are exact one-sided limits.
-    """
-    return truncated_map(seq, k).apply_array(pts), truncated_map(seq, k + 1, 0.0).apply_array(pts)

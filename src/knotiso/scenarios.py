@@ -5,10 +5,11 @@ Every curve here is invented geometry anchored to a combinatorial pattern:
 loop counts, crossing deltas, box nesting, and decay ratios.  Loop-bearing
 curves are built by the reverse trick: apply invertible loop-insert maps
 to a plain baseline, so each untying move is the exact inverse of the
-insert that created its loop.  A curve's loops are inserted by one
-composite of conjugated inserts (``_insert_loops``): its insert boxes are
-pairwise disjoint and share one canonical move, so the composite routes
-the points of all boxes through that move in one pass.
+insert that created its loop.  A loop chain (``_loop_chain``) ties m
+loops in each of its boxes by one composite of conjugated inserts: the
+boxes are pairwise disjoint and share one canonical move, so the composite
+routes the points of all boxes through that move in one pass.  Stage k
+of a chain's stream is ``_untie`` of box k: the inverse of that insert.
 
 Box corners are written as coordinate tuples; the points a scenario
 probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
@@ -33,6 +34,8 @@ from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_iso
 # image-separation floor below which the injectivity probe verdict is fail
 INJECTIVITY_THRESHOLD = 1e-3
 
+# loops per chain, one per stage box V_1..V_LOOPS
+_LOOPS = 20
 _PTS_PER_BOX = 100
 
 
@@ -63,23 +66,20 @@ class Scenario:
     initial_curve: PLCurve
     moves: MoveSequence
     expected: ExpectedVerdicts
-    declared_decay_ratio: float | None
     probe_pairs: np.ndarray
     census_samples: np.ndarray
     ball_center: np.ndarray | None = None
 
 
-# -- baseline construction helpers -------------------------------------------
+# -- loop chains --------------------------------------------------------------
 
 
-def _axis_points(
-    x_start: float, x_end: float, boxes: Sequence[Box], pts_per_box: int = _PTS_PER_BOX
-) -> np.ndarray:
-    """Vertices along the x-axis from x_start to x_end, refined inside
-    each box so loop inserts are resolved."""
+def _axis_points(x_start: float, x_end: float, boxes: Sequence[Box], m: int) -> np.ndarray:
+    """Vertices along the x-axis from x_start to x_end, refined with
+    m * _PTS_PER_BOX points inside each box so m loop inserts are resolved."""
     xs = [x_start, x_end]
     for b in boxes:
-        xs.extend(np.linspace(b.lo[0], b.hi[0], pts_per_box).tolist())
+        xs.extend(np.linspace(b.lo[0], b.hi[0], m * _PTS_PER_BOX).tolist())
     xs = np.unique(np.array(xs, dtype=float))
     if xs[0] != x_start or xs[-1] != x_end:
         raise ValueError("box refinement escapes the arc span")
@@ -102,9 +102,22 @@ def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
     return CompositeMap([conjugated_insert(b, m).time_one() for b in boxes]).apply_array(pts)
 
 
-def _closed_curve(active: np.ndarray, y_return: float) -> PLCurve:
+def _loop_chain(
+    x_start: float, x_end: float, boxes: Sequence[Box], m: int, untied: Sequence[Box] = ()
+) -> np.ndarray:
+    """The x-axis strand from x_start to x_end with m loops tied in each
+    box; the ``untied`` boxes are refined alike but left straight."""
+    return _insert_loops(boxes, m, _axis_points(x_start, x_end, [*boxes, *untied], m))
+
+
+def _untie(box: Box, m: int) -> Isotopy:
+    """The stage that unties a chain box's m loops: their insert, reversed."""
+    return reversed_isotopy(conjugated_insert(box, m))
+
+
+def _closed_curve(active: np.ndarray) -> PLCurve:
     """Close an x-axis arc through a rectangular return path below it."""
-    ret = [[active[-1, 0], y_return, 0.0], [active[0, 0], y_return, 0.0]]
+    ret = [[active[-1, 0], -1.2, 0.0], [active[0, 0], -1.2, 0.0]]
     return PLCurve(np.concatenate([active, ret]), closed=True)
 
 
@@ -121,21 +134,16 @@ def _shrinking_boxes(limit_x: float) -> Callable[[int], Box]:
     return box
 
 
-_R1_LOOPS = 20
-
-
 def build_countable_r1() -> Scenario:
     """A circle with countably many shrinking loops; each move removes the
     next loop inside its own disjoint box."""
     boxes = _shrinking_boxes(2.0)
-    loop_boxes = [boxes(k) for k in range(1, _R1_LOOPS + 1)]
-    active = _axis_points(-0.5, 2.5, loop_boxes)
-    curve = _closed_curve(_insert_loops(loop_boxes, 1, active), y_return=-1.2)
+    curve = _closed_curve(_loop_chain(-0.5, 2.5, [boxes(k) for k in range(1, _LOOPS + 1)], 1))
 
     container = Box((-1.0, -2.0, -1.0), (3.0, 1.0, 1.0))
 
     def stage(k: int) -> Isotopy:
-        return reversed_isotopy(conjugated_insert(boxes(k)))
+        return _untie(boxes(k), 1)
 
     pairs = np.array([
         ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
@@ -150,13 +158,9 @@ def build_countable_r1() -> Scenario:
         initial_curve=curve,
         moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("pass", None, "pass"),
-        declared_decay_ratio=0.5,
         probe_pairs=pairs,
         census_samples=census,
     )
-
-
-_R2_PAIRS = 20
 
 
 def build_countable_r2(stage: int) -> Scenario:
@@ -168,17 +172,16 @@ def build_countable_r2(stage: int) -> Scenario:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     boxes1 = _shrinking_boxes(2.0)
     boxes2 = _shrinking_boxes(4.0)
-    pass1 = [boxes1(k) for k in range(1, _R2_PAIRS + 1)]
-    pass2 = [boxes2(k) for k in range(1, _R2_PAIRS + 1)]
-    active = _axis_points(-0.5, 4.5, pass1 + pass2, pts_per_box=2 * _PTS_PER_BOX)
-    tied = pass1 + pass2 if stage == 1 else pass2
-    curve = _closed_curve(_insert_loops(tied, 2, active), y_return=-1.2)
+    pass1 = [boxes1(k) for k in range(1, _LOOPS + 1)]
+    pass2 = [boxes2(k) for k in range(1, _LOOPS + 1)]
+    tied, untied = (pass1 + pass2, []) if stage == 1 else (pass2, pass1)
+    curve = _closed_curve(_loop_chain(-0.5, 4.5, tied, 2, untied))
     boxes = boxes1 if stage == 1 else boxes2
 
     container = Box((-1.0, -2.0, -1.0), (5.0, 1.0, 1.0))
 
     def untie(k: int) -> Isotopy:
-        return reversed_isotopy(conjugated_insert(boxes(k), m=2))
+        return _untie(boxes(k), 2)
 
     if stage == 1:
         pairs = np.array([
@@ -198,7 +201,6 @@ def build_countable_r2(stage: int) -> Scenario:
         initial_curve=curve,
         moves=MoveSequence(stage_fn=untie, container=container),
         expected=ExpectedVerdicts("pass", None, "pass"),
-        declared_decay_ratio=0.5,
         probe_pairs=pairs,
         census_samples=np.array([(limit - 2.0**-j, 0.0, 0.0) for j in range(1, 7)]),
     )
@@ -305,7 +307,6 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
         initial_curve=curve,
         moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("pass", None, "pass" if not ablated else "fail"),
-        declared_decay_ratio=0.5,
         probe_pairs=pairs,
         census_samples=census,
         ball_center=np.zeros(3),
@@ -313,8 +314,6 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
 
 
 # -- countable connected sum untied shell by shell ----------------------------
-
-_TREFOIL_SUMMANDS = 20
 
 
 def trefoil_work_box(k: int) -> Box:
@@ -338,23 +337,17 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     point and declares supports large enough to contain it, so the tail
     union diameter is bounded below by the segment length.
     """
-    work = [trefoil_work_box(k) for k in range(1, _TREFOIL_SUMMANDS + 1)]
-    active = _axis_points(-0.5, 2.0, work, pts_per_box=3 * _PTS_PER_BOX)
-    tied = _insert_loops(work, 3, active)
+    strand = _loop_chain(-0.5, 2.0, [trefoil_work_box(k) for k in range(1, _LOOPS + 1)], 3)
     if extended:
-        ret = [[3.0, 0.0, 0.0], [3.0, -1.2, 0.0], [-0.5, -1.2, 0.0]]
-        curve = PLCurve(np.concatenate([tied, ret]), closed=True)
-    else:
-        curve = _closed_curve(tied, y_return=-1.2)
+        strand = np.concatenate([strand, [[3.0, 0.0, 0.0]]])
+    curve = _closed_curve(strand)
 
     container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
 
     def stage(k: int) -> Isotopy:
         b = trefoil_work_box(k)
-        untie = reversed_isotopy(conjugated_insert(b, m=3))
-        if extended:
-            return Isotopy(_with_segment(b), untie.map_at)
-        return untie
+        untie = _untie(b, 3)
+        return Isotopy(_with_segment(b), untie.map_at) if extended else untie
 
     pairs = np.array([
         ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
@@ -371,7 +364,6 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
             if extended
             else ExpectedVerdicts("pass", None, "pass")
         ),
-        declared_decay_ratio=None if extended else 0.5,
         probe_pairs=pairs,
         census_samples=census,
     )
@@ -379,7 +371,6 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
 
 # -- the remarkable stitch curve: passes hypotheses, fails injectivity --------
 
-_FOX_PAIRS = 20
 _FOX_C = 0.5
 
 
@@ -426,14 +417,13 @@ def build_fox_remarkable() -> Scenario:
     """Shrinking loop pairs along an arc into its wild endpoint; each move
     removes the next pair, then contracts toward the endpoint, dragging a
     countable set of tracked points with it forever."""
-    initial_boxes = [fox_pair_box_initial(k) for k in range(1, _FOX_PAIRS + 1)]
-    active = _axis_points(0.0, 1.5, initial_boxes, pts_per_box=2 * _PTS_PER_BOX)
-    curve = PLCurve(_insert_loops(initial_boxes, 2, active), closed=False)
+    initial_boxes = [fox_pair_box_initial(k) for k in range(1, _LOOPS + 1)]
+    curve = PLCurve(_loop_chain(0.0, 1.5, initial_boxes, 2), closed=False)
 
     container = Box((-1.0, -1.0, -1.0), (2.0, 1.0, 1.0))
 
     def stage(k: int) -> Isotopy:
-        removal = reversed_isotopy(conjugated_insert(fox_pair_box_current(k), m=2))
+        removal = _untie(fox_pair_box_current(k), 2)
         return chained_isotopy([removal, fox_squish_isotopy(k)], fox_outer(k))
 
     tracked = fox_tracked_line()
@@ -443,82 +433,10 @@ def build_fox_remarkable() -> Scenario:
         initial_curve=curve,
         moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("pass", None, "fail"),
-        declared_decay_ratio=0.25,
         probe_pairs=pairs,
         census_samples=tracked,
         ball_center=np.zeros(3),
     )
-
-
-# -- snowflake iterates -------------------------------------------------------
-
-
-def _tooth_template(shrink: float) -> np.ndarray:
-    """Per-segment refinement pattern as (along, right-offset) rows.
-
-    The segment is cut into equal flat pieces no longer than shrink * L,
-    and the middle piece is replaced by a triangular twist whose apex sits
-    0.75 * shrink * L to the right of travel.  The longest new piece is
-    exactly shrink * L, so successive sup deviations scale by exactly the
-    piece ratio.
-    """
-    if not (0.0 < shrink < 1.0):
-        raise ValueError(f"shrink must be in (0,1), got {shrink}")
-    n_f = int(np.ceil(1.0 / shrink - 1e-12))
-    mid = n_f // 2
-    h = 0.75 * shrink
-    rows = [(j / n_f, 0.0) for j in range(mid + 1)]
-    rows.append(((mid + 0.5) / n_f, h))
-    rows.extend((j / n_f, 0.0) for j in range(mid + 1, n_f))
-    return np.array(rows)
-
-
-def build_snowflake(shrink: float, depth: int) -> list[PLCurve]:
-    """Iterates of a square-based twisting curve: each segment grows a
-    centered triangular twist of height 0.75 * shrink * L, flanked by flat
-    pieces, teeth pointing to the right of travel (outward for the
-    counterclockwise base)."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    template = _tooth_template(shrink)
-    base = np.array(
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
-    )
-    iterates = [PLCurve(base, closed=True)]
-    pts = base
-    for _ in range(depth - 1):
-        nxt = []
-        n = len(pts)
-        for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            d = b - a
-            length = float(np.linalg.norm(d))
-            right = np.array([d[1], -d[0], 0.0]) / length
-            for along, off in template:
-                nxt.append(a + d * along + right * (off * length))
-        pts = np.array(nxt)
-        iterates.append(PLCurve(pts, closed=True))
-    return iterates
-
-
-def snowflake_sup_deviation(f_n: PLCurve, f_next: PLCurve) -> float:
-    """Sup vertex deviation under the consistent parameterization: vertex
-    j of f_n is vertex j*m of f_next."""
-    a = f_n.points
-    b = f_next.points
-    if len(b) % len(a) != 0:
-        raise ValueError("iterates are not consecutive")
-    step = len(b) // len(a)
-    dev_old = float(np.sqrt(((b[::step] - a) ** 2).sum(-1)).max())
-    # new vertices sit at even fractions along the old segments
-    m = step
-    devs = [dev_old]
-    n = len(a)
-    for j in range(1, m):
-        frac = j / m
-        interp = a + frac * (np.roll(a, -1, axis=0) - a)
-        devs.append(float(np.sqrt(((b[j::step] - interp) ** 2).sum(-1)).max()))
-    return max(devs)
 
 
 # -- the interval counterexample ----------------------------------------------
@@ -578,7 +496,6 @@ def build_1d_counterexample() -> Scenario:
         initial_curve=curve,
         moves=MoveSequence(stage_fn=stage, container=container),
         expected=ExpectedVerdicts("fail", 1, "fail"),
-        declared_decay_ratio=None,
         probe_pairs=pairs,
         census_samples=census,
     )

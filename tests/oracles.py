@@ -1,0 +1,130 @@
+"""Reference computations that only the tests call.
+
+The acceptance criteria and unit tests check the package against these:
+crossing counts of a curve's diagram, a reference nested box family, the
+infinite-motion census after a finite truncation, the one-sided values of
+a glued schedule at a seam, and the snowflake iterates with their sup
+deviations.  None of them is on the path of a CLI verb.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from knotiso.diagram import find_crossings
+from knotiso.engine import MoveSequence, apply_truncated, truncated_map
+from knotiso.geometry import Box, PLCurve
+
+
+# -- diagrams -----------------------------------------------------------------
+
+
+def count_crossings(curve: PLCurve, region: Box | None = None) -> int:
+    """Number of projected crossings, optionally restricted to crossings
+    whose projected location falls in the xy-shadow of a box."""
+    cs = find_crossings(curve)
+    if region is None:
+        return len(cs)
+    lo, hi = region.lo[:2], region.hi[:2]
+    return sum(1 for c in cs if ((lo <= c.xy) & (c.xy <= hi)).all())
+
+
+# -- nested families and stream readings --------------------------------------
+
+
+def dyadic_cubes(p: np.ndarray, horizon: int) -> list[Box]:
+    """Reference family: cubes centered at p with side 2^(1-n), n = 1..horizon."""
+    return [Box.cube(p, 2.0 ** (1 - n)) for n in range(1, horizon + 1)]
+
+
+def infinite_motion_census(
+    seq: MoveSequence, n_max: int, samples: np.ndarray, horizon: int | None = None
+) -> int:
+    """Count of the (k, 3) samples whose n_max-stage image still lies in a
+    later support (checked up to the horizon)."""
+    if not len(samples):
+        return 0
+    if horizon is None:
+        horizon = n_max + 20
+    img = apply_truncated(seq, n_max, samples)
+    tails = seq.tail_table(horizon)
+    return int(tails.in_later_support(img, n_max).sum())
+
+
+def seam_values(seq: MoveSequence, k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided values of the glued isotopy at the seam t_k.
+
+    Left: stage k completed at its local time 1.  Right: stage k+1 entered
+    at its local time 0.  Both are exact one-sided limits.
+    """
+    return truncated_map(seq, k).apply_array(pts), truncated_map(seq, k + 1, 0.0).apply_array(pts)
+
+
+# -- snowflake iterates -------------------------------------------------------
+
+
+def _tooth_template(shrink: float) -> np.ndarray:
+    """Per-segment refinement pattern as (along, right-offset) rows.
+
+    The segment is cut into equal flat pieces no longer than shrink * L,
+    and the middle piece is replaced by a triangular twist whose apex sits
+    0.75 * shrink * L to the right of travel.  The longest new piece is
+    exactly shrink * L, so successive sup deviations scale by exactly the
+    piece ratio.
+    """
+    if not (0.0 < shrink < 1.0):
+        raise ValueError(f"shrink must be in (0,1), got {shrink}")
+    n_f = int(np.ceil(1.0 / shrink - 1e-12))
+    mid = n_f // 2
+    h = 0.75 * shrink
+    rows = [(j / n_f, 0.0) for j in range(mid + 1)]
+    rows.append(((mid + 0.5) / n_f, h))
+    rows.extend((j / n_f, 0.0) for j in range(mid + 1, n_f))
+    return np.array(rows)
+
+
+def build_snowflake(shrink: float, depth: int) -> list[PLCurve]:
+    """Iterates of a square-based twisting curve: each segment grows a
+    centered triangular twist of height 0.75 * shrink * L, flanked by flat
+    pieces, teeth pointing to the right of travel (outward for the
+    counterclockwise base)."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    template = _tooth_template(shrink)
+    base = np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+    )
+    iterates = [PLCurve(base, closed=True)]
+    pts = base
+    for _ in range(depth - 1):
+        nxt = []
+        n = len(pts)
+        for i in range(n):
+            a, b = pts[i], pts[(i + 1) % n]
+            d = b - a
+            length = float(np.linalg.norm(d))
+            right = np.array([d[1], -d[0], 0.0]) / length
+            for along, off in template:
+                nxt.append(a + d * along + right * (off * length))
+        pts = np.array(nxt)
+        iterates.append(PLCurve(pts, closed=True))
+    return iterates
+
+
+def snowflake_sup_deviation(f_n: PLCurve, f_next: PLCurve) -> float:
+    """Sup vertex deviation under the consistent parameterization: vertex
+    j of f_n is vertex j*m of f_next."""
+    a = f_n.points
+    b = f_next.points
+    if len(b) % len(a) != 0:
+        raise ValueError("iterates are not consecutive")
+    step = len(b) // len(a)
+    dev_old = float(np.sqrt(((b[::step] - a) ** 2).sum(-1)).max())
+    # new vertices sit at even fractions along the old segments
+    m = step
+    devs = [dev_old]
+    n = len(a)
+    for j in range(1, m):
+        frac = j / m
+        interp = a + frac * (np.roll(a, -1, axis=0) - a)
+        devs.append(float(np.sqrt(((b[j::step] - interp) ** 2).sum(-1)).max()))
+    return max(devs)

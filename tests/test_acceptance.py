@@ -11,15 +11,13 @@ import time
 
 import numpy as np
 
-from knotiso.ball_factoring import dyadic_cubes, find_ball_factoring
+from knotiso.ball_factoring import find_ball_factoring
 from knotiso.canonical import CANONICAL_BOX, kink_map
 from knotiso.cli import RunConfig, main, report_lines
 from knotiso.engine import (
     apply_truncated,
     check_hypotheses,
-    infinite_motion_census,
     injectivity_probe,
-    seam_values,
     uniform_convergence_probe,
 )
 from knotiso.geometry import Box, curve_is_simple, union_diameter
@@ -35,10 +33,16 @@ from knotiso.maps import (
 from knotiso.scenarios import (
     SCENARIO_BUILDERS,
     build_1d_counterexample,
-    build_snowflake,
     rec_apex,
     rec_squish_constant,
     rec_unsquish_params,
+)
+
+from oracles import (
+    build_snowflake,
+    dyadic_cubes,
+    infinite_motion_census,
+    seam_values,
     snowflake_sup_deviation,
 )
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from knotiso.ball_factoring import dyadic_cubes, find_ball_factoring
+from knotiso.ball_factoring import find_ball_factoring
 from knotiso.geometry import Box
+
+from oracles import dyadic_cubes
 
 
 class TestNestedFamily:

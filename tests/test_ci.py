@@ -4,7 +4,8 @@ admits, with the numpy the golden hashes were made with and the scipy
 whose version the benchmark harness records, and the test configuration
 turns runtime warnings into failures.  The package runs on numpy alone:
 no module of it imports scipy.  Every public function, class, method and
-constant in the package has a caller outside the tests."""
+constant in the package has a caller outside the tests, with no exception:
+code that only tests call lives in ``tests/oracles.py``."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -64,18 +65,6 @@ def test_runtime_warnings_fail_the_suite():
     assert "error::RuntimeWarning" in config["tool"]["pytest"]["ini_options"]["filterwarnings"]
 
 
-# acceptance-criterion oracles that only tests call, and count_crossings
-# until the Reidemeister ledger (ROADMAP item 3) calls it
-TEST_ONLY = {
-    "build_snowflake",
-    "snowflake_sup_deviation",
-    "dyadic_cubes",
-    "seam_values",
-    "infinite_motion_census",
-    "count_crossings",
-}
-
-
 def _named(tree: ast.AST) -> Counter:
     """Every identifier, attribute, imported name and string constant."""
     names: Counter = Counter()
@@ -124,6 +113,6 @@ def test_every_public_symbol_has_a_caller_outside_the_tests():
             # a name used only inside its own definition has no caller
             if named[name] <= _named(node)[name]:
                 unused.add(name)
-    # a name here either lost its last caller (delete it or make it
-    # private) or is listed in TEST_ONLY but now has one (unlist it)
-    assert unused == TEST_ONLY, sorted(unused ^ TEST_ONLY)
+    # a name here lost its last caller: delete it, make it private or
+    # move it to tests/oracles.py
+    assert not unused, sorted(unused)

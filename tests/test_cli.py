@@ -10,9 +10,10 @@ import pytest
 
 from knotiso import cli
 from knotiso.cli import RunConfig, main
-from knotiso.diagram import count_crossings
 from knotiso.geometry import read_curve
 from knotiso.scenarios import ExpectedVerdicts, build_countable_r1
+
+from oracles import count_crossings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

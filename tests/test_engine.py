@@ -11,10 +11,8 @@ from knotiso.engine import (
     check_hypotheses,
     eval_limit_isotopy,
     glue_schedule,
-    infinite_motion_census,
     injectivity_probe,
     map_curve,
-    seam_values,
     stage_of,
     tail_boxes,
     truncated_map,
@@ -23,6 +21,8 @@ from knotiso.engine import (
 from knotiso.geometry import Box, PLCurve, union_diameter
 from knotiso.maps import IdentityMap
 from knotiso.moves import cone_isotopy
+
+from oracles import infinite_motion_census, seam_values
 
 CONTAINER = Box((-1, -1, -1), (3, 1, 1))
 

@@ -14,7 +14,6 @@ from knotiso.canonical import (
     loop_sub_boxes,
     multi_kink_isotopy,
 )
-from knotiso.diagram import count_crossings
 from knotiso.engine import Isotopy
 from knotiso.geometry import Box, PLCurve, curve_is_simple
 from knotiso.maps import (
@@ -37,6 +36,8 @@ from knotiso.moves import (
     unsquish_isotopy,
 )
 from knotiso.scenarios import SCENARIO_BUILDERS
+
+from oracles import count_crossings
 
 UNIT = CANONICAL_BOX
 # projected crossings one canonical kink insert adds

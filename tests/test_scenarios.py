@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from knotiso.ball_factoring import find_ball_factoring
 from knotiso.canonical import conjugated_insert
-from knotiso.diagram import count_crossings
 from knotiso.engine import (
     Isotopy,
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
-    infinite_motion_census,
     injectivity_probe,
     map_curve,
     truncated_map,
@@ -22,6 +20,7 @@ from knotiso.geometry import Box, curve_is_simple
 from knotiso.scenarios import (
     INJECTIVITY_THRESHOLD,
     SCENARIO_BUILDERS,
+    _LOOPS,
     _REC_EPS,
     _REC_SCALE,
     ExpectedVerdicts,
@@ -29,14 +28,19 @@ from knotiso.scenarios import (
     _insert_loops,
     _shrinking_boxes,
     build_1d_counterexample,
-    build_snowflake,
     fox_outer,
     fox_pair_box_initial,
     rec_apex,
     rec_box,
     rec_squish_constant,
-    snowflake_sup_deviation,
     trefoil_work_box,
+)
+
+from oracles import (
+    build_snowflake,
+    count_crossings,
+    infinite_motion_census,
+    snowflake_sup_deviation,
 )
 
 HORIZON = 20
@@ -63,6 +67,16 @@ CROSSINGS_PER_STAGE = {
     "countable_r2_stage2": 2,
     "trefoil_chain": 3,
     "fox_remarkable": 2,
+}
+
+# ratio of consecutive tail-union diameters, to within 0.05
+DECAY_RATIO = {
+    "countable_r1": 0.5,
+    "countable_r2_stage1": 0.5,
+    "countable_r2_stage2": 0.5,
+    "recursive_r1": 0.5,
+    "trefoil_chain": 0.5,
+    "fox_remarkable": 0.25,
 }
 
 
@@ -188,10 +202,8 @@ class TestInvariants:
     def test_decay_ratio_band(self, scenarios):
         # tail diameters are computed past the probed range so the finite
         # cutoff does not distort the last few ratios
-        for name, s in scenarios.items():
-            r = s.declared_decay_ratio
-            if r is None:
-                continue
+        for name, r in DECAY_RATIO.items():
+            s = scenarios[name]
             rep = check_hypotheses(s.moves, HORIZON + 10, TOL)
             diams = dict(rep.tail_diameters)
             ratios = [diams[n + 1] / diams[n] for n in range(2, HORIZON)]
@@ -457,11 +469,12 @@ def _disjoint_boxes(draw):
 def _builder_boxes():
     r1 = _shrinking_boxes(2.0)
     r2 = _shrinking_boxes(4.0)
+    loops = range(1, _LOOPS + 1)
     return {
-        "countable_r1": [r1(k) for k in range(1, 21)],
-        "countable_r2": [r1(k) for k in range(1, 21)] + [r2(k) for k in range(1, 21)],
-        "trefoil_chain": [trefoil_work_box(k) for k in range(1, 21)],
-        "fox_remarkable": [fox_pair_box_initial(k) for k in range(1, 21)],
+        "countable_r1": [r1(k) for k in loops],
+        "countable_r2": [r1(k) for k in loops] + [r2(k) for k in loops],
+        "trefoil_chain": [trefoil_work_box(k) for k in loops],
+        "fox_remarkable": [fox_pair_box_initial(k) for k in loops],
     }
 
 
@@ -479,7 +492,7 @@ class TestInsertLoops:
     @pytest.mark.parametrize("name", sorted(_builder_boxes()))
     def test_builder_boxes(self, name, m):
         boxes = _builder_boxes()[name]
-        strand = _axis_points(-0.5, 4.5, boxes, pts_per_box=m * 100)
+        strand = _axis_points(-0.5, 4.5, boxes, m)
         pts = np.concatenate([strand, _probe_points(boxes, np.random.default_rng(m))])
         _assert_bitwise(_insert_loops(boxes, m, pts), _insert_one_by_one(boxes, m, pts))
 
