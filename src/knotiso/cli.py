@@ -16,6 +16,7 @@ byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,8 +63,10 @@ class RunConfig:
             raise ValueError(f"horizon must be >= 2, got {self.horizon}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(0.0 <= t <= 1.0 for t in self.times):
             raise ValueError(f"frame times must lie in [0, 1], got {self.times}")
         if list(self.times) != sorted(self.times):

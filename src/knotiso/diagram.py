@@ -1,7 +1,7 @@
 """Planar diagram export: orthographic projection onto the xy-plane,
 crossing detection with over/under resolution, and SVG rendering with
-under-strand gaps, whose line ends reuse the digits of the curve's own
-decimal text.
+under-strand gaps, whose line ends reuse the curve's own ``%.17g`` cells
+and print the rest through the same exact kernel, ``geometry._g17_cells``.
 
 Crossing candidates come from ``geometry``'s one segment-pair search.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PLCurve, multiscale_close_pairs, nonadjacent
+from .geometry import PLCurve, _g17_cells, multiscale_close_pairs, nonadjacent
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
@@ -159,14 +159,29 @@ def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return pieces
 
 
+def _negated(cells: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` cells of the negated values: a leading ``-`` is
+    dropped, and one is put in front of any other cell."""
+    b = np.ascontiguousarray(cells).view(np.uint8).reshape(len(cells), -1)
+    out = np.zeros_like(b)
+    out[:, 0] = ord("-")
+    out[:, 1:] = b[:, :-1]
+    neg = b[:, 0] == ord("-")
+    out[neg, :-1] = b[neg, 1:]
+    out[neg, -1] = 0
+    return out.view(cells.dtype).ravel()
+
+
 def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     """SVG drawing of the projected diagram with under-strand gaps.
 
-    Every line end is printed with 17 significant digits.  An end that is
-    bitwise a vertex coordinate copies that coordinate's digits from
-    ``curve.decimal_text()``, the text a curve file holds, so a frame's
-    curve file and drawing format each vertex once; only gap cuts and
-    ends whose rounding differs from their vertex are printed here.
+    Every line end is printed as ``'%.17g'`` prints it.  An end that is
+    bitwise a vertex coordinate copies that coordinate's cell from
+    ``curve.decimal_cells()``, the cells a curve file is joined from (y
+    with its sign flipped bytewise), so a frame's curve file and drawing
+    format each vertex once.  Gap cuts and ends whose rounding differs
+    from their vertex are printed here by the same vectorized kernel,
+    which leaves any value it cannot decide exactly to ``'%.17g'``.
     """
     pts = curve.points
     crossings = find_crossings(curve)
@@ -204,21 +219,16 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     x1 = sa + hi[:, None] * sd
     ends = np.column_stack([x0, x1])
     # an end that is bitwise its vertex's coordinate takes the vertex's
-    # digits from the curve text (y with its sign flipped); the others
+    # cell from the curve (y with its sign flipped); the others
     # (gap cuts, a + 1 * (b - a) that rounds off b, a zero whose sign
     # changed) are printed here
     v = np.column_stack([seg, seg, seg + 1, seg + 1]) % len(pts)
     v_xy = pts[v, [0, 1, 0, 1]]
     own = ends.view(np.int64) == v_xy.view(np.int64)
-    digits = curve.decimal_text().split()
-    xs = digits[0::3]
-    neg_ys = [d[1:] if d[0] == "-" else "-" + d for d in digits[1::3]]
-    xy_digits = np.array([xs, neg_ys], dtype=object).T
-    cells = xy_digits[v, [0, 1, 0, 1]]
+    vertex_cells = curve.decimal_cells()
+    cells = np.column_stack([vertex_cells[:, 0], _negated(vertex_cells[:, 1])])[v, [0, 1, 0, 1]]
     drawn = ends * [1.0, -1.0, 1.0, -1.0]
-    cells[~own] = ["%.17g" % e for e in drawn[~own].tolist()]
-    line = '<line x1="%s" y1="%s" x2="%s" y2="%s" />\n'
-    body = (line * len(cells) % tuple(cells.ravel().tolist()))[:-1]
+    cells[~own] = _g17_cells(drawn[~own])
     lo_xy = pts[:, :2].min(axis=0)
     hi_xy = pts[:, :2].max(axis=0)
     pad = 0.05 * max(1e-9, float((hi_xy - lo_xy).max()))
@@ -226,8 +236,11 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
         f"{lo_xy[0] - pad:.17g} {-(hi_xy[1] + pad):.17g} "
         f"{hi_xy[0] - lo_xy[0] + 2 * pad:.17g} {hi_xy[1] - lo_xy[1] + 2 * pad:.17g}"
     )
-    return (
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
         f'<g stroke="black" stroke-width="{_STROKE}" fill="none" stroke-linecap="round">\n'
-        f"{body}\n</g>\n</svg>\n"
     )
+    # the whole drawing is one bytes format of every cell
+    line = b'<line x1="%s" y1="%s" x2="%s" y2="%s" />\n'
+    svg = head.encode() + (line * len(cells))[:-1] + b"\n</g>\n</svg>\n"
+    return (svg % tuple(cells.ravel().tolist())).decode()

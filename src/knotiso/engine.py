@@ -262,7 +262,7 @@ def eval_limit_isotopy(seq: MoveSequence, p: np.ndarray, tol: float, k_budget: i
     in none of V_{k+1}..V_{k_budget}, and tol-converged when
     diam(V_{k+1} u ... u V_{k_budget}) < tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     tails = seq.tail_table(k_budget)
     x = np.array(p, dtype=float)[None, :]
@@ -298,8 +298,8 @@ def injectivity_probe(seq: MoveSequence, n: int, pairs: np.ndarray) -> float:
     the n-stage composite."""
     if not len(pairs):
         raise ValueError("pairs must be non-empty")
-    ia = apply_truncated(seq, n, pairs[:, 0])
-    ib = apply_truncated(seq, n, pairs[:, 1])
+    # both ends of every pair in one pass; the maps act row by row
+    ia, ib = np.split(apply_truncated(seq, n, np.concatenate([pairs[:, 0], pairs[:, 1]])), 2)
     return float(np.sqrt(((ia - ib) ** 2).sum(-1)).min())
 
 

@@ -18,6 +18,7 @@ model units.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,15 +154,206 @@ def union_diameter(boxes: Sequence[Box]) -> float:
     return float(farthest_corner_distances(lo, hi).max())
 
 
+# -- exact %.17g text in bulk ------------------------------------------------
+#
+# '%.17g' % x is x rounded half-even to 17 significant digits D * 10**(k - 16),
+# 10**16 <= D < 10**17, printed in fixed notation for -4 <= k <= 16 and
+# exponential notation otherwise, trailing fraction zeros (and a bare point)
+# dropped.  _g17_cells gets D from |x| * 10**(16 - k) in double-double
+# arithmetic, the digit bytes from a table of 4-digit groups, and the cell
+# layout from one template per (exponent, sign, digit count) group.
+
+# the widest cell, '-1.2345678901234567e-308'
+_G17_WIDTH = 24
+# k = floor(log10|x|) spans [-324, 308] over the finite nonzero doubles
+_G17_K_MIN, _G17_K_MAX = -324, 308
+# a layout key is ((k - _G17_K_MIN) * 2 + sign) * 17 + digits - 1; the
+# values printed by '%.17g' itself take the key past the last one
+_G17_UNDECIDED = (_G17_K_MAX - _G17_K_MIN + 1) * 34
+# fraction parts of |x| * 10**(16 - k) this close to 1/2 are left to '%.17g':
+# the double-double product is good to within 1e-13, and an exact tie needs
+# the round-half-even rule
+_G17_TIE_MARGIN = 1e-6
+# Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves
+_SPLIT = 134217729.0
+# values per pass of the numeric stage, so its temporaries stay small
+_G17_CHUNK = 4096
+
+
+@functools.cache
+def _pow10_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """Row k - _G17_K_MIN: (hi, lo, hi's two Veltkamp halves) with
+    hi + lo = 10**(16 - k) / 2**b to within 2**-105 relative, hi in
+    [1, 2]; and the matching b.  Built from exact integers."""
+    rows, exps = [], []
+    for k in range(_G17_K_MIN, _G17_K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        b = num.bit_length() - den.bit_length()
+        if (num << max(0, -b)) < (den << max(0, b)):
+            b -= 1
+        # 10**(16 - k) / 2**b to the nearest multiple of 2**-105
+        top, bot = num << max(0, 105 - b), den << max(0, b - 105)
+        m = (2 * top + bot) // (2 * bot)
+        hi = m / (1 << 105)
+        lo = (m - (int(hi * (1 << 52)) << 53)) / (1 << 105)
+        c = _SPLIT * hi
+        hi_top = c - (c - hi)
+        rows.append((hi, lo, hi_top, hi - hi_top))
+        exps.append(b)
+    return np.array(rows), np.array(exps, dtype=np.int32)
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """Entry q < 10**4: q's four ASCII digits as one little-endian uint32;
+    entry 10**4 + d: the digit d alone, as the word's last byte.  And for
+    q < 10**4, its count of trailing zero digits (4 for 0)."""
+    q = np.arange(10000, dtype=np.uint16)
+    d = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8)
+    quads = (d + ord("0")).view("<u4").ravel()
+    leads = (np.arange(10, dtype=np.uint32) + ord("0")) << 24
+    zeros = (d[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    return np.concatenate([quads, leads]), zeros
+
+
+def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For finite nonzero x: the 17 digits of each as bytes 3..19 of a
+    row of an (n, 5) uint32 array, and each one's layout key."""
+    a = np.abs(x)
+    k = np.floor(np.log10(a)).astype(np.int32)
+    row = k - _G17_K_MIN
+    pairs, exps = _pow10_pairs()
+    hi, lo, hi_top, hi_bot = np.take(pairs, row, axis=0).T
+    # m * hi = p + err exactly (Dekker), m in [0.5, 1) so nothing overflows
+    m, e = np.frexp(a)
+    p = m * hi
+    c = m * _SPLIT
+    m_top = c - (c - m)
+    m_bot = m - m_top
+    err = ((m_top * hi_top - p) + m_top * hi_bot + m_bot * hi_top) + m_bot * hi_bot
+    # |x| * 10**(16 - k) = w_hi + w_lo, w_hi a whole number from 2**53 up
+    scale = e + np.take(exps, row)
+    w_hi = np.ldexp(p, scale)
+    w_lo = np.ldexp(err + m * lo, scale)
+    whole = np.floor(w_lo)
+    d = w_hi.astype(np.int64) + whole.astype(np.int64)
+    frac = w_lo - whole
+    # a wrong k from log10 puts the whole part outside [10**16, 10**17),
+    # and rounding up may carry it to 10**17
+    ok = (d >= 10**16) & (np.abs(frac - 0.5) > _G17_TIE_MARGIN)
+    d += frac > 0.5
+    ok &= d < 10**17
+    d[~ok] = 10**16
+    # the lead digit, then four groups of four
+    q = np.empty((len(d), 5), np.int64)
+    for i in range(4):
+        unit = 10 ** (16 - 4 * i)
+        q[:, i] = d // unit
+        d -= q[:, i] * unit
+    q[:, 4] = d
+    q[:, 0] += 10000
+    table, quad_zeros = _digit_words()
+    zeros = np.take(quad_zeros, q[:, 4])
+    for i in (3, 2, 1):
+        # the groups right of group i are all zeros
+        run = np.flatnonzero(zeros == 4 * (4 - i))
+        zeros[run] += np.take(quad_zeros, q[run, i])
+    key = ((k - _G17_K_MIN) * 2 + np.signbit(x)) * 17 + 16 - zeros
+    key[~ok] = _G17_UNDECIDED
+    return np.take(table, q), key
+
+
+@functools.cache
+def _g17_layout(key: int) -> tuple[np.ndarray, tuple[tuple[int, int, int, int], ...]]:
+    """The cell template of a layout key, and its digit copies as (cell
+    start, cell stop, digit byte start, digit byte stop)."""
+    rest, n_sig = divmod(key, 17)
+    n_sig += 1
+    k, s = divmod(rest, 2)
+    k += _G17_K_MIN
+    sign = b"-" if s else b""
+    if -4 <= k < 0:
+        head = sign + b"0." + b"0" * (-k - 1)
+        spans = [(len(head), 0, n_sig)]
+    elif 0 <= k <= 16:
+        # k + 1 integer digits, then the point and the fraction digits left
+        head = sign + b"\0" * (k + 1)
+        spans = [(s, 0, k + 1)]
+        if n_sig > k + 1:
+            head += b"."
+            spans.append((s + k + 2, k + 1, n_sig))
+    else:
+        head = sign + b"\0"
+        spans = [(s, 0, 1)]
+        if n_sig > 1:
+            head += b"." + b"\0" * (n_sig - 1)
+            spans.append((s + 2, 1, n_sig))
+        head += b"e%+03d" % k
+    # digit i is byte 3 + i of its row of words
+    copies = tuple((c0, c0 + d1 - d0, d0 + 3, d1 + 3) for c0, d0, d1 in spans)
+    return np.frombuffer(head, np.uint8), copies
+
+
+def _g17_cells(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for every v of a float array, as an array of the
+    same shape of NUL-padded bytes cells (dtype ``S24``).
+
+    Every cell equals the ``'%.17g'`` text: zeros are written as they
+    print, and ``'%.17g'`` itself prints every non-finite value and every
+    value whose 17 digits the double-double product cannot decide (a
+    fraction part within 1e-6 of 1/2, such as an exact tie, or a whole
+    part outside [10**16, 10**17) from a log10 that rounded across a
+    power of ten).
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    out = np.full(len(flat), b"0", f"S{_G17_WIDTH}")
+    out[np.signbit(flat)] = b"-0"
+    odd = np.flatnonzero(~np.isfinite(flat))
+    out[odd] = ["%.17g" % v for v in flat[odd].tolist()]
+    rows = np.flatnonzero(np.isfinite(flat) & (flat != 0))
+    n = len(rows)
+    if not n:
+        return out.reshape(np.shape(values))
+    x = np.take(flat, rows)
+    words = np.empty((n, 5), np.uint32)
+    key = np.empty(n, np.int16)
+    for i in range(0, n, _G17_CHUNK):
+        words[i : i + _G17_CHUNK], key[i : i + _G17_CHUNK] = _g17_digits(x[i : i + _G17_CHUNK])
+    # one run of rows per layout key, radix-sorted
+    order = np.argsort(key, kind="stable")
+    keys = np.take(key, order)
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), n]
+    digits = np.take(words, order, axis=0).view(np.uint8)
+    cells = np.zeros((n, _G17_WIDTH), np.uint8)
+    for g0, g1, k in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
+        if k == _G17_UNDECIDED:
+            text = ["%.17g" % v for v in x[order[g0:g1]].tolist()]
+            cells[g0:g1].view(out.dtype)[:, 0] = text
+            continue
+        head, copies = _g17_layout(k)
+        cells[g0:g1, : len(head)] = head
+        for c0, c1, d0, d1 in copies:
+            cells[g0:g1, c0:c1] = digits[g0:g1, d0:d1]
+    out[np.take(rows, order)] = cells.view(out.dtype).ravel()
+    return out.reshape(np.shape(values))
+
+
+# vertex lines per bytes format in PLCurve.decimal_text
+_TEXT_BLOCK = 2048
+
+
 class PLCurve:
     """A finite polyline in 3-space, open arc or closed loop.
 
     The vertices live in one read-only ``(n, 3)`` float array, ``points``
-    (``vertices`` is the same array); ``decimal_text()`` is the same
-    polyline as the decimal lines of a curve file, built on first use.
+    (``vertices`` is the same array).  ``decimal_cells()`` holds each
+    coordinate's ``%.17g`` text, from one vectorized exact kernel that
+    leaves only undecidable values to ``'%.17g'`` itself, and
+    ``decimal_text()`` is the same polyline as the decimal lines of a
+    curve file; both are built on first use.
     """
 
-    __slots__ = ("points", "closed", "_text")
+    __slots__ = ("points", "closed", "_cells", "_text")
 
     def __init__(self, vertices: np.ndarray, closed: bool = False) -> None:
         pts = np.array(vertices, dtype=float)
@@ -181,6 +373,7 @@ class PLCurve:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -190,12 +383,26 @@ class PLCurve:
     def vertices(self) -> np.ndarray:
         return self.points
 
+    def decimal_cells(self) -> np.ndarray:
+        """The ``%.17g`` text of each coordinate (17 significant digits,
+        so it reads back bitwise), as a read-only ``(n, 3)`` array of
+        NUL-padded bytes cells, built on first use."""
+        if self._cells is None:
+            cells = _g17_cells(self.points)
+            cells.flags.writeable = False
+            object.__setattr__(self, "_cells", cells)
+        return self._cells
+
     def decimal_text(self) -> str:
-        """One ``"x y z\\n"`` line per vertex, each coordinate printed
-        with ``%.17g`` (17 significant digits, so it reads back bitwise),
-        built on first use."""
+        """One ``"x y z\\n"`` line per vertex, joined from
+        ``decimal_cells()``, built on first use."""
         if self._text is None:
-            text = "%.17g %.17g %.17g\n" * len(self.points) % tuple(self.points.ravel().tolist())
+            cells = self.decimal_cells()
+            # a block of lines at a time: the bytes objects of every cell
+            # at once would outweigh the text
+            blocks = (cells[i : i + _TEXT_BLOCK] for i in range(0, len(cells), _TEXT_BLOCK))
+            text = b"".join(b"%s %s %s\n" * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+            text = text.decode()
             object.__setattr__(self, "_text", text)
         return self._text
 
@@ -377,7 +584,8 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
 #
 # line 1: "open N" or "closed N"
 # then N lines "x y z": the curve's ``decimal_text()``, decimal literals
-# with 17 significant digits, which ``render_svg`` reuses for the drawing
+# with 17 significant digits, joined from the ``decimal_cells()`` that
+# ``render_svg`` reuses for the drawing
 
 
 def write_curve(curve: PLCurve, path) -> None:

@@ -5,8 +5,11 @@ whose version the benchmark harness records, and the test configuration
 turns runtime warnings into failures.  The package runs on numpy alone:
 no module of it imports scipy.  Every public function, class, method and
 constant in the package has a caller outside the tests, with no exception:
-code that only tests call lives in ``tests/oracles.py``."""
+code that only tests call lives in ``tests/oracles.py``.  Every committed
+benchmark record is whole: named after its label, with its machine and,
+for each workload, the end-to-end metrics of both sides' runs."""
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -116,3 +119,20 @@ def test_every_public_symbol_has_a_caller_outside_the_tests():
     # a name here lost its last caller: delete it, make it private or
     # move it to tests/oracles.py
     assert not unused, sorted(unused)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_benchmark_records_are_whole(path):
+    record = json.loads(path.read_text())
+    assert path.name == f"BENCH_{record['label']}.json"
+    assert record["machine"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    assert record["workloads"]
+    for workload, sides in record["workloads"].items():
+        assert workload in {w["name"] for w in spec["workloads"]}
+        for side in ("parent", "change"):
+            runs = sides[side]
+            assert runs, (workload, side)
+            for run in runs:
+                assert metrics <= set(run["line"]["metrics"]), (workload, side, run["seed"])

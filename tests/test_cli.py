@@ -121,6 +121,26 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
+    def test_bad_tol_is_usage_error_and_writes_nothing(self, tmp_path, capsys, tol):
+        # nan would pass every tail check, so a stream whose tail diameters
+        # stay 1 would report a passing verdict
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "1d_counterexample", f"--tol={tol}", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", "countable_r1", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_append(self, tmp_path):
         argv = ["run", "--scenario", "1d_counterexample", "--out", str(tmp_path)]
         main(argv)
@@ -150,6 +170,15 @@ class TestCheckVerb:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--scenario", "countable_r1", "--horizon", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--scenario", "1d_counterexample", "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "tol must be positive and finite" in captured.err
+        assert "verdict" not in captured.out
 
 
 @pytest.mark.parametrize(

@@ -289,7 +289,7 @@ class TestLimitEvaluation:
 
     def test_validates_inputs(self):
         seq = _stream()
-        for tol in (0.0, -1.0):
+        for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="tol must be positive"):
                 eval_limit_isotopy(seq, np.zeros(3), tol=tol, k_budget=10)
 
@@ -314,6 +314,26 @@ class TestProbes:
         seq = _stream()
         pairs = np.array([((0, 0.5, 0), (0, 0.6, 0))])
         assert injectivity_probe(seq, 5, pairs) == pytest.approx(0.1)
+
+    def test_injectivity_probe_pushes_both_ends_in_one_pass(self, monkeypatch):
+        from knotiso import engine
+
+        seq = _stream()
+        rng = np.random.default_rng(4)
+        pairs = seq.container.sample(rng, 14).reshape(7, 2, 3)
+        ia = engine.apply_truncated(seq, 9, pairs[:, 0])
+        ib = engine.apply_truncated(seq, 9, pairs[:, 1])
+        want = float(np.sqrt(((ia - ib) ** 2).sum(-1)).min())
+        calls = []
+        apply_truncated = engine.apply_truncated
+
+        def counted(seq, n, pts):
+            calls.append(len(pts))
+            return apply_truncated(seq, n, pts)
+
+        monkeypatch.setattr(engine, "apply_truncated", counted)
+        assert injectivity_probe(seq, 9, pairs) == want
+        assert calls == [14]
 
     def test_census_counts_trapped_points(self):
         seq = _stream()

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +15,7 @@ from knotiso.engine import glue_schedule, map_curve
 from knotiso.geometry import (
     Box,
     PLCurve,
+    _g17_cells,
     curve_is_simple,
     multiscale_close_pairs,
     _segment_pair_distances,
@@ -195,6 +200,81 @@ class TestSegments:
             brute = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)).min()
             assert d <= brute + 1e-12
             assert d >= brute - 1e-2  # sampled oracle overestimates slightly
+
+
+def _assert_g17(values) -> None:
+    x = np.asarray(values, dtype=float)
+    cells = _g17_cells(x)
+    assert cells.shape == x.shape
+    got = [c.decode() for c in cells.ravel().tolist()]
+    assert got == ["%.17g" % v for v in x.ravel().tolist()]
+
+
+def _assert_g17_powers_of_ten() -> None:
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    for v in (tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)):
+        _assert_g17(v)
+        _assert_g17(-v)
+
+
+# raw bit patterns, weighted toward subnormals, signed zeros and the extremes
+_double_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**52).map(lambda b: b | (1 << 63) * (b & 1)),
+    st.sampled_from([0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF]),
+)
+
+
+class TestG17Cells:
+    @given(st.lists(_double_bits, min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_every_cell_is_the_17g_text(self, bits):
+        _assert_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        _assert_g17_powers_of_ten()
+
+    def test_log10_one_ulp_off_still_gives_17g(self):
+        # a low log10 puts the whole part of a power of ten at 10**17, and a
+        # high one puts that of its lower neighbour below 10**16
+        log10 = np.log10
+        for side in (-np.inf, np.inf):
+            with mock.patch.object(np, "log10", lambda a: np.nextafter(log10(a), side)):
+                _assert_g17_powers_of_ten()
+
+    def test_exact_ties_round_half_even(self):
+        # m / 2**j with m odd has j decimals, the last a 5; with 18
+        # significant digits the 17-digit rounding is an exact tie
+        ties = [1.99993133544921875]
+        for j in range(3, 26):
+            m = -(-(10**17) // 5**j) | 1
+            if m < 2**53 and m * 5**j < 10**18:
+                ties += [m / 2**j, (m + 2) / 2**j]
+        ties = np.array(ties)
+        assert "%.17g" % ties[0] == "1.9999313354492188"
+        _assert_g17(np.concatenate([ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, 3.0)]))
+
+    def test_extremes_zeros_and_non_finite(self):
+        _assert_g17([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308])
+        _assert_g17([0.0, -0.0, np.inf, -np.inf, np.nan])
+        # fixed notation runs from 1e-4 to below 1e17
+        _assert_g17([1e-4, 9.9999999999999991e-5, 1e16, 99999999999999984.0, 1e17, 123456789.0, -0.5])
+
+    def test_keeps_the_shape(self):
+        x = np.arange(24.0).reshape(2, 4, 3) / 7
+        _assert_g17(x)
+        assert _g17_cells(np.empty((0, 3))).shape == (0, 3)
+
+    def test_power_of_ten_table_is_built_on_first_use(self):
+        code = (
+            "import numpy as np, knotiso.geometry as g\n"
+            "assert g._pow10_pairs.cache_info().currsize == 0\n"
+            "g._g17_cells(np.ones(1))\n"
+            "assert g._pow10_pairs.cache_info().currsize == 1\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 class TestPLCurve:
