@@ -186,11 +186,27 @@ _FLAGS = {
     ),
 }
 
+# every flag takes a value
+_VALUE_FLAGS = {"--scenario", *_FLAGS}
+
 _VERB_FLAGS = {
     "run": ("--depth", "--horizon", "--tol", "--seed", "--out"),
     "check": ("--horizon", "--tol"),
     "frames": ("--depth", "--out", "--times"),
 }
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each value flag and the token after it, unless that is a
+    flag, joined as ``--flag=value``: argparse would take a value such as
+    -1e-6 or -inf after a space for a flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(parser.parse_args(_joined(sys.argv[1:] if argv is None else argv)))
     verb = args.pop("verb")
     if verb == "frames" and not args["times"]:
         parser.error("frames needs --times")

@@ -20,6 +20,7 @@ between every pair of supports.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -219,6 +220,8 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
     for V_1..V_horizon."""
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     tails = seq.tail_table(horizon)
     diameters = tuple(enumerate(tails.diam.tolist(), start=1))
     container = seq.container
@@ -262,12 +265,12 @@ def eval_limit_isotopy(seq: MoveSequence, p: np.ndarray, tol: float, k_budget: i
     in none of V_{k+1}..V_{k_budget}, and tol-converged when
     diam(V_{k+1} u ... u V_{k_budget}) < tol.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     tails = seq.tail_table(k_budget)
     x = np.array(p, dtype=float)[None, :]
     # one point, one stage at a time, reading the tail table after each
-    # stage; running all census points as one array is ROADMAP item 5
+    # stage; running all census points as one array is ROADMAP item 6
     for k in range(k_budget):
         if not tails.in_later_support(x, k)[0]:
             return LimitValue(x[0], "settled", k)

@@ -338,22 +338,17 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(values))
 
 
-# vertex lines per bytes format in PLCurve.decimal_text
-_TEXT_BLOCK = 2048
-
-
 class PLCurve:
     """A finite polyline in 3-space, open arc or closed loop.
 
     The vertices live in one read-only ``(n, 3)`` float array, ``points``
     (``vertices`` is the same array).  ``decimal_cells()`` holds each
     coordinate's ``%.17g`` text, from one vectorized exact kernel that
-    leaves only undecidable values to ``'%.17g'`` itself, and
-    ``decimal_text()`` is the same polyline as the decimal lines of a
-    curve file; both are built on first use.
+    leaves only undecidable values to ``'%.17g'`` itself, built on first
+    use.
     """
 
-    __slots__ = ("points", "closed", "_cells", "_text")
+    __slots__ = ("points", "closed", "_cells")
 
     def __init__(self, vertices: np.ndarray, closed: bool = False) -> None:
         pts = np.array(vertices, dtype=float)
@@ -374,7 +369,6 @@ class PLCurve:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_cells", None)
-        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PLCurve is immutable")
@@ -392,19 +386,6 @@ class PLCurve:
             cells.flags.writeable = False
             object.__setattr__(self, "_cells", cells)
         return self._cells
-
-    def decimal_text(self) -> str:
-        """One ``"x y z\\n"`` line per vertex, joined from
-        ``decimal_cells()``, built on first use."""
-        if self._text is None:
-            cells = self.decimal_cells()
-            # a block of lines at a time: the bytes objects of every cell
-            # at once would outweigh the text
-            blocks = (cells[i : i + _TEXT_BLOCK] for i in range(0, len(cells), _TEXT_BLOCK))
-            text = b"".join(b"%s %s %s\n" * len(b) % tuple(b.ravel().tolist()) for b in blocks)
-            text = text.decode()
-            object.__setattr__(self, "_text", text)
-        return self._text
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLCurve):
@@ -583,16 +564,23 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
 # -- curve file format -------------------------------------------------------
 #
 # line 1: "open N" or "closed N"
-# then N lines "x y z": the curve's ``decimal_text()``, decimal literals
-# with 17 significant digits, joined from the ``decimal_cells()`` that
-# ``render_svg`` reuses for the drawing
+# then N lines "x y z": decimal literals with 17 significant digits, the
+# curve's ``decimal_cells()`` that ``render_svg`` reuses for the drawing
+
+# vertex lines per bytes format in write_curve
+_TEXT_BLOCK = 2048
 
 
 def write_curve(curve: PLCurve, path) -> None:
-    kind = "closed" if curve.closed else "open"
-    with open(path, "w") as fh:
-        fh.write(f"{kind} {len(curve.points)}\n")
-        fh.write(curve.decimal_text())
+    kind = b"closed" if curve.closed else b"open"
+    cells = curve.decimal_cells()
+    with open(path, "wb") as fh:
+        fh.write(b"%s %d\n" % (kind, len(cells)))
+        # a block of lines at a time: the bytes objects of every cell at
+        # once would outweigh the text
+        for i in range(0, len(cells), _TEXT_BLOCK):
+            block = cells[i : i + _TEXT_BLOCK]
+            fh.write(b"%s %s %s\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_curve(path) -> PLCurve:

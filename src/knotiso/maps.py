@@ -32,10 +32,12 @@ kernels act row by row.
 All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
 and a point they are built from (a cone apex, an unsquish center) is a
 float (3,) row; inverses are exact map objects, not numeric solves.
-``AffineMap``, ``ConeMap`` and ``CompositeMap`` build their inverse once
-and hand the same object to every caller, and the canonical moves built
-from them are shared module constants (see ``canonical``), so no caller
-may mutate a map or its arrays.
+Two rules live in ``LocalMap`` alone, so each kind states only its
+kernel: ``_on_support`` runs the kernel on the rows inside ``support`` and
+hands every other row back bitwise unchanged, and ``inverse()`` builds
+the kind's ``_inverted()`` once and hands that same object to every
+caller.  The canonical moves are shared module constants (see
+``canonical``), so no caller may mutate a map or its arrays.
 """
 from __future__ import annotations
 
@@ -59,15 +61,33 @@ class LocalMap:
     """Interface shared by every map kind."""
 
     support: Box
+    _inverse: LocalMap | None = None
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def inverse(self) -> "LocalMap":
+    def _inverted(self) -> "LocalMap":
         raise NotImplementedError
+
+    def inverse(self) -> "LocalMap":
+        if self._inverse is None:
+            self._inverse = self._inverted()
+        return self._inverse
 
     def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
         return self.inverse().apply_array(pts)
+
+    def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
+        """run(rows) on the rows inside the support; the rest come back
+        bitwise unchanged."""
+        pts = np.asarray(pts, dtype=float)
+        inside = self.support.contains_array(pts)
+        if inside.all():
+            return run(pts)
+        out = pts.copy()
+        if inside.any():
+            out[inside] = run(pts[inside])
+        return out
 
 
 @dataclass(frozen=True)
@@ -99,7 +119,6 @@ class AffineMap(LocalMap):
         self.scale = scale
         self.shift = np.asarray(shift, dtype=float)
         self.support = UNBOUNDED
-        self._inverse: AffineMap | None = None
 
     @staticmethod
     def box_to_box(src: Box, dst: Box) -> "AffineMap":
@@ -113,41 +132,23 @@ class AffineMap(LocalMap):
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return pts * self.scale + self.shift
 
-    def inverse(self) -> "AffineMap":
+    def _inverted(self) -> "AffineMap":
         # no link back: 1 / (1 / s) is not bitwise s, and the reports of
         # reversed conjugated moves are pinned on the double inverse
-        if self._inverse is None:
-            inv = 1.0 / self.scale
-            self._inverse = AffineMap(inv, -inv * self.shift)
-        return self._inverse
+        inv = 1.0 / self.scale
+        return AffineMap(inv, -inv * self.shift)
 
 
-def _box_boundary_triangles(box: Box) -> np.ndarray:
-    """The 12 boundary triangles of a box, (12, 3, 3).
-
-    Each face is split along the diagonal through the face corner with the
-    lexicographically smallest coordinates, so the decomposition is
-    deterministic.
-    """
-    lo, hi = box.lo, box.hi
-    tris = []
-    for axis in range(3):
-        for side_val in (lo[axis], hi[axis]):
-            u, v = [a for a in range(3) if a != axis]
-            # face corners in (u, v) order: 00, 01, 10, 11
-            c = {}
-            for bu in (0, 1):
-                for bv in (0, 1):
-                    pt = np.empty(3)
-                    pt[axis] = side_val
-                    pt[u] = lo[u] if bu == 0 else hi[u]
-                    pt[v] = lo[v] if bv == 0 else hi[v]
-                    c[(bu, bv)] = pt
-            # split along diagonal through the min corner c[0,0]-c[1,1]
-            tris.append([c[(0, 0)], c[(1, 0)], c[(1, 1)]])
-            tris.append([c[(0, 0)], c[(1, 1)], c[(0, 1)]])
-    return np.array(tris)
-
+# the 12 boundary triangles of a box as indices into its x-major
+# ``corners()``: row axis*4 + side*2 + which lies on the face normal to
+# axis at lo (side 0) or hi (side 1), split along its diagonal through the
+# min corner (u, v) = 00 into 00-10-11 (which 0) and 00-11-01 (which 1)
+_BOUNDARY_TRIANGLES = np.array([
+    [side << 2 - axis | bu << 2 - u | bv << 2 - v for bu, bv in tri]
+    for axis, (u, v) in enumerate(((1, 2), (0, 2), (0, 1)))
+    for side in (0, 1)
+    for tri in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+])
 
 # the in-face axes (u, v) of the faces normal to axis 0, 1, 2
 _FACE_U = np.array([1, 0, 0])
@@ -174,7 +175,7 @@ class ConeMap(LocalMap):
         self.p0 = p0
         self.p1 = p1
         self.support = region
-        self._tris = _box_boundary_triangles(region)  # (12, 3, 3)
+        self._tris = region.corners()[_BOUNDARY_TRIANGLES]  # (12, 3, 3)
         # barycentric solve matrices: columns t_i - p0 for each tetra
         basis = self._tris - p0[None, None, :]  # (12, 3, 3) rows are t_i - p0
         self._inv_basis = np.linalg.inv(np.transpose(basis, (0, 2, 1)))  # (12, 3, 3)
@@ -183,15 +184,12 @@ class ConeMap(LocalMap):
         self._inv_to_lo = 1.0 / (lo - p0)
         self._inv_to_hi = 1.0 / (hi - p0)
         self._inv_extent = 1.0 / (hi - lo)
-        self._inverse: ConeMap | None = None
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        out = pts.copy()
-        inside = self.region.contains_array(pts)
-        if not inside.any():
-            return out
-        q = pts[inside]  # (m, 3)
+        return self._on_support(pts, self._pull)
+
+    def _pull(self, q: np.ndarray) -> np.ndarray:
+        """The images of (m, 3) rows inside the region."""
         rel = q - self.p0  # (m, 3)
         m_idx = np.arange(q.shape[0])
         # the ray from the apex through a point leaves the box through the
@@ -204,21 +202,18 @@ class ConeMap(LocalMap):
         # triangle lies above its diagonal through the min corner
         frac = ((self.p0 - self.region.lo) * rho[:, None] + rel) * self._inv_extent
         which = frac[m_idx, _FACE_V[axis]] > frac[m_idx, _FACE_U[axis]]
-        best = axis * 4 + side * 2 + which  # index into _box_boundary_triangles
+        best = axis * 4 + side * 2 + which  # row of _BOUNDARY_TRIANGLES
         # barycentric weights in that one tetrahedron
         lam = np.einsum("mij,mj->mi", self._inv_basis[best], rel)  # (m, 3)
         b0 = 1.0 - lam.sum(axis=-1)  # apex weight, (m,)
-        img = b0[:, None] * self.p1 + np.einsum("mi,mij->mj", lam, self._tris[best])
-        out[inside] = img
-        return out
+        return b0[:, None] * self.p1 + np.einsum("mi,mij->mj", lam, self._tris[best])
 
-    def inverse(self) -> "ConeMap":
+    def _inverted(self) -> "ConeMap":
         # ConeMap(region, p1, p0).inverse() would rebuild self's arrays
         # bitwise, so the inverse links back to self
-        if self._inverse is None:
-            self._inverse = ConeMap(self.region, self.p1, self.p0)
-            self._inverse._inverse = self
-        return self._inverse
+        inv = ConeMap(self.region, self.p1, self.p0)
+        inv._inverse = self
+        return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,24 +343,18 @@ class UnsquishMap(LocalMap):
 
     # -- LocalMap interface ---------------------------------------------
 
-    def _slide(self, pts: np.ndarray, reparam) -> np.ndarray:
-        """Slide each point of the outer box along its path from s to reparam(s)."""
-        pts = np.asarray(pts, dtype=float)
-        out = pts.copy()
-        inside = self.params.outer.contains_array(pts)
-        if not inside.any():
-            return out
-        s, v_in = self._path_coords(pts[inside])
-        out[inside] = self._path_point(reparam(s), v_in)
-        return out
+    def _slide(self, q: np.ndarray, reparam) -> np.ndarray:
+        """Slide (m, 3) rows of the outer box along their paths from s to reparam(s)."""
+        s, v_in = self._path_coords(q)
+        return self._path_point(reparam(s), v_in)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return self._slide(pts, self._s_prime)
+        return self._on_support(pts, lambda q: self._slide(q, self._s_prime))
 
     def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
-        return self._slide(pts, self._s_prime_inverse)
+        return self._on_support(pts, lambda q: self._slide(q, self._s_prime_inverse))
 
-    def inverse(self) -> "LocalMap":
+    def _inverted(self) -> "LocalMap":
         return _InverseWrapper(self)
 
 
@@ -379,10 +368,7 @@ class _InverseWrapper(LocalMap):
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return self._inner.apply_inverse_array(pts)
 
-    def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
-        return self._inner.apply_array(pts)
-
-    def inverse(self) -> LocalMap:
+    def _inverted(self) -> LocalMap:
         return self._inner
 
 
@@ -403,18 +389,7 @@ class CompositeMap(LocalMap):
             self.support = bounding_box([m.support for m in self.parts])
         else:
             self.support = _ORIGIN
-        self._inverse: CompositeMap | None = None
         self._steps: list | None = None
-
-    def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        inside = self.support.contains_array(pts)
-        if inside.all():
-            return run(pts)
-        out = pts.copy()
-        if inside.any():
-            out[inside] = run(pts[inside])
-        return out
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         if self._steps is None:
@@ -427,13 +402,8 @@ class CompositeMap(LocalMap):
 
         return self._on_support(pts, run)
 
-    def inverse(self) -> "CompositeMap":
-        # no link back: inv(inv(M)) of an affine part is not bitwise M
-        if self._inverse is None:
-            self._inverse = self._inverted()
-        return self._inverse
-
     def _inverted(self) -> "CompositeMap":
+        # no link back: inv(inv(M)) of an affine part is not bitwise M
         return CompositeMap([m.inverse() for m in reversed(self.parts)], support=self.support)
 
 

@@ -34,7 +34,8 @@ from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_iso
 # image-separation floor below which the injectivity probe verdict is fail
 INJECTIVITY_THRESHOLD = 1e-3
 
-# loops per chain, one per stage box V_1..V_LOOPS
+# loops per chain, one per stage box V_1..V_LOOPS; also the levels
+# recursive_r1 refines its wedge curve for
 _LOOPS = 20
 _PTS_PER_BOX = 100
 
@@ -283,7 +284,7 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     arm_dir = _REC_APEX_DIR / np.linalg.norm(_REC_APEX_DIR)
     arm_len = 7.8 * L
     radii = [0.0, arm_len]
-    for k in range(1, 21):
+    for k in range(1, _LOOPS + 1):
         radii.extend(np.linspace(2.2, 5.6, 60) * (L * 2.0**-k) * 1.0343)
     radii = np.unique(np.clip(np.array(radii), 0.0, arm_len))
     radii = radii[radii > 0]
@@ -469,7 +470,7 @@ class PowerMap1D(LocalMap):
         out[mask, 0] = x[mask] ** self.exponent
         return out
 
-    def inverse(self) -> "PowerMap1D":
+    def _inverted(self) -> "PowerMap1D":
         return PowerMap1D(1.0 / self.exponent)
 
 

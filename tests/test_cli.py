@@ -124,14 +124,16 @@ class TestRunVerb:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
     def test_bad_tol_is_usage_error_and_writes_nothing(self, tmp_path, capsys, tol):
         # nan would pass every tail check, so a stream whose tail diameters
-        # stay 1 would report a passing verdict
+        # stay 1 would report a passing verdict; a value with a leading
+        # dash reads the same after a space as after "="
         out = tmp_path / "out"
-        argv = ["run", "--scenario", "1d_counterexample", f"--tol={tol}", "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "tol must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
+        for spelled in ([f"--tol={tol}"], ["--tol", tol]):
+            argv = ["run", "--scenario", "1d_counterexample", *spelled, "--out", str(out)]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "tol must be positive and finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_negative_seed_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -171,14 +173,15 @@ class TestCheckVerb:
             main(["check", "--scenario", "countable_r1", "--horizon", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6"])
     def test_non_finite_tol_is_usage_error(self, capsys, tol):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--scenario", "1d_counterexample", "--tol", tol])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert "tol must be positive and finite" in captured.err
-        assert "verdict" not in captured.out
+        for spelled in ([f"--tol={tol}"], ["--tol", tol]):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "--scenario", "1d_counterexample", *spelled])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "tol must be positive and finite" in captured.err
+            assert "verdict" not in captured.out
 
 
 @pytest.mark.parametrize(

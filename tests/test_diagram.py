@@ -183,12 +183,13 @@ def _drawable_curves(draw):
 
 class TestSvgDigitsFromCurveText:
     """render_svg takes the digits of every line end that is bitwise a
-    vertex coordinate from the curve's decimal_text(); the drawing must be
-    the one that printing every end with %.17g gives."""
+    vertex coordinate from the curve's decimal_cells(), the cells its curve
+    file is written from; the drawing must be the one that printing every
+    end with %.17g gives."""
 
     @given(_drawable_curves(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_end_formatting(self, drawn, text_first):
+    def test_matches_per_end_formatting(self, drawn, cells_first):
         pts, closed, gap = drawn
         try:
             curve = PLCurve(pts, closed=closed)
@@ -196,9 +197,9 @@ class TestSvgDigitsFromCurveText:
         except ValueError:  # repeated vertices, or a degenerate projection
             assume(False)
         want = _render_svg_per_end(curve, gap)
-        assert curve._text is None
-        if text_first:
-            curve.decimal_text()
+        assert curve._cells is None
+        if cells_first:
+            curve.decimal_cells()
         assert render_svg(curve, gap_radius=gap) == want
 
     def test_signed_zeros_and_gap_cuts(self):
@@ -217,8 +218,6 @@ class TestSvgDigitsFromCurveText:
             curve = PLCurve(pts, closed=closed)
         except ValueError:
             assume(False)
-        text = curve.decimal_text()
-        assert curve.decimal_text() is text
         kind = "closed" if closed else "open"
         want = f"{kind} {len(pts)}\n" + "%.17g %.17g %.17g\n" * len(pts) % tuple(pts.ravel().tolist())
         with tempfile.TemporaryDirectory() as tmp:

@@ -183,6 +183,12 @@ class TestHypotheses:
         with pytest.raises(ValueError):
             check_hypotheses(_stream(), horizon=1, threshold=1e-6)
 
+    def test_threshold_validated(self):
+        # an infinite or nan threshold would pass any stream on condition 1
+        for threshold in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="threshold must be positive and finite"):
+                check_hypotheses(_stream(), horizon=10, threshold=threshold)
+
     def test_report_lines_shape(self):
         rep = check_hypotheses(_stream(), horizon=20, threshold=1e-6)
         lines = rep.to_lines()
@@ -289,8 +295,8 @@ class TestLimitEvaluation:
 
     def test_validates_inputs(self):
         seq = _stream()
-        for tol in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="tol must be positive"):
+        for tol in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
                 eval_limit_isotopy(seq, np.zeros(3), tol=tol, k_budget=10)
 
 
