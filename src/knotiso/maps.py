@@ -7,12 +7,10 @@ Five kinds are provided:
   conjugate canonical moves there.  A non-identity affine map cannot be
   identity outside a bounded set, so every affine map declares the one
   effectively-unbounded box ``UNBOUNDED`` as its support.
-* ``ConeMap`` -- the piecewise-affine "vertex pull" over a box: the box
-  boundary is star-triangulated into 12 triangles, and the cone over each
-  from an interior apex is mapped affinely so the apex moves from p0 to
-  p1.  The exterior stays bitwise fixed; the boundary stays fixed only up
-  to rounding, since a boundary point's image is recomputed from its
-  barycentric weights.
+* ``ConeMap`` -- the Alexander-trick "vertex pull" over a box: a point q
+  moves by (1 - rho(q)) * (p1 - p0), where the box gauge rho from the apex
+  p0 is 0 at p0 and 1 on the boundary, so the apex goes to p1 and the
+  boundary and exterior stay bitwise fixed.
 * ``UnsquishMap`` -- a fixed-time slice of the radial expansion between
   two concentric nested boxes; points near the expansion center are moved
   away from it by an exact factor of 1/c at time 1.
@@ -34,7 +32,8 @@ and a point they are built from (a cone apex, an unsquish center) is a
 float (3,) row; inverses are exact map objects, not numeric solves.
 Two rules live in ``LocalMap`` alone, so each kind states only its
 kernel: ``_on_support`` runs the kernel on the rows inside ``support`` and
-hands every other row back bitwise unchanged, and ``inverse()`` builds
+hands every other row back bitwise unchanged, always in a fresh array, so
+no image aliases its input; and ``inverse()`` builds
 the kind's ``_inverted()`` once and hands that same object to every
 caller.  The canonical moves are shared module constants (see
 ``canonical``), so no caller may mutate a map or its arrays.
@@ -79,11 +78,13 @@ class LocalMap:
 
     def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
         """run(rows) on the rows inside the support; the rest come back
-        bitwise unchanged."""
+        bitwise unchanged, and always in a fresh array."""
         pts = np.asarray(pts, dtype=float)
         inside = self.support.contains_array(pts)
         if inside.all():
-            return run(pts)
+            out = run(pts)
+            # a composite with no parts hands its input back
+            return pts.copy() if out is pts else out
         out = pts.copy()
         if inside.any():
             out[inside] = run(pts[inside])
@@ -139,83 +140,6 @@ class AffineMap(LocalMap):
         return AffineMap(inv, -inv * self.shift)
 
 
-# the 12 boundary triangles of a box as indices into its x-major
-# ``corners()``: row axis*4 + side*2 + which lies on the face normal to
-# axis at lo (side 0) or hi (side 1), split along its diagonal through the
-# min corner (u, v) = 00 into 00-10-11 (which 0) and 00-11-01 (which 1)
-_BOUNDARY_TRIANGLES = np.array([
-    [side << 2 - axis | bu << 2 - u | bv << 2 - v for bu, bv in tri]
-    for axis, (u, v) in enumerate(((1, 2), (0, 2), (0, 1)))
-    for side in (0, 1)
-    for tri in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
-])
-
-# the in-face axes (u, v) of the faces normal to axis 0, 1, 2
-_FACE_U = np.array([1, 0, 0])
-_FACE_V = np.array([2, 2, 1])
-
-
-class ConeMap(LocalMap):
-    """Piecewise-affine pull of an interior apex of a box from p0 to p1.
-
-    Fixes the exterior bitwise and the box boundary up to rounding (a
-    boundary point's image is rebuilt from its barycentric weights, so it
-    can move by tens of ulps); bijective on all of space.  A point inside
-    is moved by the affine map of the one tetrahedron (the apex and a
-    boundary triangle) that contains it.  The inverse is the cone map with
-    the apexes swapped.
-    """
-
-    def __init__(self, region: Box, p0: np.ndarray, p1: np.ndarray):
-        if not region.contains_array(p0, strict=True):
-            raise ValueError(f"apex source {p0} not strictly inside {region}")
-        if not region.contains_array(p1, strict=True):
-            raise ValueError(f"apex target {p1} not strictly inside {region}")
-        self.region = region
-        self.p0 = p0
-        self.p1 = p1
-        self.support = region
-        self._tris = region.corners()[_BOUNDARY_TRIANGLES]  # (12, 3, 3)
-        # barycentric solve matrices: columns t_i - p0 for each tetra
-        basis = self._tris - p0[None, None, :]  # (12, 3, 3) rows are t_i - p0
-        self._inv_basis = np.linalg.inv(np.transpose(basis, (0, 2, 1)))  # (12, 3, 3)
-        # exit-face pick: nonzero since the apex is strictly inside
-        lo, hi = region.lo, region.hi
-        self._inv_to_lo = 1.0 / (lo - p0)
-        self._inv_to_hi = 1.0 / (hi - p0)
-        self._inv_extent = 1.0 / (hi - lo)
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return self._on_support(pts, self._pull)
-
-    def _pull(self, q: np.ndarray) -> np.ndarray:
-        """The images of (m, 3) rows inside the region."""
-        rel = q - self.p0  # (m, 3)
-        m_idx = np.arange(q.shape[0])
-        # the ray from the apex through a point leaves the box through the
-        # face maximizing rel_i / (face_i - a0_i); the apex row scores 0
-        ratio = np.where(rel > 0.0, rel * self._inv_to_hi, rel * self._inv_to_lo)
-        axis = ratio.argmax(axis=1)
-        rho = ratio[m_idx, axis]
-        side = rel[m_idx, axis] > 0.0
-        # rho * (exit point - lo) over the box extent; the face's second
-        # triangle lies above its diagonal through the min corner
-        frac = ((self.p0 - self.region.lo) * rho[:, None] + rel) * self._inv_extent
-        which = frac[m_idx, _FACE_V[axis]] > frac[m_idx, _FACE_U[axis]]
-        best = axis * 4 + side * 2 + which  # row of _BOUNDARY_TRIANGLES
-        # barycentric weights in that one tetrahedron
-        lam = np.einsum("mij,mj->mi", self._inv_basis[best], rel)  # (m, 3)
-        b0 = 1.0 - lam.sum(axis=-1)  # apex weight, (m,)
-        return b0[:, None] * self.p1 + np.einsum("mi,mij->mj", lam, self._tris[best])
-
-    def _inverted(self) -> "ConeMap":
-        # ConeMap(region, p1, p0).inverse() would rebuild self's arrays
-        # bitwise, so the inverse links back to self
-        inv = ConeMap(self.region, self.p1, self.p0)
-        inv._inverse = self
-        return inv
-
-
 @dataclass(frozen=True, eq=False)
 class UnsquishParams:
     """Geometry of the two-box radial expansion.
@@ -259,7 +183,9 @@ class UnsquishParams:
 
 
 def _box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Largest r with origin + r*direction inside the box, per row."""
+    """Largest r with origin + r*direction inside the box, per row: the
+    reciprocal of the box gauge from origin, which the cone pull and the
+    unsquish slide both read."""
     # a zero or subnormal direction component gives an infinite reach there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_lo = (box.lo - origin) / direction
@@ -267,6 +193,49 @@ def _box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np
     t_max = np.maximum(t_lo, t_hi)
     t_max[~np.isfinite(t_max)] = np.inf
     return np.minimum(np.minimum(t_max[:, 0], t_max[:, 1]), t_max[:, 2])
+
+
+class ConeMap(LocalMap):
+    """Alexander-trick pull of an interior apex of a box from p0 to p1.
+
+    A point q of the box moves to q + (1 - rho(q)) * (p1 - p0), where rho
+    is the box gauge from p0: rho = 1/r for the largest r with
+    p0 + r * (q - p0) in the box, so rho is 0 at the apex and 1 on the
+    boundary.  This is the cone over the boundary from p0 carried affinely
+    onto the cone from p1.  The boundary and the exterior stay bitwise
+    fixed, as does every coordinate that p0 and p1 share; bijective on
+    all of space.  The inverse is the cone map with the apexes swapped.
+    """
+
+    def __init__(self, region: Box, p0: np.ndarray, p1: np.ndarray):
+        if not region.contains_array(p0, strict=True):
+            raise ValueError(f"apex source {p0} not strictly inside {region}")
+        if not region.contains_array(p1, strict=True):
+            raise ValueError(f"apex target {p1} not strictly inside {region}")
+        self.region = region
+        self.p0 = p0
+        self.p1 = p1
+        self.support = region
+        self._step = p1 - p0
+
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        return self._on_support(pts, self._pull)
+
+    def _pull(self, q: np.ndarray) -> np.ndarray:
+        """The images of (m, 3) rows inside the region."""
+        # r >= 1 inside the box and exactly 1 on its boundary; r is inf at
+        # the apex, which therefore moves by the whole step
+        r = _box_radial_scale(self.region, self.p0, q - self.p0)
+        shift = (1.0 - 1.0 / r)[:, None] * self._step
+        # a zero shift keeps the coordinate's bits, signed zero included
+        return np.where(shift == 0.0, q, q + shift)
+
+    def _inverted(self) -> "ConeMap":
+        # ConeMap(region, p1, p0).inverse() would rebuild self bitwise, so
+        # the inverse links back to self
+        inv = ConeMap(self.region, self.p1, self.p0)
+        inv._inverse = self
+        return inv
 
 
 class UnsquishMap(LocalMap):

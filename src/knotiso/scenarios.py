@@ -254,9 +254,9 @@ def rec_insert(k: int) -> Isotopy:
 def rec_squish_constant() -> float:
     """Inverse-Lipschitz estimate of the next insert, with safety factor.
 
-    The construction is exactly self-similar across levels, so the level-1
-    estimate is valid for every k.  A module constant: estimated once, on
-    first call.
+    The construction is exactly self-similar across levels, so the
+    estimate sampled on the level-2 insert is valid for every k.  A module
+    constant: estimated once, on first call.
     """
     est = estimate_inverse_lipschitz(
         rec_insert(2).time_one(), rec_insert_region(2), n_samples=4000, seed=20260823

@@ -3,8 +3,8 @@
 The acceptance criteria and unit tests check the package against these:
 crossing counts of a curve's diagram, a reference nested box family, the
 infinite-motion census after a finite truncation, the one-sided values of
-a glued schedule at a seam, and the snowflake iterates with their sup
-deviations.  None of them is on the path of a CLI verb.
+a glued schedule at a seam, the snowflake iterates with their sup
+deviations, and the cone pull as 12 affine tetrahedra.  None of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import numpy as np
 from knotiso.diagram import find_crossings
 from knotiso.engine import MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
+from knotiso.maps import ConeMap
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -57,6 +58,47 @@ def seam_values(seq: MoveSequence, k: int, pts: np.ndarray) -> tuple[np.ndarray,
     at its local time 0.  Both are exact one-sided limits.
     """
     return truncated_map(seq, k).apply_array(pts), truncated_map(seq, k + 1, 0.0).apply_array(pts)
+
+
+# -- cone pull as a simplicial map -------------------------------------------
+
+# the 12 boundary triangles of a box as indices into its x-major
+# ``corners()``: each face, normal to an axis at lo (side 0) or hi (side 1),
+# split along its diagonal through the in-face min corner (u, v) = 00
+_BOUNDARY_TRIANGLES = np.array([
+    [side << 2 - axis | bu << 2 - u | bv << 2 - v for bu, bv in tri]
+    for axis, (u, v) in enumerate(((1, 2), (0, 2), (0, 1)))
+    for side in (0, 1)
+    for tri in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+])
+
+
+def cone_tetrahedra(m: ConeMap) -> np.ndarray:
+    """The (12, 3, 3) boundary triangles the cone over p0 is cut into."""
+    return m.region.corners()[_BOUNDARY_TRIANGLES]
+
+
+def twelve_tetrahedra_cone(m: ConeMap, pts: np.ndarray) -> np.ndarray:
+    """The cone pull star-triangulated: the box is cut into the 12
+    tetrahedra spanned by p0 and a boundary triangle, and each is carried
+    affinely onto the one spanned by p1 and the same triangle.  A row is
+    evaluated from its barycentric weights in the tetrahedron where its
+    least weight is largest; rows outside the region are kept."""
+    out = pts.copy()
+    inside = m.region.contains_array(pts)
+    if not inside.any():
+        return out
+    tris = cone_tetrahedra(m)
+    # barycentric solve matrices: columns t_i - p0 for each tetrahedron
+    inv_basis = np.linalg.inv(np.transpose(tris - m.p0, (0, 2, 1)))
+    lam = np.einsum("kij,mj->kmi", inv_basis, pts[inside] - m.p0)
+    b0 = 1.0 - lam.sum(axis=-1)
+    best = np.minimum(lam.min(axis=-1), b0).argmax(axis=0)
+    rows = np.arange(len(best))
+    out[inside] = b0[best, rows][:, None] * m.p1 + np.einsum(
+        "mi,mij->mj", lam[best, rows, :], tris[best]
+    )
+    return out
 
 
 # -- snowflake iterates -------------------------------------------------------

@@ -1,8 +1,9 @@
 """The CI workflow parses and runs the Tier-1 command, whose test paths
 take in the benchmark-harness tests, on the oldest Python the package
-admits, with the numpy the golden hashes were made with and the scipy
-whose version the benchmark harness records, and the test configuration
-turns runtime warnings into failures.  The package runs on numpy alone:
+admits, with the numpy the golden hashes were made with, the scipy whose
+version the benchmark harness records and the pytest, hypothesis and
+PyYAML that Tier-1 passes with, and the test configuration turns runtime
+warnings into failures.  The package runs on numpy alone:
 no module of it imports scipy.  Every public function, class, method and
 constant in the package has a caller outside the tests, with no exception:
 code that only tests call lives in ``tests/oracles.py``.  Every committed
@@ -46,6 +47,8 @@ def test_workflow_pins_the_numerics_of_the_golden_hashes():
     assert "numpy==2.4.6" in install
     # not for the hashes: perfbench/run.py records it in its machine record
     assert "scipy==1.17.1" in install
+    # the test tools Tier-1 is known to pass with
+    assert {"pytest==9.0.3", "hypothesis==6.155.2", "PyYAML==6.0.3"} <= set(install)
 
 
 def test_the_package_does_not_import_scipy():

@@ -23,24 +23,24 @@ GOLDEN = {
         ("56d7f887766e8abef0765e8a67ef7bee9ec18750b3b12f0cab4b5c2507058d92", "aa10d0609523857ce890303b3d96013079117c83b9425d6f66da0941ad546f26"),
     ),
     "countable_r1": (
-        ("b47418f71ee057f1877ddf6aa334aed6881fdf473eb6afcf45285fc073caf15c", "6c17c216c3098c3870ace283d27e50021d991f55edd9945f876f43a085dc63e5"),
-        ("e7bf9bad6b3625977eda71f152c84cd5b82696958145faf8576b9fa201eb74d6", "64ea833bd8aea41126a89c5eb33a8800879b785e005bd7e657ee90c8ddaa07d8"),
-        ("c91837c371aa64ebf053ccf7d90099848019c4612d05ad3a7a6ca130ac17a1a2", "148ba7ddcc35f7df8959237f683d62cdd733e7b1e5dc508be1036e439b45fe5b"),
+        ("7fdc8e12de29c27c06e506ab74e9bd2e6467421a541603a6548c228d2647e1dc", "074bd7b46999d8f06097075ad19841b527ff920e199de4e4d782d94c4e6be2e6"),
+        ("1c0e3f656f1a0db68c7bfda6f2160282b7a3d2312944c526e41e3268e82b81a2", "c17fd48287f4fe547f4c896fcdf66f0aa01c8f0ab1defeeb61d7f9acacc6cd56"),
+        ("2a60e0df27fe1593455e684e4001dc7e89bd48f826e2fce66f0fd2da0b13e778", "32b7f5e0818802d2687383b5be080e606f13f844c09f490585c40711cbf6f244"),
     ),
     "recursive_r1": (
-        ("7fc3dbfbeb825820e4db449effb01c7f87a59cca29081644c4eae9ac0221021e", "8b054d012e094e6eee485b7655da9ef935bd456167593e84f0ed553f44f64ddd"),
-        ("742322f260558f7785df1340565ef12c9fa59daaf1e48f269dacc9866dc8969b", "3bf1e450ff49559e357302193d79170f82d912fbfe83a9e50f9999b262a9f739"),
-        ("bce62d262ac009a10292fb99c8d5baed1bed57b6dc2e4217bb1b227bd37643cf", "32da9081c4f6827215df503de0ee995f1f484545694463ed127039f8730e132d"),
+        ("be879d6e2992d8df6d4c3db75462dbec0d1f956b75f6ee8d058dc9cb85175896", "ee35cc0bf53c94e65121b3f5be9ab99dccc8d32d39056b1c82f8e0044600f319"),
+        ("36da3604efde6c9d8bdc46f52372b029e696caf63c09525309f745ff74dc9334", "2c0a987c6d3c361b506e9436d28caf3148b39b9e717a6168d7c361100f330ec0"),
+        ("416bf258acf8f1da375b2f2f487474a294c8e5d9cf0afcdbbb4cf7cac28517cd", "46dbfd2fdc69f2f59f75de5ed08d000b0779ea48fdf1565df00ffa4c54ba2e6e"),
     ),
     "trefoil_chain": (
-        ("e35d994fa423bfdddaef0fa861547a10730464430159cc9f2c75660ab6ff3419", "ec2601d5588e7cf8112393b0682cedb2706c19d347b9e8506a315853fc59ed1c"),
-        ("76102f4421cf51b59744c7f3825bedba1f8b658df0e54c467ddc21403126fb7b", "b5de37eee6a5bc5f709f2e63e7822f22d2689c1fe2f05daf6c19034645ac5045"),
-        ("68f78d66a91ab8bef28bce086d459bb284b5123c91e25c6c934d28a6b5a91979", "100dbb689f0117f8c652983c472391b6889be31396cfd7ee1d75338b3a3489ca"),
+        ("39495f0b071a1fd58c59112c2ec6d8410deaa2d6a0c390f650dd0b88375575dc", "427854c375600d1be4367d894df0d2a803ac126a6a3843f7e05bad6fac796199"),
+        ("b7d4dadbab9bcabe84eb750b34cf7ffe1004873522142d4569496440f760b583", "f14ee73edf2d23ceba9ed8d63fd9b15e74e711d16de3f18b7787ddda272c3ca1"),
+        ("0aa0f4ea5ce83c6f49139a9014b5a20ecc86e8274264ca2d5d99140d8d5c165f", "1ffd19d072c4cc8c1c6587aabc4a6ad638003a3771cef17859cc74d340e81658"),
     ),
     "fox_remarkable": (
-        ("f05ceb234203eb65b9096c6543a383c79084e8543ae26b4bfc3736bb8434948d", "89331af936750a403f7fe794cbe07e3153ea58e077fcda241b2cbcc78384b41f"),
-        ("109c384c0e337c439825f03a900a2433eb7ac888ede4fbe5b179bc9477ae0b38", "55b3b59773854c59f3cc0372f8ed990dfb5dc6c260e973a4152d67200f167051"),
-        ("49169986729c4877d936abf2d5fdb1fa862127bbff95ef117106c501b4e6b2a0", "9114af274b1aa418fe609ae232459fe92a3352c45d3dab08f5a5a0722d1b3794"),
+        ("4da8dc2e2d6afad44eff6d2902ebc09b14ef2904b7fc45a7187e252f54485f7f", "3168a042e3447a667bc0d24c2357b0732c7d7e2906bba6e70afaa63c9871db23"),
+        ("5c7e4f6ce25241128b21c42ef54a8f42bd8f36c7d57ae0f2191eb231d9019407", "7cc81e2c4d94363e850b00a243025b0cfcabc04bca43be7bb9e1f3f3cd66cbe0"),
+        ("b8ade8f47743a16663be5f29cb55e366437ef68191befeb0a69d7b6d7c8c7de0", "f762989ffe8cc39e8465f40d098dcd4ad02921491dc0b2617528af3893f0af8a"),
     ),
 }
 

@@ -18,7 +18,7 @@ GOLDEN = {
     (20, "countable_r1"): "672fc2e622ad602feec8feb5357f69ec22194308816ec775eed4dcd16534350a",
     (20, "countable_r2_stage1"): "b6946e014f93940f5d239fb926bb4490a2d7443720f4a6a7cabebd8782427b9e",
     (20, "countable_r2_stage2"): "f1b50f41bf72015ceb32022cf15e9b8a366f737139438f66e06ef0eeda90bcee",
-    (20, "recursive_r1"): "a65bd35cd78d8750205402e61fd083905dd9b74c568d1024b83d2e652b5abba6",
+    (20, "recursive_r1"): "919f504ecfd22c89a5fe1facd52d7e86f21a09d6e9883dfc326c9e369a0860b1",
     (20, "trefoil_chain"): "5d227da8a8b00efecbcc577128ba44cda3994b744d9aec98329fdff890af3d89",
     (20, "trefoil_chain_extended"): "edaef3d11af745d37274bc69df0c3c373bf52b081e764b87f6c0d63946d51b5c",
     (20, "fox_remarkable"): "ead73f32426261db66dc3235222640b0befe12ebd7a478006122fb55e935e686",
@@ -26,7 +26,7 @@ GOLDEN = {
     (40, "countable_r1"): "e2991ce77479388e08a1151d46184afc7da55fb7e496ffd4d8cabc6f2963ce69",
     (40, "countable_r2_stage1"): "d057d9bd07b7c1663279de61a4f1f27f6339b853f97ac05d0258705cfb6dac3d",
     (40, "countable_r2_stage2"): "0a2e6304b049aca8b309bf4bc9458673f57a2b2abb6e268ca5cf2bdda97d2f6e",
-    (40, "recursive_r1"): "3ca9ec132555fc2707cb72f2dee883233b716c1bce3e0876423c0edaeb1b6693",
+    (40, "recursive_r1"): "afe9c9c6e599d15746e43685d44a810c0fcbedf0114e78d2e38d3c5c95113088",
     (40, "trefoil_chain"): "d660169b9b2f4960e947fad10091c9948abf65b7e9555738c562c323a37bf44c",
     (40, "trefoil_chain_extended"): "8cdc001aef6b0a73c666e2d35b7ec2aa2a0e02cd630aa98f8640d4872bc5cbef",
     (40, "fox_remarkable"): "356a3937c336d81cf3aa6b11344d840772f5f981d9e17d0d2fa0b7c93451f580",
@@ -50,21 +50,21 @@ def test_report_bytes(depth, name):
 # most streams have untied every loop by depth 20, so their depth-20 and
 # depth-40 snapshots agree
 SNAPSHOTS = {
-    (20, "countable_r1"): "90030db803d61a9a78daebdb81af88bbdfbcd45dd0a484d897e493379e623159",
-    (20, "countable_r2_stage1"): "7490fa5ba16f88a223f7344984e85e74c2f5ead98714d0a6cd5695d891734fce",
-    (20, "countable_r2_stage2"): "20ea816c7215545406fe2fcfa959ed55b018e07f4d37ad38d8023b4e83275064",
-    (20, "recursive_r1"): "60b69fcebcd4c4025c7414f6dd3f6645519a74494ac0e974b090aa72b252805f",
-    (20, "trefoil_chain"): "b9495bfd9a5add1cac04fc834a183511c6abf16c5fc4a0b300d7a0de41f4a7de",
-    (20, "trefoil_chain_extended"): "e651ef9655441dddbc616ee23d77a73af7ca3a49cd13b3643f46b1a044bffdca",
-    (20, "fox_remarkable"): "75e5264439f0b386e7e3126f08f3411e3e6bccd91e92476728cfa6eb7b511e21",
+    (20, "countable_r1"): "bcc5783191b092a8ed3ba2a6d389e1e432ce2cbe333fe1274053dfec550395f3",
+    (20, "countable_r2_stage1"): "cd358cc71ee4627ad449dd3a7988dc678da74a6bf32b2f15d3d9ef10cd38735b",
+    (20, "countable_r2_stage2"): "19e100cd39698ce9666146e47a15d22bd808c1137d883283c99d50e56a603fba",
+    (20, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
+    (20, "trefoil_chain"): "ce9eaf6a1d634b72d81afd2c6e553343da7dde3c6bd5dc63e8227403b56dd786",
+    (20, "trefoil_chain_extended"): "6e4d7bf54167d1446daabaaef91f08f5af426a9db4931357fd8fc4f82d7493a3",
+    (20, "fox_remarkable"): "60cb2eee31016fd11111a2065f94e515f6405537ac58482db7223c3177ee5e41",
     (20, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
-    (40, "countable_r1"): "90030db803d61a9a78daebdb81af88bbdfbcd45dd0a484d897e493379e623159",
-    (40, "countable_r2_stage1"): "7490fa5ba16f88a223f7344984e85e74c2f5ead98714d0a6cd5695d891734fce",
-    (40, "countable_r2_stage2"): "20ea816c7215545406fe2fcfa959ed55b018e07f4d37ad38d8023b4e83275064",
-    (40, "recursive_r1"): "60b69fcebcd4c4025c7414f6dd3f6645519a74494ac0e974b090aa72b252805f",
-    (40, "trefoil_chain"): "b9495bfd9a5add1cac04fc834a183511c6abf16c5fc4a0b300d7a0de41f4a7de",
-    (40, "trefoil_chain_extended"): "e651ef9655441dddbc616ee23d77a73af7ca3a49cd13b3643f46b1a044bffdca",
-    (40, "fox_remarkable"): "b442fcc8bcd494706560ec83d6217daa8c2629af37d57fa269756a2e87bb5930",
+    (40, "countable_r1"): "bcc5783191b092a8ed3ba2a6d389e1e432ce2cbe333fe1274053dfec550395f3",
+    (40, "countable_r2_stage1"): "cd358cc71ee4627ad449dd3a7988dc678da74a6bf32b2f15d3d9ef10cd38735b",
+    (40, "countable_r2_stage2"): "19e100cd39698ce9666146e47a15d22bd808c1137d883283c99d50e56a603fba",
+    (40, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
+    (40, "trefoil_chain"): "ce9eaf6a1d634b72d81afd2c6e553343da7dde3c6bd5dc63e8227403b56dd786",
+    (40, "trefoil_chain_extended"): "6e4d7bf54167d1446daabaaef91f08f5af426a9db4931357fd8fc4f82d7493a3",
+    (40, "fox_remarkable"): "ad00631f79eff83a150729918fd6b93505a3285e02b395571336b253462ae374",
     (40, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
 }
 
