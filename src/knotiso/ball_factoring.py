@@ -1,6 +1,7 @@
 """Locate the ball factoring of a nested box family around a point: an
 epsilon with B_eps(p) inside the first box and an index n0 whose box fits
-inside the ball, certifying V_n0 c B_eps(p) c V_1 exactly.
+inside the ball, certifying V_n0 c B_eps(p) c V_1 exactly; a family
+too short to reach inside the ball has no n0 yet.
 """
 from __future__ import annotations
 
@@ -31,14 +32,14 @@ def _box_in_ball(b: Box, center: np.ndarray, radius: float) -> bool:
     return bool((np.sqrt(((b.corners() - center) ** 2).sum(-1)) < radius).all())
 
 
-def find_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int]:
+def find_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int | None]:
     """(epsilon, n0) with V_n0 c B_epsilon(p) c V_1, both certified, for
     boxes V_1, V_2, ... strictly decreasing around the (3,) row p.
 
     epsilon is half the wall distance from p to the first box's boundary;
-    n0 is the smallest 1-based index whose box fits in the ball.  Raises
-    ValueError when the boxes do not decrease around p or none is small
-    enough.
+    n0 is the smallest 1-based index whose box fits in the ball, or None
+    when no box given is small enough yet: a longer family may still
+    factor.  Raises ValueError when the boxes do not decrease around p.
     """
     _validate(p, boxes)
     eps = 0.5 * boxes[0].wall_distance(p)
@@ -49,4 +50,4 @@ def find_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int
     for n, b in enumerate(boxes, start=1):
         if _box_in_ball(b, p, eps):
             return eps, n
-    raise ValueError(f"no n0 within horizon {len(boxes)}: regions not yet inside the ball")
+    return eps, None

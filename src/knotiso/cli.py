@@ -117,7 +117,7 @@ def report_lines(s: Scenario, cfg: RunConfig) -> tuple[list[str], bool]:
     lines.append(f"injectivity: {inj}")
     if s.ball_center is not None:
         eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, cfg.horizon))
-        lines.append(f"ball_factoring: {{epsilon: {eps:.17g}, n0: {n0}}}")
+        lines.append(f"ball_factoring: {{epsilon: {eps:.17g}, n0: {'none' if n0 is None else n0}}}")
     exp = s.expected
     lines.append(f"expected: {exp.hypotheses}/{exp.injectivity}")
     lines.append(f"computed: {hyp.verdict}/{inj}")

@@ -1,6 +1,6 @@
 """Evaluable, invertible self-maps of 3-space with compact support.
 
-Five kinds are provided:
+Six kinds are provided:
 
 * ``AffineMap`` -- an axis-aligned frame p -> scale * p + shift (per-axis
   scales, no rotation), carrying the canonical box onto a target box to
@@ -14,6 +14,9 @@ Five kinds are provided:
 * ``UnsquishMap`` -- a fixed-time slice of the radial expansion between
   two concentric nested boxes; points near the expansion center are moved
   away from it by an exact factor of 1/c at time 1.
+* ``PowerMap1D`` -- the interval map x -> x^e of the x-axis, thickened to
+  a box whose faces it fixes: the exponent tapers to 1 toward the lateral
+  faces.
 * ``CompositeMap`` -- left-to-right composition of other maps, evaluated
   only on the rows inside its declared support.
 * ``ConjugateMap`` -- the composite leave o inner o enter supported in a
@@ -33,10 +36,13 @@ float (3,) row; inverses are exact map objects, not numeric solves.
 Two rules live in ``LocalMap`` alone, so each kind states only its
 kernel: ``_on_support`` runs the kernel on the rows inside ``support`` and
 hands every other row back bitwise unchanged, always in a fresh array, so
-no image aliases its input; and ``inverse()`` builds
-the kind's ``_inverted()`` once and hands that same object to every
-caller.  The canonical moves are shared module constants (see
-``canonical``), so no caller may mutate a map or its arrays.
+no image aliases its input; and ``inverse()`` builds the kind's
+``_inverted()`` once and hands that same object to every caller.  The
+culling rule has no exception: every kind with a bounded support that
+moves points culls through it (an affine frame's support is unbounded,
+and the identity moves nothing).  The canonical moves are shared module
+constants (see ``canonical``), so no caller may mutate a map or its
+arrays.
 """
 from __future__ import annotations
 
@@ -322,6 +328,58 @@ class UnsquishMap(LocalMap):
 
     def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
         return self._on_support(pts, lambda q: self._slide(q, self._s_prime_inverse))
+
+    def _inverted(self) -> "LocalMap":
+        return _InverseWrapper(self)
+
+
+# half-width in y and z of the interval map's box
+_POWER_HALF_WIDTH = 0.25
+
+
+class PowerMap1D(LocalMap):
+    """The interval map x -> x^e on the x-axis, thickened to the box
+    [0, 1] x [-w, w]^2 with w = 1/4.
+
+    A point of the box has x raised to 1 + (e - 1) * phi, where
+    phi = 1 - max(|y|, |z|) / w is 1 on the axis and 0 on the lateral
+    faces; y and z stay put.  Each (y, z) slice is thus a homeomorphism of
+    [0, 1], and the inverse raises x to 1 / (1 + (e - 1) * phi).  Every
+    face stays bitwise fixed: x = 0 and x = 1 under any exponent (signed
+    zero included), the lateral faces because their exponent is exactly 1.
+    On the axis the exponent is e itself (1 / e for the inverse), so those
+    rows keep the bits of ``x ** e`` (but for x = -0.0, which stays put).
+    """
+
+    support = Box(
+        (0.0, -_POWER_HALF_WIDTH, -_POWER_HALF_WIDTH), (1.0, _POWER_HALF_WIDTH, _POWER_HALF_WIDTH)
+    )
+
+    def __init__(self, exponent: float):
+        if exponent <= 0:
+            raise ValueError(f"exponent must be positive, got {exponent}")
+        self.exponent = exponent
+
+    def _raise(self, q: np.ndarray, inverse: bool) -> np.ndarray:
+        """(m, 3) rows of the box with x raised to its power."""
+        x = q[:, 0]
+        phi = 1.0 - np.maximum(np.abs(q[:, 1]), np.abs(q[:, 2])) / _POWER_HALF_WIDTH
+        power = 1.0 + (self.exponent - 1.0) * phi
+        y = x ** (1.0 / power if inverse else power)
+        # a scalar exponent on the axis: numpy's own x ** e (x * x for
+        # e = 2), which an array exponent does not match bitwise
+        on_axis = phi == 1.0
+        y[on_axis] = x[on_axis] ** (1.0 / self.exponent if inverse else self.exponent)
+        out = q.copy()
+        # 0 ** power is +0.0: the x = 0 face keeps its sign bit too
+        out[:, 0] = np.copysign(y, x)
+        return out
+
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        return self._on_support(pts, lambda q: self._raise(q, inverse=False))
+
+    def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
+        return self._on_support(pts, lambda q: self._raise(q, inverse=True))
 
     def _inverted(self) -> "LocalMap":
         return _InverseWrapper(self)

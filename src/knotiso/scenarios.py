@@ -28,7 +28,13 @@ import numpy as np
 from .canonical import conjugated_insert
 from .engine import Isotopy, MoveSequence
 from .geometry import Box, PLCurve, boxes_meet
-from .maps import CompositeMap, LocalMap, UnsquishParams, estimate_inverse_lipschitz
+from .maps import (
+    CompositeMap,
+    LocalMap,
+    PowerMap1D,
+    UnsquishParams,
+    estimate_inverse_lipschitz,
+)
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
@@ -443,46 +449,22 @@ def build_fox_remarkable() -> Scenario:
 # -- the interval counterexample ----------------------------------------------
 
 
-# the degenerate box [0, 1] x 0 x 0, support of every interval move
-_UNIT_INTERVAL = Box((0, 0, 0), (1, 0, 0))
-
-
-class PowerMap1D(LocalMap):
-    """x -> x^e on the unit interval of the x-axis, identity elsewhere.
-
-    A 1-D stand-in: its support is the degenerate unit-interval box, and
-    it moves every point whose x lies in [0, 1] regardless of y, z.  It
-    therefore moves points off its declared support on purpose, unlike
-    every other map kind; a ``CompositeMap`` over it only evaluates the
-    rows inside the composite's own support.
-    """
-
-    def __init__(self, exponent: float):
-        if exponent <= 0:
-            raise ValueError(f"exponent must be positive, got {exponent}")
-        self.exponent = exponent
-        self.support = _UNIT_INTERVAL
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        out = np.array(pts, dtype=float)
-        x = out[:, 0]
-        mask = (x >= 0.0) & (x <= 1.0)
-        out[mask, 0] = x[mask] ** self.exponent
-        return out
-
-    def _inverted(self) -> "PowerMap1D":
-        return PowerMap1D(1.0 / self.exponent)
-
-
 def build_1d_counterexample() -> Scenario:
-    """The interval move stream h_k(x) = x^((k+1)/k) with full-interval
-    supports; uniformly convergent stages whose limit is not injective."""
+    """The interval move stream h_k(x) = x^((k+1)/k) on the x-axis.
+
+    Stage k at time t is ``PowerMap1D((k + t) / k)``, whose support is the
+    box [0, 1] x [-1/4, 1/4]^2, strictly inside the container: every stage
+    has that one support, so condition 1 fails, and the stages converge
+    uniformly to a limit that crushes the axis interval [0, 1) to 0, so
+    it is not injective.  The curve, probe pairs and census points lie on
+    the axis, where each stage is the interval map itself.
+    """
 
     def stage(k: int) -> Isotopy:
         def map_at(t: float, k: int = k) -> LocalMap:
             return PowerMap1D((k + t) / k)
 
-        return Isotopy(support=_UNIT_INTERVAL, map_at=map_at)
+        return Isotopy(support=PowerMap1D.support, map_at=map_at)
 
     container = Box((-0.5, -0.5, -0.5), (1.5, 0.5, 0.5))
     curve = PLCurve(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), closed=False)

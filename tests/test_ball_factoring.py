@@ -46,9 +46,13 @@ class TestFindBallFactoring:
         assert all(math.dist(c, p) < eps for c in boxes[n0 - 1].corners())
         assert any(math.dist(c, p) >= eps for c in boxes[n0 - 2].corners())
 
-    def test_single_region_family_errors(self):
-        with pytest.raises(ValueError, match="no n0 within horizon 1"):
-            find_ball_factoring(np.zeros(3), [Box.cube((0, 0, 0), 0.5)])
+    def test_family_too_short_has_no_n0(self):
+        # a lone first box never fits in the ball inside it; epsilon is
+        # still certified
+        box = Box.cube((0, 0, 0), 0.5)
+        eps, n0 = find_ball_factoring(np.zeros(3), [box])
+        assert n0 is None
+        assert eps == 0.5 * box.wall_distance(np.zeros(3))
 
     def test_off_center_point_shrinks_epsilon(self):
         # p near a face of the first region: epsilon follows the wall distance

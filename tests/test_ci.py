@@ -6,7 +6,9 @@ PyYAML that Tier-1 passes with, and the test configuration turns runtime
 warnings into failures.  The package runs on numpy alone:
 no module of it imports scipy.  Every public function, class, method and
 constant in the package has a caller outside the tests, with no exception:
-code that only tests call lives in ``tests/oracles.py``.  Every committed
+code that only tests call lives in ``tests/oracles.py``.  Every map kind
+that evaluates points culls through ``LocalMap._on_support``, save three
+named kinds, each with its reason.  Every committed
 benchmark record is whole: named after its label, with its machine and,
 for each workload, the end-to-end metrics of both sides' runs."""
 import ast
@@ -122,6 +124,42 @@ def test_every_public_symbol_has_a_caller_outside_the_tests():
     # a name here lost its last caller: delete it, make it private or
     # move it to tests/oracles.py
     assert not unused, sorted(unused)
+
+
+# map kinds that evaluate points without the culling rule, and why
+_UNCULLED = {
+    "IdentityMap": "it moves nothing",
+    "AffineMap": "a frame, with no bounded support",
+    "_InverseWrapper": "it delegates to the inverse of a map that culls",
+}
+
+
+def test_every_map_kind_culls_through_on_support():
+    classes = {}
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    bases = {
+        name: {b.id for b in node.bases if isinstance(b, ast.Name)} for name, node in classes.items()
+    }
+    kinds = {"LocalMap"}
+    while grown := {n for n, b in bases.items() if b & kinds} - kinds:
+        kinds |= grown
+    uncalled, evaluating = [], set()
+    for name in sorted(kinds - {"LocalMap"}):
+        for item in classes[name].body:
+            if isinstance(item, ast.FunctionDef) and item.name in ("apply_array", "apply_inverse_array"):
+                evaluating.add(name)
+                culls = any(
+                    isinstance(n, ast.Call) and ast.unparse(n.func) == "self._on_support"
+                    for n in ast.walk(item)
+                )
+                if not culls and name not in _UNCULLED:
+                    uncalled.append(f"{name}.{item.name}")
+    assert not uncalled, uncalled
+    # each exception still names a kind that evaluates points
+    assert set(_UNCULLED) <= evaluating
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -121,6 +121,19 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("horizon", ["2", "3"])
+    def test_short_horizon_reports_no_n0_and_exits_by_verdict(self, tmp_path, capsys, horizon):
+        # V_1..V_3 of recursive_r1 are not yet inside the ball: the report
+        # is whole, and the unmet shrinking condition is a mismatch
+        argv = ["run", "--scenario", "recursive_r1", "--horizon", horizon, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        text = (tmp_path / "recursive_r1_20_0.report").read_text()
+        assert text == captured.out
+        assert "ball_factoring: {epsilon: 0.026250000000000002, n0: none}\n" in text
+        assert "computed: fail/pass\nmatch: false\n" in text
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
     def test_bad_tol_is_usage_error_and_writes_nothing(self, tmp_path, capsys, tol):
         # nan would pass every tail check, so a stream whose tail diameters

@@ -20,6 +20,8 @@ from knotiso.maps import (
     ConeMap,
     ConjugateMap,
     IdentityMap,
+    LocalMap,
+    PowerMap1D,
     UnsquishMap,
     UnsquishParams,
     conjugate,
@@ -544,15 +546,21 @@ def _around(box: Box, rng: np.random.Generator, n: int = 400) -> np.ndarray:
     return np.concatenate([near, far, box.corners()])
 
 
-def _assert_culled(m: CompositeMap, pts: np.ndarray) -> None:
+# interval-map exponents: the scenario's (k + t) / k lie in [1, 2]
+_exponents = st.floats(0.25, 4.0)
+
+
+def _assert_culled(m: LocalMap, pts: np.ndarray) -> None:
     """Rows outside the declared support come back bitwise unchanged, and
-    the support is honest: the parts themselves move those rows by no more
-    than conjugation roundoff."""
+    a composite's support is honest: its parts themselves move those rows
+    by no more than conjugation roundoff."""
     outside = ~m.support.contains_array(pts)
     assert outside.any()
     img = m.apply_array(pts)
     assert np.array_equal(img[outside], pts[outside])
     assert np.array_equal(m.apply_inverse_array(pts)[outside], pts[outside])
+    if not isinstance(m, CompositeMap):
+        return
     raw = pts[outside]
     for part in m.parts:
         raw = part.apply_array(raw)
@@ -585,16 +593,14 @@ def test_move_time_one_maps_fix_rows_off_support(target, seed):
         _assert_culled(m, box_pts)
 
 
-# 1d_counterexample is left out: its PowerMap1D moves points off its
-# degenerate declared support on purpose
-CULLED_SCENARIOS = sorted(set(SCENARIO_BUILDERS) - {"1d_counterexample"})
+CULLED_SCENARIOS = sorted(SCENARIO_BUILDERS)
 
 
 @given(st.sampled_from(CULLED_SCENARIOS), st.integers(1, 10), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_scenario_stage_maps_fix_rows_off_support(scenarios, name, k, seed):
+    # a stage is a composite, or one map (the 1d_counterexample powers)
     m = scenarios[name].moves.time_one_map(k)
-    assert isinstance(m, CompositeMap)
     _assert_culled(m, _around(m.support, np.random.default_rng(seed)))
 
 
@@ -603,18 +609,18 @@ def test_scenario_stage_maps_fix_rows_off_support(scenarios, name, k, seed):
     st.tuples(*[st.floats(-0.95, 0.95)] * 3),
     _unsquish_params(),
     st.floats(0.0, 1.0),
+    _exponents,
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_every_map_kind_fixes_rows_off_support_and_keeps_one_inverse(box, u, par, t, seed):
-    # PowerMap1D is left out: it moves points off its support on purpose
+def test_every_map_kind_fixes_rows_off_support_and_keeps_one_inverse(box, u, par, t, e, seed):
     rng = np.random.default_rng(seed)
     cone = ConeMap(box, box.center, box.center + np.array(u) * box.half_extents)
     unsquish = UnsquishMap(par, t)
     composite = CompositeMap([cone, unsquish])
     conj = conjugate(AffineMap.box_to_box(CANONICAL_BOX, box), kink_map(), box)
     assert cone.inverse().inverse() is cone
-    for m in (IdentityMap(support=box), cone, unsquish, composite, conj):
+    for m in (IdentityMap(support=box), cone, unsquish, PowerMap1D(e), composite, conj):
         for f in (m, m.inverse()):
             assert f.inverse() is f.inverse()
             pts = _around(f.support, rng)
@@ -640,7 +646,8 @@ def test_every_map_kind_returns_a_fresh_image():
         UnsquishMap(_params(0.5), 0.5),
         CompositeMap([cone]),
         conjugate(AffineMap.box_to_box(CANONICAL_BOX, UNIT), kink_map(), UNIT),
-        SCENARIO_BUILDERS["1d_counterexample"]().moves.time_one_map(1),
+        PowerMap1D(2.0),
+        PowerMap1D(2.0).inverse(),
     ]
     for m in maps:
         for apply in (m.apply_array, m.apply_inverse_array):
@@ -648,6 +655,46 @@ def test_every_map_kind_returns_a_fresh_image():
             img = apply(pts)
             img[:] = 7.0
             assert np.array_equal(pts, rows), m
+
+
+# -- interval power map ----------------------------------------------------------
+
+
+@given(_exponents, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_power_map_fixes_its_faces_and_is_the_power_on_its_axis(e, seed):
+    rng = np.random.default_rng(seed)
+    m = PowerMap1D(e)
+    box = m.support
+    # all six faces of the box, and the x = 0 face at -0.0 too
+    sides = [(axis, v) for axis in range(3) for v in (box.lo[axis], box.hi[axis])]
+    faces = [box.corners()]
+    for axis, v in sides + [(0, -0.0)]:
+        rows = box.sample(rng, 50)
+        rows[:, axis] = v
+        faces.append(rows)
+    faces = np.concatenate(faces)
+    bits = faces.view(np.uint64)
+    for apply in (m.apply_array, m.apply_inverse_array):
+        assert np.array_equal(apply(faces).view(np.uint64), bits)
+    # on the axis, numpy's own x ** e and x ** (1 / e), bit for bit
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 1.0]])
+    axis = np.column_stack([xs, np.zeros((len(xs), 2))])
+    for apply, power in ((m.apply_array, e), (m.apply_inverse_array, 1.0 / e)):
+        img = apply(axis)
+        assert np.array_equal(img[:, 0].view(np.uint64), (xs**power).view(np.uint64))
+        assert np.array_equal(img[:, 1:].view(np.uint64), axis[:, 1:].view(np.uint64))
+    # round trips keep y and z.  The two exponents multiply to 1 + d with
+    # |d| <= eps, and x^(1 + d) is x (1 + d ln x), off by at most 14 ulps
+    # of x for x >= 2^-10; each power's own rounding grows by up to the
+    # inverse exponent, at most 4.  32 ulps of x bound the sum.
+    inside = box.sample(rng, 400)
+    inside[:, 0] = 2.0 ** -rng.uniform(0.0, 10.0, 400)
+    inside[:100, 1:] = 0.0
+    for there, back in ((m.apply_array, m.apply_inverse_array), (m.apply_inverse_array, m.apply_array)):
+        trip = back(there(inside))
+        assert np.array_equal(trip[:, 1:], inside[:, 1:])
+        assert (np.abs(trip[:, 0] - inside[:, 0]) <= 32 * np.spacing(inside[:, 0])).all()
 
 
 # -- cone kernel: the gauge formula --------------------------------------------

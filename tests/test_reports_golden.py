@@ -22,7 +22,7 @@ GOLDEN = {
     (20, "trefoil_chain"): "5d227da8a8b00efecbcc577128ba44cda3994b744d9aec98329fdff890af3d89",
     (20, "trefoil_chain_extended"): "edaef3d11af745d37274bc69df0c3c373bf52b081e764b87f6c0d63946d51b5c",
     (20, "fox_remarkable"): "ead73f32426261db66dc3235222640b0befe12ebd7a478006122fb55e935e686",
-    (20, "1d_counterexample"): "fc1fa3c750c1dcc90448d9886eca3c153fedf7c3c0bd8508f80005f11d624b04",
+    (20, "1d_counterexample"): "562aa71facde5b2b76ed9ce3a838afa1c4b86fb0be8ac0b5f24cb592a4f42150",
     (40, "countable_r1"): "e2991ce77479388e08a1151d46184afc7da55fb7e496ffd4d8cabc6f2963ce69",
     (40, "countable_r2_stage1"): "d057d9bd07b7c1663279de61a4f1f27f6339b853f97ac05d0258705cfb6dac3d",
     (40, "countable_r2_stage2"): "0a2e6304b049aca8b309bf4bc9458673f57a2b2abb6e268ca5cf2bdda97d2f6e",
@@ -30,7 +30,7 @@ GOLDEN = {
     (40, "trefoil_chain"): "d660169b9b2f4960e947fad10091c9948abf65b7e9555738c562c323a37bf44c",
     (40, "trefoil_chain_extended"): "8cdc001aef6b0a73c666e2d35b7ec2aa2a0e02cd630aa98f8640d4872bc5cbef",
     (40, "fox_remarkable"): "356a3937c336d81cf3aa6b11344d840772f5f981d9e17d0d2fa0b7c93451f580",
-    (40, "1d_counterexample"): "3731bf13a7dc89f96a973d7b424034d6e0328f00f705d56f26b29e5d9a34359d",
+    (40, "1d_counterexample"): "77c59a2c871488905ba37288626e0e17c2e0ed9f9b822eb0515455ddc867b43e",
 }
 
 
