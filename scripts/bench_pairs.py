@@ -17,6 +17,11 @@ quartiles, how many seed pairs the change won, and two verdicts:
   more than the metric's ``bound`` from BENCHMARK.json, a fraction of the
   parent's median.
 
+With ``--trace-seed S`` it then runs each tree once more with ``--trace 1``
+at seed S and records, next to both sides' per-layer metrics, the layers
+that moved: every per-layer metric whose value changed, the largest
+relative change first.
+
 Each run lasts the ``run_seconds`` of the change tree's BENCHMARK.json.
 The record goes to ``BENCH_<label>.json`` in the current directory.  An
 existing record is extended: the workload's entry is replaced and the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -100,7 +106,24 @@ def summarize(
     return summary
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def moved_layers(parent: dict, change: dict, end_to_end: set[str]) -> list[dict]:
+    """The per-layer metrics of two traced metrics lines whose values
+    differ, each with both values and change / parent, the largest
+    relative change (either way) first.  Metrics in ``end_to_end`` are
+    left out, and so are those the parent reads 0 in."""
+    moved = []
+    for name, entry in parent.items():
+        if name in end_to_end or name not in change:
+            continue
+        old, new = entry["value"], change[name]["value"]
+        if old == new or old == 0:
+            continue
+        moved.append({"metric": name, "parent": old, "change": new, "ratio": new / old})
+    moved.sort(key=lambda m: -abs(math.log(m["ratio"])) if m["ratio"] > 0 else -math.inf)
+    return moved
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     """The metrics line of one benchmark run of a tree, and its machine."""
     cmd = [
         sys.executable,
@@ -108,7 +131,7 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "--workload", workload,
         "--seed", str(seed),
         "--seconds", f"{seconds:g}",
-        "--trace", "0",
+        "--trace", "1" if trace else "0",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree)
     lines = proc.stdout.strip().splitlines()
@@ -125,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 101-110")
     ap.add_argument("--label", required=True)
     ap.add_argument("--note", default="", help="what the change is, for the record")
+    ap.add_argument("--trace-seed", type=int, help="also compare one traced run of each tree")
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -149,11 +173,23 @@ def main(argv: list[str] | None = None) -> int:
         order=ORDER,
         machine=machine,
     )
-    record.setdefault("workloads", {})[args.workload] = {
+    entry = {
         "parent": runs["parent"],
         "change": runs["change"],
         "summary": summarize(runs["parent"], runs["change"], metrics),
     }
+    if args.trace_seed is not None:
+        traced = {
+            side: run_side(trees[side], args.workload, args.trace_seed, seconds, trace=True)
+            ["line"]["metrics"]
+            for side in ("parent", "change")
+        }
+        entry["traced"] = {
+            "seed": args.trace_seed,
+            "moved": moved_layers(traced["parent"], traced["change"], set(metrics)),
+            **traced,
+        }
+    record.setdefault("workloads", {})[args.workload] = entry
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["workloads"][args.workload]["summary"]))
     return 0

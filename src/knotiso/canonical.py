@@ -12,7 +12,9 @@ projected crossing structure, so the move is tuned once here and reused in
 every scenario box.  Every move here is built from the primitives in
 ``moves``: the single insert chains its cone stages, the m-loop insert
 chains m conjugated copies of it, and each time-1 map is the end map of
-its isotopy.
+its isotopy.  ``tied_strand(m, n)`` is the straight strand of the box with
+those m loops tied in: a loop chain frames that one strand into each of
+its boxes, and ``conjugated_insert`` frames the same move there.
 
 ``kink_isotopy()`` and ``multi_kink_isotopy(m)`` are module constants:
 each is built once, on first call, and every later call returns the same
@@ -84,7 +86,19 @@ def multi_kink_isotopy(m: int) -> Isotopy:
     )
 
 
+def _insert_move(m: int) -> Isotopy:
+    """The canonical move that ties m loops: the kink itself for m = 1."""
+    return multi_kink_isotopy(m) if m > 1 else kink_isotopy()
+
+
+def tied_strand(m: int, n: int) -> np.ndarray:
+    """The x-axis strand across the canonical box, from x = -1 to x = 1 at
+    n evenly spaced vertices, with m loops tied in: an (n, 3) array."""
+    xs = np.linspace(-1.0, 1.0, n)
+    zeros = np.zeros_like(xs)
+    return _insert_move(m).time_one().apply_array(np.column_stack([xs, zeros, zeros]))
+
+
 def conjugated_insert(target: Box, m: int = 1) -> Isotopy:
     """Insert m loops on the x-axis strand through a target box."""
-    inner = multi_kink_isotopy(m) if m > 1 else kink_isotopy()
-    return conjugated_isotopy(AffineMap.box_to_box(CANONICAL_BOX, target), inner, target)
+    return conjugated_isotopy(AffineMap.box_to_box(CANONICAL_BOX, target), _insert_move(m), target)

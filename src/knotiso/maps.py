@@ -110,22 +110,36 @@ class IdentityMap(LocalMap):
 
 class AffineMap(LocalMap):
     """p -> scale * p + shift, per axis, with every scale finite and
-    nonzero.
+    nonzero and a finite inverse.
 
     Every frame in knotiso carries one box onto another (``box_to_box``),
     so the linear part is diagonal and is kept as the (3,) ``scale``.  A
     diagonal map is invertible exactly when no axis scale is zero, however
-    tiny or anisotropic the scales are.
+    tiny or anisotropic the scales are; in floating point its inverse
+    must also be finite, which a subnormal scale or a huge shift over a
+    tiny scale breaks, so such a frame is refused when it is built.
     """
 
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
         scale = np.asarray(scale, dtype=float)
+        shift = np.asarray(shift, dtype=float)
         if not (np.isfinite(scale).all() and scale.all()):
             k = int(np.argmin(np.isfinite(scale) & (scale != 0)))
             raise ValueError(f"affine scale on axis {'xyz'[k]} is {scale[k]}, not finite and nonzero")
+        # the inverse frame, built here so an overflow in it is refused
+        # without a warning; its shift is finite exactly when 1 / scale and
+        # shift are
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = 1.0 / scale
+            inv_shift = -inv * shift
+        finite = np.isfinite(inv_shift)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})")
         self.scale = scale
-        self.shift = np.asarray(shift, dtype=float)
+        self.shift = shift
         self.support = UNBOUNDED
+        self._inverse_frame = (inv, inv_shift)
 
     @staticmethod
     def box_to_box(src: Box, dst: Box) -> "AffineMap":
@@ -142,8 +156,7 @@ class AffineMap(LocalMap):
     def _inverted(self) -> "AffineMap":
         # no link back: 1 / (1 / s) is not bitwise s, and the reports of
         # reversed conjugated moves are pinned on the double inverse
-        inv = 1.0 / self.scale
-        return AffineMap(inv, -inv * self.shift)
+        return AffineMap(*self._inverse_frame)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,10 +6,12 @@ loop counts, crossing deltas, box nesting, and decay ratios.  Loop-bearing
 curves are built by the reverse trick: apply invertible loop-insert maps
 to a plain baseline, so each untying move is the exact inverse of the
 insert that created its loop.  A loop chain (``_loop_chain``) ties m
-loops in each of its boxes by one composite of conjugated inserts: the
-boxes are pairwise disjoint and share one canonical move, so the composite
-routes the points of all boxes through that move in one pass.  Stage k
-of a chain's stream is ``_untie`` of box k: the inverse of that insert.
+loops in each of its boxes, and every box carries the same canonical
+insert framed into it: the chain runs that insert once, on the straight
+canonical strand (``canonical.tied_strand``), and frames the tied strand
+into each box, which in exact arithmetic is the box's insert applied to
+its straight baseline.  Stage k of a chain's stream is ``_untie`` of box
+k: the inverse of that insert.
 
 Box corners are written as coordinate tuples; the points a scenario
 probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
@@ -25,11 +27,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .canonical import conjugated_insert
+from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from .engine import Isotopy, MoveSequence
 from .geometry import Box, PLCurve, boxes_meet
 from .maps import (
-    CompositeMap,
+    AffineMap,
     LocalMap,
     PowerMap1D,
     UnsquishParams,
@@ -81,40 +83,40 @@ class Scenario:
 # -- loop chains --------------------------------------------------------------
 
 
-def _axis_points(x_start: float, x_end: float, boxes: Sequence[Box], m: int) -> np.ndarray:
-    """Vertices along the x-axis from x_start to x_end, refined with
-    m * _PTS_PER_BOX points inside each box so m loop inserts are resolved."""
-    xs = [x_start, x_end]
-    for b in boxes:
-        xs.extend(np.linspace(b.lo[0], b.hi[0], m * _PTS_PER_BOX).tolist())
-    xs = np.unique(np.array(xs, dtype=float))
-    if xs[0] != x_start or xs[-1] != x_end:
-        raise ValueError("box refinement escapes the arc span")
-    zeros = np.zeros_like(xs)
-    return np.column_stack([xs, zeros, zeros])
-
-
-def _insert_loops(boxes: Sequence[Box], m: int, pts: np.ndarray) -> np.ndarray:
-    """pts after the time-1 maps of ``conjugated_insert(b, m)`` for every box.
-
-    The inserts share one canonical move and their closed boxes must be
-    pairwise disjoint (boxes that meet raise ValueError), so their
-    composite routes every point through that move in one pass.
-    """
-    meet = boxes_meet(np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]))
-    np.fill_diagonal(meet, False)
-    if meet.any():
-        i, j = np.argwhere(meet)[0]
-        raise ValueError(f"insert boxes overlap: {boxes[i]} meets {boxes[j]}")
-    return CompositeMap([conjugated_insert(b, m).time_one() for b in boxes]).apply_array(pts)
-
-
 def _loop_chain(
     x_start: float, x_end: float, boxes: Sequence[Box], m: int, untied: Sequence[Box] = ()
 ) -> np.ndarray:
     """The x-axis strand from x_start to x_end with m loops tied in each
-    box; the ``untied`` boxes are refined alike but left straight."""
-    return _insert_loops(boxes, m, _axis_points(x_start, x_end, [*boxes, *untied], m))
+    box; the ``untied`` boxes are refined alike but left straight.
+
+    Each box gets m * _PTS_PER_BOX vertices: the canonical strand, tied by
+    ``tied_strand`` once per call or left straight, framed into the box.
+    The boxes must be centred on the x-axis, strictly inside the span and
+    pairwise disjoint (closed boxes that meet raise ValueError).
+    """
+    every = [*boxes, *untied]
+    meet = boxes_meet(np.array([b.lo for b in every]), np.array([b.hi for b in every]))
+    np.fill_diagonal(meet, False)
+    if meet.any():
+        i, j = np.argwhere(meet)[0]
+        raise ValueError(f"insert boxes overlap: {every[i]} meets {every[j]}")
+    for b in every:
+        if b.center[1:].any():
+            raise ValueError(f"insert box {b} is not centred on the x-axis")
+        if not (x_start < b.lo[0] and b.hi[0] < x_end):
+            raise ValueError("box refinement escapes the arc span")
+    n = m * _PTS_PER_BOX
+    xs = np.linspace(-1.0, 1.0, n)
+    straight = np.column_stack([xs, np.zeros(n), np.zeros(n)])
+    tied = tied_strand(m, n)
+    pieces = sorted(
+        [(b, tied) for b in boxes] + [(b, straight) for b in untied], key=lambda p: p[0].lo[0]
+    )
+    return np.concatenate([
+        [[x_start, 0.0, 0.0]],
+        *(AffineMap.box_to_box(CANONICAL_BOX, b).apply_array(strand) for b, strand in pieces),
+        [[x_end, 0.0, 0.0]],
+    ])
 
 
 def _untie(box: Box, m: int) -> Isotopy:

@@ -3,17 +3,23 @@
 The acceptance criteria and unit tests check the package against these:
 crossing counts of a curve's diagram, a reference nested box family, the
 infinite-motion census after a finite truncation, the one-sided values of
-a glued schedule at a seam, the snowflake iterates with their sup
-deviations, and the cone pull as 12 affine tetrahedra.  None of them is on the path of a CLI verb.
+a glued schedule at a seam, loop chains inserted box by box into a
+refined axis, the snowflake iterates with their sup deviations, and the
+cone pull as 12 affine tetrahedra.  None of them is on the path of a CLI
+verb.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from typing import Sequence
+
+from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
 from knotiso.engine import MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
-from knotiso.maps import ConeMap
+from knotiso.maps import CompositeMap, ConeMap
+from knotiso.scenarios import _PTS_PER_BOX
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -58,6 +64,29 @@ def seam_values(seq: MoveSequence, k: int, pts: np.ndarray) -> tuple[np.ndarray,
     at its local time 0.  Both are exact one-sided limits.
     """
     return truncated_map(seq, k).apply_array(pts), truncated_map(seq, k + 1, 0.0).apply_array(pts)
+
+
+# -- loop chains inserted box by box ------------------------------------------
+
+def axis_points(x_start: float, x_end: float, boxes: Sequence[Box], m: int) -> np.ndarray:
+    """Vertices along the x-axis from x_start to x_end, refined with
+    m * _PTS_PER_BOX points inside each box so m loop inserts are resolved."""
+    xs = [x_start, x_end]
+    for b in boxes:
+        xs.extend(np.linspace(b.lo[0], b.hi[0], m * _PTS_PER_BOX).tolist())
+    xs = np.unique(np.array(xs, dtype=float))
+    zeros = np.zeros_like(xs)
+    return np.column_stack([xs, zeros, zeros])
+
+
+def inserted_loop_chain(
+    x_start: float, x_end: float, boxes: Sequence[Box], m: int, untied: Sequence[Box] = ()
+) -> np.ndarray:
+    """The loop chain as inserts into a refined axis: the composite of
+    every box's ``conjugated_insert`` at time 1, applied to the axis
+    refined in the tied and ``untied`` boxes alike."""
+    inserts = CompositeMap([conjugated_insert(b, m).time_one() for b in boxes])
+    return inserts.apply_array(axis_points(x_start, x_end, [*boxes, *untied], m))
 
 
 # -- cone pull as a simplicial map -------------------------------------------

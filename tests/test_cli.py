@@ -181,6 +181,15 @@ class TestCheckVerb:
         assert status == 1
         assert "verdict: fail (condition 1)" in capsys.readouterr().out
 
+    def test_frame_with_no_finite_inverse_exits_four(self, capsys):
+        # fox's stage-511 frame has scale 2.2e-309, whose inverse overflows
+        status = main(["check", "--scenario", "fox_remarkable", "--horizon", "511"])
+        assert status == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: affine frame on axis x has no finite inverse")
+        assert captured.err.count("\n") == 1
+        assert "verdict" not in captured.out
+
     def test_horizon_one_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--scenario", "countable_r1", "--horizon", "1"])

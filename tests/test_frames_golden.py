@@ -23,9 +23,9 @@ GOLDEN = {
         ("56d7f887766e8abef0765e8a67ef7bee9ec18750b3b12f0cab4b5c2507058d92", "aa10d0609523857ce890303b3d96013079117c83b9425d6f66da0941ad546f26"),
     ),
     "countable_r1": (
-        ("7fdc8e12de29c27c06e506ab74e9bd2e6467421a541603a6548c228d2647e1dc", "074bd7b46999d8f06097075ad19841b527ff920e199de4e4d782d94c4e6be2e6"),
-        ("1c0e3f656f1a0db68c7bfda6f2160282b7a3d2312944c526e41e3268e82b81a2", "c17fd48287f4fe547f4c896fcdf66f0aa01c8f0ab1defeeb61d7f9acacc6cd56"),
-        ("2a60e0df27fe1593455e684e4001dc7e89bd48f826e2fce66f0fd2da0b13e778", "32b7f5e0818802d2687383b5be080e606f13f844c09f490585c40711cbf6f244"),
+        ("7afe48535d34658be1e44b83397d94ffd915a6b36912d80f6ba246b0de03657e", "3b802a9df214eada8842848c2a82e19069bb31856f5773508dddde9112b37c90"),
+        ("3831ef99c4bfff2a39bcc4176cc3b40a5f0cb68abd7f490ccb7f19a9440f1fba", "1e9c8e324304150f57284cac23563be1897a3135c7e5ebfe5286a6e4be5838d0"),
+        ("850bf071f313005b373492d01b4c1cc09dffc0080ebe2747be8bea6d601f19cb", "154e54a618628c4778721352e192ce189a5a67ba168f6d49642e4b63fcec3bd5"),
     ),
     "recursive_r1": (
         ("be879d6e2992d8df6d4c3db75462dbec0d1f956b75f6ee8d058dc9cb85175896", "ee35cc0bf53c94e65121b3f5be9ab99dccc8d32d39056b1c82f8e0044600f319"),
@@ -33,14 +33,14 @@ GOLDEN = {
         ("416bf258acf8f1da375b2f2f487474a294c8e5d9cf0afcdbbb4cf7cac28517cd", "46dbfd2fdc69f2f59f75de5ed08d000b0779ea48fdf1565df00ffa4c54ba2e6e"),
     ),
     "trefoil_chain": (
-        ("39495f0b071a1fd58c59112c2ec6d8410deaa2d6a0c390f650dd0b88375575dc", "427854c375600d1be4367d894df0d2a803ac126a6a3843f7e05bad6fac796199"),
-        ("b7d4dadbab9bcabe84eb750b34cf7ffe1004873522142d4569496440f760b583", "f14ee73edf2d23ceba9ed8d63fd9b15e74e711d16de3f18b7787ddda272c3ca1"),
-        ("0aa0f4ea5ce83c6f49139a9014b5a20ecc86e8274264ca2d5d99140d8d5c165f", "1ffd19d072c4cc8c1c6587aabc4a6ad638003a3771cef17859cc74d340e81658"),
+        ("f6dd6378cb3103163e20dde0ce4a2d0d2d61b1e85fd08fec94c2dbcc56f1e2d8", "c1f34d0c964be1587203474365ae1f3f12c35081b3770c9bed52dbca0ebd92e4"),
+        ("4ec25cf2da69b3eb5f6e8e4b690f8618ee2202d9272672741ceed6b9a8d5ae4a", "9baf36b41ab057b30b4acc2cbe2d3cb872fd444ed989b2c033e0875a7e61b383"),
+        ("aef84d30ea70fe6579d0325e4cfbdb5983b083c22d4812bf0fe5613265671b4b", "7057941fb182a5bdf764fe45a83c963828b906a1c5b7b277f2e2e241169443c1"),
     ),
     "fox_remarkable": (
-        ("4da8dc2e2d6afad44eff6d2902ebc09b14ef2904b7fc45a7187e252f54485f7f", "3168a042e3447a667bc0d24c2357b0732c7d7e2906bba6e70afaa63c9871db23"),
-        ("5c7e4f6ce25241128b21c42ef54a8f42bd8f36c7d57ae0f2191eb231d9019407", "7cc81e2c4d94363e850b00a243025b0cfcabc04bca43be7bb9e1f3f3cd66cbe0"),
-        ("b8ade8f47743a16663be5f29cb55e366437ef68191befeb0a69d7b6d7c8c7de0", "f762989ffe8cc39e8465f40d098dcd4ad02921491dc0b2617528af3893f0af8a"),
+        ("c75ac94859b03a0753d6b354f1fd1fc3c1dc8070b5a6cf32f79dfe749cc90034", "7115c6969a8b816546a672c456d2929decb969b53e83a61826e38322840b6aac"),
+        ("e33f155951b0d00e3903371cc6b02380f47df6af8ca4ea78a64ff4cc262e150b", "0ef8383dfe62be3a930f71a1fa9014059a75f456ea9c5fe693ab7af275a975d7"),
+        ("c4524f2f693273c6b33b686c87d28b8b2db713f52826a32a5a774a484122f7f7", "bf0109be6467c90c9de9f9dc2f474b9e4018dc54738f5a6205a47ac9d2fc030b"),
     ),
 }
 

@@ -62,6 +62,13 @@ class TestAffineMap:
             with pytest.raises(ValueError, match=rf"scale on axis y is {text}, not finite"):
                 AffineMap(np.array([1.0, bad, 0.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("scale,shift", [(1e-310, 0.0), (1e-300, 1e10)])
+    def test_rejects_frames_with_no_finite_inverse(self, scale, shift):
+        # 1 / 1e-310 overflows, and so does -(1 / 1e-300) * 1e10; the frame
+        # is refused without a RuntimeWarning, which the suite makes an error
+        with pytest.raises(ValueError, match=rf"axis x has no finite inverse \(scale {scale}\)"):
+            AffineMap(np.full(3, scale), shift)
+
     def test_accepts_uniformly_tiny_frames(self):
         # depth-20 scenario frames: tiny but perfectly conditioned
         AffineMap(np.full(3, 2.0**-27), np.zeros(3))

@@ -50,21 +50,21 @@ def test_report_bytes(depth, name):
 # most streams have untied every loop by depth 20, so their depth-20 and
 # depth-40 snapshots agree
 SNAPSHOTS = {
-    (20, "countable_r1"): "bcc5783191b092a8ed3ba2a6d389e1e432ce2cbe333fe1274053dfec550395f3",
-    (20, "countable_r2_stage1"): "cd358cc71ee4627ad449dd3a7988dc678da74a6bf32b2f15d3d9ef10cd38735b",
-    (20, "countable_r2_stage2"): "19e100cd39698ce9666146e47a15d22bd808c1137d883283c99d50e56a603fba",
+    (20, "countable_r1"): "b61575818110fffd9bfa234341cc18ab3514626ff56d26d0756ac53973c371d2",
+    (20, "countable_r2_stage1"): "63ca91a2b204a775337930b0b8eadb580e0d50681e0c8270dca7531b6878fe90",
+    (20, "countable_r2_stage2"): "3843c753f79806671748e3173d00af6647beb60787a79cf9786828b9b66ac126",
     (20, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
-    (20, "trefoil_chain"): "ce9eaf6a1d634b72d81afd2c6e553343da7dde3c6bd5dc63e8227403b56dd786",
-    (20, "trefoil_chain_extended"): "6e4d7bf54167d1446daabaaef91f08f5af426a9db4931357fd8fc4f82d7493a3",
-    (20, "fox_remarkable"): "60cb2eee31016fd11111a2065f94e515f6405537ac58482db7223c3177ee5e41",
+    (20, "trefoil_chain"): "02a4cd6a3271eacb083b9427d74c5296e8266f3fb87a6f4a0021c4a3c1f7994a",
+    (20, "trefoil_chain_extended"): "fd7d0dc5ff28e2ddd672043be6775676ab8fdb4164a53681052381c243ec9ca6",
+    (20, "fox_remarkable"): "298d687760bd1aa98447eee15c47e1e2effa3f6f3d49a2ded4065c032d93b1bc",
     (20, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
-    (40, "countable_r1"): "bcc5783191b092a8ed3ba2a6d389e1e432ce2cbe333fe1274053dfec550395f3",
-    (40, "countable_r2_stage1"): "cd358cc71ee4627ad449dd3a7988dc678da74a6bf32b2f15d3d9ef10cd38735b",
-    (40, "countable_r2_stage2"): "19e100cd39698ce9666146e47a15d22bd808c1137d883283c99d50e56a603fba",
+    (40, "countable_r1"): "b61575818110fffd9bfa234341cc18ab3514626ff56d26d0756ac53973c371d2",
+    (40, "countable_r2_stage1"): "63ca91a2b204a775337930b0b8eadb580e0d50681e0c8270dca7531b6878fe90",
+    (40, "countable_r2_stage2"): "3843c753f79806671748e3173d00af6647beb60787a79cf9786828b9b66ac126",
     (40, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
-    (40, "trefoil_chain"): "ce9eaf6a1d634b72d81afd2c6e553343da7dde3c6bd5dc63e8227403b56dd786",
-    (40, "trefoil_chain_extended"): "6e4d7bf54167d1446daabaaef91f08f5af426a9db4931357fd8fc4f82d7493a3",
-    (40, "fox_remarkable"): "ad00631f79eff83a150729918fd6b93505a3285e02b395571336b253462ae374",
+    (40, "trefoil_chain"): "02a4cd6a3271eacb083b9427d74c5296e8266f3fb87a6f4a0021c4a3c1f7994a",
+    (40, "trefoil_chain_extended"): "fd7d0dc5ff28e2ddd672043be6775676ab8fdb4164a53681052381c243ec9ca6",
+    (40, "fox_remarkable"): "55e45088eab83c1f4a941d37e245fac0f2138562bbccb5d612a101718eb1d25e",
     (40, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
 }
 

@@ -7,16 +7,20 @@ from hypothesis import strategies as st
 
 from knotiso.ball_factoring import find_ball_factoring
 from knotiso.canonical import conjugated_insert
+from knotiso import scenarios as scenarios_module
 from knotiso.engine import (
     Isotopy,
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
+    glue_schedule,
     injectivity_probe,
     map_curve,
     truncated_map,
 )
+from knotiso.diagram import find_crossings
 from knotiso.geometry import Box, curve_is_simple
+from knotiso.maps import CompositeMap, ConeMap
 from knotiso.scenarios import (
     INJECTIVITY_THRESHOLD,
     SCENARIO_BUILDERS,
@@ -24,8 +28,7 @@ from knotiso.scenarios import (
     _REC_EPS,
     _REC_SCALE,
     ExpectedVerdicts,
-    _axis_points,
-    _insert_loops,
+    _loop_chain,
     _shrinking_boxes,
     build_1d_counterexample,
     fox_outer,
@@ -37,9 +40,11 @@ from knotiso.scenarios import (
 )
 
 from oracles import (
+    axis_points,
     build_snowflake,
     count_crossings,
     infinite_motion_census,
+    inserted_loop_chain,
     snowflake_sup_deviation,
 )
 
@@ -419,6 +424,11 @@ def _insert_one_by_one(boxes, m, pts):
     return pts
 
 
+def _inserts(boxes, m):
+    """Every box's insert at time 1 as one composite, which routes runs."""
+    return CompositeMap([conjugated_insert(b, m).time_one() for b in boxes])
+
+
 def _assert_bitwise(got, want):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -475,26 +485,27 @@ def _builder_boxes():
 
 
 class TestInsertLoops:
-    """One canonical pass over disjoint boxes is bitwise the inserts run
-    box by box."""
+    """A composite of inserts of one canonical move over disjoint boxes
+    routes them in one pass, bitwise the inserts run box by box; the stage
+    truncations of every chain are such composites."""
 
     @given(_disjoint_boxes(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_random_disjoint_boxes(self, boxes, m, seed):
         pts = _probe_points(boxes, np.random.default_rng(seed))
-        _assert_bitwise(_insert_loops(boxes, m, pts), _insert_one_by_one(boxes, m, pts))
+        _assert_bitwise(_inserts(boxes, m).apply_array(pts), _insert_one_by_one(boxes, m, pts))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(_builder_boxes()))
     def test_builder_boxes(self, name, m):
         boxes = _builder_boxes()[name]
-        strand = _axis_points(-0.5, 4.5, boxes, m)
+        strand = axis_points(-0.5, 4.5, boxes, m)
         pts = np.concatenate([strand, _probe_points(boxes, np.random.default_rng(m))])
-        _assert_bitwise(_insert_loops(boxes, m, pts), _insert_one_by_one(boxes, m, pts))
+        _assert_bitwise(_inserts(boxes, m).apply_array(pts), _insert_one_by_one(boxes, m, pts))
 
     def test_points_outside_every_box_come_back_unchanged(self):
         pts = np.array([[-1.0, 0.0, 0.0], [5.0, -0.0, 0.0]])
-        _assert_bitwise(_insert_loops(_builder_boxes()["countable_r1"], 1, pts), pts)
+        _assert_bitwise(_inserts(_builder_boxes()["countable_r1"], 1).apply_array(pts), pts)
 
     @pytest.mark.parametrize(
         "pts",
@@ -508,11 +519,116 @@ class TestInsertLoops:
         a = Box((0, -1, -1), (2, 1, 1))
         b = Box((1, -1, -1), (3, 1, 1))
         with pytest.raises(ValueError, match="overlap"):
-            _insert_loops([a, b], 1, pts)
+            _loop_chain(-1.0, 4.0, [a, b], 1)
+        # a composite does not route boxes that meet: it runs them one by one
+        _assert_bitwise(_inserts([a, b], 1).apply_array(pts), _insert_one_by_one([a, b], 1, pts))
 
     def test_boxes_sharing_a_corner_raise(self):
         a = Box((0, 0, 0), (1, 1, 1))
         b = Box((1, 1, 1), (2, 2, 2))
         c = Box((5, 5, 5), (6, 6, 6))
         with pytest.raises(ValueError, match="overlap"):
-            _insert_loops([c, a, b], 1, np.array([[5.5, 5.5, 5.5]]))
+            _loop_chain(-1.0, 10.0, [c, a, b], 1)
+
+
+CHAINS = (
+    "countable_r1",
+    "countable_r2_stage1",
+    "countable_r2_stage2",
+    "trefoil_chain",
+    "trefoil_chain_extended",
+    "fox_remarkable",
+)
+
+# crossings of the filmed frames at the seams t = 1 - 2^-k, k = 0..8, at
+# depth 20; None is a frame whose projection stays degenerate
+SEAM_CROSSINGS = {
+    "countable_r1": [20, 19, 18, 17, 16, 15, 14, 13, 12],
+    "recursive_r1": [0] * 9,
+    "trefoil_chain": [60, 57, 54, 51, 48, 45, 42, 39, 36],
+    "fox_remarkable": [40, 38, 36] + [None] * 6,
+}
+
+
+@pytest.fixture(scope="module")
+def inserted_chains():
+    """Every scenario with its chains built as inserts into a refined axis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios_module, "_loop_chain", inserted_loop_chain)
+        return {name: build() for name, build in SCENARIO_BUILDERS.items()}
+
+
+def _seam_crossings(s) -> list:
+    glued = glue_schedule(s.moves, DEPTH)
+    dense = s.initial_curve.densified(0.01)
+    counts = []
+    for k in range(9):
+        try:
+            counts.append(len(find_crossings(map_curve(glued.map_at(1.0 - 2.0**-k), dense))))
+        except ValueError:
+            counts.append(None)
+    return counts
+
+
+class TestLoopChain:
+    """Framing one tied canonical strand into every box builds the chain
+    the box-by-box inserts into a refined axis build, to the last bits."""
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_matches_the_inserts_box_by_box(self, scenarios, inserted_chains, name):
+        got = scenarios[name].initial_curve.points
+        want = inserted_chains[name].initial_curve.points
+        assert got.shape == want.shape
+        ulp = np.spacing(np.abs(want).max(axis=1))[:, None]
+        assert (np.abs(got - want) <= 16 * ulp).all()
+        # the straight runs lie on the x-axis exactly
+        on_axis = (want[:, 1:] == 0).all(axis=1)
+        assert on_axis.sum() > len(want) // 4
+        assert np.array_equal((got[:, 1:] == 0).all(axis=1), on_axis)
+
+    @pytest.mark.parametrize("name", sorted(SEAM_CROSSINGS))
+    def test_seam_crossings_match_the_inserts_box_by_box(self, scenarios, inserted_chains, name):
+        assert _seam_crossings(scenarios[name]) == SEAM_CROSSINGS[name]
+        assert _seam_crossings(inserted_chains[name]) == SEAM_CROSSINGS[name]
+
+    def test_one_canonical_pass_per_chain(self, monkeypatch):
+        # one tied strand per chain, not one insert per box: the six chains
+        # push 2,360 rows through the cones, the inserts box by box 54,400
+        rows = []
+        apply = ConeMap.apply_array
+
+        def counting_apply(self, pts):
+            rows.append(len(pts))
+            return apply(self, pts)
+
+        monkeypatch.setattr(ConeMap, "apply_array", counting_apply)
+        for name in CHAINS:
+            SCENARIO_BUILDERS[name]()
+        assert 0 < sum(rows) <= 2400
+
+    def test_untied_boxes_are_refined_straight(self):
+        tied, untied = (Box.from_center((x, 0.0, 0.0), (0.25, 0.25, 0.25)) for x in (2.0, 1.0))
+        strand = _loop_chain(0.0, 3.0, [tied], 2, untied=[untied])
+        # the pieces in x order: the untied box's 200 vertices, then the tied box's
+        assert len(strand) == 2 + 2 * 200
+        straight, loops = strand[1:201], strand[201:401]
+        assert not straight[:, 1:].any() and (np.diff(straight[:, 0]) > 0).all()
+        assert loops[:, 1:].any()
+
+    def test_tied_and_untied_boxes_that_meet_raise(self):
+        a = Box.from_center((1.0, 0.0, 0.0), (0.5, 0.25, 0.25))
+        b = Box.from_center((2.0, 0.0, 0.0), (0.5, 0.1, 0.1))
+        with pytest.raises(ValueError, match="overlap"):
+            _loop_chain(0.0, 3.0, [a], 1, untied=[b])
+
+    @pytest.mark.parametrize("center", [(1.0, 0.01, 0.0), (1.0, 0.0, -0.125)])
+    def test_box_off_the_axis_raises(self, center):
+        box = Box.from_center(center, (0.25, 0.25, 0.25))
+        with pytest.raises(ValueError, match="not centred on the x-axis"):
+            _loop_chain(0.0, 3.0, [box], 1)
+
+    @pytest.mark.parametrize("x_start,x_end", [(0.8, 3.0), (0.75, 3.0), (0.0, 1.2)])
+    def test_box_outside_the_span_raises(self, x_start, x_end):
+        box = Box.from_center((1.0, 0.0, 0.0), (0.25, 0.25, 0.25))
+        with pytest.raises(ValueError, match="escapes the arc span"):
+            _loop_chain(x_start, x_end, [box], 1)

@@ -139,6 +139,17 @@ class TestBenchPairsSummary:
         assert got["pass_s"]["within_bound"] and got["ok_ratio"]["within_bound"]
         assert got["pass_s"]["claimable"] and got["ok_ratio"]["claimable"]
 
+    def test_moved_layers_lists_what_changed_largest_first(self):
+        def line(**values):
+            return {name: {"value": v, "unit": "count"} for name, v in values.items()}
+
+        parent = line(pass_s=1.0, a=100.0, b=10.0, c=5.0, d=0.0, e=8.0)
+        change = line(pass_s=0.5, a=25.0, b=30.0, c=5.0, d=3.0, e=0.0)
+        moved = _bench_pairs().moved_layers(parent, change, {"pass_s"})
+        # e fell to 0, a by 4x, b rose 3x; c is unchanged, d had no parent value
+        assert [m["metric"] for m in moved] == ["e", "a", "b"]
+        assert moved[1] == {"metric": "a", "parent": 100.0, "change": 25.0, "ratio": 0.25}
+
     def test_seed_ranges(self):
         bp = _bench_pairs()
         assert bp.parse_seeds("101-104") == [101, 102, 103, 104]
