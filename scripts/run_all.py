@@ -1,8 +1,10 @@
 """Run every registered scenario end to end and summarize the verdicts.
 
-Produces the same reports the CLI writes, one per scenario, in --out, and
-prints a one-line summary per scenario.  Exit status is nonzero if any
-computed verdict disagrees with its declared expectation.
+Runs ``knotiso run`` on each scenario in turn, writing the same reports
+the CLI writes to --out, and prints one line per scenario: ``ok``,
+``MISMATCH``, or the CLI's exit code with its one-line message (a map that
+cannot be built at the requested depth exits 4), and keeps going.  Exit
+status is 1 if any scenario did not come out ok, and 2 for a bad flag.
 
 Usage: python3 scripts/run_all.py [--out reports] [--depth 20] [--horizon 20] [--seed 0]
 """
@@ -15,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from knotiso.cli import RunConfig, cmd_run
+from knotiso.cli import RunConfig, main as knotiso
 from knotiso.scenarios import SCENARIO_BUILDERS
 
 
@@ -26,24 +28,23 @@ def main() -> int:
     ap.add_argument("--horizon", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        RunConfig(scenario="", depth=args.depth, horizon=args.horizon, seed=args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
 
+    flags = [f"--{k}={v}" for k, v in vars(args).items()]
     failures = 0
     for name in SCENARIO_BUILDERS:
-        cfg = RunConfig(
-            scenario=name,
-            depth=args.depth,
-            horizon=args.horizon,
-            seed=args.seed,
-            out=args.out,
-        )
         t0 = time.perf_counter()
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            status = cmd_run(cfg)
-        ok = status == 0
-        failures += not ok
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = knotiso(["run", "--scenario", name, *flags])
         ms = (time.perf_counter() - t0) * 1000.0
-        print(f"{name:25s} {'ok' if ok else 'MISMATCH'}  {ms:6.0f} ms")
+        failures += status != 0
+        verdict = {0: "ok", 1: "MISMATCH"}.get(status, f"exit {status}")
+        line = f"{name:25s} {verdict}  {ms:6.0f} ms"
+        print(f"{line}  {err.getvalue().strip()}" if status > 1 else line)
     print(f"reports in {args.out}/")
     return 1 if failures else 0
 

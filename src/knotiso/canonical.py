@@ -10,16 +10,17 @@ densification with z-separation margin 0.29 at the crossing.
 Conjugating by an axis-aligned positive-scale affine frame preserves the
 projected crossing structure, so the move is tuned once here and reused in
 every scenario box.  Every move here is built from the primitives in
-``moves``: the single insert chains its cone stages, the m-loop insert
-chains m conjugated copies of it, and each time-1 map is the end map of
-its isotopy.  ``tied_strand(m, n)`` is the straight strand of the box with
-those m loops tied in: a loop chain frames that one strand into each of
-its boxes, and ``conjugated_insert`` frames the same move there.
+``moves``: the single insert chains its cone stages, and the m-loop insert
+chains m copies of it conjugated into its sub-boxes.  ``tied_strand(m, n)``
+is the straight strand of the box with those m loops tied in: a loop chain
+frames that one strand into each of its boxes, and ``conjugated_insert``
+frames the same move there, given only the target box.
 
 ``kink_isotopy()`` and ``multi_kink_isotopy(m)`` are module constants:
 each is built once, on first call, and every later call returns the same
-object, so every conjugated insert shares one set of canonical maps and
-their inverses.  Callers must not mutate them.
+object.  Under the one end rule of ``Isotopy.from_motion`` each holds one
+time-1 map, built on first use, so every conjugated insert shares one set
+of canonical maps and their inverses.  Callers must not mutate them.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .engine import Isotopy
 from .geometry import Box
-from .maps import AffineMap, LocalMap
+from .maps import LocalMap
 from .moves import ConeStage, chained_isotopy, conjugated_isotopy, staged_isotopy
 
 CANONICAL_BOX = Box.from_center((0, 0, 0), (1, 1, 1))
@@ -77,13 +78,8 @@ def loop_sub_boxes(m: int) -> list[Box]:
 def multi_kink_isotopy(m: int) -> Isotopy:
     """m loop inserts run one after another over equal time slices."""
     kink = kink_isotopy()
-    return chained_isotopy(
-        [
-            conjugated_isotopy(AffineMap.box_to_box(CANONICAL_BOX, sub), kink, sub)
-            for sub in loop_sub_boxes(m)
-        ],
-        CANONICAL_BOX,
-    )
+    subs = loop_sub_boxes(m)
+    return chained_isotopy([conjugated_isotopy(kink, sub) for sub in subs], CANONICAL_BOX)
 
 
 def _insert_move(m: int) -> Isotopy:
@@ -101,4 +97,4 @@ def tied_strand(m: int, n: int) -> np.ndarray:
 
 def conjugated_insert(target: Box, m: int = 1) -> Isotopy:
     """Insert m loops on the x-axis strand through a target box."""
-    return conjugated_isotopy(AffineMap.box_to_box(CANONICAL_BOX, target), _insert_move(m), target)
+    return conjugated_isotopy(_insert_move(m), target)

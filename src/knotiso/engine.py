@@ -4,7 +4,10 @@ the convergence / injectivity probes.
 A ``MoveSequence`` is an unbounded stream of stages: stage k is an
 isotopy H_k whose ``support`` is the box V_k.  It runs over the slot
 [t_{k-1}, t_k] of the dyadic schedule t_k = 1 - 2^{-k}, which accumulates
-at t = 1.
+at t = 1.  Every isotopy kind runs under one end rule,
+``Isotopy.from_motion``: the identity at t = 0, its end map at t = 1,
+built on first use, so a stage builds no map until it is evaluated and
+the hypothesis check, which reads only the supports, builds none.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
 then stage n at a local time, as one support-culled composite.
 ``apply_truncated`` and ``glue_schedule`` (the one place that slices the
@@ -41,6 +44,30 @@ class Isotopy:
 
     def time_one(self) -> LocalMap:
         return self.map_at(1.0)
+
+    @staticmethod
+    def from_motion(
+        support: Box, motion: Callable[[float], LocalMap], end: Callable[[], LocalMap]
+    ) -> "Isotopy":
+        """The one end rule every isotopy kind runs under: the identity on
+        the support at t = 0, ``motion(t)`` for 0 < t < 1 and ``end()`` at
+        t = 1, built on first use and shared by every later call.  So an
+        isotopy builds no map until it is evaluated, and reading its
+        support builds none.  A time outside [0, 1] raises ValueError."""
+        built: list[LocalMap] = []
+
+        def map_at(t: float) -> LocalMap:
+            if not (0.0 <= t <= 1.0):
+                raise ValueError(f"t={t} outside [0,1]")
+            if t == 0.0:
+                return IdentityMap(support=support)
+            if t < 1.0:
+                return motion(t)
+            if not built:
+                built.append(end())
+            return built[0]
+
+        return Isotopy(support=support, map_at=map_at)
 
 
 def _slot_end(k: int) -> float:

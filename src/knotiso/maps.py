@@ -222,8 +222,9 @@ class ConeMap(LocalMap):
     p0 + r * (q - p0) in the box, so rho is 0 at the apex and 1 on the
     boundary.  This is the cone over the boundary from p0 carried affinely
     onto the cone from p1.  The boundary and the exterior stay bitwise
-    fixed, as does every coordinate that p0 and p1 share; bijective on
-    all of space.  The inverse is the cone map with the apexes swapped.
+    fixed, as does every coordinate that p0 and p1 share, so with p0 == p1
+    it is the bitwise identity; bijective on all of space.  The inverse is
+    the cone map with the apexes swapped.
     """
 
     def __init__(self, region: Box, p0: np.ndarray, p1: np.ndarray):
@@ -530,14 +531,6 @@ def _routed_steps(parts: Sequence[LocalMap]) -> list:
 def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> ConjugateMap:
     """frame o canonical o frame^-1, supported in the given box."""
     return ConjugateMap(frame.inverse(), canonical, frame, support)
-
-
-def make_cone_map(region: Box, p0: np.ndarray, p1: np.ndarray) -> LocalMap:
-    """The cone map pulling p0 to p1, or the identity when they are the
-    same point (-0.0 and 0.0 count as equal)."""
-    if np.array_equal(p0, p1):
-        return IdentityMap(support=region)
-    return ConeMap(region, p0, p1)
 
 
 def estimate_inverse_lipschitz(

@@ -5,17 +5,17 @@ reversal and the unsquish.
 
 Reidemeister-style moves are synthesized as short chains of cone pulls;
 each chain is tuned once in a canonical box and conjugated into the box it
-has to act in.  The end maps these isotopies hold, a conjugating frame's
-inverse and a reversed move's inverted end are each built once per
-isotopy and shared by every ``map_at`` call, so callers must not mutate
-the maps they get.  A chain's time-1 composite is built once too, so every
-insert of one canonical move, and every reversed insert, holds the same
-inner map object -- which is what lets a composite route their runs in one
-pass (see ``maps``).
+has to act in.  Every kind states only its motion and its end map and runs
+under the one end rule ``Isotopy.from_motion``: the identity at t = 0, the
+end at t = 1, built on first use and shared by every later call.  So a
+stage builds no map until it is evaluated -- a conjugation's frame and
+its inverse included -- and callers must not mutate the maps they get.
+Because an end is one object, every insert of one canonical move, and
+every reversed insert, holds the same inner map object, which is what lets
+a composite route their runs in one pass (see ``maps``).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,29 +23,16 @@ import numpy as np
 
 from .engine import Isotopy
 from .geometry import Box
-from .maps import (
-    AffineMap,
-    CompositeMap,
-    IdentityMap,
-    LocalMap,
-    UnsquishMap,
-    UnsquishParams,
-    conjugate,
-    make_cone_map,
-)
+from .maps import AffineMap, CompositeMap, ConeMap, LocalMap, UnsquishMap, UnsquishParams, conjugate
 
 
 def cone_isotopy(region: Box, p0: np.ndarray, p1: np.ndarray) -> Isotopy:
     """Pull the apex from row p0 to row p1, linearly in time."""
-    # built once: validates at construction time and is the map at t >= 1
-    end = make_cone_map(region, p0, p1)
-
-    def map_at(t: float) -> LocalMap:
-        if t >= 1.0:
-            return end
-        return make_cone_map(region, p0, p0 + (p1 - p0) * t)
-
-    return Isotopy(support=region, map_at=map_at)
+    # built here, so a bad apex is refused when the isotopy is built
+    end = ConeMap(region, p0, p1)
+    return Isotopy.from_motion(
+        region, lambda t: ConeMap(region, p0, p0 + (p1 - p0) * t), lambda: end
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,56 +52,45 @@ def chained_isotopy(parts: Sequence[Isotopy], support: Box) -> Isotopy:
     if not parts:
         raise ValueError("need at least one isotopy")
     n = len(parts)
-    finished = [p.map_at(1.0) for p in parts]
-    end = CompositeMap(finished, support=support)
 
-    def map_at(t: float) -> LocalMap:
-        if t <= 0.0:
-            return IdentityMap(support=support)
-        if t >= 1.0:
-            return end
+    def motion(t: float) -> LocalMap:
         i = min(n - 1, int(t * n))
-        local = t * n - i
-        maps: list[LocalMap] = list(finished[:i])
-        maps.append(parts[i].map_at(local))
-        return CompositeMap(maps, support=support)
+        done = [p.time_one() for p in parts[:i]]
+        return CompositeMap(done + [parts[i].map_at(t * n - i)], support=support)
 
-    return Isotopy(support=support, map_at=map_at)
+    return Isotopy.from_motion(
+        support, motion, lambda: CompositeMap([p.time_one() for p in parts], support=support)
+    )
 
 
-def conjugated_isotopy(frame: AffineMap, inner: Isotopy, support: Box) -> Isotopy:
-    """frame o inner(t) o frame^-1, supported in the given box."""
-    frame.inverse()  # inverted once, here; conjugate() reuses the memoized inverse
+def conjugated_isotopy(inner: Isotopy, support: Box) -> Isotopy:
+    """frame o inner(t) o frame^-1, supported in the given box, where the
+    frame, built on the first evaluation past t = 0, carries inner's
+    support onto that box."""
+    frame: list[AffineMap] = []
 
-    def map_at(t: float) -> LocalMap:
-        if t <= 0.0:
-            return IdentityMap(support=support)
-        return conjugate(frame, inner.map_at(t), support)
+    def motion(t: float) -> LocalMap:
+        if not frame:
+            frame.append(AffineMap.box_to_box(inner.support, support))
+        return conjugate(frame[0], inner.map_at(t), support)
 
-    return Isotopy(support=support, map_at=map_at)
+    return Isotopy.from_motion(support, motion, lambda: motion(1.0))
 
 
 def reversed_isotopy(inner: Isotopy) -> Isotopy:
     """The isotopy running from identity to the inverse of inner's end map."""
 
-    # built on first use: a move sequence builds many stages only to read
-    # their supports
-    @functools.cache
-    def end_inv() -> LocalMap:
-        return inner.map_at(1.0).inverse()
+    def end() -> LocalMap:
+        # one object: inner's end is built once, and so is its inverse
+        return inner.time_one().inverse()
 
-    def map_at(t: float) -> LocalMap:
-        if t <= 0.0:
-            return IdentityMap(support=inner.support)
-        if t >= 1.0:
-            return end_inv()
-        return CompositeMap([inner.map_at(1.0 - t), end_inv()], support=inner.support)
+    def motion(t: float) -> LocalMap:
+        return CompositeMap([inner.map_at(1.0 - t), end()], support=inner.support)
 
-    return Isotopy(support=inner.support, map_at=map_at)
+    return Isotopy.from_motion(inner.support, motion, end)
 
 
 def unsquish_isotopy(params: UnsquishParams) -> Isotopy:
-    def map_at(t: float) -> LocalMap:
-        return UnsquishMap(params, t)
-
-    return Isotopy(support=params.outer, map_at=map_at)
+    return Isotopy.from_motion(
+        params.outer, lambda t: UnsquishMap(params, t), lambda: UnsquishMap(params, 1.0)
+    )

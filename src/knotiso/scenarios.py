@@ -463,10 +463,10 @@ def build_1d_counterexample() -> Scenario:
     """
 
     def stage(k: int) -> Isotopy:
-        def map_at(t: float, k: int = k) -> LocalMap:
+        def power(t: float) -> LocalMap:
             return PowerMap1D((k + t) / k)
 
-        return Isotopy(support=PowerMap1D.support, map_at=map_at)
+        return Isotopy.from_motion(PowerMap1D.support, power, lambda: power(1.0))
 
     container = Box((-0.5, -0.5, -0.5), (1.5, 0.5, 0.5))
     curve = PLCurve(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), closed=False)

@@ -8,7 +8,9 @@ no module of it imports scipy.  Every public function, class, method and
 constant in the package has a caller outside the tests, with no exception:
 code that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
-named kinds, each with its reason.  Every committed
+named kinds, each with its reason, and only the end rule
+``Isotopy.from_motion`` and two named callers build an ``Isotopy``
+directly.  Every committed
 benchmark record is whole: named after its label, with its machine and,
 for each workload, the end-to-end metrics of both sides' runs."""
 import ast
@@ -160,6 +162,41 @@ def test_every_map_kind_culls_through_on_support():
     assert not uncalled, uncalled
     # each exception still names a kind that evaluates points
     assert set(_UNCULLED) <= evaluating
+
+
+# the only places that build an Isotopy directly, and why; every isotopy
+# kind goes through the end rule of Isotopy.from_motion
+_DIRECT_ISOTOPIES = {
+    "engine.Isotopy.from_motion": "the end rule itself",
+    "engine.glue_schedule": "the glued stream freezes at t_n, not at t = 1",
+    "scenarios.build_trefoil_chain": "the extended stages declare a larger support",
+}
+
+
+def _isotopy_builders(tree: ast.Module, module: str):
+    """The top-level function or class method around each ``Isotopy(...)``
+    call, as module.name (module.<module> outside any)."""
+    for top in tree.body:
+        defs = [top]
+        if isinstance(top, ast.ClassDef):
+            defs = top.body
+        for d in defs:
+            name = getattr(d, "name", "<module>")
+            if d is not top:
+                name = f"{top.name}.{name}"
+            for node in ast.walk(d):
+                call = isinstance(node, ast.Call) and ast.unparse(node.func)
+                if call and call.rpartition(".")[2] == "Isotopy":
+                    yield f"{module}.{name}"
+
+
+def test_isotopies_are_built_under_the_end_rule():
+    builders = set()
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):
+        builders.update(_isotopy_builders(ast.parse(path.read_text()), path.stem))
+    assert builders - set(_DIRECT_ISOTOPIES) == set()
+    # each exception still builds one
+    assert set(_DIRECT_ISOTOPIES) <= builders
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -121,6 +121,17 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_frame_with_no_finite_inverse_exits_four(self, tmp_path, capsys):
+        # fox's stage-511 frame has scale 2.2e-309, whose inverse overflows
+        out = tmp_path / "out"
+        status = main(["run", "--scenario", "fox_remarkable", "--depth", "511", "--out", str(out)])
+        assert status == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: affine frame on axis x has no finite inverse")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon", ["2", "3"])
     def test_short_horizon_reports_no_n0_and_exits_by_verdict(self, tmp_path, capsys, horizon):
         # V_1..V_3 of recursive_r1 are not yet inside the ball: the report
@@ -181,14 +192,21 @@ class TestCheckVerb:
         assert status == 1
         assert "verdict: fail (condition 1)" in capsys.readouterr().out
 
-    def test_frame_with_no_finite_inverse_exits_four(self, capsys):
-        # fox's stage-511 frame has scale 2.2e-309, whose inverse overflows
-        status = main(["check", "--scenario", "fox_remarkable", "--horizon", "511"])
-        assert status == 4
+    @pytest.mark.parametrize(
+        "scenario,horizon",
+        [("fox_remarkable", "511"), ("countable_r1", "100"), ("trefoil_chain", "100")],
+    )
+    def test_deep_horizon_reads_only_supports(self, capsys, scenario, horizon):
+        # past the depth where these streams' frames fail to build, the
+        # supports V_1..V_horizon are still normal boxes, and check builds
+        # no stage map
+        status = main(["check", "--scenario", scenario, "--horizon", horizon])
+        assert status == 0
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: affine frame on axis x has no finite inverse")
-        assert captured.err.count("\n") == 1
-        assert "verdict" not in captured.out
+        lines = captured.out.strip().split("\n")
+        assert lines[-1] == "verdict: pass"
+        assert len(lines) == int(horizon) + 1
+        assert captured.err == ""
 
     def test_horizon_one_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,7 +24,6 @@ from knotiso.maps import (
     IdentityMap,
     UnsquishParams,
     conjugate,
-    make_cone_map,
 )
 from knotiso.moves import (
     ConeStage,
@@ -35,7 +34,7 @@ from knotiso.moves import (
     staged_isotopy,
     unsquish_isotopy,
 )
-from knotiso.scenarios import SCENARIO_BUILDERS
+from knotiso.scenarios import SCENARIO_BUILDERS, _untie
 
 from oracles import count_crossings
 
@@ -119,14 +118,12 @@ class TestStagedAndChained:
 class TestConjugatedIsotopy:
     def test_exact_identity_at_zero(self):
         target = Box.cube((3, 0, 0), 0.5)
-        frame = AffineMap.box_to_box(UNIT, target)
-        iso = conjugated_isotopy(frame, kink_isotopy(), target)
+        iso = conjugated_isotopy(kink_isotopy(), target)
         assert isinstance(iso.map_at(0.0), IdentityMap)
 
     def test_supported_in_target(self):
         target = Box.cube((3, 0, 0), 0.5)
-        frame = AffineMap.box_to_box(UNIT, target)
-        iso = conjugated_isotopy(frame, kink_isotopy(), target)
+        iso = conjugated_isotopy(kink_isotopy(), target)
         rng = np.random.default_rng(1)
         pts = Box.cube((0, 0, 0), 2.0).sample(rng, 500)  # far from target
         for t in (0.25, 0.6, 1.0):
@@ -168,9 +165,47 @@ class TestUnsquishIsotopy:
         rng = np.random.default_rng(3)
         pts = UNIT.sample(rng, 500)
         assert np.abs(iso.map_at(0.0).apply_array(pts) - pts).max() < 1e-12
+        assert iso.map_at(0.3).t == 0.3
         m = iso.time_one()
         back = m.apply_inverse_array(m.apply_array(pts))
         assert np.sqrt(((back - pts) ** 2).sum(-1)).max() < 1e-9
+
+
+def _unsquish() -> Isotopy:
+    return unsquish_isotopy(
+        UnsquishParams(outer=UNIT, inner=UNIT.scaled_about_center(0.5), apex=np.zeros(3), c=0.4)
+    )
+
+
+def _cone() -> Isotopy:
+    return cone_isotopy(UNIT, np.zeros(3), np.array([0.4, 0.2, 0.0]))
+
+
+# every isotopy kind, and the isotopies the scenarios build from them
+ISOTOPY_KINDS = {
+    "cone": _cone,
+    "staged": lambda: staged_isotopy(KINK_STAGES, UNIT),
+    "chained": lambda: chained_isotopy([_cone(), _unsquish()], UNIT),
+    "conjugated": lambda: conjugated_isotopy(kink_isotopy(), Box.cube((3, 0, 0), 0.5)),
+    "reversed": lambda: reversed_isotopy(_cone()),
+    "unsquish": _unsquish,
+    "kink": kink_isotopy,
+    "multi_kink_3": lambda: multi_kink_isotopy(3),
+    "untie": lambda: _untie(Box.from_center((2, 0, 0), (0.1, 0.05, 0.05)), 2),
+    "1d_stage": lambda: SCENARIO_BUILDERS["1d_counterexample"]().moves.stage(3),
+}
+
+
+@pytest.mark.parametrize("make", ISOTOPY_KINDS.values(), ids=ISOTOPY_KINDS.keys())
+def test_end_rule(make):
+    iso = make()
+    start = iso.map_at(0.0)
+    assert isinstance(start, IdentityMap) and start.support == iso.support
+    assert iso.map_at(1.0) is iso.map_at(1.0)
+    assert iso.time_one() is iso.map_at(1.0)
+    for t in (-1e-300, 1.5, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            iso.map_at(t)
 
 
 class TestCanonicalKink:
@@ -252,12 +287,12 @@ class TestConjugatedInsert:
 
 def _sliced_staged(stages, support: Box, t: float) -> CompositeMap:
     n = len(stages)
-    finished = [make_cone_map(s.region, s.p0, s.p1) for s in stages]
+    finished = [ConeMap(s.region, s.p0, s.p1) for s in stages]
     if t >= 1.0:
         return CompositeMap(finished, support=support)
     i = min(n - 1, int(t * n))
     s = stages[i]
-    pulled = make_cone_map(s.region, s.p0, s.p0 + (s.p1 - s.p0) * (t * n - i))
+    pulled = ConeMap(s.region, s.p0, s.p0 + (s.p1 - s.p0) * (t * n - i))
     return CompositeMap(finished[:i] + [pulled], support=support)
 
 
@@ -371,15 +406,23 @@ class TestBuildOnce:
     def test_conjugated_isotopy_inverts_its_frame_once(self, monkeypatch):
         inner = kink_isotopy()
         target = Box.cube((3, 0, 0), 0.5)
-        frame = AffineMap.box_to_box(UNIT, target)
         built = []
         init = AffineMap.__init__
         monkeypatch.setattr(AffineMap, "__init__", lambda self, *a: built.append(1) or init(self, *a))
-        iso = conjugated_isotopy(frame, inner, target)
-        assert len(built) == 1
-        for t in (0.25, 0.6, 1.0, 1.0):
-            assert iso.map_at(t).enter is frame.inverse()
-        assert len(built) == 1
+        iso = conjugated_isotopy(inner, target)
+        assert isinstance(iso.map_at(0.0), IdentityMap)
+        # no frame before the first evaluation past t = 0
+        assert built == []
+        first = iso.map_at(0.25)
+        # then the frame and its inverse, once each
+        assert len(built) == 2
+        for t in (0.6, 1.0, 1.0):
+            m = iso.map_at(t)
+            assert m.leave is first.leave and m.enter is first.enter is first.leave.inverse()
+        assert len(built) == 2
+        assert iso.map_at(1.0) is iso.map_at(1.0)
+        assert np.array_equal(first.leave.scale, [0.25, 0.25, 0.25])
+        assert np.array_equal(first.leave.shift, [3.0, 0.0, 0.0])
 
     def test_reversed_isotopy_inverts_on_first_use(self):
         inner = kink_isotopy()
@@ -395,9 +438,26 @@ class TestBuildOnce:
         assert calls == []
         end = rev.map_at(1.0)
         assert calls == [1.0]
-        assert rev.map_at(1.0).parts == end.parts
-        rev.map_at(0.25)
-        assert calls == [1.0, 0.75]
+        assert rev.map_at(1.0) is end
+        # the inner end, once built, is read again, not inverted again
+        assert rev.map_at(0.25).parts[1] is end
+        assert calls == [1.0, 0.75, 1.0]
+
+    def test_reading_supports_builds_no_frame(self, monkeypatch):
+        # the hypotheses read V_1..V_horizon alone, so reading them builds
+        # no conjugation: no frame, no inverse, no framed map
+        built = []
+
+        def counting(init):
+            return lambda self, *a: built.append(type(self).__name__) or init(self, *a)
+
+        for kind in (AffineMap, ConjugateMap):
+            monkeypatch.setattr(kind, "__init__", counting(kind.__init__))
+        for name, build in SCENARIO_BUILDERS.items():
+            seq = build().moves
+            built.clear()
+            assert len(seq.boxes(1, 40)) == 40
+            assert built == [], name
 
     def test_building_every_scenario_builds_few_cone_maps(self, monkeypatch):
         kink_isotopy.cache_clear()

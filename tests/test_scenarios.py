@@ -35,6 +35,7 @@ from knotiso.scenarios import (
     fox_pair_box_initial,
     rec_apex,
     rec_box,
+    rec_insert,
     rec_squish_constant,
     trefoil_work_box,
 )
@@ -268,6 +269,16 @@ class TestRecursive:
             while (6.0 + 2.0 * _REC_EPS) * _REC_SCALE / 2.0**n0 >= d:
                 n0 += 1
             assert lv.steps <= n0 + 2
+
+    def test_squish_starts_exactly_where_the_insert_ends(self, scenarios):
+        # glued t = 0.25 is stage 1 at local time 1/2: the insert has run
+        # and the squish sits at its own time 0, the identity
+        s = scenarios["recursive_r1"]
+        rng = np.random.default_rng(17)
+        pts = np.concatenate([rec_box(1).sample(rng, 2000), s.moves.container.sample(rng, 500)])
+        got = glue_schedule(s.moves, DEPTH).map_at(0.25).apply_array(pts)
+        want = rec_insert(1).time_one().apply_array(pts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("ablated", [False, True])
     def test_supports_are_the_nested_boxes(self, scenarios, recursive_ablated, ablated):

@@ -49,6 +49,33 @@ def test_run_all_matches_every_scenario(tmp_path):
     assert all(int(m[2]) > 0 for m in timed), lines
 
 
+def test_run_all_reports_each_unbuildable_scenario_and_keeps_going(tmp_path):
+    # the depth-55 chain boxes collapse in double precision: those runs
+    # exit 4 with their one line, the others still run and match
+    proc = _run_script("run_all.py", "--depth", "55", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()[: len(SCENARIO_BUILDERS)]
+    assert [line.split()[0] for line in lines] == list(SCENARIO_BUILDERS)
+    row = dict(zip(SCENARIO_BUILDERS, lines))
+    error = "error: affine scale on axis x is 0.0, not finite and nonzero"
+    assert re.fullmatch(rf"countable_r1 +exit 4 +\d+ ms  {error}", row["countable_r1"])
+    for name in ("recursive_r1", "fox_remarkable", "1d_counterexample"):
+        assert re.fullmatch(rf"{name} +ok +\d+ ms", row[name])
+    assert sorted(p.name for p in tmp_path.glob("*.report")) == [
+        f"{name}_55_0.report" for name in ("1d_counterexample", "fox_remarkable", "recursive_r1")
+    ]
+
+
+def test_run_all_bad_flag_is_usage_error(tmp_path):
+    out = tmp_path / "out"
+    proc = _run_script("run_all.py", "--horizon", "1", "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "horizon must be >= 2, got 1" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     mod = importlib.util.module_from_spec(spec)
