@@ -19,12 +19,9 @@ def _validate(p: np.ndarray, boxes: Sequence[Box]) -> None:
     for n, b in enumerate(boxes, start=1):
         if not b.contains_array(p, strict=True):
             raise ValueError(f"p not interior to region {n}")
-        if n > 1:
-            prev = boxes[n - 2]
-            if not prev.contains_box(b, strict=True):
-                raise ValueError(f"region {n} not strictly inside region {n - 1}")
-            if b.diameter() >= prev.diameter():
-                raise ValueError(f"region {n} diameter does not decrease")
+        # strictly inside the box before it, so of smaller diameter too
+        if n > 1 and not boxes[n - 2].contains_box(b, strict=True):
+            raise ValueError(f"region {n} not strictly inside region {n - 1}")
 
 
 def _box_in_ball(b: Box, center: np.ndarray, radius: float) -> bool:

@@ -344,13 +344,11 @@ def glue_schedule(seq: MoveSequence, n: int) -> Isotopy:
         raise ValueError(f"n must be >= 1, got {n}")
     t_n = _slot_end(n)
 
-    def map_at(t: float) -> LocalMap:
-        if not (0.0 <= t <= 1.0):
-            raise ValueError(f"t={t} outside [0,1]")
+    def motion(t: float) -> LocalMap:
         if t >= t_n:
             return truncated_map(seq, n)
         k = stage_of(t, max_k=n)
         t0, t1 = _slot_end(k - 1), _slot_end(k)
         return truncated_map(seq, k, (t - t0) / (t1 - t0))
 
-    return Isotopy(support=seq.container, map_at=map_at)
+    return Isotopy.from_motion(seq.container, motion, lambda: truncated_map(seq, n))

@@ -77,9 +77,6 @@ class Box:
     def half_extents(self) -> np.ndarray:
         return (self.hi - self.lo) * 0.5
 
-    def diameter(self) -> float:
-        return float(np.sqrt(((self.hi - self.lo) ** 2).sum()))
-
     def corners(self) -> np.ndarray:
         """The 8 corners as an (8, 3) array, x-major."""
         return np.where(_CORNER_HI, self.hi, self.lo)

@@ -13,6 +13,11 @@ into each box, which in exact arithmetic is the box's insert applied to
 its straight baseline.  Stage k of a chain's stream is ``_untie`` of box
 k: the inverse of that insert.
 
+The nested-ball streams ``recursive_r1`` and ``fox_remarkable`` are
+self-similar: V_k and every level-k coordinate are level 1's scaled about
+the origin by 2^(1-k) (4^(1-k) for fox).  So each builds stage 1 once and
+frames it into every later support (``_framed_stages``).
+
 Box corners are written as coordinate tuples; the points a scenario
 probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
 decrease around a point names that point, ``ball_center``, and its ball
@@ -37,7 +42,8 @@ from .maps import (
     UnsquishParams,
     estimate_inverse_lipschitz,
 )
-from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
+from .moves import chained_isotopy, cone_isotopy, conjugated_isotopy
+from .moves import reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
 INJECTIVITY_THRESHOLD = 1e-3
@@ -122,6 +128,18 @@ def _loop_chain(
 def _untie(box: Box, m: int) -> Isotopy:
     """The stage that unties a chain box's m loops: their insert, reversed."""
     return reversed_isotopy(conjugated_insert(box, m))
+
+
+def _framed_stages(parts: Sequence[Isotopy], box: Callable[[int], Box]) -> Callable[[int], Isotopy]:
+    """Stage 1 chains the parts in V_1 = box(1); stage k frames it into
+    V_k = box(k) by a power-of-two scale, exact in floating point, so it is
+    bitwise level k's own stage wherever no coordinate is subnormal."""
+    first = chained_isotopy(parts, box(1))
+
+    def stage(k: int) -> Isotopy:
+        return first if k == 1 else conjugated_isotopy(first, box(k))
+
+    return stage
 
 
 def _closed_curve(active: np.ndarray) -> PLCurve:
@@ -262,9 +280,9 @@ def rec_insert(k: int) -> Isotopy:
 def rec_squish_constant() -> float:
     """Inverse-Lipschitz estimate of the next insert, with safety factor.
 
-    The construction is exactly self-similar across levels, so the
-    estimate sampled on the level-2 insert is valid for every k.  A module
-    constant: estimated once, on first call.
+    Stage k is stage 1 framed by an exact power-of-two scale, so the
+    estimate on the level-2 insert, which stage 1's unsquish protects,
+    holds for every k.  A module constant: estimated once, on first call.
     """
     est = estimate_inverse_lipschitz(
         rec_insert(2).time_one(), rec_insert_region(2), n_samples=4000, seed=20260823
@@ -279,14 +297,10 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     With ablated=True the unsquish halves are dropped; the insert stream
     alone traps wedge-line pairs in shrinking boxes.
     """
-    c = rec_squish_constant()
-
-    def stage(k: int) -> Isotopy:
-        insert = rec_insert(k)
-        if ablated:
-            return chained_isotopy([insert], rec_box(k))
-        squish = unsquish_isotopy(rec_unsquish_params(k, c))
-        return chained_isotopy([insert, squish], rec_box(k))
+    parts = [rec_insert(1)]
+    if not ablated:
+        parts.append(unsquish_isotopy(rec_unsquish_params(1, rec_squish_constant())))
+    stage = _framed_stages(parts, rec_box)
 
     L = _REC_SCALE
     arm_dir = _REC_APEX_DIR / np.linalg.norm(_REC_APEX_DIR)
@@ -356,7 +370,7 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     def stage(k: int) -> Isotopy:
         b = trefoil_work_box(k)
         untie = _untie(b, 3)
-        return Isotopy(_with_segment(b), untie.map_at) if extended else untie
+        return Isotopy.from_motion(_with_segment(b), untie.map_at, untie.time_one) if extended else untie
 
     pairs = np.array([
         ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
@@ -388,10 +402,6 @@ def fox_outer(k: int) -> Box:
     return Box.cube((0, 0, 0), 0.8 * 4.0 ** (1 - k))
 
 
-def fox_inner(k: int) -> Box:
-    return Box.cube((0, 0, 0), 0.4 * 4.0 ** (1 - k))
-
-
 def fox_pair_box_current(k: int) -> Box:
     """Where loop pair k sits when move k runs (after k-1 squishes)."""
     u = 4.0 ** (1 - k)
@@ -409,9 +419,8 @@ def fox_pair_box_initial(k: int) -> Box:
 def fox_squish_isotopy(k: int) -> Isotopy:
     """Inverse of the unsquish between the level-k concentric boxes: an
     exact contraction by c toward the stitch point on the inner box."""
-    params = UnsquishParams(
-        outer=fox_outer(k), inner=fox_inner(k), apex=np.zeros(3), c=_FOX_C
-    )
+    outer = fox_outer(k)
+    params = UnsquishParams(outer, outer.scaled_about_center(0.5), apex=np.zeros(3), c=_FOX_C)
     return reversed_isotopy(unsquish_isotopy(params))
 
 
@@ -431,9 +440,7 @@ def build_fox_remarkable() -> Scenario:
 
     container = Box((-1.0, -1.0, -1.0), (2.0, 1.0, 1.0))
 
-    def stage(k: int) -> Isotopy:
-        removal = _untie(fox_pair_box_current(k), 2)
-        return chained_isotopy([removal, fox_squish_isotopy(k)], fox_outer(k))
+    stage = _framed_stages([_untie(fox_pair_box_current(1), 2), fox_squish_isotopy(1)], fox_outer)
 
     tracked = fox_tracked_line()
     pairs = np.stack([tracked[:-1], tracked[1:]], axis=1)

@@ -4,8 +4,9 @@ The acceptance criteria and unit tests check the package against these:
 crossing counts of a curve's diagram, a reference nested box family, the
 infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
-refined axis, the snowflake iterates with their sup deviations, and the
-cone pull as 12 affine tetrahedra.  None of them is on the path of a CLI
+refined axis, the stages of the two self-similar streams built level by
+level, the snowflake iterates with their sup deviations, and the cone
+pull as 12 affine tetrahedra.  None of them is on the path of a CLI
 verb.
 """
 from __future__ import annotations
@@ -16,10 +17,21 @@ from typing import Sequence
 
 from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
-from knotiso.engine import MoveSequence, apply_truncated, truncated_map
+from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
 from knotiso.maps import CompositeMap, ConeMap
-from knotiso.scenarios import _PTS_PER_BOX
+from knotiso.moves import chained_isotopy, unsquish_isotopy
+from knotiso.scenarios import (
+    _PTS_PER_BOX,
+    _untie,
+    fox_outer,
+    fox_pair_box_current,
+    fox_squish_isotopy,
+    rec_box,
+    rec_insert,
+    rec_squish_constant,
+    rec_unsquish_params,
+)
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -87,6 +99,25 @@ def inserted_loop_chain(
     refined in the tied and ``untied`` boxes alike."""
     inserts = CompositeMap([conjugated_insert(b, m).time_one() for b in boxes])
     return inserts.apply_array(axis_points(x_start, x_end, [*boxes, *untied], m))
+
+
+# -- self-similar streams level by level --------------------------------------
+
+
+def rec_stage_per_level(k: int, ablated: bool = False) -> Isotopy:
+    """Stage k of ``recursive_r1`` built from its level-k closed forms:
+    the level-k insert, then (unless ablated) the level-k unsquish."""
+    parts = [rec_insert(k)]
+    if not ablated:
+        parts.append(unsquish_isotopy(rec_unsquish_params(k, rec_squish_constant())))
+    return chained_isotopy(parts, rec_box(k))
+
+
+def fox_stage_per_level(k: int) -> Isotopy:
+    """Stage k of ``fox_remarkable`` built from its level-k closed forms:
+    untie loop pair k where it sits, then squish toward the stitch point."""
+    removal = _untie(fox_pair_box_current(k), 2)
+    return chained_isotopy([removal, fox_squish_isotopy(k)], fox_outer(k))
 
 
 # -- cone pull as a simplicial map -------------------------------------------

@@ -17,6 +17,15 @@ class TestNestedFamily:
         p = np.array([1.0, -2.0, 3.0])
         assert find_ball_factoring(p, dyadic_cubes(p, 10))[1] == 3
 
+    def test_validate_accepts_cubes_too_small_to_square(self):
+        # below side ~1e-154 a squared half-extent underflows to zero, so
+        # a diameter comparison would call these cubes equal; strict
+        # nesting alone orders them
+        p = np.zeros(3)
+        cubes = dyadic_cubes(p, 601)
+        assert cubes[-1].hi[0] - cubes[-1].lo[0] == 2.0**-600
+        assert find_ball_factoring(p, cubes) == (0.25, 3)
+
     def test_validate_rejects_non_nesting(self):
         with pytest.raises(ValueError, match="region 2 not strictly inside region 1"):
             find_ball_factoring(np.zeros(3), [Box.cube((0, 0, 0), 1.0)] * 2)

@@ -9,8 +9,7 @@ constant in the package has a caller outside the tests, with no exception:
 code that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
 named kinds, each with its reason, and only the end rule
-``Isotopy.from_motion`` and two named callers build an ``Isotopy``
-directly.  Every committed
+``Isotopy.from_motion`` builds an ``Isotopy`` directly.  Every committed
 benchmark record is whole: named after its label, with its machine and,
 for each workload, the end-to-end metrics of both sides' runs."""
 import ast
@@ -165,11 +164,10 @@ def test_every_map_kind_culls_through_on_support():
 
 
 # the only places that build an Isotopy directly, and why; every isotopy
-# kind goes through the end rule of Isotopy.from_motion
+# kind, the glued schedule included, goes through the end rule of
+# Isotopy.from_motion
 _DIRECT_ISOTOPIES = {
     "engine.Isotopy.from_motion": "the end rule itself",
-    "engine.glue_schedule": "the glued stream freezes at t_n, not at t = 1",
-    "scenarios.build_trefoil_chain": "the extended stages declare a larger support",
 }
 
 

@@ -122,15 +122,33 @@ class TestRunVerb:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_frame_with_no_finite_inverse_exits_four(self, tmp_path, capsys):
-        # fox's stage-511 frame has scale 2.2e-309, whose inverse overflows
+        # fox frames stage 1 into V_k by the scale 4^(1-k), whose inverse
+        # overflows from stage 514 on
         out = tmp_path / "out"
-        status = main(["run", "--scenario", "fox_remarkable", "--depth", "511", "--out", str(out)])
+        status = main(["run", "--scenario", "fox_remarkable", "--depth", "520", "--out", str(out)])
         assert status == 4
         captured = capsys.readouterr()
         assert captured.err.startswith("error: affine frame on axis x has no finite inverse")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario,depth,horizon",
+        [
+            ("fox_remarkable", "511", "20"),
+            ("fox_remarkable", "300", "300"),
+            ("recursive_r1", "1000", "1000"),
+        ],
+    )
+    def test_self_similar_streams_match_deep(self, tmp_path, capsys, scenario, depth, horizon):
+        # every stage is stage 1 framed by an exact power-of-two scale, and
+        # nested supports too small to square still factor
+        argv = ["run", "--scenario", scenario, "--depth", depth, "--horizon", horizon]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("match: true\n")
 
     @pytest.mark.parametrize("horizon", ["2", "3"])
     def test_short_horizon_reports_no_n0_and_exits_by_verdict(self, tmp_path, capsys, horizon):
@@ -194,12 +212,18 @@ class TestCheckVerb:
 
     @pytest.mark.parametrize(
         "scenario,horizon",
-        [("fox_remarkable", "511"), ("countable_r1", "100"), ("trefoil_chain", "100")],
+        [
+            ("fox_remarkable", "511"),
+            ("countable_r1", "100"),
+            ("trefoil_chain", "100"),
+            ("recursive_r1", "1041"),
+            ("fox_remarkable", "540"),
+        ],
     )
     def test_deep_horizon_reads_only_supports(self, capsys, scenario, horizon):
-        # past the depth where these streams' frames fail to build, the
-        # supports V_1..V_horizon are still normal boxes, and check builds
-        # no stage map
+        # past the depth where these streams' frames or squish geometry
+        # fail to build, the supports V_1..V_horizon are still boxes (the
+        # last ones subnormal), and check builds no stage map
         status = main(["check", "--scenario", scenario, "--horizon", horizon])
         assert status == 0
         captured = capsys.readouterr()

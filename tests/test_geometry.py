@@ -99,10 +99,6 @@ class TestBox:
             got = b.contains_array(p, strict)
             assert type(got) is np.bool_ and got == w
 
-    def test_diameter_is_corner_to_corner(self):
-        b = Box((0, 0, 0), (3, 4, 12))
-        assert b.diameter() == pytest.approx(13.0)
-
     def test_corners_are_x_major(self):
         b = Box((0, 1, 2), (3, 4, 5))
         expected = [[x, y, z] for x in (0, 3) for y in (1, 4) for z in (2, 5)]

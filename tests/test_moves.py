@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from knotiso.canonical import (
     loop_sub_boxes,
     multi_kink_isotopy,
 )
-from knotiso.engine import Isotopy
+from knotiso.engine import Isotopy, truncated_map
 from knotiso.geometry import Box, PLCurve, curve_is_simple
 from knotiso.maps import (
     AffineMap,
@@ -22,6 +23,7 @@ from knotiso.maps import (
     ConeMap,
     ConjugateMap,
     IdentityMap,
+    UnsquishMap,
     UnsquishParams,
     conjugate,
 )
@@ -34,7 +36,12 @@ from knotiso.moves import (
     staged_isotopy,
     unsquish_isotopy,
 )
-from knotiso.scenarios import SCENARIO_BUILDERS, _untie
+from knotiso.scenarios import (
+    SCENARIO_BUILDERS,
+    _untie,
+    build_fox_remarkable,
+    build_recursive_r1,
+)
 
 from oracles import count_crossings
 
@@ -458,6 +465,32 @@ class TestBuildOnce:
             built.clear()
             assert len(seq.boxes(1, 40)) == 40
             assert built == [], name
+
+    @pytest.mark.parametrize("name", ["recursive_r1", "recursive_r1_ablated", "fox_remarkable"])
+    def test_self_similar_stream_builds_one_stage(self, monkeypatch, name):
+        # stage k > 1 is stage 1 framed into V_k: reading 40 supports and
+        # running 40 stages builds at most one cone, one squish geometry
+        # and one squish map, not one per level
+        build = {
+            "recursive_r1": build_recursive_r1,
+            "recursive_r1_ablated": lambda: build_recursive_r1(ablated=True),
+            "fox_remarkable": build_fox_remarkable,
+        }[name]
+        pts = build().moves.container.sample(np.random.default_rng(24), 200)
+        # the canonical moves, their inverses and the squish constant,
+        # built once per process
+        truncated_map(build().moves, 1).apply_array(pts)
+        built = Counter()
+
+        def counting(init):
+            return lambda self, *a, **kw: built.update([type(self).__name__]) or init(self, *a, **kw)
+
+        for kind in (ConeMap, UnsquishParams, UnsquishMap):
+            monkeypatch.setattr(kind, "__init__", counting(kind.__init__))
+        seq = build().moves
+        assert len(seq.boxes(1, 40)) == 40
+        truncated_map(seq, 40).apply_array(pts)
+        assert max(built.values(), default=0) <= 1, built
 
     def test_building_every_scenario_builds_few_cone_maps(self, monkeypatch):
         kink_isotopy.cache_clear()

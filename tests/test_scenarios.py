@@ -31,6 +31,8 @@ from knotiso.scenarios import (
     _loop_chain,
     _shrinking_boxes,
     build_1d_counterexample,
+    build_fox_remarkable,
+    build_recursive_r1,
     fox_outer,
     fox_pair_box_initial,
     rec_apex,
@@ -44,8 +46,10 @@ from oracles import (
     axis_points,
     build_snowflake,
     count_crossings,
+    fox_stage_per_level,
     infinite_motion_census,
     inserted_loop_chain,
+    rec_stage_per_level,
     snowflake_sup_deviation,
 )
 
@@ -290,6 +294,43 @@ class TestRecursive:
         s = scenarios["recursive_r1"]
         eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, HORIZON))
         assert eps > 0 and 1 <= n0 <= HORIZON
+
+
+# each self-similar stream: its builder, its stage k built level by level,
+# and the apexes stage k moves or moves toward
+SELF_SIMILAR = {
+    "recursive_r1": (
+        build_recursive_r1,
+        rec_stage_per_level,
+        lambda k: [rec_apex(k - 1), rec_apex(k)],
+    ),
+    "recursive_r1_ablated": (
+        lambda: build_recursive_r1(ablated=True),
+        lambda k: rec_stage_per_level(k, ablated=True),
+        lambda k: [rec_apex(k - 1), rec_apex(k)],
+    ),
+    "fox_remarkable": (build_fox_remarkable, fox_stage_per_level, lambda k: [np.zeros(3)]),
+}
+
+
+@pytest.mark.parametrize("name", SELF_SIMILAR)
+def test_framed_stage_is_the_level_k_stage_bitwise(name):
+    # V_k is V_1 scaled about the origin by a power of two, and so is every
+    # level-k coordinate: stage 1 framed into V_k is the stage built from
+    # level k's own closed forms, bit for bit
+    build, per_level, apexes = SELF_SIMILAR[name]
+    seq = build().moves
+    rng = np.random.default_rng(24)
+    for k in range(1, 41):
+        box = seq.stage(k).support
+        pts = np.concatenate([box.sample(rng, 200), box.corners(), apexes(k)])
+        want = per_level(k)
+        assert want.support == box
+        for t in (0.25, 0.5, 0.75, 1.0):
+            got = seq.stage(k).map_at(t).apply_array(pts)
+            assert np.array_equal(
+                got.view(np.uint64), want.map_at(t).apply_array(pts).view(np.uint64)
+            ), (k, t)
 
 
 class TestTrefoilExtended:
