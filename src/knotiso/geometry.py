@@ -19,6 +19,7 @@ model units.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,14 +43,16 @@ class Box:
         corners = np.array((self.lo, self.hi), dtype=float)
         if corners.shape != (2, 3):
             raise ValueError(f"box corners must be two (3,) rows, got {corners.shape}")
-        if not np.isfinite(corners).all():
-            raise ValueError(f"non-finite box corners: {corners.tolist()}")
+        # six values are checked faster as Python floats than by numpy
+        values = corners.tolist()
+        lo, hi = values
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError(f"non-finite box corners: {values}")
         corners.flags.writeable = False
-        lo, hi = corners
-        if (lo > hi).any():
-            raise ValueError(f"box min corner exceeds max corner: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if lo[0] > hi[0] or lo[1] > hi[1] or lo[2] > hi[2]:
+            raise ValueError(f"box min corner exceeds max corner: {corners[0]} > {corners[1]}")
+        object.__setattr__(self, "lo", corners[0])
+        object.__setattr__(self, "hi", corners[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Box):

@@ -28,7 +28,11 @@ pass: each row goes through the ``enter`` of the one box holding it, the
 rows of all boxes through ``inner`` together, and each box's rows back
 through its ``leave``.  That is bitwise the part-by-part loop, because a
 conjugate maps its box onto itself and fixes everything else, and the
-kernels act row by row.
+kernels act row by row.  The run finds a row's box by a sorted search on
+x, one per layer of boxes with disjoint x-projections (a chain of boxes
+along x is one layer), and a containment check of the one candidate box,
+so routing costs rows x layers, not rows x boxes.  It applies every box's
+frames at once, as stacked (r, 3) scale and shift rows gathered per row.
 
 All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
 and a point they are built from (a cone apex, an unsquish center) is a
@@ -46,6 +50,7 @@ arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -118,37 +123,51 @@ class AffineMap(LocalMap):
     tiny or anisotropic the scales are; in floating point its inverse
     must also be finite, which a subnormal scale or a huge shift over a
     tiny scale breaks, so such a frame is refused when it is built.
+
+    A scale or shift is one number for every axis or three, one per axis.
+    The three pairs are checked, and the inverse frame computed, as Python
+    floats, whose double arithmetic gives numpy's bits.  Every zero shift
+    component, of the frame and of its inverse, is kept as -0.0, the exact
+    additive identity: x + (-0.0) is x bitwise, -0.0 included, where
+    x + 0.0 turns -0.0 into 0.0.
     """
 
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
-        scale = np.asarray(scale, dtype=float)
-        shift = np.asarray(shift, dtype=float)
-        if not (np.isfinite(scale).all() and scale.all()):
-            k = int(np.argmin(np.isfinite(scale) & (scale != 0)))
-            raise ValueError(f"affine scale on axis {'xyz'[k]} is {scale[k]}, not finite and nonzero")
-        # the inverse frame, built here so an overflow in it is refused
-        # without a warning; its shift is finite exactly when 1 / scale and
-        # shift are
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv = 1.0 / scale
-            inv_shift = -inv * shift
-        finite = np.isfinite(inv_shift)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise ValueError(f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})")
-        self.scale = scale
-        self.shift = shift
+        scale = _axis_floats(scale, "scale")
+        shift = _axis_floats(shift, "shift")
+        for k, s in enumerate(scale):
+            if not (math.isfinite(s) and s != 0.0):
+                raise ValueError(f"affine scale on axis {'xyz'[k]} is {s}, not finite and nonzero")
+        # the inverse frame, built here so an overflow in it is refused; its
+        # shift is finite exactly when 1 / scale and shift are
+        inv = [1.0 / s for s in scale]
+        inv_shift = [-i * t for i, t in zip(inv, shift)]
+        for k, t in enumerate(inv_shift):
+            if not math.isfinite(t):
+                raise ValueError(
+                    f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})"
+                )
+        self.scale = np.array(scale)
+        self.shift = np.array(_negative_zeros(shift))
         self.support = UNBOUNDED
-        self._inverse_frame = (inv, inv_shift)
+        self._inverse_frame = (inv, _negative_zeros(inv_shift))
 
     @staticmethod
     def box_to_box(src: Box, dst: Box) -> "AffineMap":
-        """Axis-aligned affine map taking one box onto another."""
-        s = src.half_extents
-        if (s <= 0).any():
+        """Axis-aligned affine map taking one box onto another: per axis,
+        scale = h_dst / h_src and shift = c_dst - scale * c_src, with
+        ``Box.half_extents`` h and ``Box.center`` c."""
+        slo, shi = src.lo.tolist(), src.hi.tolist()
+        dlo, dhi = dst.lo.tolist(), dst.hi.tolist()
+        s = [(b - a) * 0.5 for a, b in zip(slo, shi)]
+        if any(h <= 0 for h in s):
             raise ValueError("source box is degenerate")
-        scale = dst.half_extents / s
-        return AffineMap(scale, dst.center - scale * src.center)
+        scale = [(b - a) * 0.5 / h for a, b, h in zip(dlo, dhi, s)]
+        shift = [
+            (da + (db - da) * 0.5) - k * (sa + (sb - sa) * 0.5)
+            for k, sa, sb, da, db in zip(scale, slo, shi, dlo, dhi)
+        ]
+        return AffineMap(scale, shift)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return pts * self.scale + self.shift
@@ -157,6 +176,22 @@ class AffineMap(LocalMap):
         # no link back: 1 / (1 / s) is not bitwise s, and the reports of
         # reversed conjugated moves are pinned on the double inverse
         return AffineMap(*self._inverse_frame)
+
+
+def _axis_floats(v, name: str) -> list[float]:
+    """An affine scale or shift as three Python floats: one number for
+    every axis, or three."""
+    v = np.asarray(v, dtype=float)
+    if v.shape == ():
+        return [v.item()] * 3
+    if v.shape != (3,):
+        raise ValueError(f"affine {name} must be one number or three, got shape {v.shape}")
+    return v.tolist()
+
+
+def _negative_zeros(shift: list[float]) -> list[float]:
+    """The shift with each zero component as -0.0, the additive identity."""
+    return [-0.0 if t == 0.0 else t for t in shift]
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +240,16 @@ def _box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np
     """Largest r with origin + r*direction inside the box, per row: the
     reciprocal of the box gauge from origin, which the cone pull and the
     unsquish slide both read."""
+    return _radial_scale(box.lo - origin, box.hi - origin, direction)
+
+
+def _radial_scale(lo_off: np.ndarray, hi_off: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """``_box_radial_scale`` given the box corners' offsets from the
+    origin, lo - origin and hi - origin."""
     # a zero or subnormal direction component gives an infinite reach there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_lo = (box.lo - origin) / direction
-        t_hi = (box.hi - origin) / direction
+        t_lo = lo_off / direction
+        t_hi = hi_off / direction
     t_max = np.maximum(t_lo, t_hi)
     t_max[~np.isfinite(t_max)] = np.inf
     return np.minimum(np.minimum(t_max[:, 0], t_max[:, 1]), t_max[:, 2])
@@ -225,6 +266,9 @@ class ConeMap(LocalMap):
     fixed, as does every coordinate that p0 and p1 share, so with p0 == p1
     it is the bitwise identity; bijective on all of space.  The inverse is
     the cone map with the apexes swapped.
+
+    The box corners' offsets from p0, which every row's gauge reads, are
+    computed once, when the map is built.
     """
 
     def __init__(self, region: Box, p0: np.ndarray, p1: np.ndarray):
@@ -237,6 +281,9 @@ class ConeMap(LocalMap):
         self.p1 = p1
         self.support = region
         self._step = p1 - p0
+        # the corners' offsets from the apex, which every row's gauge reads
+        self._lo_off = region.lo - p0
+        self._hi_off = region.hi - p0
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return self._on_support(pts, self._pull)
@@ -245,7 +292,7 @@ class ConeMap(LocalMap):
         """The images of (m, 3) rows inside the region."""
         # r >= 1 inside the box and exactly 1 on its boundary; r is inf at
         # the apex, which therefore moves by the whole step
-        r = _box_radial_scale(self.region, self.p0, q - self.p0)
+        r = _radial_scale(self._lo_off, self._hi_off, q - self.p0)
         shift = (1.0 - 1.0 / r)[:, None] * self._step
         # a zero shift keeps the coordinate's bits, signed zero included
         return np.where(shift == 0.0, q, q + shift)
@@ -272,6 +319,9 @@ class UnsquishMap(LocalMap):
     The kernels take one pass over all the rows of the outer box: each
     evaluates both legs' formulas on every row and picks one per row
     (``np.where``), the origin of a row's ray being the apex or the center.
+    The constants they read -- scale_up - 1, c/2 and s_c(t) with their
+    complements 1 - c/2 and 1 - s_c(t) -- are computed once, when the map
+    is built.
     """
 
     def __init__(self, params: UnsquishParams, t: float):
@@ -282,6 +332,13 @@ class UnsquishMap(LocalMap):
         self.support = params.outer
         self._center = params.outer.center
         self._apex = params.apex
+        # the anchor of an apex row, with a -0.0 coordinate made +0.0
+        self._apex_anchor = params.apex + 0.0
+        self._stretch = params.scale_up - 1.0
+        self._s0 = params.s_c0
+        self._sc_t = t * params.s_c1 + (1.0 - t) * self._s0
+        self._s0_rest = 1.0 - self._s0
+        self._sc_t_rest = 1.0 - self._sc_t
 
     # -- path parameterization ------------------------------------------
 
@@ -301,9 +358,9 @@ class UnsquishMap(LocalMap):
         # the shell spans multiples 1 .. scale_up
         mult = 1.0 / r
         s_inner = np.where(at_apex, 0.0, mult) / 2.0
-        s_shell = 0.5 + 0.5 * np.clip((mult - 1.0) / (par.scale_up - 1.0), 0.0, 1.0)
+        s_shell = 0.5 + 0.5 * np.minimum(np.maximum((mult - 1.0) / self._stretch, 0.0), 1.0)
         s = np.where(in_inner, s_inner, s_shell)
-        v_in = np.where(at_apex[:, None], self._apex + 0.0, origin + r[:, None] * d)
+        v_in = np.where(at_apex[:, None], self._apex_anchor, origin + r[:, None] * d)
         return s, v_in
 
     def _path_point(self, s: np.ndarray, v_in: np.ndarray) -> np.ndarray:
@@ -311,23 +368,19 @@ class UnsquishMap(LocalMap):
         origin = np.where(inner_leg[:, None], self._apex, self._center)
         two_s = 2.0 * s
         mult = np.where(
-            inner_leg, np.clip(two_s, 0.0, 1.0), 1.0 + (two_s - 1.0) * (self.params.scale_up - 1.0)
+            inner_leg, np.minimum(np.maximum(two_s, 0.0), 1.0), 1.0 + (two_s - 1.0) * self._stretch
         )
         return origin + mult[:, None] * (v_in - origin)
 
     def _s_prime(self, s: np.ndarray) -> np.ndarray:
-        par = self.params
-        s0 = par.s_c0
-        sc_t = self.t * par.s_c1 + (1.0 - self.t) * s0
-        high = (s - s0) / (1.0 - s0)
+        s0, sc_t = self._s0, self._sc_t
+        high = (s - s0) / self._s0_rest
         return np.where(s <= s0, (s / s0) * sc_t, high + (1.0 - high) * sc_t)
 
     def _s_prime_inverse(self, sp: np.ndarray) -> np.ndarray:
-        par = self.params
-        s0 = par.s_c0
-        sc_t = self.t * par.s_c1 + (1.0 - self.t) * s0
+        s0, sc_t = self._s0, self._sc_t
         return np.where(
-            sp <= sc_t, (sp / sc_t) * s0, s0 + (sp - sc_t) / (1.0 - sc_t) * (1.0 - s0)
+            sp <= sc_t, (sp / sc_t) * s0, s0 + (sp - sc_t) / self._sc_t_rest * self._s0_rest
         )
 
     # -- LocalMap interface ---------------------------------------------
@@ -452,7 +505,7 @@ class ConjugateMap(CompositeMap):
     """leave o inner o enter, supported in a box: ``enter`` carries the box
     into inner's domain and ``leave`` carries it back."""
 
-    def __init__(self, enter: LocalMap, inner: LocalMap, leave: LocalMap, support: Box):
+    def __init__(self, enter: AffineMap, inner: LocalMap, leave: AffineMap, support: Box):
         super().__init__([enter, inner, leave], support=support)
         self.enter = enter
         self.inner = inner
@@ -466,30 +519,67 @@ class ConjugateMap(CompositeMap):
 
 class _RoutedRun:
     """Conjugates sharing one inner map, with pairwise disjoint closed
-    supports stacked as (r, 3) corner arrays, applied in one pass."""
+    supports stacked as (r, 3) corner arrays, applied in one pass.
+
+    The boxes are split into layers whose x-projections are pairwise
+    disjoint, each sorted by its min x (a chain of boxes along the x-axis
+    is one layer).  A row's only candidate box in a layer is the last one
+    whose min x is at most the row's x, found by one sorted search; the
+    row is routed to it if that box holds it.  The frames are stacked too:
+    each routed row is carried in and out by the scale and shift rows of
+    its box's ``enter`` and ``leave``, gathered per row.
+    """
 
     def __init__(self, parts: Sequence[ConjugateMap], lo: np.ndarray, hi: np.ndarray):
         self.parts = parts
         self.lo = lo
         self.hi = hi
+        self._layers = _x_layers(lo[:, 0], hi[:, 0])
+        self._enter = stacked_frames([m.enter for m in parts])
+        self._leave = stacked_frames([m.leave for m in parts])
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        # held[j, i]: box j holds row i, tested one axis at a time
-        held = np.ones((len(self.parts), len(pts)), dtype=bool)
-        for axis, x in enumerate(pts.T):
-            held &= (self.lo[:, axis, None] <= x) & (x <= self.hi[:, axis, None])
-        routed = [(m, np.nonzero(h)[0]) for m, h in zip(self.parts, held)]
-        routed = [(m, r) for m, r in routed if len(r)]
+        # box[i]: the box holding row i, or -1; at most one box holds a row
+        box = np.full(len(pts), -1)
+        x = pts[:, 0]
+        for boxes, lo_x in self._layers:
+            # a row left of every box gets slot -1, the layer's last box,
+            # whose min x exceeds the row's x
+            j = boxes[np.searchsorted(lo_x, x, side="right") - 1]
+            held = (self.lo[j] <= pts) & (pts <= self.hi[j])
+            box = np.where(held[:, 0] & held[:, 1] & held[:, 2], j, box)
+        rows = np.nonzero(box >= 0)[0]
         out = pts.copy()
-        if not routed:
+        if not len(rows):
             return out
-        local = np.concatenate([m.enter.apply_array(pts[r]) for m, r in routed])
-        moved = self.parts[0].inner.apply_array(local)
-        start = 0
-        for m, r in routed:
-            out[r] = m.leave.apply_array(moved[start : start + len(r)])
-            start += len(r)
+        b = box[rows]
+        (enter_scale, enter_shift), (leave_scale, leave_shift) = self._enter, self._leave
+        moved = self.parts[0].inner.apply_array(pts[rows] * enter_scale[b] + enter_shift[b])
+        out[rows] = moved * leave_scale[b] + leave_shift[b]
         return out
+
+
+def _x_layers(lo_x: np.ndarray, hi_x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The boxes with the given x-extents split into layers of pairwise
+    disjoint closed x-intervals, each as (box indices, min x) sorted by
+    min x: every box joins the first layer whose last box ends strictly
+    before it starts, so the layers are as few as the most x-intervals
+    sharing a point."""
+    layers: list[list[int]] = []
+    for i in np.argsort(lo_x, kind="stable").tolist():
+        for layer in layers:
+            if hi_x[layer[-1]] < lo_x[i]:
+                layer.append(i)
+                break
+        else:
+            layers.append([i])
+    return [(np.array(layer), lo_x[layer]) for layer in layers]
+
+
+def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
+    """The scales and shifts of r axis-aligned frames as two (r, 3) arrays,
+    to apply them all in one multiply-add."""
+    return np.array([f.scale for f in frames]), np.array([f.shift for f in frames])
 
 
 def _routed_steps(parts: Sequence[LocalMap]) -> list:
@@ -502,7 +592,9 @@ def _routed_steps(parts: Sequence[LocalMap]) -> list:
     # one stacked meet test over every conjugate's support
     lo = np.array([parts[i].support.lo for i in conj])
     hi = np.array([parts[i].support.hi for i in conj])
-    meet = boxes_meet(lo, hi)
+    # last[j]: the latest slot before j whose support meets slot j's, or -1
+    below = np.tril(boxes_meet(lo, hi), -1)
+    last = np.where(below.any(axis=1), len(conj) - 1 - below[:, ::-1].argmax(axis=1), -1).tolist()
     slot = {i: j for j, i in enumerate(conj)}
     steps: list = []
     run: list[int] = []  # slots of the open run
@@ -520,8 +612,9 @@ def _routed_steps(parts: Sequence[LocalMap]) -> list:
             close()
             steps.append(m)
             continue
-        # the open run's slots are consecutive: run[0] .. j - 1
-        if run and (m.inner is not parts[conj[run[0]]].inner or meet[j, run[0] : j].any()):
+        # the open run's slots are consecutive, run[0] .. j - 1, so j meets
+        # one of them exactly when its latest meeting slot is run[0] or later
+        if run and (m.inner is not parts[conj[run[0]]].inner or last[j] >= run[0]):
             close()
         run.append(j)
     close()

@@ -41,6 +41,7 @@ from .maps import (
     PowerMap1D,
     UnsquishParams,
     estimate_inverse_lipschitz,
+    stacked_frames,
 )
 from .moves import chained_isotopy, cone_isotopy, conjugated_isotopy
 from .moves import reversed_isotopy, unsquish_isotopy
@@ -118,11 +119,10 @@ def _loop_chain(
     pieces = sorted(
         [(b, tied) for b in boxes] + [(b, straight) for b in untied], key=lambda p: p[0].lo[0]
     )
-    return np.concatenate([
-        [[x_start, 0.0, 0.0]],
-        *(AffineMap.box_to_box(CANONICAL_BOX, b).apply_array(strand) for b, strand in pieces),
-        [[x_end, 0.0, 0.0]],
-    ])
+    # every box's frame at once, on the (r, n, 3) stack of strands
+    scale, shift = stacked_frames([AffineMap.box_to_box(CANONICAL_BOX, b) for b, _ in pieces])
+    framed = np.stack([strand for _, strand in pieces]) * scale[:, None] + shift[:, None]
+    return np.concatenate([[[x_start, 0.0, 0.0]], *framed, [[x_end, 0.0, 0.0]]])
 
 
 def _untie(box: Box, m: int) -> Isotopy:

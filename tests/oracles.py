@@ -1,7 +1,8 @@
 """Reference computations that only the tests call.
 
 The acceptance criteria and unit tests check the package against these:
-crossing counts of a curve's diagram, a reference nested box family, the
+the checks a box and an axis-aligned frame made in numpy, crossing
+counts of a curve's diagram, a reference nested box family, the
 infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
 refined axis, the stages of the two self-similar streams built level by
@@ -32,6 +33,52 @@ from knotiso.scenarios import (
     rec_squish_constant,
     rec_unsquish_params,
 )
+
+
+# -- boxes and frames checked by numpy ---------------------------------------
+
+
+def numpy_box_corners(lo, hi) -> np.ndarray:
+    """``Box``'s checks of its corners done by numpy, as the box made them
+    before it checked Python floats: the (2, 3) corner array, or
+    ValueError."""
+    corners = np.array((lo, hi), dtype=float)
+    if corners.shape != (2, 3):
+        raise ValueError(f"box corners must be two (3,) rows, got {corners.shape}")
+    if not np.isfinite(corners).all():
+        raise ValueError(f"non-finite box corners: {corners.tolist()}")
+    lo, hi = corners
+    if (lo > hi).any():
+        raise ValueError(f"box min corner exceeds max corner: {lo} > {hi}")
+    return corners
+
+
+def numpy_affine_frame(scale, shift) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``AffineMap``'s checks and inverse frame done by numpy, as the map
+    made them before it checked Python floats: (scale, shift, inverse
+    scale, inverse shift) as (3,) rows, or ValueError.  A scale or shift
+    is one number for every axis or three, and zero shifts keep their
+    sign here."""
+    scale = np.asarray(scale, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    for name, v in (("scale", scale), ("shift", shift)):
+        if v.shape not in ((), (3,)):
+            raise ValueError(f"affine {name} must be one number or three, got shape {v.shape}")
+    scale = np.broadcast_to(scale, 3)
+    shift = np.broadcast_to(shift, 3)
+    if not (np.isfinite(scale).all() and scale.all()):
+        k = int(np.argmin(np.isfinite(scale) & (scale != 0)))
+        raise ValueError(f"affine scale on axis {'xyz'[k]} is {scale[k]}, not finite and nonzero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / scale
+        inv_shift = -inv * shift
+    finite = np.isfinite(inv_shift)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})"
+        )
+    return scale, shift, inv, inv_shift
 
 
 # -- diagrams -----------------------------------------------------------------

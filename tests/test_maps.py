@@ -30,7 +30,7 @@ from knotiso.maps import (
 )
 from knotiso.moves import chained_isotopy, reversed_isotopy, staged_isotopy, unsquish_isotopy
 from knotiso.scenarios import SCENARIO_BUILDERS
-from oracles import cone_tetrahedra, twelve_tetrahedra_cone
+from oracles import cone_tetrahedra, numpy_affine_frame, numpy_box_corners, twelve_tetrahedra_cone
 
 UNIT = Box.from_center((0, 0, 0), (1, 1, 1))
 
@@ -163,6 +163,129 @@ class TestAffineFrameOracle:
         assert (twice.shift == -m_twice @ t_inv).all()
         back = _frame_points(dst, seed)
         assert (inv.apply_array(back) == back @ m_inv.T + t_inv).all()
+
+
+# one axis value: any double, and the values the checks turn on
+_axis_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, 5e-324, 1e-300, 1e10, 1e300]),
+)
+# a scale or shift as a Python number, a (3,) array or tuple, or of a
+# shape a frame refuses
+_axis_arg = st.one_of(
+    _axis_value,
+    st.tuples(_axis_value, _axis_value, _axis_value).map(np.array),
+    st.tuples(_axis_value, _axis_value, _axis_value),
+    st.lists(_axis_value, max_size=5).filter(lambda v: len(v) != 3).map(np.array),
+    st.tuples(*[st.tuples(_axis_value, _axis_value, _axis_value)] * 3).map(np.array),
+)
+
+
+def _negative_zeros(x: np.ndarray) -> np.ndarray:
+    return np.where(x == 0.0, -0.0, x)
+
+
+class TestFloatValidationOracle:
+    """``AffineMap`` and ``Box`` check their values as Python floats; the
+    numpy checks they replaced are in ``oracles``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_axis_arg, _axis_arg)
+    def test_affine_frame_matches_the_numpy_checks(self, scale, shift):
+        try:
+            want = numpy_affine_frame(scale, shift)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                AffineMap(scale, shift)
+            assert str(got.value) == str(exc)
+            return
+        m = AffineMap(scale, shift)
+        w_scale, w_shift, w_inv, w_inv_shift = want
+        # the inverse frame as stored: building it as a map may be refused,
+        # as 1 / (1 / s) can overflow
+        inv, inv_shift = map(np.array, m._inverse_frame)
+        assert m.scale.tobytes() == w_scale.tobytes()
+        assert inv.tobytes() == w_inv.tobytes()
+        # every zero shift is stored as -0.0
+        assert m.shift.tobytes() == _negative_zeros(w_shift).tobytes()
+        assert inv_shift.tobytes() == _negative_zeros(w_inv_shift).tobytes()
+
+    @pytest.mark.parametrize(
+        "scale,shift",
+        [
+            (0.0, 1.0),
+            (np.inf, 0.0),
+            (-np.inf, 0.0),
+            (np.nan, 0.0),
+            (1e-310, 0.0),
+            (1e-300, 1e10),
+            (2.0, np.inf),
+            (2.0, np.nan),
+            (np.array([1.0, 0.0, -0.0]), 0.0),
+            (np.array([1.0, 2.0]), 0.0),
+            (1.0, np.zeros((3, 3))),
+            ([[2.0, 2.0, 2.0]], 0.0),
+        ],
+    )
+    def test_affine_frame_refusals_match_the_numpy_checks(self, scale, shift):
+        with pytest.raises(ValueError) as want:
+            numpy_affine_frame(scale, shift)
+        with pytest.raises(ValueError) as got:
+            AffineMap(scale, shift)
+        assert str(got.value) == str(want.value)
+
+    def test_scalar_scale_and_shift_serve_every_axis(self):
+        m = AffineMap(2.0, -0.0)
+        assert m.scale.tolist() == [2.0] * 3
+        assert np.signbit(m.shift).all() and np.signbit(m.inverse().shift).all()
+        assert AffineMap(np.float64(0.5), 3.0).shift.tolist() == [3.0] * 3
+
+    def test_zero_shifts_keep_signed_zeros(self):
+        frame = AffineMap.box_to_box(UNIT, Box.cube((0, 0, 0), 0.5))
+        pts = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]])
+        for m in (frame, frame.inverse(), frame.inverse().inverse()):
+            assert np.array_equal(np.signbit(m.apply_array(pts)), np.signbit(pts))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(_axis_arg, _axis_arg),
+            # ordered corners, so most of these boxes are valid
+            st.tuples(*[st.tuples(_axis_value, _axis_value, _axis_value)] * 2).map(
+                lambda c: (np.fmin(*c), np.fmax(*c))
+            ),
+        )
+    )
+    def test_box_matches_the_numpy_checks(self, corners):
+        lo, hi = corners
+        try:
+            want = numpy_box_corners(lo, hi)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Box(lo, hi)
+            assert str(got.value) == str(exc)
+            return
+        b = Box(lo, hi)
+        assert b.lo.tobytes() == want[0].tobytes() and b.hi.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),
+            ((0.0, 0.0, 2.5), (1.0, 1.0, -0.5)),
+            ((np.nan, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            ((0.0, 0.0, 0.0), (1.0, np.inf, 1.0)),
+            ((0.0, 0.0), (1.0, 1.0)),
+            (0.0, 1.0),
+            ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
+        ],
+    )
+    def test_box_refusals_match_the_numpy_checks(self, lo, hi):
+        with pytest.raises(ValueError) as want:
+            numpy_box_corners(lo, hi)
+        with pytest.raises(ValueError) as got:
+            Box(lo, hi)
+        assert str(got.value) == str(want.value)
 
 
 class TestConeMap:
@@ -961,6 +1084,93 @@ def test_routed_run_matches_part_by_part(boxes, inner, n, seed):
     assert len(m._steps) == 1 and len(m.inverse()._steps) == 1
 
 
+def _with_signed_zeros(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The rows, then copies of them with random coordinates set to 0.0
+    or -0.0."""
+    zeroed = pts.copy()
+    hit = rng.random(zeroed.shape) < 0.4
+    zeroed[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return np.concatenate([pts, zeroed])
+
+
+def _half_scaling_chain() -> list[Box]:
+    """40 cubes on the x-axis accumulating at x = 2, cube k of side 2^-k."""
+    return [
+        Box.from_center((2.0 - 3.0 * 2.0**-k, 0.0, 0.0), np.full(3, 2.0 ** -(k + 1)))
+        for k in range(1, 41)
+    ]
+
+
+@pytest.mark.parametrize("inner", sorted(INNERS))
+def test_routed_run_of_a_40_box_half_scaling_chain(inner):
+    boxes = _half_scaling_chain()
+    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    rng = np.random.default_rng(40)
+    # the chain is centred on the x-axis, so the zeroed rows of its boxes
+    # stay inside them
+    pts = _with_signed_zeros(_probe_points(boxes, rng, 4000), rng)
+    for mm in (m, m.inverse()):
+        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
+        # a chain along x is one layer
+        (run,) = mm._steps
+        assert len(run._layers) == 1
+
+
+def _layered_boxes():
+    """2 or 3 rows of 1 to 4 boxes each, of one scale 2^-40 .. 4 around a
+    center within +-50: the boxes of a row lie 3 scales apart along x, the
+    rows 3 scales apart along y, and row j is shifted by j/4 scales along
+    x, so boxes of different rows have overlapping x-projections."""
+    coord = st.floats(-50.0, 50.0)
+    aspects = st.lists(st.tuples(*[st.floats(0.25, 1.0)] * 3), min_size=12, max_size=12)
+
+    def build(v) -> list[Box]:
+        center, scale, rows, cols, aspects = v
+        return [
+            Box.from_center(
+                np.array(center) + scale * np.array([3.0 * i + 0.25 * j, 3.0 * j, 0.0]),
+                scale * np.array(aspects[j * cols + i]),
+            )
+            for j in range(rows)
+            for i in range(cols)
+        ]
+
+    scale = st.floats(-40.0, 2.0).map(lambda e: 2.0**e)
+    return st.tuples(
+        st.tuples(coord, coord, coord), scale, st.integers(2, 3), st.integers(1, 4), aspects
+    ).map(build)
+
+
+@given(_layered_boxes(), st.sampled_from(sorted(INNERS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_routed_run_of_boxes_with_overlapping_x_projections(boxes, inner, seed):
+    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    rng = np.random.default_rng(seed)
+    pts = _with_signed_zeros(_probe_points(boxes, rng, 1201), rng)
+    for mm in (m, m.inverse()):
+        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
+        # disjoint boxes, but no one sorted search on x can route them
+        (run,) = mm._steps
+        assert len(run._layers) >= 2
+
+
+@pytest.mark.parametrize("scale", [2.0**-30, 0.25, 2.0])
+def test_routed_run_of_boxes_whose_x_projections_touch(scale):
+    # disjoint boxes, each sharing an x face plane with the next: a row on
+    # that plane may lie in either, so the two go to different layers
+    boxes = [
+        Box(np.array(lo) * scale + 1.0, np.array(hi) * scale + 1.0)
+        for lo, hi in (((0, 0, 0), (1, 1, 1)), ((1, 2, 0), (2, 3, 1)), ((2, 0, 0), (3, 1, 1)))
+    ]
+    m = CompositeMap(_conjugates(boxes, kink_map()))
+    rng = np.random.default_rng(6)
+    pts = _probe_points(boxes, rng, 1201)
+    for mm in (m, m.inverse()):
+        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
+        (run,) = mm._steps
+        assert len(run._layers) == 2
+
+
 def _touching_boxes(scale: float) -> list[Box]:
     """Boxes laid along x, each sharing a face with the next, and one that
     meets the last at a single corner."""
@@ -978,6 +1188,19 @@ def test_boxes_that_touch_are_not_routed_together(scale, inner):
     pts = _probe_points(boxes, np.random.default_rng(3), 1201)
     _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
     assert m._steps == list(m.parts)
+
+
+def test_a_box_meeting_any_box_of_the_open_run_closes_it():
+    # box 1 overlaps box 0, and box 2 overlaps both: box 2 meets the run
+    # that box 1 opened, though the first box it meets is outside that run;
+    # boxes 3 and 4 meet no other box and join box 2's run
+    boxes = [Box.cube((x, 0.0, 0.0), 1.0) for x in (0.0, 0.5, 0.25, 3.0, 5.0)]
+    parts = _conjugates(boxes, kink_map())
+    m = CompositeMap(parts)
+    pts = _probe_points(boxes, np.random.default_rng(7), 1201)
+    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
+    assert m._steps[:2] == parts[:2] and len(m._steps) == 3
+    assert m._steps[2].parts == parts[2:]
 
 
 def test_different_inner_objects_are_not_routed_together():

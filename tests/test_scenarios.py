@@ -333,6 +333,27 @@ def test_framed_stage_is_the_level_k_stage_bitwise(name):
             ), (k, t)
 
 
+@pytest.mark.parametrize("name", ["recursive_r1", "fox_remarkable"])
+def test_framed_stage_keeps_the_signed_zeros_of_the_level_k_stage(name):
+    # V_k is centred on the origin, so the zero shifts of the frame into it
+    # are -0.0 and a -0.0 coordinate the stage leaves in place stays -0.0
+    build, per_level, _ = SELF_SIMILAR[name]
+    seq = build().moves
+    rng = np.random.default_rng(25)
+    for k in range(2, 41):
+        box = seq.stage(k).support
+        pts = box.sample(rng, 60)
+        pts[rng.random(pts.shape) < 0.5] = -0.0
+        signed = np.array([[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+        pts = np.concatenate([pts, signed, box.corners() * [1.0, -0.0, 0.0]])
+        want = per_level(k)
+        for t in (0.25, 0.5, 0.75, 1.0):
+            got = seq.stage(k).map_at(t).apply_array(pts)
+            assert np.array_equal(
+                got.view(np.uint64), want.map_at(t).apply_array(pts).view(np.uint64)
+            ), (k, t)
+
+
 class TestTrefoilExtended:
     def test_tail_diameter_floor(self, scenarios):
         rep = check_hypotheses(scenarios["trefoil_chain_extended"].moves, HORIZON, TOL)
