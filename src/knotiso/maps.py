@@ -23,16 +23,18 @@ Six kinds are provided:
   box: a canonical map framed into that box (``conjugate``).
 
 A composite applies each run of consecutive conjugates that share one
-inner map object and have pairwise disjoint closed supports in one routed
-pass: each row goes through the ``enter`` of the one box holding it, the
-rows of all boxes through ``inner`` together, and each box's rows back
-through its ``leave``.  That is bitwise the part-by-part loop, because a
-conjugate maps its box onto itself and fixes everything else, and the
-kernels act row by row.  The run finds a row's box by a sorted search on
-x, one per layer of boxes with disjoint x-projections (a chain of boxes
-along x is one layer), and a containment check of the one candidate box,
-so routing costs rows x layers, not rows x boxes.  It applies every box's
-frames at once, as stacked (r, 3) scale and shift rows gathered per row.
+inner map object and have pairwise disjoint closed x-projections in one
+routed pass: each row goes through the ``enter`` of the one box holding
+it, the rows of all boxes through ``inner`` together, and each box's rows
+back through its ``leave``.  Boxes with disjoint x-projections are
+disjoint, so that is bitwise the part-by-part loop, because a conjugate
+maps its box onto itself and fixes everything else, and the kernels act
+row by row.  The run finds a row's one candidate box by one sorted search
+on x and a containment check of that box, so routing costs rows x log
+boxes, not rows x boxes.  Every run the program forms is a chain along x:
+a stream's framed stages, or the sub-box copies of a multi-kink move.  It
+applies every box's frames at once, as stacked (r, 3) scale and shift
+rows gathered per row.
 
 All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
 and a point they are built from (a cone apex, an unsquish center) is a
@@ -56,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, bounding_box, boxes_meet
+from .geometry import Box, bounding_box
 
 _HUGE = 1e12
 
@@ -115,14 +117,16 @@ class IdentityMap(LocalMap):
 
 class AffineMap(LocalMap):
     """p -> scale * p + shift, per axis, with every scale finite and
-    nonzero and a finite inverse.
+    nonzero and an inverse frame that is itself a frame of this kind.
 
     Every frame in knotiso carries one box onto another (``box_to_box``),
     so the linear part is diagonal and is kept as the (3,) ``scale``.  A
     diagonal map is invertible exactly when no axis scale is zero, however
     tiny or anisotropic the scales are; in floating point its inverse
     must also be finite, which a subnormal scale or a huge shift over a
-    tiny scale breaks, so such a frame is refused when it is built.
+    tiny scale breaks, and so must the inverse of that inverse, which a
+    scale so large that 1 / scale is subnormal breaks.  Such a frame is
+    refused when it is built, so ``inverse()`` always builds.
 
     A scale or shift is one number for every axis or three, one per axis.
     The three pairs are checked, and the inverse frame computed, as Python
@@ -139,11 +143,12 @@ class AffineMap(LocalMap):
             if not (math.isfinite(s) and s != 0.0):
                 raise ValueError(f"affine scale on axis {'xyz'[k]} is {s}, not finite and nonzero")
         # the inverse frame, built here so an overflow in it is refused; its
-        # shift is finite exactly when 1 / scale and shift are
+        # own inverse shift is finite exactly when the inverse frame and
+        # 1 / (1 / scale) are, so the inverse frame builds too
         inv = [1.0 / s for s in scale]
         inv_shift = [-i * t for i, t in zip(inv, shift)]
-        for k, t in enumerate(inv_shift):
-            if not math.isfinite(t):
+        for k, (i, t) in enumerate(zip(inv, inv_shift)):
+            if not math.isfinite(-(1.0 / i) * t):
                 raise ValueError(
                     f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})"
                 )
@@ -250,8 +255,9 @@ def _radial_scale(lo_off: np.ndarray, hi_off: np.ndarray, direction: np.ndarray)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_lo = lo_off / direction
         t_hi = hi_off / direction
+    # the origin is strictly inside the box, so a zero direction component,
+    # +0.0 or -0.0, gives one infinite offset of each sign: the reach is +inf
     t_max = np.maximum(t_lo, t_hi)
-    t_max[~np.isfinite(t_max)] = np.inf
     return np.minimum(np.minimum(t_max[:, 0], t_max[:, 1]), t_max[:, 2])
 
 
@@ -518,62 +524,39 @@ class ConjugateMap(CompositeMap):
 
 
 class _RoutedRun:
-    """Conjugates sharing one inner map, with pairwise disjoint closed
-    supports stacked as (r, 3) corner arrays, applied in one pass.
+    """Conjugates sharing one inner map, whose supports have pairwise
+    disjoint closed x-projections, applied in one pass.
 
-    The boxes are split into layers whose x-projections are pairwise
-    disjoint, each sorted by its min x (a chain of boxes along the x-axis
-    is one layer).  A row's only candidate box in a layer is the last one
-    whose min x is at most the row's x, found by one sorted search; the
-    row is routed to it if that box holds it.  The frames are stacked too:
-    each routed row is carried in and out by the scale and shift rows of
-    its box's ``enter`` and ``leave``, gathered per row.
+    The supports are stacked as (r, 3) corner arrays sorted by min x, so
+    a row's only candidate box is the last one whose min x is at most the
+    row's x, found by one sorted search; the row is routed to it if that
+    box holds it.  The frames are stacked too: each routed row is carried
+    in and out by the scale and shift rows of its box's ``enter`` and
+    ``leave``, gathered per row.
     """
 
     def __init__(self, parts: Sequence[ConjugateMap], lo: np.ndarray, hi: np.ndarray):
         self.parts = parts
-        self.lo = lo
-        self.hi = hi
-        self._layers = _x_layers(lo[:, 0], hi[:, 0])
-        self._enter = stacked_frames([m.enter for m in parts])
-        self._leave = stacked_frames([m.leave for m in parts])
+        order = np.argsort(lo[:, 0])
+        self.lo = lo[order]
+        self.hi = hi[order]
+        self._enter = stacked_frames([parts[i].enter for i in order])
+        self._leave = stacked_frames([parts[i].leave for i in order])
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        # box[i]: the box holding row i, or -1; at most one box holds a row
-        box = np.full(len(pts), -1)
-        x = pts[:, 0]
-        for boxes, lo_x in self._layers:
-            # a row left of every box gets slot -1, the layer's last box,
-            # whose min x exceeds the row's x
-            j = boxes[np.searchsorted(lo_x, x, side="right") - 1]
-            held = (self.lo[j] <= pts) & (pts <= self.hi[j])
-            box = np.where(held[:, 0] & held[:, 1] & held[:, 2], j, box)
-        rows = np.nonzero(box >= 0)[0]
+        # a row left of every box gets slot -1, the last box, whose min x
+        # exceeds the row's x
+        j = np.searchsorted(self.lo[:, 0], pts[:, 0], side="right") - 1
+        held = (self.lo[j] <= pts) & (pts <= self.hi[j])
+        rows = np.nonzero(held[:, 0] & held[:, 1] & held[:, 2])[0]
         out = pts.copy()
         if not len(rows):
             return out
-        b = box[rows]
+        b = j[rows]
         (enter_scale, enter_shift), (leave_scale, leave_shift) = self._enter, self._leave
         moved = self.parts[0].inner.apply_array(pts[rows] * enter_scale[b] + enter_shift[b])
         out[rows] = moved * leave_scale[b] + leave_shift[b]
         return out
-
-
-def _x_layers(lo_x: np.ndarray, hi_x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The boxes with the given x-extents split into layers of pairwise
-    disjoint closed x-intervals, each as (box indices, min x) sorted by
-    min x: every box joins the first layer whose last box ends strictly
-    before it starts, so the layers are as few as the most x-intervals
-    sharing a point."""
-    layers: list[list[int]] = []
-    for i in np.argsort(lo_x, kind="stable").tolist():
-        for layer in layers:
-            if hi_x[layer[-1]] < lo_x[i]:
-                layer.append(i)
-                break
-        else:
-            layers.append([i])
-    return [(np.array(layer), lo_x[layer]) for layer in layers]
 
 
 def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
@@ -584,16 +567,17 @@ def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]
 
 def _routed_steps(parts: Sequence[LocalMap]) -> list:
     """The parts in order, each run of two or more consecutive conjugates
-    that share one inner object and whose closed supports are pairwise
-    disjoint replaced by one ``_RoutedRun``."""
+    that share one inner object and whose closed x-projections are
+    pairwise disjoint replaced by one ``_RoutedRun``."""
     conj = [i for i, m in enumerate(parts) if isinstance(m, ConjugateMap)]
     if len(conj) < 2:
         return list(parts)
-    # one stacked meet test over every conjugate's support
     lo = np.array([parts[i].support.lo for i in conj])
     hi = np.array([parts[i].support.hi for i in conj])
-    # last[j]: the latest slot before j whose support meets slot j's, or -1
-    below = np.tril(boxes_meet(lo, hi), -1)
+    # last[j]: the latest slot before j whose x-projection meets slot j's,
+    # or -1, from one stacked test of the x-intervals
+    lo_x, hi_x = lo[:, 0], hi[:, 0]
+    below = np.tril((lo_x[:, None] <= hi_x) & (lo_x <= hi_x[:, None]), -1)
     last = np.where(below.any(axis=1), len(conj) - 1 - below[:, ::-1].argmax(axis=1), -1).tolist()
     slot = {i: j for j, i in enumerate(conj)}
     steps: list = []

@@ -10,13 +10,17 @@ loops in each of its boxes, and every box carries the same canonical
 insert framed into it: the chain runs that insert once, on the straight
 canonical strand (``canonical.tied_strand``), and frames the tied strand
 into each box, which in exact arithmetic is the box's insert applied to
-its straight baseline.  Stage k of a chain's stream is ``_untie`` of box
-k: the inverse of that insert.
+its straight baseline.
 
-The nested-ball streams ``recursive_r1`` and ``fox_remarkable`` are
-self-similar: V_k and every level-k coordinate are level 1's scaled about
-the origin by 2^(1-k) (4^(1-k) for fox).  So each builds stage 1 once and
-frames it into every later support (``_framed_stages``).
+Every stream but the interval counterexample is self-similar, and is
+declared once, as its first stage and a similarity S(x) = p + r (x - p)
+(``_similar_stream``): stage 1 is an isotopy supported in V_1, and stage
+k is stage 1 framed into V_k = S^(k-1)(V_1), one stage rule for all of
+them.  The chain streams (``countable_*``, ``trefoil_chain``) untie the
+loops of V_1 and halve toward p on the x-axis, and each chain curve ties
+its loops in the stream's own V_1..V_20; ``recursive_r1`` (an insert,
+then an unsquish) halves and ``fox_remarkable`` (a loop pair untied,
+then a squish) quarters toward p = 0.
 
 Box corners are written as coordinate tuples; the points a scenario
 probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
@@ -130,14 +134,20 @@ def _untie(box: Box, m: int) -> Isotopy:
     return reversed_isotopy(conjugated_insert(box, m))
 
 
-def _framed_stages(parts: Sequence[Isotopy], box: Callable[[int], Box]) -> Callable[[int], Isotopy]:
-    """Stage 1 chains the parts in V_1 = box(1); stage k frames it into
-    V_k = box(k) by a power-of-two scale, exact in floating point, so it is
-    bitwise level k's own stage wherever no coordinate is subnormal."""
-    first = chained_isotopy(parts, box(1))
+def _similar_box(v1: Box, p: np.ndarray, r: float, k: int) -> Box:
+    """V_k = S^(k-1)(V_1) for the similarity S(x) = p + r (x - p)."""
+    s = r ** (k - 1)
+    return Box(p + s * (v1.lo - p), p + s * (v1.hi - p))
+
+
+def _similar_stream(first: Isotopy, p: Sequence[float], r: float) -> Callable[[int], Isotopy]:
+    """The stages of a self-similar stream: stage 1 is ``first``, supported
+    in V_1, and stage k frames it into V_k = S^(k-1)(V_1), S(x) = p + r (x - p).
+    Every stream here has r a power of two, so s = r^(k-1) is exact."""
+    p = np.asarray(p, dtype=float)
 
     def stage(k: int) -> Isotopy:
-        return first if k == 1 else conjugated_isotopy(first, box(k))
+        return first if k == 1 else conjugated_isotopy(first, _similar_box(first.support, p, r, k))
 
     return stage
 
@@ -151,26 +161,18 @@ def _closed_curve(active: np.ndarray) -> PLCurve:
 # -- countable loop removal (disjoint half-scaling boxes) ---------------------
 
 
-def _shrinking_boxes(limit_x: float) -> Callable[[int], Box]:
-    """Disjoint boxes on the x-axis accumulating at limit_x, half-scaling."""
-
-    def box(k: int) -> Box:
-        s = 2.0**-k
-        return Box.from_center((limit_x - 0.5 * s, 0.0, 0.0), (0.0625 * s, 0.125 * s, 0.125 * s))
-
-    return box
+def _countable_stream(limit_x: float, m: int, container: Box) -> MoveSequence:
+    """Untie m loops per stage, in disjoint boxes on the x-axis halving
+    toward (limit_x, 0, 0)."""
+    v1 = Box.from_center((limit_x - 0.25, 0.0, 0.0), (1 / 32, 1 / 16, 1 / 16))
+    return MoveSequence(_similar_stream(_untie(v1, m), (limit_x, 0.0, 0.0), 0.5), container)
 
 
 def build_countable_r1() -> Scenario:
     """A circle with countably many shrinking loops; each move removes the
     next loop inside its own disjoint box."""
-    boxes = _shrinking_boxes(2.0)
-    curve = _closed_curve(_loop_chain(-0.5, 2.5, [boxes(k) for k in range(1, _LOOPS + 1)], 1))
-
-    container = Box((-1.0, -2.0, -1.0), (3.0, 1.0, 1.0))
-
-    def stage(k: int) -> Isotopy:
-        return _untie(boxes(k), 1)
+    moves = _countable_stream(2.0, 1, Box((-1.0, -2.0, -1.0), (3.0, 1.0, 1.0)))
+    curve = _closed_curve(_loop_chain(-0.5, 2.5, moves.boxes(1, _LOOPS), 1))
 
     pairs = np.array([
         ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
@@ -183,7 +185,7 @@ def build_countable_r1() -> Scenario:
     return Scenario(
         name="countable_r1",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container),
+        moves=moves,
         expected=ExpectedVerdicts("pass", None, "pass"),
         probe_pairs=pairs,
         census_samples=census,
@@ -197,18 +199,11 @@ def build_countable_r2(stage: int) -> Scenario:
     boxes, and the two passes' boxes are disjoint too."""
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    boxes1 = _shrinking_boxes(2.0)
-    boxes2 = _shrinking_boxes(4.0)
-    pass1 = [boxes1(k) for k in range(1, _LOOPS + 1)]
-    pass2 = [boxes2(k) for k in range(1, _LOOPS + 1)]
+    container = Box((-1.0, -2.0, -1.0), (5.0, 1.0, 1.0))
+    passes = [_countable_stream(x, 2, container) for x in (2.0, 4.0)]
+    pass1, pass2 = (p.boxes(1, _LOOPS) for p in passes)
     tied, untied = (pass1 + pass2, []) if stage == 1 else (pass2, pass1)
     curve = _closed_curve(_loop_chain(-0.5, 4.5, tied, 2, untied))
-    boxes = boxes1 if stage == 1 else boxes2
-
-    container = Box((-1.0, -2.0, -1.0), (5.0, 1.0, 1.0))
-
-    def untie(k: int) -> Isotopy:
-        return _untie(boxes(k), 2)
 
     if stage == 1:
         pairs = np.array([
@@ -226,7 +221,7 @@ def build_countable_r2(stage: int) -> Scenario:
     return Scenario(
         name=f"countable_r2_stage{stage}",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=untie, container=container),
+        moves=passes[stage - 1],
         expected=ExpectedVerdicts("pass", None, "pass"),
         probe_pairs=pairs,
         census_samples=np.array([(limit - 2.0**-j, 0.0, 0.0) for j in range(1, 7)]),
@@ -244,11 +239,8 @@ _REC_HALF = (
 )
 # relay apexes q_k on the upper wedge arm, halving toward the vertex
 _REC_APEX_DIR = np.array([-2.5, 2.0 / 3.0, 0.0])
-
-
-def rec_box(k: int) -> Box:
-    """Nested half-scaling boxes around the wedge vertex."""
-    return Box.from_center((0, 0, 0), np.multiply(_REC_HALF, 2.0 ** (1 - k)))
+# V_1 around the wedge vertex; V_k is V_1 scaled about the vertex by 2^(1-k)
+_REC_V1 = Box.from_center((0, 0, 0), _REC_HALF)
 
 
 def rec_apex(k: int) -> np.ndarray:
@@ -263,9 +255,11 @@ def rec_insert_region(k: int) -> Box:
 
 
 def rec_unsquish_params(k: int, c: float) -> UnsquishParams:
+    """The level-k unsquish, between V_k shrunk by 0.9 and by 0.45."""
+    box = _similar_box(_REC_V1, np.zeros(3), 0.5, k)
     return UnsquishParams(
-        outer=rec_box(k).scaled_about_center(0.9),
-        inner=rec_box(k).scaled_about_center(0.45),
+        outer=box.scaled_about_center(0.9),
+        inner=box.scaled_about_center(0.45),
         apex=rec_apex(k),
         c=c,
     )
@@ -300,7 +294,7 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     parts = [rec_insert(1)]
     if not ablated:
         parts.append(unsquish_isotopy(rec_unsquish_params(1, rec_squish_constant())))
-    stage = _framed_stages(parts, rec_box)
+    stage = _similar_stream(chained_isotopy(parts, _REC_V1), (0.0, 0.0, 0.0), 0.5)
 
     L = _REC_SCALE
     arm_dir = _REC_APEX_DIR / np.linalg.norm(_REC_APEX_DIR)
@@ -339,12 +333,6 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
 # -- countable connected sum untied shell by shell ----------------------------
 
 
-def trefoil_work_box(k: int) -> Box:
-    """Work box inside the shell between nesting levels k and k+1."""
-    s = 2.0**-k
-    return Box.from_center((2.0 - 0.1875 * s, 0.0, 0.0), (0.05625 * s, 0.05 * s, 0.05 * s))
-
-
 def _with_segment(b: Box) -> Box:
     """Enlarge a work box to contain the appended unit segment."""
     return Box(b.lo, (3.0, b.hi[1], b.hi[2]))
@@ -360,17 +348,21 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     point and declares supports large enough to contain it, so the tail
     union diameter is bounded below by the segment length.
     """
-    strand = _loop_chain(-0.5, 2.0, [trefoil_work_box(k) for k in range(1, _LOOPS + 1)], 3)
+    container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
+    # V_1 is the work box inside the shell between nesting levels 1 and 2
+    v1 = Box.from_center((1.90625, 0.0, 0.0), (0.028125, 0.025, 0.025))
+    chain = MoveSequence(_similar_stream(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5), container)
+    strand = _loop_chain(-0.5, 2.0, chain.boxes(1, _LOOPS), 3)
+    moves = chain
     if extended:
         strand = np.concatenate([strand, [[3.0, 0.0, 0.0]]])
+
+        def stage(k: int) -> Isotopy:
+            untie = chain.stage(k)
+            return Isotopy.from_motion(_with_segment(untie.support), untie.map_at, untie.time_one)
+
+        moves = MoveSequence(stage_fn=stage, container=container)
     curve = _closed_curve(strand)
-
-    container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
-
-    def stage(k: int) -> Isotopy:
-        b = trefoil_work_box(k)
-        untie = _untie(b, 3)
-        return Isotopy.from_motion(_with_segment(b), untie.map_at, untie.time_one) if extended else untie
 
     pairs = np.array([
         ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
@@ -381,7 +373,7 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     return Scenario(
         name="trefoil_chain" + ("_extended" if extended else ""),
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container),
+        moves=moves,
         expected=(
             ExpectedVerdicts("fail", 1, "pass")
             if extended
@@ -395,11 +387,8 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
 # -- the remarkable stitch curve: passes hypotheses, fails injectivity --------
 
 _FOX_C = 0.5
-
-
-def fox_outer(k: int) -> Box:
-    """Nested supports around the stitch point, quarter-scaling."""
-    return Box.cube((0, 0, 0), 0.8 * 4.0 ** (1 - k))
+# V_1 around the stitch point; V_k is V_1 scaled about it by 4^(1-k)
+_FOX_V1 = Box.cube((0, 0, 0), 0.8)
 
 
 def fox_pair_box_current(k: int) -> Box:
@@ -416,11 +405,10 @@ def fox_pair_box_initial(k: int) -> Box:
     return Box(b.lo * f, b.hi * f)
 
 
-def fox_squish_isotopy(k: int) -> Isotopy:
-    """Inverse of the unsquish between the level-k concentric boxes: an
-    exact contraction by c toward the stitch point on the inner box."""
-    outer = fox_outer(k)
-    params = UnsquishParams(outer, outer.scaled_about_center(0.5), apex=np.zeros(3), c=_FOX_C)
+def fox_squish_isotopy() -> Isotopy:
+    """Inverse of the unsquish between V_1 and V_1 halved: an exact
+    contraction by c toward the stitch point on the inner box."""
+    params = UnsquishParams(_FOX_V1, _FOX_V1.scaled_about_center(0.5), apex=np.zeros(3), c=_FOX_C)
     return reversed_isotopy(unsquish_isotopy(params))
 
 
@@ -440,7 +428,8 @@ def build_fox_remarkable() -> Scenario:
 
     container = Box((-1.0, -1.0, -1.0), (2.0, 1.0, 1.0))
 
-    stage = _framed_stages([_untie(fox_pair_box_current(1), 2), fox_squish_isotopy(1)], fox_outer)
+    first = chained_isotopy([_untie(fox_pair_box_current(1), 2), fox_squish_isotopy()], _FOX_V1)
+    stage = _similar_stream(first, (0.0, 0.0, 0.0), 0.25)
 
     tracked = fox_tracked_line()
     pairs = np.stack([tracked[:-1], tracked[1:]], axis=1)

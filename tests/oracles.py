@@ -2,11 +2,12 @@
 
 The acceptance criteria and unit tests check the package against these:
 the checks a box and an axis-aligned frame made in numpy, crossing
-counts of a curve's diagram, a reference nested box family, the
+counts of a curve's diagram, reference nested box families (the dyadic
+cubes, and each self-similar stream's supports level by level), the
 infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
-refined axis, the stages of the two self-similar streams built level by
-level, the snowflake iterates with their sup deviations, and the cone
+refined axis, the stages of ``recursive_r1`` and ``fox_remarkable`` built
+level by level, the snowflake iterates with their sup deviations, and the cone
 pull as 12 affine tetrahedra.  None of them is on the path of a CLI
 verb.
 """
@@ -20,15 +21,15 @@ from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
 from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
-from knotiso.maps import CompositeMap, ConeMap
-from knotiso.moves import chained_isotopy, unsquish_isotopy
+from knotiso.maps import CompositeMap, ConeMap, UnsquishParams
+from knotiso.moves import chained_isotopy, reversed_isotopy, unsquish_isotopy
 from knotiso.scenarios import (
+    _FOX_C,
     _PTS_PER_BOX,
+    _REC_HALF,
     _untie,
-    fox_outer,
+    _with_segment,
     fox_pair_box_current,
-    fox_squish_isotopy,
-    rec_box,
     rec_insert,
     rec_squish_constant,
     rec_unsquish_params,
@@ -58,7 +59,8 @@ def numpy_affine_frame(scale, shift) -> tuple[np.ndarray, np.ndarray, np.ndarray
     made them before it checked Python floats: (scale, shift, inverse
     scale, inverse shift) as (3,) rows, or ValueError.  A scale or shift
     is one number for every axis or three, and zero shifts keep their
-    sign here."""
+    sign here.  A frame is refused on the first axis where the inverse
+    frame's own inverse shift is not finite."""
     scale = np.asarray(scale, dtype=float)
     shift = np.asarray(shift, dtype=float)
     for name, v in (("scale", scale), ("shift", shift)):
@@ -69,10 +71,10 @@ def numpy_affine_frame(scale, shift) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not (np.isfinite(scale).all() and scale.all()):
         k = int(np.argmin(np.isfinite(scale) & (scale != 0)))
         raise ValueError(f"affine scale on axis {'xyz'[k]} is {scale[k]}, not finite and nonzero")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / scale
         inv_shift = -inv * shift
-    finite = np.isfinite(inv_shift)
+        finite = np.isfinite(-(1.0 / inv) * inv_shift)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(
@@ -100,6 +102,41 @@ def count_crossings(curve: PLCurve, region: Box | None = None) -> int:
 def dyadic_cubes(p: np.ndarray, horizon: int) -> list[Box]:
     """Reference family: cubes centered at p with side 2^(1-n), n = 1..horizon."""
     return [Box.cube(p, 2.0 ** (1 - n)) for n in range(1, horizon + 1)]
+
+
+def shrinking_boxes(limit_x: float, k: int) -> Box:
+    """Box k of a countable chain: disjoint boxes on the x-axis
+    accumulating at limit_x, half-scaling."""
+    s = 2.0**-k
+    return Box.from_center((limit_x - 0.5 * s, 0.0, 0.0), (0.0625 * s, 0.125 * s, 0.125 * s))
+
+
+def trefoil_work_box(k: int) -> Box:
+    """Work box inside the shell between nesting levels k and k+1."""
+    s = 2.0**-k
+    return Box.from_center((2.0 - 0.1875 * s, 0.0, 0.0), (0.05625 * s, 0.05 * s, 0.05 * s))
+
+
+def rec_box(k: int) -> Box:
+    """Nested half-scaling boxes around the wedge vertex."""
+    return Box.from_center((0, 0, 0), np.multiply(_REC_HALF, 2.0 ** (1 - k)))
+
+
+def fox_outer(k: int) -> Box:
+    """Nested supports around the stitch point, quarter-scaling."""
+    return Box.cube((0, 0, 0), 0.8 * 4.0 ** (1 - k))
+
+
+# each self-similar stream's supports V_k, level by level
+STREAM_BOXES = {
+    "countable_r1": lambda k: shrinking_boxes(2.0, k),
+    "countable_r2_stage1": lambda k: shrinking_boxes(2.0, k),
+    "countable_r2_stage2": lambda k: shrinking_boxes(4.0, k),
+    "recursive_r1": rec_box,
+    "trefoil_chain": trefoil_work_box,
+    "trefoil_chain_extended": lambda k: _with_segment(trefoil_work_box(k)),
+    "fox_remarkable": fox_outer,
+}
 
 
 def infinite_motion_census(
@@ -160,11 +197,19 @@ def rec_stage_per_level(k: int, ablated: bool = False) -> Isotopy:
     return chained_isotopy(parts, rec_box(k))
 
 
+def fox_squish_per_level(k: int) -> Isotopy:
+    """Inverse of the unsquish between the level-k concentric boxes: an
+    exact contraction by c toward the stitch point on the inner box."""
+    outer = fox_outer(k)
+    params = UnsquishParams(outer, outer.scaled_about_center(0.5), apex=np.zeros(3), c=_FOX_C)
+    return reversed_isotopy(unsquish_isotopy(params))
+
+
 def fox_stage_per_level(k: int) -> Isotopy:
     """Stage k of ``fox_remarkable`` built from its level-k closed forms:
     untie loop pair k where it sits, then squish toward the stitch point."""
     removal = _untie(fox_pair_box_current(k), 2)
-    return chained_isotopy([removal, fox_squish_isotopy(k)], fox_outer(k))
+    return chained_isotopy([removal, fox_squish_per_level(k)], fox_outer(k))
 
 
 # -- cone pull as a simplicial map -------------------------------------------

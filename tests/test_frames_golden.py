@@ -24,8 +24,8 @@ GOLDEN = {
     ),
     "countable_r1": (
         ("7afe48535d34658be1e44b83397d94ffd915a6b36912d80f6ba246b0de03657e", "3b802a9df214eada8842848c2a82e19069bb31856f5773508dddde9112b37c90"),
-        ("3831ef99c4bfff2a39bcc4176cc3b40a5f0cb68abd7f490ccb7f19a9440f1fba", "1e9c8e324304150f57284cac23563be1897a3135c7e5ebfe5286a6e4be5838d0"),
-        ("850bf071f313005b373492d01b4c1cc09dffc0080ebe2747be8bea6d601f19cb", "154e54a618628c4778721352e192ce189a5a67ba168f6d49642e4b63fcec3bd5"),
+        ("6bcad3c95b8e74dd4a3157415b2529e41c93a67629d9cd6f390b72abadea6168", "afb25a57c78d7c86d8221035d56ac45a226f5fa75cab5b1325e0604a8fe394ed"),
+        ("92e0313d03b6171ea44784fa06c9660076142a1453ab6538454801530cce2249", "dcf813aab1cb01a885fa7581558baf287240daa68dd36f3733908e5a887e2057"),
     ),
     "recursive_r1": (
         ("be879d6e2992d8df6d4c3db75462dbec0d1f956b75f6ee8d058dc9cb85175896", "ee35cc0bf53c94e65121b3f5be9ab99dccc8d32d39056b1c82f8e0044600f319"),
@@ -34,8 +34,8 @@ GOLDEN = {
     ),
     "trefoil_chain": (
         ("f6dd6378cb3103163e20dde0ce4a2d0d2d61b1e85fd08fec94c2dbcc56f1e2d8", "c1f34d0c964be1587203474365ae1f3f12c35081b3770c9bed52dbca0ebd92e4"),
-        ("4ec25cf2da69b3eb5f6e8e4b690f8618ee2202d9272672741ceed6b9a8d5ae4a", "9baf36b41ab057b30b4acc2cbe2d3cb872fd444ed989b2c033e0875a7e61b383"),
-        ("aef84d30ea70fe6579d0325e4cfbdb5983b083c22d4812bf0fe5613265671b4b", "7057941fb182a5bdf764fe45a83c963828b906a1c5b7b277f2e2e241169443c1"),
+        ("233276f74be8cff8f444453018a7de5001ca6f78051396579d33d0c0d33294ef", "2998852b03c7110648f9d1aec1cb8add7e0cb779d15f3deba06fbf7125623ee4"),
+        ("c73869f256c4fe6a579665144deafb2f175958c406f62f337799e7468f11b4e7", "88702be669c7849951972d48eddb90941e32a2d168baa07381ea33c34fa51dbb"),
     ),
     "fox_remarkable": (
         ("c75ac94859b03a0753d6b354f1fd1fc3c1dc8070b5a6cf32f79dfe749cc90034", "7115c6969a8b816546a672c456d2929decb969b53e83a61826e38322840b6aac"),

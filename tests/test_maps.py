@@ -27,6 +27,8 @@ from knotiso.maps import (
     conjugate,
     estimate_inverse_lipschitz,
     UNBOUNDED,
+    _box_radial_scale,
+    _RoutedRun,
 )
 from knotiso.moves import chained_isotopy, reversed_isotopy, staged_isotopy, unsquish_isotopy
 from knotiso.scenarios import SCENARIO_BUILDERS
@@ -67,6 +69,22 @@ class TestAffineMap:
         # is refused without a RuntimeWarning, which the suite makes an error
         with pytest.raises(ValueError, match=rf"axis x has no finite inverse \(scale {scale}\)"):
             AffineMap(np.full(3, scale), shift)
+
+    def test_rejects_a_scale_whose_inverse_frame_has_no_finite_inverse(self):
+        # 1 / 1.7976931348623153e308 is the subnormal 5.56e-309, whose own
+        # reciprocal overflows: the inverse frame could not be built
+        text = r"axis x has no finite inverse \(scale 1.7976931348623153e\+308\)"
+        with pytest.raises(ValueError, match=text):
+            AffineMap(np.full(3, 1.7976931348623153e308), 0.0)
+
+    def test_accepts_the_largest_scale_whose_inverse_frame_builds(self):
+        scale = 1.7976931348623151e308
+        assert np.nextafter(scale, np.inf) == 1.7976931348623153e308
+        m = AffineMap(np.full(3, scale), 0.0)
+        assert m.inverse().scale.tolist() == [5.56268464626801e-309] * 3
+        # 1 / (1 / scale) is a few ulps below scale, and its inverse builds too
+        assert m.inverse().inverse().scale.tolist() == [1.7976931348623143e308] * 3
+        assert m.inverse().inverse().inverse().scale.tolist() == [5.56268464626801e-309] * 3
 
     def test_accepts_uniformly_tiny_frames(self):
         # depth-20 scenario frames: tiny but perfectly conditioned
@@ -201,14 +219,13 @@ class TestFloatValidationOracle:
             return
         m = AffineMap(scale, shift)
         w_scale, w_shift, w_inv, w_inv_shift = want
-        # the inverse frame as stored: building it as a map may be refused,
-        # as 1 / (1 / s) can overflow
-        inv, inv_shift = map(np.array, m._inverse_frame)
+        # a frame that builds has an inverse frame that builds
+        inv = m.inverse()
         assert m.scale.tobytes() == w_scale.tobytes()
-        assert inv.tobytes() == w_inv.tobytes()
+        assert inv.scale.tobytes() == w_inv.tobytes()
         # every zero shift is stored as -0.0
         assert m.shift.tobytes() == _negative_zeros(w_shift).tobytes()
-        assert inv_shift.tobytes() == _negative_zeros(w_inv_shift).tobytes()
+        assert inv.shift.tobytes() == _negative_zeros(w_inv_shift).tobytes()
 
     @pytest.mark.parametrize(
         "scale,shift",
@@ -225,6 +242,8 @@ class TestFloatValidationOracle:
             (np.array([1.0, 2.0]), 0.0),
             (1.0, np.zeros((3, 3))),
             ([[2.0, 2.0, 2.0]], 0.0),
+            (1.7976931348623153e308, 0.0),
+            (np.array([1.7976931348623153e308, 1e-310, 1.0]), 0.0),
         ],
     )
     def test_affine_frame_refusals_match_the_numpy_checks(self, scale, shift):
@@ -954,6 +973,35 @@ def test_cone_keeps_signed_zeros_it_does_not_move():
         assert np.array_equal(img[2:].view(np.uint64), rows[2:].view(np.uint64))
 
 
+def test_radial_reach_of_a_zero_direction_component_is_infinite():
+    # from an origin strictly inside the box, a 0.0 or -0.0 component
+    # divides one face offset of each sign: the reach on that axis is +inf
+    box = Box((-1.0, -2.0, -0.5), (3.0, 1.0, 0.25))
+    origin = np.array([0.5, -0.25, 0.0])
+    d = np.array([
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        [0.0, 1.0, -0.0],
+        [-0.0, -0.0, -2.0],
+        [1.0, -0.0, 0.0],
+    ])
+    reach = _box_radial_scale(box, np.broadcast_to(origin, d.shape), d)
+    assert reach.tolist() == [np.inf, np.inf, 1.25, 0.25, 2.5]
+    # so the cone sends its apex, with either zero sign, to its target,
+    # and the unsquish keeps its apex where it is
+    p0, p1 = np.array([0.5, 0.0, -0.0]), np.array([-0.25, 0.5, 0.125])
+    apex_rows = np.array([[0.5, 0.0, -0.0], [0.5, -0.0, 0.0], [0.5, -0.0, -0.0]])
+    cone = ConeMap(box, p0, p1)
+    assert np.array_equal(cone.apply_array(apex_rows), np.tile(p1, (3, 1)))
+    assert np.array_equal(cone.inverse().apply_array(np.tile(p1, (3, 1))), np.tile(p0, (3, 1)))
+    apex = np.array([0.25, 0.0, -0.0])
+    rows = apex + np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+    for t in (0.5, 1.0):
+        m = UnsquishMap(_params(0.5, apex=apex), t)
+        for f in (m, m.inverse()):
+            assert np.array_equal(f.apply_array(rows), np.tile(apex, (2, 1)))
+
+
 def _exact_pull(m: ConeMap, q: np.ndarray) -> list[list[Fraction]]:
     """q + (1 - rho(q)) * (p1 - p0) in exact rational arithmetic, rho the
     box gauge from p0: max over axes of (q - p0) / (face - p0), with the
@@ -1027,6 +1075,22 @@ def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _x_disjoint(boxes: list[Box]) -> bool:
+    """Whether the boxes' closed x-projections are pairwise disjoint."""
+    spans = sorted((b.lo[0], b.hi[0]) for b in boxes)
+    return all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+def _assert_runs_are_x_disjoint(m: CompositeMap) -> None:
+    """Every routed run of the composite holds boxes with pairwise
+    disjoint x-projections, and the composite is one run exactly when all
+    its boxes' x-projections are pairwise disjoint."""
+    for step in m._steps:
+        if isinstance(step, _RoutedRun):
+            assert _x_disjoint([p.support for p in step.parts])
+    assert (len(m._steps) == 1) == _x_disjoint([p.support for p in m.parts])
+
+
 def _disjoint_boxes():
     """2 to 6 boxes of one scale 2^-40 .. 4 around a center within +-50, on
     distinct cells of a grid of pitch 3 scales: no half-extent exceeds the
@@ -1080,8 +1144,8 @@ def test_routed_run_matches_part_by_part(boxes, inner, n, seed):
     pts = _probe_points(boxes, np.random.default_rng(seed), n)
     for mm in (m, m.inverse()):
         _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-    # the whole composite is one routed run
-    assert len(m._steps) == 1 and len(m.inverse()._steps) == 1
+        # boxes in one grid column share x: those are routed apart
+        _assert_runs_are_x_disjoint(mm)
 
 
 def _with_signed_zeros(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -1111,9 +1175,9 @@ def test_routed_run_of_a_40_box_half_scaling_chain(inner):
     pts = _with_signed_zeros(_probe_points(boxes, rng, 4000), rng)
     for mm in (m, m.inverse()):
         _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-        # a chain along x is one layer
+        # a chain along x is one run
         (run,) = mm._steps
-        assert len(run._layers) == 1
+        assert isinstance(run, _RoutedRun)
 
 
 def _layered_boxes():
@@ -1149,15 +1213,14 @@ def test_routed_run_of_boxes_with_overlapping_x_projections(boxes, inner, seed):
     pts = _with_signed_zeros(_probe_points(boxes, rng, 1201), rng)
     for mm in (m, m.inverse()):
         _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-        # disjoint boxes, but no one sorted search on x can route them
-        (run,) = mm._steps
-        assert len(run._layers) >= 2
+        # disjoint boxes, but no one sorted search on x can route them all
+        _assert_runs_are_x_disjoint(mm)
 
 
 @pytest.mark.parametrize("scale", [2.0**-30, 0.25, 2.0])
 def test_routed_run_of_boxes_whose_x_projections_touch(scale):
     # disjoint boxes, each sharing an x face plane with the next: a row on
-    # that plane may lie in either, so the two go to different layers
+    # that plane may lie in either, so no two are routed together
     boxes = [
         Box(np.array(lo) * scale + 1.0, np.array(hi) * scale + 1.0)
         for lo, hi in (((0, 0, 0), (1, 1, 1)), ((1, 2, 0), (2, 3, 1)), ((2, 0, 0), (3, 1, 1)))
@@ -1167,8 +1230,7 @@ def test_routed_run_of_boxes_whose_x_projections_touch(scale):
     pts = _probe_points(boxes, rng, 1201)
     for mm in (m, m.inverse()):
         _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-        (run,) = mm._steps
-        assert len(run._layers) == 2
+        assert mm._steps == list(mm.parts)
 
 
 def _touching_boxes(scale: float) -> list[Box]:

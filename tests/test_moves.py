@@ -390,10 +390,13 @@ class TestBuildOnce:
         assert multi_kink_isotopy(3).time_one().inverse() is inv
 
     def test_reversed_inserts_share_one_inner_map(self, scenarios):
+        # stage 1 holds the canonical inverse, and stage k frames stage 1
         seq = scenarios["countable_r1"].moves
-        maps = [seq.time_one_map(k) for k in (1, 2, 3)]
-        assert all(isinstance(m, ConjugateMap) for m in maps)
-        assert maps[0].inner is maps[1].inner is maps[2].inner is kink_map().inverse()
+        first = seq.time_one_map(1)
+        assert isinstance(first, ConjugateMap) and first.inner is kink_map().inverse()
+        for k in range(2, 6):
+            m = seq.time_one_map(k)
+            assert isinstance(m, ConjugateMap) and m.inner is first
 
     def test_cone_inverse_is_built_once_and_links_back(self):
         m = ConeMap(UNIT, np.zeros(3), np.array([0.3, -0.2, 0.1]))

@@ -29,28 +29,29 @@ from knotiso.scenarios import (
     _REC_SCALE,
     ExpectedVerdicts,
     _loop_chain,
-    _shrinking_boxes,
     build_1d_counterexample,
     build_fox_remarkable,
     build_recursive_r1,
-    fox_outer,
     fox_pair_box_initial,
     rec_apex,
-    rec_box,
     rec_insert,
     rec_squish_constant,
-    trefoil_work_box,
 )
 
 from oracles import (
+    STREAM_BOXES,
     axis_points,
     build_snowflake,
     count_crossings,
+    fox_outer,
     fox_stage_per_level,
     infinite_motion_census,
     inserted_loop_chain,
+    rec_box,
     rec_stage_per_level,
+    shrinking_boxes,
     snowflake_sup_deviation,
+    trefoil_work_box,
 )
 
 HORIZON = 20
@@ -294,6 +295,21 @@ class TestRecursive:
         s = scenarios["recursive_r1"]
         eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, HORIZON))
         assert eps > 0 and 1 <= n0 <= HORIZON
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_BOXES))
+def test_each_stream_is_its_first_stage_and_a_similarity(scenarios, name):
+    # the declared V_1 and similarity give each family's level-k supports
+    # bit for bit, and every later stage frames the one stage-1 map
+    seq = scenarios[name].moves
+    got = seq.boxes(1, 47)
+    want = [STREAM_BOXES[name](k) for k in range(1, 48)]
+    assert [(b.lo.tobytes(), b.hi.tobytes()) for b in got] == [
+        (b.lo.tobytes(), b.hi.tobytes()) for b in want
+    ]
+    first = seq.time_one_map(1)
+    for k in range(2, 6):
+        assert seq.time_one_map(k).inner is first
 
 
 # each self-similar stream: its builder, its stage k built level by level,
@@ -546,12 +562,11 @@ def _disjoint_boxes(draw):
 
 
 def _builder_boxes():
-    r1 = _shrinking_boxes(2.0)
-    r2 = _shrinking_boxes(4.0)
     loops = range(1, _LOOPS + 1)
+    r1 = [shrinking_boxes(2.0, k) for k in loops]
     return {
-        "countable_r1": [r1(k) for k in loops],
-        "countable_r2": [r1(k) for k in loops] + [r2(k) for k in loops],
+        "countable_r1": r1,
+        "countable_r2": r1 + [shrinking_boxes(4.0, k) for k in loops],
         "trefoil_chain": [trefoil_work_box(k) for k in loops],
         "fox_remarkable": [fox_pair_box_initial(k) for k in loops],
     }
