@@ -16,6 +16,7 @@ byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -209,7 +210,10 @@ def _joined(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every ``main`` call reads: parsing leaves it as it
+    was, and building one per call would leave its reference cycles."""
     p = argparse.ArgumentParser(
         prog="knotiso",
         description="countably composed ambient isotopies: run, check, frames",

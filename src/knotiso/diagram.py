@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PLCurve, _g17_cells, multiscale_close_pairs, nonadjacent
+from .geometry import _TEXT_BLOCK, PLCurve, _g17_cells, multiscale_close_pairs, nonadjacent
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
@@ -240,7 +240,11 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
         f'<g stroke="black" stroke-width="{_STROKE}" fill="none" stroke-linecap="round">\n'
     )
-    # the whole drawing is one bytes format of every cell
+    # a block of lines at a time, as write_curve writes its text: the
+    # bytes objects of every cell at once would outweigh the drawing
     line = b'<line x1="%s" y1="%s" x2="%s" y2="%s" />\n'
-    svg = head.encode() + (line * len(cells))[:-1] + b"\n</g>\n</svg>\n"
-    return (svg % tuple(cells.ravel().tolist())).decode()
+    body = [
+        line * len(block) % tuple(block.ravel().tolist())
+        for block in (cells[i : i + _TEXT_BLOCK] for i in range(0, len(cells), _TEXT_BLOCK))
+    ]
+    return b"".join([head.encode(), *body, b"</g>\n</svg>\n"]).decode()

@@ -567,7 +567,7 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
 # then N lines "x y z": decimal literals with 17 significant digits, the
 # curve's ``decimal_cells()`` that ``render_svg`` reuses for the drawing
 
-# vertex lines per bytes format in write_curve
+# lines per bytes format in write_curve and diagram.render_svg
 _TEXT_BLOCK = 2048
 
 

@@ -22,19 +22,25 @@ Six kinds are provided:
 * ``ConjugateMap`` -- the composite leave o inner o enter supported in a
   box: a canonical map framed into that box (``conjugate``).
 
-A composite applies each run of consecutive conjugates that share one
-inner map object and have pairwise disjoint closed x-projections in one
-routed pass: each row goes through the ``enter`` of the one box holding
-it, the rows of all boxes through ``inner`` together, and each box's rows
-back through its ``leave``.  Boxes with disjoint x-projections are
-disjoint, so that is bitwise the part-by-part loop, because a conjugate
-maps its box onto itself and fixes everything else, and the kernels act
-row by row.  The run finds a row's one candidate box by one sorted search
-on x and a containment check of that box, so routing costs rows x log
-boxes, not rows x boxes.  Every run the program forms is a chain along x:
-a stream's framed stages, or the sub-box copies of a multi-kink move.  It
-applies every box's frames at once, as stacked (r, 3) scale and shift
-rows gathered per row.
+A composite applies each run of two or more consecutive conjugates that
+share one inner map object in one pass, when their boxes take one of two
+shapes.  Both are bitwise the part-by-part loop, because a conjugate
+fixes everything outside its box and the kernels act row by row.
+
+* A routed run: closed x-projections pairwise disjoint, so the boxes
+  are.  Each row goes through the ``enter`` of the one box holding it,
+  the rows of all boxes through ``inner`` together, and each box's rows
+  back through its ``leave``.  The run finds a row's one candidate box by
+  one sorted search on x and a containment check of that box, so routing
+  costs rows x log boxes, not rows x boxes, and it applies every box's
+  frames at once, as stacked (r, 3) scale and shift rows gathered per
+  row.  A chain stream's framed stages and the sub-box copies of a
+  multi-kink move are routed runs.
+* A nested run: each box inside the one before.  A row outside box j is
+  outside every later box, so box j's conjugate reads only the rows box
+  j - 1 held, each row is written back once, when it drops out, and the
+  run stops when none is left.  The framed stages 2, 3, ... of
+  ``recursive_r1`` and ``fox_remarkable`` are nested runs.
 
 All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
 and a point they are built from (a cone apex, an unsquish center) is a
@@ -478,7 +484,8 @@ class CompositeMap(LocalMap):
     Only the rows inside the declared support are pushed through the
     parts; the rest come back bitwise unchanged.  The support must
     therefore contain everything any part moves.  Runs of conjugates are
-    found on first use and routed (see the module docstring).
+    found on first use and each applied in one pass (see the module
+    docstring).
     """
 
     def __init__(self, parts: Sequence[LocalMap], support: Box | None = None):
@@ -559,6 +566,38 @@ class _RoutedRun:
         return out
 
 
+class _NestedRun:
+    """Conjugates sharing one inner map, each supported inside the one
+    before, applied in one pass.
+
+    Stage j tests only the rows that support j - 1 held after stage
+    j - 1: a row outside support j is outside every later support, and
+    each conjugate hands it back unchanged, so it is written back once,
+    when it drops out.  The run stops when no row is left.  Each stage
+    carries all its rows by one frame, so the frames stay unstacked.
+    """
+
+    def __init__(self, parts: Sequence[ConjugateMap]):
+        self.parts = parts
+
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        out = pts.copy()
+        rows = np.arange(len(pts))
+        x = pts
+        for part in self.parts:
+            held = part.support.contains_array(x)
+            if not held.all():
+                out[rows[~held]] = x[~held]
+                rows, x = rows[held], x[held]
+                if not len(rows):
+                    return out
+            enter, leave = part.enter, part.leave
+            moved = part.inner.apply_array(x * enter.scale + enter.shift)
+            x = moved * leave.scale + leave.shift
+        out[rows] = x
+        return out
+
+
 def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
     """The scales and shifts of r axis-aligned frames as two (r, 3) arrays,
     to apply them all in one multiply-add."""
@@ -567,8 +606,9 @@ def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]
 
 def _routed_steps(parts: Sequence[LocalMap]) -> list:
     """The parts in order, each run of two or more consecutive conjugates
-    that share one inner object and whose closed x-projections are
-    pairwise disjoint replaced by one ``_RoutedRun``."""
+    that share one inner object replaced by one ``_RoutedRun`` while their
+    closed x-projections are pairwise disjoint, or by one ``_NestedRun``
+    while each support lies inside the one before."""
     conj = [i for i, m in enumerate(parts) if isinstance(m, ConjugateMap)]
     if len(conj) < 2:
         return list(parts)
@@ -579,13 +619,21 @@ def _routed_steps(parts: Sequence[LocalMap]) -> list:
     lo_x, hi_x = lo[:, 0], hi[:, 0]
     below = np.tril((lo_x[:, None] <= hi_x) & (lo_x <= hi_x[:, None]), -1)
     last = np.where(below.any(axis=1), len(conj) - 1 - below[:, ::-1].argmax(axis=1), -1).tolist()
+    # nests[j]: slot j's support lies inside slot j - 1's, from one stacked
+    # comparison of the corners; such supports meet, so no slot both nests
+    # and routes
+    nests = [False] + ((lo[:-1] <= lo[1:]) & (hi[1:] <= hi[:-1])).all(axis=1).tolist()
     slot = {i: j for j, i in enumerate(conj)}
     steps: list = []
     run: list[int] = []  # slots of the open run
 
     def close() -> None:
         if len(run) > 1:
-            steps.append(_RoutedRun([parts[conj[j]] for j in run], lo[run], hi[run]))
+            run_parts = [parts[conj[j]] for j in run]
+            if nests[run[1]]:
+                steps.append(_NestedRun(run_parts))
+            else:
+                steps.append(_RoutedRun(run_parts, lo[run], hi[run]))
         else:
             steps.extend(parts[conj[j]] for j in run)
         run.clear()
@@ -596,10 +644,17 @@ def _routed_steps(parts: Sequence[LocalMap]) -> list:
             close()
             steps.append(m)
             continue
-        # the open run's slots are consecutive, run[0] .. j - 1, so j meets
-        # one of them exactly when its latest meeting slot is run[0] or later
-        if run and (m.inner is not parts[conj[run[0]]].inner or last[j] >= run[0]):
-            close()
+        if run:
+            # the open run's slots are consecutive, run[0] .. j - 1, so j
+            # meets one of them exactly when its latest meeting slot is
+            # run[0] or later; a run's second slot sets its shape
+            routes = last[j] < run[0]
+            if len(run) == 1:
+                fits = nests[j] or routes
+            else:
+                fits = nests[j] if nests[run[1]] else routes
+            if not fits or m.inner is not parts[conj[run[0]]].inner:
+                close()
         run.append(j)
     close()
     return steps

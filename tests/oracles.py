@@ -8,8 +8,8 @@ infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
 refined axis, the stages of ``recursive_r1`` and ``fox_remarkable`` built
 level by level, the snowflake iterates with their sup deviations, and the cone
-pull as 12 affine tetrahedra.  None of them is on the path of a CLI
-verb.
+pull as 12 affine tetrahedra, with its exact inverse-Lipschitz constant.
+None of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 
@@ -251,6 +251,32 @@ def twelve_tetrahedra_cone(m: ConeMap, pts: np.ndarray) -> np.ndarray:
         "mi,mij->mj", lam[best, rows, :], tris[best]
     )
     return out
+
+
+def cone_piece_singular_values(m: ConeMap) -> np.ndarray:
+    """The smallest singular value of the cone pull on each of its six
+    pyramids, faces in the order x lo, x hi, y lo, y hi, z lo, z hi.
+
+    On the pyramid from p0 over the face x_i = f the gauge is
+    (q - p0) . w with w = e_i / (f - p0_i), so the pull is
+    q -> q + (1 - (q - p0) . w) u with u = p1 - p0, an affine map with
+    Jacobian I - u w^T."""
+    u = m.p1 - m.p0
+    sigma = []
+    for axis in range(3):
+        for face in (m.region.lo[axis], m.region.hi[axis]):
+            w = np.zeros(3)
+            w[axis] = 1.0 / (face - m.p0[axis])
+            sigma.append(np.linalg.svd(np.eye(3) - np.outer(u, w), compute_uv=False)[-1])
+    return np.array(sigma)
+
+
+def cone_inverse_lipschitz(m: ConeMap) -> float:
+    """The exact inverse-Lipschitz constant of a cone pull: the largest c
+    with |m(x) - m(y)| >= c |x - y| for all x, y.  The pull is a
+    piecewise-affine homeomorphism of space, the identity outside its
+    region, so c = min(1, min over the six pyramids of sigma_min)."""
+    return min(1.0, float(cone_piece_singular_values(m).min()))
 
 
 # -- snowflake iterates -------------------------------------------------------

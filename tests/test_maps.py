@@ -13,6 +13,7 @@ from knotiso.canonical import (
     kink_map,
     multi_kink_isotopy,
 )
+from knotiso.engine import truncated_map
 from knotiso.geometry import Box
 from knotiso.maps import (
     AffineMap,
@@ -28,11 +29,19 @@ from knotiso.maps import (
     estimate_inverse_lipschitz,
     UNBOUNDED,
     _box_radial_scale,
+    _NestedRun,
     _RoutedRun,
 )
 from knotiso.moves import chained_isotopy, reversed_isotopy, staged_isotopy, unsquish_isotopy
 from knotiso.scenarios import SCENARIO_BUILDERS
-from oracles import cone_tetrahedra, numpy_affine_frame, numpy_box_corners, twelve_tetrahedra_cone
+from oracles import (
+    cone_inverse_lipschitz,
+    cone_piece_singular_values,
+    cone_tetrahedra,
+    numpy_affine_frame,
+    numpy_box_corners,
+    twelve_tetrahedra_cone,
+)
 
 UNIT = Box.from_center((0, 0, 0), (1, 1, 1))
 
@@ -660,6 +669,46 @@ class TestInverseLipschitz:
             estimate_inverse_lipschitz(IdentityMap(), UNIT, 1, seed=0)
 
 
+def _random_cones():
+    """Cone pulls over a box of half-extents 2^-3 .. 4 around a center
+    within +-10, both apexes at most 0.95 half-extents from the center."""
+    coord = st.floats(-10.0, 10.0)
+    half = st.floats(-3.0, 2.0).map(lambda e: 2.0**e)
+    frac = st.tuples(*[st.floats(-0.95, 0.95)] * 3)
+
+    def build(v) -> ConeMap:
+        center, halves, f0, f1 = v
+        region = Box.from_center(np.array(center), np.array(halves))
+        p0, p1 = (region.center + np.array(f) * region.half_extents for f in (f0, f1))
+        return ConeMap(region, p0, p1)
+
+    return st.tuples(
+        st.tuples(coord, coord, coord), st.tuples(half, half, half), frac, frac
+    ).map(build)
+
+
+@given(_random_cones(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sampled_inverse_lipschitz_never_reads_below_the_exact_constant(m, seed):
+    exact = cone_inverse_lipschitz(m)
+    # up to the rounding of the sampled images
+    assert estimate_inverse_lipschitz(m, m.region, 500, seed) >= exact * (1.0 - 1e-9)
+    # the constant is attained: a short step along the worst piece's
+    # weakest direction, from halfway between p0 and that piece's face
+    sigma = cone_piece_singular_values(m)
+    f = int(sigma.argmin())
+    axis, side = divmod(f, 2)
+    face_center = m.region.center.copy()
+    face_center[axis] = (m.region.lo, m.region.hi)[side][axis]
+    x = m.p0 + 0.5 * (face_center - m.p0)
+    w = np.zeros(3)
+    w[axis] = 1.0 / (face_center[axis] - m.p0[axis])
+    v = np.linalg.svd(np.eye(3) - np.outer(m.p1 - m.p0, w))[2][-1]
+    step = 1e-6 * m.region.half_extents.min()
+    y = m.apply_array(np.array([x, x + step * v]))
+    assert np.linalg.norm(y[1] - y[0]) / step == pytest.approx(exact, rel=1e-5)
+
+
 @given(st.floats(0.05, 0.95), st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_unsquish_parameter_maps_invert(c, t):
@@ -1146,6 +1195,85 @@ def test_routed_run_matches_part_by_part(boxes, inner, n, seed):
         _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
         # boxes in one grid column share x: those are routed apart
         _assert_runs_are_x_disjoint(mm)
+
+
+def _nested_boxes():
+    """2 to 40 boxes, each inside the one before: the first of scale
+    2^-30 .. 4 around a center within +-50 (or 0 on an axis, so rows with
+    a zeroed coordinate can lie inside), each next one 2^-1 .. 2^-3 times
+    the last at a random place inside it, clipped to it.  The boxes stop
+    before one would be under 2^-44 times its center's size, where its
+    width would be a few ulps."""
+    coord = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+    level = st.tuples(st.integers(1, 3), st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+
+    def build(v) -> list[Box]:
+        center, scale, aspect, levels = v
+        boxes = [Box.from_center(np.array(center), scale * np.array(aspect))]
+        for shrink, place in levels:
+            last = boxes[-1]
+            half = last.half_extents * 2.0**-shrink
+            c = last.center + np.array(place) * (last.half_extents - half)
+            if half.min() < 2.0**-44 * max(1.0, np.abs(c).max()):
+                break
+            boxes.append(Box(np.maximum(c - half, last.lo), np.minimum(c + half, last.hi)))
+        return boxes
+
+    scale = st.floats(-30.0, 2.0).map(lambda e: 2.0**e)
+    aspect = st.tuples(*[st.floats(0.25, 1.0)] * 3)
+    levels = st.lists(level, min_size=1, max_size=39)
+    return st.tuples(st.tuples(coord, coord, coord), scale, aspect, levels).map(build)
+
+
+@given(_nested_boxes(), st.sampled_from(sorted(INNERS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_nested_run_matches_part_by_part(boxes, inner, seed):
+    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    rng = np.random.default_rng(seed)
+    pts = _with_signed_zeros(_probe_points(boxes, rng, 1201), rng)
+    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
+    (run,) = m._steps
+    assert isinstance(run, _NestedRun) and run.parts == list(m.parts)
+    # the inverse's supports grow, so its conjugates run one by one
+    inv = m.inverse()
+    _assert_bitwise(inv.apply_array(pts), _part_by_part(inv, pts))
+    assert inv._steps == list(inv.parts)
+
+
+def test_runs_of_both_shapes_in_one_composite():
+    # boxes 0 and 1 are x-disjoint, box 2 lies inside box 1 and box 3
+    # inside box 2, and box 4 is x-disjoint from box 3: a routed run, a
+    # nested run, then box 4 alone, since a box that nests into a routed
+    # run's last box closes it
+    boxes = [
+        Box.cube(center, side)
+        for center, side in (
+            ((0.0, 0.0, 0.0), 1.0),
+            ((3.0, 0.0, 0.0), 2.0),
+            ((3.25, 0.0, 0.0), 1.0),
+            ((3.25, 0.25, 0.0), 0.5),
+            ((9.0, 0.0, 0.0), 1.0),
+        )
+    ]
+    parts = _conjugates(boxes, kink_map())
+    m = CompositeMap(parts)
+    pts = _probe_points(boxes, np.random.default_rng(8), 1201)
+    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
+    routed, nested, last = m._steps
+    assert isinstance(routed, _RoutedRun) and routed.parts == parts[:2]
+    assert isinstance(nested, _NestedRun) and nested.parts == parts[2:4]
+    assert last is parts[4]
+
+
+@pytest.mark.parametrize("name", ["recursive_r1", "fox_remarkable"])
+def test_a_deep_truncation_of_a_nested_stream_is_stage_1_and_one_nested_run(name):
+    seq = SCENARIO_BUILDERS[name]().moves
+    m = truncated_map(seq, 40)
+    m.apply_array(np.zeros((1, 3)))
+    first, run = m._steps
+    assert first is seq.time_one_map(1)
+    assert isinstance(run, _NestedRun)
+    assert run.parts == [seq.time_one_map(k) for k in range(2, 41)]
 
 
 def _with_signed_zeros(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
