@@ -9,7 +9,11 @@ at t = 1.  Every isotopy kind runs under one end rule,
 built on first use, so a stage builds no map until it is evaluated and
 the hypothesis check, which reads only the supports, builds none.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
-then stage n at a local time, as one support-culled composite.
+then stage n at a local time, as one support-culled composite.  A
+self-similar stream declares its ``Similarity`` -- stage 1 and S(x) =
+p + r (x - p), stage k being stage 1 framed into V_k = S^(k-1)(V_1) --
+and its stages 2, 3, ... are built straight from that declaration as
+framed runs (``maps.framed_runs``), without building each stage's map.
 ``apply_truncated`` and ``glue_schedule`` (the one place that slices the
 time grid into stages) are read off it.
 ``eval_limit_isotopy`` evaluates the countable composition at the limit
@@ -31,7 +35,7 @@ import numpy as np
 
 from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from .geometry import farthest_corner_distances
-from .maps import CompositeMap, IdentityMap, LocalMap
+from .maps import CompositeMap, IdentityMap, LocalMap, framed_runs
 
 
 @dataclass(frozen=True)
@@ -124,19 +128,43 @@ class TailTable:
         return (inside[..., 0] & inside[..., 1] & inside[..., 2]).any(axis=-1)
 
 
+@dataclass(frozen=True, eq=False)
+class Similarity:
+    """A self-similar stream's declaration: its first stage ``first``,
+    supported in V_1, and the similarity S(x) = p + r (x - p).  Stage k's
+    map at time 1 is ``first``'s framed into V_k = S^(k-1)(V_1):
+    ``conjugate(AffineMap.box_to_box(V_1, V_k), first.time_one(), V_k)``."""
+
+    first: Isotopy
+    p: np.ndarray
+    r: float
+
+    def corners(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """V_first..V_last as stacked (m, 3) corner rows lo and hi, each
+        p + r^(k-1) (corner - p) with r^(k-1) a Python float power."""
+        scale = np.array([self.r ** (k - 1) for k in range(first, last + 1)])[:, None]
+        v1, p = self.first.support, self.p
+        return p + scale * (v1.lo - p), p + scale * (v1.hi - p)
+
+
 @dataclass
 class MoveSequence:
     """A replayable unbounded stream of stages inside a compact container:
     stage k is an isotopy H_k supported in V_k = ``stage(k).support``.
 
-    ``stage_fn`` is 1-based and must be pure; stages and tail tables are
-    memoized.
+    ``stage_fn`` is 1-based and must be pure; stages, tail tables and the
+    truncations at time 1 are memoized.  A self-similar stream declares
+    its ``similarity``: its stages' maps at time 1 are then the declared
+    stage 1 framed into the declared boxes, whatever supports its stage
+    isotopies declare.
     """
 
     stage_fn: Callable[[int], Isotopy]
     container: Box
+    similarity: Similarity | None = None
     _cache: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
+    _truncations: dict = field(default_factory=dict, repr=False)
 
     def stage(self, k: int) -> Isotopy:
         if k < 1:
@@ -208,13 +236,28 @@ def truncated_map(seq: MoveSequence, n: int, local: float = 1.0) -> LocalMap:
     """Stages 1..n-1 at time 1, then stage n at its local time, applied in
     stage order as one composite.  Its support boxes the container with
     the parts' own supports, so it holds whether or not the stages stay
-    inside the container."""
+    inside the container.  The truncation at time 1 is built once per
+    stream and depth."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return IdentityMap(support=seq.container)
-    parts = [seq.time_one_map(k) for k in range(1, n)] + [seq.stage(n).map_at(local)]
-    return _stage_composite(seq, parts)
+    if local != 1.0:
+        return _stage_composite(seq, _stages(seq, 1, n - 1) + [seq.stage(n).map_at(local)])
+    if n not in seq._truncations:
+        seq._truncations[n] = _stage_composite(seq, _stages(seq, 1, n))
+    return seq._truncations[n]
+
+
+def _stages(seq: MoveSequence, first: int, last: int) -> list[LocalMap]:
+    """The maps of stages first..last at time 1, in stage order: a
+    declared stream's stages from 2 on as framed runs over their boxes."""
+    sim = seq.similarity
+    if sim is None:
+        return [seq.time_one_map(k) for k in range(first, last + 1)]
+    head = [seq.time_one_map(1)] if first <= 1 <= last else []
+    lo, hi = sim.corners(max(first, 2), last)
+    return head + framed_runs(sim.first.time_one(), sim.first.support, lo, hi)
 
 
 def _stage_composite(seq: MoveSequence, parts: list[LocalMap]) -> CompositeMap:
@@ -318,7 +361,7 @@ def uniform_convergence_probe(seq: MoveSequence, n: int, m: int, grid: np.ndarra
         raise ValueError("need m >= n")
     xn = apply_truncated(seq, n, grid)
     # on from stage n, so the first n stages run once, not twice
-    later = _stage_composite(seq, [seq.time_one_map(k) for k in range(n + 1, m + 1)])
+    later = _stage_composite(seq, _stages(seq, n + 1, m))
     xm = later.apply_array(xn)
     return float(np.sqrt(((xn - xm) ** 2).sum(-1)).max())
 

@@ -341,9 +341,9 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
 class PLCurve:
     """A finite polyline in 3-space, open arc or closed loop.
 
-    The vertices live in one read-only ``(n, 3)`` float array, ``points``
-    (``vertices`` is the same array).  ``decimal_cells()`` holds each
-    coordinate's ``%.17g`` text, from one vectorized exact kernel that
+    The vertices live in one read-only row-major ``(n, 3)`` float array,
+    ``points`` (``vertices`` is the same array).  ``decimal_cells()`` holds
+    each coordinate's ``%.17g`` text, from one vectorized exact kernel that
     leaves only undecidable values to ``'%.17g'`` itself, built on first
     use.
     """
@@ -351,7 +351,9 @@ class PLCurve:
     __slots__ = ("points", "closed", "_cells")
 
     def __init__(self, vertices: np.ndarray, closed: bool = False) -> None:
-        pts = np.array(vertices, dtype=float)
+        # row-major whatever the input's layout: a map's image is
+        # coordinate-major, and every curve reads the same way
+        pts = np.array(vertices, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"vertices must be an (n, 3) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
@@ -361,7 +363,11 @@ class PLCurve:
             raise ValueError("closed curve needs at least 3 vertices")
         if not closed and n < 2:
             raise ValueError("open curve needs at least 2 vertices")
-        if (pts[1:] == pts[:-1]).all(axis=1).any():
+        # column by column: a reduction over a length-3 last axis is slower
+        same = pts[1:, 0] == pts[:-1, 0]
+        same &= pts[1:, 1] == pts[:-1, 1]
+        same &= pts[1:, 2] == pts[:-1, 2]
+        if same.any():
             raise ValueError("consecutive vertices must be distinct")
         if closed and (pts[0] == pts[-1]).all():
             raise ValueError("closed curve must not repeat its first vertex")

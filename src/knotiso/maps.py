@@ -1,6 +1,6 @@
 """Evaluable, invertible self-maps of 3-space with compact support.
 
-Six kinds are provided:
+Seven kinds are provided:
 
 * ``AffineMap`` -- an axis-aligned frame p -> scale * p + shift (per-axis
   scales, no rotation), carrying the canonical box onto a target box to
@@ -21,30 +21,45 @@ Six kinds are provided:
   only on the rows inside its declared support.
 * ``ConjugateMap`` -- the composite leave o inner o enter supported in a
   box: a canonical map framed into that box (``conjugate``).
+* ``FramedRun`` -- one inner map framed into r boxes, the conjugates
+  ``conjugate(AffineMap.box_to_box(src, V_j), inner, V_j)`` one after
+  another, applied in one pass (``framed_runs``).
 
-A composite applies each run of two or more consecutive conjugates that
-share one inner map object in one pass, when their boxes take one of two
-shapes.  Both are bitwise the part-by-part loop, because a conjugate
-fixes everything outside its box and the kernels act row by row.
+A framed run is declared, not discovered: a self-similar stream's stages
+2, 3, ... and the sub-box copies of a multi-kink move are built as runs
+from their boxes (see ``engine.truncated_map`` and ``canonical``).  It
+stacks every box's frames, one column per box, op for op as
+``box_to_box`` and ``AffineMap.inverse`` would build them, and takes one
+of two shapes.  Both are bitwise the conjugates one after another,
+because a conjugate fixes everything outside its box and the kernels act
+point by point.
 
-* A routed run: closed x-projections pairwise disjoint, so the boxes
-  are.  Each row goes through the ``enter`` of the one box holding it,
-  the rows of all boxes through ``inner`` together, and each box's rows
-  back through its ``leave``.  The run finds a row's one candidate box by
-  one sorted search on x and a containment check of that box, so routing
-  costs rows x log boxes, not rows x boxes, and it applies every box's
-  frames at once, as stacked (r, 3) scale and shift rows gathered per
-  row.  A chain stream's framed stages and the sub-box copies of a
-  multi-kink move are routed runs.
-* A nested run: each box inside the one before.  A row outside box j is
+* Routed: each box lies strictly beyond the one before along x, so the
+  boxes are pairwise disjoint.  Each row goes through the ``enter`` of the
+  one box holding it, the rows of all boxes through ``inner`` together,
+  and each box's rows back through its ``leave``.  The run finds a row's
+  one candidate box by one sorted search on x and a containment check of
+  that box, so routing costs rows x log boxes, not rows x boxes.  A chain
+  stream's stages and the multi-kink copies are routed.
+* Nested: each box inside the one before.  A row outside box j is
   outside every later box, so box j's conjugate reads only the rows box
   j - 1 held, each row is written back once, when it drops out, and the
-  run stops when none is left.  The framed stages 2, 3, ... of
-  ``recursive_r1`` and ``fox_remarkable`` are nested runs.
+  run stops when none is left.  The stages of ``recursive_r1`` and
+  ``fox_remarkable`` are nested.  Their inverse, whose boxes grow, runs
+  box by box.
+
+``framed_runs`` splits the boxes wherever the floats break either shape,
+as they do where a chain's boxes come within an ulp of each other.
 
 All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
 and a point they are built from (a cone apex, an unsquish center) is a
 float (3,) row; inverses are exact map objects, not numeric solves.
+Inside the maps a batch is coordinate-major: its memory is Fortran order,
+so each coordinate is one contiguous row of ``pts.T``, and the kernels
+compute on those rows.  Every image is Fortran-ordered; the values are
+the row-major ones bitwise, since every operation is per element or a
+fixed-order fold over the three coordinates.
+
 Two rules live in ``LocalMap`` alone, so each kind states only its
 kernel: ``_on_support`` runs the kernel on the rows inside ``support`` and
 hands every other row back bitwise unchanged, always in a fresh array, so
@@ -97,16 +112,18 @@ class LocalMap:
 
     def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
         """run(rows) on the rows inside the support; the rest come back
-        bitwise unchanged, and always in a fresh array."""
-        pts = np.asarray(pts, dtype=float)
+        bitwise unchanged, and always in a fresh array.  The batch is made
+        Fortran-ordered once (no copy if it is already), culled one
+        coordinate row at a time, and the image is Fortran-ordered."""
+        pts = np.asarray(pts, dtype=float, order="F")
         inside = self.support.contains_array(pts)
         if inside.all():
             out = run(pts)
             # a composite with no parts hands its input back
-            return pts.copy() if out is pts else out
-        out = pts.copy()
+            return pts.copy(order="F") if out is pts else out
+        out = pts.copy(order="F")
         if inside.any():
-            out[inside] = run(pts[inside])
+            out.T[:, inside] = run(pts.T[:, inside].T).T
         return out
 
 
@@ -115,7 +132,7 @@ class IdentityMap(LocalMap):
     support: Box = field(default_factory=lambda: _ORIGIN)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return pts.copy()
+        return pts.copy(order="K")
 
     def inverse(self) -> "IdentityMap":
         return self
@@ -248,15 +265,16 @@ class UnsquishParams:
 
 
 def _box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Largest r with origin + r*direction inside the box, per row: the
-    reciprocal of the box gauge from origin, which the cone pull and the
-    unsquish slide both read."""
-    return _radial_scale(box.lo - origin, box.hi - origin, direction)
+    """Largest r with origin + r*direction inside the box, per row of the
+    (n, 3) origins and directions: the reciprocal of the box gauge from
+    origin, which the cone pull and the unsquish slide both read."""
+    return _radial_scale((box.lo - origin).T, (box.hi - origin).T, direction.T)
 
 
 def _radial_scale(lo_off: np.ndarray, hi_off: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """``_box_radial_scale`` given the box corners' offsets from the
-    origin, lo - origin and hi - origin."""
+    """``_box_radial_scale`` on coordinate rows: the box corners' offsets
+    from the origin, lo - origin and hi - origin, as (3, 1) columns or
+    (3, m) rows, and the (3, m) directions."""
     # a zero or subnormal direction component gives an infinite reach there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_lo = lo_off / direction
@@ -264,7 +282,12 @@ def _radial_scale(lo_off: np.ndarray, hi_off: np.ndarray, direction: np.ndarray)
     # the origin is strictly inside the box, so a zero direction component,
     # +0.0 or -0.0, gives one infinite offset of each sign: the reach is +inf
     t_max = np.maximum(t_lo, t_hi)
-    return np.minimum(np.minimum(t_max[:, 0], t_max[:, 1]), t_max[:, 2])
+    return np.minimum(np.minimum(t_max[0], t_max[1]), t_max[2])
+
+
+def _column(row) -> np.ndarray:
+    """A float (3,) row as a (3, 1) column, to broadcast over coordinate rows."""
+    return np.asarray(row, dtype=float).reshape(3, 1)
 
 
 class ConeMap(LocalMap):
@@ -279,8 +302,9 @@ class ConeMap(LocalMap):
     it is the bitwise identity; bijective on all of space.  The inverse is
     the cone map with the apexes swapped.
 
-    The box corners' offsets from p0, which every row's gauge reads, are
-    computed once, when the map is built.
+    The apex, the step and the box corners' offsets from p0, which every
+    row's gauge reads, are (3, 1) columns computed once, when the map is
+    built.
     """
 
     def __init__(self, region: Box, p0: np.ndarray, p1: np.ndarray):
@@ -292,22 +316,24 @@ class ConeMap(LocalMap):
         self.p0 = p0
         self.p1 = p1
         self.support = region
-        self._step = p1 - p0
-        # the corners' offsets from the apex, which every row's gauge reads
-        self._lo_off = region.lo - p0
-        self._hi_off = region.hi - p0
+        self._apex = _column(p0)
+        self._step = _column(p1 - p0)
+        self._lo_off = _column(region.lo - p0)
+        self._hi_off = _column(region.hi - p0)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return self._on_support(pts, self._pull)
 
     def _pull(self, q: np.ndarray) -> np.ndarray:
-        """The images of (m, 3) rows inside the region."""
+        """The images of (m, 3) rows inside the region, computed on their
+        coordinate rows q.T."""
+        q = q.T
         # r >= 1 inside the box and exactly 1 on its boundary; r is inf at
         # the apex, which therefore moves by the whole step
-        r = _radial_scale(self._lo_off, self._hi_off, q - self.p0)
-        shift = (1.0 - 1.0 / r)[:, None] * self._step
+        r = _radial_scale(self._lo_off, self._hi_off, q - self._apex)
+        shift = (1.0 - 1.0 / r) * self._step
         # a zero shift keeps the coordinate's bits, signed zero included
-        return np.where(shift == 0.0, q, q + shift)
+        return np.where(shift == 0.0, q, q + shift).T
 
     def _inverted(self) -> "ConeMap":
         # ConeMap(region, p1, p0).inverse() would rebuild self bitwise, so
@@ -328,12 +354,13 @@ class UnsquishMap(LocalMap):
     reparameterization sending the breakpoint c/2 to the time-interpolated
     value s_c(t) = t/2 + (1 - t) c/2.
 
-    The kernels take one pass over all the rows of the outer box: each
-    evaluates both legs' formulas on every row and picks one per row
-    (``np.where``), the origin of a row's ray being the apex or the center.
-    The constants they read -- scale_up - 1, c/2 and s_c(t) with their
-    complements 1 - c/2 and 1 - s_c(t) -- are computed once, when the map
-    is built.
+    The kernels take one pass over the coordinate rows of the outer box's
+    points: each evaluates both legs' formulas on every point and picks
+    one per point (``np.where``), the origin of a point's ray being the
+    apex or the center, both kept as (3, 1) columns.  Those columns, the
+    inner box's corners, and the constants the kernels read --
+    scale_up - 1, c/2 and s_c(t) with their complements 1 - c/2 and
+    1 - s_c(t) -- are computed once, when the map is built.
     """
 
     def __init__(self, params: UnsquishParams, t: float):
@@ -342,10 +369,12 @@ class UnsquishMap(LocalMap):
         self.params = params
         self.t = t
         self.support = params.outer
-        self._center = params.outer.center
-        self._apex = params.apex
-        # the anchor of an apex row, with a -0.0 coordinate made +0.0
-        self._apex_anchor = params.apex + 0.0
+        self._center = _column(params.outer.center)
+        self._apex = _column(params.apex)
+        # the anchor of an apex point, with a -0.0 coordinate made +0.0
+        self._apex_anchor = self._apex + 0.0
+        self._inner_lo = _column(params.inner.lo)
+        self._inner_hi = _column(params.inner.hi)
         self._stretch = params.scale_up - 1.0
         self._s0 = params.s_c0
         self._sc_t = t * params.s_c1 + (1.0 - t) * self._s0
@@ -354,17 +383,18 @@ class UnsquishMap(LocalMap):
 
     # -- path parameterization ------------------------------------------
 
-    def _path_coords(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Glued parameter s and the inner-boundary anchor v_inner."""
-        par = self.params
-        in_inner = par.inner.contains_array(pts)
-        # rows of the inner box lie on a ray from the apex, the rest of the
-        # shell on a ray from the center
-        origin = np.where(in_inner[:, None], self._apex, self._center)
-        d = pts - origin
-        r = _box_radial_scale(par.inner, origin, d)
-        # only an inner row can sit at its origin: a shell row is off center
-        at_apex = ~np.isfinite(r) | (np.abs(d).max(axis=-1) == 0.0)
+    def _path_coords(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Glued parameter s and the inner-boundary anchor v_inner of the
+        (3, m) coordinate rows q."""
+        in_inner = self.params.inner.contains_array(q.T)
+        # points of the inner box lie on a ray from the apex, the rest of
+        # the shell on a ray from the center
+        origin = np.where(in_inner, self._apex, self._center)
+        d = q - origin
+        r = _radial_scale(self._inner_lo - origin, self._inner_hi - origin, d)
+        # only an inner point can sit at its origin, the apex, and the apex
+        # is strictly inside the inner box, so r is inf exactly there
+        at_apex = ~np.isfinite(r)
         r = np.where(at_apex, 1.0, r)
         # a point is at multiple 1/r of the inner boundary along its ray;
         # the shell spans multiples 1 .. scale_up
@@ -372,17 +402,19 @@ class UnsquishMap(LocalMap):
         s_inner = np.where(at_apex, 0.0, mult) / 2.0
         s_shell = 0.5 + 0.5 * np.minimum(np.maximum((mult - 1.0) / self._stretch, 0.0), 1.0)
         s = np.where(in_inner, s_inner, s_shell)
-        v_in = np.where(at_apex[:, None], self._apex_anchor, origin + r[:, None] * d)
+        v_in = np.where(at_apex, self._apex_anchor, origin + r * d)
         return s, v_in
 
     def _path_point(self, s: np.ndarray, v_in: np.ndarray) -> np.ndarray:
+        """The (3, m) coordinate rows at parameter s on the paths through
+        the anchors v_in."""
         inner_leg = s <= 0.5
-        origin = np.where(inner_leg[:, None], self._apex, self._center)
+        origin = np.where(inner_leg, self._apex, self._center)
         two_s = 2.0 * s
         mult = np.where(
             inner_leg, np.minimum(np.maximum(two_s, 0.0), 1.0), 1.0 + (two_s - 1.0) * self._stretch
         )
-        return origin + mult[:, None] * (v_in - origin)
+        return origin + mult * (v_in - origin)
 
     def _s_prime(self, s: np.ndarray) -> np.ndarray:
         s0, sc_t = self._s0, self._sc_t
@@ -398,9 +430,10 @@ class UnsquishMap(LocalMap):
     # -- LocalMap interface ---------------------------------------------
 
     def _slide(self, q: np.ndarray, reparam) -> np.ndarray:
-        """Slide (m, 3) rows of the outer box along their paths from s to reparam(s)."""
-        s, v_in = self._path_coords(q)
-        return self._path_point(reparam(s), v_in)
+        """Slide (m, 3) rows of the outer box along their paths from s to
+        reparam(s), computed on their coordinate rows q.T."""
+        s, v_in = self._path_coords(q.T)
+        return self._path_point(reparam(s), v_in).T
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return self._on_support(pts, lambda q: self._slide(q, self._s_prime))
@@ -449,7 +482,7 @@ class PowerMap1D(LocalMap):
         # e = 2), which an array exponent does not match bitwise
         on_axis = phi == 1.0
         y[on_axis] = x[on_axis] ** (1.0 / self.exponent if inverse else self.exponent)
-        out = q.copy()
+        out = q.copy(order="K")
         # 0 ** power is +0.0: the x = 0 face keeps its sign bit too
         out[:, 0] = np.copysign(y, x)
         return out
@@ -482,10 +515,8 @@ class CompositeMap(LocalMap):
     """Left-to-right composition: apply(p) runs parts[0] first.
 
     Only the rows inside the declared support are pushed through the
-    parts; the rest come back bitwise unchanged.  The support must
-    therefore contain everything any part moves.  Runs of conjugates are
-    found on first use and each applied in one pass (see the module
-    docstring).
+    parts, one after another; the rest come back bitwise unchanged.  The
+    support must therefore contain everything any part moves.
     """
 
     def __init__(self, parts: Sequence[LocalMap], support: Box | None = None):
@@ -496,15 +527,11 @@ class CompositeMap(LocalMap):
             self.support = bounding_box([m.support for m in self.parts])
         else:
             self.support = _ORIGIN
-        self._steps: list | None = None
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        if self._steps is None:
-            self._steps = _routed_steps(self.parts)
-
         def run(out: np.ndarray) -> np.ndarray:
-            for step in self._steps:
-                out = step.apply_array(out)
+            for part in self.parts:
+                out = part.apply_array(out)
             return out
 
         return self._on_support(pts, run)
@@ -530,134 +557,165 @@ class ConjugateMap(CompositeMap):
         )
 
 
-class _RoutedRun:
-    """Conjugates sharing one inner map, whose supports have pairwise
-    disjoint closed x-projections, applied in one pass.
+class FramedRun(LocalMap):
+    """One inner map framed into r boxes: the conjugates leave_j o inner o
+    enter_j, each supported in its box V_j, one after another, applied in
+    one pass (see the module docstring).
 
-    The supports are stacked as (r, 3) corner arrays sorted by min x, so
-    a row's only candidate box is the last one whose min x is at most the
-    row's x, found by one sorted search; the row is routed to it if that
-    box holds it.  The frames are stacked too: each routed row is carried
-    in and out by the scale and shift rows of its box's ``enter`` and
-    ``leave``, gathered per row.
+    ``shape`` is "routed" (the boxes pairwise disjoint), "nested" (each
+    box inside the one before) or "grown" (each box holding the one
+    before, the inverse of a nested run, applied box by box).  The boxes'
+    corners and the frames' scales and shifts are kept as (3, r) arrays,
+    one column per box, in the order the run reads them: a routed run's
+    by min x, for its sorted search; the others' in conjugate order.
     """
 
-    def __init__(self, parts: Sequence[ConjugateMap], lo: np.ndarray, hi: np.ndarray):
-        self.parts = parts
-        order = np.argsort(lo[:, 0])
-        self.lo = lo[order]
-        self.hi = hi[order]
-        self._enter = stacked_frames([parts[i].enter for i in order])
-        self._leave = stacked_frames([parts[i].leave for i in order])
+    def __init__(self, inner: LocalMap, lo: np.ndarray, hi: np.ndarray, enter, leave, shape: str):
+        """The boxes as (r, 3) corner rows ``lo`` and ``hi`` and the frames
+        ``enter`` and ``leave`` as (scale, shift) pairs of (r, 3) rows, all
+        in conjugate order."""
+        self.inner = inner
+        self.shape = shape
+        self.support = Box(lo.min(axis=0), hi.max(axis=0))
+        order = np.argsort(lo[:, 0]) if shape == "routed" else slice(None)
+
+        def columns(a: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(a[order].T)
+
+        self._lo, self._hi = columns(lo), columns(hi)
+        self._enter = tuple(map(columns, enter))
+        self._leave = tuple(map(columns, leave))
+        self._kernel = {"routed": self._route, "nested": self._nest, "grown": self._grow}[shape]
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        return self._on_support(pts, self._kernel)
+
+    def _held(self, box, x: np.ndarray) -> np.ndarray:
+        """Per column of the (3, m) coordinate rows x, whether box ``box``
+        (an index per column, or one for all) holds it."""
+        inside = (self._lo[:, box] <= x) & (x <= self._hi[:, box])
+        return inside[0] & inside[1] & inside[2]
+
+    def _carry(self, box, x: np.ndarray) -> np.ndarray:
+        """The conjugates of box ``box`` (an index per column, or one for
+        all) on the (3, m) coordinate rows x of points they hold."""
+        (enter_scale, enter_shift), (leave_scale, leave_shift) = self._enter, self._leave
+        moved = self.inner.apply_array((x * enter_scale[:, box] + enter_shift[:, box]).T)
+        return moved.T * leave_scale[:, box] + leave_shift[:, box]
+
+    def _route(self, q: np.ndarray) -> np.ndarray:
+        x = q.T
         # a row left of every box gets slot -1, the last box, whose min x
         # exceeds the row's x
-        j = np.searchsorted(self.lo[:, 0], pts[:, 0], side="right") - 1
-        held = (self.lo[j] <= pts) & (pts <= self.hi[j])
-        rows = np.nonzero(held[:, 0] & held[:, 1] & held[:, 2])[0]
-        out = pts.copy()
-        if not len(rows):
-            return out
-        b = j[rows]
-        (enter_scale, enter_shift), (leave_scale, leave_shift) = self._enter, self._leave
-        moved = self.parts[0].inner.apply_array(pts[rows] * enter_scale[b] + enter_shift[b])
-        out[rows] = moved * leave_scale[b] + leave_shift[b]
+        box = np.searchsorted(self._lo[0], x[0], side="right") - 1
+        rows = np.nonzero(self._held(box, x))[0]
+        out = q.copy(order="F")
+        if len(rows):
+            out.T[:, rows] = self._carry(box[rows], x[:, rows])
         return out
 
-
-class _NestedRun:
-    """Conjugates sharing one inner map, each supported inside the one
-    before, applied in one pass.
-
-    Stage j tests only the rows that support j - 1 held after stage
-    j - 1: a row outside support j is outside every later support, and
-    each conjugate hands it back unchanged, so it is written back once,
-    when it drops out.  The run stops when no row is left.  Each stage
-    carries all its rows by one frame, so the frames stay unstacked.
-    """
-
-    def __init__(self, parts: Sequence[ConjugateMap]):
-        self.parts = parts
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        out = pts.copy()
-        rows = np.arange(len(pts))
-        x = pts
-        for part in self.parts:
-            held = part.support.contains_array(x)
+    def _nest(self, q: np.ndarray) -> np.ndarray:
+        # every row is inside the first box, the run's support
+        out = np.empty_like(q, order="F")
+        rows = np.arange(len(q))
+        x = self._carry([0], q.T)
+        for j in range(1, self._lo.shape[1]):
+            held = self._held([j], x)
             if not held.all():
-                out[rows[~held]] = x[~held]
-                rows, x = rows[held], x[held]
+                out.T[:, rows[~held]] = x[:, ~held]
+                rows, x = rows[held], x[:, held]
                 if not len(rows):
                     return out
-            enter, leave = part.enter, part.leave
-            moved = part.inner.apply_array(x * enter.scale + enter.shift)
-            x = moved * leave.scale + leave.shift
-        out[rows] = x
+            x = self._carry([j], x)
+        out.T[:, rows] = x
         return out
+
+    def _grow(self, q: np.ndarray) -> np.ndarray:
+        out = q.copy(order="F")
+        x = out.T
+        for j in range(self._lo.shape[1]):
+            held = self._held([j], x)
+            if held.any():
+                x[:, held] = self._carry([j], x[:, held])
+        return out
+
+    def _inverted(self) -> "FramedRun":
+        # the boxes backwards, each frame inverted as AffineMap.inverse
+        # inverts it; no link back, since 1 / (1 / s) is not bitwise s
+        back = slice(None, None, -1)
+        lo, hi = self._lo.T[back], self._hi.T[back]
+        enter = _inverse_frames(*(a.T[back] for a in self._leave))
+        leave = _inverse_frames(*(a.T[back] for a in self._enter))
+        shape = {"routed": "routed", "nested": "grown", "grown": "nested"}[self.shape]
+        return FramedRun(self.inner.inverse(), lo, hi, enter, leave, shape)
+
+
+def _negative_zero_rows(shift: np.ndarray) -> np.ndarray:
+    """``_negative_zeros`` on stacked shift rows."""
+    return np.where(shift == 0.0, -0.0, shift)
+
+
+def _inverse_frames(scale: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of stacked frames, op for op as ``AffineMap.inverse``
+    builds each: scale 1 / s and shift -(1 / s) * t, a zero as -0.0."""
+    inv = 1.0 / scale
+    return inv, _negative_zero_rows(-inv * shift)
+
+
+def framed_runs(inner: LocalMap, src: Box, lo: np.ndarray, hi: np.ndarray) -> list[FramedRun]:
+    """The conjugates ``conjugate(AffineMap.box_to_box(src, V_j), inner,
+    V_j)`` of the boxes V_j, given as (r, 3) corner rows ``lo`` and ``hi``
+    in the order they run, as framed runs.
+
+    The frames are stacked op for op as ``box_to_box`` and
+    ``AffineMap.inverse`` build them, so the runs are bitwise the
+    conjugates one after another.  They are checked box by box, in order:
+    the first box whose frame ``AffineMap`` refuses raises that refusal.
+    A run ends where the next box neither lies inside its last box nor
+    strictly beyond it along x, in the direction the run marches.
+    """
+    if not len(lo):
+        return []
+    s_lo, s_hi = src.lo, src.hi
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = (hi - lo) * 0.5 / ((s_hi - s_lo) * 0.5)
+        shift = (lo + (hi - lo) * 0.5) - scale * (s_lo + (s_hi - s_lo) * 0.5)
+        inv = 1.0 / scale
+        inv_shift = -inv * shift
+        ok = np.isfinite(scale) & (scale != 0.0) & np.isfinite(-(1.0 / inv) * inv_shift)
+    ok = ok.all(axis=1)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        AffineMap.box_to_box(src, Box(lo[j], hi[j]))
+        raise AssertionError(f"stacked frame {j} is refused, but AffineMap builds it")
+    leave = (scale, _negative_zero_rows(shift))
+    enter = (inv, _negative_zero_rows(inv_shift))
+    # link[j]: box j + 1 lies inside box j (1), or strictly beyond it along
+    # x toward +x (2) or -x (3), or none of these (0)
+    nests = ((lo[:-1] <= lo[1:]) & (hi[1:] <= hi[:-1])).all(axis=1)
+    link = np.select([nests, hi[:-1, 0] < lo[1:, 0], hi[1:, 0] < lo[:-1, 0]], [1, 2, 3]).tolist()
+    cuts = [0]
+    for j, kind in enumerate(link):
+        if kind == 0 or kind != link[cuts[-1]]:
+            cuts.append(j + 1)
+    cuts.append(len(lo))
+    return [
+        FramedRun(
+            inner,
+            lo[a:b],
+            hi[a:b],
+            tuple(f[a:b] for f in enter),
+            tuple(f[a:b] for f in leave),
+            "nested" if b - a == 1 or link[a] == 1 else "routed",
+        )
+        for a, b in zip(cuts, cuts[1:])
+    ]
 
 
 def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
     """The scales and shifts of r axis-aligned frames as two (r, 3) arrays,
     to apply them all in one multiply-add."""
     return np.array([f.scale for f in frames]), np.array([f.shift for f in frames])
-
-
-def _routed_steps(parts: Sequence[LocalMap]) -> list:
-    """The parts in order, each run of two or more consecutive conjugates
-    that share one inner object replaced by one ``_RoutedRun`` while their
-    closed x-projections are pairwise disjoint, or by one ``_NestedRun``
-    while each support lies inside the one before."""
-    conj = [i for i, m in enumerate(parts) if isinstance(m, ConjugateMap)]
-    if len(conj) < 2:
-        return list(parts)
-    lo = np.array([parts[i].support.lo for i in conj])
-    hi = np.array([parts[i].support.hi for i in conj])
-    # last[j]: the latest slot before j whose x-projection meets slot j's,
-    # or -1, from one stacked test of the x-intervals
-    lo_x, hi_x = lo[:, 0], hi[:, 0]
-    below = np.tril((lo_x[:, None] <= hi_x) & (lo_x <= hi_x[:, None]), -1)
-    last = np.where(below.any(axis=1), len(conj) - 1 - below[:, ::-1].argmax(axis=1), -1).tolist()
-    # nests[j]: slot j's support lies inside slot j - 1's, from one stacked
-    # comparison of the corners; such supports meet, so no slot both nests
-    # and routes
-    nests = [False] + ((lo[:-1] <= lo[1:]) & (hi[1:] <= hi[:-1])).all(axis=1).tolist()
-    slot = {i: j for j, i in enumerate(conj)}
-    steps: list = []
-    run: list[int] = []  # slots of the open run
-
-    def close() -> None:
-        if len(run) > 1:
-            run_parts = [parts[conj[j]] for j in run]
-            if nests[run[1]]:
-                steps.append(_NestedRun(run_parts))
-            else:
-                steps.append(_RoutedRun(run_parts, lo[run], hi[run]))
-        else:
-            steps.extend(parts[conj[j]] for j in run)
-        run.clear()
-
-    for i, m in enumerate(parts):
-        j = slot.get(i)
-        if j is None:
-            close()
-            steps.append(m)
-            continue
-        if run:
-            # the open run's slots are consecutive, run[0] .. j - 1, so j
-            # meets one of them exactly when its latest meeting slot is
-            # run[0] or later; a run's second slot sets its shape
-            routes = last[j] < run[0]
-            if len(run) == 1:
-                fits = nests[j] or routes
-            else:
-                fits = nests[j] if nests[run[1]] else routes
-            if not fits or m.inner is not parts[conj[run[0]]].inner:
-                close()
-        run.append(j)
-    close()
-    return steps
 
 
 def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> ConjugateMap:

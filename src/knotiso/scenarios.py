@@ -14,13 +14,16 @@ its straight baseline.
 
 Every stream but the interval counterexample is self-similar, and is
 declared once, as its first stage and a similarity S(x) = p + r (x - p)
-(``_similar_stream``): stage 1 is an isotopy supported in V_1, and stage
-k is stage 1 framed into V_k = S^(k-1)(V_1), one stage rule for all of
-them.  The chain streams (``countable_*``, ``trefoil_chain``) untie the
-loops of V_1 and halve toward p on the x-axis, and each chain curve ties
-its loops in the stream's own V_1..V_20; ``recursive_r1`` (an insert,
-then an unsquish) halves and ``fox_remarkable`` (a loop pair untied,
-then a squish) quarters toward p = 0.
+(``_similar_stream``, which hands the declaration to its
+``MoveSequence`` as an ``engine.Similarity``): stage 1 is an isotopy
+supported in V_1, and stage k is stage 1 framed into V_k = S^(k-1)(V_1),
+one stage rule for all of them, so a truncation builds stages 2, 3, ...
+straight from the declaration, as framed runs.  The chain streams
+(``countable_*``, ``trefoil_chain``) untie the loops of V_1 and halve
+toward p on the x-axis, and each chain curve ties its loops in the
+stream's own V_1..V_20; ``recursive_r1`` (an insert, then an unsquish)
+halves and ``fox_remarkable`` (a loop pair untied, then a squish)
+quarters toward p = 0.
 
 Box corners are written as coordinate tuples; the points a scenario
 probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
@@ -37,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
-from .engine import Isotopy, MoveSequence
+from .engine import Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
 from .maps import (
     AffineMap,
@@ -140,16 +143,17 @@ def _similar_box(v1: Box, p: np.ndarray, r: float, k: int) -> Box:
     return Box(p + s * (v1.lo - p), p + s * (v1.hi - p))
 
 
-def _similar_stream(first: Isotopy, p: Sequence[float], r: float) -> Callable[[int], Isotopy]:
-    """The stages of a self-similar stream: stage 1 is ``first``, supported
-    in V_1, and stage k frames it into V_k = S^(k-1)(V_1), S(x) = p + r (x - p).
-    Every stream here has r a power of two, so s = r^(k-1) is exact."""
+def _similar_stream(first: Isotopy, p: Sequence[float], r: float, container: Box) -> MoveSequence:
+    """A self-similar stream, declared by its ``Similarity``: stage 1 is
+    ``first``, supported in V_1, and stage k frames it into
+    V_k = S^(k-1)(V_1), S(x) = p + r (x - p).  Every stream here has r a
+    power of two, so s = r^(k-1) is exact."""
     p = np.asarray(p, dtype=float)
 
     def stage(k: int) -> Isotopy:
         return first if k == 1 else conjugated_isotopy(first, _similar_box(first.support, p, r, k))
 
-    return stage
+    return MoveSequence(stage, container, similarity=Similarity(first, p, r))
 
 
 def _closed_curve(active: np.ndarray) -> PLCurve:
@@ -165,7 +169,7 @@ def _countable_stream(limit_x: float, m: int, container: Box) -> MoveSequence:
     """Untie m loops per stage, in disjoint boxes on the x-axis halving
     toward (limit_x, 0, 0)."""
     v1 = Box.from_center((limit_x - 0.25, 0.0, 0.0), (1 / 32, 1 / 16, 1 / 16))
-    return MoveSequence(_similar_stream(_untie(v1, m), (limit_x, 0.0, 0.0), 0.5), container)
+    return _similar_stream(_untie(v1, m), (limit_x, 0.0, 0.0), 0.5, container)
 
 
 def build_countable_r1() -> Scenario:
@@ -294,7 +298,8 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     parts = [rec_insert(1)]
     if not ablated:
         parts.append(unsquish_isotopy(rec_unsquish_params(1, rec_squish_constant())))
-    stage = _similar_stream(chained_isotopy(parts, _REC_V1), (0.0, 0.0, 0.0), 0.5)
+    container = Box((-0.6, -0.3, -0.3), (0.3, 0.3, 0.3))
+    moves = _similar_stream(chained_isotopy(parts, _REC_V1), (0.0, 0.0, 0.0), 0.5, container)
 
     L = _REC_SCALE
     arm_dir = _REC_APEX_DIR / np.linalg.norm(_REC_APEX_DIR)
@@ -308,7 +313,6 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     wedge = [radii[::-1, None] * arm_dir, np.zeros((1, 3)), radii[:, None] * lower_dir]
     curve = PLCurve(np.concatenate(wedge), closed=False)
 
-    container = Box((-0.6, -0.3, -0.3), (0.3, 0.3, 0.3))
     q0 = rec_apex(0)
     pairs = np.array([
         # grab point vs the fixed vertex: the pair the unsquish moves protect
@@ -322,7 +326,7 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     return Scenario(
         name="recursive_r1" + ("_ablated" if ablated else ""),
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container),
+        moves=moves,
         expected=ExpectedVerdicts("pass", None, "pass" if not ablated else "fail"),
         probe_pairs=pairs,
         census_samples=census,
@@ -351,7 +355,7 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
     # V_1 is the work box inside the shell between nesting levels 1 and 2
     v1 = Box.from_center((1.90625, 0.0, 0.0), (0.028125, 0.025, 0.025))
-    chain = MoveSequence(_similar_stream(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5), container)
+    chain = _similar_stream(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5, container)
     strand = _loop_chain(-0.5, 2.0, chain.boxes(1, _LOOPS), 3)
     moves = chain
     if extended:
@@ -361,7 +365,8 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
             untie = chain.stage(k)
             return Isotopy.from_motion(_with_segment(untie.support), untie.map_at, untie.time_one)
 
-        moves = MoveSequence(stage_fn=stage, container=container)
+        # its maps are the chain's, so it declares the chain's similarity
+        moves = MoveSequence(stage, container, similarity=chain.similarity)
     curve = _closed_curve(strand)
 
     pairs = np.array([
@@ -429,14 +434,14 @@ def build_fox_remarkable() -> Scenario:
     container = Box((-1.0, -1.0, -1.0), (2.0, 1.0, 1.0))
 
     first = chained_isotopy([_untie(fox_pair_box_current(1), 2), fox_squish_isotopy()], _FOX_V1)
-    stage = _similar_stream(first, (0.0, 0.0, 0.0), 0.25)
+    moves = _similar_stream(first, (0.0, 0.0, 0.0), 0.25, container)
 
     tracked = fox_tracked_line()
     pairs = np.stack([tracked[:-1], tracked[1:]], axis=1)
     return Scenario(
         name="fox_remarkable",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container),
+        moves=moves,
         expected=ExpectedVerdicts("pass", None, "fail"),
         probe_pairs=pairs,
         census_samples=tracked,

@@ -7,9 +7,10 @@ cubes, and each self-similar stream's supports level by level), the
 infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
 refined axis, the stages of ``recursive_r1`` and ``fox_remarkable`` built
-level by level, the snowflake iterates with their sup deviations, and the cone
-pull as 12 affine tetrahedra, with its exact inverse-Lipschitz constant.
-None of them is on the path of a CLI verb.
+level by level, the snowflake iterates with their sup deviations, the cone
+pull as 12 affine tetrahedra, with its exact inverse-Lipschitz constant, and
+the cone and unsquish kernels computed on (n, 3) rows, the reference for the
+maps' coordinate-major kernels.  None of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
 from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
-from knotiso.maps import CompositeMap, ConeMap, UnsquishParams
+from knotiso.maps import CompositeMap, ConeMap, UnsquishMap, UnsquishParams
 from knotiso.moves import chained_isotopy, reversed_isotopy, unsquish_isotopy
 from knotiso.scenarios import (
     _FOX_C,
@@ -277,6 +278,88 @@ def cone_inverse_lipschitz(m: ConeMap) -> float:
     piecewise-affine homeomorphism of space, the identity outside its
     region, so c = min(1, min over the six pyramids of sigma_min)."""
     return min(1.0, float(cone_piece_singular_values(m).min()))
+
+
+# -- the row-major kernels ----------------------------------------------------
+
+
+def _row_radial_scale(lo_off: np.ndarray, hi_off: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """The box gauge's reciprocal per (n, 3) row, given the corners'
+    offsets from the origin: the least over the axes of the larger of
+    lo_off / direction and hi_off / direction."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_lo = lo_off / direction
+        t_hi = hi_off / direction
+    t_max = np.maximum(t_lo, t_hi)
+    return np.minimum(np.minimum(t_max[:, 0], t_max[:, 1]), t_max[:, 2])
+
+
+def row_major_cone(m: ConeMap, pts: np.ndarray) -> np.ndarray:
+    """The cone pull computed on (n, 3) rows: every row of the region moves
+    by (1 - 1 / r) (p1 - p0), r its reach from p0, and a zero shift keeps
+    the coordinate's bits; other rows are kept."""
+    pts = np.array(pts, dtype=float)
+    inside = m.region.contains_array(pts)
+    q = pts[inside]
+    r = _row_radial_scale(m.region.lo - m.p0, m.region.hi - m.p0, q - m.p0)
+    shift = (1.0 - 1.0 / r)[:, None] * (m.p1 - m.p0)
+    pts[inside] = np.where(shift == 0.0, q, q + shift)
+    return pts
+
+
+def row_major_unsquish(m: UnsquishMap, pts: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The unsquish slide (or its inverse) computed on (n, 3) rows: each
+    row of the outer box gets its glued parameter s and inner anchor, both
+    legs' formulas picked per row, an apex row found by an infinite reach
+    or a zero offset, then slid to s'(s); other rows are kept."""
+    par, t = m.params, m.t
+    apex, center = par.apex, par.outer.center
+    stretch = par.scale_up - 1.0
+    s0 = par.s_c0
+    sc_t = t * par.s_c1 + (1.0 - t) * s0
+    pts = np.array(pts, dtype=float)
+    inside = par.outer.contains_array(pts)
+    q = pts[inside]
+    in_inner = par.inner.contains_array(q)
+    origin = np.where(in_inner[:, None], apex, center)
+    d = q - origin
+    r = _row_radial_scale(par.inner.lo - origin, par.inner.hi - origin, d)
+    at_apex = ~np.isfinite(r) | (np.abs(d).max(axis=-1) == 0.0)
+    r = np.where(at_apex, 1.0, r)
+    mult = 1.0 / r
+    s_inner = np.where(at_apex, 0.0, mult) / 2.0
+    s_shell = 0.5 + 0.5 * np.minimum(np.maximum((mult - 1.0) / stretch, 0.0), 1.0)
+    s = np.where(in_inner, s_inner, s_shell)
+    v_in = np.where(at_apex[:, None], apex + 0.0, origin + r[:, None] * d)
+    if inverse:
+        s = np.where(s <= sc_t, (s / sc_t) * s0, s0 + (s - sc_t) / (1.0 - sc_t) * (1.0 - s0))
+    else:
+        high = (s - s0) / (1.0 - s0)
+        s = np.where(s <= s0, (s / s0) * sc_t, high + (1.0 - high) * sc_t)
+    inner_leg = s <= 0.5
+    origin = np.where(inner_leg[:, None], apex, center)
+    two_s = 2.0 * s
+    mult = np.where(
+        inner_leg, np.minimum(np.maximum(two_s, 0.0), 1.0), 1.0 + (two_s - 1.0) * stretch
+    )
+    pts[inside] = origin + mult[:, None] * (v_in - origin)
+    return pts
+
+
+def part_by_part(m, pts: np.ndarray) -> np.ndarray:
+    """A composite culled to its support, then its parts one after another,
+    at every level of nesting; any other map, a framed run included, as
+    itself."""
+    if not isinstance(m, CompositeMap):
+        return m.apply_array(pts)
+    out = np.array(pts, dtype=float)
+    inside = m.support.contains_array(out)
+    if inside.any():
+        x = out[inside]
+        for part in m.parts:
+            x = part_by_part(part, x)
+        out[inside] = x
+    return out
 
 
 # -- snowflake iterates -------------------------------------------------------

@@ -3,8 +3,9 @@ take in the benchmark-harness tests, on the oldest Python the package
 admits, with the numpy the golden hashes were made with, the scipy whose
 version the benchmark harness records and the pytest, hypothesis and
 PyYAML that Tier-1 passes with, and the test configuration turns runtime
-warnings into failures.  The package runs on numpy alone:
-no module of it imports scipy.  Every public function, class, method and
+warnings into failures.  That numpy sums the three columns of a
+coordinate-major batch as it sums row-major rows is pinned too.  The
+package runs on numpy alone: no module of it imports scipy.  Every public function, class, method and
 constant in the package has a caller outside the tests, with no exception:
 code that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
@@ -17,6 +18,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +54,18 @@ def test_workflow_pins_the_numerics_of_the_golden_hashes():
     assert "scipy==1.17.1" in install
     # the test tools Tier-1 is known to pass with
     assert {"pytest==9.0.3", "hypothesis==6.155.2", "PyYAML==6.0.3"} <= set(install)
+
+
+def test_row_sums_round_alike_in_either_memory_order():
+    # the maps hand back coordinate-major images, and the probes and
+    # estimate_inverse_lipschitz sum their squares over the three columns:
+    # the report bytes need .sum(-1) to round as it does on row-major rows
+    rng = np.random.default_rng(20261019)
+    rows = rng.standard_normal((100_000, 3)) * 2.0 ** rng.integers(-40, 40, (100_000, 3))
+    squares = rows**2
+    row_major = squares.sum(-1)
+    coordinate_major = np.asfortranarray(squares).sum(-1)
+    assert np.array_equal(row_major.view(np.int64), coordinate_major.view(np.int64))
 
 
 def test_the_package_does_not_import_scipy():

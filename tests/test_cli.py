@@ -133,6 +133,24 @@ class TestRunVerb:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_trefoil_chain_matches_where_its_boxes_nearly_touch(self, tmp_path, capsys):
+        # from stage 47 on its float boxes come within an ulp of each other
+        # along x, so its later stages run as framed runs of their own
+        argv = ["run", "--scenario", "trefoil_chain", "--depth", "47", "--horizon", "47"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("match: true\n")
+
+    @pytest.mark.parametrize("scenario", ["countable_r1", "countable_r2_stage1", "countable_r2_stage2"])
+    def test_chains_at_depth_49_refuse_a_zero_frame_scale(self, tmp_path, capsys, scenario):
+        # stage 49's box, or an earlier one, has collapsed to zero width in x
+        argv = ["run", "--scenario", scenario, "--depth", "49", "--out", str(tmp_path)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: affine scale on axis x is 0.0, not finite and nonzero\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "scenario,depth,horizon",
         [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from knotiso.geometry import Box, PLCurve, union_diameter
 from knotiso.maps import IdentityMap
 from knotiso.moves import cone_isotopy
 
-from oracles import infinite_motion_census, seam_values
+from knotiso.scenarios import SCENARIO_BUILDERS
+
+from oracles import infinite_motion_census, part_by_part, seam_values
 
 CONTAINER = Box((-1, -1, -1), (3, 1, 1))
 
@@ -105,6 +109,15 @@ class TestTruncations:
             a = truncated_map(seq, n).apply_array(pts)
             b = apply_truncated(seq, n, pts)
             assert np.array_equal(a, b)
+
+    def test_the_truncation_at_time_one_is_built_once(self, scenarios):
+        # the run verb's snapshot and injectivity probe share one map
+        for seq in (_stream(), scenarios["fox_remarkable"].moves):
+            m = truncated_map(seq, 7)
+            assert truncated_map(seq, 7) is m
+            assert truncated_map(seq, 7, 1.0) is m
+            assert truncated_map(seq, 6) is not m
+            assert truncated_map(seq, 7, 0.5) is not truncated_map(seq, 7, 0.5)
 
     def test_map_curve_densifies(self):
         seq = _stream()
@@ -470,3 +483,51 @@ def test_uniform_probe_reads_per_stage_images(scenarios, name):
     dev = np.sqrt(((_per_stage(s.moves, 4, pts) - _per_stage(s.moves, 9, pts)) ** 2).sum(-1))
     assert dev.max() > 0.0
     assert uniform_convergence_probe(s.moves, 4, 9, pts) == float(dev.max())
+
+
+DECLARED_STREAMS = (
+    "countable_r1",
+    "countable_r2_stage1",
+    "countable_r2_stage2",
+    "recursive_r1",
+    "trefoil_chain",
+    "trefoil_chain_extended",
+    "fox_remarkable",
+)
+
+
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_a_declared_stream_truncates_to_its_stage_loop_at_every_depth(name):
+    """Depths 2..60, at time 1 and inside the last stage, are bitwise the
+    stage maps part by part, one after another: through the depths where
+    a chain's float boxes come within an ulp of each other along x and its
+    framed runs split, and past the stage whose frame is refused, with
+    its refusal."""
+    s = SCENARIO_BUILDERS[name]()
+    seq = s.moves
+    # the declared boxes are bitwise the stage supports (the extended
+    # chain's maps, and so its declaration, are the chain's)
+    boxes = SCENARIO_BUILDERS[name.removesuffix("_extended")]().moves.boxes(1, 60)
+    lo, hi = seq.similarity.corners(1, 60)
+    _assert_same_bits(lo, np.array([b.lo for b in boxes]))
+    _assert_same_bits(hi, np.array([b.hi for b in boxes]))
+    pts = np.vstack([_composer_points(s)[::3], s.probe_pairs.reshape(-1, 3), s.census_samples])
+    done, refused = part_by_part(seq.time_one_map(1), pts), None
+    for n in range(2, 61):
+        try:
+            inside = part_by_part(seq.stage(n).map_at(0.4), done)
+            done = part_by_part(seq.time_one_map(n), done)
+        except ValueError as exc:
+            refused = str(exc)
+        if refused is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+                truncated_map(seq, n)
+            continue
+        _assert_same_bits(truncated_map(seq, n).apply_array(pts), done)
+        _assert_same_bits(truncated_map(seq, n, 0.4).apply_array(pts), inside)
+    # the chains' frames are refused from depth 48 or 49 on, trefoil's later
+    assert (refused is not None) == (name not in ("recursive_r1", "fox_remarkable"))
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want).view(np.int64))

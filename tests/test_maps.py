@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from knotiso.canonical import (
     CANONICAL_BOX,
     KINK_STAGES,
     conjugated_insert,
+    kink_isotopy,
     kink_map,
+    loop_sub_boxes,
     multi_kink_isotopy,
 )
 from knotiso.engine import truncated_map
@@ -28,11 +31,17 @@ from knotiso.maps import (
     conjugate,
     estimate_inverse_lipschitz,
     UNBOUNDED,
+    FramedRun,
     _box_radial_scale,
-    _NestedRun,
-    _RoutedRun,
+    framed_runs,
 )
-from knotiso.moves import chained_isotopy, reversed_isotopy, staged_isotopy, unsquish_isotopy
+from knotiso.moves import (
+    chained_isotopy,
+    conjugated_isotopy,
+    reversed_isotopy,
+    staged_isotopy,
+    unsquish_isotopy,
+)
 from knotiso.scenarios import SCENARIO_BUILDERS
 from oracles import (
     cone_inverse_lipschitz,
@@ -40,6 +49,9 @@ from oracles import (
     cone_tetrahedra,
     numpy_affine_frame,
     numpy_box_corners,
+    part_by_part,
+    row_major_cone,
+    row_major_unsquish,
     twelve_tetrahedra_cone,
 )
 
@@ -478,6 +490,11 @@ class _SplitBranchUnsquish(UnsquishMap):
     """The unsquish kernels in their split-branch form: the rows are split
     by leg into masked subsets, each leg's formula runs on its own rows,
     and the results are scattered back."""
+
+    def __init__(self, params, t):
+        super().__init__(params, t)
+        # the apex and center as (3,) rows, not the kernels' columns
+        self._apex, self._center = params.apex, params.outer.center
 
     def _path_coords(self, pts):
         par = self.params
@@ -1092,7 +1109,7 @@ def test_cone_kernel_is_the_gauge_formula_to_a_few_ulps(box, u0, u1, seed):
                 assert abs(Fraction(float(g)) - w) <= eps * (2 * abs(e) + abs(w))
 
 
-# -- routed runs of conjugates -------------------------------------------------
+# -- framed runs of conjugates -------------------------------------------------
 
 INNERS = {
     "kink": kink_map,
@@ -1102,21 +1119,6 @@ INNERS = {
     "multi3": lambda: multi_kink_isotopy(3).time_one(),
     "multi3^-1": lambda: multi_kink_isotopy(3).time_one().inverse(),
 }
-
-
-def _part_by_part(m, pts: np.ndarray) -> np.ndarray:
-    """The oracle: a composite culled to its support, then its parts one
-    after another, at every level of nesting; never routed."""
-    if not isinstance(m, CompositeMap):
-        return m.apply_array(pts)
-    out = pts.copy()
-    inside = m.support.contains_array(pts)
-    if inside.any():
-        x = pts[inside]
-        for part in m.parts:
-            x = _part_by_part(part, x)
-        out[inside] = x
-    return out
 
 
 def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
@@ -1130,14 +1132,49 @@ def _x_disjoint(boxes: list[Box]) -> bool:
     return all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
 
 
-def _assert_runs_are_x_disjoint(m: CompositeMap) -> None:
-    """Every routed run of the composite holds boxes with pairwise
-    disjoint x-projections, and the composite is one run exactly when all
-    its boxes' x-projections are pairwise disjoint."""
-    for step in m._steps:
-        if isinstance(step, _RoutedRun):
-            assert _x_disjoint([p.support for p in step.parts])
-    assert (len(m._steps) == 1) == _x_disjoint([p.support for p in m.parts])
+def _marches(boxes: list[Box]) -> bool:
+    """Whether each box lies strictly beyond the one before along x, all
+    toward +x or all toward -x."""
+    pairs = list(zip(boxes, boxes[1:]))
+    return all(a.hi[0] < b.lo[0] for a, b in pairs) or all(b.hi[0] < a.lo[0] for a, b in pairs)
+
+
+def _corners(boxes: list[Box]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+
+
+def _runs(boxes: list[Box], inner) -> list[FramedRun]:
+    """The conjugates of inner into the boxes, as framed runs."""
+    return framed_runs(inner, CANONICAL_BOX, *_corners(boxes))
+
+
+def _run_boxes(run: FramedRun) -> list[Box]:
+    """A run's boxes, in the order it reads them."""
+    return [Box(lo, hi) for lo, hi in zip(run._lo.T, run._hi.T)]
+
+
+def _assert_runs_keep_their_shape(runs: list[FramedRun], boxes: list[Box]) -> None:
+    """The runs hold the boxes in order, each run of two or more either
+    routed over boxes that march strictly along x, so pairwise disjoint
+    ones, or nested, or (an inverse) grown; and the boxes are one run
+    exactly when they all march, all nest or all grow."""
+    held = []
+    for run in runs:
+        mine = _run_boxes(run)
+        if run.shape == "routed":
+            assert len(mine) > 1 and _x_disjoint(mine)
+            mine.sort(key=lambda b: boxes.index(b))
+        elif run.shape == "nested":
+            assert all(b.contains_box(c) for b, c in zip(mine, mine[1:]))
+        else:
+            assert run.shape == "grown"
+            assert all(c.contains_box(b) for b, c in zip(mine, mine[1:]))
+        assert mine == boxes[len(held) : len(held) + len(mine)]
+        held += mine
+    assert held == boxes
+    pairs = list(zip(boxes, boxes[1:]))
+    nests = all(b.contains_box(c) for b, c in pairs) or all(c.contains_box(b) for b, c in pairs)
+    assert (len(runs) == 1) == (_marches(boxes) or nests)
 
 
 def _disjoint_boxes():
@@ -1181,6 +1218,15 @@ def _conjugates(boxes: list[Box], inner) -> list[ConjugateMap]:
     return [conjugate(AffineMap.box_to_box(CANONICAL_BOX, b), inner, b) for b in boxes]
 
 
+def _assert_runs_are_the_conjugates(runs: list[FramedRun], boxes: list[Box], inner, pts) -> None:
+    """The runs one after another, and their inverses backwards, are
+    bitwise the conjugates part by part, and their inverses."""
+    m = CompositeMap(_conjugates(boxes, inner))
+    framed = CompositeMap(runs)
+    for got, want in ((framed, m), (framed.inverse(), m.inverse())):
+        _assert_bitwise(got.apply_array(pts), part_by_part(want, pts))
+
+
 @given(
     _disjoint_boxes(),
     st.sampled_from(sorted(INNERS)),
@@ -1189,12 +1235,12 @@ def _conjugates(boxes: list[Box], inner) -> list[ConjugateMap]:
 )
 @settings(max_examples=80, deadline=None)
 def test_routed_run_matches_part_by_part(boxes, inner, n, seed):
-    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    runs = _runs(boxes, INNERS[inner]())
     pts = _probe_points(boxes, np.random.default_rng(seed), n)
-    for mm in (m, m.inverse()):
-        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-        # boxes in one grid column share x: those are routed apart
-        _assert_runs_are_x_disjoint(mm)
+    _assert_runs_are_the_conjugates(runs, boxes, INNERS[inner](), pts)
+    # boxes in one grid column share x: those are run apart
+    _assert_runs_keep_their_shape(runs, boxes)
+    _assert_runs_keep_their_shape([run.inverse() for run in reversed(runs)], boxes[::-1])
 
 
 def _nested_boxes():
@@ -1228,16 +1274,15 @@ def _nested_boxes():
 @given(_nested_boxes(), st.sampled_from(sorted(INNERS)), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_nested_run_matches_part_by_part(boxes, inner, seed):
-    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    (run,) = _runs(boxes, INNERS[inner]())
+    assert run.shape == "nested" and _run_boxes(run) == boxes
     rng = np.random.default_rng(seed)
     pts = _with_signed_zeros(_probe_points(boxes, rng, 1201), rng)
-    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
-    (run,) = m._steps
-    assert isinstance(run, _NestedRun) and run.parts == list(m.parts)
-    # the inverse's supports grow, so its conjugates run one by one
-    inv = m.inverse()
-    _assert_bitwise(inv.apply_array(pts), _part_by_part(inv, pts))
-    assert inv._steps == list(inv.parts)
+    _assert_runs_are_the_conjugates([run], boxes, INNERS[inner](), pts)
+    # the inverse's boxes grow, so it runs box by box
+    inv = run.inverse()
+    assert inv.shape == "grown" and _run_boxes(inv) == boxes[::-1]
+    assert inv.inverse().shape == "nested"
 
 
 def test_runs_of_both_shapes_in_one_composite():
@@ -1255,25 +1300,22 @@ def test_runs_of_both_shapes_in_one_composite():
             ((9.0, 0.0, 0.0), 1.0),
         )
     ]
-    parts = _conjugates(boxes, kink_map())
-    m = CompositeMap(parts)
+    runs = _runs(boxes, kink_map())
     pts = _probe_points(boxes, np.random.default_rng(8), 1201)
-    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
-    routed, nested, last = m._steps
-    assert isinstance(routed, _RoutedRun) and routed.parts == parts[:2]
-    assert isinstance(nested, _NestedRun) and nested.parts == parts[2:4]
-    assert last is parts[4]
+    _assert_runs_are_the_conjugates(runs, boxes, kink_map(), pts)
+    routed, nested, last = runs
+    assert routed.shape == "routed" and _run_boxes(routed) == boxes[:2]
+    assert nested.shape == "nested" and _run_boxes(nested) == boxes[2:4]
+    assert _run_boxes(last) == boxes[4:]
 
 
 @pytest.mark.parametrize("name", ["recursive_r1", "fox_remarkable"])
 def test_a_deep_truncation_of_a_nested_stream_is_stage_1_and_one_nested_run(name):
     seq = SCENARIO_BUILDERS[name]().moves
-    m = truncated_map(seq, 40)
-    m.apply_array(np.zeros((1, 3)))
-    first, run = m._steps
+    first, run = truncated_map(seq, 40).parts
     assert first is seq.time_one_map(1)
-    assert isinstance(run, _NestedRun)
-    assert run.parts == [seq.time_one_map(k) for k in range(2, 41)]
+    assert run.shape == "nested" and run.inner is first
+    assert _run_boxes(run) == seq.boxes(2, 40)
 
 
 def _with_signed_zeros(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -1296,16 +1338,14 @@ def _half_scaling_chain() -> list[Box]:
 @pytest.mark.parametrize("inner", sorted(INNERS))
 def test_routed_run_of_a_40_box_half_scaling_chain(inner):
     boxes = _half_scaling_chain()
-    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
     rng = np.random.default_rng(40)
     # the chain is centred on the x-axis, so the zeroed rows of its boxes
     # stay inside them
     pts = _with_signed_zeros(_probe_points(boxes, rng, 4000), rng)
-    for mm in (m, m.inverse()):
-        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-        # a chain along x is one run
-        (run,) = mm._steps
-        assert isinstance(run, _RoutedRun)
+    (run,) = _runs(boxes, INNERS[inner]())
+    _assert_runs_are_the_conjugates([run], boxes, INNERS[inner](), pts)
+    # a chain along x is one run, and so is its inverse
+    assert run.shape == run.inverse().shape == "routed"
 
 
 def _layered_boxes():
@@ -1336,13 +1376,12 @@ def _layered_boxes():
 @given(_layered_boxes(), st.sampled_from(sorted(INNERS)), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_routed_run_of_boxes_with_overlapping_x_projections(boxes, inner, seed):
-    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
     rng = np.random.default_rng(seed)
     pts = _with_signed_zeros(_probe_points(boxes, rng, 1201), rng)
-    for mm in (m, m.inverse()):
-        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-        # disjoint boxes, but no one sorted search on x can route them all
-        _assert_runs_are_x_disjoint(mm)
+    runs = _runs(boxes, INNERS[inner]())
+    _assert_runs_are_the_conjugates(runs, boxes, INNERS[inner](), pts)
+    # disjoint boxes, but no one sorted search on x can route them all
+    _assert_runs_keep_their_shape(runs, boxes)
 
 
 @pytest.mark.parametrize("scale", [2.0**-30, 0.25, 2.0])
@@ -1353,12 +1392,10 @@ def test_routed_run_of_boxes_whose_x_projections_touch(scale):
         Box(np.array(lo) * scale + 1.0, np.array(hi) * scale + 1.0)
         for lo, hi in (((0, 0, 0), (1, 1, 1)), ((1, 2, 0), (2, 3, 1)), ((2, 0, 0), (3, 1, 1)))
     ]
-    m = CompositeMap(_conjugates(boxes, kink_map()))
-    rng = np.random.default_rng(6)
-    pts = _probe_points(boxes, rng, 1201)
-    for mm in (m, m.inverse()):
-        _assert_bitwise(mm.apply_array(pts), _part_by_part(mm, pts))
-        assert mm._steps == list(mm.parts)
+    runs = _runs(boxes, kink_map())
+    pts = _probe_points(boxes, np.random.default_rng(6), 1201)
+    _assert_runs_are_the_conjugates(runs, boxes, kink_map(), pts)
+    assert [_run_boxes(run) for run in runs] == [[b] for b in boxes]
 
 
 def _touching_boxes(scale: float) -> list[Box]:
@@ -1374,10 +1411,10 @@ def _touching_boxes(scale: float) -> list[Box]:
 @pytest.mark.parametrize("inner", sorted(INNERS))
 def test_boxes_that_touch_are_not_routed_together(scale, inner):
     boxes = _touching_boxes(scale)
-    m = CompositeMap(_conjugates(boxes, INNERS[inner]()))
+    runs = _runs(boxes, INNERS[inner]())
     pts = _probe_points(boxes, np.random.default_rng(3), 1201)
-    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
-    assert m._steps == list(m.parts)
+    _assert_runs_are_the_conjugates(runs, boxes, INNERS[inner](), pts)
+    assert [_run_boxes(run) for run in runs] == [[b] for b in boxes]
 
 
 def test_a_box_meeting_any_box_of_the_open_run_closes_it():
@@ -1385,34 +1422,159 @@ def test_a_box_meeting_any_box_of_the_open_run_closes_it():
     # that box 1 opened, though the first box it meets is outside that run;
     # boxes 3 and 4 meet no other box and join box 2's run
     boxes = [Box.cube((x, 0.0, 0.0), 1.0) for x in (0.0, 0.5, 0.25, 3.0, 5.0)]
-    parts = _conjugates(boxes, kink_map())
-    m = CompositeMap(parts)
+    runs = _runs(boxes, kink_map())
     pts = _probe_points(boxes, np.random.default_rng(7), 1201)
-    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
-    assert m._steps[:2] == parts[:2] and len(m._steps) == 3
-    assert m._steps[2].parts == parts[2:]
+    _assert_runs_are_the_conjugates(runs, boxes, kink_map(), pts)
+    assert [_run_boxes(run) for run in runs] == [boxes[:1], boxes[1:2], boxes[2:]]
+    assert runs[2].shape == "routed"
 
 
 def test_different_inner_objects_are_not_routed_together():
+    # a framed run frames one inner object: kink_map() and a twin equal to
+    # it part for part, but another object, are framed apart
     boxes = [Box.cube((2.0 * i, 0.0, 0.0), 1.0) for i in range(4)]
-    # equal to kink_map() part for part, but another object
     twin = CompositeMap(kink_map().parts, support=kink_map().support)
     inners = [kink_map(), twin, kink_map().inverse(), kink_map()]
-    parts = [
-        conjugate(AffineMap.box_to_box(CANONICAL_BOX, b), inner, b)
-        for b, inner in zip(boxes, inners)
-    ]
+    runs = [run for b, inner in zip(boxes, inners) for run in _runs([b], inner)]
+    assert [run.inner for run in runs] == inners
+    parts = [conjugate(AffineMap.box_to_box(CANONICAL_BOX, b), i, b) for b, i in zip(boxes, inners)]
     m = CompositeMap(parts)
     pts = _probe_points(boxes, np.random.default_rng(4), 1201)
-    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
-    assert m._steps == parts
+    _assert_bitwise(CompositeMap(runs).apply_array(pts), part_by_part(m, pts))
 
 
 def test_a_part_that_is_not_a_conjugate_breaks_the_run():
+    # a composite applies its parts in order: two runs with a cone between
     boxes = [Box.cube((2.0 * i, 0.0, 0.0), 1.0) for i in range(5)]
-    conj = _conjugates(boxes[:2] + boxes[3:], kink_map())
     cone = ConeMap(boxes[2], boxes[2].center, np.array([4.2, 0.1, -0.2]))
-    m = CompositeMap(conj[:2] + [cone] + conj[2:])
+    (before,), (after,) = _runs(boxes[:2], kink_map()), _runs(boxes[3:], kink_map())
+    m = CompositeMap([before, cone, after])
+    conj = _conjugates(boxes[:2] + boxes[3:], kink_map())
+    want = CompositeMap(conj[:2] + [cone] + conj[2:])
     pts = _probe_points(boxes, np.random.default_rng(5), 1201)
-    _assert_bitwise(m.apply_array(pts), _part_by_part(m, pts))
-    assert len(m._steps) == 3 and m._steps[1] is cone
+    _assert_bitwise(m.apply_array(pts), part_by_part(want, pts))
+    assert m.parts == (before, cone, after)
+
+
+def test_framed_runs_refuse_the_first_box_whose_frame_affine_map_refuses():
+    # box 1's x half-extent 2^-1030 is a frame scale whose inverse
+    # overflows, box 2's is 0: whichever comes first names the refusal
+    good = Box.cube((0.0, 0.0, 0.0), 1.0)
+    no_inverse = Box((0.0, 0.0, 0.0), (2.0**-1029, 1.0, 1.0))
+    flat = Box((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+    for boxes, text in (
+        ([good, no_inverse, flat], "affine frame on axis x has no finite inverse"),
+        ([good, flat, no_inverse], "affine scale on axis x is 0.0, not finite and nonzero"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            AffineMap.box_to_box(CANONICAL_BOX, boxes[1])
+        assert str(refused.value).startswith(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            _runs(boxes, kink_map())
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_multi_kink_end_is_its_inserts_as_one_routed_run(m):
+    end = multi_kink_isotopy(m).time_one()
+    assert end.shape == "routed" and _run_boxes(end) == loop_sub_boxes(m)
+    subs = loop_sub_boxes(m)
+    inserts = CompositeMap(
+        [conjugated_isotopy(kink_isotopy(), b).time_one() for b in subs], support=CANONICAL_BOX
+    )
+    rng = np.random.default_rng(m)
+    pts = _with_signed_zeros(_probe_points(subs + [CANONICAL_BOX], rng, 2000), rng)
+    _assert_bitwise(end.apply_array(pts), part_by_part(inserts, pts))
+    # the inverse reads the conjugates' inverse frames and their inverses,
+    # 1 / (1 / s), not the frames themselves
+    _assert_bitwise(end.inverse().apply_array(pts), part_by_part(inserts.inverse(), pts))
+
+
+# -- coordinate-major batches ----------------------------------------------------
+
+
+def _layout_rows(box: Box, apex: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """4,001 rows: inside, on the faces and corners of and around a box,
+    the apex and rows a subnormal or a tiny normal offset off it, and rows
+    with coordinates set to 0.0 or -0.0."""
+    # offsets whose reach overflows to inf, and normal ones whose reach is
+    # finite but beyond 1e300
+    tiny = rng.choice([5e-324, -(2.0**-1060), 3e-306, -3e-306, 0.0, -0.0], (40, 3))
+    pool = np.concatenate(
+        [
+            box.sample(rng, 400),
+            _boundary_rows(box, rng, 200),
+            box.scaled_about_center(1.5).sample(rng, 300),
+            np.repeat(apex[None, :], 8, axis=0),
+            apex + tiny,
+            rng.uniform(-100.0, 100.0, (40, 3)),
+        ]
+    )
+    pool = _with_signed_zeros(pool, rng)
+    return pool[rng.choice(len(pool), 4001)]
+
+
+def _assert_layout_free(m: LocalMap, rows: np.ndarray, want: np.ndarray) -> None:
+    """m gives want, bitwise, on the rows in C and in Fortran order, in a
+    fresh array that is Fortran-ordered when m culls, and leaves its input
+    alone."""
+    for pts in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+        kept = pts.copy()
+        img = m.apply_array(pts)
+        _assert_bitwise(img, want)
+        assert not np.shares_memory(img, pts)
+        assert _same_bits(pts, kept)
+        if not isinstance(m, (IdentityMap, AffineMap)):
+            assert img.flags.f_contiguous
+
+
+@given(
+    _target_boxes(),
+    _unit_offsets,
+    _unit_offsets,
+    st.floats(0.05, 0.95),
+    _exponents,
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_every_map_kind_reads_c_and_fortran_batches_alike(box, u0, u1, c, e, seed):
+    rng = np.random.default_rng(seed)
+    a0, a1 = _apexes(box, u0, u1)
+    cone = ConeMap(box, a0, a1)
+    # an apex strictly inside the inner box, half the outer one
+    par = UnsquishParams(box, box.scaled_about_center(0.5), box.center + (a0 - box.center) * 0.5, c)
+    # four boxes marching along x through the box, and six nested around a0
+    w = box.half_extents[0] / 2.0
+    marching = [
+        Box.from_center(box.center + [(i - 1.5) * w, 0.0, 0.0], box.half_extents * [0.2, 0.4, 0.4])
+        for i in range(4)
+    ]
+    nested = [Box(a0 + 2.0**-j * (box.lo - a0), a0 + 2.0**-j * (box.hi - a0)) for j in range(6)]
+    (routed,) = _runs(marching, kink_map())
+    (ball,) = _runs(nested, kink_map())
+    assert routed.shape == "routed" and ball.shape == "nested"
+    rows = _layout_rows(box, a0, rng)
+    for n in (0, 1, 7, 4001):
+        pts = rows[:n]
+        for t in (0.0, 0.4, 1.0):
+            m = UnsquishMap(par, t)
+            _assert_layout_free(m, pts, row_major_unsquish(m, pts))
+            _assert_layout_free(m.inverse(), pts, row_major_unsquish(m, pts, inverse=True))
+        for f in (cone, cone.inverse()):
+            _assert_layout_free(f, pts, row_major_cone(f, pts))
+        for run, boxes in ((routed, marching), (ball, nested)):
+            conj = CompositeMap(_conjugates(boxes, kink_map()))
+            _assert_layout_free(run, pts, part_by_part(conj, pts))
+            _assert_layout_free(run.inverse(), pts, part_by_part(conj.inverse(), pts))
+        frame = AffineMap.box_to_box(CANONICAL_BOX, box)
+        others = [
+            IdentityMap(support=box),
+            # every row is inside the support: the kernel hands its input back
+            CompositeMap([], support=UNBOUNDED),
+            frame,
+            PowerMap1D(e),
+            CompositeMap([cone, UnsquishMap(par, 1.0)]),
+            conjugate(frame, kink_map(), box),
+        ]
+        for m in others:
+            for f in (m, m.inverse()):
+                _assert_layout_free(f, pts, f.apply_array(np.ascontiguousarray(pts)))
