@@ -3,7 +3,8 @@ crossing detection with over/under resolution, and SVG rendering with
 under-strand gaps, whose line ends reuse the curve's own ``%.17g`` cells
 and print the rest through the same exact kernel, ``geometry._g17_cells``.
 
-Crossing candidates come from ``geometry``'s one segment-pair search.
+Crossing candidates come from ``geometry``'s one segment-pair search;
+like it, the crossing test reads x and y columns, taken once per view.
 """
 from __future__ import annotations
 
@@ -56,10 +57,11 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> tuple[np.nda
     shorter than their distance to the origin.  A pad fixed in absolute
     units would admit every pair of segments shorter than it.
     """
-    mids = (a[:, :2] + b[:, :2]) / 2.0
-    half = np.sqrt(((b[:, :2] - a[:, :2]) ** 2).sum(-1)) / 2.0
+    (x0, y0), (x1, y1) = a[:, :2].T, b[:, :2].T
+    mids = np.stack([x0 + x1, y0 + y1]) / 2.0
+    half = np.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2) / 2.0
     pad = 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
-    ii, jj = multiscale_close_pairs(mids, half * (1 + 1e-5), pad)
+    ii, jj = multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad)
     return nonadjacent(ii, jj, len(a), closed)
 
 
@@ -70,52 +72,41 @@ def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
     Candidates are tested _PAIR_CHUNK at a time, so the temporaries stay
     bounded on curves with millions of candidate pairs."""
     ii, jj = _candidate_pairs(a, b, closed)
+    # each segment's start and direction, as columns
+    x, y = np.ascontiguousarray(a[:, :2].T)
+    dx, dy = b[:, 0] - x, b[:, 1] - y
+    length2 = dx * dx + dy * dy
     hits = []
     for start in range(0, len(ii), _PAIR_CHUNK):
         ci, cj = ii[start : start + _PAIR_CHUNK], jj[start : start + _PAIR_CHUNK]
-        p1, p2 = a[ci, :2], b[ci, :2]
-        q1, q2 = a[cj, :2], b[cj, :2]
-        r = p2 - p1
-        s = q2 - q1
-        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-        qp = q1 - p1
-        scale = np.sqrt((r**2).sum(-1) * (s**2).sum(-1)) + 1e-300
+        rx, ry = dx.take(ci), dy.take(ci)
+        sx, sy = dx.take(cj), dy.take(cj)
+        qx, qy = x.take(cj) - x.take(ci), y.take(cj) - y.take(ci)
+        denom = rx * sy - ry * sx
+        scale = np.sqrt(length2.take(ci) * length2.take(cj)) + 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
-            u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom
+            t = (qx * sy - qy * sx) / denom
+            u = (qx * ry - qy * rx) / denom
         near_parallel = np.abs(denom) < _TANGENCY_EPS * scale
-        inside = (
-            ~near_parallel & (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
-        )
-        # near-tangent configurations: a crossing candidate on or next to both
-        # segments whose location is within tolerance of a segment endpoint
-        on_both = (
-            ~near_parallel
-            & (t > -_TANGENCY_EPS)
-            & (t < 1.0 + _TANGENCY_EPS)
-            & (u > -_TANGENCY_EPS)
-            & (u < 1.0 + _TANGENCY_EPS)
-        )
-        grazing = on_both & (
-            (np.abs(t) < _TANGENCY_EPS)
-            | (np.abs(t - 1.0) < _TANGENCY_EPS)
-            | (np.abs(u) < _TANGENCY_EPS)
-            | (np.abs(u - 1.0) < _TANGENCY_EPS)
-        )
-        if grazing.any():
+        # crossings on or next to both segments: if one lies within
+        # tolerance of a segment end the view is near-tangent, else the
+        # proper ones are hits
+        eps = _TANGENCY_EPS
+        on_both = ~near_parallel & (t > -eps) & (t < 1.0 + eps) & (u > -eps) & (u < 1.0 + eps)
+        k = np.flatnonzero(on_both)
+        t, u = t[k], u[k]
+        if (np.abs(np.concatenate([t, t - 1.0, u, u - 1.0])) < eps).any():
             return None
-        k = np.nonzero(inside)[0]
-        hits += zip(ci[k].tolist(), cj[k].tolist(), t[k].tolist(), u[k].tolist())
+        inside = (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
+        k = k[inside]
+        hits += zip(ci[k].tolist(), cj[k].tolist(), t[inside].tolist(), u[inside].tolist())
+    z, dz = a[:, 2], b[:, 2] - a[:, 2]
     crossings = []
     for i, j, ti, uj in hits:
-        zi = a[i, 2] + ti * (b[i, 2] - a[i, 2])
-        zj = a[j, 2] + uj * (b[j, 2] - a[j, 2])
+        zi, zj = z[i] + ti * dz[i], z[j] + uj * dz[j]
         if abs(zi - zj) < _TANGENCY_EPS:
             return None  # strands touch in 3-space at the crossing
-        xy = (
-            float(a[i, 0] + ti * (b[i, 0] - a[i, 0])),
-            float(a[i, 1] + ti * (b[i, 1] - a[i, 1])),
-        )
+        xy = (float(x[i] + ti * dx[i]), float(y[i] + ti * dy[i]))
         if zi > zj:
             crossings.append(Crossing(i, j, xy, float(zi), float(zj)))
         else:

@@ -128,6 +128,13 @@ class TailTable:
         return (inside[..., 0] & inside[..., 1] & inside[..., 2]).any(axis=-1)
 
 
+def similar_corners(v1: Box, p: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+    """V_k = S^(k-1)(V_1), S(x) = p + r (x - p), as its corners
+    p + s (corner - p) for s = r^(k-1) a Python float power: rows for a
+    float s, (m, 3) stacks for an (m, 1) column."""
+    return p + scale * (v1.lo - p), p + scale * (v1.hi - p)
+
+
 @dataclass(frozen=True, eq=False)
 class Similarity:
     """A self-similar stream's declaration: its first stage ``first``,
@@ -140,11 +147,9 @@ class Similarity:
     r: float
 
     def corners(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """V_first..V_last as stacked (m, 3) corner rows lo and hi, each
-        p + r^(k-1) (corner - p) with r^(k-1) a Python float power."""
+        """V_first..V_last as stacked (m, 3) corner rows lo and hi."""
         scale = np.array([self.r ** (k - 1) for k in range(first, last + 1)])[:, None]
-        v1, p = self.first.support, self.p
-        return p + scale * (v1.lo - p), p + scale * (v1.hi - p)
+        return similar_corners(self.first.support, self.p, scale)
 
 
 @dataclass

@@ -469,7 +469,8 @@ def _meeting(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray):
     (dim, nodes) rows lo and hi, share a point."""
     # one axis at a time, compressed before the next gather
     for lo_k, hi_k in zip(lo, hi):
-        meet = (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
+        meet = lo_k.take(a) <= hi_k.take(b)
+        meet &= lo_k.take(b) <= hi_k.take(a)
         a, b = a[meet], b[meet]
     return a, b
 
@@ -489,9 +490,10 @@ def multiscale_close_pairs(
     itself.  The leaves are the segments in index order, segment i's box
     is mids[i] ± r_i with r_i = (half[i] + margin / 2)(1 + 1e-9) + 2^-511,
     and a node's box bounds its two children's.  From a level of at most
-    32 nodes down to the leaves, the walk keeps the node pairs a <= b
-    whose boxes meet; the segment pairs left are cut to the predicate
-    above.  Curves here are strongly multiscale, so no single search
+    32 nodes down, the walk keeps the node pairs a <= b whose boxes meet,
+    one box test per level on all four child pairings at once; the leaf
+    pairs (or all pairs of at most 32 segments) take the predicate above
+    directly.  Curves here are strongly multiscale, so no single search
     radius fits them, but each box is as small as its own segment's
     radius, and a curve passed in curve order keeps each node's box as
     small as the piece of curve under it.  Any order stays exact, and
@@ -506,35 +508,36 @@ def multiscale_close_pairs(
     relative errors and the two 2^-511 terms the absolute one.  Rounding
     is monotone, so the computed faces mids ± r still meet on every axis,
     and the min and max taken up the tree round nothing.
+
+    It reads one column per axis: row gathers and sums over a last axis
+    of length 2 or 3 cost more than their arithmetic.  Summed a column at
+    a time, squares add left to right as ``.sum(-1)`` adds them, bitwise.
     """
-    n, dim = mids.shape
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+    n = len(mids)
+    cols = np.ascontiguousarray(mids.T)
     r = (half + margin / 2) * (1 + 1e-9) + 2.0**-511
     # leaves beyond the n segments get boxes that meet nothing
     width = 1 << (n - 1).bit_length()
-    lo = np.full((dim, width), np.inf)
-    hi = np.full((dim, width), -np.inf)
-    lo[:, :n] = (mids - r[:, None]).T
-    hi[:, :n] = (mids + r[:, None]).T
-    levels = [(lo, hi)]
+    lo = np.full((len(cols), width), np.inf)
+    hi = np.full((len(cols), width), -np.inf)
+    lo[:, :n], hi[:, :n] = cols - r, cols + r
+    levels = []
     while width > _WALK_TOP:
         width //= 2
-        lo, hi = levels[-1]
-        levels.append((np.minimum(lo[:, 0::2], lo[:, 1::2]), np.maximum(hi[:, 0::2], hi[:, 1::2])))
-    a, b = np.triu_indices(width)
-    a, b = _meeting(*levels.pop(), a.astype(np.int32), b.astype(np.int32))
-    while levels:
-        lo, hi = levels.pop()
+        lo, hi = np.minimum(lo[:, 0::2], lo[:, 1::2]), np.maximum(hi[:, 0::2], hi[:, 1::2])
+        levels.append((lo, hi))
+    a, b = (i.astype(np.int32) for i in np.triu_indices(width))
+    for lo, hi in reversed(levels):
+        a, b = _meeting(lo, hi, a, b)
         # the children of a <= b, without the mirror (2a + 1, 2a) of (2a, 2a + 1)
-        off = a < b
-        children = [_meeting(lo, hi, 2 * a + i, 2 * b + j) for i, j in ((0, 0), (0, 1), (1, 1))]
-        children.append(_meeting(lo, hi, 2 * a[off] + 1, 2 * b[off]))
-        a = np.concatenate([c[0] for c in children])
-        b = np.concatenate([c[1] for c in children])
-    dist = np.sqrt(((mids[a] - mids[b]) ** 2).sum(-1))
-    keep = (a < b) & (dist <= half[a] + half[b] + margin)
+        off, a, b = a < b, 2 * a, 2 * b
+        a = np.concatenate([a, a, a + 1, a[off] + 1])
+        b = np.concatenate([b, b + 1, b + 1, b[off]])
+    # the leaf pairs, less those of a leaf with itself or with a padding leaf
+    keep = (a < b) & (b < n)
+    a, b = a[keep], b[keep]
+    square = sum((col.take(a) - col.take(b)) ** 2 for col in cols)
+    keep = np.sqrt(square) <= half.take(a) + half.take(b) + margin
     key = np.sort(a[keep].astype(np.int64) * n + b[keep])
     return key // n, key % n
 

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
-from .engine import Isotopy, MoveSequence, Similarity
+from .engine import Isotopy, MoveSequence, Similarity, similar_corners
 from .geometry import Box, PLCurve, boxes_meet
 from .maps import (
     AffineMap,
@@ -139,8 +139,7 @@ def _untie(box: Box, m: int) -> Isotopy:
 
 def _similar_box(v1: Box, p: np.ndarray, r: float, k: int) -> Box:
     """V_k = S^(k-1)(V_1) for the similarity S(x) = p + r (x - p)."""
-    s = r ** (k - 1)
-    return Box(p + s * (v1.lo - p), p + s * (v1.hi - p))
+    return Box(*similar_corners(v1, p, r ** (k - 1)))
 
 
 def _similar_stream(first: Isotopy, p: Sequence[float], r: float, container: Box) -> MoveSequence:

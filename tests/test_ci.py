@@ -2,9 +2,10 @@
 take in the benchmark-harness tests, on the oldest Python the package
 admits, with the numpy the golden hashes were made with, the scipy whose
 version the benchmark harness records and the pytest, hypothesis and
-PyYAML that Tier-1 passes with, and the test configuration turns runtime
-warnings into failures.  That numpy sums the three columns of a
-coordinate-major batch as it sums row-major rows is pinned too.  The
+PyYAML that Tier-1 passes with, keeps Hypothesis's patches when Tier-1
+fails, and the test configuration turns runtime warnings into failures.
+That numpy sums the three columns of a coordinate-major batch as it sums
+row-major rows is pinned too.  The
 package runs on numpy alone: no module of it imports scipy.  Every public function, class, method and
 constant in the package has a caller outside the tests, with no exception:
 code that only tests call lives in ``tests/oracles.py``.  Every map kind
@@ -54,6 +55,16 @@ def test_workflow_pins_the_numerics_of_the_golden_hashes():
     assert "scipy==1.17.1" in install
     # the test tools Tier-1 is known to pass with
     assert {"pytest==9.0.3", "hypothesis==6.155.2", "PyYAML==6.0.3"} <= set(install)
+
+
+def test_workflow_keeps_the_hypothesis_patches_of_a_failed_run():
+    # a falsifying example found in CI can then be pinned with @example
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    upload = next(s for s in steps if s.get("uses", "").startswith("actions/upload-artifact"))
+    assert upload["if"] == "failure()"
+    assert upload["with"]["path"] == ".hypothesis/patches/"
+    assert steps.index(upload) > next(i for i, s in enumerate(steps) if s.get("run") == TIER1)
 
 
 def test_row_sums_round_alike_in_either_memory_order():

@@ -546,13 +546,17 @@ class TestMultiscaleClosePairs:
     @pytest.mark.parametrize(
         "n, shuffled, j",
         [(0, False, 0), (1, False, 0), (2, False, 0), (2, True, 0), (300, True, 0)]
-        + [(3000, False, 0), (1000, False, 60), (1000, True, 30), (300, False, 540)],
+        + [(3000, False, 0), (1000, False, 60), (1000, True, 30), (300, False, 540)]
+        + [(n, False, 0) for n in (3, 31, 32, 33, 63, 64, 65, 129)],
     )
     def test_random_walks_match_all_pairs(self, n, shuffled, j, dim):
         # the segments of a random walk whose steps range over 30 octaves,
         # at scale 2^-j (at 2^-540 every square rounds to a subnormal or
         # to 0), in curve order or shuffled, which only makes the tree's
-        # boxes larger
+        # boxes larger.  The last sizes are the walk's boundaries: up to 32
+        # segments every pair goes straight to the predicate and 33 walk
+        # one level; 64 fill their leaves, 63 leave one to padding, and 33,
+        # 65 and 129 pad all but the first leaf of the tree's second half
         rng = np.random.default_rng([n, dim, shuffled, j])
         steps = rng.normal(size=(n + 1, dim)) * (2.0 ** -rng.integers(0, 30, n + 1))[:, None]
         pts = np.cumsum(steps, axis=0) * 2.0**-j
