@@ -2,8 +2,8 @@
 
 Runs ``knotiso run`` on each scenario in turn, writing the same reports
 the CLI writes to --out, and prints one line per scenario: ``ok``,
-``MISMATCH``, or the CLI's exit code with its one-line message (a map that
-cannot be built at the requested depth exits 4), and keeps going.  Exit
+``MISMATCH``, or the CLI's exit code with its one-line message (exit 4
+for a map that cannot be built or evaluated), and keeps going.  Exit
 status is 1 if any scenario did not come out ok, and 2 for a bad flag.
 
 Usage: python3 scripts/run_all.py [--out reports] [--depth 20] [--horizon 20] [--seed 0]

@@ -11,8 +11,7 @@ Conjugating by an axis-aligned positive-scale affine frame preserves the
 projected crossing structure, so the move is tuned once here and reused in
 every scenario box.  Every move here is built from the primitives in
 ``moves``: the single insert chains its cone stages, and the m-loop insert
-chains m copies of it conjugated into its sub-boxes, whose end is those
-copies as one framed run (``maps.framed_runs``).  ``tied_strand(m, n)``
+chains m copies of it conjugated into its sub-boxes.  ``tied_strand(m, n)``
 is the straight strand of the box with those m loops tied in: a loop chain
 frames that one strand into each of its boxes, and ``conjugated_insert``
 frames the same move there, given only the target box.
@@ -31,7 +30,7 @@ import numpy as np
 
 from .engine import Isotopy
 from .geometry import Box
-from .maps import LocalMap, framed_runs
+from .maps import LocalMap
 from .moves import ConeStage, chained_isotopy, conjugated_isotopy, staged_isotopy
 
 CANONICAL_BOX = Box.from_center((0, 0, 0), (1, 1, 1))
@@ -77,19 +76,10 @@ def loop_sub_boxes(m: int) -> list[Box]:
 
 @functools.cache
 def multi_kink_isotopy(m: int) -> Isotopy:
-    """m loop inserts run one after another over equal time slices.  Its
-    end is the kink framed into the sub-boxes as one framed run: they
-    march along x, so the run is routed."""
-    kink = kink_isotopy()
+    """m loop inserts run one after another over equal time slices, the
+    kink conjugated into each sub-box."""
     subs = loop_sub_boxes(m)
-    chain = chained_isotopy([conjugated_isotopy(kink, sub) for sub in subs], CANONICAL_BOX)
-
-    def end() -> LocalMap:
-        lo, hi = np.array([b.lo for b in subs]), np.array([b.hi for b in subs])
-        (run,) = framed_runs(kink.time_one(), kink.support, lo, hi)
-        return run
-
-    return Isotopy.from_motion(CANONICAL_BOX, chain.map_at, end)
+    return chained_isotopy([conjugated_isotopy(kink_isotopy(), sub) for sub in subs], CANONICAL_BOX)
 
 
 def _insert_move(m: int) -> Isotopy:

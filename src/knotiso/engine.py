@@ -9,13 +9,14 @@ at t = 1.  Every isotopy kind runs under one end rule,
 built on first use, so a stage builds no map until it is evaluated and
 the hypothesis check, which reads only the supports, builds none.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
-then stage n at a local time, as one support-culled composite.  A
-self-similar stream declares its ``Similarity`` -- stage 1 and S(x) =
-p + r (x - p), stage k being stage 1 framed into V_k = S^(k-1)(V_1) --
-and its stages 2, 3, ... are built straight from that declaration as
-framed runs (``maps.framed_runs``), without building each stage's map.
-``apply_truncated`` and ``glue_schedule`` (the one place that slices the
-time grid into stages) are read off it.
+then stage n at a local time, as one support-culled map.  A self-similar
+stream declares its ``Similarity`` -- stage 1 and S(x) = p + r (x - p),
+stage k being stage 1 framed into V_k = S^(k-1)(V_1) -- and its
+truncations read that declaration alone, as one loop over levels: with
+h_1 stage 1's end map and g = S^-1 h_1, stages j..n are
+S^n g^(n-j+1) S^(1-j), so no V_k is formed in floats and a truncation
+runs at any depth.  ``apply_truncated`` and ``glue_schedule`` (the one
+place that slices the time grid into stages) are read off it.
 ``eval_limit_isotopy`` evaluates the countable composition at the limit
 time t = 1 via the settled / tolerance-converged / budget trichotomy.
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from .geometry import farthest_corner_distances
-from .maps import CompositeMap, IdentityMap, LocalMap, framed_runs
+from .maps import CompositeMap, IdentityMap, LocalMap
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,17 @@ def similar_corners(v1: Box, p: np.ndarray, scale) -> tuple[np.ndarray, np.ndarr
 @dataclass(frozen=True, eq=False)
 class Similarity:
     """A self-similar stream's declaration: its first stage ``first``,
-    supported in V_1, and the similarity S(x) = p + r (x - p).  Stage k's
-    map at time 1 is ``first``'s framed into V_k = S^(k-1)(V_1):
-    ``conjugate(AffineMap.box_to_box(V_1, V_k), first.time_one(), V_k)``."""
+    supported in V_1, and the similarity S(x) = p + r (x - p), 0 < r < 1.
+    Stage k's map at time t is S^(k-1) o first.map_at(t) o S^(1-k), stage
+    1 framed into V_k = S^(k-1)(V_1)."""
 
     first: Isotopy
     p: np.ndarray
     r: float
 
-    def corners(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """V_first..V_last as stacked (m, 3) corner rows lo and hi."""
-        scale = np.array([self.r ** (k - 1) for k in range(first, last + 1)])[:, None]
-        return similar_corners(self.first.support, self.p, scale)
+    def __post_init__(self) -> None:
+        if not (0.0 < self.r < 1.0):
+            raise ValueError(f"a similarity's ratio must lie in (0, 1), got {self.r}")
 
 
 @dataclass
@@ -159,9 +159,8 @@ class MoveSequence:
 
     ``stage_fn`` is 1-based and must be pure; stages, tail tables and the
     truncations at time 1 are memoized.  A self-similar stream declares
-    its ``similarity``: its stages' maps at time 1 are then the declared
-    stage 1 framed into the declared boxes, whatever supports its stage
-    isotopies declare.
+    its ``similarity``: its truncations then read the declared stage 1 and
+    similarity, whatever supports its stage isotopies declare.
     """
 
     stage_fn: Callable[[int], Isotopy]
@@ -239,37 +238,166 @@ class ProbeReport:
 
 def truncated_map(seq: MoveSequence, n: int, local: float = 1.0) -> LocalMap:
     """Stages 1..n-1 at time 1, then stage n at its local time, applied in
-    stage order as one composite.  Its support boxes the container with
-    the parts' own supports, so it holds whether or not the stages stay
-    inside the container.  The truncation at time 1 is built once per
-    stream and depth."""
+    stage order as one map (``_stages``).  The truncation at time 1 is
+    built once per stream and depth."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return IdentityMap(support=seq.container)
     if local != 1.0:
-        return _stage_composite(seq, _stages(seq, 1, n - 1) + [seq.stage(n).map_at(local)])
+        return _stages(seq, 1, n, local)
     if n not in seq._truncations:
-        seq._truncations[n] = _stage_composite(seq, _stages(seq, 1, n))
+        seq._truncations[n] = _stages(seq, 1, n)
     return seq._truncations[n]
 
 
-def _stages(seq: MoveSequence, first: int, last: int) -> list[LocalMap]:
-    """The maps of stages first..last at time 1, in stage order: a
-    declared stream's stages from 2 on as framed runs over their boxes."""
-    sim = seq.similarity
-    if sim is None:
-        return [seq.time_one_map(k) for k in range(first, last + 1)]
-    head = [seq.time_one_map(1)] if first <= 1 <= last else []
-    lo, hi = sim.corners(max(first, 2), last)
-    return head + framed_runs(sim.first.time_one(), sim.first.support, lo, hi)
+def _stages(seq: MoveSequence, first: int, last: int, local: float = 1.0) -> LocalMap:
+    """Stages first..last, the last at its local time, applied in stage
+    order: a declared stream's as its level loop, any other's as one
+    composite of the stage maps whose support boxes the container with
+    the parts' own supports, so it holds whether or not the stages stay
+    inside the container."""
+    if seq.similarity is not None:
+        return _LevelLoop(seq.similarity, first, last, local)
+    parts = [seq.time_one_map(k) for k in range(first, last)] + [seq.stage(last).map_at(local)]
+    return CompositeMap(parts, support=bounding_box([seq.container] + [m.support for m in parts]))
 
 
-def _stage_composite(seq: MoveSequence, parts: list[LocalMap]) -> CompositeMap:
-    """Stage maps as one composite whose support boxes the container with
-    the parts' own supports."""
-    support = bounding_box([seq.container] + [m.support for m in parts])
-    return CompositeMap(parts, support=support)
+class _LevelLoop(LocalMap):
+    """Stages first..last of a declared stream, the last at local time t,
+    as one loop over levels.  Stage k is S^(k-1) h_1 S^(1-k), h_1 being
+    stage 1's map at time 1, so with g = S^-1 h_1 the stages are
+    S^(last-1) h_1(t) g^(last-first) S^(1-first).  No box and no frame is
+    built for a level, so none rounds to a zero scale or overflows at any
+    depth, and the powers of S are applied in factors that stay finite.
+
+    A row is carried to level 1 by S^(1-first) and then takes one step of
+    g per round, the rows V_1 holds going through one h_1 call.  S maps
+    hull(V_1 u {p}) into itself and h_1 is the identity outside V_1, so a
+    row that g carries out of that hull never comes back: it is done, at
+    S^(first-1+s) of its h_1 image after s steps, or where it started if
+    V_1 never held it.  A row that a step leaves bitwise in place stays
+    there at every level.  Where p lies outside V_1, at sup-norm distance
+    dmin from it, a row at distance d from p can lie in V_k only if
+    r^(k-1) dmin <= d, so it first skips the levels before that in one
+    multiply.  The support is the hull of V_first and V_last, which holds
+    every V_k between them.
+    """
+
+    def __init__(self, sim: Similarity, first: int, last: int, local: float):
+        v1 = sim.first.support
+        p = np.asarray(sim.p, dtype=float)
+        self.first, self.last = first, last
+        self.h1 = sim.first.time_one()
+        self.h_last = sim.first.map_at(local)
+        # V_first..V_last lie in the hull of the first and the last
+        lo, hi = similar_corners(v1, p, np.array([[sim.r ** (first - 1)], [sim.r ** (last - 1)]]))
+        self.support = Box(lo.min(axis=0), hi.max(axis=0))
+        self._v1 = v1
+        # S(hull(V_1 u {p})) = hull(V_2 u {p})
+        lo, hi = similar_corners(v1, p, sim.r)
+        self._hull_2 = Box(np.minimum(lo, p), np.maximum(hi, p))
+        self._dmin = float(np.maximum(np.maximum(v1.lo - p, p - v1.hi), 0.0).max())
+        self._r = sim.r
+        self._log_r = math.log(sim.r)
+        # the most levels one factor r^c or r^-c spans and stays normal
+        self._span = int(1000.0 / -math.log2(sim.r))
+        # zero components as -0.0, so y - p and d + p keep signed zeros
+        self._p = np.where(p == 0.0, -0.0, p).reshape(3, 1)
+        self._neg_p = np.where(p == 0.0, -0.0, -p).reshape(3, 1)
+
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        return self._on_support(pts, self._run)
+
+    def _similar(self, y: np.ndarray, levels) -> np.ndarray:
+        """S^levels of the (3, m) coordinate rows y, for one integer level
+        count or one per row: (y - p) r^levels + p, the power applied in
+        factors that stay finite and normal, so p stays p at any level."""
+        levels = np.asarray(levels)
+        still = levels == 0
+        if still.all():
+            return y
+        d = y + self._neg_p
+        while np.abs(levels).max() > self._span:
+            part = np.clip(levels, -self._span, self._span)
+            d = d * self._r ** part
+            levels = levels - part
+        d = d * self._r ** levels + self._p
+        # S^0 is the identity, bitwise
+        return np.where(still, y, d) if still.any() else d
+
+    def _run(self, q: np.ndarray) -> np.ndarray:
+        x = q.T
+        out = np.empty_like(x)
+        rows = np.arange(x.shape[1])
+        todo = self.last - self.first
+        y = self._similar(x, 1 - self.first)
+        steps = np.zeros(len(rows), dtype=np.int64)
+        if self._dmin > 0.0 and todo:
+            y, steps = self._skip(y, todo)
+        moved = np.zeros(len(rows), dtype=bool)
+        ends = []
+
+        def finish(done, z: np.ndarray, levels) -> None:
+            # a row no map moved is where it started
+            still = rows[done & ~moved]
+            out[:, still] = x[:, still]
+            done = done & moved
+            if done.any():
+                out[:, rows[done]] = self._similar(z[:, done], levels[done])
+
+        while len(rows):
+            at_last = steps == todo
+            if at_last.any():
+                ends.append((rows[at_last], y[:, at_last], moved[at_last]))
+                keep = ~at_last
+                rows, y, steps, moved = rows[keep], y[:, keep], steps[keep], moved[keep]
+                if not len(rows):
+                    break
+            z, held = self._through(self.h1, y)
+            moved |= held
+            # S^-1 carries a row out of the hull exactly when it lies
+            # outside S(hull): it is done, at S^(first-1+s) of z
+            done = ~self._hull_2.contains_array(z.T)
+            if done.any():
+                finish(done, z, self.first - 1 + steps)
+            keep = ~done
+            rows, y, z, steps, moved = rows[keep], y[:, keep], z[:, keep], steps[keep], moved[keep]
+            stepped = self._similar(z, -1)
+            # a row g leaves bitwise in place stays there at every level
+            fixed = (stepped.view(np.int64) == y.view(np.int64)).all(axis=0)
+            y, steps = stepped, np.where(fixed, todo, steps + 1)
+        if ends:
+            rows, y, moved = (np.concatenate(e, axis=-1) for e in zip(*ends))
+            z, held = self._through(self.h_last, y)
+            moved |= held
+            finish(np.ones(len(rows), dtype=bool), z, np.full(len(rows), self.last - 1))
+        return out.T
+
+    def _through(self, h: LocalMap, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h on the (3, m) coordinate rows y that V_1 holds, and which rows
+        those are: every row, where p lies in V_1 and so V_1 is the hull."""
+        if self._dmin == 0.0:
+            return h.apply_array(y.T).T, np.ones(y.shape[1], dtype=bool)
+        held = self._v1.contains_array(y.T)
+        if not held.any():
+            return y, held
+        z = y.copy()
+        z[:, held] = h.apply_array(y[:, held].T).T
+        return z, held
+
+    def _skip(self, y: np.ndarray, todo: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows carried past the levels whose V_1 they cannot meet, at
+        most todo of them, and the number of levels each skipped."""
+        d = np.abs(y + self._neg_p).max(axis=0)
+        with np.errstate(divide="ignore"):
+            skip = np.minimum(np.ceil(np.log(d / self._dmin) / self._log_r) - 1.0, todo)
+        far = skip >= 1.0
+        skip = np.where(far, skip, 0.0).astype(np.int64)
+        if far.any():
+            y = y.copy()
+            y[:, far] = self._similar(y[:, far], -skip[far])
+        return y, skip
 
 
 def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
@@ -366,8 +494,7 @@ def uniform_convergence_probe(seq: MoveSequence, n: int, m: int, grid: np.ndarra
         raise ValueError("need m >= n")
     xn = apply_truncated(seq, n, grid)
     # on from stage n, so the first n stages run once, not twice
-    later = _stage_composite(seq, _stages(seq, n + 1, m))
-    xm = later.apply_array(xn)
+    xm = _stages(seq, n + 1, m).apply_array(xn) if m > n else xn
     return float(np.sqrt(((xn - xm) ** 2).sum(-1)).max())
 
 

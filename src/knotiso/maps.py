@@ -1,6 +1,6 @@
 """Evaluable, invertible self-maps of 3-space with compact support.
 
-Seven kinds are provided:
+Six kinds are provided:
 
 * ``AffineMap`` -- an axis-aligned frame p -> scale * p + shift (per-axis
   scales, no rotation), carrying the canonical box onto a target box to
@@ -21,35 +21,6 @@ Seven kinds are provided:
   only on the rows inside its declared support.
 * ``ConjugateMap`` -- the composite leave o inner o enter supported in a
   box: a canonical map framed into that box (``conjugate``).
-* ``FramedRun`` -- one inner map framed into r boxes, the conjugates
-  ``conjugate(AffineMap.box_to_box(src, V_j), inner, V_j)`` one after
-  another, applied in one pass (``framed_runs``).
-
-A framed run is declared, not discovered: a self-similar stream's stages
-2, 3, ... and the sub-box copies of a multi-kink move are built as runs
-from their boxes (see ``engine.truncated_map`` and ``canonical``).  It
-stacks every box's frames, one column per box, op for op as
-``box_to_box`` and ``AffineMap.inverse`` would build them, and takes one
-of two shapes.  Both are bitwise the conjugates one after another,
-because a conjugate fixes everything outside its box and the kernels act
-point by point.
-
-* Routed: each box lies strictly beyond the one before along x, so the
-  boxes are pairwise disjoint.  Each row goes through the ``enter`` of the
-  one box holding it, the rows of all boxes through ``inner`` together,
-  and each box's rows back through its ``leave``.  The run finds a row's
-  one candidate box by one sorted search on x and a containment check of
-  that box, so routing costs rows x log boxes, not rows x boxes.  A chain
-  stream's stages and the multi-kink copies are routed.
-* Nested: each box inside the one before.  A row outside box j is
-  outside every later box, so box j's conjugate reads only the rows box
-  j - 1 held, each row is written back once, when it drops out, and the
-  run stops when none is left.  The stages of ``recursive_r1`` and
-  ``fox_remarkable`` are nested.  Their inverse, whose boxes grow, runs
-  box by box.
-
-``framed_runs`` splits the boxes wherever the floats break either shape,
-as they do where a chain's boxes come within an ulp of each other.
 
 All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
 and a point they are built from (a cone apex, an unsquish center) is a
@@ -555,161 +526,6 @@ class ConjugateMap(CompositeMap):
         return ConjugateMap(
             self.leave.inverse(), self.inner.inverse(), self.enter.inverse(), self.support
         )
-
-
-class FramedRun(LocalMap):
-    """One inner map framed into r boxes: the conjugates leave_j o inner o
-    enter_j, each supported in its box V_j, one after another, applied in
-    one pass (see the module docstring).
-
-    ``shape`` is "routed" (the boxes pairwise disjoint), "nested" (each
-    box inside the one before) or "grown" (each box holding the one
-    before, the inverse of a nested run, applied box by box).  The boxes'
-    corners and the frames' scales and shifts are kept as (3, r) arrays,
-    one column per box, in the order the run reads them: a routed run's
-    by min x, for its sorted search; the others' in conjugate order.
-    """
-
-    def __init__(self, inner: LocalMap, lo: np.ndarray, hi: np.ndarray, enter, leave, shape: str):
-        """The boxes as (r, 3) corner rows ``lo`` and ``hi`` and the frames
-        ``enter`` and ``leave`` as (scale, shift) pairs of (r, 3) rows, all
-        in conjugate order."""
-        self.inner = inner
-        self.shape = shape
-        self.support = Box(lo.min(axis=0), hi.max(axis=0))
-        order = np.argsort(lo[:, 0]) if shape == "routed" else slice(None)
-
-        def columns(a: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(a[order].T)
-
-        self._lo, self._hi = columns(lo), columns(hi)
-        self._enter = tuple(map(columns, enter))
-        self._leave = tuple(map(columns, leave))
-        self._kernel = {"routed": self._route, "nested": self._nest, "grown": self._grow}[shape]
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return self._on_support(pts, self._kernel)
-
-    def _held(self, box, x: np.ndarray) -> np.ndarray:
-        """Per column of the (3, m) coordinate rows x, whether box ``box``
-        (an index per column, or one for all) holds it."""
-        inside = (self._lo[:, box] <= x) & (x <= self._hi[:, box])
-        return inside[0] & inside[1] & inside[2]
-
-    def _carry(self, box, x: np.ndarray) -> np.ndarray:
-        """The conjugates of box ``box`` (an index per column, or one for
-        all) on the (3, m) coordinate rows x of points they hold."""
-        (enter_scale, enter_shift), (leave_scale, leave_shift) = self._enter, self._leave
-        moved = self.inner.apply_array((x * enter_scale[:, box] + enter_shift[:, box]).T)
-        return moved.T * leave_scale[:, box] + leave_shift[:, box]
-
-    def _route(self, q: np.ndarray) -> np.ndarray:
-        x = q.T
-        # a row left of every box gets slot -1, the last box, whose min x
-        # exceeds the row's x
-        box = np.searchsorted(self._lo[0], x[0], side="right") - 1
-        rows = np.nonzero(self._held(box, x))[0]
-        out = q.copy(order="F")
-        if len(rows):
-            out.T[:, rows] = self._carry(box[rows], x[:, rows])
-        return out
-
-    def _nest(self, q: np.ndarray) -> np.ndarray:
-        # every row is inside the first box, the run's support
-        out = np.empty_like(q, order="F")
-        rows = np.arange(len(q))
-        x = self._carry([0], q.T)
-        for j in range(1, self._lo.shape[1]):
-            held = self._held([j], x)
-            if not held.all():
-                out.T[:, rows[~held]] = x[:, ~held]
-                rows, x = rows[held], x[:, held]
-                if not len(rows):
-                    return out
-            x = self._carry([j], x)
-        out.T[:, rows] = x
-        return out
-
-    def _grow(self, q: np.ndarray) -> np.ndarray:
-        out = q.copy(order="F")
-        x = out.T
-        for j in range(self._lo.shape[1]):
-            held = self._held([j], x)
-            if held.any():
-                x[:, held] = self._carry([j], x[:, held])
-        return out
-
-    def _inverted(self) -> "FramedRun":
-        # the boxes backwards, each frame inverted as AffineMap.inverse
-        # inverts it; no link back, since 1 / (1 / s) is not bitwise s
-        back = slice(None, None, -1)
-        lo, hi = self._lo.T[back], self._hi.T[back]
-        enter = _inverse_frames(*(a.T[back] for a in self._leave))
-        leave = _inverse_frames(*(a.T[back] for a in self._enter))
-        shape = {"routed": "routed", "nested": "grown", "grown": "nested"}[self.shape]
-        return FramedRun(self.inner.inverse(), lo, hi, enter, leave, shape)
-
-
-def _negative_zero_rows(shift: np.ndarray) -> np.ndarray:
-    """``_negative_zeros`` on stacked shift rows."""
-    return np.where(shift == 0.0, -0.0, shift)
-
-
-def _inverse_frames(scale: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverses of stacked frames, op for op as ``AffineMap.inverse``
-    builds each: scale 1 / s and shift -(1 / s) * t, a zero as -0.0."""
-    inv = 1.0 / scale
-    return inv, _negative_zero_rows(-inv * shift)
-
-
-def framed_runs(inner: LocalMap, src: Box, lo: np.ndarray, hi: np.ndarray) -> list[FramedRun]:
-    """The conjugates ``conjugate(AffineMap.box_to_box(src, V_j), inner,
-    V_j)`` of the boxes V_j, given as (r, 3) corner rows ``lo`` and ``hi``
-    in the order they run, as framed runs.
-
-    The frames are stacked op for op as ``box_to_box`` and
-    ``AffineMap.inverse`` build them, so the runs are bitwise the
-    conjugates one after another.  They are checked box by box, in order:
-    the first box whose frame ``AffineMap`` refuses raises that refusal.
-    A run ends where the next box neither lies inside its last box nor
-    strictly beyond it along x, in the direction the run marches.
-    """
-    if not len(lo):
-        return []
-    s_lo, s_hi = src.lo, src.hi
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scale = (hi - lo) * 0.5 / ((s_hi - s_lo) * 0.5)
-        shift = (lo + (hi - lo) * 0.5) - scale * (s_lo + (s_hi - s_lo) * 0.5)
-        inv = 1.0 / scale
-        inv_shift = -inv * shift
-        ok = np.isfinite(scale) & (scale != 0.0) & np.isfinite(-(1.0 / inv) * inv_shift)
-    ok = ok.all(axis=1)
-    if not ok.all():
-        j = int(np.argmin(ok))
-        AffineMap.box_to_box(src, Box(lo[j], hi[j]))
-        raise AssertionError(f"stacked frame {j} is refused, but AffineMap builds it")
-    leave = (scale, _negative_zero_rows(shift))
-    enter = (inv, _negative_zero_rows(inv_shift))
-    # link[j]: box j + 1 lies inside box j (1), or strictly beyond it along
-    # x toward +x (2) or -x (3), or none of these (0)
-    nests = ((lo[:-1] <= lo[1:]) & (hi[1:] <= hi[:-1])).all(axis=1)
-    link = np.select([nests, hi[:-1, 0] < lo[1:, 0], hi[1:, 0] < lo[:-1, 0]], [1, 2, 3]).tolist()
-    cuts = [0]
-    for j, kind in enumerate(link):
-        if kind == 0 or kind != link[cuts[-1]]:
-            cuts.append(j + 1)
-    cuts.append(len(lo))
-    return [
-        FramedRun(
-            inner,
-            lo[a:b],
-            hi[a:b],
-            tuple(f[a:b] for f in enter),
-            tuple(f[a:b] for f in leave),
-            "nested" if b - a == 1 or link[a] == 1 else "routed",
-        )
-        for a, b in zip(cuts, cuts[1:])
-    ]
 
 
 def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:

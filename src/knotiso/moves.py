@@ -11,8 +11,8 @@ end at t = 1, built on first use and shared by every later call.  So a
 stage builds no map until it is evaluated -- a conjugation's frame and
 its inverse included -- and callers must not mutate the maps they get.
 Because an end is one object, every insert of one canonical move, and
-every reversed insert, holds the same inner map object, which is what lets
-a composite route their runs in one pass (see ``maps``).
+every reversed insert, holds the same inner map object, so the canonical
+maps and their inverses are built once.
 """
 from __future__ import annotations
 

@@ -17,8 +17,8 @@ declared once, as its first stage and a similarity S(x) = p + r (x - p)
 (``_similar_stream``, which hands the declaration to its
 ``MoveSequence`` as an ``engine.Similarity``): stage 1 is an isotopy
 supported in V_1, and stage k is stage 1 framed into V_k = S^(k-1)(V_1),
-one stage rule for all of them, so a truncation builds stages 2, 3, ...
-straight from the declaration, as framed runs.  The chain streams
+one stage rule for all of them, so a truncation reads the declaration
+alone (``engine.truncated_map``).  The chain streams
 (``countable_*``, ``trefoil_chain``) untie the loops of V_1 and halve
 toward p on the x-axis, and each chain curve ties its loops in the
 stream's own V_1..V_20; ``recursive_r1`` (an insert, then an unsquish)

@@ -348,8 +348,7 @@ def row_major_unsquish(m: UnsquishMap, pts: np.ndarray, inverse: bool = False) -
 
 def part_by_part(m, pts: np.ndarray) -> np.ndarray:
     """A composite culled to its support, then its parts one after another,
-    at every level of nesting; any other map, a framed run included, as
-    itself."""
+    at every level of nesting; any other map as itself."""
     if not isinstance(m, CompositeMap):
         return m.apply_array(pts)
     out = np.array(pts, dtype=float)

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +20,10 @@ from knotiso.engine import (
 )
 from knotiso.geometry import Box, PLCurve, union_diameter
 from knotiso.maps import IdentityMap
-from knotiso.moves import cone_isotopy
+from knotiso.canonical import conjugated_insert, kink_isotopy, multi_kink_isotopy
+from knotiso.moves import cone_isotopy, conjugated_isotopy, reversed_isotopy
 
-from knotiso.scenarios import SCENARIO_BUILDERS
+from knotiso.scenarios import SCENARIO_BUILDERS, _similar_stream
 
 from oracles import infinite_motion_census, part_by_part, seam_values
 
@@ -496,38 +495,185 @@ DECLARED_STREAMS = (
 )
 
 
+# the chains' V_1 and p, and the balls' p = 0, keep every power of S exact;
+# trefoil's V_1 is not dyadic, so its stage frames round and the level
+# loop's powers of S do not
+_STAGE_LOOP_ULPS = {"trefoil_chain": 5, "trefoil_chain_extended": 5}
+
+
 @pytest.mark.parametrize("name", DECLARED_STREAMS)
 def test_a_declared_stream_truncates_to_its_stage_loop_at_every_depth(name):
-    """Depths 2..60, at time 1 and inside the last stage, are bitwise the
-    stage maps part by part, one after another: through the depths where
-    a chain's float boxes come within an ulp of each other along x and its
-    framed runs split, and past the stage whose frame is refused, with
-    its refusal."""
+    """Depths 2..60, at time 1 and inside the last stage, against the stage
+    maps part by part, one after another, until a stage's frame is refused
+    in floats, as the chains' are from depth 48 to 50 on: bitwise, or for
+    trefoil within 5 ulps of each row's largest coordinate.  Past the
+    refusal the truncation still runs."""
     s = SCENARIO_BUILDERS[name]()
     seq = s.moves
-    # the declared boxes are bitwise the stage supports (the extended
-    # chain's maps, and so its declaration, are the chain's)
-    boxes = SCENARIO_BUILDERS[name.removesuffix("_extended")]().moves.boxes(1, 60)
-    lo, hi = seq.similarity.corners(1, 60)
-    _assert_same_bits(lo, np.array([b.lo for b in boxes]))
-    _assert_same_bits(hi, np.array([b.hi for b in boxes]))
     pts = np.vstack([_composer_points(s)[::3], s.probe_pairs.reshape(-1, 3), s.census_samples])
     done, refused = part_by_part(seq.time_one_map(1), pts), None
     for n in range(2, 61):
-        try:
-            inside = part_by_part(seq.stage(n).map_at(0.4), done)
-            done = part_by_part(seq.time_one_map(n), done)
-        except ValueError as exc:
-            refused = str(exc)
+        if refused is None:
+            try:
+                inside = part_by_part(seq.stage(n).map_at(0.4), done)
+                done = part_by_part(seq.time_one_map(n), done)
+            except ValueError:
+                refused = n
+        got = truncated_map(seq, n).apply_array(pts), truncated_map(seq, n, 0.4).apply_array(pts)
         if refused is not None:
-            with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
-                truncated_map(seq, n)
+            assert all(np.isfinite(g).all() for g in got)
             continue
-        _assert_same_bits(truncated_map(seq, n).apply_array(pts), done)
-        _assert_same_bits(truncated_map(seq, n, 0.4).apply_array(pts), inside)
-    # the chains' frames are refused from depth 48 or 49 on, trefoil's later
+        for g, want in zip(got, (done, inside)):
+            _assert_within_ulps(g, want, _STAGE_LOOP_ULPS.get(name, 0))
     assert (refused is not None) == (name not in ("recursive_r1", "fox_remarkable"))
 
 
 def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want).view(np.int64))
+
+
+def _assert_within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> None:
+    """Bitwise for 0 ulps; else each row within ulps of its largest
+    coordinate."""
+    if not ulps:
+        _assert_same_bits(got, want)
+        return
+    scale = np.spacing(np.abs(want).max(axis=1))
+    assert (np.abs(got - want).max(axis=1) <= ulps * scale).all()
+
+
+def _stage_loop(seq, n: int, local: float, pts: np.ndarray) -> np.ndarray:
+    """Stages 1..n-1 at time 1, then stage n at its local time, each stage
+    map part by part."""
+    for k in range(1, n):
+        pts = part_by_part(seq.time_one_map(k), pts)
+    return part_by_part(seq.stage(n).map_at(local), pts)
+
+
+def _level_points(seq, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows in and around every V_k, k <= n, and in the hull of V_1 and p,
+    with p itself, then copies with coordinates set to 0.0 or -0.0."""
+    p = seq.similarity.p
+    v1 = seq.stage(1).support
+    pool = [p[None, :], rng.uniform(-3.0, 3.0, (20, 3))]
+    pool.append(Box(np.minimum(v1.lo, p), np.maximum(v1.hi, p)).sample(rng, 100))
+    for k in range(1, n + 1):
+        box = seq.stage(k).support
+        pool += [box.sample(rng, 30), box.scaled_about_center(1.3).sample(rng, 10), box.corners()]
+    pts = np.concatenate(pool)
+    zeroed = pts.copy()
+    hit = rng.random(zeroed.shape) < 0.3
+    zeroed[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return np.concatenate([pts, zeroed])
+
+
+@given(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.tuples(*[st.floats(0.05, 0.5)] * 3),
+    st.sampled_from(["cone", "insert"]),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_level_loop_is_the_stage_loop_on_dyadic_streams(center, half, kind, j, n, local, seed):
+    """With p = 0 and r = 2^-j every power of S and every stage frame is
+    exact, so the truncations are the stage loop bitwise, signed zeros
+    included, whether p lies in V_1 (nested supports) or not (supports
+    that may overlap, and levels skipped by distance)."""
+    v1 = Box.from_center(center, half)
+    if kind == "cone":
+        c, h = v1.center, v1.half_extents
+        first = cone_isotopy(v1, c - 0.3 * h, c + np.array([0.5, -0.2, 0.4]) * h)
+    else:
+        first = conjugated_insert(v1)
+    seq = _similar_stream(first, (0.0, 0.0, 0.0), 2.0**-j, Box.cube((0, 0, 0), 8.0))
+    pts = _level_points(seq, n, np.random.default_rng(seed))
+    for t in (1.0, local):
+        _assert_same_bits(truncated_map(seq, n, t).apply_array(pts), _stage_loop(seq, n, t, pts))
+
+
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_a_level_loop_reads_c_and_fortran_batches_alike(name):
+    """The same bits from a batch in C and in Fortran order, in a fresh
+    Fortran-ordered array, with the input left alone."""
+    seq = SCENARIO_BUILDERS[name]().moves
+    rows = _level_points(seq, 8, np.random.default_rng(8))
+    for t in (1.0, 0.3):
+        m = truncated_map(seq, 8, t)
+        images = []
+        for pts in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+            kept = pts.copy()
+            images.append(m.apply_array(pts))
+            assert images[-1].flags.f_contiguous and not np.shares_memory(images[-1], pts)
+            _assert_same_bits(pts, kept)
+        _assert_same_bits(*images)
+
+
+_INSERTS = {
+    "kink": kink_isotopy,
+    "kink^-1": lambda: reversed_isotopy(kink_isotopy()),
+    "multi2": lambda: multi_kink_isotopy(2),
+    "multi2^-1": lambda: reversed_isotopy(multi_kink_isotopy(2)),
+    "multi3": lambda: multi_kink_isotopy(3),
+    "multi3^-1": lambda: reversed_isotopy(multi_kink_isotopy(3)),
+}
+
+
+@pytest.mark.parametrize("inner", sorted(_INSERTS))
+def test_a_40_stage_half_scaling_chain_is_its_stage_loop(inner):
+    """40 cubes on the x-axis accumulating at p = (2, 0, 0), cube k of side
+    2^-(k+1), each carrying a canonical insert.  V_1 and p are dyadic and
+    V_1 lies within a factor of two of p, so x - p is exact, every power
+    of S is, and the level loop, skipping levels by distance, is the
+    stage loop bitwise, signed zeros included."""
+    v1 = Box.from_center((1.5, 0.0, 0.0), np.full(3, 0.125))
+    first = conjugated_isotopy(_INSERTS[inner](), v1)
+    seq = _similar_stream(first, (2.0, 0.0, 0.0), 0.5, Box.cube((1.0, 0.0, 0.0), 4.0))
+    pts = _level_points(seq, 40, np.random.default_rng(40))
+    for t in (1.0, 0.4):
+        _assert_same_bits(truncated_map(seq, 40, t).apply_array(pts), _stage_loop(seq, 40, t, pts))
+
+
+def _in_no_stage_support(seq, n: int, pts: np.ndarray) -> np.ndarray:
+    lo, hi = seq.tail_table(n).lo, seq.tail_table(n).hi
+    inside = (pts[:, None, :] >= lo) & (pts[:, None, :] <= hi)
+    return pts[~inside.all(axis=-1).any(axis=-1)]
+
+
+@pytest.mark.parametrize(
+    "name", ["countable_r1", "countable_r2_stage1", "countable_r2_stage2", "trefoil_chain", "non_dyadic"]
+)
+def test_a_row_in_no_stage_support_comes_back_bitwise(name):
+    """Rows of the hull of V_1 and p that no V_k holds, and p itself, come
+    back bitwise, also where S does not round-trip exactly: a row that no
+    level's V_1 held is returned as it came.  (Where p lies in V_1, as in
+    the ball streams, that hull is V_1.)"""
+    if name == "non_dyadic":
+        v1 = Box.from_center((0.61, 0.13, -0.07), (0.05, 0.07, 0.03))
+        seq = _similar_stream(conjugated_insert(v1), (0.3, 0.1, 0.0), 0.3, Box.cube((0, 0, 0), 4.0))
+    else:
+        seq = SCENARIO_BUILDERS[name]().moves
+    p = seq.similarity.p
+    rng = np.random.default_rng(11)
+    v1 = seq.similarity.first.support
+    hull = Box(np.minimum(v1.lo, p), np.maximum(v1.hi, p))
+    for n in (1, 2, 7, 30):
+        pts = _in_no_stage_support(seq, n, np.concatenate([hull.sample(rng, 2000), [p]]))
+        assert len(pts) > 100
+        _assert_same_bits(truncated_map(seq, n).apply_array(pts), pts)
+        _assert_same_bits(truncated_map(seq, n, 0.6).apply_array(pts), pts)
+
+
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_a_declared_stream_runs_at_any_depth(name):
+    """The powers of S are applied in factors that stay finite, so stages
+    2501..5000 run with no overflow (S^(1-2500) alone is 2^2499 or 4^2499)
+    and keep p at p; their supports have shrunk onto p, so they move no
+    other row of the container."""
+    seq = SCENARIO_BUILDERS[name]().moves
+    p = seq.similarity.p
+    grid = np.vstack([p, seq.container.sample(np.random.default_rng(12), 50)])
+    assert uniform_convergence_probe(seq, 2500, 5000, grid) == 0.0
+    assert np.isfinite(truncated_map(seq, 5000).apply_array(grid)).all()

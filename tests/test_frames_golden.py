@@ -34,8 +34,8 @@ GOLDEN = {
     ),
     "trefoil_chain": (
         ("f6dd6378cb3103163e20dde0ce4a2d0d2d61b1e85fd08fec94c2dbcc56f1e2d8", "c1f34d0c964be1587203474365ae1f3f12c35081b3770c9bed52dbca0ebd92e4"),
-        ("233276f74be8cff8f444453018a7de5001ca6f78051396579d33d0c0d33294ef", "2998852b03c7110648f9d1aec1cb8add7e0cb779d15f3deba06fbf7125623ee4"),
-        ("c73869f256c4fe6a579665144deafb2f175958c406f62f337799e7468f11b4e7", "88702be669c7849951972d48eddb90941e32a2d168baa07381ea33c34fa51dbb"),
+        ("d93ebb3e442809e6dfa14144758a7bdefab5276dab2c8e1e503b5fb5fe0a3ed5", "a68692703517e9a12a82d6c1e701a50257f2f4641582f506ec02c901be5c3a5c"),
+        ("01fbacf3f0e7264427b791babd873d741371b4e1b4d242688436c878db328116", "90ddf806f234b975d7aec493ae2957108ce561d5d5f479be75d5de0aed04184c"),
     ),
     "fox_remarkable": (
         ("c75ac94859b03a0753d6b354f1fd1fc3c1dc8070b5a6cf32f79dfe749cc90034", "7115c6969a8b816546a672c456d2929decb969b53e83a61826e38322840b6aac"),

@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +15,6 @@ from knotiso.canonical import (
     loop_sub_boxes,
     multi_kink_isotopy,
 )
-from knotiso.engine import truncated_map
 from knotiso.geometry import Box
 from knotiso.maps import (
     AffineMap,
@@ -31,9 +29,7 @@ from knotiso.maps import (
     conjugate,
     estimate_inverse_lipschitz,
     UNBOUNDED,
-    FramedRun,
     _box_radial_scale,
-    framed_runs,
 )
 from knotiso.moves import (
     chained_isotopy,
@@ -1118,95 +1114,12 @@ def test_cone_kernel_is_the_gauge_formula_to_a_few_ulps(box, u0, u1, seed):
                 assert abs(Fraction(float(g)) - w) <= eps * (2 * abs(e) + abs(w)) + tiny
 
 
-# -- framed runs of conjugates -------------------------------------------------
-
-INNERS = {
-    "kink": kink_map,
-    "kink^-1": lambda: kink_map().inverse(),
-    "multi2": lambda: multi_kink_isotopy(2).time_one(),
-    "multi2^-1": lambda: multi_kink_isotopy(2).time_one().inverse(),
-    "multi3": lambda: multi_kink_isotopy(3).time_one(),
-    "multi3^-1": lambda: multi_kink_isotopy(3).time_one().inverse(),
-}
+# -- the multi-kink insert -------------------------------------------------------
 
 
 def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def _x_disjoint(boxes: list[Box]) -> bool:
-    """Whether the boxes' closed x-projections are pairwise disjoint."""
-    spans = sorted((b.lo[0], b.hi[0]) for b in boxes)
-    return all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
-
-
-def _marches(boxes: list[Box]) -> bool:
-    """Whether each box lies strictly beyond the one before along x, all
-    toward +x or all toward -x."""
-    pairs = list(zip(boxes, boxes[1:]))
-    return all(a.hi[0] < b.lo[0] for a, b in pairs) or all(b.hi[0] < a.lo[0] for a, b in pairs)
-
-
-def _corners(boxes: list[Box]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
-
-
-def _runs(boxes: list[Box], inner) -> list[FramedRun]:
-    """The conjugates of inner into the boxes, as framed runs."""
-    return framed_runs(inner, CANONICAL_BOX, *_corners(boxes))
-
-
-def _run_boxes(run: FramedRun) -> list[Box]:
-    """A run's boxes, in the order it reads them."""
-    return [Box(lo, hi) for lo, hi in zip(run._lo.T, run._hi.T)]
-
-
-def _assert_runs_keep_their_shape(runs: list[FramedRun], boxes: list[Box]) -> None:
-    """The runs hold the boxes in order, each run of two or more either
-    routed over boxes that march strictly along x, so pairwise disjoint
-    ones, or nested, or (an inverse) grown; and the boxes are one run
-    exactly when they all march, all nest or all grow."""
-    held = []
-    for run in runs:
-        mine = _run_boxes(run)
-        if run.shape == "routed":
-            assert len(mine) > 1 and _x_disjoint(mine)
-            mine.sort(key=lambda b: boxes.index(b))
-        elif run.shape == "nested":
-            assert all(b.contains_box(c) for b, c in zip(mine, mine[1:]))
-        else:
-            assert run.shape == "grown"
-            assert all(c.contains_box(b) for b, c in zip(mine, mine[1:]))
-        assert mine == boxes[len(held) : len(held) + len(mine)]
-        held += mine
-    assert held == boxes
-    pairs = list(zip(boxes, boxes[1:]))
-    nests = all(b.contains_box(c) for b, c in pairs) or all(c.contains_box(b) for b, c in pairs)
-    assert (len(runs) == 1) == (_marches(boxes) or nests)
-
-
-def _disjoint_boxes():
-    """2 to 6 boxes of one scale 2^-40 .. 4 around a center within +-50, on
-    distinct cells of a grid of pitch 3 scales: no half-extent exceeds the
-    scale, so any two boxes are at least one scale apart."""
-    coord = st.floats(-50.0, 50.0)
-    cells = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=6, unique=True)
-    aspects = st.lists(st.tuples(*[st.floats(0.25, 1.0)] * 3), min_size=6, max_size=6)
-
-    def build(v) -> list[Box]:
-        center, scale, cells, aspects = v
-        c = np.array(center)
-        return [
-            Box.from_center(
-                c + 3.0 * scale * np.array(cell),
-                scale * np.array(aspect),
-            )
-            for cell, aspect in zip(cells, aspects)
-        ]
-
-    scale = st.floats(-40.0, 2.0).map(lambda e: 2.0**e)
-    return st.tuples(st.tuples(coord, coord, coord), scale, cells, aspects).map(build)
 
 
 def _probe_points(boxes: list[Box], rng: np.random.Generator, n: int) -> np.ndarray:
@@ -1223,110 +1136,6 @@ def _probe_points(boxes: list[Box], rng: np.random.Generator, n: int) -> np.ndar
     return pool[rng.choice(len(pool), n, replace=n > len(pool))]
 
 
-def _conjugates(boxes: list[Box], inner) -> list[ConjugateMap]:
-    return [conjugate(AffineMap.box_to_box(CANONICAL_BOX, b), inner, b) for b in boxes]
-
-
-def _assert_runs_are_the_conjugates(runs: list[FramedRun], boxes: list[Box], inner, pts) -> None:
-    """The runs one after another, and their inverses backwards, are
-    bitwise the conjugates part by part, and their inverses."""
-    m = CompositeMap(_conjugates(boxes, inner))
-    framed = CompositeMap(runs)
-    for got, want in ((framed, m), (framed.inverse(), m.inverse())):
-        _assert_bitwise(got.apply_array(pts), part_by_part(want, pts))
-
-
-@given(
-    _disjoint_boxes(),
-    st.sampled_from(sorted(INNERS)),
-    st.sampled_from([1, 7, 333, 1201]),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=80, deadline=None)
-def test_routed_run_matches_part_by_part(boxes, inner, n, seed):
-    runs = _runs(boxes, INNERS[inner]())
-    pts = _probe_points(boxes, np.random.default_rng(seed), n)
-    _assert_runs_are_the_conjugates(runs, boxes, INNERS[inner](), pts)
-    # boxes in one grid column share x: those are run apart
-    _assert_runs_keep_their_shape(runs, boxes)
-    _assert_runs_keep_their_shape([run.inverse() for run in reversed(runs)], boxes[::-1])
-
-
-def _nested_boxes():
-    """2 to 40 boxes, each inside the one before: the first of scale
-    2^-30 .. 4 around a center within +-50 (or 0 on an axis, so rows with
-    a zeroed coordinate can lie inside), each next one 2^-1 .. 2^-3 times
-    the last at a random place inside it, clipped to it.  The boxes stop
-    before one would be under 2^-44 times its center's size, where its
-    width would be a few ulps."""
-    coord = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
-    level = st.tuples(st.integers(1, 3), st.tuples(*[st.floats(-1.0, 1.0)] * 3))
-
-    def build(v) -> list[Box]:
-        center, scale, aspect, levels = v
-        boxes = [Box.from_center(np.array(center), scale * np.array(aspect))]
-        for shrink, place in levels:
-            last = boxes[-1]
-            half = last.half_extents * 2.0**-shrink
-            c = last.center + np.array(place) * (last.half_extents - half)
-            if half.min() < 2.0**-44 * max(1.0, np.abs(c).max()):
-                break
-            boxes.append(Box(np.maximum(c - half, last.lo), np.minimum(c + half, last.hi)))
-        return boxes
-
-    scale = st.floats(-30.0, 2.0).map(lambda e: 2.0**e)
-    aspect = st.tuples(*[st.floats(0.25, 1.0)] * 3)
-    levels = st.lists(level, min_size=1, max_size=39)
-    return st.tuples(st.tuples(coord, coord, coord), scale, aspect, levels).map(build)
-
-
-@given(_nested_boxes(), st.sampled_from(sorted(INNERS)), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_nested_run_matches_part_by_part(boxes, inner, seed):
-    (run,) = _runs(boxes, INNERS[inner]())
-    assert run.shape == "nested" and _run_boxes(run) == boxes
-    rng = np.random.default_rng(seed)
-    pts = _with_signed_zeros(_probe_points(boxes, rng, 1201), rng)
-    _assert_runs_are_the_conjugates([run], boxes, INNERS[inner](), pts)
-    # the inverse's boxes grow, so it runs box by box
-    inv = run.inverse()
-    assert inv.shape == "grown" and _run_boxes(inv) == boxes[::-1]
-    assert inv.inverse().shape == "nested"
-
-
-def test_runs_of_both_shapes_in_one_composite():
-    # boxes 0 and 1 are x-disjoint, box 2 lies inside box 1 and box 3
-    # inside box 2, and box 4 is x-disjoint from box 3: a routed run, a
-    # nested run, then box 4 alone, since a box that nests into a routed
-    # run's last box closes it
-    boxes = [
-        Box.cube(center, side)
-        for center, side in (
-            ((0.0, 0.0, 0.0), 1.0),
-            ((3.0, 0.0, 0.0), 2.0),
-            ((3.25, 0.0, 0.0), 1.0),
-            ((3.25, 0.25, 0.0), 0.5),
-            ((9.0, 0.0, 0.0), 1.0),
-        )
-    ]
-    runs = _runs(boxes, kink_map())
-    pts = _probe_points(boxes, np.random.default_rng(8), 1201)
-    _assert_runs_are_the_conjugates(runs, boxes, kink_map(), pts)
-    routed, nested, last = runs
-    assert routed.shape == "routed" and _run_boxes(routed) == boxes[:2]
-    assert nested.shape == "nested" and _run_boxes(nested) == boxes[2:4]
-    assert _run_boxes(last) == boxes[4:]
-
-
-@pytest.mark.parametrize("name", ["recursive_r1", "fox_remarkable"])
-def test_a_deep_truncation_of_a_nested_stream_is_stage_1_and_one_nested_run(name):
-    seq = SCENARIO_BUILDERS[name]().moves
-    first, run = truncated_map(seq, 40).parts
-    assert first is seq.time_one_map(1)
-    assert run.shape == "nested" and run.inner is first
-    assert _run_boxes(run) == seq.boxes(2, 40)
-
-
 def _with_signed_zeros(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The rows, then copies of them with random coordinates set to 0.0
     or -0.0."""
@@ -1336,157 +1145,10 @@ def _with_signed_zeros(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([pts, zeroed])
 
 
-def _half_scaling_chain() -> list[Box]:
-    """40 cubes on the x-axis accumulating at x = 2, cube k of side 2^-k."""
-    return [
-        Box.from_center((2.0 - 3.0 * 2.0**-k, 0.0, 0.0), np.full(3, 2.0 ** -(k + 1)))
-        for k in range(1, 41)
-    ]
-
-
-@pytest.mark.parametrize("inner", sorted(INNERS))
-def test_routed_run_of_a_40_box_half_scaling_chain(inner):
-    boxes = _half_scaling_chain()
-    rng = np.random.default_rng(40)
-    # the chain is centred on the x-axis, so the zeroed rows of its boxes
-    # stay inside them
-    pts = _with_signed_zeros(_probe_points(boxes, rng, 4000), rng)
-    (run,) = _runs(boxes, INNERS[inner]())
-    _assert_runs_are_the_conjugates([run], boxes, INNERS[inner](), pts)
-    # a chain along x is one run, and so is its inverse
-    assert run.shape == run.inverse().shape == "routed"
-
-
-def _layered_boxes():
-    """2 or 3 rows of 1 to 4 boxes each, of one scale 2^-40 .. 4 around a
-    center within +-50: the boxes of a row lie 3 scales apart along x, the
-    rows 3 scales apart along y, and row j is shifted by j/4 scales along
-    x, so boxes of different rows have overlapping x-projections."""
-    coord = st.floats(-50.0, 50.0)
-    aspects = st.lists(st.tuples(*[st.floats(0.25, 1.0)] * 3), min_size=12, max_size=12)
-
-    def build(v) -> list[Box]:
-        center, scale, rows, cols, aspects = v
-        return [
-            Box.from_center(
-                np.array(center) + scale * np.array([3.0 * i + 0.25 * j, 3.0 * j, 0.0]),
-                scale * np.array(aspects[j * cols + i]),
-            )
-            for j in range(rows)
-            for i in range(cols)
-        ]
-
-    scale = st.floats(-40.0, 2.0).map(lambda e: 2.0**e)
-    return st.tuples(
-        st.tuples(coord, coord, coord), scale, st.integers(2, 3), st.integers(1, 4), aspects
-    ).map(build)
-
-
-@given(_layered_boxes(), st.sampled_from(sorted(INNERS)), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_routed_run_of_boxes_with_overlapping_x_projections(boxes, inner, seed):
-    rng = np.random.default_rng(seed)
-    pts = _with_signed_zeros(_probe_points(boxes, rng, 1201), rng)
-    runs = _runs(boxes, INNERS[inner]())
-    _assert_runs_are_the_conjugates(runs, boxes, INNERS[inner](), pts)
-    # disjoint boxes, but no one sorted search on x can route them all
-    _assert_runs_keep_their_shape(runs, boxes)
-
-
-@pytest.mark.parametrize("scale", [2.0**-30, 0.25, 2.0])
-def test_routed_run_of_boxes_whose_x_projections_touch(scale):
-    # disjoint boxes, each sharing an x face plane with the next: a row on
-    # that plane may lie in either, so no two are routed together
-    boxes = [
-        Box(np.array(lo) * scale + 1.0, np.array(hi) * scale + 1.0)
-        for lo, hi in (((0, 0, 0), (1, 1, 1)), ((1, 2, 0), (2, 3, 1)), ((2, 0, 0), (3, 1, 1)))
-    ]
-    runs = _runs(boxes, kink_map())
-    pts = _probe_points(boxes, np.random.default_rng(6), 1201)
-    _assert_runs_are_the_conjugates(runs, boxes, kink_map(), pts)
-    assert [_run_boxes(run) for run in runs] == [[b] for b in boxes]
-
-
-def _touching_boxes(scale: float) -> list[Box]:
-    """Boxes laid along x, each sharing a face with the next, and one that
-    meets the last at a single corner."""
-    half = np.array([scale, scale, scale])
-    boxes = [Box.from_center((3.0 + 2.0 * i * scale, 1.0, -2.0), half) for i in range(3)]
-    corner = boxes[-1].hi
-    return boxes + [Box(corner, corner + half * 2.0)]
-
-
-@pytest.mark.parametrize("scale", [2.0**-30, 0.25, 2.0])
-@pytest.mark.parametrize("inner", sorted(INNERS))
-def test_boxes_that_touch_are_not_routed_together(scale, inner):
-    boxes = _touching_boxes(scale)
-    runs = _runs(boxes, INNERS[inner]())
-    pts = _probe_points(boxes, np.random.default_rng(3), 1201)
-    _assert_runs_are_the_conjugates(runs, boxes, INNERS[inner](), pts)
-    assert [_run_boxes(run) for run in runs] == [[b] for b in boxes]
-
-
-def test_a_box_meeting_any_box_of_the_open_run_closes_it():
-    # box 1 overlaps box 0, and box 2 overlaps both: box 2 meets the run
-    # that box 1 opened, though the first box it meets is outside that run;
-    # boxes 3 and 4 meet no other box and join box 2's run
-    boxes = [Box.cube((x, 0.0, 0.0), 1.0) for x in (0.0, 0.5, 0.25, 3.0, 5.0)]
-    runs = _runs(boxes, kink_map())
-    pts = _probe_points(boxes, np.random.default_rng(7), 1201)
-    _assert_runs_are_the_conjugates(runs, boxes, kink_map(), pts)
-    assert [_run_boxes(run) for run in runs] == [boxes[:1], boxes[1:2], boxes[2:]]
-    assert runs[2].shape == "routed"
-
-
-def test_different_inner_objects_are_not_routed_together():
-    # a framed run frames one inner object: kink_map() and a twin equal to
-    # it part for part, but another object, are framed apart
-    boxes = [Box.cube((2.0 * i, 0.0, 0.0), 1.0) for i in range(4)]
-    twin = CompositeMap(kink_map().parts, support=kink_map().support)
-    inners = [kink_map(), twin, kink_map().inverse(), kink_map()]
-    runs = [run for b, inner in zip(boxes, inners) for run in _runs([b], inner)]
-    assert [run.inner for run in runs] == inners
-    parts = [conjugate(AffineMap.box_to_box(CANONICAL_BOX, b), i, b) for b, i in zip(boxes, inners)]
-    m = CompositeMap(parts)
-    pts = _probe_points(boxes, np.random.default_rng(4), 1201)
-    _assert_bitwise(CompositeMap(runs).apply_array(pts), part_by_part(m, pts))
-
-
-def test_a_part_that_is_not_a_conjugate_breaks_the_run():
-    # a composite applies its parts in order: two runs with a cone between
-    boxes = [Box.cube((2.0 * i, 0.0, 0.0), 1.0) for i in range(5)]
-    cone = ConeMap(boxes[2], boxes[2].center, np.array([4.2, 0.1, -0.2]))
-    (before,), (after,) = _runs(boxes[:2], kink_map()), _runs(boxes[3:], kink_map())
-    m = CompositeMap([before, cone, after])
-    conj = _conjugates(boxes[:2] + boxes[3:], kink_map())
-    want = CompositeMap(conj[:2] + [cone] + conj[2:])
-    pts = _probe_points(boxes, np.random.default_rng(5), 1201)
-    _assert_bitwise(m.apply_array(pts), part_by_part(want, pts))
-    assert m.parts == (before, cone, after)
-
-
-def test_framed_runs_refuse_the_first_box_whose_frame_affine_map_refuses():
-    # box 1's x half-extent 2^-1030 is a frame scale whose inverse
-    # overflows, box 2's is 0: whichever comes first names the refusal
-    good = Box.cube((0.0, 0.0, 0.0), 1.0)
-    no_inverse = Box((0.0, 0.0, 0.0), (2.0**-1029, 1.0, 1.0))
-    flat = Box((0.0, 0.0, 0.0), (0.0, 1.0, 1.0))
-    for boxes, text in (
-        ([good, no_inverse, flat], "affine frame on axis x has no finite inverse"),
-        ([good, flat, no_inverse], "affine scale on axis x is 0.0, not finite and nonzero"),
-    ):
-        with pytest.raises(ValueError) as refused:
-            AffineMap.box_to_box(CANONICAL_BOX, boxes[1])
-        assert str(refused.value).startswith(text)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
-            _runs(boxes, kink_map())
-
-
 @pytest.mark.parametrize("m", [2, 3])
-def test_a_multi_kink_end_is_its_inserts_as_one_routed_run(m):
-    end = multi_kink_isotopy(m).time_one()
-    assert end.shape == "routed" and _run_boxes(end) == loop_sub_boxes(m)
+def test_a_multi_kink_end_is_its_inserts(m):
     subs = loop_sub_boxes(m)
+    end = multi_kink_isotopy(m).time_one()
     inserts = CompositeMap(
         [conjugated_isotopy(kink_isotopy(), b).time_one() for b in subs], support=CANONICAL_BOX
     )
@@ -1551,16 +1213,6 @@ def test_every_map_kind_reads_c_and_fortran_batches_alike(box, u0, u1, c, e, see
     cone = ConeMap(box, a0, a1)
     # an apex strictly inside the inner box, half the outer one
     par = UnsquishParams(box, box.scaled_about_center(0.5), box.center + (a0 - box.center) * 0.5, c)
-    # four boxes marching along x through the box, and six nested around a0
-    w = box.half_extents[0] / 2.0
-    marching = [
-        Box.from_center(box.center + [(i - 1.5) * w, 0.0, 0.0], box.half_extents * [0.2, 0.4, 0.4])
-        for i in range(4)
-    ]
-    nested = [Box(a0 + 2.0**-j * (box.lo - a0), a0 + 2.0**-j * (box.hi - a0)) for j in range(6)]
-    (routed,) = _runs(marching, kink_map())
-    (ball,) = _runs(nested, kink_map())
-    assert routed.shape == "routed" and ball.shape == "nested"
     rows = _layout_rows(box, a0, rng)
     for n in (0, 1, 7, 4001):
         pts = rows[:n]
@@ -1570,10 +1222,6 @@ def test_every_map_kind_reads_c_and_fortran_batches_alike(box, u0, u1, c, e, see
             _assert_layout_free(m.inverse(), pts, row_major_unsquish(m, pts, inverse=True))
         for f in (cone, cone.inverse()):
             _assert_layout_free(f, pts, row_major_cone(f, pts))
-        for run, boxes in ((routed, marching), (ball, nested)):
-            conj = CompositeMap(_conjugates(boxes, kink_map()))
-            _assert_layout_free(run, pts, part_by_part(conj, pts))
-            _assert_layout_free(run.inverse(), pts, part_by_part(conj.inverse(), pts))
         frame = AffineMap.box_to_box(CANONICAL_BOX, box)
         others = [
             IdentityMap(support=box),

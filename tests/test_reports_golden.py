@@ -54,16 +54,16 @@ SNAPSHOTS = {
     (20, "countable_r2_stage1"): "9021af26b81594bbc9d238fc771598a5ea2fad88641043bdaae683f68b1474fd",
     (20, "countable_r2_stage2"): "0f153778e5dc6ce611bc30b1d2bb2d412dfe9b6f9f18f8c1f13307b5384d2153",
     (20, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
-    (20, "trefoil_chain"): "eccab1b7a393cafbc364ca4d5e79664b308bb89dd63a19a82958612cf8149065",
-    (20, "trefoil_chain_extended"): "3aabc386a5375b8ecb3a88b6fe349eada2482b11e51982dfc3b8f07e846fdfa2",
+    (20, "trefoil_chain"): "f0fe8e8ce53f10a0189f0980b3f7a7bc384d7c23061b63ea0822c37dace70887",
+    (20, "trefoil_chain_extended"): "c519f03de81a74191967ff7e9fb6f9754218d56cae1c1e7f3caf10ca5c903a39",
     (20, "fox_remarkable"): "298d687760bd1aa98447eee15c47e1e2effa3f6f3d49a2ded4065c032d93b1bc",
     (20, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
     (40, "countable_r1"): "e10037c37f935cdf5e98ed9faa46b95a8be8189cda8d806d52ccc637e6470fbd",
     (40, "countable_r2_stage1"): "9021af26b81594bbc9d238fc771598a5ea2fad88641043bdaae683f68b1474fd",
     (40, "countable_r2_stage2"): "0f153778e5dc6ce611bc30b1d2bb2d412dfe9b6f9f18f8c1f13307b5384d2153",
     (40, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
-    (40, "trefoil_chain"): "eccab1b7a393cafbc364ca4d5e79664b308bb89dd63a19a82958612cf8149065",
-    (40, "trefoil_chain_extended"): "3aabc386a5375b8ecb3a88b6fe349eada2482b11e51982dfc3b8f07e846fdfa2",
+    (40, "trefoil_chain"): "f0fe8e8ce53f10a0189f0980b3f7a7bc384d7c23061b63ea0822c37dace70887",
+    (40, "trefoil_chain_extended"): "c519f03de81a74191967ff7e9fb6f9754218d56cae1c1e7f3caf10ca5c903a39",
     (40, "fox_remarkable"): "55e45088eab83c1f4a941d37e245fac0f2138562bbccb5d612a101718eb1d25e",
     (40, "1d_counterexample"): "c53fab6d190faaedec62e0c6213504ce03d97c104ea9a59c8d8d8ff499f04685",
 }
