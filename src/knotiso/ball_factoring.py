@@ -12,18 +12,6 @@ import numpy as np
 from .geometry import Box
 
 
-def _validate(p: np.ndarray, boxes: Sequence[Box]) -> None:
-    """The boxes strictly decrease around the interior point p."""
-    if not boxes:
-        raise ValueError("need at least one box")
-    for n, b in enumerate(boxes, start=1):
-        if not b.contains_array(p, strict=True):
-            raise ValueError(f"p not interior to region {n}")
-        # strictly inside the box before it, so of smaller diameter too
-        if n > 1 and not boxes[n - 2].contains_box(b, strict=True):
-            raise ValueError(f"region {n} not strictly inside region {n - 1}")
-
-
 def _box_in_ball(b: Box, center: np.ndarray, radius: float) -> bool:
     """Exact corner test: every corner strictly inside the ball."""
     return bool((np.sqrt(((b.corners() - center) ** 2).sum(-1)) < radius).all())
@@ -36,15 +24,25 @@ def find_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int
     epsilon is half the wall distance from p to the first box's boundary;
     n0 is the smallest 1-based index whose box fits in the ball, or None
     when no box given is small enough yet: a longer family may still
-    factor.  Raises ValueError when the boxes do not decrease around p.
+    factor.  The factoring reads V_1..V_n0 alone, so the boxes are checked
+    in the same pass, up to n0: past it a family may shrink onto p in
+    floats.  Raises ValueError when those boxes do not decrease around p.
     """
-    _validate(p, boxes)
-    eps = 0.5 * boxes[0].wall_distance(p)
-    if eps <= 0:
-        raise ValueError("p is not interior to the first region")
-    if not boxes[0].wall_distance(p) > eps:
-        raise ValueError("ball is not strictly inside the first region")
+    if not boxes:
+        raise ValueError("need at least one box")
+    eps = 0.0
     for n, b in enumerate(boxes, start=1):
+        if not b.contains_array(p, strict=True):
+            raise ValueError(f"p not interior to region {n}")
+        # strictly inside the box before it, so of smaller diameter too
+        if n > 1 and not boxes[n - 2].contains_box(b, strict=True):
+            raise ValueError(f"region {n} not strictly inside region {n - 1}")
+        if n == 1:
+            eps = 0.5 * b.wall_distance(p)
+            if eps <= 0:
+                raise ValueError("p is not interior to the first region")
+            if not b.wall_distance(p) > eps:
+                raise ValueError("ball is not strictly inside the first region")
         if _box_in_ball(b, p, eps):
             return eps, n
     return eps, None

@@ -39,8 +39,8 @@ from .engine import (
 from .geometry import write_curve
 from .scenarios import INJECTIVITY_THRESHOLD, SCENARIO_BUILDERS, Scenario
 
-# evaluation budget past which an unbounded stream's stage boxes would
-# collapse in double precision for the deepest scenarios
+# the t = 1 census's fixed stage budget, whatever the depth, which keeps
+# the reports byte-stable
 _K_BUDGET = 40
 
 _EXIT_MISMATCH = 1

@@ -10,15 +10,16 @@ built on first use, so a stage builds no map until it is evaluated and
 the hypothesis check, which reads only the supports, builds none.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
 then stage n at a local time, as one support-culled map.  A self-similar
-stream declares its ``Similarity`` -- stage 1 and S(x) = p + r (x - p),
-stage k being stage 1 framed into V_k = S^(k-1)(V_1) -- and its
-truncations read that declaration alone, as one loop over levels: with
-h_1 stage 1's end map and g = S^-1 h_1, stages j..n are
-S^n g^(n-j+1) S^(1-j), so no V_k is formed in floats and a truncation
-runs at any depth.  ``apply_truncated`` and ``glue_schedule`` (the one
-place that slices the time grid into stages) are read off it.
-``eval_limit_isotopy`` evaluates the countable composition at the limit
-time t = 1 via the settled / tolerance-converged / budget trichotomy.
+stream is its declaration, a ``Similarity``: stage 1, S(x) = p + r (x - p)
+and an optional fixed box F that every support holds.  Every stage and
+every truncation is read off it, as one loop over levels: with h_1 stage
+1's end map and g = S^-1 h_1, stages j..n are S^n g^(n-j+1) S^(1-j), and
+stage k alone is the one-level loop S^(k-1) h_1 S^(1-k).  No V_k is
+formed in floats but as a support, so a truncation runs at any depth.
+``apply_truncated`` and ``glue_schedule`` (the one place that slices the
+time grid into stages) run the truncations, and ``eval_limit_isotopy``,
+which evaluates the countable composition at the limit time t = 1 via
+the settled / tolerance-converged / budget trichotomy, runs the stages.
 
 Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
@@ -129,27 +130,96 @@ class TailTable:
         return (inside[..., 0] & inside[..., 1] & inside[..., 2]).any(axis=-1)
 
 
-def similar_corners(v1: Box, p: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
-    """V_k = S^(k-1)(V_1), S(x) = p + r (x - p), as its corners
-    p + s (corner - p) for s = r^(k-1) a Python float power: rows for a
-    float s, (m, 3) stacks for an (m, 1) column."""
-    return p + scale * (v1.lo - p), p + scale * (v1.hi - p)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Similarity:
     """A self-similar stream's declaration: its first stage ``first``,
-    supported in V_1, and the similarity S(x) = p + r (x - p), 0 < r < 1.
-    Stage k's map at time t is S^(k-1) o first.map_at(t) o S^(1-k), stage
-    1 framed into V_k = S^(k-1)(V_1)."""
+    supported in V_1, the similarity S(x) = p + r (x - p), 0 < r < 1, and
+    an optional fixed box F.  Stage k at time t is S^(k-1) o
+    first.map_at(t) o S^(1-k), a one-level loop, supported in
+    V_k = S^(k-1)(V_1), or in hull(V_k u F): F widens every support and
+    moves no point.  The constants every level loop reads are computed
+    once, here."""
 
     first: Isotopy
     p: np.ndarray
     r: float
+    fixed: Box | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
             raise ValueError(f"a similarity's ratio must lie in (0, 1), got {self.r}")
+        p = self.p = np.asarray(self.p, dtype=float)
+        v1, v2 = self.first.support, self.box(2)
+        # S(hull(V_1 u {p})) = hull(V_2 u {p})
+        self._hull_2 = Box(np.minimum(v2.lo, p), np.maximum(v2.hi, p))
+        self._dmin = float(np.maximum(np.maximum(v1.lo - p, p - v1.hi), 0.0).max())
+        self._log_r = math.log(self.r)
+        # the most levels one factor r^c or r^-c spans and stays normal
+        self._span = int(1000.0 / -math.log2(self.r))
+        # zero components as -0.0, so y - p and d + p keep signed zeros
+        self._p_col = np.where(p == 0.0, -0.0, p).reshape(3, 1)
+        self._neg_p = np.where(p == 0.0, -0.0, -p).reshape(3, 1)
+
+    def box(self, k: int) -> Box:
+        """V_k = S^(k-1)(V_1), its corners p + s (corner - p) for s = r^(k-1)
+        a Python float power; V_1 is stage 1's own support."""
+        v1, p, s = self.first.support, self.p, self.r ** (k - 1)
+        return v1 if k == 1 else Box(p + s * (v1.lo - p), p + s * (v1.hi - p))
+
+    def stage(self, k: int) -> Isotopy:
+        """Stage k under the end rule, at time t the one-level loop over
+        stage 1's map at t."""
+        box = self.box(k) if self.fixed is None else bounding_box([self.box(k), self.fixed])
+
+        def loop(t: float) -> LocalMap:
+            return _LevelLoop(self, k, k, self.first.map_at(t))
+
+        return Isotopy.from_motion(box, loop, lambda: loop(1.0))
+
+    def _power(self, y: np.ndarray, levels) -> np.ndarray:
+        """S^levels of the (3, m) coordinate rows y, for one integer level
+        count or one per row: (y - p) r^levels + p, the power applied in
+        factors that stay finite and normal, so p stays p at any level."""
+        if isinstance(levels, int) and abs(levels) <= self._span:
+            # one count for every row: one factor, a Python float power
+            return y if levels == 0 else (y + self._neg_p) * self.r**levels + self._p_col
+        levels = np.asarray(levels)
+        still = levels == 0
+        if still.all():
+            return y
+        d = y + self._neg_p
+        while np.abs(levels).max() > self._span:
+            part = np.clip(levels, -self._span, self._span)
+            d = d * self.r ** part
+            levels = levels - part
+        d = d * self.r ** levels + self._p_col
+        # S^0 is the identity, bitwise
+        return np.where(still, y, d) if still.any() else d
+
+    def _through(self, h: LocalMap, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h on the (3, m) coordinate rows y that V_1 holds, and which rows
+        those are: every row, where p lies in V_1 and so V_1 is the hull."""
+        if self._dmin == 0.0:
+            return h.apply_array(y.T).T, np.ones(y.shape[1], dtype=bool)
+        held = self.first.support.contains_array(y.T)
+        if not held.any():
+            return y, held
+        z = y.copy()
+        z[:, held] = h.apply_array(y[:, held].T).T
+        return z, held
+
+    def _skip(self, y: np.ndarray, todo: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows carried past the levels whose V_1 they cannot meet, at
+        most todo of them, and the number of levels each skipped."""
+        d = np.abs(y + self._neg_p).max(axis=0)
+        with np.errstate(divide="ignore"):
+            skip = np.minimum(np.ceil(np.log(d / self._dmin) / self._log_r) - 1.0, todo)
+        far = skip >= 1.0
+        skip = np.where(far, skip, 0.0).astype(np.int64)
+        if far.any():
+            y = y.copy()
+            y[:, far] = self._power(y[:, far], -skip[far])
+        return y, skip
 
 
 @dataclass
@@ -157,18 +227,23 @@ class MoveSequence:
     """A replayable unbounded stream of stages inside a compact container:
     stage k is an isotopy H_k supported in V_k = ``stage(k).support``.
 
-    ``stage_fn`` is 1-based and must be pure; stages, tail tables and the
-    truncations at time 1 are memoized.  A self-similar stream declares
-    its ``similarity``: its truncations then read the declared stage 1 and
-    similarity, whatever supports its stage isotopies declare.
+    A stream is given by its ``stage_fn``, 1-based and pure, or declared
+    by its ``similarity`` alone, whose ``stage`` is then its stage
+    function.  Stages, tail tables and the truncations at time 1 are
+    memoized.
     """
 
-    stage_fn: Callable[[int], Isotopy]
     container: Box
+    stage_fn: Callable[[int], Isotopy] | None = None
     similarity: Similarity | None = None
     _cache: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
     _truncations: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if (self.stage_fn is None) == (self.similarity is None):
+            raise ValueError("a stream takes a stage function or a similarity, exactly one")
+        self.stage_fn = self.stage_fn or self.similarity.stage
 
     def stage(self, k: int) -> Isotopy:
         if k < 1:
@@ -258,18 +333,19 @@ def _stages(seq: MoveSequence, first: int, last: int, local: float = 1.0) -> Loc
     the parts' own supports, so it holds whether or not the stages stay
     inside the container."""
     if seq.similarity is not None:
-        return _LevelLoop(seq.similarity, first, last, local)
+        return _LevelLoop(seq.similarity, first, last, seq.similarity.first.map_at(local))
     parts = [seq.time_one_map(k) for k in range(first, last)] + [seq.stage(last).map_at(local)]
     return CompositeMap(parts, support=bounding_box([seq.container] + [m.support for m in parts]))
 
 
 class _LevelLoop(LocalMap):
-    """Stages first..last of a declared stream, the last at local time t,
-    as one loop over levels.  Stage k is S^(k-1) h_1 S^(1-k), h_1 being
-    stage 1's map at time 1, so with g = S^-1 h_1 the stages are
-    S^(last-1) h_1(t) g^(last-first) S^(1-first).  No box and no frame is
-    built for a level, so none rounds to a zero scale or overflows at any
-    depth, and the powers of S are applied in factors that stay finite.
+    """Stages first..last of a declared stream, the last at stage 1's map
+    ``h_last`` = h_1(t), as one loop over levels.  Stage k is
+    S^(k-1) h_1 S^(1-k), h_1 being stage 1's map at time 1, so with
+    g = S^-1 h_1 the stages are S^(last-1) h_1(t) g^(last-first) S^(1-first).
+    No box and no frame is built for a level, so none rounds to a zero
+    scale or overflows at any depth, and the powers of S are applied in
+    factors that stay finite.
 
     A row is carried to level 1 by S^(1-first) and then takes one step of
     g per round, the rows V_1 holds going through one h_1 call.  S maps
@@ -281,60 +357,40 @@ class _LevelLoop(LocalMap):
     dmin from it, a row at distance d from p can lie in V_k only if
     r^(k-1) dmin <= d, so it first skips the levels before that in one
     multiply.  The support is the hull of V_first and V_last, which holds
-    every V_k between them.
+    every V_k between them.  A one-level loop, stage k alone, takes no
+    step of g, and its inverse is the one-level loop over h_last's inverse.
     """
 
-    def __init__(self, sim: Similarity, first: int, last: int, local: float):
-        v1 = sim.first.support
-        p = np.asarray(sim.p, dtype=float)
-        self.first, self.last = first, last
+    def __init__(self, sim: Similarity, first: int, last: int, h_last: LocalMap):
+        self.sim, self.first, self.last = sim, first, last
         self.h1 = sim.first.time_one()
-        self.h_last = sim.first.map_at(local)
+        self.h_last = h_last
         # V_first..V_last lie in the hull of the first and the last
-        lo, hi = similar_corners(v1, p, np.array([[sim.r ** (first - 1)], [sim.r ** (last - 1)]]))
-        self.support = Box(lo.min(axis=0), hi.max(axis=0))
-        self._v1 = v1
-        # S(hull(V_1 u {p})) = hull(V_2 u {p})
-        lo, hi = similar_corners(v1, p, sim.r)
-        self._hull_2 = Box(np.minimum(lo, p), np.maximum(hi, p))
-        self._dmin = float(np.maximum(np.maximum(v1.lo - p, p - v1.hi), 0.0).max())
-        self._r = sim.r
-        self._log_r = math.log(sim.r)
-        # the most levels one factor r^c or r^-c spans and stays normal
-        self._span = int(1000.0 / -math.log2(sim.r))
-        # zero components as -0.0, so y - p and d + p keep signed zeros
-        self._p = np.where(p == 0.0, -0.0, p).reshape(3, 1)
-        self._neg_p = np.where(p == 0.0, -0.0, -p).reshape(3, 1)
+        self.support = bounding_box([sim.box(first), sim.box(last)])
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return self._on_support(pts, self._run)
 
-    def _similar(self, y: np.ndarray, levels) -> np.ndarray:
-        """S^levels of the (3, m) coordinate rows y, for one integer level
-        count or one per row: (y - p) r^levels + p, the power applied in
-        factors that stay finite and normal, so p stays p at any level."""
-        levels = np.asarray(levels)
-        still = levels == 0
-        if still.all():
-            return y
-        d = y + self._neg_p
-        while np.abs(levels).max() > self._span:
-            part = np.clip(levels, -self._span, self._span)
-            d = d * self._r ** part
-            levels = levels - part
-        d = d * self._r ** levels + self._p
-        # S^0 is the identity, bitwise
-        return np.where(still, y, d) if still.any() else d
+    def _inverted(self) -> "_LevelLoop":
+        if self.first != self.last:
+            raise NotImplementedError("only a one-level loop has an inverse")
+        return _LevelLoop(self.sim, self.first, self.last, self.h_last.inverse())
 
     def _run(self, q: np.ndarray) -> np.ndarray:
+        sim = self.sim
         x = q.T
+        y = sim._power(x, 1 - self.first)
+        if self.first == self.last:
+            # no step of g: the rows V_1 holds go through h_last and back,
+            # and a row it does not hold is where it started
+            z, held = sim._through(self.h_last, y)
+            return np.where(held, sim._power(z, self.first - 1), x).T
         out = np.empty_like(x)
         rows = np.arange(x.shape[1])
         todo = self.last - self.first
-        y = self._similar(x, 1 - self.first)
         steps = np.zeros(len(rows), dtype=np.int64)
-        if self._dmin > 0.0 and todo:
-            y, steps = self._skip(y, todo)
+        if sim._dmin > 0.0:
+            y, steps = sim._skip(y, todo)
         moved = np.zeros(len(rows), dtype=bool)
         ends = []
 
@@ -344,7 +400,7 @@ class _LevelLoop(LocalMap):
             out[:, still] = x[:, still]
             done = done & moved
             if done.any():
-                out[:, rows[done]] = self._similar(z[:, done], levels[done])
+                out[:, rows[done]] = sim._power(z[:, done], levels[done])
 
         while len(rows):
             at_last = steps == todo
@@ -354,50 +410,25 @@ class _LevelLoop(LocalMap):
                 rows, y, steps, moved = rows[keep], y[:, keep], steps[keep], moved[keep]
                 if not len(rows):
                     break
-            z, held = self._through(self.h1, y)
+            z, held = sim._through(self.h1, y)
             moved |= held
             # S^-1 carries a row out of the hull exactly when it lies
             # outside S(hull): it is done, at S^(first-1+s) of z
-            done = ~self._hull_2.contains_array(z.T)
+            done = ~sim._hull_2.contains_array(z.T)
             if done.any():
                 finish(done, z, self.first - 1 + steps)
             keep = ~done
             rows, y, z, steps, moved = rows[keep], y[:, keep], z[:, keep], steps[keep], moved[keep]
-            stepped = self._similar(z, -1)
+            stepped = sim._power(z, -1)
             # a row g leaves bitwise in place stays there at every level
             fixed = (stepped.view(np.int64) == y.view(np.int64)).all(axis=0)
             y, steps = stepped, np.where(fixed, todo, steps + 1)
         if ends:
             rows, y, moved = (np.concatenate(e, axis=-1) for e in zip(*ends))
-            z, held = self._through(self.h_last, y)
+            z, held = sim._through(self.h_last, y)
             moved |= held
             finish(np.ones(len(rows), dtype=bool), z, np.full(len(rows), self.last - 1))
         return out.T
-
-    def _through(self, h: LocalMap, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """h on the (3, m) coordinate rows y that V_1 holds, and which rows
-        those are: every row, where p lies in V_1 and so V_1 is the hull."""
-        if self._dmin == 0.0:
-            return h.apply_array(y.T).T, np.ones(y.shape[1], dtype=bool)
-        held = self._v1.contains_array(y.T)
-        if not held.any():
-            return y, held
-        z = y.copy()
-        z[:, held] = h.apply_array(y[:, held].T).T
-        return z, held
-
-    def _skip(self, y: np.ndarray, todo: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows carried past the levels whose V_1 they cannot meet, at
-        most todo of them, and the number of levels each skipped."""
-        d = np.abs(y + self._neg_p).max(axis=0)
-        with np.errstate(divide="ignore"):
-            skip = np.minimum(np.ceil(np.log(d / self._dmin) / self._log_r) - 1.0, todo)
-        far = skip >= 1.0
-        skip = np.where(far, skip, 0.0).astype(np.int64)
-        if far.any():
-            y = y.copy()
-            y[:, far] = self._similar(y[:, far], -skip[far])
-        return y, skip
 
 
 def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Evaluable, invertible self-maps of 3-space with compact support.
 
-Six kinds are provided:
+Five kinds are provided:
 
 * ``AffineMap`` -- an axis-aligned frame p -> scale * p + shift (per-axis
   scales, no rotation), carrying the canonical box onto a target box to
@@ -18,9 +18,9 @@ Six kinds are provided:
   a box whose faces it fixes: the exponent tapers to 1 toward the lateral
   faces.
 * ``CompositeMap`` -- left-to-right composition of other maps, evaluated
-  only on the rows inside its declared support.
-* ``ConjugateMap`` -- the composite leave o inner o enter supported in a
-  box: a canonical map framed into that box (``conjugate``).
+  only on the rows inside its declared support; a canonical map framed
+  into a box (``conjugate``) is the composite of the inverse frame, the
+  map and the frame.
 
 All maps evaluate in bulk over (n, 3) arrays of points (``apply_array``),
 and a point they are built from (a cone apex, an unsquish center) is a
@@ -512,31 +512,15 @@ class CompositeMap(LocalMap):
         return CompositeMap([m.inverse() for m in reversed(self.parts)], support=self.support)
 
 
-class ConjugateMap(CompositeMap):
-    """leave o inner o enter, supported in a box: ``enter`` carries the box
-    into inner's domain and ``leave`` carries it back."""
-
-    def __init__(self, enter: AffineMap, inner: LocalMap, leave: AffineMap, support: Box):
-        super().__init__([enter, inner, leave], support=support)
-        self.enter = enter
-        self.inner = inner
-        self.leave = leave
-
-    def _inverted(self) -> "ConjugateMap":
-        return ConjugateMap(
-            self.leave.inverse(), self.inner.inverse(), self.enter.inverse(), self.support
-        )
-
-
 def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
     """The scales and shifts of r axis-aligned frames as two (r, 3) arrays,
     to apply them all in one multiply-add."""
     return np.array([f.scale for f in frames]), np.array([f.shift for f in frames])
 
 
-def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> ConjugateMap:
+def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> CompositeMap:
     """frame o canonical o frame^-1, supported in the given box."""
-    return ConjugateMap(frame.inverse(), canonical, frame, support)
+    return CompositeMap([frame.inverse(), canonical, frame], support=support)
 
 
 def estimate_inverse_lipschitz(

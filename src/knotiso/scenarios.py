@@ -13,17 +13,19 @@ into each box, which in exact arithmetic is the box's insert applied to
 its straight baseline.
 
 Every stream but the interval counterexample is self-similar, and is
-declared once, as its first stage and a similarity S(x) = p + r (x - p)
-(``_similar_stream``, which hands the declaration to its
-``MoveSequence`` as an ``engine.Similarity``): stage 1 is an isotopy
-supported in V_1, and stage k is stage 1 framed into V_k = S^(k-1)(V_1),
-one stage rule for all of them, so a truncation reads the declaration
-alone (``engine.truncated_map``).  The chain streams
-(``countable_*``, ``trefoil_chain``) untie the loops of V_1 and halve
-toward p on the x-axis, and each chain curve ties its loops in the
-stream's own V_1..V_20; ``recursive_r1`` (an insert, then an unsquish)
-halves and ``fox_remarkable`` (a loop pair untied, then a squish)
-quarters toward p = 0.
+declared once, as its first stage, a similarity S(x) = p + r (x - p) and
+an optional fixed box (``_similar_stream``, which hands the declaration
+to its ``MoveSequence`` as an ``engine.Similarity`` and passes no stage
+function): stage 1 is an isotopy supported in V_1, and stage k is stage
+1 carried into V_k = S^(k-1)(V_1), one stage rule for all of them, so
+every stage and truncation reads the declaration alone.  The chain
+streams (``countable_*``, ``trefoil_chain``) untie the loops of V_1 and
+halve toward p on the x-axis, and each chain curve ties its loops in the
+stream's own V_1..V_20; ``trefoil_chain_extended`` is ``trefoil_chain``
+with the segment it appends at p declared as the fixed box, which every
+support holds.  ``recursive_r1`` (an insert, then an unsquish) halves and
+``fox_remarkable`` (a loop pair untied, then a squish) quarters toward
+p = 0.
 
 Box corners are written as coordinate tuples; the points a scenario
 probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
@@ -40,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
-from .engine import Isotopy, MoveSequence, Similarity, similar_corners
+from .engine import Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
 from .maps import (
     AffineMap,
@@ -50,8 +52,7 @@ from .maps import (
     estimate_inverse_lipschitz,
     stacked_frames,
 )
-from .moves import chained_isotopy, cone_isotopy, conjugated_isotopy
-from .moves import reversed_isotopy, unsquish_isotopy
+from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # image-separation floor below which the injectivity probe verdict is fail
 INJECTIVITY_THRESHOLD = 1e-3
@@ -137,22 +138,15 @@ def _untie(box: Box, m: int) -> Isotopy:
     return reversed_isotopy(conjugated_insert(box, m))
 
 
-def _similar_box(v1: Box, p: np.ndarray, r: float, k: int) -> Box:
-    """V_k = S^(k-1)(V_1) for the similarity S(x) = p + r (x - p)."""
-    return Box(*similar_corners(v1, p, r ** (k - 1)))
-
-
-def _similar_stream(first: Isotopy, p: Sequence[float], r: float, container: Box) -> MoveSequence:
-    """A self-similar stream, declared by its ``Similarity``: stage 1 is
-    ``first``, supported in V_1, and stage k frames it into
-    V_k = S^(k-1)(V_1), S(x) = p + r (x - p).  Every stream here has r a
+def _similar_stream(
+    first: Isotopy, p: Sequence[float], r: float, container: Box, fixed: Box | None = None
+) -> MoveSequence:
+    """A self-similar stream, declared by its ``Similarity`` alone: stage 1
+    is ``first``, supported in V_1, and stage k carries it into
+    V_k = S^(k-1)(V_1), S(x) = p + r (x - p), each support widened to
+    hold the ``fixed`` box, if one is given.  Every stream here has r a
     power of two, so s = r^(k-1) is exact."""
-    p = np.asarray(p, dtype=float)
-
-    def stage(k: int) -> Isotopy:
-        return first if k == 1 else conjugated_isotopy(first, _similar_box(first.support, p, r, k))
-
-    return MoveSequence(stage, container, similarity=Similarity(first, p, r))
+    return MoveSequence(container, similarity=Similarity(first, p, r, fixed))
 
 
 def _closed_curve(active: np.ndarray) -> PLCurve:
@@ -259,7 +253,7 @@ def rec_insert_region(k: int) -> Box:
 
 def rec_unsquish_params(k: int, c: float) -> UnsquishParams:
     """The level-k unsquish, between V_k shrunk by 0.9 and by 0.45."""
-    box = _similar_box(_REC_V1, np.zeros(3), 0.5, k)
+    box = Box.from_center((0, 0, 0), np.multiply(_REC_HALF, 0.5 ** (k - 1)))
     return UnsquishParams(
         outer=box.scaled_about_center(0.9),
         inner=box.scaled_about_center(0.45),
@@ -277,8 +271,8 @@ def rec_insert(k: int) -> Isotopy:
 def rec_squish_constant() -> float:
     """Inverse-Lipschitz estimate of the next insert, with safety factor.
 
-    Stage k is stage 1 framed by an exact power-of-two scale, so the
-    estimate on the level-2 insert, which stage 1's unsquish protects,
+    Stage k is stage 1 carried into V_k by an exact power-of-two scale,
+    so the estimate on the level-2 insert, which stage 1's unsquish protects,
     holds for every k.  A module constant: estimated once, on first call.
     """
     est = estimate_inverse_lipschitz(
@@ -336,11 +330,6 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
 # -- countable connected sum untied shell by shell ----------------------------
 
 
-def _with_segment(b: Box) -> Box:
-    """Enlarge a work box to contain the appended unit segment."""
-    return Box(b.lo, (3.0, b.hi[1], b.hi[2]))
-
-
 def build_trefoil_chain(extended: bool = False) -> Scenario:
     """A chain of summands accumulating at a limit point; move k unties
     summand k inside its shell work box.  Each summand is the insert of
@@ -348,24 +337,18 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     trefoil knot.
 
     The extended variant appends a straight unit segment at the limit
-    point and declares supports large enough to contain it, so the tail
-    union diameter is bounded below by the segment length.
+    point and declares it as the stream's fixed box, which every support
+    holds, so the tail union diameter is bounded below by the segment
+    length.
     """
     container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
     # V_1 is the work box inside the shell between nesting levels 1 and 2
     v1 = Box.from_center((1.90625, 0.0, 0.0), (0.028125, 0.025, 0.025))
-    chain = _similar_stream(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5, container)
-    strand = _loop_chain(-0.5, 2.0, chain.boxes(1, _LOOPS), 3)
-    moves = chain
+    segment = Box((2.0, 0.0, 0.0), (3.0, 0.0, 0.0)) if extended else None
+    moves = _similar_stream(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5, container, segment)
+    strand = _loop_chain(-0.5, 2.0, [moves.similarity.box(k) for k in range(1, _LOOPS + 1)], 3)
     if extended:
         strand = np.concatenate([strand, [[3.0, 0.0, 0.0]]])
-
-        def stage(k: int) -> Isotopy:
-            untie = chain.stage(k)
-            return Isotopy.from_motion(_with_segment(untie.support), untie.map_at, untie.time_one)
-
-        # its maps are the chain's, so it declares the chain's similarity
-        moves = MoveSequence(stage, container, similarity=chain.similarity)
     curve = _closed_curve(strand)
 
     pairs = np.array([
@@ -479,7 +462,7 @@ def build_1d_counterexample() -> Scenario:
     return Scenario(
         name="1d_counterexample",
         initial_curve=curve,
-        moves=MoveSequence(stage_fn=stage, container=container),
+        moves=MoveSequence(container, stage_fn=stage),
         expected=ExpectedVerdicts("fail", 1, "fail"),
         probe_pairs=pairs,
         census_samples=census,

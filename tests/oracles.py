@@ -6,11 +6,12 @@ counts of a curve's diagram, reference nested box families (the dyadic
 cubes, and each self-similar stream's supports level by level), the
 infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
-refined axis, the stages of ``recursive_r1`` and ``fox_remarkable`` built
-level by level, the snowflake iterates with their sup deviations, the cone
-pull as 12 affine tetrahedra, with its exact inverse-Lipschitz constant, and
-the cone and unsquish kernels computed on (n, 3) rows, the reference for the
-maps' coordinate-major kernels.  None of them is on the path of a CLI verb.
+refined axis, a declared stream's stages framed from stage 1, the stages
+of ``recursive_r1`` and ``fox_remarkable`` built level by level, the
+snowflake iterates with their sup deviations, the cone pull as 12 affine
+tetrahedra, with its exact inverse-Lipschitz constant, and the cone and
+unsquish kernels computed on (n, 3) rows, the reference for the maps'
+coordinate-major kernels.  None of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 
@@ -23,13 +24,12 @@ from knotiso.diagram import find_crossings
 from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
 from knotiso.maps import CompositeMap, ConeMap, UnsquishMap, UnsquishParams
-from knotiso.moves import chained_isotopy, reversed_isotopy, unsquish_isotopy
+from knotiso.moves import chained_isotopy, conjugated_isotopy, reversed_isotopy, unsquish_isotopy
 from knotiso.scenarios import (
     _FOX_C,
     _PTS_PER_BOX,
     _REC_HALF,
     _untie,
-    _with_segment,
     fox_pair_box_current,
     rec_insert,
     rec_squish_constant,
@@ -118,6 +118,12 @@ def trefoil_work_box(k: int) -> Box:
     return Box.from_center((2.0 - 0.1875 * s, 0.0, 0.0), (0.05625 * s, 0.05 * s, 0.05 * s))
 
 
+def with_segment(b: Box) -> Box:
+    """A trefoil work box enlarged to hold the unit segment that the
+    extended chain appends at its limit point."""
+    return Box(b.lo, (3.0, b.hi[1], b.hi[2]))
+
+
 def rec_box(k: int) -> Box:
     """Nested half-scaling boxes around the wedge vertex."""
     return Box.from_center((0, 0, 0), np.multiply(_REC_HALF, 2.0 ** (1 - k)))
@@ -135,7 +141,7 @@ STREAM_BOXES = {
     "countable_r2_stage2": lambda k: shrinking_boxes(4.0, k),
     "recursive_r1": rec_box,
     "trefoil_chain": trefoil_work_box,
-    "trefoil_chain_extended": lambda k: _with_segment(trefoil_work_box(k)),
+    "trefoil_chain_extended": lambda k: with_segment(trefoil_work_box(k)),
     "fox_remarkable": fox_outer,
 }
 
@@ -187,6 +193,16 @@ def inserted_loop_chain(
 
 
 # -- self-similar streams level by level --------------------------------------
+
+
+def framed_stage(seq: MoveSequence, k: int) -> Isotopy:
+    """Stage k of a declared stream as stage 1 framed into V_k: stage 1
+    itself for k = 1, else ``conjugated_isotopy(stage 1, V_k)``, whose
+    frame, the affine map of V_1 onto V_k, rounds where V_1 is not dyadic
+    and is refused once V_k collapses in floats."""
+    sim = seq.similarity
+    return sim.first if k == 1 else conjugated_isotopy(sim.first, sim.box(k))
+
 
 
 def rec_stage_per_level(k: int, ablated: bool = False) -> Isotopy:

@@ -10,8 +10,8 @@ from oracles import dyadic_cubes
 
 
 class TestNestedFamily:
-    """find_ball_factoring first checks that its boxes strictly decrease
-    around the point."""
+    """find_ball_factoring checks, up to n0, that its boxes strictly
+    decrease around the point."""
 
     def test_validate_accepts_dyadic_cubes(self):
         p = np.array([1.0, -2.0, 3.0])
@@ -25,6 +25,15 @@ class TestNestedFamily:
         cubes = dyadic_cubes(p, 601)
         assert cubes[-1].hi[0] - cubes[-1].lo[0] == 2.0**-600
         assert find_ball_factoring(p, cubes) == (0.25, 3)
+
+    def test_boxes_past_n0_are_not_read(self):
+        # a family that rounds onto p past float resolution still factors:
+        # only V_1..V_n0 are checked
+        p = np.zeros(3)
+        boxes = dyadic_cubes(p, 3) + [Box(p, p), Box.cube((5, 0, 0), 1.0)]
+        assert find_ball_factoring(p, boxes) == (0.25, 3)
+        with pytest.raises(ValueError, match="p not interior to region 3"):
+            find_ball_factoring(p, boxes[:2] + boxes[3:])
 
     def test_validate_rejects_non_nesting(self):
         with pytest.raises(ValueError, match="region 2 not strictly inside region 1"):

@@ -6,7 +6,8 @@ PyYAML that Tier-1 passes with, keeps Hypothesis's patches when Tier-1
 fails, and the test configuration turns runtime warnings into failures.
 That numpy sums the three columns of a coordinate-major batch as it sums
 row-major rows is pinned too.  The
-package runs on numpy alone: no module of it imports scipy.  Every public function, class, method and
+package runs on numpy alone: no module of it imports scipy, and none
+imports a name it never uses.  Every public function, class, method and
 constant in the package has a caller outside the tests, with no exception:
 code that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
@@ -91,6 +92,22 @@ def test_the_package_does_not_import_scipy():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add((path.name, node.module))
     assert not [(f, m) for f, m in imported if m.partition(".")[0] == "scipy"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # ``import a.b`` binds a
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert not unused, unused
 
 
 def test_runtime_warnings_fail_the_suite():

@@ -153,13 +153,17 @@ class TestRunVerb:
             ("fox_remarkable", "511", "20"),
             ("fox_remarkable", "520", "20"),
             ("fox_remarkable", "300", "300"),
+            ("fox_remarkable", "600", "600"),
+            ("fox_remarkable", "1100", "1100"),
             ("recursive_r1", "1000", "1000"),
             ("recursive_r1", "1025", "20"),
+            ("recursive_r1", "1100", "1100"),
         ],
     )
     def test_self_similar_streams_match_deep(self, tmp_path, capsys, scenario, depth, horizon):
-        # every stage is stage 1 framed by an exact power-of-two scale, and
-        # nested supports too small to square still factor
+        # every stage is stage 1 at its own level, nested supports too small
+        # to square still factor, and the factoring reads V_1..V_n0 alone,
+        # so supports that round onto p past float resolution go unread
         argv = ["run", "--scenario", scenario, "--depth", depth, "--horizon", horizon]
         assert main([*argv, "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()

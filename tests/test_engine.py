@@ -25,7 +25,7 @@ from knotiso.moves import cone_isotopy, conjugated_isotopy, reversed_isotopy
 
 from knotiso.scenarios import SCENARIO_BUILDERS, _similar_stream
 
-from oracles import infinite_motion_census, part_by_part, seam_values
+from oracles import framed_stage, infinite_motion_census, part_by_part, seam_values
 
 CONTAINER = Box((-1, -1, -1), (3, 1, 1))
 
@@ -92,6 +92,13 @@ class TestMoveSequence:
     def test_stage_index_validated(self):
         with pytest.raises(ValueError):
             _stream().stage(0)
+
+    def test_a_stream_takes_a_stage_function_or_a_similarity(self):
+        sim = SCENARIO_BUILDERS["countable_r1"]().moves.similarity
+        for kwargs in ({}, dict(stage_fn=_shrinking_stage, similarity=sim)):
+            with pytest.raises(ValueError, match="exactly one"):
+                MoveSequence(CONTAINER, **kwargs)
+        assert MoveSequence(CONTAINER, similarity=sim).stage(2).support == sim.box(2)
 
 
 class TestTruncations:
@@ -503,20 +510,22 @@ _STAGE_LOOP_ULPS = {"trefoil_chain": 5, "trefoil_chain_extended": 5}
 
 @pytest.mark.parametrize("name", DECLARED_STREAMS)
 def test_a_declared_stream_truncates_to_its_stage_loop_at_every_depth(name):
-    """Depths 2..60, at time 1 and inside the last stage, against the stage
-    maps part by part, one after another, until a stage's frame is refused
-    in floats, as the chains' are from depth 48 to 50 on: bitwise, or for
-    trefoil within 5 ulps of each row's largest coordinate.  Past the
-    refusal the truncation still runs."""
+    """Depths 2..60, at time 1 and inside the last stage, against stage 1
+    framed into each V_k (``framed_stage``), part by part, one stage after
+    another, until a stage's frame is refused in floats, as the chains'
+    are from depth 48 to 50 on: bitwise, or for trefoil within 5 ulps of
+    each row's largest coordinate.  Past the refusal the truncation still
+    runs."""
     s = SCENARIO_BUILDERS[name]()
     seq = s.moves
     pts = np.vstack([_composer_points(s)[::3], s.probe_pairs.reshape(-1, 3), s.census_samples])
-    done, refused = part_by_part(seq.time_one_map(1), pts), None
+    done, refused = part_by_part(seq.similarity.first.time_one(), pts), None
     for n in range(2, 61):
         if refused is None:
             try:
-                inside = part_by_part(seq.stage(n).map_at(0.4), done)
-                done = part_by_part(seq.time_one_map(n), done)
+                stage = framed_stage(seq, n)
+                inside = part_by_part(stage.map_at(0.4), done)
+                done = part_by_part(stage.time_one(), done)
             except ValueError:
                 refused = n
         got = truncated_map(seq, n).apply_array(pts), truncated_map(seq, n, 0.4).apply_array(pts)
@@ -544,10 +553,10 @@ def _assert_within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> None:
 
 def _stage_loop(seq, n: int, local: float, pts: np.ndarray) -> np.ndarray:
     """Stages 1..n-1 at time 1, then stage n at its local time, each stage
-    map part by part."""
+    1 framed into V_k (``framed_stage``) and applied part by part."""
     for k in range(1, n):
-        pts = part_by_part(seq.time_one_map(k), pts)
-    return part_by_part(seq.stage(n).map_at(local), pts)
+        pts = part_by_part(framed_stage(seq, k).time_one(), pts)
+    return part_by_part(framed_stage(seq, n).map_at(local), pts)
 
 
 def _level_points(seq, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -592,6 +601,68 @@ def test_the_level_loop_is_the_stage_loop_on_dyadic_streams(center, half, kind, 
     pts = _level_points(seq, n, np.random.default_rng(seed))
     for t in (1.0, local):
         _assert_same_bits(truncated_map(seq, n, t).apply_array(pts), _stage_loop(seq, n, t, pts))
+
+
+def _box_bits(b: Box) -> tuple[bytes, bytes]:
+    return b.lo.tobytes(), b.hi.tobytes()
+
+
+@given(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.tuples(*[st.floats(0.05, 0.5)] * 3),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_fixed_box_widens_every_support_and_moves_no_point(
+    center, half, f_lo, f_size, j, n, local, seed
+):
+    """On a dyadic stream declared with a fixed box F, stage k's support
+    is hull(V_k u F) bitwise, and its stage maps and truncations are the
+    F-free stream's bitwise."""
+    v1 = Box.from_center(center, half)
+    fixed = Box(f_lo, np.add(f_lo, f_size))
+    first = conjugated_insert(v1)
+    container = Box.cube((0, 0, 0), 8.0)
+    bare = _similar_stream(first, (0.0, 0.0, 0.0), 2.0**-j, container)
+    widened = _similar_stream(first, (0.0, 0.0, 0.0), 2.0**-j, container, fixed)
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([_level_points(bare, n, rng), fixed.sample(rng, 50)])
+    for k in range(1, n + 1):
+        v = bare.stage(k).support
+        hull = Box(np.minimum(v.lo, fixed.lo), np.maximum(v.hi, fixed.hi))
+        assert _box_bits(widened.stage(k).support) == _box_bits(hull)
+        _assert_same_bits(
+            widened.time_one_map(k).apply_array(pts), bare.time_one_map(k).apply_array(pts)
+        )
+    for t in (1.0, local):
+        _assert_same_bits(
+            truncated_map(widened, n, t).apply_array(pts), truncated_map(bare, n, t).apply_array(pts)
+        )
+
+
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_a_declared_stage_inverts_as_the_one_level_loop_over_the_inverse(name):
+    """Stage k's inverse is built once, runs stage 1's inverse end map at
+    level k and undoes the stage to roundoff; a truncation over several
+    levels has no inverse."""
+    seq = SCENARIO_BUILDERS[name]().moves
+    sim = seq.similarity
+    rng = np.random.default_rng(13)
+    for k in (1, 3, 9):
+        m = seq.time_one_map(k)
+        inv = m.inverse()
+        assert inv is m.inverse() and inv.h_last is sim.first.time_one().inverse()
+        box = sim.box(k)
+        pts = box.scaled_about_center(1.2).sample(rng, 300)
+        back = inv.apply_array(m.apply_array(pts))
+        assert np.abs(back - pts).max() <= 1e-9 * box.half_extents.max()
+    with pytest.raises(NotImplementedError):
+        truncated_map(seq, 3).inverse()
 
 
 @pytest.mark.parametrize("name", DECLARED_STREAMS)

@@ -20,7 +20,6 @@ from knotiso.maps import (
     AffineMap,
     CompositeMap,
     ConeMap,
-    ConjugateMap,
     IdentityMap,
     LocalMap,
     PowerMap1D,
@@ -648,8 +647,8 @@ class TestCompositeAndConjugate:
         target = Box.from_center((5, 5, 5), (0.5, 0.25, 0.5))
         frame = AffineMap.box_to_box(UNIT, target)
         m = conjugate(frame, kink_map(), target)
-        assert isinstance(m, ConjugateMap)
-        assert m.parts == (m.enter, m.inner, m.leave) == (frame.inverse(), kink_map(), frame)
+        assert isinstance(m, CompositeMap)
+        assert m.parts == (frame.inverse(), kink_map(), frame)
         inv = m.inverse()
         assert inv is m.inverse()
         # the parts CompositeMap.inverse would build, double-inverted frame included

@@ -15,13 +15,12 @@ from knotiso.canonical import (
     loop_sub_boxes,
     multi_kink_isotopy,
 )
-from knotiso.engine import Isotopy, truncated_map
+from knotiso.engine import Isotopy, _LevelLoop, truncated_map
 from knotiso.geometry import Box, PLCurve, curve_is_simple
 from knotiso.maps import (
     AffineMap,
     CompositeMap,
     ConeMap,
-    ConjugateMap,
     IdentityMap,
     UnsquishMap,
     UnsquishParams,
@@ -200,6 +199,7 @@ ISOTOPY_KINDS = {
     "multi_kink_3": lambda: multi_kink_isotopy(3),
     "untie": lambda: _untie(Box.from_center((2, 0, 0), (0.1, 0.05, 0.05)), 2),
     "1d_stage": lambda: SCENARIO_BUILDERS["1d_counterexample"]().moves.stage(3),
+    "declared_stage": lambda: SCENARIO_BUILDERS["countable_r1"]().moves.stage(3),
 }
 
 
@@ -390,13 +390,13 @@ class TestBuildOnce:
         assert multi_kink_isotopy(3).time_one().inverse() is inv
 
     def test_reversed_inserts_share_one_inner_map(self, scenarios):
-        # stage 1 holds the canonical inverse, and stage k frames stage 1
+        # stage 1's end holds the canonical inverse, and every stage runs
+        # that one end at its own level
         seq = scenarios["countable_r1"].moves
-        first = seq.time_one_map(1)
-        assert isinstance(first, ConjugateMap) and first.inner is kink_map().inverse()
-        for k in range(2, 6):
-            m = seq.time_one_map(k)
-            assert isinstance(m, ConjugateMap) and m.inner is first
+        first = seq.similarity.first.time_one()
+        assert isinstance(first, CompositeMap) and first.parts[1] is kink_map().inverse()
+        for k in range(1, 6):
+            assert seq.time_one_map(k).h_last is first
 
     def test_cone_inverse_is_built_once_and_links_back(self):
         m = ConeMap(UNIT, np.zeros(3), np.array([0.3, -0.2, 0.1]))
@@ -426,13 +426,14 @@ class TestBuildOnce:
         first = iso.map_at(0.25)
         # then the frame and its inverse, once each
         assert len(built) == 2
+        enter, _, leave = first.parts
         for t in (0.6, 1.0, 1.0):
             m = iso.map_at(t)
-            assert m.leave is first.leave and m.enter is first.enter is first.leave.inverse()
+            assert m.parts[2] is leave and m.parts[0] is enter is leave.inverse()
         assert len(built) == 2
         assert iso.map_at(1.0) is iso.map_at(1.0)
-        assert np.array_equal(first.leave.scale, [0.25, 0.25, 0.25])
-        assert np.array_equal(first.leave.shift, [3.0, 0.0, 0.0])
+        assert np.array_equal(leave.scale, [0.25, 0.25, 0.25])
+        assert np.array_equal(leave.shift, [3.0, 0.0, 0.0])
 
     def test_reversed_isotopy_inverts_on_first_use(self):
         inner = kink_isotopy()
@@ -455,13 +456,13 @@ class TestBuildOnce:
 
     def test_reading_supports_builds_no_frame(self, monkeypatch):
         # the hypotheses read V_1..V_horizon alone, so reading them builds
-        # no conjugation: no frame, no inverse, no framed map
+        # no map: no frame, no composite, no level loop
         built = []
 
         def counting(init):
             return lambda self, *a: built.append(type(self).__name__) or init(self, *a)
 
-        for kind in (AffineMap, ConjugateMap):
+        for kind in (AffineMap, CompositeMap, _LevelLoop):
             monkeypatch.setattr(kind, "__init__", counting(kind.__init__))
         for name, build in SCENARIO_BUILDERS.items():
             seq = build().moves

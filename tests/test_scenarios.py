@@ -48,8 +48,10 @@ from oracles import (
     count_crossings,
     fox_outer,
     fox_stage_per_level,
+    framed_stage,
     infinite_motion_census,
     inserted_loop_chain,
+    part_by_part,
     rec_box,
     rec_stage_per_level,
     shrinking_boxes,
@@ -316,17 +318,26 @@ class TestRecursive:
 
 @pytest.mark.parametrize("name", sorted(STREAM_BOXES))
 def test_each_stream_is_its_first_stage_and_a_similarity(scenarios, name):
-    # the declared V_1 and similarity give each family's level-k supports
-    # bit for bit, and every later stage frames the one stage-1 map
+    # the declared V_1, similarity and fixed box give each family's level-k
+    # supports bit for bit, and every stage runs the one stage-1 end map:
+    # stage 1 framed into V_k, bitwise where V_1 is dyadic and within 5
+    # ulps of each row's largest coordinate for the trefoil chains
     seq = scenarios[name].moves
     got = seq.boxes(1, 47)
     want = [STREAM_BOXES[name](k) for k in range(1, 48)]
     assert [(b.lo.tobytes(), b.hi.tobytes()) for b in got] == [
         (b.lo.tobytes(), b.hi.tobytes()) for b in want
     ]
-    first = seq.time_one_map(1)
-    for k in range(2, 6):
-        assert seq.time_one_map(k).inner is first
+    first = seq.similarity.first.time_one()
+    ulps = 5 if name.startswith("trefoil") else 0
+    rng = np.random.default_rng(26)
+    for k in range(1, 6):
+        m = seq.time_one_map(k)
+        assert m.h_last is first
+        pts = seq.similarity.box(k).scaled_about_center(1.2).sample(rng, 300)
+        framed = part_by_part(framed_stage(seq, k).time_one(), pts)
+        bound = ulps * np.spacing(np.abs(framed).max(axis=1))
+        assert (np.abs(m.apply_array(pts) - framed).max(axis=1) <= bound).all(), k
 
 
 # each self-similar stream: its builder, its stage k built level by level,
