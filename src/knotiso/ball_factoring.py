@@ -30,19 +30,17 @@ def find_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int
     """
     if not boxes:
         raise ValueError("need at least one box")
-    eps = 0.0
+    # half the wall distance: once p is interior to V_1, positive unless
+    # that distance is the least subnormal
+    eps = 0.5 * boxes[0].wall_distance(p)
     for n, b in enumerate(boxes, start=1):
         if not b.contains_array(p, strict=True):
             raise ValueError(f"p not interior to region {n}")
         # strictly inside the box before it, so of smaller diameter too
         if n > 1 and not boxes[n - 2].contains_box(b, strict=True):
             raise ValueError(f"region {n} not strictly inside region {n - 1}")
-        if n == 1:
-            eps = 0.5 * b.wall_distance(p)
-            if eps <= 0:
-                raise ValueError("p is not interior to the first region")
-            if not b.wall_distance(p) > eps:
-                raise ValueError("ball is not strictly inside the first region")
+        if eps <= 0:
+            raise ValueError("no ball about p fits strictly inside the first region")
         if _box_in_ball(b, p, eps):
             return eps, n
     return eps, None

@@ -44,6 +44,12 @@ class TestNestedFamily:
         with pytest.raises(ValueError, match="p not interior to region 1"):
             find_ball_factoring(np.array([5.0, 0.0, 0.0]), boxes)
 
+    def test_validate_rejects_a_point_a_subnormal_from_the_wall(self):
+        # p is interior, but half its wall distance rounds to 0
+        p = np.array([5e-324, 0.5, 0.5])
+        with pytest.raises(ValueError, match="no ball about p fits"):
+            find_ball_factoring(p, [Box((0, 0, 0), (1, 1, 1))])
+
 
 class TestFindBallFactoring:
     def test_centered_dyadic_cubes(self):

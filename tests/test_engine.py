@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,12 @@ class TestMoveSequence:
             with pytest.raises(ValueError, match="exactly one"):
                 MoveSequence(CONTAINER, **kwargs)
         assert MoveSequence(CONTAINER, similarity=sim).stage(2).support == sim.box(2)
+
+    def test_a_declaration_cannot_change_under_its_memoized_stages(self):
+        sim = SCENARIO_BUILDERS["countable_r1"]().moves.similarity
+        for name, value in (("r", 0.25), ("p", np.ones(3)), ("fixed", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sim, name, value)
 
 
 class TestTruncations:
