@@ -5,6 +5,7 @@ too short to reach inside the ball has no n0 yet.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -13,8 +14,9 @@ from .geometry import Box
 
 
 def _box_in_ball(b: Box, center: np.ndarray, radius: float) -> bool:
-    """Exact corner test: every corner strictly inside the ball."""
-    return bool((np.sqrt(((b.corners() - center) ** 2).sum(-1)) < radius).all())
+    """Exact corner test: every corner strictly inside the ball, each
+    distance taken by ``math.hypot``, which no scale underflows."""
+    return all(math.hypot(*d) < radius for d in (b.corners() - center).tolist())
 
 
 def find_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int | None]:

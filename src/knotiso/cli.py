@@ -37,7 +37,7 @@ from .engine import (
     uniform_convergence_probe,
 )
 from .geometry import write_curve
-from .scenarios import INJECTIVITY_THRESHOLD, SCENARIO_BUILDERS, Scenario
+from .scenarios import SCENARIO_BUILDERS, Scenario
 
 # the t = 1 census's fixed stage budget, whatever the depth, which keeps
 # the reports byte-stable
@@ -105,7 +105,6 @@ def report_lines(s: Scenario, cfg: RunConfig) -> tuple[list[str], bool]:
     expectations."""
     probe = probe_scenario(s, cfg)
     hyp = check_hypotheses(s.moves, cfg.horizon, cfg.tol)
-    inj = "fail" if probe.min_image_separation < INJECTIVITY_THRESHOLD else "pass"
     lines = [
         f"scenario: {cfg.scenario}",
         f"depth: {cfg.depth}",
@@ -115,18 +114,15 @@ def report_lines(s: Scenario, cfg: RunConfig) -> tuple[list[str], bool]:
     ]
     lines += hyp.to_lines()
     lines += probe.to_lines()
-    lines.append(f"injectivity: {inj}")
-    if s.ball_center is not None:
-        eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, cfg.horizon))
+    lines.append(f"injectivity: {probe.injectivity}")
+    center = s.moves.ball_center
+    if center is not None:
+        eps, n0 = find_ball_factoring(center, s.moves.boxes(1, cfg.horizon))
         lines.append(f"ball_factoring: {{epsilon: {eps:.17g}, n0: {'none' if n0 is None else n0}}}")
     exp = s.expected
     lines.append(f"expected: {exp.hypotheses}/{exp.injectivity}")
-    lines.append(f"computed: {hyp.verdict}/{inj}")
-    match = (
-        hyp.verdict == exp.hypotheses
-        and hyp.first_violation == exp.failing_condition
-        and inj == exp.injectivity
-    )
+    lines.append(f"computed: {hyp.verdict}/{probe.injectivity}")
+    match = hyp.first_violation == exp.failing_condition and probe.injectivity == exp.injectivity
     lines.append(f"match: {str(match).lower()}")
     return lines, match
 
@@ -152,11 +148,8 @@ def cmd_check(cfg: RunConfig) -> int:
     rep = check_hypotheses(s.moves, cfg.horizon, cfg.tol)
     for n, d in rep.tail_diameters:
         print(f"{n} {d:.17g}")
-    if rep.verdict == "pass":
-        print("verdict: pass")
-        return 0
-    print(f"verdict: fail (condition {rep.first_violation})")
-    return _EXIT_MISMATCH
+    print(rep.to_lines()[-1])
+    return 0 if rep.first_violation is None else _EXIT_MISMATCH
 
 
 def cmd_frames(cfg: RunConfig) -> int:

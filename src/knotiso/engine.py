@@ -16,6 +16,8 @@ every truncation is read off it, as one loop over levels: with h_1 stage
 1's end map and g = S^-1 h_1, stages j..n are S^n g^(n-j+1) S^(1-j), and
 stage k alone is the one-level loop S^(k-1) h_1 S^(1-k).  No V_k is
 formed in floats but as a support, so a truncation runs at any depth.
+The declaration also names the point the supports shrink around, the
+stream's ``ball_center``: p, when there is no F and V_1 holds p inside.
 ``apply_truncated`` and ``glue_schedule`` (the one place that slices the
 time grid into stages) run the truncations, and ``eval_limit_isotopy``,
 which evaluates the countable composition at the limit time t = 1 via
@@ -25,7 +27,10 @@ Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
 per stream and last stage: the stacked supports and their suffix-union
 diameters, the suffix maxima of one matrix of farthest-corner distances
-between every pair of supports.
+between every pair of supports.  Each report states a verdict once: the
+hypothesis verdict is read off the first violated condition, and the
+injectivity verdict off the probe's least image separation, by the one
+rule ``ProbeReport.injectivity``.
 """
 from __future__ import annotations
 
@@ -232,8 +237,7 @@ class MoveSequence:
 
     A stream is given by its ``stage_fn``, 1-based and pure, or declared
     by its ``similarity`` alone, whose ``stage`` is then its stage
-    function.  Stages, tail tables and the truncations at time 1 are
-    memoized.
+    function.  Stages and tail tables are memoized.
     """
 
     container: Box
@@ -241,7 +245,6 @@ class MoveSequence:
     similarity: Similarity | None = None
     _cache: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
-    _truncations: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if (self.stage_fn is None) == (self.similarity is None):
@@ -267,6 +270,16 @@ class MoveSequence:
             self._tails[last] = TailTable.build(self.boxes(1, last))
         return self._tails[last]
 
+    @property
+    def ball_center(self) -> np.ndarray | None:
+        """The point the supports strictly decrease around: p, where the
+        stream is declared with no fixed box and V_1 holds p in its
+        interior, so that each V_(k+1) = S(V_k) lies inside V_k; else None."""
+        sim = self.similarity
+        if sim is None or sim.fixed is not None:
+            return None
+        return sim.p if sim.first.support.contains_array(sim.p, strict=True) else None
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -275,8 +288,11 @@ class HypothesisReport:
     tail_diameters: tuple[tuple[int, float], ...]
     containment_ok: bool
     disjoint_supports: bool
-    verdict: str  # "pass" | "fail"
     first_violation: int | None  # 1 = tail diameters, 2 = containment
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.first_violation is None else "fail"
 
     def to_lines(self) -> list[str]:
         tails = "; ".join(f"{n}:{d:.17g}" for n, d in self.tail_diameters)
@@ -287,6 +303,10 @@ class HypothesisReport:
             f"verdict: {self.verdict}"
             + (f" (condition {self.first_violation})" if self.first_violation else ""),
         ]
+
+
+# image-separation floor below which the injectivity verdict is fail
+INJECTIVITY_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -302,6 +322,12 @@ class ProbeReport:
         if self.sup_deviation < 0 or self.min_image_separation < 0 or self.unsettled_points < 0:
             raise ValueError("probe report fields must be nonnegative")
 
+    @property
+    def injectivity(self) -> str:
+        """The injectivity verdict: fail when two probed points come out
+        closer than ``INJECTIVITY_THRESHOLD``."""
+        return "fail" if self.min_image_separation < INJECTIVITY_THRESHOLD else "pass"
+
     def to_lines(self) -> list[str]:
         return [
             f"sup_deviation: {self.sup_deviation:.17g}",
@@ -316,17 +342,12 @@ class ProbeReport:
 
 def truncated_map(seq: MoveSequence, n: int, local: float = 1.0) -> LocalMap:
     """Stages 1..n-1 at time 1, then stage n at its local time, applied in
-    stage order as one map (``_stages``).  The truncation at time 1 is
-    built once per stream and depth."""
+    stage order as one map (``_stages``)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return IdentityMap(support=seq.container)
-    if local != 1.0:
-        return _stages(seq, 1, n, local)
-    if n not in seq._truncations:
-        seq._truncations[n] = _stages(seq, 1, n)
-    return seq._truncations[n]
+    return _stages(seq, 1, n, local)
 
 
 def _stages(seq: MoveSequence, first: int, last: int, local: float = 1.0) -> LocalMap:
@@ -472,12 +493,10 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
         first_violation = 1
     elif not containment_ok:
         first_violation = 2
-    verdict = "pass" if first_violation is None else "fail"
     return HypothesisReport(
         tail_diameters=diameters,
         containment_ok=containment_ok,
         disjoint_supports=disjoint,
-        verdict=verdict,
         first_violation=first_violation,
     )
 

@@ -235,17 +235,12 @@ class UnsquishParams:
     s_c1 = 0.5
 
 
-def _box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Largest r with origin + r*direction inside the box, per row of the
-    (n, 3) origins and directions: the reciprocal of the box gauge from
-    origin, which the cone pull and the unsquish slide both read."""
-    return _radial_scale((box.lo - origin).T, (box.hi - origin).T, direction.T)
-
-
 def _radial_scale(lo_off: np.ndarray, hi_off: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """``_box_radial_scale`` on coordinate rows: the box corners' offsets
-    from the origin, lo - origin and hi - origin, as (3, 1) columns or
-    (3, m) rows, and the (3, m) directions."""
+    """Largest r with origin + r*direction inside a box, per column of the
+    (3, m) directions: the reciprocal of the box gauge from origin, which
+    the cone pull and the unsquish slide both read.  The box is given by
+    its corners' offsets from the origin, lo - origin and hi - origin, as
+    (3, 1) columns or (3, m) rows."""
     # a zero or subnormal direction component gives an infinite reach there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_lo = lo_off / direction
@@ -510,12 +505,6 @@ class CompositeMap(LocalMap):
     def _inverted(self) -> "CompositeMap":
         # no link back: inv(inv(M)) of an affine part is not bitwise M
         return CompositeMap([m.inverse() for m in reversed(self.parts)], support=self.support)
-
-
-def stacked_frames(frames: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
-    """The scales and shifts of r axis-aligned frames as two (r, 3) arrays,
-    to apply them all in one multiply-add."""
-    return np.array([f.scale for f in frames]), np.array([f.shift for f in frames])
 
 
 def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> CompositeMap:

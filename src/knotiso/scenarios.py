@@ -14,11 +14,12 @@ its straight baseline.
 
 Every stream but the interval counterexample is self-similar, and is
 declared once, as its first stage, a similarity S(x) = p + r (x - p) and
-an optional fixed box (``_similar_stream``, which hands the declaration
-to its ``MoveSequence`` as an ``engine.Similarity`` and passes no stage
-function): stage 1 is an isotopy supported in V_1, and stage k is stage
-1 carried into V_k = S^(k-1)(V_1), one stage rule for all of them, so
-every stage and truncation reads the declaration alone.  The chain
+an optional fixed box, an ``engine.Similarity`` its ``MoveSequence``
+takes in place of a stage function: stage 1 is an isotopy supported in
+V_1, and stage k is stage 1 carried into V_k = S^(k-1)(V_1), one stage
+rule for all of them, so every stage and truncation reads the
+declaration alone.  Every stream here has r a power of two, so
+s = r^(k-1) is exact.  The chain
 streams (``countable_*``, ``trefoil_chain``) untie the loops of V_1 and
 halve toward p on the x-axis, and each chain curve ties its loops in the
 stream's own V_1..V_20; ``trefoil_chain_extended`` is ``trefoil_chain``
@@ -28,10 +29,11 @@ support holds.  ``recursive_r1`` (an insert, then an unsquish) halves and
 p = 0.
 
 Box corners are written as coordinate tuples; the points a scenario
-probes are float arrays.  A stream whose supports V_1, V_2, ... strictly
-decrease around a point names that point, ``ball_center``, and its ball
-factoring is read off those supports: the family is said once, as the
-stages.
+probes are float arrays.  A scenario declares its curve, its stream and
+its expectations, nothing more: its name is its registry key, and the
+point its supports strictly decrease around, where they do, is read off
+the stream's declaration (``MoveSequence.ball_center``), as its ball
+factoring is read off the supports.
 """
 from __future__ import annotations
 
@@ -44,18 +46,8 @@ import numpy as np
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from .engine import Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
-from .maps import (
-    AffineMap,
-    LocalMap,
-    PowerMap1D,
-    UnsquishParams,
-    estimate_inverse_lipschitz,
-    stacked_frames,
-)
+from .maps import AffineMap, LocalMap, PowerMap1D, UnsquishParams, estimate_inverse_lipschitz
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
-
-# image-separation floor below which the injectivity probe verdict is fail
-INJECTIVITY_THRESHOLD = 1e-3
 
 # loops per chain, one per stage box V_1..V_LOOPS; also the levels
 # recursive_r1 refines its wedge curve for
@@ -65,15 +57,18 @@ _PTS_PER_BOX = 100
 
 @dataclass(frozen=True)
 class ExpectedVerdicts:
-    hypotheses: str  # "pass" | "fail"
-    failing_condition: int | None
+    """The declared verdicts: the hypotheses pass iff no condition fails."""
+
+    failing_condition: int | None  # 1 = tail diameters, 2 = containment
     injectivity: str  # "pass" | "fail"
 
     def __post_init__(self) -> None:
-        if self.hypotheses not in ("pass", "fail") or self.injectivity not in ("pass", "fail"):
-            raise ValueError("verdicts must be 'pass' or 'fail'")
-        if (self.failing_condition is not None) != (self.hypotheses == "fail"):
-            raise ValueError("failing_condition must accompany exactly the fail verdict")
+        if self.injectivity not in ("pass", "fail"):
+            raise ValueError("the injectivity verdict must be 'pass' or 'fail'")
+
+    @property
+    def hypotheses(self) -> str:
+        return "pass" if self.failing_condition is None else "fail"
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,17 +77,14 @@ class Scenario:
 
     ``probe_pairs`` is a (k, 2, 3) array of point pairs for the
     injectivity probe and ``census_samples`` a (k, 3) array of points for
-    the t = 1 census.  ``ball_center`` is the point the stage supports
-    V_1, V_2, ... strictly decrease around, when they do.
+    the t = 1 census.
     """
 
-    name: str
     initial_curve: PLCurve
     moves: MoveSequence
     expected: ExpectedVerdicts
     probe_pairs: np.ndarray
     census_samples: np.ndarray
-    ball_center: np.ndarray | None = None
 
 
 # -- loop chains --------------------------------------------------------------
@@ -128,7 +120,8 @@ def _loop_chain(
         [(b, tied) for b in boxes] + [(b, straight) for b in untied], key=lambda p: p[0].lo[0]
     )
     # every box's frame at once, on the (r, n, 3) stack of strands
-    scale, shift = stacked_frames([AffineMap.box_to_box(CANONICAL_BOX, b) for b, _ in pieces])
+    frames = [AffineMap.box_to_box(CANONICAL_BOX, b) for b, _ in pieces]
+    scale, shift = np.array([f.scale for f in frames]), np.array([f.shift for f in frames])
     framed = np.stack([strand for _, strand in pieces]) * scale[:, None] + shift[:, None]
     return np.concatenate([[[x_start, 0.0, 0.0]], *framed, [[x_end, 0.0, 0.0]]])
 
@@ -136,17 +129,6 @@ def _loop_chain(
 def _untie(box: Box, m: int) -> Isotopy:
     """The stage that unties a chain box's m loops: their insert, reversed."""
     return reversed_isotopy(conjugated_insert(box, m))
-
-
-def _similar_stream(
-    first: Isotopy, p: Sequence[float], r: float, container: Box, fixed: Box | None = None
-) -> MoveSequence:
-    """A self-similar stream, declared by its ``Similarity`` alone: stage 1
-    is ``first``, supported in V_1, and stage k carries it into
-    V_k = S^(k-1)(V_1), S(x) = p + r (x - p), each support widened to
-    hold the ``fixed`` box, if one is given.  Every stream here has r a
-    power of two, so s = r^(k-1) is exact."""
-    return MoveSequence(container, similarity=Similarity(first, p, r, fixed))
 
 
 def _closed_curve(active: np.ndarray) -> PLCurve:
@@ -162,7 +144,7 @@ def _countable_stream(limit_x: float, m: int, container: Box) -> MoveSequence:
     """Untie m loops per stage, in disjoint boxes on the x-axis halving
     toward (limit_x, 0, 0)."""
     v1 = Box.from_center((limit_x - 0.25, 0.0, 0.0), (1 / 32, 1 / 16, 1 / 16))
-    return _similar_stream(_untie(v1, m), (limit_x, 0.0, 0.0), 0.5, container)
+    return MoveSequence(container, similarity=Similarity(_untie(v1, m), (limit_x, 0.0, 0.0), 0.5))
 
 
 def build_countable_r1() -> Scenario:
@@ -180,10 +162,9 @@ def build_countable_r1() -> Scenario:
     ])
     census = np.array([(2.0 - 2.0**-j, 0.0, 0.0) for j in range(1, 9)] + [(2.0, 0.0, 0.0)])
     return Scenario(
-        name="countable_r1",
         initial_curve=curve,
         moves=moves,
-        expected=ExpectedVerdicts("pass", None, "pass"),
+        expected=ExpectedVerdicts(None, "pass"),
         probe_pairs=pairs,
         census_samples=census,
     )
@@ -216,10 +197,9 @@ def build_countable_r2(stage: int) -> Scenario:
         ])
     limit = 2.0 * stage
     return Scenario(
-        name=f"countable_r2_stage{stage}",
         initial_curve=curve,
         moves=passes[stage - 1],
-        expected=ExpectedVerdicts("pass", None, "pass"),
+        expected=ExpectedVerdicts(None, "pass"),
         probe_pairs=pairs,
         census_samples=np.array([(limit - 2.0**-j, 0.0, 0.0) for j in range(1, 7)]),
     )
@@ -253,7 +233,7 @@ def rec_insert_region(k: int) -> Box:
 
 def rec_unsquish_params(k: int, c: float) -> UnsquishParams:
     """The level-k unsquish, between V_k shrunk by 0.9 and by 0.45."""
-    box = Box.from_center((0, 0, 0), np.multiply(_REC_HALF, 0.5 ** (k - 1)))
+    box = _REC_V1.scaled_about_center(0.5 ** (k - 1))
     return UnsquishParams(
         outer=box.scaled_about_center(0.9),
         inner=box.scaled_about_center(0.45),
@@ -292,7 +272,8 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     if not ablated:
         parts.append(unsquish_isotopy(rec_unsquish_params(1, rec_squish_constant())))
     container = Box((-0.6, -0.3, -0.3), (0.3, 0.3, 0.3))
-    moves = _similar_stream(chained_isotopy(parts, _REC_V1), (0.0, 0.0, 0.0), 0.5, container)
+    sim = Similarity(chained_isotopy(parts, _REC_V1), (0.0, 0.0, 0.0), 0.5)
+    moves = MoveSequence(container, similarity=sim)
 
     L = _REC_SCALE
     arm_dir = _REC_APEX_DIR / np.linalg.norm(_REC_APEX_DIR)
@@ -317,13 +298,11 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     ])
     census = np.array([(0.0, 0.0, 0.0), q0, rec_apex(3)])
     return Scenario(
-        name="recursive_r1" + ("_ablated" if ablated else ""),
         initial_curve=curve,
         moves=moves,
-        expected=ExpectedVerdicts("pass", None, "pass" if not ablated else "fail"),
+        expected=ExpectedVerdicts(None, "pass" if not ablated else "fail"),
         probe_pairs=pairs,
         census_samples=census,
-        ball_center=np.zeros(3),
     )
 
 
@@ -345,8 +324,9 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     # V_1 is the work box inside the shell between nesting levels 1 and 2
     v1 = Box.from_center((1.90625, 0.0, 0.0), (0.028125, 0.025, 0.025))
     segment = Box((2.0, 0.0, 0.0), (3.0, 0.0, 0.0)) if extended else None
-    moves = _similar_stream(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5, container, segment)
-    strand = _loop_chain(-0.5, 2.0, [moves.similarity.box(k) for k in range(1, _LOOPS + 1)], 3)
+    sim = Similarity(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5, segment)
+    moves = MoveSequence(container, similarity=sim)
+    strand = _loop_chain(-0.5, 2.0, [sim.box(k) for k in range(1, _LOOPS + 1)], 3)
     if extended:
         strand = np.concatenate([strand, [[3.0, 0.0, 0.0]]])
     curve = _closed_curve(strand)
@@ -358,14 +338,9 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     ])
     census = np.array([(2.0 - 0.1875 * 2.0**-j, 0.0, 0.0) for j in range(1, 7)])
     return Scenario(
-        name="trefoil_chain" + ("_extended" if extended else ""),
         initial_curve=curve,
         moves=moves,
-        expected=(
-            ExpectedVerdicts("fail", 1, "pass")
-            if extended
-            else ExpectedVerdicts("pass", None, "pass")
-        ),
+        expected=ExpectedVerdicts(1 if extended else None, "pass"),
         probe_pairs=pairs,
         census_samples=census,
     )
@@ -416,18 +391,16 @@ def build_fox_remarkable() -> Scenario:
     container = Box((-1.0, -1.0, -1.0), (2.0, 1.0, 1.0))
 
     first = chained_isotopy([_untie(fox_pair_box_current(1), 2), fox_squish_isotopy()], _FOX_V1)
-    moves = _similar_stream(first, (0.0, 0.0, 0.0), 0.25, container)
+    moves = MoveSequence(container, similarity=Similarity(first, (0.0, 0.0, 0.0), 0.25))
 
     tracked = fox_tracked_line()
     pairs = np.stack([tracked[:-1], tracked[1:]], axis=1)
     return Scenario(
-        name="fox_remarkable",
         initial_curve=curve,
         moves=moves,
-        expected=ExpectedVerdicts("pass", None, "fail"),
+        expected=ExpectedVerdicts(None, "fail"),
         probe_pairs=pairs,
         census_samples=tracked,
-        ball_center=np.zeros(3),
     )
 
 
@@ -460,10 +433,9 @@ def build_1d_counterexample() -> Scenario:
     ], dtype=float)
     census = np.array([(x, 0, 0) for x in (0.3, 0.5, 0.7, 0.9)], dtype=float)
     return Scenario(
-        name="1d_counterexample",
         initial_curve=curve,
         moves=MoveSequence(container, stage_fn=stage),
-        expected=ExpectedVerdicts("fail", 1, "fail"),
+        expected=ExpectedVerdicts(1, "fail"),
         probe_pairs=pairs,
         census_samples=census,
     )

@@ -9,9 +9,9 @@ a glued schedule at a seam, loop chains inserted box by box into a
 refined axis, a declared stream's stages framed from stage 1, the stages
 of ``recursive_r1`` and ``fox_remarkable`` built level by level, the
 snowflake iterates with their sup deviations, the cone pull as 12 affine
-tetrahedra, with its exact inverse-Lipschitz constant, and the cone and
-unsquish kernels computed on (n, 3) rows, the reference for the maps'
-coordinate-major kernels.  None of them is on the path of a CLI verb.
+tetrahedra, with its exact inverse-Lipschitz constant, the maps' reach
+kernel read on (n, 3) rows, and the cone and unsquish kernels computed on
+(n, 3) rows, the reference for the maps' coordinate-major kernels.  None of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
 from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
-from knotiso.maps import CompositeMap, ConeMap, UnsquishMap, UnsquishParams
+from knotiso.maps import CompositeMap, ConeMap, UnsquishMap, UnsquishParams, _radial_scale
 from knotiso.moves import chained_isotopy, conjugated_isotopy, reversed_isotopy, unsquish_isotopy
 from knotiso.scenarios import (
     _FOX_C,
@@ -297,6 +297,13 @@ def cone_inverse_lipschitz(m: ConeMap) -> float:
 
 
 # -- the row-major kernels ----------------------------------------------------
+
+
+def box_radial_scale(box: Box, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """The maps' reach kernel on (n, 3) rows: the largest r with
+    origin + r * direction inside the box, per row of the origins and
+    directions."""
+    return _radial_scale((box.lo - origin).T, (box.hi - origin).T, direction.T)
 
 
 def _row_radial_scale(lo_off: np.ndarray, hi_off: np.ndarray, direction: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from knotiso.maps import (
     IdentityMap,
     UnsquishMap,
     UnsquishParams,
-    _box_radial_scale,
     conjugate,
 )
 from knotiso.scenarios import (
@@ -39,6 +38,7 @@ from knotiso.scenarios import (
 )
 
 from oracles import (
+    box_radial_scale,
     build_snowflake,
     dyadic_cubes,
     infinite_motion_census,
@@ -116,7 +116,7 @@ def test_criterion_03_unsquish_exactness():
         d = rng.normal(size=(1000, 3))
         d /= np.sqrt((d**2).sum(-1))[:, None]
         # reach of the inner box from the apex along each direction
-        reach = _box_radial_scale(params.inner, np.broadcast_to(a, d.shape), d)
+        reach = box_radial_scale(params.inner, np.broadcast_to(a, d.shape), d)
         # low branch: path parameter s = f/2 <= c/2, moved exactly 1/c out
         f = rng.uniform(0.01, 0.99 * c, 1000)
         pts = a + (f * reach)[:, None] * d
@@ -144,7 +144,7 @@ def test_criterion_04_composite_lower_bound():
         inner = rec_unsquish_params(k, c).inner
         d = rng.normal(size=(1000, 3))
         d /= np.sqrt((d**2).sum(-1))[:, None]
-        reach = _box_radial_scale(inner, np.broadcast_to(qk, d.shape), d)
+        reach = box_radial_scale(inner, np.broadcast_to(qk, d.shape), d)
         f = rng.uniform(0.0, 1.0, 1000)
         pts = qk + (f * c * reach)[:, None] * d
         img = comp.apply_array(pts)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotiso.ball_factoring import find_ball_factoring
 from knotiso.geometry import Box
@@ -86,6 +88,33 @@ class TestFindBallFactoring:
         eps, n0 = find_ball_factoring(p, boxes)
         assert eps == pytest.approx(0.05)  # half the 0.1 wall distance
         assert n0 == 2
+
+    def test_a_box_too_small_to_square_is_measured_at_its_scale(self):
+        # V_2's corners lie sqrt(3) 2^-599 from p, outside the 2^-599 ball,
+        # though their squared distances underflow to 0
+        p = np.zeros(3)
+        boxes = [Box((-1, -1, -1), (1, 1, 2.0**-598)), Box.cube(p, 2.0**-598)]
+        assert find_ball_factoring(p, boxes) == (2.0**-599, None)
+
+    @given(
+        st.tuples(*[st.integers(-64, 64)] * 3),
+        st.lists(st.tuples(*[st.floats(0.05, 0.95)] * 6), min_size=1, max_size=8),
+        st.integers(0, 900),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_n0_is_unchanged_by_a_power_of_two_scale(self, p, shrink, j):
+        # boxes strictly decreasing around p, each face a fraction of the
+        # way in from the last's; scaling by 2^-j, j <= 900, keeps every
+        # coordinate and offset normal, so it is exact, and the squared
+        # offsets underflow from j ~ 500 on
+        p = np.array(p) / 64.0
+        boxes = [Box(p - 1.0, p + 1.0)]
+        for f in shrink:
+            lo, hi = boxes[-1].lo, boxes[-1].hi
+            boxes.append(Box(p - (p - lo) * f[:3], p + (hi - p) * f[3:]))
+        eps, n0 = find_ball_factoring(p, boxes)
+        scaled = [Box(b.lo * 2.0**-j, b.hi * 2.0**-j) for b in boxes]
+        assert find_ball_factoring(p * 2.0**-j, scaled) == (eps * 2.0**-j, n0)
 
     def test_monotone_in_first_region(self):
         # enlarging V_1 never increases n0

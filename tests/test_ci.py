@@ -7,9 +7,10 @@ fails, and the test configuration turns runtime warnings into failures.
 That numpy sums the three columns of a coordinate-major batch as it sums
 row-major rows is pinned too.  The
 package runs on numpy alone: no module of it imports scipy, and none
-imports a name it never uses.  Every public function, class, method and
-constant in the package has a caller outside the tests, with no exception:
-code that only tests call lives in ``tests/oracles.py``.  Every map kind
+imports a name it never uses.  Every top-level function, class and
+constant in the package, private or public, and every public method of a
+public class has a caller outside the tests, with no exception: code
+that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
 named kinds, each with its reason, and only the end rule
 ``Isotopy.from_motion`` builds an ``Isotopy`` directly.  Every committed
@@ -131,18 +132,18 @@ def _named(tree: ast.AST) -> Counter:
     return names
 
 
-def _public_defs(tree: ast.Module):
-    """(name, node) of the public top-level functions, classes and
-    constants, and of the public methods of public classes."""
+def _defs(tree: ast.Module):
+    """(name, node) of the top-level functions, classes and constants,
+    private ones too, and of the public methods of public classes."""
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                if isinstance(target, ast.Name):
                     yield target.id, node
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield item.name, item
@@ -160,12 +161,12 @@ def test_every_public_symbol_has_a_caller_outside_the_tests():
         named += _named(ast.parse(path.read_text()))
     unused = set()
     for path in package:
-        for name, node in _public_defs(ast.parse(path.read_text())):
+        for name, node in _defs(ast.parse(path.read_text())):
             # a name used only inside its own definition has no caller
             if named[name] <= _named(node)[name]:
                 unused.add(name)
-    # a name here lost its last caller: delete it, make it private or
-    # move it to tests/oracles.py
+    # a name here lost its last caller: delete it or move it to
+    # tests/oracles.py; making it private does not hide it
     assert not unused, sorted(unused)
 
 

@@ -91,7 +91,7 @@ class TestRunVerb:
     def test_mismatched_expectation_exits_one(self, tmp_path, monkeypatch):
         def broken():
             s = build_countable_r1()
-            return dataclasses.replace(s, expected=ExpectedVerdicts("pass", None, "fail"))
+            return dataclasses.replace(s, expected=ExpectedVerdicts(None, "fail"))
 
         monkeypatch.setitem(cli.SCENARIO_BUILDERS, "countable_r1", broken)
         status = main(

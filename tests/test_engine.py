@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotiso.ball_factoring import find_ball_factoring
 from knotiso.engine import (
     Isotopy,
     MoveSequence,
+    ProbeReport,
+    Similarity,
     TailTable,
     apply_truncated,
     check_hypotheses,
@@ -25,7 +28,7 @@ from knotiso.maps import IdentityMap
 from knotiso.canonical import conjugated_insert, kink_isotopy, multi_kink_isotopy
 from knotiso.moves import cone_isotopy, conjugated_isotopy, reversed_isotopy
 
-from knotiso.scenarios import SCENARIO_BUILDERS, _similar_stream
+from knotiso.scenarios import SCENARIO_BUILDERS
 
 from oracles import framed_stage, infinite_motion_census, part_by_part, seam_values
 
@@ -123,15 +126,6 @@ class TestTruncations:
             a = truncated_map(seq, n).apply_array(pts)
             b = apply_truncated(seq, n, pts)
             assert np.array_equal(a, b)
-
-    def test_the_truncation_at_time_one_is_built_once(self, scenarios):
-        # the run verb's snapshot and injectivity probe share one map
-        for seq in (_stream(), scenarios["fox_remarkable"].moves):
-            m = truncated_map(seq, 7)
-            assert truncated_map(seq, 7) is m
-            assert truncated_map(seq, 7, 1.0) is m
-            assert truncated_map(seq, 6) is not m
-            assert truncated_map(seq, 7, 0.5) is not truncated_map(seq, 7, 0.5)
 
     def test_map_curve_densifies(self):
         seq = _stream()
@@ -342,6 +336,11 @@ class TestProbes:
             uniform_convergence_probe(seq, 5, 3, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             uniform_convergence_probe(seq, 1, 2, [])
+
+    def test_the_injectivity_verdict_fails_below_a_separation_of_1e_3(self):
+        verdicts = [ProbeReport(0.0, sep, 0, False).injectivity for sep in (1e-3, 1.0, 0.0)]
+        assert verdicts == ["pass", "pass", "fail"]
+        assert ProbeReport(0.0, np.nextafter(1e-3, 0.0), 0, False).injectivity == "fail"
 
     def test_injectivity_probe_identity_pairs(self):
         seq = _stream()
@@ -605,7 +604,7 @@ def test_the_level_loop_is_the_stage_loop_on_dyadic_streams(center, half, kind, 
         first = cone_isotopy(v1, c - 0.3 * h, c + np.array([0.5, -0.2, 0.4]) * h)
     else:
         first = conjugated_insert(v1)
-    seq = _similar_stream(first, (0.0, 0.0, 0.0), 2.0**-j, Box.cube((0, 0, 0), 8.0))
+    seq = MoveSequence(Box.cube((0, 0, 0), 8.0), similarity=Similarity(first, (0, 0, 0), 2.0**-j))
     pts = _level_points(seq, n, np.random.default_rng(seed))
     for t in (1.0, local):
         _assert_same_bits(truncated_map(seq, n, t).apply_array(pts), _stage_loop(seq, n, t, pts))
@@ -636,8 +635,8 @@ def test_a_fixed_box_widens_every_support_and_moves_no_point(
     fixed = Box(f_lo, np.add(f_lo, f_size))
     first = conjugated_insert(v1)
     container = Box.cube((0, 0, 0), 8.0)
-    bare = _similar_stream(first, (0.0, 0.0, 0.0), 2.0**-j, container)
-    widened = _similar_stream(first, (0.0, 0.0, 0.0), 2.0**-j, container, fixed)
+    bare = MoveSequence(container, similarity=Similarity(first, (0, 0, 0), 2.0**-j))
+    widened = MoveSequence(container, similarity=Similarity(first, (0, 0, 0), 2.0**-j, fixed))
     rng = np.random.default_rng(seed)
     pts = np.concatenate([_level_points(bare, n, rng), fixed.sample(rng, 50)])
     for k in range(1, n + 1):
@@ -651,6 +650,41 @@ def test_a_fixed_box_widens_every_support_and_moves_no_point(
         _assert_same_bits(
             truncated_map(widened, n, t).apply_array(pts), truncated_map(bare, n, t).apply_array(pts)
         )
+
+
+@given(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.tuples(*[st.floats(0.05, 1.0)] * 3),
+    st.floats(0.3, 0.7),
+    st.tuples(*[st.floats(0.05, 0.95)] * 3),
+    st.sampled_from([None, *range(6)]),
+    st.floats(0.05, 1.0),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_ball_center_is_p_exactly_where_the_supports_factor(
+    center, half, r, u, beyond, reach, fixed
+):
+    """A declared stream's ``ball_center`` is p exactly when
+    ``find_ball_factoring`` accepts V_1..V_5 around p, and None otherwise:
+    p inside V_1 and no fixed box, which would hold every support out
+    past V_1."""
+    v1 = Box.from_center(center, half)
+    u = np.array(u)
+    if beyond is not None:
+        # p outside V_1, by reach of its side on one axis
+        u[beyond % 3] = -reach if beyond < 3 else 1.0 + reach
+    p = v1.lo + u * (v1.hi - v1.lo)
+    far = v1.hi + reach
+    box = Box(np.minimum(p, far), np.maximum(p, far)) if fixed else None
+    seq = MoveSequence(Box.cube((0, 0, 0), 16.0), similarity=Similarity(conjugated_insert(v1), p, r, box))
+    try:
+        find_ball_factoring(p, seq.boxes(1, 5))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (beyond is None and not fixed)
+    assert seq.ball_center is (seq.similarity.p if accepted else None)
 
 
 @pytest.mark.parametrize("name", DECLARED_STREAMS)
@@ -709,7 +743,7 @@ def test_a_40_stage_half_scaling_chain_is_its_stage_loop(inner):
     stage loop bitwise, signed zeros included."""
     v1 = Box.from_center((1.5, 0.0, 0.0), np.full(3, 0.125))
     first = conjugated_isotopy(_INSERTS[inner](), v1)
-    seq = _similar_stream(first, (2.0, 0.0, 0.0), 0.5, Box.cube((1.0, 0.0, 0.0), 4.0))
+    seq = MoveSequence(Box.cube((1.0, 0.0, 0.0), 4.0), similarity=Similarity(first, (2, 0, 0), 0.5))
     pts = _level_points(seq, 40, np.random.default_rng(40))
     for t in (1.0, 0.4):
         _assert_same_bits(truncated_map(seq, 40, t).apply_array(pts), _stage_loop(seq, 40, t, pts))
@@ -731,7 +765,8 @@ def test_a_row_in_no_stage_support_comes_back_bitwise(name):
     the ball streams, that hull is V_1.)"""
     if name == "non_dyadic":
         v1 = Box.from_center((0.61, 0.13, -0.07), (0.05, 0.07, 0.03))
-        seq = _similar_stream(conjugated_insert(v1), (0.3, 0.1, 0.0), 0.3, Box.cube((0, 0, 0), 4.0))
+        sim = Similarity(conjugated_insert(v1), (0.3, 0.1, 0.0), 0.3)
+        seq = MoveSequence(Box.cube((0, 0, 0), 4.0), similarity=sim)
     else:
         seq = SCENARIO_BUILDERS[name]().moves
     p = seq.similarity.p

@@ -28,7 +28,6 @@ from knotiso.maps import (
     conjugate,
     estimate_inverse_lipschitz,
     UNBOUNDED,
-    _box_radial_scale,
 )
 from knotiso.moves import (
     chained_isotopy,
@@ -39,6 +38,7 @@ from knotiso.moves import (
 )
 from knotiso.scenarios import SCENARIO_BUILDERS
 from oracles import (
+    box_radial_scale,
     cone_inverse_lipschitz,
     cone_piece_singular_values,
     cone_tetrahedra,
@@ -1046,7 +1046,7 @@ def test_radial_reach_of_a_zero_direction_component_is_infinite():
         [-0.0, -0.0, -2.0],
         [1.0, -0.0, 0.0],
     ])
-    reach = _box_radial_scale(box, np.broadcast_to(origin, d.shape), d)
+    reach = box_radial_scale(box, np.broadcast_to(origin, d.shape), d)
     assert reach.tolist() == [np.inf, np.inf, 1.25, 0.25, 2.5]
     # so the cone sends its apex, with either zero sign, to its target,
     # and the unsquish keeps its apex where it is

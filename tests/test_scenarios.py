@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from knotiso.ball_factoring import find_ball_factoring
 from knotiso.canonical import conjugated_insert
 from knotiso import scenarios as scenarios_module
+from knotiso.cli import RunConfig, probe_scenario
 from knotiso.engine import (
     Isotopy,
+    ProbeReport,
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
@@ -22,7 +24,6 @@ from knotiso.diagram import find_crossings
 from knotiso.geometry import Box, curve_is_simple
 from knotiso.maps import CompositeMap, ConeMap, estimate_inverse_lipschitz
 from knotiso.scenarios import (
-    INJECTIVITY_THRESHOLD,
     SCENARIO_BUILDERS,
     _LOOPS,
     _REC_EPS,
@@ -96,6 +97,11 @@ DECAY_RATIO = {
 }
 
 
+def _injectivity(separation: float) -> str:
+    """The engine's injectivity verdict on a least image separation."""
+    return ProbeReport(0.0, separation, 0, False).injectivity
+
+
 class TestRegistry:
     def test_all_names_registered(self):
         assert set(SCENARIO_BUILDERS) == {
@@ -113,34 +119,29 @@ class TestRegistry:
         with pytest.raises(KeyError):
             SCENARIO_BUILDERS["no_such_scenario"]()
 
-    def test_names_match_keys(self, scenarios):
-        for key, s in scenarios.items():
-            assert s.name == key
-
 
 class TestExpectedVerdicts:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExpectedVerdicts("maybe", None, "pass")
-        with pytest.raises(ValueError):
-            ExpectedVerdicts("fail", None, "pass")
-        with pytest.raises(ValueError):
-            ExpectedVerdicts("pass", 1, "pass")
+            ExpectedVerdicts(None, "maybe")
+        # the hypotheses fail exactly when a condition is named
+        assert ExpectedVerdicts(None, "pass").hypotheses == "pass"
+        assert ExpectedVerdicts(2, "fail").hypotheses == "fail"
 
 
 class TestInitialCurves:
     def test_all_simple(self, scenarios):
-        for s in scenarios.values():
-            assert curve_is_simple(s.initial_curve, CURVE_SIMPLE_TOL), s.name
+        for name, s in scenarios.items():
+            assert curve_is_simple(s.initial_curve, CURVE_SIMPLE_TOL), name
 
     def test_crossing_counts(self, scenarios):
         for name, want in INITIAL_CROSSINGS.items():
             assert count_crossings(scenarios[name].initial_curve) == want, name
 
     def test_contained_in_container(self, scenarios):
-        for s in scenarios.values():
+        for name, s in scenarios.items():
             box = s.moves.container
-            assert box.contains_array(s.initial_curve.points).all(), s.name
+            assert box.contains_array(s.initial_curve.points).all(), name
 
 
 class TestUntying:
@@ -180,9 +181,8 @@ class TestVerdictRegression:
 
     def test_injectivity_verdicts(self, scenarios):
         for name, s in scenarios.items():
-            sep = injectivity_probe(s.moves, DEPTH, s.probe_pairs)
-            verdict = "fail" if sep < INJECTIVITY_THRESHOLD else "pass"
-            assert verdict == s.expected.injectivity, (name, sep)
+            probe = probe_scenario(s, RunConfig(name, depth=DEPTH))
+            assert probe.injectivity == s.expected.injectivity, (name, probe)
 
 
 class TestInvariants:
@@ -260,8 +260,8 @@ class TestRecursive:
         witness = protected.probe_pairs[:1]
         sep_ok = injectivity_probe(protected.moves, DEPTH, witness)
         sep_ablated = injectivity_probe(recursive_ablated.moves, DEPTH, witness)
-        assert sep_ok > INJECTIVITY_THRESHOLD
-        assert sep_ablated < INJECTIVITY_THRESHOLD
+        assert _injectivity(sep_ok) == "pass"
+        assert _injectivity(sep_ablated) == "fail"
         assert sep_ok / sep_ablated > 1e3
 
     def test_limits_of_witness_pair_separate(self, scenarios):
@@ -271,7 +271,7 @@ class TestRecursive:
         lv_vertex = eval_limit_isotopy(s.moves, np.zeros(3), tol=TOL, k_budget=40)
         lv_grab = eval_limit_isotopy(s.moves, rec_apex(0), tol=TOL, k_budget=40)
         assert lv_vertex.status == "settled"
-        assert math.dist(lv_vertex.point, lv_grab.point) > INJECTIVITY_THRESHOLD
+        assert _injectivity(math.dist(lv_vertex.point, lv_grab.point)) == "pass"
 
     def test_grab_point_converges_to_vertex(self, scenarios):
         s = scenarios["recursive_r1"]
@@ -308,11 +308,11 @@ class TestRecursive:
     def test_supports_are_the_nested_boxes(self, scenarios, recursive_ablated, ablated):
         s = recursive_ablated if ablated else scenarios["recursive_r1"]
         assert s.moves.boxes(1, 60) == [rec_box(k) for k in range(1, 61)]
-        assert np.array_equal(s.ball_center, np.zeros(3))
+        assert np.array_equal(s.moves.ball_center, np.zeros(3))
 
     def test_nested_family_factoring(self, scenarios):
         s = scenarios["recursive_r1"]
-        eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, HORIZON))
+        eps, n0 = find_ball_factoring(s.moves.ball_center, s.moves.boxes(1, HORIZON))
         assert eps > 0 and 1 <= n0 <= HORIZON
 
 
@@ -415,7 +415,7 @@ class TestFox:
     def test_min_separation_below_threshold(self, scenarios):
         s = scenarios["fox_remarkable"]
         sep = injectivity_probe(s.moves, DEPTH, s.probe_pairs)
-        assert sep < INJECTIVITY_THRESHOLD
+        assert _injectivity(sep) == "fail"
         assert sep > 0.0  # finite truncations are still injective
 
     def test_census_traps_the_stitch_point(self, scenarios):
@@ -440,11 +440,11 @@ class TestFox:
     def test_supports_are_the_nested_boxes(self, scenarios):
         s = scenarios["fox_remarkable"]
         assert s.moves.boxes(1, 60) == [fox_outer(k) for k in range(1, 61)]
-        assert np.array_equal(s.ball_center, np.zeros(3))
+        assert np.array_equal(s.moves.ball_center, np.zeros(3))
 
     def test_nested_family_factoring(self, scenarios):
         s = scenarios["fox_remarkable"]
-        eps, n0 = find_ball_factoring(s.ball_center, s.moves.boxes(1, HORIZON))
+        eps, n0 = find_ball_factoring(s.moves.ball_center, s.moves.boxes(1, HORIZON))
         assert eps == pytest.approx(0.2)
         assert n0 == 2
 
