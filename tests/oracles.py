@@ -11,7 +11,8 @@ of ``recursive_r1`` and ``fox_remarkable`` built level by level, the
 snowflake iterates with their sup deviations, the cone pull as 12 affine
 tetrahedra, with its exact inverse-Lipschitz constant, the maps' reach
 kernel read on (n, 3) rows, and the cone and unsquish kernels computed on
-(n, 3) rows, the reference for the maps' coordinate-major kernels.  None of them is on the path of a CLI verb.
+(n, 3) rows, the reference for the maps' coordinate-major kernels.  None
+of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 
