@@ -6,7 +6,11 @@
 For each seed it runs ``perfbench/run.py --trace 0`` of both trees, one
 after the other, flipping which tree goes first with each seed so that a
 slow or fast spell of the host does not favour one side.  Each tree is run
-with its own ``perfbench`` and ``src``.  The final metrics line of every run
+with its own ``perfbench`` and ``src``, with ``PYTHONDONTWRITEBYTECODE=1``
+and after its ``src`` ``__pycache__`` folders are removed, so that both
+sides' ``setup_s`` time an import that compiles the package from source:
+a tree that kept bytecode from an earlier run would import about twice as
+fast as one that did not.  The final metrics line of every run
 is kept, and a summary adds, per end-to-end metric, each side's median and
 quartiles, how many seed pairs the change won, and two verdicts:
 
@@ -32,6 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -124,7 +130,8 @@ def moved_layers(parent: dict, change: dict, end_to_end: set[str]) -> list[dict]
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
-    """The metrics line of one benchmark run of a tree, and its machine."""
+    """The metrics line of one benchmark run of a tree, and its machine;
+    the run imports the tree's ``src`` with no bytecode, kept or written."""
     cmd = [
         sys.executable,
         str(tree / "perfbench" / "run.py"),
@@ -133,7 +140,10 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool =
         "--seconds", f"{seconds:g}",
         "--trace", "1" if trace else "0",
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree)
+    for cache in sorted((tree / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} failed ({proc.returncode}):\n{proc.stderr}")

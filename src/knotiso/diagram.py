@@ -1,7 +1,8 @@
 """Planar diagram export: orthographic projection onto the xy-plane,
 crossing detection with over/under resolution, and SVG rendering with
-under-strand gaps, whose line ends reuse the curve's own ``%.17g`` cells
-and print the rest through the same exact kernel, ``geometry._g17_cells``.
+under-strand gaps: one polyline per run of drawn pieces, in a group that
+flips y, whose vertices are the curve's own ``%.17g`` cells and whose gap
+cuts are printed by the same exact kernel, ``geometry._g17_cells``.
 
 Crossing candidates come from ``geometry``'s one segment-pair search;
 like it, the crossing test reads x and y columns, taken once per view.
@@ -150,29 +151,18 @@ def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return pieces
 
 
-def _negated(cells: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` cells of the negated values: a leading ``-`` is
-    dropped, and one is put in front of any other cell."""
-    b = np.ascontiguousarray(cells).view(np.uint8).reshape(len(cells), -1)
-    out = np.zeros_like(b)
-    out[:, 0] = ord("-")
-    out[:, 1:] = b[:, :-1]
-    neg = b[:, 0] == ord("-")
-    out[neg, :-1] = b[neg, 1:]
-    out[neg, -1] = 0
-    return out.view(cells.dtype).ravel()
-
-
 def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     """SVG drawing of the projected diagram with under-strand gaps.
 
-    Every line end is printed as ``'%.17g'`` prints it.  An end that is
-    bitwise a vertex coordinate copies that coordinate's cell from
-    ``curve.decimal_cells()``, the cells a curve file is joined from (y
-    with its sign flipped bytewise), so a frame's curve file and drawing
-    format each vertex once.  Gap cuts and ends whose rounding differs
-    from their vertex are printed here by the same vectorized kernel,
-    which leaves any value it cannot decide exactly to ``'%.17g'``.
+    Each run of drawn pieces is one ``<polyline>``: a piece joins the run
+    of the piece before it when that one reaches its segment's end and
+    this one starts at the next segment's start.  The group's transform
+    flips y, so a vertex is printed as its own ``x,y`` cells from
+    ``curve.decimal_cells()``, the cells a curve file is joined from, and
+    a frame's curve file and drawing format each vertex once.  Only the
+    gap cuts a + t (b - a) are printed here, through the same exact
+    ``%.17g`` kernel.  Round caps and round joins stroke the same region
+    as one round-capped line per piece.
     """
     pts = curve.points
     crossings = find_crossings(curve)
@@ -205,21 +195,24 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
         hi = np.concatenate([hi[whole], extra[:, 2]])
         order = np.argsort(seg, kind="stable")
         seg, lo, hi = seg[order], lo[order], hi[order]
-    sa, sd = a[seg, :2], b[seg, :2] - a[seg, :2]
-    x0 = sa + lo[:, None] * sd
-    x1 = sa + hi[:, None] * sd
-    ends = np.column_stack([x0, x1])
-    # an end that is bitwise its vertex's coordinate takes the vertex's
-    # cell from the curve (y with its sign flipped); the others
-    # (gap cuts, a + 1 * (b - a) that rounds off b, a zero whose sign
-    # changed) are printed here
-    v = np.column_stack([seg, seg, seg + 1, seg + 1]) % len(pts)
-    v_xy = pts[v, [0, 1, 0, 1]]
-    own = ends.view(np.int64) == v_xy.view(np.int64)
-    vertex_cells = curve.decimal_cells()
-    cells = np.column_stack([vertex_cells[:, 0], _negated(vertex_cells[:, 1])])[v, [0, 1, 0, 1]]
-    drawn = ends * [1.0, -1.0, 1.0, -1.0]
-    cells[~own] = _g17_cells(drawn[~own])
+    # a run starts at every piece that does not continue the one before
+    first = np.ones(len(seg), dtype=bool)
+    first[1:] = (hi[:-1] != 1.0) | (lo[1:] != 0.0) | (seg[1:] != seg[:-1] + 1)
+    # the points in drawing order: each piece's end, after its start where
+    # it begins a run; each is a vertex but at a gap cut
+    end_at = np.arange(len(seg)) + np.cumsum(first)
+    run_at = end_at[first] - 1
+    vertex = np.empty(len(seg) + len(run_at), np.int64)
+    vertex[run_at] = seg[first]
+    vertex[end_at] = (seg + 1) % len(pts)
+    cells = curve.decimal_cells()[vertex, :2]
+    # a piece that starts at a cut begins a run, one that ends at a cut
+    # ends one
+    cut_lo, cut_hi = lo != 0.0, hi != 1.0
+    at = np.concatenate([end_at[cut_lo] - 1, end_at[cut_hi]])
+    s = np.concatenate([seg[cut_lo], seg[cut_hi]])
+    t = np.concatenate([lo[cut_lo], hi[cut_hi]])
+    cells[at] = _g17_cells(a[s, :2] + t[:, None] * (b[s, :2] - a[s, :2]))
     lo_xy = pts[:, :2].min(axis=0)
     hi_xy = pts[:, :2].max(axis=0)
     pad = 0.05 * max(1e-9, float((hi_xy - lo_xy).max()))
@@ -229,13 +222,16 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     )
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
-        f'<g stroke="black" stroke-width="{_STROKE}" fill="none" stroke-linecap="round">\n'
+        f'<g transform="scale(1 -1)" stroke="black" stroke-width="{_STROKE}" fill="none" '
+        'stroke-linecap="round" stroke-linejoin="round">\n'
     )
-    # a block of lines at a time, as write_curve writes its text: the
-    # bytes objects of every cell at once would outweigh the drawing
-    line = b'<line x1="%s" y1="%s" x2="%s" y2="%s" />\n'
-    body = [
-        line * len(block) % tuple(block.ravel().tolist())
-        for block in (cells[i : i + _TEXT_BLOCK] for i in range(0, len(cells), _TEXT_BLOCK))
-    ]
+    body = []
+    for r0, r1 in zip(run_at.tolist(), [*run_at[1:].tolist(), len(cells)]):
+        # a block of points at a time, as write_curve writes its text: the
+        # bytes objects of every cell at once would outweigh the drawing
+        text = [
+            b"%s,%s " * len(block) % tuple(block.ravel().tolist())
+            for block in (cells[i : min(i + _TEXT_BLOCK, r1)] for i in range(r0, r1, _TEXT_BLOCK))
+        ]
+        body += [b'<polyline points="', *text[:-1], text[-1][:-1], b'" />\n']
     return b"".join([head.encode(), *body, b"</g>\n</svg>\n"]).decode()

@@ -153,7 +153,11 @@ class Similarity:
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
             raise ValueError(f"a similarity's ratio must lie in (0, 1), got {self.r}")
-        object.__setattr__(self, "p", p := np.asarray(self.p, dtype=float))
+        # a read-only copy: the caller's array and ``ball_center``'s reader
+        # cannot move the point the cached constants below were formed from
+        p = np.array(self.p, dtype=float)
+        p.flags.writeable = False
+        object.__setattr__(self, "p", p)
         v1, v2 = self.first.support, self.box(2)
         vars(self).update(
             # S(hull(V_1 u {p})) = hull(V_2 u {p})

@@ -576,7 +576,7 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
 # then N lines "x y z": decimal literals with 17 significant digits, the
 # curve's ``decimal_cells()`` that ``render_svg`` reuses for the drawing
 
-# lines per bytes format in write_curve and diagram.render_svg
+# lines per bytes format in write_curve, points in diagram.render_svg
 _TEXT_BLOCK = 2048
 
 

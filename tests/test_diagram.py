@@ -1,5 +1,6 @@
 import math
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
@@ -105,25 +106,56 @@ class TestCandidatePruning:
         assert first == 1
 
 
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _polylines(svg: str) -> list[list[tuple[str, str]]]:
+    """The points of each ``<polyline>`` of a drawing, as (x, y) texts,
+    read with ElementTree: one group that flips y and holds nothing but
+    polylines of two points or more."""
+    root = ET.fromstring(svg)
+    assert root.tag == _SVG + "svg"
+    (group,) = root
+    assert group.tag == _SVG + "g" and group.get("transform") == "scale(1 -1)"
+    assert group.get("stroke-linecap") == group.get("stroke-linejoin") == "round"
+    runs = []
+    for line in group:
+        assert line.tag == _SVG + "polyline" and not list(line)
+        run = [tuple(point.split(",")) for point in line.get("points").split(" ")]
+        assert len(run) >= 2 and all(len(point) == 2 for point in run)
+        runs.append(run)
+    return runs
+
+
+def _drawn_pairs(svg: str) -> list[tuple[str, ...]]:
+    """A drawing's polylines read as consecutive point pairs, in order:
+    (x0, y0, x1, y1) texts, one per drawn piece."""
+    return [p + q for run in _polylines(svg) for p, q in zip(run, run[1:])]
+
+
 class TestRenderSvg:
     def test_well_formed_and_gapped(self):
         c = _poly([(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1), (0, -1, 1)])
         svg = render_svg(c)
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
-        # the under strand is split by the gap: more line elements than segments
-        assert svg.count("<line") == len(c.segment_arrays()[0]) + 1
+        # the gap splits the under strand into two pieces and the drawing
+        # into two runs: one more piece than segments, each vertex once
+        runs = _polylines(svg)
+        assert [len(run) for run in runs] == [2, 5]
+        assert len(_drawn_pairs(svg)) == len(c.segment_arrays()[0]) + 1
 
     def test_no_crossings_no_gaps(self):
         c = _poly([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
         svg = render_svg(c)
-        assert svg.count("<line") == len(c.segment_arrays()[0])
+        assert svg.count("<polyline") == 1
+        assert _polylines(svg) == [[("0", "0"), ("1", "0"), ("1", "1")]]
 
 
-def _render_svg_per_end(curve: PLCurve, gap_radius: float) -> str:
-    """render_svg as it was written before it reused the curve text: every
-    line end printed with %.17g from its float."""
-    pts = curve.points
+def _pieces(curve: PLCurve, gap_radius: float) -> list[tuple[int, float, float]]:
+    """(segment, lo, hi) of each drawn piece a + [lo, hi] (b - a), in
+    segment order: a gap of gap_radius either side of each crossing is
+    cut from its under segment."""
     a, b = curve.segment_arrays()
     gaps: dict[int, list[tuple[float, float]]] = {}
     for c in find_crossings(curve):
@@ -136,17 +168,33 @@ def _render_svg_per_end(curve: PLCurve, gap_radius: float) -> str:
         t0 = float((np.array(c.xy) - seg_a) @ d) / (length * length)
         dt = gap_radius / length
         gaps.setdefault(i, []).append((max(0.0, t0 - dt), min(1.0, t0 + dt)))
-    pieces = [
+    return [
         (i, lo, hi)
         for i in range(len(a))
         for lo, hi in (diagram._drawn_pieces(gaps[i]) if i in gaps else [(0.0, 1.0)])
     ]
-    lines = []
-    for i, lo, hi in pieces:
+
+
+def _render_svg_per_piece(curve: PLCurve, gap_radius: float) -> str:
+    """render_svg one piece at a time, every end printed with %.17g from
+    its float: the vertex where the piece reaches its segment's start or
+    end, a + t (b - a) at a gap cut.  A piece that starts at its segment's
+    start, right after a piece that reached the segment before's end,
+    continues that piece's polyline."""
+    pts = curve.points
+    a, b = curve.segment_arrays()
+    runs: list[list[str]] = []
+    last = None
+    for i, lo, hi in _pieces(curve, gap_radius):
         sa, sd = a[i, :2], b[i, :2] - a[i, :2]
-        x0, x1 = sa + lo * sd, sa + hi * sd
-        ends = (x0[0], -x0[1], x1[0], -x1[1])
-        lines.append('<line x1="%.17g" y1="%.17g" x2="%.17g" y2="%.17g" />' % ends)
+        x0 = a[i, :2] if lo == 0.0 else sa + lo * sd
+        x1 = b[i, :2] if hi == 1.0 else sa + hi * sd
+        end = "%.17g,%.17g" % tuple(x1)
+        if last is not None and last[1] == 1.0 and last[0] + 1 == i and lo == 0.0:
+            runs[-1].append(end)
+        else:
+            runs.append(["%.17g,%.17g" % tuple(x0), end])
+        last = (i, hi)
     lo_xy = pts[:, :2].min(axis=0)
     hi_xy = pts[:, :2].max(axis=0)
     pad = 0.05 * max(1e-9, float((hi_xy - lo_xy).max()))
@@ -154,12 +202,31 @@ def _render_svg_per_end(curve: PLCurve, gap_radius: float) -> str:
         f"{lo_xy[0] - pad:.17g} {-(hi_xy[1] + pad):.17g} "
         f"{hi_xy[0] - lo_xy[0] + 2 * pad:.17g} {hi_xy[1] - lo_xy[1] + 2 * pad:.17g}"
     )
-    body = "\n".join(lines)
+    body = "".join(f'<polyline points="{" ".join(run)}" />\n' for run in runs)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">\n'
-        '<g stroke="black" stroke-width="0.01" fill="none" stroke-linecap="round">\n'
-        f"{body}\n</g>\n</svg>\n"
+        '<g transform="scale(1 -1)" stroke="black" stroke-width="0.01" fill="none" '
+        'stroke-linecap="round" stroke-linejoin="round">\n'
+        f"{body}</g>\n</svg>\n"
     )
+
+
+def _assert_the_former_lines(curve: PLCurve, gap_radius: float, svg: str) -> None:
+    """The drawing's point pairs against the former drawing, one <line>
+    per piece from a + lo (b - a) to a + hi (b - a): bitwise at gap cuts,
+    and within one ulp of the segment's larger coordinate at its ends,
+    where a + 1 (b - a) may round off b."""
+    a, b = curve.segment_arrays()
+    seg, lo, hi = np.array(_pieces(curve, gap_radius)).reshape(-1, 3).T
+    seg = seg.astype(np.int64)
+    sa, sd = a[seg, :2], b[seg, :2] - a[seg, :2]
+    old = np.column_stack([sa + lo[:, None] * sd, sa + hi[:, None] * sd])
+    got = np.array(_drawn_pairs(svg), dtype=float).reshape(-1, 4)
+    assert got.shape == old.shape
+    cut = np.column_stack([lo != 0.0, lo != 0.0, hi != 1.0, hi != 1.0])
+    assert np.array_equal(got[cut].view(np.int64), old[cut].view(np.int64))
+    ulp = np.spacing(np.maximum(np.abs(a[seg, :2]), np.abs(b[seg, :2])))
+    assert (np.abs(got - old) <= np.tile(ulp, 2)).all()
 
 
 @st.composite
@@ -182,10 +249,11 @@ def _drawable_curves(draw):
 
 
 class TestSvgDigitsFromCurveText:
-    """render_svg takes the digits of every line end that is bitwise a
-    vertex coordinate from the curve's decimal_cells(), the cells its curve
-    file is written from; the drawing must be the one that printing every
-    end with %.17g gives."""
+    """render_svg prints every vertex from the curve's decimal_cells(), the
+    cells its curve file is written from, and only the gap cuts itself;
+    the drawing must be the one that printing every piece's ends with
+    %.17g gives, and draw the pieces the former one-<line>-per-piece
+    drawing drew."""
 
     @given(_drawable_curves(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -196,19 +264,36 @@ class TestSvgDigitsFromCurveText:
             assume(len(find_crossings(curve)) > 0)
         except ValueError:  # repeated vertices, or a degenerate projection
             assume(False)
-        want = _render_svg_per_end(curve, gap)
+        want = _render_svg_per_piece(curve, gap)
         assert curve._cells is None
         if cells_first:
             curve.decimal_cells()
-        assert render_svg(curve, gap_radius=gap) == want
+        svg = render_svg(curve, gap_radius=gap)
+        assert svg == want
+        _assert_the_former_lines(curve, gap, svg)
 
     def test_signed_zeros_and_gap_cuts(self):
-        # vertex -0.0 on a segment running to +x draws its start from
-        # -0.0 + 0 * d = +0.0; the under strand is cut at the crossing
+        # vertex (-0.0, -0.0) is printed as the curve prints it; the former
+        # drawing printed that end as a + 0 * (b - a) = (+0.0, +0.0) with y
+        # negated, "0" and "-0".  The under strand is cut at the crossing.
         c = _poly([(-0.0, -0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.5, 1.0, 1.0), (0.5, -1.0, 1.0)])
         svg = render_svg(c)
-        assert svg == _render_svg_per_end(c, 0.005)
-        assert '<line x1="0" y1="-0" x2="0.495' in svg
+        assert svg == _render_svg_per_piece(c, 0.005)
+        assert '<polyline points="-0,-0 0.495' in svg
+        assert _drawn_pairs(svg)[0][:2] == ("-0", "-0")
+        _assert_the_former_lines(c, 0.005, svg)
+
+    @pytest.mark.parametrize("name", ["countable_r1", "recursive_r1", "trefoil_chain", "fox_remarkable"])
+    def test_film_frames_parse_and_draw_the_former_pieces(self, scenarios, name):
+        s = scenarios[name]
+        glued = glue_schedule(s.moves, 20)
+        dense = s.initial_curve.densified(0.01)
+        for t in (0.0, 0.8, 1.0):
+            frame = map_curve(glued.map_at(t), dense)
+            svg = render_svg(frame, gap_radius=0.005)
+            assert svg == _render_svg_per_piece(frame, 0.005)
+            # read back with ElementTree, against the former drawing
+            _assert_the_former_lines(frame, 0.005, svg)
 
     @given(_drawable_curves())
     @settings(max_examples=60, deadline=None)

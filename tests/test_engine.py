@@ -688,6 +688,30 @@ def test_the_ball_center_is_p_exactly_where_the_supports_factor(
     assert seq.ball_center is (sim.p if accepted else None)
 
 
+def test_a_declaration_keeps_its_own_p():
+    """Similarity holds a read-only copy of p: writing into the caller's
+    array moves neither p, V_2 nor a truncation's image, and the
+    ``ball_center`` it hands out cannot be written into."""
+
+    def declared(p):
+        sim = Similarity(conjugated_insert(Box.cube((0, 0, 0), 1.0)), p, 0.5)
+        return sim, MoveSequence(Box.cube((0, 0, 0), 4.0), similarity=sim)
+
+    pts = Box.cube((0, 0, 0), 1.0).sample(np.random.default_rng(5), 500)
+    _, fresh = declared(np.zeros(3))
+    want = truncated_map(fresh, 3).apply_array(pts)
+    p = np.zeros(3)
+    sim, seq = declared(p)
+    p[0] = 0.3
+    assert sim.p.tolist() == [0.0, 0.0, 0.0]
+    assert sim.box(2) == Box.cube((0, 0, 0), 0.5)
+    _assert_same_bits(truncated_map(seq, 3).apply_array(pts), want)
+    center = seq.ball_center
+    assert center is not None
+    with pytest.raises(ValueError):
+        center[0] = 0.3
+
+
 @pytest.mark.parametrize("name", DECLARED_STREAMS)
 def test_a_declared_stage_inverts_as_the_one_level_loop_over_the_inverse(name):
     """Stage k's inverse is built once, runs stage 1's inverse end map at

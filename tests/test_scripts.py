@@ -1,5 +1,6 @@
 """Smoke tests: the scripts in scripts/ run against the current package."""
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -187,3 +188,35 @@ class TestBenchPairsSummary:
         bp = _bench_pairs()
         assert bp.parse_seeds("101-104") == [101, 102, 103, 104]
         assert bp.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
+
+
+def test_bench_pairs_runs_each_tree_from_source_without_bytecode(tmp_path, monkeypatch):
+    """Every run of a tree starts with no ``__pycache__`` under its ``src``
+    and with ``PYTHONDONTWRITEBYTECODE=1``, so neither side imports bytecode
+    that an earlier run compiled."""
+    bp = _bench_pairs()
+    tree = tmp_path / "tree"
+    caches = [tree / "src" / "__pycache__", tree / "src" / "knotiso" / "__pycache__"]
+    kept = tree / "perfbench" / "__pycache__"
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs, [c.exists() for c in caches], kept.exists()))
+        lines = [{"detail": {"machine": {"cpu": "x"}}}, {"metrics": {"pass_s": {"value": 1.0}}}]
+        return subprocess.CompletedProcess(cmd, 0, "\n".join(map(json.dumps, lines)), "")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    for _ in range(2):
+        for cache in [*caches, kept]:
+            cache.mkdir(parents=True, exist_ok=True)
+            (cache / "cli.cpython-311.pyc").write_bytes(b"")
+        got = bp.run_side(tree, "frames_film", 3, 17, trace=True)
+        assert got == {"line": {"metrics": {"pass_s": {"value": 1.0}}}, "machine": {"cpu": "x"}}
+    assert len(calls) == 2
+    for cmd, kwargs, cached, perfbench_cached in calls:
+        assert cmd[1] == str(tree / "perfbench" / "run.py")
+        assert cmd[2:] == ["--workload", "frames_film", "--seed", "3", "--seconds", "17", "--trace", "1"]
+        assert kwargs["cwd"] == tree and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert kwargs["env"]["PATH"] == os.environ["PATH"]
+        # only the package's bytecode is removed
+        assert cached == [False, False] and perfbench_cached
