@@ -308,6 +308,26 @@ class ConeMap(LocalMap):
         inv._inverse = self
         return inv
 
+    def inverse_lipschitz(self) -> float:
+        """The exact inverse-Lipschitz constant: the largest c with
+        |m(x) - m(y)| >= c |x - y| for all x and y.
+
+        On the pyramid from p0 over the face x_i = f the gauge is
+        (q - p0) . w with w = e_i / (f - p0_i), so there the pull is the
+        affine map q -> q + (1 - (q - p0) . w) u, u = p1 - p0, with
+        Jacobian I - u w^T.  The pull is a piecewise-affine homeomorphism
+        of space and the identity outside its region, so c is the least of
+        1 and the six Jacobians' smallest singular values."""
+        u = self.p1 - self.p0
+        jacobians = []
+        for axis in range(3):
+            for off in (self._lo_off[axis, 0], self._hi_off[axis, 0]):
+                w = np.zeros(3)
+                w[axis] = 1.0 / off
+                jacobians.append(np.eye(3) - np.outer(u, w))
+        sigma = np.linalg.svd(np.array(jacobians), compute_uv=False)[:, -1]
+        return min(1.0, float(sigma.min()))
+
 
 class UnsquishMap(LocalMap):
     """The fixed-time slice of the unsquish isotopy.
@@ -511,24 +531,3 @@ def conjugate(frame: AffineMap, canonical: LocalMap, support: Box) -> CompositeM
     """frame o canonical o frame^-1, supported in the given box."""
     return CompositeMap([frame.inverse(), canonical, frame], support=support)
 
-
-def estimate_inverse_lipschitz(
-    m: LocalMap, region: Box, n_samples: int, seed: int
-) -> float:
-    """Min over sampled point pairs of d(m(x1), m(x2)) / d(x1, x2).
-
-    Deterministic given the seed.  For compactly supported non-affine maps
-    this estimates the constant c with c*d(x1,x2) <= d(m(x1), m(x2)).
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    x1 = region.sample(rng, n_samples)
-    x2 = region.sample(rng, n_samples)
-    sep = np.sqrt(((x1 - x2) ** 2).sum(-1))
-    ok = sep > 1e-12
-    x1, x2, sep = x1[ok], x2[ok], sep[ok]
-    y1 = m.apply_array(x1)
-    y2 = m.apply_array(x2)
-    img = np.sqrt(((y1 - y2) ** 2).sum(-1))
-    return float((img / sep).min())

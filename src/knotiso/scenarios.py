@@ -46,7 +46,7 @@ import numpy as np
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from .engine import Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
-from .maps import AffineMap, LocalMap, PowerMap1D, UnsquishParams, estimate_inverse_lipschitz
+from .maps import AffineMap, LocalMap, PowerMap1D, UnsquishParams
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # loops per chain, one per stage box V_1..V_LOOPS; also the levels
@@ -249,16 +249,16 @@ def rec_insert(k: int) -> Isotopy:
 
 @functools.cache
 def rec_squish_constant() -> float:
-    """Inverse-Lipschitz estimate of the next insert, with safety factor.
+    """The unsquish constant c: 0.9 of the next insert's exact
+    inverse-Lipschitz constant, capped at 0.95.
 
-    Stage k is stage 1 carried into V_k by an exact power-of-two scale,
-    so the estimate on the level-2 insert, which stage 1's unsquish protects,
-    holds for every k.  A module constant: estimated once, on first call.
+    Stage 1's unsquish protects the level-2 insert, and stage k is
+    stage 1 carried into V_k by an exact power-of-two scale, so the
+    level-2 insert's constant (``ConeMap.inverse_lipschitz``, in closed
+    form) bounds every later insert's too.  A module constant: computed
+    once, on first call.
     """
-    est = estimate_inverse_lipschitz(
-        rec_insert(2).time_one(), rec_insert_region(2), n_samples=4000, seed=20260823
-    )
-    return min(0.95, 0.9 * est)
+    return min(0.95, 0.9 * rec_insert(2).time_one().inverse_lipschitz())
 
 
 def build_recursive_r1(ablated: bool = False) -> Scenario:
@@ -281,8 +281,9 @@ def build_recursive_r1(ablated: bool = False) -> Scenario:
     radii = [0.0, arm_len]
     for k in range(1, _LOOPS + 1):
         radii.extend(np.linspace(2.2, 5.6, 60) * (L * 2.0**-k) * 1.0343)
-    radii = np.unique(np.clip(np.array(radii), 0.0, arm_len))
-    radii = radii[radii > 0]
+    # sorted, without repeats or the vertex
+    radii = np.sort(np.clip(np.array(radii), 0.0, arm_len))
+    radii = radii[np.append(radii[1:] != radii[:-1], True) & (radii > 0)]
     lower_dir = np.array([arm_dir[0], -arm_dir[1], 0.0])
     wedge = [radii[::-1, None] * arm_dir, np.zeros((1, 3)), radii[:, None] * lower_dir]
     curve = PLCurve(np.concatenate(wedge), closed=False)

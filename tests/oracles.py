@@ -9,7 +9,9 @@ a glued schedule at a seam, loop chains inserted box by box into a
 refined axis, a declared stream's stages framed from stage 1, the stages
 of ``recursive_r1`` and ``fox_remarkable`` built level by level, the
 snowflake iterates with their sup deviations, the cone pull as 12 affine
-tetrahedra, with its exact inverse-Lipschitz constant, the maps' reach
+tetrahedra, with the smallest singular value of each of its six pyramids,
+the inverse-Lipschitz constant of a map estimated on sampled point pairs,
+the maps' reach
 kernel read on (n, 3) rows, and the cone and unsquish kernels computed on
 (n, 3) rows, the reference for the maps' coordinate-major kernels.  None
 of them is on the path of a CLI verb.
@@ -24,7 +26,14 @@ from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
 from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve
-from knotiso.maps import CompositeMap, ConeMap, UnsquishMap, UnsquishParams, _radial_scale
+from knotiso.maps import (
+    CompositeMap,
+    ConeMap,
+    LocalMap,
+    UnsquishMap,
+    UnsquishParams,
+    _radial_scale,
+)
 from knotiso.moves import chained_isotopy, conjugated_isotopy, reversed_isotopy, unsquish_isotopy
 from knotiso.scenarios import (
     _FOX_C,
@@ -289,12 +298,22 @@ def cone_piece_singular_values(m: ConeMap) -> np.ndarray:
     return np.array(sigma)
 
 
-def cone_inverse_lipschitz(m: ConeMap) -> float:
-    """The exact inverse-Lipschitz constant of a cone pull: the largest c
-    with |m(x) - m(y)| >= c |x - y| for all x, y.  The pull is a
-    piecewise-affine homeomorphism of space, the identity outside its
-    region, so c = min(1, min over the six pyramids of sigma_min)."""
-    return min(1.0, float(cone_piece_singular_values(m).min()))
+def estimate_inverse_lipschitz(m: LocalMap, region: Box, n_samples: int, seed: int) -> float:
+    """Min over sampled point pairs of d(m(x1), m(x2)) / d(x1, x2): the
+    sampled reference for ``ConeMap.inverse_lipschitz``, which a sample can
+    only read high.  Deterministic given the seed."""
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    rng = np.random.default_rng(seed)
+    x1 = region.sample(rng, n_samples)
+    x2 = region.sample(rng, n_samples)
+    sep = np.sqrt(((x1 - x2) ** 2).sum(-1))
+    ok = sep > 1e-12
+    x1, x2, sep = x1[ok], x2[ok], sep[ok]
+    y1 = m.apply_array(x1)
+    y2 = m.apply_array(x2)
+    img = np.sqrt(((y1 - y2) ** 2).sum(-1))
+    return float((img / sep).min())
 
 
 # -- the row-major kernels ----------------------------------------------------

@@ -7,7 +7,8 @@ fails, and the test configuration turns runtime warnings into failures.
 That numpy sums the three columns of a coordinate-major batch as it sums
 row-major rows is pinned too.  The
 package runs on numpy alone: no module of it imports scipy, and none
-imports a name it never uses.  Every top-level function, class and
+imports a name it never uses; building the scenarios, ``check`` and
+``frames`` draw no random numbers, so they never load ``numpy.random``.  Every top-level function, class and
 constant in the package, private or public, and every public method of a
 public class has a caller outside the tests, with no exception: code
 that only tests call lives in ``tests/oracles.py``.  Every map kind
@@ -18,6 +19,9 @@ benchmark record is whole: named after its label, with its machine and,
 for each workload, the end-to-end metrics of both sides' runs."""
 import ast
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -70,8 +74,8 @@ def test_workflow_keeps_the_hypothesis_patches_of_a_failed_run():
 
 
 def test_row_sums_round_alike_in_either_memory_order():
-    # the maps hand back coordinate-major images, and the probes and
-    # estimate_inverse_lipschitz sum their squares over the three columns:
+    # the maps hand back coordinate-major images, and the probes sum
+    # their squares over the three columns:
     # the report bytes need .sum(-1) to round as it does on row-major rows
     rng = np.random.default_rng(20261019)
     rows = rng.standard_normal((100_000, 3)) * 2.0 ** rng.integers(-40, 40, (100_000, 3))
@@ -93,6 +97,32 @@ def test_the_package_does_not_import_scipy():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add((path.name, node.module))
     assert not [(f, m) for f, m in imported if m.partition(".")[0] == "scipy"]
+
+
+def test_only_the_run_verb_loads_numpy_random(tmp_path):
+    # numpy.random costs about 5 MB resident in every process that imports it
+    code = (
+        "import contextlib, io, sys\n"
+        "from pathlib import Path\n"
+        "from knotiso import cli\n"
+        "for build in cli.SCENARIO_BUILDERS.values():\n"
+        "    build()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for name in cli.SCENARIO_BUILDERS:\n"
+        "        cli.cmd_check(cli.RunConfig(scenario=name))\n"
+        f"    cli.cmd_frames(cli.RunConfig(scenario='recursive_r1', times=(0.5,), out=Path({str(tmp_path)!r})))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n", (
+        "building a scenario, check or frames loaded numpy.random: only run's seeded"
+        " probe grid (cli.probe_scenario) may draw random numbers"
+    )
 
 
 def test_no_module_imports_a_name_it_never_uses():

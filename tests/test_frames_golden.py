@@ -31,9 +31,9 @@ GOLDEN = {
         ("92e0313d03b6171ea44784fa06c9660076142a1453ab6538454801530cce2249", "e94c7a5249ce30f0c151c88e5f120c92ecce8f5a247a76a10f64653efb73dbed"),
     ),
     "recursive_r1": (
-        ("be879d6e2992d8df6d4c3db75462dbec0d1f956b75f6ee8d058dc9cb85175896", "355efb004ec167ef3f3b215ea181397a4a80ffb10f6f08969adeddbac5bf4fb1"),
-        ("36da3604efde6c9d8bdc46f52372b029e696caf63c09525309f745ff74dc9334", "09eb8ec0bf35b7a149e0a44bcaf7d15938ea30b72086a29c63541569d0fe59ad"),
-        ("416bf258acf8f1da375b2f2f487474a294c8e5d9cf0afcdbbb4cf7cac28517cd", "afca2dd0c018f333ee2a318a4d55404267581f36e1b1dcb4ec95757de635445b"),
+        ("be5dd6cacca105167b023325e90980768ce8bfc5f2fa469201246ad04851b9f8", "bbf7bb700b5b9eb8596f34e75fe8e295e578241e649793ecaa35d209cce673d9"),
+        ("473a04d02d60486ac624d7daac21e1131bdb2193442950eb69a6e886099e7f75", "7c6e3771651df506fc06206b3003e6de0c373654fd65e1ca572a2fd2fef3c931"),
+        ("a19fa638dae318c0ab0503a0723fc96d3b5d2cec2afd650d956c1b1d33691a19", "b9ea4e53128929c3a7de72b7af2ea5b1f9cf2006ba230d6703e5bc13f4704cf2"),
     ),
     "trefoil_chain": (
         ("f6dd6378cb3103163e20dde0ce4a2d0d2d61b1e85fd08fec94c2dbcc56f1e2d8", "6f58b26f2c3449a48c9e5bac163c33f525137cbbbf1b5fd95e2166c6b53e7cab"),

@@ -26,7 +26,6 @@ from knotiso.maps import (
     UnsquishMap,
     UnsquishParams,
     conjugate,
-    estimate_inverse_lipschitz,
     UNBOUNDED,
 )
 from knotiso.moves import (
@@ -39,9 +38,9 @@ from knotiso.moves import (
 from knotiso.scenarios import SCENARIO_BUILDERS
 from oracles import (
     box_radial_scale,
-    cone_inverse_lipschitz,
     cone_piece_singular_values,
     cone_tetrahedra,
+    estimate_inverse_lipschitz,
     numpy_affine_frame,
     numpy_box_corners,
     part_by_part,
@@ -669,6 +668,10 @@ class TestInverseLipschitz:
         est = estimate_inverse_lipschitz(IdentityMap(), UNIT, 500, seed=0)
         assert est == pytest.approx(1.0)
 
+    def test_a_cone_that_moves_nothing_gives_exactly_one(self):
+        p = np.array([0.3, -0.2, 0.1])
+        assert ConeMap(UNIT, p, p.copy()).inverse_lipschitz() == 1.0
+
     def test_deterministic_given_seed(self):
         cone = ConeMap(UNIT, np.zeros(3), np.array([0.3, 0.2, -0.1]))
         a = estimate_inverse_lipschitz(cone, UNIT, 1000, seed=7)
@@ -702,12 +705,13 @@ def _random_cones():
 @given(_random_cones(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_sampled_inverse_lipschitz_never_reads_below_the_exact_constant(m, seed):
-    exact = cone_inverse_lipschitz(m)
+    exact = m.inverse_lipschitz()
+    sigma = cone_piece_singular_values(m)
+    assert exact == min(1.0, sigma.min())
     # up to the rounding of the sampled images
     assert estimate_inverse_lipschitz(m, m.region, 500, seed) >= exact * (1.0 - 1e-9)
     # the constant is attained: a short step along the worst piece's
     # weakest direction, from halfway between p0 and that piece's face
-    sigma = cone_piece_singular_values(m)
     f = int(sigma.argmin())
     axis, side = divmod(f, 2)
     face_center = m.region.center.copy()

@@ -18,7 +18,7 @@ GOLDEN = {
     (20, "countable_r1"): "672fc2e622ad602feec8feb5357f69ec22194308816ec775eed4dcd16534350a",
     (20, "countable_r2_stage1"): "b6946e014f93940f5d239fb926bb4490a2d7443720f4a6a7cabebd8782427b9e",
     (20, "countable_r2_stage2"): "f1b50f41bf72015ceb32022cf15e9b8a366f737139438f66e06ef0eeda90bcee",
-    (20, "recursive_r1"): "919f504ecfd22c89a5fe1facd52d7e86f21a09d6e9883dfc326c9e369a0860b1",
+    (20, "recursive_r1"): "946e52233458686025f749055652846a6f69cc079aa3fa7925108db0035f0bde",
     (20, "trefoil_chain"): "5d227da8a8b00efecbcc577128ba44cda3994b744d9aec98329fdff890af3d89",
     (20, "trefoil_chain_extended"): "edaef3d11af745d37274bc69df0c3c373bf52b081e764b87f6c0d63946d51b5c",
     (20, "fox_remarkable"): "ead73f32426261db66dc3235222640b0befe12ebd7a478006122fb55e935e686",
@@ -26,7 +26,7 @@ GOLDEN = {
     (40, "countable_r1"): "e2991ce77479388e08a1151d46184afc7da55fb7e496ffd4d8cabc6f2963ce69",
     (40, "countable_r2_stage1"): "d057d9bd07b7c1663279de61a4f1f27f6339b853f97ac05d0258705cfb6dac3d",
     (40, "countable_r2_stage2"): "0a2e6304b049aca8b309bf4bc9458673f57a2b2abb6e268ca5cf2bdda97d2f6e",
-    (40, "recursive_r1"): "afe9c9c6e599d15746e43685d44a810c0fcbedf0114e78d2e38d3c5c95113088",
+    (40, "recursive_r1"): "e05f04b98a9cf7d2cf6c421500f6ebd38fd2e40dda2bf054de1b0f020c9c31ac",
     (40, "trefoil_chain"): "d660169b9b2f4960e947fad10091c9948abf65b7e9555738c562c323a37bf44c",
     (40, "trefoil_chain_extended"): "8cdc001aef6b0a73c666e2d35b7ec2aa2a0e02cd630aa98f8640d4872bc5cbef",
     (40, "fox_remarkable"): "356a3937c336d81cf3aa6b11344d840772f5f981d9e17d0d2fa0b7c93451f580",
@@ -53,7 +53,7 @@ SNAPSHOTS = {
     (20, "countable_r1"): "e10037c37f935cdf5e98ed9faa46b95a8be8189cda8d806d52ccc637e6470fbd",
     (20, "countable_r2_stage1"): "9021af26b81594bbc9d238fc771598a5ea2fad88641043bdaae683f68b1474fd",
     (20, "countable_r2_stage2"): "0f153778e5dc6ce611bc30b1d2bb2d412dfe9b6f9f18f8c1f13307b5384d2153",
-    (20, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
+    (20, "recursive_r1"): "b4cc1160355ff6ff907006215bbc4d519b652bcd85dac6f370513daa5ccb5bad",
     (20, "trefoil_chain"): "f0fe8e8ce53f10a0189f0980b3f7a7bc384d7c23061b63ea0822c37dace70887",
     (20, "trefoil_chain_extended"): "c519f03de81a74191967ff7e9fb6f9754218d56cae1c1e7f3caf10ca5c903a39",
     (20, "fox_remarkable"): "298d687760bd1aa98447eee15c47e1e2effa3f6f3d49a2ded4065c032d93b1bc",
@@ -61,7 +61,7 @@ SNAPSHOTS = {
     (40, "countable_r1"): "e10037c37f935cdf5e98ed9faa46b95a8be8189cda8d806d52ccc637e6470fbd",
     (40, "countable_r2_stage1"): "9021af26b81594bbc9d238fc771598a5ea2fad88641043bdaae683f68b1474fd",
     (40, "countable_r2_stage2"): "0f153778e5dc6ce611bc30b1d2bb2d412dfe9b6f9f18f8c1f13307b5384d2153",
-    (40, "recursive_r1"): "eaf0e49f88a058345abd5ad7017e3f996bc2370e072f1db5db8620f9cc6c1c9f",
+    (40, "recursive_r1"): "b4cc1160355ff6ff907006215bbc4d519b652bcd85dac6f370513daa5ccb5bad",
     (40, "trefoil_chain"): "f0fe8e8ce53f10a0189f0980b3f7a7bc384d7c23061b63ea0822c37dace70887",
     (40, "trefoil_chain_extended"): "c519f03de81a74191967ff7e9fb6f9754218d56cae1c1e7f3caf10ca5c903a39",
     (40, "fox_remarkable"): "55e45088eab83c1f4a941d37e245fac0f2138562bbccb5d612a101718eb1d25e",
