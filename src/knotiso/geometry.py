@@ -475,6 +475,23 @@ def _meeting(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray):
     return a, b
 
 
+def _leaf_pairs(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf pairs i < j < n under the node pairs a <= b of the level
+    above the leaves: a node's own two leaves, and the four pairings of
+    two nodes' leaves.  A node pair whose boxes meet holds no node of
+    padding alone, so the one padding leaf it can reach is the second
+    leaf, n, of the last node when n is odd."""
+    off = a < b
+    a, b = 2 * a, 2 * b
+    own, a, b = a[~off], a[off], b[off]
+    a2, b2 = a, b + 1
+    if n % 2:
+        own = own[own + 1 < n]
+        whole = b2 < n
+        a2, b2 = a[whole], b2[whole]
+    return np.concatenate([own, a, a + 1, a2, a2 + 1]), np.concatenate([own + 1, b, b, b2, b2])
+
+
 def multiscale_close_pairs(
     mids: np.ndarray, half: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -492,8 +509,8 @@ def multiscale_close_pairs(
     and a node's box bounds its two children's.  From a level of at most
     32 nodes down, the walk keeps the node pairs a <= b whose boxes meet,
     one box test per level on all four child pairings at once; the leaf
-    pairs (or all pairs of at most 32 segments) take the predicate above
-    directly.  Curves here are strongly multiscale, so no single search
+    pairs of distinct segments under them (or all pairs of at most 32
+    segments) take the predicate above directly.  Curves here are strongly multiscale, so no single search
     radius fits them, but each box is as small as its own segment's
     radius, and a curve passed in curve order keeps each node's box as
     small as the piece of curve under it.  Any order stays exact, and
@@ -526,16 +543,17 @@ def multiscale_close_pairs(
         width //= 2
         lo, hi = np.minimum(lo[:, 0::2], lo[:, 1::2]), np.maximum(hi[:, 0::2], hi[:, 1::2])
         levels.append((lo, hi))
-    a, b = (i.astype(np.int32) for i in np.triu_indices(width))
-    for lo, hi in reversed(levels):
-        a, b = _meeting(lo, hi, a, b)
-        # the children of a <= b, without the mirror (2a + 1, 2a) of (2a, 2a + 1)
-        off, a, b = a < b, 2 * a, 2 * b
-        a = np.concatenate([a, a, a + 1, a[off] + 1])
-        b = np.concatenate([b, b + 1, b + 1, b[off]])
-    # the leaf pairs, less those of a leaf with itself or with a padding leaf
-    keep = (a < b) & (b < n)
-    a, b = a[keep], b[keep]
+    if not levels:
+        a, b = (i.astype(np.int32) for i in np.triu_indices(n, 1))
+    else:
+        a, b = (i.astype(np.int32) for i in np.triu_indices(width))
+        for lo, hi in reversed(levels[1:]):
+            a, b = _meeting(lo, hi, a, b)
+            # the children of a <= b, without the mirror (2a + 1, 2a) of (2a, 2a + 1)
+            off, a, b = a < b, 2 * a, 2 * b
+            a = np.concatenate([a, a, a + 1, a[off] + 1])
+            b = np.concatenate([b, b + 1, b + 1, b[off]])
+        a, b = _leaf_pairs(*_meeting(*levels[0], a, b), n)
     square = sum((col.take(a) - col.take(b)) ** 2 for col in cols)
     keep = np.sqrt(square) <= half.take(a) + half.take(b) + margin
     key = np.sort(a[keep].astype(np.int64) * n + b[keep])
