@@ -24,7 +24,7 @@ quartiles, how many seed pairs the change won, and two verdicts:
 With ``--trace-seed S`` it then runs each tree once more with ``--trace 1``
 at seed S and records, next to both sides' per-layer metrics, the layers
 that moved: every per-layer metric whose value changed, the largest
-relative change first.
+relative change first, save the traced pass's own time and overhead.
 
 Each run lasts the ``run_seconds`` of the change tree's BENCHMARK.json.
 The record goes to ``BENCH_<label>.json`` in the current directory.  An
@@ -112,21 +112,33 @@ def summarize(
     return summary
 
 
+# whole-pass differences of a traced run, whose sign and size the
+# pass-to-pass noise decides; both sides' values stay in the record
+WHOLE_PASS = {"trace.pass_s", "trace.overhead_s"}
+
+
 def moved_layers(parent: dict, change: dict, end_to_end: set[str]) -> list[dict]:
     """The per-layer metrics of two traced metrics lines whose values
     differ, each with both values and change / parent, the largest
-    relative change (either way) first.  Metrics in ``end_to_end`` are
-    left out, and so are those the parent reads 0 in."""
+    relative change (either way) first.  Metrics in ``end_to_end`` or
+    ``WHOLE_PASS`` are left out, and so are those the parent reads 0 in."""
     moved = []
     for name, entry in parent.items():
-        if name in end_to_end or name not in change:
+        if name in end_to_end or name in WHOLE_PASS or name not in change:
             continue
         old, new = entry["value"], change[name]["value"]
         if old == new or old == 0:
             continue
         moved.append({"metric": name, "parent": old, "change": new, "ratio": new / old})
-    moved.sort(key=lambda m: -abs(math.log(m["ratio"])) if m["ratio"] > 0 else -math.inf)
+    moved.sort(key=lambda m: -_moved_by(m["ratio"]))
     return moved
+
+
+def _moved_by(ratio: float) -> float:
+    """How far a metric moved, as |log(change / parent)|.  A value that
+    fell to 0 or changed sign, a ratio <= 0, ranks as a rise by the same
+    difference |change - parent| would: log(2 - ratio)."""
+    return abs(math.log(ratio)) if ratio > 0 else math.log(2.0 - ratio)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:

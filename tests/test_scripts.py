@@ -180,9 +180,25 @@ class TestBenchPairsSummary:
         parent = line(pass_s=1.0, a=100.0, b=10.0, c=5.0, d=0.0, e=8.0)
         change = line(pass_s=0.5, a=25.0, b=30.0, c=5.0, d=3.0, e=0.0)
         moved = _bench_pairs().moved_layers(parent, change, {"pass_s"})
-        # e fell to 0, a by 4x, b rose 3x; c is unchanged, d had no parent value
-        assert [m["metric"] for m in moved] == ["e", "a", "b"]
-        assert moved[1] == {"metric": "a", "parent": 100.0, "change": 25.0, "ratio": 0.25}
+        # a fell 4x, b rose 3x, and e fell to 0, which ranks as a rise by
+        # the same 8 would, 2x; c is unchanged, d had no parent value
+        assert [m["metric"] for m in moved] == ["a", "b", "e"]
+        assert moved[0] == {"metric": "a", "parent": 100.0, "change": 25.0, "ratio": 0.25}
+
+    def test_moved_layers_leaves_out_whole_pass_times_and_ranks_a_sign_change_by_size(self):
+        def line(values):
+            return {name: {"value": v, "unit": "s"} for name, v in values.items()}
+
+        parent = line({"trace.pass_s": 0.50, "trace.overhead_s": -0.036, "render_svg.s": 0.191,
+                       "cone.s": 0.010, "diagram.self_s": 0.100})
+        change = line({"trace.pass_s": 0.40, "trace.overhead_s": 0.103, "render_svg.s": 0.129,
+                       "cone.s": -0.001, "diagram.self_s": 0.010})
+        moved = _bench_pairs().moved_layers(parent, change, set())
+        # the traced pass's time and overhead are noise, however far they
+        # move; cone.s changed sign by 1.1 times its size, which ranks as a
+        # rise of 2.1x would, between a 10x fall and a 1.48x one
+        assert [m["metric"] for m in moved] == ["diagram.self_s", "cone.s", "render_svg.s"]
+        assert moved[1]["ratio"] == pytest.approx(-0.1)
 
     def test_seed_ranges(self):
         bp = _bench_pairs()
