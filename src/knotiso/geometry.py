@@ -510,7 +510,8 @@ def multiscale_close_pairs(
     32 nodes down, the walk keeps the node pairs a <= b whose boxes meet,
     one box test per level on all four child pairings at once; the leaf
     pairs of distinct segments under them (or all pairs of at most 32
-    segments) take the predicate above directly.  Curves here are strongly multiscale, so no single search
+    segments) take the predicate above directly.  Curves here are
+    strongly multiscale, so no single search
     radius fits them, but each box is as small as its own segment's
     radius, and a curve passed in curve order keeps each node's box as
     small as the piece of curve under it.  Any order stays exact, and
