@@ -11,10 +11,9 @@ of ``recursive_r1`` and ``fox_remarkable`` built level by level, the
 snowflake iterates with their sup deviations, the cone pull as 12 affine
 tetrahedra, with the smallest singular value of each of its six pyramids,
 the inverse-Lipschitz constant of a map estimated on sampled point pairs,
-the maps' reach
-kernel read on (n, 3) rows, and the cone and unsquish kernels computed on
-(n, 3) rows, the reference for the maps' coordinate-major kernels.  None
-of them is on the path of a CLI verb.
+the maps' reach kernel read on (n, 3) rows, and the cone and unsquish
+kernels computed on (n, 3) rows, the reference for the maps'
+coordinate-major kernels.  None of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 

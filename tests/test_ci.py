@@ -7,9 +7,9 @@ fails, and the test configuration turns runtime warnings into failures.
 That numpy sums the three columns of a coordinate-major batch as it sums
 row-major rows is pinned too.  The
 package runs on numpy alone: no module of it imports scipy, and none
-imports a name it never uses; building the scenarios, ``check`` and
-``frames`` draw no random numbers, so they never load ``numpy.random``.  Every top-level function, class and
-constant in the package, private or public, and every public method of a
+imports a name it never uses.  Building the scenarios, ``check`` and
+``frames`` draw no random numbers, so they never load ``numpy.random``.
+Every top-level function, class and constant in the package, private or public, and every public method of a
 public class has a caller outside the tests, with no exception: code
 that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
@@ -110,7 +110,8 @@ def test_only_the_run_verb_loads_numpy_random(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for name in cli.SCENARIO_BUILDERS:\n"
         "        cli.cmd_check(cli.RunConfig(scenario=name))\n"
-        f"    cli.cmd_frames(cli.RunConfig(scenario='recursive_r1', times=(0.5,), out=Path({str(tmp_path)!r})))\n"
+        f"    out = Path({str(tmp_path)!r})\n"
+        "    cli.cmd_frames(cli.RunConfig(scenario='recursive_r1', times=(0.5,), out=out))\n"
         "print('numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ)

@@ -241,8 +241,7 @@ class TestRecursive:
         exact = insert.inverse_lipschitz()
         assert exact == min(1.0, pieces.min())
         assert round(exact, 6) == 0.104199
-        # a 4,000-pair sample, which the constant was once taken from,
-        # reads 4.7% high
+        # a 4,000-pair sample reads the minimum 4.7% high
         sample = estimate_inverse_lipschitz(
             insert, rec_insert_region(2), n_samples=4000, seed=20260823
         )
