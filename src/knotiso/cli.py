@@ -24,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball_factoring import find_ball_factoring
 from .diagram import render_svg
 from .engine import (
     ProbeReport,
     check_hypotheses,
     eval_limit_isotopy,
+    find_ball_factoring,
     glue_schedule,
     injectivity_probe,
     map_curve,
@@ -115,9 +115,9 @@ def report_lines(s: Scenario, cfg: RunConfig) -> tuple[list[str], bool]:
     lines += hyp.to_lines()
     lines += probe.to_lines()
     lines.append(f"injectivity: {probe.injectivity}")
-    center = s.moves.ball_center
-    if center is not None:
-        eps, n0 = find_ball_factoring(center, s.moves.boxes(1, cfg.horizon))
+    factoring = find_ball_factoring(s.moves, cfg.horizon)
+    if factoring is not None:
+        eps, n0 = factoring
         lines.append(f"ball_factoring: {{epsilon: {eps:.17g}, n0: {'none' if n0 is None else n0}}}")
     exp = s.expected
     lines.append(f"expected: {exp.hypotheses}/{exp.injectivity}")
@@ -243,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except ValueError as exc:
-        # a map that cannot be built or evaluated, not a verdict mismatch
+    except (ValueError, MemoryError) as exc:
+        # an unbuildable map or an unallocatable table, not a verdict mismatch
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_EVAL
 

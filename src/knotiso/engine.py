@@ -17,7 +17,8 @@ every truncation is read off it, as one loop over levels: with h_1 stage
 stage k alone is the one-level loop S^(k-1) h_1 S^(1-k).  No V_k is
 formed in floats but as a support, so a truncation runs at any depth.
 The declaration also names the point the supports shrink around, the
-stream's ``ball_center``: p, when there is no F and V_1 holds p inside.
+stream's ``ball_center``: p, when there is no F and V_1 holds p inside,
+and ``find_ball_factoring`` reads the ball V_n0 c B_eps(p) c V_1 off it.
 ``apply_truncated`` and ``glue_schedule`` (the one place that slices the
 time grid into stages) run the truncations, and ``eval_limit_isotopy``,
 which evaluates the countable composition at the limit time t = 1 via
@@ -503,6 +504,24 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
         disjoint_supports=disjoint,
         first_violation=first_violation,
     )
+
+
+def find_ball_factoring(seq: MoveSequence, horizon: int) -> tuple[float, int | None] | None:
+    """(epsilon, n0) with V_n0 c B_epsilon(p) c V_1, read off a ball
+    stream's declaration, or None for a stream with no ``ball_center`` p.
+    epsilon is half the wall distance from p to V_1, and n0 the least
+    k <= horizon whose V_k has every corner strictly inside the ball, by
+    ``math.hypot``, which no scale underflows, or None if no V_k fits yet.
+    V_(k+1) = S(V_k) lies in V_k by construction, and no V_k past n0 is
+    formed."""
+    p, sim = seq.ball_center, seq.similarity
+    if p is None:
+        return None
+    eps = 0.5 * sim.first.support.wall_distance(p)
+    for k in range(1, horizon + 1):
+        if all(math.hypot(*d) < eps for d in (sim.box(k).corners() - p).tolist()):
+            return eps, k
+    return eps, None
 
 
 # -- limit evaluation --------------------------------------------------------

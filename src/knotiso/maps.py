@@ -45,20 +45,17 @@ arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, bounding_box
+from .geometry import Box
 
 _HUGE = 1e12
 
 # the support every affine map declares
 UNBOUNDED = Box(np.full(3, -_HUGE), np.full(3, _HUGE))
-
-# the default support of a map that moves nothing
-_ORIGIN = Box(np.zeros(3), np.zeros(3))
 
 
 class LocalMap:
@@ -89,9 +86,7 @@ class LocalMap:
         pts = np.asarray(pts, dtype=float, order="F")
         inside = self.support.contains_array(pts)
         if inside.all():
-            out = run(pts)
-            # a composite with no parts hands its input back
-            return pts.copy(order="F") if out is pts else out
+            return run(pts)
         out = pts.copy(order="F")
         if inside.any():
             out.T[:, inside] = run(pts.T[:, inside].T).T
@@ -100,7 +95,7 @@ class LocalMap:
 
 @dataclass(frozen=True)
 class IdentityMap(LocalMap):
-    support: Box = field(default_factory=lambda: _ORIGIN)
+    support: Box
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return pts.copy(order="K")
@@ -122,8 +117,8 @@ class AffineMap(LocalMap):
     scale so large that 1 / scale is subnormal breaks.  Such a frame is
     refused when it is built, so ``inverse()`` always builds.
 
-    A scale or shift is one number for every axis or three, one per axis.
-    The three pairs are checked, and the inverse frame computed, as Python
+    A scale and a shift are three numbers each, one per axis.  The three
+    pairs are checked, and the inverse frame computed, as Python
     floats, whose double arithmetic gives numpy's bits.  Every zero shift
     component, of the frame and of its inverse, is kept as -0.0, the exact
     additive identity: x + (-0.0) is x bitwise, -0.0 included, where
@@ -131,8 +126,7 @@ class AffineMap(LocalMap):
     """
 
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
-        scale = _axis_floats(scale, "scale")
-        shift = _axis_floats(shift, "shift")
+        scale, shift = (np.asarray(v, dtype=float).reshape(3).tolist() for v in (scale, shift))
         for k, s in enumerate(scale):
             if not (math.isfinite(s) and s != 0.0):
                 raise ValueError(f"affine scale on axis {'xyz'[k]} is {s}, not finite and nonzero")
@@ -175,17 +169,6 @@ class AffineMap(LocalMap):
         # no link back: 1 / (1 / s) is not bitwise s, and the reports of
         # reversed conjugated moves are pinned on the double inverse
         return AffineMap(*self._inverse_frame)
-
-
-def _axis_floats(v, name: str) -> list[float]:
-    """An affine scale or shift as three Python floats: one number for
-    every axis, or three."""
-    v = np.asarray(v, dtype=float)
-    if v.shape == ():
-        return [v.item()] * 3
-    if v.shape != (3,):
-        raise ValueError(f"affine {name} must be one number or three, got shape {v.shape}")
-    return v.tolist()
 
 
 def _negative_zeros(shift: list[float]) -> list[float]:
@@ -502,17 +485,13 @@ class CompositeMap(LocalMap):
 
     Only the rows inside the declared support are pushed through the
     parts, one after another; the rest come back bitwise unchanged.  The
-    support must therefore contain everything any part moves.
+    support must therefore contain everything any part moves, and there
+    is at least one part, whose fresh image is the composite's.
     """
 
-    def __init__(self, parts: Sequence[LocalMap], support: Box | None = None):
+    def __init__(self, parts: Sequence[LocalMap], support: Box):
         self.parts = tuple(parts)
-        if support is not None:
-            self.support = support
-        elif self.parts:
-            self.support = bounding_box([m.support for m in self.parts])
-        else:
-            self.support = _ORIGIN
+        self.support = support
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         def run(out: np.ndarray) -> np.ndarray:

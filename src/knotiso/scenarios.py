@@ -32,8 +32,8 @@ Box corners are written as coordinate tuples; the points a scenario
 probes are float arrays.  A scenario declares its curve, its stream and
 its expectations, nothing more: its name is its registry key, and the
 point its supports strictly decrease around, where they do, is read off
-the stream's declaration (``MoveSequence.ball_center``), as its ball
-factoring is read off the supports.
+the stream's declaration (``MoveSequence.ball_center``), and so is its
+ball factoring (``engine.find_ball_factoring``).
 """
 from __future__ import annotations
 
@@ -319,7 +319,8 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     The extended variant appends a straight unit segment at the limit
     point and declares it as the stream's fixed box, which every support
     holds, so the tail union diameter is bounded below by the segment
-    length.
+    length.  The box moves no point: the truncations are bitwise the plain
+    variant's, so failing condition 1 shows it is sufficient, not necessary.
     """
     container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
     # V_1 is the work box inside the shell between nesting levels 1 and 2
@@ -413,10 +414,11 @@ def build_1d_counterexample() -> Scenario:
 
     Stage k at time t is ``PowerMap1D((k + t) / k)``, whose support is the
     box [0, 1] x [-1/4, 1/4]^2, strictly inside the container: every stage
-    has that one support, so condition 1 fails, and the stages converge
-    uniformly to a limit that crushes the axis interval [0, 1) to 0, so
-    it is not injective.  The curve, probe pairs and census points lie on
-    the axis, where each stage is the interval map itself.
+    has that one support, so condition 1 fails.  On the axis H_n(x) =
+    x^(n+1), whose limit, 0 on [0, 1) and 1 at 1, is discontinuous and not
+    injective: max |H_n - H_2n| tends to 1/4, and uniform convergence is
+    the hypothesis this stream breaks.  The curve, probe pairs and census
+    points lie on the axis, where each stage is the interval map itself.
     """
 
     def stage(k: int) -> Isotopy:

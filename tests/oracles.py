@@ -4,6 +4,7 @@ The acceptance criteria and unit tests check the package against these:
 the checks a box and an axis-aligned frame made in numpy, crossing
 counts of a curve's diagram, reference nested box families (the dyadic
 cubes, and each self-similar stream's supports level by level), the
+ball factoring scanned box by box and in exact closed form, the
 infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
 refined axis, a declared stream's stages framed from stage 1, the stages
@@ -17,6 +18,9 @@ coordinate-major kernels.  None of them is on the path of a CLI verb.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from typing import Sequence
@@ -24,7 +28,7 @@ from typing import Sequence
 from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
 from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
-from knotiso.geometry import Box, PLCurve
+from knotiso.geometry import Box, PLCurve, bounding_box
 from knotiso.maps import (
     CompositeMap,
     ConeMap,
@@ -67,17 +71,12 @@ def numpy_box_corners(lo, hi) -> np.ndarray:
 def numpy_affine_frame(scale, shift) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``AffineMap``'s checks and inverse frame done by numpy, as the map
     made them before it checked Python floats: (scale, shift, inverse
-    scale, inverse shift) as (3,) rows, or ValueError.  A scale or shift
-    is one number for every axis or three, and zero shifts keep their
-    sign here.  A frame is refused on the first axis where the inverse
-    frame's own inverse shift is not finite."""
-    scale = np.asarray(scale, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    for name, v in (("scale", scale), ("shift", shift)):
-        if v.shape not in ((), (3,)):
-            raise ValueError(f"affine {name} must be one number or three, got shape {v.shape}")
-    scale = np.broadcast_to(scale, 3)
-    shift = np.broadcast_to(shift, 3)
+    scale, inverse shift) as (3,) rows, or ValueError.  A scale and a
+    shift are three numbers each, and zero shifts keep their sign here.
+    A frame is refused on the first axis where the inverse frame's own
+    inverse shift is not finite."""
+    scale = np.asarray(scale, dtype=float).reshape(3)
+    shift = np.asarray(shift, dtype=float).reshape(3)
     if not (np.isfinite(scale).all() and scale.all()):
         k = int(np.argmin(np.isfinite(scale) & (scale != 0)))
         raise ValueError(f"affine scale on axis {'xyz'[k]} is {scale[k]}, not finite and nonzero")
@@ -112,6 +111,43 @@ def count_crossings(curve: PLCurve, region: Box | None = None) -> int:
 def dyadic_cubes(p: np.ndarray, horizon: int) -> list[Box]:
     """Reference family: cubes centered at p with side 2^(1-n), n = 1..horizon."""
     return [Box.cube(p, 2.0 ** (1 - n)) for n in range(1, horizon + 1)]
+
+
+def nested_ball_factoring(p: np.ndarray, boxes: Sequence[Box]) -> tuple[float, int | None]:
+    """(epsilon, n0) with V_n0 c B_epsilon(p) c V_1 for boxes V_1, V_2, ...
+    given as a list, scanned box by box: epsilon is half the wall distance
+    from p to V_1, n0 the least 1-based index whose box has every corner
+    strictly inside the ball (``math.hypot``), or None.  Raises ValueError
+    when p is not interior to a box up to n0, when one of them is not
+    strictly inside the one before it, or when no ball fits."""
+    eps = 0.5 * boxes[0].wall_distance(p)
+    for n, b in enumerate(boxes, start=1):
+        if not b.contains_array(p, strict=True):
+            raise ValueError(f"p not interior to region {n}")
+        if n > 1 and not boxes[n - 2].contains_box(b, strict=True):
+            raise ValueError(f"region {n} not strictly inside region {n - 1}")
+        if eps <= 0:
+            raise ValueError("no ball about p fits strictly inside the first region")
+        if all(math.hypot(*d) < eps for d in (b.corners() - p).tolist()):
+            return eps, n
+    return eps, None
+
+
+def closed_form_ball_factoring(
+    v1: Box, p: np.ndarray, r: float, horizon: int
+) -> tuple[float, int | None]:
+    """The ball factoring of the stream V_k = p + r^(k-1) (V_1 - p) in
+    exact rationals: epsilon is half the wall distance from p to V_1, and
+    n0 the least n <= horizon with r^(2(n-1)) R^2 < epsilon^2, R being
+    the distance from p to V_1's farthest corner, or None.  Exact on the
+    floats' own values, so it is the float reading only where p, V_1 and
+    r are dyadic enough that every V_k and every offset is exact."""
+    lo, hi, q = ([Fraction(x) for x in v.tolist()] for v in (v1.lo, v1.hi, p))
+    eps = min(min(c - a, b - c) for a, b, c in zip(lo, hi, q)) / 2
+    far = sum(max(c - a, b - c) ** 2 for a, b, c in zip(lo, hi, q))
+    r2 = Fraction(r) ** 2
+    n0 = next((n for n in range(1, horizon + 1) if r2 ** (n - 1) * far < eps**2), None)
+    return float(eps), n0
 
 
 def shrinking_boxes(limit_x: float, k: int) -> Box:
@@ -197,7 +233,9 @@ def inserted_loop_chain(
     """The loop chain as inserts into a refined axis: the composite of
     every box's ``conjugated_insert`` at time 1, applied to the axis
     refined in the tied and ``untied`` boxes alike."""
-    inserts = CompositeMap([conjugated_insert(b, m).time_one() for b in boxes])
+    inserts = CompositeMap(
+        [conjugated_insert(b, m).time_one() for b in boxes], support=bounding_box(boxes)
+    )
     return inserts.apply_array(axis_points(x_start, x_end, [*boxes, *untied], m))
 
 

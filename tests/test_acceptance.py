@@ -11,12 +11,14 @@ import time
 
 import numpy as np
 
-from knotiso.ball_factoring import find_ball_factoring
-from knotiso.canonical import CANONICAL_BOX, kink_map
+from knotiso.canonical import CANONICAL_BOX, conjugated_insert, kink_map
 from knotiso.cli import RunConfig, main, report_lines
 from knotiso.engine import (
+    MoveSequence,
+    Similarity,
     apply_truncated,
     check_hypotheses,
+    find_ball_factoring,
     injectivity_probe,
     uniform_convergence_probe,
 )
@@ -202,9 +204,14 @@ def test_criterion_07_seam_continuity():
 
 
 def test_criterion_08_ball_factoring():
+    # the stream declared on the unit cube about p = 0 with r = 1/2: its
+    # supports are the dyadic cubes
     p = np.zeros(3)
+    sim = Similarity(conjugated_insert(Box.cube(p, 1.0)), p, 0.5)
+    seq = MoveSequence(Box.cube(p, 4.0), similarity=sim)
     boxes = dyadic_cubes(p, 10)
-    eps, n0 = find_ball_factoring(p, boxes)
+    assert seq.boxes(1, 10) == boxes
+    eps, n0 = find_ball_factoring(seq, 10)
     assert eps == 0.25
     # independent oracle: brute-force smallest region whose corners all sit
     # strictly inside the ball (half-diagonal formula)

@@ -14,7 +14,8 @@ public class has a caller outside the tests, with no exception: code
 that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
 named kinds, each with its reason, and only the end rule
-``Isotopy.from_motion`` builds an ``Isotopy`` directly.  Every committed
+``Isotopy.from_motion`` builds an ``Isotopy`` directly.  README's Layout
+block lists exactly the package's modules.  Every committed
 benchmark record is whole: named after its label, with its machine and,
 for each workload, the end-to-end metrics of both sides' runs."""
 import ast
@@ -260,6 +261,20 @@ def _isotopy_builders(tree: ast.Module, module: str):
                 call = isinstance(node, ast.Call) and ast.unparse(node.func)
                 if call and call.rpartition(".")[2] == "Isotopy":
                     yield f"{module}.{name}"
+
+
+def test_the_readme_layout_lists_exactly_the_package_modules():
+    # each module once under src/knotiso/ in README's Layout block, save
+    # the package marker __init__.py
+    block = (ROOT / "README.md").read_text().split("## Layout", 1)[1].split("```")[1]
+    lines = block.splitlines()
+    listed = []
+    for line in lines[lines.index("src/knotiso/") + 1 :]:
+        if not line.startswith("  "):
+            break
+        listed.append(line.split()[0])
+    modules = [p.name for p in (ROOT / "src" / "knotiso").glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
 
 
 def test_isotopies_are_built_under_the_end_rule():

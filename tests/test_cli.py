@@ -126,6 +126,24 @@ class TestRunVerb:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "check"])
+    def test_a_table_too_large_to_allocate_exits_four(self, tmp_path, capsys, monkeypatch, verb):
+        # a deep horizon's tail table is an h x h array; a failed allocation
+        # is an evaluation error, not a verdict mismatch, and none is made here
+        text = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+        def unallocatable(seq, horizon, threshold):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(cli, "check_hypotheses", unallocatable)
+        out = tmp_path / "out"
+        argv = [verb, "--scenario", "countable_r1", "--horizon", "100000"]
+        assert main(argv + (["--out", str(out)] if verb == "run" else [])) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {text}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("depth", ["49", "55", "100", "1000"])
     @pytest.mark.parametrize("scenario", sorted(cli.SCENARIO_BUILDERS))
     def test_every_scenario_matches_deep(self, tmp_path, capsys, scenario, depth):

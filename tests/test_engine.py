@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotiso.ball_factoring import find_ball_factoring
 from knotiso.engine import (
     Isotopy,
     MoveSequence,
@@ -15,6 +14,7 @@ from knotiso.engine import (
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
+    find_ball_factoring,
     glue_schedule,
     injectivity_probe,
     map_curve,
@@ -30,7 +30,13 @@ from knotiso.moves import cone_isotopy, conjugated_isotopy, reversed_isotopy
 
 from knotiso.scenarios import SCENARIO_BUILDERS
 
-from oracles import framed_stage, infinite_motion_census, part_by_part, seam_values
+from oracles import (
+    framed_stage,
+    infinite_motion_census,
+    nested_ball_factoring,
+    part_by_part,
+    seam_values,
+)
 
 CONTAINER = Box((-1, -1, -1), (3, 1, 1))
 
@@ -654,6 +660,42 @@ def test_a_fixed_box_widens_every_support_and_moves_no_point(
 
 @given(
     st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.floats(0.3, 0.7),
+    st.floats(0.25, 1.0),
+    st.floats(0.1, 0.9),
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+    st.tuples(*[st.floats(0.01, 0.5)] * 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_generated_tame_chain_passes_and_a_fixed_box_fails_condition_1(
+    p, r, d, width, yz, f_half, seed
+):
+    """A chain declared with V_1 at distance d from p along x, of x
+    half-width under d (1 - r) / (1 + r), has pairwise disjoint V_k, each
+    moved by its stage alone, shrinking to p: tame by construction.  At
+    the least horizon h with r^(h-1) diam V_1 < tol / 10 the hypotheses
+    pass with disjoint supports.  A fixed box F of positive diameter
+    fails condition 1 and moves no point."""
+    p = np.array(p)
+    v1 = Box.from_center(p + (d, 0.0, 0.0), (width * d * (1.0 - r) / (1.0 + r), *yz))
+    fixed = Box.from_center(p - (d, 0.0, 0.0), f_half)
+    first = reversed_isotopy(conjugated_insert(v1))
+    container = Box(np.minimum(v1.lo, fixed.lo) - 1.0, np.maximum(v1.hi, fixed.hi) + 1.0)
+    tame = MoveSequence(container, similarity=Similarity(first, p, r))
+    walled = MoveSequence(container, similarity=Similarity(first, p, r, fixed))
+    tol, diam = 1e-6, union_diameter([v1])
+    h = next(h for h in range(2, 200) if r ** (h - 1) * diam < tol / 10)
+    rep = check_hypotheses(tame, h, tol)
+    assert rep.verdict == "pass" and rep.disjoint_supports
+    assert check_hypotheses(walled, h, tol).first_violation == 1
+    pts = _level_points(tame, 5, np.random.default_rng(seed))
+    for n in (1, 5, 20):
+        _assert_same_bits(apply_truncated(walled, n, pts), apply_truncated(tame, n, pts))
+
+
+@given(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
     st.tuples(*[st.floats(0.05, 1.0)] * 3),
     st.floats(0.3, 0.7),
     st.tuples(*[st.floats(0.05, 0.95)] * 3),
@@ -665,10 +707,11 @@ def test_a_fixed_box_widens_every_support_and_moves_no_point(
 def test_the_ball_center_is_p_exactly_where_the_supports_factor(
     center, half, r, u, beyond, reach, fixed
 ):
-    """A declared stream's ``ball_center`` is p exactly when
-    ``find_ball_factoring`` accepts V_1..V_5 around p, and None otherwise:
-    p inside V_1 and no fixed box, which would hold every support out
-    past V_1."""
+    """A declared stream's ``ball_center`` is p exactly when the box-by-box
+    scan of V_1..V_5 (``nested_ball_factoring``) accepts them around p,
+    and None otherwise: p inside V_1 and no fixed box, which would hold
+    every support out past V_1.  ``find_ball_factoring`` reads the
+    scan's answer off the declaration, and None where it refuses."""
     v1 = Box.from_center(center, half)
     u = np.array(u)
     if beyond is not None:
@@ -680,12 +723,12 @@ def test_the_ball_center_is_p_exactly_where_the_supports_factor(
     sim = Similarity(conjugated_insert(v1), p, r, box)
     seq = MoveSequence(Box.cube((0, 0, 0), 16.0), similarity=sim)
     try:
-        find_ball_factoring(p, seq.boxes(1, 5))
-        accepted = True
+        scanned = nested_ball_factoring(p, seq.boxes(1, 5))
     except ValueError:
-        accepted = False
-    assert accepted == (beyond is None and not fixed)
-    assert seq.ball_center is (sim.p if accepted else None)
+        scanned = None
+    assert (scanned is not None) == (beyond is None and not fixed)
+    assert seq.ball_center is (None if scanned is None else sim.p)
+    assert find_ball_factoring(seq, 5) == scanned
 
 
 def test_a_declaration_keeps_its_own_p():

@@ -15,7 +15,7 @@ from knotiso.canonical import (
     loop_sub_boxes,
     multi_kink_isotopy,
 )
-from knotiso.geometry import Box
+from knotiso.geometry import Box, bounding_box
 from knotiso.maps import (
     AffineMap,
     CompositeMap,
@@ -66,7 +66,7 @@ class TestIdentityMap:
     def test_fixes_everything_exactly(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-10, 10, (500, 3))
-        m = IdentityMap()
+        m = IdentityMap(support=UNIT)
         assert np.array_equal(m.apply_array(pts), pts)
         assert m.inverse() is m
 
@@ -83,19 +83,19 @@ class TestAffineMap:
         # 1 / 1e-310 overflows, and so does -(1 / 1e-300) * 1e10; the frame
         # is refused without a RuntimeWarning, which the suite makes an error
         with pytest.raises(ValueError, match=rf"axis x has no finite inverse \(scale {scale}\)"):
-            AffineMap(np.full(3, scale), shift)
+            AffineMap(np.full(3, scale), np.full(3, shift))
 
     def test_rejects_a_scale_whose_inverse_frame_has_no_finite_inverse(self):
         # 1 / 1.7976931348623153e308 is the subnormal 5.56e-309, whose own
         # reciprocal overflows: the inverse frame could not be built
         text = r"axis x has no finite inverse \(scale 1.7976931348623153e\+308\)"
         with pytest.raises(ValueError, match=text):
-            AffineMap(np.full(3, 1.7976931348623153e308), 0.0)
+            AffineMap(np.full(3, 1.7976931348623153e308), np.zeros(3))
 
     def test_accepts_the_largest_scale_whose_inverse_frame_builds(self):
         scale = 1.7976931348623151e308
         assert np.nextafter(scale, np.inf) == 1.7976931348623153e308
-        m = AffineMap(np.full(3, scale), 0.0)
+        m = AffineMap(np.full(3, scale), np.zeros(3))
         assert m.inverse().scale.tolist() == [5.56268464626801e-309] * 3
         # 1 / (1 / scale) is a few ulps below scale, and its inverse builds too
         assert m.inverse().inverse().scale.tolist() == [1.7976931348623143e308] * 3
@@ -245,20 +245,30 @@ class TestFloatValidationOracle:
     @pytest.mark.parametrize(
         "scale,shift",
         [
-            (0.0, 1.0),
-            (np.inf, 0.0),
-            (-np.inf, 0.0),
-            (np.nan, 0.0),
-            (1e-310, 0.0),
-            (1e-300, 1e10),
-            (2.0, np.inf),
-            (2.0, np.nan),
-            (np.array([1.0, 0.0, -0.0]), 0.0),
-            (np.array([1.0, 2.0]), 0.0),
-            (1.0, np.zeros((3, 3))),
-            ([[2.0, 2.0, 2.0]], 0.0),
-            (1.7976931348623153e308, 0.0),
-            (np.array([1.7976931348623153e308, 1e-310, 1.0]), 0.0),
+            *(
+                pytest.param(np.full(3, a), np.full(3, b), id=f"{a}-{b}")
+                for a, b in (
+                    (0.0, 1.0),
+                    (np.inf, 0.0),
+                    (-np.inf, 0.0),
+                    (np.nan, 0.0),
+                    (1e-310, 0.0),
+                    (1e-300, 1e10),
+                    (2.0, np.inf),
+                    (2.0, np.nan),
+                )
+            ),
+            pytest.param(np.array([1.0, 0.0, -0.0]), np.zeros(3), id="scale8-0.0"),
+            # three numbers each, no fewer and no more
+            pytest.param(np.array([1.0, 2.0]), np.zeros(3), id="scale9-0.0"),
+            pytest.param(np.ones(3), np.zeros((3, 3)), id="1.0-shift10"),
+            pytest.param(np.ones((3, 3)), np.zeros(3), id="scale11-0.0"),
+            pytest.param(
+                np.full(3, 1.7976931348623153e308), np.zeros(3), id="1.7976931348623153e+308-0.0"
+            ),
+            pytest.param(
+                np.array([1.7976931348623153e308, 1e-310, 1.0]), np.zeros(3), id="scale13-0.0"
+            ),
         ],
     )
     def test_affine_frame_refusals_match_the_numpy_checks(self, scale, shift):
@@ -267,12 +277,6 @@ class TestFloatValidationOracle:
         with pytest.raises(ValueError) as got:
             AffineMap(scale, shift)
         assert str(got.value) == str(want.value)
-
-    def test_scalar_scale_and_shift_serve_every_axis(self):
-        m = AffineMap(2.0, -0.0)
-        assert m.scale.tolist() == [2.0] * 3
-        assert np.signbit(m.shift).all() and np.signbit(m.inverse().shift).all()
-        assert AffineMap(np.float64(0.5), 3.0).shift.tolist() == [3.0] * 3
 
     def test_zero_shifts_keep_signed_zeros(self):
         frame = AffineMap.box_to_box(UNIT, Box.cube((0, 0, 0), 0.5))
@@ -621,13 +625,14 @@ class TestCompositeAndConjugate:
     def test_left_to_right_order(self):
         shift = AffineMap(np.ones(3), np.array([1.0, 0.0, 0.0]))
         double = AffineMap(np.full(3, 2.0), np.zeros(3))
-        m = CompositeMap([shift, double])
+        m = CompositeMap([shift, double], support=UNBOUNDED)
         # shift first, then scale: (0,0,0) -> (1,0,0) -> (2,0,0)
         assert _at(m, np.zeros(3)).tolist() == [2.0, 0.0, 0.0]
 
     def test_inverse_roundtrip(self):
         cone = ConeMap(UNIT, np.zeros(3), np.array([0.3, 0.2, -0.1]))
-        m = CompositeMap([cone, UnsquishMap(_params(0.5), 1.0)])
+        unsquish = UnsquishMap(_params(0.5), 1.0)
+        m = CompositeMap([cone, unsquish], support=bounding_box([cone.support, unsquish.support]))
         rng = np.random.default_rng(10)
         pts = rng.uniform(-3, 3, (2000, 3))
         assert _roundtrip_error(m, pts) < 1e-9
@@ -665,7 +670,7 @@ class TestCompositeAndConjugate:
 
 class TestInverseLipschitz:
     def test_identity_gives_one(self):
-        est = estimate_inverse_lipschitz(IdentityMap(), UNIT, 500, seed=0)
+        est = estimate_inverse_lipschitz(IdentityMap(support=UNIT), UNIT, 500, seed=0)
         assert est == pytest.approx(1.0)
 
     def test_a_cone_that_moves_nothing_gives_exactly_one(self):
@@ -681,7 +686,7 @@ class TestInverseLipschitz:
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
-            estimate_inverse_lipschitz(IdentityMap(), UNIT, 1, seed=0)
+            estimate_inverse_lipschitz(IdentityMap(support=UNIT), UNIT, 1, seed=0)
 
 
 def _random_cones():
@@ -832,7 +837,7 @@ def test_every_map_kind_fixes_rows_off_support_and_keeps_one_inverse(box, u, par
     rng = np.random.default_rng(seed)
     cone = ConeMap(box, box.center, box.center + np.array(u) * box.half_extents)
     unsquish = UnsquishMap(par, t)
-    composite = CompositeMap([cone, unsquish])
+    composite = CompositeMap([cone, unsquish], support=bounding_box([cone.support, unsquish.support]))
     conj = conjugate(AffineMap.box_to_box(CANONICAL_BOX, box), kink_map(), box)
     assert cone.inverse().inverse() is cone
     for m in (IdentityMap(support=box), cone, unsquish, PowerMap1D(e), composite, conj):
@@ -847,19 +852,17 @@ def test_every_map_kind_fixes_rows_off_support_and_keeps_one_inverse(box, u, par
 
 
 def test_every_map_kind_returns_a_fresh_image():
-    # rows at the origin and inside the unit box: all inside the default
-    # support of a composite with no parts, and of one declared on UNIT
+    # rows at the origin and inside the unit box: all inside UNIT, so a
+    # composite declared on it hands back its last part's image
     inner = UNIT.scaled_about_center(0.5).sample(np.random.default_rng(8), 20)
     rows = np.concatenate([np.zeros((3, 3)), inner])
     cone = ConeMap(UNIT, np.zeros(3), np.array([0.3, -0.2, 0.1]))
     maps = [
         IdentityMap(support=UNIT),
-        CompositeMap([]),
-        CompositeMap([], support=UNIT),
         AffineMap(np.full(3, 2.0), np.ones(3)),
         cone,
         UnsquishMap(_params(0.5), 0.5),
-        CompositeMap([cone]),
+        CompositeMap([cone], support=UNIT),
         conjugate(AffineMap.box_to_box(CANONICAL_BOX, UNIT), kink_map(), UNIT),
         PowerMap1D(2.0),
         PowerMap1D(2.0).inverse(),
@@ -1228,11 +1231,11 @@ def test_every_map_kind_reads_c_and_fortran_batches_alike(box, u0, u1, c, e, see
         frame = AffineMap.box_to_box(CANONICAL_BOX, box)
         others = [
             IdentityMap(support=box),
-            # every row is inside the support: the kernel hands its input back
-            CompositeMap([], support=UNBOUNDED),
+            # every row is inside the support: the image is the frame's
+            CompositeMap([frame], support=UNBOUNDED),
             frame,
             PowerMap1D(e),
-            CompositeMap([cone, UnsquishMap(par, 1.0)]),
+            CompositeMap([cone, UnsquishMap(par, 1.0)], support=box),
             conjugate(frame, kink_map(), box),
         ]
         for m in others:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotiso.ball_factoring import find_ball_factoring
 from knotiso.canonical import conjugated_insert
 from knotiso import scenarios as scenarios_module
 from knotiso.cli import RunConfig, probe_scenario
@@ -15,13 +14,14 @@ from knotiso.engine import (
     apply_truncated,
     check_hypotheses,
     eval_limit_isotopy,
+    find_ball_factoring,
     glue_schedule,
     injectivity_probe,
     map_curve,
     truncated_map,
 )
 from knotiso.diagram import find_crossings
-from knotiso.geometry import Box, curve_is_simple
+from knotiso.geometry import Box, bounding_box, curve_is_simple
 from knotiso.maps import CompositeMap, ConeMap
 from knotiso.scenarios import (
     SCENARIO_BUILDERS,
@@ -52,6 +52,7 @@ from oracles import (
     framed_stage,
     infinite_motion_census,
     inserted_loop_chain,
+    nested_ball_factoring,
     part_by_part,
     rec_box,
     rec_stage_per_level,
@@ -313,8 +314,9 @@ class TestRecursive:
 
     def test_nested_family_factoring(self, scenarios):
         s = scenarios["recursive_r1"]
-        eps, n0 = find_ball_factoring(s.moves.ball_center, s.moves.boxes(1, HORIZON))
+        eps, n0 = find_ball_factoring(s.moves, HORIZON)
         assert eps > 0 and 1 <= n0 <= HORIZON
+        assert (eps, n0) == nested_ball_factoring(s.moves.ball_center, s.moves.boxes(1, HORIZON))
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_BOXES))
@@ -411,6 +413,18 @@ class TestTrefoilExtended:
         assert rep.verdict == "pass"
         assert rep.disjoint_supports
 
+    def test_the_fixed_box_moves_no_point(self, scenarios):
+        # the extended stream's truncations are the plain chain's, bitwise,
+        # on every vertex of its curve: the limit is the same, so failing
+        # condition 1 shows the condition is sufficient, not necessary
+        plain = scenarios["trefoil_chain"]
+        pts = plain.initial_curve.points
+        assert len(pts) == 6004
+        for n in (1, 5, 20, 40, 100):
+            want = apply_truncated(plain.moves, n, pts)
+            got = apply_truncated(scenarios["trefoil_chain_extended"].moves, n, pts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
 
 class TestFox:
     def test_min_separation_below_threshold(self, scenarios):
@@ -445,9 +459,10 @@ class TestFox:
 
     def test_nested_family_factoring(self, scenarios):
         s = scenarios["fox_remarkable"]
-        eps, n0 = find_ball_factoring(s.moves.ball_center, s.moves.boxes(1, HORIZON))
+        eps, n0 = find_ball_factoring(s.moves, HORIZON)
         assert eps == pytest.approx(0.2)
         assert n0 == 2
+        assert (eps, n0) == nested_ball_factoring(s.moves.ball_center, s.moves.boxes(1, HORIZON))
 
 
 class TestOneDimensional:
@@ -459,6 +474,20 @@ class TestOneDimensional:
             img = apply_truncated(seq, n, pts)[:, 0]
             # independent oracle: the composite exponent telescopes to n+1
             assert np.abs(img - xs ** (n + 1)).max() < 1e-12
+
+    def test_the_stages_do_not_converge_uniformly(self):
+        # on the axis H_n(x) = x^(n+1), whose pointwise limit is 0 on [0, 1)
+        # and 1 at x = 1: the Cauchy deviation max |H_n - H_2n| tends to 1/4
+        seq = build_1d_counterexample().moves
+        xs = np.linspace(0.0, 1.0, 20001)
+        pts = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
+        deviations = []
+        for n in (5, 10, 20, 40):
+            h_n, h_2n = (apply_truncated(seq, m, pts)[:, 0] for m in (n, 2 * n))
+            assert np.abs(h_n - xs ** (n + 1)).max() < 1e-14
+            assert np.abs(h_2n - xs ** (2 * n + 1)).max() < 1e-14
+            deviations.append(round(float(np.abs(h_n - h_2n).max()), 4))
+        assert deviations == [0.2196, 0.2338, 0.2416, 0.2457]
 
     def test_deep_composite_collapses_interval(self):
         seq = build_1d_counterexample().moves
@@ -544,7 +573,9 @@ def _insert_one_by_one(boxes, m, pts):
 
 def _inserts(boxes, m):
     """Every box's insert at time 1 as one composite, which routes runs."""
-    return CompositeMap([conjugated_insert(b, m).time_one() for b in boxes])
+    return CompositeMap(
+        [conjugated_insert(b, m).time_one() for b in boxes], support=bounding_box(boxes)
+    )
 
 
 def _assert_bitwise(got, want):
