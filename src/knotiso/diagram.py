@@ -205,7 +205,7 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     vertex = np.empty(len(seg) + len(run_at), np.int64)
     vertex[run_at] = seg[first]
     vertex[end_at] = (seg + 1) % len(pts)
-    cells = curve.decimal_cells()[vertex, :2]
+    cells = curve.decimal_cells().take(vertex, axis=0)[:, :2]
     # a piece that starts at a cut begins a run, one that ends at a cut
     # ends one
     cut_lo, cut_hi = lo != 0.0, hi != 1.0

@@ -27,8 +27,9 @@ the settled / tolerance-converged / budget trichotomy, runs the stages.
 Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
 per stream and last stage: the stacked supports and their suffix-union
-diameters, the suffix maxima of one matrix of farthest-corner distances
-between every pair of supports.  Each report states a verdict once: the
+diameters, the suffix maxima of the farthest-corner distances between
+every pair of supports, read in blocks of rows so that no last x last
+matrix is formed.  Each report states a verdict once: the
 hypothesis verdict is read off the first violated condition, and the
 injectivity verdict off the probe's least image separation, by the one
 rule ``ProbeReport.injectivity``.
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from .geometry import farthest_corner_distances
-from .maps import CompositeMap, IdentityMap, LocalMap
+from .maps import CompositeMap, IdentityMap, LocalMap, _scatter
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,8 @@ class TailTable:
     bitwise: both take the max of ``farthest_corner_distances``, here as
     the suffix maxima of the row maxima of its upper triangle, so
     diam[n] = max(diam[n + 1], farthest corner distance from V_n to
-    V_n..V_last).
+    V_n..V_last).  The triangle is read in blocks of rows
+    (``_upper_blocks``), so the table takes memory linear in last.
     """
 
     lo: np.ndarray
@@ -122,7 +124,8 @@ class TailTable:
         lo = np.array([b.lo for b in boxes])
         hi = np.array([b.hi for b in boxes])
         # every distance is >= 0, so the zeros below the diagonal lose
-        far = np.triu(farthest_corner_distances(lo, hi)).max(axis=1)
+        blocks = _upper_blocks(lo, hi, farthest_corner_distances)
+        far = np.concatenate([np.triu(block).max(axis=1) for block in blocks])
         # the base case diam(V_last) = union_diameter([V_last]), bitwise the
         # entry it replaces; perfbench counts these calls
         far[-1] = union_diameter(boxes[-1:])
@@ -134,6 +137,22 @@ class TailTable:
         inside = (pts[:, None, :] >= self.lo[k:]) & (pts[:, None, :] <= self.hi[k:])
         # the three columns ANDed, as in Box.contains_array
         return (inside[..., 0] & inside[..., 1] & inside[..., 2]).any(axis=-1)
+
+
+# entries in one block of a pairwise table of supports: a megabyte of
+# float64 per temporary, however many supports there are
+_PAIR_BLOCK = 1 << 17
+
+
+def _upper_blocks(lo: np.ndarray, hi: np.ndarray, pair) -> Iterator[np.ndarray]:
+    """The table pair(lo, hi) of the stacked boxes against themselves, one
+    block of rows at a time, so no n x n table is formed.  The block of
+    rows i0..i1 holds their entries in columns i0.. alone, so its upper
+    triangle is the table's in those rows.  Each block has at most
+    ``_PAIR_BLOCK`` entries, or one row."""
+    step = max(1, _PAIR_BLOCK // len(lo))
+    for i in range(0, len(lo), step):
+        yield pair(lo[i : i + step], hi[i : i + step], (lo[i:], hi[i:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,20 +237,22 @@ class Similarity:
         if not held.any():
             return y, held
         z = y.copy()
-        z[:, held] = h.apply_array(y[:, held].T).T
+        _scatter(z, held, h.apply_array(y.compress(held, axis=1).T).T)
         return z, held
 
     def _skip(self, y: np.ndarray, todo: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows carried past the levels whose V_1 they cannot meet, at
         most todo of them, and the number of levels each skipped."""
-        d = np.abs(y + self._neg_p).max(axis=0)
+        a = np.abs(y + self._neg_p)
+        # the three rows folded: a reduction over a length-3 axis is slower
+        d = np.maximum(np.maximum(a[0], a[1]), a[2])
         with np.errstate(divide="ignore"):
             skip = np.minimum(np.ceil(np.log(d / self._dmin) / self._log_r) - 1.0, todo)
         far = skip >= 1.0
         skip = np.where(far, skip, 0.0).astype(np.int64)
         if far.any():
             y = y.copy()
-            y[:, far] = self._power(y[:, far], -skip[far])
+            _scatter(y, far, self._power(y.compress(far, axis=1), -skip.compress(far)))
         return y, skip
 
 
@@ -414,7 +435,8 @@ class _LevelLoop(LocalMap):
             # cheaper in the census: a row V_1 does not hold stays put
             z, held = sim._through(self.h_last, y)
             return np.where(held, sim._power(z, self.first - 1), x).T
-        out = np.empty_like(x)
+        # a row no map moves is where it started
+        out = x.copy()
         rows = np.arange(x.shape[1])
         todo = self.last - self.first
         steps = np.zeros(len(rows), dtype=np.int64)
@@ -424,19 +446,16 @@ class _LevelLoop(LocalMap):
         ends = []
 
         def finish(done, z: np.ndarray, levels) -> None:
-            # a row no map moved is where it started
-            still = rows[done & ~moved]
-            out[:, still] = x[:, still]
             done = done & moved
             if done.any():
-                out[:, rows[done]] = sim._power(z[:, done], levels[done])
+                image = sim._power(z.compress(done, axis=1), levels.compress(done))
+                _scatter(out, rows.compress(done), image)
 
         while len(rows):
             at_last = steps == todo
             if at_last.any():
-                ends.append((rows[at_last], y[:, at_last], moved[at_last]))
-                keep = ~at_last
-                rows, y, steps, moved = rows[keep], y[:, keep], steps[keep], moved[keep]
+                ends.append(_kept(at_last, rows, y, moved))
+                rows, y, steps, moved = _kept(~at_last, rows, y, steps, moved)
                 if not len(rows):
                     break
             z, held = sim._through(self.h1, y)
@@ -446,18 +465,24 @@ class _LevelLoop(LocalMap):
             done = ~sim._hull_2.contains_array(z.T)
             if done.any():
                 finish(done, z, self.first - 1 + steps)
-            keep = ~done
-            rows, y, z, steps, moved = rows[keep], y[:, keep], z[:, keep], steps[keep], moved[keep]
+            rows, y, z, steps, moved = _kept(~done, rows, y, z, steps, moved)
             stepped = sim._power(z, -1)
-            # a row g leaves bitwise in place stays there at every level
-            fixed = (stepped.view(np.int64) == y.view(np.int64)).all(axis=0)
-            y, steps = stepped, np.where(fixed, todo, steps + 1)
+            # a row g leaves bitwise in place stays there at every level;
+            # the three rows ANDed, as in Box.contains_array
+            same = stepped.view(np.int64) == y.view(np.int64)
+            y, steps = stepped, np.where(same[0] & same[1] & same[2], todo, steps + 1)
         if ends:
             rows, y, moved = (np.concatenate(e, axis=-1) for e in zip(*ends))
             z, held = sim._through(self.h_last, y)
             moved |= held
             finish(np.ones(len(rows), dtype=bool), z, np.full(len(rows), self.last - 1))
         return out.T
+
+
+def _kept(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Each per-row array, 1-D or (3, m) coordinate rows, with the columns
+    keep marks, read by ``compress``."""
+    return [a.compress(keep, axis=-1) for a in arrays]
 
 
 def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
@@ -492,7 +517,8 @@ def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> Hypot
         container.contains_array(tails.lo, strict=True).all()
         and container.contains_array(tails.hi, strict=True).all()
     )
-    disjoint = not np.triu(boxes_meet(tails.lo, tails.hi), k=1).any()
+    blocks = _upper_blocks(tails.lo, tails.hi, boxes_meet)
+    disjoint = not any(np.triu(block, k=1).any() for block in blocks)
     first_violation: int | None = None
     if diameters[-1][1] >= threshold:
         first_violation = 1
@@ -513,11 +539,14 @@ def find_ball_factoring(seq: MoveSequence, horizon: int) -> tuple[float, int | N
     k <= horizon whose V_k has every corner strictly inside the ball, by
     ``math.hypot``, which no scale underflows, or None if no V_k fits yet.
     V_(k+1) = S(V_k) lies in V_k by construction, and no V_k past n0 is
-    formed."""
+    formed.  Raises ValueError when epsilon rounds to 0, as it does for a
+    p the least subnormal inside V_1's wall: no ball fits."""
     p, sim = seq.ball_center, seq.similarity
     if p is None:
         return None
     eps = 0.5 * sim.first.support.wall_distance(p)
+    if eps == 0.0:
+        raise ValueError("no ball about p fits strictly inside the first region")
     for k in range(1, horizon + 1):
         if all(math.hypot(*d) < eps for d in (sim.box(k).corners() - p).tolist()):
             return eps, k

@@ -112,20 +112,24 @@ def bounding_box(boxes: Sequence[Box]) -> Box:
     return Box(np.min([b.lo for b in boxes], axis=0), np.max([b.hi for b in boxes], axis=0))
 
 
-def boxes_meet(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def boxes_meet(lo: np.ndarray, hi: np.ndarray, cols: tuple | None = None) -> np.ndarray:
     """meet[i, j]: closed boxes i and j, given by their stacked (n, 3)
-    corner arrays lo and hi, share a point."""
+    corner arrays lo and hi, share a point; with cols = (lo_b, hi_b), box
+    j is box j of that stack instead."""
+    lo_b, hi_b = (lo, hi) if cols is None else cols
     # one axis at a time: a reduction over a length-3 last axis is slower
-    meet = np.ones((len(lo), len(lo)), dtype=bool)
+    meet = np.ones((len(lo), len(lo_b)), dtype=bool)
     for a in range(3):
-        meet &= (lo[:, None, a] <= hi[None, :, a]) & (lo[None, :, a] <= hi[:, None, a])
+        meet &= (lo[:, None, a] <= hi_b[None, :, a]) & (lo_b[None, :, a] <= hi[:, None, a])
     return meet
 
 
-def farthest_corner_distances(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def farthest_corner_distances(
+    lo: np.ndarray, hi: np.ndarray, cols: tuple | None = None
+) -> np.ndarray:
     """far[i, j]: the largest distance from a corner of box i to a corner
     of box j, the boxes given by their stacked (n, 3) corner arrays lo and
-    hi.
+    hi; with cols = (lo_b, hi_b), box j is box j of that stack instead.
 
     A corner pair is chosen axis by axis, and on each axis the largest
     gap |x_i - x_j| between a face of box i and one of box j is
@@ -133,8 +137,9 @@ def farthest_corner_distances(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     per-axis squared maxima is bitwise the largest of the 64 corner-pair
     sums dx**2 + dy**2 + dz**2, added in that order.
     """
+    lo_b, hi_b = (lo, hi) if cols is None else cols
     gx, gy, gz = (
-        np.maximum(hi[:, None, a] - lo[None, :, a], hi[None, :, a] - lo[:, None, a])
+        np.maximum(hi[:, None, a] - lo_b[None, :, a], hi_b[None, :, a] - lo[:, None, a])
         for a in range(3)
     )
     return np.sqrt(gx * gx + gy * gy + gz * gz)
@@ -218,7 +223,9 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 
 def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For finite nonzero x: the 17 digits of each as bytes 3..19 of a
-    row of an (n, 5) uint32 array, and each one's layout key."""
+    row of an (n, 5) uint32 array, and each one's layout key.  The lead
+    digit and the four 4-digit groups are kept as the rows of a (5, n)
+    array, so each is one contiguous row."""
     a = np.abs(x)
     k = np.floor(np.log10(a)).astype(np.int32)
     row = k - _G17_K_MIN
@@ -245,22 +252,22 @@ def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok &= d < 10**17
     d[~ok] = 10**16
     # the lead digit, then four groups of four
-    q = np.empty((len(d), 5), np.int64)
+    q = np.empty((5, len(d)), np.int64)
     for i in range(4):
         unit = 10 ** (16 - 4 * i)
-        q[:, i] = d // unit
-        d -= q[:, i] * unit
-    q[:, 4] = d
-    q[:, 0] += 10000
+        q[i] = d // unit
+        d -= q[i] * unit
+    q[4] = d
+    q[0] += 10000
     table, quad_zeros = _digit_words()
-    zeros = np.take(quad_zeros, q[:, 4])
+    zeros = np.take(quad_zeros, q[4])
     for i in (3, 2, 1):
         # the groups right of group i are all zeros
         run = np.flatnonzero(zeros == 4 * (4 - i))
-        zeros[run] += np.take(quad_zeros, q[run, i])
+        zeros[run] += np.take(quad_zeros, q[i].take(run))
     key = ((k - _G17_K_MIN) * 2 + np.signbit(x)) * 17 + 16 - zeros
     key[~ok] = _G17_UNDECIDED
-    return np.take(table, q), key
+    return np.take(table, q).T, key
 
 
 @functools.cache
@@ -424,7 +431,7 @@ class PLCurve:
         seg = np.repeat(np.arange(len(a)), k)
         starts = np.cumsum(k) - k
         j = np.arange(len(seg)) - np.repeat(starts, k)
-        out = a[seg] + d[seg] * (j / k[seg])[:, None]
+        out = a.take(seg, axis=0) + d.take(seg, axis=0) * (j / k.take(seg))[:, None]
         if not self.closed:
             out = np.concatenate([out, self.points[-1:]])
         return PLCurve(out, closed=self.closed)

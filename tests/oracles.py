@@ -1,7 +1,8 @@
 """Reference computations that only the tests call.
 
 The acceptance criteria and unit tests check the package against these:
-the checks a box and an axis-aligned frame made in numpy, crossing
+the checks a box and an axis-aligned frame made in numpy, the tail
+diameters and disjointness of a box family from full pairwise tables, crossing
 counts of a curve's diagram, reference nested box families (the dyadic
 cubes, and each self-similar stream's supports level by level), the
 ball factoring scanned box by box and in exact closed form, the
@@ -28,7 +29,7 @@ from typing import Sequence
 from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
 from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
-from knotiso.geometry import Box, PLCurve, bounding_box
+from knotiso.geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from knotiso.maps import (
     CompositeMap,
     ConeMap,
@@ -90,6 +91,31 @@ def numpy_affine_frame(scale, shift) -> tuple[np.ndarray, np.ndarray, np.ndarray
             f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})"
         )
     return scale, shift, inv, inv_shift
+
+
+def full_matrix_tails(boxes: Sequence[Box]) -> tuple[np.ndarray, bool]:
+    """The tail diameters diam(V_n u ... u V_last) of boxes V_1..V_last and
+    whether no two of them meet, read off full last x last tables: the
+    suffix maxima of the row maxima of the upper triangle of the
+    farthest-corner distances (the largest face gap per axis, squared and
+    summed in axis order), the last entry being union_diameter([V_last]),
+    and the upper triangle of ``boxes_meet`` above its diagonal.  The
+    distance table is summed in place, so at most three tables are held
+    at once."""
+    lo = np.array([b.lo for b in boxes])
+    hi = np.array([b.hi for b in boxes])
+    n = len(boxes)
+    far, gap, other = np.zeros((n, n)), np.empty((n, n)), np.empty((n, n))
+    for a in range(3):
+        np.subtract(hi[:, None, a], lo[None, :, a], out=gap)
+        np.subtract(hi[None, :, a], lo[:, None, a], out=other)
+        np.maximum(gap, other, out=gap)
+        far += np.multiply(gap, gap, out=gap)
+    del gap, other
+    far = np.triu(np.sqrt(far, out=far)).max(axis=1)
+    far[-1] = union_diameter(boxes[-1:])
+    diam = np.maximum.accumulate(far[::-1])[::-1]
+    return diam, not np.triu(boxes_meet(lo, hi), k=1).any()
 
 
 # -- diagrams -----------------------------------------------------------------

@@ -9,7 +9,7 @@ from knotiso.canonical import conjugated_insert
 from knotiso.engine import MoveSequence, Similarity, find_ball_factoring
 from knotiso.geometry import Box
 
-from oracles import closed_form_ball_factoring, dyadic_cubes
+from oracles import closed_form_ball_factoring, dyadic_cubes, nested_ball_factoring
 
 
 def _ball_stream(v1: Box, p, r: float) -> MoveSequence:
@@ -136,9 +136,16 @@ def test_a_stream_that_is_not_a_ball_stream_has_no_factoring():
         assert find_ball_factoring(seq, 10) is None
 
 
-def test_a_point_a_subnormal_from_the_wall_has_an_empty_ball():
-    # p is interior to V_1, but half its wall distance rounds to 0: no V_k
-    # fits in the ball, and the factoring has no n0 at any horizon
+def test_a_point_a_subnormal_from_the_wall_has_no_ball():
+    # p is interior to V_1, but half its wall distance rounds to 0: an empty
+    # ball is refused, as the box-by-box scan refuses it
     p = np.array([5e-324, 0.5, 0.5])
     seq = _ball_stream(Box((0, 0, 0), (1, 1, 1)), p, 0.5)
-    assert find_ball_factoring(seq, 50) == (0.0, None)
+    message = "no ball about p fits strictly inside the first region"
+    with pytest.raises(ValueError, match=message):
+        nested_ball_factoring(p, seq.boxes(1, 50))
+    with pytest.raises(ValueError, match=message):
+        find_ball_factoring(seq, 50)
+    # the least normal double keeps a ball, with no V_k inside it yet
+    seq = _ball_stream(Box((0, 0, 0), (1, 1, 1)), np.array([2.0**-1022, 0.5, 0.5]), 0.5)
+    assert find_ball_factoring(seq, 50) == (2.0**-1023, None)

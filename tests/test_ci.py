@@ -13,7 +13,8 @@ Every top-level function, class and constant in the package, private or public, 
 public class has a caller outside the tests, with no exception: code
 that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
-named kinds, each with its reason, and only the end rule
+named kinds, each with its reason, no subscript in ``maps`` or ``engine``
+pairs a slice with a non-constant index, and only the end rule
 ``Isotopy.from_motion`` builds an ``Isotopy`` directly.  README's Layout
 block lists exactly the package's modules.  Every committed
 benchmark record is whole: named after its label, with its machine and,
@@ -236,6 +237,38 @@ def test_every_map_kind_culls_through_on_support():
     assert not uncalled, uncalled
     # each exception still names a kind that evaluates points
     assert set(_UNCULLED) <= evaluating
+
+
+# subscripts of maps.py and engine.py that pair a slice with a non-constant
+# index, and why each may; there are none: a batch's rows are read with
+# compress or take and written one coordinate row at a time (maps._scatter)
+_SLICED_INDEXES: dict[str, str] = {}
+
+
+def _is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_point_batches_move_without_sliced_fancy_indexes():
+    # y[:, mask] gathers about four times slower than y.compress(mask,
+    # axis=1), and z[:, mask] = v scatters about three times slower than
+    # one 1-D write per coordinate row
+    found = set()
+    for name in ("maps.py", "engine.py"):
+        tree = ast.parse((ROOT / "src" / "knotiso" / name).read_text())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+                continue
+            slices = [isinstance(e, ast.Slice) for e in node.slice.elts]
+            if any(slices) and not all(s or _is_literal(e) for s, e in zip(slices, node.slice.elts)):
+                found.add(f"{name}:{ast.unparse(node)}")
+    assert found <= set(_SLICED_INDEXES), sorted(found - set(_SLICED_INDEXES))
+    # each exception still names such a subscript
+    assert set(_SLICED_INDEXES) <= found
 
 
 # the only places that build an Isotopy directly, and why; every isotopy

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from knotiso import cli
+from knotiso.canonical import conjugated_insert
 from knotiso.cli import RunConfig, main
-from knotiso.geometry import read_curve
+from knotiso.engine import MoveSequence, Similarity
+from knotiso.geometry import Box, read_curve
 from knotiso.scenarios import ExpectedVerdicts, build_countable_r1
 
 from oracles import count_crossings
@@ -123,6 +125,21 @@ class TestRunVerb:
         assert main(["run", "--scenario", "countable_r1", "--out", str(out)]) == 4
         captured = capsys.readouterr()
         assert captured.err == "error: affine scale on axis x is 0.0, not finite and nonzero\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_ball_too_small_to_hold_exits_four(self, tmp_path, capsys, monkeypatch):
+        # a ball stream whose p lies the least subnormal inside V_1's wall:
+        # half that distance rounds to 0, and no empty ball is reported
+        v1 = Box((0, 0, 0), (1, 1, 1))
+        sim = Similarity(conjugated_insert(v1), (5e-324, 0.5, 0.5), 0.5)
+        moves = MoveSequence(Box(v1.lo - 1.0, v1.hi + 1.0), similarity=sim)
+        s = dataclasses.replace(build_countable_r1(), moves=moves)
+        monkeypatch.setitem(cli.SCENARIO_BUILDERS, "countable_r1", lambda: s)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "countable_r1", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: no ball about p fits strictly inside the first region\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotiso import engine
 from knotiso.engine import (
     Isotopy,
     MoveSequence,
@@ -32,6 +34,7 @@ from knotiso.scenarios import SCENARIO_BUILDERS
 
 from oracles import (
     framed_stage,
+    full_matrix_tails,
     infinite_motion_census,
     nested_ball_factoring,
     part_by_part,
@@ -282,6 +285,38 @@ class TestTailTable:
         assert rep.disjoint_supports == all(
             not _meet(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
         )
+
+    def test_a_long_horizon_is_read_in_blocks_of_rows(self):
+        # formed whole, the 4096 x 4096 tables peak at about 640 MB; read in
+        # blocks of rows they give the same maxima, so the same bits
+        seq = SCENARIO_BUILDERS["countable_r1"]().moves
+        tracemalloc.start()
+        try:
+            rep = check_hypotheses(seq, 4096, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        diam, disjoint = full_matrix_tails(seq.boxes(1, 4096))
+        got = np.array([d for _, d in rep.tail_diameters])
+        assert np.array_equal(got.view(np.int64), diam.view(np.int64))
+        assert rep.disjoint_supports == disjoint
+
+    @pytest.mark.parametrize("pair", [None, (0, 1), (49, 50), (549, 599)])
+    def test_disjointness_is_read_in_every_block(self, pair, monkeypatch):
+        # 600 unit cubes spaced along x, 50 rows to a block: all apart, or
+        # with box j moved onto box i, whose row lies in the first block,
+        # across a block boundary or in the last block
+        monkeypatch.setattr(engine, "_PAIR_BLOCK", 50 * 600)
+        boxes = [Box.cube((2.0 * k, 0.0, 0.0), 1.0) for k in range(600)]
+        if pair is not None:
+            i, j = pair
+            boxes[j] = Box.cube((2.0 * i, 0.0, 0.5), 1.0)
+        rep = check_hypotheses(_fixed_stream(boxes), len(boxes), 1e-6)
+        diam, disjoint = full_matrix_tails(boxes)
+        assert rep.disjoint_supports == disjoint == (pair is None)
+        got = np.array([d for _, d in rep.tail_diameters])
+        assert np.array_equal(got.view(np.int64), diam.view(np.int64))
 
     def test_memoized_per_last_stage(self):
         seq = _stream()

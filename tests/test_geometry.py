@@ -150,6 +150,10 @@ class TestUnionDiameter:
         lo = np.array([b.lo for b in boxes])
         hi = np.array([b.hi for b in boxes])
         assert np.array_equal(_bits(farthest_corner_distances(lo, hi)), _bits(brute))
+        # rows of one stack against columns of another: that part of the table
+        i, j = len(boxes) // 2, len(boxes) // 3
+        part = farthest_corner_distances(lo[i:], hi[i:], (lo[j:], hi[j:]))
+        assert np.array_equal(_bits(part), _bits(brute[i:, j:]))
         assert np.array_equal(_bits(union_diameter(boxes)), _bits(brute.max()))
         # and an independent, differently rounded distance
         flat = [c for b in boxes for c in b.corners().tolist()]

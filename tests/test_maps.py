@@ -15,6 +15,7 @@ from knotiso.canonical import (
     loop_sub_boxes,
     multi_kink_isotopy,
 )
+from knotiso.engine import truncated_map
 from knotiso.geometry import Box, bounding_box
 from knotiso.maps import (
     AffineMap,
@@ -873,6 +874,94 @@ def test_every_map_kind_returns_a_fresh_image():
             img = apply(pts)
             img[:] = 7.0
             assert np.array_equal(pts, rows), m
+
+
+# -- batches against one row at a time -------------------------------------------
+
+
+def _mixed_batch(support: Box, pool: np.ndarray, rng, inside: str, order: str) -> np.ndarray:
+    """Rows of pool in a shuffled batch with none, one or all of them inside
+    the support, or some of each, each class with some rows repeated, in C
+    or Fortran order; a class the pool lacks is left out, so a batch may be
+    empty."""
+    held = support.contains_array(pool)
+    sizes = {"none": (0, 12), "one": (1, 12), "all": (12, 0), "mixed": (8, 8)}[inside]
+    parts = []
+    for rows, size in zip((pool[held], pool[~held]), sizes):
+        if size and len(rows):
+            part = rows[rng.integers(len(rows), size=size)]
+            # the first rows again, so the batch repeats rows in every class
+            # with more than one
+            parts += [part, part[: size // 4]]
+    batch = np.concatenate([np.empty((0, 3))] + parts)
+    batch = batch[rng.permutation(len(batch))]
+    return np.asfortranarray(batch) if order == "F" else np.ascontiguousarray(batch)
+
+
+def _assert_rows_agree(apply, batch: np.ndarray) -> None:
+    """The batch image is bitwise the stack of the one-row images."""
+    rows = np.concatenate([np.empty((0, 3))] + [apply(batch[i : i + 1]) for i in range(len(batch))])
+    assert _same_bits(apply(batch), rows)
+
+
+_BATCH_CASES = st.tuples(st.sampled_from(["none", "one", "all", "mixed"]), st.sampled_from("CF"))
+
+
+@given(
+    _target_boxes(),
+    st.tuples(*[st.floats(-0.95, 0.95)] * 3),
+    _unsquish_params(),
+    st.floats(0.0, 1.0),
+    _exponents,
+    _BATCH_CASES,
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_every_map_kind_maps_a_batch_as_its_rows(box, u, par, t, e, case, seed):
+    rng = np.random.default_rng(seed)
+    cone = ConeMap(box, box.center, box.center + np.array(u) * box.half_extents)
+    unsquish = UnsquishMap(par, t)
+    composite = CompositeMap([cone, unsquish], support=bounding_box([cone.support, unsquish.support]))
+    maps = [
+        IdentityMap(support=box),
+        AffineMap.box_to_box(CANONICAL_BOX, box),
+        cone,
+        unsquish,
+        unsquish.inverse(),
+        PowerMap1D(e),
+        composite,
+        conjugate(AffineMap.box_to_box(CANONICAL_BOX, box), kink_map(), box),
+    ]
+    for m in maps:
+        pool = _around(m.support if m.support != UNBOUNDED else box, rng, 40)
+        batch = _mixed_batch(m.support, pool, rng, *case)
+        for apply in (m.apply_array, m.apply_inverse_array):
+            _assert_rows_agree(apply, batch)
+
+
+_DECLARED = [n for n, build in sorted(SCENARIO_BUILDERS.items()) if build().moves.similarity is not None]
+
+
+@given(
+    st.sampled_from(_DECLARED),
+    st.sampled_from([1, 5, 20]),
+    _BATCH_CASES,
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_truncation_maps_a_batch_as_its_rows(scenarios, name, n, case, seed):
+    # the level loop of a declared stream, on rows of its stage supports,
+    # its curve and its census, and around them
+    rng = np.random.default_rng(seed)
+    s = scenarios[name]
+    m = truncated_map(s.moves, n)
+    boxes = [s.moves.stage(k).support for k in (1, max(1, n // 2), n)]
+    pool = np.concatenate(
+        [_around(b, rng, 12) for b in boxes]
+        + [s.initial_curve.points[rng.integers(len(s.initial_curve.points), size=40)]]
+        + [s.census_samples, s.moves.similarity.p[None, :]]
+    )
+    _assert_rows_agree(m.apply_array, _mixed_batch(m.support, pool, rng, *case))
 
 
 # -- interval power map ----------------------------------------------------------
