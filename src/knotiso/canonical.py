@@ -16,11 +16,12 @@ is the straight strand of the box with those m loops tied in: a loop chain
 frames that one strand into each of its boxes, and ``conjugated_insert``
 frames the same move there, given only the target box.
 
-``kink_isotopy()`` and ``multi_kink_isotopy(m)`` are module constants:
-each is built once, on first call, and every later call returns the same
-object.  Under the one end rule of ``Isotopy.from_motion`` each holds one
-time-1 map, built on first use, so every conjugated insert shares one set
-of canonical maps and their inverses.  Callers must not mutate them.
+``kink_isotopy()``, ``multi_kink_isotopy(m)`` and ``tied_strand(m, n)`` are
+module constants: each is built once, on first call, and every later call
+returns the same object, the strand as a read-only array.  Under the one
+end rule of ``Isotopy.from_motion`` each isotopy holds one time-1 map,
+built on first use, so every conjugated insert shares one set of
+canonical maps and their inverses.  Callers must not mutate them.
 """
 from __future__ import annotations
 
@@ -87,12 +88,16 @@ def _insert_move(m: int) -> Isotopy:
     return multi_kink_isotopy(m) if m > 1 else kink_isotopy()
 
 
+@functools.cache
 def tied_strand(m: int, n: int) -> np.ndarray:
     """The x-axis strand across the canonical box, from x = -1 to x = 1 at
-    n evenly spaced vertices, with m loops tied in: an (n, 3) array."""
+    n evenly spaced vertices, with m loops tied in: a read-only (n, 3)
+    array."""
     xs = np.linspace(-1.0, 1.0, n)
     zeros = np.zeros_like(xs)
-    return _insert_move(m).time_one().apply_array(np.column_stack([xs, zeros, zeros]))
+    strand = _insert_move(m).time_one().apply_array(np.column_stack([xs, zeros, zeros]))
+    strand.flags.writeable = False
+    return strand
 
 
 def conjugated_insert(target: Box, m: int = 1) -> Isotopy:

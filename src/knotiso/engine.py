@@ -26,7 +26,8 @@ the settled / tolerance-converged / budget trichotomy, runs the stages.
 
 Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
-per stream and last stage: the stacked supports and their suffix-union
+per stream and last stage: the stacked supports, which a declared stream
+reads off its declaration (``Similarity.corners``), and their suffix-union
 diameters, the suffix maxima of the farthest-corner distances between
 every pair of supports, read in blocks of rows so that no last x last
 matrix is formed.  Each report states a verdict once: the
@@ -118,17 +119,21 @@ class TailTable:
 
     @staticmethod
     def build(boxes: Sequence[Box]) -> "TailTable":
-        if not boxes:
-            empty = np.empty((0, 3))
-            return TailTable(lo=empty, hi=empty, diam=np.empty(0))
-        lo = np.array([b.lo for b in boxes])
-        hi = np.array([b.hi for b in boxes])
+        lo = np.array([b.lo for b in boxes]).reshape(-1, 3)
+        hi = np.array([b.hi for b in boxes]).reshape(-1, 3)
+        return TailTable.from_corners(lo, hi)
+
+    @staticmethod
+    def from_corners(lo: np.ndarray, hi: np.ndarray) -> "TailTable":
+        """The table of the supports given as stacked (last, 3) corners."""
+        if not len(lo):
+            return TailTable(lo=lo, hi=hi, diam=np.empty(0))
         # every distance is >= 0, so the zeros below the diagonal lose
         blocks = _upper_blocks(lo, hi, farthest_corner_distances)
         far = np.concatenate([np.triu(block).max(axis=1) for block in blocks])
         # the base case diam(V_last) = union_diameter([V_last]), bitwise the
         # entry it replaces; perfbench counts these calls
-        far[-1] = union_diameter(boxes[-1:])
+        far[-1] = union_diameter([Box(lo[-1], hi[-1])])
         diam = np.maximum.accumulate(far[::-1])[::-1]
         return TailTable(lo=lo, hi=hi, diam=diam)
 
@@ -192,10 +197,28 @@ class Similarity:
         )
 
     def box(self, k: int) -> Box:
-        """V_k = S^(k-1)(V_1), its corners p + s (corner - p) for s = r^(k-1)
-        a Python float power; V_1 is stage 1's own support."""
-        v1, p, s = self.first.support, self.p, self.r ** (k - 1)
-        return v1 if k == 1 else Box(p + s * (v1.lo - p), p + s * (v1.hi - p))
+        """V_k = S^(k-1)(V_1); V_1 is stage 1's own support."""
+        v1, s = self.first.support, self.r ** (k - 1)
+        return v1 if k == 1 else Box(self._scaled(s, v1.lo), self._scaled(s, v1.hi))
+
+    def corners(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """The supports of stages first..last as stacked (n, 3) corner
+        arrays lo and hi, row k - first bitwise ``stage(k).support``: V_k,
+        or hull(V_k u F) where a fixed box F is declared.  No stage and no
+        box is built."""
+        v1 = self.first.support
+        s = np.array([self.r ** (k - 1) for k in range(first, last + 1)])[:, None]
+        lo, hi = self._scaled(s, v1.lo), self._scaled(s, v1.hi)
+        if first == 1 and last >= 1:
+            lo[0], hi[0] = v1.lo, v1.hi
+        if self.fixed is not None:
+            lo, hi = np.minimum(lo, self.fixed.lo), np.maximum(hi, self.fixed.hi)
+        return lo, hi
+
+    def _scaled(self, s, corner: np.ndarray) -> np.ndarray:
+        """S^(k-1) of a corner of V_1, p + s (corner - p), for s = r^(k-1) a
+        Python float power, or a column of them, one row per level."""
+        return self.p + s * (corner - self.p)
 
     def stage(self, k: int) -> Isotopy:
         """Stage k under the end rule, at time t the one-level loop over
@@ -291,9 +314,16 @@ class MoveSequence:
         return self.stage(k).time_one()
 
     def tail_table(self, last: int) -> TailTable:
-        """The tail table of V_1..V_last, built once per last stage."""
+        """The tail table of V_1..V_last, built once per last stage; a
+        declared stream's reads its supports off the declaration and builds
+        no stage."""
         if last not in self._tails:
-            self._tails[last] = TailTable.build(self.boxes(1, last))
+            sim = self.similarity
+            self._tails[last] = (
+                TailTable.build(self.boxes(1, last))
+                if sim is None
+                else TailTable.from_corners(*sim.corners(1, last))
+            )
         return self._tails[last]
 
     @property

@@ -7,10 +7,10 @@ curves are built by the reverse trick: apply invertible loop-insert maps
 to a plain baseline, so each untying move is the exact inverse of the
 insert that created its loop.  A loop chain (``_loop_chain``) ties m
 loops in each of its boxes, and every box carries the same canonical
-insert framed into it: the chain runs that insert once, on the straight
-canonical strand (``canonical.tied_strand``), and frames the tied strand
-into each box, which in exact arithmetic is the box's insert applied to
-its straight baseline.
+insert framed into it: that insert runs once per process, on the straight
+canonical strand (``canonical.tied_strand``), and the chain frames the
+tied strand into all its boxes at once, which in exact arithmetic is each
+box's insert applied to its straight baseline.
 
 Every stream but the interval counterexample is self-similar, and is
 declared once, as its first stage, a similarity S(x) = p + r (x - p) and
@@ -38,7 +38,7 @@ ball factoring (``engine.find_ball_factoring``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ import numpy as np
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from .engine import Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
-from .maps import AffineMap, LocalMap, PowerMap1D, UnsquishParams
+from .maps import LocalMap, PowerMap1D, UnsquishParams
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # loops per chain, one per stage box V_1..V_LOOPS; also the levels
@@ -96,34 +96,59 @@ def _loop_chain(
     """The x-axis strand from x_start to x_end with m loops tied in each
     box; the ``untied`` boxes are refined alike but left straight.
 
-    Each box gets m * _PTS_PER_BOX vertices: the canonical strand, tied by
-    ``tied_strand`` once per call or left straight, framed into the box.
-    The boxes must be centred on the x-axis, strictly inside the span and
-    pairwise disjoint (closed boxes that meet raise ValueError).
+    Each box gets m * _PTS_PER_BOX vertices: the canonical strand, tied
+    (``tied_strand``) or left straight, framed into the box.  Every box is
+    framed at once, from the stacked corners, by ``AffineMap.box_to_box``'s
+    formulas: scale = h_box / h_canonical and shift = c_box - scale *
+    c_canonical per axis, each zero shift as -0.0.  The boxes must be
+    centred on the x-axis, strictly inside the span and pairwise disjoint
+    (closed boxes that meet raise ValueError), and each must have the
+    finite invertible frame an ``AffineMap`` takes, else ValueError.
     """
     every = [*boxes, *untied]
-    meet = boxes_meet(np.array([b.lo for b in every]), np.array([b.hi for b in every]))
+    lo, hi = np.array([b.lo for b in every]), np.array([b.hi for b in every])
+    meet = boxes_meet(lo, hi)
     np.fill_diagonal(meet, False)
     if meet.any():
         i, j = np.argwhere(meet)[0]
         raise ValueError(f"insert boxes overlap: {every[i]} meets {every[j]}")
-    for b in every:
-        if b.center[1:].any():
-            raise ValueError(f"insert box {b} is not centred on the x-axis")
-        if not (x_start < b.lo[0] and b.hi[0] < x_end):
-            raise ValueError("box refinement escapes the arc span")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        half = (hi - lo) * 0.5
+        center = lo + half
+        scale = half / CANONICAL_BOX.half_extents
+        shift = center - scale * CANONICAL_BOX.center
+        # AffineMap's refusals: a zero or non-finite scale, or an inverse
+        # frame whose own inverse shift is not finite
+        inv = 1.0 / scale
+        framed = np.isfinite(scale) & (scale != 0.0) & np.isfinite(-(1.0 / inv) * (-inv * shift))
+    off_axis = center[:, 1:].any(axis=1)
+    if off_axis.any():
+        raise ValueError(f"insert box {every[off_axis.argmax()]} is not centred on the x-axis")
+    if not ((x_start < lo[:, 0]) & (hi[:, 0] < x_end)).all():
+        raise ValueError("box refinement escapes the arc span")
+    if not framed.all():
+        bad = every[(~framed.all(axis=1)).argmax()]
+        raise ValueError(f"insert box {bad} has no finite invertible frame")
     n = m * _PTS_PER_BOX
     xs = np.linspace(-1.0, 1.0, n)
-    straight = np.column_stack([xs, np.zeros(n), np.zeros(n)])
-    tied = tied_strand(m, n)
-    pieces = sorted(
-        [(b, tied) for b in boxes] + [(b, straight) for b in untied], key=lambda p: p[0].lo[0]
-    )
-    # every box's frame at once, on the (r, n, 3) stack of strands
-    frames = [AffineMap.box_to_box(CANONICAL_BOX, b) for b, _ in pieces]
-    scale, shift = np.array([f.scale for f in frames]), np.array([f.shift for f in frames])
-    framed = np.stack([strand for _, strand in pieces]) * scale[:, None] + shift[:, None]
-    return np.concatenate([[[x_start, 0.0, 0.0]], *framed, [[x_end, 0.0, 0.0]]])
+    # the strands coordinate-major, a row per axis
+    tied_rows, straight_rows = tied_strand(m, n).T, (xs, np.zeros(n), np.zeros(n))
+    order = np.argsort(lo[:, 0], kind="stable")
+    tied = (order < len(boxes))[:, None]
+    scale, shift = scale[order], np.where(shift == 0.0, -0.0, shift)[order]
+    chain = np.empty((len(order) * n + 2, 3))
+    chain[0], chain[-1] = (x_start, 0.0, 0.0), (x_end, 0.0, 0.0)
+    for a in range(3):
+        # axis a of every piece at once, in x order
+        strands = np.where(tied, tied_rows[a], straight_rows[a])
+        chain[1:-1, a] = (strands * scale[:, a, None] + shift[:, a, None]).ravel()
+    return chain
+
+
+def _chain_boxes(sim: Similarity) -> list[Box]:
+    """V_1..V_LOOPS of a declaration with no fixed box, the boxes its chain
+    ties loops in, read off its stacked corners."""
+    return [Box(lo, hi) for lo, hi in zip(*sim.corners(1, _LOOPS))]
 
 
 def _untie(box: Box, m: int) -> Isotopy:
@@ -151,7 +176,7 @@ def build_countable_r1() -> Scenario:
     """A circle with countably many shrinking loops; each move removes the
     next loop inside its own disjoint box."""
     moves = _countable_stream(2.0, 1, Box((-1.0, -2.0, -1.0), (3.0, 1.0, 1.0)))
-    curve = _closed_curve(_loop_chain(-0.5, 2.5, moves.boxes(1, _LOOPS), 1))
+    curve = _closed_curve(_loop_chain(-0.5, 2.5, _chain_boxes(moves.similarity), 1))
 
     pairs = np.array([
         ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
@@ -179,7 +204,7 @@ def build_countable_r2(stage: int) -> Scenario:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     container = Box((-1.0, -2.0, -1.0), (5.0, 1.0, 1.0))
     passes = [_countable_stream(x, 2, container) for x in (2.0, 4.0)]
-    pass1, pass2 = (p.boxes(1, _LOOPS) for p in passes)
+    pass1, pass2 = (_chain_boxes(p.similarity) for p in passes)
     tied, untied = (pass1 + pass2, []) if stage == 1 else (pass2, pass1)
     curve = _closed_curve(_loop_chain(-0.5, 4.5, tied, 2, untied))
 
@@ -325,10 +350,10 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     container = Box((-1.0, -2.0, -1.0), (4.0, 1.0, 1.0))
     # V_1 is the work box inside the shell between nesting levels 1 and 2
     v1 = Box.from_center((1.90625, 0.0, 0.0), (0.028125, 0.025, 0.025))
-    segment = Box((2.0, 0.0, 0.0), (3.0, 0.0, 0.0)) if extended else None
-    sim = Similarity(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5, segment)
+    plain = Similarity(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5)
+    sim = replace(plain, fixed=Box((2.0, 0.0, 0.0), (3.0, 0.0, 0.0))) if extended else plain
     moves = MoveSequence(container, similarity=sim)
-    strand = _loop_chain(-0.5, 2.0, [sim.box(k) for k in range(1, _LOOPS + 1)], 3)
+    strand = _loop_chain(-0.5, 2.0, _chain_boxes(plain), 3)
     if extended:
         strand = np.concatenate([strand, [[3.0, 0.0, 0.0]]])
     curve = _closed_curve(strand)

@@ -655,6 +655,61 @@ def _box_bits(b: Box) -> tuple[bytes, bytes]:
     return b.lo.tobytes(), b.hi.tobytes()
 
 
+def _assert_rows_are_the_supports(seq, first: int, last: int) -> None:
+    """Row k - first of the declaration's stacked corners is stage k's
+    support, bitwise."""
+    lo, hi = seq.similarity.corners(first, last)
+    assert lo.shape == hi.shape == (last - first + 1, 3)
+    for k, row_lo, row_hi in zip(range(first, last + 1), lo, hi):
+        assert (row_lo.tobytes(), row_hi.tobytes()) == _box_bits(seq.stage(k).support), k
+
+
+def _assert_same_table(got: TailTable, want: TailTable) -> None:
+    for a, b in ((got.lo, want.lo), (got.hi, want.hi), (got.diam, want.diam)):
+        assert a.shape == b.shape
+        _assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("last", [20, 40, 1100])
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_a_declarations_corners_are_its_stage_supports(name, last):
+    """V_1 itself, the hull with the segment for ``trefoil_chain_extended``,
+    and past the depth where V_k collapses onto p in floats; a window
+    that starts past stage 1 reads the same rows."""
+    seq = SCENARIO_BUILDERS[name]().moves
+    _assert_rows_are_the_supports(seq, 1, last)
+    _assert_rows_are_the_supports(seq, last // 2, last)
+
+
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_a_declared_tail_table_is_the_table_of_its_stage_supports(name):
+    """Read off the declaration, bitwise the table of the supports the
+    stages build."""
+    seq = SCENARIO_BUILDERS[name]().moves
+    for h in (1, 2, 20, 40):
+        _assert_same_table(seq.tail_table(h), TailTable.build(seq.boxes(1, h)))
+
+
+@given(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.tuples(*[st.floats(0.05, 0.5)] * 3),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.floats(0.3, 0.7),
+    st.none() | st.tuples(st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.tuples(*[st.floats(0.0, 1.0)] * 3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_generated_declarations_corners_are_its_stage_supports(center, half, p, r, fixed):
+    """On generated streams, p inside V_1 or not, with or without a fixed
+    box F: the stacked corners are the stage supports and the tail table
+    read off them is the supports' table, bitwise."""
+    box = None if fixed is None else Box(fixed[0], np.add(*fixed))
+    sim = Similarity(conjugated_insert(Box.from_center(center, half)), p, r, box)
+    seq = MoveSequence(Box.cube((0, 0, 0), 16.0), similarity=sim)
+    _assert_rows_are_the_supports(seq, 1, 30)
+    _assert_rows_are_the_supports(seq, 7, 12)
+    _assert_same_table(seq.tail_table(30), TailTable.build(seq.boxes(1, 30)))
+
+
 @given(
     st.tuples(*[st.floats(-1.0, 1.0)] * 3),
     st.tuples(*[st.floats(0.05, 0.5)] * 3),

@@ -14,6 +14,7 @@ from knotiso.canonical import (
     kink_map,
     loop_sub_boxes,
     multi_kink_isotopy,
+    tied_strand,
 )
 from knotiso.engine import Isotopy, _LevelLoop, truncated_map
 from knotiso.geometry import Box, PLCurve, curve_is_simple
@@ -499,6 +500,7 @@ class TestBuildOnce:
     def test_building_every_scenario_builds_few_cone_maps(self, monkeypatch):
         kink_isotopy.cache_clear()
         multi_kink_isotopy.cache_clear()
+        tied_strand.cache_clear()
         built = []
         init = ConeMap.__init__
 
@@ -510,3 +512,21 @@ class TestBuildOnce:
         for build in SCENARIO_BUILDERS.values():
             build()
         assert 0 < len(built) <= 10
+
+
+@pytest.mark.parametrize("m,n", [(1, 100), (2, 200), (3, 300), (2, 7)])
+def test_the_tied_strand_is_one_read_only_array_per_shape(m, n):
+    """tied_strand(m, n) is a module constant: one read-only (n, 3) array
+    per (m, n), bitwise a fresh evaluation of the insert on the straight
+    strand."""
+    strand = tied_strand(m, n)
+    assert tied_strand(m, n) is strand
+    assert strand.shape == (n, 3) and not strand.flags.writeable
+    with pytest.raises(ValueError):
+        strand[0, 0] = 0.0
+    xs = np.linspace(-1.0, 1.0, n)
+    straight = np.column_stack([xs, np.zeros(n), np.zeros(n)])
+    move = multi_kink_isotopy(m) if m > 1 else kink_isotopy()
+    fresh = move.time_one().apply_array(straight)
+    assert np.array_equal(np.ascontiguousarray(strand).view(np.int64), np.ascontiguousarray(fresh).view(np.int64))
+    assert strand[:, 1:].any()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotiso.canonical import conjugated_insert
+from knotiso.canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from knotiso import scenarios as scenarios_module
 from knotiso.cli import RunConfig, probe_scenario
 from knotiso.engine import (
@@ -22,10 +22,11 @@ from knotiso.engine import (
 )
 from knotiso.diagram import find_crossings
 from knotiso.geometry import Box, bounding_box, curve_is_simple
-from knotiso.maps import CompositeMap, ConeMap
+from knotiso.maps import AffineMap, CompositeMap, ConeMap, LocalMap
 from knotiso.scenarios import (
     SCENARIO_BUILDERS,
     _LOOPS,
+    _PTS_PER_BOX,
     _REC_EPS,
     _REC_SCALE,
     ExpectedVerdicts,
@@ -698,6 +699,45 @@ SEAM_CROSSINGS = {
 }
 
 
+def _framed_box_by_box(x_start, x_end, boxes, m, untied=()):
+    """The loop chain with one ``AffineMap.box_to_box`` frame per box."""
+    n = m * _PTS_PER_BOX
+    xs = np.linspace(-1.0, 1.0, n)
+    straight = np.column_stack([xs, np.zeros(n), np.zeros(n)])
+    pieces = sorted(
+        [(b, tied_strand(m, n)) for b in boxes] + [(b, straight) for b in untied],
+        key=lambda p: p[0].lo[0],
+    )
+    framed = [AffineMap.box_to_box(CANONICAL_BOX, b).apply_array(strand) for b, strand in pieces]
+    return np.concatenate([[[x_start, 0.0, 0.0]], *framed, [[x_end, 0.0, 0.0]]])
+
+
+def _map_kinds(kind=LocalMap):
+    """Every map class, the base included."""
+    yield kind
+    for sub in kind.__subclasses__():
+        yield from _map_kinds(sub)
+
+
+def test_a_second_build_runs_no_map(monkeypatch):
+    """Once the canonical strands and constants exist, building every
+    scenario again applies no map of any kind and frames no box."""
+    for build in SCENARIO_BUILDERS.values():
+        build()
+    calls = []
+
+    def counted(name, fn):
+        return lambda self, *a, **kw: calls.append(name) or fn(self, *a, **kw)
+
+    for kind in set(_map_kinds()):
+        if "apply_array" in vars(kind):
+            monkeypatch.setattr(kind, "apply_array", counted(kind.__name__, vars(kind)["apply_array"]))
+    monkeypatch.setattr(AffineMap, "__init__", counted("AffineMap()", AffineMap.__init__))
+    for build in SCENARIO_BUILDERS.values():
+        build()
+    assert calls == []
+
+
 @pytest.fixture(scope="module")
 def inserted_chains():
     """Every scenario with its chains built as inserts into a refined axis."""
@@ -739,9 +779,11 @@ class TestLoopChain:
         assert _seam_crossings(scenarios[name]) == SEAM_CROSSINGS[name]
         assert _seam_crossings(inserted_chains[name]) == SEAM_CROSSINGS[name]
 
-    def test_one_canonical_pass_per_chain(self, monkeypatch):
-        # one tied strand per chain, not one insert per box: the six chains
-        # push 2,360 rows through the cones, the inserts box by box 54,400
+    def test_one_canonical_pass_per_distinct_strand(self, monkeypatch):
+        # the tied strand is a module constant: building the six chains
+        # evaluates it once per distinct (m, n), three canonical passes,
+        # where one pass per chain pushed 2,360 rows through the cones and
+        # the inserts box by box 54,400
         rows = []
         apply = ConeMap.apply_array
 
@@ -750,9 +792,57 @@ class TestLoopChain:
             return apply(self, pts)
 
         monkeypatch.setattr(ConeMap, "apply_array", counting_apply)
+        tied_strand.cache_clear()
         for name in CHAINS:
             SCENARIO_BUILDERS[name]()
-        assert 0 < sum(rows) <= 2400
+        assert tied_strand.cache_info().misses == 3
+        built = sum(rows)
+        rows.clear()
+        tied_strand.cache_clear()
+        for m in (1, 2, 3):
+            tied_strand(m, m * _PTS_PER_BOX)
+        assert 0 < built <= sum(rows)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(_builder_boxes()))
+    def test_frames_each_box_as_its_affine_frame(self, name, m):
+        # bitwise AffineMap.box_to_box of the canonical box onto each box,
+        # applied to the tied strand, or to the straight one for the boxes
+        # left untied (here every other box, in registry order)
+        boxes = _builder_boxes()[name]
+        for tied, untied in ((boxes, []), (boxes[1::2], boxes[::2])):
+            want = _framed_box_by_box(-0.5, 4.5, tied, m, untied)
+            _assert_bitwise(_loop_chain(-0.5, 4.5, tied, m, untied), want)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            Box((0.9, 0.0, -0.1), (1.1, 0.0, 0.1)),  # flat in y
+            Box((1.0, -0.1, -0.1), (1.0, 0.1, 0.1)),  # flat in x
+            Box.from_center((1.0, 0.0, 0.0), (0.1, 1e-310, 0.1)),  # 1 / scale overflows
+            Box((-1e308, -0.1, -0.1), (1e308, 0.1, 0.1)),  # the scale overflows
+        ],
+    )
+    def test_a_box_with_no_finite_frame_raises(self, box):
+        with pytest.raises(ValueError):
+            AffineMap.box_to_box(CANONICAL_BOX, box)
+        with pytest.raises(ValueError, match="no finite invertible frame"):
+            _loop_chain(-1.7e308, 1.7e308, [box], 1)
+        # untied, the box is refused alike
+        with pytest.raises(ValueError, match="no finite invertible frame"):
+            _loop_chain(-1.7e308, 1.7e308, [], 1, untied=[box])
+
+    @given(st.tuples(*[st.floats(0.0, 0.5)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_the_boxes_an_affine_frame_refuses(self, half):
+        box = Box.from_center((1.0, 0.0, 0.0), half)
+        try:
+            AffineMap.box_to_box(CANONICAL_BOX, box)
+        except ValueError:
+            with pytest.raises(ValueError, match="no finite invertible frame"):
+                _loop_chain(0.0, 2.0, [box], 1)
+        else:
+            _assert_bitwise(_loop_chain(0.0, 2.0, [box], 1), _framed_box_by_box(0.0, 2.0, [box], 1))
 
     def test_untied_boxes_are_refined_straight(self):
         tied, untied = (Box.from_center((x, 0.0, 0.0), (0.25, 0.25, 0.25)) for x in (2.0, 1.0))
