@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _TEXT_BLOCK, PLCurve, _g17_cells, multiscale_close_pairs, nonadjacent
+from .geometry import (
+    _TEXT_BLOCK, PLCurve, _g17_cells, multiscale_close_pairs, nonadjacent, segment_ends
+)
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
@@ -124,11 +126,7 @@ def find_crossings(curve: PLCurve) -> list[Crossing]:
     pts = curve.points
     for rot in (None, _rotation(0, _PERTURB_RAD), _rotation(0, _PERTURB_RAD) @ _rotation(1, _PERTURB_RAD)):
         view = pts if rot is None else pts @ rot.T
-        if curve.closed:
-            a, b = view, np.roll(view, -1, axis=0)
-        else:
-            a, b = view[:-1], view[1:]
-        result = _find_crossings(a, b, curve.closed)
+        result = _find_crossings(*segment_ends(view, curve.closed), curve.closed)
         if result is not None:
             return result
     raise ValueError("projection is degenerate even after view perturbation")

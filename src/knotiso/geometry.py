@@ -345,6 +345,15 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(values))
 
 
+def segment_ends(pts: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end rows of the segments of a polyline through the
+    (n, 3) rows pts: each vertex to the next, and the last back to the
+    first where the polyline is closed."""
+    if closed:
+        return pts, np.roll(pts, -1, axis=0)
+    return pts[:-1], pts[1:]
+
+
 class PLCurve:
     """A finite polyline in 3-space, open arc or closed loop.
 
@@ -406,14 +415,7 @@ class PLCurve:
         return self.closed == other.closed and np.array_equal(self.points, other.points)
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        pts = self.points
-        if self.closed:
-            a = pts
-            b = np.roll(pts, -1, axis=0)
-        else:
-            a = pts[:-1]
-            b = pts[1:]
-        return a, b
+        return segment_ends(self.points, self.closed)
 
     def densified(self, max_seg_len: float) -> "PLCurve":
         """Insert evenly spaced vertices so no segment exceeds max_seg_len:

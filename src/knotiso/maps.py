@@ -6,7 +6,8 @@ Five kinds are provided:
   scales, no rotation), carrying the canonical box onto a target box to
   conjugate canonical moves there.  A non-identity affine map cannot be
   identity outside a bounded set, so every affine map declares the one
-  effectively-unbounded box ``UNBOUNDED`` as its support.
+  effectively-unbounded box ``UNBOUNDED`` as its support.  Frames onto
+  stacked boxes follow the same rule (``box_frames``, ``frame_refusals``).
 * ``ConeMap`` -- the Alexander-trick "vertex pull" over a box: a point q
   moves by (1 - rho(q)) * (p1 - p0), where the box gauge rho from the apex
   p0 is 0 at p0 and 1 on the boundary, so the apex goes to p1 and the
@@ -50,7 +51,6 @@ arrays.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,52 +130,31 @@ class AffineMap(LocalMap):
     must also be finite, which a subnormal scale or a huge shift over a
     tiny scale breaks, and so must the inverse of that inverse, which a
     scale so large that 1 / scale is subnormal breaks.  Such a frame is
-    refused when it is built, so ``inverse()`` always builds.
-
-    A scale and a shift are three numbers each, one per axis.  The three
-    pairs are checked, and the inverse frame computed, as Python
-    floats, whose double arithmetic gives numpy's bits.  Every zero shift
-    component, of the frame and of its inverse, is kept as -0.0, the exact
-    additive identity: x + (-0.0) is x bitwise, -0.0 included, where
-    x + 0.0 turns -0.0 into 0.0.
+    refused when it is built (``frame_refusals``), so ``inverse()`` always
+    builds.  Every zero shift component, of the frame and of its inverse,
+    is kept as -0.0, the exact additive identity: x + (-0.0) is x bitwise,
+    -0.0 included, where x + 0.0 turns -0.0 into 0.0.
     """
 
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
-        scale, shift = (np.asarray(v, dtype=float).reshape(3).tolist() for v in (scale, shift))
-        for k, s in enumerate(scale):
-            if not (math.isfinite(s) and s != 0.0):
-                raise ValueError(f"affine scale on axis {'xyz'[k]} is {s}, not finite and nonzero")
-        # the inverse frame, built here so an overflow in it is refused; its
-        # own inverse shift is finite exactly when the inverse frame and
-        # 1 / (1 / scale) are, so the inverse frame builds too
-        inv = [1.0 / s for s in scale]
-        inv_shift = [-i * t for i, t in zip(inv, shift)]
-        for k, (i, t) in enumerate(zip(inv, inv_shift)):
-            if not math.isfinite(-(1.0 / i) * t):
-                raise ValueError(
-                    f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})"
-                )
-        self.scale = np.array(scale)
-        self.shift = np.array(_negative_zeros(shift))
+        scale, shift = (np.array(v, dtype=float).reshape(3) for v in (scale, shift))
+        bad_scale, no_inverse, inverse_frame = frame_refusals(scale, shift)
+        if no_inverse.any():
+            k = bad_scale.argmax() if bad_scale.any() else no_inverse.argmax()
+            raise ValueError(
+                f"affine scale on axis {'xyz'[k]} is {scale[k]}, not finite and nonzero"
+                if bad_scale.any()
+                else f"affine frame on axis {'xyz'[k]} has no finite inverse (scale {scale[k]})"
+            )
+        self.scale = scale
+        self.shift = _negative_zeros(shift)
         self.support = UNBOUNDED
-        self._inverse_frame = (inv, _negative_zeros(inv_shift))
+        self._inverse_frame = inverse_frame
 
     @staticmethod
     def box_to_box(src: Box, dst: Box) -> "AffineMap":
-        """Axis-aligned affine map taking one box onto another: per axis,
-        scale = h_dst / h_src and shift = c_dst - scale * c_src, with
-        ``Box.half_extents`` h and ``Box.center`` c."""
-        slo, shi = src.lo.tolist(), src.hi.tolist()
-        dlo, dhi = dst.lo.tolist(), dst.hi.tolist()
-        s = [(b - a) * 0.5 for a, b in zip(slo, shi)]
-        if any(h <= 0 for h in s):
-            raise ValueError("source box is degenerate")
-        scale = [(b - a) * 0.5 / h for a, b, h in zip(dlo, dhi, s)]
-        shift = [
-            (da + (db - da) * 0.5) - k * (sa + (sb - sa) * 0.5)
-            for k, sa, sb, da, db in zip(scale, slo, shi, dlo, dhi)
-        ]
-        return AffineMap(scale, shift)
+        """The axis-aligned affine map taking one box onto another."""
+        return AffineMap(*box_frames(src, dst.lo, dst.hi))
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return pts * self.scale + self.shift
@@ -186,9 +165,38 @@ class AffineMap(LocalMap):
         return AffineMap(*self._inverse_frame)
 
 
-def _negative_zeros(shift: list[float]) -> list[float]:
+def box_frames(src: Box, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis scale and shift of the frames carrying box src onto the
+    boxes with corners lo and hi, (3,) rows or n stacked (n, 3) rows:
+    scale = h_dst / h_src and shift = c_dst - scale * c_src, with h and c
+    as ``Box`` reads them and each zero shift as -0.0; not yet checked."""
+    h = (src.hi - src.lo) * 0.5
+    if not h.all():
+        raise ValueError("source box is degenerate")
+    # a huge target overflows to a scale that frame_refusals refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (hi - lo) * 0.5
+        scale = half / h
+        shift = (lo + half) - scale * (src.lo + h)
+    return scale, _negative_zeros(shift)
+
+
+def frame_refusals(scale: np.ndarray, shift: np.ndarray) -> tuple:
+    """Per axis of these scale and shift rows, an ``AffineMap``'s two
+    refusals, a scale zero or not finite and an inverse frame whose own
+    inverse shift is not finite (true wherever the first is), as masks,
+    and the inverse frame (1 / scale, -(1 / scale) * shift)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / scale
+        inv_shift = -inv * shift
+        no_inverse = ~np.isfinite(-(1.0 / inv) * inv_shift)
+    bad_scale = ~np.isfinite(scale) | (scale == 0.0)
+    return bad_scale, no_inverse, (inv, inv_shift)
+
+
+def _negative_zeros(shift: np.ndarray) -> np.ndarray:
     """The shift with each zero component as -0.0, the additive identity."""
-    return [-0.0 if t == 0.0 else t for t in shift]
+    return np.where(shift == 0.0, -0.0, shift)
 
 
 @dataclass(frozen=True, eq=False)

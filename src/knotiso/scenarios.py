@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from .engine import Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
-from .maps import LocalMap, PowerMap1D, UnsquishParams
+from .maps import LocalMap, PowerMap1D, UnsquishParams, box_frames, frame_refusals
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # loops per chain, one per stage box V_1..V_LOOPS; also the levels
@@ -91,51 +91,46 @@ class Scenario:
 
 
 def _loop_chain(
-    x_start: float, x_end: float, boxes: Sequence[Box], m: int, untied: Sequence[Box] = ()
+    x_start: float, x_end: float, lo: np.ndarray, hi: np.ndarray, m: int, untied=False
 ) -> np.ndarray:
     """The x-axis strand from x_start to x_end with m loops tied in each
-    box; the ``untied`` boxes are refined alike but left straight.
+    box of the stacked (n, 3) corners lo and hi, but the boxes flagged
+    ``untied`` (one flag per box, or one for all), refined alike but left
+    straight.
 
     Each box gets m * _PTS_PER_BOX vertices: the canonical strand, tied
     (``tied_strand``) or left straight, framed into the box.  Every box is
-    framed at once, from the stacked corners, by ``AffineMap.box_to_box``'s
-    formulas: scale = h_box / h_canonical and shift = c_box - scale *
-    c_canonical per axis, each zero shift as -0.0.  The boxes must be
-    centred on the x-axis, strictly inside the span and pairwise disjoint
-    (closed boxes that meet raise ValueError), and each must have the
-    finite invertible frame an ``AffineMap`` takes, else ValueError.
+    framed at once by ``box_frames``, so each piece is bitwise what the
+    box's ``AffineMap.box_to_box`` frame makes of the strand.  The boxes
+    must be centred on the x-axis, strictly inside the span, pairwise
+    disjoint (closed boxes that meet raise ValueError) and each framed as
+    an ``AffineMap`` takes it (``frame_refusals``), else ValueError.
     """
-    every = [*boxes, *untied]
-    lo, hi = np.array([b.lo for b in every]), np.array([b.hi for b in every])
     meet = boxes_meet(lo, hi)
     np.fill_diagonal(meet, False)
     if meet.any():
         i, j = np.argwhere(meet)[0]
-        raise ValueError(f"insert boxes overlap: {every[i]} meets {every[j]}")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        half = (hi - lo) * 0.5
-        center = lo + half
-        scale = half / CANONICAL_BOX.half_extents
-        shift = center - scale * CANONICAL_BOX.center
-        # AffineMap's refusals: a zero or non-finite scale, or an inverse
-        # frame whose own inverse shift is not finite
-        inv = 1.0 / scale
-        framed = np.isfinite(scale) & (scale != 0.0) & np.isfinite(-(1.0 / inv) * (-inv * shift))
-    off_axis = center[:, 1:].any(axis=1)
+        raise ValueError(f"insert boxes overlap: {Box(lo[i], hi[i])} meets {Box(lo[j], hi[j])}")
+    scale, shift = box_frames(CANONICAL_BOX, lo, hi)
+    # the canonical box is centred at the origin: a frame's shift is its box's centre
+    off_axis = shift[:, 1:].any(axis=1)
     if off_axis.any():
-        raise ValueError(f"insert box {every[off_axis.argmax()]} is not centred on the x-axis")
+        k = off_axis.argmax()
+        raise ValueError(f"insert box {Box(lo[k], hi[k])} is not centred on the x-axis")
     if not ((x_start < lo[:, 0]) & (hi[:, 0] < x_end)).all():
         raise ValueError("box refinement escapes the arc span")
-    if not framed.all():
-        bad = every[(~framed.all(axis=1)).argmax()]
-        raise ValueError(f"insert box {bad} has no finite invertible frame")
+    # an AffineMap's second refusal holds wherever its first does
+    _, no_inverse, _ = frame_refusals(scale, shift)
+    if no_inverse.any():
+        k = no_inverse.any(axis=1).argmax()
+        raise ValueError(f"insert box {Box(lo[k], hi[k])} has no finite invertible frame")
     n = m * _PTS_PER_BOX
     xs = np.linspace(-1.0, 1.0, n)
     # the strands coordinate-major, a row per axis
     tied_rows, straight_rows = tied_strand(m, n).T, (xs, np.zeros(n), np.zeros(n))
     order = np.argsort(lo[:, 0], kind="stable")
-    tied = (order < len(boxes))[:, None]
-    scale, shift = scale[order], np.where(shift == 0.0, -0.0, shift)[order]
+    tied = ~np.broadcast_to(untied, len(lo))[order, None]
+    scale, shift = scale[order], shift[order]
     chain = np.empty((len(order) * n + 2, 3))
     chain[0], chain[-1] = (x_start, 0.0, 0.0), (x_end, 0.0, 0.0)
     for a in range(3):
@@ -143,12 +138,6 @@ def _loop_chain(
         strands = np.where(tied, tied_rows[a], straight_rows[a])
         chain[1:-1, a] = (strands * scale[:, a, None] + shift[:, a, None]).ravel()
     return chain
-
-
-def _chain_boxes(sim: Similarity) -> list[Box]:
-    """V_1..V_LOOPS of a declaration with no fixed box, the boxes its chain
-    ties loops in, read off its stacked corners."""
-    return [Box(lo, hi) for lo, hi in zip(*sim.corners(1, _LOOPS))]
 
 
 def _untie(box: Box, m: int) -> Isotopy:
@@ -176,7 +165,7 @@ def build_countable_r1() -> Scenario:
     """A circle with countably many shrinking loops; each move removes the
     next loop inside its own disjoint box."""
     moves = _countable_stream(2.0, 1, Box((-1.0, -2.0, -1.0), (3.0, 1.0, 1.0)))
-    curve = _closed_curve(_loop_chain(-0.5, 2.5, _chain_boxes(moves.similarity), 1))
+    curve = _closed_curve(_loop_chain(-0.5, 2.5, *moves.similarity.corners(1, _LOOPS), 1))
 
     pairs = np.array([
         ((0.5, 0.3, 0.0), (0.5, -0.3, 0.0)),
@@ -204,9 +193,11 @@ def build_countable_r2(stage: int) -> Scenario:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     container = Box((-1.0, -2.0, -1.0), (5.0, 1.0, 1.0))
     passes = [_countable_stream(x, 2, container) for x in (2.0, 4.0)]
-    pass1, pass2 = (_chain_boxes(p.similarity) for p in passes)
-    tied, untied = (pass1 + pass2, []) if stage == 1 else (pass2, pass1)
-    curve = _closed_curve(_loop_chain(-0.5, 4.5, tied, 2, untied))
+    (lo1, hi1), (lo2, hi2) = (p.similarity.corners(1, _LOOPS) for p in passes)
+    lo, hi = np.concatenate([lo1, lo2]), np.concatenate([hi1, hi2])
+    # stage 2 starts from what stage 1 leaves: the first pass's boxes straight
+    untied = np.repeat([stage == 2, False], _LOOPS)
+    curve = _closed_curve(_loop_chain(-0.5, 4.5, lo, hi, 2, untied))
 
     if stage == 1:
         pairs = np.array([
@@ -353,7 +344,7 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     plain = Similarity(_untie(v1, 3), (2.0, 0.0, 0.0), 0.5)
     sim = replace(plain, fixed=Box((2.0, 0.0, 0.0), (3.0, 0.0, 0.0))) if extended else plain
     moves = MoveSequence(container, similarity=sim)
-    strand = _loop_chain(-0.5, 2.0, _chain_boxes(plain), 3)
+    strand = _loop_chain(-0.5, 2.0, *plain.corners(1, _LOOPS), 3)
     if extended:
         strand = np.concatenate([strand, [[3.0, 0.0, 0.0]]])
     curve = _closed_curve(strand)
@@ -386,12 +377,11 @@ def fox_pair_box_current(k: int) -> Box:
     return Box.from_center((0.11 * u, 0.0, 0.0), (0.025 * u, 0.03 * u, 0.03 * u))
 
 
-def fox_pair_box_initial(k: int) -> Box:
-    """Initial placement: the current box scaled back out by the exact
-    homothety the first k-1 squishes will apply."""
-    f = 2.0 ** (k - 1)
-    b = fox_pair_box_current(k)
-    return Box(b.lo * f, b.hi * f)
+def fox_untying() -> Similarity:
+    """The disjoint stream that unties fox's curve, halving toward the
+    stitch point: V_k is loop pair k's box on the curve, which the first
+    k - 1 squishes carry onto ``fox_pair_box_current(k)``."""
+    return Similarity(_untie(fox_pair_box_current(1), 2), (0.0, 0.0, 0.0), 0.5)
 
 
 def fox_squish_isotopy() -> Isotopy:
@@ -409,11 +399,12 @@ def fox_tracked_line() -> np.ndarray:
 
 
 def build_fox_remarkable() -> Scenario:
-    """Shrinking loop pairs along an arc into its wild endpoint; each move
-    removes the next pair, then contracts toward the endpoint, dragging a
-    countable set of tracked points with it forever."""
-    initial_boxes = [fox_pair_box_initial(k) for k in range(1, _LOOPS + 1)]
-    curve = PLCurve(_loop_chain(0.0, 1.5, initial_boxes, 2), closed=False)
+    """Shrinking loop pairs along an arc into the stitch point; each move
+    removes the next pair, then contracts toward that point, dragging a
+    countable set of tracked points with it forever.  The curve is tame:
+    a disjoint stream (``fox_untying``) unties it to a segment.  Failing
+    injectivity is a property of the squish stream, not of the curve."""
+    curve = PLCurve(_loop_chain(0.0, 1.5, *fox_untying().corners(1, _LOOPS), 2), closed=False)
 
     container = Box((-1.0, -1.0, -1.0), (2.0, 1.0, 1.0))
 

@@ -1,10 +1,11 @@
 """Reference computations that only the tests call.
 
 The acceptance criteria and unit tests check the package against these:
-the checks a box and an axis-aligned frame made in numpy, the tail
-diameters and disjointness of a box family from full pairwise tables, crossing
-counts of a curve's diagram, reference nested box families (the dyadic
-cubes, and each self-similar stream's supports level by level), the
+the checks of a box and of an axis-aligned frame written out in numpy,
+the tail diameters and disjointness of a box family from full pairwise
+tables, crossing counts of a curve's diagram, reference box families (the
+dyadic cubes, each self-similar stream's supports level by level, and
+the loop-pair boxes of fox's curve), the
 ball factoring scanned box by box and in exact closed form, the
 infinite-motion census after a finite truncation, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
@@ -70,10 +71,10 @@ def numpy_box_corners(lo, hi) -> np.ndarray:
 
 
 def numpy_affine_frame(scale, shift) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``AffineMap``'s checks and inverse frame done by numpy, as the map
-    made them before it checked Python floats: (scale, shift, inverse
-    scale, inverse shift) as (3,) rows, or ValueError.  A scale and a
-    shift are three numbers each, and zero shifts keep their sign here.
+    """``AffineMap``'s checks and inverse frame written out in numpy, the
+    reference for ``maps.frame_refusals``: (scale, shift, inverse scale,
+    inverse shift) as (3,) rows, or ValueError.  A scale and a shift are
+    three numbers each, and zero shifts keep their sign here.
     A frame is refused on the first axis where the inverse frame's own
     inverse shift is not finite."""
     scale = np.asarray(scale, dtype=float).reshape(3)
@@ -205,6 +206,15 @@ def fox_outer(k: int) -> Box:
     return Box.cube((0, 0, 0), 0.8 * 4.0 ** (1 - k))
 
 
+def fox_pair_box_initial(k: int) -> Box:
+    """Loop pair k's box on fox's initial curve: where move k finds it,
+    scaled back out by the exact homothety the first k - 1 squishes
+    apply."""
+    f = 2.0 ** (k - 1)
+    b = fox_pair_box_current(k)
+    return Box(b.lo * f, b.hi * f)
+
+
 # each self-similar stream's supports V_k, level by level
 STREAM_BOXES = {
     "countable_r1": lambda k: shrinking_boxes(2.0, k),
@@ -254,15 +264,18 @@ def axis_points(x_start: float, x_end: float, boxes: Sequence[Box], m: int) -> n
 
 
 def inserted_loop_chain(
-    x_start: float, x_end: float, boxes: Sequence[Box], m: int, untied: Sequence[Box] = ()
+    x_start: float, x_end: float, lo: np.ndarray, hi: np.ndarray, m: int, untied=False
 ) -> np.ndarray:
-    """The loop chain as inserts into a refined axis: the composite of
-    every box's ``conjugated_insert`` at time 1, applied to the axis
-    refined in the tied and ``untied`` boxes alike."""
+    """The loop chain as inserts into a refined axis: the composite of the
+    ``conjugated_insert`` at time 1 of every box of the stacked corners lo
+    and hi not flagged ``untied``, one Box at a time, applied to the axis
+    refined in the tied and untied boxes alike."""
+    boxes = [Box(a, b) for a, b in zip(lo, hi)]
+    tied = [b for b, skip in zip(boxes, np.broadcast_to(untied, len(boxes))) if not skip]
     inserts = CompositeMap(
-        [conjugated_insert(b, m).time_one() for b in boxes], support=bounding_box(boxes)
+        [conjugated_insert(b, m).time_one() for b in tied], support=bounding_box(tied)
     )
-    return inserts.apply_array(axis_points(x_start, x_end, [*boxes, *untied], m))
+    return inserts.apply_array(axis_points(x_start, x_end, boxes, m))
 
 
 # -- self-similar streams level by level --------------------------------------

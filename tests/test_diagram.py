@@ -446,7 +446,7 @@ class TestLengthRelativeCandidates:
         assert grazing > 250
 
     def test_fox_limit_frame_has_few_candidates(self, scenarios):
-        # the depth-20 frame at t = 1: segments near the wild point are far
+        # the depth-20 frame at t = 1: segments near the stitch point are far
         # shorter than any absolute pad (1,012,165 pairs with a 1e-9 pad)
         s = scenarios["fox_remarkable"]
         glued = glue_schedule(s.moves, 20)

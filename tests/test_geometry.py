@@ -21,6 +21,7 @@ from knotiso.geometry import (
     _segment_pair_distances,
     farthest_corner_distances,
     read_curve,
+    segment_ends,
     union_diameter,
     write_curve,
 )
@@ -285,6 +286,17 @@ class TestPLCurve:
             PLCurve(((0, 0, 0), (1, 0, 0)), closed=True)
         with pytest.raises(ValueError):
             PLCurve(((0, 0, 0), (0, 0, 0)))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_segments_join_each_vertex_to_the_next(self, closed):
+        # one rule for a curve and for a view of its points (find_crossings)
+        c = PLCurve(((0, 0, 0), (1, 0, 0), (1, 1, 0)), closed=closed)
+        a, b = c.segment_arrays()
+        ends = [(1, 0, 0), (1, 1, 0)] + ([(0, 0, 0)] if closed else [])
+        assert np.array_equal(b, ends) and np.array_equal(a, c.points[: len(ends)])
+        view = c.points * 2.0
+        for got, want in zip(segment_ends(view, closed), (a * 2.0, b * 2.0)):
+            assert np.array_equal(got, want)
 
     def test_densified_preserves_trace_and_endpoints(self):
         c = PLCurve(((0, 0, 0), (1, 0, 0), (1, 1, 0)))

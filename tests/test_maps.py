@@ -220,8 +220,10 @@ def _negative_zeros(x: np.ndarray) -> np.ndarray:
 
 
 class TestFloatValidationOracle:
-    """``AffineMap`` and ``Box`` check their values as Python floats; the
-    numpy checks they replaced are in ``oracles``."""
+    """``Box`` checks its corners as Python floats, and ``AffineMap`` its
+    frame through ``maps.frame_refusals``, the check stacked frames share;
+    ``oracles.numpy_box_corners`` and ``numpy_affine_frame`` write both
+    checks out in numpy, the reference they must match to the message."""
 
     @settings(max_examples=400, deadline=None)
     @given(_axis_arg, _axis_arg)

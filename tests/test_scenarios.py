@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from knotiso import scenarios as scenarios_module
 from knotiso.cli import RunConfig, probe_scenario
 from knotiso.engine import (
     Isotopy,
+    MoveSequence,
     ProbeReport,
     apply_truncated,
     check_hypotheses,
@@ -34,7 +36,7 @@ from knotiso.scenarios import (
     build_1d_counterexample,
     build_fox_remarkable,
     build_recursive_r1,
-    fox_pair_box_initial,
+    fox_untying,
     rec_apex,
     rec_insert,
     rec_insert_region,
@@ -49,6 +51,7 @@ from oracles import (
     count_crossings,
     estimate_inverse_lipschitz,
     fox_outer,
+    fox_pair_box_initial,
     fox_stage_per_level,
     framed_stage,
     infinite_motion_census,
@@ -466,6 +469,38 @@ class TestFox:
         assert (eps, n0) == nested_ball_factoring(s.moves.ball_center, s.moves.boxes(1, HORIZON))
 
 
+class TestFoxCurveIsTame:
+    """Fox's curve ties its loop pairs in the supports of a disjoint
+    stream that unties them (``fox_untying``): a stream that passes every
+    check unties the curve to a segment, so the curve is tame, and the
+    injectivity that fails is the squish stream's."""
+
+    @pytest.fixture(scope="class")
+    def untying(self):
+        return MoveSequence(build_fox_remarkable().moves.container, similarity=fox_untying())
+
+    def test_its_supports_are_the_curve_pair_boxes(self, untying):
+        pair_boxes = _stacked([fox_pair_box_initial(k) for k in range(1, _LOOPS + 1)])
+        for got, want in zip(untying.similarity.corners(1, _LOOPS), pair_boxes):
+            _assert_bitwise(got, want)
+
+    def test_it_passes_the_hypotheses_and_the_injectivity_probe(self, scenarios, untying):
+        report = check_hypotheses(untying, HORIZON, TOL)
+        assert report.verdict == "pass" and report.disjoint_supports
+        # 0.009693683206310628 on fox's probe pairs
+        sep = injectivity_probe(untying, DEPTH, scenarios["fox_remarkable"].probe_pairs)
+        assert _injectivity(sep) == "pass"
+        assert sep == pytest.approx(0.0097, abs=1e-4)
+
+    def test_it_unties_every_crossing(self, scenarios, untying):
+        curve = scenarios["fox_remarkable"].initial_curve
+        assert len(find_crossings(curve)) == 40
+        untied = map_curve(truncated_map(untying, DEPTH), curve)
+        assert find_crossings(untied) == []
+        # a segment on the x-axis, up to 1.94e-17
+        assert np.abs(untied.points[:, 1:]).max() < 2e-17
+
+
 class TestOneDimensional:
     def test_composite_is_pure_power(self):
         seq = build_1d_counterexample().moves
@@ -622,14 +657,26 @@ def _disjoint_boxes(draw):
     return boxes
 
 
+def _stacked(boxes):
+    """Boxes as the stacked (n, 3) corners lo and hi a loop chain takes."""
+    return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+
+
+def _boxes(lo, hi):
+    """Stacked corners as one Box per row."""
+    return [Box(a, b) for a, b in zip(lo, hi)]
+
+
 def _builder_boxes():
+    """The stacked corners each chain builder ties loops in, from the
+    reference box families."""
     loops = range(1, _LOOPS + 1)
     r1 = [shrinking_boxes(2.0, k) for k in loops]
     return {
-        "countable_r1": r1,
-        "countable_r2": r1 + [shrinking_boxes(4.0, k) for k in loops],
-        "trefoil_chain": [trefoil_work_box(k) for k in loops],
-        "fox_remarkable": [fox_pair_box_initial(k) for k in loops],
+        "countable_r1": _stacked(r1),
+        "countable_r2": _stacked(r1 + [shrinking_boxes(4.0, k) for k in loops]),
+        "trefoil_chain": _stacked([trefoil_work_box(k) for k in loops]),
+        "fox_remarkable": _stacked([fox_pair_box_initial(k) for k in loops]),
     }
 
 
@@ -647,14 +694,15 @@ class TestInsertLoops:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(_builder_boxes()))
     def test_builder_boxes(self, name, m):
-        boxes = _builder_boxes()[name]
+        boxes = _boxes(*_builder_boxes()[name])
         strand = axis_points(-0.5, 4.5, boxes, m)
         pts = np.concatenate([strand, _probe_points(boxes, np.random.default_rng(m))])
         _assert_bitwise(_inserts(boxes, m).apply_array(pts), _insert_one_by_one(boxes, m, pts))
 
     def test_points_outside_every_box_come_back_unchanged(self):
         pts = np.array([[-1.0, 0.0, 0.0], [5.0, -0.0, 0.0]])
-        _assert_bitwise(_inserts(_builder_boxes()["countable_r1"], 1).apply_array(pts), pts)
+        boxes = _boxes(*_builder_boxes()["countable_r1"])
+        _assert_bitwise(_inserts(boxes, 1).apply_array(pts), pts)
 
     @pytest.mark.parametrize(
         "pts",
@@ -668,7 +716,7 @@ class TestInsertLoops:
         a = Box((0, -1, -1), (2, 1, 1))
         b = Box((1, -1, -1), (3, 1, 1))
         with pytest.raises(ValueError, match="overlap"):
-            _loop_chain(-1.0, 4.0, [a, b], 1)
+            _loop_chain(-1.0, 4.0, *_stacked([a, b]), 1)
         # a composite does not route boxes that meet: it runs them one by one
         _assert_bitwise(_inserts([a, b], 1).apply_array(pts), _insert_one_by_one([a, b], 1, pts))
 
@@ -677,7 +725,7 @@ class TestInsertLoops:
         b = Box((1, 1, 1), (2, 2, 2))
         c = Box((5, 5, 5), (6, 6, 6))
         with pytest.raises(ValueError, match="overlap"):
-            _loop_chain(-1.0, 10.0, [c, a, b], 1)
+            _loop_chain(-1.0, 10.0, *_stacked([c, a, b]), 1)
 
 
 CHAINS = (
@@ -699,13 +747,16 @@ SEAM_CROSSINGS = {
 }
 
 
-def _framed_box_by_box(x_start, x_end, boxes, m, untied=()):
+def _framed_box_by_box(x_start, x_end, lo, hi, m, untied=False):
     """The loop chain with one ``AffineMap.box_to_box`` frame per box."""
     n = m * _PTS_PER_BOX
     xs = np.linspace(-1.0, 1.0, n)
     straight = np.column_stack([xs, np.zeros(n), np.zeros(n)])
     pieces = sorted(
-        [(b, tied_strand(m, n)) for b in boxes] + [(b, straight) for b in untied],
+        [
+            (b, straight if skip else tied_strand(m, n))
+            for b, skip in zip(_boxes(lo, hi), np.broadcast_to(untied, len(lo)))
+        ],
         key=lambda p: p[0].lo[0],
     )
     framed = [AffineMap.box_to_box(CANONICAL_BOX, b).apply_array(strand) for b, strand in pieces]
@@ -736,6 +787,25 @@ def test_a_second_build_runs_no_map(monkeypatch):
     for build in SCENARIO_BUILDERS.values():
         build()
     assert calls == []
+
+
+def test_a_second_build_builds_few_boxes(monkeypatch):
+    """A chain reads its boxes as stacked corners, so building every
+    scenario again constructs no Box per support row: 45 in all, where
+    one Box per chain box made 222."""
+    for build in SCENARIO_BUILDERS.values():
+        build()
+    built = []
+    check = Box.__post_init__
+    monkeypatch.setattr(Box, "__post_init__", lambda self: built.append(1) or check(self))
+    for build in SCENARIO_BUILDERS.values():
+        build()
+    assert 0 < len(built) <= 50
+
+
+def test_the_box_by_box_chain_takes_the_loop_chain_arguments():
+    # the inserted_chains fixture swaps one in for the other
+    assert inspect.signature(inserted_loop_chain) == inspect.signature(_loop_chain)
 
 
 @pytest.fixture(scope="module")
@@ -809,10 +879,10 @@ class TestLoopChain:
         # bitwise AffineMap.box_to_box of the canonical box onto each box,
         # applied to the tied strand, or to the straight one for the boxes
         # left untied (here every other box, in registry order)
-        boxes = _builder_boxes()[name]
-        for tied, untied in ((boxes, []), (boxes[1::2], boxes[::2])):
-            want = _framed_box_by_box(-0.5, 4.5, tied, m, untied)
-            _assert_bitwise(_loop_chain(-0.5, 4.5, tied, m, untied), want)
+        lo, hi = _builder_boxes()[name]
+        for untied in (False, np.arange(len(lo)) % 2 == 0):
+            want = _framed_box_by_box(-0.5, 4.5, lo, hi, m, untied)
+            _assert_bitwise(_loop_chain(-0.5, 4.5, lo, hi, m, untied), want)
 
     @pytest.mark.parametrize(
         "box",
@@ -827,10 +897,10 @@ class TestLoopChain:
         with pytest.raises(ValueError):
             AffineMap.box_to_box(CANONICAL_BOX, box)
         with pytest.raises(ValueError, match="no finite invertible frame"):
-            _loop_chain(-1.7e308, 1.7e308, [box], 1)
+            _loop_chain(-1.7e308, 1.7e308, *_stacked([box]), 1)
         # untied, the box is refused alike
         with pytest.raises(ValueError, match="no finite invertible frame"):
-            _loop_chain(-1.7e308, 1.7e308, [], 1, untied=[box])
+            _loop_chain(-1.7e308, 1.7e308, *_stacked([box]), 1, untied=True)
 
     @given(st.tuples(*[st.floats(0.0, 0.5)] * 3))
     @settings(max_examples=200, deadline=None)
@@ -840,13 +910,16 @@ class TestLoopChain:
             AffineMap.box_to_box(CANONICAL_BOX, box)
         except ValueError:
             with pytest.raises(ValueError, match="no finite invertible frame"):
-                _loop_chain(0.0, 2.0, [box], 1)
+                _loop_chain(0.0, 2.0, *_stacked([box]), 1)
         else:
-            _assert_bitwise(_loop_chain(0.0, 2.0, [box], 1), _framed_box_by_box(0.0, 2.0, [box], 1))
+            corners = _stacked([box])
+            _assert_bitwise(
+                _loop_chain(0.0, 2.0, *corners, 1), _framed_box_by_box(0.0, 2.0, *corners, 1)
+            )
 
     def test_untied_boxes_are_refined_straight(self):
         tied, untied = (Box.from_center((x, 0.0, 0.0), (0.25, 0.25, 0.25)) for x in (2.0, 1.0))
-        strand = _loop_chain(0.0, 3.0, [tied], 2, untied=[untied])
+        strand = _loop_chain(0.0, 3.0, *_stacked([tied, untied]), 2, untied=[False, True])
         # the pieces in x order: the untied box's 200 vertices, then the tied box's
         assert len(strand) == 2 + 2 * 200
         straight, loops = strand[1:201], strand[201:401]
@@ -857,16 +930,16 @@ class TestLoopChain:
         a = Box.from_center((1.0, 0.0, 0.0), (0.5, 0.25, 0.25))
         b = Box.from_center((2.0, 0.0, 0.0), (0.5, 0.1, 0.1))
         with pytest.raises(ValueError, match="overlap"):
-            _loop_chain(0.0, 3.0, [a], 1, untied=[b])
+            _loop_chain(0.0, 3.0, *_stacked([a, b]), 1, untied=[False, True])
 
     @pytest.mark.parametrize("center", [(1.0, 0.01, 0.0), (1.0, 0.0, -0.125)])
     def test_box_off_the_axis_raises(self, center):
         box = Box.from_center(center, (0.25, 0.25, 0.25))
         with pytest.raises(ValueError, match="not centred on the x-axis"):
-            _loop_chain(0.0, 3.0, [box], 1)
+            _loop_chain(0.0, 3.0, *_stacked([box]), 1)
 
     @pytest.mark.parametrize("x_start,x_end", [(0.8, 3.0), (0.75, 3.0), (0.0, 1.2)])
     def test_box_outside_the_span_raises(self, x_start, x_end):
         box = Box.from_center((1.0, 0.0, 0.0), (0.25, 0.25, 0.25))
         with pytest.raises(ValueError, match="escapes the arc span"):
-            _loop_chain(x_start, x_end, [box], 1)
+            _loop_chain(x_start, x_end, *_stacked([box]), 1)
