@@ -11,7 +11,10 @@ Verbs, each taking --scenario and only the flags it reads:
          curve file + projection drawing at each requested time
 
 Reports are append-only, named <scenario>_<depth>_<seed>.report, and
-byte-identical across runs with the same config and seed.
+byte-identical across runs with the same config and seed.  The seed draws
+run's probe grid from ``geometry.PCG64Stream``, the SeedSequence/PCG64
+doubles of ``numpy.random.default_rng(seed)``, so no verb loads
+``numpy.random`` and the report bytes do not depend on its code.
 """
 from __future__ import annotations
 
@@ -21,8 +24,6 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .diagram import render_svg
 from .engine import (
@@ -36,7 +37,7 @@ from .engine import (
     truncated_map,
     uniform_convergence_probe,
 )
-from .geometry import write_curve
+from .geometry import PCG64Stream, write_curve
 from .scenarios import SCENARIO_BUILDERS, Scenario
 
 # the t = 1 census's fixed stage budget, whatever the depth, which keeps
@@ -80,8 +81,7 @@ class RunConfig:
 
 def probe_scenario(s: Scenario, cfg: RunConfig) -> ProbeReport:
     """Convergence, injectivity, and settling probes at the config depth."""
-    rng = np.random.default_rng(cfg.seed)
-    grid = s.moves.container.sample(rng, 125)
+    grid = s.moves.container.sample(PCG64Stream(cfg.seed), 125)
     sup_dev = uniform_convergence_probe(s.moves, max(1, cfg.depth // 2), cfg.depth, grid)
     min_sep = injectivity_probe(s.moves, cfg.depth, s.probe_pairs)
     unsettled = 0

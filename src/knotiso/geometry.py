@@ -13,8 +13,11 @@ Segment pairs are found one way at every curve size:
 enough, and ``nonadjacent`` drops those that share a vertex.  The
 simplicity check here and the crossing search in ``diagram`` both use it.
 
-Everything here is immutable and pure.  All lengths are in dimensionless
-model units.
+``PCG64Stream`` draws the doubles of ``numpy.random.default_rng(seed)``
+bit for bit without loading ``numpy.random``; ``Box.sample`` reads it.
+
+Everything here is immutable and pure, save that stream's state.  All
+lengths are in dimensionless model units.
 """
 from __future__ import annotations
 
@@ -103,8 +106,90 @@ class Box:
         """Distance from an interior point to the nearest face plane."""
         return float(min((p - self.lo).min(), (self.hi - p).min()))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: PCG64Stream, n: int) -> np.ndarray:
+        """n points drawn uniformly in the box from any stream with a
+        ``random(shape)`` method: a ``PCG64Stream`` or a numpy Generator."""
         return self.lo + rng.random((n, 3)) * (self.hi - self.lo)
+
+
+# -- numpy's default_rng doubles, without numpy.random -------------------------
+#
+# numpy.random.default_rng(seed) is PCG64 seeded by SeedSequence(seed), and
+# its .random() doubles are (x >> 11) * 2**-53 of the XSL-RR outputs x.
+# PCG64Stream replays those steps, so a seeded draw does not load
+# numpy.random and its bits do not depend on numpy's generator code.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# PCG's default 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``: the seed's
+    32-bit entropy words, least significant first, hashed and mixed into a
+    pool of four words, which the output hash reads twice round, each
+    pair of its words one little-endian 64-bit word."""
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[i + 1] << 32 | words[i] for i in range(0, 8, 2)]
+
+
+class PCG64Stream:
+    """The doubles of ``numpy.random.default_rng(seed).random(shape)``, bit
+    for bit, for any integer seed >= 0."""
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        # the initial state's high and low halves, then the sequence's
+        q = _seed_state(seed)
+        self._inc = ((q[2] << 64 | q[3]) << 1 | 1) & _MASK128
+        # state = step(step(0) + init), and step(0) = inc
+        self._state = ((self._inc + (q[0] << 64 | q[1])) * _PCG_MULT + self._inc) & _MASK128
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next prod(shape) doubles in [0, 1), in C order."""
+        n = math.prod(shape)
+        state, inc = self._state, self._inc
+        chunks = []
+        for _ in range(n):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            chunks.append(state.to_bytes(16, "little"))
+        self._state = state
+        lo, hi = np.frombuffer(b"".join(chunks), "<u8").reshape(n, 2).T
+        # XSL-RR: the halves' xor, rotated right by the state's top 6 bits
+        word = hi ^ lo
+        rot = hi >> np.uint64(58)
+        x = word >> rot | word << ((np.uint64(64) - rot) & np.uint64(63))
+        return ((x >> np.uint64(11)) * 2.0**-53).reshape(shape)
 
 
 def bounding_box(boxes: Sequence[Box]) -> Box:
@@ -181,7 +266,7 @@ _G17_UNDECIDED = (_G17_K_MAX - _G17_K_MIN + 1) * 34
 _G17_TIE_MARGIN = 1e-6
 # Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves
 _SPLIT = 134217729.0
-# values per pass of the numeric stage, so its temporaries stay small
+# values per pass of the kernel, so its temporaries stay small
 _G17_CHUNK = 4096
 
 
@@ -267,7 +352,8 @@ def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         zeros[run] += np.take(quad_zeros, q[i].take(run))
     key = ((k - _G17_K_MIN) * 2 + np.signbit(x)) * 17 + 16 - zeros
     key[~ok] = _G17_UNDECIDED
-    return np.take(table, q).T, key
+    # 16-bit keys take numpy's radix sort
+    return np.take(table, q).T, key.astype(np.int16)
 
 
 @functools.cache
@@ -318,30 +404,28 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     odd = np.flatnonzero(~np.isfinite(flat))
     out[odd] = ["%.17g" % v for v in flat[odd].tolist()]
     rows = np.flatnonzero(np.isfinite(flat) & (flat != 0))
-    n = len(rows)
-    if not n:
-        return out.reshape(np.shape(values))
-    x = np.take(flat, rows)
-    words = np.empty((n, 5), np.uint32)
-    key = np.empty(n, np.int16)
-    for i in range(0, n, _G17_CHUNK):
-        words[i : i + _G17_CHUNK], key[i : i + _G17_CHUNK] = _g17_digits(x[i : i + _G17_CHUNK])
-    # one run of rows per layout key, radix-sorted
-    order = np.argsort(key, kind="stable")
-    keys = np.take(key, order)
-    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), n]
-    digits = np.take(words, order, axis=0).view(np.uint8)
-    cells = np.zeros((n, _G17_WIDTH), np.uint8)
-    for g0, g1, k in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
-        if k == _G17_UNDECIDED:
-            text = ["%.17g" % v for v in x[order[g0:g1]].tolist()]
-            cells[g0:g1].view(out.dtype)[:, 0] = text
-            continue
-        head, copies = _g17_layout(k)
-        cells[g0:g1, : len(head)] = head
-        for c0, c1, d0, d1 in copies:
-            cells[g0:g1, c0:c1] = digits[g0:g1, d0:d1]
-    out[np.take(rows, order)] = cells.view(out.dtype).ravel()
+    # one chunk at a time from digits to scatter, so no full-size digit or
+    # cell arrays coexist
+    for i in range(0, len(rows), _G17_CHUNK):
+        chunk = rows[i : i + _G17_CHUNK]
+        x = np.take(flat, chunk)
+        words, key = _g17_digits(x)
+        # one run of rows per layout key, radix-sorted
+        order = np.argsort(key, kind="stable")
+        keys = np.take(key, order)
+        bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(chunk)]
+        digits = np.take(words, order, axis=0).view(np.uint8)
+        cells = np.zeros((len(chunk), _G17_WIDTH), np.uint8)
+        for g0, g1, k in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
+            if k == _G17_UNDECIDED:
+                text = ["%.17g" % v for v in x[order[g0:g1]].tolist()]
+                cells[g0:g1].view(out.dtype)[:, 0] = text
+                continue
+            head, copies = _g17_layout(k)
+            cells[g0:g1, : len(head)] = head
+            for c0, c1, d0, d1 in copies:
+                cells[g0:g1, c0:c1] = digits[g0:g1, d0:d1]
+        out[np.take(chunk, order)] = cells.view(out.dtype).ravel()
     return out.reshape(np.shape(values))
 
 

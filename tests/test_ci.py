@@ -7,8 +7,10 @@ fails, and the test configuration turns runtime warnings into failures.
 That numpy sums the three columns of a coordinate-major batch as it sums
 row-major rows is pinned too.  The
 package runs on numpy alone: no module of it imports scipy, and none
-imports a name it never uses.  Building the scenarios, ``check`` and
-``frames`` draw no random numbers, so they never load ``numpy.random``.
+imports a name it never uses.  No verb loads ``numpy.random``: building
+the scenarios, ``check`` and ``frames`` draw no random numbers, and
+``run`` draws its probe grid from ``geometry.PCG64Stream``; outside the
+tests no code names ``numpy.random``.
 Every top-level function, class and constant in the package, private or public, and every public method of a
 public class has a caller outside the tests, with no exception: code
 that only tests call lives in ``tests/oracles.py``.  Every map kind
@@ -101,7 +103,7 @@ def test_the_package_does_not_import_scipy():
     assert not [(f, m) for f, m in imported if m.partition(".")[0] == "scipy"]
 
 
-def test_only_the_run_verb_loads_numpy_random(tmp_path):
+def test_no_verb_loads_numpy_random(tmp_path):
     # numpy.random costs about 5 MB resident in every process that imports it
     code = (
         "import contextlib, io, sys\n"
@@ -114,6 +116,8 @@ def test_only_the_run_verb_loads_numpy_random(tmp_path):
         "        cli.cmd_check(cli.RunConfig(scenario=name))\n"
         f"    out = Path({str(tmp_path)!r})\n"
         "    cli.cmd_frames(cli.RunConfig(scenario='recursive_r1', times=(0.5,), out=out))\n"
+        "    seed = 99999999999999999999999\n"
+        "    cli.cmd_run(cli.RunConfig(scenario='countable_r1', depth=8, seed=seed, out=out))\n"
         "print('numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ)
@@ -123,9 +127,26 @@ def test_only_the_run_verb_loads_numpy_random(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n", (
-        "building a scenario, check or frames loaded numpy.random: only run's seeded"
-        " probe grid (cli.probe_scenario) may draw random numbers"
+        "building a scenario, check, frames or run loaded numpy.random: run's seeded"
+        " probe grid draws from geometry.PCG64Stream"
     )
+
+
+def test_numpy_random_is_named_only_in_the_tests():
+    # the package and its scripts draw from geometry.PCG64Stream
+    named = []
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.random", "numpy.random"):
+                named.append((path.name, node.lineno))
+            elif isinstance(node, ast.Import):
+                named += [(path.name, node.lineno) for a in node.names if a.name.startswith("numpy.random")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.startswith("numpy.random") or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names)
+                ):
+                    named.append((path.name, node.lineno))
+    assert not named, named
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -493,6 +493,22 @@ class TestProbeScenario:
         b = cli.probe_scenario(build_countable_r1(), cfg)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 99999999999999999999999])
+    @pytest.mark.parametrize("name", sorted(cli.SCENARIO_BUILDERS))
+    def test_grid_is_default_rngs_sample_bitwise(self, name, seed, monkeypatch):
+        # numpy.random is the oracle for the in-package stream
+        grids = []
+
+        def probe(seq, n, m, grid):
+            grids.append(grid)
+            return 0.0
+
+        monkeypatch.setattr(cli, "uniform_convergence_probe", probe)
+        s = cli.SCENARIO_BUILDERS[name]()
+        cli.probe_scenario(s, RunConfig(scenario=name, depth=4, seed=seed))
+        want = s.moves.container.sample(np.random.default_rng(seed), 125)
+        assert [g.tobytes() for g in grids] == [want.tobytes()]
+
     def test_census_all_settled_for_r1(self):
         s = build_countable_r1()
         cfg = RunConfig(scenario="countable_r1", depth=8)

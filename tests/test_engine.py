@@ -710,6 +710,37 @@ def test_a_generated_declarations_corners_are_its_stage_supports(center, half, p
     _assert_same_table(seq.tail_table(30), TailTable.build(seq.boxes(1, 30)))
 
 
+def _assert_monotone_tails(seq: MoveSequence, horizon: int) -> None:
+    """Tail diameters d_n = diam(V_n u ... u V_horizon), n = 1..horizon,
+    never increase in n: each tail is a subset of the one before."""
+    rep = check_hypotheses(seq, horizon, 1e-6)
+    assert [n for n, _ in rep.tail_diameters] == list(range(1, horizon + 1))
+    diams = [d for _, d in rep.tail_diameters]
+    assert all(a >= b for a, b in zip(diams, diams[1:])), diams
+
+
+@pytest.mark.parametrize("horizon", [20, 40, 200])
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_tail_diameters_never_increase_on_the_scenarios(name, horizon):
+    _assert_monotone_tails(SCENARIO_BUILDERS[name]().moves, horizon)
+
+
+@given(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.tuples(*[st.floats(0.05, 0.5)] * 3),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.floats(0.3, 0.7),
+    st.none() | st.tuples(st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.tuples(*[st.floats(0.0, 1.0)] * 3)),
+    st.integers(2, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_tail_diameters_never_increase_on_generated_streams(center, half, p, r, fixed, horizon):
+    """p inside V_1 or not, with or without a fixed box F."""
+    box = None if fixed is None else Box(fixed[0], np.add(*fixed))
+    sim = Similarity(conjugated_insert(Box.from_center(center, half)), p, r, box)
+    _assert_monotone_tails(MoveSequence(Box.cube((0, 0, 0), 16.0), similarity=sim), horizon)
+
+
 @given(
     st.tuples(*[st.floats(-1.0, 1.0)] * 3),
     st.tuples(*[st.floats(0.05, 0.5)] * 3),

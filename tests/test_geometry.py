@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from knotiso import diagram
 from knotiso.engine import glue_schedule, map_curve
 from knotiso.geometry import (
+    _G17_CHUNK,
     Box,
+    PCG64Stream,
     PLCurve,
     _g17_cells,
     curve_is_simple,
@@ -119,10 +121,38 @@ class TestBox:
 
     def test_sample_inside_and_deterministic(self):
         b = Box((-1, 0, 2), (1, 3, 5))
-        s1 = b.sample(np.random.default_rng(11), 200)
-        s2 = b.sample(np.random.default_rng(11), 200)
+        s1 = b.sample(PCG64Stream(11), 200)
+        s2 = b.sample(PCG64Stream(11), 200)
         assert np.array_equal(s1, s2)
         assert b.contains_array(s1).all()
+        assert s1.tobytes() == b.sample(np.random.default_rng(11), 200).tobytes()
+
+
+# seeds of one, two, three and five 32-bit entropy words; the last is the
+# multiword seed the CI guard runs
+_MULTIWORD_SEEDS = [2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**130 + 3, 20261019, 99999999999999999999999]
+
+
+class TestPCG64Stream:
+    @given(
+        st.integers(0, 2**32 - 1) | st.sampled_from(_MULTIWORD_SEEDS),
+        st.lists(st.integers(0, 200), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draws_are_default_rngs_bitwise(self, seed, sizes):
+        # numpy.random is the oracle; successive draws continue one stream
+        ours, numpy_rng = PCG64Stream(seed), np.random.default_rng(seed)
+        for n in sizes:
+            assert ours.random((n, 3)).tobytes() == numpy_rng.random((n, 3)).tobytes()
+
+    def test_shape_is_kept_in_c_order(self):
+        want = np.random.default_rng(7).random((2, 3, 4))
+        got = PCG64Stream(7).random((2, 3, 4))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="seed"):
+            PCG64Stream(-1)
 
 
 def _diameter_boxes():
@@ -260,6 +290,14 @@ class TestG17Cells:
         _assert_g17([0.0, -0.0, np.inf, -np.inf, np.nan])
         # fixed notation runs from 1e-4 to below 1e17
         _assert_g17([1e-4, 9.9999999999999991e-5, 1e16, 99999999999999984.0, 1e17, 123456789.0, -0.5])
+
+    def test_cells_across_chunks(self):
+        # every chunk of the kernel sorts and scatters its own rows
+        bits = np.random.default_rng(40).integers(0, 2**64, 3 * _G17_CHUNK + 5, np.uint64)
+        x = bits.view(np.float64)
+        x[:: _G17_CHUNK // 3] = 0.0
+        x[1 :: _G17_CHUNK // 2] = np.nan
+        _assert_g17(x)
 
     def test_keeps_the_shape(self):
         x = np.arange(24.0).reshape(2, 4, 3) / 7
