@@ -11,18 +11,19 @@ the hypothesis check, which reads only the supports, builds none.
 ``truncated_map`` is the one stage composer: stages 1..n-1 run to the end,
 then stage n at a local time, as one support-culled map.  A self-similar
 stream is its declaration, a ``Similarity``: stage 1, S(x) = p + r (x - p)
-and an optional fixed box F that every support holds.  Every stage and
-every truncation is read off it, as one loop over levels: with h_1 stage
-1's end map and g = S^-1 h_1, stages j..n are S^n g^(n-j+1) S^(1-j), and
-stage k alone is the one-level loop S^(k-1) h_1 S^(1-k).  No V_k is
-formed in floats but as a support, so a truncation runs at any depth.
+and an optional fixed box F that every support holds.  Its stages,
+truncations and t = 1 census are one loop over levels: with h_1 stage
+1's end map and g = S^-1 h_1, stages j..n are S^n g^(n-j+1) S^(1-j),
+stage k is S^(k-1) h_1 S^(1-k), and a census point takes a g step per
+stage in level coordinates.  No V_k is formed in floats but as a
+support, so a truncation runs at any depth.
 The declaration also names the point the supports shrink around, the
 stream's ``ball_center``: p, when there is no F and V_1 holds p inside,
 and ``find_ball_factoring`` reads the ball V_n0 c B_eps(p) c V_1 off it.
 ``apply_truncated`` and ``glue_schedule`` (the one place that slices the
 time grid into stages) run the truncations, and ``eval_limit_isotopy``,
 which evaluates the countable composition at the limit time t = 1 via
-the settled / tolerance-converged / budget trichotomy, runs the stages.
+the settled / tolerance-converged / budget trichotomy, runs the census.
 
 Both t = 1 questions -- do the tail unions V_n u ... u V_last shrink, and
 has a point left every later support -- read one memoized ``TailTable``
@@ -37,6 +38,7 @@ rule ``ProbeReport.injectivity``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -45,7 +47,7 @@ import numpy as np
 
 from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from .geometry import farthest_corner_distances
-from .maps import CompositeMap, IdentityMap, LocalMap, _scatter
+from .maps import CompositeMap, IdentityMap, LocalMap, _negative_zeros, _scatter
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,14 @@ class Isotopy:
         t = 1, built on first use and shared by every later call.  So an
         isotopy builds no map until it is evaluated, and reading its
         support builds none.  A time outside [0, 1] raises ValueError."""
-        built: list[LocalMap] = []
+        end = functools.cache(end)
 
         def map_at(t: float) -> LocalMap:
             if not (0.0 <= t <= 1.0):
                 raise ValueError(f"t={t} outside [0,1]")
             if t == 0.0:
                 return IdentityMap(support=support)
-            if t < 1.0:
-                return motion(t)
-            if not built:
-                built.append(end())
-            return built[0]
+            return motion(t) if t < 1.0 else end()
 
         return Isotopy(support=support, map_at=map_at)
 
@@ -192,8 +190,8 @@ class Similarity:
             # the most levels one factor r^c or r^-c spans and stays normal
             _span=int(1000.0 / -math.log2(self.r)),
             # zero components as -0.0, so y - p and d + p keep signed zeros
-            _p_col=np.where(p == 0.0, -0.0, p).reshape(3, 1),
-            _neg_p=np.where(p == 0.0, -0.0, -p).reshape(3, 1),
+            _p_col=_negative_zeros(p).reshape(3, 1),
+            _neg_p=_negative_zeros(-p).reshape(3, 1),
         )
 
     def box(self, k: int) -> Box:
@@ -223,12 +221,12 @@ class Similarity:
     def stage(self, k: int) -> Isotopy:
         """Stage k under the end rule, at time t the one-level loop over
         stage 1's map at t."""
-        box = self.box(k) if self.fixed is None else bounding_box([self.box(k), self.fixed])
+        (lo,), (hi,) = self.corners(k, k)
 
         def loop(t: float) -> LocalMap:
             return _LevelLoop(self, k, k, self.first.map_at(t))
 
-        return Isotopy.from_motion(box, loop, lambda: loop(1.0))
+        return Isotopy.from_motion(Box(lo, hi), loop, lambda: loop(1.0))
 
     def _power(self, y: np.ndarray, levels) -> np.ndarray:
         """S^levels of the (3, m) coordinate rows y, for one integer level
@@ -236,7 +234,7 @@ class Similarity:
         factors that stay finite and normal, so p stays p at any level."""
         if isinstance(levels, int) and abs(levels) <= self._span:
             # one count for every row: one Python float factor, bitwise the
-            # array path's and a tenth cheaper on the census's one-row maps
+            # array path's and a tenth cheaper on the census's one-row steps
             return y if levels == 0 else (y + self._neg_p) * self.r**levels + self._p_col
         levels = np.asarray(levels)
         still = levels == 0
@@ -266,6 +264,8 @@ class Similarity:
     def _skip(self, y: np.ndarray, todo: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows carried past the levels whose V_1 they cannot meet, at
         most todo of them, and the number of levels each skipped."""
+        if self._dmin == 0.0:
+            return y, np.zeros(y.shape[1], dtype=np.int64)
         a = np.abs(y + self._neg_p)
         # the three rows folded: a reduction over a length-3 axis is slower
         d = np.maximum(np.maximum(a[0], a[1]), a[2])
@@ -460,18 +460,11 @@ class _LevelLoop(LocalMap):
         sim = self.sim
         x = q.T
         y = sim._power(x, 1 - self.first)
-        if self.first == self.last:
-            # no step of g, bitwise the loop below with todo = 0 and a quarter
-            # cheaper in the census: a row V_1 does not hold stays put
-            z, held = sim._through(self.h_last, y)
-            return np.where(held, sim._power(z, self.first - 1), x).T
         # a row no map moves is where it started
         out = x.copy()
         rows = np.arange(x.shape[1])
         todo = self.last - self.first
-        steps = np.zeros(len(rows), dtype=np.int64)
-        if sim._dmin > 0.0:
-            y, steps = sim._skip(y, todo)
+        y, steps = sim._skip(y, todo)
         moved = np.zeros(len(rows), dtype=bool)
         ends = []
 
@@ -601,20 +594,27 @@ def eval_limit_isotopy(seq: MoveSequence, p: np.ndarray, tol: float, k_budget: i
     below tol (tol-converged), up to k_budget stages.  Both tests read the
     stream's tail table: the image after k stages is settled when it lies
     in none of V_{k+1}..V_{k_budget}, and tol-converged when
-    diam(V_{k+1} u ... u V_{k_budget}) < tol.
+    diam(V_{k+1} u ... u V_{k_budget}) < tol.  A declared stream's point
+    takes the level loop's skip and g steps, so no stage map is built.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     tails = seq.tail_table(k_budget)
+    sim = seq.similarity
     x = np.array(p, dtype=float)[None, :]
-    # one point, one stage at a time, reading the tail table after each
-    # stage; running all census points as one array is ROADMAP item 6
+    if sim is not None:
+        y, (skip,) = sim._skip(x.T, k_budget)
+    # one point at a time; all census points as one array is ROADMAP item 6
     for k in range(k_budget):
         if not tails.in_later_support(x, k)[0]:
             return LimitValue(x[0], "settled", k)
         if tails.diam[k] < tol:
             return LimitValue(x[0], "tol-converged", k)
-        x = seq.time_one_map(k + 1).apply_array(x)
+        if sim is None:
+            x = seq.time_one_map(k + 1).apply_array(x)
+        elif k >= skip:
+            y = sim._power(sim._through(sim.first.time_one(), y)[0], -1)
+            x = sim._power(y, k + 1).T
     return LimitValue(x[0], "budget-exhausted", k_budget)
 
 

@@ -16,6 +16,7 @@ maps and their inverses are built once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,12 +68,10 @@ def conjugated_isotopy(inner: Isotopy, support: Box) -> Isotopy:
     """frame o inner(t) o frame^-1, supported in the given box, where the
     frame, built on the first evaluation past t = 0, carries inner's
     support onto that box."""
-    frame: list[AffineMap] = []
+    frame = functools.cache(lambda: AffineMap.box_to_box(inner.support, support))
 
     def motion(t: float) -> LocalMap:
-        if not frame:
-            frame.append(AffineMap.box_to_box(inner.support, support))
-        return conjugate(frame[0], inner.map_at(t), support)
+        return conjugate(frame(), inner.map_at(t), support)
 
     return Isotopy.from_motion(support, motion, lambda: motion(1.0))
 

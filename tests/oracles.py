@@ -7,7 +7,8 @@ tables, crossing counts of a curve's diagram, reference box families (the
 dyadic cubes, each self-similar stream's supports level by level, and
 the loop-pair boxes of fox's curve), the
 ball factoring scanned box by box and in exact closed form, the
-infinite-motion census after a finite truncation, the one-sided values of
+infinite-motion census after a finite truncation, the t = 1 census of one
+point run stage by stage through the stage maps, the one-sided values of
 a glued schedule at a seam, loop chains inserted box by box into a
 refined axis, a declared stream's stages framed from stage 1, the stages
 of ``recursive_r1`` and ``fox_remarkable`` built level by level, the
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from knotiso.canonical import conjugated_insert
 from knotiso.diagram import find_crossings
-from knotiso.engine import Isotopy, MoveSequence, apply_truncated, truncated_map
+from knotiso.engine import Isotopy, LimitValue, MoveSequence, apply_truncated, truncated_map
 from knotiso.geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from knotiso.maps import (
     CompositeMap,
@@ -239,6 +240,22 @@ def infinite_motion_census(
     img = apply_truncated(seq, n_max, samples)
     tails = seq.tail_table(horizon)
     return int(tails.in_later_support(img, n_max).sum())
+
+
+def stagewise_limit(seq: MoveSequence, p: np.ndarray, tol: float, k_budget: int) -> LimitValue:
+    """``eval_limit_isotopy`` run stage by stage: after k stages the image
+    is settled when it lies in none of V_{k+1}..V_{k_budget}, else
+    tol-converged when their union's diameter is below tol, else it goes
+    through stage k + 1's map at time 1, up to k_budget stages."""
+    tails = seq.tail_table(k_budget)
+    x = np.array(p, dtype=float)[None, :]
+    for k in range(k_budget):
+        if not tails.in_later_support(x, k)[0]:
+            return LimitValue(x[0], "settled", k)
+        if tails.diam[k] < tol:
+            return LimitValue(x[0], "tol-converged", k)
+        x = seq.time_one_map(k + 1).apply_array(x)
+    return LimitValue(x[0], "budget-exhausted", k_budget)
 
 
 def seam_values(seq: MoveSequence, k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -509,6 +509,25 @@ class TestProbeScenario:
         want = s.moves.container.sample(np.random.default_rng(seed), 125)
         assert [g.tobytes() for g in grids] == [want.tobytes()]
 
+    def test_the_census_builds_no_stage_of_a_declared_stream(self, monkeypatch):
+        """A declared stream's probes, census included, read its stages off
+        the declaration; the 1-D counterexample, declared by its stage
+        function, still asks for its 40 census stages."""
+        asked = []
+        stage = MoveSequence.stage
+
+        def counted(seq, k):
+            asked.append(k)
+            return stage(seq, k)
+
+        monkeypatch.setattr(MoveSequence, "stage", counted)
+        for name in ("fox_remarkable", "recursive_r1", "countable_r1"):
+            cli.probe_scenario(cli.SCENARIO_BUILDERS[name](), RunConfig(scenario=name))
+        assert asked == []
+        name = "1d_counterexample"
+        cli.probe_scenario(cli.SCENARIO_BUILDERS[name](), RunConfig(scenario=name))
+        assert set(asked) == set(range(1, cli._K_BUDGET + 1))
+
     def test_census_all_settled_for_r1(self):
         s = build_countable_r1()
         cfg = RunConfig(scenario="countable_r1", depth=8)
