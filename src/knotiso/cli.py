@@ -15,6 +15,13 @@ byte-identical across runs with the same config and seed.  The seed draws
 run's probe grid from ``geometry.PCG64Stream``, the SeedSequence/PCG64
 doubles of ``numpy.random.default_rng(seed)``, so no verb loads
 ``numpy.random`` and the report bytes do not depend on its code.
+
+frames reuses what did not move.  The scenario and its initial curve
+densified to ``_FRAME_MAX_SEG``, with that curve's ``%.17g`` cells, are
+kept for the last scenario builder called (one entry), so consecutive
+frames calls on one scenario, and all frames of one call, share one build,
+one densification and one ``%.17g`` pass; each frame prints only the
+coordinates its map moved.  run and check build their scenario per call.
 """
 from __future__ import annotations
 
@@ -37,12 +44,14 @@ from .engine import (
     truncated_map,
     uniform_convergence_probe,
 )
-from .geometry import PCG64Stream, write_curve
+from .geometry import PCG64Stream, PLCurve, write_curve
 from .scenarios import SCENARIO_BUILDERS, Scenario
 
 # the t = 1 census's fixed stage budget, whatever the depth, which keeps
 # the reports byte-stable
 _K_BUDGET = 40
+# the longest segment of the densified initial curve that frames maps
+_FRAME_MAX_SEG = 0.01
 
 _EXIT_MISMATCH = 1
 _EXIT_UNKNOWN = 2
@@ -152,11 +161,21 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if rep.first_violation is None else _EXIT_MISMATCH
 
 
+@functools.lru_cache(maxsize=1)
+def _film(builder) -> tuple[Scenario, PLCurve]:
+    """The scenario a builder makes and its initial curve densified to
+    _FRAME_MAX_SEG, that curve's cells printed, kept for the last builder
+    asked; a builder that raises leaves nothing kept."""
+    s = builder()
+    dense = s.initial_curve.densified(_FRAME_MAX_SEG)
+    dense.decimal_cells()
+    return s, dense
+
+
 def cmd_frames(cfg: RunConfig) -> int:
-    s = SCENARIO_BUILDERS[cfg.scenario]()
+    s, dense = _film(SCENARIO_BUILDERS[cfg.scenario])
     cfg.out.mkdir(parents=True, exist_ok=True)
     glued = glue_schedule(s.moves, cfg.depth)
-    dense = s.initial_curve.densified(0.01)
     for i, t in enumerate(cfg.times):
         frame = map_curve(glued.map_at(t), dense)
         # drawn first: a degenerate frame raises before either file exists

@@ -513,8 +513,10 @@ def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
 
 
 def map_curve(m: LocalMap, curve: PLCurve) -> PLCurve:
-    """Image of a curve's vertices under a map."""
-    return PLCurve(m.apply_array(curve.points), closed=curve.closed)
+    """Image of a curve's vertices under a map, with the curve as its base:
+    the image's ``decimal_cells()`` prints only the coordinates the map
+    moved when the curve's cells exist by then."""
+    return PLCurve(m.apply_array(curve.points), closed=curve.closed, base=curve)
 
 
 # -- hypothesis checking -----------------------------------------------------

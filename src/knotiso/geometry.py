@@ -445,12 +445,16 @@ class PLCurve:
     ``points`` (``vertices`` is the same array).  ``decimal_cells()`` holds
     each coordinate's ``%.17g`` text, from one vectorized exact kernel that
     leaves only undecidable values to ``'%.17g'`` itself, built on first
-    use.
+    use.  A curve made as the image of another (``engine.map_curve``)
+    keeps that one as its ``base`` until its own cells exist, so the
+    coordinates a map left alone take their text from the base's cells.
     """
 
-    __slots__ = ("points", "closed", "_cells")
+    __slots__ = ("points", "closed", "_cells", "_base", "__weakref__")
 
-    def __init__(self, vertices: np.ndarray, closed: bool = False) -> None:
+    def __init__(
+        self, vertices: np.ndarray, closed: bool = False, base: "PLCurve | None" = None
+    ) -> None:
         # row-major whatever the input's layout: a map's image is
         # coordinate-major, and every curve reads the same way
         pts = np.array(vertices, dtype=float, order="C")
@@ -475,6 +479,7 @@ class PLCurve:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_cells", None)
+        object.__setattr__(self, "_base", base)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PLCurve is immutable")
@@ -486,11 +491,25 @@ class PLCurve:
     def decimal_cells(self) -> np.ndarray:
         """The ``%.17g`` text of each coordinate (17 significant digits,
         so it reads back bitwise), as a read-only ``(n, 3)`` array of
-        NUL-padded bytes cells, built on first use."""
+        NUL-padded bytes cells, built on first use.
+
+        Where the base holds its cells already and has this curve's shape,
+        they are copied and the kernel prints only the coordinates whose
+        bits differ from the base's: a cell depends on its double's bits
+        alone, so the cells are the ones the whole kernel gives.  The base
+        is dropped once the cells exist."""
         if self._cells is None:
-            cells = _g17_cells(self.points)
+            base = self._base
+            if base is None or base._cells is None or base.points.shape != self.points.shape:
+                cells = _g17_cells(self.points)
+            else:
+                cells = base._cells.copy()
+                moved = np.flatnonzero(self.points.view(np.int64) != base.points.view(np.int64))
+                flat = cells.reshape(-1)
+                flat[moved] = _g17_cells(self.points.reshape(-1).take(moved))
             cells.flags.writeable = False
             object.__setattr__(self, "_cells", cells)
+            object.__setattr__(self, "_base", None)
         return self._cells
 
     def __eq__(self, other: object) -> bool:

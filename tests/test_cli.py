@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from knotiso.geometry import Box, read_curve
 from knotiso.scenarios import ExpectedVerdicts, build_countable_r1
 
 from oracles import count_crossings
+from test_frames_golden import GOLDEN, TIMES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -349,7 +351,7 @@ class TestFramesVerb:
 
     def test_time_zero_frame_is_initial_curve(self, frames_dir):
         frame0 = read_curve(frames_dir / "countable_r1_frame_000.curve")
-        dense = build_countable_r1().initial_curve.densified(0.01)
+        dense = build_countable_r1().initial_curve.densified(cli._FRAME_MAX_SEG)
         assert frame0 == dense
 
     def test_time_one_frame_has_ten_fewer_loops(self, frames_dir):
@@ -438,6 +440,73 @@ class TestFramesVerb:
         assert err.startswith("error: ") and err.count("\n") == 1
         # the frame is drawn before anything is written: no orphan .curve
         assert list(tmp_path.glob("fox_remarkable_frame_000.*")) == []
+
+
+def _film_hashes(out: Path, name: str, count: int) -> tuple:
+    """The (curve, svg) sha256 pairs of frames 0..count-1 in out."""
+    return tuple(
+        tuple(
+            hashlib.sha256((out / f"{name}_frame_{i:03d}{suffix}").read_bytes()).hexdigest()
+            for suffix in (".curve", ".svg")
+        )
+        for i in range(count)
+    )
+
+
+def _draw(out: Path, name: str, times=TIMES) -> int:
+    return cli.cmd_frames(RunConfig(scenario=name, depth=20, seed=1, out=out, times=times))
+
+
+class TestFramesReuse:
+    """frames keeps the last scenario it built, with its densified curve
+    and that curve's cells; what it draws is byte for byte the golden
+    frames whatever the call pattern."""
+
+    def test_one_call_draws_what_single_time_calls_draw(self, tmp_path):
+        cli._film.cache_clear()
+        name = "countable_r1"
+        assert _draw(tmp_path / "all", name) == 0
+        assert _film_hashes(tmp_path / "all", name, 3) == GOLDEN[name]
+        for i, t in enumerate(TIMES):
+            assert _draw(tmp_path / str(i), name, (t,)) == 0
+            assert _film_hashes(tmp_path / str(i), name, 1) == GOLDEN[name][i : i + 1]
+        info = cli._film.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_call_orders(self, tmp_path, fresh):
+        cli._film.cache_clear()
+        order = ("countable_r1", "countable_r1", "1d_counterexample", "countable_r1")
+        for k, name in enumerate(order):
+            if fresh:
+                cli._film.cache_clear()
+            assert _draw(tmp_path / str(k), name) == 0
+            assert _film_hashes(tmp_path / str(k), name, 3) == GOLDEN[name]
+        if not fresh:
+            info = cli._film.cache_info()
+            assert (info.misses, info.hits) == (3, 1)
+
+    def test_a_replaced_builder_is_not_served_the_old_scenario(self, tmp_path, monkeypatch):
+        assert _draw(tmp_path / "old", "countable_r1") == 0
+        monkeypatch.setitem(
+            cli.SCENARIO_BUILDERS, "countable_r1", cli.SCENARIO_BUILDERS["1d_counterexample"]
+        )
+        assert _draw(tmp_path / "new", "countable_r1") == 0
+        assert _film_hashes(tmp_path / "new", "countable_r1", 3) == GOLDEN["1d_counterexample"]
+
+    def test_a_builder_that_raises_exits_four_on_every_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def unbuildable():
+            calls.append(None)
+            raise ValueError("affine scale on axis x is 0.0, not finite and nonzero")
+
+        monkeypatch.setitem(cli.SCENARIO_BUILDERS, "countable_r1", unbuildable)
+        argv = ["frames", "--scenario", "countable_r1", "--times", "0.5", "--out", str(tmp_path)]
+        assert [main(argv), main(argv)] == [4, 4]
+        assert len(calls) == 2
+        assert capsys.readouterr().err.count("error: affine scale") == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotiso import diagram
+from knotiso import diagram, geometry
 from knotiso.engine import glue_schedule, map_curve
 from knotiso.geometry import (
     _G17_CHUNK,
@@ -27,6 +28,7 @@ from knotiso.geometry import (
     union_diameter,
     write_curve,
 )
+from knotiso.maps import AffineMap
 
 coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords, coords)
@@ -248,6 +250,17 @@ def _assert_g17_powers_of_ten() -> None:
         _assert_g17(-v)
 
 
+def _exact_ties() -> np.ndarray:
+    """m / 2**j with m odd has j decimals, the last a 5; with 18
+    significant digits the 17-digit rounding is an exact tie."""
+    ties = [1.99993133544921875]
+    for j in range(3, 26):
+        m = -(-(10**17) // 5**j) | 1
+        if m < 2**53 and m * 5**j < 10**18:
+            ties += [m / 2**j, (m + 2) / 2**j]
+    return np.array(ties)
+
+
 # raw bit patterns, weighted toward subnormals, signed zeros and the extremes
 _double_bits = st.one_of(
     st.integers(0, 2**64 - 1),
@@ -274,14 +287,7 @@ class TestG17Cells:
                 _assert_g17_powers_of_ten()
 
     def test_exact_ties_round_half_even(self):
-        # m / 2**j with m odd has j decimals, the last a 5; with 18
-        # significant digits the 17-digit rounding is an exact tie
-        ties = [1.99993133544921875]
-        for j in range(3, 26):
-            m = -(-(10**17) // 5**j) | 1
-            if m < 2**53 and m * 5**j < 10**18:
-                ties += [m / 2**j, (m + 2) / 2**j]
-        ties = np.array(ties)
+        ties = _exact_ties()
         assert "%.17g" % ties[0] == "1.9999313354492188"
         _assert_g17(np.concatenate([ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, 3.0)]))
 
@@ -314,6 +320,105 @@ class TestG17Cells:
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def _handed_to_17g() -> np.ndarray:
+    """Doubles the kernel leaves to '%.17g': exact ties, and powers of ten
+    and their neighbours, where log10 may round across the power."""
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    x = np.concatenate([_exact_ties(), tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    return np.concatenate([x, -x])
+
+
+# finite bit patterns: the plain draws, subnormals, signed zeros, the
+# extremes, and the values the kernel hands to '%.17g'
+_finite_bits = st.one_of(
+    _double_bits.filter(lambda b: (b >> 52) & 0x7FF != 0x7FF),
+    st.sampled_from(_handed_to_17g().view(np.uint64).tolist()),
+)
+
+
+def _bits_curve(bits, base=None) -> PLCurve:
+    """The open curve through the doubles of the bit patterns, three to a
+    row; a draw with two equal rows in a row is not a curve."""
+    try:
+        return PLCurve(np.array(bits, np.uint64).view(np.float64).reshape(-1, 3), base=base)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _base_and_image(draw):
+    """Bit patterns of a base curve and an image of it: each image
+    coordinate keeps the base's bits, flips its sign (+0.0 to -0.0 on a
+    zero) or takes new bits; or the image has another vertex count."""
+    n = draw(st.integers(2, 10))
+    base = draw(st.lists(_finite_bits, min_size=3 * n, max_size=3 * n))
+    m = draw(st.one_of(st.just(n), st.integers(2, 10)))
+    if m != n:
+        return base, draw(st.lists(_finite_bits, min_size=3 * m, max_size=3 * m))
+    edits = draw(st.lists(st.sampled_from(("keep", "sign", "new")), min_size=3 * n, max_size=3 * n))
+    image = []
+    for b, edit in zip(base, edits):
+        if edit == "new":
+            b = draw(_finite_bits)
+        elif edit == "sign":
+            b ^= 1 << 63
+        image.append(b)
+    return base, image
+
+
+class TestCellReuse:
+    """An image's decimal_cells() copies its base's cells and prints only
+    the coordinates whose bits moved; the whole kernel is the oracle."""
+
+    @given(_base_and_image(), st.booleans(), st.sampled_from((None, -np.inf, np.inf)))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_are_the_whole_kernels(self, case, base_cells, log10_side):
+        base_bits, image_bits = case
+        base = _bits_curve(base_bits)
+        image = _bits_curve(image_bits, base=base)
+        log10 = np.log10
+        nudged = log10 if log10_side is None else lambda a: np.nextafter(log10(a), log10_side)
+        # a log10 one ulp off makes the kernel hand powers of ten to '%.17g'
+        with mock.patch.object(np, "log10", nudged):
+            if base_cells:
+                base.decimal_cells()
+            got = image.decimal_cells()
+            want = _g17_cells(image.points)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    def test_signed_zero_rows(self):
+        base = PLCurve([[0.0, 0.0, 0.0], [1.0, -0.0, 0.0], [2.0, 0.0, -0.0]])
+        base.decimal_cells()
+        image = PLCurve(base.points * -1.0, base=base)
+        got = image.decimal_cells()
+        assert got.tobytes() == _g17_cells(image.points).tobytes()
+        assert got[:, 1:].tolist() == [[b"-0", b"-0"], [b"0", b"-0"], [b"-0", b"0"]]
+
+    def test_prints_only_what_moved(self):
+        base = PLCurve(np.arange(30.0).reshape(10, 3) / 7)
+        base.decimal_cells()
+        pts = base.points.copy()
+        pts[3:5, 1] += 1.0
+        with mock.patch.object(geometry, "_g17_cells", wraps=_g17_cells) as kernel:
+            PLCurve(pts, base=base).decimal_cells()
+            PLCurve(pts).decimal_cells()
+        assert [len(c.args[0].ravel()) for c in kernel.call_args_list] == [2, 30]
+
+    @pytest.mark.parametrize("base_cells", [True, False])
+    def test_an_image_lets_go_of_its_base(self, base_cells):
+        base = PLCurve(np.arange(12.0).reshape(4, 3))
+        if base_cells:
+            base.decimal_cells()
+        image = map_curve(AffineMap(np.array([2.0, 1.0, 1.0]), np.zeros(3)), base)
+        ref = weakref.ref(base)
+        del base
+        assert ref() is not None
+        image.decimal_cells()
+        assert ref() is None
 
 
 class TestPLCurve:
