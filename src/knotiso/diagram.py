@@ -1,8 +1,9 @@
 """Planar diagram export: orthographic projection onto the xy-plane,
 crossing detection with over/under resolution, and SVG rendering with
 under-strand gaps: one polyline per run of drawn pieces, in a group that
-flips y, whose vertices are the curve's own ``%.17g`` cells and whose gap
-cuts are printed by the same exact kernel, ``geometry._g17_cells``.
+flips y, whose vertices are the curve's own ``%.17g`` cells joined by
+``geometry.cell_text`` as its file's lines are, and whose gap cuts are
+printed by the same exact kernel, ``geometry._g17_cells``.
 
 Crossing candidates come from ``geometry``'s one segment-pair search;
 like it, the crossing test reads x and y columns, taken once per view.
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    _TEXT_BLOCK, PLCurve, _g17_cells, multiscale_close_pairs, nonadjacent, segment_ends
-)
+from .geometry import PLCurve, _g17_cells, cell_text, multiscale_close_pairs, nonadjacent, segment_ends
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
@@ -133,19 +132,15 @@ def find_crossings(curve: PLCurve) -> list[Crossing]:
 
 
 def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """What is left of the parameter interval [0, 1] once the gaps are cut."""
-    pieces = [(0.0, 1.0)]
+    """What is left of [0, 1] once the gaps are cut, in one sweep by start:
+    a piece before each gap that starts past every earlier gap's end."""
+    pieces, end = [], 0.0
     for g0, g1 in sorted(gaps):
-        nxt = []
-        for lo, hi in pieces:
-            if g1 <= lo or g0 >= hi:
-                nxt.append((lo, hi))
-            else:
-                if g0 > lo:
-                    nxt.append((lo, g0))
-                if g1 < hi:
-                    nxt.append((g1, hi))
-        pieces = nxt
+        if g0 > end:
+            pieces.append((end, g0))
+        end = max(end, g1)
+    if end < 1.0:
+        pieces.append((end, 1.0))
     return pieces
 
 
@@ -156,11 +151,11 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     of the piece before it when that one reaches its segment's end and
     this one starts at the next segment's start.  The group's transform
     flips y, so a vertex is printed as its own ``x,y`` cells from
-    ``curve.decimal_cells()``, the cells a curve file is joined from, and
-    a frame's curve file and drawing format each vertex once.  Only the
-    gap cuts a + t (b - a) are printed here, through the same exact
-    ``%.17g`` kernel.  Round caps and round joins stroke the same region
-    as one round-capped line per piece.
+    ``curve.decimal_cells()``, joined by ``cell_text`` as a curve file's
+    lines are, and a frame's curve file and drawing format each vertex
+    once.  Only the gap cuts a + t (b - a) are printed here, through the
+    same exact ``%.17g`` kernel.  Round caps and round joins stroke the
+    same region as one round-capped line per piece.
     """
     pts = curve.points
     crossings = find_crossings(curve)
@@ -227,11 +222,6 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     )
     body = []
     for r0, r1 in zip(run_at.tolist(), [*run_at[1:].tolist(), len(cells)]):
-        # a block of points at a time, as write_curve writes its text: the
-        # bytes objects of every cell at once would outweigh the drawing
-        text = [
-            b"%s,%s " * len(block) % tuple(block.ravel().tolist())
-            for block in (cells[i : min(i + _TEXT_BLOCK, r1)] for i in range(r0, r1, _TEXT_BLOCK))
-        ]
+        text = list(cell_text(cells[r0:r1], b", "))
         body += [b'<polyline points="', *text[:-1], text[-1][:-1], b'" />\n']
     return b"".join([head.encode(), *body, b"</g>\n</svg>\n"]).decode()

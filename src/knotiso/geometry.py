@@ -704,11 +704,24 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
 # -- curve file format -------------------------------------------------------
 #
 # line 1: "open N" or "closed N"
-# then N lines "x y z": decimal literals with 17 significant digits, the
-# curve's ``decimal_cells()`` that ``render_svg`` reuses for the drawing
+# then N lines "x y z": the curve's ``decimal_cells()``, joined by the
+# ``cell_text`` that joins ``render_svg``'s polylines too
 
-# lines per bytes format in write_curve, points in diagram.render_svg
+# rows per bytes object of cell_text, so the laid-out bytes stay small
 _TEXT_BLOCK = 2048
+
+
+def cell_text(cells: np.ndarray, seps: bytes):
+    """The text of rows of ``%.17g`` cells, each cell followed by its
+    column's byte of ``seps``, one bytes object per ``_TEXT_BLOCK`` rows:
+    the block's cells and separators laid out as (rows, columns, 25)
+    bytes, without the NULs that pad the cells."""
+    for i in range(0, len(cells), _TEXT_BLOCK):
+        block = cells[i : i + _TEXT_BLOCK]
+        laid = np.empty((len(block), len(seps), _G17_WIDTH + 1), np.uint8)
+        laid[:, :, :_G17_WIDTH].view(f"S{_G17_WIDTH}")[..., 0] = block
+        laid[:, :, _G17_WIDTH] = np.frombuffer(seps, np.uint8)
+        yield laid[laid != 0].tobytes()
 
 
 def write_curve(curve: PLCurve, path) -> None:
@@ -716,11 +729,7 @@ def write_curve(curve: PLCurve, path) -> None:
     cells = curve.decimal_cells()
     with open(path, "wb") as fh:
         fh.write(b"%s %d\n" % (kind, len(cells)))
-        # a block of lines at a time: the bytes objects of every cell at
-        # once would outweigh the text
-        for i in range(0, len(cells), _TEXT_BLOCK):
-            block = cells[i : i + _TEXT_BLOCK]
-            fh.write(b"%s %s %s\n" * len(block) % tuple(block.ravel().tolist()))
+        fh.writelines(cell_text(cells, b"  \n"))
 
 
 def read_curve(path) -> PLCurve:

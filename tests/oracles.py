@@ -3,7 +3,8 @@
 The acceptance criteria and unit tests check the package against these:
 the checks of a box and of an axis-aligned frame written out in numpy,
 the tail diameters and disjointness of a box family from full pairwise
-tables, crossing counts of a curve's diagram, reference box families (the
+tables, crossing counts of a curve's diagram, the drawn pieces of a
+segment cut gap by gap, reference box families (the
 dyadic cubes, each self-similar stream's supports level by level, and
 the loop-pair boxes of fox's curve), the
 ball factoring scanned box by box and in exact closed form, the
@@ -131,6 +132,24 @@ def count_crossings(curve: PLCurve, region: Box | None = None) -> int:
         return len(cs)
     lo, hi = region.lo[:2], region.hi[:2]
     return sum(1 for c in cs if ((lo <= c.xy) & (c.xy <= hi)).all())
+
+
+def drawn_pieces_by_splitting(gaps: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """What is left of [0, 1] once the gaps are cut, the gaps taken by
+    start and each one splitting every piece it meets."""
+    pieces = [(0.0, 1.0)]
+    for g0, g1 in sorted(gaps):
+        nxt = []
+        for lo, hi in pieces:
+            if g1 <= lo or g0 >= hi:
+                nxt.append((lo, hi))
+            else:
+                if g0 > lo:
+                    nxt.append((lo, g0))
+                if g1 < hi:
+                    nxt.append((g1, hi))
+        pieces = nxt
+    return pieces
 
 
 # -- nested families and stream readings --------------------------------------

@@ -10,7 +10,8 @@ package runs on numpy alone: no module of it imports scipy, and none
 imports a name it never uses.  No verb loads ``numpy.random``: building
 the scenarios, ``check`` and ``frames`` draw no random numbers, and
 ``run`` draws its probe grid from ``geometry.PCG64Stream``; outside the
-tests no code names ``numpy.random``.
+tests no code names ``numpy.random``.  Every name the benchmark's tracer
+hooks is still in the package, and uninstalling puts each one back.
 Every top-level function, class and constant in the package, private or public, and every public method of a
 public class has a caller outside the tests, with no exception: code
 that only tests call lives in ``tests/oracles.py``.  Every map kind
@@ -130,6 +131,39 @@ def test_no_verb_loads_numpy_random(tmp_path):
         "building a scenario, check, frames or run loaded numpy.random: run's seeded"
         " probe grid draws from geometry.PCG64Stream"
     )
+
+
+def test_the_benchmark_tracer_installs_and_restores_every_hook():
+    # the traced pass of perfbench/harness.py, without the workloads: a
+    # hooked name that the package no longer has fails here, named
+    code = (
+        "import sys\n"
+        "import knotiso.cli\n"
+        "import tracer\n"
+        "modules = {name: sys.modules[f'knotiso.{name}'] for name in\n"
+        "           ('cli', 'engine', 'geometry', 'maps', 'diagram', 'scenarios', 'canonical')}\n"
+        "def now(owner, attr):\n"
+        "    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)\n"
+        "saved = tracer.install(tracer.Tracer(), modules)\n"
+        "hooks = [(getattr(o, '__name__', o), a) for o, a, _ in saved]\n"
+        "assert all(now(o, a) is not f for o, a, f in saved), 'a hook was not installed'\n"
+        "tracer.uninstall(saved)\n"
+        "moved = [h for h, (o, a, f) in zip(hooks, saved) if now(o, a) is not f]\n"
+        "assert not moved, f'hooks not restored: {moved}'\n"
+        "print(sorted(f'{o.rpartition(\".\")[2]}.{a}' for o, a in hooks))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    hooks = ast.literal_eval(proc.stdout)
+    for hook in ("cli.write_curve", "cli.render_svg", "diagram.find_crossings",
+                 "diagram.multiscale_close_pairs", "PLCurve.densified"):
+        assert hook in hooks
 
 
 def test_numpy_random_is_named_only_in_the_tests():

@@ -6,15 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotiso import diagram
 from knotiso.diagram import find_crossings, render_svg
 from knotiso.engine import glue_schedule, map_curve
-from knotiso.geometry import Box, PLCurve, write_curve
+from knotiso.geometry import _TEXT_BLOCK, Box, PLCurve, write_curve
 
-from oracles import count_crossings
+from oracles import count_crossings, drawn_pieces_by_splitting
 
 
 def _poly(rows, closed=False) -> PLCurve:
@@ -152,6 +152,30 @@ class TestRenderSvg:
         assert _polylines(svg) == [[("0", "0"), ("1", "0"), ("1", "1")]]
 
 
+# gap ends drawn from a few shared values, so gaps often touch, nest or
+# repeat, and from anywhere in [0, 1]
+_gap_ends = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+_gaps = st.lists(st.tuples(_gap_ends, _gap_ends).map(sorted).map(tuple), max_size=8)
+
+
+class TestDrawnPieces:
+    """_drawn_pieces cuts the gaps in one sweep with a running end; the
+    oracle splits every piece gap by gap."""
+
+    @given(_gaps)
+    @example([(0.4, 0.6), (0.2, 0.5)])  # overlapping, unsorted
+    @example([(0.2, 0.8), (0.3, 0.4)])  # nested
+    @example([(0.2, 0.3), (0.3, 0.4)])  # touching
+    @example([(0.5, 0.5), (0.0, 0.0), (1.0, 1.0)])  # zero width, at 0 and 1
+    @example([(0.0, 0.2), (0.9, 1.0)])  # at 0 and 1
+    @example([(0.3, 0.6), (0.3, 0.6), (0.5, 0.5)])  # repeated
+    @example([(0.1, 0.9), (0.2, 0.3), (0.5, 0.6)])  # nested after a wide gap
+    @example([])
+    @settings(max_examples=400, deadline=None)
+    def test_matches_splitting_gap_by_gap(self, gaps):
+        assert diagram._drawn_pieces(gaps) == drawn_pieces_by_splitting(gaps)
+
+
 def _pieces(curve: PLCurve, gap_radius: float) -> list[tuple[int, float, float]]:
     """(segment, lo, hi) of each drawn piece a + [lo, hi] (b - a), in
     segment order: a gap of gap_radius either side of each crossing is
@@ -171,7 +195,7 @@ def _pieces(curve: PLCurve, gap_radius: float) -> list[tuple[int, float, float]]
     return [
         (i, lo, hi)
         for i in range(len(a))
-        for lo, hi in (diagram._drawn_pieces(gaps[i]) if i in gaps else [(0.0, 1.0)])
+        for lo, hi in (drawn_pieces_by_splitting(gaps[i]) if i in gaps else [(0.0, 1.0)])
     ]
 
 
@@ -309,6 +333,25 @@ class TestSvgDigitsFromCurveText:
             path = Path(tmp) / "c.curve"
             write_curve(curve, path)
             assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n", [_TEXT_BLOCK - 1, _TEXT_BLOCK, _TEXT_BLOCK + 1, 2 * _TEXT_BLOCK + 1])
+    def test_curve_file_across_text_blocks(self, tmp_path, n):
+        # every cell width from "0" to the 24 bytes of -1.2345678901234567e-308
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-310, 300, (n, 3))
+        pts[rng.random((n, 3)) < 0.1] = -0.0
+        pts[0] = (-1.2345678901234567e-308, 0.0, 1.0)
+        pts[-1] = (1e22, -1.5, 2.0)
+        path = tmp_path / "c.curve"
+        write_curve(PLCurve(pts), path)
+        want = f"open {n}\n" + "%.17g %.17g %.17g\n" * n % tuple(pts.ravel().tolist())
+        assert path.read_bytes() == want.encode()
+
+    def test_polyline_longer_than_a_text_block(self):
+        curve = _poly([(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1), (0, -1, 1)]).densified(0.001)
+        svg = render_svg(curve)
+        assert max(len(run) for run in _polylines(svg)) > 2 * _TEXT_BLOCK
+        assert svg == _render_svg_per_piece(curve, 0.005)
 
 
 def _multiscale_rows(levels: int):

@@ -2,14 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from knotiso import diagram, geometry
 from knotiso.engine import glue_schedule, map_curve
@@ -473,6 +476,48 @@ class TestPLCurve:
         back = read_curve(path)
         assert back.closed == c.closed
         assert np.array_equal(back.points, c.points)
+
+    # signed zeros, subnormals, the extremes and 24-byte cells, which have
+    # no NUL padding to drop, among any finite doubles
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(2, 12), st.just(3)),
+            elements=st.sampled_from(
+                [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, -1.2345678901234567e-308, -2.2250738585072009e-308]
+            )
+            | st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.booleans(),
+    )
+    @example(np.array([[-1.2345678901234567e-308] * 3, [-0.0, 5e-324, 1.7976931348623157e308]]), False)
+    @settings(max_examples=300, deadline=None)
+    def test_file_roundtrip_is_bitwise_for_any_finite_doubles(self, pts, closed):
+        try:
+            c = PLCurve(pts, closed=closed)
+        except ValueError:  # repeated vertices
+            assume(False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.curve"
+            write_curve(c, path)
+            back = read_curve(path)
+        assert back.closed == c.closed
+        assert np.array_equal(back.points.view(np.int64), c.points.view(np.int64))
+
+    def test_writing_a_long_curve_keeps_the_heap_small(self, tmp_path):
+        # the text is joined _TEXT_BLOCK rows at a time: the whole curve's
+        # laid-out bytes at once would take about 4.5 MB here
+        rng = np.random.default_rng(8)
+        c = PLCurve(rng.uniform(-1.0, 1.0, (20_000, 3)) * 1e-5)
+        c.decimal_cells()
+        tracemalloc.start()
+        try:
+            write_curve(c, tmp_path / "c.curve")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_reader_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.curve"
