@@ -16,12 +16,17 @@ run's probe grid from ``geometry.PCG64Stream``, the SeedSequence/PCG64
 doubles of ``numpy.random.default_rng(seed)``, so no verb loads
 ``numpy.random`` and the report bytes do not depend on its code.
 
-frames reuses what did not move.  The scenario and its initial curve
-densified to ``_FRAME_MAX_SEG``, with that curve's ``%.17g`` cells, are
-kept for the last scenario builder called (one entry), so consecutive
-frames calls on one scenario, and all frames of one call, share one build,
-one densification and one ``%.17g`` pass; each frame prints only the
-coordinates its map moved.  run and check build their scenario per call.
+frames steps from its last frame.  For the last scenario builder called
+(one entry) it keeps the scenario, its initial curve densified to
+``_FRAME_MAX_SEG`` and the last frame drawn, so consecutive frames calls
+on one scenario, and all frames of one call, share one build and one
+densification.  Each frame is drawn against the last: it prints only the
+coordinates whose bits differ from that frame's, and searches for
+crossings only among the segments that moved and those whose boxes meet
+theirs.  The scenario's declaration keeps the level loop's rounds on the
+densified curve, so a frame at the same or a later stage runs only the
+rounds the frames before it did not.  run and check build their scenario
+per call.
 """
 from __future__ import annotations
 
@@ -161,25 +166,31 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if rep.first_violation is None else _EXIT_MISMATCH
 
 
+class _Film:
+    """A scenario, its initial curve densified to _FRAME_MAX_SEG, and the
+    last frame drawn of it."""
+
+    def __init__(self, scenario: Scenario, dense: PLCurve) -> None:
+        self.scenario, self.dense, self.last = scenario, dense, None
+
+
 @functools.lru_cache(maxsize=1)
-def _film(builder) -> tuple[Scenario, PLCurve]:
-    """The scenario a builder makes and its initial curve densified to
-    _FRAME_MAX_SEG, that curve's cells printed, kept for the last builder
+def _film(builder) -> _Film:
+    """The film of the scenario a builder makes, kept for the last builder
     asked; a builder that raises leaves nothing kept."""
     s = builder()
-    dense = s.initial_curve.densified(_FRAME_MAX_SEG)
-    dense.decimal_cells()
-    return s, dense
+    return _Film(s, s.initial_curve.densified(_FRAME_MAX_SEG))
 
 
 def cmd_frames(cfg: RunConfig) -> int:
-    s, dense = _film(SCENARIO_BUILDERS[cfg.scenario])
+    film = _film(SCENARIO_BUILDERS[cfg.scenario])
     cfg.out.mkdir(parents=True, exist_ok=True)
-    glued = glue_schedule(s.moves, cfg.depth)
+    glued = glue_schedule(film.scenario.moves, cfg.depth)
     for i, t in enumerate(cfg.times):
-        frame = map_curve(glued.map_at(t), dense)
+        frame = map_curve(glued.map_at(t), film.dense, film.last)
         # drawn first: a degenerate frame raises before either file exists
         svg = render_svg(frame, gap_radius=0.005)
+        film.last = frame
         stem = cfg.out / f"{cfg.scenario}_frame_{i:03d}"
         write_curve(frame, stem.with_suffix(".curve"))
         _write_text(stem.with_suffix(".svg"), svg)

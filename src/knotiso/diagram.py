@@ -7,11 +7,15 @@ printed by the same exact kernel, ``geometry._g17_cells``.
 
 Crossing candidates come from ``geometry``'s one segment-pair search;
 like it, the crossing test reads x and y columns, taken once per view.
+A curve keeps the search of its xy view, and a curve drawn against a
+base (``engine.map_curve``) searches only the pairs with a segment that
+moved, reading the others' candidacy and crossings off the base's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from .geometry import PLCurve, _g17_cells, cell_text, multiscale_close_pairs, no
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
-# candidate pairs tested per batch in _find_crossings
+# candidate pairs tested per batch in _crossing_test
 _PAIR_CHUNK = 200_000
 # drawn line width, in model units
 _STROKE = 0.01
@@ -41,6 +45,27 @@ def _rotation(axis: int, angle: float) -> np.ndarray:
     return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
 
 
+class _Search(NamedTuple):
+    """The crossing search of one view: the pad 8 ulp(M) its candidate
+    pairs were found with, and the keys i n + j of the pairs that cross
+    properly, sorted, with each crossing's parameters t and u on its two
+    segments."""
+
+    pad: float
+    hits: np.ndarray
+    t: np.ndarray
+    u: np.ndarray
+
+
+def _extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The xy midpoints of the segments a -> b as two rows, their half
+    lengths, and the pad 8 ulp(M), M the largest xy coordinate."""
+    (x0, y0), (x1, y1) = a[:, :2].T, b[:, :2].T
+    mids = np.stack([x0 + x1, y0 + y1]) / 2.0
+    half = np.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2) / 2.0
+    return mids, half, 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
+
+
 def _candidate_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs of segments that share no vertex and whose xy extents
     can overlap, from the same multiscale search at every curve size.
@@ -48,7 +73,7 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> tuple[np.nda
     The search radius is relative to the segments' own lengths: exactly the
     pairs with |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-5) + 8 ulp(M), h the
     half lengths and M the largest xy coordinate.  That keeps every pair
-    ``_find_crossings`` can flag: it needs t and u within 1e-9 of [0, 1],
+    ``_crossing_test`` can flag: it needs t and u within 1e-9 of [0, 1],
     which puts the exact midpoints within (h_i + h_j)(1 + 2e-9).  It only
     solves pairs with |denom| >= 1e-9 |r||s|, so the rounding of the cross
     products (a few eps |qp||s| and eps |r||s|) moves t by up to about
@@ -59,26 +84,23 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> tuple[np.nda
     shorter than their distance to the origin.  A pad fixed in absolute
     units would admit every pair of segments shorter than it.
     """
-    (x0, y0), (x1, y1) = a[:, :2].T, b[:, :2].T
-    mids = np.stack([x0 + x1, y0 + y1]) / 2.0
-    half = np.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2) / 2.0
-    pad = 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
+    mids, half, pad = _extents(a, b)
     ii, jj = multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad)
     return nonadjacent(ii, jj, len(a), closed)
 
 
-def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
-    """Proper projected crossings of segment pairs that share no vertex, or
-    None if any candidate pair is within tolerance of tangency/degeneracy.
+def _crossing_test(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """The keys i n + j of the pairs (ii, jj) of the n segments a -> b
+    that cross properly in the xy view, in pair order, with t and u, or
+    None if any pair is within tolerance of tangency or degeneracy.
 
-    Candidates are tested _PAIR_CHUNK at a time, so the temporaries stay
+    Pairs are tested _PAIR_CHUNK at a time, so the temporaries stay
     bounded on curves with millions of candidate pairs."""
-    ii, jj = _candidate_pairs(a, b, closed)
     # each segment's start and direction, as columns
     x, y = np.ascontiguousarray(a[:, :2].T)
     dx, dy = b[:, 0] - x, b[:, 1] - y
     length2 = dx * dx + dy * dy
-    hits = []
+    hits = [(np.empty(0, np.int64), np.empty(0), np.empty(0))]
     for start in range(0, len(ii), _PAIR_CHUNK):
         ci, cj = ii[start : start + _PAIR_CHUNK], jj[start : start + _PAIR_CHUNK]
         rx, ry = dx.take(ci), dy.take(ci)
@@ -101,10 +123,18 @@ def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
             return None
         inside = (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
         k = k[inside]
-        hits += zip(ci[k].tolist(), cj[k].tolist(), t[inside].tolist(), u[inside].tolist())
-    z, dz = a[:, 2], b[:, 2] - a[:, 2]
+        hits.append((ci[k] * len(a) + cj[k], t[inside], u[inside]))
+    return tuple(np.concatenate(h) for h in zip(*hits))
+
+
+def _crossings(a: np.ndarray, b: np.ndarray, search: _Search):
+    """The crossings at the hits of the n segments a -> b, over and under
+    read off z, or None if two strands touch in 3-space at one."""
+    x, y, z = a.T
+    dx, dy, dz = (b - a).T
     crossings = []
-    for i, j, ti, uj in hits:
+    for key, ti, uj in zip(search.hits.tolist(), search.t.tolist(), search.u.tolist()):
+        i, j = divmod(key, len(a))
         zi, zj = z[i] + ti * dz[i], z[j] + uj * dz[j]
         if abs(zi - zj) < _TANGENCY_EPS:
             return None  # strands touch in 3-space at the crossing
@@ -116,19 +146,62 @@ def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
     return crossings
 
 
+def _search(a: np.ndarray, b: np.ndarray, closed: bool, old: _Search | None = None, hot=None):
+    """The crossing search of the segments a -> b, or None if a candidate
+    pair is within tolerance of tangency or degeneracy.
+
+    A pair's candidacy and its test read its two segments' xy ends and
+    the pad alone.  So given old, the search of a curve of this shape,
+    with this pad, and the mask hot of the segments whose xy ends moved
+    since, only the pairs with a hot segment are walked
+    (``multiscale_close_pairs`` given hot) and tested, and the other
+    crossings are read off old: the search is the whole one's."""
+    n = len(a)
+    mids, half, pad = _extents(a, b)
+    if old is None or old.pad != pad:
+        old, (ii, jj) = None, _candidate_pairs(a, b, closed)
+    else:
+        ii, jj = nonadjacent(*multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad, hot), n, closed)
+    found = _crossing_test(a, b, ii, jj)
+    if found is not None and old is not None:
+        # merged into key order, the order the whole search tests in
+        kept = ~(hot.take(old.hits // n) | hot.take(old.hits % n))
+        order = np.argsort(np.concatenate([old.hits[kept], found[0]]))
+        found = [np.concatenate([was[kept], now])[order] for was, now in zip(old[1:], found)]
+    return None if found is None else _Search(pad, *found)
+
+
+def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
+    """Proper projected crossings of segment pairs that share no vertex, or
+    None if any candidate pair is within tolerance of tangency/degeneracy."""
+    search = _search(a, b, closed)
+    return None if search is None else _crossings(a, b, search)
+
+
 def find_crossings(curve: PLCurve) -> list[Crossing]:
     """Crossings of the +z orthographic projection.
 
     Near-tangent configurations are resolved by perturbing the view by
-    1e-7 rad about x, then y.
+    1e-7 rad about x, then y.  The curve keeps the search of its
+    unperturbed view (``_xy``), and where its base kept one, searches
+    only the pairs with a segment whose xy ends moved since (``_search``);
+    a perturbed view is searched whole.
     """
-    pts = curve.points
-    for rot in (None, _rotation(0, _PERTURB_RAD), _rotation(0, _PERTURB_RAD) @ _rotation(1, _PERTURB_RAD)):
-        view = pts if rot is None else pts @ rot.T
-        result = _find_crossings(*segment_ends(view, curve.closed), curve.closed)
-        if result is not None:
-            return result
-    raise ValueError("projection is degenerate even after view perturbation")
+    pts, closed, base = curve.points, curve.closed, curve._base
+    a, b = segment_ends(pts, closed)
+    old = hot = None
+    if base is not None and base._xy is not None:
+        old, now = base._xy, pts[:, :2].view(np.int64) != base.points[:, :2].view(np.int64)
+        hot = np.logical_or(*segment_ends(now[:, 0] | now[:, 1], closed))
+    search = _search(a, b, closed, old, hot)
+    object.__setattr__(curve, "_xy", search)
+    result = None if search is None else _crossings(a, b, search)
+    for rot in (_rotation(0, _PERTURB_RAD), _rotation(0, _PERTURB_RAD) @ _rotation(1, _PERTURB_RAD)):
+        if result is None:
+            result = _find_crossings(*segment_ends(pts @ rot.T, closed), closed)
+    if result is None:
+        raise ValueError("projection is degenerate even after view perturbation")
+    return result
 
 
 def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:

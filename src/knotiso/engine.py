@@ -16,7 +16,10 @@ truncations and t = 1 census are one loop over levels: with h_1 stage
 1's end map and g = S^-1 h_1, stages j..n are S^n g^(n-j+1) S^(1-j),
 stage k is S^(k-1) h_1 S^(1-k), and a census point takes a g step per
 stage in level coordinates.  No V_k is formed in floats but as a
-support, so a truncation runs at any depth.
+support, so a truncation runs at any depth.  The loop's rounds are one
+resumable state, and the declaration keeps the state of the last
+read-only batch it carried from level 1, so a film of one curve runs
+each round once.
 The declaration also names the point the supports shrink around, the
 stream's ``ball_center``: p, when there is no F and V_1 holds p inside,
 and ``find_ball_factoring`` reads the ball V_n0 c B_eps(p) c V_1 off it.
@@ -192,6 +195,8 @@ class Similarity:
             # zero components as -0.0, so y - p and d + p keep signed zeros
             _p_col=_negative_zeros(p).reshape(3, 1),
             _neg_p=_negative_zeros(-p).reshape(3, 1),
+            # the batch the last level loop from level 1 ran, and its rounds
+            _carried=None,
         )
 
     def box(self, k: int) -> Box:
@@ -277,6 +282,132 @@ class Similarity:
             y = y.copy()
             _scatter(y, far, self._power(y.compress(far, axis=1), -skip.compress(far)))
         return y, skip
+
+    def _rounds(self, pts: np.ndarray, first: int, todo: int) -> "_Rounds":
+        """The rounds of a level loop on the batch pts from level first to
+        first + todo: the kept ones, when pts is the batch the last loop
+        from level 1 ran and that loop went no further, else fresh ones,
+        kept in turn (one entry) when the loop starts at level 1 and pts
+        is a read-only array that owns its data, as a curve's vertices
+        are, so that no one moves its rows."""
+        carried = self._carried
+        if first == 1 and carried is not None and carried[0] is pts and carried[1].todo <= todo:
+            return carried[1]
+        kept = first == 1 and pts.flags.owndata and not pts.flags.writeable
+        rounds = _Rounds(len(pts), kept)
+        if kept:
+            vars(self)["_carried"] = (pts, rounds)
+        return rounds
+
+
+# a row's ``_Rounds.steps`` before its first round, once done, and once
+# g left it in place, so that it waits at every level
+_FRESH, _DONE, _STILL = -1, -2, np.iinfo(np.int64).max
+
+
+class _Rounds:
+    """The rounds of g = S^-1 h_1 that level loops from one first level
+    ran on the rows of one batch, so that a loop to the same or a later
+    level takes up where the last one stopped.
+
+    Per row, ``steps`` is the level the row waits at, with ``y`` its level
+    coordinates and ``moved`` whether V_1 held it; or _STILL, where g left
+    it bitwise in place, so it waits at every level; or _DONE, where g
+    carried it out of hull(V_1 u {p}), with ``y`` its image; or _FRESH.
+    A row skipped to the last level is left fresh, so a later level skips
+    it afresh (one multiply rounds otherwise than steps do).  ``todo`` is
+    the level the rounds reached, -1 before any loop ran.  Rounds no one
+    keeps run the same loop and write nothing back.
+    Nothing here refers to the declaration, so keeping the rounds in it
+    forms no cycle."""
+
+    def __init__(self, n: int, kept: bool) -> None:
+        self.todo, self.kept = -1, kept
+        self.steps, self.moved, self.y = np.full(n, _FRESH), np.zeros(n, dtype=bool), np.empty((3, n))
+
+    def advance(self, sim: Similarity, x: np.ndarray, at: np.ndarray, first: int, todo: int, out):
+        """Take the rows at of the batch, at level first the (3, m)
+        coordinate rows x, through the rounds to level todo.  The images of
+        the rows done go into out, coordinate rows as x is; the places in
+        at of the rows left at level todo are returned, with their level
+        coordinates and V_1 flags, or None if no row is left there.  Kept
+        rounds write where each row stands back once the loop ends, so a
+        loop that raises leaves every row where it stood."""
+        # places, y, V_1 flags and steps of the rows left at level todo,
+        # and places of the rows done
+        ends, dones, rows = [], [], None
+        if self.todo >= 0:
+            steps = self.steps.take(at)
+            done = np.flatnonzero(steps == _DONE)
+            _scatter(out, done, self.y.take(at.take(done), axis=1))
+            ends.append(self._rows(at, np.flatnonzero(steps >= todo), steps))
+            # the rows below level todo take their next rounds
+            go = np.flatnonzero((steps >= 0) & (steps < todo))
+            _loop(sim, first, todo, out, ends, dones, *self._rows(at, go, steps))
+            rows = np.flatnonzero(steps == _FRESH)
+            x = x.take(rows, axis=1)
+        self.todo = todo
+        if x.shape[1]:
+            rows = np.arange(x.shape[1]) if rows is None else rows
+            y, skip = sim._skip(sim._power(x, 1 - first), todo)
+            moved = np.zeros(len(rows), dtype=bool)
+            wait = skip == todo
+            if wait.any():
+                ends.append((*_kept(wait, rows, y, moved), np.full(int(wait.sum()), _FRESH)))
+                rows, y, moved, skip = _kept(~wait, rows, y, moved, skip)
+            _loop(sim, first, todo, out, ends, dones, rows, y, moved, skip)
+        ends = [np.concatenate(part, axis=-1) for part in zip(*ends)] if ends else None
+        if self.kept:
+            self._record(at, out, ends, dones)
+        return None if ends is None else ends[:3]
+
+    def _record(self, at: np.ndarray, out: np.ndarray, ends, dones: list) -> None:
+        """Write where the rows at places in at stand once a loop ended: the
+        ends at their steps, and the rows done with their images in out."""
+        if ends is not None:
+            places, y, moved, steps = ends
+            kept = at.take(places)
+            _scatter(self.y, kept, y)
+            self.moved[kept], self.steps[kept] = moved, steps
+        if dones:
+            places = np.concatenate(dones)
+            kept = at.take(places)
+            _scatter(self.y, kept, out.take(places, axis=1))
+            self.steps[kept] = _DONE
+
+    def _rows(self, at: np.ndarray, places: np.ndarray, steps: np.ndarray) -> tuple:
+        """The places, y, V_1 flags and steps of the rows at places in at."""
+        kept = at.take(places)
+        return places, self.y.take(kept, axis=1), self.moved.take(kept), steps.take(places)
+
+
+def _loop(sim: Similarity, first: int, todo: int, out, ends, dones, rows, y, moved, steps) -> None:
+    """The rounds of ``_Rounds.advance`` on the rows at places rows, below
+    level todo, each row put on ends or dones as it stops."""
+    h1 = sim.first.time_one()
+    while len(rows):
+        z, held = sim._through(h1, y)
+        moved |= held
+        # S^-1 carries a row out of the hull exactly when it lies
+        # outside S(hull): it is done, at S^(first-1+s) of z
+        done = ~sim._hull_2.contains_array(z.T)
+        if done.any():
+            image = done & moved
+            if image.any():
+                levels = first - 1 + steps.compress(image)
+                final = sim._power(z.compress(image, axis=1), levels)
+                _scatter(out, rows.compress(image), final)
+            dones.append(rows.compress(done))
+            rows, y, z, moved, steps = _kept(~done, rows, y, z, moved, steps)
+        stepped = sim._power(z, -1)
+        # a row g leaves bitwise in place stays there at every level;
+        # the three rows ANDed, as in Box.contains_array
+        same = stepped.view(np.int64) == y.view(np.int64)
+        y, steps = stepped, np.where(same[0] & same[1] & same[2], _STILL, steps + 1)
+        stop = steps >= todo
+        if stop.any():
+            ends.append(_kept(stop, rows, y, moved, steps))
+            rows, y, moved, steps = _kept(~stop, rows, y, moved, steps)
 
 
 @dataclass
@@ -439,66 +570,47 @@ class _LevelLoop(LocalMap):
     multiply.  The support is the hull of V_first and V_last, which holds
     every V_k between them.  A one-level loop, stage k alone, takes no
     step of g, and its inverse is the one-level loop over h_last's inverse.
+
+    The rounds are one resumable state (``_Rounds``), and a loop is that
+    state advanced to level last, then h_last, on the rows inside the
+    support.  The declaration keeps the rounds of the last read-only batch
+    a loop from level 1 carried, so a loop over the same batch to the same
+    or a later level takes up where the last one stopped, and one to a
+    smaller level starts afresh: a film's frames run each round once.
     """
 
     def __init__(self, sim: Similarity, first: int, last: int, h_last: LocalMap):
         self.sim, self.first, self.last = sim, first, last
-        self.h1 = sim.first.time_one()
         self.h_last = h_last
         # V_first..V_last lie in the hull of the first and the last
         self.support = bounding_box([sim.box(first), sim.box(last)])
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return self._on_support(pts, self._run)
+        todo = self.last - self.first
+        rounds = self.sim._rounds(np.asarray(pts, dtype=float), self.first, todo)
+        return self._on_support(pts, lambda q, at: self._run(q, at, rounds), at=True)
 
     def _inverted(self) -> "_LevelLoop":
         if self.first != self.last:
             raise NotImplementedError("only a one-level loop has an inverse")
         return _LevelLoop(self.sim, self.first, self.last, self.h_last.inverse())
 
-    def _run(self, q: np.ndarray) -> np.ndarray:
+    def _run(self, q: np.ndarray, at: np.ndarray, rounds: _Rounds) -> np.ndarray:
+        """The rows q, at positions at of the batch, through the rounds to
+        level last, then h_last."""
         sim = self.sim
         x = q.T
-        y = sim._power(x, 1 - self.first)
         # a row no map moves is where it started
         out = x.copy()
-        rows = np.arange(x.shape[1])
-        todo = self.last - self.first
-        y, steps = sim._skip(y, todo)
-        moved = np.zeros(len(rows), dtype=bool)
-        ends = []
-
-        def finish(done, z: np.ndarray, levels) -> None:
-            done = done & moved
-            if done.any():
-                image = sim._power(z.compress(done, axis=1), levels.compress(done))
-                _scatter(out, rows.compress(done), image)
-
-        while len(rows):
-            at_last = steps == todo
-            if at_last.any():
-                ends.append(_kept(at_last, rows, y, moved))
-                rows, y, steps, moved = _kept(~at_last, rows, y, steps, moved)
-                if not len(rows):
-                    break
-            z, held = sim._through(self.h1, y)
-            moved |= held
-            # S^-1 carries a row out of the hull exactly when it lies
-            # outside S(hull): it is done, at S^(first-1+s) of z
-            done = ~sim._hull_2.contains_array(z.T)
-            if done.any():
-                finish(done, z, self.first - 1 + steps)
-            rows, y, z, steps, moved = _kept(~done, rows, y, z, steps, moved)
-            stepped = sim._power(z, -1)
-            # a row g leaves bitwise in place stays there at every level;
-            # the three rows ANDed, as in Box.contains_array
-            same = stepped.view(np.int64) == y.view(np.int64)
-            y, steps = stepped, np.where(same[0] & same[1] & same[2], todo, steps + 1)
-        if ends:
-            rows, y, moved = (np.concatenate(e, axis=-1) for e in zip(*ends))
+        ends = rounds.advance(sim, x, at, self.first, self.last - self.first, out)
+        if ends is not None:
+            places, y, moved = ends
             z, held = sim._through(self.h_last, y)
             moved |= held
-            finish(np.ones(len(rows), dtype=bool), z, np.full(len(rows), self.last - 1))
+            if moved.any():
+                z = z.compress(moved, axis=1)
+                levels = np.full(z.shape[1], self.last - 1)
+                _scatter(out, places.compress(moved), sim._power(z, levels))
         return out.T
 
 
@@ -512,11 +624,14 @@ def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
     return truncated_map(seq, n).apply_array(pts)
 
 
-def map_curve(m: LocalMap, curve: PLCurve) -> PLCurve:
-    """Image of a curve's vertices under a map, with the curve as its base:
-    the image's ``decimal_cells()`` prints only the coordinates the map
-    moved when the curve's cells exist by then."""
-    return PLCurve(m.apply_array(curve.points), closed=curve.closed, base=curve)
+def map_curve(m: LocalMap, curve: PLCurve, base: PLCurve | None = None) -> PLCurve:
+    """Image of a curve's vertices under a map, with base, by default the
+    curve, as its base: where the base's cells and crossing search exist
+    by then, the image's ``decimal_cells()`` prints only the coordinates
+    whose bits differ from the base's and ``diagram.find_crossings``
+    searches only the segments that moved (``PLCurve``)."""
+    pts = m.apply_array(curve.points)
+    return PLCurve(pts, closed=curve.closed, base=curve if base is None else base)
 
 
 # -- hypothesis checking -----------------------------------------------------

@@ -446,11 +446,15 @@ class PLCurve:
     each coordinate's ``%.17g`` text, from one vectorized exact kernel that
     leaves only undecidable values to ``'%.17g'`` itself, built on first
     use.  A curve made as the image of another (``engine.map_curve``)
-    keeps that one as its ``base`` until its own cells exist, so the
-    coordinates a map left alone take their text from the base's cells.
+    keeps a ``base`` of its shape, that curve or one drawn before it, until
+    its own cells exist: the coordinates whose bits the base shares take
+    their text from the base's cells, and ``diagram.find_crossings``
+    searches again only the segment pairs of the xy view with a segment
+    that moved, reading the rest off the base's search, which it keeps in
+    ``_xy``.
     """
 
-    __slots__ = ("points", "closed", "_cells", "_base", "__weakref__")
+    __slots__ = ("points", "closed", "_cells", "_base", "_xy", "__weakref__")
 
     def __init__(
         self, vertices: np.ndarray, closed: bool = False, base: "PLCurve | None" = None
@@ -476,10 +480,13 @@ class PLCurve:
         if closed and (pts[0] == pts[-1]).all():
             raise ValueError("closed curve must not repeat its first vertex")
         pts.flags.writeable = False
+        if base is not None and (base.closed != closed or base.points.shape != pts.shape):
+            base = None
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_xy", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PLCurve is immutable")
@@ -493,14 +500,14 @@ class PLCurve:
         so it reads back bitwise), as a read-only ``(n, 3)`` array of
         NUL-padded bytes cells, built on first use.
 
-        Where the base holds its cells already and has this curve's shape,
-        they are copied and the kernel prints only the coordinates whose
-        bits differ from the base's: a cell depends on its double's bits
-        alone, so the cells are the ones the whole kernel gives.  The base
-        is dropped once the cells exist."""
+        Where the base holds its cells already, they are copied and the
+        kernel prints only the coordinates whose bits differ from the
+        base's: a cell depends on its double's bits alone, so the cells are
+        the ones the whole kernel gives.  The base is dropped once the
+        cells exist."""
         if self._cells is None:
             base = self._base
-            if base is None or base._cells is None or base.points.shape != self.points.shape:
+            if base is None or base._cells is None:
                 cells = _g17_cells(self.points)
             else:
                 cells = base._cells.copy()
@@ -576,9 +583,13 @@ def _segment_pair_distances(
 _WALK_TOP = 32
 
 
-def _meeting(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _meeting(lo: np.ndarray, hi: np.ndarray, heat, a: np.ndarray, b: np.ndarray):
     """The node pairs (a, b) whose closed boxes, given per axis by the
-    (dim, nodes) rows lo and hi, share a point."""
+    (dim, nodes) rows lo and hi, share a point, and where the nodes' heat
+    is given, one of which at least is hot."""
+    if heat is not None:
+        hot = heat.take(a) | heat.take(b)
+        a, b = a[hot], b[hot]
     # one axis at a time, compressed before the next gather
     for lo_k, hi_k in zip(lo, hi):
         meet = lo_k.take(a) <= hi_k.take(b)
@@ -605,10 +616,11 @@ def _leaf_pairs(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
 
 
 def multiscale_close_pairs(
-    mids: np.ndarray, half: np.ndarray, margin: float
+    mids: np.ndarray, half: np.ndarray, margin: float, hot: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs of segments whose midpoints lie within their half
-    lengths plus margin.
+    lengths plus margin; given a mask ``hot`` of segments, only the pairs
+    with a hot segment.
 
     Segment i is summarized by its midpoint ``mids[i]`` and half length
     ``half[i]``.  Returns int64 arrays ``(ii, jj)``, sorted by ``ii`` then
@@ -622,8 +634,11 @@ def multiscale_close_pairs(
     32 nodes down, the walk keeps the node pairs a <= b whose boxes meet,
     one box test per level on all four child pairings at once; the leaf
     pairs of distinct segments under them (or all pairs of at most 32
-    segments) take the predicate above directly.  Curves here are
-    strongly multiscale, so no single search
+    segments) take the predicate above directly.  A node is hot when a
+    leaf under it is, and a walk given hot segments keeps only the pairs
+    with a hot node, so it walks the hot segments and the ones whose boxes
+    meet theirs alone, and its pairs are exactly the full walk's with a
+    hot segment.  Curves here are strongly multiscale, so no single search
     radius fits them, but each box is as small as its own segment's
     radius, and a curve passed in curve order keeps each node's box as
     small as the piece of curve under it.  Any order stays exact, and
@@ -651,22 +666,28 @@ def multiscale_close_pairs(
     lo = np.full((len(cols), width), np.inf)
     hi = np.full((len(cols), width), -np.inf)
     lo[:, :n], hi[:, :n] = cols - r, cols + r
+    # a node is hot when a leaf under it is
+    heat = None if hot is None else np.append(hot, np.zeros(width - n, dtype=bool))
     levels = []
     while width > _WALK_TOP:
         width //= 2
         lo, hi = np.minimum(lo[:, 0::2], lo[:, 1::2]), np.maximum(hi[:, 0::2], hi[:, 1::2])
-        levels.append((lo, hi))
+        heat = heat if heat is None else heat[0::2] | heat[1::2]
+        levels.append((lo, hi, heat))
     if not levels:
         a, b = (i.astype(np.int32) for i in np.triu_indices(n, 1))
     else:
         a, b = (i.astype(np.int32) for i in np.triu_indices(width))
-        for lo, hi in reversed(levels[1:]):
-            a, b = _meeting(lo, hi, a, b)
+        for lo, hi, heat in reversed(levels[1:]):
+            a, b = _meeting(lo, hi, heat, a, b)
             # the children of a <= b, without the mirror (2a + 1, 2a) of (2a, 2a + 1)
             off, a, b = a < b, 2 * a, 2 * b
             a = np.concatenate([a, a, a + 1, a[off] + 1])
             b = np.concatenate([b, b + 1, b + 1, b[off]])
         a, b = _leaf_pairs(*_meeting(*levels[0], a, b), n)
+    if hot is not None:
+        hit = hot.take(a) | hot.take(b)
+        a, b = a[hit], b[hit]
     square = sum((col.take(a) - col.take(b)) ** 2 for col in cols)
     keep = np.sqrt(square) <= half.take(a) + half.take(b) + margin
     key = np.sort(a[keep].astype(np.int64) * n + b[keep])

@@ -39,7 +39,8 @@ rows, ``y[:, mask]`` takes about 80 us against about 30 us for
 about 30 us for the three 1-D writes (numpy 2.4.6, 2-core x86-64 VM).
 
 Two rules live in ``LocalMap`` alone, so each kind states only its
-kernel: ``_on_support`` runs the kernel on the rows inside ``support`` and
+kernel: ``_on_support`` runs the kernel on the rows inside ``support``,
+with their positions in the batch where the kernel asks for them, and
 hands every other row back bitwise unchanged, always in a fresh array, so
 no image aliases its input; and ``inverse()`` builds the kind's
 ``_inverted()`` once and hands that same object to every caller.  The
@@ -84,19 +85,22 @@ class LocalMap:
     def apply_inverse_array(self, pts: np.ndarray) -> np.ndarray:
         return self.inverse().apply_array(pts)
 
-    def _on_support(self, pts: np.ndarray, run) -> np.ndarray:
+    def _on_support(self, pts: np.ndarray, run, at: bool = False) -> np.ndarray:
         """run(rows) on the rows inside the support; the rest come back
         bitwise unchanged, and always in a fresh array.  The batch is made
         Fortran-ordered once (no copy if it is already), its inside rows
         read with ``compress`` and written back one coordinate row at a
-        time, and the image is Fortran-ordered."""
+        time, and the image is Fortran-ordered.  With at, run(rows,
+        positions) is handed the rows' positions in the batch too."""
         pts = np.asarray(pts, dtype=float, order="F")
         inside = self.support.contains_array(pts)
         if inside.all():
-            return run(pts)
+            return run(pts, np.arange(len(pts))) if at else run(pts)
         out = pts.copy(order="F")
         if inside.any():
-            _scatter(out.T, inside, run(pts.T.compress(inside, axis=1).T).T)
+            rows = pts.T.compress(inside, axis=1).T
+            image = run(rows, inside.nonzero()[0]) if at else run(rows)
+            _scatter(out.T, inside, image.T)
         return out
 
 
@@ -169,7 +173,8 @@ def box_frames(src: Box, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
     """Per-axis scale and shift of the frames carrying box src onto the
     boxes with corners lo and hi, (3,) rows or n stacked (n, 3) rows:
     scale = h_dst / h_src and shift = c_dst - scale * c_src, with h and c
-    as ``Box`` reads them and each zero shift as -0.0; not yet checked."""
+    as ``Box`` reads them; not yet checked, and zero shifts not yet made
+    -0.0, which ``AffineMap`` does once."""
     h = (src.hi - src.lo) * 0.5
     if not h.all():
         raise ValueError("source box is degenerate")
@@ -178,7 +183,7 @@ def box_frames(src: Box, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
         half = (hi - lo) * 0.5
         scale = half / h
         shift = (lo + half) - scale * (src.lo + h)
-    return scale, _negative_zeros(shift)
+    return scale, shift
 
 
 def frame_refusals(scale: np.ndarray, shift: np.ndarray) -> tuple:

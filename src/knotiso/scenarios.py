@@ -46,7 +46,7 @@ import numpy as np
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from .engine import Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
-from .maps import LocalMap, PowerMap1D, UnsquishParams, box_frames, frame_refusals
+from .maps import LocalMap, PowerMap1D, UnsquishParams, _negative_zeros, box_frames, frame_refusals
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
 
 # loops per chain, one per stage box V_1..V_LOOPS; also the levels
@@ -112,6 +112,8 @@ def _loop_chain(
         i, j = np.argwhere(meet)[0]
         raise ValueError(f"insert boxes overlap: {Box(lo[i], hi[i])} meets {Box(lo[j], hi[j])}")
     scale, shift = box_frames(CANONICAL_BOX, lo, hi)
+    # each zero shift as -0.0, as an AffineMap keeps it
+    shift = _negative_zeros(shift)
     # the canonical box is centred at the origin: a frame's shift is its box's centre
     off_axis = shift[:, 1:].any(axis=1)
     if off_axis.any():

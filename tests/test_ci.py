@@ -161,8 +161,8 @@ def test_the_benchmark_tracer_installs_and_restores_every_hook():
     )
     assert proc.returncode == 0, proc.stderr
     hooks = ast.literal_eval(proc.stdout)
-    for hook in ("cli.write_curve", "cli.render_svg", "diagram.find_crossings",
-                 "diagram.multiscale_close_pairs", "PLCurve.densified"):
+    for hook in ("cli.write_curve", "cli.render_svg", "cli.map_curve", "cli.glue_schedule",
+                 "diagram.find_crossings", "diagram.multiscale_close_pairs", "PLCurve.densified"):
         assert hook in hooks
 
 

@@ -1,9 +1,12 @@
 import dataclasses
 import filecmp
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -458,9 +461,10 @@ def _draw(out: Path, name: str, times=TIMES) -> int:
 
 
 class TestFramesReuse:
-    """frames keeps the last scenario it built, with its densified curve
-    and that curve's cells; what it draws is byte for byte the golden
-    frames whatever the call pattern."""
+    """frames keeps the last scenario it built, with its densified curve,
+    the last frame it drew and, in the scenario's declaration, the level
+    loop's rounds on that curve; what it draws is byte for byte the golden
+    frames, and a cold call's, whatever the call pattern."""
 
     def test_one_call_draws_what_single_time_calls_draw(self, tmp_path):
         cli._film.cache_clear()
@@ -507,6 +511,102 @@ class TestFramesReuse:
         assert len(calls) == 2
         assert capsys.readouterr().err.count("error: affine scale") == 2
         assert list(tmp_path.iterdir()) == []
+
+
+    # times that rise, fall and repeat, at depths 5, 20 and 60, switching
+    # scenarios, with the fox frame at t = 0.9, degenerate, between
+    # drawable ones
+    _PATTERN = (
+        ("trefoil_chain", 20, "0"),
+        ("trefoil_chain", 20, "0.3"),
+        ("trefoil_chain", 20, "0.8,0.95"),
+        ("trefoil_chain", 20, "0.6"),
+        ("trefoil_chain", 20, "0.6"),
+        ("trefoil_chain", 60, "0.99,1"),
+        ("trefoil_chain", 5, "0.97"),
+        ("trefoil_chain", 5, "1"),
+        ("countable_r1", 20, "0.5,1"),
+        ("trefoil_chain", 20, "0.7"),
+        ("fox_remarkable", 20, "0.3"),
+        ("fox_remarkable", 20, "0.9"),
+        ("fox_remarkable", 20, "0.6,0.8"),
+        ("fox_remarkable", 60, "0.45"),
+        ("fox_remarkable", 5, "0.2"),
+        ("recursive_r1", 60, "0.2,0.9,1"),
+        ("recursive_r1", 20, "0.95"),
+    )
+
+    @staticmethod
+    def _frames(out: Path, name: str, depth: int, times: str):
+        argv = ["frames", "--scenario", name, "--depth", str(depth), "--times", times]
+        status = main(argv + ["--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.exists() else {}
+        return status, files
+
+    def test_every_call_of_a_film_draws_what_a_cold_call_draws(self, tmp_path, capsys):
+        cli._film.cache_clear()
+        warm = [self._frames(tmp_path / f"warm{k}", *c) for k, c in enumerate(self._PATTERN)]
+        assert [w[0] for w in warm] == [4 if c[2] == "0.9" else 0 for c in self._PATTERN]
+        for k, call in enumerate(self._PATTERN):
+            cli._film.cache_clear()
+            assert self._frames(tmp_path / f"cold{k}", *call) == warm[k], call
+        capsys.readouterr()
+
+    def test_a_cleared_film_lets_go_of_its_declaration_without_the_collector(self, tmp_path):
+        # the rounds the declaration keeps refer to no object that refers
+        # back to it, so dropping the film frees it without a collection
+        gc.disable()
+        try:
+            cli._film.cache_clear()
+            assert _draw(tmp_path, "trefoil_chain") == 0
+            sim = cli._film(cli.SCENARIO_BUILDERS["trefoil_chain"]).scenario.moves.similarity
+            assert sim._carried is not None
+            declaration = weakref.ref(sim)
+            del sim
+            cli._film.cache_clear()
+            assert declaration() is None
+        finally:
+            gc.enable()
+
+    def test_a_film_keeps_one_frame_its_cells_and_the_level_state(self, tmp_path):
+        """After trefoil_chain's nine frames, one time per call as a film
+        is drawn, the kept entry holds the scenario, the densified curve,
+        the last frame with its cells and its xy search, and the level
+        loop's rounds: no earlier frame and no cells of the densified
+        curve, which the first frame prints whole."""
+        name = "trefoil_chain"
+        build = cli.SCENARIO_BUILDERS[name]
+        times = (0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99, 1.0)
+        # a first film fills the package's own caches
+        for i, t in enumerate(times):
+            assert _draw(tmp_path / f"warm{i}", name, (t,)) == 0
+        cli._film.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scenario = build()
+            built = tracemalloc.get_traced_memory()[0] - before
+            del scenario
+            for i, t in enumerate(times):
+                assert _draw(tmp_path / str(i), name, (t,)) == 0
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            film = cli._film(build)
+            rounds, last = film.scenario.moves.similarity._carried[1], film.last
+            search = last._xy
+            allowed = built + film.dense.points.nbytes + last.points.nbytes
+            allowed += last.decimal_cells().nbytes
+            allowed += sum(a.nbytes for a in (rounds.steps, rounds.moved, rounds.y))
+            allowed += sum(a.nbytes for a in (search.hits, search.t, search.u))
+            del film, rounds, last, search
+            cli._film.cache_clear()
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 6,728 vertices: a frame's cells alone take 484,416 bytes
+        assert retained <= allowed + 32_000
 
 
 class TestDeterminism:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from knotiso import diagram
 from knotiso.diagram import find_crossings, render_svg
 from knotiso.engine import glue_schedule, map_curve
-from knotiso.geometry import _TEXT_BLOCK, Box, PLCurve, write_curve
+from knotiso.geometry import _TEXT_BLOCK, Box, PLCurve, multiscale_close_pairs, write_curve
 
 from oracles import count_crossings, drawn_pieces_by_splitting
 
@@ -497,3 +497,131 @@ class TestLengthRelativeCandidates:
         a, b = frame.segment_arrays()
         ii, _ = diagram._candidate_pairs(a, b, frame.closed)
         assert len(ii) < 5000
+
+
+def _crossings_or_degenerate(curve: PLCurve):
+    try:
+        return find_crossings(curve)
+    except ValueError:
+        return "degenerate"
+
+
+def _assert_same_search(got, want) -> None:
+    """Two kept xy searches, bitwise, or both degenerate."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.pad == want.pad
+        for name in ("hits", "t", "u"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype.itemsize == w.dtype.itemsize == 8
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _assert_reuse_is_cold(base: PLCurve, rows: np.ndarray) -> tuple[PLCurve, bool]:
+    """find_crossings of the curve through rows drawn against base, whose
+    xy search is kept, equals the cold search's and the ``_all_pairs``
+    oracle's, degenerate or not, and keeps the cold search's xy search
+    bitwise, so the next curve drawn against it reads the right one.
+    Returns that curve and whether its search read the base's."""
+    walks = []
+
+    def spied(*args):
+        walks.append(len(args))
+        return multiscale_close_pairs(*args)
+
+    image = PLCurve(rows, closed=base.closed, base=base)
+    with mock.patch.object(diagram, "multiscale_close_pairs", spied):
+        got = _crossings_or_degenerate(image)
+    cold = PLCurve(rows, closed=base.closed)
+    want = _crossings_or_degenerate(cold)
+    with mock.patch.object(diagram, "_candidate_pairs", _all_pairs):
+        every = _crossings_or_degenerate(PLCurve(rows, closed=base.closed))
+    assert got == want == every
+    _assert_same_search(image._xy, cold._xy)
+    return image, walks[:1] == [4]
+
+
+_EDITS = ("none", "few", "y only", "z only", "all", "farthest")
+
+
+def _edited(rows: np.ndarray, edit: str, rng: np.random.Generator) -> np.ndarray:
+    """rows with no vertex moved, a few moved, a few moved in y or in z
+    alone, every vertex moved, or the vertex farthest from the z axis
+    carried four times as far out, which changes the pad."""
+    rows = rows.copy()
+    n = len(rows)
+    if edit in ("few", "y only", "z only"):
+        at = rng.choice(n, min(n, 3), replace=False)
+        noise = rng.normal(size=(len(at), 3)) * 2.0 ** -rng.integers(0, 30, (len(at), 1))
+        if edit != "few":
+            noise *= np.array([0.0, 1.0, 0.0] if edit == "y only" else [0.0, 0.0, 1.0])
+        rows[at] += noise
+    elif edit == "all":
+        rows += rng.normal(size=rows.shape) * 2.0 ** -rng.integers(0, 30, (n, 1))
+    elif edit == "farthest":
+        rows[np.abs(rows[:, :2]).max(axis=1).argmax(), :2] *= 4.0
+    return rows
+
+
+class TestCrossingReuse:
+    """A curve drawn against a base whose xy search is kept searches only
+    the pairs with a segment whose xy ends moved and reads the rest off
+    the base: the crossings, and the search it keeps in turn, are the cold
+    search's whatever moved."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 80),
+        st.booleans(),
+        st.sampled_from(_EDITS),
+        st.sampled_from(_EDITS),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_walks_and_edits(self, seed, n, closed, edit, again):
+        rng = np.random.default_rng(seed)
+        base = PLCurve(_multiscale_walk(rng, n), closed=closed)
+        _crossings_or_degenerate(base)
+        image, reused = _assert_reuse_is_cold(base, _edited(base.points, edit, rng))
+        pad = diagram._extents(*base.segment_arrays())[2]
+        same_pad = pad == diagram._extents(*image.segment_arrays())[2]
+        assert reused == (base._xy is not None and same_pad)
+        if edit == "farthest":
+            assume(not same_pad)
+        # and a curve drawn against that one
+        _assert_reuse_is_cold(image, _edited(image.points, again, rng))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_an_unmoved_curve_walks_no_pair(self, closed):
+        rows = _multiscale_walk(np.random.default_rng(6), 60)
+        base = PLCurve(rows, closed=closed)
+        find_crossings(base)
+        assert base._xy is not None and len(base._xy.hits) > 10
+        image = PLCurve(rows.copy(), closed=closed, base=base)
+        with mock.patch.object(diagram, "_crossing_test", wraps=diagram._crossing_test) as tested:
+            assert find_crossings(image) == find_crossings(PLCurve(rows, closed=closed))
+        assert len(tested.call_args_list[0].args[2]) == 0
+
+    _GRAZING = [(-1, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1), (0, -1, 1)]
+    _CLEAR = [(-1, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1), (0.3, -1, 1)]
+
+    @pytest.mark.parametrize(
+        "base_rows, rows",
+        [
+            # a base degenerate in the xy view, then a clear image
+            (_GRAZING, _CLEAR),
+            # a clear base, then an image grazing a vertex in xy
+            (_CLEAR, _GRAZING),
+            # a clear base whose over strand drops in z alone onto the
+            # under strand: the xy search is read off the base, and the
+            # strands touch in 3-space
+            (
+                [(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1), (0, -1, 1)],
+                [(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, -1, 0)],
+            ),
+        ],
+    )
+    def test_degenerate_bases_and_images(self, base_rows, rows):
+        for closed in (False, True):
+            base = _poly(base_rows, closed)
+            _crossings_or_degenerate(base)
+            _assert_reuse_is_cold(base, np.array(rows, dtype=float))

@@ -1071,3 +1071,100 @@ def test_a_declared_stream_runs_at_any_depth(name):
     grid = np.vstack([p, seq.container.sample(np.random.default_rng(12), 50)])
     assert uniform_convergence_probe(seq, 2500, 5000, grid) == 0.0
     assert np.isfinite(truncated_map(seq, 5000).apply_array(grid)).all()
+
+
+def _read_only(pts: np.ndarray) -> np.ndarray:
+    """A read-only copy that owns its rows, as a curve's vertices do: the
+    kind of batch whose rounds a declaration keeps."""
+    batch = np.array(pts, dtype=float)
+    batch.flags.writeable = False
+    return batch
+
+
+def _assert_resumes(seq: MoveSequence, pts: np.ndarray, calls) -> None:
+    """Truncations of one read-only batch to the depths and local times of
+    calls, in turn, resume the kept rounds and give the bits of the same
+    truncation of a writable copy, which starts afresh; rows outside each
+    call's support come back as they went in.  The rounds are kept while
+    the depth does not fall, and on the rows of each call's support they
+    are the rounds a fresh start takes (``_assert_same_rounds``).  Between
+    calls, a one-level stage loop and stages n + 1..n + 3 on the same
+    batch give the fresh bits too and leave the kept entry alone."""
+    batch, copy = _read_only(pts), np.array(pts)
+    sim, last = seq.similarity, None
+    for n, local in calls:
+        m = truncated_map(seq, n, local)
+        got = m.apply_array(batch)
+        _assert_same_bits(got, m.apply_array(copy))
+        inside = m.support.contains_array(batch)
+        _assert_same_bits(got[~inside], batch[~inside])
+        carried = sim._carried
+        assert carried[0] is batch and carried[1].todo == n - 1
+        if last is not None:
+            assert (carried[1] is last[1]) == (n >= last[0])
+        last = n, carried[1]
+        _assert_same_rounds(carried[1], sim, batch, np.flatnonzero(inside), n - 1)
+        for other in (seq.stage(n + 1).map_at(local), engine._stages(seq, n + 1, n + 3, local)):
+            _assert_same_bits(other.apply_array(batch), other.apply_array(copy))
+        assert sim._carried is carried
+
+
+def _assert_same_rounds(got, sim: Similarity, batch: np.ndarray, at: np.ndarray, todo: int) -> None:
+    """On the rows at of the batch, the rounds got are bitwise the ones a
+    fresh start takes from level 1 to todo: the same steps, the same level
+    coordinates or images, and where a row is not done the same V_1 flag."""
+    want, x = engine._Rounds(len(batch), True), batch.take(at, axis=0).T
+    want.advance(sim, x, at, 1, todo, x.copy())
+    steps = want.steps.take(at)
+    np.testing.assert_array_equal(got.steps.take(at), steps)
+    waits = at[steps != engine._DONE]
+    np.testing.assert_array_equal(got.moved.take(waits), want.moved.take(waits))
+    _assert_same_bits(got.y.take(at, axis=1), want.y.take(at, axis=1))
+
+
+# depths and local times of a film's truncations, shallow and past the
+# depths where V_n rounds onto p and the distance skip is capped; the draw
+# is followed by its first call and its last, so each sequence also falls
+# back to where it began and repeats its end
+_RESUMED_CALLS = st.lists(
+    st.tuples(st.one_of(st.integers(1, 24), st.integers(40, 90)), st.floats(0.0, 1.0)),
+    min_size=1,
+    max_size=6,
+).map(lambda calls: calls + calls[:1] + calls[-1:])
+
+
+@given(st.sampled_from(DECLARED_STREAMS), _RESUMED_CALLS, st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_a_level_loop_resumes_its_rounds_on_the_declared_streams(scenarios, name, calls, seed):
+    seq = scenarios[name].moves
+    _assert_resumes(seq, _level_points(seq, 8, np.random.default_rng(seed)), calls)
+
+
+@given(*_TAME_CHAINS, _RESUMED_CALLS, st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_a_level_loop_resumes_its_rounds_on_generated_chains(p, r, d, width, yz, calls, seed):
+    """On chains whose powers of S round, where a row the skip capped at
+    an earlier depth must skip afresh, not step, at a later one."""
+    p = np.array(p)
+    first = _chain_first(p, r, d, width, yz)
+    v1 = first.support
+    container = Box(np.minimum(v1.lo, p) - 1.0, np.maximum(v1.hi, p) + 1.0)
+    seq = MoveSequence(container, similarity=Similarity(first, p, r))
+    _assert_resumes(seq, _level_points(seq, 8, np.random.default_rng(seed)), calls)
+
+
+def test_only_a_read_only_batch_from_level_one_is_kept():
+    seq = SCENARIO_BUILDERS["trefoil_chain"]().moves
+    sim = seq.similarity
+    pts = _level_points(seq, 6, np.random.default_rng(6))
+    view = np.array(pts)
+    view.flags.writeable = False
+    view = view[::2]
+    for batch in (pts, view):
+        truncated_map(seq, 6).apply_array(batch)
+        assert sim._carried is None
+    engine._stages(seq, 2, 6).apply_array(_read_only(pts))
+    assert sim._carried is None
+    batch = _read_only(pts)
+    truncated_map(seq, 6).apply_array(batch)
+    assert sim._carried[0] is batch
