@@ -16,17 +16,17 @@ run's probe grid from ``geometry.PCG64Stream``, the SeedSequence/PCG64
 doubles of ``numpy.random.default_rng(seed)``, so no verb loads
 ``numpy.random`` and the report bytes do not depend on its code.
 
-frames steps from its last frame.  For the last scenario builder called
-(one entry) it keeps the scenario, its initial curve densified to
-``_FRAME_MAX_SEG`` and the last frame drawn, so consecutive frames calls
-on one scenario, and all frames of one call, share one build and one
-densification.  Each frame is drawn against the last: it prints only the
-coordinates whose bits differ from that frame's, and searches for
-crossings only among the segments that moved and those whose boxes meet
-theirs.  The scenario's declaration keeps the level loop's rounds on the
-densified curve, so a frame at the same or a later stage runs only the
-rounds the frames before it did not.  run and check build their scenario
-per call.
+frames steps from its last frame.  It keeps one ``engine.Film``, of the
+last scenario builder called: the scenario's stream, its initial curve
+densified to ``_FRAME_MAX_SEG``, the level loop's rounds on that curve
+and the last frame drawn.  So consecutive frames calls on one scenario,
+and all frames of one call, share one build and one densification, a
+frame at the same or a later stage runs only the rounds the frames
+before it did not, and each frame is drawn against the last: it prints
+only the coordinates whose bits differ from that frame's, and searches
+for crossings only among the segments that moved and those whose boxes
+meet theirs.  run and check build their scenario per call, and keep
+nothing.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from pathlib import Path
 
 from .diagram import render_svg
 from .engine import (
+    Film,
     ProbeReport,
     check_hypotheses,
     eval_limit_isotopy,
@@ -49,7 +50,7 @@ from .engine import (
     truncated_map,
     uniform_convergence_probe,
 )
-from .geometry import PCG64Stream, PLCurve, write_curve
+from .geometry import PCG64Stream, write_curve
 from .scenarios import SCENARIO_BUILDERS, Scenario
 
 # the t = 1 census's fixed stage budget, whatever the depth, which keeps
@@ -166,31 +167,32 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if rep.first_violation is None else _EXIT_MISMATCH
 
 
-class _Film:
-    """A scenario, its initial curve densified to _FRAME_MAX_SEG, and the
-    last frame drawn of it."""
-
-    def __init__(self, scenario: Scenario, dense: PLCurve) -> None:
-        self.scenario, self.dense, self.last = scenario, dense, None
+# the one film frames keeps, with the builder of the scenario it films
+_film: tuple | None = None
 
 
-@functools.lru_cache(maxsize=1)
-def _film(builder) -> _Film:
-    """The film of the scenario a builder makes, kept for the last builder
-    asked; a builder that raises leaves nothing kept."""
-    s = builder()
-    return _Film(s, s.initial_curve.densified(_FRAME_MAX_SEG))
+def _film_of(builder, depth: int) -> Film:
+    """The kept film where builder made its scenario and it runs to depth,
+    else a new one kept in its place, on the kept build and densified
+    curve where only the depth differs; a builder that raises keeps none."""
+    global _film
+    if _film is None or _film[0] is not builder:
+        _film = None
+        s = builder()
+        _film = builder, Film(s.moves, depth, s.initial_curve.densified(_FRAME_MAX_SEG))
+    elif _film[1].depth != depth:
+        _film = builder, Film(_film[1].seq, depth, _film[1].curve)
+    return _film[1]
 
 
 def cmd_frames(cfg: RunConfig) -> int:
-    film = _film(SCENARIO_BUILDERS[cfg.scenario])
+    film = _film_of(SCENARIO_BUILDERS[cfg.scenario], cfg.depth)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    glued = glue_schedule(film.scenario.moves, cfg.depth)
+    glued = glue_schedule(film.seq, cfg.depth, film.rounds)
     for i, t in enumerate(cfg.times):
-        frame = map_curve(glued.map_at(t), film.dense, film.last)
+        frame = map_curve(glued.map_at(t), film.curve)
         # drawn first: a degenerate frame raises before either file exists
-        svg = render_svg(frame, gap_radius=0.005)
-        film.last = frame
+        svg = render_svg(frame, 0.005, film.take(frame))
         stem = cfg.out / f"{cfg.scenario}_frame_{i:03d}"
         write_curve(frame, stem.with_suffix(".curve"))
         _write_text(stem.with_suffix(".svg"), svg)

@@ -7,9 +7,9 @@ printed by the same exact kernel, ``geometry._g17_cells``.
 
 Crossing candidates come from ``geometry``'s one segment-pair search;
 like it, the crossing test reads x and y columns, taken once per view.
-A curve keeps the search of its xy view, and a curve drawn against a
-base (``engine.map_curve``) searches only the pairs with a segment that
-moved, reading the others' candidacy and crossings off the base's.
+``xy_search`` searches the xy view, given the last frame's search
+(``engine.Film`` holds it) only the pairs with a segment that moved
+since, reading the others' candidacy and crossings off that search.
 """
 from __future__ import annotations
 
@@ -49,7 +49,8 @@ class _Search(NamedTuple):
     """The crossing search of one view: the pad 8 ulp(M) its candidate
     pairs were found with, and the keys i n + j of the pairs that cross
     properly, sorted, with each crossing's parameters t and u on its two
-    segments."""
+    segments; all three None where a candidate pair is within tolerance
+    of tangency or degeneracy."""
 
     pad: float
     hits: np.ndarray
@@ -66,9 +67,10 @@ def _extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
     return mids, half, 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
 
 
-def _candidate_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_pairs(mids, half, pad: float, closed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs of segments that share no vertex and whose xy extents
-    can overlap, from the same multiscale search at every curve size.
+    can overlap, from the same multiscale search at every curve size,
+    given the segments' ``_extents``.
 
     The search radius is relative to the segments' own lengths: exactly the
     pairs with |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-5) + 8 ulp(M), h the
@@ -84,9 +86,8 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray, closed: bool) -> tuple[np.nda
     shorter than their distance to the origin.  A pad fixed in absolute
     units would admit every pair of segments shorter than it.
     """
-    mids, half, pad = _extents(a, b)
     ii, jj = multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad)
-    return nonadjacent(ii, jj, len(a), closed)
+    return nonadjacent(ii, jj, len(half), closed)
 
 
 def _crossing_test(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray):
@@ -147,8 +148,7 @@ def _crossings(a: np.ndarray, b: np.ndarray, search: _Search):
 
 
 def _search(a: np.ndarray, b: np.ndarray, closed: bool, old: _Search | None = None, hot=None):
-    """The crossing search of the segments a -> b, or None if a candidate
-    pair is within tolerance of tangency or degeneracy.
+    """The crossing search of the segments a -> b.
 
     A pair's candidacy and its test read its two segments' xy ends and
     the pad alone.  So given old, the search of a curve of this shape,
@@ -158,8 +158,8 @@ def _search(a: np.ndarray, b: np.ndarray, closed: bool, old: _Search | None = No
     crossings are read off old: the search is the whole one's."""
     n = len(a)
     mids, half, pad = _extents(a, b)
-    if old is None or old.pad != pad:
-        old, (ii, jj) = None, _candidate_pairs(a, b, closed)
+    if old is None or old.hits is None or old.pad != pad:
+        old, (ii, jj) = None, _candidate_pairs(mids, half, pad, closed)
     else:
         ii, jj = nonadjacent(*multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad, hot), n, closed)
     found = _crossing_test(a, b, ii, jj)
@@ -168,34 +168,37 @@ def _search(a: np.ndarray, b: np.ndarray, closed: bool, old: _Search | None = No
         kept = ~(hot.take(old.hits // n) | hot.take(old.hits % n))
         order = np.argsort(np.concatenate([old.hits[kept], found[0]]))
         found = [np.concatenate([was[kept], now])[order] for was, now in zip(old[1:], found)]
-    return None if found is None else _Search(pad, *found)
+    return _Search(pad, *((None,) * 3 if found is None else found))
 
 
-def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool):
-    """Proper projected crossings of segment pairs that share no vertex, or
-    None if any candidate pair is within tolerance of tangency/degeneracy."""
-    search = _search(a, b, closed)
-    return None if search is None else _crossings(a, b, search)
+def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool, search: _Search | None = None):
+    """Proper projected crossings of segment pairs that share no vertex,
+    from their search where given, or None if it is degenerate."""
+    search = _search(a, b, closed) if search is None else search
+    return None if search.hits is None else _crossings(a, b, search)
 
 
-def find_crossings(curve: PLCurve) -> list[Crossing]:
-    """Crossings of the +z orthographic projection.
+def xy_search(curve: PLCurve, last: PLCurve | None = None, old: _Search | None = None) -> _Search:
+    """The crossing search of the curve's xy view.  Given old, the search
+    of last, a curve of this shape, only the pairs with a segment whose xy
+    ends moved since last are walked (``_search``)."""
+    pts, closed = curve.points, curve.closed
+    hot = None
+    if old is not None:
+        now = pts[:, :2].view(np.int64) != last.points[:, :2].view(np.int64)
+        hot = np.logical_or(*segment_ends(now[:, 0] | now[:, 1], closed))
+    return _search(*segment_ends(pts, closed), closed, old, hot)
+
+
+def find_crossings(curve: PLCurve, search: _Search | None = None) -> list[Crossing]:
+    """Crossings of the +z orthographic projection, from search, the
+    unperturbed view's (``xy_search``), searched here where not given.
 
     Near-tangent configurations are resolved by perturbing the view by
-    1e-7 rad about x, then y.  The curve keeps the search of its
-    unperturbed view (``_xy``), and where its base kept one, searches
-    only the pairs with a segment whose xy ends moved since (``_search``);
-    a perturbed view is searched whole.
+    1e-7 rad about x, then y; a perturbed view is searched whole.
     """
-    pts, closed, base = curve.points, curve.closed, curve._base
-    a, b = segment_ends(pts, closed)
-    old = hot = None
-    if base is not None and base._xy is not None:
-        old, now = base._xy, pts[:, :2].view(np.int64) != base.points[:, :2].view(np.int64)
-        hot = np.logical_or(*segment_ends(now[:, 0] | now[:, 1], closed))
-    search = _search(a, b, closed, old, hot)
-    object.__setattr__(curve, "_xy", search)
-    result = None if search is None else _crossings(a, b, search)
+    pts, closed = curve.points, curve.closed
+    result = _find_crossings(*segment_ends(pts, closed), closed, search)
     for rot in (_rotation(0, _PERTURB_RAD), _rotation(0, _PERTURB_RAD) @ _rotation(1, _PERTURB_RAD)):
         if result is None:
             result = _find_crossings(*segment_ends(pts @ rot.T, closed), closed)
@@ -217,8 +220,9 @@ def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return pieces
 
 
-def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
-    """SVG drawing of the projected diagram with under-strand gaps.
+def render_svg(curve: PLCurve, gap_radius: float = 0.005, crossings: list | None = None) -> str:
+    """SVG drawing of the projected diagram with under-strand gaps, at the
+    curve's crossings, found here where not given.
 
     Each run of drawn pieces is one ``<polyline>``: a piece joins the run
     of the piece before it when that one reaches its segment's end and
@@ -231,7 +235,7 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005) -> str:
     same region as one round-capped line per piece.
     """
     pts = curve.points
-    crossings = find_crossings(curve)
+    crossings = find_crossings(curve) if crossings is None else crossings
     a, b = curve.segment_arrays()
     # per-segment list of parameter intervals to blank out
     gaps: dict[int, list[tuple[float, float]]] = {}

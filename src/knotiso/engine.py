@@ -16,10 +16,9 @@ truncations and t = 1 census are one loop over levels: with h_1 stage
 1's end map and g = S^-1 h_1, stages j..n are S^n g^(n-j+1) S^(1-j),
 stage k is S^(k-1) h_1 S^(1-k), and a census point takes a g step per
 stage in level coordinates.  No V_k is formed in floats but as a
-support, so a truncation runs at any depth.  The loop's rounds are one
-resumable state, and the declaration keeps the state of the last
-read-only batch it carried from level 1, so a film of one curve runs
-each round once.
+support, so a truncation runs at any depth.  A ``Film`` of one curve
+holds what its frames reuse: the loop's rounds on that curve, so its
+frames run each round once, and the last frame drawn.
 The declaration also names the point the supports shrink around, the
 stream's ``ball_center``: p, when there is no F and V_1 holds p inside,
 and ``find_ball_factoring`` reads the ball V_n0 c B_eps(p) c V_1 off it.
@@ -48,6 +47,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import diagram
 from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
 from .geometry import farthest_corner_distances
 from .maps import CompositeMap, IdentityMap, LocalMap, _negative_zeros, _scatter
@@ -195,8 +195,6 @@ class Similarity:
             # zero components as -0.0, so y - p and d + p keep signed zeros
             _p_col=_negative_zeros(p).reshape(3, 1),
             _neg_p=_negative_zeros(-p).reshape(3, 1),
-            # the batch the last level loop from level 1 ran, and its rounds
-            _carried=None,
         )
 
     def box(self, k: int) -> Box:
@@ -283,22 +281,6 @@ class Similarity:
             _scatter(y, far, self._power(y.compress(far, axis=1), -skip.compress(far)))
         return y, skip
 
-    def _rounds(self, pts: np.ndarray, first: int, todo: int) -> "_Rounds":
-        """The rounds of a level loop on the batch pts from level first to
-        first + todo: the kept ones, when pts is the batch the last loop
-        from level 1 ran and that loop went no further, else fresh ones,
-        kept in turn (one entry) when the loop starts at level 1 and pts
-        is a read-only array that owns its data, as a curve's vertices
-        are, so that no one moves its rows."""
-        carried = self._carried
-        if first == 1 and carried is not None and carried[0] is pts and carried[1].todo <= todo:
-            return carried[1]
-        kept = first == 1 and pts.flags.owndata and not pts.flags.writeable
-        rounds = _Rounds(len(pts), kept)
-        if kept:
-            vars(self)["_carried"] = (pts, rounds)
-        return rounds
-
 
 # a row's ``_Rounds.steps`` before its first round, once done, and once
 # g left it in place, so that it waits at every level
@@ -306,9 +288,12 @@ _FRESH, _DONE, _STILL = -1, -2, np.iinfo(np.int64).max
 
 
 class _Rounds:
-    """The rounds of g = S^-1 h_1 that level loops from one first level
-    ran on the rows of one batch, so that a loop to the same or a later
-    level takes up where the last one stopped.
+    """The rounds of g = S^-1 h_1 that a ``Film``'s level loops from
+    level 1 ran on the rows of its curve that the mask ``held`` marks,
+    those its schedule's supports can hold, so that a loop to the same
+    or a later level takes up where the last one stopped and one to a
+    smaller level starts afresh.  A film is their one holder: a
+    loop given no rounds starts afresh and keeps nothing.
 
     Per row, ``steps`` is the level the row waits at, with ``y`` its level
     coordinates and ``moved`` whether V_1 held it; or _STILL, where g left
@@ -316,26 +301,21 @@ class _Rounds:
     carried it out of hull(V_1 u {p}), with ``y`` its image; or _FRESH.
     A row skipped to the last level is left fresh, so a later level skips
     it afresh (one multiply rounds otherwise than steps do).  ``todo`` is
-    the level the rounds reached, -1 before any loop ran.  Rounds no one
-    keeps run the same loop and write nothing back.
-    Nothing here refers to the declaration, so keeping the rounds in it
-    forms no cycle."""
+    the level the rounds reached, -1 before any loop ran."""
 
-    def __init__(self, n: int, kept: bool) -> None:
-        self.todo, self.kept = -1, kept
+    def __init__(self, held: np.ndarray) -> None:
+        self.held, self.todo, n = held, -1, int(held.sum())
         self.steps, self.moved, self.y = np.full(n, _FRESH), np.zeros(n, dtype=bool), np.empty((3, n))
 
-    def advance(self, sim: Similarity, x: np.ndarray, at: np.ndarray, first: int, todo: int, out):
-        """Take the rows at of the batch, at level first the (3, m)
-        coordinate rows x, through the rounds to level todo.  The images of
-        the rows done go into out, coordinate rows as x is; the places in
-        at of the rows left at level todo are returned, with their level
-        coordinates and V_1 flags, or None if no row is left there.  Kept
-        rounds write where each row stands back once the loop ends, so a
-        loop that raises leaves every row where it stood."""
-        # places, y, V_1 flags and steps of the rows left at level todo,
-        # and places of the rows done
-        ends, dones, rows = [], [], None
+    def advance(self, sim: Similarity, x: np.ndarray, at: np.ndarray, todo: int, out):
+        """``_start`` on the curve's rows at positions at, the (3, m)
+        coordinate rows x, taking up the rows a loop ran before where they
+        stopped.  Where each row stands is written back once the loop
+        ends, so a loop that raises leaves every row where it stood."""
+        if todo < self.todo:  # a smaller level starts afresh
+            self.__init__(self.held)
+        # each row's place among the rows held
+        at, ends, dones, fresh = (np.cumsum(self.held) - 1).take(at), [], [], None
         if self.todo >= 0:
             steps = self.steps.take(at)
             done = np.flatnonzero(steps == _DONE)
@@ -343,37 +323,20 @@ class _Rounds:
             ends.append(self._rows(at, np.flatnonzero(steps >= todo), steps))
             # the rows below level todo take their next rounds
             go = np.flatnonzero((steps >= 0) & (steps < todo))
-            _loop(sim, first, todo, out, ends, dones, *self._rows(at, go, steps))
-            rows = np.flatnonzero(steps == _FRESH)
-            x = x.take(rows, axis=1)
+            _loop(sim, 1, todo, out, ends, dones, *self._rows(at, go, steps))
+            fresh = np.flatnonzero(steps == _FRESH)
+            x = x.take(fresh, axis=1)
         self.todo = todo
-        if x.shape[1]:
-            rows = np.arange(x.shape[1]) if rows is None else rows
-            y, skip = sim._skip(sim._power(x, 1 - first), todo)
-            moved = np.zeros(len(rows), dtype=bool)
-            wait = skip == todo
-            if wait.any():
-                ends.append((*_kept(wait, rows, y, moved), np.full(int(wait.sum()), _FRESH)))
-                rows, y, moved, skip = _kept(~wait, rows, y, moved, skip)
-            _loop(sim, first, todo, out, ends, dones, rows, y, moved, skip)
-        ends = [np.concatenate(part, axis=-1) for part in zip(*ends)] if ends else None
-        if self.kept:
-            self._record(at, out, ends, dones)
-        return None if ends is None else ends[:3]
-
-    def _record(self, at: np.ndarray, out: np.ndarray, ends, dones: list) -> None:
-        """Write where the rows at places in at stand once a loop ended: the
-        ends at their steps, and the rows done with their images in out."""
+        ends = _start(sim, 1, todo, x, fresh, out, ends, dones)
         if ends is not None:
-            places, y, moved, steps = ends
-            kept = at.take(places)
-            _scatter(self.y, kept, y)
-            self.moved[kept], self.steps[kept] = moved, steps
+            kept = at.take(ends[0])
+            _scatter(self.y, kept, ends[1])
+            self.moved[kept], self.steps[kept] = ends[2], ends[3]
         if dones:
             places = np.concatenate(dones)
-            kept = at.take(places)
-            _scatter(self.y, kept, out.take(places, axis=1))
-            self.steps[kept] = _DONE
+            _scatter(self.y, at.take(places), out.take(places, axis=1))
+            self.steps[at.take(places)] = _DONE
+        return ends
 
     def _rows(self, at: np.ndarray, places: np.ndarray, steps: np.ndarray) -> tuple:
         """The places, y, V_1 flags and steps of the rows at places in at."""
@@ -381,9 +344,28 @@ class _Rounds:
         return places, self.y.take(kept, axis=1), self.moved.take(kept), steps.take(places)
 
 
+def _start(sim: Similarity, first: int, todo: int, x, rows, out, ends: list, dones: list):
+    """The rounds to level todo of the (3, m) coordinate rows x, at level
+    first and at places rows (all of them where None): carried to level
+    1, past the levels whose V_1 they cannot meet, and through ``_loop``.
+    The images of the rows done go into out, coordinate rows as x is, and
+    their places onto dones.  Returns the places, y, V_1 flags and steps
+    of the rows left at level todo, those on ends included, or None."""
+    if x.shape[1]:
+        rows = np.arange(x.shape[1]) if rows is None else rows
+        y, skip = sim._skip(sim._power(x, 1 - first), todo)
+        moved = np.zeros(len(rows), dtype=bool)
+        wait = skip == todo
+        if wait.any():
+            ends.append((*_kept(wait, rows, y, moved), np.full(int(wait.sum()), _FRESH)))
+            rows, y, moved, skip = _kept(~wait, rows, y, moved, skip)
+        _loop(sim, first, todo, out, ends, dones, rows, y, moved, skip)
+    return [np.concatenate(part, axis=-1) for part in zip(*ends)] if ends else None
+
+
 def _loop(sim: Similarity, first: int, todo: int, out, ends, dones, rows, y, moved, steps) -> None:
-    """The rounds of ``_Rounds.advance`` on the rows at places rows, below
-    level todo, each row put on ends or dones as it stops."""
+    """The rounds of ``_start`` on the rows at places rows, below level
+    todo, each row put on ends or dones as it stops."""
     h1 = sim.first.time_one()
     while len(rows):
         z, held = sim._through(h1, y)
@@ -527,24 +509,24 @@ class ProbeReport:
 # -- finite truncations ------------------------------------------------------
 
 
-def truncated_map(seq: MoveSequence, n: int, local: float = 1.0) -> LocalMap:
+def truncated_map(seq: MoveSequence, n: int, local: float = 1.0, rounds=None) -> LocalMap:
     """Stages 1..n-1 at time 1, then stage n at its local time, applied in
-    stage order as one map (``_stages``)."""
+    stage order as one map (``_stages``), on a ``Film``'s rounds if given."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return IdentityMap(support=seq.container)
-    return _stages(seq, 1, n, local)
+    return _stages(seq, 1, n, local, rounds)
 
 
-def _stages(seq: MoveSequence, first: int, last: int, local: float = 1.0) -> LocalMap:
+def _stages(seq: MoveSequence, first: int, last: int, local: float = 1.0, rounds=None) -> LocalMap:
     """Stages first..last, the last at its local time, applied in stage
     order: a declared stream's as its level loop, any other's as one
     composite of the stage maps whose support boxes the container with
     the parts' own supports, so it holds whether or not the stages stay
     inside the container."""
     if seq.similarity is not None:
-        return _LevelLoop(seq.similarity, first, last, seq.similarity.first.map_at(local))
+        return _LevelLoop(seq.similarity, first, last, seq.similarity.first.map_at(local), rounds)
     parts = [seq.time_one_map(k) for k in range(first, last)] + [seq.stage(last).map_at(local)]
     return CompositeMap(parts, support=bounding_box([seq.container] + [m.support for m in parts]))
 
@@ -571,40 +553,40 @@ class _LevelLoop(LocalMap):
     every V_k between them.  A one-level loop, stage k alone, takes no
     step of g, and its inverse is the one-level loop over h_last's inverse.
 
-    The rounds are one resumable state (``_Rounds``), and a loop is that
-    state advanced to level last, then h_last, on the rows inside the
-    support.  The declaration keeps the rounds of the last read-only batch
-    a loop from level 1 carried, so a loop over the same batch to the same
-    or a later level takes up where the last one stopped, and one to a
-    smaller level starts afresh: a film's frames run each round once.
+    A loop is its rounds (``_start``) to level last, then h_last, on the
+    rows inside the support.  It takes its rounds as an argument: a
+    ``Film``'s, on the rows of the film's curve from level 1, resumed
+    where the film's last loop stopped, so its frames run each round
+    once; or None, fresh rounds that nothing keeps.
     """
 
-    def __init__(self, sim: Similarity, first: int, last: int, h_last: LocalMap):
+    def __init__(self, sim: Similarity, first: int, last: int, h_last: LocalMap, rounds=None):
         self.sim, self.first, self.last = sim, first, last
-        self.h_last = h_last
+        self.h_last, self.rounds = h_last, rounds
         # V_first..V_last lie in the hull of the first and the last
         self.support = bounding_box([sim.box(first), sim.box(last)])
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        todo = self.last - self.first
-        rounds = self.sim._rounds(np.asarray(pts, dtype=float), self.first, todo)
-        return self._on_support(pts, lambda q, at: self._run(q, at, rounds), at=True)
+        return self._on_support(pts, self._run, at=self.rounds is not None)
 
     def _inverted(self) -> "_LevelLoop":
         if self.first != self.last:
             raise NotImplementedError("only a one-level loop has an inverse")
         return _LevelLoop(self.sim, self.first, self.last, self.h_last.inverse())
 
-    def _run(self, q: np.ndarray, at: np.ndarray, rounds: _Rounds) -> np.ndarray:
-        """The rows q, at positions at of the batch, through the rounds to
-        level last, then h_last."""
-        sim = self.sim
+    def _run(self, q: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+        """The rows q, at positions at of the film's curve where the loop
+        has rounds, through the rounds to level last, then h_last."""
+        sim, todo = self.sim, self.last - self.first
         x = q.T
         # a row no map moves is where it started
         out = x.copy()
-        ends = rounds.advance(sim, x, at, self.first, self.last - self.first, out)
+        if self.rounds is None:
+            ends = _start(sim, self.first, todo, x, None, out, [], [])
+        else:
+            ends = self.rounds.advance(sim, x, at, todo, out)
         if ends is not None:
-            places, y, moved = ends
+            places, y, moved = ends[:3]
             z, held = sim._through(self.h_last, y)
             moved |= held
             if moved.any():
@@ -624,14 +606,38 @@ def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:
     return truncated_map(seq, n).apply_array(pts)
 
 
-def map_curve(m: LocalMap, curve: PLCurve, base: PLCurve | None = None) -> PLCurve:
-    """Image of a curve's vertices under a map, with base, by default the
-    curve, as its base: where the base's cells and crossing search exist
-    by then, the image's ``decimal_cells()`` prints only the coordinates
-    whose bits differ from the base's and ``diagram.find_crossings``
-    searches only the segments that moved (``PLCurve``)."""
-    pts = m.apply_array(curve.points)
-    return PLCurve(pts, closed=curve.closed, base=curve if base is None else base)
+def map_curve(m: LocalMap, curve: PLCurve) -> PLCurve:
+    """Image of a curve's vertices under a map."""
+    return PLCurve(m.apply_array(curve.points), closed=curve.closed)
+
+
+class Film:
+    """The frames of a curve under a stream's glued schedule to depth, and
+    the one holder of what they reuse: the level loop's ``rounds`` on the
+    curve (None where the stream has no declaration), and the ``last``
+    frame drawn, with its cells and its xy crossing ``search``."""
+
+    def __init__(self, seq: MoveSequence, depth: int, curve: PLCurve) -> None:
+        self.seq, self.depth, self.curve = seq, depth, curve
+        self.rounds = self.last = self.search = None
+        sim = seq.similarity
+        if sim is not None:
+            # V_k's corners move monotonically from V_2's to p, so this
+            # hull holds the support of every truncation to depth
+            hull = bounding_box([sim.box(1), sim.box(2), sim.box(depth)])
+            self.rounds = _Rounds(hull.contains_array(curve.points))
+
+    def take(self, frame: PLCurve) -> list:
+        """The crossings of frame, the curve's image at some time, with its
+        cells made, both against the last frame: only the segments whose xy
+        ends moved since are searched, and only the coordinates whose bits
+        moved are printed.  The frame is the last from then on; a
+        degenerate projection raises ValueError and keeps the last."""
+        search = diagram.xy_search(frame, self.last, self.search)
+        crossings = diagram.find_crossings(frame, search)
+        frame.decimal_cells(self.last)
+        self.last, self.search = frame, search
+        return crossings
 
 
 # -- hypothesis checking -----------------------------------------------------
@@ -763,19 +769,20 @@ def injectivity_probe(seq: MoveSequence, n: int, pairs: np.ndarray) -> float:
 # -- schedule gluing ---------------------------------------------------------
 
 
-def glue_schedule(seq: MoveSequence, n: int) -> Isotopy:
+def glue_schedule(seq: MoveSequence, n: int, rounds=None) -> Isotopy:
     """The n-stage time-compressed gluing: stage k runs over
     [t_{k-1}, t_k], and the map freezes at t >= t_n (from n = 54 on, t_n
-    rounds to 1 and the map freezes only at t = 1)."""
+    rounds to 1 and the map freezes only at t = 1).  Its truncations run
+    on a ``Film``'s rounds where given."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t_n = _slot_end(n)
 
     def motion(t: float) -> LocalMap:
         if t >= t_n:
-            return truncated_map(seq, n)
+            return truncated_map(seq, n, rounds=rounds)
         k = stage_of(t, max_k=n)
         t0, t1 = _slot_end(k - 1), _slot_end(k)
-        return truncated_map(seq, k, (t - t0) / (t1 - t0))
+        return truncated_map(seq, k, (t - t0) / (t1 - t0), rounds)
 
-    return Isotopy.from_motion(seq.container, motion, lambda: truncated_map(seq, n))
+    return Isotopy.from_motion(seq.container, motion, lambda: motion(1.0))

@@ -445,20 +445,13 @@ class PLCurve:
     ``points`` (``vertices`` is the same array).  ``decimal_cells()`` holds
     each coordinate's ``%.17g`` text, from one vectorized exact kernel that
     leaves only undecidable values to ``'%.17g'`` itself, built on first
-    use.  A curve made as the image of another (``engine.map_curve``)
-    keeps a ``base`` of its shape, that curve or one drawn before it, until
-    its own cells exist: the coordinates whose bits the base shares take
-    their text from the base's cells, and ``diagram.find_crossings``
-    searches again only the segment pairs of the xy view with a segment
-    that moved, reading the rest off the base's search, which it keeps in
-    ``_xy``.
+    use, from the cells of the frame drawn before where one is given
+    (``engine.Film``).  The cells are the one memo a curve keeps.
     """
 
-    __slots__ = ("points", "closed", "_cells", "_base", "_xy", "__weakref__")
+    __slots__ = ("points", "closed", "_cells")
 
-    def __init__(
-        self, vertices: np.ndarray, closed: bool = False, base: "PLCurve | None" = None
-    ) -> None:
+    def __init__(self, vertices: np.ndarray, closed: bool = False) -> None:
         # row-major whatever the input's layout: a map's image is
         # coordinate-major, and every curve reads the same way
         pts = np.array(vertices, dtype=float, order="C")
@@ -480,13 +473,9 @@ class PLCurve:
         if closed and (pts[0] == pts[-1]).all():
             raise ValueError("closed curve must not repeat its first vertex")
         pts.flags.writeable = False
-        if base is not None and (base.closed != closed or base.points.shape != pts.shape):
-            base = None
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_cells", None)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_xy", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PLCurve is immutable")
@@ -495,28 +484,25 @@ class PLCurve:
     def vertices(self) -> np.ndarray:
         return self.points
 
-    def decimal_cells(self) -> np.ndarray:
+    def decimal_cells(self, last: "PLCurve | None" = None) -> np.ndarray:
         """The ``%.17g`` text of each coordinate (17 significant digits,
         so it reads back bitwise), as a read-only ``(n, 3)`` array of
         NUL-padded bytes cells, built on first use.
 
-        Where the base holds its cells already, they are copied and the
-        kernel prints only the coordinates whose bits differ from the
-        base's: a cell depends on its double's bits alone, so the cells are
-        the ones the whole kernel gives.  The base is dropped once the
-        cells exist."""
+        Where last, a curve of this shape, holds its cells already, they
+        are copied and the kernel prints only the coordinates whose bits
+        differ from last's: a cell depends on its double's bits alone, so
+        the cells are the ones the whole kernel gives."""
         if self._cells is None:
-            base = self._base
-            if base is None or base._cells is None:
+            if last is None or last._cells is None or last.points.shape != self.points.shape:
                 cells = _g17_cells(self.points)
             else:
-                cells = base._cells.copy()
-                moved = np.flatnonzero(self.points.view(np.int64) != base.points.view(np.int64))
+                cells = last._cells.copy()
+                moved = np.flatnonzero(self.points.view(np.int64) != last.points.view(np.int64))
                 flat = cells.reshape(-1)
                 flat[moved] = _g17_cells(self.points.reshape(-1).take(moved))
             cells.flags.writeable = False
             object.__setattr__(self, "_cells", cells)
-            object.__setattr__(self, "_base", None)
         return self._cells
 
     def __eq__(self, other: object) -> bool:

@@ -18,8 +18,10 @@ that only tests call lives in ``tests/oracles.py``.  Every map kind
 that evaluates points culls through ``LocalMap._on_support``, save three
 named kinds, each with its reason, no subscript in ``maps`` or ``engine``
 pairs a slice with a non-constant index, and only the end rule
-``Isotopy.from_motion`` builds an ``Isotopy`` directly.  README's Layout
-block lists exactly the package's modules.  Every committed
+``Isotopy.from_motion`` builds an ``Isotopy`` directly.  No module
+keeps an ``lru_cache``, and only constructors write through
+``object.__setattr__`` or ``vars(self)``, save a curve's cells memo.
+README's Layout block lists exactly the package's modules.  Every committed
 benchmark record is whole: named after its label, with its machine and,
 for each workload, the end-to-end metrics of both sides' runs."""
 import ast
@@ -197,6 +199,36 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in sorted(imported - used)]
     assert not unused, unused
+
+
+def _writes_through_the_back_door(tree: ast.AST, scope: str = ""):
+    """(scope, line) of each ``object.__setattr__`` call and each use of
+    ``vars(self)``, scope being the enclosing Class.function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield from _writes_through_the_back_door(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        call = ast.unparse(node) if isinstance(node, ast.Call) else ""
+        if call.startswith("object.__setattr__(") or call == "vars(self)":
+            yield scope, node.lineno
+        yield from _writes_through_the_back_door(node, scope)
+
+
+def test_only_constructors_write_frozen_state():
+    # a frozen declaration or an immutable curve is set up once: what a
+    # film reuses lives in the film, and no cache outlives its caller
+    # unseen; the one memo is a curve's cells
+    found, caches = [], []
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):
+        text = path.read_text()
+        found += [(path.name, *w) for w in _writes_through_the_back_door(ast.parse(text))]
+        caches += [path.name] if "lru_cache" in text else []
+    assert not caches, caches
+    stray = [(name, scope, line) for name, scope, line in found
+             if scope.rpartition(".")[2] not in ("__init__", "__post_init__")
+             and (name, scope) != ("geometry.py", "PLCurve.decimal_cells")]
+    assert not stray, stray
+    assert ("geometry.py", "PLCurve.decimal_cells") in {(name, scope) for name, scope, _ in found}
 
 
 def test_runtime_warnings_fail_the_suite():

@@ -460,35 +460,41 @@ def _draw(out: Path, name: str, times=TIMES) -> int:
     return cli.cmd_frames(RunConfig(scenario=name, depth=20, seed=1, out=out, times=times))
 
 
+def _kept_film():
+    """The film frames keeps, or None."""
+    return None if cli._film is None else cli._film[1]
+
+
 class TestFramesReuse:
-    """frames keeps the last scenario it built, with its densified curve,
-    the last frame it drew and, in the scenario's declaration, the level
-    loop's rounds on that curve; what it draws is byte for byte the golden
-    frames, and a cold call's, whatever the call pattern."""
+    """frames keeps one ``engine.Film``: the last scenario it built, with
+    its densified curve, the level loop's rounds on that curve and the
+    last frame it drew; what it draws is byte for byte the golden frames,
+    and a fresh film's, whatever the call pattern."""
 
     def test_one_call_draws_what_single_time_calls_draw(self, tmp_path):
-        cli._film.cache_clear()
+        cli._film = None
         name = "countable_r1"
         assert _draw(tmp_path / "all", name) == 0
         assert _film_hashes(tmp_path / "all", name, 3) == GOLDEN[name]
+        film = _kept_film()
         for i, t in enumerate(TIMES):
             assert _draw(tmp_path / str(i), name, (t,)) == 0
             assert _film_hashes(tmp_path / str(i), name, 1) == GOLDEN[name][i : i + 1]
-        info = cli._film.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert _kept_film() is film
 
     @pytest.mark.parametrize("fresh", [False, True])
     def test_call_orders(self, tmp_path, fresh):
-        cli._film.cache_clear()
+        cli._film = None
         order = ("countable_r1", "countable_r1", "1d_counterexample", "countable_r1")
+        films = []
         for k, name in enumerate(order):
             if fresh:
-                cli._film.cache_clear()
+                cli._film = None
             assert _draw(tmp_path / str(k), name) == 0
             assert _film_hashes(tmp_path / str(k), name, 3) == GOLDEN[name]
-        if not fresh:
-            info = cli._film.cache_info()
-            assert (info.misses, info.hits) == (3, 1)
+            films.append(_kept_film())
+        # a film is kept across calls on one scenario, and only then
+        assert [films[k] is films[k - 1] for k in (1, 2, 3)] == [not fresh, False, False]
 
     def test_a_replaced_builder_is_not_served_the_old_scenario(self, tmp_path, monkeypatch):
         assert _draw(tmp_path / "old", "countable_r1") == 0
@@ -544,69 +550,73 @@ class TestFramesReuse:
         return status, files
 
     def test_every_call_of_a_film_draws_what_a_cold_call_draws(self, tmp_path, capsys):
-        cli._film.cache_clear()
+        cli._film = None
         warm = [self._frames(tmp_path / f"warm{k}", *c) for k, c in enumerate(self._PATTERN)]
         assert [w[0] for w in warm] == [4 if c[2] == "0.9" else 0 for c in self._PATTERN]
         for k, call in enumerate(self._PATTERN):
-            cli._film.cache_clear()
+            cli._film = None
             assert self._frames(tmp_path / f"cold{k}", *call) == warm[k], call
         capsys.readouterr()
 
     def test_a_cleared_film_lets_go_of_its_declaration_without_the_collector(self, tmp_path):
-        # the rounds the declaration keeps refer to no object that refers
-        # back to it, so dropping the film frees it without a collection
+        # nothing the film holds refers back to it, and the declaration
+        # keeps nothing, so dropping the film frees both without a
+        # collection
         gc.disable()
         try:
-            cli._film.cache_clear()
+            cli._film = None
             assert _draw(tmp_path, "trefoil_chain") == 0
-            sim = cli._film(cli.SCENARIO_BUILDERS["trefoil_chain"]).scenario.moves.similarity
-            assert sim._carried is not None
-            declaration = weakref.ref(sim)
-            del sim
-            cli._film.cache_clear()
-            assert declaration() is None
+            film = weakref.ref(_kept_film())
+            declaration = weakref.ref(film().seq.similarity)
+            assert film().rounds is not None and film().last is not None
+            cli._film = None
+            assert film() is None and declaration() is None
         finally:
             gc.enable()
 
     def test_a_film_keeps_one_frame_its_cells_and_the_level_state(self, tmp_path):
         """After trefoil_chain's nine frames, one time per call as a film
-        is drawn, the kept entry holds the scenario, the densified curve,
+        is drawn, the kept film holds the scenario, the densified curve,
         the last frame with its cells and its xy search, and the level
-        loop's rounds: no earlier frame and no cells of the densified
-        curve, which the first frame prints whole."""
+        loop's rounds on the curve's rows inside the schedule's supports:
+        no earlier frame and no cells of the densified curve, which the
+        first frame prints whole."""
         name = "trefoil_chain"
         build = cli.SCENARIO_BUILDERS[name]
         times = (0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99, 1.0)
         # a first film fills the package's own caches
         for i, t in enumerate(times):
             assert _draw(tmp_path / f"warm{i}", name, (t,)) == 0
-        cli._film.cache_clear()
+        cli._film = None
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            scenario = build()
+            # the film holds the scenario's stream, not the scenario
+            stream = build().moves
             built = tracemalloc.get_traced_memory()[0] - before
-            del scenario
+            del stream
             for i, t in enumerate(times):
                 assert _draw(tmp_path / str(i), name, (t,)) == 0
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
-            film = cli._film(build)
-            rounds, last = film.scenario.moves.similarity._carried[1], film.last
-            search = last._xy
-            allowed = built + film.dense.points.nbytes + last.points.nbytes
+            film = _kept_film()
+            rounds, last, search = film.rounds, film.last, film.search
+            allowed = built + film.curve.points.nbytes + last.points.nbytes
             allowed += last.decimal_cells().nbytes
-            allowed += sum(a.nbytes for a in (rounds.steps, rounds.moved, rounds.y))
+            allowed += sum(a.nbytes for a in (rounds.held, rounds.steps, rounds.moved, rounds.y))
+            held_rows = int(rounds.held.sum())
             allowed += sum(a.nbytes for a in (search.hits, search.t, search.u))
             del film, rounds, last, search
-            cli._film.cache_clear()
+            cli._film = None
             gc.collect()
             retained = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # 6,728 vertices: a frame's cells alone take 484,416 bytes
-        assert retained <= allowed + 32_000
+        # a frame's cells alone take 484,416 bytes; of the curve's 6,728
+        # vertices, the rounds hold the 6,000 inside the schedule's supports
+        assert held_rows == 6000
+        assert retained <= allowed + 8_000
 
 
 class TestDeterminism:

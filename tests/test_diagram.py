@@ -415,9 +415,9 @@ class TestChunkedCrossingTest:
         assert chunked == whole
 
 
-def _all_pairs(a, b, closed):
+def _all_pairs(mids, half, pad, closed):
     """Brute-force candidates: every pair of segments that share no vertex."""
-    n = len(a)
+    n = len(half)
     ii, jj = np.triu_indices(n, k=2)
     keep = ~(closed & (ii == 0) & (jj == n - 1))
     return ii[keep], jj[keep]
@@ -495,50 +495,52 @@ class TestLengthRelativeCandidates:
         glued = glue_schedule(s.moves, 20)
         frame = map_curve(glued.map_at(1.0), s.initial_curve.densified(0.01))
         a, b = frame.segment_arrays()
-        ii, _ = diagram._candidate_pairs(a, b, frame.closed)
+        ii, _ = diagram._candidate_pairs(*diagram._extents(a, b), frame.closed)
         assert len(ii) < 5000
 
 
-def _crossings_or_degenerate(curve: PLCurve):
+def _crossings_or_degenerate(curve: PLCurve, search=None):
     try:
-        return find_crossings(curve)
+        return find_crossings(curve, search)
     except ValueError:
         return "degenerate"
 
 
 def _assert_same_search(got, want) -> None:
-    """Two kept xy searches, bitwise, or both degenerate."""
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.pad == want.pad
+    """Two xy searches, bitwise, degenerate or not."""
+    assert got.pad == want.pad
+    assert (got.hits is None) == (want.hits is None)
+    if want.hits is not None:
         for name in ("hits", "t", "u"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype.itemsize == w.dtype.itemsize == 8
             np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
-def _assert_reuse_is_cold(base: PLCurve, rows: np.ndarray) -> tuple[PLCurve, bool]:
-    """find_crossings of the curve through rows drawn against base, whose
-    xy search is kept, equals the cold search's and the ``_all_pairs``
-    oracle's, degenerate or not, and keeps the cold search's xy search
-    bitwise, so the next curve drawn against it reads the right one.
-    Returns that curve and whether its search read the base's."""
+def _assert_reuse_is_cold(base: PLCurve, old, rows: np.ndarray):
+    """The xy search of the curve through rows given base, a curve drawn
+    before it, and old, base's xy search, is the cold search bitwise, so
+    the next curve searched against it reads the right one; and
+    find_crossings given it equals the cold search's and the ``_all_pairs``
+    oracle's, degenerate or not.  Returns that curve, its search and
+    whether the search read old."""
     walks = []
 
     def spied(*args):
         walks.append(len(args))
         return multiscale_close_pairs(*args)
 
-    image = PLCurve(rows, closed=base.closed, base=base)
+    image = PLCurve(rows, closed=base.closed)
     with mock.patch.object(diagram, "multiscale_close_pairs", spied):
-        got = _crossings_or_degenerate(image)
+        search = diagram.xy_search(image, base, old)
+    got = _crossings_or_degenerate(image, search)
     cold = PLCurve(rows, closed=base.closed)
     want = _crossings_or_degenerate(cold)
     with mock.patch.object(diagram, "_candidate_pairs", _all_pairs):
         every = _crossings_or_degenerate(PLCurve(rows, closed=base.closed))
     assert got == want == every
-    _assert_same_search(image._xy, cold._xy)
-    return image, walks[:1] == [4]
+    _assert_same_search(search, diagram.xy_search(cold))
+    return image, search, walks[:1] == [4]
 
 
 _EDITS = ("none", "few", "y only", "z only", "all", "farthest")
@@ -564,10 +566,10 @@ def _edited(rows: np.ndarray, edit: str, rng: np.random.Generator) -> np.ndarray
 
 
 class TestCrossingReuse:
-    """A curve drawn against a base whose xy search is kept searches only
-    the pairs with a segment whose xy ends moved and reads the rest off
-    the base: the crossings, and the search it keeps in turn, are the cold
-    search's whatever moved."""
+    """A curve searched against the curve drawn before it and that one's
+    xy search walks only the pairs with a segment whose xy ends moved and
+    reads the rest off that search: the crossings, and the search the
+    film keeps in turn, are the cold search's whatever moved."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -580,26 +582,26 @@ class TestCrossingReuse:
     def test_random_walks_and_edits(self, seed, n, closed, edit, again):
         rng = np.random.default_rng(seed)
         base = PLCurve(_multiscale_walk(rng, n), closed=closed)
-        _crossings_or_degenerate(base)
-        image, reused = _assert_reuse_is_cold(base, _edited(base.points, edit, rng))
-        pad = diagram._extents(*base.segment_arrays())[2]
-        same_pad = pad == diagram._extents(*image.segment_arrays())[2]
-        assert reused == (base._xy is not None and same_pad)
+        old = diagram.xy_search(base)
+        image, search, reused = _assert_reuse_is_cold(base, old, _edited(base.points, edit, rng))
+        same_pad = old.pad == search.pad
+        assert reused == (old.hits is not None and same_pad)
         if edit == "farthest":
             assume(not same_pad)
-        # and a curve drawn against that one
-        _assert_reuse_is_cold(image, _edited(image.points, again, rng))
+        # and a curve searched against that one
+        _assert_reuse_is_cold(image, search, _edited(image.points, again, rng))
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_an_unmoved_curve_walks_no_pair(self, closed):
         rows = _multiscale_walk(np.random.default_rng(6), 60)
         base = PLCurve(rows, closed=closed)
-        find_crossings(base)
-        assert base._xy is not None and len(base._xy.hits) > 10
-        image = PLCurve(rows.copy(), closed=closed, base=base)
+        old = diagram.xy_search(base)
+        assert old.hits is not None and len(old.hits) > 10
+        image = PLCurve(rows.copy(), closed=closed)
         with mock.patch.object(diagram, "_crossing_test", wraps=diagram._crossing_test) as tested:
-            assert find_crossings(image) == find_crossings(PLCurve(rows, closed=closed))
+            search = diagram.xy_search(image, base, old)
         assert len(tested.call_args_list[0].args[2]) == 0
+        assert find_crossings(image, search) == find_crossings(PLCurve(rows, closed=closed))
 
     _GRAZING = [(-1, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1), (0, -1, 1)]
     _CLEAR = [(-1, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1), (0.3, -1, 1)]
@@ -623,5 +625,4 @@ class TestCrossingReuse:
     def test_degenerate_bases_and_images(self, base_rows, rows):
         for closed in (False, True):
             base = _poly(base_rows, closed)
-            _crossings_or_degenerate(base)
-            _assert_reuse_is_cold(base, np.array(rows, dtype=float))
+            _assert_reuse_is_cold(base, diagram.xy_search(base), np.array(rows, dtype=float))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotiso import engine
+from knotiso import cli, engine
 from knotiso.engine import (
     Isotopy,
     MoveSequence,
@@ -390,7 +390,7 @@ class TestProbes:
         assert injectivity_probe(seq, 5, pairs) == pytest.approx(0.1)
 
     def test_injectivity_probe_pushes_both_ends_in_one_pass(self, monkeypatch):
-        from knotiso import engine
+        from knotiso import cli, engine
 
         seq = _stream()
         rng = np.random.default_rng(4)
@@ -1073,48 +1073,40 @@ def test_a_declared_stream_runs_at_any_depth(name):
     assert np.isfinite(truncated_map(seq, 5000).apply_array(grid)).all()
 
 
-def _read_only(pts: np.ndarray) -> np.ndarray:
-    """A read-only copy that owns its rows, as a curve's vertices do: the
-    kind of batch whose rounds a declaration keeps."""
-    batch = np.array(pts, dtype=float)
-    batch.flags.writeable = False
-    return batch
-
-
 def _assert_resumes(seq: MoveSequence, pts: np.ndarray, calls) -> None:
-    """Truncations of one read-only batch to the depths and local times of
-    calls, in turn, resume the kept rounds and give the bits of the same
-    truncation of a writable copy, which starts afresh; rows outside each
-    call's support come back as they went in.  The rounds are kept while
-    the depth does not fall, and on the rows of each call's support they
-    are the rounds a fresh start takes (``_assert_same_rounds``).  Between
-    calls, a one-level stage loop and stages n + 1..n + 3 on the same
-    batch give the fresh bits too and leave the kept entry alone."""
-    batch, copy = _read_only(pts), np.array(pts)
-    sim, last = seq.similarity, None
+    """A film's truncations of its curve to the depths and local times of
+    calls, in turn, resume the film's rounds and give the bits of the same
+    truncation given no rounds, which starts afresh; rows outside each
+    call's support come back as they went in.  The film's rounds hold
+    every row of each call's support, and on those rows they are the
+    rounds a fresh start takes (``_assert_same_rounds``).  Between calls,
+    a one-level stage loop and stages n + 1..n + 3 leave them alone."""
+    # a curve through the rows: no two equal rows in a row
+    distinct = np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])
+    film = engine.Film(seq, max(n for n, _ in calls), PLCurve(pts[distinct]))
+    batch, rounds, sim = film.curve.points, film.rounds, seq.similarity
     for n, local in calls:
-        m = truncated_map(seq, n, local)
+        m = truncated_map(seq, n, local, rounds)
         got = m.apply_array(batch)
-        _assert_same_bits(got, m.apply_array(copy))
+        _assert_same_bits(got, truncated_map(seq, n, local).apply_array(batch))
         inside = m.support.contains_array(batch)
         _assert_same_bits(got[~inside], batch[~inside])
-        carried = sim._carried
-        assert carried[0] is batch and carried[1].todo == n - 1
-        if last is not None:
-            assert (carried[1] is last[1]) == (n >= last[0])
-        last = n, carried[1]
-        _assert_same_rounds(carried[1], sim, batch, np.flatnonzero(inside), n - 1)
+        assert rounds.todo == n - 1 and rounds.held[inside].all()
+        _assert_same_rounds(rounds, sim, batch, np.flatnonzero(inside), n - 1)
+        state = [a.copy() for a in (rounds.steps, rounds.moved, rounds.y)]
         for other in (seq.stage(n + 1).map_at(local), engine._stages(seq, n + 1, n + 3, local)):
-            _assert_same_bits(other.apply_array(batch), other.apply_array(copy))
-        assert sim._carried is carried
+            other.apply_array(batch)
+        for was, now in zip(state, (rounds.steps, rounds.moved, rounds.y)):
+            np.testing.assert_array_equal(was.view(np.uint8), now.view(np.uint8))
 
 
 def _assert_same_rounds(got, sim: Similarity, batch: np.ndarray, at: np.ndarray, todo: int) -> None:
     """On the rows at of the batch, the rounds got are bitwise the ones a
     fresh start takes from level 1 to todo: the same steps, the same level
     coordinates or images, and where a row is not done the same V_1 flag."""
-    want, x = engine._Rounds(len(batch), True), batch.take(at, axis=0).T
-    want.advance(sim, x, at, 1, todo, x.copy())
+    want, x = engine._Rounds(got.held), batch.take(at, axis=0).T
+    want.advance(sim, x, at, todo, x.copy())
+    at = (np.cumsum(got.held) - 1).take(at)
     steps = want.steps.take(at)
     np.testing.assert_array_equal(got.steps.take(at), steps)
     waits = at[steps != engine._DONE]
@@ -1153,18 +1145,31 @@ def test_a_level_loop_resumes_its_rounds_on_generated_chains(p, r, d, width, yz,
     _assert_resumes(seq, _level_points(seq, 8, np.random.default_rng(seed)), calls)
 
 
-def test_only_a_read_only_batch_from_level_one_is_kept():
-    seq = SCENARIO_BUILDERS["trefoil_chain"]().moves
-    sim = seq.similarity
-    pts = _level_points(seq, 6, np.random.default_rng(6))
-    view = np.array(pts)
-    view.flags.writeable = False
-    view = view[::2]
-    for batch in (pts, view):
-        truncated_map(seq, 6).apply_array(batch)
-        assert sim._carried is None
-    engine._stages(seq, 2, 6).apply_array(_read_only(pts))
-    assert sim._carried is None
-    batch = _read_only(pts)
-    truncated_map(seq, 6).apply_array(batch)
-    assert sim._carried[0] is batch
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_no_truncation_census_or_verb_changes_a_declaration(name, tmp_path, monkeypatch):
+    """A declaration is frozen: truncations of writable and read-only
+    batches, the census, and run, check and frames on its scenario leave
+    every attribute the same object with the same bits, and assigning a
+    field raises."""
+    s = SCENARIO_BUILDERS[name]()
+    sim = s.moves.similarity
+    before = dict(vars(sim))
+    bits = {k: v.tobytes() for k, v in before.items() if isinstance(v, np.ndarray)}
+    pts = _level_points(s.moves, 6, np.random.default_rng(6))
+    read_only = pts.copy()
+    read_only.flags.writeable = False
+    for batch in (pts, read_only, read_only):
+        for n, local in ((6, 1.0), (3, 0.4), (1, 0.7)):
+            truncated_map(s.moves, n, local).apply_array(batch)
+    for p in s.census_samples[:5]:
+        eval_limit_isotopy(s.moves, p, 1e-6, 40)
+    monkeypatch.setitem(cli.SCENARIO_BUILDERS, name, lambda: s)
+    monkeypatch.setattr(cli, "_film", None)
+    for argv in (["run", "--depth", "6"], ["check"], ["frames", "--depth", "6", "--times", "0,0.6,1"]):
+        cli.main(argv + ["--scenario", name] + (["--out", str(tmp_path)] if argv[0] != "check" else []))
+    assert vars(sim).keys() == before.keys()
+    assert all(vars(sim)[k] is v for k, v in before.items())
+    assert {k: before[k].tobytes() for k in bits} == bits
+    for field in dataclasses.fields(sim):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sim, field.name, getattr(sim, field.name))

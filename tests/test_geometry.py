@@ -1,10 +1,10 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
-import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -341,11 +341,11 @@ _finite_bits = st.one_of(
 )
 
 
-def _bits_curve(bits, base=None) -> PLCurve:
+def _bits_curve(bits) -> PLCurve:
     """The open curve through the doubles of the bit patterns, three to a
     row; a draw with two equal rows in a row is not a curve."""
     try:
-        return PLCurve(np.array(bits, np.uint64).view(np.float64).reshape(-1, 3), base=base)
+        return PLCurve(np.array(bits, np.uint64).view(np.float64).reshape(-1, 3))
     except ValueError:
         assume(False)
 
@@ -372,22 +372,23 @@ def _base_and_image(draw):
 
 
 class TestCellReuse:
-    """An image's decimal_cells() copies its base's cells and prints only
-    the coordinates whose bits moved; the whole kernel is the oracle."""
+    """An image's decimal_cells(base) copies the base's cells and prints
+    only the coordinates whose bits moved; the whole kernel is the
+    oracle."""
 
     @given(_base_and_image(), st.booleans(), st.sampled_from((None, -np.inf, np.inf)))
     @settings(max_examples=300, deadline=None)
     def test_cells_are_the_whole_kernels(self, case, base_cells, log10_side):
         base_bits, image_bits = case
         base = _bits_curve(base_bits)
-        image = _bits_curve(image_bits, base=base)
+        image = _bits_curve(image_bits)
         log10 = np.log10
         nudged = log10 if log10_side is None else lambda a: np.nextafter(log10(a), log10_side)
         # a log10 one ulp off makes the kernel hand powers of ten to '%.17g'
         with mock.patch.object(np, "log10", nudged):
             if base_cells:
                 base.decimal_cells()
-            got = image.decimal_cells()
+            got = image.decimal_cells(base)
             want = _g17_cells(image.points)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -396,8 +397,8 @@ class TestCellReuse:
     def test_signed_zero_rows(self):
         base = PLCurve([[0.0, 0.0, 0.0], [1.0, -0.0, 0.0], [2.0, 0.0, -0.0]])
         base.decimal_cells()
-        image = PLCurve(base.points * -1.0, base=base)
-        got = image.decimal_cells()
+        image = PLCurve(base.points * -1.0)
+        got = image.decimal_cells(base)
         assert got.tobytes() == _g17_cells(image.points).tobytes()
         assert got[:, 1:].tolist() == [[b"-0", b"-0"], [b"0", b"-0"], [b"-0", b"0"]]
 
@@ -407,21 +408,21 @@ class TestCellReuse:
         pts = base.points.copy()
         pts[3:5, 1] += 1.0
         with mock.patch.object(geometry, "_g17_cells", wraps=_g17_cells) as kernel:
-            PLCurve(pts, base=base).decimal_cells()
+            PLCurve(pts).decimal_cells(base)
             PLCurve(pts).decimal_cells()
         assert [len(c.args[0].ravel()) for c in kernel.call_args_list] == [2, 30]
 
     @pytest.mark.parametrize("base_cells", [True, False])
     def test_an_image_lets_go_of_its_base(self, base_cells):
+        # a curve holds its points, its closedness and its cells alone
         base = PLCurve(np.arange(12.0).reshape(4, 3))
         if base_cells:
             base.decimal_cells()
         image = map_curve(AffineMap(np.array([2.0, 1.0, 1.0]), np.zeros(3)), base)
-        ref = weakref.ref(base)
-        del base
-        assert ref() is not None
-        image.decimal_cells()
-        assert ref() is None
+        assert PLCurve.__slots__ == ("points", "closed", "_cells")
+        assert not any(held is base for held in gc.get_referents(image))
+        image.decimal_cells(base)
+        assert not any(held is base for held in gc.get_referents(image))
 
 
 class TestPLCurve:
