@@ -21,6 +21,12 @@ quartiles, how many seed pairs the change won, and two verdicts:
   more than the metric's ``bound`` from BENCHMARK.json, a fraction of the
   parent's median.
 
+Each workload's entry also says whether the two trees gave the same
+outputs: ``outputs_match`` holds when, at every seed, both gave the same
+report hashes and the same failed ops (the ``report_sha256`` and
+``failures`` of the run's detail line), and ``mismatched_ops`` lists the
+op keys where they differ.
+
 With ``--trace-seed S`` it then runs each tree once more with ``--trace 1``
 at seed S and records, next to both sides' per-layer metrics, the layers
 that moved: every per-layer metric whose value changed, the largest
@@ -141,9 +147,24 @@ def _moved_by(ratio: float) -> float:
     return abs(math.log(ratio)) if ratio > 0 else math.log(2.0 - ratio)
 
 
+def mismatched_ops(parent: dict[int, dict], change: dict[int, dict]) -> list[str]:
+    """The op keys, sorted, whose report hash or failure differs between
+    the two sides at some seed both ran.  Each side maps a seed to its
+    run's ``outputs``, the ``report_sha256`` (op key -> hash) and the
+    ``failures`` ("<key> <status>: <detail>") of its detail line."""
+    keys: set[str] = set()
+    for seed in parent.keys() & change.keys():
+        old, new = parent[seed], change[seed]
+        hashes = old["report_sha256"], new["report_sha256"]
+        keys.update(k for k in hashes[0].keys() | hashes[1].keys() if hashes[0].get(k) != hashes[1].get(k))
+        keys.update(f.split(" ", 1)[0] for f in set(old["failures"]) ^ set(new["failures"]))
+    return sorted(keys)
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
-    """The metrics line of one benchmark run of a tree, and its machine;
-    the run imports the tree's ``src`` with no bytecode, kept or written."""
+    """The metrics line of one benchmark run of a tree, its machine and
+    its outputs, the report hashes and failures of its detail line; the
+    run imports the tree's ``src`` with no bytecode, kept or written."""
     cmd = [
         sys.executable,
         str(tree / "perfbench" / "run.py"),
@@ -159,7 +180,9 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool =
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} failed ({proc.returncode}):\n{proc.stderr}")
-    return {"line": json.loads(lines[-1]), "machine": json.loads(lines[-2])["detail"]["machine"]}
+    detail = json.loads(lines[-2])["detail"]
+    outputs = {"report_sha256": detail["report_sha256"], "failures": detail["failures"]}
+    return {"line": json.loads(lines[-1]), "machine": detail["machine"], "outputs": outputs}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds, metrics = read_benchmark(trees["change"] / "BENCHMARK.json")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    outputs: dict[str, dict[int, dict]] = {"parent": {}, "change": {}}
     machine = None
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -183,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             got = run_side(trees[side], args.workload, seed, seconds)
             machine = machine or got["machine"]
             runs[side].append({"seed": seed, "line": got["line"]})
+            outputs[side][seed] = got["outputs"]
             value = got["line"]["metrics"].get("pass_s", {}).get("value")
             print(f"seed {seed} {side}: pass_s {value}", file=sys.stderr)
 
@@ -195,10 +220,13 @@ def main(argv: list[str] | None = None) -> int:
         order=ORDER,
         machine=machine,
     )
+    mismatched = mismatched_ops(outputs["parent"], outputs["change"])
     entry = {
         "parent": runs["parent"],
         "change": runs["change"],
         "summary": summarize(runs["parent"], runs["change"], metrics),
+        "outputs_match": not mismatched,
+        "mismatched_ops": mismatched,
     }
     if args.trace_seed is not None:
         traced = {
@@ -214,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     record.setdefault("workloads", {})[args.workload] = entry
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["workloads"][args.workload]["summary"]))
+    if mismatched:
+        print(f"outputs differ at {len(mismatched)} ops: {' '.join(mismatched)}", file=sys.stderr)
     return 0
 
 

@@ -19,14 +19,14 @@ doubles of ``numpy.random.default_rng(seed)``, so no verb loads
 frames steps from its last frame.  It keeps one ``engine.Film``, of the
 last scenario builder called: the scenario's stream, its initial curve
 densified to ``_FRAME_MAX_SEG``, the level loop's rounds on that curve
-and the last frame drawn.  So consecutive frames calls on one scenario,
-and all frames of one call, share one build and one densification, a
-frame at the same or a later stage runs only the rounds the frames
-before it did not, and each frame is drawn against the last: it prints
-only the coordinates whose bits differ from that frame's, and searches
-for crossings only among the segments that moved and those whose boxes
-meet theirs.  run and check build their scenario per call, and keep
-nothing.
+and the last frame drawn, none of which depends on --depth.  So
+consecutive frames calls on one scenario, at any depths, and all frames
+of one call, share one build and one densification, a frame at the same
+or a later stage runs only the rounds the frames before it did not, and
+each frame is drawn against the last: it prints only the coordinates
+whose bits differ from that frame's, and searches for crossings only
+among the segments that moved and those whose boxes meet theirs.  run
+and check build their scenario per call, and keep nothing.
 """
 from __future__ import annotations
 
@@ -171,22 +171,19 @@ def cmd_check(cfg: RunConfig) -> int:
 _film: tuple | None = None
 
 
-def _film_of(builder, depth: int) -> Film:
-    """The kept film where builder made its scenario and it runs to depth,
-    else a new one kept in its place, on the kept build and densified
-    curve where only the depth differs; a builder that raises keeps none."""
+def _film_of(builder) -> Film:
+    """The kept film where builder made its scenario, at whatever depth,
+    else a new one kept in its place; a builder that raises keeps none."""
     global _film
     if _film is None or _film[0] is not builder:
         _film = None
         s = builder()
-        _film = builder, Film(s.moves, depth, s.initial_curve.densified(_FRAME_MAX_SEG))
-    elif _film[1].depth != depth:
-        _film = builder, Film(_film[1].seq, depth, _film[1].curve)
+        _film = builder, Film(s.moves, s.initial_curve.densified(_FRAME_MAX_SEG))
     return _film[1]
 
 
 def cmd_frames(cfg: RunConfig) -> int:
-    film = _film_of(SCENARIO_BUILDERS[cfg.scenario], cfg.depth)
+    film = _film_of(SCENARIO_BUILDERS[cfg.scenario])
     cfg.out.mkdir(parents=True, exist_ok=True)
     glued = glue_schedule(film.seq, cfg.depth, film.rounds)
     for i, t in enumerate(cfg.times):

@@ -67,10 +67,11 @@ def _extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
     return mids, half, 8.0 * np.spacing(float(np.abs(mids).max() + half.max()))
 
 
-def _candidate_pairs(mids, half, pad: float, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_pairs(mids, half, pad: float, closed: bool, hot=None) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs of segments that share no vertex and whose xy extents
     can overlap, from the same multiscale search at every curve size,
-    given the segments' ``_extents``.
+    given the segments' ``_extents``; given a mask hot of segments, only
+    the pairs with a hot segment.
 
     The search radius is relative to the segments' own lengths: exactly the
     pairs with |mid_i - mid_j| <= (h_i + h_j)(1 + 1e-5) + 8 ulp(M), h the
@@ -86,8 +87,7 @@ def _candidate_pairs(mids, half, pad: float, closed: bool) -> tuple[np.ndarray, 
     shorter than their distance to the origin.  A pad fixed in absolute
     units would admit every pair of segments shorter than it.
     """
-    ii, jj = multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad)
-    return nonadjacent(ii, jj, len(half), closed)
+    return nonadjacent(*multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad, hot), len(half), closed)
 
 
 def _crossing_test(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray):
@@ -154,15 +154,13 @@ def _search(a: np.ndarray, b: np.ndarray, closed: bool, old: _Search | None = No
     the pad alone.  So given old, the search of a curve of this shape,
     with this pad, and the mask hot of the segments whose xy ends moved
     since, only the pairs with a hot segment are walked
-    (``multiscale_close_pairs`` given hot) and tested, and the other
-    crossings are read off old: the search is the whole one's."""
+    (``_candidate_pairs`` given hot) and tested, and the other crossings
+    are read off old: the search is the whole one's."""
     n = len(a)
     mids, half, pad = _extents(a, b)
     if old is None or old.hits is None or old.pad != pad:
-        old, (ii, jj) = None, _candidate_pairs(mids, half, pad, closed)
-    else:
-        ii, jj = nonadjacent(*multiscale_close_pairs(mids.T, half * (1 + 1e-5), pad, hot), n, closed)
-    found = _crossing_test(a, b, ii, jj)
+        old = hot = None
+    found = _crossing_test(a, b, *_candidate_pairs(mids, half, pad, closed, hot))
     if found is not None and old is not None:
         # merged into key order, the order the whole search tests in
         kept = ~(hot.take(old.hits // n) | hot.take(old.hits % n))

@@ -289,11 +289,12 @@ _FRESH, _DONE, _STILL = -1, -2, np.iinfo(np.int64).max
 
 class _Rounds:
     """The rounds of g = S^-1 h_1 that a ``Film``'s level loops from
-    level 1 ran on the rows of its curve that the mask ``held`` marks,
-    those its schedule's supports can hold, so that a loop to the same
-    or a later level takes up where the last one stopped and one to a
-    smaller level starts afresh.  A film is their one holder: a
-    loop given no rounds starts afresh and keeps nothing.
+    level 1 ran on the n rows of its curve, indexed by position, so that
+    a loop to the same or a later level takes up where the last one
+    stopped and one to a smaller level starts afresh.  A loop is handed
+    only the rows inside its support, so a row no loop held stays
+    _FRESH.  A film is their one holder: a loop given no rounds starts
+    afresh and keeps nothing.
 
     Per row, ``steps`` is the level the row waits at, with ``y`` its level
     coordinates and ``moved`` whether V_1 held it; or _STILL, where g left
@@ -303,8 +304,8 @@ class _Rounds:
     it afresh (one multiply rounds otherwise than steps do).  ``todo`` is
     the level the rounds reached, -1 before any loop ran."""
 
-    def __init__(self, held: np.ndarray) -> None:
-        self.held, self.todo, n = held, -1, int(held.sum())
+    def __init__(self, n: int) -> None:
+        self.todo = -1
         self.steps, self.moved, self.y = np.full(n, _FRESH), np.zeros(n, dtype=bool), np.empty((3, n))
 
     def advance(self, sim: Similarity, x: np.ndarray, at: np.ndarray, todo: int, out):
@@ -313,9 +314,8 @@ class _Rounds:
         stopped.  Where each row stands is written back once the loop
         ends, so a loop that raises leaves every row where it stood."""
         if todo < self.todo:  # a smaller level starts afresh
-            self.__init__(self.held)
-        # each row's place among the rows held
-        at, ends, dones, fresh = (np.cumsum(self.held) - 1).take(at), [], [], None
+            self.__init__(len(self.steps))
+        ends, dones, fresh = [], [], None
         if self.todo >= 0:
             steps = self.steps.take(at)
             done = np.flatnonzero(steps == _DONE)
@@ -612,20 +612,16 @@ def map_curve(m: LocalMap, curve: PLCurve) -> PLCurve:
 
 
 class Film:
-    """The frames of a curve under a stream's glued schedule to depth, and
-    the one holder of what they reuse: the level loop's ``rounds`` on the
-    curve (None where the stream has no declaration), and the ``last``
+    """The frames of a curve under a stream's glued schedules, to any
+    depth, and the one holder of what they reuse: the level loop's
+    ``rounds`` on the curve (None where the stream has no declaration),
+    which are per level of g and so serve every depth, and the ``last``
     frame drawn, with its cells and its xy crossing ``search``."""
 
-    def __init__(self, seq: MoveSequence, depth: int, curve: PLCurve) -> None:
-        self.seq, self.depth, self.curve = seq, depth, curve
-        self.rounds = self.last = self.search = None
-        sim = seq.similarity
-        if sim is not None:
-            # V_k's corners move monotonically from V_2's to p, so this
-            # hull holds the support of every truncation to depth
-            hull = bounding_box([sim.box(1), sim.box(2), sim.box(depth)])
-            self.rounds = _Rounds(hull.contains_array(curve.points))
+    def __init__(self, seq: MoveSequence, curve: PLCurve) -> None:
+        self.seq, self.curve = seq, curve
+        self.last = self.search = None
+        self.rounds = None if seq.similarity is None else _Rounds(len(curve.points))
 
     def take(self, frame: PLCurve) -> list:
         """The crossings of frame, the curve's image at some time, with its

@@ -558,6 +558,19 @@ class TestFramesReuse:
             assert self._frames(tmp_path / f"cold{k}", *call) == warm[k], call
         capsys.readouterr()
 
+    def test_a_film_survives_a_depth_change(self, tmp_path):
+        # the rounds are per level of g, so one film serves every depth
+        cli._film = None
+        calls = [("trefoil_chain", depth, "0.6,0.97") for depth in (20, 60, 5, 20)]
+        warm, films = [], []
+        for k, call in enumerate(calls):
+            warm.append(self._frames(tmp_path / f"warm{k}", *call))
+            films.append(_kept_film())
+        assert [w[0] for w in warm] == [0] * 4 and all(film is films[0] for film in films)
+        for k, call in enumerate(calls):
+            cli._film = None
+            assert self._frames(tmp_path / f"cold{k}", *call) == warm[k], call
+
     def test_a_cleared_film_lets_go_of_its_declaration_without_the_collector(self, tmp_path):
         # nothing the film holds refers back to it, and the declaration
         # keeps nothing, so dropping the film frees both without a
@@ -578,9 +591,8 @@ class TestFramesReuse:
         """After trefoil_chain's nine frames, one time per call as a film
         is drawn, the kept film holds the scenario, the densified curve,
         the last frame with its cells and its xy search, and the level
-        loop's rounds on the curve's rows inside the schedule's supports:
-        no earlier frame and no cells of the densified curve, which the
-        first frame prints whole."""
+        loop's rounds on every row of the curve: no earlier frame and no
+        cells of the densified curve, which the first frame prints whole."""
         name = "trefoil_chain"
         build = cli.SCENARIO_BUILDERS[name]
         times = (0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99, 1.0)
@@ -604,8 +616,7 @@ class TestFramesReuse:
             rounds, last, search = film.rounds, film.last, film.search
             allowed = built + film.curve.points.nbytes + last.points.nbytes
             allowed += last.decimal_cells().nbytes
-            allowed += sum(a.nbytes for a in (rounds.held, rounds.steps, rounds.moved, rounds.y))
-            held_rows = int(rounds.held.sum())
+            allowed += sum(a.nbytes for a in (rounds.steps, rounds.moved, rounds.y))
             allowed += sum(a.nbytes for a in (search.hits, search.t, search.u))
             del film, rounds, last, search
             cli._film = None
@@ -613,9 +624,8 @@ class TestFramesReuse:
             retained = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # a frame's cells alone take 484,416 bytes; of the curve's 6,728
-        # vertices, the rounds hold the 6,000 inside the schedule's supports
-        assert held_rows == 6000
+        # a frame's cells alone take 484,416 bytes, and the rounds on the
+        # curve's 6,728 vertices 222,024
         assert retained <= allowed + 8_000
 
 

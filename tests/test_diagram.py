@@ -415,11 +415,14 @@ class TestChunkedCrossingTest:
         assert chunked == whole
 
 
-def _all_pairs(mids, half, pad, closed):
-    """Brute-force candidates: every pair of segments that share no vertex."""
+def _all_pairs(mids, half, pad, closed, hot=None):
+    """Brute-force candidates: every pair of segments that share no vertex,
+    given a mask hot of segments only those with a hot segment."""
     n = len(half)
     ii, jj = np.triu_indices(n, k=2)
     keep = ~(closed & (ii == 0) & (jj == n - 1))
+    if hot is not None:
+        keep &= hot[ii] | hot[jj]
     return ii[keep], jj[keep]
 
 
@@ -526,9 +529,9 @@ def _assert_reuse_is_cold(base: PLCurve, old, rows: np.ndarray):
     whether the search read old."""
     walks = []
 
-    def spied(*args):
-        walks.append(len(args))
-        return multiscale_close_pairs(*args)
+    def spied(mids, half, margin, hot=None):
+        walks.append(hot is not None)
+        return multiscale_close_pairs(mids, half, margin, hot)
 
     image = PLCurve(rows, closed=base.closed)
     with mock.patch.object(diagram, "multiscale_close_pairs", spied):
@@ -540,7 +543,7 @@ def _assert_reuse_is_cold(base: PLCurve, old, rows: np.ndarray):
         every = _crossings_or_degenerate(PLCurve(rows, closed=base.closed))
     assert got == want == every
     _assert_same_search(search, diagram.xy_search(cold))
-    return image, search, walks[:1] == [4]
+    return image, search, walks[:1] == [True]
 
 
 _EDITS = ("none", "few", "y only", "z only", "all", "farthest")
@@ -590,6 +593,27 @@ class TestCrossingReuse:
             assume(not same_pad)
         # and a curve searched against that one
         _assert_reuse_is_cold(image, search, _edited(image.points, again, rng))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 80), st.booleans(), st.sampled_from(_EDITS))
+    @settings(max_examples=60, deadline=None)
+    def test_reused_searches_match_the_all_pairs_oracle(self, seed, n, closed, edit):
+        # the walk of the hot pairs goes through ``_candidate_pairs`` too,
+        # so the brute-force candidates stand in for it there as well
+        rng = np.random.default_rng(seed)
+        last = PLCurve(_multiscale_walk(rng, n), closed=closed)
+        old = diagram.xy_search(last)
+        frame = PLCurve(_edited(last.points, edit, rng), closed=closed)
+        searched = diagram.xy_search(frame, last, old)
+        walks = []
+
+        def every_pair(mids, half, pad, closed, hot=None):
+            walks.append(hot is not None)
+            return _all_pairs(mids, half, pad, closed, hot)
+
+        with mock.patch.object(diagram, "_candidate_pairs", every_pair):
+            every = diagram.xy_search(frame, last, old)
+        _assert_same_search(searched, every)
+        assert walks == [old.hits is not None and old.pad == searched.pad]
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_an_unmoved_curve_walks_no_pair(self, closed):

@@ -1078,20 +1078,24 @@ def _assert_resumes(seq: MoveSequence, pts: np.ndarray, calls) -> None:
     calls, in turn, resume the film's rounds and give the bits of the same
     truncation given no rounds, which starts afresh; rows outside each
     call's support come back as they went in.  The film's rounds hold
-    every row of each call's support, and on those rows they are the
-    rounds a fresh start takes (``_assert_same_rounds``).  Between calls,
-    a one-level stage loop and stages n + 1..n + 3 leave them alone."""
+    every row of the curve, by position: on the rows of each call's
+    support they are the rounds a fresh start takes
+    (``_assert_same_rounds``), and a row no call's support held is still
+    fresh.  Between calls, a one-level stage loop and stages n + 1..n + 3
+    leave them alone."""
     # a curve through the rows: no two equal rows in a row
     distinct = np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])
-    film = engine.Film(seq, max(n for n, _ in calls), PLCurve(pts[distinct]))
+    film = engine.Film(seq, PLCurve(pts[distinct]))
     batch, rounds, sim = film.curve.points, film.rounds, seq.similarity
+    held = np.zeros(len(batch), dtype=bool)
     for n, local in calls:
         m = truncated_map(seq, n, local, rounds)
         got = m.apply_array(batch)
         _assert_same_bits(got, truncated_map(seq, n, local).apply_array(batch))
         inside = m.support.contains_array(batch)
         _assert_same_bits(got[~inside], batch[~inside])
-        assert rounds.todo == n - 1 and rounds.held[inside].all()
+        held |= inside
+        assert rounds.todo == n - 1 and (rounds.steps[~held] == engine._FRESH).all()
         _assert_same_rounds(rounds, sim, batch, np.flatnonzero(inside), n - 1)
         state = [a.copy() for a in (rounds.steps, rounds.moved, rounds.y)]
         for other in (seq.stage(n + 1).map_at(local), engine._stages(seq, n + 1, n + 3, local)):
@@ -1104,9 +1108,8 @@ def _assert_same_rounds(got, sim: Similarity, batch: np.ndarray, at: np.ndarray,
     """On the rows at of the batch, the rounds got are bitwise the ones a
     fresh start takes from level 1 to todo: the same steps, the same level
     coordinates or images, and where a row is not done the same V_1 flag."""
-    want, x = engine._Rounds(got.held), batch.take(at, axis=0).T
+    want, x = engine._Rounds(len(got.steps)), batch.take(at, axis=0).T
     want.advance(sim, x, at, todo, x.copy())
-    at = (np.cumsum(got.held) - 1).take(at)
     steps = want.steps.take(at)
     np.testing.assert_array_equal(got.steps.take(at), steps)
     waits = at[steps != engine._DONE]

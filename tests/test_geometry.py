@@ -782,9 +782,9 @@ class TestMultiscaleClosePairs:
         frame = map_curve(glue_schedule(s.moves, 20).map_at(t), s.initial_curve.densified(0.01))
         found = []
 
-        def checked(mids, half, margin):
+        def checked(mids, half, margin, hot=None):
             found.append(_assert_all_pairs(mids, half, margin))
-            return multiscale_close_pairs(mids, half, margin)
+            return multiscale_close_pairs(mids, half, margin, hot)
 
         with mock.patch.object(diagram, "multiscale_close_pairs", checked):
             try:

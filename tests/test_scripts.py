@@ -218,7 +218,8 @@ def test_bench_pairs_runs_each_tree_from_source_without_bytecode(tmp_path, monke
 
     def fake_run(cmd, **kwargs):
         calls.append((cmd, kwargs, [c.exists() for c in caches], kept.exists()))
-        lines = [{"detail": {"machine": {"cpu": "x"}}}, {"metrics": {"pass_s": {"value": 1.0}}}]
+        detail = {"machine": {"cpu": "x"}, "report_sha256": {"run:a": "00"}, "failures": []}
+        lines = [{"detail": detail}, {"metrics": {"pass_s": {"value": 1.0}}}]
         return subprocess.CompletedProcess(cmd, 0, "\n".join(map(json.dumps, lines)), "")
 
     monkeypatch.setattr(bp.subprocess, "run", fake_run)
@@ -227,7 +228,11 @@ def test_bench_pairs_runs_each_tree_from_source_without_bytecode(tmp_path, monke
             cache.mkdir(parents=True, exist_ok=True)
             (cache / "cli.cpython-311.pyc").write_bytes(b"")
         got = bp.run_side(tree, "frames_film", 3, 17, trace=True)
-        assert got == {"line": {"metrics": {"pass_s": {"value": 1.0}}}, "machine": {"cpu": "x"}}
+        assert got == {
+            "line": {"metrics": {"pass_s": {"value": 1.0}}},
+            "machine": {"cpu": "x"},
+            "outputs": {"report_sha256": {"run:a": "00"}, "failures": []},
+        }
     assert len(calls) == 2
     for cmd, kwargs, cached, perfbench_cached in calls:
         assert cmd[1] == str(tree / "perfbench" / "run.py")
@@ -236,3 +241,43 @@ def test_bench_pairs_runs_each_tree_from_source_without_bytecode(tmp_path, monke
         assert kwargs["env"]["PATH"] == os.environ["PATH"]
         # only the package's bytecode is removed
         assert cached == [False, False] and perfbench_cached
+
+
+def test_bench_pairs_records_whether_both_trees_gave_the_same_outputs(tmp_path, monkeypatch):
+    """A workload's entry holds ``outputs_match`` and the op keys whose
+    report hash or failure differs at some seed, read off the detail lines
+    of both trees' runs."""
+    bp = _bench_pairs()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "src").mkdir(parents=True)
+    (trees["change"] / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    # what the change tree gives differently, per seed
+    changed = {}
+
+    def fake_run(cmd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        hashes = {"run:a:20:20:0:": "aa", "run:b:20:20:0:": "bb"}
+        failures = ["frames:fox:20:20:1:0.9 error: ValueError: degenerate"]
+        if kwargs["cwd"] == trees["change"]:
+            hashes.update(changed.get(seed, {}).get("hashes", {}))
+            failures += changed.get(seed, {}).get("failures", [])
+        detail = {"machine": {"cpu": "x"}, "report_sha256": hashes, "failures": failures}
+        line = {"metrics": {"pass_s": {"value": 1.0, "unit": "s"}}}
+        return subprocess.CompletedProcess(cmd, 0, "\n".join(map(json.dumps, [{"detail": detail}, line])), "")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+
+    def entry(label):
+        argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"])]
+        assert bp.main(argv + ["--workload", "w", "--seeds", "1-3", "--label", label]) == 0
+        return json.loads((tmp_path / f"BENCH_{label}.json").read_text())["workloads"]["w"]
+
+    got = entry("same")
+    assert got["outputs_match"] is True and got["mismatched_ops"] == []
+    changed[2] = {"hashes": {"run:b:20:20:0:": "b2"}}
+    changed[3] = {"failures": ["frames:c:20:20:1:1.0 wrong: x"]}
+    got = entry("differs")
+    assert got["outputs_match"] is False
+    assert got["mismatched_ops"] == ["frames:c:20:20:1:1.0", "run:b:20:20:0:"]
