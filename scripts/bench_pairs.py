@@ -24,8 +24,13 @@ quartiles, how many seed pairs the change won, and two verdicts:
 Each workload's entry also says whether the two trees gave the same
 outputs: ``outputs_match`` holds when, at every seed, both gave the same
 report hashes and the same failed ops (the ``report_sha256`` and
-``failures`` of the run's detail line), and ``mismatched_ops`` lists the
-op keys where they differ.
+``failures`` of the run's detail line) and the same frames, and
+``mismatched_ops`` lists the op keys where they differ.  The benchmark
+checks a frame only by reading its curve back, so each tree also replays
+the workload's frames ops at each seed once, in order, in one process
+through ``knotiso.cli.main``, so that its film carries across ops as in a
+benchmark pass; a frames op's output is its exit status, its stderr and
+the sha256 of each file it wrote.
 
 With ``--trace-seed S`` it then runs each tree once more with ``--trace 1``
 at seed S and records, next to both sides' per-layer metrics, the layers
@@ -47,6 +52,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ORDER = "parent and change alternate, the first side flipping with each seed"
@@ -148,17 +154,58 @@ def _moved_by(ratio: float) -> float:
 
 
 def mismatched_ops(parent: dict[int, dict], change: dict[int, dict]) -> list[str]:
-    """The op keys, sorted, whose report hash or failure differs between
-    the two sides at some seed both ran.  Each side maps a seed to its
-    run's ``outputs``, the ``report_sha256`` (op key -> hash) and the
-    ``failures`` ("<key> <status>: <detail>") of its detail line."""
+    """The op keys, sorted, whose report hash, failure or frames differ
+    between the two sides at some seed both ran.  Each side maps a seed to
+    its ``outputs``: the ``report_sha256`` (op key -> hash) and the
+    ``failures`` ("<key> <status>: <detail>") of its run's detail line,
+    and the ``frames`` of its ``replay`` (op key -> output)."""
     keys: set[str] = set()
     for seed in parent.keys() & change.keys():
         old, new = parent[seed], change[seed]
-        hashes = old["report_sha256"], new["report_sha256"]
-        keys.update(k for k in hashes[0].keys() | hashes[1].keys() if hashes[0].get(k) != hashes[1].get(k))
+        for field in ("report_sha256", "frames"):
+            was, now = old[field], new[field]
+            keys.update(k for k in was.keys() | now.keys() if was.get(k) != now.get(k))
         keys.update(f.split(" ", 1)[0] for f in set(old["failures"]) ^ set(new["failures"]))
     return sorted(keys)
+
+
+# run by ``replay`` with argv tree, workload, seed, output folder
+REPLAY = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+tree, workload, seed, out = sys.argv[1], sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
+sys.path[:0] = [f"{tree}/src", f"{tree}/perfbench"]
+from workloads import WORKLOADS
+ops = [op for op in WORKLOADS[workload](seed) if op.verb == "frames"]
+if ops:
+    from knotiso.cli import main
+got = {}
+for k, op in enumerate(ops):
+    folder = out / str(k)
+    times = ",".join(map(repr, op.times))
+    argv = ["frames", "--scenario", op.scenario, "--depth", str(op.depth)]
+    argv += ["--times", times, "--out", str(folder)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(argv)
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(folder.glob("*"))}
+    got[op.key] = {"status": status, "stderr": err.getvalue(), "files": files}
+print(json.dumps(got))
+"""
+
+
+def replay(tree: Path, workload: str, seed: int) -> dict[str, dict]:
+    """The frames ops of a workload at a seed, from the tree's
+    ``perfbench/workloads.py``, run in order in one process of the tree's
+    ``src``: op key -> its exit status, its stderr and the sha256 of each
+    file it wrote, by name; empty for a workload with no frames op."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory() as out:
+        cmd = [sys.executable, "-c", REPLAY, str(tree), workload, str(seed), out]
+        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"replay of {workload} at seed {seed} in {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
@@ -207,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             got = run_side(trees[side], args.workload, seed, seconds)
             machine = machine or got["machine"]
             runs[side].append({"seed": seed, "line": got["line"]})
-            outputs[side][seed] = got["outputs"]
+            outputs[side][seed] = {**got["outputs"], "frames": replay(trees[side], args.workload, seed)}
             value = got["line"]["metrics"].get("pass_s", {}).get("value")
             print(f"seed {seed} {side}: pass_s {value}", file=sys.stderr)
 

@@ -25,8 +25,13 @@ of one call, share one build and one densification, a frame at the same
 or a later stage runs only the rounds the frames before it did not, and
 each frame is drawn against the last: it prints only the coordinates
 whose bits differ from that frame's, and searches for crossings only
-among the segments that moved and those whose boxes meet theirs.  run
-and check build their scenario per call, and keep nothing.
+among the segments that moved and those whose boxes meet theirs.  A
+frame whose projection is degenerate exits 4.  The pairs that made one
+view degenerate are tested first in the next, the last frame's xy
+view's in the frame's xy view and each view's in the perturbed view
+after it, and a view they still make degenerate is rejected without a
+search (``engine.Film``).  run and check build their scenario per call,
+and keep nothing.
 """
 from __future__ import annotations
 

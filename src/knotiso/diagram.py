@@ -9,7 +9,10 @@ Crossing candidates come from ``geometry``'s one segment-pair search;
 like it, the crossing test reads x and y columns, taken once per view.
 ``xy_search`` searches the xy view, given the last frame's search
 (``engine.Film`` holds it) only the pairs with a segment that moved
-since, reading the others' candidacy and crossings off that search.
+since, reading the others' candidacy and crossings off that search.  A
+degenerate view's search holds its witness, the pairs that made it so;
+a view in which one of them is still degenerate is degenerate too, so
+it is tested first and the view is searched only where none is.
 """
 from __future__ import annotations
 
@@ -47,15 +50,19 @@ def _rotation(axis: int, angle: float) -> np.ndarray:
 
 class _Search(NamedTuple):
     """The crossing search of one view: the pad 8 ulp(M) its candidate
-    pairs were found with, and the keys i n + j of the pairs that cross
+    pairs were found with, the keys i n + j of the pairs that cross
     properly, sorted, with each crossing's parameters t and u on its two
-    segments; all three None where a candidate pair is within tolerance
-    of tangency or degeneracy."""
+    segments, and the crossings, over and under read off z.  Where the
+    view is degenerate those four are None, and ``witness`` holds the
+    keys of pairs that make it so: pairs within tolerance of tangency or
+    degeneracy, or hits where two strands touch in 3-space."""
 
     pad: float
-    hits: np.ndarray
-    t: np.ndarray
-    u: np.ndarray
+    hits: np.ndarray | None
+    t: np.ndarray | None
+    u: np.ndarray | None
+    crossings: list[Crossing] | None
+    witness: np.ndarray | None = None
 
 
 def _extents(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -92,11 +99,13 @@ def _candidate_pairs(mids, half, pad: float, closed: bool, hot=None) -> tuple[np
 
 def _crossing_test(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray):
     """The keys i n + j of the pairs (ii, jj) of the n segments a -> b
-    that cross properly in the xy view, in pair order, with t and u, or
-    None if any pair is within tolerance of tangency or degeneracy.
+    that cross properly in the xy view, in pair order, with t and u; or,
+    as one array, the keys of the pairs within tolerance of tangency or
+    degeneracy in the first chunk that has one: the view's witness.
 
     Pairs are tested _PAIR_CHUNK at a time, so the temporaries stay
-    bounded on curves with millions of candidate pairs."""
+    bounded on curves with millions of candidate pairs.  A pair's verdict
+    reads its own two segments alone."""
     # each segment's start and direction, as columns
     x, y = np.ascontiguousarray(a[:, :2].T)
     dx, dy = b[:, 0] - x, b[:, 1] - y
@@ -120,72 +129,91 @@ def _crossing_test(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray)
         on_both = ~near_parallel & (t > -eps) & (t < 1.0 + eps) & (u > -eps) & (u < 1.0 + eps)
         k = np.flatnonzero(on_both)
         t, u = t[k], u[k]
-        if (np.abs(np.concatenate([t, t - 1.0, u, u - 1.0])) < eps).any():
-            return None
+        near = (np.abs(t) < eps) | (np.abs(t - 1.0) < eps) | (np.abs(u) < eps) | (np.abs(u - 1.0) < eps)
+        if near.any():
+            return ci[k[near]] * len(a) + cj[k[near]]
         inside = (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
         k = k[inside]
         hits.append((ci[k] * len(a) + cj[k], t[inside], u[inside]))
     return tuple(np.concatenate(h) for h in zip(*hits))
 
 
-def _crossings(a: np.ndarray, b: np.ndarray, search: _Search):
-    """The crossings at the hits of the n segments a -> b, over and under
-    read off z, or None if two strands touch in 3-space at one."""
-    x, y, z = a.T
-    dx, dy, dz = (b - a).T
+def _crossings(a: np.ndarray, b: np.ndarray, hits: np.ndarray, t: np.ndarray, u: np.ndarray):
+    """The crossings at the hits of the n segments a -> b, at parameters
+    t and u on their two segments, over and under read off z; or, as one
+    array, the keys of the hits where two strands touch in 3-space: the
+    view's witness."""
+    i, j = np.divmod(hits, len(a))
+    xi, yi, zi = (a[i] + t[:, None] * (b[i] - a[i])).T
+    zj = a[j, 2] + u * (b[j, 2] - a[j, 2])
+    touch = np.abs(zi - zj) < _TANGENCY_EPS
+    if touch.any():
+        return hits[touch]
     crossings = []
-    for key, ti, uj in zip(search.hits.tolist(), search.t.tolist(), search.u.tolist()):
-        i, j = divmod(key, len(a))
-        zi, zj = z[i] + ti * dz[i], z[j] + uj * dz[j]
-        if abs(zi - zj) < _TANGENCY_EPS:
-            return None  # strands touch in 3-space at the crossing
-        xy = (float(x[i] + ti * dx[i]), float(y[i] + ti * dy[i]))
-        if zi > zj:
-            crossings.append(Crossing(i, j, xy, float(zi), float(zj)))
-        else:
-            crossings.append(Crossing(j, i, xy, float(zj), float(zi)))
+    for over, under, x, y, z_over, z_under in zip(*(v.tolist() for v in (i, j, xi, yi, zi, zj))):
+        if z_over < z_under:
+            over, under, z_over, z_under = under, over, z_under, z_over
+        crossings.append(Crossing(over, under, (x, y), z_over, z_under))
     return crossings
 
 
-def _search(a: np.ndarray, b: np.ndarray, closed: bool, old: _Search | None = None, hot=None):
+def _view(a: np.ndarray, b: np.ndarray, pad: float, found) -> _Search:
+    """The search of a view of the segments a -> b from what
+    ``_crossing_test`` found among its pairs."""
+    if isinstance(found, tuple):
+        crossings = _crossings(a, b, *found)
+        if isinstance(crossings, list):
+            return _Search(pad, *found, crossings)
+        found = crossings
+    return _Search(pad, None, None, None, None, found)
+
+
+def _search(a: np.ndarray, b: np.ndarray, closed: bool, old: _Search | None = None, hot=None, witness=None):
     """The crossing search of the segments a -> b.
 
     A pair's candidacy and its test read its two segments' xy ends and
-    the pad alone.  So given old, the search of a curve of this shape,
-    with this pad, and the mask hot of the segments whose xy ends moved
-    since, only the pairs with a hot segment are walked
-    (``_candidate_pairs`` given hot) and tested, and the other crossings
-    are read off old: the search is the whole one's."""
+    the pad alone, and whether its strands touch reads their z too.  So
+    given a witness, the keys of pairs that made a view of a curve of
+    this shape degenerate, only those pairs are tested first: every pair
+    that can be degenerate is a candidate (``_candidate_pairs``), so if
+    one is degenerate here the view is, and its search is over with no
+    candidate walked.  Otherwise, given old, the search of a curve of
+    this shape, with this pad, and the mask hot of the segments whose xy
+    ends moved since, only the pairs with a hot segment are walked
+    (``_candidate_pairs`` given hot) and tested, and the other hits are
+    read off old.  Either way the search is the whole one's, or as
+    degenerate as it."""
     n = len(a)
     mids, half, pad = _extents(a, b)
+    if witness is not None:
+        seen = _view(a, b, pad, _crossing_test(a, b, *np.divmod(witness, n)))
+        if seen.witness is not None:
+            return seen
     if old is None or old.hits is None or old.pad != pad:
         old = hot = None
     found = _crossing_test(a, b, *_candidate_pairs(mids, half, pad, closed, hot))
-    if found is not None and old is not None:
+    if isinstance(found, tuple) and old is not None:
         # merged into key order, the order the whole search tests in
         kept = ~(hot.take(old.hits // n) | hot.take(old.hits % n))
         order = np.argsort(np.concatenate([old.hits[kept], found[0]]))
-        found = [np.concatenate([was[kept], now])[order] for was, now in zip(old[1:], found)]
-    return _Search(pad, *((None,) * 3 if found is None else found))
+        found = tuple(np.concatenate([was[kept], now])[order] for was, now in zip(old[1:4], found))
+    return _view(a, b, pad, found)
 
 
-def _find_crossings(a: np.ndarray, b: np.ndarray, closed: bool, search: _Search | None = None):
-    """Proper projected crossings of segment pairs that share no vertex,
-    from their search where given, or None if it is degenerate."""
-    search = _search(a, b, closed) if search is None else search
-    return None if search.hits is None else _crossings(a, b, search)
-
-
-def xy_search(curve: PLCurve, last: PLCurve | None = None, old: _Search | None = None) -> _Search:
-    """The crossing search of the curve's xy view.  Given old, the search
-    of last, a curve of this shape, only the pairs with a segment whose xy
-    ends moved since last are walked (``_search``)."""
+def xy_search(
+    curve: PLCurve, last: PLCurve | None = None, old: _Search | None = None, witness=None
+) -> _Search:
+    """The crossing search of the curve's xy view.  Given the witness of
+    a degenerate view of a curve of this shape, its pairs are tested
+    first; given old, the search of last, a curve of this shape, only the
+    pairs with a segment whose xy ends moved since last are walked
+    (``_search``)."""
     pts, closed = curve.points, curve.closed
     hot = None
     if old is not None:
         now = pts[:, :2].view(np.int64) != last.points[:, :2].view(np.int64)
         hot = np.logical_or(*segment_ends(now[:, 0] | now[:, 1], closed))
-    return _search(*segment_ends(pts, closed), closed, old, hot)
+    return _search(*segment_ends(pts, closed), closed, old, hot, witness)
 
 
 def find_crossings(curve: PLCurve, search: _Search | None = None) -> list[Crossing]:
@@ -193,16 +221,22 @@ def find_crossings(curve: PLCurve, search: _Search | None = None) -> list[Crossi
     unperturbed view's (``xy_search``), searched here where not given.
 
     Near-tangent configurations are resolved by perturbing the view by
-    1e-7 rad about x, then y; a perturbed view is searched whole.
+    1e-7 rad about x, then y.  A view is degenerate exactly when one of
+    its candidate pairs is: a pair ``_crossing_test`` flags, or a hit
+    where two strands touch in 3-space.  Each pair's verdict reads its
+    own two segments alone, and every pair that can be degenerate is a
+    candidate, so the pairs that made one view degenerate, its witness,
+    are tested first in the next: a view in which one of them is still
+    degenerate is rejected unsearched, and any other is searched whole.
     """
     pts, closed = curve.points, curve.closed
-    result = _find_crossings(*segment_ends(pts, closed), closed, search)
+    search = xy_search(curve) if search is None else search
     for rot in (_rotation(0, _PERTURB_RAD), _rotation(0, _PERTURB_RAD) @ _rotation(1, _PERTURB_RAD)):
-        if result is None:
-            result = _find_crossings(*segment_ends(pts @ rot.T, closed), closed)
-    if result is None:
+        if search.crossings is None:
+            search = _search(*segment_ends(pts @ rot.T, closed), closed, witness=search.witness)
+    if search.crossings is None:
         raise ValueError("projection is degenerate even after view perturbation")
-    return result
+    return search.crossings
 
 
 def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:

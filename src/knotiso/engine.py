@@ -615,21 +615,26 @@ class Film:
     """The frames of a curve under a stream's glued schedules, to any
     depth, and the one holder of what they reuse: the level loop's
     ``rounds`` on the curve (None where the stream has no declaration),
-    which are per level of g and so serve every depth, and the ``last``
-    frame drawn, with its cells and its xy crossing ``search``."""
+    which are per level of g and so serve every depth, the ``last``
+    frame drawn, with its cells and its xy crossing ``search``, and the
+    ``witness`` of the last frame taken where its xy view was degenerate:
+    the pairs that made it so (``diagram.find_crossings``)."""
 
     def __init__(self, seq: MoveSequence, curve: PLCurve) -> None:
         self.seq, self.curve = seq, curve
-        self.last = self.search = None
+        self.last = self.search = self.witness = None
         self.rounds = None if seq.similarity is None else _Rounds(len(curve.points))
 
     def take(self, frame: PLCurve) -> list:
         """The crossings of frame, the curve's image at some time, with its
         cells made, both against the last frame: only the segments whose xy
         ends moved since are searched, and only the coordinates whose bits
-        moved are printed.  The frame is the last from then on; a
-        degenerate projection raises ValueError and keeps the last."""
-        search = diagram.xy_search(frame, self.last, self.search)
+        moved are printed.  The witness is tested first, so a frame whose
+        xy view it still makes degenerate walks no candidate pair.  The
+        frame is the last from then on; a degenerate projection raises
+        ValueError and keeps the last."""
+        search = diagram.xy_search(frame, self.last, self.search, self.witness)
+        self.witness = search.witness
         crossings = diagram.find_crossings(frame, search)
         frame.decimal_cells(self.last)
         self.last, self.search = frame, search

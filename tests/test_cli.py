@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knotiso import cli
+from knotiso import cli, diagram
 from knotiso.canonical import conjugated_insert
 from knotiso.cli import RunConfig, main
 from knotiso.engine import MoveSequence, Similarity
-from knotiso.geometry import Box, read_curve
+from knotiso.geometry import Box, PLCurve, read_curve
 from knotiso.scenarios import ExpectedVerdicts, build_countable_r1
 
 from oracles import count_crossings
@@ -444,6 +444,26 @@ class TestFramesVerb:
         # the frame is drawn before anything is written: no orphan .curve
         assert list(tmp_path.glob("fox_remarkable_frame_000.*")) == []
 
+    def test_strands_meeting_in_3_space_exit_four(self, tmp_path, capsys, monkeypatch):
+        # a curve whose strands cross at one height, inside both segments,
+        # at every densification: degenerate in every view at any scale;
+        # the t = 0 frame is the curve itself, whatever the stream
+        rows = [(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0.0037, 1.0031, 0), (0.0037, -0.9969, 0)]
+
+        def touching():
+            s = build_countable_r1()
+            return dataclasses.replace(s, initial_curve=PLCurve(np.array(rows, dtype=float)))
+
+        monkeypatch.setitem(cli.SCENARIO_BUILDERS, "touching", touching)
+        out = tmp_path / "touching"
+        assert main(["frames", "--scenario", "touching", "--times", "0", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: projection is degenerate even after view perturbation\n"
+        assert list(out.iterdir()) == []
+        # and the next call, on a registered scenario, draws
+        assert _draw(tmp_path / "next", "countable_r1") == 0
+        assert _film_hashes(tmp_path / "next", "countable_r1", 3) == GOLDEN["countable_r1"]
+
 
 def _film_hashes(out: Path, name: str, count: int) -> tuple:
     """The (curve, svg) sha256 pairs of frames 0..count-1 in out."""
@@ -521,7 +541,9 @@ class TestFramesReuse:
 
     # times that rise, fall and repeat, at depths 5, 20 and 60, switching
     # scenarios, with the fox frame at t = 0.9, degenerate, between
-    # drawable ones
+    # drawable ones, and the fox film of frames_film at seed 1: a drawn
+    # frame, rejected ones, the later ones by the film's kept witness, one
+    # of those at depth 60, and a drawn frame at t = 1
     _PATTERN = (
         ("trefoil_chain", 20, "0"),
         ("trefoil_chain", 20, "0.3"),
@@ -538,9 +560,16 @@ class TestFramesReuse:
         ("fox_remarkable", 20, "0.6,0.8"),
         ("fox_remarkable", 60, "0.45"),
         ("fox_remarkable", 5, "0.2"),
+        ("fox_remarkable", 20, "0.7958553707977186"),
+        ("fox_remarkable", 20, "0.8907262236244643"),
+        ("fox_remarkable", 20, "0.949858800090872"),
+        ("fox_remarkable", 60, "0.9706301336141001"),
+        ("fox_remarkable", 20, "1"),
         ("recursive_r1", 60, "0.2,0.9,1"),
         ("recursive_r1", 20, "0.95"),
     )
+
+    _REJECTED = {"0.9", "0.8907262236244643", "0.949858800090872", "0.9706301336141001"}
 
     @staticmethod
     def _frames(out: Path, name: str, depth: int, times: str):
@@ -552,11 +581,38 @@ class TestFramesReuse:
     def test_every_call_of_a_film_draws_what_a_cold_call_draws(self, tmp_path, capsys):
         cli._film = None
         warm = [self._frames(tmp_path / f"warm{k}", *c) for k, c in enumerate(self._PATTERN)]
-        assert [w[0] for w in warm] == [4 if c[2] == "0.9" else 0 for c in self._PATTERN]
+        assert [w[0] for w in warm] == [4 if c[2] in self._REJECTED else 0 for c in self._PATTERN]
         for k, call in enumerate(self._PATTERN):
             cli._film = None
             assert self._frames(tmp_path / f"cold{k}", *call) == warm[k], call
         capsys.readouterr()
+
+    def test_a_rejection_by_the_kept_witness_raises_from_find_crossings(self, tmp_path, monkeypatch):
+        # perfbench counts find_crossings.degenerate where find_crossings
+        # raises, and a frame the kept witness rejects walks no pair
+        raised, walks = [], []
+        find, close = diagram.find_crossings, diagram.multiscale_close_pairs
+
+        def spied_find(curve, search=None):
+            try:
+                return find(curve, search)
+            except ValueError as exc:
+                raised.append(str(exc))
+                raise
+
+        def spied_close(*args):
+            walks.append(None)
+            return close(*args)
+
+        monkeypatch.setattr(diagram, "find_crossings", spied_find)
+        monkeypatch.setattr(diagram, "multiscale_close_pairs", spied_close)
+        cli._film = None
+        got = []
+        for k, t in enumerate(("0.7958553707977186", "0.8907262236244643", "0.949858800090872")):
+            walks.clear()
+            got.append((self._frames(tmp_path / str(k), "fox_remarkable", 20, t)[0], len(walks)))
+        assert got == [(0, 1), (4, 1), (4, 0)]
+        assert raised == ["projection is degenerate even after view perturbation"] * 2
 
     def test_a_film_survives_a_depth_change(self, tmp_path):
         # the rounds are per level of g, so one film serves every depth

@@ -378,8 +378,14 @@ def _segments(curve):
     return a, b, curve.closed
 
 
+def _view_crossings(a, b, closed):
+    """The crossings of the view of the segments a -> b, or None where it
+    is degenerate."""
+    return diagram._search(a, b, closed).crossings
+
+
 class TestChunkedCrossingTest:
-    """_find_crossings tests candidates in chunks of _PAIR_CHUNK pairs; the
+    """_crossing_test tests candidates in chunks of _PAIR_CHUNK pairs; the
     result must not depend on the chunk size."""
 
     @pytest.mark.parametrize(
@@ -399,9 +405,9 @@ class TestChunkedCrossingTest:
         ],
     )
     def test_chunk_of_seven_agrees(self, curve):
-        whole = diagram._find_crossings(*_segments(curve))
+        whole = _view_crossings(*_segments(curve))
         with mock.patch.object(diagram, "_PAIR_CHUNK", 7):
-            chunked = diagram._find_crossings(*_segments(curve))
+            chunked = _view_crossings(*_segments(curve))
         assert chunked == whole
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.booleans())
@@ -409,9 +415,9 @@ class TestChunkedCrossingTest:
     def test_random_polylines(self, seed, n, closed):
         rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3))
         curve = PLCurve(rows, closed=closed)
-        whole = diagram._find_crossings(*_segments(curve))
+        whole = _view_crossings(*_segments(curve))
         with mock.patch.object(diagram, "_PAIR_CHUNK", 7):
-            chunked = diagram._find_crossings(*_segments(curve))
+            chunked = _view_crossings(*_segments(curve))
         assert chunked == whole
 
 
@@ -427,11 +433,11 @@ def _all_pairs(mids, half, pad, closed, hot=None):
 
 
 def _searched_and_all_pairs(a, b, closed):
-    """_find_crossings through the multiscale candidate search and through
+    """A view's crossings through the multiscale candidate search and through
     the brute-force candidates."""
-    searched = diagram._find_crossings(a, b, closed)
+    searched = _view_crossings(a, b, closed)
     with mock.patch.object(diagram, "_candidate_pairs", _all_pairs):
-        every = diagram._find_crossings(a, b, closed)
+        every = _view_crossings(a, b, closed)
     return searched, every
 
 
@@ -650,3 +656,81 @@ class TestCrossingReuse:
         for closed in (False, True):
             base = _poly(base_rows, closed)
             _assert_reuse_is_cold(base, diagram.xy_search(base), np.array(rows, dtype=float))
+
+
+# the gadget's middle vertex V, in units of its scale h about its center:
+# clear of the segment s along x through the center, on s but 2^-14 h
+# above it, crossing s at its height, or on s and h above it
+_PLANTS = {
+    "clear": (0.5, -0.5, 1.0),
+    "grazing": (0.0, 0.0, 2.0**-14),
+    "touching": (0.5, -0.5, 0.0),
+    "resolved": (0.0, 0.0, 1.0),
+}
+
+
+def _planted(rng, n: int, plant: str) -> np.ndarray:
+    """A multiscale walk of n vertices, then a gadget at one of its
+    vertices, exact on a grid of its scale h, no finer than 2^-16 of the
+    walk's coordinates: the segment s along x, then a strand through V,
+    which lies at the height of V."""
+    walk = _multiscale_walk(rng, n)
+    c = walk[rng.integers(n)]
+    h = 2.0 ** (math.floor(math.log2(max(float(np.abs(c).max()), 1.0))) - int(rng.integers(0, 17)))
+    vx, vy, vz = _PLANTS[plant]
+    gadget = [(-1, 0, 0), (1, 0, 0), (1, 2, vz), (0, 1, vz), (vx, vy, vz), (0, -1, vz)]
+    return np.concatenate([walk, np.round(c / h) * h + h * np.array(gadget, dtype=float)])
+
+
+class TestWitness:
+    """A degenerate view's witness, the pairs that made it so, settles the
+    next view where one of them is still degenerate, and the next is
+    searched whole where none is: a vertex of one strand 2^-14 of the
+    gadget's scale above the other, or two strands crossing at one
+    height, stay degenerate after the 1e-7 rad turns, and a vertex a
+    whole scale above the other strand does not."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 80),
+        st.booleans(),
+        st.sampled_from(("grazing", "touching", "resolved")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_planted_views_match_the_all_pairs_oracle(self, seed, n, closed, plant):
+        rng = np.random.default_rng(seed)
+        base = PLCurve(_planted(rng, n, "clear"), closed=closed)
+        rows = _planted(np.random.default_rng(seed), n, plant)
+        old = diagram.xy_search(base)
+        # a walk degenerate on its own, at a step far shorter than the
+        # segment that closes it, is no planted case
+        assume(old.crossings is not None)
+        walks = []
+
+        def spied(mids, half, margin, hot=None):
+            walks.append(hot is not None)
+            return multiscale_close_pairs(mids, half, margin, hot)
+
+        with mock.patch.object(diagram, "_candidate_pairs", _all_pairs):
+            every = _crossings_or_degenerate(PLCurve(rows, closed=closed))
+        assert (every == "degenerate") == (plant != "resolved")
+        # each view searched whole: the xy view, then a turned view only
+        # where the xy view's witness is not degenerate in it
+        searched = 1 if plant != "resolved" else 2
+        with mock.patch.object(diagram, "multiscale_close_pairs", spied):
+            cold = _crossings_or_degenerate(PLCurve(rows, closed=closed))
+        assert cold == every and walks == [False] * searched
+        # from a kept xy search, the xy view walks only the moved pairs
+        frame = PLCurve(rows, closed=closed)
+        kept = diagram.xy_search(frame, base, old)
+        assert kept.crossings is None and len(kept.witness) > 0
+        walks.clear()
+        with mock.patch.object(diagram, "multiscale_close_pairs", spied):
+            assert _crossings_or_degenerate(frame, kept) == every
+        assert walks == [False] * (searched - 1)
+        # given the witness too, a view it settles walks no pair
+        walks.clear()
+        with mock.patch.object(diagram, "multiscale_close_pairs", spied):
+            settled = diagram.xy_search(frame, base, old, kept.witness)
+        assert walks == []
+        assert settled.crossings is None and _crossings_or_degenerate(frame, settled) == every

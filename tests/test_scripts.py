@@ -256,6 +256,8 @@ def test_bench_pairs_records_whether_both_trees_gave_the_same_outputs(tmp_path, 
     changed = {}
 
     def fake_run(cmd, **kwargs):
+        if cmd[1] == "-c":
+            return subprocess.CompletedProcess(cmd, 0, "{}", "")  # a replay with no frames op
         seed = int(cmd[cmd.index("--seed") + 1])
         hashes = {"run:a:20:20:0:": "aa", "run:b:20:20:0:": "bb"}
         failures = ["frames:fox:20:20:1:0.9 error: ValueError: degenerate"]
@@ -281,3 +283,72 @@ def test_bench_pairs_records_whether_both_trees_gave_the_same_outputs(tmp_path, 
     got = entry("differs")
     assert got["outputs_match"] is False
     assert got["mismatched_ops"] == ["frames:c:20:20:1:1.0", "run:b:20:20:0:"]
+
+
+_FAKE_WORKLOADS = """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Op:
+    verb: str
+    scenario: str
+    depth: int
+    times: tuple
+
+    @property
+    def key(self):
+        return f"{self.verb}:{self.scenario}:{self.depth}:{','.join(map(repr, self.times))}"
+
+def film(seed):
+    return [Op("run", "a", 20, ()), Op("frames", "a", 20, (0.5,)), Op("frames", "b", 5, (0.0, 1.0))]
+
+WORKLOADS = {"film": film}
+"""
+
+# frames of a fake package: one curve file and one drawing per time, the
+# drawing's last byte set by INK, and exit 4 for scenario "b" at depth 5
+_FAKE_CLI = """
+import sys
+from pathlib import Path
+INK = {ink!r}
+
+def main(argv):
+    args = dict(zip(argv[1::2], argv[2::2]))
+    if args["--scenario"] == "b":
+        print("error: projection is degenerate", file=sys.stderr)
+        return 4
+    out = Path(args["--out"])
+    out.mkdir(parents=True)
+    for i, t in enumerate(args["--times"].split(",")):
+        (out / f"a_frame_{{i:03d}}.curve").write_text(t)
+        (out / f"a_frame_{{i:03d}}.svg").write_text("<svg>" + INK)
+    return 0
+"""
+
+
+def test_bench_pairs_replays_frames_and_finds_one_svg_byte(tmp_path):
+    """Each tree replays the workload's frames ops in one process of its
+    own ``src`` and ``perfbench/workloads.py``; two trees whose drawings
+    differ in one byte mismatch at exactly the op that drew it."""
+    bp = _bench_pairs()
+    trees = {}
+    for side, ink in (("parent", "x"), ("same", "x"), ("change", "y")):
+        tree = trees[side] = tmp_path / side
+        (tree / "src" / "knotiso").mkdir(parents=True)
+        (tree / "src" / "knotiso" / "__init__.py").write_text("")
+        (tree / "src" / "knotiso" / "cli.py").write_text(_FAKE_CLI.format(ink=ink))
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "workloads.py").write_text(_FAKE_WORKLOADS)
+    got = {side: bp.replay(tree, "film", 7) for side, tree in trees.items()}
+    assert got["parent"]["frames:a:20:0.5"]["status"] == 0
+    assert sorted(got["parent"]["frames:a:20:0.5"]["files"]) == ["a_frame_000.curve", "a_frame_000.svg"]
+    assert got["parent"]["frames:b:5:0.0,1.0"] == {
+        "status": 4, "stderr": "error: projection is degenerate\n", "files": {}
+    }
+    assert len(got["parent"]) == 2  # the run op is not replayed
+
+    def outputs(side):
+        return {7: {"report_sha256": {}, "failures": [], "frames": got[side]}}
+
+    assert bp.mismatched_ops(outputs("parent"), outputs("same")) == []
+    assert bp.mismatched_ops(outputs("parent"), outputs("change")) == ["frames:a:20:0.5"]
