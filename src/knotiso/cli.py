@@ -23,15 +23,18 @@ and the last frame drawn, none of which depends on --depth.  So
 consecutive frames calls on one scenario, at any depths, and all frames
 of one call, share one build and one densification, a frame at the same
 or a later stage runs only the rounds the frames before it did not, and
-each frame is drawn against the last: it prints only the coordinates
-whose bits differ from that frame's, and searches for crossings only
-among the segments that moved and those whose boxes meet theirs.  A
-frame whose projection is degenerate exits 4.  The pairs that made one
-view degenerate are tested first in the next, the last frame's xy
-view's in the frame's xy view and each view's in the perturbed view
-after it, and a view they still make degenerate is rejected without a
-search (``engine.Film``).  run and check build their scenario per call,
-and keep nothing.
+each frame is drawn against the last.  It prints only the vertices whose
+bits differ from that frame's and splices their rows into the last
+frame's file text and point text; its ``.curve`` is that file text in
+one write, and its drawing's polylines are slices of that point text.
+It searches for crossings only among the segments that moved and those
+whose boxes meet theirs.  A frame whose projection is degenerate exits
+4.  The pairs that made one view degenerate are tested first in the
+next, the last frame's xy view's in the frame's xy view and each view's
+in the perturbed view after it, and a view they still make degenerate
+is rejected without a search (``engine.Film``).  run and check build
+their scenario per call, and keep nothing; run's snapshot is the
+curve file text of every row, laid out as a frame's rows are.
 """
 from __future__ import annotations
 
@@ -193,10 +196,12 @@ def cmd_frames(cfg: RunConfig) -> int:
     glued = glue_schedule(film.seq, cfg.depth, film.rounds)
     for i, t in enumerate(cfg.times):
         frame = map_curve(glued.map_at(t), film.curve)
-        # drawn first: a degenerate frame raises before either file exists
-        svg = render_svg(frame, 0.005, film.take(frame))
+        # taken first: a degenerate frame raises before either file exists
+        crossings = film.take(frame)
+        lines, points = film.texts
+        svg = render_svg(frame, 0.005, crossings, points)
         stem = cfg.out / f"{cfg.scenario}_frame_{i:03d}"
-        write_curve(frame, stem.with_suffix(".curve"))
+        write_curve(frame, stem.with_suffix(".curve"), lines)
         _write_text(stem.with_suffix(".svg"), svg)
     return 0
 

@@ -1,9 +1,10 @@
 """Planar diagram export: orthographic projection onto the xy-plane,
 crossing detection with over/under resolution, and SVG rendering with
 under-strand gaps: one polyline per run of drawn pieces, in a group that
-flips y, whose vertices are the curve's own ``%.17g`` cells joined by
-``geometry.cell_text`` as its file's lines are, and whose gap cuts are
-printed by the same exact kernel, ``geometry._g17_cells``.
+flips y, laid out as slices of the curve's point text, "x,y " per vertex
+(``geometry.curve_texts``), which a film splices from its last frame's,
+and whose gap cuts are printed by the same exact kernel,
+``geometry._g17_cells``.
 
 Crossing candidates come from ``geometry``'s one segment-pair search;
 like it, the crossing test reads x and y columns, taken once per view.
@@ -22,7 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PLCurve, _g17_cells, cell_text, multiscale_close_pairs, nonadjacent, segment_ends
+from .geometry import (
+    DecimalText,
+    PLCurve,
+    _g17_cells,
+    curve_texts,
+    multiscale_close_pairs,
+    nonadjacent,
+    segment_ends,
+)
 
 _TANGENCY_EPS = 1e-9
 _PERTURB_RAD = 1e-7
@@ -252,36 +261,45 @@ def _drawn_pieces(gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return pieces
 
 
-def render_svg(curve: PLCurve, gap_radius: float = 0.005, crossings: list | None = None) -> str:
+def render_svg(
+    curve: PLCurve, gap_radius: float = 0.005, crossings: list | None = None, points: DecimalText | None = None
+) -> str:
     """SVG drawing of the projected diagram with under-strand gaps, at the
     curve's crossings, found here where not given.
 
     Each run of drawn pieces is one ``<polyline>``: a piece joins the run
     of the piece before it when that one reaches its segment's end and
     this one starts at the next segment's start.  The group's transform
-    flips y, so a vertex is printed as its own ``x,y`` cells from
-    ``curve.decimal_cells()``, joined by ``cell_text`` as a curve file's
-    lines are, and a frame's curve file and drawing format each vertex
-    once.  Only the gap cuts a + t (b - a) are printed here, through the
-    same exact ``%.17g`` kernel.  Round caps and round joins stroke the
-    same region as one round-capped line per piece.
+    flips y, so a vertex is printed as its own "x,y " row of points, the
+    curve's point text (``geometry.curve_texts``), printed here where not
+    given.  A run is an optional start cut, a contiguous range of
+    vertices, the last of which may be vertex 0 on a closed curve, and an
+    optional end cut, so its text is slices of the point text and of the
+    cuts' text: only the gap cuts a + t (b - a) are printed here, through
+    the same exact ``%.17g`` kernel.  Round caps and round joins stroke
+    the same region as one round-capped line per piece.
     """
     pts = curve.points
+    n = len(pts)
     crossings = find_crossings(curve) if crossings is None else crossings
+    points = curve_texts(curve)[1] if points is None else points
     a, b = curve.segment_arrays()
-    # per-segment list of parameter intervals to blank out
+    # each under segment's gap: its crossing's parameter t0 on it, +- the
+    # gap radius over its xy length, cut to [0, 1]; np.vecdot sums each
+    # row as the 1-D dot inside np.linalg.norm and @ does, so the gaps are
+    # the ones a crossing at a time gives
+    under = np.array([c.seg_under for c in crossings], np.int64)
+    x = np.array([c.xy for c in crossings], float).reshape(-1, 2)
+    seg_a = a[under, :2]
+    d = b[under, :2] - seg_a
+    length = np.sqrt(np.vecdot(d, d))
+    drawn = length != 0
+    under, x, seg_a, d, length = (v[drawn] for v in (under, x, seg_a, d, length))
+    t0 = np.vecdot(x - seg_a, d) / (length * length)
+    dt = gap_radius / length
     gaps: dict[int, list[tuple[float, float]]] = {}
-    for c in crossings:
-        i = c.seg_under
-        seg_a, seg_b = a[i, :2], b[i, :2]
-        d = seg_b - seg_a
-        length = float(np.linalg.norm(d))
-        if length == 0:
-            continue
-        x = np.array(c.xy)
-        t0 = float((x - seg_a) @ d) / (length * length)
-        dt = gap_radius / length
-        gaps.setdefault(i, []).append((max(0.0, t0 - dt), min(1.0, t0 + dt)))
+    for i, g0, g1 in zip(under.tolist(), np.maximum(0.0, t0 - dt).tolist(), np.minimum(1.0, t0 + dt).tolist()):
+        gaps.setdefault(i, []).append((g0, g1))
     # drawn pieces [lo, hi] of each segment, in segment order; only the
     # gapped segments are split
     seg = np.arange(len(a))
@@ -297,24 +315,38 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005, crossings: list | None
         hi = np.concatenate([hi[whole], extra[:, 2]])
         order = np.argsort(seg, kind="stable")
         seg, lo, hi = seg[order], lo[order], hi[order]
-    # a run starts at every piece that does not continue the one before
+    # a run starts at every piece that does not continue the one before;
+    # its first piece may start at a cut, its last end at one, and its
+    # vertices are v0 .. v1 - 1, vertex n being vertex 0
     first = np.ones(len(seg), dtype=bool)
     first[1:] = (hi[:-1] != 1.0) | (lo[1:] != 0.0) | (seg[1:] != seg[:-1] + 1)
-    # the points in drawing order: each piece's end, after its start where
-    # it begins a run; each is a vertex but at a gap cut
-    end_at = np.arange(len(seg)) + np.cumsum(first)
-    run_at = end_at[first] - 1
-    vertex = np.empty(len(seg) + len(run_at), np.int64)
-    vertex[run_at] = seg[first]
-    vertex[end_at] = (seg + 1) % len(pts)
-    cells = curve.decimal_cells().take(vertex, axis=0)[:, :2]
-    # a piece that starts at a cut begins a run, one that ends at a cut
-    # ends one
-    cut_lo, cut_hi = lo != 0.0, hi != 1.0
-    at = np.concatenate([end_at[cut_lo] - 1, end_at[cut_hi]])
-    s = np.concatenate([seg[cut_lo], seg[cut_hi]])
-    t = np.concatenate([lo[cut_lo], hi[cut_hi]])
-    cells[at] = _g17_cells(a[s, :2] + t[:, None] * (b[s, :2] - a[s, :2]))
+    r0 = np.flatnonzero(first)
+    r1 = np.append(r0[1:], len(seg)) - 1
+    cut0, cut1 = lo[r0] != 0.0, hi[r1] != 1.0
+    v0, v1 = seg[r0] + cut0, seg[r1] + 2 - cut1
+    s = np.concatenate([seg[r0][cut0], seg[r1][cut1]])
+    t = np.concatenate([lo[r0][cut0], hi[r1][cut1]])
+    cuts = DecimalText.of(_g17_cells(a[s, :2] + t[:, None] * (b[s, :2] - a[s, :2])), points.seps)
+    text, at = memoryview(points.text), points.at
+    cut_text = memoryview(cuts.text)
+    cut_texts = [cut_text[c0:c1] for c0, c1 in zip(cuts.at[:-1].tolist(), cuts.at[1:].tolist())]
+    start_cuts, end_cuts = iter(cut_texts), iter(cut_texts[int(cut0.sum()) :])
+    vertex_0 = text[at[0] : at[1]]
+    body = []
+    runs = (v.tolist() for v in (cut0, at.take(v0), at.take(np.minimum(v1, n)), v1 > n, cut1))
+    for opens_cut, p0, p1, wraps, ends_cut in zip(*runs):
+        run = [b'<polyline points="']
+        if opens_cut:
+            run.append(next(start_cuts))
+        run.append(text[p0:p1])
+        if wraps:
+            run.append(vertex_0)
+        if ends_cut:
+            run.append(next(end_cuts))
+        # the last point's text, but its closing separator
+        run[-1] = run[-1][:-1]
+        body += run
+        body.append(b'" />\n')
     # column by column: a reduction over the strided (n, 2) block is ten
     # times slower
     xs, ys = pts[:, 0], pts[:, 1]
@@ -329,8 +361,4 @@ def render_svg(curve: PLCurve, gap_radius: float = 0.005, crossings: list | None
         f'<g transform="scale(1 -1)" stroke="black" stroke-width="{_STROKE}" fill="none" '
         'stroke-linecap="round" stroke-linejoin="round">\n'
     )
-    body = []
-    for r0, r1 in zip(run_at.tolist(), [*run_at[1:].tolist(), len(cells)]):
-        text = list(cell_text(cells[r0:r1], b", "))
-        body += [b'<polyline points="', *text[:-1], text[-1][:-1], b'" />\n']
     return b"".join([head.encode(), *body, b"</g>\n</svg>\n"]).decode()

@@ -18,7 +18,8 @@ stage k is S^(k-1) h_1 S^(1-k), and a census point takes a g step per
 stage in level coordinates.  No V_k is formed in floats but as a
 support, so a truncation runs at any depth.  A ``Film`` of one curve
 holds what its frames reuse: the loop's rounds on that curve, so its
-frames run each round once, and the last frame drawn.
+frames run each round once, and the last frame drawn, with its crossing
+search and its texts, which the next frame's are spliced from.
 The declaration also names the point the supports shrink around, the
 stream's ``ball_center``: p, when there is no F and V_1 holds p inside,
 and ``find_ball_factoring`` reads the ball V_n0 c B_eps(p) c V_1 off it.
@@ -48,7 +49,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import diagram
-from .geometry import Box, PLCurve, boxes_meet, bounding_box, union_diameter
+from .geometry import Box, PLCurve, boxes_meet, bounding_box, curve_texts, union_diameter
 from .geometry import farthest_corner_distances
 from .maps import CompositeMap, IdentityMap, LocalMap, _negative_zeros, _scatter
 
@@ -616,27 +617,30 @@ class Film:
     depth, and the one holder of what they reuse: the level loop's
     ``rounds`` on the curve (None where the stream has no declaration),
     which are per level of g and so serve every depth, the ``last``
-    frame drawn, with its cells and its xy crossing ``search``, and the
+    frame drawn, with its xy crossing ``search`` and its ``texts``, the
+    text of its file and that of its points as its drawing prints them,
+    each with its rows' byte offsets (``geometry.curve_texts``), and the
     ``witness`` of the last frame taken where its xy view was degenerate:
     the pairs that made it so (``diagram.find_crossings``)."""
 
     def __init__(self, seq: MoveSequence, curve: PLCurve) -> None:
         self.seq, self.curve = seq, curve
-        self.last = self.search = self.witness = None
+        self.last = self.search = self.texts = self.witness = None
         self.rounds = None if seq.similarity is None else _Rounds(len(curve.points))
 
     def take(self, frame: PLCurve) -> list:
         """The crossings of frame, the curve's image at some time, with its
-        cells made, both against the last frame: only the segments whose xy
-        ends moved since are searched, and only the coordinates whose bits
-        moved are printed.  The witness is tested first, so a frame whose
-        xy view it still makes degenerate walks no candidate pair.  The
-        frame is the last from then on; a degenerate projection raises
-        ValueError and keeps the last."""
+        texts made, both against the last frame: only the segments whose xy
+        ends moved since are searched, and only the vertices whose bits
+        moved are printed and spliced into the last frame's texts.  The
+        witness is tested first, so a frame whose xy view it still makes
+        degenerate walks no candidate pair.  The frame is the last from
+        then on; a degenerate projection raises ValueError and keeps the
+        last."""
         search = diagram.xy_search(frame, self.last, self.search, self.witness)
         self.witness = search.witness
         crossings = diagram.find_crossings(frame, search)
-        frame.decimal_cells(self.last)
+        self.texts = curve_texts(frame, self.last, self.texts)
         self.last, self.search = frame, search
         return crossings
 

@@ -16,15 +16,24 @@ simplicity check here and the crossing search in ``diagram`` both use it.
 ``PCG64Stream`` draws the doubles of ``numpy.random.default_rng(seed)``
 bit for bit without loading ``numpy.random``; ``Box.sample`` reads it.
 
-Everything here is immutable and pure, save that stream's state.  All
-lengths are in dimensionless model units.
+A curve's file and its drawing's points are ``DecimalText``s: the
+``%.17g`` text of every coordinate, from one exact vectorized kernel,
+with each row's byte offset, all made by one splice
+(``DecimalText.spliced``).  A frame's texts are the frame before's with
+the rows that moved laid out afresh and spliced in, the text between
+them copied, so they cost what moved since (``curve_texts``); a whole
+text is every row spliced into a text of empty rows.
+
+Everything here is immutable and pure, save that stream's state and a
+curve's memo of its cells.  All lengths are in dimensionless model
+units.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -445,8 +454,10 @@ class PLCurve:
     ``points`` (``vertices`` is the same array).  ``decimal_cells()`` holds
     each coordinate's ``%.17g`` text, from one vectorized exact kernel that
     leaves only undecidable values to ``'%.17g'`` itself, built on first
-    use, from the cells of the frame drawn before where one is given
-    (``engine.Film``).  The cells are the one memo a curve keeps.
+    use; ``write_curve`` lays the file out from them.  The cells are the
+    one memo a curve keeps.  A film's frames keep none: their texts are
+    spliced from the frame's before, and the film keeps them
+    (``curve_texts``, ``engine.Film``).
     """
 
     __slots__ = ("points", "closed", "_cells")
@@ -484,23 +495,12 @@ class PLCurve:
     def vertices(self) -> np.ndarray:
         return self.points
 
-    def decimal_cells(self, last: "PLCurve | None" = None) -> np.ndarray:
+    def decimal_cells(self) -> np.ndarray:
         """The ``%.17g`` text of each coordinate (17 significant digits,
         so it reads back bitwise), as a read-only ``(n, 3)`` array of
-        NUL-padded bytes cells, built on first use.
-
-        Where last, a curve of this shape, holds its cells already, they
-        are copied and the kernel prints only the coordinates whose bits
-        differ from last's: a cell depends on its double's bits alone, so
-        the cells are the ones the whole kernel gives."""
+        NUL-padded bytes cells, built on first use."""
         if self._cells is None:
-            if last is None or last._cells is None or last.points.shape != self.points.shape:
-                cells = _g17_cells(self.points)
-            else:
-                cells = last._cells.copy()
-                moved = np.flatnonzero(self.points.view(np.int64) != last.points.view(np.int64))
-                flat = cells.reshape(-1)
-                flat[moved] = _g17_cells(self.points.reshape(-1).take(moved))
+            cells = _g17_cells(self.points)
             cells.flags.writeable = False
             object.__setattr__(self, "_cells", cells)
         return self._cells
@@ -708,35 +708,116 @@ def curve_is_simple(curve: PLCurve, tol: float) -> bool:
     return True
 
 
-# -- curve file format -------------------------------------------------------
+# -- decimal text ------------------------------------------------------------
 #
-# line 1: "open N" or "closed N"
-# then N lines "x y z": the curve's ``decimal_cells()``, joined by the
-# ``cell_text`` that joins ``render_svg``'s polylines too
+# A curve file is a head line, "open N" or "closed N", then a line "x y z" per
+# vertex; a drawing prints a vertex as "x,y ".  Both texts are DecimalTexts
+# of the vertices' %.17g cells.
 
-# rows per bytes object of cell_text, so the laid-out bytes stay small
+# rows laid out at a time, so the laid-out bytes stay small
 _TEXT_BLOCK = 2048
+_FILE_SEPS = b"  \n"
+_POINT_SEPS = b", "
 
 
-def cell_text(cells: np.ndarray, seps: bytes):
-    """The text of rows of ``%.17g`` cells, each cell followed by its
-    column's byte of ``seps``, one bytes object per ``_TEXT_BLOCK`` rows:
-    the block's cells and separators laid out as (rows, columns, 25)
-    bytes, without the NULs that pad the cells."""
+def _laid_out(cells: np.ndarray, seps: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The text of rows of ``%.17g`` cells, as uint8, each cell followed
+    by its column's byte of ``seps``; and the end of each row's text in
+    it, the byte after its last separator, which no cell holds.
+    _TEXT_BLOCK rows at a time are laid out as (rows, columns, 25) bytes,
+    every cell's NUL-padded bytes followed by its separator, and the NULs
+    dropped; more than one block is joined once."""
+    texts, ends, size = [], [np.empty(0, np.int64)], 0
     for i in range(0, len(cells), _TEXT_BLOCK):
         block = cells[i : i + _TEXT_BLOCK]
         laid = np.empty((len(block), len(seps), _G17_WIDTH + 1), np.uint8)
         laid[:, :, :_G17_WIDTH].view(f"S{_G17_WIDTH}")[..., 0] = block
         laid[:, :, _G17_WIDTH] = np.frombuffer(seps, np.uint8)
-        yield laid[laid != 0].tobytes()
+        text = laid[laid != 0]
+        texts.append(text)
+        ends.append(np.flatnonzero(text == seps[-1]) + (size + 1))
+        size += len(text)
+    text = texts[0] if len(texts) == 1 else np.concatenate(texts or [np.empty(0, np.uint8)])
+    return text, np.concatenate(ends)
 
 
-def write_curve(curve: PLCurve, path) -> None:
-    kind = b"closed" if curve.closed else b"open"
-    cells = curve.decimal_cells()
+class DecimalText(NamedTuple):
+    """A head, then a row of text per row of a float array: each value's
+    ``%.17g`` text (17 significant digits, so it reads back bitwise)
+    followed by its column's byte of ``seps``.  Row r is
+    ``text[at[r]:at[r + 1]]``, and the head ``text[:at[0]]``."""
+
+    text: bytes
+    at: np.ndarray
+    seps: bytes
+
+    @classmethod
+    def of(cls, cells: np.ndarray, seps: bytes, head: bytes = b"") -> DecimalText:
+        """head, then the rows of the ``%.17g`` cells: every row spliced
+        into head with each row empty, so a whole text and a frame's take
+        one path."""
+        n = len(cells)
+        return cls(head, np.full(n + 1, len(head), np.int64), seps).spliced(np.arange(n), cells)
+
+    def spliced(self, rows: np.ndarray, cells: np.ndarray) -> DecimalText:
+        """This text with the given rows, sorted and distinct, printed
+        afresh from their ``%.17g`` cells.  Only those rows are laid out;
+        the text between each run of them is copied, and each row's offset
+        moves by what the rows before it grew, so the text and its offsets
+        are those of the text laid out whole."""
+        fresh, ends = _laid_out(cells, self.seps)
+        at = self.at
+        grew = np.zeros(len(at), np.int64)
+        grew[rows + 1] = np.diff(ends, prepend=0) - (at.take(rows + 1) - at.take(rows))
+        now = np.cumsum(grew, out=grew)
+        now += at
+        # the runs of consecutive rows: run j is rows[k[j]:k[j + 1]]
+        bound = np.ones(len(rows) + 1, dtype=bool)
+        bound[1:-1] = rows[1:] != rows[:-1] + 1
+        k = np.flatnonzero(bound)
+        r0, r1 = rows.take(k[:-1]), rows.take(k[1:] - 1) + 1
+        runs = (v.tolist() for v in (at.take(r0), at.take(r1), now.take(r1) - now.take(r0)))
+        old, new = memoryview(self.text), memoryview(fresh)
+        pieces, kept, f = [], 0, 0
+        for a0, a1, size in zip(*runs):
+            pieces += (old[kept:a0], new[f : f + size])
+            kept, f = a1, f + size
+        pieces.append(old[kept:])
+        return DecimalText(b"".join(pieces), now, self.seps)
+
+
+def _file_head(curve: PLCurve) -> bytes:
+    return b"%s %d\n" % (b"closed" if curve.closed else b"open", len(curve.points))
+
+
+def curve_texts(
+    curve: PLCurve, last: PLCurve | None = None, texts: tuple[DecimalText, DecimalText] | None = None
+) -> tuple[DecimalText, DecimalText]:
+    """The text of the curve's file and that of its points as a drawing
+    prints them, "x,y " per vertex, every vertex printed by the exact
+    kernel.  Given texts, last's, a curve of this shape, only the
+    vertices with a coordinate whose bits differ from last's are printed
+    and spliced in: a cell depends on its double's bits alone, so the
+    texts are the whole ones.  The curve's cells are not kept."""
+    pts = curve.points
+    if texts is None:
+        cells = _g17_cells(pts)
+        return DecimalText.of(cells, _FILE_SEPS, _file_head(curve)), DecimalText.of(cells[:, :2], _POINT_SEPS)
+    moved = pts.view(np.int64) != last.points.view(np.int64)
+    rows = np.flatnonzero(moved[:, 0] | moved[:, 1] | moved[:, 2])
+    cells = _g17_cells(pts.take(rows, axis=0))
+    lines, points = texts
+    return lines.spliced(rows, cells), points.spliced(rows, cells[:, :2])
+
+
+def write_curve(curve: PLCurve, path, text: DecimalText | None = None) -> None:
+    """Write the curve's file in one write: text, the curve's file text
+    (``curve_texts``), laid out here from its ``decimal_cells()`` where
+    not given."""
+    if text is None:
+        text = DecimalText.of(curve.decimal_cells(), _FILE_SEPS, _file_head(curve))
     with open(path, "wb") as fh:
-        fh.write(b"%s %d\n" % (kind, len(cells)))
-        fh.writelines(cell_text(cells, b"  \n"))
+        fh.write(text.text)
 
 
 def read_curve(path) -> PLCurve:

@@ -539,27 +539,33 @@ class TestFramesReuse:
         assert list(tmp_path.iterdir()) == []
 
 
-    # times that rise, fall and repeat, at depths 5, 20 and 60, switching
-    # scenarios, with the fox frame at t = 0.9, degenerate, between
-    # drawable ones, and the fox film of frames_film at seed 1: a drawn
-    # frame, rejected ones, the later ones by the film's kept witness, one
-    # of those at depth 60, and a drawn frame at t = 1
+    # times that rise, fall and repeat, within a call and across calls,
+    # at depths 5, 20 and 60, switching scenarios, with the fox frame at
+    # t = 0.9, degenerate, between drawable ones, fox at 0.69 after 0.24,
+    # where 4,027 of its 4,139 vertices move, and the fox film of
+    # frames_film at seed 1: a drawn frame, rejected ones, the later ones
+    # by the film's kept witness, one of those at depth 60, and a drawn
+    # frame at t = 1
     _PATTERN = (
         ("trefoil_chain", 20, "0"),
         ("trefoil_chain", 20, "0.3"),
         ("trefoil_chain", 20, "0.8,0.95"),
         ("trefoil_chain", 20, "0.6"),
         ("trefoil_chain", 20, "0.6"),
+        ("trefoil_chain", 20, "0.6,0.6"),
         ("trefoil_chain", 60, "0.99,1"),
         ("trefoil_chain", 5, "0.97"),
         ("trefoil_chain", 5, "1"),
         ("countable_r1", 20, "0.5,1"),
+        ("countable_r1", 60, "0.3"),
         ("trefoil_chain", 20, "0.7"),
         ("fox_remarkable", 20, "0.3"),
         ("fox_remarkable", 20, "0.9"),
         ("fox_remarkable", 20, "0.6,0.8"),
         ("fox_remarkable", 60, "0.45"),
         ("fox_remarkable", 5, "0.2"),
+        ("fox_remarkable", 20, "0.24"),
+        ("fox_remarkable", 20, "0.69"),
         ("fox_remarkable", 20, "0.7958553707977186"),
         ("fox_remarkable", 20, "0.8907262236244643"),
         ("fox_remarkable", 20, "0.949858800090872"),
@@ -643,12 +649,13 @@ class TestFramesReuse:
         finally:
             gc.enable()
 
-    def test_a_film_keeps_one_frame_its_cells_and_the_level_state(self, tmp_path):
+    def test_a_film_keeps_one_frame_its_texts_and_the_level_state(self, tmp_path):
         """After trefoil_chain's nine frames, one time per call as a film
         is drawn, the kept film holds the scenario, the densified curve,
-        the last frame with its cells and its xy search, and the level
-        loop's rounds on every row of the curve: no earlier frame and no
-        cells of the densified curve, which the first frame prints whole."""
+        the last frame with its xy search and its two texts, each with its
+        row offsets, and the level loop's rounds on every row of the
+        curve: no earlier frame, and no cells, of a frame or of the
+        densified curve."""
         name = "trefoil_chain"
         build = cli.SCENARIO_BUILDERS[name]
         times = (0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99, 1.0)
@@ -669,19 +676,22 @@ class TestFramesReuse:
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
             film = _kept_film()
-            rounds, last, search = film.rounds, film.last, film.search
+            rounds, last, search, texts = film.rounds, film.last, film.search, film.texts
+            assert last._cells is None and film.curve._cells is None
             allowed = built + film.curve.points.nbytes + last.points.nbytes
-            allowed += last.decimal_cells().nbytes
+            allowed += sum(len(t.text) + t.at.nbytes for t in texts)
             allowed += sum(a.nbytes for a in (rounds.steps, rounds.moved, rounds.y))
             allowed += sum(a.nbytes for a in (search.hits, search.t, search.u))
-            del film, rounds, last, search
+            del film, rounds, last, search, texts
             cli._film = None
             gc.collect()
             retained = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # a frame's cells alone take 484,416 bytes, and the rounds on the
-        # curve's 6,728 vertices 222,024
+        # the last frame's file text and point text take 293,446 and
+        # 210,666 bytes and their row offsets 53,832 each, 611,776 in all
+        # against the 484,416 of its cells; the rounds on the curve's
+        # 6,728 vertices take 222,024
         assert retained <= allowed + 8_000
 
 

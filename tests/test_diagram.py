@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from knotiso import diagram
 from knotiso.diagram import find_crossings, render_svg
 from knotiso.engine import glue_schedule, map_curve
-from knotiso.geometry import _TEXT_BLOCK, Box, PLCurve, multiscale_close_pairs, write_curve
+from knotiso.geometry import _TEXT_BLOCK, Box, PLCurve, curve_texts, multiscale_close_pairs, write_curve
 
 from oracles import count_crossings, drawn_pieces_by_splitting
 
@@ -273,15 +273,16 @@ def _drawable_curves(draw):
 
 
 class TestSvgDigitsFromCurveText:
-    """render_svg prints every vertex from the curve's decimal_cells(), the
-    cells its curve file is written from, and only the gap cuts itself;
-    the drawing must be the one that printing every piece's ends with
-    %.17g gives, and draw the pieces the former one-<line>-per-piece
-    drawing drew."""
+    """render_svg prints every vertex as its row of the curve's point text
+    (``curve_texts``), made from the cells its curve file is printed
+    from, whole or spliced into the text of a curve before, and only the
+    gap cuts itself; the drawing must be the one that printing every
+    piece's ends with %.17g gives, and draw the pieces the former
+    one-<line>-per-piece drawing drew."""
 
-    @given(_drawable_curves(), st.booleans())
+    @given(_drawable_curves(), st.sampled_from(("whole", "cells first", "spliced")))
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_end_formatting(self, drawn, cells_first):
+    def test_matches_per_end_formatting(self, drawn, text):
         pts, closed, gap = drawn
         try:
             curve = PLCurve(pts, closed=closed)
@@ -290,11 +291,53 @@ class TestSvgDigitsFromCurveText:
             assume(False)
         want = _render_svg_per_piece(curve, gap)
         assert curve._cells is None
-        if cells_first:
+        points = None
+        if text == "cells first":
             curve.decimal_cells()
-        svg = render_svg(curve, gap_radius=gap)
+        elif text == "spliced":
+            # every other vertex moved since the curve before
+            before = PLCurve(pts + np.arange(len(pts))[:, None] % 2, closed=closed)
+            points = curve_texts(curve, before, curve_texts(before))[1]
+        svg = render_svg(curve, gap, None, points)
         assert svg == want
         _assert_the_former_lines(curve, gap, svg)
+
+    # a closed curve whose last run wraps to vertex 0; an under segment
+    # with two gaps, whose middle piece is cut at both ends; and a run of
+    # one whole segment, between two gaps that reach its ends
+    @pytest.mark.parametrize(
+        "rows,closed,runs",
+        [
+            (
+                [(0, 0, 0), (2, 0, 0), (2, 2, 0), (1, 2, 1), (1, -1, 1), (-1, -1, 0)],
+                True,
+                [["0,0", "0.995,0"], ["1.0049999999999999,0", "2,0", "2,2", "1,2", "1,-1", "-1,-1", "0,0"]],
+            ),
+            (
+                [(0, 0, 0), (4, 0, 0), (3, 2, 1), (3, -1, 1), (1, -1, 1), (1, 2, 1)],
+                False,
+                [["0,0", "0.995,0"], ["1.0049999999999999,0", "2.9950000000000001,0"],
+                 ["3.0049999999999999,0", "4,0", "3,2", "3,-1", "1,-1", "1,2"]],
+            ),
+            (
+                [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0.998, 2, 1), (0.998, -1, 1)],
+                False,
+                [["0,0", "0.99299999999999988,0"], ["1,0", "1,1"],
+                 ["0.99299999999999999,1", "0,1", "0.998,2", "0.998,-1"]],
+            ),
+        ],
+        ids=["wraps to vertex 0", "two gaps", "one whole segment"],
+    )
+    def test_runs_from_a_spliced_point_text(self, rows, closed, runs):
+        curve = _poly(rows, closed)
+        # the curve before differs in every vertex but the second and the
+        # sixth
+        before = _poly(np.array(rows) + (np.arange(len(rows)) % 4 != 1)[:, None] * 0.25, closed)
+        points = curve_texts(curve, before, curve_texts(before))[1]
+        svg = render_svg(curve, 0.005, None, points)
+        assert svg == _render_svg_per_piece(curve, 0.005)
+        assert [[",".join(p) for p in run] for run in _polylines(svg)] == runs
+        _assert_the_former_lines(curve, 0.005, svg)
 
     def test_signed_zeros_and_gap_cuts(self):
         # vertex (-0.0, -0.0) is printed as the curve prints it; the former

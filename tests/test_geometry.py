@@ -18,11 +18,14 @@ from knotiso import diagram, geometry
 from knotiso.engine import glue_schedule, map_curve
 from knotiso.geometry import (
     _G17_CHUNK,
+    _TEXT_BLOCK,
     Box,
+    DecimalText,
     PCG64Stream,
     PLCurve,
     _g17_cells,
     curve_is_simple,
+    curve_texts,
     multiscale_close_pairs,
     _segment_pair_distances,
     farthest_corner_distances,
@@ -354,12 +357,9 @@ def _bits_curve(bits) -> PLCurve:
 def _base_and_image(draw):
     """Bit patterns of a base curve and an image of it: each image
     coordinate keeps the base's bits, flips its sign (+0.0 to -0.0 on a
-    zero) or takes new bits; or the image has another vertex count."""
+    zero) or takes new bits."""
     n = draw(st.integers(2, 10))
     base = draw(st.lists(_finite_bits, min_size=3 * n, max_size=3 * n))
-    m = draw(st.one_of(st.just(n), st.integers(2, 10)))
-    if m != n:
-        return base, draw(st.lists(_finite_bits, min_size=3 * m, max_size=3 * m))
     edits = draw(st.lists(st.sampled_from(("keep", "sign", "new")), min_size=3 * n, max_size=3 * n))
     image = []
     for b, edit in zip(base, edits):
@@ -371,14 +371,89 @@ def _base_and_image(draw):
     return base, image
 
 
+@st.composite
+def _row_sets(draw, n: int) -> np.ndarray:
+    """Sorted distinct rows of n: none, all, only the first or the last,
+    isolated rows, runs of rows, or any set."""
+    kind = draw(st.sampled_from(("none", "all", "first", "last", "isolated", "runs", "any")))
+    if kind == "none":
+        rows = []
+    elif kind == "all":
+        rows = range(n)
+    elif kind in ("first", "last"):
+        rows = [0 if kind == "first" else n - 1]
+    elif kind == "isolated":
+        rows = range(draw(st.integers(0, 1)), n, draw(st.integers(2, 4)))
+    elif kind == "runs":
+        rows, at = [], draw(st.integers(0, 2))
+        while at < n:
+            run = draw(st.integers(1, 4))
+            rows += range(at, min(n, at + run))
+            at += run + draw(st.integers(1, 3))
+    else:
+        rows = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return np.array(rows, dtype=np.int64)
+
+
+def _joined(values: np.ndarray, seps: bytes, head: bytes) -> tuple[bytes, list[int]]:
+    """head, then each value printed by '%.17g' and followed by its
+    column's byte of seps, a row at a time; and each row's offset."""
+    text, at = head, [len(head)]
+    for row in values.tolist():
+        text += b"".join(b"%.17g%c" % (v, sep) for v, sep in zip(row, seps))
+        at.append(len(text))
+    return text, at
+
+
 class TestCellReuse:
-    """An image's decimal_cells(base) copies the base's cells and prints
-    only the coordinates whose bits moved; the whole kernel is the
-    oracle."""
+    """A frame's texts are the last frame's with the rows whose bits moved
+    printed afresh and spliced in (``DecimalText.spliced``,
+    ``curve_texts``); the whole join is the oracle."""
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(_finite_bits, min_size=6 * n, max_size=6 * n),
+                _row_sets(n),
+                st.sampled_from(((b"  \n", b"open %d\n" % n), (b", ", b""))),
+            )
+        )
+    )
+    @example(([0, 1 << 63] * 3 + [1, 2, 3, 0x7FEFFFFFFFFFFFFF, 1 << 63, 0], np.array([0]), (b", ", b"")))
+    @settings(max_examples=300, deadline=None)
+    def test_splice_is_the_whole_join(self, case):
+        # signed zeros, subnormals, the extremes and exponent forms, each
+        # row of the base moved to its image where drawn
+        bits, rows, (seps, head) = case
+        doubles = np.array(bits, np.uint64).view(np.float64).reshape(2, -1, 3)[:, :, : len(seps)]
+        base, moved = doubles
+        image = base.copy()
+        image[rows] = moved[rows]
+        old = DecimalText.of(_g17_cells(base), seps, head)
+        got = old.spliced(rows, _g17_cells(image[rows]))
+        whole = DecimalText.of(_g17_cells(image), seps, head)
+        text, at = _joined(image, seps, head)
+        assert whole.text == text and whole.at.tolist() == at
+        assert got.text == text and got.at.tolist() == at
+        assert got.seps == seps
+
+    @pytest.mark.parametrize("moved", ["runs", "all"])
+    def test_splice_across_text_blocks(self, moved):
+        n = 2 * _TEXT_BLOCK + 3
+        rng = np.random.default_rng(n)
+        base = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-310, 300, (n, 3))
+        rows = np.arange(n) if moved == "all" else np.flatnonzero(rng.random(n) < 0.5)
+        image = base.copy()
+        image[rows] *= -3.0
+        got = DecimalText.of(_g17_cells(base), b"  \n").spliced(rows, _g17_cells(image[rows]))
+        text, at = _joined(image, b"  \n", b"")
+        assert got.text == text and got.at.tolist() == at
 
     @given(_base_and_image(), st.booleans(), st.sampled_from((None, -np.inf, np.inf)))
     @settings(max_examples=300, deadline=None)
-    def test_cells_are_the_whole_kernels(self, case, base_cells, log10_side):
+    def test_cells_are_the_whole_kernels(self, case, base_spliced, log10_side):
+        # the base's texts printed whole, or spliced themselves from the
+        # image's
         base_bits, image_bits = case
         base = _bits_curve(base_bits)
         image = _bits_curve(image_bits)
@@ -386,43 +461,49 @@ class TestCellReuse:
         nudged = log10 if log10_side is None else lambda a: np.nextafter(log10(a), log10_side)
         # a log10 one ulp off makes the kernel hand powers of ten to '%.17g'
         with mock.patch.object(np, "log10", nudged):
-            if base_cells:
-                base.decimal_cells()
-            got = image.decimal_cells(base)
-            want = _g17_cells(image.points)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
+            texts = curve_texts(base)
+            if base_spliced:
+                texts = curve_texts(base, image, curve_texts(image))
+            got = curve_texts(image, base, texts)
+            want = curve_texts(PLCurve(image.points))
+        for g, w in zip(got, want):
+            assert g.text == w.text and g.at.tolist() == w.at.tolist() and g.seps == w.seps
+        assert got[0].text == _joined(image.points, b"  \n", b"open %d\n" % len(image.points))[0]
+        assert got[1].text == _joined(image.points[:, :2], b", ", b"")[0]
 
     def test_signed_zero_rows(self):
         base = PLCurve([[0.0, 0.0, 0.0], [1.0, -0.0, 0.0], [2.0, 0.0, -0.0]])
-        base.decimal_cells()
         image = PLCurve(base.points * -1.0)
-        got = image.decimal_cells(base)
-        assert got.tobytes() == _g17_cells(image.points).tobytes()
-        assert got[:, 1:].tolist() == [[b"-0", b"-0"], [b"0", b"-0"], [b"-0", b"0"]]
+        lines, points = curve_texts(image, base, curve_texts(base))
+        assert lines.text == b"open 3\n-0 -0 -0\n-1 0 -0\n-2 -0 0\n"
+        assert points.text == b"-0,-0 -1,0 -2,-0 "
+        assert lines.at.tolist() == [7, 16, 24, 32] and points.at.tolist() == [0, 6, 11, 17]
 
     def test_prints_only_what_moved(self):
         base = PLCurve(np.arange(30.0).reshape(10, 3) / 7)
-        base.decimal_cells()
+        texts = curve_texts(base)
         pts = base.points.copy()
         pts[3:5, 1] += 1.0
         with mock.patch.object(geometry, "_g17_cells", wraps=_g17_cells) as kernel:
-            PLCurve(pts).decimal_cells(base)
-            PLCurve(pts).decimal_cells()
-        assert [len(c.args[0].ravel()) for c in kernel.call_args_list] == [2, 30]
+            got = curve_texts(PLCurve(pts), base, texts)
+            want = curve_texts(PLCurve(pts))
+        # the two moved vertices, whole rows, then a whole curve
+        assert [len(c.args[0].ravel()) for c in kernel.call_args_list] == [6, 30]
+        assert [t.text for t in got] == [t.text for t in want]
 
     @pytest.mark.parametrize("base_cells", [True, False])
     def test_an_image_lets_go_of_its_base(self, base_cells):
-        # a curve holds its points, its closedness and its cells alone
+        # a curve holds its points, its closedness and its cells alone;
+        # its texts are its caller's
         base = PLCurve(np.arange(12.0).reshape(4, 3))
         if base_cells:
             base.decimal_cells()
         image = map_curve(AffineMap(np.array([2.0, 1.0, 1.0]), np.zeros(3)), base)
         assert PLCurve.__slots__ == ("points", "closed", "_cells")
         assert not any(held is base for held in gc.get_referents(image))
-        image.decimal_cells(base)
+        curve_texts(image, base, curve_texts(base))
         assert not any(held is base for held in gc.get_referents(image))
+        assert image._cells is None
 
 
 class TestPLCurve:
@@ -507,8 +588,10 @@ class TestPLCurve:
         assert np.array_equal(back.points.view(np.int64), c.points.view(np.int64))
 
     def test_writing_a_long_curve_keeps_the_heap_small(self, tmp_path):
-        # the text is joined _TEXT_BLOCK rows at a time: the whole curve's
-        # laid-out bytes at once would take about 4.5 MB here
+        # the file is written from its whole text, laid out _TEXT_BLOCK rows
+        # at a time: the heap holds the text, laid out and joined, and its
+        # row offsets, 3.6 MB here, where the whole curve's laid-out bytes
+        # at once would add about 4.5 MB
         rng = np.random.default_rng(8)
         c = PLCurve(rng.uniform(-1.0, 1.0, (20_000, 3)) * 1e-5)
         c.decimal_cells()
@@ -518,7 +601,8 @@ class TestPLCurve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000
+        text = (tmp_path / "c.curve").read_bytes()
+        assert peak < 2 * len(text) + 1_000_000
 
     def test_reader_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.curve"
