@@ -18,11 +18,12 @@ bit for bit without loading ``numpy.random``; ``Box.sample`` reads it.
 
 A curve's file and its drawing's points are ``DecimalText``s: the
 ``%.17g`` text of every coordinate, from one exact vectorized kernel,
-with each row's byte offset, all made by one splice
-(``DecimalText.spliced``).  A frame's texts are the frame before's with
-the rows that moved laid out afresh and spliced in, the text between
-them copied, so they cost what moved since (``curve_texts``); a whole
-text is every row spliced into a text of empty rows.
+with each row's byte offset; rows are laid out one way, a block at a
+time (``_blocks``).  A frame's texts are the frame before's with the
+rows that moved laid out afresh and spliced in, the text between them
+copied, so they cost what moved since (``curve_texts``); a whole text
+is every row laid out (``DecimalText.of``), and a file written without
+its text streams its blocks (``write_curve``).
 
 Everything here is immutable and pure, save that stream's state and a
 curve's memo of its cells.  All lengths are in dimensionless model
@@ -454,7 +455,8 @@ class PLCurve:
     ``points`` (``vertices`` is the same array).  ``decimal_cells()`` holds
     each coordinate's ``%.17g`` text, from one vectorized exact kernel that
     leaves only undecidable values to ``'%.17g'`` itself, built on first
-    use; ``write_curve`` lays the file out from them.  The cells are the
+    use; ``write_curve`` and ``render_svg`` lay a curve out from them
+where no film's text is given.  The cells are the
     one memo a curve keeps.  A film's frames keep none: their texts are
     spliced from the frame's before, and the film keeps them
     (``curve_texts``, ``engine.Film``).
@@ -720,20 +722,24 @@ _FILE_SEPS = b"  \n"
 _POINT_SEPS = b", "
 
 
-def _laid_out(cells: np.ndarray, seps: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The text of rows of ``%.17g`` cells, as uint8, each cell followed
-    by its column's byte of ``seps``; and the end of each row's text in
-    it, the byte after its last separator, which no cell holds.
-    _TEXT_BLOCK rows at a time are laid out as (rows, columns, 25) bytes,
-    every cell's NUL-padded bytes followed by its separator, and the NULs
-    dropped; more than one block is joined once."""
-    texts, ends, size = [], [np.empty(0, np.int64)], 0
+def _blocks(cells: np.ndarray, seps: bytes):
+    """The text of rows of ``%.17g`` cells, each cell followed by its
+    column's byte of ``seps``, as one uint8 array per _TEXT_BLOCK rows:
+    the block laid out as (rows, columns, 25) bytes, every cell's
+    NUL-padded bytes followed by its separator, and the NULs dropped."""
     for i in range(0, len(cells), _TEXT_BLOCK):
         block = cells[i : i + _TEXT_BLOCK]
         laid = np.empty((len(block), len(seps), _G17_WIDTH + 1), np.uint8)
         laid[:, :, :_G17_WIDTH].view(f"S{_G17_WIDTH}")[..., 0] = block
         laid[:, :, _G17_WIDTH] = np.frombuffer(seps, np.uint8)
-        text = laid[laid != 0]
+        yield laid[laid != 0]
+
+
+def _laid_out(cells: np.ndarray, seps: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_blocks`` of the cells joined, and the end of each row's text
+    in it, the byte after its last separator, which no cell holds."""
+    texts, ends, size = [], [np.empty(0, np.int64)], 0
+    for text in _blocks(cells, seps):
         texts.append(text)
         ends.append(np.flatnonzero(text == seps[-1]) + (size + 1))
         size += len(text)
@@ -753,11 +759,13 @@ class DecimalText(NamedTuple):
 
     @classmethod
     def of(cls, cells: np.ndarray, seps: bytes, head: bytes = b"") -> DecimalText:
-        """head, then the rows of the ``%.17g`` cells: every row spliced
-        into head with each row empty, so a whole text and a frame's take
-        one path."""
-        n = len(cells)
-        return cls(head, np.full(n + 1, len(head), np.int64), seps).spliced(np.arange(n), cells)
+        """head, then the rows of the ``%.17g`` cells, laid out whole."""
+        text, ends = _laid_out(cells, seps)
+        at = np.empty(len(cells) + 1, np.int64)
+        at[0] = 0
+        at[1:] = ends
+        at += len(head)
+        return cls(b"".join([head, text]), at, seps)
 
     def spliced(self, rows: np.ndarray, cells: np.ndarray) -> DecimalText:
         """This text with the given rows, sorted and distinct, printed
@@ -811,13 +819,16 @@ def curve_texts(
 
 
 def write_curve(curve: PLCurve, path, text: DecimalText | None = None) -> None:
-    """Write the curve's file in one write: text, the curve's file text
-    (``curve_texts``), laid out here from its ``decimal_cells()`` where
-    not given."""
-    if text is None:
-        text = DecimalText.of(curve.decimal_cells(), _FILE_SEPS, _file_head(curve))
+    """Write the curve's file: text, the curve's file text
+    (``curve_texts``), in one write, or where not given its head and then
+    the rows of its ``decimal_cells()``, written a block at a time as
+    they are laid out, so the heap never holds the whole text."""
     with open(path, "wb") as fh:
-        fh.write(text.text)
+        if text is None:
+            fh.write(_file_head(curve))
+            fh.writelines(_blocks(curve.decimal_cells(), _FILE_SEPS))
+        else:
+            fh.write(text.text)
 
 
 def read_curve(path) -> PLCurve:

@@ -389,6 +389,10 @@ class TestSvgDigitsFromCurveText:
         write_curve(PLCurve(pts), path)
         want = f"open {n}\n" + "%.17g %.17g %.17g\n" * n % tuple(pts.ravel().tolist())
         assert path.read_bytes() == want.encode()
+        # a film's whole file text, written in one write, is the same file
+        curve = PLCurve(pts)
+        write_curve(curve, path, curve_texts(curve)[0])
+        assert path.read_bytes() == want.encode()
 
     def test_polyline_longer_than_a_text_block(self):
         curve = _poly([(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1), (0, -1, 1)]).densified(0.001)

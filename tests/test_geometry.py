@@ -588,10 +588,8 @@ class TestPLCurve:
         assert np.array_equal(back.points.view(np.int64), c.points.view(np.int64))
 
     def test_writing_a_long_curve_keeps_the_heap_small(self, tmp_path):
-        # the file is written from its whole text, laid out _TEXT_BLOCK rows
-        # at a time: the heap holds the text, laid out and joined, and its
-        # row offsets, 3.6 MB here, where the whole curve's laid-out bytes
-        # at once would add about 4.5 MB
+        # the text is joined _TEXT_BLOCK rows at a time: the whole curve's
+        # laid-out bytes at once would take about 4.5 MB here
         rng = np.random.default_rng(8)
         c = PLCurve(rng.uniform(-1.0, 1.0, (20_000, 3)) * 1e-5)
         c.decimal_cells()
@@ -601,8 +599,7 @@ class TestPLCurve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        text = (tmp_path / "c.curve").read_bytes()
-        assert peak < 2 * len(text) + 1_000_000
+        assert peak < 1_000_000
 
     def test_reader_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.curve"
