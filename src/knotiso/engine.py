@@ -186,13 +186,16 @@ class Similarity:
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
         v1, v2 = self.first.support, self.box(2)
+        dmin = float(np.maximum(np.maximum(v1.lo - p, p - v1.hi), 0.0).max())
+        # the most levels one factor r^c or r^-c spans and stays normal
+        span = int(1000.0 / -math.log2(self.r))
         vars(self).update(
             # S(hull(V_1 u {p})) = hull(V_2 u {p})
             _hull_2=Box(np.minimum(v2.lo, p), np.maximum(v2.hi, p)),
-            _dmin=float(np.maximum(np.maximum(v1.lo - p, p - v1.hi), 0.0).max()),
+            _dmin=dmin,
             _log_r=math.log(self.r),
-            # the most levels one factor r^c or r^-c spans and stays normal
-            _span=int(1000.0 / -math.log2(self.r)),
+            _span=span,
+            _near=_near_faces(dmin, self.r, float(np.abs(p).max()), span),
             # zero components as -0.0, so y - p and d + p keep signed zeros
             _p_col=_negative_zeros(p).reshape(3, 1),
             _neg_p=_negative_zeros(-p).reshape(3, 1),
@@ -266,21 +269,41 @@ class Similarity:
         return z, held
 
     def _skip(self, y: np.ndarray, todo: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows carried past the levels whose V_1 they cannot meet, at
-        most todo of them, and the number of levels each skipped."""
+        """The rows carried to the first level whose V can hold them, at
+        most todo levels on, and the number of levels each skipped.  A row
+        at distance d from p lies in no V_k with r^(k-1) dmin > d, so it
+        skips ceil(log(d / dmin) / log r) levels, or one less where
+        V_skip's near face, r^(skip-1) dmin from p, could still hold it
+        in floats (``_near_faces``)."""
         if self._dmin == 0.0:
             return y, np.zeros(y.shape[1], dtype=np.int64)
         a = np.abs(y + self._neg_p)
         # the three rows folded: a reduction over a length-3 axis is slower
         d = np.maximum(np.maximum(a[0], a[1]), a[2])
         with np.errstate(divide="ignore"):
-            skip = np.minimum(np.ceil(np.log(d / self._dmin) / self._log_r) - 1.0, todo)
+            skip = np.minimum(np.ceil(np.log(d / self._dmin) / self._log_r), todo)
         far = skip >= 1.0
-        skip = np.where(far, skip, 0.0).astype(np.int64)
+        skip = np.where(far, skip, 1.0).astype(np.int64)
+        near = d >= self._near.take(np.minimum(skip, len(self._near)) - 1)
+        skip = np.where(far, skip - near, 0)
+        far = skip >= 1
         if far.any():
             y = y.copy()
             _scatter(y, far, self._power(y.compress(far, axis=1), -skip.compress(far)))
         return y, skip
+
+
+def _near_faces(dmin: float, r: float, p_max: float, span: int) -> np.ndarray:
+    """Per level k = 1, 2, ..., a distance from p below that of V_k's near
+    face, r^(k-1) dmin, by more than the float error of that face as
+    ``Similarity.corners`` forms it from p, whose largest coordinate is
+    p_max, and of a row's distance from p: a few ulps of the face and of
+    p_max.  A row no farther from p than that might lie in V_k in floats.
+    The levels end where the bound reaches 0, or at span, with -inf: from
+    there on every row might."""
+    eps = np.finfo(float).eps
+    faces = dmin * r ** np.arange(span) * (1.0 - 4.0 * eps) - 2.0 * eps * p_max
+    return np.append(faces[faces > 0.0], -np.inf)
 
 
 # a row's ``_Rounds.steps`` before its first round, once done, and once
@@ -301,9 +324,11 @@ class _Rounds:
     coordinates and ``moved`` whether V_1 held it; or _STILL, where g left
     it bitwise in place, so it waits at every level; or _DONE, where g
     carried it out of hull(V_1 u {p}), with ``y`` its image; or _FRESH.
-    A row skipped to the last level is left fresh, so a later level skips
-    it afresh (one multiply rounds otherwise than steps do).  ``todo`` is
-    the level the rounds reached, -1 before any loop ran."""
+    A row the distance skip carried to the last level, the first whose V
+    could hold it or the cap, is left fresh, so a later level skips it
+    afresh, maybe past that level (one multiply rounds otherwise than
+    steps do).  ``todo`` is the level the rounds reached, -1 before any
+    loop ran."""
 
     def __init__(self, n: int) -> None:
         self.todo = -1
@@ -549,10 +574,12 @@ class _LevelLoop(LocalMap):
     V_1 never held it.  A row that a step leaves bitwise in place stays
     there at every level.  Where p lies outside V_1, at sup-norm distance
     dmin from it, a row at distance d from p can lie in V_k only if
-    r^(k-1) dmin <= d, so it first skips the levels before that in one
-    multiply.  The support is the hull of V_first and V_last, which holds
-    every V_k between them.  A one-level loop, stage k alone, takes no
-    step of g, and its inverse is the one-level loop over h_last's inverse.
+    r^(k-1) dmin <= d, so it first skips straight to the first level
+    whose V can hold it, in one multiply (``Similarity._skip``), and its
+    first round is at that level.  The support is the hull of V_first
+    and V_last, which holds every V_k between them.  A one-level loop,
+    stage k alone, takes no step of g, and its inverse is the one-level
+    loop over h_last's inverse.
 
     A loop is its rounds (``_start``) to level last, then h_last, on the
     rows inside the support.  It takes its rounds as an argument: a

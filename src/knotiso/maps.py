@@ -28,9 +28,10 @@ and a point they are built from (a cone apex, an unsquish center) is a
 float (3,) row; inverses are exact map objects, not numeric solves.
 Inside the maps a batch is coordinate-major: its memory is Fortran order,
 so each coordinate is one contiguous row of ``pts.T``, and the kernels
-compute on those rows.  Every image is Fortran-ordered; the values are
-the row-major ones bitwise, since every operation is per element or a
-fixed-order fold over the three coordinates.  A batch's rows move by
+compute on those rows; the unsquish kernels, which have two legs each,
+compute only the legs their rows take.  Every image is Fortran-ordered;
+the values are the row-major ones bitwise, since every operation is per
+element or a fixed-order fold over the three coordinates.  A batch's rows move by
 ``compress`` (or ``take``) on the coordinate rows, and the images go
 back by one 1-D write per coordinate row (``_scatter``), never by a mask
 paired with a slice: on a (3, 6000) float64 batch keeping 90% of its
@@ -94,10 +95,11 @@ class LocalMap:
         positions) is handed the rows' positions in the batch too."""
         pts = np.asarray(pts, dtype=float, order="F")
         inside = self.support.contains_array(pts)
-        if inside.all():
+        held = np.count_nonzero(inside)
+        if held == len(pts):
             return run(pts, np.arange(len(pts))) if at else run(pts)
         out = pts.copy(order="F")
-        if inside.any():
+        if held:
             rows = pts.T.compress(inside, axis=1).T
             image = run(rows, inside.nonzero()[0]) if at else run(rows)
             _scatter(out.T, inside, image.T)
@@ -352,12 +354,15 @@ class UnsquishMap(LocalMap):
     value s_c(t) = t/2 + (1 - t) c/2.
 
     The kernels take one pass over the coordinate rows of the outer box's
-    points: each evaluates both legs' formulas on every point and picks
-    one per point (``np.where``), the origin of a point's ray being the
-    apex or the center, both kept as (3, 1) columns.  Those columns, the
-    inner box's corners, and the constants the kernels read --
-    scale_up - 1, c/2 and s_c(t) with their complements 1 - c/2 and
-    1 - s_c(t) -- are computed once, when the map is built.
+    points and compute only the legs their rows take: where every row
+    takes one leg (inner box or shell, s below or above a breakpoint),
+    that leg's formula alone; where the rows are mixed, both legs'
+    formulas on every row, one picked per row (``np.where``).  The origin
+    of a point's ray is the apex or the center, both kept as (3, 1)
+    columns.  Those columns, the inner box's corners' offsets from each,
+    and the constants the kernels read -- scale_up - 1, c/2 and s_c(t)
+    with their complements 1 - c/2 and 1 - s_c(t) -- are computed once,
+    when the map is built.
     """
 
     def __init__(self, params: UnsquishParams, t: float):
@@ -370,8 +375,10 @@ class UnsquishMap(LocalMap):
         self._apex = _column(params.apex)
         # the anchor of an apex point, with a -0.0 coordinate made +0.0
         self._apex_anchor = self._apex + 0.0
-        self._inner_lo = _column(params.inner.lo)
-        self._inner_hi = _column(params.inner.hi)
+        inner_lo, inner_hi = _column(params.inner.lo), _column(params.inner.hi)
+        # the inner box's corners' offsets from each leg's origin
+        self._apex_off = (inner_lo - self._apex, inner_hi - self._apex)
+        self._center_off = (inner_lo - self._center, inner_hi - self._center)
         self._stretch = params.scale_up - 1.0
         self._s0 = params.s_c0
         self._sc_t = t * params.s_c1 + (1.0 - t) * self._s0
@@ -383,45 +390,64 @@ class UnsquishMap(LocalMap):
     def _path_coords(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Glued parameter s and the inner-boundary anchor v_inner of the
         (3, m) coordinate rows q."""
-        in_inner = self.params.inner.contains_array(q.T)
         # points of the inner box lie on a ray from the apex, the rest of
         # the shell on a ray from the center
-        origin = np.where(in_inner, self._apex, self._center)
+        in_inner = self.params.inner.contains_array(q.T)
+        leg = _one_leg(in_inner)
+        if leg is None:
+            origin = np.where(in_inner, self._apex, self._center)
+            lo_off, hi_off = (
+                np.where(in_inner, a, c) for a, c in zip(self._apex_off, self._center_off)
+            )
+        else:
+            origin = self._apex if leg else self._center
+            lo_off, hi_off = self._apex_off if leg else self._center_off
         d = q - origin
-        r = _radial_scale(self._inner_lo - origin, self._inner_hi - origin, d)
+        r = _radial_scale(lo_off, hi_off, d)
+        # a point is at multiple 1/r of the inner boundary along its ray;
+        # the shell spans multiples 1 .. scale_up
+        if leg is False:
+            return self._shell_s(1.0 / r), origin + r * d
         # only an inner point can sit at its origin, the apex, and the apex
         # is strictly inside the inner box, so r is inf exactly there
         at_apex = ~np.isfinite(r)
         r = np.where(at_apex, 1.0, r)
-        # a point is at multiple 1/r of the inner boundary along its ray;
-        # the shell spans multiples 1 .. scale_up
         mult = 1.0 / r
-        s_inner = np.where(at_apex, 0.0, mult) / 2.0
-        s_shell = 0.5 + 0.5 * np.minimum(np.maximum((mult - 1.0) / self._stretch, 0.0), 1.0)
-        s = np.where(in_inner, s_inner, s_shell)
-        v_in = np.where(at_apex, self._apex_anchor, origin + r * d)
-        return s, v_in
+        s = np.where(at_apex, 0.0, mult) / 2.0
+        if leg is None:
+            s = np.where(in_inner, s, self._shell_s(mult))
+        return s, np.where(at_apex, self._apex_anchor, origin + r * d)
+
+    def _shell_s(self, mult: np.ndarray) -> np.ndarray:
+        """The glued parameter of shell points at multiple mult of the
+        inner boundary along their rays from the center."""
+        return 0.5 + 0.5 * np.minimum(np.maximum((mult - 1.0) / self._stretch, 0.0), 1.0)
 
     def _path_point(self, s: np.ndarray, v_in: np.ndarray) -> np.ndarray:
         """The (3, m) coordinate rows at parameter s on the paths through
         the anchors v_in."""
-        inner_leg = s <= 0.5
-        origin = np.where(inner_leg, self._apex, self._center)
         two_s = 2.0 * s
-        mult = np.where(
-            inner_leg, np.minimum(np.maximum(two_s, 0.0), 1.0), 1.0 + (two_s - 1.0) * self._stretch
+        return _by_leg(
+            s <= 0.5,
+            lambda: self._apex + np.minimum(np.maximum(two_s, 0.0), 1.0) * (v_in - self._apex),
+            lambda: self._center + (1.0 + (two_s - 1.0) * self._stretch) * (v_in - self._center),
         )
-        return origin + mult * (v_in - origin)
 
     def _s_prime(self, s: np.ndarray) -> np.ndarray:
         s0, sc_t = self._s0, self._sc_t
-        high = (s - s0) / self._s0_rest
-        return np.where(s <= s0, (s / s0) * sc_t, high + (1.0 - high) * sc_t)
+
+        def above() -> np.ndarray:
+            high = (s - s0) / self._s0_rest
+            return high + (1.0 - high) * sc_t
+
+        return _by_leg(s <= s0, lambda: (s / s0) * sc_t, above)
 
     def _s_prime_inverse(self, sp: np.ndarray) -> np.ndarray:
         s0, sc_t = self._s0, self._sc_t
-        return np.where(
-            sp <= sc_t, (sp / sc_t) * s0, s0 + (sp - sc_t) / self._sc_t_rest * self._s0_rest
+        return _by_leg(
+            sp <= sc_t,
+            lambda: (sp / sc_t) * s0,
+            lambda: s0 + (sp - sc_t) / self._sc_t_rest * self._s0_rest,
         )
 
     # -- LocalMap interface ---------------------------------------------
@@ -440,6 +466,23 @@ class UnsquishMap(LocalMap):
 
     def _inverted(self) -> "LocalMap":
         return _InverseWrapper(self)
+
+
+def _one_leg(first: np.ndarray) -> bool | None:
+    """True where every row takes the first of two legs, False where none
+    does, None where the rows are mixed."""
+    n = np.count_nonzero(first)
+    return True if n == len(first) else False if n == 0 else None
+
+
+def _by_leg(first: np.ndarray, leg_a, leg_b) -> np.ndarray:
+    """A kernel of two legs on rows of which first marks those taking
+    the first: leg_a() or leg_b() alone where every row takes one, else
+    both, one picked per row."""
+    leg = _one_leg(first)
+    if leg is None:
+        return np.where(first, leg_a(), leg_b())
+    return leg_a() if leg else leg_b()
 
 
 # half-width in y and z of the interval map's box

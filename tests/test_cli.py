@@ -545,7 +545,9 @@ class TestFramesReuse:
     # where 4,027 of its 4,139 vertices move, and the fox film of
     # frames_film at seed 1: a drawn frame, rejected ones, the later ones
     # by the film's kept witness, one of those at depth 60, and a drawn
-    # frame at t = 1
+    # frame at t = 1; and a trefoil film from its start with one frame in
+    # each stage slot 1..10, so the rows the distance skip leaves waiting
+    # fresh at one level are skipped afresh at the next
     _PATTERN = (
         ("trefoil_chain", 20, "0"),
         ("trefoil_chain", 20, "0.3"),
@@ -558,6 +560,11 @@ class TestFramesReuse:
         ("trefoil_chain", 5, "1"),
         ("countable_r1", 20, "0.5,1"),
         ("countable_r1", 60, "0.3"),
+        (
+            "trefoil_chain",
+            10,
+            "0.25,0.625,0.8125,0.90625,0.953125,0.9765625,0.98828125,0.994140625,0.9970703125,0.99853515625",
+        ),
         ("trefoil_chain", 20, "0.7"),
         ("fox_remarkable", 20, "0.3"),
         ("fox_remarkable", 20, "0.9"),

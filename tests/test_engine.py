@@ -835,11 +835,12 @@ def _chain_first(p: np.ndarray, r: float, d: float, width: float, yz) -> Isotopy
     return reversed_isotopy(conjugated_insert(v1))
 
 
-# where r is not dyadic, each S^-1 step the level loop takes between its
-# distance skip and the level whose V_1 holds a point rounds once, and h_1
-# magnifies that by its Lipschitz constant: over some 100,000 points of
-# generated chains the census point reads up to 592 ulps off the stage
-# loop's, at p = 0, r = 0.7 and a V_1 227 times as wide in y as in x
+# where r is not dyadic, the powers of S the level loop takes round, and
+# h_1 magnifies that by its Lipschitz constant: over 82,926 points of 300
+# generated chains the census point reads up to 127 ulps off the stage
+# loop's, and over 69,000 points of 150 chains with p = 0, r = 0.7 and a
+# V_1 227 times as wide in y as in x up to 606 (920 when the skip stopped
+# one level short of the first level that could hold a point)
 _CENSUS_ULPS = 1024
 
 
@@ -866,6 +867,97 @@ def test_the_census_is_the_stage_loop_to_roundoff_on_generated_chains(p, r, d, w
     for x in pts[off]:
         got, want = eval_limit_isotopy(seq, x, 1e-6, 40), stagewise_limit(seq, x, 1e-6, 40)
         _assert_same_limit(got, want, _CENSUS_ULPS)
+
+
+def _skip_rows(sim: Similarity, lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rows in and around each V_k of the stacked corners, rows on each
+    V_k's near face and one ulp either side of it, and p with rows 2^-52
+    to 2^-41 of p's largest coordinate (or of dmin) off it."""
+    scale = max(np.abs(sim.p).max(), sim._dmin)
+    tiny = rng.choice([-1.0, 1.0], (30, 1)) * 2.0 ** rng.integers(-52, -40, (30, 1)) * scale
+    pool = [sim.p[None, :], sim.p + tiny]
+    for box in (Box(a, b) for a, b in zip(lo, hi)):
+        pool += [box.sample(rng, 6), box.scaled_about_center(1.5).sample(rng, 4)]
+        # V_1 lies beyond p along x, so the x face nearer p is lo
+        face = box.sample(rng, 3)
+        face[:, 0] = box.lo[0]
+        step = [[np.spacing(box.lo[0]), 0.0, 0.0]]
+        pool += [face, face + step, face - step]
+    return np.concatenate(pool)
+
+
+# a declared chain for the distance skip: r dyadic or not, and V_1 as in
+# _TAME_CHAINS, up to 227 times as wide in y as in x
+_SKIP_CHAINS = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.sampled_from([0.5, 0.25]) | st.floats(0.3, 0.9),
+    *_TAME_CHAINS[2:],
+)
+
+
+@given(*_SKIP_CHAINS, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_the_skip_carries_no_row_past_a_support_that_holds_it(p, r, d, width, yz, seed):
+    """No row the distance skip carries s levels lies in any of V_1..V_s,
+    as ``corners`` gives them, at every level k <= 40 whose near face lies
+    apart from p in floats: (1 - r) r^(k-1) dmin above 64 ulps of p's
+    largest coordinate.  (Deeper, V_k rounds onto p, and the corners hold
+    rows near p that no level's V_1 holds.)  A row inside such a V_k, off
+    its near face by more than 1e-9 of the face's distance from p, and as
+    far from p along x as along any axis, skips exactly k - 1 levels, to
+    the first level that can hold it."""
+    p = np.array(p)
+    sim = Similarity(_chain_first(p, r, d, width, yz), p, r)
+    lo, hi = sim.corners(1, 40)
+    rows = _skip_rows(sim, lo, hi, np.random.default_rng(seed))
+    _, skip = sim._skip(rows.T, 60)
+    apart = (1.0 - r) * sim._dmin * r ** np.arange(40) > 64 * np.finfo(float).eps * np.abs(p).max()
+    inside = ((rows[:, None, :] >= lo) & (rows[:, None, :] <= hi)).all(axis=-1) & apart
+    passed = np.arange(1, 41) <= skip[:, None]
+    assert not (inside & passed).any()
+    # the first level that can hold each row, read off the corners: V_k
+    # holds it, it lies off V_k's near face, and its distance from p is
+    # the distance along x, which the near face bounds
+    clear = inside & (np.abs(rows[:, None, 0] - lo[:, 0]) > 1e-9 * np.abs(lo[:, 0] - p[0]))
+    off = np.abs(rows - p)
+    held = clear.any(axis=1) & (off[:, 0] == off.max(axis=1))
+    assert held.any()
+    np.testing.assert_array_equal(skip[held], clear.argmax(axis=1)[held])
+
+
+@pytest.mark.parametrize("name", [n for n in DECLARED_STREAMS if n.startswith(("countable", "trefoil"))])
+def test_a_chain_snapshot_takes_one_round_of_g(name, monkeypatch):
+    """Each row of a registered chain's curve that the depth-20 loop holds
+    skips straight to the first level whose V can hold it: V_1 holds it
+    in its first round, or for the trefoil chains, whose V_1 is not
+    dyadic, it lies on the boundary of V_(skip+1) as ``corners`` gives it
+    (20 rows, on far faces of V_2, V_3, V_6, V_7, ..., V_19), where no
+    stage moves it and its level coordinates round off V_1.  So the
+    snapshot takes one round of g, then h_last."""
+    s = SCENARIO_BUILDERS[name]()
+    seq, pts = s.moves, s.initial_curve.points
+    sim = seq.similarity
+    m = truncated_map(seq, 20)
+    q = pts[m.support.contains_array(pts)]
+    y, skip = sim._skip(q.T, 19)
+    go = skip < 19
+    held = sim.first.support.contains_array(y.T)
+    # V_k itself, without trefoil_chain_extended's fixed box
+    lo, hi = Similarity(sim.first, sim.p, sim.r).corners(1, 20)
+    k = skip.clip(max=19)
+    on_boundary = ((q >= lo[k]) & (q <= hi[k])).all(axis=1) & ((q == lo[k]) | (q == hi[k])).any(axis=1)
+    assert go.sum() > 1000 and (held | on_boundary)[go].all()
+    if name.startswith("countable"):
+        assert held[go].all()
+    through, calls = Similarity._through, []
+
+    def counted(self, h, y):
+        calls.append(y.shape[1])
+        return through(self, h, y)
+
+    monkeypatch.setattr(Similarity, "_through", counted)
+    map_curve(m, PLCurve(pts))
+    assert calls == [go.sum(), len(q) - go.sum()]
 
 
 @given(*_TAME_CHAINS, st.tuples(*[st.floats(0.01, 0.5)] * 3), st.integers(0, 2**32 - 1))

@@ -608,20 +608,38 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return np.array_equal(np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64))
 
 
+def _one_leg_batches(par: UnsquishParams, ref: _SplitBranchUnsquish, pts: np.ndarray) -> list[np.ndarray]:
+    """The rows of the outer box among pts split by each leg a kernel can
+    take: in the inner box or in the shell, and with s at most c/2 or
+    s_c(t), where the forward and the inverse reparameterization break,
+    or above it.  A batch of one leg may be empty."""
+    rows = pts[_split_contains(par.outer, pts)]
+    s, _ = ref._path_coords(rows)
+    inner = _split_contains(par.inner, rows)
+    legs = [inner, ~inner]
+    for brk in (par.s_c0, ref._sc_t):
+        legs += [s <= brk, s > brk]
+    return [rows[leg] for leg in legs]
+
+
 @given(st.one_of(st.just(None), _unsquish_params()), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_one_pass_unsquish_matches_split_branches(params, seed):
+    """Mixed batches, batches whose rows all take one leg of each kernel
+    (``_one_leg_batches``), and single rows, the apex among them: forward
+    and inverse, bitwise the split-branch kernels'."""
     par = _params(0.5, apex=np.array([0.2, -0.1, 0.3])) if params is None else params
     rng = np.random.default_rng(seed)
     pts = _unsquish_probe_points(par, rng)
     for t in (0.0, 0.4, 1.0):
         m, ref = UnsquishMap(par, t), _SplitBranchUnsquish(par, t)
-        assert _same_bits(m.apply_array(pts), ref.apply_array(pts))
-        assert _same_bits(m.apply_inverse_array(pts), ref.apply_inverse_array(pts))
-        # one row at a time: the apex and a random row
-        for p in (par.apex[None, :], pts[rng.integers(len(pts))][None, :]):
-            assert _same_bits(m.apply_array(p), ref.apply_array(p))
-            assert _same_bits(m.apply_inverse_array(p), ref.apply_inverse_array(p))
+        batches = [pts, *_one_leg_batches(par, ref, pts)]
+        # one row at a time: the apex, the center and random rows
+        batches += [par.apex[None, :], par.outer.center[None, :]]
+        batches += [pts[k][None, :] for k in rng.integers(len(pts), size=8)]
+        for batch in batches:
+            assert _same_bits(m.apply_array(batch), ref.apply_array(batch))
+            assert _same_bits(m.apply_inverse_array(batch), ref.apply_inverse_array(batch))
 
 
 class TestCompositeAndConjugate:
