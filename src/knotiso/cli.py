@@ -143,9 +143,9 @@ def report_lines(s: Scenario, cfg: RunConfig) -> tuple[list[str], bool]:
         eps, n0 = factoring
         lines.append(f"ball_factoring: {{epsilon: {eps:.17g}, n0: {'none' if n0 is None else n0}}}")
     exp = s.expected
-    lines.append(f"expected: {exp.hypotheses}/{exp.injectivity}")
+    lines.append(f"expected: {'pass' if exp.failing is None else 'fail'}/{exp.injectivity}")
     lines.append(f"computed: {hyp.verdict}/{probe.injectivity}")
-    match = hyp.first_violation == exp.failing_condition and probe.injectivity == exp.injectivity
+    match = hyp.failing == exp.failing and probe.injectivity == exp.injectivity
     lines.append(f"match: {str(match).lower()}")
     return lines, match
 
@@ -172,7 +172,7 @@ def cmd_check(cfg: RunConfig) -> int:
     for n, d in rep.tail_diameters:
         print(f"{n} {d:.17g}")
     print(rep.to_lines()[-1])
-    return 0 if rep.first_violation is None else _EXIT_MISMATCH
+    return 0 if rep.failing is None else _EXIT_MISMATCH
 
 
 # the one film frames keeps, with the builder of the scenario it films

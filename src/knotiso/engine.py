@@ -35,7 +35,8 @@ reads off its declaration (``Similarity.corners``), and their suffix-union
 diameters, the suffix maxima of the farthest-corner distances between
 every pair of supports, read in blocks of rows so that no last x last
 matrix is formed.  Each report states a verdict once: the
-hypothesis verdict is read off the first violated condition, and the
+hypotheses are read off a table of sufficient conditions, each serving
+one hypothesis, by the one rule ``HypothesisReport.failing``, and the
 injectivity verdict off the probe's least image separation, by the one
 rule ``ProbeReport.injectivity``.
 """
@@ -272,19 +273,20 @@ class Similarity:
         """The rows carried to the first level whose V can hold them, at
         most todo levels on, and the number of levels each skipped.  A row
         at distance d from p lies in no V_k with r^(k-1) dmin > d, so it
-        skips ceil(log(d / dmin) / log r) levels, or one less where
-        V_skip's near face, r^(skip-1) dmin from p, could still hold it
-        in floats (``_near_faces``)."""
+        skips s = ceil(log(d / dmin) / log r) levels, or one less where
+        V_s's near face, r^(s-1) dmin from p, could still hold it in floats
+        (``_near_faces``); a row s carries past level todo waits there."""
         if self._dmin == 0.0:
             return y, np.zeros(y.shape[1], dtype=np.int64)
         a = np.abs(y + self._neg_p)
         # the three rows folded: a reduction over a length-3 axis is slower
         d = np.maximum(np.maximum(a[0], a[1]), a[2])
         with np.errstate(divide="ignore"):
-            skip = np.minimum(np.ceil(np.log(d / self._dmin) / self._log_r), todo)
+            s = np.ceil(np.log(d / self._dmin) / self._log_r)
+        skip = np.minimum(s, todo)
         far = skip >= 1.0
         skip = np.where(far, skip, 1.0).astype(np.int64)
-        near = d >= self._near.take(np.minimum(skip, len(self._near)) - 1)
+        near = (s <= todo) & (d >= self._near.take(np.minimum(skip, len(self._near)) - 1))
         skip = np.where(far, skip - near, 0)
         far = skip >= 1
         if far.any():
@@ -476,27 +478,48 @@ class MoveSequence:
         return sim.p if sim.first.support.contains_array(sim.p, strict=True) else None
 
 
+# the hypotheses the conditions serve, in the order a verdict names them
+HYPOTHESES = UNIFORM_CONVERGENCE, COMPACTNESS = "uniform_convergence", "compactness"
+
+
+@dataclass(frozen=True)
+class Condition:
+    """A sufficient condition for one hypothesis, and whether it holds."""
+
+    name: str
+    hypothesis: str
+    holds: bool
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Verdict on the support-shrinking and containment conditions."""
+    """Tail-union diameters, the disjointness witness and one row per
+    sufficient condition, which ``failing`` reads the verdict off."""
 
     tail_diameters: tuple[tuple[int, float], ...]
-    containment_ok: bool
     disjoint_supports: bool
-    first_violation: int | None  # 1 = tail diameters, 2 = containment
+    conditions: tuple[Condition, ...]
+
+    @property
+    def failing(self) -> str | None:
+        """The first hypothesis that no holding condition serves, or None."""
+        served = {c.hypothesis for c in self.conditions if c.holds}
+        return next((h for h in HYPOTHESES if h not in served), None)
 
     @property
     def verdict(self) -> str:
-        return "pass" if self.first_violation is None else "fail"
+        return "pass" if self.failing is None else "fail"
 
     def to_lines(self) -> list[str]:
         tails = "; ".join(f"{n}:{d:.17g}" for n, d in self.tail_diameters)
+        held = {c.name: c.holds for c in self.conditions}
+        # a fail numbers the failing hypothesis's first row, counting from 1
+        row = next((i for i, c in enumerate(self.conditions, 1) if c.hypothesis == self.failing), None)
         return [
             f"tail_diameters: {tails}",
-            f"containment_ok: {str(self.containment_ok).lower()}",
+            f"containment_ok: {str(held.get('containment')).lower()}",
             f"disjoint_supports: {str(self.disjoint_supports).lower()}",
-            f"verdict: {self.verdict}"
-            + (f" (condition {self.first_violation})" if self.first_violation else ""),
+            f"verdict: {self.verdict}" + (f" (condition {row})" if row else ""),
         ]
 
 
@@ -681,33 +704,22 @@ def tail_boxes(seq: MoveSequence, after: int, horizon: int) -> list[Box]:
 
 
 def check_hypotheses(seq: MoveSequence, horizon: int, threshold: float) -> HypothesisReport:
-    """Tail-union diameters, containment in the compact container, and the
-    pairwise-disjointness witness, all read off the stream's tail table
-    for V_1..V_horizon."""
+    """Tail-union diameters, the disjointness witness and the conditions
+    ``tails`` (diam V_horizon < threshold, for uniform convergence) and
+    ``containment`` (for compactness), read off the tail table to V_horizon."""
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     tails = seq.tail_table(horizon)
     diameters = tuple(enumerate(tails.diam.tolist(), start=1))
-    container = seq.container
-    containment_ok = bool(
-        container.contains_array(tails.lo, strict=True).all()
-        and container.contains_array(tails.hi, strict=True).all()
-    )
+    # lo <= hi, so every V_k lies strictly inside iff the least wall margin is positive
+    margin = np.minimum(tails.lo - seq.container.lo, seq.container.hi - tails.hi).min()
     blocks = _upper_blocks(tails.lo, tails.hi, boxes_meet)
     disjoint = not any(np.triu(block, k=1).any() for block in blocks)
-    first_violation: int | None = None
-    if diameters[-1][1] >= threshold:
-        first_violation = 1
-    elif not containment_ok:
-        first_violation = 2
-    return HypothesisReport(
-        tail_diameters=diameters,
-        containment_ok=containment_ok,
-        disjoint_supports=disjoint,
-        first_violation=first_violation,
-    )
+    shrink = Condition("tails", UNIFORM_CONVERGENCE, diameters[-1][1] < threshold)
+    inside = Condition("containment", COMPACTNESS, bool(margin > 0))
+    return HypothesisReport(diameters, disjoint, (shrink, inside))
 
 
 def find_ball_factoring(seq: MoveSequence, horizon: int) -> tuple[float, int | None] | None:

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .canonical import CANONICAL_BOX, conjugated_insert, tied_strand
-from .engine import Isotopy, MoveSequence, Similarity
+from .engine import HYPOTHESES, UNIFORM_CONVERGENCE, Isotopy, MoveSequence, Similarity
 from .geometry import Box, PLCurve, boxes_meet
 from .maps import LocalMap, PowerMap1D, UnsquishParams, _negative_zeros, box_frames, frame_refusals
 from .moves import chained_isotopy, cone_isotopy, reversed_isotopy, unsquish_isotopy
@@ -57,18 +57,16 @@ _PTS_PER_BOX = 100
 
 @dataclass(frozen=True)
 class ExpectedVerdicts:
-    """The declared verdicts: the hypotheses pass iff no condition fails."""
+    """The declared verdicts: the failing hypothesis, or None, and injectivity."""
 
-    failing_condition: int | None  # 1 = tail diameters, 2 = containment
+    failing: str | None
     injectivity: str  # "pass" | "fail"
 
     def __post_init__(self) -> None:
+        if self.failing not in (None, *HYPOTHESES):
+            raise ValueError(f"no hypothesis is named {self.failing!r}")
         if self.injectivity not in ("pass", "fail"):
             raise ValueError("the injectivity verdict must be 'pass' or 'fail'")
-
-    @property
-    def hypotheses(self) -> str:
-        return "pass" if self.failing_condition is None else "fail"
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +358,7 @@ def build_trefoil_chain(extended: bool = False) -> Scenario:
     return Scenario(
         initial_curve=curve,
         moves=moves,
-        expected=ExpectedVerdicts(1 if extended else None, "pass"),
+        expected=ExpectedVerdicts(UNIFORM_CONVERGENCE if extended else None, "pass"),
         probe_pairs=pairs,
         census_samples=census,
     )
@@ -456,7 +454,7 @@ def build_1d_counterexample() -> Scenario:
     return Scenario(
         initial_curve=curve,
         moves=MoveSequence(container, stage_fn=stage),
-        expected=ExpectedVerdicts(1, "fail"),
+        expected=ExpectedVerdicts(UNIFORM_CONVERGENCE, "fail"),
         probe_pairs=pairs,
         census_samples=census,
     )

@@ -14,6 +14,7 @@ import numpy as np
 from knotiso.canonical import CANONICAL_BOX, conjugated_insert, kink_map
 from knotiso.cli import RunConfig, main, report_lines
 from knotiso.engine import (
+    UNIFORM_CONVERGENCE,
     MoveSequence,
     Similarity,
     apply_truncated,
@@ -160,7 +161,7 @@ def test_criterion_05_uniform_convergence_bound():
     rng = np.random.default_rng(5)
     for name, build in SCENARIO_BUILDERS.items():
         s = build()
-        if s.expected.hypotheses != "pass":
+        if s.expected.failing is not None:
             continue
         for n, m in ((5, 15), (10, 20)):
             boxes = s.moves.boxes(n + 1, m)
@@ -181,12 +182,12 @@ def test_criterion_06_failure_detection():
 
     ext = SCENARIO_BUILDERS["trefoil_chain_extended"]()
     rep = check_hypotheses(ext.moves, HORIZON, TOL)
-    assert rep.first_violation == 1
+    assert rep.failing == UNIFORM_CONVERGENCE
     assert all(d >= 1.0 for _, d in rep.tail_diameters)
 
     s1d = build_1d_counterexample()
     rep1d = check_hypotheses(s1d.moves, HORIZON, TOL)
-    assert rep1d.first_violation == 1
+    assert rep1d.failing == UNIFORM_CONVERGENCE
     img = apply_truncated(
         s1d.moves, 300, np.array([[0.5, 0.0, 0.0], [0.9, 0.0, 0.0]])
     )

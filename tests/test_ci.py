@@ -10,7 +10,8 @@ package runs on numpy alone: no module of it imports scipy, and none
 imports a name it never uses.  No verb loads ``numpy.random``: building
 the scenarios, ``check`` and ``frames`` draw no random numbers, and
 ``run`` draws its probe grid from ``geometry.PCG64Stream``; outside the
-tests no code names ``numpy.random``.  Every name the benchmark's tracer
+tests no code names ``numpy.random``.  Only ``engine`` names a hypothesis
+or reads a condition row's verdict.  Every name the benchmark's tracer
 hooks is still in the package, and uninstalling puts each one back.
 Every top-level function, class and constant in the package, private or public, and every public method of a
 public class has a caller outside the tests, with no exception: code
@@ -183,6 +184,23 @@ def test_numpy_random_is_named_only_in_the_tests():
                 ):
                     named.append((path.name, node.lineno))
     assert not named, named
+
+
+def test_the_verdict_rule_lives_in_engine():
+    # the hypotheses are named, and a condition row's verdict read, in
+    # engine alone: another module names a hypothesis by engine's
+    # constants and reads the verdict off HypothesisReport.failing, so a
+    # new sufficient condition is one row in engine
+    hypotheses = {"uniform_convergence", "compactness"}
+    named, holds = [], []
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in hypotheses:
+                named.append((path.name, node.value))
+            elif isinstance(node, ast.Attribute) and node.attr == "holds":
+                holds.append(path.name)
+    assert sorted(named) == [("engine.py", "compactness"), ("engine.py", "uniform_convergence")], named
+    assert holds and set(holds) == {"engine.py"}, holds
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -15,7 +15,7 @@ import pytest
 from knotiso import cli, diagram
 from knotiso.canonical import conjugated_insert
 from knotiso.cli import RunConfig, main
-from knotiso.engine import MoveSequence, Similarity
+from knotiso.engine import COMPACTNESS, UNIFORM_CONVERGENCE, MoveSequence, Similarity
 from knotiso.geometry import Box, PLCurve, read_curve
 from knotiso.scenarios import ExpectedVerdicts, build_countable_r1
 
@@ -105,6 +105,41 @@ class TestRunVerb:
             ["run", "--scenario", "countable_r1", "--depth", "5", "--out", str(tmp_path)]
         )
         assert status == 1
+
+    @staticmethod
+    def _walled(failing):
+        """countable_r1 with its container walled at x = 1.75, through V_1
+        (x in [1.71875, 1.78125]), declared to fail the hypothesis failing:
+        its tails still shrink, and only containment fails."""
+        s = build_countable_r1()
+        c = s.moves.container
+        moves = MoveSequence(Box(c.lo, (1.75, *c.hi[1:])), similarity=s.moves.similarity)
+        return dataclasses.replace(s, moves=moves, expected=ExpectedVerdicts(failing, "pass"))
+
+    def test_a_wall_through_v1_fails_condition_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.SCENARIO_BUILDERS, "countable_r1", lambda: self._walled(COMPACTNESS))
+        assert main(["check", "--scenario", "countable_r1"]) == 1
+        assert capsys.readouterr().out.endswith("\nverdict: fail (condition 2)\n")
+
+    @pytest.mark.parametrize(
+        "failing,status", [(COMPACTNESS, 0), (UNIFORM_CONVERGENCE, 1)]
+    )
+    def test_run_matches_on_the_hypothesis_that_fails(
+        self, tmp_path, capsys, monkeypatch, failing, status
+    ):
+        # both declarations read "expected: fail/pass"; only the one that
+        # names compactness, the hypothesis the walled stream fails, matches
+        monkeypatch.setitem(cli.SCENARIO_BUILDERS, "countable_r1", lambda: self._walled(failing))
+        argv = ["run", "--scenario", "countable_r1", "--depth", "5", "--out", str(tmp_path)]
+        assert main(argv) == status
+        lines = capsys.readouterr().out.splitlines()
+        assert "containment_ok: false" in lines
+        assert "verdict: fail (condition 2)" in lines
+        assert lines[-3:] == [
+            "expected: fail/pass",
+            "computed: fail/pass",
+            f"match: {str(status == 0).lower()}",
+        ]
 
     def test_unknown_scenario_exits_two(self, tmp_path, capsys):
         status = main(["run", "--scenario", "nope", "--out", str(tmp_path)])

@@ -3,11 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotiso import cli, engine
 from knotiso.engine import (
+    COMPACTNESS,
+    HYPOTHESES,
+    UNIFORM_CONVERGENCE,
+    Condition,
+    HypothesisReport,
     Isotopy,
     MoveSequence,
     ProbeReport,
@@ -146,12 +151,17 @@ class TestTruncations:
         assert np.array_equal(img.points, apply_truncated(seq, 2, dense.points))
 
 
+def _holds(rep: HypothesisReport) -> dict[str, bool]:
+    """Each condition row's verdict, by the row's name."""
+    return {c.name: c.holds for c in rep.conditions}
+
+
 class TestHypotheses:
     def test_shrinking_stream_passes(self):
         rep = check_hypotheses(_stream(), horizon=15, threshold=1e-3)
         assert rep.verdict == "pass"
-        assert rep.first_violation is None
-        assert rep.containment_ok
+        assert rep.failing is None
+        assert _holds(rep) == {"tails": True, "containment": True}
         assert rep.disjoint_supports
         ns = [n for n, _ in rep.tail_diameters]
         assert ns == list(range(1, 16))
@@ -177,7 +187,8 @@ class TestHypotheses:
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
         rep = check_hypotheses(seq, horizon=25, threshold=1e-6)
         assert rep.verdict == "fail"
-        assert rep.first_violation == 2
+        assert rep.failing == COMPACTNESS
+        assert _holds(rep) == {"tails": True, "containment": False}
 
     def test_support_outside_container_still_moves_points(self):
         # stage 3 sticks out past the container's x = 3 face; composites
@@ -207,7 +218,8 @@ class TestHypotheses:
         seq = MoveSequence(stage_fn=stage, container=CONTAINER)
         rep = check_hypotheses(seq, horizon=10, threshold=1e-6)
         assert rep.verdict == "fail"
-        assert rep.first_violation == 1
+        assert rep.failing == UNIFORM_CONVERGENCE
+        assert not _holds(rep)["tails"]
         assert not rep.disjoint_supports
 
     def test_horizon_validated(self):
@@ -227,6 +239,81 @@ class TestHypotheses:
         assert lines[1] == "containment_ok: true"
         assert lines[2] == "disjoint_supports: true"
         assert lines[3] == "verdict: pass"
+
+
+# every table with 0 to 2 rows per hypothesis: uniform convergence's rows
+# and compactness's, each "+" where it holds and "-" where it fails; the
+# failing hypothesis; and the verdict line with uniform convergence's rows
+# listed first, then with compactness's first.  A hypothesis fails when
+# no holding row serves it, whether its rows fail or it has none (and
+# then no row number), and uniform convergence is named before
+# compactness in either order.
+_VERDICT_RULE = [
+    ("", "", "uniform_convergence", "fail", "fail"),
+    ("", "+", "uniform_convergence", "fail", "fail"),
+    ("", "-", "uniform_convergence", "fail", "fail"),
+    ("", "++", "uniform_convergence", "fail", "fail"),
+    ("", "+-", "uniform_convergence", "fail", "fail"),
+    ("", "-+", "uniform_convergence", "fail", "fail"),
+    ("", "--", "uniform_convergence", "fail", "fail"),
+    ("+", "", "compactness", "fail", "fail"),
+    ("+", "+", None, "pass", "pass"),
+    ("+", "-", "compactness", "fail (condition 2)", "fail (condition 1)"),
+    ("+", "++", None, "pass", "pass"),
+    ("+", "+-", None, "pass", "pass"),
+    ("+", "-+", None, "pass", "pass"),
+    ("+", "--", "compactness", "fail (condition 2)", "fail (condition 1)"),
+    ("-", "", "uniform_convergence", "fail (condition 1)", "fail (condition 1)"),
+    ("-", "+", "uniform_convergence", "fail (condition 1)", "fail (condition 2)"),
+    ("-", "-", "uniform_convergence", "fail (condition 1)", "fail (condition 2)"),
+    ("-", "++", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+    ("-", "+-", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+    ("-", "-+", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+    ("-", "--", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+    ("++", "", "compactness", "fail", "fail"),
+    ("++", "+", None, "pass", "pass"),
+    ("++", "-", "compactness", "fail (condition 3)", "fail (condition 1)"),
+    ("++", "++", None, "pass", "pass"),
+    ("++", "+-", None, "pass", "pass"),
+    ("++", "-+", None, "pass", "pass"),
+    ("++", "--", "compactness", "fail (condition 3)", "fail (condition 1)"),
+    ("+-", "", "compactness", "fail", "fail"),
+    ("+-", "+", None, "pass", "pass"),
+    ("+-", "-", "compactness", "fail (condition 3)", "fail (condition 1)"),
+    ("+-", "++", None, "pass", "pass"),
+    ("+-", "+-", None, "pass", "pass"),
+    ("+-", "-+", None, "pass", "pass"),
+    ("+-", "--", "compactness", "fail (condition 3)", "fail (condition 1)"),
+    ("-+", "", "compactness", "fail", "fail"),
+    ("-+", "+", None, "pass", "pass"),
+    ("-+", "-", "compactness", "fail (condition 3)", "fail (condition 1)"),
+    ("-+", "++", None, "pass", "pass"),
+    ("-+", "+-", None, "pass", "pass"),
+    ("-+", "-+", None, "pass", "pass"),
+    ("-+", "--", "compactness", "fail (condition 3)", "fail (condition 1)"),
+    ("--", "", "uniform_convergence", "fail (condition 1)", "fail (condition 1)"),
+    ("--", "+", "uniform_convergence", "fail (condition 1)", "fail (condition 2)"),
+    ("--", "-", "uniform_convergence", "fail (condition 1)", "fail (condition 2)"),
+    ("--", "++", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+    ("--", "+-", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+    ("--", "-+", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+    ("--", "--", "uniform_convergence", "fail (condition 1)", "fail (condition 3)"),
+]
+
+
+def test_the_verdict_rule_on_every_table_of_up_to_two_rows_per_hypothesis():
+    assert len({(u, c) for u, c, *_ in _VERDICT_RULE}) == 49
+    for uniform, compact, failing, uniform_first, compact_first in _VERDICT_RULE:
+        rows = {
+            hyp: [Condition(f"{hyp}_{i}", hyp, mark == "+") for i, mark in enumerate(marks)]
+            for hyp, marks in ((UNIFORM_CONVERGENCE, uniform), (COMPACTNESS, compact))
+        }
+        for order, line in ((HYPOTHESES, uniform_first), (HYPOTHESES[::-1], compact_first)):
+            table = tuple(row for hyp in order for row in rows[hyp])
+            rep = HypothesisReport(((1, 1.0),), True, table)
+            assert rep.failing == failing, (uniform, compact, order)
+            assert rep.verdict == line.partition(" ")[0], (uniform, compact, order)
+            assert rep.to_lines()[-1] == f"verdict: {line}", (uniform, compact, order)
 
 
 def _box_family(min_size=1):
@@ -282,7 +369,8 @@ class TestTailTable:
     @settings(max_examples=40, deadline=None)
     def test_containment_and_disjointness_match_box_predicates(self, boxes):
         rep = check_hypotheses(_fixed_stream(boxes), horizon=len(boxes), threshold=1e-6)
-        assert rep.containment_ok == all(CONTAINER.contains_box(b, strict=True) for b in boxes)
+        inside = all(CONTAINER.contains_box(b, strict=True) for b in boxes)
+        assert _holds(rep)["containment"] == inside
         assert rep.disjoint_supports == all(
             not _meet(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
         )
@@ -835,6 +923,24 @@ def _chain_first(p: np.ndarray, r: float, d: float, width: float, yz) -> Isotopy
     return reversed_isotopy(conjugated_insert(v1))
 
 
+def _generated_chain(p, r: float, d: float, width: float, yz) -> MoveSequence:
+    """A generated chain, in a container 1 wider on every side than the
+    hull of V_1 and p."""
+    p = np.array(p)
+    first = _chain_first(p, r, d, width, yz)
+    v1 = first.support
+    container = Box(np.minimum(v1.lo, p) - 1.0, np.maximum(v1.hi, p) + 1.0)
+    return MoveSequence(container, similarity=Similarity(first, p, r))
+
+
+def _off_faces(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows of pts 1e-9 relative off every face of the stacked boxes,
+    where no support test can read the rounding of the powers of S."""
+    faces = np.concatenate([lo, hi])[None, :, :]
+    gap = np.abs(pts[:, None, :] - faces)
+    return pts[(gap > 1e-9 * np.maximum(np.abs(pts[:, None, :]), np.abs(faces))).all(axis=(1, 2))]
+
+
 # where r is not dyadic, the powers of S the level loop takes round, and
 # h_1 magnifies that by its Lipschitz constant: over 82,926 points of 300
 # generated chains the census point reads up to 127 ulps off the stage
@@ -852,21 +958,44 @@ def test_the_census_is_the_stage_loop_to_roundoff_on_generated_chains(p, r, d, w
     ``_CENSUS_ULPS`` of the point's largest coordinate, for points kept
     1e-9 relative off every face of V_1..V_40, where no support test can
     read the rounding."""
-    p = np.array(p)
-    first = _chain_first(p, r, d, width, yz)
-    v1 = first.support
-    container = Box(np.minimum(v1.lo, p) - 1.0, np.maximum(v1.hi, p) + 1.0)
-    seq = MoveSequence(container, similarity=Similarity(first, p, r))
+    seq = _generated_chain(p, r, d, width, yz)
     rng = np.random.default_rng(seed)
     lo, hi = seq.similarity.corners(1, 40)
     inside = [Box(lo[k], hi[k]).sample(rng, 2) for k in rng.choice(40, 8, replace=False)]
-    pts = np.concatenate([container.sample(rng, 10), *inside])
-    faces = np.concatenate([lo, hi])[None, :, :]
-    gap = np.abs(pts[:, None, :] - faces)
-    off = (gap > 1e-9 * np.maximum(np.abs(pts[:, None, :]), np.abs(faces))).all(axis=(1, 2))
-    for x in pts[off]:
+    pts = np.concatenate([seq.container.sample(rng, 10), *inside])
+    for x in _off_faces(pts, lo, hi):
         got, want = eval_limit_isotopy(seq, x, 1e-6, 40), stagewise_limit(seq, x, 1e-6, 40)
         _assert_same_limit(got, want, _CENSUS_ULPS)
+
+
+# depth-12 truncations round where r is not dyadic, as the census does:
+# over the 116,993 rows the test below draws, its 200 generated chains
+# read up to 166 ulps off the one-level stage loop and its 100 chains of
+# the wide shape (p = 0, r = 0.7, d = 0.25, V_1 half-widths 0.0044 x 1.0 x
+# 0.05, 227 times as wide in y as in x) up to 2,636; the bound lies under
+# twice that, so a change that doubled the drift fails
+_TRUNCATION_ULPS = 4096
+
+
+def test_a_truncation_is_the_stage_loop_to_roundoff_on_generated_chains():
+    """On 200 chains drawn as ``_TAME_CHAINS`` draws them and 100 of the
+    wide shape whose distance skip stops levels short of V_1, from one
+    seed: stages 1..12 as one level loop give the one-level stage loop's
+    image to within ``_TRUNCATION_ULPS`` of each row's largest coordinate,
+    for rows in the container and in each V_1..V_12, kept 1e-9 relative
+    off every face."""
+    rng = np.random.default_rng(111)
+    for i in range(300):
+        if i < 200:
+            p, r, d, width = rng.uniform(-1.0, 1.0, 3), *rng.uniform((0.3, 0.25, 0.1), (0.7, 1.0, 0.9))
+            seq = _generated_chain(p, r, d, width, rng.uniform(0.05, 1.0, 2))
+        else:
+            seq = _generated_chain(np.zeros(3), 0.7, 0.25, 0.1, (1.0, 0.05))
+        lo, hi = seq.similarity.corners(1, 12)
+        boxes = [seq.container] + [Box(a, b) for a, b in zip(lo, hi)]
+        pts = _off_faces(np.concatenate([b.sample(rng, 30) for b in boxes]), lo, hi)
+        got, want = truncated_map(seq, 12).apply_array(pts), _stage_loop(seq, 12, 1.0, pts)
+        _assert_within_ulps(got, want, _TRUNCATION_ULPS)
 
 
 def _skip_rows(sim: Similarity, lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -987,7 +1116,7 @@ def test_a_generated_tame_chain_passes_and_a_fixed_box_fails_condition_1(
     h = next(h for h in range(2, 200) if r ** (h - 1) * diam < tol / 10)
     rep = check_hypotheses(tame, h, tol)
     assert rep.verdict == "pass" and rep.disjoint_supports
-    assert check_hypotheses(walled, h, tol).first_violation == 1
+    assert check_hypotheses(walled, h, tol).failing == UNIFORM_CONVERGENCE
     lo, hi = tame.similarity.corners(1, 39)
     for x in np.vstack([p, 0.5 * (lo + hi)]):
         assert eval_limit_isotopy(tame, x, tol, 40).status != "budget-exhausted"
@@ -1228,15 +1357,19 @@ def test_a_level_loop_resumes_its_rounds_on_the_declared_streams(scenarios, name
 
 
 @given(*_TAME_CHAINS, _RESUMED_CALLS, st.integers(0, 2**32 - 1))
+# a row 1.8e-224 off p, far past the cap, where V_39's near face rounds
+# onto p: its skip must carry it to the cap and leave it fresh, not stop
+# a level short and step it to the last level, since the two more steps
+# of g it would then take at depth 42 round otherwise than a fresh skip
+@example(
+    p=(1.0, 0.0, 1.8237625428039037e-224), r=0.375, d=1.0, width=0.5, yz=(1.0, 1.0),
+    calls=[(40, 0.0), (42, 0.0), (40, 0.0), (42, 0.0)], seed=25,
+)
 @settings(max_examples=40, deadline=None)
 def test_a_level_loop_resumes_its_rounds_on_generated_chains(p, r, d, width, yz, calls, seed):
     """On chains whose powers of S round, where a row the skip capped at
     an earlier depth must skip afresh, not step, at a later one."""
-    p = np.array(p)
-    first = _chain_first(p, r, d, width, yz)
-    v1 = first.support
-    container = Box(np.minimum(v1.lo, p) - 1.0, np.maximum(v1.hi, p) + 1.0)
-    seq = MoveSequence(container, similarity=Similarity(first, p, r))
+    seq = _generated_chain(p, r, d, width, yz)
     _assert_resumes(seq, _level_points(seq, 8, np.random.default_rng(seed)), calls)
 
 

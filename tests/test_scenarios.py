@@ -10,6 +10,8 @@ from knotiso.canonical import CANONICAL_BOX, conjugated_insert, tied_strand
 from knotiso import scenarios as scenarios_module
 from knotiso.cli import RunConfig, probe_scenario
 from knotiso.engine import (
+    HYPOTHESES,
+    UNIFORM_CONVERGENCE,
     Isotopy,
     MoveSequence,
     ProbeReport,
@@ -129,9 +131,13 @@ class TestExpectedVerdicts:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExpectedVerdicts(None, "maybe")
-        # the hypotheses fail exactly when a condition is named
-        assert ExpectedVerdicts(None, "pass").hypotheses == "pass"
-        assert ExpectedVerdicts(2, "fail").hypotheses == "fail"
+        # a scenario can fail only a hypothesis the conditions serve: a
+        # condition's number or name would never match a computed verdict
+        for failing in (1, 2, 3, "tails", "containment", "injectivity", ""):
+            with pytest.raises(ValueError, match="no hypothesis is named"):
+                ExpectedVerdicts(failing, "pass")
+        for failing in (None, *HYPOTHESES):
+            assert ExpectedVerdicts(failing, "fail").failing == failing
 
 
 class TestInitialCurves:
@@ -181,8 +187,8 @@ class TestVerdictRegression:
     def test_hypothesis_verdicts(self, scenarios):
         for name, s in scenarios.items():
             rep = check_hypotheses(s.moves, HORIZON, TOL)
-            assert rep.verdict == s.expected.hypotheses, name
-            assert rep.first_violation == s.expected.failing_condition, name
+            assert rep.failing == s.expected.failing, name
+            assert rep.verdict == ("pass" if s.expected.failing is None else "fail"), name
 
     def test_injectivity_verdicts(self, scenarios):
         for name, s in scenarios.items():
@@ -408,7 +414,7 @@ def test_framed_stage_keeps_the_signed_zeros_of_the_level_k_stage(name):
 class TestTrefoilExtended:
     def test_tail_diameter_floor(self, scenarios):
         rep = check_hypotheses(scenarios["trefoil_chain_extended"].moves, HORIZON, TOL)
-        assert rep.first_violation == 1
+        assert rep.failing == UNIFORM_CONVERGENCE
         assert all(d >= 1.0 for _, d in rep.tail_diameters)
         assert not rep.disjoint_supports
 
@@ -535,7 +541,7 @@ class TestOneDimensional:
 
     def test_hypotheses_fail_condition_1(self, scenarios):
         rep = check_hypotheses(scenarios["1d_counterexample"].moves, HORIZON, TOL)
-        assert rep.first_violation == 1
+        assert rep.failing == UNIFORM_CONVERGENCE
         # every stage has the one support [0, 1] x [-1/4, 1/4]^2, of
         # diameter sqrt(1 + 1/4 + 1/4)
         assert all(d == math.sqrt(1.5) for _, d in rep.tail_diameters)
