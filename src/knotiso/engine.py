@@ -146,6 +146,30 @@ class TailTable:
         # the three columns ANDed, as in Box.contains_array
         return (inside[..., 0] & inside[..., 1] & inside[..., 2]).any(axis=-1)
 
+    def point_in_later_support(self, point: Sequence[float], k: int) -> bool:
+        """``in_later_support`` of one point, given as three Python floats.
+        Where V_(k+1) holds the point, or the hull of V_(k+1)..V_last does
+        not, six comparisons decide it, as in all but a few of the
+        census's steps; the rest read V_(k+2)..V_last as arrays."""
+        if k >= len(self.lo):
+            return False
+        x, y, z = point
+        x0, y0, z0, x1, y1, z1, u0, v0, w0, u1, v1, w1 = self._next_and_hull[k].tolist()
+        if x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1:
+            return True
+        if not (u0 <= x <= u1 and v0 <= y <= v1 and w0 <= z <= w1):
+            return False
+        return bool(self.in_later_support(np.array([point]), k + 1)[0])
+
+    @functools.cached_property
+    def _next_and_hull(self) -> np.ndarray:
+        """Row k: V_(k+1)'s corners, then the corners of the hull of
+        V_(k+1)..V_last, twelve floats; built on the first one-point
+        test, so a table only ``check`` reads has none."""
+        hull_lo = np.minimum.accumulate(self.lo[::-1])[::-1]
+        hull_hi = np.maximum.accumulate(self.hi[::-1])[::-1]
+        return np.concatenate([self.lo, self.hi, hull_lo, hull_hi], axis=1)
+
 
 # entries in one block of a pairwise table of supports: a megabyte of
 # float64 per temporary, however many supports there are
@@ -237,31 +261,45 @@ class Similarity:
         return Isotopy.from_motion(Box(lo, hi), loop, lambda: loop(1.0))
 
     def _power(self, y: np.ndarray, levels) -> np.ndarray:
-        """S^levels of the (3, m) coordinate rows y, for one integer level
-        count or one per row: (y - p) r^levels + p, the power applied in
-        factors that stay finite and normal, so p stays p at any level."""
-        if isinstance(levels, int) and abs(levels) <= self._span:
-            # one count for every row: one Python float factor, bitwise the
-            # array path's and a tenth cheaper on the census's one-row steps
-            return y if levels == 0 else (y + self._neg_p) * self.r**levels + self._p_col
-        levels = np.asarray(levels)
+        """S^levels of the (3, m) coordinate rows y, m >= 1, for one
+        integer level count or one per row: (y - p) r^levels + p, the power
+        applied in factors that stay finite and normal, so p stays p at any
+        level.  Every factor is the float power r ** c, as ``box`` takes
+        it, so rows that share a count, passed as an int or in an array,
+        come out bitwise as they would one at a time."""
+        lo, hi = (levels, levels) if isinstance(levels, int) else (int(levels.min()), int(levels.max()))
+        if lo == hi and abs(lo) <= self._span:
+            # one count for every row: one factor, no per-row arrays
+            return y if lo == 0 else (y + self._neg_p) * self.r**lo + self._p_col
+        levels = np.broadcast_to(levels, y.shape[1:])
         still = levels == 0
-        if still.all():
-            return y
         d = y + self._neg_p
-        while np.abs(levels).max() > self._span:
+        while lo < -self._span or hi > self._span:
             part = np.clip(levels, -self._span, self._span)
-            d = d * self.r ** part
+            d = d * self._factors(part)
             levels = levels - part
-        d = d * self.r ** levels + self._p_col
+            lo, hi = int(levels.min()), int(levels.max())
+        d = d * self._factors(levels) + self._p_col
         # S^0 is the identity, bitwise
         return np.where(still, y, d) if still.any() else d
+
+    def _factors(self, levels: np.ndarray) -> np.ndarray:
+        """r ** c for each count c of levels, all within _span: one float
+        power per count between the least and the greatest."""
+        lo = int(levels.min())
+        powers = np.array([self.r**c for c in range(lo, int(levels.max()) + 1)])
+        return powers.take(levels - lo)
 
     def _through(self, h: LocalMap, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """h on the (3, m) coordinate rows y that V_1 holds, and which rows
         those are: every row, where p lies in V_1 and so V_1 is the hull."""
         if self._dmin == 0.0:
             return h.apply_array(y.T).T, np.ones(y.shape[1], dtype=bool)
+        if y.shape[1] == 1:
+            # one row, as the census steps it: no mask to gather by
+            if self.first.support.contains_point(y[:, 0].tolist()):
+                return h.apply_array(y.T).T, np.ones(1, dtype=bool)
+            return y, np.zeros(1, dtype=bool)
         held = self.first.support.contains_array(y.T)
         if not held.any():
             return y, held
@@ -642,8 +680,7 @@ class _LevelLoop(LocalMap):
             moved |= held
             if moved.any():
                 z = z.compress(moved, axis=1)
-                levels = np.full(z.shape[1], self.last - 1)
-                _scatter(out, places.compress(moved), sim._power(z, levels))
+                _scatter(out, places.compress(moved), sim._power(z, self.last - 1))
         return out.T
 
 
@@ -773,7 +810,7 @@ def eval_limit_isotopy(seq: MoveSequence, p: np.ndarray, tol: float, k_budget: i
         y, (skip,) = sim._skip(x.T, k_budget)
     # one point at a time; all census points as one array is ROADMAP item 6
     for k in range(k_budget):
-        if not tails.in_later_support(x, k)[0]:
+        if not tails.point_in_later_support(x[0].tolist(), k):
             return LimitValue(x[0], "settled", k)
         if tails.diam[k] < tol:
             return LimitValue(x[0], "tol-converged", k)

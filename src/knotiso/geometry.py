@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,10 +46,12 @@ _CORNER_HI = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1 == 1
 @dataclass(frozen=True, slots=True, eq=False)
 class Box:
     """A closed axis-aligned box given by its min and max corners, each a
-    read-only float (3,) row with finite coordinates."""
+    read-only float (3,) row with finite coordinates; ``bounds`` holds the
+    six as Python floats, lo's then hi's."""
 
     lo: np.ndarray
     hi: np.ndarray
+    bounds: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # one (2, 3) copy holds both rows
@@ -66,6 +68,7 @@ class Box:
             raise ValueError(f"box min corner exceeds max corner: {corners[0]} > {corners[1]}")
         object.__setattr__(self, "lo", corners[0])
         object.__setattr__(self, "hi", corners[1])
+        object.__setattr__(self, "bounds", (*lo, *hi))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Box):
@@ -105,6 +108,14 @@ class Box:
             inside = (pts >= self.lo) & (pts <= self.hi)
         # the three columns ANDed: a reduction over a length-3 last axis is slower
         return inside[..., 0] & inside[..., 1] & inside[..., 2]
+
+    def contains_point(self, point: Sequence[float]) -> bool:
+        """Whether the box holds one point, given as three Python floats:
+        ``contains_array``'s comparisons without its arrays, for the
+        census's one-row steps."""
+        x, y, z = point
+        x0, y0, z0, x1, y1, z1 = self.bounds
+        return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
     def contains_box(self, other: "Box", strict: bool = False) -> bool:
         return bool(self.contains_array(np.stack([other.lo, other.hi]), strict).all())
@@ -261,7 +272,11 @@ def union_diameter(boxes: Sequence[Box]) -> float:
 # exponential notation otherwise, trailing fraction zeros (and a bare point)
 # dropped.  _g17_cells gets D from |x| * 10**(16 - k) in double-double
 # arithmetic, the digit bytes from a table of 4-digit groups, and the cell
-# layout from one template per (exponent, sign, digit count) group.
+# layout from one template per (exponent, sign, digit count) group.  Each
+# table is built when a call first reads it, nothing at import: a
+# power-of-ten row per decade, from exact integers; the digit table whole,
+# by one broadcast write per digit place and per trailing-zero run length;
+# a template per group, by slicing and joining a few bytes.
 
 # the widest cell, '-1.2345678901234567e-308'
 _G17_WIDTH = 24
@@ -280,40 +295,71 @@ _SPLIT = 134217729.0
 _G17_CHUNK = 4096
 
 
-@functools.cache
-def _pow10_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """Row k - _G17_K_MIN: (hi, lo, hi's two Veltkamp halves) with
-    hi + lo = 10**(16 - k) / 2**b to within 2**-105 relative, hi in
-    [1, 2]; and the matching b.  Built from exact integers."""
-    rows, exps = [], []
-    for k in range(_G17_K_MIN, _G17_K_MAX + 1):
-        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
-        b = num.bit_length() - den.bit_length()
-        if (num << max(0, -b)) < (den << max(0, b)):
-            b -= 1
-        # 10**(16 - k) / 2**b to the nearest multiple of 2**-105
-        top, bot = num << max(0, 105 - b), den << max(0, b - 105)
-        m = (2 * top + bot) // (2 * bot)
-        hi = m / (1 << 105)
-        lo = (m - (int(hi * (1 << 52)) << 53)) / (1 << 105)
-        c = _SPLIT * hi
-        hi_top = c - (c - hi)
-        rows.append((hi, lo, hi_top, hi - hi_top))
-        exps.append(b)
-    return np.array(rows), np.array(exps, dtype=np.int32)
+# row k - _G17_K_MIN of 10**(16 - k) as (hi, lo, hi's two Veltkamp halves),
+# and its binary exponent; a row's hi is NaN until _pow10_rows first reads
+# its decade and fills the row in place
+_G17_POW10 = np.full((_G17_K_MAX - _G17_K_MIN + 1, 4), np.nan)
+_G17_POW10_EXP = np.zeros(_G17_K_MAX - _G17_K_MIN + 1, np.int32)
+
+
+def _pow10_row(k: int) -> tuple[tuple[float, float, float, float], int]:
+    """Decade k's row, from exact integers: (hi, lo, hi's two Veltkamp
+    halves) with hi + lo = 10**(16 - k) / 2**b to within 2**-105 relative,
+    hi in [1, 2]; and b."""
+    num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+    b = num.bit_length() - den.bit_length()
+    if (num << max(0, -b)) < (den << max(0, b)):
+        b -= 1
+    # 10**(16 - k) / 2**b to the nearest multiple of 2**-105, ties up
+    top, bot = num << max(0, 105 - b), den << max(0, b - 105)
+    m = (2 * top + bot) // (2 * bot)
+    hi = m / (1 << 105)
+    lo = (m - (int(hi * (1 << 52)) << 53)) / (1 << 105)
+    c = _SPLIT * hi
+    hi_top = c - (c - hi)
+    return (hi, lo, hi_top, hi - hi_top), b
+
+
+def _pow10_rows(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The power-of-ten rows at row as four columns, hi, lo and hi's
+    halves, and their exponents b.  A row is built (``_pow10_row``) the
+    first time a call reads its decade, and kept: one NaN test on the
+    gathered hi column finds the rows not yet built."""
+    pairs = np.take(_G17_POW10, row, axis=0).T
+    unbuilt = np.isnan(pairs[0])
+    if unbuilt.any():
+        # each decade once, flagged on a mask: np.unique costs more
+        read = np.zeros(len(_G17_POW10), bool)
+        read[row.compress(unbuilt)] = True
+        for i in np.flatnonzero(read).tolist():
+            _G17_POW10[i], _G17_POW10_EXP[i] = _pow10_row(i + _G17_K_MIN)
+        pairs = np.take(_G17_POW10, row, axis=0).T
+    return pairs, np.take(_G17_POW10_EXP, row)
 
 
 @functools.cache
 def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     """Entry q < 10**4: q's four ASCII digits as one little-endian uint32;
     entry 10**4 + d: the digit d alone, as the word's last byte.  And for
-    q < 10**4, its count of trailing zero digits (4 for 0)."""
-    q = np.arange(10000, dtype=np.uint16)
-    d = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8)
-    quads = (d + ord("0")).view("<u4").ravel()
-    leads = (np.arange(10, dtype=np.uint32) + ord("0")) << 24
-    zeros = (d[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-    return np.concatenate([quads, leads]), zeros
+    q < 10**4, its count of trailing zero digits (4 for 0).  Built on the
+    first ``_g17_cells`` call that prints a digit, one array write per
+    digit place and per length of trailing zero run."""
+    digit = np.frombuffer(b"0123456789", np.uint8)
+    words = np.zeros((10010, 4), np.uint8)
+    # byte j of entry 1000 a + 100 b + 10 c + d is digit j of (a, b, c, d)
+    quads = words[:10000].reshape(10, 10, 10, 10, 4)
+    quads[..., 0] = digit[:, None, None, None]
+    quads[..., 1] = digit[:, None, None]
+    quads[..., 2] = digit[:, None]
+    quads[..., 3] = digit
+    words[10000:, 3] = digit
+    # the entries that end in one zero, in two, in three, and 0
+    zeros = np.zeros((10, 10, 10, 10), np.uint8)
+    zeros[..., 0] = 1
+    zeros[..., 0, 0] = 2
+    zeros[:, 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
+    return words.view("<u4").ravel(), zeros.ravel()
 
 
 def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,8 +370,7 @@ def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.abs(x)
     k = np.floor(np.log10(a)).astype(np.int32)
     row = k - _G17_K_MIN
-    pairs, exps = _pow10_pairs()
-    hi, lo, hi_top, hi_bot = np.take(pairs, row, axis=0).T
+    (hi, lo, hi_top, hi_bot), exps = _pow10_rows(row)
     # m * hi = p + err exactly (Dekker), m in [0.5, 1) so nothing overflows
     m, e = np.frexp(a)
     p = m * hi
@@ -334,7 +379,7 @@ def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_bot = m - m_top
     err = ((m_top * hi_top - p) + m_top * hi_bot + m_bot * hi_top) + m_bot * hi_bot
     # |x| * 10**(16 - k) = w_hi + w_lo, w_hi a whole number from 2**53 up
-    scale = e + np.take(exps, row)
+    scale = e + exps
     w_hi = np.ldexp(p, scale)
     w_lo = np.ldexp(err + m * lo, scale)
     whole = np.floor(w_lo)
@@ -367,34 +412,30 @@ def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _g17_layout(key: int) -> tuple[np.ndarray, tuple[tuple[int, int, int, int], ...]]:
-    """The cell template of a layout key, and its digit copies as (cell
-    start, cell stop, digit byte start, digit byte stop)."""
-    rest, n_sig = divmod(key, 17)
-    n_sig += 1
+def _g17_layout(key: int) -> tuple[bytes, tuple[tuple[int, int, int, int], ...]]:
+    """The cell template of a layout key, NULs where digits go, and its
+    digit copies as (cell start, cell stop, digit byte start, digit byte
+    stop); digit i is byte 3 + i of its row of words.  Built on the
+    key's first use, from slices and joins of a few bytes."""
+    rest, n = divmod(key, 17)
     k, s = divmod(rest, 2)
     k += _G17_K_MIN
-    sign = b"-" if s else b""
+    n += 1
+    sign = b"-"[:s]
     if -4 <= k < 0:
-        head = sign + b"0." + b"0" * (-k - 1)
-        spans = [(len(head), 0, n_sig)]
-    elif 0 <= k <= 16:
+        # '0.' and -k - 1 zeros, then the n digits
+        c = s + 1 - k
+        return b"-0.000"[1 - s : 2 - k], ((c, c + n, 3, 3 + n),)
+    if 0 <= k <= 16:
         # k + 1 integer digits, then the point and the fraction digits left
-        head = sign + b"\0" * (k + 1)
-        spans = [(s, 0, k + 1)]
-        if n_sig > k + 1:
-            head += b"."
-            spans.append((s + k + 2, k + 1, n_sig))
-    else:
-        head = sign + b"\0"
-        spans = [(s, 0, 1)]
-        if n_sig > 1:
-            head += b"." + b"\0" * (n_sig - 1)
-            spans.append((s + 2, 1, n_sig))
-        head += b"e%+03d" % k
-    # digit i is byte 3 + i of its row of words
-    copies = tuple((c0, c0 + d1 - d0, d0 + 3, d1 + 3) for c0, d0, d1 in spans)
-    return np.frombuffer(head, np.uint8), copies
+        whole = (s, s + k + 1, 3, 4 + k)
+        if n <= k + 1:
+            return sign, (whole,)
+        return sign + bytes(k + 1) + b".", (whole, (s + k + 2, s + 1 + n, 4 + k, 3 + n))
+    lead = (s, s + 1, 3, 4)
+    if n == 1:
+        return sign + b"\0e%+03d" % k, (lead,)
+    return sign + b"\0." + bytes(n - 1) + b"e%+03d" % k, (lead, (s + 2, s + 1 + n, 4, 3 + n))
 
 
 def _g17_cells(values: np.ndarray) -> np.ndarray:
@@ -426,13 +467,14 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
         bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(chunk)]
         digits = np.take(words, order, axis=0).view(np.uint8)
         cells = np.zeros((len(chunk), _G17_WIDTH), np.uint8)
+        texts = cells.view(out.dtype)[:, 0]
         for g0, g1, k in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
             if k == _G17_UNDECIDED:
-                text = ["%.17g" % v for v in x[order[g0:g1]].tolist()]
-                cells[g0:g1].view(out.dtype)[:, 0] = text
+                texts[g0:g1] = ["%.17g" % v for v in x[order[g0:g1]].tolist()]
                 continue
             head, copies = _g17_layout(k)
-            cells[g0:g1, : len(head)] = head
+            if head:
+                texts[g0:g1] = head
             for c0, c1, d0, d1 in copies:
                 cells[g0:g1, c0:c1] = digits[g0:g1, d0:d1]
         out[np.take(chunk, order)] = cells.view(out.dtype).ravel()

@@ -92,10 +92,14 @@ class LocalMap:
         Fortran-ordered once (no copy if it is already), its inside rows
         read with ``compress`` and written back one coordinate row at a
         time, and the image is Fortran-ordered.  With at, run(rows,
-        positions) is handed the rows' positions in the batch too."""
+        positions) is handed the rows' positions in the batch too.  One
+        row, as the census steps it, is tested by ``Box.contains_point``."""
         pts = np.asarray(pts, dtype=float, order="F")
-        inside = self.support.contains_array(pts)
-        held = np.count_nonzero(inside)
+        if len(pts) == 1:
+            held = int(self.support.contains_point(pts[0].tolist()))
+        else:
+            inside = self.support.contains_array(pts)
+            held = np.count_nonzero(inside)
         if held == len(pts):
             return run(pts, np.arange(len(pts))) if at else run(pts)
         out = pts.copy(order="F")
@@ -392,8 +396,11 @@ class UnsquishMap(LocalMap):
         (3, m) coordinate rows q."""
         # points of the inner box lie on a ray from the apex, the rest of
         # the shell on a ray from the center
-        in_inner = self.params.inner.contains_array(q.T)
-        leg = _one_leg(in_inner)
+        if q.shape[1] == 1:
+            leg = self.params.inner.contains_point(q[:, 0].tolist())
+        else:
+            in_inner = self.params.inner.contains_array(q.T)
+            leg = _one_leg(in_inner)
         if leg is None:
             origin = np.where(in_inner, self._apex, self._center)
             lo_off, hi_off = (

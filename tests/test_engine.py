@@ -356,14 +356,18 @@ class TestTailTable:
     @settings(max_examples=40, deadline=None)
     def test_later_support_matches_box_containment(self, boxes, seed):
         table = TailTable.build(boxes)
-        # random points plus every box's corners, which sit on the boundary
         rng = np.random.default_rng(seed)
-        pts = np.concatenate([rng.uniform(-16.0, 16.0, (50, 3)), table.lo, table.hi])
+        # random points plus every box's corners, which sit on the boundary,
+        # and the corners one ulp outside
+        off = [np.nextafter(table.lo, -np.inf), np.nextafter(table.hi, np.inf)]
+        pts = np.concatenate([rng.uniform(-16.0, 16.0, (50, 3)), table.lo, table.hi, *off])
         for k in range(len(boxes) + 1):
             want = np.zeros(len(pts), dtype=bool)
             for b in boxes[k:]:
                 want |= b.contains_array(pts)
             assert np.array_equal(table.in_later_support(pts, k), want)
+            # one point at a time, as the census asks
+            assert [table.point_in_later_support(p, k) for p in pts.tolist()] == want.tolist()
 
     @given(_box_family(min_size=2))
     @settings(max_examples=40, deadline=None)
@@ -1052,6 +1056,38 @@ def test_the_skip_carries_no_row_past_a_support_that_holds_it(p, r, d, width, yz
     held = clear.any(axis=1) & (off[:, 0] == off.max(axis=1))
     assert held.any()
     np.testing.assert_array_equal(skip[held], clear.argmax(axis=1)[held])
+
+
+# level counts on either side of every generated chain's _span (575 to 1,943)
+_LEVELS = st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-3000, 3000)), min_size=1, max_size=5)
+
+
+@given(*_TAME_CHAINS, _LEVELS, st.integers(0, 2**32 - 1))
+@example((1.0, 0.0, 0.0), 0.5, 0.5, 0.5, (1.0, 1.0), [0, 0], 0)
+@example((1.0, 0.0, 0.0), 0.3, 0.5, 0.5, (1.0, 1.0), [2000, 2000, -2000], 1)
+@settings(max_examples=100, deadline=None)
+def test_a_power_of_s_is_bitwise_one_factor_or_one_per_row(p, r, d, width, yz, levels, seed):
+    """S^levels of coordinate rows is bitwise the same whether the rows
+    share one level count, as an int or a constant array, or each has
+    its own: level 0, counts within ``_span`` (one factor) and counts
+    past it (the clipped factors) alike."""
+    p = np.array(p)
+    sim = Similarity(_chain_first(p, r, d, width, yz), p, r)
+    y = p[:, None] + np.random.default_rng(seed).uniform(-2.0, 2.0, (3, len(levels)))
+
+    def same(a: np.ndarray, b: np.ndarray) -> bool:
+        return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    # counts far past _span carry rows to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each row at its own count, one int call a row
+        alone = np.concatenate([sim._power(y[:, i : i + 1], n) for i, n in enumerate(levels)], axis=1)
+        assert same(sim._power(y, np.array(levels)), alone)
+        for n in levels:
+            # the rows at one count, beside a row at another, take the per-row path
+            beside = sim._power(np.concatenate([y, y[:, :1]], axis=1), np.array([n] * len(levels) + [n + 1]))
+            assert same(sim._power(y, np.full(len(levels), n)), beside[:, :-1])
+            assert same(sim._power(y, n), beside[:, :-1])
 
 
 @pytest.mark.parametrize("name", [n for n in DECLARED_STREAMS if n.startswith(("countable", "trefoil"))])

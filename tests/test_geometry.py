@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -109,6 +110,25 @@ class TestBox:
         for p, w in zip(pts, want):
             got = b.contains_array(p, strict)
             assert type(got) is np.bool_ and got == w
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_contains_point_is_contains_array_on_one_row(self, seed):
+        # corners, points on every face and one ulp either side of it, and
+        # rows with a nan or an infinity
+        rng = np.random.default_rng(seed)
+        b = Box.from_center(rng.uniform(-4, 4, 3), rng.uniform(0.0, 2.0, 3))
+        row = np.arange(12)
+        face = b.sample(rng, 12)
+        face[row, row % 3] = np.where(row[:, None] < 6, b.lo, b.hi)[row, row % 3]
+        odd = b.sample(rng, 6)
+        odd[row[:6], row[:6] % 3] = [np.nan, np.inf, -np.inf] * 2
+        pts = np.concatenate([
+            b.corners(), face, np.nextafter(face, np.inf), np.nextafter(face, -np.inf),
+            b.sample(rng, 20), b.scaled_about_center(3.0).sample(rng, 20), odd,
+        ])
+        for p, want in zip(pts, b.contains_array(pts)):
+            assert b.contains_point(p.tolist()) is bool(want)
 
     def test_corners_are_x_major(self):
         b = Box((0, 1, 2), (3, 4, 5))
@@ -317,15 +337,87 @@ class TestG17Cells:
         assert _g17_cells(np.empty((0, 3))).shape == (0, 3)
 
     def test_power_of_ten_table_is_built_on_first_use(self):
+        """Importing the CLI and building every scenario builds no row of
+        the power-of-ten table, no digit table and no layout; one
+        ``_g17_cells`` call builds the rows of its values' decades alone."""
         code = (
-            "import numpy as np, knotiso.geometry as g\n"
-            "assert g._pow10_pairs.cache_info().currsize == 0\n"
-            "g._g17_cells(np.ones(1))\n"
-            "assert g._pow10_pairs.cache_info().currsize == 1\n"
+            "import numpy as np, knotiso.cli as cli, knotiso.geometry as g\n"
+            "for build in cli.SCENARIO_BUILDERS.values(): build()\n"
+            "assert np.isnan(g._G17_POW10).all()\n"
+            "assert g._digit_words.cache_info().currsize == 0\n"
+            "assert g._g17_layout.cache_info().currsize == 0\n"
+            "g._g17_cells(np.array([1.5, -2.5e-7, 0.0, np.inf, 3e100, 7.25]))\n"
+            "assert np.flatnonzero(~np.isnan(g._G17_POW10[:, 0])).tolist() == [-7 + 324, 0 + 324, 100 + 324]\n"
+            "assert g._digit_words.cache_info().currsize == 1\n"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+        _run_fresh(code)
+
+    def test_rows_grown_both_ways_are_the_exact_integer_rows(self):
+        _run_fresh("import test_geometry\ntest_geometry._grow_rows_both_ways()\n")
+
+    def test_digit_table_is_the_stacked_digits_table(self):
+        want, got = _stacked_digit_words(), geometry._digit_words()
+        for w, g in zip(want, got):
+            assert w.dtype == g.dtype
+            np.testing.assert_array_equal(w, g)
+
+
+def _run_fresh(code: str) -> None:
+    """Run code in a new Python process that imports knotiso and these
+    tests from source."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def _exact_pow10_row(k: int) -> tuple[tuple[float, float, float, float], int]:
+    """The power-of-ten row of decade k from exact integers: (hi, lo, hi's
+    Veltkamp halves) with hi + lo = 10**(16 - k) / 2**b rounded half up
+    to a multiple of 2**-105, hi in [1, 2]; and b.  (10**46 / 2**152,
+    k = -30, lies on a tie.)"""
+    num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+    b = num.bit_length() - den.bit_length()
+    if num * 2 ** max(0, -b) < den * 2 ** max(0, b):
+        b -= 1
+    m = math.floor(Fraction(num, den) * Fraction(2) ** (105 - b) + Fraction(1, 2))
+    hi = m / 2**105
+    lo = (m - round(hi * 2**105)) / 2**105
+    c = 134217729.0 * hi
+    hi_top = c - (c - hi)
+    return (hi, lo, hi_top, hi - hi_top), b
+
+
+def _grow_rows_both_ways() -> None:
+    """In a fresh process: one value per decade from -324 to 308, one
+    ``_g17_cells`` call each, 1.0 first, then the least subnormal and the
+    largest double, so the built rows grow down and up.  Each cell is the
+    '%.17g' text, each call builds its value's decade alone, and every
+    built row is the exact-integer row."""
+    assert np.isnan(geometry._G17_POW10).all()
+    rest = [float(f"3e{k}") for k in range(-323, 308) if k != 0]
+    values = [1.0, 5e-324, 1.7976931348623157e308, *rest]
+    read = []
+    for v in values:
+        read.append(math.floor(math.log10(v)) - geometry._G17_K_MIN)
+        _assert_g17([v])
+        assert np.flatnonzero(~np.isnan(geometry._G17_POW10[:, 0])).tolist() == sorted(read)
+    assert sorted(read) == list(range(geometry._G17_K_MAX - geometry._G17_K_MIN + 1))
+    for i in read:
+        row, b = _exact_pow10_row(i + geometry._G17_K_MIN)
+        assert geometry._G17_POW10[i].view(np.int64).tolist() == np.array(row).view(np.int64).tolist()
+        assert geometry._G17_POW10_EXP[i] == b
+
+
+def _stacked_digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The digit table as the kernel first built it: each entry's digits
+    stacked into bytes, its zeros counted by a running product."""
+    q = np.arange(10000, dtype=np.uint16)
+    d = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8)
+    quads = (d + ord("0")).view("<u4").ravel()
+    leads = (np.arange(10, dtype=np.uint32) + ord("0")) << 24
+    zeros = (d[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    return np.concatenate([quads, leads]), zeros
 
 
 def _handed_to_17g() -> np.ndarray:
