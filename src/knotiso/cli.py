@@ -16,25 +16,18 @@ run's probe grid from ``geometry.PCG64Stream``, the SeedSequence/PCG64
 doubles of ``numpy.random.default_rng(seed)``, so no verb loads
 ``numpy.random`` and the report bytes do not depend on its code.
 
-frames steps from its last frame.  It keeps one ``engine.Film``, of the
-last scenario builder called: the scenario's stream, its initial curve
-densified to ``_FRAME_MAX_SEG``, the level loop's rounds on that curve
-and the last frame drawn, none of which depends on --depth.  So
-consecutive frames calls on one scenario, at any depths, and all frames
-of one call, share one build and one densification, a frame at the same
-or a later stage runs only the rounds the frames before it did not, and
-each frame is drawn against the last.  It prints only the vertices whose
-bits differ from that frame's and splices their rows into the last
-frame's file text and point text; its ``.curve`` is that file text in
-one write, and its drawing's polylines are slices of that point text.
-It searches for crossings only among the segments that moved and those
-whose boxes meet theirs.  A frame whose projection is degenerate exits
-4.  The pairs that made one view degenerate are tested first in the
-next, the last frame's xy view's in the frame's xy view and each view's
-in the perturbed view after it, and a view they still make degenerate
-is rejected without a search (``engine.Film``).  run and check build
-their scenario per call, and keep nothing; run's snapshot is the
-curve file text of every row, laid out as a frame's rows are.
+frames films its times in order, each frame drawn against the last
+(``engine.Film``): it runs only the level loop rounds the frames before
+it did not, prints only the vertices that moved and splices their rows
+into the last frame's file text and point text, and searches for
+crossings only among the segments that moved and those whose boxes meet
+theirs.  A frame's ``.curve`` is its film's file text in one write, and
+its drawing's polylines are slices of its point text.  The film, of the
+last scenario builder called, is kept between calls at any depth, since
+none of it depends on --depth.  A frame whose projection is degenerate
+exits 4.  run and check build their scenario per call and keep nothing;
+run's snapshot is written by ``geometry.write_curve``, its rows laid out
+as a frame's rows are.
 """
 from __future__ import annotations
 
@@ -201,7 +194,7 @@ def cmd_frames(cfg: RunConfig) -> int:
         lines, points = film.texts
         svg = render_svg(frame, 0.005, crossings, points)
         stem = cfg.out / f"{cfg.scenario}_frame_{i:03d}"
-        write_curve(frame, stem.with_suffix(".curve"), lines)
+        stem.with_suffix(".curve").write_bytes(lines.text)
         _write_text(stem.with_suffix(".svg"), svg)
     return 0
 

@@ -271,8 +271,8 @@ def render_svg(
     of the piece before it when that one reaches its segment's end and
     this one starts at the next segment's start.  The group's transform
     flips y, so a vertex is printed as its own "x,y " row of points, the
-    curve's point text (``geometry.curve_texts``), laid out here from
-    ``curve.decimal_cells()`` where not given.  A run is an optional start cut, a contiguous range of
+    curve's point text (``geometry.curve_texts``), laid out here where not
+    given.  A run is an optional start cut, a contiguous range of
     vertices, the last of which may be vertex 0 on a closed curve, and an
     optional end cut, so its text is slices of the point text and of the
     cuts' text: only the gap cuts a + t (b - a) are printed here, through
@@ -282,7 +282,7 @@ def render_svg(
     pts = curve.points
     n = len(pts)
     crossings = find_crossings(curve) if crossings is None else crossings
-    points = DecimalText.of(curve.decimal_cells()[:, :2], _POINT_SEPS) if points is None else points
+    points = DecimalText.of(_g17_cells(pts[:, :2]), _POINT_SEPS) if points is None else points
     a, b = curve.segment_arrays()
     # each under segment's gap: its crossing's parameter t0 on it, +- the
     # gap radius over its xy length, cut to [0, 1]; np.vecdot sums each

@@ -114,11 +114,14 @@ class TailTable:
     diam[n] = max(diam[n + 1], farthest corner distance from V_n to
     V_n..V_last).  The triangle is read in blocks of rows
     (``_upper_blocks``), so the table takes memory linear in last.
+    Row k of ``_next_and_hull`` holds V_(k+1)'s corners, then those of
+    the hull of V_(k+1)..V_last, twelve floats, for the one-point test.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     diam: np.ndarray
+    _next_and_hull: np.ndarray = field(repr=False)
 
     @staticmethod
     def build(boxes: Sequence[Box]) -> "TailTable":
@@ -129,8 +132,11 @@ class TailTable:
     @staticmethod
     def from_corners(lo: np.ndarray, hi: np.ndarray) -> "TailTable":
         """The table of the supports given as stacked (last, 3) corners."""
+        hull_lo = np.minimum.accumulate(lo[::-1])[::-1]
+        hull_hi = np.maximum.accumulate(hi[::-1])[::-1]
+        next_and_hull = np.concatenate([lo, hi, hull_lo, hull_hi], axis=1)
         if not len(lo):
-            return TailTable(lo=lo, hi=hi, diam=np.empty(0))
+            return TailTable(lo, hi, np.empty(0), next_and_hull)
         # every distance is >= 0, so the zeros below the diagonal lose
         blocks = _upper_blocks(lo, hi, farthest_corner_distances)
         far = np.concatenate([np.triu(block).max(axis=1) for block in blocks])
@@ -138,7 +144,7 @@ class TailTable:
         # entry it replaces; perfbench counts these calls
         far[-1] = union_diameter([Box(lo[-1], hi[-1])])
         diam = np.maximum.accumulate(far[::-1])[::-1]
-        return TailTable(lo=lo, hi=hi, diam=diam)
+        return TailTable(lo, hi, diam, next_and_hull)
 
     def in_later_support(self, pts: np.ndarray, k: int) -> np.ndarray:
         """Per row of pts, whether it lies in some V_j with j > k."""
@@ -160,15 +166,6 @@ class TailTable:
         if not (u0 <= x <= u1 and v0 <= y <= v1 and w0 <= z <= w1):
             return False
         return bool(self.in_later_support(np.array([point]), k + 1)[0])
-
-    @functools.cached_property
-    def _next_and_hull(self) -> np.ndarray:
-        """Row k: V_(k+1)'s corners, then the corners of the hull of
-        V_(k+1)..V_last, twelve floats; built on the first one-point
-        test, so a table only ``check`` reads has none."""
-        hull_lo = np.minimum.accumulate(self.lo[::-1])[::-1]
-        hull_hi = np.maximum.accumulate(self.hi[::-1])[::-1]
-        return np.concatenate([self.lo, self.hi, hull_lo, hull_hi], axis=1)
 
 
 # entries in one block of a pairwise table of supports: a megabyte of
@@ -295,11 +292,6 @@ class Similarity:
         those are: every row, where p lies in V_1 and so V_1 is the hull."""
         if self._dmin == 0.0:
             return h.apply_array(y.T).T, np.ones(y.shape[1], dtype=bool)
-        if y.shape[1] == 1:
-            # one row, as the census steps it: no mask to gather by
-            if self.first.support.contains_point(y[:, 0].tolist()):
-                return h.apply_array(y.T).T, np.ones(1, dtype=bool)
-            return y, np.zeros(1, dtype=bool)
         held = self.first.support.contains_array(y.T)
         if not held.any():
             return y, held
@@ -817,7 +809,8 @@ def eval_limit_isotopy(seq: MoveSequence, p: np.ndarray, tol: float, k_budget: i
         if sim is None:
             x = seq.time_one_map(k + 1).apply_array(x)
         elif k >= skip:
-            y = sim._power(sim._through(sim.first.time_one(), y)[0], -1)
+            # h_1's support is V_1, so its map tests the one row against V_1
+            y = sim._power(sim.first.time_one().apply_array(y.T).T, -1)
             x = sim._power(y, k + 1).T
     return LimitValue(x[0], "budget-exhausted", k_budget)
 

@@ -22,12 +22,11 @@ with each row's byte offset; rows are laid out one way, a block at a
 time (``_blocks``).  A frame's texts are the frame before's with the
 rows that moved laid out afresh and spliced in, the text between them
 copied, so they cost what moved since (``curve_texts``); a whole text
-is every row laid out (``DecimalText.of``), and a file written without
-its text streams its blocks (``write_curve``).
+is every row laid out (``DecimalText.of``).  A curve's file is written
+one way: its head, then its blocks streamed (``write_curve``).
 
-Everything here is immutable and pure, save that stream's state and a
-curve's memo of its cells.  All lengths are in dimensionless model
-units.
+Everything here is immutable and pure, save that stream's state.  All
+lengths are in dimensionless model units.
 """
 from __future__ import annotations
 
@@ -494,17 +493,14 @@ class PLCurve:
     """A finite polyline in 3-space, open arc or closed loop.
 
     The vertices live in one read-only row-major ``(n, 3)`` float array,
-    ``points`` (``vertices`` is the same array).  ``decimal_cells()`` holds
-    each coordinate's ``%.17g`` text, from one vectorized exact kernel that
-    leaves only undecidable values to ``'%.17g'`` itself, built on first
-    use; ``write_curve`` and ``render_svg`` lay a curve out from them
-where no film's text is given.  The cells are the
-    one memo a curve keeps.  A film's frames keep none: their texts are
-    spliced from the frame's before, and the film keeps them
+    ``points`` (``vertices`` is the same array).  A curve keeps nothing
+    else: its ``%.17g`` text is laid out by whoever writes or draws it
+    (``write_curve``, ``render_svg``), and a film's frames' texts are
+    spliced from the frame's before, which the film keeps
     (``curve_texts``, ``engine.Film``).
     """
 
-    __slots__ = ("points", "closed", "_cells")
+    __slots__ = ("points", "closed")
 
     def __init__(self, vertices: np.ndarray, closed: bool = False) -> None:
         # row-major whatever the input's layout: a map's image is
@@ -530,7 +526,6 @@ where no film's text is given.  The cells are the
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "_cells", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PLCurve is immutable")
@@ -538,16 +533,6 @@ where no film's text is given.  The cells are the
     @property
     def vertices(self) -> np.ndarray:
         return self.points
-
-    def decimal_cells(self) -> np.ndarray:
-        """The ``%.17g`` text of each coordinate (17 significant digits,
-        so it reads back bitwise), as a read-only ``(n, 3)`` array of
-        NUL-padded bytes cells, built on first use."""
-        if self._cells is None:
-            cells = _g17_cells(self.points)
-            cells.flags.writeable = False
-            object.__setattr__(self, "_cells", cells)
-        return self._cells
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLCurve):
@@ -848,7 +833,7 @@ def curve_texts(
     kernel.  Given texts, last's, a curve of this shape, only the
     vertices with a coordinate whose bits differ from last's are printed
     and spliced in: a cell depends on its double's bits alone, so the
-    texts are the whole ones.  The curve's cells are not kept."""
+    texts are the whole ones."""
     pts = curve.points
     if texts is None:
         cells = _g17_cells(pts)
@@ -860,17 +845,13 @@ def curve_texts(
     return lines.spliced(rows, cells), points.spliced(rows, cells[:, :2])
 
 
-def write_curve(curve: PLCurve, path, text: DecimalText | None = None) -> None:
-    """Write the curve's file: text, the curve's file text
-    (``curve_texts``), in one write, or where not given its head and then
-    the rows of its ``decimal_cells()``, written a block at a time as
-    they are laid out, so the heap never holds the whole text."""
+def write_curve(curve: PLCurve, path) -> None:
+    """Write the curve's file: its head, then the rows of its ``%.17g``
+    cells, written a block at a time as they are laid out, so the heap
+    never holds the whole text."""
     with open(path, "wb") as fh:
-        if text is None:
-            fh.write(_file_head(curve))
-            fh.writelines(_blocks(curve.decimal_cells(), _FILE_SEPS))
-        else:
-            fh.write(text.text)
+        fh.write(_file_head(curve))
+        fh.writelines(_blocks(_g17_cells(curve.points), _FILE_SEPS))
 
 
 def read_curve(path) -> PLCurve:

@@ -233,20 +233,18 @@ def _writes_through_the_back_door(tree: ast.AST, scope: str = ""):
 
 
 def test_only_constructors_write_frozen_state():
-    # a frozen declaration or an immutable curve is set up once: what a
-    # film reuses lives in the film, and no cache outlives its caller
-    # unseen; the one memo is a curve's cells
+    # a frozen declaration, a tail table or an immutable curve is set up
+    # once: what a film reuses lives in the film, and no cache outlives
+    # its caller unseen, nor writes into an instance after construction
     found, caches = [], []
     for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):
         text = path.read_text()
         found += [(path.name, *w) for w in _writes_through_the_back_door(ast.parse(text))]
-        caches += [path.name] if "lru_cache" in text else []
+        caches += [(path.name, c) for c in ("lru_cache", "cached_property") if c in text]
     assert not caches, caches
     stray = [(name, scope, line) for name, scope, line in found
-             if scope.rpartition(".")[2] not in ("__init__", "__post_init__")
-             and (name, scope) != ("geometry.py", "PLCurve.decimal_cells")]
+             if scope.rpartition(".")[2] not in ("__init__", "__post_init__")]
     assert not stray, stray
-    assert ("geometry.py", "PLCurve.decimal_cells") in {(name, scope) for name, scope, _ in found}
 
 
 def test_runtime_warnings_fail_the_suite():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knotiso import cli, diagram
+from knotiso import cli, diagram, engine
 from knotiso.canonical import conjugated_insert
 from knotiso.cli import RunConfig, main
 from knotiso.engine import COMPACTNESS, UNIFORM_CONVERGENCE, MoveSequence, Similarity
@@ -675,6 +675,32 @@ class TestFramesReuse:
             cli._film = None
             assert self._frames(tmp_path / f"cold{k}", *call) == warm[k], call
 
+    def test_one_call_with_sorted_times_never_restarts_its_rounds(self, tmp_path, monkeypatch):
+        # a call's times are sorted, so its loops ask for rising levels and
+        # never take _Rounds.advance's restart; a later call in the same
+        # process, at an earlier time, still does
+        asked = []
+        advance = engine._Rounds.advance
+
+        def recorded(self, sim, x, at, todo, out):
+            asked.append((self.todo, todo))
+            return advance(self, sim, x, at, todo, out)
+
+        monkeypatch.setattr(engine._Rounds, "advance", recorded)
+        times = "0,0.3,0.6,0.8,0.9,0.95,0.98,0.99,1"
+        for name, build in sorted(cli.SCENARIO_BUILDERS.items()):
+            if build().moves.similarity is None:
+                continue
+            for depth in (5, 20):
+                cli._film, asked[:] = None, []
+                status, _ = self._frames(tmp_path / f"{name}_{depth}", name, depth, times)
+                assert status in (0, 4) and asked, (name, depth)
+                assert all(todo >= last for last, todo in asked), (name, depth, asked)
+        asked[:] = []
+        for k, t in enumerate(("0.99", "0.5")):
+            assert self._frames(tmp_path / f"later{k}", "trefoil_chain", 20, t)[0] == 0
+        assert any(todo < last for last, todo in asked)
+
     def test_a_cleared_film_lets_go_of_its_declaration_without_the_collector(self, tmp_path):
         # nothing the film holds refers back to it, and the declaration
         # keeps nothing, so dropping the film frees both without a
@@ -696,8 +722,7 @@ class TestFramesReuse:
         is drawn, the kept film holds the scenario, the densified curve,
         the last frame with its xy search and its two texts, each with its
         row offsets, and the level loop's rounds on every row of the
-        curve: no earlier frame, and no cells, of a frame or of the
-        densified curve."""
+        curve: no earlier frame."""
         name = "trefoil_chain"
         build = cli.SCENARIO_BUILDERS[name]
         times = (0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99, 1.0)
@@ -719,7 +744,6 @@ class TestFramesReuse:
             held = tracemalloc.get_traced_memory()[0]
             film = _kept_film()
             rounds, last, search, texts = film.rounds, film.last, film.search, film.texts
-            assert last._cells is None and film.curve._cells is None
             allowed = built + film.curve.points.nbytes + last.points.nbytes
             allowed += sum(len(t.text) + t.at.nbytes for t in texts)
             allowed += sum(a.nbytes for a in (rounds.steps, rounds.moved, rounds.y))

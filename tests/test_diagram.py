@@ -280,7 +280,7 @@ class TestSvgDigitsFromCurveText:
     piece's ends with %.17g gives, and draw the pieces the former
     one-<line>-per-piece drawing drew."""
 
-    @given(_drawable_curves(), st.sampled_from(("whole", "cells first", "spliced")))
+    @given(_drawable_curves(), st.sampled_from(("whole", "spliced")))
     @settings(max_examples=150, deadline=None)
     def test_matches_per_end_formatting(self, drawn, text):
         pts, closed, gap = drawn
@@ -290,11 +290,8 @@ class TestSvgDigitsFromCurveText:
         except ValueError:  # repeated vertices, or a degenerate projection
             assume(False)
         want = _render_svg_per_piece(curve, gap)
-        assert curve._cells is None
         points = None
-        if text == "cells first":
-            curve.decimal_cells()
-        elif text == "spliced":
+        if text == "spliced":
             # every other vertex moved since the curve before
             before = PLCurve(pts + np.arange(len(pts))[:, None] % 2, closed=closed)
             points = curve_texts(curve, before, curve_texts(before))[1]
@@ -389,10 +386,8 @@ class TestSvgDigitsFromCurveText:
         write_curve(PLCurve(pts), path)
         want = f"open {n}\n" + "%.17g %.17g %.17g\n" * n % tuple(pts.ravel().tolist())
         assert path.read_bytes() == want.encode()
-        # a film's whole file text, written in one write, is the same file
-        curve = PLCurve(pts)
-        write_curve(curve, path, curve_texts(curve)[0])
-        assert path.read_bytes() == want.encode()
+        # a film's whole file text, as a frame writes it, is the same file
+        assert curve_texts(PLCurve(pts))[0].text == path.read_bytes()
 
     def test_polyline_longer_than_a_text_block(self):
         curve = _poly([(-1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1), (0, -1, 1)]).densified(0.001)

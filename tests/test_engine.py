@@ -31,7 +31,7 @@ from knotiso.engine import (
     uniform_convergence_probe,
 )
 from knotiso.geometry import Box, PLCurve, union_diameter
-from knotiso.maps import IdentityMap
+from knotiso.maps import IdentityMap, _scatter
 from knotiso.canonical import conjugated_insert, kink_isotopy, multi_kink_isotopy
 from knotiso.moves import cone_isotopy, conjugated_isotopy, reversed_isotopy
 
@@ -1088,6 +1088,50 @@ def test_a_power_of_s_is_bitwise_one_factor_or_one_per_row(p, r, d, width, yz, l
             beside = sim._power(np.concatenate([y, y[:, :1]], axis=1), np.array([n] * len(levels) + [n + 1]))
             assert same(sim._power(y, np.full(len(levels), n)), beside[:, :-1])
             assert same(sim._power(y, n), beside[:, :-1])
+
+
+def _assert_h1_is_supported_in_v1(sim: Similarity) -> None:
+    """Stage 1's end map h_1 culls to V_1 itself, bitwise, so the census,
+    which steps a point through h_1 alone, tests V_1 in h_1's own
+    ``_on_support``, as the level loop's ``Similarity._through`` does."""
+    assert _box_bits(sim.first.time_one().support) == _box_bits(sim.first.support)
+
+
+@pytest.mark.parametrize("name", [*DECLARED_STREAMS, "recursive_r1_ablated"])
+def test_stage_1s_end_map_is_supported_in_v1_on_the_declared_streams(scenarios, recursive_ablated, name):
+    s = recursive_ablated if name == "recursive_r1_ablated" else scenarios[name]
+    _assert_h1_is_supported_in_v1(s.moves.similarity)
+
+
+@given(st.tuples(*_DYADIC_STREAMS[:4]), st.tuples(*_SKIP_CHAINS))
+@settings(max_examples=40, deadline=None)
+def test_stage_1s_end_map_is_supported_in_v1_on_generated_streams(dyadic, chain):
+    _assert_h1_is_supported_in_v1(_dyadic_stream(*dyadic).similarity)
+    _assert_h1_is_supported_in_v1(_generated_chain(*chain).similarity)
+
+
+def test_the_census_and_its_oracle_share_no_v1_test(monkeypatch):
+    """The stage-by-stage oracle steps through the level loop, whose V_1
+    test is ``Similarity._through``'s; the census steps through h_1, whose
+    V_1 test is its own.  With _through's V_1 mask negated, so that g
+    moves no row V_1 holds, the two disagree on some census point: a fault
+    in either V_1 test shows against the other."""
+    s = SCENARIO_BUILDERS["countable_r1"]()
+
+    def negated(self, h, y):
+        held = ~self.first.support.contains_array(y.T)
+        z = y.copy()
+        if held.any():
+            _scatter(z, held, h.apply_array(y.compress(held, axis=1).T).T)
+        return z, held
+
+    monkeypatch.setattr(Similarity, "_through", negated)
+    differ = []
+    for x in s.census_samples:
+        got, want = eval_limit_isotopy(s.moves, x, 1e-6, 40), stagewise_limit(s.moves, x, 1e-6, 40)
+        same = (got.status, got.steps) == (want.status, want.steps)
+        differ.append(not (same and np.array_equal(got.point, want.point)))
+    assert any(differ)
 
 
 @pytest.mark.parametrize("name", [n for n in DECLARED_STREAMS if n.startswith(("countable", "trefoil"))])
