@@ -32,10 +32,18 @@ through ``knotiso.cli.main``, so that its film carries across ops as in a
 benchmark pass; a frames op's output is its exit status, its stderr and
 the sha256 of each file it wrote.
 
-With ``--trace-seed S`` it then runs each tree once more with ``--trace 1``
-at seed S and records, next to both sides' per-layer metrics, the layers
-that moved: every per-layer metric whose value changed, the largest
-relative change first, save the traced pass's own time and overhead.
+With ``--trace-seed`` (one seed or several, as ``--seeds`` takes them) it
+then runs each tree once more with ``--trace 1`` at each of those seeds,
+the first side flipping with each seed as above, and records, next to
+both sides' per-layer metrics, the layers that moved, read off each
+side's median over the traced runs, the largest relative change first:
+a timed layer (in s or 1/s) where the change's median lies outside the
+parent's interquartile range, and any other layer, a count, where the
+medians differ; the traced pass's own time and overhead are left out.
+
+Each workload's entry also records ``src_lines``, the number of lines of
+each tree's ``src/knotiso/*.py``, so a change that removes code reads
+its count off the record.
 
 Each run lasts the ``run_seconds`` of the change tree's BENCHMARK.json.
 The record goes to ``BENCH_<label>.json`` in the current directory.  An
@@ -128,18 +136,26 @@ def summarize(
 # pass-to-pass noise decides; both sides' values stay in the record
 WHOLE_PASS = {"trace.pass_s", "trace.overhead_s"}
 
+# the units of the per-layer metrics that time something, which vary from
+# run to run; every other per-layer metric counts work done
+TIMED = {"s", "1/s"}
 
-def moved_layers(parent: dict, change: dict, end_to_end: set[str]) -> list[dict]:
-    """The per-layer metrics of two traced metrics lines whose values
-    differ, each with both values and change / parent, the largest
-    relative change (either way) first.  Metrics in ``end_to_end`` or
-    ``WHOLE_PASS`` are left out, and so are those the parent reads 0 in."""
+
+def moved_layers(parent: list[dict], change: list[dict], end_to_end: set[str]) -> list[dict]:
+    """The per-layer metrics that moved between two sides' traced metrics
+    lines, one per traced run, each with both sides' medians and change /
+    parent, the largest relative change (either way) first.  A timed
+    metric moved when the change's median lies outside the parent's
+    interquartile range, any other when the medians differ.  Metrics in
+    ``end_to_end`` or ``WHOLE_PASS`` are left out, and so are those whose
+    parent median is 0 or that some run lacks."""
     moved = []
-    for name, entry in parent.items():
-        if name in end_to_end or name in WHOLE_PASS or name not in change:
+    for name, entry in parent[0].items():
+        if name in end_to_end or name in WHOLE_PASS or not all(name in line for line in parent + change):
             continue
-        old, new = entry["value"], change[name]["value"]
-        if old == new or old == 0:
+        q = quartiles([line[name]["value"] for line in parent])
+        old, new = q["median"], quartiles([line[name]["value"] for line in change])["median"]
+        if old == 0 or (q["q1"] <= new <= q["q3"] if entry["unit"] in TIMED else new == old):
             continue
         moved.append({"metric": name, "parent": old, "change": new, "ratio": new / old})
     moved.sort(key=lambda m: -_moved_by(m["ratio"]))
@@ -208,6 +224,11 @@ def replay(tree: Path, workload: str, seed: int) -> dict[str, dict]:
     return json.loads(proc.stdout)
 
 
+def src_lines(tree: Path) -> int:
+    """The number of lines of the tree's ``src/knotiso/*.py``."""
+    return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "knotiso").glob("*.py"))
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     """The metrics line of one benchmark run of a tree, its machine and
     its outputs, the report hashes and failures of its detail line; the
@@ -240,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 101-110")
     ap.add_argument("--label", required=True)
     ap.add_argument("--note", default="", help="what the change is, for the record")
-    ap.add_argument("--trace-seed", type=int, help="also compare one traced run of each tree")
+    ap.add_argument("--trace-seed", type=parse_seeds, help="also compare traced runs at these seeds")
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -274,15 +295,16 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summarize(runs["parent"], runs["change"], metrics),
         "outputs_match": not mismatched,
         "mismatched_ops": mismatched,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
     }
     if args.trace_seed is not None:
-        traced = {
-            side: run_side(trees[side], args.workload, args.trace_seed, seconds, trace=True)
-            ["line"]["metrics"]
-            for side in ("parent", "change")
-        }
+        traced: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i, seed in enumerate(args.trace_seed):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                got = run_side(trees[side], args.workload, seed, seconds, trace=True)
+                traced[side].append(got["line"]["metrics"])
         entry["traced"] = {
-            "seed": args.trace_seed,
+            "seeds": args.trace_seed,
             "moved": moved_layers(traced["parent"], traced["change"], set(metrics)),
             **traced,
         }

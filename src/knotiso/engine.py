@@ -16,7 +16,8 @@ truncations and t = 1 census are one loop over levels: with h_1 stage
 1's end map and g = S^-1 h_1, stages j..n are S^n g^(n-j+1) S^(1-j),
 stage k is S^(k-1) h_1 S^(1-k), and a census point takes a g step per
 stage in level coordinates.  No V_k is formed in floats but as a
-support, so a truncation runs at any depth.  A ``Film`` of one curve
+support, so a truncation runs at any depth.  Every loop runs its rounds
+of g through one kernel, ``Similarity._rounds``.  A ``Film`` of one curve
 holds what its frames reuse: the loop's rounds on that curve, so its
 frames run each round once, and the last frame drawn, with its crossing
 search and its texts, which the next frame's are spliced from.
@@ -324,6 +325,70 @@ class Similarity:
             _scatter(y, far, self._power(y.compress(far, axis=1), -skip.compress(far)))
         return y, skip
 
+    def _rounds(self, first: int, todo: int, x: np.ndarray, state: tuple | None) -> tuple:
+        """The one round kernel of every level loop: the rounds of g to
+        level todo on the (3, m) coordinate rows x at level first.  A row is
+        carried to level 1 by S^(1-first) and then takes one step of g per
+        round, the rows V_1 holds going through one h_1 call.  S maps
+        hull(V_1 u {p}) into itself and h_1 is the identity outside V_1, so
+        a row that g carries out of that hull never comes back: it is done,
+        at S^(first-1+s) of its h_1 image after s steps, or where it started
+        if V_1 never held it.  A row that a step leaves bitwise in place
+        stays there at every level.  Where p lies outside V_1, at sup-norm
+        distance dmin from it, a row at distance d from p can lie in V_k
+        only if r^(k-1) dmin <= d, so it first skips straight to the first
+        level whose V can hold it, in one multiply (``_skip``), and its
+        first round is at that level.
+
+        Each row is taken up where its (y, moved, steps) in state, as
+        ``_Rounds`` keeps them, left it, or afresh where state is None or
+        the row is _FRESH.  Returns the state the rounds leave, in state's
+        arrays, or in fresh ones where state is None."""
+        if state is None:
+            rows, y = np.arange(x.shape[1]), x
+            y_out, moved_out, steps_out = x.copy(), np.zeros(len(rows), dtype=bool), np.full(len(rows), _FRESH)
+        else:
+            y_out, moved_out, steps_out = state
+            rows = np.flatnonzero(steps_out == _FRESH)
+            y = x.take(rows, axis=1)
+        y, steps = self._skip(self._power(y, 1 - first), todo)
+        wait = steps == todo
+        if wait.any():
+            _scatter(y_out, rows.compress(wait), y.compress(wait, axis=1))
+            rows, y, steps = (a.compress(~wait, axis=-1) for a in (rows, y, steps))
+        if state is not None:
+            # rows below level todo resume, and y_out holds x till each stops
+            go = np.flatnonzero((steps_out >= 0) & (steps_out < todo))
+            parts = (go, y_out.take(go, axis=1), steps_out.take(go)), (rows, y, steps)
+            rows, y, steps = (np.concatenate(part, axis=-1) for part in zip(*parts))
+            _scatter(y_out, rows, x.take(rows, axis=1))
+        moved = moved_out.take(rows)
+        while len(rows):
+            z, held = self._through(self.first.time_one(), y)
+            moved |= held
+            # S^-1 carries a row out of the hull exactly when it lies
+            # outside S(hull): it is done, at S^(first-1+s) of z
+            done = ~self._hull_2.contains_array(z.T)
+            if done.any():
+                image = done & moved
+                if image.any():
+                    levels = first - 1 + steps.compress(image)
+                    _scatter(y_out, rows.compress(image), self._power(z.compress(image, axis=1), levels))
+                steps_out[rows.compress(done)] = _DONE
+                rows, y, z, moved, steps = (a.compress(~done, axis=-1) for a in (rows, y, z, moved, steps))
+            stepped = self._power(z, -1)
+            # a row g leaves bitwise in place stays there at every level;
+            # the three rows ANDed, as in Box.contains_array
+            same = stepped.view(np.int64) == y.view(np.int64)
+            y, steps = stepped, np.where(same[0] & same[1] & same[2], _STILL, steps + 1)
+            stop = steps >= todo
+            if stop.any():
+                at = rows.compress(stop)
+                _scatter(y_out, at, y.compress(stop, axis=1))
+                moved_out[at], steps_out[at] = moved.compress(stop), steps.compress(stop)
+                rows, y, moved, steps = (a.compress(~stop, axis=-1) for a in (rows, y, moved, steps))
+        return y_out, moved_out, steps_out
+
 
 def _near_faces(dmin: float, r: float, p_max: float, span: int) -> np.ndarray:
     """Per level k = 1, 2, ..., a distance from p below that of V_k's near
@@ -347,15 +412,16 @@ class _Rounds:
     """The rounds of g = S^-1 h_1 that a ``Film``'s level loops from
     level 1 ran on the n rows of its curve, indexed by position, so that
     a loop to the same or a later level takes up where the last one
-    stopped and one to a smaller level starts afresh.  A loop is handed
-    only the rows inside its support, so a row no loop held stays
-    _FRESH.  A film is their one holder: a loop given no rounds starts
-    afresh and keeps nothing.
+    stopped and one to a smaller level starts afresh.  Only their state
+    is kept here: the one kernel, ``Similarity._rounds``, runs them.  A
+    loop is handed only the rows inside its support, so a row no loop
+    held stays _FRESH.
 
     Per row, ``steps`` is the level the row waits at, with ``y`` its level
     coordinates and ``moved`` whether V_1 held it; or _STILL, where g left
     it bitwise in place, so it waits at every level; or _DONE, where g
-    carried it out of hull(V_1 u {p}), with ``y`` its image; or _FRESH.
+    carried it out of hull(V_1 u {p}), with ``y`` its image, or x where
+    V_1 never held it; or _FRESH.
     A row the distance skip carried to the last level, the first whose V
     could hold it or the cap, is left fresh, so a later level skips it
     afresh, maybe past that level (one multiply rounds otherwise than
@@ -366,88 +432,17 @@ class _Rounds:
         self.todo = -1
         self.steps, self.moved, self.y = np.full(n, _FRESH), np.zeros(n, dtype=bool), np.empty((3, n))
 
-    def advance(self, sim: Similarity, x: np.ndarray, at: np.ndarray, todo: int, out):
-        """``_start`` on the curve's rows at positions at, the (3, m)
-        coordinate rows x, taking up the rows a loop ran before where they
-        stopped.  Where each row stands is written back once the loop
-        ends, so a loop that raises leaves every row where it stood."""
+    def state(self, at: np.ndarray, todo: int) -> tuple | None:
+        """The (y, moved, steps) of the rows at positions at, for a loop to
+        level todo, in fresh arrays, or None where every row is fresh."""
         if todo < self.todo:  # a smaller level starts afresh
             self.__init__(len(self.steps))
-        ends, dones, fresh = [], [], None
-        if self.todo >= 0:
-            steps = self.steps.take(at)
-            done = np.flatnonzero(steps == _DONE)
-            _scatter(out, done, self.y.take(at.take(done), axis=1))
-            ends.append(self._rows(at, np.flatnonzero(steps >= todo), steps))
-            # the rows below level todo take their next rounds
-            go = np.flatnonzero((steps >= 0) & (steps < todo))
-            _loop(sim, 1, todo, out, ends, dones, *self._rows(at, go, steps))
-            fresh = np.flatnonzero(steps == _FRESH)
-            x = x.take(fresh, axis=1)
-        self.todo = todo
-        ends = _start(sim, 1, todo, x, fresh, out, ends, dones)
-        if ends is not None:
-            kept = at.take(ends[0])
-            _scatter(self.y, kept, ends[1])
-            self.moved[kept], self.steps[kept] = ends[2], ends[3]
-        if dones:
-            places = np.concatenate(dones)
-            _scatter(self.y, at.take(places), out.take(places, axis=1))
-            self.steps[at.take(places)] = _DONE
-        return ends
+        return None if self.todo < 0 else (self.y.take(at, axis=1), self.moved.take(at), self.steps.take(at))
 
-    def _rows(self, at: np.ndarray, places: np.ndarray, steps: np.ndarray) -> tuple:
-        """The places, y, V_1 flags and steps of the rows at places in at."""
-        kept = at.take(places)
-        return places, self.y.take(kept, axis=1), self.moved.take(kept), steps.take(places)
-
-
-def _start(sim: Similarity, first: int, todo: int, x, rows, out, ends: list, dones: list):
-    """The rounds to level todo of the (3, m) coordinate rows x, at level
-    first and at places rows (all of them where None): carried to level
-    1, past the levels whose V_1 they cannot meet, and through ``_loop``.
-    The images of the rows done go into out, coordinate rows as x is, and
-    their places onto dones.  Returns the places, y, V_1 flags and steps
-    of the rows left at level todo, those on ends included, or None."""
-    if x.shape[1]:
-        rows = np.arange(x.shape[1]) if rows is None else rows
-        y, skip = sim._skip(sim._power(x, 1 - first), todo)
-        moved = np.zeros(len(rows), dtype=bool)
-        wait = skip == todo
-        if wait.any():
-            ends.append((*_kept(wait, rows, y, moved), np.full(int(wait.sum()), _FRESH)))
-            rows, y, moved, skip = _kept(~wait, rows, y, moved, skip)
-        _loop(sim, first, todo, out, ends, dones, rows, y, moved, skip)
-    return [np.concatenate(part, axis=-1) for part in zip(*ends)] if ends else None
-
-
-def _loop(sim: Similarity, first: int, todo: int, out, ends, dones, rows, y, moved, steps) -> None:
-    """The rounds of ``_start`` on the rows at places rows, below level
-    todo, each row put on ends or dones as it stops."""
-    h1 = sim.first.time_one()
-    while len(rows):
-        z, held = sim._through(h1, y)
-        moved |= held
-        # S^-1 carries a row out of the hull exactly when it lies
-        # outside S(hull): it is done, at S^(first-1+s) of z
-        done = ~sim._hull_2.contains_array(z.T)
-        if done.any():
-            image = done & moved
-            if image.any():
-                levels = first - 1 + steps.compress(image)
-                final = sim._power(z.compress(image, axis=1), levels)
-                _scatter(out, rows.compress(image), final)
-            dones.append(rows.compress(done))
-            rows, y, z, moved, steps = _kept(~done, rows, y, z, moved, steps)
-        stepped = sim._power(z, -1)
-        # a row g leaves bitwise in place stays there at every level;
-        # the three rows ANDed, as in Box.contains_array
-        same = stepped.view(np.int64) == y.view(np.int64)
-        y, steps = stepped, np.where(same[0] & same[1] & same[2], _STILL, steps + 1)
-        stop = steps >= todo
-        if stop.any():
-            ends.append(_kept(stop, rows, y, moved, steps))
-            rows, y, moved, steps = _kept(~stop, rows, y, moved, steps)
+    def keep(self, at: np.ndarray, todo: int, state: tuple) -> None:
+        """The state the rounds to level todo left on the rows at at."""
+        _scatter(self.y, at, state[0])
+        self.moved[at], self.steps[at], self.todo = state[1], state[2], todo
 
 
 @dataclass
@@ -619,32 +614,20 @@ class _LevelLoop(LocalMap):
     scale or overflows at any depth, and the powers of S are applied in
     factors that stay finite.
 
-    A row is carried to level 1 by S^(1-first) and then takes one step of
-    g per round, the rows V_1 holds going through one h_1 call.  S maps
-    hull(V_1 u {p}) into itself and h_1 is the identity outside V_1, so a
-    row that g carries out of that hull never comes back: it is done, at
-    S^(first-1+s) of its h_1 image after s steps, or where it started if
-    V_1 never held it.  A row that a step leaves bitwise in place stays
-    there at every level.  Where p lies outside V_1, at sup-norm distance
-    dmin from it, a row at distance d from p can lie in V_k only if
-    r^(k-1) dmin <= d, so it first skips straight to the first level
-    whose V can hold it, in one multiply (``Similarity._skip``), and its
-    first round is at that level.  The support is the hull of V_first
-    and V_last, which holds every V_k between them.  A one-level loop,
-    stage k alone, takes no step of g, and its inverse is the one-level
-    loop over h_last's inverse.
-
-    A loop is its rounds (``_start``) to level last, then h_last, on the
-    rows inside the support.  It takes its rounds as an argument: a
+    A loop is its rounds to level last, run by the one round kernel
+    ``Similarity._rounds``, then h_last on the rows not done, on the rows
+    inside the support, which is the hull of V_first and V_last and so
+    holds every V_k between them.  It takes its rounds as an argument: a
     ``Film``'s, on the rows of the film's curve from level 1, resumed
     where the film's last loop stopped, so its frames run each round
-    once; or None, fresh rounds that nothing keeps.
+    once; or None, fresh rounds that nothing keeps.  A one-level loop,
+    stage k alone, takes no step of g, and its inverse is the one-level
+    loop over h_last's inverse.
     """
 
     def __init__(self, sim: Similarity, first: int, last: int, h_last: LocalMap, rounds=None):
         self.sim, self.first, self.last = sim, first, last
         self.h_last, self.rounds = h_last, rounds
-        # V_first..V_last lie in the hull of the first and the last
         self.support = bounding_box([sim.box(first), sim.box(last)])
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
@@ -658,28 +641,20 @@ class _LevelLoop(LocalMap):
     def _run(self, q: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
         """The rows q, at positions at of the film's curve where the loop
         has rounds, through the rounds to level last, then h_last."""
-        sim, todo = self.sim, self.last - self.first
+        sim, todo, rounds = self.sim, self.last - self.first, self.rounds
         x = q.T
-        # a row no map moves is where it started
-        out = x.copy()
-        if self.rounds is None:
-            ends = _start(sim, self.first, todo, x, None, out, [], [])
-        else:
-            ends = self.rounds.advance(sim, x, at, todo, out)
-        if ends is not None:
-            places, y, moved = ends[:3]
-            z, held = sim._through(self.h_last, y)
-            moved |= held
-            if moved.any():
-                z = z.compress(moved, axis=1)
-                _scatter(out, places.compress(moved), sim._power(z, self.last - 1))
+        state = sim._rounds(self.first, todo, x, None if rounds is None else rounds.state(at, todo))
+        if rounds is not None:
+            rounds.keep(at, todo, state)
+        # the state's y, kept already, becomes the image: a done row's y is it
+        out, moved, steps = state
+        rows = np.flatnonzero(steps != _DONE)
+        if len(rows):
+            z, held = sim._through(self.h_last, out.take(rows, axis=1))
+            # a row no map moves is where it started
+            image = np.where(moved.take(rows) | held, sim._power(z, self.last - 1), x.take(rows, axis=1))
+            _scatter(out, rows, image)
         return out.T
-
-
-def _kept(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """Each per-row array, 1-D or (3, m) coordinate rows, with the columns
-    keep marks, read by ``compress``."""
-    return [a.compress(keep, axis=-1) for a in arrays]
 
 
 def apply_truncated(seq: MoveSequence, n: int, pts: np.ndarray) -> np.ndarray:

@@ -203,6 +203,28 @@ def test_the_verdict_rule_lives_in_engine():
     assert holds and set(holds) == {"engine.py"}, holds
 
 
+def test_the_rounds_of_g_live_in_one_kernel():
+    # only Similarity._rounds reads the hull that decides a row is done or
+    # gives a row the _DONE or _STILL mark; elsewhere the marks are only
+    # compared against, so the batched census and the trapped-set test
+    # extend that kernel rather than write a second one
+    outside = []
+
+    def walk(node, scope, compared=False):
+        if isinstance(node, ast.Attribute) and node.attr == "_hull_2" and scope != "Similarity._rounds":
+            outside.append((scope, node.attr, node.lineno))
+        if isinstance(node, ast.Name) and node.id in ("_DONE", "_STILL"):
+            if scope != "Similarity._rounds" and not compared and isinstance(node.ctx, ast.Load):
+                outside.append((scope, node.id, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            walk(child, inner, compared or isinstance(node, ast.Compare))
+
+    for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):
+        walk(ast.parse(path.read_text()), "")
+    assert not outside, outside
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for path in sorted((ROOT / "src" / "knotiso").glob("*.py")):

@@ -677,16 +677,16 @@ class TestFramesReuse:
 
     def test_one_call_with_sorted_times_never_restarts_its_rounds(self, tmp_path, monkeypatch):
         # a call's times are sorted, so its loops ask for rising levels and
-        # never take _Rounds.advance's restart; a later call in the same
+        # never take the restart in _Rounds.state; a later call in the same
         # process, at an earlier time, still does
         asked = []
-        advance = engine._Rounds.advance
+        state = engine._Rounds.state
 
-        def recorded(self, sim, x, at, todo, out):
+        def recorded(self, at, todo):
             asked.append((self.todo, todo))
-            return advance(self, sim, x, at, todo, out)
+            return state(self, at, todo)
 
-        monkeypatch.setattr(engine._Rounds, "advance", recorded)
+        monkeypatch.setattr(engine._Rounds, "state", recorded)
         times = "0,0.3,0.6,0.8,0.9,0.95,0.98,0.99,1"
         for name, build in sorted(cli.SCENARIO_BUILDERS.items()):
             if build().moves.similarity is None:

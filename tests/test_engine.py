@@ -31,7 +31,7 @@ from knotiso.engine import (
     uniform_convergence_probe,
 )
 from knotiso.geometry import Box, PLCurve, union_diameter
-from knotiso.maps import IdentityMap, _scatter
+from knotiso.maps import IdentityMap, LocalMap, _scatter
 from knotiso.canonical import conjugated_insert, kink_isotopy, multi_kink_isotopy
 from knotiso.moves import cone_isotopy, conjugated_isotopy, reversed_isotopy
 
@@ -1407,15 +1407,50 @@ def _assert_resumes(seq: MoveSequence, pts: np.ndarray, calls) -> None:
 
 def _assert_same_rounds(got, sim: Similarity, batch: np.ndarray, at: np.ndarray, todo: int) -> None:
     """On the rows at of the batch, the rounds got are bitwise the ones a
-    fresh start takes from level 1 to todo: the same steps, the same level
-    coordinates or images, and where a row is not done the same V_1 flag."""
-    want, x = engine._Rounds(len(got.steps)), batch.take(at, axis=0).T
-    want.advance(sim, x, at, todo, x.copy())
-    steps = want.steps.take(at)
+    fresh start takes from level 1 to todo, the round kernel's given no
+    state: the same steps, the same level coordinates or images, and where
+    a row is not done the same V_1 flag."""
+    y, moved, steps = sim._rounds(1, todo, batch.take(at, axis=0).T, None)
     np.testing.assert_array_equal(got.steps.take(at), steps)
-    waits = at[steps != engine._DONE]
-    np.testing.assert_array_equal(got.moved.take(waits), want.moved.take(waits))
-    _assert_same_bits(got.y.take(at, axis=1), want.y.take(at, axis=1))
+    waits = steps != engine._DONE
+    np.testing.assert_array_equal(got.moved.take(at)[waits], moved[waits])
+    _assert_same_bits(got.y.take(at, axis=1), y)
+
+
+class _Counted(LocalMap):
+    """A map that records the row count of each batch it is given, then
+    maps it as the map it wraps."""
+
+    def __init__(self, inner: LocalMap, sizes: list) -> None:
+        self.inner, self.sizes, self.support = inner, sizes, inner.support
+
+    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+        self.sizes.append(len(pts))
+        return self.inner.apply_array(pts)
+
+
+@pytest.mark.parametrize("name", DECLARED_STREAMS)
+def test_the_level_loop_hands_no_map_an_empty_batch(name):
+    """No h_1 or h_last call of a level loop gets zero rows: not over a
+    film of the densified curve at one time in each of stages 1..7 of the
+    depth-20 glued schedule, with 0 and 1, as ``frames_film`` draws them,
+    and not over fresh truncations whose rows all finish done.  A map
+    given zero rows still runs its kernel (``LocalMap._on_support``)."""
+    s = SCENARIO_BUILDERS[name]()
+    sim, sizes = s.moves.similarity, []
+    first = Isotopy(sim.first.support, lambda t: _Counted(sim.first.map_at(t), sizes))
+    seq = MoveSequence(s.moves.container, similarity=Similarity(first, sim.p, sim.r, sim.fixed))
+    film = engine.Film(seq, s.initial_curve.densified(cli._FRAME_MAX_SEG))
+    glued = glue_schedule(seq, 20, film.rounds)
+    for t in [0.0] + [1.0 - 2.0 ** (1 - k) + 0.45 * 2.0**-k for k in range(1, 8)] + [1.0]:
+        map_curve(glued.map_at(t), film.curve)
+    pts = s.initial_curve.points
+    for n in (2, 20, 40):
+        _, _, steps = sim._rounds(1, n - 1, pts.T, None)
+        done = pts[steps == engine._DONE]
+        assert len(done)
+        truncated_map(seq, n).apply_array(done)
+    assert sizes and 0 not in sizes
 
 
 # depths and local times of a film's truncations, shallow and past the
@@ -1445,6 +1480,9 @@ def test_a_level_loop_resumes_its_rounds_on_the_declared_streams(scenarios, name
     p=(1.0, 0.0, 1.8237625428039037e-224), r=0.375, d=1.0, width=0.5, yz=(1.0, 1.0),
     calls=[(40, 0.0), (42, 0.0), (40, 0.0), (42, 0.0)], seed=25,
 )
+# resumed rows that g carries out of the hull at depth 3, V_1 never
+# having held them, come back where they started, not in level coordinates
+@example(p=(0.0, 0.0, 0.0), r=0.6875, d=0.5, width=0.5, yz=(1.0, 1.0), calls=[(2, 0.0), (3, 0.0)], seed=0)
 @settings(max_examples=40, deadline=None)
 def test_a_level_loop_resumes_its_rounds_on_generated_chains(p, r, d, width, yz, calls, seed):
     """On chains whose powers of S round, where a row the skip capped at

@@ -179,7 +179,7 @@ class TestBenchPairsSummary:
 
         parent = line(pass_s=1.0, a=100.0, b=10.0, c=5.0, d=0.0, e=8.0)
         change = line(pass_s=0.5, a=25.0, b=30.0, c=5.0, d=3.0, e=0.0)
-        moved = _bench_pairs().moved_layers(parent, change, {"pass_s"})
+        moved = _bench_pairs().moved_layers([parent], [change], {"pass_s"})
         # a fell 4x, b rose 3x, and e fell to 0, which ranks as a rise by
         # the same 8 would, 2x; c is unchanged, d had no parent value
         assert [m["metric"] for m in moved] == ["a", "b", "e"]
@@ -193,12 +193,29 @@ class TestBenchPairsSummary:
                        "cone.s": 0.010, "diagram.self_s": 0.100})
         change = line({"trace.pass_s": 0.40, "trace.overhead_s": 0.103, "render_svg.s": 0.129,
                        "cone.s": -0.001, "diagram.self_s": 0.010})
-        moved = _bench_pairs().moved_layers(parent, change, set())
+        moved = _bench_pairs().moved_layers([parent], [change], set())
         # the traced pass's time and overhead are noise, however far they
         # move; cone.s changed sign by 1.1 times its size, which ranks as a
         # rise of 2.1x would, between a 10x fall and a 1.48x one
         assert [m["metric"] for m in moved] == ["diagram.self_s", "cone.s", "render_svg.s"]
         assert moved[1]["ratio"] == pytest.approx(-0.1)
+
+    def test_moved_layers_reads_the_medians_of_several_traced_runs(self):
+        def lines(unit, **values):
+            return [{name: {"value": v[i], "unit": unit} for name, v in values.items()} for i in range(5)]
+
+        # timed: the parent's quartiles are 2 and 4
+        parent = lines("s", a=[1.0, 2.0, 3.0, 4.0, 5.0], b=[1.0, 2.0, 3.0, 4.0, 5.0], c=[3.0] * 5)
+        change = lines("s", a=[4.0, 1.0, 3.5, 9.0, 2.0], b=[5.0, 4.5, 9.0, 0.5, 1.0], c=[3.0] * 4 + [0.0])
+        moved = _bench_pairs().moved_layers(parent, change, set())
+        # a's median 3.5 lies inside [2, 4], so only b moved, by its median
+        # 4.5 against 3; c's one outlier leaves its median at 3
+        assert moved == [{"metric": "b", "parent": 3.0, "change": 4.5, "ratio": 1.5}]
+        # a count moves whenever its median differs, however little
+        parent = lines("count", n=[10.0, 10.0, 10.0, 12.0, 12.0], m=[7.0] * 5)
+        change = lines("count", n=[10.0, 11.0, 11.0, 12.0, 12.0], m=[7.0, 7.0, 7.0, 9.0, 9.0])
+        moved = _bench_pairs().moved_layers(parent, change, set())
+        assert [(m["metric"], m["parent"], m["change"]) for m in moved] == [("n", 10.0, 11.0)]
 
     def test_seed_ranges(self):
         bp = _bench_pairs()
@@ -246,19 +263,24 @@ def test_bench_pairs_runs_each_tree_from_source_without_bytecode(tmp_path, monke
 def test_bench_pairs_records_whether_both_trees_gave_the_same_outputs(tmp_path, monkeypatch):
     """A workload's entry holds ``outputs_match`` and the op keys whose
     report hash or failure differs at some seed, read off the detail lines
-    of both trees' runs."""
+    of both trees' runs, and the line count of each tree's package; the
+    traced runs flip the side that goes first with each trace seed."""
     bp = _bench_pairs()
     trees = {side: tmp_path / side for side in ("parent", "change")}
-    for tree in trees.values():
-        (tree / "src").mkdir(parents=True)
+    for lines, tree in zip((3, 2), trees.values()):
+        (tree / "src" / "knotiso").mkdir(parents=True)
+        (tree / "src" / "knotiso" / "engine.py").write_text("x = 1\n" * lines)
+        (tree / "src" / "knotiso" / "notes.txt").write_text("not code\n")
     (trees["change"] / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    # what the change tree gives differently, per seed
-    changed = {}
+    # what the change tree gives differently, per seed, and the traced runs
+    changed, traced = {}, []
 
     def fake_run(cmd, **kwargs):
         if cmd[1] == "-c":
             return subprocess.CompletedProcess(cmd, 0, "{}", "")  # a replay with no frames op
         seed = int(cmd[cmd.index("--seed") + 1])
+        if cmd[-1] == "1":
+            traced.append((seed, kwargs["cwd"].name))
         hashes = {"run:a:20:20:0:": "aa", "run:b:20:20:0:": "bb"}
         failures = ["frames:fox:20:20:1:0.9 error: ValueError: degenerate"]
         if kwargs["cwd"] == trees["change"]:
@@ -271,13 +293,17 @@ def test_bench_pairs_records_whether_both_trees_gave_the_same_outputs(tmp_path, 
     monkeypatch.setattr(bp.subprocess, "run", fake_run)
     monkeypatch.chdir(tmp_path)
 
-    def entry(label):
+    def entry(label, *more):
         argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"])]
-        assert bp.main(argv + ["--workload", "w", "--seeds", "1-3", "--label", label]) == 0
+        assert bp.main(argv + ["--workload", "w", "--seeds", "1-3", "--label", label, *more]) == 0
         return json.loads((tmp_path / f"BENCH_{label}.json").read_text())["workloads"]["w"]
 
     got = entry("same")
     assert got["outputs_match"] is True and got["mismatched_ops"] == []
+    assert got["src_lines"] == {"parent": 3, "change": 2} and "traced" not in got
+    got = entry("traced", "--trace-seed", "7-9")
+    assert traced == [(7, "parent"), (7, "change"), (8, "change"), (8, "parent"), (9, "parent"), (9, "change")]
+    assert got["traced"]["seeds"] == [7, 8, 9] and len(got["traced"]["change"]) == 3
     changed[2] = {"hashes": {"run:b:20:20:0:": "b2"}}
     changed[3] = {"failures": ["frames:c:20:20:1:1.0 wrong: x"]}
     got = entry("differs")
